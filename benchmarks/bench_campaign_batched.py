@@ -1,4 +1,4 @@
-"""Batched campaign execution — throughput past the 5 points/s wall.
+"""Batched campaign execution — grouped evaluation against point-by-point.
 
 Runs the same 24-point GÉANT grid as ``bench_campaign.py`` two ways —
 point-by-point serial and ``--batch`` (grouped evaluation through
@@ -7,18 +7,18 @@ batched store is ``canonical_dump``-bit-identical to the serial one, both
 for a clean drain and for an interrupted-then-resumed drain.  Records
 points/s for both modes in ``BENCH_campaign_batched.json``.
 
+Every leg starts with an empty calibration memo, so both rates are what a
+fresh ``run-campaign`` process delivers.
+
 Throughput context: the grid's 24 points share one topology/power/routing
 signature, so batching builds the network stack once, shares traffic
 calibration between SLO twins (24 → 12 builds), shares REsPoNse plans,
 GreenTE candidates/solves and ECMP power evaluations across points, and
-drives all points through one interval-major timeline pass.  What remains
-is dominated by the 12 distinct scipy MCF load calibrations (one per
-seed × pair-count × demand-total combination), an irreducible per-grid cost
-while results must stay bit-identical — which bounds the end-to-end speedup
-well below the per-interval-loop savings.  The identity assertions always
-hold; the speed gate is relaxed on shared/multi-core CI runners with
-``CAMPAIGN_BATCH_BENCH_SKIP_SPEEDUP_GATE=1``, like the other campaign
-benches.
+drives all points through one interval-major timeline pass.  The 12 distinct
+load calibrations cost both legs the same ~0.2 s (three LPs each).  The
+identity assertions always hold; the speed gate is relaxed on
+shared/multi-core CI runners with ``CAMPAIGN_BATCH_BENCH_SKIP_SPEEDUP_GATE=1``,
+like the other campaign benches.
 
 Also runnable standalone (writes the baseline JSON):
 
@@ -40,12 +40,11 @@ sys.path.insert(0, str(Path(__file__).parent))
 from bench_campaign import INTERRUPT_AFTER, campaign_spec  # noqa: E402
 
 from repro.campaign import CampaignStore, run_campaign  # noqa: E402
+from repro.traffic import clear_calibration_cache  # noqa: E402
 
-#: Batched execution must beat point-by-point serial by this factor.
-SPEEDUP_FLOOR = 2.0
-
-#: The "5 points/s wall" of the serial baseline that batching must break.
-POINTS_PER_S_FLOOR = 5.4
+#: Batched execution must beat point-by-point serial by this factor, both
+#: legs cold (measured 2.35-2.67x on the 2-CPU box: 18-22 vs 45-57 points/s).
+SPEEDUP_FLOOR = 1.8
 
 BASELINE_PATH = Path(__file__).parent / "BENCH_campaign_batched.json"
 
@@ -59,15 +58,21 @@ def measure() -> Dict[str, Any]:
         batched_store = os.path.join(workdir, "batched.sqlite")
         resumed_store = os.path.join(workdir, "resumed.sqlite")
 
+        # A memo left warm leaks into the next leg, which then calibrates
+        # for free.
+        clear_calibration_cache()
         serial = run_campaign(spec, store_path=serial_store)
+        clear_calibration_cache()
         batched = run_campaign(spec, store_path=batched_store, batch=True)
 
         # Interrupted batched drain (the deterministic stand-in for a
         # kill), resumed in batch mode: only the missing points run, and
         # the final store must still match the serial one bit-for-bit.
+        clear_calibration_cache()
         interrupted = run_campaign(
             spec, store_path=resumed_store, max_points=INTERRUPT_AFTER, batch=True
         )
+        clear_calibration_cache()
         resumed = run_campaign(spec, store_path=resumed_store, batch=True)
 
         with CampaignStore(serial_store) as store:
@@ -110,11 +115,11 @@ def _check(results: Dict[str, Any]) -> None:
 
 
 def _gate_speedup(results: Dict[str, Any]) -> bool:
-    """Whether the throughput floors apply in this environment.
+    """Whether the speedup floor applies in this environment.
 
     Shared/multi-core CI runners make wall-clock comparisons flaky, so the
-    gate only applies on dedicated single-core boxes (where the serial
-    baseline was taken) and can always be relaxed with the env var.
+    gate only applies on dedicated single-core boxes and can always be
+    relaxed with the env var.
     """
     if os.environ.get("CAMPAIGN_BATCH_BENCH_SKIP_SPEEDUP_GATE"):
         return False
@@ -131,10 +136,6 @@ def test_campaign_batched_throughput_and_identity(benchmark, run_once):
             f"batched campaign only {results['batched_speedup']:.2f}x faster "
             f"than serial (floor: {SPEEDUP_FLOOR}x)"
         )
-        assert results["points_per_s_batched"] >= POINTS_PER_S_FLOOR, (
-            f"batched throughput {results['points_per_s_batched']:.2f} points/s "
-            f"below the serial wall (floor: {POINTS_PER_S_FLOOR} points/s)"
-        )
 
 
 if __name__ == "__main__":
@@ -143,14 +144,10 @@ if __name__ == "__main__":
     for key, value in outcome.items():
         print(f"{key}: {value:.4f}")
     _check(outcome)
-    if _gate_speedup(outcome) and (
-        outcome["batched_speedup"] < SPEEDUP_FLOOR
-        or outcome["points_per_s_batched"] < POINTS_PER_S_FLOOR
-    ):
+    if _gate_speedup(outcome) and outcome["batched_speedup"] < SPEEDUP_FLOOR:
         print(
-            f"FAIL: batched speedup {outcome['batched_speedup']:.2f}x / "
-            f"{outcome['points_per_s_batched']:.2f} points/s below the floor "
-            f"({SPEEDUP_FLOOR}x, {POINTS_PER_S_FLOOR} points/s)"
+            f"FAIL: batched speedup {outcome['batched_speedup']:.2f}x below "
+            f"the floor ({SPEEDUP_FLOOR}x)"
         )
         raise SystemExit(1)
     print(

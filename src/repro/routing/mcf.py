@@ -12,6 +12,9 @@ several places:
 
 Commodities are aggregated per origin (the standard reduction), so the LP has
 ``|arcs| * |origins|`` variables rather than ``|arcs| * |pairs|``.
+
+:func:`max_concurrent_flow` asks the optimisation form of the same question
+("how many times this matrix fits") over the same constraint rows.
 """
 
 from __future__ import annotations
@@ -24,8 +27,15 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from ..exceptions import SolverError
-from ..topology.base import Topology, link_key
+from ..obs import metrics
+from ..topology.base import Arc, Topology, link_key
 from ..traffic.matrix import TrafficMatrix
+
+_LP_SOLVES = metrics.counter(
+    "repro_mcf_lp_solves_total", "HiGHS LP solves of the MCF module, by kind of LP"
+)
+_FEASIBILITY_SOLVES = _LP_SOLVES.labels(kind="feasibility")
+_MAX_CONCURRENT_SOLVES = _LP_SOLVES.labels(kind="max_concurrent")
 
 
 @dataclass(frozen=True)
@@ -48,37 +58,41 @@ class MCFResult:
     total_flow_bps: float
 
 
-def solve_mcf(
-    topology: Topology,
-    demands: TrafficMatrix,
-    utilisation_limit: float = 1.0,
-    active_nodes: Optional[Iterable[str]] = None,
-    active_links: Optional[Iterable[Tuple[str, str]]] = None,
-) -> MCFResult:
-    """Solve the splittable MCF feasibility LP.
+@dataclass(frozen=True)
+class _FlowLP:
+    """The origin-aggregated flow LP of one (arc set, demand set).
 
-    Args:
-        topology: The physical topology.
-        demands: Traffic matrix to route.
-        utilisation_limit: Fraction of each arc's capacity that may be used
-            (the paper's safety margin ``sm``).
-        active_nodes: Restrict routing to these nodes (default: all).
-        active_links: Restrict routing to these undirected links
-            (default: all links between active nodes).
-
-    Returns:
-        An :class:`MCFResult`; ``feasible`` is ``False`` both when the LP is
-        infeasible and when some demand endpoint is outside the active set.
+    Variable ``o * num_arcs + a`` is the flow of origin ``o`` on arc ``a``;
+    ``a_eq`` is flow conservation per (origin, node) and ``a_ub`` the total
+    flow per arc.  ``eq_rhs`` is in units of ``scale`` (the largest arc
+    capacity): demands expressed in bits per second reach 1e8-1e10, which
+    interacts badly with the solver's absolute feasibility tolerances.
     """
-    nodes: List[str]
-    if active_nodes is None:
-        nodes = topology.nodes()
-    else:
-        nodes = [n for n in topology.nodes() if n in set(active_nodes)]
-    node_set = set(nodes)
 
+    num_origins: int
+    a_eq: sparse.coo_matrix
+    a_ub: sparse.coo_matrix
+    eq_rhs: np.ndarray
+    capacities_bps: np.ndarray
+    scale: float
+
+    def capacity_rhs(self, utilisation_limit: float) -> np.ndarray:
+        return self.capacities_bps * utilisation_limit / self.scale
+
+
+def _active_arcs(
+    topology: Topology,
+    active_nodes: Optional[Iterable[str]],
+    active_links: Optional[Iterable[Tuple[str, str]]],
+) -> Tuple[List[str], List[Arc]]:
+    """Nodes and directed arcs of the (sub)network, in topology order."""
+    nodes = topology.nodes()
+    if active_nodes is not None:
+        allowed = set(active_nodes)
+        nodes = [node for node in nodes if node in allowed]
+    node_set = set(nodes)
     if active_links is None:
-        link_keys = {key for key in topology.link_keys()}
+        link_keys = set(topology.link_keys())
     else:
         link_keys = {link_key(u, v) for (u, v) in active_links}
     arcs = [
@@ -88,17 +102,59 @@ def solve_mcf(
         and arc.dst in node_set
         and arc.link_key in link_keys
     ]
+    return nodes, arcs
 
-    positive = [(pair, demand) for pair, demand in demands.items() if demand > 0.0]
-    if not positive:
-        return MCFResult(True, 0.0, {arc.key: 0.0 for arc in arcs}, 0.0)
 
-    endpoints = {node for (origin, destination), _ in positive for node in (origin, destination)}
-    if not endpoints <= node_set:
-        return MCFResult(False, float("inf"), {}, 0.0)
-    if not arcs:
-        # Positive demand but no usable arcs at all: trivially infeasible.
-        return MCFResult(False, float("inf"), {}, 0.0)
+def _positive_demands(demands: TrafficMatrix) -> List[Tuple[Tuple[str, str], float]]:
+    return [(pair, demand) for pair, demand in demands.items() if demand > 0.0]
+
+
+def _constraint_structure(
+    src: np.ndarray, dst: np.ndarray, num_nodes: int, num_origins: int
+) -> Tuple[sparse.coo_matrix, sparse.coo_matrix]:
+    """``(A_eq, A_ub)`` for the arcs ``src[a] -> dst[a]``, one copy per origin.
+
+    ``A_eq`` is a node-arc incidence block per origin (+1 in the row of the
+    arc's source, -1 in the row of its destination) and ``A_ub`` an identity
+    block per origin, side by side.  Neither depends on the demands: the
+    feasibility LP and the max-concurrent-flow LP differ only in what they
+    put beside them.
+    """
+    num_arcs = len(src)
+    num_vars = num_arcs * num_origins
+    columns = np.arange(num_vars)
+    arc_of = columns % num_arcs
+    first_row = (columns // num_arcs) * num_nodes
+    ones = np.ones(num_vars)
+    a_eq = sparse.coo_matrix(
+        (
+            np.concatenate((ones, -ones)),
+            (
+                np.concatenate((first_row + src[arc_of], first_row + dst[arc_of])),
+                np.concatenate((columns, columns)),
+            ),
+        ),
+        shape=(num_nodes * num_origins, num_vars),
+    )
+    a_ub = sparse.coo_matrix((ones, (arc_of, columns)), shape=(num_arcs, num_vars))
+    return a_eq, a_ub
+
+
+def _flow_lp(
+    nodes: List[str],
+    arcs: List[Arc],
+    positive: List[Tuple[Tuple[str, str], float]],
+) -> Optional[_FlowLP]:
+    """Assemble the LP that routes *positive*, or ``None`` if no flow can exist.
+
+    ``None`` is what can be decided without a solver: a demand endpoint
+    outside the active nodes, no usable arc at all, or a destination that
+    its origin cannot reach.
+    """
+    node_index = {name: index for index, name in enumerate(nodes)}
+    endpoints = {node for pair, _ in positive for node in pair}
+    if not arcs or not endpoints <= node_index.keys():
+        return None
 
     # Connectivity pre-check.  Tiny demands (the paper's 1 bit/s ε flows) can
     # fall below the LP solver's feasibility tolerances once the problem is
@@ -124,12 +180,10 @@ def solve_mcf(
 
     for (origin, destination), _demand in positive:
         if destination not in reachable_from(origin):
-            return MCFResult(False, float("inf"), {}, 0.0)
+            return None
 
-    # Rescale the LP to dimensionless units (fractions of the largest
-    # capacity).  Demands expressed in bits per second reach 1e8-1e10, which
-    # interacts badly with the solver's absolute feasibility tolerances.
-    scale = max(arc.capacity_bps for arc in arcs) if arcs else 1.0
+    capacities_bps = np.array([arc.capacity_bps for arc in arcs])
+    scale = float(capacities_bps.max())
 
     origins = sorted({origin for (origin, _), _ in positive})
     demand_from: Dict[str, Dict[str, float]] = {origin: {} for origin in origins}
@@ -138,65 +192,63 @@ def solve_mcf(
             demand_from[origin].get(destination, 0.0) + demand / scale
         )
 
-    node_index = {name: index for index, name in enumerate(nodes)}
-    num_arcs = len(arcs)
-    num_origins = len(origins)
-    num_vars = num_arcs * num_origins
-
-    def var(arc_position: int, origin_position: int) -> int:
-        return origin_position * num_arcs + arc_position
-
-    # Equality constraints: flow conservation per (node, origin).
-    eq_rows: List[int] = []
-    eq_cols: List[int] = []
-    eq_vals: List[float] = []
-    eq_rhs = np.zeros(len(nodes) * num_origins)
-    for origin_position, origin in enumerate(origins):
+    # Conservation right-hand side: an origin emits what its sinks absorb.
+    eq_rhs = np.zeros((len(origins), len(nodes)))
+    for row, origin in enumerate(origins):
+        for destination, volume in demand_from[origin].items():
+            eq_rhs[row, node_index[destination]] = volume
+    np.negative(eq_rhs, out=eq_rhs)
+    for row, origin in enumerate(origins):
         sinks = demand_from[origin]
-        supply = sum(sinks.values())
-        for arc_position, arc in enumerate(arcs):
-            row_src = origin_position * len(nodes) + node_index[arc.src]
-            row_dst = origin_position * len(nodes) + node_index[arc.dst]
-            column = var(arc_position, origin_position)
-            eq_rows.append(row_src)
-            eq_cols.append(column)
-            eq_vals.append(1.0)
-            eq_rows.append(row_dst)
-            eq_cols.append(column)
-            eq_vals.append(-1.0)
-        for node, position in node_index.items():
-            row = origin_position * len(nodes) + position
-            if node == origin:
-                eq_rhs[row] = supply - sinks.get(node, 0.0)
-            else:
-                eq_rhs[row] = -sinks.get(node, 0.0)
+        eq_rhs[row, node_index[origin]] = sum(sinks.values()) - sinks.get(origin, 0.0)
 
-    a_eq = sparse.csr_matrix(
-        (eq_vals, (eq_rows, eq_cols)), shape=(len(nodes) * num_origins, num_vars)
+    a_eq, a_ub = _constraint_structure(
+        np.array([node_index[arc.src] for arc in arcs]),
+        np.array([node_index[arc.dst] for arc in arcs]),
+        len(nodes),
+        len(origins),
     )
+    return _FlowLP(len(origins), a_eq, a_ub, eq_rhs.ravel(), capacities_bps, scale)
 
-    # Inequality constraints: per-arc capacity.
-    ub_rows: List[int] = []
-    ub_cols: List[int] = []
-    ub_vals: List[float] = []
-    ub_rhs = np.zeros(num_arcs)
-    for arc_position, arc in enumerate(arcs):
-        ub_rhs[arc_position] = arc.capacity_bps * utilisation_limit / scale
-        for origin_position in range(num_origins):
-            ub_rows.append(arc_position)
-            ub_cols.append(var(arc_position, origin_position))
-            ub_vals.append(1.0)
-    a_ub = sparse.csr_matrix((ub_vals, (ub_rows, ub_cols)), shape=(num_arcs, num_vars))
 
-    # Objective: minimise total flow (discourages cycles and long detours).
-    cost = np.ones(num_vars)
+def solve_mcf(
+    topology: Topology,
+    demands: TrafficMatrix,
+    utilisation_limit: float = 1.0,
+    active_nodes: Optional[Iterable[str]] = None,
+    active_links: Optional[Iterable[Tuple[str, str]]] = None,
+) -> MCFResult:
+    """Solve the splittable MCF feasibility LP.
 
+    Args:
+        topology: The physical topology.
+        demands: Traffic matrix to route.
+        utilisation_limit: Fraction of each arc's capacity that may be used
+            (the paper's safety margin ``sm``).
+        active_nodes: Restrict routing to these nodes (default: all).
+        active_links: Restrict routing to these undirected links
+            (default: all links between active nodes).
+
+    Returns:
+        An :class:`MCFResult`; ``feasible`` is ``False`` both when the LP is
+        infeasible and when some demand endpoint is outside the active set.
+    """
+    nodes, arcs = _active_arcs(topology, active_nodes, active_links)
+    positive = _positive_demands(demands)
+    if not positive:
+        return MCFResult(True, 0.0, {arc.key: 0.0 for arc in arcs}, 0.0)
+    lp = _flow_lp(nodes, arcs, positive)
+    if lp is None:
+        return MCFResult(False, float("inf"), {}, 0.0)
+
+    _FEASIBILITY_SOLVES.inc()
     result = linprog(
-        cost,
-        A_ub=a_ub,
-        b_ub=ub_rhs,
-        A_eq=a_eq,
-        b_eq=eq_rhs,
+        # Objective: minimise total flow (discourages cycles and long detours).
+        np.ones(lp.a_ub.shape[1]),
+        A_ub=lp.a_ub,
+        b_ub=lp.capacity_rhs(utilisation_limit),
+        A_eq=lp.a_eq,
+        b_eq=lp.eq_rhs,
         bounds=(0, None),
         method="highs",
     )
@@ -206,23 +258,65 @@ def solve_mcf(
         raise SolverError(f"MCF solver failed: {result.message}")
 
     solution = result.x
-    arc_loads: Dict[Tuple[str, str], float] = {}
-    for arc_position, arc in enumerate(arcs):
-        load = float(
-            sum(
-                solution[var(arc_position, origin_position)]
-                for origin_position in range(num_origins)
-            )
-        )
-        arc_loads[arc.key] = load * scale
-    max_utilisation = max(
-        (arc_loads[arc.key] / arc.capacity_bps for arc in arcs), default=0.0
-    )
+    # Origin by origin, in order: the per-arc sums must not depend on a
+    # reduction tree (see the note on pairwise_sum below).
+    loads = np.zeros(len(arcs))
+    for origin_flows in solution.reshape(lp.num_origins, len(arcs)):
+        loads += origin_flows
+    loads_bps = loads * lp.scale
+    arc_loads = {arc.key: float(load) for arc, load in zip(arcs, loads_bps, strict=True)}
+    max_utilisation = float(np.max(loads_bps / lp.capacities_bps))
     # Fixed-order summation: np.sum's accumulation tree can depend on the
     # buffer's alignment, wobbling the last ULP between interpreter runs.
     from ..simulator.fairness import pairwise_sum
 
-    return MCFResult(True, max_utilisation, arc_loads, float(pairwise_sum(solution)) * scale)
+    return MCFResult(
+        True, max_utilisation, arc_loads, float(pairwise_sum(solution)) * lp.scale
+    )
+
+
+def max_concurrent_flow(topology: Topology, demands: TrafficMatrix) -> float:
+    """The largest ``λ`` such that ``λ * demands`` fits the full topology.
+
+    One LP — maximise ``λ`` subject to conservation with right-hand side
+    ``λ * d`` and the capacity rows of :func:`solve_mcf` — in place of a
+    search over feasibility LPs.  ``λ`` is exact only up to the solver's
+    tolerances: a caller that needs a decision at a particular volume still
+    asks :func:`is_demand_feasible` there.
+
+    Returns:
+        ``λ*``; ``0.0`` when some demand cannot be routed at any volume and
+        ``inf`` when there is no positive demand.
+
+    Raises:
+        SolverError: If the solver does not reach an optimum.
+    """
+    nodes, arcs = _active_arcs(topology, None, None)
+    positive = _positive_demands(demands)
+    if not positive:
+        return float("inf")
+    lp = _flow_lp(nodes, arcs, positive)
+    if lp is None:
+        return 0.0
+
+    # One more column, λ: absent from the capacity rows, and -d in the
+    # conservation rows so that they read ``A_eq f - λ d = 0``.
+    num_rows, num_flows = lp.a_eq.shape
+    cost = np.zeros(num_flows + 1)
+    cost[-1] = -1.0
+    _MAX_CONCURRENT_SOLVES.inc()
+    result = linprog(
+        cost,
+        A_ub=sparse.hstack([lp.a_ub, sparse.coo_matrix((len(arcs), 1))]),
+        b_ub=lp.capacity_rhs(1.0),
+        A_eq=sparse.hstack([lp.a_eq, sparse.coo_matrix(-lp.eq_rhs[:, None])]),
+        b_eq=np.zeros(num_rows),
+        bounds=(0, None),
+        method="highs",
+    )
+    if not result.success:
+        raise SolverError(f"max-concurrent-flow solver failed: {result.message}")
+    return float(result.x[-1])
 
 
 def is_demand_feasible(

@@ -181,6 +181,10 @@ def campaign_status_payload(
     """
     with state.open_reader() as store:
         campaign = _find_campaign(store, selector)
+        # Job state before counts: a drain commits its last point and then
+        # marks the job done, so counts read after a "done" are final.
+        job = state.jobs.get(campaign["campaign_id"])
+        job_state = job.to_dict() if job is not None else None
         counts = store.status_counts(campaign["campaign_id"])
         leases = store.active_leases(campaign["campaign_id"])
     payload: Dict[str, Any] = {
@@ -188,9 +192,8 @@ def campaign_status_payload(
         "counts": counts,
         "leases": leases,
     }
-    job = state.jobs.get(campaign["campaign_id"])
-    if job is not None:
-        payload["job"] = job.to_dict()
+    if job_state is not None:
+        payload["job"] = job_state
     return payload
 
 

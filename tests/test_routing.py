@@ -226,6 +226,16 @@ def test_mcf_infeasible_when_endpoint_inactive(diamond):
     assert not result.feasible
 
 
+def test_mcf_active_nodes_may_be_a_one_shot_iterable(diamond):
+    """A generator must restrict the node set exactly as the same list does."""
+    demands = TrafficMatrix({("a", "d"): mbps(50)})
+    expected = solve_mcf(diamond, demands, active_nodes=["a", "b", "d"])
+    assert expected.feasible
+    assert set(expected.arc_loads) == {("a", "b"), ("b", "a"), ("b", "d"), ("d", "b")}
+    result = solve_mcf(diamond, demands, active_nodes=(node for node in "abd"))
+    assert result == expected
+
+
 def test_mcf_empty_demand_is_trivially_feasible(diamond):
     result = solve_mcf(diamond, TrafficMatrix.zero())
     assert result.feasible

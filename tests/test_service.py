@@ -440,6 +440,37 @@ def test_concurrent_readers_during_active_drain(tmp_path):
         assert final["counts"]["done"] == 4
 
 
+def test_status_done_implies_nothing_pending(tmp_path, monkeypatch):
+    """A ``done`` job never arrives beside counts taken before it was done.
+
+    The drain commits its last point and then flips the job to ``done``.
+    The reader below stalls every count that still shows pending points
+    until that flip has happened — the worst interleaving a status request
+    can meet — so a handler that reads counts before the job state answers
+    ``done`` with ``pending > 0``.
+    """
+    with service(tmp_path) as server:
+        jobs = server.state.jobs
+
+        class StalledReader(CampaignStore):
+            def status_counts(self, campaign_id):
+                counts = super().status_counts(campaign_id)
+                if counts["pending"]:
+                    assert jobs.wait(campaign_id, timeout=120)
+                return counts
+
+        monkeypatch.setattr(
+            ServiceState,
+            "open_reader",
+            lambda state: StalledReader(state.store_path, read_only=True),
+        )
+        _, submitted = post_json(server, "/campaigns", {"spec": campaign_dict()})
+        # The first poll meets the live drain and is held until its end.
+        final = wait_for_job(server, submitted["campaign_id"])
+        assert final["job"]["state"] == "done"
+        assert final["counts"] == {"done": 4, "error": 0, "pending": 0, "total": 4}
+
+
 # --------------------------------------------------------------------- #
 # Job manager and schema validation (no HTTP)
 # --------------------------------------------------------------------- #
