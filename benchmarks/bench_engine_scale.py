@@ -10,18 +10,19 @@ earlier points:
 
 * ``step_seconds`` — one warm rate-allocation step over the full flow set,
 * ``peak_rss_mb`` — ``resource.getrusage(RUSAGE_SELF).ru_maxrss``,
-* ``alloc_mb`` — the resident allocation structures (per-flow incidence
-  arrays for the dense path, the :class:`~repro.simulator.AggregatedFlows`
+* ``alloc_mb`` — the resident allocation structures (the per-flow CSR
+  incidence for the dense path, the :class:`~repro.simulator.AggregatedFlows`
   table for the sparse path),
 * ``checksum`` — SHA-256 of the per-flow rate vector bytes.
 
 Two engine paths run per point: **dense** builds one
 :class:`~repro.simulator.Flow` object per flow and allocates through
-``SimulatedNetwork.allocate_rates`` with the dense kernel pinned; **sparse**
-groups the same flows per host pair into an ``AggregatedFlows`` table and
-allocates through :func:`~repro.simulator.allocate_aggregated` (the grouped
-sparse kernel).  Wherever both paths run their rate checksums must match
-bit-for-bit — that assertion is never relaxed.
+``SimulatedNetwork.allocate_rates``; **sparse** groups the same flows per
+host pair into an ``AggregatedFlows`` table and allocates through
+:func:`~repro.simulator.allocate_aggregated`.  Both run the same
+progressive-filling loop, over a one-row-per-flow and a one-row-per-group
+incidence respectively.  Wherever both paths run their rate checksums must
+match bit-for-bit — that assertion is never relaxed.
 
 The dense path hits its memory wall at roughly 0.8 KB per flow (one Python
 ``Flow`` object, id string and demand closure each), so above
@@ -170,14 +171,12 @@ def measure_point(mode: str, k: int, pairs: int, members: int) -> Dict[str, Any]
         SimulatedNetwork,
         allocate_aggregated,
         constant_demand,
-        set_fairness_kernel,
     )
 
     topology, paths, flow_group, demands = build_point(k, pairs, members)
     network = SimulatedNetwork(topology)
 
     if mode == "dense":
-        set_fairness_kernel("dense")
         flows = [
             Flow(
                 f"f{index}",
@@ -193,8 +192,11 @@ def measure_point(mode: str, k: int, pairs: int, members: int) -> Dict[str, Any]
         network.allocate_rates(flows, now_s=0.0)
         step_seconds = time.perf_counter() - start
         rates = np.array([flow.rate_bps for flow in flows])
-        compiled = network._compiled_flows
-        alloc_bytes = compiled.flat_flow.nbytes + compiled.flat_arc.nbytes
+        incidence = network._compiled_flows.incidence
+        alloc_bytes = sum(
+            matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+            for matrix in (incidence.group_arc, incidence.arc_group)
+        )
     elif mode == "sparse":
         table = AggregatedFlows.from_arrays(tuple(paths), flow_group, demands)
         allocate_aggregated(network, table)  # warm the usable-vector cache

@@ -43,8 +43,8 @@ DETERMINISTIC_PACKAGES = (
 )
 
 #: Modules where float reductions sit on the fairness/MCF hot path and
-#: ``pairwise_sum`` is the ordered primitive (fixed accumulation tree,
-#: identical on every host — see PR 6's last-ULP wobble).
+#: ``repro.routing.mcf.pairwise_sum`` is the ordered primitive (fixed
+#: accumulation tree, identical on every host — see PR 6's last-ULP wobble).
 ORDERED_SUM_MODULES = (
     "repro/simulator/fairness.py",
     "repro/simulator/network.py",

@@ -38,6 +38,29 @@ _FEASIBILITY_SOLVES = _LP_SOLVES.labels(kind="feasibility")
 _MAX_CONCURRENT_SOLVES = _LP_SOLVES.labels(kind="max_concurrent")
 
 
+def pairwise_sum(values: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Fixed-order pairwise summation along *axis*.
+
+    ``np.sum`` on some platforms picks its accumulation tree from the
+    buffer's memory alignment, so two interpreter invocations can differ in
+    the last ULP on the same data.  This reduction instead halves the axis
+    with element-wise adds — ``a[0::2] + a[1::2]`` repeatedly, carrying a
+    trailing odd element verbatim — so the evaluation tree depends only on
+    the length, never on where the allocator placed the buffer.
+    """
+    array = np.asarray(values, dtype=float)
+    array = np.moveaxis(array, axis, -1)
+    if array.shape[-1] == 0:
+        return np.zeros(array.shape[:-1], dtype=float)
+    while array.shape[-1] > 1:
+        length = array.shape[-1]
+        paired = array[..., 0 : length - (length % 2) : 2] + array[..., 1::2]
+        if length % 2:
+            paired = np.concatenate([paired, array[..., -1:]], axis=-1)
+        array = paired
+    return array[..., 0]
+
+
 @dataclass(frozen=True)
 class MCFResult:
     """Outcome of a multi-commodity-flow computation.
@@ -259,17 +282,13 @@ def solve_mcf(
 
     solution = result.x
     # Origin by origin, in order: the per-arc sums must not depend on a
-    # reduction tree (see the note on pairwise_sum below).
+    # reduction tree (see pairwise_sum).
     loads = np.zeros(len(arcs))
     for origin_flows in solution.reshape(lp.num_origins, len(arcs)):
         loads += origin_flows
     loads_bps = loads * lp.scale
     arc_loads = {arc.key: float(load) for arc, load in zip(arcs, loads_bps, strict=True)}
     max_utilisation = float(np.max(loads_bps / lp.capacities_bps))
-    # Fixed-order summation: np.sum's accumulation tree can depend on the
-    # buffer's alignment, wobbling the last ULP between interpreter runs.
-    from ..simulator.fairness import pairwise_sum
-
     return MCFResult(
         True, max_utilisation, arc_loads, float(pairwise_sum(solution)) * lp.scale
     )

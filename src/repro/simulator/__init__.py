@@ -3,28 +3,17 @@
 The hot path is array-based: directed arcs get dense integer indices
 (:class:`ArcTable`), installed paths compile to index arrays once
 (:class:`CompiledPath`) and the per-step max-min fair allocation runs as
-NumPy reductions (:func:`max_min_fair_rates`).  The original dict-based
-allocation survives in :mod:`repro.simulator.reference` as the oracle the
-equivalence tests and scaling benchmarks compare against.
+NumPy reductions over a CSR :class:`Incidence`
+(:func:`max_min_fair_rates`).  The original dict-based allocation survives
+in :mod:`repro.simulator.reference` as the oracle the equivalence tests and
+scaling benchmarks compare against.
 """
 
 from .aggregate import AggregatedFlows, allocate_aggregated
 from .arcs import ArcTable, CompiledPath
 from .engine import Controller, Sample, SimulationEngine, SimulationResult
 from .failures import FailureSchedule, LinkEvent, NodeEvent, TopologyView
-from .fairness import (
-    SPARSE_CROSSOVER,
-    SparseIncidence,
-    batch_max_min_fair_rates,
-    batch_max_min_fair_rates_sparse,
-    build_incidence,
-    fairness_kernel,
-    grouped_max_min_fair_rates,
-    max_min_fair_rates,
-    max_min_fair_rates_sparse,
-    select_kernel,
-    set_fairness_kernel,
-)
+from .fairness import Incidence, max_min_fair_rates
 from .flows import (
     DemandProfile,
     Flow,
@@ -41,15 +30,6 @@ __all__ = [
     "allocate_aggregated",
     "ArcTable",
     "CompiledPath",
-    "SPARSE_CROSSOVER",
-    "SparseIncidence",
-    "batch_max_min_fair_rates",
-    "batch_max_min_fair_rates_sparse",
-    "fairness_kernel",
-    "grouped_max_min_fair_rates",
-    "max_min_fair_rates_sparse",
-    "select_kernel",
-    "set_fairness_kernel",
     "Controller",
     "Sample",
     "SimulationEngine",
@@ -58,7 +38,7 @@ __all__ = [
     "LinkEvent",
     "NodeEvent",
     "TopologyView",
-    "build_incidence",
+    "Incidence",
     "max_min_fair_rates",
     "DemandProfile",
     "Flow",

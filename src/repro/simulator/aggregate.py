@@ -6,10 +6,11 @@ dataclass plus a demand closure per flow, and a flows×arcs incidence with
 one row per flow.  "Millions of users" traffic is massively redundant,
 though — every user flow between the same endpoints follows the same routed
 path — so this module stores flows as dense arrays grouped by identical
-path and allocates through
-:func:`~repro.simulator.fairness.grouped_max_min_fair_rates`, whose output
-is **bit-identical** to running the dense per-flow kernel on the expanded
-incidence (the exact-equivalence contract, property-tested in
+path and allocates through the same
+:func:`~repro.simulator.fairness.max_min_fair_rates` loop over a
+groups×arcs :class:`~repro.simulator.fairness.Incidence`, whose output is
+**bit-identical** to the one-row-per-flow incidence of the expanded problem
+(the exact-equivalence contract, property-tested in
 ``tests/test_property_based.py``).
 
 The memory story: per-flow state shrinks to a handful of float64/int64
@@ -26,7 +27,7 @@ import numpy as np
 from ..exceptions import SimulationError
 from ..obs import trace
 from ..routing.paths import Path
-from .fairness import build_incidence, grouped_max_min_fair_rates, last_kernel_stats
+from .fairness import Incidence, last_kernel_stats, max_min_fair_rates
 from .flows import Flow
 from .network import SimulatedNetwork
 
@@ -55,6 +56,11 @@ class AggregatedFlows:
             raise SimulationError(
                 "flow_group and demands_bps must align, got "
                 f"{self.flow_group.shape} vs {self.demands_bps.shape}"
+            )
+        if self.flow_group.size and int(self.flow_group.min()) < UNROUTED_GROUP:
+            raise SimulationError(
+                f"flow_group holds {int(self.flow_group.min())}; the only "
+                f"negative group id is UNROUTED_GROUP ({UNROUTED_GROUP})"
             )
         if self.flow_group.size and int(self.flow_group.max()) >= len(self.paths):
             raise SimulationError(
@@ -87,7 +93,7 @@ class AggregatedFlows:
 
         Flow order is preserved (rates from :func:`allocate_aggregated`
         align with the input), and groups appear in first-seen order, which
-        matches the flow-major order the dense engine compiles paths in.
+        matches the flow-major order the per-flow engine compiles paths in.
         """
         paths: List[Path] = []
         group_of: Dict[Tuple[str, ...], int] = {}
@@ -132,10 +138,10 @@ def allocate_aggregated(
 
     Filters group paths by link usability exactly as
     :meth:`~repro.simulator.network.SimulatedNetwork.allocate_rates` filters
-    per-flow paths, then allocates through the grouped kernel.  The returned
-    per-flow rate vector is bit-identical to building one ``Flow`` per
-    member and calling ``allocate_rates`` (unroutable and unrouted flows get
-    rate zero); network flow rates and arc loads are left untouched.
+    per-flow paths, then allocates over the groups×arcs incidence.  The
+    returned per-flow rate vector is bit-identical to building one ``Flow``
+    per member and calling ``allocate_rates`` (unroutable and unrouted flows
+    get rate zero); network flow rates and arc loads are left untouched.
 
     Args:
         demands_bps: Offered load per flow; defaults to the table's base
@@ -159,16 +165,16 @@ def allocate_aggregated(
     arc_table = network.arc_table
     compiled = [arc_table.compile_path(path) for path in table.paths]
     kept: List[int] = []
-    kept_compiled = []
+    arcs_of_group: List[np.ndarray] = []
     for group, path in enumerate(compiled):
         if path.link_indices.size == 0 or bool(usable[path.link_indices].all()):
             kept.append(group)
-            kept_compiled.append(path)
+            arcs_of_group.append(path.arc_indices)
     if not kept:
         return rates
 
     # Remap the routable groups to a dense 0..K-1 index space, keeping the
-    # original group order (== the dense engine's flow-major compile order).
+    # original group order (== the per-flow engine's flow-major compile order).
     remap = np.full(table.num_groups, -1, dtype=np.int64)
     remap[kept] = np.arange(len(kept), dtype=np.int64)
     routed = table.flow_group != UNROUTED_GROUP
@@ -177,20 +183,14 @@ def allocate_aggregated(
     if not flow_ok.any():
         return rates
 
-    flat_group, flat_arc = build_incidence(kept_compiled)
+    incidence = Incidence(
+        arcs_of_group, arc_table.num_arcs, remap[table.flow_group[flow_ok]]
+    )
     with trace.span(
-        "fairness.kernel",
-        kernel="grouped",
-        flows=int(flow_ok.sum()),
-        groups=len(kept),
+        "fairness.kernel", flows=int(flow_ok.sum()), groups=len(kept)
     ) as kernel_span:
-        allocation = grouped_max_min_fair_rates(
-            demands[flow_ok],
-            remap[table.flow_group[flow_ok]],
-            flat_group,
-            flat_arc,
-            network.alloc_capacity,
-            num_groups=len(kept),
+        allocation = max_min_fair_rates(
+            demands[flow_ok], network.alloc_capacity, incidence
         )
         if trace.tracing_enabled():
             kernel_span.set(**last_kernel_stats())

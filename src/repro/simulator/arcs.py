@@ -24,7 +24,6 @@ import numpy as np
 from ..exceptions import SimulationError
 from ..routing.paths import Path
 from ..topology.base import Topology, link_key
-from .fairness import SparseIncidence
 
 
 @dataclass(frozen=True)
@@ -110,15 +109,3 @@ class ArcTable:
         )
         self._compiled[path.nodes] = compiled
         return compiled
-
-    def sparse_incidence(
-        self, flat_flow: np.ndarray, flat_arc: np.ndarray, num_flows: int
-    ) -> SparseIncidence:
-        """The flat flows×arcs incidence lifted to ``scipy.sparse`` CSR form.
-
-        This is the storage the sparse fairness kernels
-        (:func:`~repro.simulator.fairness.max_min_fair_rates_sparse` and its
-        batch twin) reduce over; the arc dimension is pinned to this table's
-        width so capacity vectors stay aligned.
-        """
-        return SparseIncidence(flat_flow, flat_arc, num_flows, self.num_arcs)

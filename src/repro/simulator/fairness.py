@@ -1,13 +1,16 @@
-"""Vectorized max-min fair-share computation over a flows×arcs incidence.
+"""Max-min fair-share computation: one progressive-filling loop, one incidence.
 
 The allocation follows the classic progressive-filling algorithm: all
 unfrozen flows grow their rate at the same pace until one of them reaches its
 demand or some arc runs out of capacity; the affected flows freeze and the
 filling continues with the rest.  The seed implementation walked Python
-dictionaries per flow and per arc on every iteration; this module performs
-each iteration with a handful of NumPy reductions over a flat incidence
-structure (one entry per flow-crosses-arc relation), which is what makes
-thousand-flow fat-tree simulations tractable.
+dictionaries per flow and per arc on every iteration; :func:`max_min_fair_rates`
+keeps every per-flow quantity in a NumPy vector and asks an
+:class:`Incidence` — a CSR groups×arcs matrix plus its transpose — for the
+only two reductions that involve paths: how many active flows cross each
+arc, and which flows cross an exhausted arc.  Both are sums of small
+integers, exact in float64 in any order, so the result does not depend on
+whether flows are listed one per row or grouped by shared path.
 
 The dict-based seed algorithm is preserved verbatim in
 :mod:`repro.simulator.reference` and serves as the property-test oracle; the
@@ -17,20 +20,13 @@ thresholds and termination conditions.
 
 from __future__ import annotations
 
-import os
 import threading
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from ..obs import trace as _trace
-
-try:  # scipy is a baked-in dependency (the MCF oracle uses it) but the
-    # simulator must still import without it — the dense kernels never
-    # touch scipy and remain fully functional.
-    from scipy import sparse as _scipy_sparse
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _scipy_sparse = None
 
 #: A flow freezes when its unserved demand drops below this (bps).
 DEMAND_EPSILON = 1e-9
@@ -39,24 +35,11 @@ CAPACITY_EPSILON = 1e-9
 #: Progressive filling stops when an iteration makes no real progress.
 STEP_EPSILON = 1e-12
 
-#: ``flows * arcs`` product above which the automatic kernel selection
-#: switches from the dense flat-array kernels to the ``scipy.sparse``
-#: twins.  Below the crossover the dense kernels' lower constant factors
-#: win; above it the sparse matvec per iteration and the avoidance of the
-#: batch kernel's ``(batch, nnz)`` temporaries dominate.
-SPARSE_CROSSOVER = 2_000_000
-
-#: Environment override for the kernel choice (``dense``/``sparse``/``auto``).
-KERNEL_ENV_VAR = "REPRO_FAIRNESS_KERNEL"
-
-_KERNEL_CHOICES = ("auto", "dense", "sparse")
-_kernel_override: Optional[str] = None
-
-#: Per-thread record of the most recent kernel invocation, read by the
-#: ``fairness.kernel`` span in :mod:`repro.simulator.network`.  The
-#: iteration count is always maintained (one integer add per filling
-#: iteration); the frozen-per-iteration breakdown is gathered only while
-#: tracing is enabled.
+#: Per-thread record of the most recent progressive-filling run, read by
+#: the ``fairness.kernel`` spans in :mod:`repro.simulator.network` and
+#: :mod:`repro.simulator.aggregate`.  The iteration count is always
+#: maintained (one integer add per filling iteration); the
+#: frozen-per-iteration breakdown is gathered only while tracing is enabled.
 _kernel_stats = threading.local()
 
 
@@ -77,64 +60,78 @@ def last_kernel_stats() -> Dict[str, object]:
     return stats
 
 
-def set_fairness_kernel(kernel: Optional[str]) -> Optional[str]:
-    """Force the fairness kernel process-wide; returns the previous override.
+class Incidence:
+    """Which arcs each routed path crosses, as CSR matrices in both directions.
+
+    Rows of :attr:`group_arc` are *groups* — sets of flows sharing one
+    routed path.  With ``flow_group=None`` every group holds exactly one
+    flow (row ``f`` is flow ``f``); otherwise ``flow_group[f]`` names the
+    group of flow ``f`` and a group may hold any number of flows, including
+    none.  Per-flow state never enters the matrices, so the storage is
+    O(groups × hops) however many flows share a path.
+
+    An arc listed twice in one group's row counts twice, like one entry
+    per hop would.
 
     Args:
-        kernel: ``"dense"``, ``"sparse"``, ``"auto"`` or ``None`` (both of the
-            last two restore automatic crossover selection).
+        arcs_of_group: Arc indices crossed by each group, in group order.
+        num_arcs: Width of the arc table (capacity vectors align with it).
+        flow_group: Group index per flow, or ``None`` for one flow per group.
     """
-    global _kernel_override
-    if kernel is not None and kernel not in _KERNEL_CHOICES:
-        raise ValueError(
-            f"unknown fairness kernel {kernel!r}; expected one of {_KERNEL_CHOICES}"
+
+    def __init__(
+        self,
+        arcs_of_group: Sequence[np.ndarray],
+        num_arcs: int,
+        flow_group: Optional[np.ndarray] = None,
+    ) -> None:
+        num_groups = len(arcs_of_group)
+        indptr = np.zeros(num_groups + 1, dtype=np.int64)
+        np.cumsum([arcs.size for arcs in arcs_of_group], dtype=np.int64, out=indptr[1:])
+        indices = np.concatenate([np.zeros(0, dtype=np.int64), *arcs_of_group])
+        #: groups×arcs — row g holds the arcs group g crosses.
+        self.group_arc = sparse.csr_matrix(
+            (np.ones(indices.size), indices, indptr), shape=(num_groups, num_arcs)
         )
-    previous = _kernel_override
-    _kernel_override = None if kernel in (None, "auto") else kernel
-    return previous
+        #: arcs×groups — the transpose, for per-arc count reductions.
+        self.arc_group = self.group_arc.T.tocsr()
+        self.flow_group = flow_group
+        populated = (
+            np.ones(num_groups)
+            if flow_group is None
+            else (np.bincount(flow_group, minlength=num_groups) > 0).astype(np.float64)
+        )
+        #: Arcs crossed by at least one flow.  Empty groups put no flow on
+        #: their arcs, so they must not count here: the iteration bound and
+        #: the exhausted-arc set both derive from this mask.
+        self.crossed_at_all: np.ndarray = self.arc_group @ populated > 0
 
+    def arc_counts(self, active: np.ndarray) -> np.ndarray:
+        """Number of active flows crossing each arc (exact, as float64)."""
+        if self.flow_group is None:
+            members = active.astype(np.float64)
+        else:
+            members = np.bincount(
+                self.flow_group[active], minlength=self.group_arc.shape[0]
+            ).astype(np.float64)
+        counts: np.ndarray = self.arc_group @ members
+        return counts
 
-def fairness_kernel() -> str:
-    """The configured kernel choice: override, else env var, else ``auto``."""
-    if _kernel_override is not None:
-        return _kernel_override
-    env = os.environ.get(KERNEL_ENV_VAR, "").strip().lower()
-    if env in ("dense", "sparse"):
-        return env
-    return "auto"
-
-
-def select_kernel(num_flows: int, num_arcs: int) -> str:
-    """Resolve the kernel for a problem size to ``"dense"`` or ``"sparse"``.
-
-    Automatic selection crosses over on the dense incidence footprint
-    (``flows * arcs`` > :data:`SPARSE_CROSSOVER`); an explicit override via
-    :func:`set_fairness_kernel` or :data:`KERNEL_ENV_VAR` wins.  Falls back
-    to dense when scipy is unavailable.
-    """
-    choice = fairness_kernel()
-    if choice == "sparse" and _scipy_sparse is None:
-        raise RuntimeError("sparse fairness kernel requested but scipy is missing")
-    if choice != "auto":
-        return choice
-    if _scipy_sparse is None:
-        return "dense"
-    return "sparse" if int(num_flows) * int(num_arcs) > SPARSE_CROSSOVER else "dense"
+    def flows_touching(self, arc_mask: np.ndarray) -> np.ndarray:
+        """Boolean per flow: does the flow cross any arc in *arc_mask*?"""
+        hit: np.ndarray = self.group_arc @ arc_mask.astype(np.float64) > 0.0
+        return hit if self.flow_group is None else hit[self.flow_group]
 
 
 def max_min_fair_rates(
-    demands: np.ndarray,
-    flat_flow: np.ndarray,
-    flat_arc: np.ndarray,
-    arc_capacity: np.ndarray,
+    demands: np.ndarray, arc_capacity: np.ndarray, incidence: Incidence
 ) -> np.ndarray:
     """Max-min fair rates for routable flows over a shared arc table.
 
     Args:
         demands: Offered load per flow (bps), shape ``(num_flows,)``.
-        flat_flow: Flow index of every flow-crosses-arc incidence entry.
-        flat_arc: Arc index of every incidence entry (same length).
         arc_capacity: Allocation capacity per arc (bps), full table length.
+        incidence: The arcs each flow (or group of flows) crosses.
 
     Returns:
         The allocated rate per flow, aligned with *demands*.
@@ -146,322 +143,13 @@ def max_min_fair_rates(
 
     pending = demands.astype(float).copy()
     capacity = arc_capacity.astype(float).copy()
-    num_arcs = int(capacity.shape[0])
-    if flat_arc.size:
-        crossed_at_all = np.bincount(flat_arc, minlength=num_arcs) > 0
-    else:
-        crossed_at_all = np.zeros(num_arcs, dtype=bool)
+    crossed_at_all = incidence.crossed_at_all
     active = np.ones(num_flows, dtype=bool)
 
     iterations = 0
     frozen_trace: Optional[List[int]] = [] if _trace.tracing_enabled() else None
     # Each iteration freezes at least one flow or exhausts at least one arc,
     # so the filling terminates within flows + used-arcs iterations.
-    for _ in range(num_flows + int(crossed_at_all.sum()) + 1):
-        if not active.any():
-            break
-        iterations += 1
-        if flat_arc.size:
-            counts = np.bincount(
-                flat_arc[active[flat_flow]], minlength=num_arcs
-            ).astype(float)
-        else:
-            counts = np.zeros(num_arcs, dtype=float)
-        crossed = counts > 0
-        share_limited = (
-            float((capacity[crossed] / counts[crossed]).min())
-            if crossed.any()
-            else float("inf")
-        )
-        demand_limited = float(pending[active].min())
-        step = min(share_limited, demand_limited)
-        if step == float("inf"):
-            break
-        step = max(step, 0.0)
-        allocation[active] += step
-        pending[active] -= step
-        capacity -= step * counts
-        # Freeze demand-satisfied flows and flows on exhausted arcs.
-        active_before = int(active.sum())
-        active &= pending > DEMAND_EPSILON
-        if flat_arc.size:
-            exhausted = crossed_at_all & (capacity <= CAPACITY_EPSILON)
-            if exhausted.any():
-                active[flat_flow[exhausted[flat_arc]]] = False
-        active_after = int(active.sum())
-        if frozen_trace is not None:
-            frozen_trace.append(active_before - active_after)
-        # A zero step is fine as long as it froze somebody (e.g. a flow
-        # whose demand is currently zero) — the filling continues for the
-        # rest.  Only a zero step that freezes nobody means no progress.
-        if step <= STEP_EPSILON and active_after == active_before:
-            break
-    _record_kernel_stats(iterations, frozen_trace)
-    return allocation
-
-
-def pairwise_sum(values: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Fixed-order pairwise summation along *axis*.
-
-    ``np.sum`` on some platforms picks its accumulation tree from the
-    buffer's memory alignment, so two interpreter invocations can differ in
-    the last ULP on the same data.  This reduction instead halves the axis
-    with element-wise adds — ``a[0::2] + a[1::2]`` repeatedly, carrying a
-    trailing odd element verbatim — so the evaluation tree depends only on
-    the length, never on where the allocator placed the buffer.
-    """
-    array = np.asarray(values, dtype=float)
-    array = np.moveaxis(array, axis, -1)
-    if array.shape[-1] == 0:
-        return np.zeros(array.shape[:-1], dtype=float)
-    while array.shape[-1] > 1:
-        length = array.shape[-1]
-        paired = array[..., 0 : length - (length % 2) : 2] + array[..., 1::2]
-        if length % 2:
-            paired = np.concatenate([paired, array[..., -1:]], axis=-1)
-        array = paired
-    return array[..., 0]
-
-
-def batch_max_min_fair_rates(
-    demands: np.ndarray,
-    flat_flow: np.ndarray,
-    flat_arc: np.ndarray,
-    arc_capacity: np.ndarray,
-) -> np.ndarray:
-    """Max-min fair rates for a whole batch of demand vectors at once.
-
-    Batch elements share one flows×arcs incidence (points on the same
-    topology with the same compiled paths); each element carries its own
-    demand vector and, optionally, its own capacity vector.  Every batch
-    element produces **bit-identical** output to running
-    :func:`max_min_fair_rates` on it alone: the same freezing thresholds,
-    the same per-element arithmetic (integer share counts, element-wise
-    divisions, subtractions and minima — never an order-sensitive float
-    accumulation) and the same termination conditions, tracked per element
-    through an ``alive`` mask so a finished element's allocation is frozen
-    while the rest keep filling.
-
-    Args:
-        demands: Offered load per flow (bps), shape ``(batch, num_flows)``.
-        flat_flow: Flow index of every incidence entry (shared).
-        flat_arc: Arc index of every incidence entry (shared).
-        arc_capacity: Allocation capacity per arc, shape ``(num_arcs,)``
-            (shared) or ``(batch, num_arcs)`` (per element).
-
-    Returns:
-        The allocated rate per flow, shape ``(batch, num_flows)``.
-    """
-    demands = np.asarray(demands, dtype=float)
-    if demands.ndim != 2:
-        raise ValueError(
-            f"batched demands must have shape (batch, num_flows), got {demands.shape}"
-        )
-    batch, num_flows = int(demands.shape[0]), int(demands.shape[1])
-    allocation = np.zeros((batch, num_flows), dtype=float)
-    if batch == 0 or num_flows == 0:
-        return allocation
-
-    flat_flow = np.asarray(flat_flow, dtype=np.int64)
-    flat_arc = np.asarray(flat_arc, dtype=np.int64)
-    capacity = np.asarray(arc_capacity, dtype=float)
-    if capacity.ndim == 1:
-        capacity = np.repeat(capacity[None, :].astype(float), batch, axis=0)
-    elif capacity.ndim == 2:
-        if int(capacity.shape[0]) != batch:
-            raise ValueError(
-                f"per-element capacity has batch {capacity.shape[0]}, "
-                f"demands have batch {batch}"
-            )
-        capacity = capacity.astype(float).copy()
-    else:
-        raise ValueError(
-            f"arc_capacity must be 1- or 2-dimensional, got shape {capacity.shape}"
-        )
-    num_arcs = int(capacity.shape[1])
-
-    pending = demands.astype(float).copy()
-    if flat_arc.size:
-        crossed_at_all = np.bincount(flat_arc, minlength=num_arcs) > 0
-    else:
-        crossed_at_all = np.zeros(num_arcs, dtype=bool)
-    active = np.ones((batch, num_flows), dtype=bool)
-    #: Per-element "still filling" flag: replicates the serial loop's break
-    #: conditions element by element, so a finished element's state never
-    #: changes again while the rest of the batch continues.
-    alive = np.ones(batch, dtype=bool)
-
-    iterations = 0
-    frozen_trace: Optional[List[int]] = [] if _trace.tracing_enabled() else None
-    # The serial iteration bound depends only on the shared incidence, so
-    # one shared bound covers every batch element.
-    for _ in range(num_flows + int(crossed_at_all.sum()) + 1):
-        alive &= active.any(axis=1)
-        if not alive.any():
-            break
-        iterations += 1
-        if flat_arc.size:
-            # Integer share counts: addition order cannot affect the value.
-            counts_int = np.zeros((batch, num_arcs), dtype=np.int64)
-            np.add.at(
-                counts_int, (slice(None), flat_arc), active[:, flat_flow]
-            )
-            counts = counts_int.astype(float)
-        else:
-            counts = np.zeros((batch, num_arcs), dtype=float)
-        crossed = counts > 0
-        if num_arcs:
-            ratio = np.divide(
-                capacity,
-                counts,
-                out=np.full_like(capacity, np.inf),
-                where=crossed,
-            )
-            share_limited = ratio.min(axis=1)
-        else:
-            share_limited = np.full(batch, np.inf)
-        demand_limited = np.where(active, pending, np.inf).min(axis=1)
-        step = np.minimum(share_limited, demand_limited)
-        # An infinite step terminates the element before any update — the
-        # serial algorithm's "break before applying" order.
-        alive &= ~np.isinf(step)
-        if not alive.any():
-            break
-        step = np.where(alive, np.maximum(step, 0.0), 0.0)
-        grow = active & alive[:, None]
-        allocation = np.where(grow, allocation + step[:, None], allocation)
-        pending = np.where(grow, pending - step[:, None], pending)
-        capacity = np.where(
-            alive[:, None], capacity - step[:, None] * counts, capacity
-        )
-        # Freeze demand-satisfied flows and flows on exhausted arcs, only
-        # for elements still filling.
-        active_before = np.count_nonzero(active, axis=1)
-        active = np.where(alive[:, None], active & (pending > DEMAND_EPSILON), active)
-        if flat_arc.size:
-            exhausted = crossed_at_all[None, :] & (capacity <= CAPACITY_EPSILON)
-            kill = exhausted[:, flat_arc] & alive[:, None]
-            if kill.any():
-                deactivate = np.zeros((batch, num_flows), dtype=bool)
-                np.logical_or.at(deactivate, (slice(None), flat_flow), kill)
-                active &= ~deactivate
-        active_after = np.count_nonzero(active, axis=1)
-        if frozen_trace is not None:
-            frozen_trace.append(int(active_before.sum() - active_after.sum()))
-        # Same zero-step rule as the serial loop: a zero step that froze
-        # nobody means the element makes no further progress.
-        no_progress = (step <= STEP_EPSILON) & (active_after == active_before)
-        alive &= ~no_progress
-    _record_kernel_stats(iterations, frozen_trace)
-    return allocation
-
-
-class SparseIncidence:
-    """A flows×arcs incidence held as ``scipy.sparse`` CSR matrices.
-
-    The dense kernels stream over the flat ``(flat_flow, flat_arc)`` entry
-    arrays; the sparse twins instead ask this wrapper for the two reductions
-    the filling loop needs — per-arc active-flow counts and the set of flows
-    touching exhausted arcs — as CSR mat-vecs.  Both reductions sum small
-    integers, which float64 represents exactly regardless of summation
-    order, so the sparse results are bit-identical to the dense ones.
-
-    Entry multiplicities are preserved: duplicate ``(flow, arc)`` entries
-    sum into a single stored value, matching ``np.bincount`` over the flat
-    arrays entry for entry.
-    """
-
-    def __init__(
-        self,
-        flat_flow: np.ndarray,
-        flat_arc: np.ndarray,
-        num_flows: int,
-        num_arcs: int,
-    ) -> None:
-        if _scipy_sparse is None:  # pragma: no cover - guarded by select_kernel
-            raise RuntimeError("SparseIncidence requires scipy")
-        flat_flow = np.asarray(flat_flow, dtype=np.int64)
-        flat_arc = np.asarray(flat_arc, dtype=np.int64)
-        self.num_flows = int(num_flows)
-        self.num_arcs = int(num_arcs)
-        data = np.ones(flat_flow.size, dtype=np.float64)
-        coo = _scipy_sparse.coo_matrix(
-            (data, (flat_flow, flat_arc)), shape=(self.num_flows, self.num_arcs)
-        )
-        #: flows×arcs — row f holds the arcs flow f crosses (multiplicity).
-        self.flow_arc = coo.tocsr()
-        self.flow_arc.sum_duplicates()
-        #: arcs×flows — the transpose, for per-arc count reductions.
-        self.arc_flow = self.flow_arc.T.tocsr()
-        crossed = np.zeros(self.num_arcs, dtype=bool)
-        if flat_arc.size:
-            crossed[flat_arc] = True
-        #: Arcs crossed by at least one flow (== dense ``bincount > 0``).
-        self.crossed_at_all = crossed
-
-    @property
-    def nnz(self) -> int:
-        """Stored entries (distinct flow-crosses-arc relations)."""
-        return int(self.flow_arc.nnz)
-
-    def nbytes(self) -> int:
-        """Resident bytes of both CSR copies (data + indices + indptr)."""
-        total = 0
-        for matrix in (self.flow_arc, self.arc_flow):
-            total += matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
-        return total
-
-    def arc_counts(self, active: np.ndarray) -> np.ndarray:
-        """Active-flow count per arc — exact, matches the dense bincount."""
-        return self.arc_flow @ active.astype(np.float64)
-
-    def batch_arc_counts(self, active: np.ndarray) -> np.ndarray:
-        """Per-arc counts for a ``(batch, num_flows)`` active mask."""
-        return (self.arc_flow @ active.T.astype(np.float64)).T
-
-    def flows_touching(self, arc_mask: np.ndarray) -> np.ndarray:
-        """Boolean per flow: does the flow cross any arc in *arc_mask*?"""
-        return (self.flow_arc @ arc_mask.astype(np.float64)) > 0.0
-
-    def batch_flows_touching(self, arc_mask: np.ndarray) -> np.ndarray:
-        """Row-wise :meth:`flows_touching` for a ``(batch, num_arcs)`` mask."""
-        return (self.flow_arc @ arc_mask.T.astype(np.float64)).T > 0.0
-
-
-def max_min_fair_rates_sparse(
-    demands: np.ndarray,
-    flat_flow: np.ndarray,
-    flat_arc: np.ndarray,
-    arc_capacity: np.ndarray,
-    incidence: Optional[SparseIncidence] = None,
-) -> np.ndarray:
-    """Sparse twin of :func:`max_min_fair_rates` — bit-identical output.
-
-    The progressive-filling loop is copied line for line from the dense
-    kernel; only the two incidence reductions (per-arc counts, exhausted-arc
-    flow kill) go through :class:`SparseIncidence` CSR mat-vecs.  Both are
-    integer sums, exact in float64, so every freezing threshold and the
-    termination order reproduce the dense kernel bit for bit.
-
-    Args:
-        incidence: A prebuilt :class:`SparseIncidence` (e.g. cached per
-            compiled flow set); built from the flat arrays when omitted.
-    """
-    num_flows = int(demands.shape[0])
-    allocation = np.zeros(num_flows, dtype=float)
-    if num_flows == 0:
-        return allocation
-
-    pending = demands.astype(float).copy()
-    capacity = arc_capacity.astype(float).copy()
-    num_arcs = int(capacity.shape[0])
-    if incidence is None:
-        incidence = SparseIncidence(flat_flow, flat_arc, num_flows, num_arcs)
-    crossed_at_all = incidence.crossed_at_all
-    active = np.ones(num_flows, dtype=bool)
-
-    iterations = 0
-    frozen_trace: Optional[List[int]] = [] if _trace.tracing_enabled() else None
     for _ in range(num_flows + int(crossed_at_all.sum()) + 1):
         if not active.any():
             break
@@ -481,6 +169,7 @@ def max_min_fair_rates_sparse(
         allocation[active] += step
         pending[active] -= step
         capacity -= step * counts
+        # Freeze demand-satisfied flows and flows on exhausted arcs.
         active_before = int(active.sum())
         active &= pending > DEMAND_EPSILON
         exhausted = crossed_at_all & (capacity <= CAPACITY_EPSILON)
@@ -489,228 +178,10 @@ def max_min_fair_rates_sparse(
         active_after = int(active.sum())
         if frozen_trace is not None:
             frozen_trace.append(active_before - active_after)
+        # A zero step is fine as long as it froze somebody (e.g. a flow
+        # whose demand is currently zero) — the filling continues for the
+        # rest.  Only a zero step that freezes nobody means no progress.
         if step <= STEP_EPSILON and active_after == active_before:
             break
     _record_kernel_stats(iterations, frozen_trace)
     return allocation
-
-
-def batch_max_min_fair_rates_sparse(
-    demands: np.ndarray,
-    flat_flow: np.ndarray,
-    flat_arc: np.ndarray,
-    arc_capacity: np.ndarray,
-    incidence: Optional[SparseIncidence] = None,
-) -> np.ndarray:
-    """Sparse twin of :func:`batch_max_min_fair_rates` — bit-identical output.
-
-    The dense batch kernel materialises ``(batch, nnz)`` masks and scatters
-    them with ``np.add.at`` / ``np.logical_or.at`` every iteration; at
-    10^5–10^6 flows those temporaries are the memory wall.  This twin keeps
-    the per-element state arrays and replaces both scatters with CSR
-    mat-mats over the shared incidence, whose integer sums are exact — the
-    per-element arithmetic, freezing thresholds and termination conditions
-    are otherwise copied verbatim.
-    """
-    demands = np.asarray(demands, dtype=float)
-    if demands.ndim != 2:
-        raise ValueError(
-            f"batched demands must have shape (batch, num_flows), got {demands.shape}"
-        )
-    batch, num_flows = int(demands.shape[0]), int(demands.shape[1])
-    allocation = np.zeros((batch, num_flows), dtype=float)
-    if batch == 0 or num_flows == 0:
-        return allocation
-
-    flat_flow = np.asarray(flat_flow, dtype=np.int64)
-    flat_arc = np.asarray(flat_arc, dtype=np.int64)
-    capacity = np.asarray(arc_capacity, dtype=float)
-    if capacity.ndim == 1:
-        capacity = np.repeat(capacity[None, :].astype(float), batch, axis=0)
-    elif capacity.ndim == 2:
-        if int(capacity.shape[0]) != batch:
-            raise ValueError(
-                f"per-element capacity has batch {capacity.shape[0]}, "
-                f"demands have batch {batch}"
-            )
-        capacity = capacity.astype(float).copy()
-    else:
-        raise ValueError(
-            f"arc_capacity must be 1- or 2-dimensional, got shape {capacity.shape}"
-        )
-    num_arcs = int(capacity.shape[1])
-
-    if incidence is None:
-        incidence = SparseIncidence(flat_flow, flat_arc, num_flows, num_arcs)
-    pending = demands.astype(float).copy()
-    crossed_at_all = incidence.crossed_at_all
-    active = np.ones((batch, num_flows), dtype=bool)
-    alive = np.ones(batch, dtype=bool)
-
-    iterations = 0
-    frozen_trace: Optional[List[int]] = [] if _trace.tracing_enabled() else None
-    for _ in range(num_flows + int(crossed_at_all.sum()) + 1):
-        alive &= active.any(axis=1)
-        if not alive.any():
-            break
-        iterations += 1
-        counts = incidence.batch_arc_counts(active)
-        crossed = counts > 0
-        if num_arcs:
-            ratio = np.divide(
-                capacity,
-                counts,
-                out=np.full_like(capacity, np.inf),
-                where=crossed,
-            )
-            share_limited = ratio.min(axis=1)
-        else:
-            share_limited = np.full(batch, np.inf)
-        demand_limited = np.where(active, pending, np.inf).min(axis=1)
-        step = np.minimum(share_limited, demand_limited)
-        alive &= ~np.isinf(step)
-        if not alive.any():
-            break
-        step = np.where(alive, np.maximum(step, 0.0), 0.0)
-        grow = active & alive[:, None]
-        allocation = np.where(grow, allocation + step[:, None], allocation)
-        pending = np.where(grow, pending - step[:, None], pending)
-        capacity = np.where(
-            alive[:, None], capacity - step[:, None] * counts, capacity
-        )
-        active_before = np.count_nonzero(active, axis=1)
-        active = np.where(alive[:, None], active & (pending > DEMAND_EPSILON), active)
-        exhausted = crossed_at_all[None, :] & (capacity <= CAPACITY_EPSILON)
-        if exhausted.any():
-            kill = incidence.batch_flows_touching(exhausted) & alive[:, None]
-            active &= ~kill
-        active_after = np.count_nonzero(active, axis=1)
-        if frozen_trace is not None:
-            frozen_trace.append(int(active_before.sum() - active_after.sum()))
-        no_progress = (step <= STEP_EPSILON) & (active_after == active_before)
-        alive &= ~no_progress
-    _record_kernel_stats(iterations, frozen_trace)
-    return allocation
-
-
-def grouped_max_min_fair_rates(
-    demands: np.ndarray,
-    flow_group: np.ndarray,
-    flat_group: np.ndarray,
-    flat_arc: np.ndarray,
-    arc_capacity: np.ndarray,
-    num_groups: Optional[int] = None,
-) -> np.ndarray:
-    """Per-flow max-min rates where flows sharing a group share one path.
-
-    Aggregation without approximation: every per-flow quantity (pending,
-    allocation, the active mask and both freezing thresholds) stays a
-    per-flow array with exactly the dense kernel's element-wise arithmetic,
-    but the per-arc counts are computed from the *group* incidence weighted
-    by each group's number of currently-active member flows — an integer
-    sum, exact in float64.  The result is bit-identical to running
-    :func:`max_min_fair_rates` on the expanded per-flow incidence (each
-    member flow repeating its group's arc list), while the incidence memory
-    drops from O(flows × hops) to O(groups × hops).
-
-    Args:
-        demands: Offered load per flow (bps), shape ``(num_flows,)``.
-        flow_group: Group index per flow, shape ``(num_flows,)``.
-        flat_group: Group index of every group-crosses-arc incidence entry.
-        flat_arc: Arc index of every incidence entry (same length).
-        arc_capacity: Allocation capacity per arc (bps), full table length.
-        num_groups: Total group count; inferred from *flow_group* if omitted.
-    """
-    num_flows = int(demands.shape[0])
-    allocation = np.zeros(num_flows, dtype=float)
-    if num_flows == 0:
-        return allocation
-
-    flow_group = np.asarray(flow_group, dtype=np.int64)
-    flat_group = np.asarray(flat_group, dtype=np.int64)
-    flat_arc = np.asarray(flat_arc, dtype=np.int64)
-    pending = demands.astype(float).copy()
-    capacity = arc_capacity.astype(float).copy()
-    num_arcs = int(capacity.shape[0])
-    if num_groups is None:
-        num_groups = int(flow_group.max()) + 1 if flow_group.size else 0
-
-    # Arcs crossed by a *populated* group — empty groups contribute no
-    # incidence entries in the expanded per-flow problem, so they must not
-    # contribute here either (the iteration bound and the exhausted-arc set
-    # both derive from this).
-    members = np.bincount(flow_group, minlength=num_groups)
-    if flat_arc.size:
-        populated_entry = members[flat_group] > 0
-        crossed_at_all = (
-            np.bincount(flat_arc[populated_entry], minlength=num_arcs) > 0
-        )
-    else:
-        crossed_at_all = np.zeros(num_arcs, dtype=bool)
-    active = np.ones(num_flows, dtype=bool)
-
-    iterations = 0
-    frozen_trace: Optional[List[int]] = [] if _trace.tracing_enabled() else None
-    for _ in range(num_flows + int(crossed_at_all.sum()) + 1):
-        if not active.any():
-            break
-        iterations += 1
-        active_members = np.bincount(
-            flow_group[active], minlength=num_groups
-        ).astype(float)
-        if flat_arc.size:
-            # Weighted bincount of integer weights: exact in float64, equal
-            # entry for entry to the dense per-flow bincount.
-            counts = np.bincount(
-                flat_arc, weights=active_members[flat_group], minlength=num_arcs
-            )
-        else:
-            counts = np.zeros(num_arcs, dtype=float)
-        crossed = counts > 0
-        share_limited = (
-            float((capacity[crossed] / counts[crossed]).min())
-            if crossed.any()
-            else float("inf")
-        )
-        demand_limited = float(pending[active].min())
-        step = min(share_limited, demand_limited)
-        if step == float("inf"):
-            break
-        step = max(step, 0.0)
-        allocation[active] += step
-        pending[active] -= step
-        capacity -= step * counts
-        active_before = int(active.sum())
-        active &= pending > DEMAND_EPSILON
-        if flat_arc.size:
-            exhausted = crossed_at_all & (capacity <= CAPACITY_EPSILON)
-            if exhausted.any():
-                dead_group = np.zeros(num_groups, dtype=bool)
-                dead_group[flat_group[exhausted[flat_arc]]] = True
-                active &= ~dead_group[flow_group]
-        active_after = int(active.sum())
-        if frozen_trace is not None:
-            frozen_trace.append(active_before - active_after)
-        if step <= STEP_EPSILON and active_after == active_before:
-            break
-    _record_kernel_stats(iterations, frozen_trace)
-    return allocation
-
-
-def build_incidence(compiled_paths) -> "tuple[np.ndarray, np.ndarray]":
-    """Flat ``(flat_flow, flat_arc)`` incidence arrays for compiled paths.
-
-    Args:
-        compiled_paths: One :class:`~repro.simulator.arcs.CompiledPath` per
-            routable flow, in flow order.
-    """
-    if not compiled_paths:
-        empty = np.array([], dtype=np.int64)
-        return empty, empty.copy()
-    lengths = np.array([path.arc_indices.size for path in compiled_paths])
-    flat_flow = np.repeat(np.arange(len(compiled_paths), dtype=np.int64), lengths)
-    if flat_flow.size:
-        flat_arc = np.concatenate([path.arc_indices for path in compiled_paths])
-    else:
-        flat_arc = np.array([], dtype=np.int64)
-    return flat_flow, flat_arc

@@ -10,8 +10,8 @@ operations (see :mod:`repro.simulator.fairness`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -22,16 +22,7 @@ from ..power.model import PowerModel
 from ..routing.paths import Path
 from ..topology.base import Topology, link_key
 from .arcs import ArcTable, CompiledPath
-from .fairness import (
-    SparseIncidence,
-    batch_max_min_fair_rates,
-    batch_max_min_fair_rates_sparse,
-    build_incidence,
-    last_kernel_stats,
-    max_min_fair_rates,
-    max_min_fair_rates_sparse,
-    select_kernel,
-)
+from .fairness import Incidence, last_kernel_stats, max_min_fair_rates
 from .flows import Flow, offered_load_vector
 from .links import LinkState, SimulatedLink
 
@@ -54,30 +45,19 @@ class _CompiledFlowSet:
 
     ``allocate_rates`` is called once per simulated interval with an
     unchanged flow list most of the time (controllers reassign ``flow.path``
-    only on recomputation), yet it used to rebuild the usable vector, walk
-    every flow through ``compile_path`` and re-concatenate the incidence on
-    every call.  This entry caches all of that behind the link state-code
-    vector plus the identity of each flow's path object; ``paths`` keeps
-    strong references so the cached ``id()`` keys cannot be recycled while
-    the entry lives.
+    only on recomputation), so rebuilding the usable vector, walking every
+    flow through ``compile_path`` and assembling the incidence on every call
+    would be wasted work.  This entry caches all of that behind the link
+    state-code vector plus the identity of each flow's path object;
+    ``paths`` keeps strong references so the cached ``id()`` keys cannot be
+    recycled while the entry lives.
     """
 
     state_bytes: bytes
     paths_key: Tuple[int, ...]
     paths: List[Optional[Path]]
-    usable: np.ndarray
     routable_indices: List[int]
-    flat_flow: np.ndarray
-    flat_arc: np.ndarray
-    _sparse: Optional[SparseIncidence] = field(default=None, repr=False)
-
-    def sparse(self, arc_table: ArcTable) -> SparseIncidence:
-        """The CSR incidence for the sparse kernels (built once, cached)."""
-        if self._sparse is None:
-            self._sparse = arc_table.sparse_incidence(
-                self.flat_flow, self.flat_arc, len(self.routable_indices)
-            )
-        return self._sparse
+    incidence: Incidence
 
 
 class SimulatedNetwork:
@@ -194,16 +174,13 @@ class SimulatedNetwork:
 
         The computation is fully vectorized: flow paths are compiled to arc
         index arrays once (memoised) and each filling iteration is a few
-        NumPy reductions over the flows×arcs incidence — see
-        :func:`repro.simulator.fairness.max_min_fair_rates`.  The dict-based
-        seed algorithm survives as the oracle in
+        NumPy reductions plus two CSR mat-vecs over the flows×arcs incidence
+        — see :func:`repro.simulator.fairness.max_min_fair_rates`.  The
+        dict-based seed algorithm survives as the oracle in
         :mod:`repro.simulator.reference`.
 
-        The routable-flow filtering and the flat incidence are cached behind
-        the link state-code vector and the flows' path identities, and the
-        fairness kernel is chosen by
-        :func:`repro.simulator.fairness.select_kernel` (dense below the
-        ``flows*arcs`` crossover, the bit-identical sparse twin above it).
+        The routable-flow filtering and the incidence are cached behind the
+        link state-code vector and the flows' path identities.
         """
         self._arc_load_vec[:] = 0.0
         for flow in flows:
@@ -217,66 +194,19 @@ class SimulatedNetwork:
 
         routable = [flows[index] for index in entry.routable_indices]
         demands = offered_load_vector(routable, now_s)
-        allocation = self._run_fair_kernel(demands, entry)
-        for flow, rate in zip(routable, allocation, strict=True):
-            flow.rate_bps = float(rate)
-        if entry.flat_arc.size:
-            self._arc_load_vec += np.bincount(
-                entry.flat_arc,
-                weights=allocation[entry.flat_flow],
-                minlength=self._arc_table.num_arcs,
-            )
-
-    def allocate_rates_batch(
-        self, flows: List[Flow], times_s: Sequence[float]
-    ) -> np.ndarray:
-        """Max-min fair rates at many instants, solved as one batched problem.
-
-        All instants share one compiled flows×arcs incidence; the filling
-        runs through :func:`repro.simulator.fairness.batch_max_min_fair_rates`
-        with a leading batch dimension over the time axis.  Row ``i`` of the
-        returned ``(len(times_s), len(flows))`` array is bit-identical to
-        calling :meth:`allocate_rates` at ``times_s[i]`` and reading off
-        ``flow.rate_bps`` — but unlike :meth:`allocate_rates` this is a pure
-        query: flow rates and arc loads are left untouched.
-        """
-        times = [float(time) for time in times_s]
-        rates = np.zeros((len(times), len(flows)), dtype=float)
-        if not flows or not times:
-            return rates
-
-        entry = self._compiled_flow_set(flows)
-        if not entry.routable_indices:
-            return rates
-
-        routable = [flows[index] for index in entry.routable_indices]
-        demands = np.stack(
-            [offered_load_vector(routable, time) for time in times]
-        )
-        kernel = select_kernel(len(routable), self._arc_table.num_arcs)
         with trace.span(
-            "fairness.kernel",
-            kernel=kernel,
-            flows=len(routable),
-            arcs=self._arc_table.num_arcs,
-            batch=len(times),
+            "fairness.kernel", flows=len(routable), arcs=self._arc_table.num_arcs
         ) as kernel_span:
-            if kernel == "sparse":
-                allocation = batch_max_min_fair_rates_sparse(
-                    demands,
-                    entry.flat_flow,
-                    entry.flat_arc,
-                    self._alloc_capacity,
-                    incidence=entry.sparse(self._arc_table),
-                )
-            else:
-                allocation = batch_max_min_fair_rates(
-                    demands, entry.flat_flow, entry.flat_arc, self._alloc_capacity
-                )
+            allocation = max_min_fair_rates(
+                demands, self._alloc_capacity, entry.incidence
+            )
             if trace.tracing_enabled():
                 kernel_span.set(**last_kernel_stats())
-        rates[:, entry.routable_indices] = allocation
-        return rates
+        for flow, rate in zip(routable, allocation, strict=True):
+            flow.rate_bps = float(rate)
+        # Row a of arc_group lists the flows crossing arc a in flow order, so
+        # each arc's load accumulates in the same order on every call.
+        self._arc_load_vec += entry.incidence.arc_group @ allocation
 
     def _compiled_flow_set(self, flows: List[Flow]) -> _CompiledFlowSet:
         """The cached routable filtering/incidence for the current state.
@@ -299,53 +229,23 @@ class SimulatedNetwork:
 
         usable = self.link_usable_vector()
         routable_indices: List[int] = []
-        compiled: List[CompiledPath] = []
+        arcs_of_flow: List[np.ndarray] = []
         for index, flow in enumerate(flows):
             if flow.path is None:
                 continue
             path = self._arc_table.compile_path(flow.path)
             if path.link_indices.size == 0 or bool(usable[path.link_indices].all()):
                 routable_indices.append(index)
-                compiled.append(path)
-        flat_flow, flat_arc = build_incidence(compiled)
+                arcs_of_flow.append(path.arc_indices)
         entry = _CompiledFlowSet(
             state_bytes=state_bytes,
             paths_key=paths_key,
             paths=[flow.path for flow in flows],
-            usable=usable,
             routable_indices=routable_indices,
-            flat_flow=flat_flow,
-            flat_arc=flat_arc,
+            incidence=Incidence(arcs_of_flow, self._arc_table.num_arcs),
         )
         self._compiled_flows = entry
         return entry
-
-    def _run_fair_kernel(
-        self, demands: np.ndarray, entry: _CompiledFlowSet
-    ) -> np.ndarray:
-        """Dispatch one demand vector to the selected fairness kernel."""
-        kernel = select_kernel(len(entry.routable_indices), self._arc_table.num_arcs)
-        with trace.span(
-            "fairness.kernel",
-            kernel=kernel,
-            flows=len(entry.routable_indices),
-            arcs=self._arc_table.num_arcs,
-        ) as kernel_span:
-            if kernel == "sparse":
-                allocation = max_min_fair_rates_sparse(
-                    demands,
-                    entry.flat_flow,
-                    entry.flat_arc,
-                    self._alloc_capacity,
-                    incidence=entry.sparse(self._arc_table),
-                )
-            else:
-                allocation = max_min_fair_rates(
-                    demands, entry.flat_flow, entry.flat_arc, self._alloc_capacity
-                )
-            if trace.tracing_enabled():
-                kernel_span.set(**last_kernel_stats())
-        return allocation
 
     # ------------------------------------------------------------------ #
     # Array-indexed views (the vectorized engine's fast path)
@@ -359,7 +259,7 @@ class SimulatedNetwork:
     def alloc_capacity(self) -> np.ndarray:
         """Per-arc allocation capacity (the parent link's, per direction).
 
-        The live internal buffer the fairness kernels read — callers must
+        The live internal buffer the fairness loop reads — callers must
         not mutate it.
         """
         return self._alloc_capacity

@@ -1,6 +1,11 @@
-"""Tests for the million-flow scale axis: kernel selection, sparse network
-allocation, flow aggregation, calibration memoisation and the compiled
-flow-set cache."""
+"""Tests for the million-flow scale axis: flow aggregation, the committed
+engine-scale checksums, calibration memoisation and the compiled flow-set
+cache."""
+
+import hashlib
+import json
+import sys
+from pathlib import Path as FilePath
 
 import numpy as np
 import pytest
@@ -8,17 +13,12 @@ import pytest
 from repro.exceptions import TrafficError
 from repro.routing import Path
 from repro.simulator import (
-    SPARSE_CROSSOVER,
     AggregatedFlows,
     Flow,
     SimulatedNetwork,
     allocate_aggregated,
     constant_demand,
-    fairness_kernel,
-    select_kernel,
-    set_fairness_kernel,
 )
-from repro.simulator import fairness as fairness_module
 from repro.topology.fattree import build_fattree, hosts
 from repro.traffic import (
     TrafficMatrix,
@@ -29,12 +29,8 @@ from repro.traffic import (
 from repro.units import mbps
 
 
-@pytest.fixture(autouse=True)
-def _reset_kernel():
-    """Every test starts and ends on the automatic kernel choice."""
-    set_fairness_kernel(None)
-    yield
-    set_fairness_kernel(None)
+BENCHMARKS_DIR = FilePath(__file__).resolve().parent.parent / "benchmarks"
+sys.path.insert(0, str(BENCHMARKS_DIR))
 
 
 def fattree_flows(k=4, num_flows=40, seed=3):
@@ -61,74 +57,6 @@ def fattree_flows(k=4, num_flows=40, seed=3):
 
 
 # --------------------------------------------------------------------- #
-# Kernel selection knob
-# --------------------------------------------------------------------- #
-
-
-def test_select_kernel_crosses_over_on_problem_size():
-    assert select_kernel(10, 10) == "dense"
-    assert select_kernel(SPARSE_CROSSOVER, 1) == "dense"  # product == crossover
-    assert select_kernel(SPARSE_CROSSOVER, 2) == "sparse"
-    assert select_kernel(1_000_000, 50_000) == "sparse"
-
-
-def test_set_fairness_kernel_overrides_and_restores():
-    assert fairness_kernel() == "auto"
-    previous = set_fairness_kernel("sparse")
-    assert previous is None  # no override was active
-    assert fairness_kernel() == "sparse"
-    assert select_kernel(1, 1) == "sparse"  # override beats the crossover
-    assert set_fairness_kernel("dense") == "sparse"
-    assert select_kernel(10**9, 10**9) == "dense"
-    set_fairness_kernel(None)
-    assert fairness_kernel() == "auto"
-    with pytest.raises(ValueError):
-        set_fairness_kernel("csr")
-
-
-def test_kernel_env_var_respected(monkeypatch):
-    monkeypatch.setenv(fairness_module.KERNEL_ENV_VAR, "sparse")
-    assert fairness_kernel() == "sparse"
-    assert select_kernel(1, 1) == "sparse"
-    # The process-wide override still beats the environment.
-    set_fairness_kernel("dense")
-    assert fairness_kernel() == "dense"
-
-
-def test_sparse_request_without_scipy_raises(monkeypatch):
-    monkeypatch.setattr(fairness_module, "_scipy_sparse", None)
-    set_fairness_kernel("sparse")
-    with pytest.raises(RuntimeError, match="scipy"):
-        select_kernel(10, 10)
-    # Automatic selection silently stays dense without scipy.
-    set_fairness_kernel(None)
-    assert select_kernel(10**9, 10**9) == "dense"
-
-
-# --------------------------------------------------------------------- #
-# Network-level sparse allocation: bit-identical to dense
-# --------------------------------------------------------------------- #
-
-
-def test_network_allocation_identical_under_sparse_kernel():
-    topology, flows = fattree_flows()
-    dense_network = SimulatedNetwork(topology)
-    set_fairness_kernel("dense")
-    dense_network.allocate_rates(flows, now_s=0.0)
-    dense_rates = np.array([flow.rate_bps for flow in flows])
-    dense_batch = dense_network.allocate_rates_batch(flows, [0.0, 900.0])
-
-    sparse_network = SimulatedNetwork(build_fattree(4))
-    set_fairness_kernel("sparse")
-    sparse_network.allocate_rates(flows, now_s=0.0)
-    sparse_rates = np.array([flow.rate_bps for flow in flows])
-    sparse_batch = sparse_network.allocate_rates_batch(flows, [0.0, 900.0])
-
-    assert np.array_equal(dense_rates, sparse_rates)
-    assert np.array_equal(dense_batch, sparse_batch)
-
-
-# --------------------------------------------------------------------- #
 # Flow aggregation: exact equivalence with the per-flow engine
 # --------------------------------------------------------------------- #
 
@@ -136,7 +64,6 @@ def test_network_allocation_identical_under_sparse_kernel():
 def test_allocate_aggregated_matches_per_flow_allocation():
     topology, flows = fattree_flows(num_flows=60)
     network = SimulatedNetwork(topology)
-    set_fairness_kernel("dense")
     network.allocate_rates(flows, now_s=0.0)
     per_flow = np.array([flow.rate_bps for flow in flows])
 
@@ -148,10 +75,9 @@ def test_allocate_aggregated_matches_per_flow_allocation():
 
 def test_allocate_aggregated_group_sums_match_summed_per_flow_rates():
     # Aggregate-then-allocate == allocate-then-sum: the per-group totals of
-    # the aggregated allocation equal the summed per-flow dense rates.
+    # the aggregated allocation equal the summed per-flow rates.
     topology, flows = fattree_flows(num_flows=60)
     network = SimulatedNetwork(topology)
-    set_fairness_kernel("dense")
     network.allocate_rates(flows, now_s=0.0)
     table = AggregatedFlows.from_flows(flows, now_s=0.0)
     aggregated = allocate_aggregated(SimulatedNetwork(build_fattree(4)), table)
@@ -172,7 +98,6 @@ def test_allocate_aggregated_tracks_link_state():
     used = {arc for flow in flows for arc in flow.path.link_keys()}
     victim = sorted(used)[0]
     network.fail_link(*victim)
-    set_fairness_kernel("dense")
     network.allocate_rates(flows, now_s=0.0)
     per_flow = np.array([flow.rate_bps for flow in flows])
     aggregated = allocate_aggregated(network, table)
@@ -197,6 +122,50 @@ def test_aggregated_flows_validation():
         AggregatedFlows.from_arrays(
             (path,), np.array([0, 0], dtype=np.int64), np.array([mbps(1)])
         )
+    # UNROUTED_GROUP (-1) is the only negative id: -2 would index the
+    # routable-group remap from the end and ride the last group's path.
+    with pytest.raises(SimulationError):
+        AggregatedFlows.from_arrays(
+            (path, path), [0, -2, -1], [mbps(1), mbps(2), mbps(3)]
+        )
+    unrouted = AggregatedFlows.from_arrays((path,), [0, -1], [mbps(1), mbps(3)])
+    assert unrouted.member_counts().tolist() == [1]
+
+
+# --------------------------------------------------------------------- #
+# Pre-refactor witness: the committed engine-scale checksums
+# --------------------------------------------------------------------- #
+
+
+@pytest.mark.parametrize("point", [0, 1], ids=["k8-2048-flows", "k16-20480-flows"])
+def test_engine_scale_checksums_match_committed_baseline(point):
+    """Both entry points reproduce the rate checksums in BENCH_engine_scale.json."""
+    import bench_engine_scale
+
+    baseline = json.loads((BENCHMARKS_DIR / "BENCH_engine_scale.json").read_text())
+    committed = baseline["points"][point]["dense"]["checksum"]
+    assert committed == baseline["points"][point]["sparse"]["checksum"]
+
+    k, pairs, members = bench_engine_scale.GRID[point]
+    topology, paths, flow_group, demands = bench_engine_scale.build_point(k, pairs, members)
+    network = SimulatedNetwork(topology)
+    table = AggregatedFlows.from_arrays(paths, flow_group, demands)
+    aggregated = allocate_aggregated(network, table)
+    assert hashlib.sha256(aggregated.tobytes()).hexdigest() == committed
+
+    flows = [
+        Flow(
+            f"f{index}",
+            paths[group].origin,
+            paths[group].destination,
+            constant_demand(float(demands[index])),
+            path=paths[group],
+        )
+        for index, group in enumerate(flow_group)
+    ]
+    network.allocate_rates(flows, now_s=0.0)
+    per_flow = np.array([flow.rate_bps for flow in flows])
+    assert hashlib.sha256(per_flow.tobytes()).hexdigest() == committed
 
 
 # --------------------------------------------------------------------- #
@@ -292,7 +261,6 @@ def test_allocate_rates_reuses_compiled_flow_set(monkeypatch):
 
     # Same flows, same link state: the compiled set is reused untouched.
     network.allocate_rates(flows, now_s=10.0)
-    network.allocate_rates_batch(flows, [0.0, 900.0])
     assert len(usable_calls) == baseline_usable
     assert len(compile_calls) == baseline_compile
 

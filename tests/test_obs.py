@@ -28,7 +28,7 @@ from repro.campaign.store import STORE_SCHEMA_VERSION
 from repro.experiments.runner import main as experiments_main
 from repro.obs import metrics, trace
 from repro.scenario.engine import run_scenario
-from repro.simulator.fairness import last_kernel_stats, max_min_fair_rates
+from repro.simulator.fairness import Incidence, last_kernel_stats, max_min_fair_rates
 from repro.traffic.scaling import calibration_cache_stats, clear_calibration_cache
 
 from test_service import (
@@ -167,18 +167,17 @@ def test_phase_collector_without_elapsed_omits_overhead():
 
 def test_kernel_stats_record_iterations_and_frozen_trace():
     demands = np.array([3e8, 3e8, 3e8])
-    flat_flow = np.array([0, 1, 2])
-    flat_arc = np.array([0, 0, 0])
+    incidence = Incidence([np.array([0])] * 3, 1)
     capacity = np.array([6e8])
     collector = trace.SpanCollector()
     with trace.collect(collector):
-        rates = max_min_fair_rates(demands, flat_flow, flat_arc, capacity)
+        rates = max_min_fair_rates(demands, capacity, incidence)
     stats = last_kernel_stats()
     assert stats["iterations"] >= 1
     assert sum(stats["frozen_per_iteration"]) == len(demands)
     np.testing.assert_allclose(rates, 2e8)
     # Untraced: iterations still counted, frozen trace skipped.
-    max_min_fair_rates(demands, flat_flow, flat_arc, capacity)
+    max_min_fair_rates(demands, capacity, incidence)
     stats = last_kernel_stats()
     assert stats["iterations"] >= 1
     assert "frozen_per_iteration" not in stats

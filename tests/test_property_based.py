@@ -7,17 +7,16 @@ from hypothesis import strategies as st
 
 from repro.power import CiscoRouterPowerModel, full_power, network_power
 from repro.routing import Path, link_loads, solve_mcf
+from repro.routing.mcf import pairwise_sum
 from repro.routing.ospf import ospf_invcap_routing
-from repro.simulator import Flow, SimulatedNetwork, constant_demand
-from repro.simulator.fairness import (
-    SparseIncidence,
-    batch_max_min_fair_rates,
-    batch_max_min_fair_rates_sparse,
-    grouped_max_min_fair_rates,
-    max_min_fair_rates,
-    max_min_fair_rates_sparse,
-    pairwise_sum,
+from repro.simulator import (
+    AggregatedFlows,
+    Flow,
+    SimulatedNetwork,
+    allocate_aggregated,
+    constant_demand,
 )
+from repro.simulator.fairness import Incidence, max_min_fair_rates
 from repro.simulator.reference import reference_max_min_rates
 from repro.topology import random_connected_topology
 from repro.traffic import TrafficMatrix, all_pairs, gravity_matrix
@@ -188,37 +187,35 @@ def test_max_min_allocation_respects_capacity_and_demand(topology, demands):
 
 
 # --------------------------------------------------------------------- #
-# Batched max-min fairness: batch == serial == dict oracle
+# Max-min fairness: the one CSR loop vs test-side and dict references
 # --------------------------------------------------------------------- #
 @st.composite
 def fairness_problems(draw):
     """Random stacked fairness problems over a shared flows×arcs incidence.
 
     Degenerate shapes appear on purpose: zero-demand flows, zero-capacity
-    arcs, flows crossing no arc at all, single-flow problems.
+    arcs, flows crossing no arc at all, single-flow problems.  Returns the
+    stacked demand rows, the arc index array of every flow and the capacity
+    vector.
     """
     num_flows = draw(st.integers(min_value=1, max_value=6))
     num_arcs = draw(st.integers(min_value=0, max_value=6))
-    arcs_per_flow = [
-        draw(
-            st.lists(
-                st.integers(min_value=0, max_value=num_arcs - 1),
-                min_size=0,
-                max_size=4,
-                unique=True,
+    arcs_of_flow = [
+        np.array(
+            draw(
+                st.lists(
+                    st.integers(min_value=0, max_value=num_arcs - 1),
+                    min_size=0,
+                    max_size=4,
+                    unique=True,
+                )
             )
+            if num_arcs
+            else [],
+            dtype=np.int64,
         )
-        if num_arcs
-        else []
         for _ in range(num_flows)
     ]
-    flat_flow = np.array(
-        [flow for flow, arcs in enumerate(arcs_per_flow) for _ in arcs],
-        dtype=np.int64,
-    )
-    flat_arc = np.array(
-        [arc for arcs in arcs_per_flow for arc in arcs], dtype=np.int64
-    )
     value = st.one_of(
         st.just(0.0),
         st.floats(min_value=0.0, max_value=1e9, allow_nan=False, allow_infinity=False),
@@ -228,109 +225,100 @@ def fairness_problems(draw):
         [[draw(value) for _ in range(num_flows)] for _ in range(batch)]
     )
     capacity = np.array([draw(value) for _ in range(num_arcs)])
-    return demands, flat_flow, flat_arc, capacity
+    return demands, arcs_of_flow, capacity
+
+
+def dense_python_filling(demands, arcs_of_flow, capacity):
+    """Progressive filling in plain Python over a dense flows×arcs table.
+
+    The test-side reference: no NumPy reductions, no CSR.  It performs the
+    same float operations as the engine (a division per crossed arc, one
+    subtraction per flow and per arc, the same freezing thresholds), so the
+    comparison is exact.
+    """
+    num_flows, num_arcs = len(demands), len(capacity)
+    crosses = [[arc in arcs for arc in range(num_arcs)] for arcs in arcs_of_flow]
+    used = [any(row[arc] for row in crosses) for arc in range(num_arcs)]
+    pending = [float(demand) for demand in demands]
+    remaining = [float(value) for value in capacity]
+    rates = [0.0] * num_flows
+    active = [True] * num_flows
+    for _ in range(num_flows + sum(used) + 1):
+        if not any(active):
+            break
+        counts = [
+            sum(1 for flow in range(num_flows) if active[flow] and crosses[flow][arc])
+            for arc in range(num_arcs)
+        ]
+        limits = [remaining[arc] / counts[arc] for arc in range(num_arcs) if counts[arc]]
+        limits += [pending[flow] for flow in range(num_flows) if active[flow]]
+        step = max(min(limits), 0.0)
+        for flow in range(num_flows):
+            if active[flow]:
+                rates[flow] += step
+                pending[flow] -= step
+        for arc in range(num_arcs):
+            remaining[arc] -= step * counts[arc]
+        before = sum(active)
+        for flow in range(num_flows):
+            on_exhausted_arc = any(
+                crosses[flow][arc] and remaining[arc] <= 1e-9 for arc in range(num_arcs)
+            )
+            if pending[flow] <= 1e-9 or on_exhausted_arc:
+                active[flow] = False
+        if step <= 1e-12 and sum(active) == before:
+            break
+    return np.array(rates)
 
 
 @settings(max_examples=120, deadline=None)
 @given(problem=fairness_problems())
-def test_batch_fairness_is_bit_identical_to_serial(problem):
-    demands, flat_flow, flat_arc, capacity = problem
-    batched = batch_max_min_fair_rates(demands, flat_flow, flat_arc, capacity)
-    assert batched.shape == demands.shape
-    for row in range(demands.shape[0]):
-        serial = max_min_fair_rates(demands[row], flat_flow, flat_arc, capacity)
-        # Bit-for-bit, not approximately: the batched kernel replicates the
-        # serial arithmetic element by element.
-        assert np.array_equal(batched[row], serial)
+def test_sparse_serial_fairness_is_bit_identical_to_dense(problem):
+    demands, arcs_of_flow, capacity = problem
+    incidence = Incidence(arcs_of_flow, capacity.shape[0])
+    for row in demands:
+        sparse = max_min_fair_rates(row, capacity, incidence)
+        dense = dense_python_filling(row, arcs_of_flow, capacity)
+        assert np.array_equal(dense, sparse)
 
 
 @settings(max_examples=60, deadline=None)
 @given(problem=fairness_problems())
-def test_batch_fairness_accepts_per_element_capacities(problem):
-    demands, flat_flow, flat_arc, capacity = problem
-    batch = demands.shape[0]
-    # Stack distinct capacity vectors: row i gets capacity scaled by i+1.
-    capacities = np.stack([capacity * (row + 1) for row in range(batch)])
-    batched = batch_max_min_fair_rates(demands, flat_flow, flat_arc, capacities)
-    for row in range(batch):
-        serial = max_min_fair_rates(
-            demands[row], flat_flow, flat_arc, capacities[row]
+def test_sparse_incidence_reuse_matches_fresh_build(problem):
+    demands, arcs_of_flow, capacity = problem
+    incidence = Incidence(arcs_of_flow, capacity.shape[0])
+    for row in demands:
+        fresh = max_min_fair_rates(
+            row, capacity, Incidence(arcs_of_flow, capacity.shape[0])
         )
-        assert np.array_equal(batched[row], serial)
+        reused = max_min_fair_rates(row, capacity, incidence)
+        assert np.array_equal(fresh, reused)
 
 
-@settings(max_examples=60, deadline=None)
-@given(problem=fairness_problems())
-def test_batch_of_one_equals_unbatched(problem):
-    demands, flat_flow, flat_arc, capacity = problem
-    single = demands[:1]
-    batched = batch_max_min_fair_rates(single, flat_flow, flat_arc, capacity)
-    serial = max_min_fair_rates(single[0], flat_flow, flat_arc, capacity)
-    assert np.array_equal(batched[0], serial)
-
-
-def test_batch_fairness_degenerate_shapes():
-    empty = np.array([], dtype=np.int64)
-    # Empty batch and flowless batch come back as all-zero allocations.
-    assert batch_max_min_fair_rates(
-        np.zeros((0, 3)), empty, empty, np.array([1.0])
-    ).shape == (0, 3)
-    assert batch_max_min_fair_rates(
-        np.zeros((2, 0)), empty, empty, np.array([1.0])
-    ).shape == (2, 0)
-    # A single flow crossing a zero-capacity arc is frozen at rate zero.
-    rates = batch_max_min_fair_rates(
-        np.array([[mbps(10)]]),
-        np.array([0], dtype=np.int64),
-        np.array([0], dtype=np.int64),
-        np.array([0.0]),
+def test_sparse_fairness_edge_cases():
+    no_arcs = np.array([], dtype=np.int64)
+    shared_arc = np.array([0], dtype=np.int64)
+    # All-zero demands freeze immediately at rate zero.
+    zeros = max_min_fair_rates(
+        np.zeros(3), np.array([mbps(10)]), Incidence([shared_arc] * 3, 1)
     )
-    assert rates[0, 0] == 0.0
-    with pytest.raises(ValueError):
-        batch_max_min_fair_rates(np.zeros(3), empty, empty, np.array([1.0]))
-    with pytest.raises(ValueError):
-        batch_max_min_fair_rates(
-            np.zeros((2, 3)), empty, empty, np.zeros((3, 1))
-        )
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    small_topologies(),
-    st.lists(
-        st.floats(min_value=0.0, max_value=2e8, allow_nan=False),
-        min_size=1,
-        max_size=5,
-    ),
-)
-def test_batched_network_allocation_matches_serial_and_oracle(topology, demands):
-    """Three-way differential: batched == serial engine == dict oracle."""
-    network = SimulatedNetwork(topology, MODEL)
-    nodes = topology.nodes()
-    path_nodes = topology.shortest_path(nodes[0], nodes[-1])
-    flows = [
-        Flow(
-            f"f{index}",
-            nodes[0],
-            nodes[-1],
-            constant_demand(demand),
-            path=Path.of(path_nodes),
-        )
-        for index, demand in enumerate(demands)
-    ]
-    times = [0.0, 900.0, 1800.0]
-    batched = network.allocate_rates_batch(flows, times)
-    assert batched.shape == (len(times), len(flows))
-    for row, time in enumerate(times):
-        expected_rates, _ = reference_max_min_rates(network, flows, now_s=time)
-        network.allocate_rates(flows, now_s=time)
-        for column, flow in enumerate(flows):
-            # Batched vs serial engine: exact, bit for bit.
-            assert batched[row, column] == flow.rate_bps
-            # Vectorized vs dict oracle: numerically equivalent.
-            assert flow.rate_bps == pytest.approx(
-                expected_rates[flow.flow_id], rel=1e-9, abs=1e-6
-            )
+    assert np.array_equal(zeros, np.zeros(3))
+    # A flow crossing an exhausted (zero-capacity) arc is killed at zero
+    # while the unconstrained flow still gets its full demand.
+    rates = max_min_fair_rates(
+        np.array([mbps(10), mbps(20)]),
+        np.array([0.0]),
+        Incidence([shared_arc, no_arcs], 1),
+    )
+    assert rates[0] == 0.0 and rates[1] == mbps(20)
+    # Arcless problems are purely demand-limited.
+    free = max_min_fair_rates(
+        np.array([mbps(5)]), np.array([], dtype=float), Incidence([no_arcs], 0)
+    )
+    assert free[0] == mbps(5)
+    # No flows at all: an empty allocation, whatever the arc table holds.
+    nothing = max_min_fair_rates(np.zeros(0), np.array([mbps(1)]), Incidence([], 1))
+    assert nothing.shape == (0,)
 
 
 @settings(max_examples=40, deadline=None)
@@ -353,94 +341,17 @@ def test_pairwise_sum_is_order_fixed_and_accurate(values):
 
 
 # --------------------------------------------------------------------- #
-# Sparse fairness kernels: CSR twins == dense, bit for bit
-# --------------------------------------------------------------------- #
-@settings(max_examples=120, deadline=None)
-@given(problem=fairness_problems())
-def test_sparse_serial_fairness_is_bit_identical_to_dense(problem):
-    demands, flat_flow, flat_arc, capacity = problem
-    for row in range(demands.shape[0]):
-        dense = max_min_fair_rates(demands[row], flat_flow, flat_arc, capacity)
-        sparse = max_min_fair_rates_sparse(
-            demands[row], flat_flow, flat_arc, capacity
-        )
-        assert np.array_equal(dense, sparse)
-
-
-@settings(max_examples=80, deadline=None)
-@given(problem=fairness_problems())
-def test_sparse_batch_fairness_is_bit_identical_to_dense(problem):
-    demands, flat_flow, flat_arc, capacity = problem
-    dense = batch_max_min_fair_rates(demands, flat_flow, flat_arc, capacity)
-    sparse = batch_max_min_fair_rates_sparse(demands, flat_flow, flat_arc, capacity)
-    assert np.array_equal(dense, sparse)
-    # Per-element capacities: row i gets a distinct capacity vector.
-    capacities = np.stack(
-        [capacity * (row + 1) for row in range(demands.shape[0])]
-    )
-    dense_stacked = batch_max_min_fair_rates(demands, flat_flow, flat_arc, capacities)
-    sparse_stacked = batch_max_min_fair_rates_sparse(
-        demands, flat_flow, flat_arc, capacities
-    )
-    assert np.array_equal(dense_stacked, sparse_stacked)
-
-
-@settings(max_examples=60, deadline=None)
-@given(problem=fairness_problems())
-def test_sparse_incidence_reuse_matches_fresh_build(problem):
-    demands, flat_flow, flat_arc, capacity = problem
-    incidence = SparseIncidence(
-        flat_flow, flat_arc, demands.shape[1], capacity.shape[0]
-    )
-    fresh = batch_max_min_fair_rates_sparse(demands, flat_flow, flat_arc, capacity)
-    reused = batch_max_min_fair_rates_sparse(
-        demands, flat_flow, flat_arc, capacity, incidence=incidence
-    )
-    assert np.array_equal(fresh, reused)
-
-
-def test_sparse_fairness_edge_cases():
-    empty = np.array([], dtype=np.int64)
-    # All-zero demands freeze immediately at rate zero.
-    zeros = max_min_fair_rates_sparse(
-        np.zeros(3),
-        np.array([0, 1, 2], dtype=np.int64),
-        np.array([0, 0, 0], dtype=np.int64),
-        np.array([mbps(10)]),
-    )
-    assert np.array_equal(zeros, np.zeros(3))
-    # A flow crossing an exhausted (zero-capacity) arc is killed at zero
-    # while the unconstrained flow still gets its full demand.
-    rates = max_min_fair_rates_sparse(
-        np.array([mbps(10), mbps(20)]),
-        np.array([0], dtype=np.int64),
-        np.array([0], dtype=np.int64),
-        np.array([0.0]),
-    )
-    assert rates[0] == 0.0 and rates[1] == mbps(20)
-    # Arcless problems are purely demand-limited.
-    free = max_min_fair_rates_sparse(
-        np.array([mbps(5)]), empty, empty, np.array([], dtype=float)
-    )
-    assert free[0] == mbps(5)
-    # The batch twin validates shapes exactly like the dense kernel.
-    with pytest.raises(ValueError):
-        batch_max_min_fair_rates_sparse(np.zeros(3), empty, empty, np.array([1.0]))
-
-
-# --------------------------------------------------------------------- #
-# Grouped kernel: aggregate-then-allocate == allocate-then-sum
+# Grouped incidence: aggregate-then-allocate == allocate-then-sum
 # --------------------------------------------------------------------- #
 @st.composite
 def grouped_problems(draw):
     """A group-level incidence plus a member population per group.
 
-    Groups with zero members appear on purpose: they contribute no dense
-    entries, so the grouped kernel must ignore their arcs entirely.
+    Groups with zero members appear on purpose: they put no flow on their
+    arcs, so the grouped incidence must ignore those arcs entirely.
     """
-    demands, flat_flow, flat_arc, capacity = draw(fairness_problems())
-    num_groups = demands.shape[1]
-    members = [draw(st.integers(min_value=0, max_value=3)) for _ in range(num_groups)]
+    _demands, arcs_of_group, capacity = draw(fairness_problems())
+    members = [draw(st.integers(min_value=0, max_value=3)) for _ in arcs_of_group]
     value = st.floats(
         min_value=0.0, max_value=1e9, allow_nan=False, allow_infinity=False
     )
@@ -449,35 +360,85 @@ def grouped_problems(draw):
         dtype=np.int64,
     )
     member_demands = np.array([draw(value) for _ in flow_group])
-    return member_demands, flow_group, flat_flow, flat_arc, capacity, num_groups
+    return member_demands, flow_group, arcs_of_group, capacity
 
 
 @settings(max_examples=100, deadline=None)
 @given(problem=grouped_problems())
 def test_grouped_fairness_matches_expanded_dense(problem):
-    demands, flow_group, flat_group, flat_arc, capacity, num_groups = problem
-    grouped = grouped_max_min_fair_rates(
-        demands, flow_group, flat_group, flat_arc, capacity, num_groups=num_groups
+    demands, flow_group, arcs_of_group, capacity = problem
+    num_arcs = capacity.shape[0]
+    grouped = max_min_fair_rates(
+        demands, capacity, Incidence(arcs_of_group, num_arcs, flow_group)
     )
-    # Expand the group incidence to one entry per member flow and run the
-    # dense per-flow kernel on it: the equivalence contract is bit-for-bit.
-    arcs_of_group = [[] for _ in range(num_groups)]
-    for group, arc in zip(flat_group, flat_arc, strict=True):
-        arcs_of_group[group].append(arc)
-    expanded_flow = np.array(
-        [
-            index
-            for index, group in enumerate(flow_group)
-            for _ in arcs_of_group[group]
-        ],
-        dtype=np.int64,
+    # Expand to one incidence row per member flow, each repeating its
+    # group's arcs: the equivalence contract is bit-for-bit, and so is the
+    # agreement with the plain-Python reference.
+    arcs_of_flow = [arcs_of_group[group] for group in flow_group]
+    expanded = max_min_fair_rates(demands, capacity, Incidence(arcs_of_flow, num_arcs))
+    assert np.array_equal(grouped, expanded)
+    assert np.array_equal(
+        grouped, dense_python_filling(demands, arcs_of_flow, capacity)
     )
-    expanded_arc = np.array(
-        [arc for group in flow_group for arc in arcs_of_group[group]],
-        dtype=np.int64,
+
+
+@st.composite
+def shared_path_populations(draw):
+    """A topology, a few routed paths and several member flows per path."""
+    topology = draw(small_topologies())
+    nodes = topology.nodes()
+    num_paths = draw(st.integers(min_value=1, max_value=4))
+    paths = []
+    for _ in range(num_paths):
+        origin = draw(st.sampled_from(nodes))
+        destination = draw(st.sampled_from([name for name in nodes if name != origin]))
+        paths.append(Path.of(topology.shortest_path(origin, destination)))
+    demand = st.one_of(
+        st.just(0.0), st.floats(min_value=0.0, max_value=2e9, allow_nan=False)
     )
-    dense = max_min_fair_rates(demands, expanded_flow, expanded_arc, capacity)
-    assert np.array_equal(grouped, dense)
+    members = [
+        (group, draw(demand))
+        for group in range(num_paths)
+        for _ in range(draw(st.integers(min_value=0, max_value=4)))
+    ]
+    fail_first_hop = draw(st.booleans())
+    return topology, paths, members, fail_first_hop
+
+
+@settings(max_examples=60, deadline=None)
+@given(population=shared_path_populations())
+def test_allocate_aggregated_matches_dict_oracle(population):
+    """The grouped entry point against the seed algorithm, not another array loop."""
+    topology, paths, members, fail_first_hop = population
+    network = SimulatedNetwork(topology, MODEL)
+    if fail_first_hop:
+        network.fail_link(*paths[0].link_keys()[0])
+    table = AggregatedFlows.from_arrays(
+        paths, [group for group, _ in members], [demand for _, demand in members]
+    )
+    flows = [
+        Flow(
+            f"f{index}",
+            paths[group].origin,
+            paths[group].destination,
+            constant_demand(demand),
+            path=paths[group],
+        )
+        for index, (group, demand) in enumerate(members)
+    ]
+    expected_rates, _ = reference_max_min_rates(network, flows, now_s=0.0)
+    aggregated = allocate_aggregated(network, table)
+    assert aggregated.shape == (len(members),)
+    for index, flow in enumerate(flows):
+        assert aggregated[index] == pytest.approx(
+            expected_rates[flow.flow_id], rel=1e-9, abs=1e-6
+        )
+    if fail_first_hop:
+        assert all(
+            rate == 0.0
+            for rate, (group, _) in zip(aggregated, members, strict=True)
+            if group == 0
+        )
 
 
 # --------------------------------------------------------------------- #
