@@ -40,6 +40,8 @@ DETERMINISTIC_PACKAGES = (
     "routing",
     "traffic",
     "topology",
+    "optim",
+    "power",
 )
 
 #: Modules where float reductions sit on the fairness/MCF hot path and

@@ -209,7 +209,7 @@ def solve_path_milp(
     for name in nodes:
         if topology.node(name).always_powered or name in fixed_nodes:
             lower[x_var(name)] = 1.0
-    for key in fixed_links:
+    for key in sorted(fixed_links):
         if key in link_index:
             lower[y_var(key)] = 1.0
 
@@ -262,7 +262,10 @@ def solve_path_milp(
     for pair in pairs:
         for candidate_position, path in enumerate(candidates[pair]):
             column = path_var_offset[(pair, candidate_position)]
-            for key in set(path.link_keys()):
+            # Ordered dedupe: the row order decides which of several
+            # degenerate optima the solver returns, so it must not follow
+            # set iteration (PYTHONHASHSEED).
+            for key in dict.fromkeys(path.link_keys()):
                 add_entry(row_count, column, 1.0)
                 add_entry(row_count, y_var(key), -1.0)
                 constraint_lower.append(-np.inf)

@@ -105,8 +105,10 @@ def network_power(
 
     active_link_keys = _normalise_active_links(topology, active_links, active)
 
+    # Float sums run in sorted order: set iteration follows PYTHONHASHSEED,
+    # and the last ULP of every power figure would follow it too.
     chassis_w = 0.0
-    for name in active:
+    for name in sorted(active):
         node = topology.node(name)
         if node.kind == "host":
             continue
@@ -114,7 +116,7 @@ def network_power(
 
     ports_w = 0.0
     amplifiers_w = 0.0
-    for key in active_link_keys:
+    for key in sorted(active_link_keys):
         link = topology.link(*key)
         for src, dst in link.arc_keys():
             if topology.node(src).kind == "host":

@@ -30,7 +30,13 @@ from .components import BuiltTraffic, as_built_traffic
 from .schemes import SchemeOutcome
 from .spec import ScenarioSpec
 from .spill import SeriesSpill
-from .timeline import GroupComputeCache, TimelineRun, run_timeline, run_timeline_batch
+from .timeline import (
+    GroupComputeCache,
+    IntervalCallback,
+    TimelineRun,
+    run_timeline,
+    run_timeline_batch,
+)
 
 
 @dataclass
@@ -57,11 +63,10 @@ class BuiltScenario:
     baseline_power_w: float
     routing: Optional[RoutingTable] = None
     traffic: Optional[BuiltTraffic] = None
-    #: Group-shared computation cache, set by the batch planner when this
-    #: scenario runs as part of a batched group (see
-    #: :class:`~repro.scenario.timeline.GroupComputeCache`); ``None`` for
-    #: solo runs.  Scheme runtimes treat it as optional.
-    shared: Optional[Any] = None
+    #: Memo for computations the scenarios built as one group can share
+    #: (see :class:`~repro.scenario.timeline.GroupComputeCache`); a scenario
+    #: built on its own owns a private one.
+    shared: GroupComputeCache = field(default_factory=GroupComputeCache)
 
     @property
     def utilisation_threshold(self) -> float:
@@ -259,7 +264,7 @@ def build_scenario(
     topology: Optional[Topology] = None,
     power_model: Optional[PowerModel] = None,
 ) -> BuiltScenario:
-    """Resolve a spec into a runnable stack.
+    """Resolve a spec into a runnable stack — the group of one.
 
     Args:
         spec: A :class:`ScenarioSpec` or its dict form.
@@ -271,34 +276,7 @@ def build_scenario(
     Returns:
         The :class:`BuiltScenario` with every component constructed.
     """
-    scenario_spec = _coerce_spec(spec).validate()
-    with trace.span("scenario.build", scenario=scenario_spec.name):
-        topo = (
-            topology
-            if topology is not None
-            else scenario_spec.topology.build()
-        )
-        model = (
-            power_model
-            if power_model is not None
-            else scenario_spec.power.build(topo)
-        )
-        built = as_built_traffic(
-            scenario_spec.traffic.build(topo), scenario_spec.traffic.name
-        )
-        routing = None
-        if scenario_spec.routing is not None:
-            routing = scenario_spec.routing.build(topo, built.pairs)
-        return BuiltScenario(
-            spec=scenario_spec,
-            topology=topo,
-            power_model=model,
-            trace=built.trace,
-            pairs=list(built.pairs),
-            baseline_power_w=full_power(topo, model).total_w,
-            routing=routing,
-            traffic=built,
-        )
+    return build_scenario_group([spec], topology=topology, power_model=power_model)[0]
 
 
 def run_scenario(
@@ -323,7 +301,7 @@ def run_scenario(
 
 def run_built_scenario(
     built: BuiltScenario,
-    on_interval: Optional[Any] = None,
+    on_interval: Optional[IntervalCallback] = None,
     spill_path: Optional[Any] = None,
 ) -> ScenarioResult:
     """Drive an already-built scenario's schemes over its merged timeline.
@@ -349,7 +327,6 @@ def run_built_scenario(
 
 def _result_from_run(built: BuiltScenario, run: TimelineRun) -> ScenarioResult:
     """Assemble the uniform result from a completed timeline run."""
-    threshold = built.spec.utilisation_threshold
     utilisation = {
         label: scheme_run.max_utilisation() for label, scheme_run in run.schemes.items()
     }
@@ -373,9 +350,9 @@ def _result_from_run(built: BuiltScenario, run: TimelineRun) -> ScenarioResult:
             for label, scheme_run in run.schemes.items()
         },
         violations={
-            label: [value > threshold + 1e-9 for value in series]
-            for label, series in utilisation.items()
-            if series
+            label: scheme_run.violations()
+            for label, scheme_run in run.schemes.items()
+            if utilisation[label]
         },
         reaction={label: records for label, records in run.reaction.items() if records},
     )
@@ -398,22 +375,27 @@ def _section_key(section: Any) -> str:
     return json.dumps(section, sort_keys=True, separators=(",", ":"))
 
 
-def build_scenario_group(specs: Sequence[Any]) -> List[BuiltScenario]:
-    """Build many specs as one group, sharing everything shareable.
+def build_scenario_group(
+    specs: Sequence[Any],
+    topology: Optional[Topology] = None,
+    power_model: Optional[PowerModel] = None,
+) -> List[BuiltScenario]:
+    """Build specs as one group, sharing everything shareable.
 
     All specs must declare identical ``topology``, ``power`` and ``routing``
     sections (the batch planner's grouping key guarantees this).  The group
-    shares one built :class:`Topology` and :class:`PowerModel` object, one
-    baseline-power evaluation, one built workload per distinct traffic
-    section and one routing table per distinct (routing, pairs) combination.
+    shares one built :class:`Topology` and :class:`PowerModel` object (the
+    programmatic overrides, when given), one baseline-power evaluation, one
+    built workload per distinct traffic section and one routing table per
+    distinct (routing, pairs) combination.
     Every returned :class:`BuiltScenario` carries the same
     :class:`~repro.scenario.timeline.GroupComputeCache` in ``shared``, which
     scheme runtimes use to reuse candidate paths, plans and solver calls
     across the group's points.
 
-    Because the shared objects are built by exactly the same calls a solo
-    :func:`build_scenario` would make, each returned scenario runs
-    bit-identically to its solo build.
+    Every component is built by the same call whatever the group's size
+    (:func:`build_scenario` is the group of one), so a scenario runs
+    bit-identically alone or in any group.
     """
     scenario_specs = [_coerce_spec(spec).validate() for spec in specs]
     if not scenario_specs:
@@ -427,9 +409,17 @@ def build_scenario_group(specs: Sequence[Any]) -> List[BuiltScenario]:
                     f"cannot group scenarios with differing {section!r} sections"
                 )
 
-    with trace.span("scenario.build", group_size=len(scenario_specs)):
-        shared_topology = scenario_specs[0].topology.build()
-        shared_model = scenario_specs[0].power.build(shared_topology)
+    with trace.span(
+        "scenario.build", scenario=scenario_specs[0].name, group_size=len(scenario_specs)
+    ):
+        shared_topology = (
+            topology if topology is not None else scenario_specs[0].topology.build()
+        )
+        shared_model = (
+            power_model
+            if power_model is not None
+            else scenario_specs[0].power.build(shared_topology)
+        )
         baseline_power_w = full_power(shared_topology, shared_model).total_w
         shared_cache = GroupComputeCache()
 
@@ -498,17 +488,17 @@ def scheme_outcomes(built: BuiltScenario) -> Dict[str, SchemeOutcome]:
     """Run every scheme of a built scenario, returning the raw outcomes.
 
     For drivers that need scheme ``details`` (per-interval solutions,
-    activation objects) rather than the uniform :class:`ScenarioResult`.
-    The schemes run through the same timeline engine as
-    :func:`run_scenario`.
+    activation objects) on top of the uniform :class:`ScenarioResult`
+    series, which are assembled exactly as :func:`run_built_scenario` would.
     """
     with trace.span("timeline.run", scenario=built.spec.name):
         run = run_timeline(built)
+    result = _result_from_run(built, run)
     return {
         label: SchemeOutcome(
-            power_percent=scheme_run.power_percent(),
-            recomputations=scheme_run.recomputations,
-            max_utilisation=scheme_run.max_utilisation(),
+            power_percent=result.power_percent[label],
+            recomputations=result.recomputations[label],
+            max_utilisation=result.max_utilisation.get(label, []),
             details=scheme_run.details,
         )
         for label, scheme_run in run.schemes.items()

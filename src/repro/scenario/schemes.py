@@ -5,16 +5,17 @@ subclass registered under ``("scheme", name)``: ``start(scenario)`` builds
 its long-lived state once (REsPoNse plans, candidate-path caches, warm-start
 memory), ``step(state, t, matrix, view)`` advances one interval against the
 failure-adjusted topology view.  The timeline engine drives the runtimes;
-`run_scenario` aggregates their per-interval outcomes.
+`run_scenario` aggregates their per-interval outcomes.  A runtime subclass
+is the only scheme form: the timeline rejects any other registered
+component.
 
-A scheme component may alternatively be a plain callable with the legacy
-contract::
-
-    fn(scenario: BuiltScenario, **params) -> SchemeOutcome
-
-which the timeline wraps in a
-:class:`~repro.scenario.timeline.FunctionRuntime` — such schemes run
-unchanged on event-free scenarios but cannot react to dynamic events.
+Computations that scenarios built as one group can share (REsPoNse plans,
+GreenTE candidates and solves, ECMP expansions, the always-on subset) go
+through ``scenario.shared`` — the group's
+:class:`~repro.scenario.timeline.GroupComputeCache`, always present (a
+scenario built on its own is the group of one).  Every memoised value is a
+pure function of its key's inputs, so a hit returns exactly what a fresh
+computation would.
 
 This module is also the home of the single cached-candidate GreenTE code
 path (:class:`CachedCandidatePaths`, :func:`greente_replay`) that the
@@ -164,17 +165,6 @@ def _configuration_of(solution: EnergyAwareSolution) -> RoutingConfiguration:
     )
 
 
-def _shared_cache(scenario: "BuiltScenario") -> Optional[Any]:
-    """The group-shared compute cache, when this run is part of a batch.
-
-    Solo runs (and drivers constructing :class:`BuiltScenario` by hand)
-    have none, in which case every runtime falls back to its per-replay
-    behaviour.  All memoised computations are pure functions of immutable
-    inputs, so a cache hit returns exactly what a fresh computation would.
-    """
-    return getattr(scenario, "shared", None)
-
-
 # --------------------------------------------------------------------- #
 # Per-interval solver runtimes (GreenTE, ElasticTree, greedy, LP, MILP)
 # --------------------------------------------------------------------- #
@@ -273,17 +263,13 @@ class GreenTERuntime(SolverReplayRuntime):
 
     def start(self, scenario: "BuiltScenario") -> _ReplayState:
         state = super().start(scenario)
-        shared = _shared_cache(scenario)
-        if shared is not None:
-            # One candidate cache per (group, k): every point of the group
-            # sees the same topology object, so the k-shortest computation
-            # is paid once for the whole batch.
-            state.extra["candidates"] = shared.memo(
-                ("greente-candidates", self.k),
-                lambda: CachedCandidatePaths(self.k),
-            )
-        else:
-            state.extra["candidates"] = CachedCandidatePaths(self.k)
+        # One candidate cache per (group, k): every point of the group
+        # sees the same topology object, so the k-shortest computation
+        # is paid once for the whole group.
+        state.extra["candidates"] = scenario.shared.memo(
+            ("greente-candidates", self.k),
+            lambda: CachedCandidatePaths(self.k),
+        )
         return state
 
     def solve(
@@ -309,14 +295,11 @@ class GreenTERuntime(SolverReplayRuntime):
                 ordering=self.ordering,
             )
 
-        shared = _shared_cache(scenario)
-        if shared is None:
-            return compute()
         # The heuristic is a pure function of these inputs; TrafficMatrix
         # hashes by content, so points sharing a demand matrix share the
         # solve.  The topology/power objects are pinned so their ids stay
         # unique for the cache's lifetime.
-        return shared.memo(
+        return scenario.shared.memo(
             (
                 "greente-solve",
                 self.k,
@@ -525,21 +508,17 @@ class ECMPRuntime(SchemeRuntime):
                 ecmp_max_utilisation(view.topology, effective),
             )
 
-        shared = _shared_cache(scenario)
-        if shared is None:
-            nodes, links, total_w, max_utilisation = compute()
-        else:
-            nodes, links, total_w, max_utilisation = shared.memo(
-                (
-                    "ecmp-core",
-                    id(view.topology),
-                    id(scenario.topology),
-                    id(scenario.power_model),
-                    effective,
-                ),
-                compute,
-                pin=(view.topology, scenario.topology, scenario.power_model),
-            )
+        nodes, links, total_w, max_utilisation = scenario.shared.memo(
+            (
+                "ecmp-core",
+                id(view.topology),
+                id(scenario.topology),
+                id(scenario.power_model),
+                effective,
+            ),
+            compute,
+            pin=(view.topology, scenario.topology, scenario.power_model),
+        )
         configuration = RoutingConfiguration(nodes, links)
         recomputed = bool(state.configurations) and (
             configuration != state.configurations[-1]
@@ -634,29 +613,25 @@ class ResponseRuntime(SchemeRuntime):
                     config=self.config,
                 )
 
-        shared = _shared_cache(scenario)
-        if shared is None:
-            plan = compute()
-        else:
-            # The offline pipeline depends only on these inputs, so points
-            # of a group (same topology/power/pairs/peak) share one plan
-            # build.  Each point gets a shallow copy: the lazily computed
-            # ``failover`` slot mutates per point and must not leak between
-            # them.
-            plan = copy.copy(
-                shared.memo(
-                    (
-                        "response-plan",
-                        repr(self.config),
-                        id(scenario.topology),
-                        id(scenario.power_model),
-                        tuple(scenario.pairs),
-                        peak,
-                    ),
-                    compute,
-                    pin=(scenario.topology, scenario.power_model),
-                )
+        # The offline pipeline depends only on these inputs, so points
+        # of a group (same topology/power/pairs/peak) share one plan
+        # build.  Each point gets a shallow copy: the lazily computed
+        # ``failover`` slot mutates per point and must not leak between
+        # them.
+        plan = copy.copy(
+            scenario.shared.memo(
+                (
+                    "response-plan",
+                    repr(self.config),
+                    id(scenario.topology),
+                    id(scenario.power_model),
+                    tuple(scenario.pairs),
+                    peak,
+                ),
+                compute,
+                pin=(scenario.topology, scenario.power_model),
             )
+        )
         threshold = (
             self.utilisation_threshold
             if self.utilisation_threshold is not None
@@ -756,21 +731,17 @@ class AlwaysOnRuntime(SchemeRuntime):
                 config=self.config,
             )
 
-        shared = _shared_cache(scenario)
-        if shared is None:
-            always_on = compute()
-        else:
-            always_on = shared.memo(
-                (
-                    "always-on",
-                    repr(self.config),
-                    id(scenario.topology),
-                    id(scenario.power_model),
-                    tuple(scenario.pairs),
-                ),
-                compute,
-                pin=(scenario.topology, scenario.power_model),
-            )
+        always_on = scenario.shared.memo(
+            (
+                "always-on",
+                repr(self.config),
+                id(scenario.topology),
+                id(scenario.power_model),
+                tuple(scenario.pairs),
+            ),
+            compute,
+            pin=(scenario.topology, scenario.power_model),
+        )
         return {
             "always_on": always_on,
             "percent": 100.0 * always_on.power_w / scenario.baseline_power_w,

@@ -1,8 +1,7 @@
 """The event-driven timeline engine.
 
-The replay loop used to be monolithic: every scheme rebuilt its
-routing/solver state from scratch for each trace interval and nothing could
-change mid-run.  This module replaces it with a **stateful timeline**:
+Every number a scenario reports comes out of one loop — start each scheme,
+step it through the intervals.  This module holds that loop, once:
 
 * a :class:`Timeline` merges the trace's intervals with the scenario's
   dynamic :class:`~repro.scenario.spec.EventSpec` axis — link/node failures
@@ -16,13 +15,18 @@ change mid-run.  This module replaces it with a **stateful timeline**:
   builds long-lived state once (REsPoNse plans, candidate-path caches),
   ``step(state, t, matrix, view)`` advances one interval incrementally and
   returns an :class:`IntervalOutcome`;
-* :func:`run_timeline` drives each runtime over the steps, times every step
-  (the recomputation-latency proxy) and assembles per-event reaction
-  records.
+* one interval-major driver (``_drive``) takes a list of built scenarios,
+  starts every runtime, advances all of them one interval at a time —
+  timing every step (the recomputation-latency proxy) and noting per-event
+  reaction records — and feeds each scenario's completed interval to its
+  sinks: the ``on_interval`` hook, the NDJSON spill, or the in-memory
+  series.  :func:`run_timeline` is the list of one; :func:`run_timeline_batch`
+  passes a whole group.
 
-Event-free timelines are bit-identical to the pre-timeline replay: runtimes
-only *reuse* state (precomputed plans, cached candidates, unchanged-input
-memoisation), they never change what is computed.
+Runtimes only *reuse* state (precomputed plans, cached candidates,
+unchanged-input memoisation); they never change what is computed, so the
+values do not depend on which sinks are attached or on what else shares the
+pass.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Dict,
     List,
     Mapping,
@@ -58,6 +63,7 @@ from .spill import SeriesSpill
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..topology.base import Topology
+    from ..traffic.replay import TrafficTrace
     from .engine import BuiltScenario
 
 
@@ -349,7 +355,7 @@ class TimelineStep:
 class Timeline:
     """The merged stream of trace intervals and dynamic events."""
 
-    def __init__(self, steps: List[TimelineStep], events: List[TimelineEvent]):
+    def __init__(self, steps: List[TimelineStep], events: List[TimelineEvent]) -> None:
         self.steps = steps
         self.events = events
 
@@ -366,7 +372,9 @@ class Timeline:
         return len(self.steps)
 
 
-def build_timeline(topology: "Topology", trace, events: Sequence[EventSpec]) -> Timeline:
+def build_timeline(
+    topology: "Topology", trace: "TrafficTrace", events: Sequence[EventSpec]
+) -> Timeline:
     """Merge a trace with an event axis into concrete timeline steps.
 
     Topology events are driven through
@@ -459,13 +467,32 @@ class IntervalOutcome:
             configuration relative to the previous interval (always
             ``False`` on the first step).
         compute_seconds: Wall-clock cost of the step — the recomputation
-            latency proxy.  Filled in by :func:`run_timeline`.
+            latency proxy.  Filled in by the timeline driver.
+        violation: Whether ``max_utilisation`` exceeded the scenario's
+            utilisation SLO (``None`` where the scheme does not track
+            utilisation).  Filled in by the timeline driver — the one place
+            the threshold is applied.
     """
 
     power_percent: float
     max_utilisation: Optional[float] = None
     recomputed: bool = False
     compute_seconds: float = 0.0
+    violation: Optional[bool] = None
+
+    def record(self) -> Dict[str, Any]:
+        """The JSON-ready per-scheme interval payload.
+
+        Spill rows, the service's replay stream and the per-event reaction
+        records all carry exactly this.
+        """
+        return {
+            "power_percent": self.power_percent,
+            "max_utilisation": self.max_utilisation,
+            "violation": self.violation,
+            "recomputed": self.recomputed,
+            "compute_seconds": self.compute_seconds,
+        }
 
 
 class SchemeRuntime:
@@ -479,13 +506,9 @@ class SchemeRuntime:
     scheme's ``details`` dict (per-interval solutions, plans, activations)
     for drivers that need more than the uniform series.
 
-    Set :attr:`event_capable` to ``False`` for runtimes that cannot react
-    to dynamic events (the timeline refuses to run them on an eventful
-    scenario instead of silently ignoring the events).
+    Every registered scheme component is a subclass; its recomputation
+    count is the number of steps whose outcome says ``recomputed``.
     """
-
-    #: Whether the runtime understands mid-run events.
-    event_capable = True
 
     def start(self, scenario: "BuiltScenario") -> Any:
         """Build and return the runtime's long-lived state."""
@@ -505,83 +528,11 @@ class SchemeRuntime:
         """The scheme's ``details`` after the replay (default: none)."""
         return {}
 
-    def recomputations(self, state: Any, outcomes: Sequence[IntervalOutcome]) -> int:
-        """Total recomputation count (default: sum of per-step flags)."""
-        return sum(1 for outcome in outcomes if outcome.recomputed)
 
-
-class FunctionRuntime(SchemeRuntime):
-    """Adapter wrapping a legacy ``fn(scenario, **params) -> SchemeOutcome``.
-
-    The whole legacy computation runs in :meth:`start`; steps serve the
-    precomputed series.  Legacy schemes know nothing about events, so the
-    adapter declares itself not event-capable.
-    """
-
-    event_capable = False
-
-    def __init__(self, function, params: Mapping[str, Any]):
-        self._function = function
-        self._params = dict(params)
-
-    def start(self, scenario: "BuiltScenario") -> Dict[str, Any]:
-        outcome = self._function(scenario, **self._params)
-        if not hasattr(outcome, "power_percent"):
-            raise ConfigurationError(
-                f"scheme component {self._function!r} must return a SchemeOutcome, "
-                f"got {type(outcome).__qualname__}"
-            )
-        expected = len(scenario.trace)
-        if len(outcome.power_percent) != expected:
-            raise ConfigurationError(
-                f"scheme returned {len(outcome.power_percent)} intervals "
-                f"for a {expected}-interval trace"
-            )
-        return {"outcome": outcome, "index": 0}
-
-    def step(
-        self,
-        state: Dict[str, Any],
-        time_s: float,
-        matrix: TrafficMatrix,
-        view: TopologyView,
-    ) -> IntervalOutcome:
-        outcome = state["outcome"]
-        index = state["index"]
-        state["index"] = index + 1
-        utilisation = (
-            outcome.max_utilisation[index]
-            if index < len(outcome.max_utilisation)
-            else None
-        )
-        return IntervalOutcome(
-            power_percent=outcome.power_percent[index],
-            max_utilisation=utilisation,
-        )
-
-    def finish(self, state: Dict[str, Any]) -> Dict[str, Any]:
-        return dict(state["outcome"].details)
-
-    def recomputations(self, state, outcomes) -> int:
-        # The legacy outcome carries the authoritative total.
-        return int(state["outcome"].recomputations)
-
-
-def as_runtime(component: Any, params: Mapping[str, Any]) -> SchemeRuntime:
-    """Instantiate the runtime behind a registered scheme component.
-
-    A component registered as a :class:`SchemeRuntime` subclass is
-    instantiated with the scheme parameters; any other callable is treated
-    as a legacy outcome function and wrapped in :class:`FunctionRuntime`.
-    """
-    if isinstance(component, type) and issubclass(component, SchemeRuntime):
-        return component(**params)
-    if callable(component):
-        return FunctionRuntime(component, params)
-    raise ConfigurationError(
-        f"a scheme component must be a SchemeRuntime subclass or a callable, "
-        f"got {type(component).__qualname__}"
-    )
+#: Signature of the streaming hook: called once per timeline step, after
+#: every scheme has advanced through it, with the step and that interval's
+#: per-scheme outcomes (keyed by scheme label).
+IntervalCallback = Callable[[TimelineStep, Mapping[str, IntervalOutcome]], None]
 
 
 # --------------------------------------------------------------------- #
@@ -598,22 +549,27 @@ class SchemeRun:
     details: Dict[str, Any]
     recomputations: int
 
+    def _series(self, metric: str) -> List[Any]:
+        return [getattr(outcome, metric) for outcome in self.outcomes]
+
     def power_percent(self) -> List[float]:
         """The per-interval power series."""
-        return [outcome.power_percent for outcome in self.outcomes]
+        return self._series("power_percent")
 
     def max_utilisation(self) -> List[float]:
         """The utilisation series (empty when the scheme never tracked it)."""
-        if all(outcome.max_utilisation is None for outcome in self.outcomes):
+        raw = self._series("max_utilisation")
+        if all(value is None for value in raw):
             return []
-        return [
-            outcome.max_utilisation if outcome.max_utilisation is not None else 0.0
-            for outcome in self.outcomes
-        ]
+        return [value if value is not None else 0.0 for value in raw]
+
+    def violations(self) -> List[bool]:
+        """Per-interval SLO-violation flags (untracked intervals read ``False``)."""
+        return [bool(value) for value in self._series("violation")]
 
     def compute_seconds(self) -> List[float]:
         """Per-interval step cost (the recomputation-latency proxy)."""
-        return [outcome.compute_seconds for outcome in self.outcomes]
+        return self._series("compute_seconds")
 
 
 @dataclass
@@ -635,21 +591,6 @@ class SpilledSchemeRun(SchemeRun):
             )
         return self.spill.series(self.label, metric)
 
-    def power_percent(self) -> List[float]:
-        """The per-interval power series, read back from the spill."""
-        return [float(value) for value in self._series("power_percent")]
-
-    def max_utilisation(self) -> List[float]:
-        """The utilisation series (same conventions as :class:`SchemeRun`)."""
-        raw = self._series("max_utilisation")
-        if all(value is None for value in raw):
-            return []
-        return [float(value) if value is not None else 0.0 for value in raw]
-
-    def compute_seconds(self) -> List[float]:
-        """Per-interval step cost, read back from the spill."""
-        return [float(value) for value in self._series("compute_seconds")]
-
 
 @dataclass
 class TimelineRun:
@@ -662,27 +603,29 @@ class TimelineRun:
 
 
 class GroupComputeCache:
-    """Memoised shared computations for a batch of scenarios on one topology.
+    """Memoised shared computations for the scenarios built as one group.
 
-    The batch planner builds every scenario of a group against the *same*
-    topology/power objects and attaches one of these caches to each
-    :class:`~repro.scenario.engine.BuiltScenario` (its ``shared`` field).
-    Scheme runtimes consult it in ``start``/``step``: the first point of a
-    group pays for a REsPoNse plan, a GreenTE solve or an ECMP expansion,
-    and every other point whose inputs are the *same objects* reuses the
-    value.  Keys embed ``id(...)`` of the shared inputs, so the cache pins
-    strong references to them — an id must never outlive its object.
+    :func:`~repro.scenario.engine.build_scenario_group` builds every
+    scenario of a group against the *same* topology/power objects and hands
+    each :class:`~repro.scenario.engine.BuiltScenario` the same cache (its
+    ``shared`` field); a solo build is the group of one and a hand-made
+    ``BuiltScenario`` gets a private cache.  Scheme runtimes consult it in
+    ``start``/``step``: the first point of a group pays for a REsPoNse plan,
+    a GreenTE solve or an ECMP expansion, and every other point whose inputs
+    are the *same objects* reuses the value.  Keys embed ``id(...)`` of the
+    shared inputs, so the cache pins strong references to them — an id must
+    never outlive its object.
 
     Sharing never changes a value: a memoised computation is a pure
     function of inputs that are identical (same objects) across the group,
-    so each point's results stay bit-identical to a solo run.
+    so each point's results stay bit-identical to a run on its own.
     """
 
     def __init__(self) -> None:
         self._values: Dict[Any, Any] = {}
         self._pins: List[Any] = []
 
-    def memo(self, key: Any, factory, pin: Sequence[Any] = ()) -> Any:
+    def memo(self, key: Any, factory: Callable[[], Any], pin: Sequence[Any] = ()) -> Any:
         """The cached value for *key*, computing it via *factory* once."""
         if key not in self._values:
             self._values[key] = factory()
@@ -690,355 +633,191 @@ class GroupComputeCache:
         return self._values[key]
 
 
+@dataclass
+class _SchemeProgress:
+    """One (scenario, scheme) pair being driven through the pass."""
+
+    label: str
+    runtime: SchemeRuntime
+    state: Any
+    recomputations: int = 0
+    reaction: List[Dict[str, Any]] = field(default_factory=list)
+
+
+def _start_scheme(built: "BuiltScenario", scheme: SchemeSpec) -> _SchemeProgress:
+    """Resolve one scheme spec to its runtime and build its long-lived state."""
+    component = resolve("scheme", scheme.name)
+    if not (isinstance(component, type) and issubclass(component, SchemeRuntime)):
+        raise ConfigurationError(
+            f"scheme component {scheme.name!r} must be a SchemeRuntime subclass, "
+            f"got {component!r}"
+        )
+    runtime: SchemeRuntime = component(**scheme.kwargs())
+    with trace.span("scheme.start", scheme=scheme.label):
+        state = runtime.start(built)
+    return _SchemeProgress(label=scheme.label, runtime=runtime, state=state)
+
+
 def _step_scheme(
-    runtime: SchemeRuntime,
-    state: Any,
-    step: TimelineStep,
-    threshold: float,
-    outcomes: List[IntervalOutcome],
-    records: List[Dict[str, Any]],
-    label: str = "",
-) -> None:
-    """Advance one scheme by one timeline step, collecting its records."""
-    with trace.span("scheme.step", scheme=label, interval=step.index) as step_span:
+    scheme: _SchemeProgress, step: TimelineStep, threshold: float
+) -> IntervalOutcome:
+    """Advance one scheme by one timeline step, noting its reaction records."""
+    with trace.span("scheme.step", scheme=scheme.label, interval=step.index) as step_span:
         # compute_seconds is the paper's recomputation-latency proxy: a
         # deliberate wall-clock measurement that never feeds results —
         # canonical_dump strips it (pinned by the identity batteries).
         # repro: allow[REP101] compute_seconds latency proxy, stripped from canonical dumps
         started = time.perf_counter()
-        outcome = runtime.step(state, step.time_s, step.matrix, step.view)
+        outcome = scheme.runtime.step(scheme.state, step.time_s, step.matrix, step.view)
         # repro: allow[REP101] compute_seconds latency proxy, stripped from canonical dumps
         outcome.compute_seconds = time.perf_counter() - started
         step_span.set(recomputed=outcome.recomputed)
-    outcomes.append(outcome)
+    if outcome.max_utilisation is not None:
+        outcome.violation = bool(outcome.max_utilisation > threshold + 1e-9)
+    scheme.recomputations += int(outcome.recomputed)
     for fired in step.fired:
-        violation = (
-            None
-            if outcome.max_utilisation is None
-            else bool(outcome.max_utilisation > threshold + 1e-9)
-        )
-        records.append(
+        scheme.reaction.append(
             {
                 **fired,
                 "interval_index": step.index,
                 "interval_s": step.time_s,
-                "recomputed": outcome.recomputed,
-                "compute_seconds": outcome.compute_seconds,
-                "power_percent": outcome.power_percent,
-                "max_utilisation": outcome.max_utilisation,
-                "violation": violation,
+                **outcome.record(),
             }
         )
+    return outcome
 
 
-def _spill_metrics(outcome: IntervalOutcome, threshold: float) -> Dict[str, Any]:
-    """One scheme's spill-row payload for a completed interval."""
-    violation = (
-        None
-        if outcome.max_utilisation is None
-        else bool(outcome.max_utilisation > threshold + 1e-9)
-    )
-    return {
-        "power_percent": outcome.power_percent,
-        "max_utilisation": outcome.max_utilisation,
-        "violation": violation,
-        "recomputed": outcome.recomputed,
-        "compute_seconds": outcome.compute_seconds,
-    }
+@dataclass
+class _Sinks:
+    """Where one scenario's completed intervals go.
 
-
-def _spilled_recomputations(
-    runtime: SchemeRuntime, state: Any, flag_total: int
-) -> int:
-    """Recomputation total when per-interval outcomes were spilled.
-
-    The base protocol sums per-step flags, which the spill loop already
-    accumulated; a runtime overriding :meth:`SchemeRuntime.recomputations`
-    (the legacy adapter reads its authoritative total off the state) is
-    called with no outcomes instead.
+    The driver hands every interval to :meth:`write` as the same record —
+    the step plus each scheme's outcome.  The ``on_interval`` hook sees it
+    first; then it is either written to the spill's NDJSON sidecar and
+    dropped (resident series state stays bounded by one interval) or
+    collected in memory.
     """
-    if type(runtime).recomputations is SchemeRuntime.recomputations:
-        return flag_total
-    return runtime.recomputations(state, [])
+
+    on_interval: Optional[IntervalCallback] = None
+    spill: Optional[SeriesSpill] = None
+    collected: Dict[str, List[IntervalOutcome]] = field(default_factory=dict)
+
+    def write(self, step: TimelineStep, outcomes: Mapping[str, IntervalOutcome]) -> None:
+        if self.on_interval is not None:
+            self.on_interval(step, outcomes)
+        if self.spill is not None:
+            self.spill.write_step(
+                index=step.index,
+                time_s=step.time_s,
+                events=step.fired,
+                schemes={label: outcome.record() for label, outcome in outcomes.items()},
+            )
+        else:
+            for label, outcome in outcomes.items():
+                self.collected.setdefault(label, []).append(outcome)
+
+    def scheme_run(self, scheme: _SchemeProgress) -> SchemeRun:
+        """The finished scheme's run, its series served from where they went."""
+        details = scheme.runtime.finish(scheme.state)
+        if self.spill is not None:
+            return SpilledSchemeRun(
+                scheme.label, [], details, scheme.recomputations, spill=self.spill
+            )
+        outcomes = self.collected.get(scheme.label, [])
+        return SchemeRun(scheme.label, outcomes, details, scheme.recomputations)
+
+    def close(self) -> None:
+        """Flush the sidecar so the spilled series can be read back."""
+        if self.spill is not None:
+            self.spill.close()
 
 
-#: Signature of the :func:`run_timeline` streaming hook: called once per
-#: timeline step, after every scheme has advanced through it, with the step
-#: and that interval's per-scheme outcomes (keyed by scheme label).
-IntervalCallback = Any
+def _drive(
+    builts: Sequence["BuiltScenario"], sinks: Sequence[_Sinks]
+) -> List[TimelineRun]:
+    """The one timeline driver: an interval-major pass over built scenarios.
+
+    Every runtime is started up-front, then interval ``i`` of every
+    (scenario, scheme) pair runs before interval ``i+1`` of any, and each
+    scenario's completed interval goes to its :class:`_Sinks`.  Schemes are
+    independent (each runtime owns its state), so per (scenario, scheme)
+    the sequence of ``step`` calls — and therefore every computed value —
+    does not depend on what else is in the pass; the interleaving is what
+    lets the scenarios' shared :class:`GroupComputeCache` turn repeated plan
+    builds and solves into lookups.  Wall-clock ``compute_seconds`` are the
+    only fields that can differ between two passes, and every
+    determinism-sensitive comparison strips them.
+    """
+    timelines: List[Timeline] = []
+    progress: List[List[_SchemeProgress]] = []
+    for built in builts:
+        timelines.append(build_timeline(built.topology, built.trace, built.spec.events))
+        progress.append([_start_scheme(built, scheme) for scheme in built.spec.schemes])
+
+    # Traces may differ in length across the scenarios; a shorter one simply
+    # stops participating early.
+    for index in range(max((len(timeline) for timeline in timelines), default=0)):
+        with trace.span("timeline.interval", interval=index, group_size=len(builts)):
+            for built, timeline, schemes, sink in zip(
+                builts, timelines, progress, sinks, strict=True
+            ):
+                if index < len(timeline):
+                    step = timeline.steps[index]
+                    threshold = built.spec.utilisation_threshold
+                    sink.write(
+                        step,
+                        {
+                            scheme.label: _step_scheme(scheme, step, threshold)
+                            for scheme in schemes
+                        },
+                    )
+
+    runs: List[TimelineRun] = []
+    for built, timeline, schemes, sink in zip(
+        builts, timelines, progress, sinks, strict=True
+    ):
+        sink.close()
+        runs.append(
+            TimelineRun(
+                times_s=built.trace.timestamps(),
+                events=timeline.fired_records(),
+                schemes={scheme.label: sink.scheme_run(scheme) for scheme in schemes},
+                reaction={scheme.label: scheme.reaction for scheme in schemes},
+            )
+        )
+    return runs
 
 
 def run_timeline(
     built: "BuiltScenario",
-    schemes: Optional[Sequence[SchemeSpec]] = None,
     on_interval: Optional[IntervalCallback] = None,
     spill: Optional[SeriesSpill] = None,
 ) -> TimelineRun:
     """Drive every scheme of a built scenario over its merged timeline.
 
     Args:
-        built: The built scenario (its spec supplies trace, events and —
-            unless *schemes* overrides them — the scheme list).
-        schemes: Optional explicit scheme specs to evaluate instead of the
-            spec's own.
+        built: The built scenario (its spec supplies trace, events and the
+            scheme list).
         on_interval: Optional streaming hook ``fn(step, outcomes)`` called
             once per :class:`TimelineStep` — after **every** scheme has
             advanced through it — with the interval's per-scheme
-            :class:`IntervalOutcome` keyed by label.  With a hook the replay
-            runs interval-major (all schemes advance through interval ``i``
-            before any sees ``i+1``) so consumers receive whole-interval
-            telemetry as it is computed; per scheme the sequence of ``step``
-            calls — and therefore every computed value — is exactly the
-            scheme-major one, so results stay bit-identical.
+            :class:`IntervalOutcome` keyed by label, so consumers receive
+            whole-interval telemetry as it is computed.
         spill: Optional :class:`~repro.scenario.spill.SeriesSpill`.  When
-            given, the replay runs interval-major, each completed interval
-            is written to the spill's NDJSON sidecar and dropped from
-            memory (resident series state stays bounded by one interval),
-            and the returned run's schemes are
-            :class:`SpilledSchemeRun` objects that read the series back
-            from the sidecar — bit-identically.  The spill is closed before
-            returning.
+            given, each completed interval is written to the spill's NDJSON
+            sidecar instead of being kept in memory, and the returned run's
+            schemes are :class:`SpilledSchemeRun` objects that read the
+            series back from the sidecar — bit-identically.  The spill is
+            closed before returning.
 
     Returns:
         The :class:`TimelineRun` with per-scheme series, fired events and
-        per-event reaction records.
+        per-event reaction records — the same values whichever sinks are
+        attached.
     """
-    timeline = build_timeline(built.topology, built.trace, built.spec.events)
-    scheme_specs = list(schemes if schemes is not None else built.spec.schemes)
-    threshold = built.spec.utilisation_threshold
-
-    runs: Dict[str, SchemeRun] = {}
-    reaction: Dict[str, List[Dict[str, Any]]] = {}
-    if on_interval is not None or spill is not None:
-        # Interval-major streaming pass: start every runtime up-front, then
-        # advance all schemes one step at a time, handing each completed
-        # interval to the hook and/or the spill.  Schemes are independent
-        # (each runtime owns its state), so only the interleaving differs
-        # from the scheme-major loop below — the batched engine relies on
-        # the same property.
-        states: List[_BatchSchemeState] = []
-        for scheme in scheme_specs:
-            component = resolve("scheme", scheme.name)
-            runtime = as_runtime(component, scheme.kwargs())
-            if timeline.has_events and not runtime.event_capable:
-                raise ConfigurationError(
-                    f"scheme {scheme.label!r} does not support dynamic events; "
-                    "implement it as a SchemeRuntime to use the events axis"
-                )
-            with trace.span("scheme.start", scheme=scheme.label):
-                state = runtime.start(built)
-            states.append(
-                _BatchSchemeState(spec=scheme, runtime=runtime, state=state)
-            )
-        recomputed_totals = [0] * len(states)
-        for step in timeline.steps:
-            with trace.span(
-                "timeline.interval", interval=step.index, time_s=step.time_s
-            ):
-                for scheme_state in states:
-                    _step_scheme(
-                        scheme_state.runtime,
-                        scheme_state.state,
-                        step,
-                        threshold,
-                        scheme_state.outcomes,
-                        scheme_state.records,
-                        label=scheme_state.spec.label,
-                    )
-                if on_interval is not None:
-                    on_interval(
-                        step,
-                        {
-                            scheme_state.spec.label: scheme_state.outcomes[-1]
-                            for scheme_state in states
-                        },
-                    )
-                if spill is not None:
-                    spill.write_step(
-                        index=step.index,
-                        time_s=step.time_s,
-                        events=step.fired,
-                        schemes={
-                            scheme_state.spec.label: _spill_metrics(
-                                scheme_state.outcomes[-1], threshold
-                            )
-                            for scheme_state in states
-                        },
-                    )
-                    # Bounded resident memory: the interval is on disk now.
-                    for position, scheme_state in enumerate(states):
-                        recomputed_totals[position] += int(
-                            scheme_state.outcomes[-1].recomputed
-                        )
-                        scheme_state.outcomes.clear()
-        if spill is not None:
-            spill.close()
-        for position, scheme_state in enumerate(states):
-            label = scheme_state.spec.label
-            if spill is not None:
-                runs[label] = SpilledSchemeRun(
-                    label=label,
-                    outcomes=[],
-                    details=scheme_state.runtime.finish(scheme_state.state),
-                    recomputations=_spilled_recomputations(
-                        scheme_state.runtime,
-                        scheme_state.state,
-                        recomputed_totals[position],
-                    ),
-                    spill=spill,
-                )
-            else:
-                runs[label] = SchemeRun(
-                    label=label,
-                    outcomes=scheme_state.outcomes,
-                    details=scheme_state.runtime.finish(scheme_state.state),
-                    recomputations=scheme_state.runtime.recomputations(
-                        scheme_state.state, scheme_state.outcomes
-                    ),
-                )
-            reaction[label] = scheme_state.records
-        return TimelineRun(
-            times_s=built.trace.timestamps(),
-            events=timeline.fired_records(),
-            schemes=runs,
-            reaction=reaction,
-        )
-    for scheme in scheme_specs:
-        component = resolve("scheme", scheme.name)
-        runtime = as_runtime(component, scheme.kwargs())
-        if timeline.has_events and not runtime.event_capable:
-            raise ConfigurationError(
-                f"scheme {scheme.label!r} does not support dynamic events; "
-                "implement it as a SchemeRuntime to use the events axis"
-            )
-        with trace.span("scheme.start", scheme=scheme.label):
-            state = runtime.start(built)
-        outcomes: List[IntervalOutcome] = []
-        records: List[Dict[str, Any]] = []
-        for step in timeline.steps:
-            _step_scheme(
-                runtime, state, step, threshold, outcomes, records,
-                label=scheme.label,
-            )
-        runs[scheme.label] = SchemeRun(
-            label=scheme.label,
-            outcomes=outcomes,
-            details=runtime.finish(state),
-            recomputations=runtime.recomputations(state, outcomes),
-        )
-        reaction[scheme.label] = records
-    return TimelineRun(
-        times_s=built.trace.timestamps(),
-        events=timeline.fired_records(),
-        schemes=runs,
-        reaction=reaction,
-    )
-
-
-@dataclass
-class _BatchSchemeState:
-    """One (scenario, scheme) pair being driven through the batched pass."""
-
-    spec: SchemeSpec
-    runtime: SchemeRuntime
-    state: Any
-    outcomes: List[IntervalOutcome] = field(default_factory=list)
-    records: List[Dict[str, Any]] = field(default_factory=list)
-
-
-@dataclass
-class _BatchEntry:
-    """One scenario of the batch: its timeline plus per-scheme progress."""
-
-    built: "BuiltScenario"
-    timeline: Timeline
-    threshold: float
-    schemes: List[_BatchSchemeState]
+    return _drive([built], [_Sinks(on_interval=on_interval, spill=spill)])[0]
 
 
 def run_timeline_batch(builts: Sequence["BuiltScenario"]) -> List[TimelineRun]:
-    """Drive a whole group of built scenarios in one interval-major pass.
-
-    Where :func:`run_timeline` replays one scenario scheme by scheme, this
-    advances **all** points of a batch group one interval at a time: every
-    runtime is started up-front, then interval ``i`` of every (point,
-    scheme) pair runs before interval ``i+1`` of any.  Per (point, scheme)
-    the sequence of ``step`` calls — and therefore every computed value —
-    is exactly the serial one; only the interleaving across points changes,
-    which is what lets a group-shared :class:`GroupComputeCache` (attached
-    by the batch planner) convert repeated plan builds and solves into
-    lookups.  Wall-clock ``compute_seconds`` are the only fields that can
-    differ from a serial run, and every determinism-sensitive comparison
-    strips them.
-    """
-    entries: List[_BatchEntry] = []
-    for built in builts:
-        timeline = build_timeline(built.topology, built.trace, built.spec.events)
-        schemes: List[_BatchSchemeState] = []
-        for scheme in built.spec.schemes:
-            component = resolve("scheme", scheme.name)
-            runtime = as_runtime(component, scheme.kwargs())
-            if timeline.has_events and not runtime.event_capable:
-                raise ConfigurationError(
-                    f"scheme {scheme.label!r} does not support dynamic events; "
-                    "implement it as a SchemeRuntime to use the events axis"
-                )
-            with trace.span("scheme.start", scheme=scheme.label):
-                state = runtime.start(built)
-            schemes.append(
-                _BatchSchemeState(spec=scheme, runtime=runtime, state=state)
-            )
-        entries.append(
-            _BatchEntry(
-                built=built,
-                timeline=timeline,
-                threshold=built.spec.utilisation_threshold,
-                schemes=schemes,
-            )
-        )
-
-    # The interval-major pass.  Traces may differ in length across the
-    # group; a shorter point simply stops participating early.
-    max_steps = max((len(entry.timeline.steps) for entry in entries), default=0)
-    for step_index in range(max_steps):
-        with trace.span(
-            "timeline.interval", interval=step_index, group_size=len(entries)
-        ):
-            for entry in entries:
-                if step_index >= len(entry.timeline.steps):
-                    continue
-                step = entry.timeline.steps[step_index]
-                for scheme in entry.schemes:
-                    _step_scheme(
-                        scheme.runtime,
-                        scheme.state,
-                        step,
-                        entry.threshold,
-                        scheme.outcomes,
-                        scheme.records,
-                        label=scheme.spec.label,
-                    )
-
-    results: List[TimelineRun] = []
-    for entry in entries:
-        runs: Dict[str, SchemeRun] = {}
-        reaction: Dict[str, List[Dict[str, Any]]] = {}
-        for scheme in entry.schemes:
-            runs[scheme.spec.label] = SchemeRun(
-                label=scheme.spec.label,
-                outcomes=scheme.outcomes,
-                details=scheme.runtime.finish(scheme.state),
-                recomputations=scheme.runtime.recomputations(
-                    scheme.state, scheme.outcomes
-                ),
-            )
-            reaction[scheme.spec.label] = scheme.records
-        results.append(
-            TimelineRun(
-                times_s=entry.built.trace.timestamps(),
-                events=entry.timeline.fired_records(),
-                schemes=runs,
-                reaction=reaction,
-            )
-        )
-    return results
+    """Drive a whole group of built scenarios in one interval-major pass."""
+    return _drive(builts, [_Sinks() for _ in builts])

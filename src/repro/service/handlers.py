@@ -292,7 +292,6 @@ def replay_stream(body: Mapping[str, Any], emit: Emit) -> None:
     except (ConfigurationError, TypeError) as error:
         # TypeError: unknown component parameters (see run_scenario_payload).
         raise bad_request(str(error), code="invalid-scenario") from error
-    threshold = built.spec.utilisation_threshold
     emit(
         {
             "type": "start",
@@ -300,7 +299,7 @@ def replay_stream(body: Mapping[str, Any], emit: Emit) -> None:
             "config_hash": built.spec.config_hash(),
             "intervals": len(built.trace.timestamps()),
             "schemes": [scheme.label for scheme in built.spec.schemes],
-            "utilisation_threshold": threshold,
+            "utilisation_threshold": built.spec.utilisation_threshold,
         }
     )
 
@@ -312,20 +311,7 @@ def replay_stream(body: Mapping[str, Any], emit: Emit) -> None:
                 "time_s": step.time_s,
                 "events": [dict(record) for record in step.fired],
                 "schemes": {
-                    label: {
-                        "power_percent": outcome.power_percent,
-                        "max_utilisation": outcome.max_utilisation,
-                        "violation": (
-                            None
-                            if outcome.max_utilisation is None
-                            else bool(
-                                outcome.max_utilisation > threshold + 1e-9
-                            )
-                        ),
-                        "recomputed": outcome.recomputed,
-                        "compute_seconds": outcome.compute_seconds,
-                    }
-                    for label, outcome in outcomes.items()
+                    label: outcome.record() for label, outcome in outcomes.items()
                 },
             }
         )

@@ -105,6 +105,33 @@ def test_fixture_scope_negatives_stay_clean():
         assert lint_source(source, rel_path, ALL_RULES) == []
 
 
+#: One violation each of the package-scoped determinism rules (REP103 is
+#: scoped to the ordered-sum modules instead, see ``rep103_scope_negative``).
+DETERMINISM_VIOLATIONS = (
+    "import random\n"
+    "import time\n"
+    "\n"
+    "\n"
+    "def total(names):\n"
+    "    started = time.time()\n"
+    "    jitter = random.random()\n"
+    "    return started + jitter + sum(len(name) for name in set(names))\n"
+)
+
+
+@pytest.mark.parametrize("package", ["optim", "power"])
+def test_determinism_rules_cover_optim_and_power(package):
+    """``optim/`` and ``power/`` feed ``canonical_dump`` like the rest.
+
+    Both were out of scope while a set-ordered float sum in
+    ``power/accounting.py`` and set-ordered MILP rows in
+    ``optim/pathmilp.py`` made results follow ``PYTHONHASHSEED``.
+    """
+    findings = lint_source(DETERMINISM_VIOLATIONS, f"src/repro/{package}/sums.py", ALL_RULES)
+    assert {f.rule for f in findings if f.active} == {"REP101", "REP102", "REP104"}
+    assert lint_source(DETERMINISM_VIOLATIONS, "src/repro/campaign/sums.py", ALL_RULES) == []
+
+
 # --------------------------------------------------------------------- #
 # Engine semantics
 # --------------------------------------------------------------------- #

@@ -1,5 +1,10 @@
 """Tests for the energy-aware optimisation layer (MILPs and heuristics)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.exceptions import InfeasibleError, SolverError
@@ -224,3 +229,64 @@ def test_solution_as_dict(diamond, cisco_model, diamond_demands):
     summary = solution.as_dict()
     assert summary["solver"] == "greente-heuristic"
     assert summary["active_nodes"] == len(solution.active_nodes)
+
+
+# --------------------------------------------------------------------- #
+# Hash-seed stability of the path MILP's row order
+# --------------------------------------------------------------------- #
+_PEAK_PLAN_SCRIPT = """\
+import json, sys
+from repro.core.response import ResponseConfig, build_response_plan
+from repro.scenario import PowerSpec, ScenarioSpec, TopologySpec, TrafficSpec, build_scenario
+
+built = build_scenario(ScenarioSpec(
+    name="peak-plan",
+    topology=TopologySpec("fattree", k=4),
+    traffic=TrafficSpec("sinewave", mode="far", num_intervals=4, seed=8),
+    power=PowerSpec("commodity", ports_at_peak=4),
+))
+plan = build_response_plan(
+    built.topology,
+    built.power_model,
+    pairs=built.pairs,
+    peak_matrix=built.peak_matrix(),
+    config=ResponseConfig(num_paths=3, k=6, on_demand_method="peak"),
+)
+tables = {f"on-demand-{i}": table for i, table in enumerate(plan.on_demand)}
+tables["failover"] = plan.failover
+json.dump(
+    {
+        name: sorted(["->".join(pair), list(path.nodes)] for pair, path in table.items())
+        for name, table in tables.items()
+    },
+    sys.stdout,
+    sort_keys=True,
+)
+"""
+
+
+def test_peak_on_demand_and_failover_tables_do_not_follow_the_hash_seed():
+    """The path MILP emits its rows in path order, not ``set`` order.
+
+    Constraint (c) used to iterate ``set(path.link_keys())``, so the row
+    order — and which of the fat-tree's many degenerate optima HiGHS
+    returned — followed ``PYTHONHASHSEED``: the traffic-aware on-demand
+    tables (and the failover table computed from them) differed between
+    two interpreters.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env["PYTHONHASHSEED"] = hash_seed
+        proc = subprocess.run(
+            [sys.executable, "-c", _PEAK_PLAN_SCRIPT],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert '"failover"' in outputs[0] and '"on-demand-0"' in outputs[0]

@@ -52,6 +52,43 @@ def test_spilled_result_identical_to_in_memory(tmp_path):
     assert sidecar.exists()
 
 
+def test_hook_and_spill_on_one_run_see_the_same_intervals(tmp_path):
+    """Every sink is fed the same per-interval record.
+
+    With ``on_interval`` **and** ``spill_path`` on one run, the streamed
+    outcomes, the sidecar rows and the in-memory series of a plain run are
+    the same values (wall-clock step costs aside).
+    """
+    in_memory = run_built_scenario(build_scenario(spec()))
+    sidecar = tmp_path / "series.ndjson"
+    streamed = []
+
+    def on_interval(step, outcomes):
+        streamed.append(
+            {
+                "index": step.index,
+                "time_s": step.time_s,
+                "events": step.fired,
+                "schemes": {label: outcome.record() for label, outcome in outcomes.items()},
+            }
+        )
+
+    both = run_built_scenario(
+        build_scenario(spec()), on_interval=on_interval, spill_path=sidecar
+    )
+    rows = list(iter_spill_rows(sidecar))
+    assert streamed == rows  # exact, compute_seconds included: one record, two sinks
+    assert [row["time_s"] for row in rows] == in_memory.times_s
+    for label in ("response", "ecmp"):
+        for metric, series in (
+            ("power_percent", in_memory.power_percent[label]),
+            ("max_utilisation", in_memory.max_utilisation[label]),
+            ("violation", in_memory.violations[label]),
+        ):
+            assert [row["schemes"][label][metric] for row in rows] == series
+    assert strip_wall_clock(both.to_dict()) == strip_wall_clock(in_memory.to_dict())
+
+
 def test_spill_rows_are_wellformed_ndjson(tmp_path):
     sidecar = tmp_path / "series.ndjson"
     built = build_scenario(spec())

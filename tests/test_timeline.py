@@ -450,21 +450,95 @@ def test_candidate_paths_survive_across_timeline_steps(monkeypatch):
     assert calls == ["geant", "geant-degraded"]
 
 
-def test_legacy_function_scheme_runs_event_free_but_rejects_events():
-    @register("scheme", "_test-legacy-flat")
-    def _legacy(scenario, level=42.0):
-        matrices = scenario.trace.matrices()
-        return SchemeOutcome(power_percent=[level for _ in matrices])
+def test_plain_callable_scheme_component_is_rejected():
+    """A ``SchemeRuntime`` subclass is the only scheme form the timeline runs."""
 
-    event_free = geant_failure_spec(
-        schemes=(SchemeSpec("_test-legacy-flat", level=7.0),), events=()
+    @register("scheme", "_test-plain-callable")
+    def _flat(scenario, level=42.0):
+        return SchemeOutcome(power_percent=[level for _ in scenario.trace.matrices()])
+
+    spec = geant_failure_spec(
+        schemes=(SchemeSpec("_test-plain-callable", level=7.0),), events=()
     )
-    result = run_scenario(event_free)
-    assert result.power_percent["_test-legacy-flat"] == [7.0, 7.0, 7.0]
+    with pytest.raises(ConfigurationError, match="SchemeRuntime"):
+        run_scenario(spec)
 
-    eventful = geant_failure_spec(schemes=(SchemeSpec("_test-legacy-flat"),))
-    with pytest.raises(ConfigurationError, match="does not support dynamic events"):
-        run_scenario(eventful)
+
+def test_group_with_different_trace_lengths_matches_solo_runs():
+    """A shorter point of a group simply stops participating early."""
+    from repro.campaign.store import canonical_result_dict
+    from repro.scenario.engine import (
+        build_scenario_group,
+        run_built_scenario,
+        run_built_scenarios_batch,
+    )
+
+    def spec_with(levels):
+        traffic = TrafficSpec(
+            "gravity", num_pairs=12, num_endpoints=6, seed=1, calibrate=True, levels=levels
+        )
+        return geant_failure_spec(
+            name=f"levels-{len(levels)}",
+            traffic=traffic,
+            schemes=(
+                SchemeSpec("response", num_paths=3, k=3),
+                SchemeSpec("greente"),
+                SchemeSpec("ecmp"),
+            ),
+            events=(),
+        )
+
+    specs = [spec_with([0.25, 1.0]), spec_with([0.25, 0.5, 1.0])]
+    builts = build_scenario_group(specs)
+    assert builts[0].shared is builts[1].shared
+    assert builts[0].topology is builts[1].topology
+    grouped = run_built_scenarios_batch(builts)
+    assert [len(result.times_s) for result in grouped] == [2, 3]
+    for spec, result in zip(specs, grouped, strict=True):
+        solo = run_built_scenario(build_scenario(spec))
+        assert canonical_result_dict(result.to_dict()) == canonical_result_dict(solo.to_dict())
+
+
+def test_hand_built_scenario_without_shared_runs_every_shipped_scheme(
+    diamond, cisco_model, diamond_demands
+):
+    """``BuiltScenario.shared`` is always there — no runtime tests for it."""
+    from repro.power.accounting import full_power
+    from repro.scenario import BuiltScenario, component_names
+    from repro.scenario.engine import run_built_scenario
+    from repro.traffic.replay import TrafficTrace
+
+    names = [name for name in component_names("scheme") if not name.startswith("_test")]
+    assert len(names) == 13
+    built = BuiltScenario(
+        spec=ScenarioSpec(
+            name="hand-built",
+            topology=TopologySpec("example"),
+            traffic=TrafficSpec("uniform"),
+            power=PowerSpec("cisco"),
+            schemes=tuple(SchemeSpec(name) for name in names),
+        ),
+        topology=diamond,
+        power_model=cisco_model,
+        trace=TrafficTrace([diamond_demands, diamond_demands.scaled(1.5)], interval_s=900.0),
+        pairs=diamond_demands.pairs(),
+        baseline_power_w=full_power(diamond, cisco_model).total_w,
+    )
+    result = run_built_scenario(built)
+    assert result.labels() == names
+    for label in names:
+        assert len(result.power_percent[label]) == 2
+        assert all(0.0 < value <= 100.0 + 1e-9 for value in result.power_percent[label])
+    # A scenario built on its own owns a private cache.
+    other = BuiltScenario(
+        spec=built.spec,
+        topology=diamond,
+        power_model=cisco_model,
+        trace=built.trace,
+        pairs=built.pairs,
+        baseline_power_w=built.baseline_power_w,
+    )
+    assert other.shared is not built.shared
 
 
 # --------------------------------------------------------------------- #
