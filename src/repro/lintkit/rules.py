@@ -229,7 +229,8 @@ class SetIterationRule(Rule):
         "Set iteration order depends on insertion history and hash "
         "randomisation of the running interpreter; anything it feeds — "
         "series, plans, serialized output — can differ between two "
-        "bit-identical configs.  Iterate sorted(...) instead."
+        "bit-identical configs.  Iterate sorted(...) instead — without a "
+        "key=, whose ties a stable sort leaves in set order."
     )
 
     SET_CONSTRUCTORS = {"set", "frozenset"}
@@ -254,15 +255,29 @@ class SetIterationRule(Rule):
                     "downstream series and serialized output stay "
                     "deterministic",
                 )
+        for call in ctx.calls():
+            if (
+                _call_name(ctx, call) == "sorted"
+                and call.args
+                and self._is_set_expr(ctx, call.args[0], set_names)
+                and any(keyword.arg == "key" for keyword in call.keywords)
+            ):
+                yield ctx.finding(
+                    self,
+                    call,
+                    "sorted(<set>, key=...) leaves elements with equal keys in "
+                    "set order; sort the set first, then by key",
+                )
 
     def _set_typed_names(self, ctx: ModuleContext) -> Set[str]:
         """Local names whose every assignment is a set-typed expression.
 
-        One-pass flow-insensitive scope tracking: a name qualifies only
-        when *all* its assignments in the file are set expressions, so a
-        name rebound to a list later never false-positives.
+        Flow-insensitive scope tracking: a name qualifies only when *all*
+        its assignments in the file are set expressions, so a name rebound
+        to a list later never false-positives.  Repeated until nothing is
+        added, so ``kept = candidate`` counts once ``candidate`` does.
         """
-        assigned: Dict[str, List[bool]] = {}
+        assigned: Dict[str, List[ast.expr]] = {}
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Assign):
                 targets = node.targets
@@ -274,10 +289,17 @@ class SetIterationRule(Rule):
                 continue
             for target in targets:
                 if isinstance(target, ast.Name):
-                    assigned.setdefault(target.id, []).append(
-                        self._is_set_expr(ctx, value, set())
-                    )
-        return {name for name, flags in assigned.items() if flags and all(flags)}
+                    assigned.setdefault(target.id, []).append(value)
+        set_names: Set[str] = set()
+        while True:
+            grown = {
+                name
+                for name, values in assigned.items()
+                if all(self._is_set_expr(ctx, value, set_names) for value in values)
+            }
+            if grown == set_names:
+                return set_names
+            set_names = grown
 
     def _is_set_expr(
         self, ctx: ModuleContext, node: ast.expr, set_names: Set[str]

@@ -11,22 +11,15 @@ demand on what remains.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Iterable, Optional, Tuple
 
 from ..power.model import PowerModel
-from ..routing.mcf import is_demand_feasible
 from ..routing.ospf import ospf_invcap_routing
 from ..routing.paths import RoutingTable
 from ..topology.base import Topology, link_key
 from ..traffic.matrix import TrafficMatrix
 from .solution import EnergyAwareSolution, element_power_coefficients, solution_power
-
-
-def _protected_nodes(topology: Topology, demands: TrafficMatrix) -> Set[str]:
-    """Nodes that can never be switched off: endpoints and always-on devices."""
-    protected = {name for name in topology.nodes() if topology.node(name).always_powered}
-    protected |= set(demands.nodes())
-    return protected
+from .subset import protected_nodes, shrink_active_subset
 
 
 def greedy_minimum_subset(
@@ -54,55 +47,25 @@ def greedy_minimum_subset(
         An :class:`EnergyAwareSolution`; ``optimal`` is always ``False``.
     """
     node_power, link_power = element_power_coefficients(topology, power_model)
-    active_nodes: Set[str] = set(topology.nodes())
-    active_links: Set[Tuple[str, str]] = set(topology.link_keys())
-
-    protected_nodes = _protected_nodes(topology, demands) | set(fixed_on_nodes or ())
+    keep_on = protected_nodes(topology, demands, fixed_on_nodes)
     protected_links = {link_key(u, v) for (u, v) in (fixed_on_links or ())}
 
-    def feasible(nodes: Set[str], links: Set[Tuple[str, str]]) -> bool:
-        return is_demand_feasible(
-            topology,
-            demands,
-            utilisation_limit=utilisation_limit,
-            active_nodes=nodes,
-            active_links=links,
-        )
-
-    # Phase 1: routers, most power-hungry first (chassis + incident ports).
+    # Routers, most power-hungry first (chassis + incident ports), then
+    # individual links, most power-hungry first (ties in key order).
     def router_power(name: str) -> float:
         incident = sum(link_power[link.key] for link in topology.incident_links(name))
         return node_power[name] + incident
 
-    for name in sorted(topology.routers(), key=router_power, reverse=True):
-        if name in protected_nodes or name not in active_nodes:
-            continue
-        candidate_nodes = active_nodes - {name}
-        candidate_links = {
-            key for key in active_links if name not in key
-        }
-        if feasible(candidate_nodes, candidate_links):
-            active_nodes = candidate_nodes
-            active_links = candidate_links
-
-    # Phase 2: individual links, most power-hungry first.
-    for key in sorted(active_links, key=lambda k: link_power[k], reverse=True):
-        if key in protected_links:
-            continue
-        candidate_links = active_links - {key}
-        if feasible(active_nodes, candidate_links):
-            active_links = candidate_links
+    routers = sorted(topology.routers(), key=router_power, reverse=True)
+    links = sorted(topology.link_keys(), key=lambda k: (-link_power[k], k))
+    candidates = [name for name in routers if name not in keep_on]
+    candidates += [key for key in links if key not in protected_links]
+    active_nodes, active_links = shrink_active_subset(
+        topology, demands, utilisation_limit, topology.nodes(), topology.link_keys(), candidates
+    )
 
     # Drop routers left with no active link (constraint 3), unless protected.
-    attached: Dict[str, int] = {name: 0 for name in active_nodes}
-    for u, v in active_links:
-        attached[u] = attached.get(u, 0) + 1
-        attached[v] = attached.get(v, 0) + 1
-    active_nodes = {
-        name
-        for name in active_nodes
-        if attached.get(name, 0) > 0 or name in protected_nodes
-    }
+    active_nodes &= keep_on.union(*active_links)
 
     routing: Optional[RoutingTable] = None
     if build_routing and len(demands) > 0:

@@ -15,16 +15,15 @@ trade-off of the exact MILP, the greedy heuristic and rounding.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Set, Tuple
-
+from typing import Iterable, Optional, Tuple
 
 from ..power.model import PowerModel
-from ..routing.mcf import is_demand_feasible
 from ..routing.ospf import ospf_invcap_routing
 from ..topology.base import Topology
 from ..traffic.matrix import TrafficMatrix
 from .pathmilp import PathMilpConfig, solve_path_milp
 from .solution import EnergyAwareSolution, solution_power
+from .subset import protected_nodes, shrink_active_subset
 
 
 def lp_relaxation_with_rounding(
@@ -62,42 +61,15 @@ def lp_relaxation_with_rounding(
         solver_name="lp-relaxation",
     )
 
-    # Start from the relaxation's support and try to remove links in
-    # ascending order of how much the relaxation wanted them.
-    active_nodes: Set[str] = set(relaxed.active_nodes)
-    active_links: Set[Tuple[str, str]] = set(relaxed.active_links)
-    protected_nodes = {
-        name for name in topology.nodes() if topology.node(name).always_powered
-    }
-    protected_nodes |= set(fixed_on_nodes or ())
-    protected_nodes |= set(demands.nodes())
+    # Start from the relaxation's support and try to remove its links, then
+    # the nodes that lost all their links (or are simply removable).
+    keep_on = protected_nodes(topology, demands, fixed_on_nodes)
     protected_links = {tuple(sorted(key)) for key in (fixed_on_links or ())}
-
-    def feasible(nodes: Set[str], links: Set[Tuple[str, str]]) -> bool:
-        return is_demand_feasible(
-            topology,
-            demands,
-            utilisation_limit=utilisation_limit,
-            active_nodes=nodes,
-            active_links=links,
-        )
-
-    for key in sorted(active_links):
-        if key in protected_links:
-            continue
-        candidate = active_links - {key}
-        if feasible(active_nodes, candidate):
-            active_links = candidate
-
-    # Remove nodes that lost all their links (or are simply removable).
-    for name in sorted(active_nodes):
-        if name in protected_nodes:
-            continue
-        candidate_nodes = active_nodes - {name}
-        candidate_links = {k2 for k2 in active_links if name not in k2}
-        if feasible(candidate_nodes, candidate_links):
-            active_nodes = candidate_nodes
-            active_links = candidate_links
+    candidates = [key for key in sorted(relaxed.active_links) if key not in protected_links]
+    candidates += [name for name in sorted(relaxed.active_nodes) if name not in keep_on]
+    active_nodes, active_links = shrink_active_subset(
+        topology, demands, utilisation_limit, relaxed.active_nodes, relaxed.active_links, candidates
+    )
 
     routing = None
     if build_routing and len(demands) > 0:

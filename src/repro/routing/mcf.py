@@ -163,6 +163,39 @@ def _constraint_structure(
     return a_eq, a_ub
 
 
+def _connected(
+    nodes: List[str],
+    arcs: List[Arc],
+    positive: List[Tuple[Tuple[str, str], float]],
+) -> bool:
+    """Whether every pair of *positive* has its endpoints in *nodes* and a
+    directed path over *arcs*.
+
+    Tiny demands (the paper's 1 bit/s ε flows) can fall below the LP solver's
+    feasibility tolerances once the problem is rescaled, so disconnection must
+    be detected combinatorially rather than numerically.
+    """
+    if not {node for pair, _ in positive for node in pair} <= set(nodes):
+        return False
+    adjacency: Dict[str, List[str]] = {}
+    for arc in arcs:
+        adjacency.setdefault(arc.src, []).append(arc.dst)
+    reachable: Dict[str, Set[str]] = {}
+    for (origin, destination), _demand in positive:
+        if origin not in reachable:
+            seen = {origin}
+            frontier = [origin]
+            while frontier:
+                for neighbour in adjacency.get(frontier.pop(), ()):
+                    if neighbour not in seen:
+                        seen.add(neighbour)
+                        frontier.append(neighbour)
+            reachable[origin] = seen
+        if destination not in reachable[origin]:
+            return False
+    return True
+
+
 def _flow_lp(
     nodes: List[str],
     arcs: List[Arc],
@@ -170,40 +203,12 @@ def _flow_lp(
 ) -> Optional[_FlowLP]:
     """Assemble the LP that routes *positive*, or ``None`` if no flow can exist.
 
-    ``None`` is what can be decided without a solver: a demand endpoint
-    outside the active nodes, no usable arc at all, or a destination that
-    its origin cannot reach.
+    ``None`` is what can be decided without a solver: no usable arc at all,
+    or a demand whose endpoints are not :func:`_connected`.
     """
-    node_index = {name: index for index, name in enumerate(nodes)}
-    endpoints = {node for pair, _ in positive for node in pair}
-    if not arcs or not endpoints <= node_index.keys():
+    if not arcs or not _connected(nodes, arcs, positive):
         return None
-
-    # Connectivity pre-check.  Tiny demands (the paper's 1 bit/s ε flows) can
-    # fall below the LP solver's feasibility tolerances once the problem is
-    # rescaled, so disconnection must be detected combinatorially rather than
-    # numerically.
-    adjacency: Dict[str, List[str]] = {}
-    for arc in arcs:
-        adjacency.setdefault(arc.src, []).append(arc.dst)
-    reachable_cache: Dict[str, Set[str]] = {}
-
-    def reachable_from(origin: str) -> Set[str]:
-        if origin not in reachable_cache:
-            seen = {origin}
-            frontier = [origin]
-            while frontier:
-                current = frontier.pop()
-                for neighbour in adjacency.get(current, ()):
-                    if neighbour not in seen:
-                        seen.add(neighbour)
-                        frontier.append(neighbour)
-            reachable_cache[origin] = seen
-        return reachable_cache[origin]
-
-    for (origin, destination), _demand in positive:
-        if destination not in reachable_from(origin):
-            return None
+    node_index = {name: index for index, name in enumerate(nodes)}
 
     capacities_bps = np.array([arc.capacity_bps for arc in arcs])
     scale = float(capacities_bps.max())
@@ -336,6 +341,18 @@ def max_concurrent_flow(topology: Topology, demands: TrafficMatrix) -> float:
     if not result.success:
         raise SolverError(f"max-concurrent-flow solver failed: {result.message}")
     return float(result.x[-1])
+
+
+def demands_connected(
+    topology: Topology,
+    demands: TrafficMatrix,
+    active_nodes: Optional[Iterable[str]] = None,
+    active_links: Optional[Iterable[Tuple[str, str]]] = None,
+) -> bool:
+    """The solver-free part of :func:`is_demand_feasible`: ``False`` means the
+    (sub)network cannot carry *demands* at any capacity."""
+    nodes, arcs = _active_arcs(topology, active_nodes, active_links)
+    return _connected(nodes, arcs, _positive_demands(demands))
 
 
 def is_demand_feasible(
