@@ -37,7 +37,7 @@ from repro.scenario import (
     build_scenario,
     run_built_scenario,
 )
-from repro.scenario.schemes import CachedCandidatePaths, greente_replay
+from repro.scenario.schemes import greente_replay
 
 #: The incremental timeline must beat cold-start by at least this factor.
 SPEEDUP_FLOOR = 1.5
@@ -78,8 +78,8 @@ def measure_geant_greente() -> Dict[str, float]:
     incremental_s = time.perf_counter() - start
     incremental = result.power_percent["greente"]
 
-    # Cold start: a fresh candidate cache per interval, exactly what the
-    # pre-timeline loop paid when solver state was rebuilt from scratch.
+    # Cold start: a fresh candidate-path provider per interval, exactly what
+    # the pre-timeline loop paid when solver state was rebuilt from scratch.
     start = time.perf_counter()
     cold = []
     for matrix in built.trace.matrices():
@@ -88,9 +88,7 @@ def measure_geant_greente() -> Dict[str, float]:
             built.power_model,
             [matrix],
             k=5,
-            pairs=built.pairs,
             ordering="stable",
-            candidates=CachedCandidatePaths(5),
         )[0]
         cold.append(100.0 * solution.power_w / built.baseline_power_w)
     cold_s = time.perf_counter() - start

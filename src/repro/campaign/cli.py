@@ -70,15 +70,6 @@ def _run_campaign_command(argv: Sequence[str]) -> int:
     parser.add_argument("--parallel", action="store_true", help="fan out over processes")
     parser.add_argument("--processes", type=int, default=None, help="pool size")
     parser.add_argument(
-        "--batch",
-        action="store_true",
-        help=(
-            "group points sharing a topology/power/routing signature and "
-            "evaluate each group as one batched problem (bit-identical "
-            "results, much higher points/s; composes with --workers)"
-        ),
-    )
-    parser.add_argument(
         "--workers",
         type=int,
         default=None,
@@ -113,7 +104,13 @@ def _run_campaign_command(argv: Sequence[str]) -> int:
         "--chunk-size",
         type=int,
         default=None,
-        help="points persisted per batch (durability/lease granularity)",
+        help=(
+            "points taken up per chunk (per claim with workers); each chunk "
+            "is grouped by topology/power/routing signature and every group "
+            "is evaluated as one problem and committed atomically — the "
+            "durability/memory bound (default: all pending points, 1 per "
+            "claim in worker mode)"
+        ),
     )
     parser.add_argument(
         "--max-points",
@@ -167,17 +164,11 @@ def _run_campaign_command(argv: Sequence[str]) -> int:
             "pools point execution in one invocation, --workers forks "
             "cooperating invocations, --worker-id joins as one of them"
         )
-    if args.batch and args.parallel:
-        parser.error(
-            "--batch and --parallel are mutually exclusive: batch mode "
-            "evaluates grouped points in-process (combine --batch with "
-            "--workers to use more cores)"
-        )
     if args.profile and args.parallel:
         parser.error(
             "--profile and --parallel are mutually exclusive: profiling "
             "instruments in-process execution (combine --profile with "
-            "--workers or --batch instead)"
+            "--workers instead)"
         )
 
     if args.trace:
@@ -193,7 +184,6 @@ def _run_campaign_command(argv: Sequence[str]) -> int:
                 max_points=args.max_points,
                 sweep_cache_dir=args.cache_dir,
                 lease_seconds=args.lease_seconds,
-                batch=args.batch,
                 profile=args.profile,
             )
         else:
@@ -207,7 +197,6 @@ def _run_campaign_command(argv: Sequence[str]) -> int:
                 sweep_cache_dir=args.cache_dir,
                 worker_id=args.worker_id,
                 lease_seconds=args.lease_seconds,
-                batch=args.batch,
                 profile=args.profile,
             )
     except ConfigurationError as error:
@@ -407,7 +396,13 @@ def _format_timings(
         }
         for phase in phases
     ]
-    return header + "\n" + format_table(rows) + "\n"
+    return (
+        header
+        + "\n"
+        + format_table(rows)
+        + "\npoints evaluated as one group carry an even share of the group's "
+        "phases: totals are exact, a point's own row is its group's mean\n"
+    )
 
 
 def _campaign_report_command(argv: Sequence[str]) -> int:

@@ -1,24 +1,30 @@
-"""Resumable campaign execution over the sweep runner's chunked backend.
+"""Resumable campaign execution against the results store.
 
 :func:`run_campaign` expands a :class:`~repro.campaign.spec.CampaignSpec`
 into its grid, registers it in the :class:`~repro.campaign.store.CampaignStore`
 and executes only the points whose config hash has no stored result yet.
-Points run through :func:`repro.experiments.runner.iter_outcome_chunks` —
-the same process-pool fan-out the figure sweeps use, but with per-point
-error capture — and every chunk's outcomes are persisted in a **single
-transaction** before the next chunk starts.  Killing a run therefore loses
-at most one in-flight chunk (never part of one), and re-invoking it
-completes exactly the missing points: the store ends up bit-for-bit
-identical (modulo wall-clock fields) to an uninterrupted run.
+In-process execution follows one rule (:func:`_evaluate_groups`): the points
+to run are cut into chunks, each chunk is grouped by
+:func:`~repro.experiments.runner.batch_signature`, every group is evaluated
+as one problem that computes its offline half — built stack, candidate
+paths, REsPoNse plans — once, and every group's outcomes are persisted in a
+**single transaction** before the next group starts.  Killing a run
+therefore loses at most the group in flight (never part of one), and
+re-invoking it completes exactly the missing points: the store ends up
+bit-for-bit identical (modulo wall-clock fields) to an uninterrupted run,
+and to a ``chunk_size=1`` drain in which every group is a single point.
+``parallel=True`` instead fans points out over the sweep runner's ``fork``
+pool (:func:`repro.experiments.runner.iter_outcome_chunks`), one transaction
+per pool round.
 
 Multi-worker drains
 -------------------
 
 Passing ``worker_id`` switches :func:`run_campaign` into **cooperative
 worker mode**: instead of computing a pending list up-front, the worker
-repeatedly claims small batches of points from the store under a lease
-(:meth:`~repro.campaign.store.CampaignStore.claim_points`), executes them
-in-process while heartbeating the lease, and commits each batch
+repeatedly claims small chunks of points from the store under a lease
+(:meth:`~repro.campaign.store.CampaignStore.claim_points`), evaluates each
+claim by the same rule while heartbeating the lease, and commits each group
 atomically.  N such workers — separate invocations on separate terminals,
 or the :func:`run_campaign_workers` convenience that forks them — drain
 one grid together with no coordination beyond the store itself.  A worker
@@ -34,12 +40,11 @@ import os
 import time
 from dataclasses import dataclass, field
 from multiprocessing import get_all_start_methods, get_context
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Union
 
 from ..exceptions import ConfigurationError
 from ..experiments.runner import (
     PointOutcome,
-    execute_point_outcome,
     execute_scenario_batch,
     iter_outcome_chunks,
     plan_point_batches,
@@ -176,28 +181,14 @@ def _outcome_record(
     )
 
 
-def _profiled_outcome(
-    sweep_point: Any, cache_dir: Optional[Union[str, os.PathLike]]
-) -> tuple:
-    """Execute one point under a fresh phase collector.
-
-    Returns ``(outcome, phases)`` where *phases* is the exclusive
-    build/calibrate/solve/allocate/overhead attribution of the point's
-    own wall-clock time.
-    """
-    collector = trace.PhaseCollector()
-    with trace.collect(collector):
-        outcome = execute_point_outcome(sweep_point, cache_dir)
-    return outcome, collector.phases(outcome.elapsed_s)
-
-
 def _shared_phases(
     collector: trace.PhaseCollector, elapsed_s: float, count: int
 ) -> Dict[str, float]:
-    """A batch group's phase totals split evenly across its points.
+    """A group's phase totals split evenly across its points.
 
     Mirrors the group's ``elapsed_s``-share semantics: each point carries
-    ``1/count`` of every phase, so per-point rows still sum to the group.
+    ``1/count`` of every phase, so per-point rows still sum to the group
+    (a singleton group carries its own phases whole).
     """
     share = max(1, count)
     return {
@@ -206,17 +197,63 @@ def _shared_phases(
     }
 
 
-def _tally(summary: CampaignRunSummary, record: PointRecord) -> None:
-    """Fold one record into the invocation summary."""
-    summary.executed += 1
-    if record.error is not None:
-        summary.failed += 1
-        summary.errors.append(
-            f"{record.point.name}: {record.error.strip().splitlines()[-1]}"
-        )
-        _LOGGER.warning(
-            "campaign point %r failed:\n%s", record.point.name, record.error
-        )
+def _evaluate_groups(
+    points: Sequence[CampaignPoint],
+    sweep_cache_dir: Optional[Union[str, os.PathLike]],
+    profile: bool,
+) -> Iterator[List[PointRecord]]:
+    """The one in-process drain rule: evaluate *points* group by group.
+
+    The points are grouped by
+    :func:`~repro.experiments.runner.plan_point_batches` and every group
+    runs as one shared evaluation
+    (:func:`~repro.experiments.runner.execute_scenario_batch`, which falls
+    back to per-point execution on any group failure); each group's records
+    are yielded as soon as it finishes so the caller can commit it
+    atomically.  A group of one is per-point execution.
+    """
+    sweep_points = [point.spec.sweep_point() for point in points]
+    for group in plan_point_batches(sweep_points):
+        group_points = [sweep_points[index] for index in group]
+        phases = None
+        if profile:
+            collector = trace.PhaseCollector()
+            group_start = time.perf_counter()
+            with trace.collect(collector):
+                outcomes = execute_scenario_batch(group_points, sweep_cache_dir)
+            phases = _shared_phases(
+                collector, time.perf_counter() - group_start, len(group)
+            )
+        else:
+            outcomes = execute_scenario_batch(group_points, sweep_cache_dir)
+        yield [
+            _outcome_record(points[index], outcome, phases=phases)
+            for index, outcome in zip(group, outcomes, strict=True)
+        ]
+
+
+def _commit(
+    store: CampaignStore,
+    campaign_id: str,
+    summary: CampaignRunSummary,
+    records: List[PointRecord],
+) -> None:
+    """Tally one group's (or pool chunk's) records and persist them atomically.
+
+    One transaction per call: a kill between rows never leaves a partially
+    persisted group behind.
+    """
+    for record in records:
+        summary.executed += 1
+        if record.error is not None:
+            summary.failed += 1
+            summary.errors.append(
+                f"{record.point.name}: {record.error.strip().splitlines()[-1]}"
+            )
+            _LOGGER.warning(
+                "campaign point %r failed:\n%s", record.point.name, record.error
+            )
+    store.record_chunk(campaign_id, records)
 
 
 def _drain_as_worker(
@@ -230,21 +267,16 @@ def _drain_as_worker(
     max_points: Optional[int],
     sweep_cache_dir: Optional[Union[str, os.PathLike]],
     poll_seconds: float,
-    batch: bool = False,
     profile: bool = False,
 ) -> None:
     """The cooperative drain loop of one lease-holding worker.
 
-    Claim a batch → execute it in-process (renewing the lease after every
-    point) → commit the batch in one transaction → repeat.  When nothing
+    Claim up to *chunk_size* points → evaluate the claim group by group
+    (:func:`_evaluate_groups`), committing each group in one transaction and
+    renewing the lease on what is left of the claim → repeat.  When nothing
     is claimable but pending points remain, they are leased to peers: the
     worker polls until they complete, error out, or their leases expire
     (the crash-recovery path, where this worker reclaims them).
-
-    With *batch* set, each claim's points are additionally grouped by
-    :func:`~repro.experiments.runner.plan_point_batches` and every group
-    runs as one batched evaluation; the lease heartbeat moves to group
-    boundaries, and the claim still commits atomically as before.
     """
     while True:
         budget = None if max_points is None else max_points - summary.executed
@@ -260,60 +292,20 @@ def _drain_as_worker(
             # in every case this loop makes progress next iteration.
             time.sleep(poll_seconds)
             continue
-        records: List[PointRecord] = []
         try:
-            if batch:
-                points = [by_hash[config_hash] for config_hash in claimed]
-                sweep_points = [point.spec.sweep_point() for point in points]
-                for group in plan_point_batches(sweep_points):
-                    group_points = [sweep_points[index] for index in group]
-                    if profile:
-                        collector = trace.PhaseCollector()
-                        group_start = time.perf_counter()
-                        with trace.collect(collector):
-                            outcomes = execute_scenario_batch(
-                                group_points, sweep_cache_dir
-                            )
-                        phases = _shared_phases(
-                            collector,
-                            time.perf_counter() - group_start,
-                            len(group),
-                        )
-                    else:
-                        outcomes = execute_scenario_batch(
-                            group_points, sweep_cache_dir
-                        )
-                        phases = None
-                    for index, outcome in zip(group, outcomes, strict=True):
-                        records.append(
-                            _outcome_record(points[index], outcome, phases=phases)
-                        )
-                    # Heartbeat between groups: the lease only expires if
-                    # this worker actually stops making progress.
-                    store.renew_leases(campaign_id, worker_id, lease_seconds)
-            else:
-                for config_hash in claimed:
-                    point = by_hash[config_hash]
-                    if profile:
-                        outcome, phases = _profiled_outcome(
-                            point.spec.sweep_point(), sweep_cache_dir
-                        )
-                    else:
-                        outcome = execute_point_outcome(
-                            point.spec.sweep_point(), sweep_cache_dir
-                        )
-                        phases = None
-                    records.append(_outcome_record(point, outcome, phases=phases))
-                    # Heartbeat between points: the lease only expires if
-                    # this worker actually stops making progress.
-                    store.renew_leases(campaign_id, worker_id, lease_seconds)
-            for record in records:
-                _tally(summary, record)
-            store.record_chunk(campaign_id, records)
+            for records in _evaluate_groups(
+                [by_hash[config_hash] for config_hash in claimed],
+                sweep_cache_dir,
+                profile,
+            ):
+                _commit(store, campaign_id, summary, records)
+                # Heartbeat between groups: the lease only expires if this
+                # worker actually stops making progress.
+                store.renew_leases(campaign_id, worker_id, lease_seconds)
         except BaseException:
-            # Interrupted mid-batch: nothing of this batch was persisted
-            # (record_chunk is atomic), so hand the leases straight back
-            # instead of making peers wait out the expiry.
+            # Interrupted mid-claim: the group in flight persisted nothing
+            # (record_chunk is atomic), so hand the remaining leases
+            # straight back instead of making peers wait out the expiry.
             store.release_leases(campaign_id, worker_id)
             raise
 
@@ -330,24 +322,33 @@ def run_campaign(
     lease_seconds: float = DEFAULT_LEASE_SECONDS,
     poll_seconds: float = DEFAULT_POLL_SECONDS,
     reset_errors: bool = True,
-    batch: bool = False,
     profile: bool = False,
 ) -> CampaignRunSummary:
     """Execute (or resume) a campaign against a results store.
 
+    In-process execution follows one rule: the points to run are cut into
+    chunks of *chunk_size*, each chunk is grouped by
+    :func:`~repro.experiments.runner.batch_signature` (points declaring the
+    same topology, power and routing), every group is evaluated as one
+    problem that shares its offline half — built stack, candidate paths,
+    REsPoNse plans, repeated solves — and commits in one transaction.
+    Results are bit-identical to per-point execution (a chunk of one).
+
     Args:
         spec: A :class:`CampaignSpec` or its dict form.
         store_path: The SQLite store file (created if missing).
-        parallel: Fan points out over a ``fork`` process pool (plain mode
-            only — workers execute their claims in-process).
+        parallel: Fan points out over a ``fork`` process pool instead
+            (plain mode only — workers execute their claims in-process).
         processes: Pool size (default: CPU count, bounded by the grid).
-        chunk_size: Points persisted per batch; the durability (and, in
-            worker mode, lease) granularity.  Each batch commits in one
-            transaction.  Defaults to one per point serially and in
-            worker mode (durability first; :func:`run_campaign_workers`
-            passes a claim-spreading size computed by
-            :func:`~repro.experiments.runner.suggest_chunk_size`), and to
-            the pool size in parallel.
+        chunk_size: Points taken up per chunk (per claim in worker mode) —
+            the one durability and memory bound: a kill loses at most the
+            group in flight, and a chunk's largest group is what stays
+            resident until its commit.  Defaults to the whole pending list
+            in a plain drain, to one point per claim in worker mode
+            (:func:`run_campaign_workers` passes a claim-spreading size
+            computed by :func:`~repro.experiments.runner.suggest_chunk_size`)
+            and to the pool size in parallel, where a chunk is what one
+            pool round persists.
         max_points: Execute at most this many new points, then return with
             ``remaining > 0`` — a bounded slice of a long campaign (and the
             deterministic stand-in for a killed run in tests).
@@ -357,7 +358,7 @@ def run_campaign(
             worker ids drain one grid together (see
             :func:`run_campaign_workers` for the fork-them-all wrapper).
         lease_seconds: Worker mode: how long a claim lasts without renewal
-            (renewed after every point).
+            (renewed after every group).
         poll_seconds: Worker mode: idle re-check interval while peers hold
             the remaining pending points.
         reset_errors: Worker mode: flip unleased ``error`` points back to
@@ -367,20 +368,12 @@ def run_campaign(
             late-starting worker could flip a point a fast peer *just*
             failed back to pending and retry it within the same fleet
             invocation.
-        batch: Group pending points by their
-            :func:`~repro.experiments.runner.batch_signature` and evaluate
-            each group as one batched problem (bit-identical results; see
-            :func:`~repro.experiments.runner.execute_scenario_batch`).
-            Each group commits as one atomic chunk.  Mutually exclusive
-            with ``parallel``; composes with worker mode (each claim is
-            grouped internally).
-        profile: Collect a per-point phase-timing breakdown
+        profile: Collect a phase-timing breakdown
             (build/calibrate/solve/allocate/overhead) and persist it on
             the point rows (``phases_json``) for ``campaign-report
             --timings``.  In-process execution only — mutually exclusive
-            with ``parallel``.  Batched groups split their phase totals
-            evenly across the group's points, mirroring the ``elapsed_s``
-            share.
+            with ``parallel``.  A group's phase totals are split evenly
+            across its points, mirroring the ``elapsed_s`` share.
 
     Returns:
         A :class:`CampaignRunSummary`.  Point failures are recorded in the
@@ -392,18 +385,15 @@ def run_campaign(
             "worker mode executes its claims in-process; drop parallel=True "
             "and start more workers instead"
         )
-    if batch and parallel:
-        raise ConfigurationError(
-            "batch mode evaluates grouped points in-process; drop "
-            "parallel=True (combine batch with workers to use more cores)"
-        )
     if profile and parallel:
         raise ConfigurationError(
             "profiling instruments in-process execution; drop parallel=True "
-            "(combine profile with workers or batch mode instead)"
+            "(combine profile with workers instead)"
         )
     if max_points is not None and max_points < 0:
         raise ConfigurationError(f"max_points must be >= 0, got {max_points}")
+    if chunk_size is not None and chunk_size < 1:
+        raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
     if lease_seconds <= 0:
         # A non-positive lease is born expired: every peer would claim the
         # same points and the protocol degrades to duplicate work.
@@ -414,7 +404,7 @@ def run_campaign(
         campaign_id = store.register_campaign(campaign, points)
         adopted = store.adopt_existing_results(campaign_id)
         if worker_id is not None and reset_errors:
-            # Retry earlier invocations' failures, exactly like the serial
+            # Retry earlier invocations' failures, exactly like the plain
             # resume path re-executes error points.
             store.reset_error_points(campaign_id)
         statuses = store.point_statuses(campaign_id)
@@ -431,113 +421,48 @@ def run_campaign(
             parallel=parallel,
             worker_id=worker_id,
         )
+        if worker_id is None and max_points is not None:
+            pending = pending[:max_points]
+        start = time.perf_counter()
         if worker_id is not None:
-            by_hash = {point.config_hash: point for point in points}
-            size = chunk_size if chunk_size is not None else 1
-            if size < 1:
-                raise ConfigurationError(f"chunk_size must be >= 1, got {size}")
-            start = time.perf_counter()
             _drain_as_worker(
                 store,
                 campaign_id,
-                by_hash,
+                {point.config_hash: point for point in points},
                 summary,
                 worker_id=worker_id,
                 lease_seconds=lease_seconds,
-                chunk_size=size,
+                chunk_size=1 if chunk_size is None else chunk_size,
                 max_points=max_points,
                 sweep_cache_dir=sweep_cache_dir,
                 poll_seconds=poll_seconds,
-                batch=batch,
                 profile=profile,
             )
-            summary.elapsed_s = time.perf_counter() - start
-            counts = store.status_counts(campaign_id)
-            summary.remaining = counts["total"] - counts["done"]
-            return summary
-        if max_points is not None:
-            pending = pending[:max_points]
-        if not pending:
-            # Nothing to execute this invocation — but a max_points bound
-            # (or prior failures) may still leave points outstanding.
-            counts = store.status_counts(campaign_id)
-            summary.remaining = counts["total"] - counts["done"]
-            return summary
-
-        by_hash = {point.config_hash: point for point in pending}
-        sweep_points = [point.spec.sweep_point() for point in pending]
-        if batch:
-            # Batched execution: one grouped evaluation — and one atomic
-            # store transaction — per batch group.  A kill mid-group loses
-            # at most that group; re-invoking completes exactly the missing
-            # points, as in serial mode.
-            start = time.perf_counter()
-            for group in plan_point_batches(sweep_points):
-                group_points = [sweep_points[index] for index in group]
-                if profile:
-                    collector = trace.PhaseCollector()
-                    group_start = time.perf_counter()
-                    with trace.collect(collector):
-                        outcomes = execute_scenario_batch(
-                            group_points, sweep_cache_dir
-                        )
-                    phases = _shared_phases(
-                        collector, time.perf_counter() - group_start, len(group)
-                    )
-                else:
-                    outcomes = execute_scenario_batch(group_points, sweep_cache_dir)
-                    phases = None
-                records = [
-                    _outcome_record(pending[index], outcome, phases=phases)
-                    for index, outcome in zip(group, outcomes, strict=True)
-                ]
-                for record in records:
-                    _tally(summary, record)
-                store.record_chunk(campaign_id, records)
-            summary.elapsed_s = time.perf_counter() - start
-            counts = store.status_counts(campaign_id)
-            summary.remaining = counts["total"] - counts["done"]
-            return summary
-        start = time.perf_counter()
-        if profile:
-            # Per-point phase collection needs in-process execution (the
-            # parallel combination is rejected above), so the profiled
-            # serial path chunks explicitly instead of going through
-            # iter_outcome_chunks.
-            size = 1 if chunk_size is None else chunk_size
-            if size < 1:
-                raise ConfigurationError(f"chunk_size must be >= 1, got {size}")
+        elif parallel:
+            by_hash = {point.config_hash: point for point in pending}
+            for chunk in iter_outcome_chunks(
+                [point.spec.sweep_point() for point in pending],
+                cache_dir=sweep_cache_dir,
+                parallel=True,
+                processes=processes,
+                chunk_size=chunk_size,
+            ):
+                _commit(
+                    store,
+                    campaign_id,
+                    summary,
+                    [
+                        _outcome_record(by_hash[outcome.point.config_hash()], outcome)
+                        for outcome in chunk
+                    ],
+                )
+        else:
+            size = max(1, len(pending)) if chunk_size is None else chunk_size
             for chunk_start in range(0, len(pending), size):
-                chunk_points = pending[chunk_start : chunk_start + size]
-                records = []
-                for point in chunk_points:
-                    outcome, phases = _profiled_outcome(
-                        point.spec.sweep_point(), sweep_cache_dir
-                    )
-                    records.append(_outcome_record(point, outcome, phases=phases))
-                for record in records:
-                    _tally(summary, record)
-                store.record_chunk(campaign_id, records)
-            summary.elapsed_s = time.perf_counter() - start
-            counts = store.status_counts(campaign_id)
-            summary.remaining = counts["total"] - counts["done"]
-            return summary
-        for chunk in iter_outcome_chunks(
-            sweep_points,
-            cache_dir=sweep_cache_dir,
-            parallel=parallel,
-            processes=processes,
-            chunk_size=chunk_size,
-        ):
-            records = [
-                _outcome_record(by_hash[outcome.point.config_hash()], outcome)
-                for outcome in chunk
-            ]
-            for record in records:
-                _tally(summary, record)
-            # One transaction per chunk: a kill between rows never leaves
-            # a partially persisted chunk behind.
-            store.record_chunk(campaign_id, records)
+                for records in _evaluate_groups(
+                    pending[chunk_start : chunk_start + size], sweep_cache_dir, profile
+                ):
+                    _commit(store, campaign_id, summary, records)
         summary.elapsed_s = time.perf_counter() - start
         counts = store.status_counts(campaign_id)
         summary.remaining = counts["total"] - counts["done"]
@@ -555,7 +480,6 @@ def _worker_process_entry(args: tuple) -> Dict[str, Any]:
         max_points,
         sweep_cache_dir,
         poll_seconds,
-        batch,
         profile,
     ) = args
     summary = run_campaign(
@@ -567,7 +491,6 @@ def _worker_process_entry(args: tuple) -> Dict[str, Any]:
         worker_id=worker_id,
         lease_seconds=lease_seconds,
         poll_seconds=poll_seconds,
-        batch=batch,
         profile=profile,
         # The fleet launcher already reset error points once, before any
         # worker started; resetting again here would race against peers
@@ -586,7 +509,6 @@ def run_campaign_workers(
     sweep_cache_dir: Optional[Union[str, os.PathLike]] = None,
     lease_seconds: float = DEFAULT_LEASE_SECONDS,
     poll_seconds: float = DEFAULT_POLL_SECONDS,
-    batch: bool = False,
     profile: bool = False,
 ) -> CampaignRunSummary:
     """Fork N cooperative workers that drain one campaign together.
@@ -605,17 +527,15 @@ def run_campaign_workers(
         spec: A :class:`CampaignSpec` or its dict form.
         store_path: The shared SQLite store.
         workers: How many worker processes to fork.
-        chunk_size: Lease/persistence batch size per claim (default: a
-            claim-spreading size from the pending-point count).
+        chunk_size: Points per claim — each claim is grouped and evaluated
+            as :func:`run_campaign` describes (default: a claim-spreading
+            size from the pending-point count).
         max_points: Global bound on newly executed points, split across
             the workers.
         sweep_cache_dir: Optional per-point pickle cache shared by all
             workers (safe: cache publishes are atomic).
         lease_seconds: Lease duration without renewal.
         poll_seconds: Idle re-check interval.
-        batch: Each worker groups the points of every claim by their batch
-            signature and evaluates each group as one batched problem (see
-            :func:`run_campaign`).
         profile: Each worker records per-point phase timings into the
             store (see :func:`run_campaign`).
 
@@ -664,7 +584,6 @@ def run_campaign_workers(
             quotas[index],
             str(sweep_cache_dir) if sweep_cache_dir is not None else None,
             poll_seconds,
-            batch,
             profile,
         )
         for index in range(workers)

@@ -22,6 +22,7 @@ from ..optim.greedy import greedy_minimum_subset
 from ..optim.pathmilp import PathMilpConfig, solve_path_milp
 from ..optim.solution import EnergyAwareSolution
 from ..power.model import PowerModel
+from ..routing.ksp import CandidatePaths
 from ..routing.ospf import ospf_delays
 from ..topology.base import Topology
 from ..traffic.matrix import Pair, TrafficMatrix, all_pairs
@@ -67,6 +68,7 @@ def compute_always_on(
     pairs: Optional[Iterable[Pair]] = None,
     offpeak_matrix: Optional[TrafficMatrix] = None,
     config: Optional[AlwaysOnConfig] = None,
+    candidate_paths: Optional[CandidatePaths] = None,
 ) -> EnergyAwareSolution:
     """Compute the always-on paths and the elements they keep active.
 
@@ -78,6 +80,7 @@ def compute_always_on(
         offpeak_matrix: Off-peak traffic estimate ``d_low``; when omitted the
             demand-oblivious ε formulation is used.
         config: Tuning knobs; defaults to :class:`AlwaysOnConfig`.
+        candidate_paths: Shared candidate-path provider handed to the MILP.
 
     Returns:
         An :class:`EnergyAwareSolution` whose routing table holds the
@@ -122,6 +125,7 @@ def compute_always_on(
         power_model,
         demands,
         config=milp_config,
+        candidate_paths=candidate_paths,
         latency_bound=latency_bound,
         solver_name="always-on-lat" if cfg.latency_beta is not None else "always-on",
     )

@@ -26,6 +26,7 @@ from ..optim.greente import greente_heuristic
 from ..optim.pathmilp import PathMilpConfig, solve_path_milp
 from ..optim.solution import EnergyAwareSolution
 from ..power.model import PowerModel
+from ..routing.ksp import CandidatePaths
 from ..routing.ospf import ospf_invcap_routing
 from ..routing.paths import RoutingTable
 from ..topology.base import Topology
@@ -81,6 +82,7 @@ def compute_on_demand(
     pairs: Optional[Iterable[Pair]] = None,
     peak_matrix: Optional[TrafficMatrix] = None,
     config: Optional[OnDemandConfig] = None,
+    candidate_paths: Optional[CandidatePaths] = None,
 ) -> List[RoutingTable]:
     """Compute the on-demand routing tables.
 
@@ -94,6 +96,9 @@ def compute_on_demand(
         peak_matrix: Peak-hour matrix ``d_peak`` (required by ``"peak"``,
             used by ``"heuristic"`` when available).
         config: Tuning knobs; defaults to :class:`OnDemandConfig`.
+        candidate_paths: Candidate-path provider shared by every solver
+            call (and with the always-on computation); defaults to one
+            private to this call.
 
     Returns:
         A list of ``config.num_tables`` routing tables.
@@ -108,6 +113,8 @@ def compute_on_demand(
     selected: List[Pair] = (
         list(pairs) if pairs is not None else list(always_on.routing.pairs())
     )
+    if candidate_paths is None:
+        candidate_paths = CandidatePaths(topology)
 
     tables: List[RoutingTable] = []
     for table_index in range(cfg.num_tables):
@@ -125,6 +132,7 @@ def compute_on_demand(
                 demands,
                 k=cfg.k + table_index,
                 utilisation_limit=cfg.utilisation_limit,
+                candidate_paths=candidate_paths,
                 fixed_on_nodes=always_on.active_nodes,
                 fixed_on_links=always_on.active_links,
                 allow_overload=True,
@@ -144,6 +152,7 @@ def compute_on_demand(
                     utilisation_limit=cfg.utilisation_limit,
                     time_limit_s=cfg.time_limit_s,
                 ),
+                candidate_paths=candidate_paths,
                 fixed_on_nodes=always_on.active_nodes,
                 fixed_on_links=always_on.active_links,
                 solver_name=f"on-demand-peak-{table_index}",
@@ -163,6 +172,7 @@ def compute_on_demand(
                     utilisation_limit=cfg.utilisation_limit,
                     time_limit_s=cfg.time_limit_s,
                 ),
+                candidate_paths=candidate_paths,
                 fixed_on_nodes=always_on.active_nodes,
                 fixed_on_links=always_on.active_links,
                 forbidden_links=forbidden,

@@ -22,6 +22,7 @@ from typing import Iterable, Optional
 
 from ..exceptions import ConfigurationError
 from ..power.model import PowerModel
+from ..routing.ksp import CandidatePaths
 from ..topology.base import Topology
 from ..traffic.matrix import Pair, TrafficMatrix
 from .always_on import AlwaysOnConfig, compute_always_on
@@ -106,6 +107,7 @@ def build_response_plan(
     peak_matrix: Optional[TrafficMatrix] = None,
     config: Optional[ResponseConfig] = None,
     variant: Optional[str] = None,
+    candidate_paths: Optional[CandidatePaths] = None,
 ) -> ResponsePlan:
     """Run the complete off-line REsPoNse computation.
 
@@ -119,6 +121,9 @@ def build_response_plan(
         peak_matrix: Optional ``d_peak`` estimate for the on-demand paths.
         config: Full configuration; mutually exclusive with *variant*.
         variant: Shortcut: one of :data:`RESPONSE_VARIANTS`.
+        candidate_paths: The candidate-path provider every solver of the
+            pipeline draws from, so one plan build enumerates each pair's
+            k shortest paths once; defaults to one private to this build.
 
     Returns:
         The computed :class:`ResponsePlan`.
@@ -129,6 +134,8 @@ def build_response_plan(
         config = (
             ResponseConfig.for_variant(variant) if variant is not None else ResponseConfig()
         )
+    if candidate_paths is None:
+        candidate_paths = CandidatePaths(topology)
 
     always_on = compute_always_on(
         topology,
@@ -142,6 +149,7 @@ def build_response_plan(
             utilisation_limit=config.utilisation_limit,
             time_limit_s=config.time_limit_s,
         ),
+        candidate_paths=candidate_paths,
     )
 
     on_demand = compute_on_demand(
@@ -158,6 +166,7 @@ def build_response_plan(
             utilisation_limit=config.utilisation_limit,
             time_limit_s=config.time_limit_s,
         ),
+        candidate_paths=candidate_paths,
     )
 
     failover = None

@@ -2,21 +2,24 @@
 
 The per-interval GreenTE replay used by the recomputation-rate and
 energy-critical-path analyses is implemented once, in
-:func:`repro.scenario.schemes.greente_replay` (candidate paths computed once
-per replay and shared across intervals); the helpers here are thin wrappers
-keeping the historical driver-facing signatures.
+:func:`repro.scenario.schemes.greente_replay` (one
+:class:`~repro.routing.ksp.CandidatePaths` provider per replay, shared
+across intervals); the helpers here are thin wrappers keeping the
+historical driver-facing signatures.
 """
 
 from __future__ import annotations
 
 from typing import Callable, List, Sequence
 
+from ..optim.greente import greente_heuristic
 from ..optim.solution import EnergyAwareSolution
 from ..power.model import PowerModel
 from ..routing.paths import RoutingConfiguration, RoutingTable
-from ..scenario.schemes import CachedCandidatePaths, greente_replay
+from ..scenario.schemes import greente_replay
+from ..scenario.timeline import GroupComputeCache
 from ..topology.base import Topology
-from ..traffic.matrix import Pair, TrafficMatrix
+from ..traffic.matrix import TrafficMatrix
 from ..traffic.replay import TrafficTrace
 
 #: Signature of a per-interval energy-aware solver.
@@ -34,27 +37,27 @@ def greente_interval_solver(
     2b) must recompute an energy-aware routing for every interval of a long
     trace.  The exact MILP would make that prohibitively slow, so — exactly
     like the state-of-the-art heuristics the paper discusses — the replay uses
-    the GreenTE-style greedy solver.  The returned solver caches its candidate
-    k-shortest paths per (topology, pair set) across calls, so replaying many
-    intervals pays for the candidate computation once (the same cached-path
-    machinery backs :func:`per_interval_solutions` and the registered
+    the GreenTE-style greedy solver.  The returned solver keeps one
+    candidate-path provider per topology object across calls, so replaying
+    many intervals enumerates each pair's k shortest paths once (the same
+    provider backs :func:`per_interval_solutions` and the registered
     ``greente`` scenario scheme).
     """
-    cache = CachedCandidatePaths(k)
+    shared = GroupComputeCache()
 
     def solver(
         topology: Topology, power_model: PowerModel, demands: TrafficMatrix
     ) -> EnergyAwareSolution:
-        return greente_replay(
+        return greente_heuristic(
             topology,
             power_model,
-            [demands],
+            demands,
             k=k,
             utilisation_limit=utilisation_limit,
-            pairs=demands.pairs(),
+            candidate_paths=shared.candidate_paths(topology),
+            allow_overload=True,
             ordering=ordering,
-            candidates=cache,
-        )[0]
+        )
 
     return solver
 
@@ -68,20 +71,15 @@ def per_interval_solutions(
 ) -> List[EnergyAwareSolution]:
     """Recompute the energy-aware routing for every interval of a trace.
 
-    Candidate k-shortest paths are computed once for the union of pairs over
-    the whole trace and reused across intervals, which keeps long replays
-    tractable.
+    Each pair's k shortest paths are enumerated once and reused across
+    intervals, which keeps long replays tractable.
     """
-    pairs: List[Pair] = sorted(
-        {pair for matrix in trace.matrices() for pair in matrix.pairs()}
-    )
     return greente_replay(
         topology,
         power_model,
         trace.matrices(),
         k=k,
         utilisation_limit=utilisation_limit,
-        pairs=pairs,
         ordering="stable",
     )
 

@@ -16,9 +16,10 @@ Four layers use this module:
 * the :mod:`benchmarks` drivers thread optional ``parallel``/``cache_dir``
   settings through to those drivers,
 * the campaign subsystem (:mod:`repro.campaign`) executes expanded scenario
-  grids through the error-isolating chunked backend
-  (:func:`iter_outcome_chunks` / :class:`PointOutcome`), persisting every
-  chunk into its SQLite results store, and
+  grids through the error-isolating group backend
+  (:func:`plan_point_batches` / :func:`execute_scenario_batch` /
+  :class:`PointOutcome`; :func:`iter_outcome_chunks` for its process pool),
+  persisting every group into its SQLite results store, and
 * the command line: ``python -m repro.experiments fig4 fig7`` runs whole
   figures as sweep points, ``run-scenario`` executes a declarative
   :class:`~repro.scenario.spec.ScenarioSpec` (cached by its config hash),
@@ -444,11 +445,14 @@ def execute_scenario_batch(
     :func:`~repro.scenario.engine.build_scenario_group` and drives them in
     one interval-major pass — results are bit-identical to per-point serial
     execution.  Cached points are served from disk exactly as
-    :func:`execute_point` would.  On any grouping or execution failure the
-    whole group falls back to per-point :func:`execute_point_outcome`, which
-    reproduces serial error isolation (and serial tracebacks) point by
-    point.  Outcomes preserve input order.
+    :func:`execute_point` would.  A group of one is
+    :func:`execute_point_outcome`, and on any grouping or execution failure
+    the whole group falls back to it point by point, which reproduces
+    serial error isolation (and serial tracebacks).  Outcomes preserve
+    input order.
     """
+    if len(points) == 1:
+        return [execute_point_outcome(points[0], cache_dir)]
     outcomes: List[Optional[PointOutcome]] = [None] * len(points)
     pending: List[int] = []
     for index, sweep_point in enumerate(points):

@@ -18,11 +18,11 @@ computing on-demand paths on large topologies.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 from ..exceptions import InfeasibleError
 from ..power.model import PowerModel
-from ..routing.ksp import k_shortest_paths_all_pairs
+from ..routing.ksp import CandidatePaths
 from ..routing.paths import Path, RoutingTable
 from ..topology.base import Topology, link_key
 from ..traffic.matrix import Pair, TrafficMatrix
@@ -38,7 +38,7 @@ def greente_heuristic(
     demands: TrafficMatrix,
     k: int = DEFAULT_K,
     utilisation_limit: float = 1.0,
-    candidate_paths: Optional[Mapping[Pair, Sequence[Path]]] = None,
+    candidate_paths: Optional[CandidatePaths] = None,
     fixed_on_nodes: Optional[Iterable[str]] = None,
     fixed_on_links: Optional[Iterable[Tuple[str, str]]] = None,
     allow_overload: bool = False,
@@ -50,9 +50,11 @@ def greente_heuristic(
         topology: The physical topology.
         power_model: Power coefficients used to cost element activation.
         demands: Traffic matrix to place.
-        k: Candidate paths per pair when *candidate_paths* is not given.
+        k: Candidate paths per pair.
         utilisation_limit: Safety margin on every arc's capacity.
-        candidate_paths: Explicit candidates per pair.
+        candidate_paths: The provider each pair's *k* shortest paths are
+            drawn from; a replay shares one across its solves so the
+            enumeration is paid once.  Defaults to a private provider.
         fixed_on_nodes: Elements considered already powered (zero marginal
             cost), e.g. the always-on set.
         fixed_on_links: Links considered already active.
@@ -72,7 +74,8 @@ def greente_heuristic(
         raise ValueError(f"ordering must be 'demand' or 'stable', got {ordering!r}")
     pairs = demands.pairs()
     if candidate_paths is None:
-        candidate_paths = k_shortest_paths_all_pairs(topology, k, pairs=pairs)
+        candidate_paths = CandidatePaths(topology)
+    paths_of = candidate_paths.for_pairs(pairs, k)
     node_power, link_power = element_power_coefficients(topology, power_model)
 
     active_nodes: Set[str] = set(fixed_on_nodes or ())
@@ -104,7 +107,7 @@ def greente_heuristic(
         ordered = sorted(pairs)
     for pair in ordered:
         demand = demands[pair]
-        candidates = list(candidate_paths[pair])
+        candidates = paths_of[pair]
         if not candidates:
             raise InfeasibleError(f"pair {pair} has no candidate paths")
         feasible = [path for path in candidates if fits(path, demand)]

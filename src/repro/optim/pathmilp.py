@@ -31,7 +31,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 from ..exceptions import InfeasibleError, SolverError
 from ..power.model import PowerModel
-from ..routing.ksp import k_shortest_paths_all_pairs
+from ..routing.ksp import CandidatePaths
 from ..routing.paths import Path, RoutingTable
 from ..topology.base import Topology, link_key
 from ..traffic.matrix import Pair, TrafficMatrix
@@ -113,7 +113,7 @@ def solve_path_milp(
     power_model: PowerModel,
     demands: TrafficMatrix,
     config: Optional[PathMilpConfig] = None,
-    candidate_paths: Optional[Mapping[Pair, Sequence[Path]]] = None,
+    candidate_paths: Optional[CandidatePaths] = None,
     fixed_on_nodes: Optional[Iterable[str]] = None,
     fixed_on_links: Optional[Iterable[Tuple[str, str]]] = None,
     forbidden_links: Optional[Iterable[Tuple[str, str]]] = None,
@@ -129,8 +129,10 @@ def solve_path_milp(
             connectivity (use :meth:`TrafficMatrix.epsilon` for the paper's
             demand-oblivious always-on computation).
         config: Solver configuration; defaults to :class:`PathMilpConfig`.
-        candidate_paths: Explicit candidate paths per pair; defaults to each
-            pair's ``config.k`` shortest paths by inverse capacity.
+        candidate_paths: The provider each pair's ``config.k`` shortest
+            paths (by inverse capacity) are drawn from; callers solving
+            repeatedly on one topology share one so the enumeration is paid
+            once.  Defaults to a private provider.
         fixed_on_nodes: Nodes forced to stay powered on (the paper keeps the
             always-on elements fixed when computing on-demand paths).
         fixed_on_links: Undirected links forced to stay active.
@@ -165,11 +167,13 @@ def solve_path_milp(
         )
 
     if candidate_paths is None:
-        candidate_paths = k_shortest_paths_all_pairs(topology, cfg.k, pairs=pairs)
+        candidate_paths = CandidatePaths(topology)
     forbidden_set = (
         {link_key(u, v) for (u, v) in forbidden_links} if forbidden_links else None
     )
-    candidates = _filter_candidates(candidate_paths, forbidden_set, latency_bound, topology)
+    candidates = _filter_candidates(
+        candidate_paths.for_pairs(pairs, cfg.k), forbidden_set, latency_bound, topology
+    )
 
     node_power, link_power = element_power_coefficients(topology, power_model)
     nodes = topology.nodes()

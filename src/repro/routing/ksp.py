@@ -9,14 +9,20 @@ pair"; the same restriction powers this reproduction's path-based MILP
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional
 
 import networkx as nx
 
 from ..exceptions import PathNotFoundError
+from ..obs import metrics, trace
 from ..topology.base import Topology
 from ..traffic.matrix import Pair, all_pairs
 from .paths import Path
+
+_PATHS_ENUMERATED = metrics.counter(
+    "repro_candidate_paths_enumerated_total",
+    "Paths pulled from the k-shortest enumerators behind CandidatePaths",
+)
 
 
 def k_shortest_paths(
@@ -52,6 +58,74 @@ def k_shortest_paths(
         raise PathNotFoundError(origin, destination) from None
 
 
+class CandidatePaths:
+    """Resumable k-shortest candidate paths of one topology.
+
+    The one provider behind every solver's candidate-path restriction.  Per
+    (origin, destination) it keeps networkx's ``shortest_simple_paths``
+    generator and the :class:`Path` objects pulled from it so far, so asking
+    for a larger *k* later resumes the enumeration instead of restarting it
+    (k=3 for the REsPoNse plan, then k=5 for GreenTE, costs one k=5
+    enumeration).  The generator is deterministic, so a pair's first *k*
+    paths equal :func:`k_shortest_paths`' however they were pulled.
+
+    The topology must not be mutated while a provider is in use: suspended
+    generators keep walking the graph they were started on.
+    """
+
+    def __init__(self, topology: Topology, weight: str = "invcap") -> None:
+        self.topology = topology
+        self.weight = weight
+        #: Paths pulled from the generators so far (telemetry).
+        self.paths_enumerated = 0
+        self._found: Dict[Pair, List[Path]] = {}
+        self._pending: Dict[Pair, Iterator[List[str]]] = {}
+
+    def for_pairs(self, pairs: Iterable[Pair], k: int) -> Dict[Pair, List[Path]]:
+        """The *k* shortest paths of every pair, pulling only what is missing.
+
+        Raises:
+            PathNotFoundError: If a pair's destination is unreachable.
+            ValueError: If ``k`` is not positive.
+        """
+        if k <= 0:
+            raise ValueError(f"k must be positive, got {k}")
+        before = self.paths_enumerated
+        candidates = {pair: self._paths(pair, k) for pair in pairs}
+        pulled = self.paths_enumerated - before
+        if pulled:
+            _PATHS_ENUMERATED.inc(pulled)
+            enclosing = trace.current_span()
+            if enclosing is not None:
+                enclosing.set(
+                    paths_enumerated=enclosing.attrs.get("paths_enumerated", 0) + pulled
+                )
+        return candidates
+
+    def _paths(self, pair: Pair, k: int) -> List[Path]:
+        found = self._found.get(pair)
+        if found is None:
+            found = self._found[pair] = []
+            self._pending[pair] = nx.shortest_simple_paths(
+                self.topology.to_networkx(),
+                pair[0],
+                pair[1],
+                weight=None if self.weight in (None, "hops") else self.weight,
+            )
+        if len(found) < k and pair in self._pending:
+            try:
+                for nodes in itertools.islice(self._pending[pair], k - len(found)):
+                    found.append(Path.of(nodes))
+                    self.paths_enumerated += 1
+            except nx.NetworkXNoPath:
+                del self._found[pair], self._pending[pair]
+                raise PathNotFoundError(*pair) from None
+            if len(found) < k:
+                # Fewer than k simple paths exist; the pair is complete.
+                del self._pending[pair]
+        return found[:k]
+
+
 def k_shortest_paths_all_pairs(
     topology: Topology,
     k: int,
@@ -60,10 +134,7 @@ def k_shortest_paths_all_pairs(
 ) -> Dict[Pair, List[Path]]:
     """The *k* shortest paths for every requested origin-destination pair."""
     selected = list(pairs) if pairs is not None else all_pairs(topology.routers())
-    return {
-        (origin, destination): k_shortest_paths(topology, origin, destination, k, weight)
-        for origin, destination in selected
-    }
+    return CandidatePaths(topology, weight).for_pairs(selected, k)
 
 
 def path_diversity(topology: Topology, origin: str, destination: str, k: int = 10) -> int:

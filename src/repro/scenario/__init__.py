@@ -52,7 +52,6 @@ from .registry import (
     resolve,
 )
 from .schemes import (
-    CachedCandidatePaths,
     SchemeOutcome,
     greente_replay,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "DEFAULT_UTILISATION_THRESHOLD",
     "BuiltScenario",
     "BuiltTraffic",
-    "CachedCandidatePaths",
     "ComponentSpec",
     "EventSpec",
     "IntervalOutcome",

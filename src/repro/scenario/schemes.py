@@ -9,17 +9,15 @@ failure-adjusted topology view.  The timeline engine drives the runtimes;
 is the only scheme form: the timeline rejects any other registered
 component.
 
-Computations that scenarios built as one group can share (REsPoNse plans,
-GreenTE candidates and solves, ECMP expansions, the always-on subset) go
+Computations that scenarios built as one group can share (candidate paths,
+REsPoNse plans, GreenTE solves, ECMP expansions, the always-on subset) go
 through ``scenario.shared`` — the group's
 :class:`~repro.scenario.timeline.GroupComputeCache`, always present (a
 scenario built on its own is the group of one).  Every memoised value is a
 pure function of its key's inputs, so a hit returns exactly what a fresh
-computation would.
-
-This module is also the home of the single cached-candidate GreenTE code
-path (:class:`CachedCandidatePaths`, :func:`greente_replay`) that the
-per-interval replay helpers in :mod:`repro.experiments.common` delegate to.
+computation would; every path-restricted solver draws its candidates from
+the cache's one :class:`~repro.routing.ksp.CandidatePaths` provider per
+topology object.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from typing import (
     Any,
     Dict,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -52,11 +49,11 @@ from ..optim.solution import EnergyAwareSolution
 from ..power.accounting import full_power, network_power
 from ..power.model import PowerModel
 from ..routing.ecmp import ecmp_active_elements, ecmp_max_utilisation
-from ..routing.ksp import k_shortest_paths_all_pairs
-from ..routing.paths import Path, RoutingConfiguration
+from ..routing.ksp import CandidatePaths
+from ..routing.paths import RoutingConfiguration
 from ..simulator.failures import TopologyView
 from ..topology.base import Topology
-from ..traffic.matrix import Pair, TrafficMatrix
+from ..traffic.matrix import TrafficMatrix
 from .registry import register
 from .timeline import IntervalOutcome, SchemeRuntime
 
@@ -86,64 +83,21 @@ class SchemeOutcome:
     details: Dict[str, Any] = field(default_factory=dict)
 
 
-# --------------------------------------------------------------------- #
-# The single cached-candidate GreenTE code path
-# --------------------------------------------------------------------- #
-
-
-class CachedCandidatePaths:
-    """k-shortest candidate paths, computed once per (topology, pair set).
-
-    Per-interval solvers reuse one instance across a whole replay so the
-    candidate computation — the expensive part of short solves — is paid
-    once, not once per interval.  The cache is keyed by the pair set and
-    resets when a different topology object shows up (a solver instance is
-    meant to live within one replay; the timeline hands out one topology
-    object per failure state, so candidates recompute exactly when the
-    surviving topology changes).
-    """
-
-    def __init__(self, k: int) -> None:
-        self.k = k
-        self._topology: Optional[Topology] = None
-        self._cache: Dict[Tuple[Pair, ...], Mapping[Pair, Sequence[Path]]] = {}
-
-    def for_pairs(
-        self, topology: Topology, pairs: Sequence[Pair]
-    ) -> Mapping[Pair, Sequence[Path]]:
-        """Candidates for *pairs* on *topology*, cached across calls."""
-        key = tuple(sorted(pairs))
-        if topology is not self._topology:
-            self._topology = topology
-            self._cache = {}
-        if key not in self._cache:
-            self._cache[key] = k_shortest_paths_all_pairs(
-                topology, self.k, pairs=list(key)
-            )
-        return self._cache[key]
-
-
 def greente_replay(
     topology: Topology,
     power_model: PowerModel,
     matrices: Sequence[TrafficMatrix],
     k: int = 5,
     utilisation_limit: float = 1.0,
-    pairs: Optional[Sequence[Pair]] = None,
     ordering: str = "stable",
-    candidates: Optional[CachedCandidatePaths] = None,
 ) -> List[EnergyAwareSolution]:
-    """Recompute the GreenTE routing for every matrix, caching candidates.
+    """Recompute the GreenTE routing for every matrix of a replay.
 
-    Candidate k-shortest paths are computed once for the union of pairs
-    across all matrices and shared by every per-interval solve — the one
-    code path behind :func:`repro.experiments.common.per_interval_solutions`
-    and the ``greente`` scheme.
+    One candidate-path provider serves every per-interval solve, so each
+    pair's k shortest paths are enumerated once per replay — the code path
+    behind :func:`repro.experiments.common.per_interval_solutions`.
     """
-    cache = candidates if candidates is not None else CachedCandidatePaths(k)
-    if pairs is None:
-        pairs = sorted({pair for matrix in matrices for pair in matrix.pairs()})
-    candidate_paths = cache.for_pairs(topology, pairs)
+    candidate_paths = CandidatePaths(topology)
     return [
         greente_heuristic(
             topology,
@@ -179,7 +133,6 @@ class _ReplayState:
     configurations: List[RoutingConfiguration] = field(default_factory=list)
     prev_matrix: Optional[TrafficMatrix] = None
     prev_view: Optional[TopologyView] = None
-    extra: Dict[str, Any] = field(default_factory=dict)
 
 
 class SolverReplayRuntime(SchemeRuntime):
@@ -193,8 +146,9 @@ class SolverReplayRuntime(SchemeRuntime):
     * **failure awareness** — under failures the solver runs on the
       surviving topology (:attr:`TopologyView.topology`) with the demand
       matrix restricted to still-connected pairs;
-    * **solver-state reuse** — subclasses keep expensive per-replay state
-      (e.g. candidate paths) in ``state.extra`` across steps.
+    * **solver-state reuse** — candidate paths come from the group's
+      provider (``scenario.shared.candidate_paths``) and survive across
+      steps.
     """
 
     def start(self, scenario: "BuiltScenario") -> _ReplayState:
@@ -249,7 +203,7 @@ class SolverReplayRuntime(SchemeRuntime):
 
 @register("scheme", "greente")
 class GreenTERuntime(SolverReplayRuntime):
-    """GreenTE-style greedy recomputation on every interval (cached candidates)."""
+    """GreenTE-style greedy recomputation on every interval (shared candidates)."""
 
     def __init__(
         self,
@@ -261,36 +215,19 @@ class GreenTERuntime(SolverReplayRuntime):
         self.utilisation_limit = utilisation_limit
         self.ordering = ordering
 
-    def start(self, scenario: "BuiltScenario") -> _ReplayState:
-        state = super().start(scenario)
-        # One candidate cache per (group, k): every point of the group
-        # sees the same topology object, so the k-shortest computation
-        # is paid once for the whole group.
-        state.extra["candidates"] = scenario.shared.memo(
-            ("greente-candidates", self.k),
-            lambda: CachedCandidatePaths(self.k),
-        )
-        return state
-
     def solve(
         self, state: _ReplayState, matrix: TrafficMatrix, view: TopologyView
     ) -> EnergyAwareSolution:
         scenario = state.scenario
-        pairs = scenario.pairs
-        if view.has_failures:
-            pairs = view.connected_pairs(pairs)
 
         def compute() -> EnergyAwareSolution:
-            candidate_paths = state.extra["candidates"].for_pairs(
-                view.topology, pairs
-            )
             return greente_heuristic(
                 view.topology,
                 scenario.power_model,
                 matrix,
                 k=self.k,
                 utilisation_limit=self.utilisation_limit,
-                candidate_paths=candidate_paths,
+                candidate_paths=scenario.shared.candidate_paths(view.topology),
                 allow_overload=True,
                 ordering=self.ordering,
             )
@@ -307,7 +244,6 @@ class GreenTERuntime(SolverReplayRuntime):
                 self.ordering,
                 id(view.topology),
                 id(scenario.power_model),
-                tuple(pairs),
                 matrix,
             ),
             compute,
@@ -403,8 +339,13 @@ class PathMilpRuntime(SolverReplayRuntime):
     def solve(
         self, state: _ReplayState, matrix: TrafficMatrix, view: TopologyView
     ) -> EnergyAwareSolution:
+        scenario = state.scenario
         return solve_path_milp(
-            view.topology, state.scenario.power_model, matrix, config=self.config
+            view.topology,
+            scenario.power_model,
+            matrix,
+            config=self.config,
+            candidate_paths=scenario.shared.candidate_paths(view.topology),
         )
 
 
@@ -425,12 +366,14 @@ class OptimalRuntime(SolverReplayRuntime):
         self, state: _ReplayState, matrix: TrafficMatrix, view: TopologyView
     ) -> EnergyAwareSolution:
         scenario = state.scenario
+        candidate_paths = scenario.shared.candidate_paths(view.topology)
         try:
             return solve_path_milp(
                 view.topology,
                 scenario.power_model,
                 matrix,
                 config=PathMilpConfig(k=self.k, time_limit_s=self.time_limit_s),
+                candidate_paths=candidate_paths,
                 solver_name="optimal",
             )
         except Exception:
@@ -439,6 +382,7 @@ class OptimalRuntime(SolverReplayRuntime):
                 scenario.power_model,
                 matrix,
                 k=self.k,
+                candidate_paths=candidate_paths,
                 allow_overload=True,
             )
 
@@ -611,6 +555,7 @@ class ResponseRuntime(SchemeRuntime):
                     pairs=scenario.pairs,
                     peak_matrix=peak,
                     config=self.config,
+                    candidate_paths=scenario.shared.candidate_paths(scenario.topology),
                 )
 
         # The offline pipeline depends only on these inputs, so points
@@ -729,6 +674,7 @@ class AlwaysOnRuntime(SchemeRuntime):
                 scenario.power_model,
                 pairs=scenario.pairs,
                 config=self.config,
+                candidate_paths=scenario.shared.candidate_paths(scenario.topology),
             )
 
         always_on = scenario.shared.memo(

@@ -49,6 +49,7 @@ from typing import (
 
 from ..exceptions import ConfigurationError
 from ..obs import trace
+from ..routing.ksp import CandidatePaths
 from ..simulator.failures import (
     FailureSchedule,
     LinkEvent,
@@ -631,6 +632,19 @@ class GroupComputeCache:
             self._values[key] = factory()
             self._pins.extend(pin)
         return self._values[key]
+
+    def candidate_paths(self, topology: Topology) -> CandidatePaths:
+        """The group's one candidate-path provider for *topology*.
+
+        Memoised per topology object, so every solver of every point
+        resumes the same enumerations while a failure view (its own
+        topology object) gets a provider of its own.
+        """
+        return self.memo(
+            ("candidate-paths", id(topology)),
+            lambda: CandidatePaths(topology),
+            pin=(topology,),
+        )
 
 
 @dataclass

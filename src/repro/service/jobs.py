@@ -48,7 +48,6 @@ class CampaignJob:
         campaign_id: The campaign's identity in the store.
         name: The campaign name.
         workers: How many lease-worker threads drain it.
-        batch: Whether the workers group claims by batch signature.
         state: ``running`` → ``done``/``failed``.
         submitted_at: ``time.time`` of the submission.
         summaries: Per-worker :class:`~repro.campaign.run.CampaignRunSummary`
@@ -59,7 +58,6 @@ class CampaignJob:
     campaign_id: str
     name: str
     workers: int
-    batch: bool
     state: str = RUNNING
     submitted_at: float = field(default_factory=time.time)
     summaries: List[Dict[str, Any]] = field(default_factory=list)
@@ -73,7 +71,6 @@ class CampaignJob:
             "campaign_id": self.campaign_id,
             "name": self.name,
             "workers": self.workers,
-            "batch": self.batch,
             "state": self.state,
             "submitted_at": self.submitted_at,
             "executed": executed,
@@ -131,7 +128,6 @@ class JobManager:
                 campaign_id=campaign_id,
                 name=spec.name,
                 workers=request.workers,
-                batch=request.batch,
             )
             self._jobs[campaign_id] = job
             supervisor = threading.Thread(
@@ -167,7 +163,6 @@ class JobManager:
                     lease_seconds=request.lease_seconds,
                     chunk_size=request.chunk_size,
                     max_points=quotas[index],
-                    batch=request.batch,
                     # The submit path already reset error points once for
                     # this drain; doing it again here would race a peer's
                     # fresh failure back to pending mid-fleet.

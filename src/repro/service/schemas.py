@@ -111,16 +111,14 @@ class CampaignRequest:
     Attributes:
         spec: The campaign spec to execute.
         workers: Cooperative lease-worker threads to drain the grid with.
-        batch: Group points by batch signature per claim (see
-            ``run-campaign --batch``).
         max_points: Optional global bound on newly executed points.
-        chunk_size: Lease/persistence granularity per claim.
+        chunk_size: Points per claim (each claim is grouped by batch
+            signature and every group commits atomically).
         lease_seconds: Lease duration without renewal.
     """
 
     spec: CampaignSpec
     workers: int = 1
-    batch: bool = False
     max_points: Optional[int] = None
     chunk_size: Optional[int] = None
     lease_seconds: float = DEFAULT_LEASE_SECONDS
@@ -131,7 +129,7 @@ def campaign_request(body: Mapping[str, Any]) -> CampaignRequest:
 
     The body is ``{"spec": <campaign spec>, ...options}`` or a bare
     campaign spec dict (anything with a ``base`` key).  Options:
-    ``workers`` (int >= 1), ``batch`` (bool), ``max_points`` (int >= 0),
+    ``workers`` (int >= 1), ``max_points`` (int >= 0),
     ``chunk_size`` (int >= 1), ``lease_seconds`` (float > 0).
 
     Raises:
@@ -149,20 +147,15 @@ def campaign_request(body: Mapping[str, Any]) -> CampaignRequest:
         raise bad_request(str(error), code="invalid-campaign") from error
     options = {key: body[key] for key in body if key != "spec" and body is not data}
 
-    unknown = set(options) - {
-        "workers", "batch", "max_points", "chunk_size", "lease_seconds"
-    }
+    unknown = set(options) - {"workers", "max_points", "chunk_size", "lease_seconds"}
     if unknown:
         raise bad_request(
             f"unknown campaign options {sorted(unknown)}; expected workers, "
-            "batch, max_points, chunk_size, lease_seconds"
+            "max_points, chunk_size, lease_seconds"
         )
     workers = options.get("workers", 1)
     if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
         raise bad_request(f"'workers' must be an integer >= 1, got {workers!r}")
-    batch = options.get("batch", False)
-    if not isinstance(batch, bool):
-        raise bad_request(f"'batch' must be a boolean, got {batch!r}")
     max_points = options.get("max_points")
     if max_points is not None and (
         not isinstance(max_points, int)
@@ -185,7 +178,6 @@ def campaign_request(body: Mapping[str, Any]) -> CampaignRequest:
     return CampaignRequest(
         spec=spec,
         workers=workers,
-        batch=batch,
         max_points=max_points,
         chunk_size=chunk_size,
         lease_seconds=float(lease_seconds),

@@ -1,11 +1,12 @@
-"""Differential battery for batched campaign execution (``--batch``).
+"""Differential battery for grouped campaign execution (the default drain).
 
-Pins the tentpole guarantee — a batched campaign store is
-``canonical_dump``-bit-identical to a serial one — across every execution
-shape: the full 24-point bench grid, mixed grids where only some points
-share a topology, eventful grids (never grouped), worker fleets, and
-resume-after-kill mid-batch-group.  The planner itself
-(:func:`~repro.experiments.runner.plan_point_batches` /
+Pins the drain's guarantee — a default drain, which evaluates every batch
+group as one problem, leaves a store ``canonical_dump``-bit-identical to
+the per-point oracle (a ``chunk_size=1`` drain, in which every group is a
+single point) — across every execution shape: the full 24-point bench grid,
+mixed grids where only some points share a topology, eventful grids (never
+grouped), worker fleets, and resume-after-kill mid-group.  The planner
+itself (:func:`~repro.experiments.runner.plan_point_batches` /
 :func:`~repro.experiments.runner.batch_signature`) is unit-tested for its
 grouping rules, and a two-subprocess test pins cross-interpreter dump
 stability under two hash seeds (fixed-order summation everywhere).
@@ -21,13 +22,7 @@ import pytest
 
 import repro.campaign.run as campaign_run
 from repro.campaign import CampaignSpec, CampaignStore, run_campaign, run_campaign_workers
-from repro.exceptions import ConfigurationError
-from repro.experiments.runner import (
-    batch_signature,
-    main,
-    plan_point_batches,
-    point,
-)
+from repro.experiments.runner import batch_signature, plan_point_batches, point
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
@@ -90,8 +85,9 @@ def serial_and_batched_dumps(spec_dict, tmp_path):
         spec = spec_dict
     else:
         spec = CampaignSpec.from_dict(spec_dict)
-    serial = run_campaign(spec, store_path=tmp_path / "serial.sqlite")
-    batched = run_campaign(spec, store_path=tmp_path / "batched.sqlite", batch=True)
+    # The oracle: chunks of one point, so every group is a singleton.
+    serial = run_campaign(spec, store_path=tmp_path / "serial.sqlite", chunk_size=1)
+    batched = run_campaign(spec, store_path=tmp_path / "batched.sqlite")
     assert serial.failed == 0 and batched.failed == 0
     assert batched.executed == serial.executed
     return (
@@ -183,9 +179,9 @@ def test_batched_bench_grid_dump_identical_to_serial(tmp_path):
 
 def test_batched_worker_fleet_dump_identical_to_serial(tmp_path):
     spec = CampaignSpec.from_dict(campaign_dict())
-    serial = run_campaign(spec, store_path=tmp_path / "serial.sqlite")
+    serial = run_campaign(spec, store_path=tmp_path / "serial.sqlite", chunk_size=1)
     fleet = run_campaign_workers(
-        spec, store_path=tmp_path / "fleet.sqlite", workers=2, batch=True
+        spec, store_path=tmp_path / "fleet.sqlite", workers=2, chunk_size=2
     )
     assert fleet.failed == 0 and fleet.remaining == 0
     assert canonical(tmp_path / "fleet.sqlite", fleet.campaign_id) == canonical(
@@ -223,7 +219,7 @@ def test_kill_mid_batch_group_loses_only_that_group_then_resumes(tmp_path):
     campaign_run.execute_scenario_batch = kill_second_group
     try:
         with pytest.raises(KeyboardInterrupt):
-            run_campaign(spec, store_path=store_path, batch=True)
+            run_campaign(spec, store_path=store_path)
     finally:
         campaign_run.execute_scenario_batch = real
 
@@ -232,74 +228,50 @@ def test_kill_mid_batch_group_loses_only_that_group_then_resumes(tmp_path):
     assert calls == [2, 2]
     assert counts == {"done": 2, "error": 0, "pending": 2, "total": 4}
 
-    resumed = run_campaign(spec, store_path=store_path, batch=True)
+    resumed = run_campaign(spec, store_path=store_path)
     assert resumed.executed == 2 and resumed.remaining == 0
-    serial = run_campaign(spec, store_path=tmp_path / "serial.sqlite")
+    serial = run_campaign(spec, store_path=tmp_path / "serial.sqlite", chunk_size=1)
     assert canonical(store_path, campaign_id) == canonical(
         tmp_path / "serial.sqlite", serial.campaign_id
     )
 
 
 def test_killed_batch_worker_releases_its_leases(tmp_path):
-    """A batch-mode worker killed mid-group hands its leases straight back."""
-    spec_dict = campaign_dict("doomed-batch")
+    """A worker killed mid-claim keeps its committed groups, frees the rest.
+
+    One claim of four mixed-topology points is two groups of two.  The
+    first group commits on its own; the kill inside the second persists
+    nothing of it and hands its leases straight back.
+    """
+    spec_dict = mixed_topology_campaign("doomed-batch")
     spec = CampaignSpec.from_dict(spec_dict)
     store_path = tmp_path / "store.sqlite"
     points = spec.expand()
     with CampaignStore(store_path) as store:
         campaign_id = store.register_campaign(spec, points)
 
-    def kill_execution(*_args, **_kwargs):
-        raise KeyboardInterrupt("worker killed mid-group")
-
     real = campaign_run.execute_scenario_batch
-    campaign_run.execute_scenario_batch = kill_execution
+    calls = []
+
+    def kill_second_group(points, cache_dir=None):
+        calls.append(len(points))
+        if len(calls) == 2:
+            raise KeyboardInterrupt("worker killed mid-group")
+        return real(points, cache_dir)
+
+    campaign_run.execute_scenario_batch = kill_second_group
     try:
         with pytest.raises(KeyboardInterrupt):
             run_campaign(
-                spec_dict,
-                store_path=store_path,
-                worker_id="doomed",
-                chunk_size=2,
-                batch=True,
+                spec_dict, store_path=store_path, worker_id="doomed", chunk_size=4
             )
     finally:
         campaign_run.execute_scenario_batch = real
     with CampaignStore(store_path) as store:
         assert store.active_leases(campaign_id) == []
         counts = store.status_counts(campaign_id)
-    assert counts["pending"] == 4 and counts["done"] == 0
-
-
-# --------------------------------------------------------------------- #
-# Mode exclusions: --batch and --parallel are mutually exclusive
-# --------------------------------------------------------------------- #
-def test_batch_rejects_parallel_at_the_api(tmp_path):
-    with pytest.raises(ConfigurationError, match="batch"):
-        run_campaign(
-            campaign_dict(),
-            store_path=tmp_path / "store.sqlite",
-            batch=True,
-            parallel=True,
-        )
-
-
-def test_batch_rejects_parallel_at_the_cli(tmp_path):
-    spec_path = tmp_path / "campaign.json"
-    spec_path.write_text(json.dumps(campaign_dict()))
-    with pytest.raises(SystemExit) as excinfo:
-        main(
-            [
-                "run-campaign",
-                "--spec",
-                str(spec_path),
-                "--store",
-                str(tmp_path / "store.sqlite"),
-                "--batch",
-                "--parallel",
-            ]
-        )
-    assert excinfo.value.code == 2
+    assert calls == [2, 2]
+    assert counts == {"done": 2, "error": 0, "pending": 2, "total": 4}
 
 
 # --------------------------------------------------------------------- #
@@ -310,7 +282,7 @@ import json, sys
 from repro.campaign import CampaignSpec, CampaignStore, run_campaign
 spec = CampaignSpec.from_dict(json.loads(sys.argv[1]))
 summary = run_campaign(
-    spec, store_path=sys.argv[2], batch=(sys.argv[3] == "batch")
+    spec, store_path=sys.argv[2], chunk_size=(1 if sys.argv[3] == "serial" else None)
 )
 assert summary.failed == 0, "campaign point failed in subprocess"
 with CampaignStore(sys.argv[2]) as store:
@@ -320,10 +292,11 @@ sys.stdout.write(json.dumps(dump, sort_keys=True, separators=(",", ":")))
 
 
 def test_canonical_dump_identical_across_interpreters(tmp_path):
-    """Two fresh interpreters — one serial, one batched — dump identically.
+    """Fresh interpreters — per-point and grouped — dump identically.
 
-    The interpreters run under different, fixed ``PYTHONHASHSEED`` values
-    (0 and 26): the last ULP of every ``power_percent`` used to follow the
+    The per-point oracle runs under ``PYTHONHASHSEED=0`` and the grouped
+    default under both 0 and 26, so the grouped drain is pinned against the
+    oracle and against itself across hash seeds.  The last ULP of every ``power_percent`` used to follow the
     hash seed, because ``power.accounting.network_power`` summed chassis and
     port power while iterating sets of node names and link keys — seed 26
     is one where the old dump differed from seed 0's, every time.  (That,
@@ -335,7 +308,7 @@ def test_canonical_dump_identical_across_interpreters(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     dumps = []
-    for mode, hash_seed in (("serial", "0"), ("batch", "26")):
+    for mode, hash_seed in (("serial", "0"), ("grouped", "0"), ("grouped", "26")):
         env["PYTHONHASHSEED"] = hash_seed
         proc = subprocess.run(
             [
@@ -343,7 +316,7 @@ def test_canonical_dump_identical_across_interpreters(tmp_path):
                 "-c",
                 _SUBPROCESS_SCRIPT,
                 spec_json,
-                str(tmp_path / f"{mode}.sqlite"),
+                str(tmp_path / f"{mode}-{hash_seed}.sqlite"),
                 mode,
             ],
             capture_output=True,
@@ -354,13 +327,13 @@ def test_canonical_dump_identical_across_interpreters(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         dumps.append(proc.stdout)
-    assert dumps[0] == dumps[1]
+    assert dumps[0] == dumps[1] == dumps[2]
     assert dumps[0]  # non-empty: the dump really ran
 
 
 # --------------------------------------------------------------------- #
-# Concurrent read-only readers during an active batch write (service
-# satellite): status/report polling must never error while --batch runs.
+# Concurrent read-only readers during an active group write (service
+# satellite): status/report polling must never error while a drain runs.
 # --------------------------------------------------------------------- #
 def test_read_only_readers_succeed_during_open_batch_write(tmp_path):
     """Readers see the last committed state while a batch chunk is writing.
@@ -372,7 +345,7 @@ def test_read_only_readers_succeed_during_open_batch_write(tmp_path):
     """
     spec = CampaignSpec.from_dict(campaign_dict())
     store_path = tmp_path / "store.sqlite"
-    run_campaign(spec, store_path=store_path, max_points=2, batch=True)
+    run_campaign(spec, store_path=store_path, max_points=2)
     with CampaignStore(store_path) as writer:
         writer._connection.execute("BEGIN IMMEDIATE")
         writer._connection.execute(
@@ -396,11 +369,12 @@ def test_read_only_readers_succeed_during_open_batch_write(tmp_path):
 
 
 def test_read_only_readers_poll_through_a_live_batch_drain(tmp_path):
-    """Threaded variant: readers hammer a store a --batch drain is writing.
+    """Threaded variant: readers hammer a store a grouped drain is writing.
 
     Pins the service acceptance criterion end to end at the store layer:
-    zero read errors (no ``database is locked``) while a batched worker
-    drains the grid, and the final store is bit-identical to a serial run.
+    zero read errors (no ``database is locked``) while a worker drains the
+    grid in claims of eight (one group each), and the final store is
+    bit-identical to a per-point run.
     """
     import threading
 
@@ -442,7 +416,7 @@ def test_read_only_readers_poll_through_a_live_batch_drain(tmp_path):
         reader.start()
     try:
         summary = run_campaign(
-            spec, store_path=store_path, worker_id="batch-writer", batch=True
+            spec, store_path=store_path, worker_id="batch-writer", chunk_size=8
         )
     finally:
         done_draining.set()
@@ -451,7 +425,7 @@ def test_read_only_readers_poll_through_a_live_batch_drain(tmp_path):
 
     assert errors == []
     assert summary.failed == 0 and summary.remaining == 0
-    serial = run_campaign(spec, store_path=tmp_path / "serial.sqlite")
+    serial = run_campaign(spec, store_path=tmp_path / "serial.sqlite", chunk_size=1)
     assert canonical(store_path, campaign_id) == canonical(
         tmp_path / "serial.sqlite", serial.campaign_id
     )

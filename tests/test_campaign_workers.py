@@ -88,11 +88,13 @@ if not is_registered("traffic", "flaky-uniform"):
     @register("traffic", "flaky-uniform")
     def _flaky_uniform(topology, marker_path="", **params):
         """Uniform traffic that fails once per marker file, then succeeds."""
-        marker = Path(marker_path)
-        if not marker.exists():
-            marker.write_text("attempted")
-            raise RuntimeError("deliberate first-attempt failure")
-        return resolve("traffic", "uniform")(topology, **params)
+        try:
+            # Exclusive create: of two fleet workers building at the same
+            # moment exactly one makes the marker, so exactly one fails.
+            Path(marker_path).open("x").close()
+        except FileExistsError:
+            return resolve("traffic", "uniform")(topology, **params)
+        raise RuntimeError("deliberate first-attempt failure")
 
 
 # --------------------------------------------------------------------- #
@@ -383,17 +385,17 @@ def test_interrupted_chunk_persist_leaves_no_partial_rows(tmp_path):
 
 
 def test_failed_chunk_write_releases_worker_leases(tmp_path):
-    """A worker interrupted mid-batch hands its leases straight back."""
+    """A worker interrupted mid-claim hands its leases straight back."""
     spec_dict = campaign_dict()
     store_path, campaign_id, points = registered_store(tmp_path, spec_dict)
 
     def kill_execution(*_args, **_kwargs):
-        raise KeyboardInterrupt("worker killed mid-batch")
+        raise KeyboardInterrupt("worker killed mid-claim")
 
     import repro.campaign.run as campaign_run
 
-    original = campaign_run.execute_point_outcome
-    campaign_run.execute_point_outcome = kill_execution
+    original = campaign_run.execute_scenario_batch
+    campaign_run.execute_scenario_batch = kill_execution
     try:
         with pytest.raises(KeyboardInterrupt):
             run_campaign(
@@ -403,7 +405,7 @@ def test_failed_chunk_write_releases_worker_leases(tmp_path):
                 chunk_size=2,
             )
     finally:
-        campaign_run.execute_point_outcome = original
+        campaign_run.execute_scenario_batch = original
     with CampaignStore(store_path) as store:
         assert store.active_leases(campaign_id) == []
         counts = store.status_counts(campaign_id)
@@ -433,7 +435,9 @@ def test_error_point_transitions_to_done_exactly_once(tmp_path):
     spec_dict = flaky_campaign(tmp_path, "flaky")
     store_path = tmp_path / "store.sqlite"
 
-    first = run_campaign(spec_dict, store_path=store_path)
+    # chunk_size=1: every group is one point.  (Grouped, the failed group
+    # attempt would consume the marker and the per-point fallback succeed.)
+    first = run_campaign(spec_dict, store_path=store_path, chunk_size=1)
     assert first.executed == 2
     assert first.failed == 1  # seed 0 builds the marker and fails
     with CampaignStore(store_path) as store:

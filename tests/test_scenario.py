@@ -21,7 +21,7 @@ from repro.scenario import (
     run_scenario,
     run_scenario_dict,
 )
-from repro.scenario.schemes import CachedCandidatePaths
+from repro.scenario.timeline import GroupComputeCache
 
 
 def tiny_fattree_spec(**overrides):
@@ -268,44 +268,42 @@ def test_programmatic_overrides_take_precedence():
 # --------------------------------------------------------------------- #
 
 
-def test_greente_interval_solver_caches_candidates(monkeypatch):
-    import repro.scenario.schemes as schemes_module
+def test_greente_interval_solver_caches_candidates():
     from repro.experiments.common import greente_interval_solver
+    from repro.obs import metrics
     from repro.power.commodity import CommoditySwitchPowerModel
     from repro.topology.fattree import build_fattree, hosts
     from repro.traffic.matrix import TrafficMatrix
 
-    calls = []
-    original = schemes_module.k_shortest_paths_all_pairs
-
-    def counting(topology, k, pairs=None):
-        calls.append(tuple(sorted(pairs)))
-        return original(topology, k, pairs=pairs)
-
-    monkeypatch.setattr(schemes_module, "k_shortest_paths_all_pairs", counting)
-
+    enumerated = metrics.counter("repro_candidate_paths_enumerated_total")
+    before = enumerated.value
     topology = build_fattree(4)
     model = CommoditySwitchPowerModel(ports_at_peak=4)
     host_names = hosts(topology)
     pairs = [(host_names[0], host_names[4]), (host_names[1], host_names[5])]
     solver = greente_interval_solver(k=3)
     first = solver(topology, model, TrafficMatrix.uniform(pairs, 1e8))
+    after_first = enumerated.value
     second = solver(topology, model, TrafficMatrix.uniform(pairs, 2e8))
-    assert len(calls) == 1  # candidates computed once, reused across intervals
+    # Candidates enumerated once (3 per pair), reused across intervals.
+    assert after_first - before == 6 and enumerated.value == after_first
     assert first.active_nodes and second.active_nodes
 
 
 def test_cached_candidates_reset_on_new_topology():
     from repro.topology.fattree import build_fattree, hosts
 
-    cache = CachedCandidatePaths(k=2)
+    cache = GroupComputeCache()
     first_topology = build_fattree(4)
     host_names = hosts(first_topology)
     pairs = [(host_names[0], host_names[4])]
-    first = cache.for_pairs(first_topology, pairs)
-    assert cache.for_pairs(first_topology, pairs) is first
-    second_topology = build_fattree(4)
-    assert cache.for_pairs(second_topology, pairs) is not first
+    first = cache.candidate_paths(first_topology)
+    assert cache.candidate_paths(first_topology) is first
+    assert first.for_pairs(pairs, 2) == first.for_pairs(pairs, 2)
+    assert first.paths_enumerated == 2
+    # A new topology object (e.g. a failure view) gets its own provider.
+    second = cache.candidate_paths(build_fattree(4))
+    assert second is not first and second.paths_enumerated == 0
 
 
 # --------------------------------------------------------------------- #

@@ -481,7 +481,7 @@ def test_job_manager_refuses_resubmitting_a_running_campaign(tmp_path):
     # rather than race two fleets' error-reset phases.
     campaign_id = spec.campaign_id()
     manager._jobs[campaign_id] = CampaignJob(
-        campaign_id=campaign_id, name=spec.name, workers=1, batch=False, state=RUNNING
+        campaign_id=campaign_id, name=spec.name, workers=1, state=RUNNING
     )
     with pytest.raises(ServiceError) as excinfo:
         manager.submit(campaign_request({"spec": campaign_dict()}))
@@ -491,13 +491,13 @@ def test_job_manager_refuses_resubmitting_a_running_campaign(tmp_path):
 def test_campaign_request_validation():
     assert campaign_request(campaign_dict()).workers == 1  # bare-spec form
     wrapped = campaign_request(
-        {"spec": campaign_dict(), "workers": 3, "batch": True, "max_points": 2}
+        {"spec": campaign_dict(), "workers": 3, "chunk_size": 4, "max_points": 2}
     )
-    assert (wrapped.workers, wrapped.batch, wrapped.max_points) == (3, True, 2)
+    assert (wrapped.workers, wrapped.chunk_size, wrapped.max_points) == (3, 4, 2)
     for broken in (
         {"spec": campaign_dict(), "workers": 0},
         {"spec": campaign_dict(), "workers": True},
-        {"spec": campaign_dict(), "batch": "yes"},
+        {"spec": campaign_dict(), "batch": True},  # retired: grouping is the drain
         {"spec": campaign_dict(), "max_points": -1},
         {"spec": campaign_dict(), "chunk_size": 0},
         {"spec": campaign_dict(), "lease_seconds": 0},
@@ -506,6 +506,12 @@ def test_campaign_request_validation():
     ):
         with pytest.raises(ServiceError):
             campaign_request(broken)
+    with pytest.raises(ServiceError) as excinfo:
+        campaign_request({"spec": campaign_dict(), "batch": True})
+    assert excinfo.value.status == 400
+    assert "expected workers, max_points, chunk_size, lease_seconds" in str(
+        excinfo.value
+    )
 
 
 def test_scenario_and_query_validators():

@@ -343,7 +343,6 @@ def test_event_free_timeline_is_bit_identical_to_cold_replay():
         built.trace.matrices(),
         k=5,
         utilisation_limit=1.0,
-        pairs=built.pairs,
         ordering="stable",
     )
     expected = [
@@ -434,20 +433,27 @@ def test_solver_runtime_memoises_unchanged_intervals(monkeypatch):
 
 
 def test_candidate_paths_survive_across_timeline_steps(monkeypatch):
-    import repro.scenario.schemes as schemes_module
+    import repro.scenario.timeline as timeline_module
+    from repro.scenario.engine import run_built_scenario
 
-    calls = []
-    original = schemes_module.k_shortest_paths_all_pairs
+    providers = []
 
-    def counting(topology, k, pairs=None):
-        calls.append(topology.name)
-        return original(topology, k, pairs=pairs)
+    class Recording(timeline_module.CandidatePaths):
+        def __init__(self, topology):
+            super().__init__(topology)
+            providers.append(self)
 
-    monkeypatch.setattr(schemes_module, "k_shortest_paths_all_pairs", counting)
-    run_scenario(geant_failure_spec(schemes=(SchemeSpec("greente"),)))
-    # One candidate computation on the intact topology, one on the degraded
-    # view — never one per interval.
-    assert calls == ["geant", "geant-degraded"]
+    monkeypatch.setattr(timeline_module, "CandidatePaths", Recording)
+    built = build_scenario(geant_failure_spec(schemes=(SchemeSpec("greente"),)))
+    run_built_scenario(built)
+    # One provider on the intact topology, one on the degraded view — and
+    # each pair's five paths enumerated once per provider, never per interval.
+    assert [provider.topology.name for provider in providers] == [
+        "geant",
+        "geant-degraded",
+    ]
+    for provider in providers:
+        assert 0 < provider.paths_enumerated <= 5 * len(built.pairs)
 
 
 def test_plain_callable_scheme_component_is_rejected():
