@@ -13,10 +13,10 @@ JSON document and one resumable command:
   Multi-process safe: WAL + busy timeout, atomic chunk transactions,
   read-only connections and a lease protocol for cooperative workers.
 * :func:`~repro.campaign.run.run_campaign` — executes the missing points
-  through the sweep runner's error-isolating chunked process-pool backend
-  (or, with ``worker_id``, joins a shared drain as one lease-holding
-  worker); :func:`~repro.campaign.run.run_campaign_workers` forks N such
-  workers that drain one grid together with crash recovery.
+  through the one lease-worker drain: claims are grouped by network
+  signature, every group is evaluated as one problem and committed
+  atomically.  One worker runs in-process, ``workers=N`` forks a fleet with
+  crash recovery, ``worker_id`` joins a shared drain by hand.
 * :mod:`~repro.campaign.report` — filter/aggregate stored rows, per-scheme
   summary tables, scheme dominance and deviation-from-best over the grid
   (via :mod:`repro.analysis`), CSV/JSON export.
@@ -40,12 +40,7 @@ from .report import (
     scheme_dominance,
     summarise,
 )
-from .run import (
-    DEFAULT_LEASE_SECONDS,
-    CampaignRunSummary,
-    run_campaign,
-    run_campaign_workers,
-)
+from .run import DEFAULT_LEASE_SECONDS, CampaignRunSummary, run_campaign
 from .spec import AXIS_KEYS, CAMPAIGN_SCHEMA_VERSION, CampaignPoint, CampaignSpec
 from .store import (
     STORE_SCHEMA_VERSION,
@@ -73,7 +68,6 @@ __all__ = [
     "rows_to_csv",
     "rows_to_json",
     "run_campaign",
-    "run_campaign_workers",
     "scheme_dominance",
     "summarise",
 ]

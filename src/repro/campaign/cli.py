@@ -3,8 +3,9 @@
 Dispatched from ``python -m repro.experiments``:
 
 * ``run-campaign`` — expand a campaign spec and execute (or resume) it
-  against a SQLite results store; ``--workers N`` forks N cooperative
-  lease-holding workers, ``--worker-id`` joins a shared drain by hand.
+  against a SQLite results store through one lease-holding worker;
+  ``--workers N`` forks N of them, ``--worker-id`` joins a shared drain by
+  hand.
 * ``campaign-status`` — show stored campaigns, their point statuses and
   any live worker leases (opens the store read-only).
 * ``campaign-report`` — aggregate stored results (summary tables, scheme
@@ -31,7 +32,7 @@ from .report import (
     scheme_dominance,
     summarise,
 )
-from .run import DEFAULT_LEASE_SECONDS, run_campaign, run_campaign_workers
+from .run import DEFAULT_LEASE_SECONDS, run_campaign
 from .spec import CampaignSpec
 from .store import CampaignStore
 
@@ -67,17 +68,15 @@ def _run_campaign_command(argv: Sequence[str]) -> int:
     parser.add_argument(
         "--store", default="campaign.sqlite", help="SQLite results store (default: %(default)s)"
     )
-    parser.add_argument("--parallel", action="store_true", help="fan out over processes")
-    parser.add_argument("--processes", type=int, default=None, help="pool size")
     parser.add_argument(
         "--workers",
         type=int,
-        default=None,
+        default=1,
         metavar="N",
         help=(
             "fork N cooperative workers that drain the grid together via "
             "store leases (crash-safe: a killed worker's points are "
-            "reclaimed by the others)"
+            "reclaimed by the others; default: one in-process worker)"
         ),
     )
     parser.add_argument(
@@ -96,8 +95,8 @@ def _run_campaign_command(argv: Sequence[str]) -> int:
         default=DEFAULT_LEASE_SECONDS,
         metavar="S",
         help=(
-            "worker mode: how long a claimed batch stays leased without "
-            "renewal before peers may reclaim it (default: %(default)s)"
+            "how long claimed points stay leased without renewal before "
+            "peers may take them over (default: %(default)s)"
         ),
     )
     parser.add_argument(
@@ -105,11 +104,10 @@ def _run_campaign_command(argv: Sequence[str]) -> int:
         type=int,
         default=None,
         help=(
-            "points taken up per chunk (per claim with workers); each chunk "
-            "is grouped by topology/power/routing signature and every group "
-            "is evaluated as one problem and committed atomically — the "
-            "durability/memory bound (default: all pending points, 1 per "
-            "claim in worker mode)"
+            "points per claim; each claim is grouped by topology/power/"
+            "routing signature and every group is evaluated as one problem "
+            "and committed atomically — the durability/memory bound "
+            "(default: pending points / workers, 1 with --worker-id)"
         ),
     )
     parser.add_argument(
@@ -117,11 +115,6 @@ def _run_campaign_command(argv: Sequence[str]) -> int:
         type=int,
         default=None,
         help="execute at most this many new points, then stop",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="also read/write the sweep runner's per-point pickle cache",
     )
     parser.add_argument(
         "--trace",
@@ -141,64 +134,21 @@ def _run_campaign_command(argv: Sequence[str]) -> int:
     parser.add_argument("--json", action="store_true", help="print the summary as JSON")
     args = parser.parse_args(argv)
 
-    if args.workers is not None and args.workers < 1:
-        parser.error(f"--workers must be >= 1, got {args.workers}")
-    if args.lease_seconds <= 0:
-        parser.error(
-            f"--lease-seconds must be > 0, got {args.lease_seconds:g} "
-            "(a non-positive lease is born expired, so every worker would "
-            "claim the same points)"
-        )
-    exclusive = [
-        flag
-        for flag, given in (
-            ("--workers", args.workers is not None),
-            ("--worker-id", args.worker_id is not None),
-            ("--parallel", args.parallel),
-        )
-        if given
-    ]
-    if len(exclusive) > 1:
-        parser.error(
-            f"{' and '.join(exclusive)} are mutually exclusive: --parallel "
-            "pools point execution in one invocation, --workers forks "
-            "cooperating invocations, --worker-id joins as one of them"
-        )
-    if args.profile and args.parallel:
-        parser.error(
-            "--profile and --parallel are mutually exclusive: profiling "
-            "instruments in-process execution (combine --profile with "
-            "--workers instead)"
-        )
-
     if args.trace:
         trace.configure_tracing(args.trace)
     try:
-        spec = _load_campaign_spec(args.spec)
-        if args.workers is not None:
-            summary = run_campaign_workers(
-                spec,
-                store_path=args.store,
-                workers=args.workers,
-                chunk_size=args.chunk_size,
-                max_points=args.max_points,
-                sweep_cache_dir=args.cache_dir,
-                lease_seconds=args.lease_seconds,
-                profile=args.profile,
-            )
-        else:
-            summary = run_campaign(
-                spec,
-                store_path=args.store,
-                parallel=args.parallel,
-                processes=args.processes,
-                chunk_size=args.chunk_size,
-                max_points=args.max_points,
-                sweep_cache_dir=args.cache_dir,
-                worker_id=args.worker_id,
-                lease_seconds=args.lease_seconds,
-                profile=args.profile,
-            )
+        # Range checks and the --workers x --worker-id exclusion live in
+        # run_campaign; its ConfigurationError becomes a usage error.
+        summary = run_campaign(
+            _load_campaign_spec(args.spec),
+            store_path=args.store,
+            workers=args.workers,
+            worker_id=args.worker_id,
+            chunk_size=args.chunk_size,
+            max_points=args.max_points,
+            lease_seconds=args.lease_seconds,
+            profile=args.profile,
+        )
     except ConfigurationError as error:
         parser.error(str(error))
     finally:
@@ -221,15 +171,10 @@ def _run_campaign_command(argv: Sequence[str]) -> int:
         f"{summary.remaining} remaining"
     )
     if summary.executed:
-        if summary.workers > 1:
-            mode = f"{summary.workers} workers"
-        elif summary.worker_id is not None:
-            mode = "worker"
-        else:
-            mode = "parallel" if summary.parallel else "serial"
+        fleet = "1 worker" if summary.workers == 1 else f"{summary.workers} workers"
         print(
             f"elapsed: {summary.elapsed_s:.2f}s "
-            f"({summary.points_per_second:.2f} points/s, {mode})"
+            f"({summary.points_per_second:.2f} points/s, {fleet})"
         )
     for error in summary.errors:
         print(f"  FAILED {error}")

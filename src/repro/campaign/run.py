@@ -1,70 +1,69 @@
 """Resumable campaign execution against the results store.
 
-:func:`run_campaign` expands a :class:`~repro.campaign.spec.CampaignSpec`
-into its grid, registers it in the :class:`~repro.campaign.store.CampaignStore`
-and executes only the points whose config hash has no stored result yet.
-In-process execution follows one rule (:func:`_evaluate_groups`): the points
-to run are cut into chunks, each chunk is grouped by
-:func:`~repro.experiments.runner.batch_signature`, every group is evaluated
-as one problem that computes its offline half — built stack, candidate
-paths, REsPoNse plans — once, and every group's outcomes are persisted in a
-**single transaction** before the next group starts.  Killing a run
-therefore loses at most the group in flight (never part of one), and
-re-invoking it completes exactly the missing points: the store ends up
-bit-for-bit identical (modulo wall-clock fields) to an uninterrupted run,
-and to a ``chunk_size=1`` drain in which every group is a single point.
-``parallel=True`` instead fans points out over the sweep runner's ``fork``
-pool (:func:`repro.experiments.runner.iter_outcome_chunks`), one transaction
-per pool round.
+There is one way to execute a campaign's points — a lease worker's drain
+(:meth:`PreparedDrain.drain`): claim pending points from the
+:class:`~repro.campaign.store.CampaignStore` under a lease → cut the claim
+into groups that declare the same topology, power and routing
+(:func:`~repro.scenario.engine.group_signature`) → evaluate every group as
+one problem that computes its offline half — built stack, candidate paths,
+REsPoNse plans — once → persist the group's outcomes in a **single
+transaction** → renew the lease on what is left of the claim → claim again.
+Killing a drain therefore loses at most the group in flight (never part of
+one), and re-invoking it completes exactly the missing points: the store
+ends up bit-for-bit identical (modulo wall-clock fields) to an
+uninterrupted run, and to a ``chunk_size=1`` drain in which every group is
+a single point.
 
-Multi-worker drains
--------------------
-
-Passing ``worker_id`` switches :func:`run_campaign` into **cooperative
-worker mode**: instead of computing a pending list up-front, the worker
-repeatedly claims small chunks of points from the store under a lease
-(:meth:`~repro.campaign.store.CampaignStore.claim_points`), evaluates each
-claim by the same rule while heartbeating the lease, and commits each group
-atomically.  N such workers — separate invocations on separate terminals,
-or the :func:`run_campaign_workers` convenience that forks them — drain
-one grid together with no coordination beyond the store itself.  A worker
-that crashes simply stops renewing its lease; its points become claimable
-again once the lease expires, so the survivors finish the grid and the
-final store is bit-identical to a serial run.
+:func:`run_campaign` is the one entry.  Its prepare step
+(:func:`prepare_campaign`) expands the grid, registers it, adopts results
+other campaigns already stored under the same config hash and flips earlier
+invocations' failures back to pending — exactly once, whatever the number
+of workers.  Then one in-process worker runs the drain, or ``workers`` of
+them are forked; the service's job manager runs the same prepared drain on
+threads.  Workers coordinate through the store alone, so separate
+invocations (``worker_id``) on other terminals or hosts sharing the file
+join the same drain.  A worker that crashes simply stops renewing its
+lease; its points become claimable again once the lease expires, so the
+survivors — or the next invocation — finish the grid.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import os
 import time
+import traceback
 from dataclasses import dataclass, field
 from multiprocessing import get_all_start_methods, get_context
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from ..exceptions import ConfigurationError
-from ..experiments.runner import (
-    PointOutcome,
-    execute_scenario_batch,
-    iter_outcome_chunks,
-    plan_point_batches,
-    suggest_chunk_size,
+from ..obs import metrics, trace
+from ..scenario.engine import (
+    ScenarioResult,
+    build_scenario_group,
+    group_signature,
+    run_built_scenarios_batch,
 )
-from ..obs import trace
-from ..scenario.engine import ScenarioResult
 from .spec import CampaignPoint, CampaignSpec
 from .store import CampaignStore, PointRecord
 
 _LOGGER = logging.getLogger(__name__)
 
+_BATCH_GROUP_FALLBACKS = metrics.counter(
+    "repro_batch_group_fallbacks_total",
+    "Batched scenario groups that fell back to per-point execution",
+)
+
 #: How long a worker's claim on a batch of points lasts without renewal.
-#: Leases are renewed after every point execution, so this only needs to
-#: exceed the slowest single point by a margin.
+#: Leases are renewed after every group, so this only needs to exceed the
+#: slowest single group by a margin.
 DEFAULT_LEASE_SECONDS = 60.0
 
 #: How long an idle worker sleeps before re-checking for claimable points
 #: (it only waits while peers still hold live leases on pending points).
-DEFAULT_POLL_SECONDS = 0.2
+_POLL_SECONDS = 0.2
 
 
 @dataclass
@@ -87,11 +86,10 @@ class CampaignRunSummary:
             ``max_points`` bound, failures, or points other workers still
             hold).
         elapsed_s: Wall-clock time spent executing points.
-        parallel: Whether the run fanned out over worker processes.
-        workers: How many cooperating worker processes drained the grid
-            (1 for plain and single-worker invocations).
-        worker_id: This invocation's worker identity in the lease
-            protocol, ``None`` outside worker mode.
+        workers: How many workers this invocation drained the grid with
+            (1 in-process, more forked).
+        worker_id: The identity this invocation joined a shared drain
+            under, ``None`` when the worker ids were generated.
     """
 
     campaign_id: str
@@ -104,7 +102,6 @@ class CampaignRunSummary:
     failed: int = 0
     remaining: int = 0
     elapsed_s: float = 0.0
-    parallel: bool = False
     workers: int = 1
     worker_id: Optional[str] = None
     errors: List[str] = field(default_factory=list)
@@ -130,7 +127,6 @@ class CampaignRunSummary:
             "remaining": self.remaining,
             "elapsed_s": self.elapsed_s,
             "points_per_second": self.points_per_second,
-            "parallel": self.parallel,
             "workers": self.workers,
             "worker_id": self.worker_id,
             "errors": list(self.errors),
@@ -148,106 +144,132 @@ def _coerce_campaign(spec: Any) -> CampaignSpec:
     )
 
 
-def _outcome_record(
-    point: CampaignPoint,
-    outcome: PointOutcome,
-    phases: Optional[Dict[str, float]] = None,
-) -> PointRecord:
-    """Turn one executed outcome into its persistable record.
+@dataclass
+class WorkerTally:
+    """What one worker's drain executed (failures are recorded, not raised)."""
 
-    Besides passing failures through, this guards the store's resume
-    bookkeeping: a result whose config hash disagrees with the expanded
-    point's would silently corrupt the idempotency key, so it is recorded
-    as a failure instead.
+    executed: int = 0
+    failed: int = 0
+    errors: List[str] = field(default_factory=list)
+
+
+def claim_size(
+    pending: int, workers: Optional[int], chunk_size: Optional[int] = None
+) -> int:
+    """How many points one claim takes — the one default, from what is known.
+
+    An explicit *chunk_size* always wins: it is the durability and memory
+    bound.  Otherwise a launcher that knows its fleet splits what is pending
+    evenly, ``ceil(pending / workers)`` — a lone drain claims the whole
+    pending list, so its groups are as large as the grid allows — and a
+    worker that joins under its own id (``workers is None``: the fleet's
+    size is unknown) claims one point at a time, leaving the rest to
+    whoever else joins.
     """
-    if not outcome.ok:
-        return PointRecord(
-            point=point,
-            error=outcome.error,
-            elapsed_s=outcome.elapsed_s,
-            phases=phases,
-        )
-    result = outcome.value
-    if not isinstance(result, ScenarioResult):
-        result = ScenarioResult.from_dict(result)
-    if result.config_hash != point.config_hash:
-        message = (
-            f"result config hash {result.config_hash} does not match "
-            f"the expanded point's {point.config_hash}"
-        )
-        return PointRecord(point=point, error=message, elapsed_s=outcome.elapsed_s)
-    return PointRecord(
-        point=point, result=result, elapsed_s=outcome.elapsed_s, phases=phases
+    if chunk_size is not None:
+        return chunk_size
+    if workers is None:
+        return 1
+    return max(1, -(-pending // workers))
+
+
+def _plan_groups(points: Sequence[CampaignPoint]) -> List[List[CampaignPoint]]:
+    """Partition a claim into the groups that are evaluated as one problem.
+
+    Points sharing a :func:`~repro.scenario.engine.group_signature` land in
+    one group; a point with none (an eventful scenario) is a group of one.
+    Groups are ordered by first occurrence and keep grid order inside, so a
+    drain visits points in the same order whatever the claim size.
+    """
+    groups: Dict[Any, List[CampaignPoint]] = {}
+    for point in points:
+        signature = group_signature(point.spec)
+        key = ("solo", point.index) if signature is None else ("group", signature)
+        groups.setdefault(key, []).append(point)
+    return list(groups.values())
+
+
+def _run_group(points: Sequence[CampaignPoint]) -> List[ScenarioResult]:
+    """Build a group's scenarios as one stack and run them in one pass."""
+    return run_built_scenarios_batch(
+        build_scenario_group([point.spec for point in points])
     )
 
 
-def _shared_phases(
-    collector: trace.PhaseCollector, elapsed_s: float, count: int
-) -> Dict[str, float]:
-    """A group's phase totals split evenly across its points.
+def _group_records(points: Sequence[CampaignPoint]) -> List[PointRecord]:
+    """Evaluate one group, isolating failures to the points that caused them.
 
-    Mirrors the group's ``elapsed_s``-share semantics: each point carries
-    ``1/count`` of every phase, so per-point rows still sum to the group
-    (a singleton group carries its own phases whole).
+    Any failure inside a group of several (one bad spec, a scheme error)
+    re-runs its points as groups of one, so every point keeps its own
+    traceback; a group of one that fails is that point's ``error`` record.
+    A group's wall-clock is split evenly across its points.
     """
-    share = max(1, count)
-    return {
-        phase: seconds / share
-        for phase, seconds in collector.phases(elapsed_s).items()
-    }
-
-
-def _evaluate_groups(
-    points: Sequence[CampaignPoint],
-    sweep_cache_dir: Optional[Union[str, os.PathLike]],
-    profile: bool,
-) -> Iterator[List[PointRecord]]:
-    """The one in-process drain rule: evaluate *points* group by group.
-
-    The points are grouped by
-    :func:`~repro.experiments.runner.plan_point_batches` and every group
-    runs as one shared evaluation
-    (:func:`~repro.experiments.runner.execute_scenario_batch`, which falls
-    back to per-point execution on any group failure); each group's records
-    are yielded as soon as it finishes so the caller can commit it
-    atomically.  A group of one is per-point execution.
-    """
-    sweep_points = [point.spec.sweep_point() for point in points]
-    for group in plan_point_batches(sweep_points):
-        group_points = [sweep_points[index] for index in group]
-        phases = None
-        if profile:
-            collector = trace.PhaseCollector()
-            group_start = time.perf_counter()
-            with trace.collect(collector):
-                outcomes = execute_scenario_batch(group_points, sweep_cache_dir)
-            phases = _shared_phases(
-                collector, time.perf_counter() - group_start, len(group)
-            )
+    start = time.perf_counter()
+    try:
+        results = _run_group(points)
+    except Exception:
+        if len(points) == 1:
+            return [
+                PointRecord(
+                    point=points[0],
+                    error=traceback.format_exc(),
+                    elapsed_s=time.perf_counter() - start,
+                )
+            ]
+        _BATCH_GROUP_FALLBACKS.inc()
+        return [record for point in points for record in _group_records([point])]
+    share = (time.perf_counter() - start) / len(points)
+    records = []
+    for point, result in zip(points, results, strict=True):
+        if result.config_hash == point.config_hash:
+            records.append(PointRecord(point=point, result=result, elapsed_s=share))
         else:
-            outcomes = execute_scenario_batch(group_points, sweep_cache_dir)
-        yield [
-            _outcome_record(points[index], outcome, phases=phases)
-            for index, outcome in zip(group, outcomes, strict=True)
-        ]
+            # Guards the store's resume bookkeeping: a result filed under
+            # another hash would silently corrupt the idempotency key.
+            message = (
+                f"result config hash {result.config_hash} does not match "
+                f"the expanded point's {point.config_hash}"
+            )
+            records.append(PointRecord(point=point, error=message, elapsed_s=share))
+    return records
+
+
+def _evaluate_group(
+    points: Sequence[CampaignPoint], profile: bool
+) -> List[PointRecord]:
+    """One group's persistable records, with its phase timings when profiled.
+
+    A group's phase totals are split evenly across its points, mirroring
+    the ``elapsed_s`` share: per-point rows still sum to the group, and a
+    group of one carries its own phases whole.
+    """
+    if not profile:
+        return _group_records(points)
+    collector = trace.PhaseCollector()
+    start = time.perf_counter()
+    with trace.collect(collector):
+        records = _group_records(points)
+    totals = collector.phases(time.perf_counter() - start)
+    phases = {phase: seconds / len(points) for phase, seconds in totals.items()}
+    return [dataclasses.replace(record, phases=phases) for record in records]
 
 
 def _commit(
     store: CampaignStore,
     campaign_id: str,
-    summary: CampaignRunSummary,
+    tally: WorkerTally,
     records: List[PointRecord],
 ) -> None:
-    """Tally one group's (or pool chunk's) records and persist them atomically.
+    """Tally one group's records and persist them atomically.
 
     One transaction per call: a kill between rows never leaves a partially
     persisted group behind.
     """
     for record in records:
-        summary.executed += 1
+        tally.executed += 1
         if record.error is not None:
-            summary.failed += 1
-            summary.errors.append(
+            tally.failed += 1
+            tally.errors.append(
                 f"{record.point.name}: {record.error.strip().splitlines()[-1]}"
             )
             _LOGGER.warning(
@@ -256,372 +278,271 @@ def _commit(
     store.record_chunk(campaign_id, records)
 
 
-def _drain_as_worker(
-    store: CampaignStore,
-    campaign_id: str,
-    by_hash: Dict[str, CampaignPoint],
-    summary: CampaignRunSummary,
-    worker_id: str,
-    lease_seconds: float,
-    chunk_size: int,
-    max_points: Optional[int],
-    sweep_cache_dir: Optional[Union[str, os.PathLike]],
-    poll_seconds: float,
-    profile: bool = False,
-) -> None:
-    """The cooperative drain loop of one lease-holding worker.
+@dataclass(frozen=True)
+class PreparedDrain:
+    """A campaign registered in its store, with every worker's share fixed.
 
-    Claim up to *chunk_size* points → evaluate the claim group by group
-    (:func:`_evaluate_groups`), committing each group in one transaction and
-    renewing the lease on what is left of the claim → repeat.  When nothing
-    is claimable but pending points remain, they are leased to peers: the
-    worker polls until they complete, error out, or their leases expire
-    (the crash-recovery path, where this worker reclaims them).
+    What :func:`prepare_campaign` hands to a launcher: :func:`run_campaign`
+    calls :meth:`drain` in-process or from forked children, the service's
+    job manager from threads — that choice is the only difference between
+    them.
+
+    Attributes:
+        store_path: Where the results store lives.
+        campaign_id: The campaign's stable identity in the store.
+        name: The campaign name.
+        points: The expanded grid.
+        completed_before: Points already ``done`` after the prepare step
+            (the resume skip set, adopted results included).
+        adopted: Points marked done because another campaign had already
+            stored a result under the same config hash.
+        worker_ids: One lease identity per worker.
+        quotas: Per worker, how many new points it may execute (``None``:
+            no bound) — a ``max_points`` bound split across the workers.
+        claim_size: Points per claim (see :func:`claim_size`).
+        lease_seconds: How long a claim lasts without renewal.
+        profile: Whether workers record phase timings on the point rows.
     """
-    while True:
-        budget = None if max_points is None else max_points - summary.executed
-        if budget is not None and budget <= 0:
-            break
-        limit = chunk_size if budget is None else min(chunk_size, budget)
-        claimed = store.claim_points(campaign_id, worker_id, limit, lease_seconds)
-        if not claimed:
-            if store.status_counts(campaign_id)["pending"] == 0:
-                break
-            # Pending points exist but are leased to live peers.  Wait for
-            # them: they will finish, fail, or stop renewing (crash), and
-            # in every case this loop makes progress next iteration.
-            time.sleep(poll_seconds)
-            continue
-        try:
-            for records in _evaluate_groups(
-                [by_hash[config_hash] for config_hash in claimed],
-                sweep_cache_dir,
-                profile,
-            ):
-                _commit(store, campaign_id, summary, records)
-                # Heartbeat between groups: the lease only expires if this
-                # worker actually stops making progress.
-                store.renew_leases(campaign_id, worker_id, lease_seconds)
-        except BaseException:
-            # Interrupted mid-claim: the group in flight persisted nothing
-            # (record_chunk is atomic), so hand the remaining leases
-            # straight back instead of making peers wait out the expiry.
-            store.release_leases(campaign_id, worker_id)
-            raise
+
+    store_path: str
+    campaign_id: str
+    name: str
+    points: List[CampaignPoint]
+    completed_before: int
+    adopted: int
+    worker_ids: List[str]
+    quotas: List[Optional[int]]
+    claim_size: int
+    lease_seconds: float
+    profile: bool
+
+    def drain(self, index: int) -> WorkerTally:
+        """Run worker *index*: claim → group → evaluate → commit → renew.
+
+        The worker opens its own store connection (one per process or
+        thread) and never registers or resets anything: the prepare step
+        did, once.  When nothing is claimable but pending points remain,
+        they are leased to peers: the worker polls until they complete,
+        error out, or their leases expire (the crash-recovery path, where
+        this worker takes them over).
+        """
+        worker_id = self.worker_ids[index]
+        quota = self.quotas[index]
+        by_hash = {point.config_hash: point for point in self.points}
+        tally = WorkerTally()
+        with CampaignStore(self.store_path, read_only=False) as store:
+            while quota is None or tally.executed < quota:
+                limit = self.claim_size
+                if quota is not None:
+                    limit = min(limit, quota - tally.executed)
+                claimed = store.claim_points(
+                    self.campaign_id, worker_id, limit, self.lease_seconds
+                )
+                if not claimed:
+                    if store.status_counts(self.campaign_id)["pending"] == 0:
+                        break
+                    # Pending points exist but are leased to live peers.
+                    # Wait for them: they will finish, fail, or stop renewing
+                    # (crash), and in every case the next claim makes progress.
+                    time.sleep(_POLL_SECONDS)
+                    continue
+                try:
+                    for group in _plan_groups([by_hash[key] for key in claimed]):
+                        _commit(
+                            store,
+                            self.campaign_id,
+                            tally,
+                            _evaluate_group(group, self.profile),
+                        )
+                        # Heartbeat between groups: the lease only expires if
+                        # this worker actually stops making progress.
+                        store.renew_leases(
+                            self.campaign_id, worker_id, self.lease_seconds
+                        )
+                except BaseException:
+                    # Interrupted mid-claim: the group in flight persisted
+                    # nothing (record_chunk is atomic), so hand the remaining
+                    # leases straight back instead of making peers wait out
+                    # the expiry.
+                    store.release_leases(self.campaign_id, worker_id)
+                    raise
+        return tally
 
 
-def run_campaign(
+def prepare_campaign(
     spec: Any,
     store_path: Union[str, os.PathLike],
-    parallel: bool = False,
-    processes: Optional[int] = None,
+    *,
+    workers: int = 1,
+    worker_id: Optional[str] = None,
     chunk_size: Optional[int] = None,
     max_points: Optional[int] = None,
-    sweep_cache_dir: Optional[Union[str, os.PathLike]] = None,
-    worker_id: Optional[str] = None,
     lease_seconds: float = DEFAULT_LEASE_SECONDS,
-    poll_seconds: float = DEFAULT_POLL_SECONDS,
-    reset_errors: bool = True,
     profile: bool = False,
-) -> CampaignRunSummary:
-    """Execute (or resume) a campaign against a results store.
+) -> PreparedDrain:
+    """Validate the options, register the campaign and fix every worker's share.
 
-    In-process execution follows one rule: the points to run are cut into
-    chunks of *chunk_size*, each chunk is grouped by
-    :func:`~repro.experiments.runner.batch_signature` (points declaring the
-    same topology, power and routing), every group is evaluated as one
-    problem that shares its offline half — built stack, candidate paths,
-    REsPoNse plans, repeated solves — and commits in one transaction.
-    Results are bit-identical to per-point execution (a chunk of one).
+    The once-per-invocation half of :func:`run_campaign` (which documents
+    the arguments).  Registration, result adoption and the retry of earlier
+    invocations' failures happen here and nowhere else — a worker that
+    reset ``error`` points itself could flip a point a fast peer *just*
+    failed back to pending and retry it within the same drain — and the
+    store is closed again before any worker starts: SQLite connections
+    must never cross a fork.
 
-    Args:
-        spec: A :class:`CampaignSpec` or its dict form.
-        store_path: The SQLite store file (created if missing).
-        parallel: Fan points out over a ``fork`` process pool instead
-            (plain mode only — workers execute their claims in-process).
-        processes: Pool size (default: CPU count, bounded by the grid).
-        chunk_size: Points taken up per chunk (per claim in worker mode) —
-            the one durability and memory bound: a kill loses at most the
-            group in flight, and a chunk's largest group is what stays
-            resident until its commit.  Defaults to the whole pending list
-            in a plain drain, to one point per claim in worker mode
-            (:func:`run_campaign_workers` passes a claim-spreading size
-            computed by :func:`~repro.experiments.runner.suggest_chunk_size`)
-            and to the pool size in parallel, where a chunk is what one
-            pool round persists.
-        max_points: Execute at most this many new points, then return with
-            ``remaining > 0`` — a bounded slice of a long campaign (and the
-            deterministic stand-in for a killed run in tests).
-        worker_id: Join the campaign as one cooperative worker under this
-            identity: claim points under a lease instead of executing a
-            precomputed pending list, so N invocations with distinct
-            worker ids drain one grid together (see
-            :func:`run_campaign_workers` for the fork-them-all wrapper).
-        lease_seconds: Worker mode: how long a claim lasts without renewal
-            (renewed after every group).
-        poll_seconds: Worker mode: idle re-check interval while peers hold
-            the remaining pending points.
-        reset_errors: Worker mode: flip unleased ``error`` points back to
-            ``pending`` at startup so previous invocations' failures are
-            retried.  :func:`run_campaign_workers` performs this reset
-            once before forking and passes ``False`` here — otherwise a
-            late-starting worker could flip a point a fast peer *just*
-            failed back to pending and retry it within the same fleet
-            invocation.
-        profile: Collect a phase-timing breakdown
-            (build/calibrate/solve/allocate/overhead) and persist it on
-            the point rows (``phases_json``) for ``campaign-report
-            --timings``.  In-process execution only — mutually exclusive
-            with ``parallel``.  A group's phase totals are split evenly
-            across its points, mirroring the ``elapsed_s`` share.
-
-    Returns:
-        A :class:`CampaignRunSummary`.  Point failures are recorded in the
-        store (status ``error``) and counted, never raised; re-invoking the
-        campaign retries them.
+    Raises:
+        ConfigurationError: On an out-of-range option, ``worker_id``
+            combined with ``workers > 1``, or an invalid spec.
     """
-    if worker_id is not None and parallel:
+    if workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
+    if worker_id is not None and workers > 1:
         raise ConfigurationError(
-            "worker mode executes its claims in-process; drop parallel=True "
-            "and start more workers instead"
-        )
-    if profile and parallel:
-        raise ConfigurationError(
-            "profiling instruments in-process execution; drop parallel=True "
-            "(combine profile with workers instead)"
+            "workers and worker_id are mutually exclusive: workers forks a "
+            "fleet under generated ids, worker_id joins a drain as one worker"
         )
     if max_points is not None and max_points < 0:
         raise ConfigurationError(f"max_points must be >= 0, got {max_points}")
     if chunk_size is not None and chunk_size < 1:
         raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
     if lease_seconds <= 0:
-        # A non-positive lease is born expired: every peer would claim the
-        # same points and the protocol degrades to duplicate work.
-        raise ConfigurationError(f"lease_seconds must be > 0, got {lease_seconds}")
-    campaign = _coerce_campaign(spec)
-    points = campaign.expand()
-    with CampaignStore(store_path, read_only=False) as store:
-        campaign_id = store.register_campaign(campaign, points)
-        adopted = store.adopt_existing_results(campaign_id)
-        if worker_id is not None and reset_errors:
-            # Retry earlier invocations' failures, exactly like the plain
-            # resume path re-executes error points.
-            store.reset_error_points(campaign_id)
-        statuses = store.point_statuses(campaign_id)
-        pending: List[CampaignPoint] = [
-            point for point in points if statuses.get(point.config_hash) != "done"
-        ]
-        summary = CampaignRunSummary(
-            campaign_id=campaign_id,
-            name=campaign.name,
-            store_path=str(store.path),
-            total_points=len(points),
-            completed_before=len(points) - len(pending),
-            adopted=adopted,
-            parallel=parallel,
-            worker_id=worker_id,
+        raise ConfigurationError(
+            f"lease_seconds must be > 0, got {lease_seconds:g} (a non-positive "
+            "lease is born expired, so every worker would claim the same points)"
         )
-        if worker_id is None and max_points is not None:
-            pending = pending[:max_points]
-        start = time.perf_counter()
-        if worker_id is not None:
-            _drain_as_worker(
-                store,
-                campaign_id,
-                {point.config_hash: point for point in points},
-                summary,
-                worker_id=worker_id,
-                lease_seconds=lease_seconds,
-                chunk_size=1 if chunk_size is None else chunk_size,
-                max_points=max_points,
-                sweep_cache_dir=sweep_cache_dir,
-                poll_seconds=poll_seconds,
-                profile=profile,
-            )
-        elif parallel:
-            by_hash = {point.config_hash: point for point in pending}
-            for chunk in iter_outcome_chunks(
-                [point.spec.sweep_point() for point in pending],
-                cache_dir=sweep_cache_dir,
-                parallel=True,
-                processes=processes,
-                chunk_size=chunk_size,
-            ):
-                _commit(
-                    store,
-                    campaign_id,
-                    summary,
-                    [
-                        _outcome_record(by_hash[outcome.point.config_hash()], outcome)
-                        for outcome in chunk
-                    ],
-                )
-        else:
-            size = max(1, len(pending)) if chunk_size is None else chunk_size
-            for chunk_start in range(0, len(pending), size):
-                for records in _evaluate_groups(
-                    pending[chunk_start : chunk_start + size], sweep_cache_dir, profile
-                ):
-                    _commit(store, campaign_id, summary, records)
-        summary.elapsed_s = time.perf_counter() - start
-        counts = store.status_counts(campaign_id)
-        summary.remaining = counts["total"] - counts["done"]
-        return summary
-
-
-def _worker_process_entry(args: tuple) -> Dict[str, Any]:
-    """Run one forked worker; module-level so the pool can dispatch it."""
-    (
-        spec_dict,
-        store_path,
-        worker_id,
-        lease_seconds,
-        chunk_size,
-        max_points,
-        sweep_cache_dir,
-        poll_seconds,
-        profile,
-    ) = args
-    summary = run_campaign(
-        spec_dict,
-        store_path=store_path,
-        chunk_size=chunk_size,
-        max_points=max_points,
-        sweep_cache_dir=sweep_cache_dir,
-        worker_id=worker_id,
-        lease_seconds=lease_seconds,
-        poll_seconds=poll_seconds,
-        profile=profile,
-        # The fleet launcher already reset error points once, before any
-        # worker started; resetting again here would race against peers
-        # that have just re-failed a point.
-        reset_errors=False,
-    )
-    return summary.to_dict()
-
-
-def run_campaign_workers(
-    spec: Any,
-    store_path: Union[str, os.PathLike],
-    workers: int,
-    chunk_size: Optional[int] = None,
-    max_points: Optional[int] = None,
-    sweep_cache_dir: Optional[Union[str, os.PathLike]] = None,
-    lease_seconds: float = DEFAULT_LEASE_SECONDS,
-    poll_seconds: float = DEFAULT_POLL_SECONDS,
-    profile: bool = False,
-) -> CampaignRunSummary:
-    """Fork N cooperative workers that drain one campaign together.
-
-    The campaign is registered once up-front (so no worker pays the
-    expansion race), then *workers* processes each run
-    :func:`run_campaign` in worker mode against the shared store.  The
-    returned summary aggregates their work; ``elapsed_s`` is the
-    wall-clock time of the whole drain, so ``points_per_second`` measures
-    the fleet, not one worker.
-
-    Without the ``fork`` start method (or with ``workers=1``) the workers
-    run sequentially in-process — same lease protocol, no concurrency.
-
-    Args:
-        spec: A :class:`CampaignSpec` or its dict form.
-        store_path: The shared SQLite store.
-        workers: How many worker processes to fork.
-        chunk_size: Points per claim — each claim is grouped and evaluated
-            as :func:`run_campaign` describes (default: a claim-spreading
-            size from the pending-point count).
-        max_points: Global bound on newly executed points, split across
-            the workers.
-        sweep_cache_dir: Optional per-point pickle cache shared by all
-            workers (safe: cache publishes are atomic).
-        lease_seconds: Lease duration without renewal.
-        poll_seconds: Idle re-check interval.
-        profile: Each worker records per-point phase timings into the
-            store (see :func:`run_campaign`).
-
-    Returns:
-        The aggregated :class:`CampaignRunSummary` (``workers`` set).
-    """
-    if workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    if lease_seconds <= 0:
-        raise ConfigurationError(f"lease_seconds must be > 0, got {lease_seconds}")
     campaign = _coerce_campaign(spec)
     points = campaign.expand()
-    # Register (and adopt shared results) before forking, with the store
-    # closed again afterwards: SQLite connections must never cross a fork.
-    # Error points are also reset exactly once, here, so the retry of
-    # previous invocations' failures cannot race a late-starting worker
-    # against a fast peer's fresh failure.
     with CampaignStore(store_path, read_only=False) as store:
         campaign_id = store.register_campaign(campaign, points)
         adopted = store.adopt_existing_results(campaign_id)
         store.reset_error_points(campaign_id)
-        counts = store.status_counts(campaign_id)
-    pending_count = counts["total"] - counts["done"]
-    size = (
-        chunk_size
-        if chunk_size is not None
-        else suggest_chunk_size(pending_count, workers=workers)
-    )
-    if size < 1:
-        raise ConfigurationError(f"chunk_size must be >= 1, got {size}")
-    # Split a global max_points bound into per-worker quotas.
+        done = store.status_counts(campaign_id)["done"]
     quotas: List[Optional[int]] = [max_points] * workers
     if max_points is not None:
         quotas = [
             max_points // workers + (1 if index < max_points % workers else 0)
             for index in range(workers)
         ]
-    run_tag = os.getpid()
-    worker_args = [
-        (
-            campaign.to_dict(),
-            str(store_path),
-            f"worker-{run_tag}-{index}",
-            lease_seconds,
-            size,
-            quotas[index],
-            str(sweep_cache_dir) if sweep_cache_dir is not None else None,
-            poll_seconds,
-            profile,
-        )
-        for index in range(workers)
-    ]
-    start = time.perf_counter()
-    if workers > 1 and "fork" in get_all_start_methods():
-        context = get_context("fork")
-        with context.Pool(processes=workers) as pool:
-            worker_summaries = pool.map(_worker_process_entry, worker_args)
-    else:
-        worker_summaries = [_worker_process_entry(args) for args in worker_args]
-    elapsed_s = time.perf_counter() - start
-
-    summary = CampaignRunSummary(
+    return PreparedDrain(
+        store_path=str(store_path),
         campaign_id=campaign_id,
         name=campaign.name,
-        store_path=str(store_path),
-        total_points=len(points),
-        completed_before=counts["done"],
+        points=points,
+        completed_before=done,
         adopted=adopted,
-        executed=sum(entry["executed"] for entry in worker_summaries),
-        failed=sum(entry["failed"] for entry in worker_summaries),
+        worker_ids=(
+            [worker_id]
+            if worker_id is not None
+            else [f"worker-{os.getpid()}-{index}" for index in range(workers)]
+        ),
+        quotas=quotas,
+        claim_size=claim_size(
+            len(points) - done, None if worker_id is not None else workers, chunk_size
+        ),
+        lease_seconds=lease_seconds,
+        profile=profile,
+    )
+
+
+def run_campaign(
+    spec: Any,
+    store_path: Union[str, os.PathLike],
+    *,
+    workers: int = 1,
+    worker_id: Optional[str] = None,
+    chunk_size: Optional[int] = None,
+    max_points: Optional[int] = None,
+    lease_seconds: float = DEFAULT_LEASE_SECONDS,
+    profile: bool = False,
+) -> CampaignRunSummary:
+    """Execute (or resume) a campaign against a results store.
+
+    Every point runs through the lease worker's drain (see the module
+    docstring): claims are grouped by topology, power and routing, every
+    group is evaluated as one problem that shares its offline half — built
+    stack, candidate paths, REsPoNse plans, repeated solves — and commits
+    in one transaction.  Results are bit-identical to per-point execution
+    (``chunk_size=1``) whatever the number of workers.  Points a live peer
+    holds under a lease are left to it: the drain waits for them and takes
+    them over only once the lease has expired.
+
+    Args:
+        spec: A :class:`CampaignSpec` or its dict form.
+        store_path: The SQLite store file (created if missing).
+        workers: How many workers drain the grid: one runs in-process, more
+            are forked and drain it together (without the ``fork`` start
+            method they run one after another in-process — same protocol,
+            no concurrency).
+        worker_id: Join the campaign as one cooperative worker under this
+            identity, so N invocations with distinct ids — on several
+            terminals, or hosts sharing the store file — drain one grid
+            together.  Mutually exclusive with ``workers > 1``.
+        chunk_size: Points per claim — the one durability and memory bound:
+            a kill loses at most the group in flight, and a claim's largest
+            group is what stays resident until its commit.  Default: see
+            :func:`claim_size`.
+        max_points: Execute at most this many new points (split across the
+            workers), then return with ``remaining > 0`` — a bounded slice
+            of a long campaign (and the deterministic stand-in for a killed
+            run in tests).
+        lease_seconds: How long a claim lasts without renewal (renewed
+            after every group).
+        profile: Collect a phase-timing breakdown
+            (build/calibrate/solve/allocate/overhead) and persist it on
+            the point rows (``phases_json``) for ``campaign-report
+            --timings``.
+
+    Returns:
+        A :class:`CampaignRunSummary`; ``elapsed_s`` is the wall-clock of
+        the whole drain, so ``points_per_second`` measures the fleet, not
+        one worker.  Point failures are recorded in the store (status
+        ``error``) and counted, never raised; re-invoking the campaign
+        retries them.
+    """
+    prepared = prepare_campaign(
+        spec,
+        store_path,
+        workers=workers,
+        worker_id=worker_id,
+        chunk_size=chunk_size,
+        max_points=max_points,
+        lease_seconds=lease_seconds,
+        profile=profile,
+    )
+    start = time.perf_counter()
+    if workers > 1 and "fork" in get_all_start_methods():
+        with get_context("fork").Pool(workers) as pool:
+            tallies = pool.map(prepared.drain, range(workers))
+    else:
+        tallies = [prepared.drain(index) for index in range(workers)]
+    elapsed_s = time.perf_counter() - start
+    # A pure read: every worker has exited, so a read-only WAL connection
+    # is enough (and can never stall a late writer).
+    with CampaignStore(store_path, read_only=True) as store:
+        counts = store.status_counts(prepared.campaign_id)
+    return CampaignRunSummary(
+        campaign_id=prepared.campaign_id,
+        name=prepared.name,
+        store_path=prepared.store_path,
+        total_points=len(prepared.points),
+        completed_before=prepared.completed_before,
+        adopted=prepared.adopted,
+        executed=sum(tally.executed for tally in tallies),
+        failed=sum(tally.failed for tally in tallies),
+        remaining=counts["total"] - counts["done"],
         elapsed_s=elapsed_s,
         workers=workers,
-        errors=[error for entry in worker_summaries for error in entry["errors"]],
+        worker_id=worker_id,
+        errors=[error for tally in tallies for error in tally.errors],
     )
-    # A pure read: the fleet has exited, so a read-only WAL connection is
-    # enough (and can never stall a late writer).
-    with CampaignStore(store_path, read_only=True) as store:
-        final = store.status_counts(campaign_id)
-    summary.remaining = final["total"] - final["done"]
-    return summary
 
 
 __all__ = [
     "DEFAULT_LEASE_SECONDS",
-    "DEFAULT_POLL_SECONDS",
     "CampaignRunSummary",
+    "PreparedDrain",
+    "WorkerTally",
+    "claim_size",
+    "prepare_campaign",
     "run_campaign",
-    "run_campaign_workers",
 ]

@@ -9,23 +9,25 @@ results either way.  Every point can be cached to disk keyed by a stable
 hash of its function reference and parameters, so re-running a sweep (or a
 benchmark driver) only pays for points whose configuration changed.
 
-Four layers use this module:
+Three layers use this module:
 
 * the ``fig*`` experiment drivers fan their internal scenario points out
   through a sweep (``run_fig4(parallel=True)`` etc.),
 * the :mod:`benchmarks` drivers thread optional ``parallel``/``cache_dir``
-  settings through to those drivers,
-* the campaign subsystem (:mod:`repro.campaign`) executes expanded scenario
-  grids through the error-isolating group backend
-  (:func:`plan_point_batches` / :func:`execute_scenario_batch` /
-  :class:`PointOutcome`; :func:`iter_outcome_chunks` for its process pool),
-  persisting every group into its SQLite results store, and
+  settings through to those drivers, and
 * the command line: ``python -m repro.experiments fig4 fig7`` runs whole
   figures as sweep points, ``run-scenario`` executes a declarative
   :class:`~repro.scenario.spec.ScenarioSpec` (cached by its config hash),
   ``list-components`` shows the registered scenario building blocks and
-  ``run-campaign``/``campaign-status``/``campaign-report`` drive scenario
-  grids end to end (see :func:`main`).
+  ``run-campaign``/``campaign-status``/``campaign-report``/``serve`` are
+  dispatched to :mod:`repro.campaign` and :mod:`repro.service` (see
+  :func:`main`).
+
+Campaigns do not execute through this module: :mod:`repro.campaign.run`
+evaluates its points' specs directly and the campaign store is its result
+cache.  The pickle cache here serves figure sweeps and ``run-scenario
+--cache-dir`` only — directories this program's user names on its own
+command line.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from typing import (
     Callable,
     Dict,
     Iterable,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -76,10 +77,6 @@ _SWEEP_CACHE_MISSES = metrics.counter(
 )
 _SWEEP_CACHE_CORRUPT = metrics.counter(
     "repro_sweep_cache_corrupt_total", "Corrupt sweep cache entries discarded"
-)
-_BATCH_GROUP_FALLBACKS = metrics.counter(
-    "repro_batch_group_fallbacks_total",
-    "Batched scenario groups that fell back to per-point execution",
 )
 
 #: Bump to invalidate every cached sweep point after incompatible changes.
@@ -344,8 +341,7 @@ class PointOutcome:
     """The error-isolated result of executing one sweep point.
 
     Where :func:`execute_point` propagates exceptions (one bad point sinks
-    the whole sweep), an outcome captures them: batch drivers such as the
-    campaign runner record the failure and keep going.
+    the whole sweep), an outcome captures them.
 
     Attributes:
         point: The executed sweep point.
@@ -370,10 +366,11 @@ def execute_point_outcome(
 ) -> PointOutcome:
     """Run one point, capturing failure and timing instead of raising.
 
-    Like :func:`execute_point` this is the single code path for serial and
-    parallel execution (workers run it directly), but it never raises: a
-    failing point yields an outcome whose ``error`` holds the traceback, so
-    the remaining points of a batch still run.
+    A failing point yields an outcome whose ``error`` holds the traceback.
+    Nothing in ``src/`` calls this any more (campaigns evaluate specs
+    directly); it and :class:`PointOutcome` stay because the benchmark
+    harness's ``experiments.point_ms_p50`` probe, which this repository's
+    PRs may not edit, times ``execute_point_outcome(spec.sweep_point())``.
     """
     start = time.perf_counter()
     try:
@@ -387,198 +384,6 @@ def execute_point_outcome(
     return PointOutcome(
         point=sweep_point, value=value, elapsed_s=time.perf_counter() - start
     )
-
-
-#: The scenario sweep entry point — the only function the batch planner
-#: understands (its single ``spec`` parameter is a full scenario spec dict).
-SCENARIO_POINT_FUNCTION = "repro.scenario.engine:run_scenario_dict"
-
-
-def batch_signature(sweep_point: SweepPoint) -> Optional[str]:
-    """The grouping key under which a point may share a batched evaluation.
-
-    Points with equal signatures declare identical ``topology``, ``power``
-    and ``routing`` sections, so one built network stack can serve them all
-    (see :func:`~repro.scenario.engine.build_scenario_group`).  Returns
-    ``None`` for points the planner must not group: non-scenario points,
-    malformed specs, and eventful scenarios (whose failure-adjusted topology
-    views are per-point state).
-    """
-    if sweep_point.function != SCENARIO_POINT_FUNCTION:
-        return None
-    spec = sweep_point.kwargs().get("spec")
-    if not isinstance(spec, Mapping):
-        return None
-    if spec.get("events"):
-        return None
-    sections = {
-        section: _canonical_value(spec.get(section))
-        for section in ("topology", "power", "routing")
-    }
-    return json.dumps(sections, sort_keys=True, separators=(",", ":"))
-
-
-def plan_point_batches(points: Sequence[SweepPoint]) -> List[List[int]]:
-    """Partition point indices into batchable groups.
-
-    Points sharing a :func:`batch_signature` land in one group; every
-    ungroupable point (``None`` signature) forms a singleton.  Groups are
-    ordered by first occurrence and indices stay ascending within each
-    group, so a batch-executed campaign visits points in the same order a
-    serial one does, group by group.
-    """
-    groups: Dict[Any, List[int]] = {}
-    for index, sweep_point in enumerate(points):
-        signature = batch_signature(sweep_point)
-        key: Any = ("solo", index) if signature is None else ("group", signature)
-        groups.setdefault(key, []).append(index)
-    return list(groups.values())
-
-
-def execute_scenario_batch(
-    points: Sequence[SweepPoint],
-    cache_dir: Optional[Union[str, os.PathLike]] = None,
-) -> List[PointOutcome]:
-    """Run one batch group of scenario points as a single grouped problem.
-
-    The fast path builds every uncached spec through
-    :func:`~repro.scenario.engine.build_scenario_group` and drives them in
-    one interval-major pass — results are bit-identical to per-point serial
-    execution.  Cached points are served from disk exactly as
-    :func:`execute_point` would.  A group of one is
-    :func:`execute_point_outcome`, and on any grouping or execution failure
-    the whole group falls back to it point by point, which reproduces
-    serial error isolation (and serial tracebacks).  Outcomes preserve
-    input order.
-    """
-    if len(points) == 1:
-        return [execute_point_outcome(points[0], cache_dir)]
-    outcomes: List[Optional[PointOutcome]] = [None] * len(points)
-    pending: List[int] = []
-    for index, sweep_point in enumerate(points):
-        cache_path = _cache_file(cache_dir, sweep_point) if cache_dir else None
-        start = time.perf_counter()
-        cached = _read_cache(cache_path, sweep_point)
-        if cached is _CACHE_MISS:
-            pending.append(index)
-        else:
-            outcomes[index] = PointOutcome(
-                point=sweep_point,
-                value=cached,
-                elapsed_s=time.perf_counter() - start,
-            )
-    signatures = {batch_signature(points[index]) for index in pending}
-    if len(pending) > 1 and len(signatures) == 1 and None not in signatures:
-        start = time.perf_counter()
-        results: Optional[List[Any]]
-        try:
-            # Deferred: plain sweeps stay scenario-import-light.
-            from ..scenario.engine import (
-                build_scenario_group,
-                run_built_scenarios_batch,
-            )
-
-            builts = build_scenario_group(
-                [points[index].kwargs()["spec"] for index in pending]
-            )
-            results = run_built_scenarios_batch(builts)
-        except Exception:
-            # Any failure inside the grouped path (one bad spec, a scheme
-            # error) falls back to per-point execution below, which isolates
-            # the failure to its own point.
-            _BATCH_GROUP_FALLBACKS.inc()
-            results = None
-        if results is not None:
-            share = (time.perf_counter() - start) / len(pending)
-            for position, index in enumerate(pending):
-                sweep_point = points[index]
-                result = results[position]
-                try:
-                    if cache_dir:
-                        _write_cache(_cache_file(cache_dir, sweep_point), result)
-                except Exception:
-                    outcomes[index] = PointOutcome(
-                        point=sweep_point,
-                        error=traceback.format_exc(),
-                        elapsed_s=share,
-                    )
-                else:
-                    outcomes[index] = PointOutcome(
-                        point=sweep_point, value=result, elapsed_s=share
-                    )
-            return [outcome for outcome in outcomes if outcome is not None]
-    for index in pending:
-        outcomes[index] = execute_point_outcome(points[index], cache_dir)
-    return [outcome for outcome in outcomes if outcome is not None]
-
-
-def suggest_chunk_size(
-    num_points: int, workers: int = 1, pool_size: Optional[int] = None
-) -> int:
-    """A sensible persistence-chunk size for a batch of points.
-
-    The chunk is the durability (and, for campaign workers, the lease)
-    granularity: larger chunks amortise transaction overhead, smaller
-    chunks lose less work on a kill and spread a shared grid more evenly
-    across workers.  Single-consumer batches default to the pool size (or
-    one point serially); with N cooperating workers the chunk shrinks so
-    every worker claims several times — about four claims each — keeping
-    the tail imbalance and the worst-case crash loss small.
-
-    Raises:
-        ConfigurationError: If *workers* is not positive.
-    """
-    if workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    if num_points <= 0:
-        return 1
-    if workers == 1:
-        return max(1, pool_size or 1)
-    per_claim = num_points // (workers * 4)
-    return max(1, min(8, per_claim))
-
-
-def iter_outcome_chunks(
-    points: Sequence[SweepPoint],
-    cache_dir: Optional[Union[str, os.PathLike]] = None,
-    parallel: bool = False,
-    processes: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-) -> Iterator[List[PointOutcome]]:
-    """Execute points in chunks, yielding each chunk's outcomes as it lands.
-
-    This is the reusable batch backend behind campaign execution: callers
-    persist every yielded chunk before the next one starts, so interrupting
-    the process loses at most one in-flight chunk.  Chunks run over a single
-    ``fork`` process pool when *parallel* is set (with the same serial
-    fallback as :meth:`Sweep.run`); serial execution defaults to
-    chunks of one — every completed point is durable immediately.
-
-    Outcomes preserve point order within and across chunks.
-    """
-    remaining = list(points)
-    if not remaining:
-        return
-    if parallel and len(remaining) > 1 and "fork" in get_all_start_methods():
-        pool_size = processes or min(len(remaining), cpu_count())
-        size = pool_size if chunk_size is None else chunk_size
-        if size < 1:
-            raise ConfigurationError(f"chunk_size must be >= 1, got {size}")
-        context = get_context("fork")
-        with context.Pool(processes=pool_size) as pool:
-            for start in range(0, len(remaining), size):
-                chunk = remaining[start : start + size]
-                yield pool.starmap(
-                    execute_point_outcome,
-                    [(sweep_point, cache_dir) for sweep_point in chunk],
-                )
-        return
-    size = 1 if chunk_size is None else chunk_size
-    if size < 1:
-        raise ConfigurationError(f"chunk_size must be >= 1, got {size}")
-    for start in range(0, len(remaining), size):
-        chunk = remaining[start : start + size]
-        yield [execute_point_outcome(sweep_point, cache_dir) for sweep_point in chunk]
 
 
 class Sweep:

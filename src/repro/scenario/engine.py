@@ -375,6 +375,26 @@ def _section_key(section: Any) -> str:
     return json.dumps(section, sort_keys=True, separators=(",", ":"))
 
 
+#: The sections every scenario of a group must declare identically: one
+#: built network stack serves the whole group.
+_GROUP_SECTIONS = ("topology", "power", "routing")
+
+
+def group_signature(spec: ScenarioSpec) -> Optional[str]:
+    """The key under which scenarios may be built as one group.
+
+    Specs with equal signatures declare identical ``topology``, ``power``
+    and ``routing`` sections — the precondition of
+    :func:`build_scenario_group`.  ``None`` marks a spec that must stay a
+    group of one: an eventful scenario's failure-adjusted topology views
+    are per-scenario state.
+    """
+    if spec.events:
+        return None
+    data = spec.to_dict()
+    return _section_key([data.get(section) for section in _GROUP_SECTIONS])
+
+
 def build_scenario_group(
     specs: Sequence[Any],
     topology: Optional[Topology] = None,
@@ -383,7 +403,7 @@ def build_scenario_group(
     """Build specs as one group, sharing everything shareable.
 
     All specs must declare identical ``topology``, ``power`` and ``routing``
-    sections (the batch planner's grouping key guarantees this).  The group
+    sections (grouping by :func:`group_signature` guarantees this).  The group
     shares one built :class:`Topology` and :class:`PowerModel` object (the
     programmatic overrides, when given), one baseline-power evaluation, one
     built workload per distinct traffic section and one routing table per
@@ -403,7 +423,7 @@ def build_scenario_group(
     head = scenario_specs[0].to_dict()
     for scenario_spec in scenario_specs[1:]:
         other = scenario_spec.to_dict()
-        for section in ("topology", "power", "routing"):
+        for section in _GROUP_SECTIONS:
             if _section_key(head.get(section)) != _section_key(other.get(section)):
                 raise ConfigurationError(
                     f"cannot group scenarios with differing {section!r} sections"

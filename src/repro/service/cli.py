@@ -11,7 +11,6 @@ import argparse
 import logging
 from typing import Optional, Sequence
 
-from .handlers import ServiceState
 from .schemas import ServiceError
 from .server import ServiceConfig, create_server, hostname_url
 
@@ -46,12 +45,6 @@ def serve_command(argv: Optional[Sequence[str]] = None) -> int:
         help="campaign SQLite store served and written (default %(default)s)",
     )
     parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="sweep-cache directory for POST /scenarios (default: disabled)",
-    )
-    parser.add_argument(
         "--workers",
         type=int,
         default=1,
@@ -80,17 +73,14 @@ def serve_command(argv: Optional[Sequence[str]] = None) -> int:
         host=args.host,
         port=args.port,
         store=args.store,
-        cache_dir=args.cache_dir,
         default_workers=args.workers,
     )
     try:
-        server = create_server(config, ServiceState(config.store, config.cache_dir))
+        server = create_server(config)
     except ServiceError as error:
         parser.error(error.message)
     print(f"scenario service listening on {hostname_url(server)}")
     print(f"store: {config.store}")
-    if config.cache_dir:
-        print(f"sweep cache: {config.cache_dir}")
     try:
         server.serve_forever()
     except KeyboardInterrupt:

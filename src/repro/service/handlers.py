@@ -26,7 +26,7 @@ from ..campaign.report import (
 )
 from ..campaign.store import CampaignStore
 from ..exceptions import ConfigurationError
-from ..scenario.engine import build_scenario, run_built_scenario
+from ..scenario.engine import build_scenario, run_built_scenario, run_scenario
 from ..scenario.registry import registered_components
 from .jobs import JobManager
 from .schemas import (
@@ -44,16 +44,10 @@ Emit = Callable[[Dict[str, Any]], None]
 
 
 class ServiceState:
-    """Everything the handlers need: the store path, cache dir and jobs."""
+    """Everything the handlers need: the store path and the jobs."""
 
-    def __init__(
-        self,
-        store_path: str,
-        cache_dir: Optional[str] = None,
-        jobs: Optional[JobManager] = None,
-    ):
+    def __init__(self, store_path: str, jobs: Optional[JobManager] = None):
         self.store_path = str(store_path)
-        self.cache_dir = str(cache_dir) if cache_dir else None
         self.jobs = jobs if jobs is not None else JobManager(store_path)
 
     def open_reader(self) -> CampaignStore:
@@ -101,26 +95,25 @@ def run_scenario_payload(
 ) -> Dict[str, Any]:
     """``POST /scenarios`` — run one scenario synchronously.
 
-    Sweep-cache aware: with a cache directory configured, a previously
-    executed spec is answered from disk (``"cache": "hit"``) through the
-    exact :class:`~repro.experiments.runner.Sweep` path the CLI uses.
+    The campaign store is the one result cache: a spec whose config hash
+    already has a ``results`` row (some campaign executed that very
+    scenario) is answered from it over a read-only connection
+    (``"cache": "hit"``); anything else runs now (``"cache": "miss"``).
+    One-shot runs never write the store.
     """
-    from ..experiments.runner import Sweep  # deferred: keeps import cheap
-
     spec = scenario_spec_from_request(body)
-    sweep = Sweep([spec.sweep_point()], cache_dir=state.cache_dir)
-    cache = (
-        "disabled"
-        if not state.cache_dir
-        else ("hit" if sweep.cached_points() else "miss")
-    )
+    if os.path.exists(state.store_path):
+        with state.open_reader() as store:
+            stored = store.result(spec.config_hash())
+        if stored is not None:
+            return {"cache": "hit", "result": stored.to_dict()}
     try:
-        result = sweep.run()[0]
+        result = run_scenario(spec)
     except (ConfigurationError, TypeError) as error:
         # TypeError: a validated spec can still hand a component builder an
         # unknown parameter — a client mistake, not a server fault.
         raise bad_request(str(error), code="invalid-scenario") from error
-    return {"cache": cache, "result": result.to_dict()}
+    return {"cache": "miss", "result": result.to_dict()}
 
 
 # --------------------------------------------------------------------- #

@@ -2,14 +2,14 @@
 
 A ``POST /campaigns`` must return immediately with the campaign id while
 the grid drains in the background.  The :class:`JobManager` does exactly
-what the CLI's worker fleet does, but with threads instead of forked
-processes: the submission thread registers the campaign in the store
-(adopting shared results and resetting stale errors once, exactly like
-:func:`~repro.campaign.run.run_campaign_workers` does pre-fork), then a
-supervisor thread starts N cooperative lease workers — each one a plain
-:func:`~repro.campaign.run.run_campaign` invocation in worker mode, each
-opening its own SQLite connection in its own thread.  The store's lease
-protocol coordinates them; the service adds no coordination of its own.
+what ``run-campaign`` does, but with threads instead of forked processes:
+the submission thread runs the one prepare step
+(:func:`~repro.campaign.run.prepare_campaign`: validate, register, adopt
+shared results, reset stale errors, fix every worker's share), then a
+supervisor thread runs the prepared drain's N workers
+(:meth:`~repro.campaign.run.PreparedDrain.drain`), each opening its own
+SQLite connection in its own thread.  The store's lease protocol
+coordinates them; the service adds no coordination of its own.
 
 Threads rather than processes because the service is a long-lived
 multi-threaded program: forking one is famously unsafe (the child
@@ -29,9 +29,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Union
 
-from ..campaign.run import run_campaign
-from ..campaign.spec import CampaignSpec
-from ..campaign.store import CampaignStore
+from ..campaign.run import PreparedDrain, WorkerTally, prepare_campaign
 from .schemas import CampaignRequest, ServiceError
 
 #: Job lifecycle states.
@@ -50,8 +48,8 @@ class CampaignJob:
         workers: How many lease-worker threads drain it.
         state: ``running`` → ``done``/``failed``.
         submitted_at: ``time.time`` of the submission.
-        summaries: Per-worker :class:`~repro.campaign.run.CampaignRunSummary`
-            dicts, filled in as workers finish.
+        tallies: Per-worker :class:`~repro.campaign.run.WorkerTally`,
+            filled in as workers finish.
         error: The first worker traceback, when ``state == "failed"``.
     """
 
@@ -60,21 +58,19 @@ class CampaignJob:
     workers: int
     state: str = RUNNING
     submitted_at: float = field(default_factory=time.time)
-    summaries: List[Dict[str, Any]] = field(default_factory=list)
+    tallies: List[WorkerTally] = field(default_factory=list)
     error: Optional[str] = None
 
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-ready view (the ``job`` section of status payloads)."""
-        executed = sum(entry.get("executed", 0) for entry in self.summaries)
-        failed = sum(entry.get("failed", 0) for entry in self.summaries)
         payload: Dict[str, Any] = {
             "campaign_id": self.campaign_id,
             "name": self.name,
             "workers": self.workers,
             "state": self.state,
             "submitted_at": self.submitted_at,
-            "executed": executed,
-            "failed": failed,
+            "executed": sum(tally.executed for tally in self.tallies),
+            "failed": sum(tally.failed for tally in self.tallies),
         }
         if self.error is not None:
             payload["error"] = self.error
@@ -102,19 +98,23 @@ class JobManager:
     def submit(self, request: CampaignRequest) -> CampaignJob:
         """Register a campaign and start its background drain.
 
-        Registration (plus result adoption and the once-per-fleet error
-        reset) happens synchronously so the campaign id — and a consistent
-        store row — exist before the response is sent; execution happens on
+        The prepare step (option range checks, registration, result
+        adoption, the once-per-drain error reset) happens synchronously so
+        a bad option is a 400 and the campaign id — and a consistent store
+        row — exist before the response is sent; execution happens on
         daemon threads.  Re-submitting a campaign that is already running
         is refused (409); re-submitting a finished one resumes it, exactly
         like re-invoking ``run-campaign``.
         """
-        spec = request.spec
-        points = spec.expand()
-        with CampaignStore(self.store_path, read_only=False) as store:
-            campaign_id = store.register_campaign(spec, points)
-            store.adopt_existing_results(campaign_id)
-            store.reset_error_points(campaign_id)
+        prepared = prepare_campaign(
+            request.spec,
+            self.store_path,
+            workers=request.workers,
+            chunk_size=request.chunk_size,
+            max_points=request.max_points,
+            lease_seconds=request.lease_seconds,
+        )
+        campaign_id = prepared.campaign_id
         with self._lock:
             existing = self._jobs.get(campaign_id)
             if existing is not None and existing.state == RUNNING:
@@ -126,13 +126,13 @@ class JobManager:
                 )
             job = CampaignJob(
                 campaign_id=campaign_id,
-                name=spec.name,
+                name=prepared.name,
                 workers=request.workers,
             )
             self._jobs[campaign_id] = job
             supervisor = threading.Thread(
                 target=self._drain,
-                args=(job, spec, request),
+                args=(job, prepared),
                 name=f"campaign-{campaign_id[:12]}",
                 daemon=True,
             )
@@ -140,41 +140,20 @@ class JobManager:
             supervisor.start()
         return job
 
-    def _drain(
-        self, job: CampaignJob, spec: CampaignSpec, request: CampaignRequest
-    ) -> None:
-        """Supervise one drain: run N lease workers, then finalise the job."""
-        quotas: List[Optional[int]] = [request.max_points] * request.workers
-        if request.max_points is not None:
-            quotas = [
-                request.max_points // request.workers
-                + (1 if index < request.max_points % request.workers else 0)
-                for index in range(request.workers)
-            ]
-        run_tag = f"{os.getpid()}-{job.campaign_id[:8]}"
+    def _drain(self, job: CampaignJob, prepared: PreparedDrain) -> None:
+        """Supervise one drain: run its workers on threads, finalise the job."""
         errors: List[str] = []
 
         def worker(index: int) -> None:
             try:
-                summary = run_campaign(
-                    spec,
-                    store_path=self.store_path,
-                    worker_id=f"svc-{run_tag}-{index}",
-                    lease_seconds=request.lease_seconds,
-                    chunk_size=request.chunk_size,
-                    max_points=quotas[index],
-                    # The submit path already reset error points once for
-                    # this drain; doing it again here would race a peer's
-                    # fresh failure back to pending mid-fleet.
-                    reset_errors=False,
-                )
+                tally = prepared.drain(index)
             except BaseException as error:  # noqa: BLE001 - recorded, not raised
                 errors.append(f"{type(error).__name__}: {error}")
             else:
                 with self._lock:
-                    job.summaries.append(summary.to_dict())
+                    job.tallies.append(tally)
 
-        if request.workers == 1:
+        if job.workers == 1:
             worker(0)
         else:
             threads = [
@@ -184,7 +163,7 @@ class JobManager:
                     name=f"campaign-{job.campaign_id[:8]}-w{index}",
                     daemon=True,
                 )
-                for index in range(request.workers)
+                for index in range(job.workers)
             ]
             for thread in threads:
                 thread.start()

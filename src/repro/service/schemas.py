@@ -112,8 +112,9 @@ class CampaignRequest:
         spec: The campaign spec to execute.
         workers: Cooperative lease-worker threads to drain the grid with.
         max_points: Optional global bound on newly executed points.
-        chunk_size: Points per claim (each claim is grouped by batch
-            signature and every group commits atomically).
+        chunk_size: Points per claim (each claim is grouped by network
+            signature and every group commits atomically; default: the
+            pending points split evenly across the workers).
         lease_seconds: Lease duration without renewal.
     """
 
@@ -124,16 +125,32 @@ class CampaignRequest:
     lease_seconds: float = DEFAULT_LEASE_SECONDS
 
 
+def _typed_option(
+    options: Mapping[str, Any], name: str, kinds: Tuple[type, ...], default: Any
+) -> Any:
+    """One campaign option, checked for its JSON type (``null`` = default)."""
+    value = options.get(name)
+    if value is None:
+        return default
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        expected = "an integer" if kinds == (int,) else "a number"
+        raise bad_request(f"{name!r} must be {expected}, got {value!r}")
+    return value
+
+
 def campaign_request(body: Mapping[str, Any]) -> CampaignRequest:
     """Validate a campaign submission body.
 
     The body is ``{"spec": <campaign spec>, ...options}`` or a bare
     campaign spec dict (anything with a ``base`` key).  Options:
-    ``workers`` (int >= 1), ``max_points`` (int >= 0),
-    ``chunk_size`` (int >= 1), ``lease_seconds`` (float > 0).
+    ``workers`` (int), ``max_points`` (int), ``chunk_size`` (int),
+    ``lease_seconds`` (number).  Only their JSON types are checked here;
+    their ranges are checked where ``run-campaign``'s are, by
+    :func:`~repro.campaign.run.prepare_campaign` at submission.
 
     Raises:
-        ServiceError: 400 on an invalid spec or option.
+        ServiceError: 400 on an invalid spec, an unknown option or an
+            option of the wrong type.
     """
     data = body.get("spec", body if "base" in body else None)
     if not isinstance(data, Mapping):
@@ -153,34 +170,16 @@ def campaign_request(body: Mapping[str, Any]) -> CampaignRequest:
             f"unknown campaign options {sorted(unknown)}; expected workers, "
             "max_points, chunk_size, lease_seconds"
         )
-    workers = options.get("workers", 1)
-    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-        raise bad_request(f"'workers' must be an integer >= 1, got {workers!r}")
-    max_points = options.get("max_points")
-    if max_points is not None and (
-        not isinstance(max_points, int)
-        or isinstance(max_points, bool)
-        or max_points < 0
-    ):
-        raise bad_request(f"'max_points' must be an integer >= 0, got {max_points!r}")
-    chunk_size = options.get("chunk_size")
-    if chunk_size is not None and (
-        not isinstance(chunk_size, int)
-        or isinstance(chunk_size, bool)
-        or chunk_size < 1
-    ):
-        raise bad_request(f"'chunk_size' must be an integer >= 1, got {chunk_size!r}")
-    lease_seconds = options.get("lease_seconds", DEFAULT_LEASE_SECONDS)
-    if not isinstance(lease_seconds, (int, float)) or isinstance(
-        lease_seconds, bool
-    ) or lease_seconds <= 0:
-        raise bad_request(f"'lease_seconds' must be > 0, got {lease_seconds!r}")
     return CampaignRequest(
         spec=spec,
-        workers=workers,
-        max_points=max_points,
-        chunk_size=chunk_size,
-        lease_seconds=float(lease_seconds),
+        workers=_typed_option(options, "workers", (int,), 1),
+        max_points=_typed_option(options, "max_points", (int,), None),
+        chunk_size=_typed_option(options, "chunk_size", (int,), None),
+        lease_seconds=float(
+            _typed_option(
+                options, "lease_seconds", (int, float), DEFAULT_LEASE_SECONDS
+            )
+        ),
     )
 
 

@@ -10,7 +10,7 @@ Method    Path                            Handler
 GET       ``/``                           endpoint index
 GET       ``/healthz``                    liveness probe
 GET       ``/components``                 registry listing
-POST      ``/scenarios``                  run one scenario (sweep-cache aware)
+POST      ``/scenarios``                  run one scenario (store-cache aware)
 GET/POST  ``/scenarios/replay``           streaming NDJSON replay telemetry
 POST      ``/campaigns``                  submit a campaign (background drain)
 GET       ``/campaigns``                  list campaigns + job state
@@ -66,7 +66,6 @@ class ServiceConfig:
             authentication, so exposing it wider is an explicit choice).
         port: TCP port; ``0`` binds an ephemeral port (tests, benches).
         store: Path of the shared campaign SQLite store.
-        cache_dir: Optional sweep-cache directory for ``POST /scenarios``.
         default_workers: Lease workers per campaign when a submission does
             not name its own ``workers``.
     """
@@ -74,7 +73,6 @@ class ServiceConfig:
     host: str = "127.0.0.1"
     port: int = 8321
     store: str = "campaign.sqlite"
-    cache_dir: Optional[str] = None
     default_workers: int = 1
 
 
@@ -83,7 +81,7 @@ _INDEX = {
     "endpoints": {
         "GET /healthz": "liveness probe",
         "GET /components": "registered components by kind",
-        "POST /scenarios": "run one scenario spec (sweep-cache aware)",
+        "POST /scenarios": "run one scenario spec (answered from the store on a hit)",
         "GET|POST /scenarios/replay": "streaming NDJSON replay telemetry",
         "POST /campaigns": "submit a campaign spec for background draining",
         "GET /campaigns": "stored campaigns with job state",
@@ -386,7 +384,7 @@ def create_server(
     loop from a thread they control.
     """
     if state is None:
-        state = ServiceState(config.store, cache_dir=config.cache_dir)
+        state = ServiceState(config.store)
     try:
         return ScenarioServiceServer(config, state)
     except OSError as error:

@@ -367,21 +367,6 @@ def test_interrupted_campaign_resumes_and_matches_clean_serial_run(tmp_path):
     assert dump_resumed == dump_clean  # bit-for-bit, modulo wall-clock fields
 
 
-def test_parallel_campaign_matches_serial_store(tmp_path):
-    spec = CampaignSpec.from_dict(eight_point_campaign("par"))
-    serial_path = tmp_path / "serial.sqlite"
-    parallel_path = tmp_path / "parallel.sqlite"
-    serial = run_campaign(spec, store_path=serial_path)
-    parallel = run_campaign(
-        spec, store_path=parallel_path, parallel=True, processes=2, chunk_size=3
-    )
-    assert parallel.executed == serial.executed == 8
-    with CampaignStore(serial_path) as a, CampaignStore(parallel_path) as b:
-        assert b.canonical_dump(parallel.campaign_id) == a.canonical_dump(
-            serial.campaign_id
-        )
-
-
 def test_failing_point_is_recorded_not_raised(tmp_path):
     bad_traffic = {
         "name": "uniform",

@@ -6,8 +6,8 @@ the per-point oracle (a ``chunk_size=1`` drain, in which every group is a
 single point) — across every execution shape: the full 24-point bench grid,
 mixed grids where only some points share a topology, eventful grids (never
 grouped), worker fleets, and resume-after-kill mid-group.  The planner
-itself (:func:`~repro.experiments.runner.plan_point_batches` /
-:func:`~repro.experiments.runner.batch_signature`) is unit-tested for its
+itself (``repro.campaign.run._plan_groups`` over
+:func:`~repro.scenario.engine.group_signature`) is unit-tested for its
 grouping rules, and a two-subprocess test pins cross-interpreter dump
 stability under two hash seeds (fixed-order summation everywhere).
 """
@@ -21,13 +21,10 @@ from pathlib import Path
 import pytest
 
 import repro.campaign.run as campaign_run
-from repro.campaign import CampaignSpec, CampaignStore, run_campaign, run_campaign_workers
-from repro.experiments.runner import batch_signature, plan_point_batches, point
+from repro.campaign import CampaignSpec, CampaignStore, run_campaign
+from repro.scenario.engine import group_signature
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
-
-from bench_campaign import campaign_spec as bench_campaign_spec  # noqa: E402
 
 
 # --------------------------------------------------------------------- #
@@ -71,8 +68,49 @@ def eventful_campaign(name="eventful"):
     return campaign_dict(name, axes={"events": [[], failure], "seed": [0, 1]})
 
 
-def expanded_sweep_points(spec_dict):
-    return [p.spec.sweep_point() for p in CampaignSpec.from_dict(spec_dict).expand()]
+def bench_campaign_spec():
+    """The 24-point bench grid: 3 seeds x 2 pair counts x 2 totals x 2 SLOs.
+
+    GÉANT x calibrated gravity at three load levels x REsPoNse/GreenTE/ECMP
+    — three distinct pair sets, so a default drain really shares plans.
+    """
+    return CampaignSpec.from_dict(
+        {
+            "name": "bench-geant-grid",
+            "base": {
+                "topology": "geant",
+                "traffic": {
+                    "name": "gravity",
+                    "params": {
+                        "num_endpoints": 8,
+                        "calibrate": True,
+                        "levels": [0.25, 0.5, 1.0],
+                    },
+                },
+                "power": "cisco",
+                "schemes": [
+                    {"name": "response", "params": {"num_paths": 3, "k": 3}},
+                    {"name": "greente", "params": {}},
+                    {"name": "ecmp", "params": {}},
+                ],
+            },
+            "axes": {
+                "seed": [0, 1, 2],
+                "set": {
+                    "traffic.num_pairs": [8, 12],
+                    "traffic.total_traffic_bps": [1e9, 2e9],
+                    "scenario.utilisation_threshold": [0.85, 0.9],
+                },
+            },
+        }
+    )
+
+
+def planned_indices(spec_dict):
+    """The planner's groups for a whole grid, as lists of point indices."""
+    points = CampaignSpec.from_dict(spec_dict).expand()
+    groups = campaign_run._plan_groups(points)
+    return points, [[point.index for point in group] for group in groups]
 
 
 def canonical(store_path, campaign_id):
@@ -100,26 +138,18 @@ def serial_and_batched_dumps(spec_dict, tmp_path):
 # Planner unit tests: grouping rules
 # --------------------------------------------------------------------- #
 def test_uniform_grid_shares_one_signature():
-    points = expanded_sweep_points(campaign_dict())
-    signatures = {batch_signature(p) for p in points}
+    points, groups = planned_indices(campaign_dict())
+    signatures = {group_signature(point.spec) for point in points}
     assert len(signatures) == 1 and None not in signatures
-    assert plan_point_batches(points) == [[0, 1, 2, 3]]
-
-
-def test_non_scenario_points_are_never_grouped():
-    points = [point("json:dumps", obj=1), point("json:dumps", obj=1)]
-    assert all(batch_signature(p) is None for p in points)
-    assert plan_point_batches(points) == [[0], [1]]
+    assert groups == [[0, 1, 2, 3]]
 
 
 def test_eventful_points_are_singletons():
-    points = expanded_sweep_points(eventful_campaign())
-    eventless = [
-        i for i, p in enumerate(points) if not p.kwargs()["spec"].get("events")
-    ]
-    eventful = [i for i, p in enumerate(points) if p.kwargs()["spec"].get("events")]
+    points, groups = planned_indices(eventful_campaign())
+    eventless = [point.index for point in points if not point.spec.events]
+    eventful = [point.index for point in points if point.spec.events]
     assert len(eventless) == 2 and len(eventful) == 2
-    groups = plan_point_batches(points)
+    assert all(group_signature(points[index].spec) is None for index in eventful)
     assert sorted(i for group in groups for i in group) == [0, 1, 2, 3]
     assert eventless in groups  # the event-free pair batches together
     for index in eventful:
@@ -127,15 +157,14 @@ def test_eventful_points_are_singletons():
 
 
 def test_mixed_topology_grid_groups_by_topology():
-    points = expanded_sweep_points(mixed_topology_campaign())
-    groups = plan_point_batches(points)
+    points, groups = planned_indices(mixed_topology_campaign())
     assert len(groups) == 2 and all(len(group) == 2 for group in groups)
     # First-occurrence order with ascending indices inside each group.
     assert groups[0][0] == 0
     for group in groups:
         assert group == sorted(group)
         topologies = {
-            json.dumps(points[i].kwargs()["spec"]["topology"], sort_keys=True)
+            json.dumps(points[i].spec.to_dict()["topology"], sort_keys=True)
             for i in group
         }
         assert len(topologies) == 1
@@ -180,7 +209,7 @@ def test_batched_bench_grid_dump_identical_to_serial(tmp_path):
 def test_batched_worker_fleet_dump_identical_to_serial(tmp_path):
     spec = CampaignSpec.from_dict(campaign_dict())
     serial = run_campaign(spec, store_path=tmp_path / "serial.sqlite", chunk_size=1)
-    fleet = run_campaign_workers(
+    fleet = run_campaign(
         spec, store_path=tmp_path / "fleet.sqlite", workers=2, chunk_size=2
     )
     assert fleet.failed == 0 and fleet.remaining == 0
@@ -192,7 +221,7 @@ def test_batched_worker_fleet_dump_identical_to_serial(tmp_path):
 # --------------------------------------------------------------------- #
 # Fault injection: kill mid-batch-group, then resume
 # --------------------------------------------------------------------- #
-def test_kill_mid_batch_group_loses_only_that_group_then_resumes(tmp_path):
+def test_kill_mid_batch_group_loses_only_that_group_then_resumes(tmp_path, monkeypatch):
     """A kill between batch groups persists whole groups or nothing.
 
     The mixed grid forms two groups of two; the second group's evaluation
@@ -207,24 +236,25 @@ def test_kill_mid_batch_group_loses_only_that_group_then_resumes(tmp_path):
     with CampaignStore(store_path) as store:
         campaign_id = store.register_campaign(spec, points)
 
-    real = campaign_run.execute_scenario_batch
+    real = campaign_run._run_group
     calls = []
 
-    def kill_second_group(points, cache_dir=None):
+    def kill_second_group(points):
         calls.append(len(points))
         if len(calls) == 2:
             raise KeyboardInterrupt("killed mid-batch-group")
-        return real(points, cache_dir)
+        return real(points)
 
-    campaign_run.execute_scenario_batch = kill_second_group
-    try:
-        with pytest.raises(KeyboardInterrupt):
-            run_campaign(spec, store_path=store_path)
-    finally:
-        campaign_run.execute_scenario_batch = real
+    monkeypatch.setattr(campaign_run, "_run_group", kill_second_group)
+    with pytest.raises(KeyboardInterrupt):
+        run_campaign(spec, store_path=store_path)
+    monkeypatch.undo()
 
     with CampaignStore(store_path) as store:
         counts = store.status_counts(campaign_id)
+        # The lone drain is a lease worker too: the interrupt handed its
+        # leases back, so the resume below does not wait out their expiry.
+        assert store.active_leases(campaign_id) == []
     assert calls == [2, 2]
     assert counts == {"done": 2, "error": 0, "pending": 2, "total": 4}
 
@@ -236,7 +266,7 @@ def test_kill_mid_batch_group_loses_only_that_group_then_resumes(tmp_path):
     )
 
 
-def test_killed_batch_worker_releases_its_leases(tmp_path):
+def test_killed_batch_worker_releases_its_leases(tmp_path, monkeypatch):
     """A worker killed mid-claim keeps its committed groups, frees the rest.
 
     One claim of four mixed-topology points is two groups of two.  The
@@ -250,23 +280,20 @@ def test_killed_batch_worker_releases_its_leases(tmp_path):
     with CampaignStore(store_path) as store:
         campaign_id = store.register_campaign(spec, points)
 
-    real = campaign_run.execute_scenario_batch
+    real = campaign_run._run_group
     calls = []
 
-    def kill_second_group(points, cache_dir=None):
+    def kill_second_group(points):
         calls.append(len(points))
         if len(calls) == 2:
             raise KeyboardInterrupt("worker killed mid-group")
-        return real(points, cache_dir)
+        return real(points)
 
-    campaign_run.execute_scenario_batch = kill_second_group
-    try:
-        with pytest.raises(KeyboardInterrupt):
-            run_campaign(
-                spec_dict, store_path=store_path, worker_id="doomed", chunk_size=4
-            )
-    finally:
-        campaign_run.execute_scenario_batch = real
+    monkeypatch.setattr(campaign_run, "_run_group", kill_second_group)
+    with pytest.raises(KeyboardInterrupt):
+        run_campaign(
+            spec_dict, store_path=store_path, worker_id="doomed", chunk_size=4
+        )
     with CampaignStore(store_path) as store:
         assert store.active_leases(campaign_id) == []
         counts = store.status_counts(campaign_id)

@@ -17,16 +17,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.campaign import (
-    CampaignSpec,
-    CampaignStore,
-    PointRecord,
-    run_campaign,
-    run_campaign_workers,
-)
+import repro.campaign.run as campaign_run
+from repro.campaign import CampaignSpec, CampaignStore, PointRecord, run_campaign
+from repro.campaign.run import claim_size, prepare_campaign
 from repro.campaign.store import STORE_SCHEMA_VERSION
 from repro.exceptions import ConfigurationError
-from repro.experiments.runner import main, suggest_chunk_size
+from repro.experiments.runner import main
+from repro.obs.trace import PHASE_NAMES
 from repro.scenario.registry import is_registered, register, resolve
 
 
@@ -327,15 +324,42 @@ def test_claim_points_limit_and_validation(tmp_path):
         assert len(store.claim_points(campaign_id, "w1", 3, 10.0, now=0.0)) == 3
 
 
-def test_suggest_chunk_size_spreads_claims():
-    assert suggest_chunk_size(0) == 1
-    assert suggest_chunk_size(24) == 1  # serial: per-point durability
-    assert suggest_chunk_size(24, pool_size=4) == 4
-    assert suggest_chunk_size(24, workers=3) == 2  # ~4 claims per worker
-    assert suggest_chunk_size(1000, workers=4) == 8  # capped crash loss
-    assert suggest_chunk_size(2, workers=4) == 1
-    with pytest.raises(ConfigurationError):
-        suggest_chunk_size(10, workers=0)
+def test_default_claim_size_follows_what_the_launcher_knows(tmp_path, monkeypatch):
+    # A lone drain claims everything pending; a known fleet splits it evenly.
+    assert claim_size(24, workers=1) == 24
+    assert claim_size(24, workers=2) == 12
+    assert claim_size(25, workers=2) == 13  # ceil, so one round covers the grid
+    assert claim_size(2, workers=4) == 1
+    assert claim_size(0, workers=3) == 1
+    # A joiner under its own id cannot know the fleet: one point per claim.
+    assert claim_size(24, workers=None) == 1
+    # chunk_size is the durability/memory bound and always wins.
+    assert claim_size(24, workers=1, chunk_size=5) == 5
+    assert claim_size(24, workers=4, chunk_size=5) == 5
+    assert claim_size(24, workers=None, chunk_size=5) == 5
+
+    # The prepare step applies it to what is pending *now*...
+    store_path = tmp_path / "store.sqlite"
+    assert prepare_campaign(campaign_dict(), store_path).claim_size == 4
+    assert prepare_campaign(campaign_dict(), store_path, workers=3).claim_size == 2
+    assert prepare_campaign(campaign_dict(), store_path, worker_id="w").claim_size == 1
+    # ...and a max_points budget still caps every claim of the drain.
+    limits = []
+    real_claim = CampaignStore.claim_points
+
+    def recording_claim(self, campaign_id, worker_id, limit, lease_seconds, now=None):
+        limits.append(limit)
+        return real_claim(self, campaign_id, worker_id, limit, lease_seconds, now)
+
+    monkeypatch.setattr(CampaignStore, "claim_points", recording_claim)
+    bounded = run_campaign(campaign_dict(), store_path=store_path, max_points=3)
+    assert bounded.executed == 3 and limits == [3]
+    assert prepare_campaign(campaign_dict(), store_path).claim_size == 1  # 1 left
+    limits.clear()
+    sliced = run_campaign(
+        campaign_dict("sliced"), store_path=store_path, chunk_size=2, max_points=3
+    )
+    assert sliced.executed == 3 and limits == [2, 1]
 
 
 # --------------------------------------------------------------------- #
@@ -384,7 +408,7 @@ def test_interrupted_chunk_persist_leaves_no_partial_rows(tmp_path):
         assert store.status_counts(campaign_id)["done"] == 1
 
 
-def test_failed_chunk_write_releases_worker_leases(tmp_path):
+def test_failed_chunk_write_releases_worker_leases(tmp_path, monkeypatch):
     """A worker interrupted mid-claim hands its leases straight back."""
     spec_dict = campaign_dict()
     store_path, campaign_id, points = registered_store(tmp_path, spec_dict)
@@ -392,20 +416,14 @@ def test_failed_chunk_write_releases_worker_leases(tmp_path):
     def kill_execution(*_args, **_kwargs):
         raise KeyboardInterrupt("worker killed mid-claim")
 
-    import repro.campaign.run as campaign_run
-
-    original = campaign_run.execute_scenario_batch
-    campaign_run.execute_scenario_batch = kill_execution
-    try:
-        with pytest.raises(KeyboardInterrupt):
-            run_campaign(
-                spec_dict,
-                store_path=store_path,
-                worker_id="doomed",
-                chunk_size=2,
-            )
-    finally:
-        campaign_run.execute_scenario_batch = original
+    monkeypatch.setattr(campaign_run, "_run_group", kill_execution)
+    with pytest.raises(KeyboardInterrupt):
+        run_campaign(
+            spec_dict,
+            store_path=store_path,
+            worker_id="doomed",
+            chunk_size=2,
+        )
     with CampaignStore(store_path) as store:
         assert store.active_leases(campaign_id) == []
         counts = store.status_counts(campaign_id)
@@ -485,9 +503,9 @@ def test_error_point_recovers_under_worker_fleet(tmp_path):
     """Fleet invocations reset errors once, pre-fork, then retry them."""
     spec_dict = flaky_campaign(tmp_path, "flaky-fleet")
     store_path = tmp_path / "store.sqlite"
-    first = run_campaign_workers(spec_dict, store_path=store_path, workers=2)
+    first = run_campaign(spec_dict, store_path=store_path, workers=2)
     assert first.executed == 2 and first.failed == 1
-    second = run_campaign_workers(spec_dict, store_path=store_path, workers=2)
+    second = run_campaign(spec_dict, store_path=store_path, workers=2)
     assert second.executed == 1 and second.failed == 0 and second.remaining == 0
     with CampaignStore(store_path) as store:
         counts = store.status_counts(second.campaign_id)
@@ -495,19 +513,27 @@ def test_error_point_recovers_under_worker_fleet(tmp_path):
 
 
 def test_worker_with_reset_errors_off_leaves_error_points_alone(tmp_path):
-    """The fleet's workers must not re-reset a peer's fresh failure."""
-    spec_dict = flaky_campaign(tmp_path, "flaky-noreset")
+    """The drain a fleet child calls must not re-reset a peer's fresh failure.
+
+    Only the prepare step flips ``error`` points back to pending.  A point
+    that fails *after* it — here: recorded by a fast peer between the
+    prepare and this worker's start — stays ``error`` for this drain.
+    """
+    spec_dict = campaign_dict("noreset")
     store_path = tmp_path / "store.sqlite"
-    first = run_campaign(spec_dict, store_path=store_path, worker_id="w1")
-    assert first.failed == 1
-    # A worker told not to reset (what fleet children run) skips the
-    # error point entirely instead of retrying it.
-    second = run_campaign(
-        spec_dict, store_path=store_path, worker_id="w2", reset_errors=False
-    )
-    assert second.executed == 0
+    prepared = prepare_campaign(spec_dict, store_path)
     with CampaignStore(store_path) as store:
-        assert store.status_counts(second.campaign_id)["error"] == 1
+        store.record_failure(
+            prepared.campaign_id, prepared.points[0], "peer's fresh failure", 0.1
+        )
+    tally = prepared.drain(0)
+    assert (tally.executed, tally.failed) == (3, 0)  # the error point is skipped
+    with CampaignStore(store_path) as store:
+        counts = store.status_counts(prepared.campaign_id)
+        assert counts == {"done": 3, "error": 1, "pending": 0, "total": 4}
+    # The next invocation's prepare step is what retries it.
+    retried = run_campaign(spec_dict, store_path=store_path)
+    assert (retried.executed, retried.failed, retried.remaining) == (1, 0, 0)
 
 
 # --------------------------------------------------------------------- #
@@ -521,7 +547,7 @@ def canonical_dumps_match(serial_path, serial_id, other_path, other_id):
     return dump_serial == dump_other
 
 
-@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("workers", [2, 3, 4])
 def test_workers_drain_matches_serial_store(tmp_path, workers):
     """N workers on one 24-point grid == one serial run, bit for bit."""
     spec_dict = twentyfour_point_campaign()
@@ -530,7 +556,7 @@ def test_workers_drain_matches_serial_store(tmp_path, workers):
     assert (serial.executed, serial.failed) == (24, 0)
 
     fleet_path = tmp_path / f"fleet{workers}.sqlite"
-    fleet = run_campaign_workers(spec_dict, store_path=fleet_path, workers=workers)
+    fleet = run_campaign(spec_dict, store_path=fleet_path, workers=workers)
     assert fleet.workers == workers
     assert fleet.executed == 24
     assert fleet.failed == 0
@@ -557,7 +583,7 @@ def test_workers_reclaim_crashed_workers_points_and_match_serial(tmp_path):
         assert len(crashed) == 6
     time.sleep(0.1)  # let the crashed worker's lease expire
 
-    fleet = run_campaign_workers(
+    fleet = run_campaign(
         spec_dict, store_path=fleet_path, workers=2, lease_seconds=30.0
     )
     assert fleet.executed == 24  # including the crashed worker's 6 points
@@ -565,6 +591,87 @@ def test_workers_reclaim_crashed_workers_points_and_match_serial(tmp_path):
     assert canonical_dumps_match(
         serial_path, serial.campaign_id, fleet_path, fleet.campaign_id
     )
+
+
+def test_lone_drain_honours_a_live_peers_leases_then_takes_them_over(
+    tmp_path, monkeypatch
+):
+    """A lone invocation is a lease worker: it never re-executes a peer's points.
+
+    With two of four points leased to a live peer, a lone drain bounded to
+    the unleased ones executes exactly those and leaves the peer's leases
+    alone; once the peer's lease has run out (injected clock) the next lone
+    invocation takes its points over.  No point runs twice and the store
+    ends up identical to a clean drain's.
+    """
+    spec_dict = campaign_dict("lone-vs-peer")
+    store_path, campaign_id, points = registered_store(tmp_path, spec_dict)
+    hashes = [point.config_hash for point in points]
+    executed = []
+    real = campaign_run._run_group
+
+    def recording(group):
+        executed.extend(point.config_hash for point in group)
+        return real(group)
+
+    monkeypatch.setattr(campaign_run, "_run_group", recording)
+    now = time.time()
+    with CampaignStore(store_path) as store:
+        assert store.claim_points(campaign_id, "peer", 2, 3600.0, now=now) == hashes[:2]
+
+    first = run_campaign(spec_dict, store_path=store_path, max_points=2)
+    assert (first.executed, first.failed, first.remaining) == (2, 0, 2)
+    assert executed == hashes[2:]
+    with CampaignStore(store_path) as store:
+        (lease,) = store.active_leases(campaign_id, now=now)
+        assert (lease["worker_id"], lease["points"]) == ("peer", 2)
+        assert lease["expires_at"] == now + 3600.0  # untouched, not renewed
+        # The peer dies; its last heartbeat is now long past its lease.
+        assert store.renew_leases(campaign_id, "peer", 60.0, now=now - 3600.0) == 2
+        assert store.active_leases(campaign_id) == []
+
+    second = run_campaign(spec_dict, store_path=store_path)
+    assert (second.completed_before, second.executed, second.remaining) == (2, 2, 0)
+    assert executed == hashes[2:] + hashes[:2]  # every point exactly once
+
+    clean_path = tmp_path / "clean.sqlite"
+    clean = run_campaign(spec_dict, store_path=clean_path)
+    assert canonical_dumps_match(
+        clean_path, clean.campaign_id, store_path, second.campaign_id
+    )
+
+
+def test_result_under_a_foreign_config_hash_is_an_error_with_its_phases(
+    tmp_path, monkeypatch
+):
+    """The resume bookkeeping's guard: never ``done``, never adopted."""
+    spec_dict = campaign_dict("foreign-hash", axes={"seed": [0, 1]})
+    store_path = tmp_path / "store.sqlite"
+    foreign_hash = "f" * 64
+    real = campaign_run._run_group
+
+    def foreign(group):
+        results = real(group)
+        results[0].config_hash = foreign_hash
+        return results
+
+    monkeypatch.setattr(campaign_run, "_run_group", foreign)
+    summary = run_campaign(spec_dict, store_path=store_path, profile=True)
+    assert (summary.executed, summary.failed, summary.remaining) == (2, 1, 1)
+    assert "does not match the expanded point's" in summary.errors[0]
+    with CampaignStore(store_path) as store:
+        rows = store.points(summary.campaign_id)
+        assert [row["status"] for row in rows] == ["error", "done"]
+        assert "does not match" in rows[0]["error"]
+        # The guard's record carries the group's phases like its siblings.
+        assert all(set(row["phases"]) == set(PHASE_NAMES) for row in rows)
+        assert rows[0]["phases"] == rows[1]["phases"]
+        # Nothing was filed under either hash, so nothing can adopt it.
+        assert store.result(foreign_hash) is None
+        assert store.result(rows[0]["config_hash"]) is None
+    monkeypatch.undo()
+    retried = run_campaign(spec_dict, store_path=store_path)
+    assert (retried.adopted, retried.executed, retried.remaining) == (0, 1, 0)
 
 
 def test_single_worker_invocation_resumes_bounded_slices(tmp_path):
@@ -584,37 +691,31 @@ def test_single_worker_invocation_resumes_bounded_slices(tmp_path):
     )
 
 
-def test_worker_mode_rejects_parallel_pools(tmp_path):
-    with pytest.raises(ConfigurationError, match="worker mode"):
-        run_campaign(
-            campaign_dict(),
-            store_path=tmp_path / "store.sqlite",
-            worker_id="w1",
-            parallel=True,
-        )
-    with pytest.raises(ConfigurationError, match="workers"):
-        run_campaign_workers(
-            campaign_dict(), store_path=tmp_path / "store.sqlite", workers=0
-        )
+def test_out_of_range_options_are_rejected_before_anything_is_registered(tmp_path):
+    """Range checks live in one place, ahead of the store being touched."""
+    store_path = tmp_path / "store.sqlite"
+    for options, match in (
+        ({"workers": 0}, "workers"),
+        ({"workers": 2, "worker_id": "w1"}, "mutually exclusive"),
+        ({"max_points": -1}, "max_points"),
+        ({"chunk_size": 0}, "chunk_size"),
+    ):
+        with pytest.raises(ConfigurationError, match=match):
+            run_campaign(campaign_dict(), store_path=store_path, **options)
+    assert not store_path.exists()
 
 
 def test_non_positive_lease_seconds_is_rejected(tmp_path):
     """A lease of 0 is born expired — every worker would double-claim."""
     for lease in (0.0, -5.0):
-        with pytest.raises(ConfigurationError, match="lease_seconds"):
-            run_campaign(
-                campaign_dict(),
-                store_path=tmp_path / "store.sqlite",
-                worker_id="w1",
-                lease_seconds=lease,
-            )
-        with pytest.raises(ConfigurationError, match="lease_seconds"):
-            run_campaign_workers(
-                campaign_dict(),
-                store_path=tmp_path / "store.sqlite",
-                workers=2,
-                lease_seconds=lease,
-            )
+        for launch in ({}, {"worker_id": "w1"}, {"workers": 2}):
+            with pytest.raises(ConfigurationError, match="lease_seconds"):
+                run_campaign(
+                    campaign_dict(),
+                    store_path=tmp_path / "store.sqlite",
+                    lease_seconds=lease,
+                    **launch,
+                )
 
 
 # --------------------------------------------------------------------- #
@@ -703,11 +804,13 @@ def test_cli_rejects_conflicting_execution_modes(tmp_path, capsys):
     spec_path = tmp_path / "campaign.json"
     spec_path.write_text(json.dumps(campaign_dict()))
     for flags in (
-        ["--workers", "2", "--parallel"],
         ["--workers", "2", "--worker-id", "w1"],
-        ["--worker-id", "w1", "--parallel"],
         ["--workers", "0"],
         ["--workers", "2", "--lease-seconds", "0"],
+        ["--chunk-size", "0"],
+        ["--max-points", "-1"],
+        ["--parallel"],  # retired with the pool it selected
+        ["--cache-dir", "x"],
     ):
         with pytest.raises(SystemExit):
             main(

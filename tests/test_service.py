@@ -16,6 +16,7 @@ The load-bearing guarantees pinned here:
 """
 
 import json
+import os
 import threading
 import time
 import urllib.error
@@ -27,9 +28,10 @@ import pytest
 
 from repro.campaign import CampaignSpec, CampaignStore, run_campaign
 from repro.campaign.store import canonical_result_dict
+from repro.obs import metrics
 from repro.scenario.engine import run_scenario
 from repro.scenario.registry import registered_components
-from repro.service.handlers import ServiceState
+from repro.service.handlers import ServiceState, submit_campaign_payload
 from repro.service.jobs import RUNNING, CampaignJob, JobManager
 from repro.service.schemas import (
     ServiceError,
@@ -194,24 +196,47 @@ def test_unknown_routes_and_malformed_bodies(tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# POST /scenarios: one-shot runs with the sweep cache
+# POST /scenarios: one-shot runs, answered from the store on a hit
 # --------------------------------------------------------------------- #
 def test_post_scenario_result_and_sweep_cache(tmp_path):
+    """The campaign store is the service's one result cache.
+
+    (The sweep runner's pickle directory this test once covered is no
+    longer reachable over HTTP.)  A one-shot run never writes; a spec whose
+    config hash a campaign has already executed is answered from that
+    ``results`` row.
+    """
     offline = run_scenario(base_scenario())
-    with service(tmp_path, cache_dir=str(tmp_path / "cache")) as server:
+    with service(tmp_path) as server:
         status, first = post_json(server, "/scenarios", {"spec": base_scenario()})
-        assert status == 200 and first["cache"] == "miss"
+        assert status == 200 and first["cache"] == "miss"  # no store yet
         # Identical to the offline engine, wall-clock timings aside.
         assert canonical_result_dict(first["result"]) == canonical_result_dict(
             offline.to_dict()
         )
-        # The second submission of the same spec is served from disk.
-        status, second = post_json(server, "/scenarios", base_scenario())
-        assert second["cache"] == "hit"
-        assert second["result"] == first["result"]
-    with service(tmp_path) as server:
-        _, uncached = post_json(server, "/scenarios", {"spec": base_scenario()})
-        assert uncached["cache"] == "disabled"
+        # The run left nothing behind: the same spec misses again.
+        _, second = post_json(server, "/scenarios", base_scenario())
+        assert second["cache"] == "miss"
+        assert not os.path.exists(server.config.store)
+
+        _, submitted = post_json(server, "/campaigns", {"spec": campaign_dict()})
+        wait_for_job(server, submitted["campaign_id"])
+        point = CampaignSpec.from_dict(campaign_dict()).expand()[0]
+        _, hit = post_json(server, "/scenarios", {"spec": point.spec.to_dict()})
+        assert hit["cache"] == "hit"
+        with CampaignStore(server.config.store, read_only=True) as store:
+            assert hit["result"] == store.result(point.config_hash).to_dict()
+            results_before = len(store.canonical_dump(submitted["campaign_id"])["results"])
+        # Same stack under another name is another config hash: a miss, and
+        # still nothing written.
+        _, miss = post_json(server, "/scenarios", {"spec": base_scenario()})
+        assert miss["cache"] == "miss"
+        with CampaignStore(server.config.store, read_only=True) as store:
+            assert store.result(offline.config_hash) is None
+            assert (
+                len(store.canonical_dump(submitted["campaign_id"])["results"])
+                == results_before
+            )
 
 
 def test_post_scenario_unknown_component_param_is_400(tmp_path):
@@ -364,6 +389,47 @@ def test_campaign_lifecycle_matches_offline_serial_run(tmp_path):
                 )
 
 
+def test_default_submission_shares_the_lone_drains_offline_work(tmp_path):
+    """A default ``POST /campaigns`` is grouped exactly like a lone drain.
+
+    The grid's four points share one network and two pair sets, so a drain
+    whose claim covers it enumerates each distinct pair's candidate paths
+    once; a ``chunk_size=1`` submission (every group a single point) pays
+    per point.  Before the service shared ``run_campaign``'s default claim
+    it drained every submission at one point per claim.  (The ``workers=2``
+    thread fleet's dump identity is pinned by
+    ``test_campaign_lifecycle_matches_offline_serial_run``.)
+    """
+    enumerated = metrics.counter("repro_candidate_paths_enumerated_total")
+
+    def paths_enumerated_by(drain):
+        before = enumerated.value
+        drain()
+        return enumerated.value - before
+
+    def submit_and_wait(server, body):
+        _, submitted = post_json(server, "/campaigns", body)
+        final = wait_for_job(server, submitted["campaign_id"])
+        assert final["job"]["state"] == "done"
+        assert final["counts"] == {"done": 4, "error": 0, "pending": 0, "total": 4}
+
+    lone = paths_enumerated_by(
+        lambda: run_campaign(
+            campaign_dict("svc-shared"), store_path=tmp_path / "lone.sqlite"
+        )
+    )
+    with service(tmp_path) as server:
+        default = paths_enumerated_by(
+            lambda: submit_and_wait(server, {"spec": campaign_dict("svc-shared")})
+        )
+        per_point = paths_enumerated_by(
+            lambda: submit_and_wait(
+                server, {"spec": campaign_dict("svc-per-point"), "chunk_size": 1}
+            )
+        )
+    assert 0 < default == lone < per_point
+
+
 def test_campaign_query_validation(tmp_path):
     with service(tmp_path) as server:
         _, submitted = post_json(
@@ -488,19 +554,20 @@ def test_job_manager_refuses_resubmitting_a_running_campaign(tmp_path):
     assert excinfo.value.status == 409
 
 
-def test_campaign_request_validation():
+def test_campaign_request_validation(tmp_path):
     assert campaign_request(campaign_dict()).workers == 1  # bare-spec form
     wrapped = campaign_request(
         {"spec": campaign_dict(), "workers": 3, "chunk_size": 4, "max_points": 2}
     )
     assert (wrapped.workers, wrapped.chunk_size, wrapped.max_points) == (3, 4, 2)
+    # Shape and JSON types die at the edge...
     for broken in (
-        {"spec": campaign_dict(), "workers": 0},
         {"spec": campaign_dict(), "workers": True},
+        {"spec": campaign_dict(), "workers": "2"},
+        {"spec": campaign_dict(), "max_points": 1.5},
+        {"spec": campaign_dict(), "chunk_size": [1]},
+        {"spec": campaign_dict(), "lease_seconds": "soon"},
         {"spec": campaign_dict(), "batch": True},  # retired: grouping is the drain
-        {"spec": campaign_dict(), "max_points": -1},
-        {"spec": campaign_dict(), "chunk_size": 0},
-        {"spec": campaign_dict(), "lease_seconds": 0},
         {"spec": campaign_dict(), "typo_option": 1},
         {"spec": {"no": "base"}},
     ):
@@ -512,6 +579,20 @@ def test_campaign_request_validation():
     assert "expected workers, max_points, chunk_size, lease_seconds" in str(
         excinfo.value
     )
+    # ...ranges where run-campaign's are checked, at submission: still a
+    # 400, and nothing is registered or started.
+    state = ServiceState(str(tmp_path / "store.sqlite"))
+    for out_of_range in (
+        {"workers": 0},
+        {"max_points": -1},
+        {"chunk_size": 0},
+        {"lease_seconds": 0},
+    ):
+        with pytest.raises(ServiceError) as excinfo:
+            submit_campaign_payload(state, {"spec": campaign_dict(), **out_of_range})
+        assert (excinfo.value.status, excinfo.value.code) == (400, "invalid-campaign")
+        assert next(iter(out_of_range)) in excinfo.value.message
+    assert state.jobs.jobs() == [] and not os.path.exists(state.store_path)
 
 
 def test_scenario_and_query_validators():

@@ -14,7 +14,6 @@ from repro.experiments.runner import (
     execute_point_outcome,
     function_reference,
     grid,
-    iter_outcome_chunks,
     main,
     point,
     resolve_function,
@@ -238,31 +237,6 @@ def test_execute_point_outcome_captures_error_and_timing():
     bad = execute_point_outcome(point(_square_or_boom, value=-1))
     assert not bad.ok and bad.value is None
     assert "ValueError" in bad.error and "no negatives" in bad.error
-
-
-def test_iter_outcome_chunks_preserves_order_and_isolates_failures():
-    points = [point(_square_or_boom, label=str(v), value=v) for v in (2, -1, 3, 4)]
-    chunks = list(iter_outcome_chunks(points, chunk_size=3))
-    assert [len(chunk) for chunk in chunks] == [3, 1]
-    outcomes = [outcome for chunk in chunks for outcome in chunk]
-    assert [outcome.ok for outcome in outcomes] == [True, False, True, True]
-    assert [outcome.value for outcome in outcomes] == [4, None, 9, 16]
-
-    # Serial default: one point per chunk (maximum durability granularity).
-    assert [len(chunk) for chunk in iter_outcome_chunks(points)] == [1, 1, 1, 1]
-
-    # Parallel execution yields the same outcomes in the same order.
-    parallel = [
-        outcome
-        for chunk in iter_outcome_chunks(points, parallel=True, processes=2, chunk_size=2)
-        for outcome in chunk
-    ]
-    assert [outcome.value for outcome in parallel] == [4, None, 9, 16]
-    assert "ValueError" in parallel[1].error
-
-    with pytest.raises(ConfigurationError):
-        list(iter_outcome_chunks(points, chunk_size=0))
-    assert list(iter_outcome_chunks([])) == []
 
 
 def test_apply_spec_setting_targets_and_errors():
