@@ -20,7 +20,11 @@ setup(
     python_requires=">=3.10",
     install_requires=[
         "numpy",
-        "scipy",
+        # routing/mcf.py drives SciPy's vendored HiGHS binding,
+        # scipy.optimize._highspy._core: there since 1.15 (the last line
+        # with Python 3.10 wheels), verified on 1.17.1.  On any other
+        # version tests/test_mcf_session.py checks the names it uses.
+        "scipy>=1.15",
         "networkx",
     ],
     extras_require={

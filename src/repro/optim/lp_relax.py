@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Tuple
 
 from ..power.model import PowerModel
 from ..routing.ospf import ospf_invcap_routing
-from ..topology.base import Topology
+from ..topology.base import Topology, link_key
 from ..traffic.matrix import TrafficMatrix
 from .pathmilp import PathMilpConfig, solve_path_milp
 from .solution import EnergyAwareSolution, solution_power
@@ -64,7 +64,7 @@ def lp_relaxation_with_rounding(
     # Start from the relaxation's support and try to remove its links, then
     # the nodes that lost all their links (or are simply removable).
     keep_on = protected_nodes(topology, demands, fixed_on_nodes)
-    protected_links = {tuple(sorted(key)) for key in (fixed_on_links or ())}
+    protected_links = {link_key(u, v) for (u, v) in (fixed_on_links or ())}
     candidates = [key for key in sorted(relaxed.active_links) if key not in protected_links]
     candidates += [name for name in sorted(relaxed.active_nodes) if name not in keep_on]
     active_nodes, active_links = shrink_active_subset(

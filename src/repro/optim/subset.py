@@ -1,12 +1,18 @@
 """The switch-off search shared by the subset heuristics.
 
-``solve_mcf`` minimises total flow, so a feasible answer comes with a sparse
+The flow LP minimises total flow, so a feasible answer comes with a sparse
 routing of the whole matrix, the *witness flow*.  An element on which the
 witness puts exactly zero load can go without a solver run: the witness
 restricted to the smaller arc set is the same feasible point.  Zero load is
 not enough on its own — a demand below the solver's tolerances (the paper's
 1 bit/s ε flows) may be routed as no flow at all — so the combinatorial
 connectivity check the LP itself starts with is run on every candidate.
+
+A candidate that does carry witness flow costs an LP, and consecutive
+candidates differ in a handful of arcs: one search holds one
+:class:`~repro.routing.mcf.FlowSession` — the LP assembled once over the
+starting sets, a candidate's arcs switched off by column bounds, each
+re-solve started from the basis of the last.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional, Set, Tuple, Union
 
 from ..obs import metrics, trace
-from ..routing.mcf import demands_connected, solve_mcf
+from ..routing.mcf import FlowSession, demands_connected
 from ..topology.base import Topology
 from ..traffic.matrix import TrafficMatrix
 
@@ -46,9 +52,18 @@ def shrink_active_subset(
     A candidate is a node name (it leaves with its active links) or a link key
     (skipped when already off); only one that carries witness flow costs an
     LP.  Returns the ``(active_nodes, active_links)`` that remain.
+
+    The sets returned do not depend on which optimal flow a warm re-solve
+    lands on: a different witness moves work between the solver and the
+    witness rule, and both give the true answer to "does the demand still
+    fit?" — a witness skip exhibits a feasible flow, an LP decides.
     """
     nodes, links = set(active_nodes), set(active_links)
     witness: Optional[Dict[LinkKey, float]] = None
+    # Opened at the first candidate that reaches the solver, over the sets as
+    # they are then (every later candidate lies within them), and dropped
+    # with this call: nothing is carried across intervals, threads or forks.
+    session: Optional[FlowSession] = None
     answers = dict.fromkeys(("witness", "disconnected", "lp_feasible", "lp_infeasible"), 0)
     for element in candidates:
         if isinstance(element, tuple):
@@ -67,7 +82,9 @@ def shrink_active_subset(
         ):
             answer = "witness"
         else:
-            result = solve_mcf(topology, demands, utilisation_limit, fewer_nodes, fewer_links)
+            if session is None:
+                session = FlowSession(topology, demands, utilisation_limit, nodes, links)
+            result = session.solve(fewer_nodes, fewer_links)
             answer = "lp_feasible" if result.feasible else "lp_infeasible"
             if result.feasible:
                 witness = result.arc_loads
@@ -81,6 +98,7 @@ def shrink_active_subset(
     if enclosing is not None:
         enclosing.set(
             lp_solves=answers["lp_feasible"] + answers["lp_infeasible"],
+            lp_iterations=session.simplex_iterations if session is not None else 0,
             witness_skips=answers["witness"],
         )
     return nodes, links

@@ -15,6 +15,14 @@ Commodities are aggregated per origin (the standard reduction), so the LP has
 
 :func:`max_concurrent_flow` asks the optimisation form of the same question
 ("how many times this matrix fits") over the same constraint rows.
+
+Three layers, one above the other: :func:`_flow_lp` assembles the constraint
+structure, :class:`_HighsLP` is the one solver binding (SciPy's vendored
+HiGHS, driven directly: the model is passed once, column bounds change in
+place and a re-solve starts from the basis the last one left), and
+:class:`FlowSession` is what callers hold: "route these demands with these
+arcs switched off".  :func:`solve_mcf` is a session of one solve; the subset
+search of :mod:`repro.optim.subset` keeps one for a whole switch-off loop.
 """
 
 from __future__ import annotations
@@ -23,19 +31,46 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
+import scipy
 from scipy import sparse
-from scipy.optimize import linprog
 
 from ..exceptions import SolverError
 from ..obs import metrics
 from ..topology.base import Arc, Topology, link_key
 from ..traffic.matrix import TrafficMatrix
 
+try:
+    # Private to SciPy: it is what SciPy's own LP front end drives, and the
+    # only HiGHS binding here that lets a model outlive one solve.
+    from scipy.optimize._highspy._core import (
+        HighsLp,
+        HighsModelStatus,
+        HighsStatus,
+        MatrixFormat,
+        _Highs,
+        kHighsInf,
+    )
+
+    for _method in ("changeColsBounds", "getInfo", "getSolution"):
+        getattr(_Highs, _method)
+except (ImportError, AttributeError) as error:
+    raise ImportError(
+        "repro.routing.mcf drives HiGHS through scipy.optimize._highspy._core, verified on "
+        f"SciPy 1.17.1 (HiGHS 1.12); SciPy {scipy.__version__} does not provide it: {error}"
+    ) from error
+
 _LP_SOLVES = metrics.counter(
     "repro_mcf_lp_solves_total", "HiGHS LP solves of the MCF module, by kind of LP"
 )
 _FEASIBILITY_SOLVES = _LP_SOLVES.labels(kind="feasibility")
 _MAX_CONCURRENT_SOLVES = _LP_SOLVES.labels(kind="max_concurrent")
+_SIMPLEX_ITERATIONS = metrics.counter(
+    "repro_mcf_simplex_iterations_total",
+    "Simplex iterations of the MCF module's LP solves, by whether the solve "
+    "started from the basis of the previous one",
+)
+_FRESH_ITERATIONS = _SIMPLEX_ITERATIONS.labels(start="fresh")
+_WARM_ITERATIONS = _SIMPLEX_ITERATIONS.labels(start="warm")
 
 
 def pairwise_sum(values: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -71,7 +106,7 @@ class MCFResult:
             (``inf`` when infeasible).
         arc_loads: Load per directed arc in bits per second (empty when
             infeasible).
-        total_flow_bps: Sum of arc loads (a hop-weighted volume; empty when
+        total_flow_bps: Sum of arc loads (a hop-weighted volume; ``0.0`` when
             infeasible).
     """
 
@@ -103,29 +138,35 @@ class _FlowLP:
         return self.capacities_bps * utilisation_limit / self.scale
 
 
+def _within(
+    nodes: List[str],
+    arcs: List[Arc],
+    active_nodes: Optional[Iterable[str]],
+    active_links: Optional[Iterable[Tuple[str, str]]],
+) -> Tuple[List[str], List[Arc]]:
+    """Those of *nodes* and *arcs* that lie within the active sets, in order."""
+    if active_nodes is not None:
+        allowed = set(active_nodes)
+        nodes = [node for node in nodes if node in allowed]
+    node_set = set(nodes)
+    link_keys = None if active_links is None else {link_key(u, v) for (u, v) in active_links}
+    arcs = [
+        arc
+        for arc in arcs
+        if arc.src in node_set
+        and arc.dst in node_set
+        and (link_keys is None or arc.link_key in link_keys)
+    ]
+    return nodes, arcs
+
+
 def _active_arcs(
     topology: Topology,
     active_nodes: Optional[Iterable[str]],
     active_links: Optional[Iterable[Tuple[str, str]]],
 ) -> Tuple[List[str], List[Arc]]:
     """Nodes and directed arcs of the (sub)network, in topology order."""
-    nodes = topology.nodes()
-    if active_nodes is not None:
-        allowed = set(active_nodes)
-        nodes = [node for node in nodes if node in allowed]
-    node_set = set(nodes)
-    if active_links is None:
-        link_keys = set(topology.link_keys())
-    else:
-        link_keys = {link_key(u, v) for (u, v) in active_links}
-    arcs = [
-        arc
-        for arc in topology.arcs()
-        if arc.src in node_set
-        and arc.dst in node_set
-        and arc.link_key in link_keys
-    ]
-    return nodes, arcs
+    return _within(topology.nodes(), topology.arcs(), active_nodes, active_links)
 
 
 def _positive_demands(demands: TrafficMatrix) -> List[Tuple[Tuple[str, str], float]]:
@@ -200,14 +241,13 @@ def _flow_lp(
     nodes: List[str],
     arcs: List[Arc],
     positive: List[Tuple[Tuple[str, str], float]],
-) -> Optional[_FlowLP]:
-    """Assemble the LP that routes *positive*, or ``None`` if no flow can exist.
+) -> _FlowLP:
+    """Assemble the LP that routes *positive* over *arcs* (at least one).
 
-    ``None`` is what can be decided without a solver: no usable arc at all,
-    or a demand whose endpoints are not :func:`_connected`.
+    What can be decided without a solver — no usable arc at all, a demand
+    whose endpoints are not :func:`_connected` — is the caller's to decide
+    first.
     """
-    if not arcs or not _connected(nodes, arcs, positive):
-        return None
     node_index = {name: index for index, name in enumerate(nodes)}
 
     capacities_bps = np.array([arc.capacity_bps for arc in arcs])
@@ -239,6 +279,196 @@ def _flow_lp(
     return _FlowLP(len(origins), a_eq, a_ub, eq_rhs.ravel(), capacities_bps, scale)
 
 
+#: What SciPy's LP front end (``method="highs"``) sets before it solves;
+#: every other HiGHS option (tolerances, limits, the choice between simplex
+#: and IPM) keeps its default.
+_HIGHS_OPTIONS = (
+    ("presolve", "on"),
+    ("simplex_strategy", 1),  # dual simplex
+    ("highs_debug_level", 0),
+    ("log_to_console", False),
+    ("output_flag", False),
+)
+
+
+class _HighsLP:
+    """``min cost @ x`` subject to ``A_ub x <= b_ub``, ``A_eq x == b_eq``,
+    ``0 <= x <= upper``, held by one HiGHS instance.
+
+    Rows, columns and options are exactly what SciPy's LP front end (the
+    reference in ``tests/test_mcf_session.py``) hands HiGHS for the same
+    arguments — inequality rows above equality rows, column-wise storage,
+    :data:`_HIGHS_OPTIONS` — so the first :meth:`solve` returns that front
+    end's vertex bit for bit.  Unlike it, the model stays: :meth:`set_upper`
+    changes column bounds in place and the next :meth:`solve` starts from
+    the basis HiGHS kept.
+
+    Every status the binding returns is looked at.  After a failure the
+    instance is dropped and any further call raises.
+    """
+
+    def __init__(
+        self,
+        cost: np.ndarray,
+        a_ub: sparse.spmatrix,
+        b_ub: np.ndarray,
+        a_eq: sparse.spmatrix,
+        b_eq: np.ndarray,
+    ) -> None:
+        matrix = sparse.csc_array(sparse.vstack((a_ub, a_eq)))
+        lp = HighsLp()
+        lp.num_row_, lp.num_col_ = matrix.shape
+        lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = matrix.shape
+        lp.a_matrix_.format_ = MatrixFormat.kColwise
+        lp.a_matrix_.start_ = matrix.indptr
+        lp.a_matrix_.index_ = matrix.indices
+        lp.a_matrix_.value_ = matrix.data
+        lp.col_cost_ = cost
+        lp.col_lower_ = np.zeros(len(cost))
+        lp.col_upper_ = np.full(len(cost), kHighsInf)
+        lp.row_lower_ = np.concatenate((np.full(len(b_ub), -kHighsInf), b_eq))
+        lp.row_upper_ = np.concatenate((b_ub, b_eq))
+        self._highs: Optional[_Highs] = _Highs()
+        self._solved_before = False
+        #: Simplex iterations of every solve so far.
+        self.iterations = 0
+        for option, value in _HIGHS_OPTIONS:
+            self._checked("setOptionValue", option, value)
+        self._checked("passModel", lp)
+
+    def _live(self) -> _Highs:
+        if self._highs is None:
+            raise SolverError("MCF solver failed earlier; this LP takes no further calls")
+        return self._highs
+
+    def _fail(self, reason: str) -> SolverError:
+        self._highs = None
+        return SolverError(f"MCF solver failed: HiGHS {reason}")
+
+    def _checked(self, method: str, *arguments: object) -> None:
+        """Call a ``_Highs`` method that reports a ``HighsStatus``."""
+        status = getattr(self._live(), method)(*arguments)
+        # kWarning is let through, as SciPy's front end does (HiGHS warns,
+        # for one, when it drops a matrix entry below its 1e-9 threshold).
+        if status == HighsStatus.kError:
+            raise self._fail(f"{method} returned {status.name}")
+
+    def set_upper(self, columns: np.ndarray, upper: np.ndarray) -> None:
+        """Give *columns* the bounds ``[0, upper]``."""
+        lower = np.zeros(len(columns))
+        self._checked("changeColsBounds", len(columns), columns.astype(np.int32), lower, upper)
+
+    def solve(self) -> Optional[np.ndarray]:
+        """The optimal ``x``, or ``None`` when the LP is infeasible.
+
+        Raises:
+            SolverError: On any other outcome, naming HiGHS's model status.
+        """
+        self._checked("run")
+        highs = self._live()
+        iterations = int(highs.getInfo().simplex_iteration_count)
+        self.iterations += iterations
+        (_WARM_ITERATIONS if self._solved_before else _FRESH_ITERATIONS).inc(iterations)
+        self._solved_before = True
+        status = highs.getModelStatus()
+        if status == HighsModelStatus.kInfeasible:
+            return None
+        if status != HighsModelStatus.kOptimal:
+            raise self._fail(f"stopped with model status {highs.modelStatusToString(status)!r}")
+        return np.array(highs.getSolution().col_value)
+
+
+class FlowSession:
+    """The flow LP of one (topology, demands, utilisation limit), solved with
+    any of its arcs switched off.
+
+    ``session.solve(active_nodes, active_links)`` answers what
+    ``solve_mcf(topology, demands, utilisation_limit, active_nodes,
+    active_links)`` answers, for sets within the ones the session was opened
+    on: the same solver-free early returns, the same ``feasible``.  The LP is
+    assembled and passed to HiGHS once, at the first solve that needs the
+    solver; from then on a solve is "the columns of the arcs that changed get
+    upper bound 0, or ``inf`` again" and a run from the previous basis.
+
+    A later solve need not land on the vertex a fresh LP over the smaller
+    arc set would: ``feasible`` is the same answer either way, the flow is
+    *an* optimal one.  A session belongs to one caller — it is not shared
+    between threads and holds nothing worth keeping once the demands change.
+    """
+
+    def __init__(
+        self,
+        topology: Topology,
+        demands: TrafficMatrix,
+        utilisation_limit: float = 1.0,
+        active_nodes: Optional[Iterable[str]] = None,
+        active_links: Optional[Iterable[Tuple[str, str]]] = None,
+    ) -> None:
+        self._nodes, self._arcs = _active_arcs(topology, active_nodes, active_links)
+        self._positive = _positive_demands(demands)
+        self._utilisation_limit = utilisation_limit
+        #: Assembled and passed to HiGHS at the first solve that needs the solver.
+        self._model: Optional[Tuple[_FlowLP, _HighsLP]] = None
+        self._on = np.ones(len(self._arcs), dtype=bool)
+
+    @property
+    def simplex_iterations(self) -> int:
+        """Simplex iterations of every solve of the session so far."""
+        return 0 if self._model is None else self._model[1].iterations
+
+    def solve(
+        self,
+        active_nodes: Optional[Iterable[str]] = None,
+        active_links: Optional[Iterable[Tuple[str, str]]] = None,
+    ) -> MCFResult:
+        """Route the demands over the session's arcs that lie within
+        *active_nodes* and *active_links* (default: all of them)."""
+        nodes, arcs = _within(self._nodes, self._arcs, active_nodes, active_links)
+        if not self._positive:
+            return MCFResult(True, 0.0, {arc.key: 0.0 for arc in arcs}, 0.0)
+        if not arcs or not _connected(nodes, arcs, self._positive):
+            return MCFResult(False, float("inf"), {}, 0.0)
+
+        if self._model is None:
+            lp = _flow_lp(self._nodes, self._arcs, self._positive)
+            # Objective: minimise total flow (discourages cycles and long detours).
+            cost = np.ones(lp.a_ub.shape[1])
+            rhs = lp.capacity_rhs(self._utilisation_limit)
+            self._model = (lp, _HighsLP(cost, lp.a_ub, rhs, lp.a_eq, lp.eq_rhs))
+        lp, solver = self._model
+        num_arcs = len(self._arcs)
+        on_keys = {arc.key for arc in arcs}
+        mask = np.array([arc.key in on_keys for arc in self._arcs])
+        flipped = np.flatnonzero(mask != self._on)
+        if len(flipped):
+            # Arc ``a`` is column ``o * num_arcs + a`` of every origin ``o``.
+            columns = np.add.outer(np.arange(lp.num_origins) * num_arcs, flipped).ravel()
+            upper = np.where(mask[flipped], kHighsInf, 0.0)
+            solver.set_upper(columns, np.tile(upper, lp.num_origins))
+            self._on = mask
+
+        _FEASIBILITY_SOLVES.inc()
+        solution = solver.solve()
+        if solution is None:
+            return MCFResult(False, float("inf"), {}, 0.0)
+        # Origin by origin, in order: the per-arc sums must not depend on a
+        # reduction tree (see pairwise_sum).
+        loads = np.zeros(num_arcs)
+        for origin_flows in solution.reshape(lp.num_origins, num_arcs):
+            loads += origin_flows
+        loads_bps = loads * lp.scale
+        max_utilisation = float(np.max(loads_bps / lp.capacities_bps))
+        # The arcs that are on, which is what a fresh LP over them lists.
+        arc_loads = {
+            arc.key: load
+            for arc, load in zip(self._arcs, loads_bps.tolist(), strict=True)
+            if arc.key in on_keys
+        }
+        return MCFResult(
+            True, max_utilisation, arc_loads, float(pairwise_sum(solution)) * lp.scale
+        )
+
+
 def solve_mcf(
     topology: Topology,
     demands: TrafficMatrix,
@@ -261,42 +491,7 @@ def solve_mcf(
         An :class:`MCFResult`; ``feasible`` is ``False`` both when the LP is
         infeasible and when some demand endpoint is outside the active set.
     """
-    nodes, arcs = _active_arcs(topology, active_nodes, active_links)
-    positive = _positive_demands(demands)
-    if not positive:
-        return MCFResult(True, 0.0, {arc.key: 0.0 for arc in arcs}, 0.0)
-    lp = _flow_lp(nodes, arcs, positive)
-    if lp is None:
-        return MCFResult(False, float("inf"), {}, 0.0)
-
-    _FEASIBILITY_SOLVES.inc()
-    result = linprog(
-        # Objective: minimise total flow (discourages cycles and long detours).
-        np.ones(lp.a_ub.shape[1]),
-        A_ub=lp.a_ub,
-        b_ub=lp.capacity_rhs(utilisation_limit),
-        A_eq=lp.a_eq,
-        b_eq=lp.eq_rhs,
-        bounds=(0, None),
-        method="highs",
-    )
-    if result.status == 2:  # infeasible
-        return MCFResult(False, float("inf"), {}, 0.0)
-    if not result.success:
-        raise SolverError(f"MCF solver failed: {result.message}")
-
-    solution = result.x
-    # Origin by origin, in order: the per-arc sums must not depend on a
-    # reduction tree (see pairwise_sum).
-    loads = np.zeros(len(arcs))
-    for origin_flows in solution.reshape(lp.num_origins, len(arcs)):
-        loads += origin_flows
-    loads_bps = loads * lp.scale
-    arc_loads = {arc.key: float(load) for arc, load in zip(arcs, loads_bps, strict=True)}
-    max_utilisation = float(np.max(loads_bps / lp.capacities_bps))
-    return MCFResult(
-        True, max_utilisation, arc_loads, float(pairwise_sum(solution)) * lp.scale
-    )
+    return FlowSession(topology, demands, utilisation_limit, active_nodes, active_links).solve()
 
 
 def max_concurrent_flow(topology: Topology, demands: TrafficMatrix) -> float:
@@ -319,9 +514,9 @@ def max_concurrent_flow(topology: Topology, demands: TrafficMatrix) -> float:
     positive = _positive_demands(demands)
     if not positive:
         return float("inf")
-    lp = _flow_lp(nodes, arcs, positive)
-    if lp is None:
+    if not arcs or not _connected(nodes, arcs, positive):
         return 0.0
+    lp = _flow_lp(nodes, arcs, positive)
 
     # One more column, λ: absent from the capacity rows, and -d in the
     # conservation rows so that they read ``A_eq f - λ d = 0``.
@@ -329,18 +524,16 @@ def max_concurrent_flow(topology: Topology, demands: TrafficMatrix) -> float:
     cost = np.zeros(num_flows + 1)
     cost[-1] = -1.0
     _MAX_CONCURRENT_SOLVES.inc()
-    result = linprog(
+    solution = _HighsLP(
         cost,
-        A_ub=sparse.hstack([lp.a_ub, sparse.coo_matrix((len(arcs), 1))]),
-        b_ub=lp.capacity_rhs(1.0),
-        A_eq=sparse.hstack([lp.a_eq, sparse.coo_matrix(-lp.eq_rhs[:, None])]),
-        b_eq=np.zeros(num_rows),
-        bounds=(0, None),
-        method="highs",
-    )
-    if not result.success:
-        raise SolverError(f"max-concurrent-flow solver failed: {result.message}")
-    return float(result.x[-1])
+        sparse.hstack([lp.a_ub, sparse.coo_matrix((len(arcs), 1))]),
+        lp.capacity_rhs(1.0),
+        sparse.hstack([lp.a_eq, sparse.coo_matrix(-lp.eq_rhs[:, None])]),
+        np.zeros(num_rows),
+    ).solve()
+    if solution is None:
+        raise SolverError("max-concurrent-flow solver failed: HiGHS reports the LP infeasible")
+    return float(solution[-1])
 
 
 def demands_connected(

@@ -1,10 +1,13 @@
 """Tests for the event-driven timeline engine and the events axis."""
 
 import json
+import os
 
 import pytest
 
 from repro.core.failover import compute_failover
+from repro.core.planner import activate_paths
+from repro.core.response import ResponseConfig, build_response_plan
 from repro.exceptions import ConfigurationError
 from repro.experiments.runner import main
 from repro.routing.paths import Path, RoutingTable
@@ -351,6 +354,64 @@ def test_event_free_timeline_is_bit_identical_to_cold_replay():
     assert result.power_percent["greente"] == expected  # exact, not approx
 
 
+def test_plan_built_once_is_bit_identical_to_a_plan_per_interval():
+    """REsPoNse's runtime builds its plan in ``start`` and only re-activates:
+    the series is the one a fresh plan per interval gives (fat-tree, sine
+    wave — the datacenter stack of the paper)."""
+    spec = ScenarioSpec(
+        name="timeline-fattree",
+        topology=TopologySpec("fattree", k=4),
+        traffic=TrafficSpec("sinewave", mode="far", num_intervals=12, seed=4),
+        power=PowerSpec("commodity", ports_at_peak=4),
+        schemes=(SchemeSpec("response", num_paths=3, k=4),),
+    )
+    built = build_scenario(spec)
+    result = run_scenario(spec)
+    expected = []
+    for matrix in built.trace.matrices():
+        plan = build_response_plan(
+            built.topology,
+            built.power_model,
+            pairs=built.pairs,
+            config=ResponseConfig(num_paths=3, k=4),
+        )
+        activation = activate_paths(
+            built.topology,
+            built.power_model,
+            plan,
+            matrix,
+            utilisation_threshold=spec.utilisation_threshold,
+        )
+        expected.append(activation.power_percent)
+    assert len(expected) == 12
+    assert result.power_percent["response"] == expected  # exact, not approx
+
+
+def test_response_reacts_to_a_failure_by_activation_greente_by_a_new_solve():
+    """A mid-trace link failure on a GÉANT day: REsPoNse's post-failure step
+    is a table lookup, GreenTE's a recomputation on the degraded topology."""
+    spec = ScenarioSpec(
+        name="timeline-geant-failure",
+        topology=TopologySpec("geant"),
+        traffic=TrafficSpec(
+            "geant-trace", num_days=1, num_pairs=110, num_endpoints=16, subsample=4
+        ),
+        power=PowerSpec("cisco"),
+        schemes=(SchemeSpec("response", num_paths=3, k=3), SchemeSpec("greente")),
+        events=(EventSpec("link-failure", time_s=6 * 3600.0, link=["DE", "FR"]),),
+    )
+    result = run_scenario(spec)
+    assert len(result.times_s) == 24
+    (response,), (greente,) = result.reaction["response"], result.reaction["greente"]
+    assert response["kind"] == greente["kind"] == "link-failure"
+    assert result.recomputations["response"] == 0
+    assert result.recomputations["greente"] == 1
+    assert 0.0 < response["power_percent"] <= 100.0
+    # ~1 ms against ~60 ms: the recomputation-latency proxy of the paper's
+    # "no recomputation under failure" claim.
+    assert response["compute_seconds"] < greente["compute_seconds"]
+
+
 def test_run_timeline_on_interval_hook_streams_bit_identical_values():
     """The interval-major streaming pass must not change any computed value.
 
@@ -605,6 +666,27 @@ def test_cli_event_flag_and_events_set_overrides(tmp_path, capsys):
     restored = ScenarioResult.from_dict(payload)
     assert restored.to_dict() == payload  # full --output round trip
     assert restored.reaction["response"][0]["interval_index"] == 1
+
+
+def test_cli_example_failure_spec_writes_events_and_reaction_records(tmp_path, capsys):
+    """Failure injection end to end from the shipped spec: the events fire
+    and the ``--output`` JSON carries the per-event reaction metrics."""
+    spec_path = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        "examples",
+        "scenario_geant_failure.json",
+    )
+    output_path = tmp_path / "timeline-result.json"
+    assert main(["run-scenario", "--spec", spec_path, "--output", str(output_path)]) == 0
+    assert "link-failure" in capsys.readouterr().out
+    payload = json.loads(output_path.read_text())
+    assert [event["kind"] for event in payload["events"]] == [
+        "link-failure",
+        "link-repair",
+        "traffic-surge",
+    ]
+    assert payload["reaction"]["response"], "missing reaction records"
+    assert payload["compute_seconds"]["response"], "missing latency proxy"
 
 
 def test_cli_events_set_rejects_bad_index(capsys):
