@@ -5,8 +5,8 @@
 from repro.experiments import run_fig4
 
 
-def test_fig4_datacenter_sine_wave(benchmark, run_once, sweep_kwargs):
-    result = run_once(run_fig4, **sweep_kwargs)
+def test_fig4_datacenter_sine_wave(benchmark, run_once):
+    result = run_once(run_fig4)
     benchmark.extra_info["mean_savings_response_near_%"] = round(
         result.mean_savings_percent("response_near"), 1
     )

@@ -3,8 +3,8 @@
 from repro.experiments import FIG6_VARIANTS, run_fig6
 
 
-def test_fig6_genuity_utilisation_sweep(benchmark, run_once, sweep_kwargs):
-    result = run_once(run_fig6, **sweep_kwargs)
+def test_fig6_genuity_utilisation_sweep(benchmark, run_once):
+    result = run_once(run_fig6)
     for variant in FIG6_VARIANTS:
         levels = result.utilisation_levels
         for level, power in zip(levels, result.power_percent[variant], strict=True):

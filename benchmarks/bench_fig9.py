@@ -3,8 +3,8 @@
 from repro.experiments import run_fig9
 
 
-def test_fig9_streaming_over_response_paths(benchmark, run_once, sweep_kwargs):
-    result = run_once(run_fig9, **sweep_kwargs)
+def test_fig9_streaming_over_response_paths(benchmark, run_once):
+    result = run_once(run_fig9)
     for label, minimum, median, maximum, playable in result.rows():
         benchmark.extra_info[f"{label}_min_%"] = round(minimum, 1)
         benchmark.extra_info[f"{label}_median_%"] = round(median, 1)

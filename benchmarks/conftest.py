@@ -11,8 +11,6 @@ each one runs a single round (``run_once`` fixture).
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 
@@ -26,21 +24,3 @@ def run_once(benchmark):
         )
 
     return runner
-
-
-@pytest.fixture
-def sweep_kwargs():
-    """Sweep-runner settings for drivers that support fan-out and caching.
-
-    Serial and uncached by default so that benchmark timings stay honest.
-    Set ``REPRO_BENCH_PARALLEL=1`` to fan experiment points out over worker
-    processes, and ``REPRO_BENCH_CACHE_DIR=<dir>`` to reuse per-point
-    results across benchmark runs (see :mod:`repro.experiments.runner`).
-    """
-    kwargs = {}
-    if os.environ.get("REPRO_BENCH_PARALLEL"):
-        kwargs["parallel"] = True
-    cache_dir = os.environ.get("REPRO_BENCH_CACHE_DIR")
-    if cache_dir:
-        kwargs["cache_dir"] = cache_dir
-    return kwargs

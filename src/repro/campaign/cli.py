@@ -17,11 +17,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import sys
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..exceptions import ConfigurationError
 from ..obs import trace
+from ..scenario.spec import read_spec_file
 from .report import (
     deviation_from_best,
     filter_rows,
@@ -45,13 +45,6 @@ def _require_store(path: str, parser: argparse.ArgumentParser) -> None:
     """
     if not os.path.exists(path):
         parser.error(f"campaign store {path!r} does not exist (check --store)")
-
-
-def _load_campaign_spec(path: str) -> CampaignSpec:
-    if path == "-":
-        return CampaignSpec.from_json(sys.stdin.read())
-    with open(path, "r", encoding="utf-8") as handle:
-        return CampaignSpec.from_dict(json.load(handle))
 
 
 def _run_campaign_command(argv: Sequence[str]) -> int:
@@ -140,7 +133,7 @@ def _run_campaign_command(argv: Sequence[str]) -> int:
         # Range checks and the --workers x --worker-id exclusion live in
         # run_campaign; its ConfigurationError becomes a usage error.
         summary = run_campaign(
-            _load_campaign_spec(args.spec),
+            CampaignSpec.from_dict(read_spec_file(args.spec)),
             store_path=args.store,
             workers=args.workers,
             worker_id=args.worker_id,

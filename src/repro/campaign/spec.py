@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..exceptions import ConfigurationError
-from ..experiments.runner import apply_spec_setting
-from ..scenario.spec import ScenarioSpec
+from ..scenario.spec import ScenarioSpec, apply_spec_setting
 
 #: Bump when the campaign spec schema or expansion semantics change in a
 #: way that makes stored campaign ids incomparable.
@@ -97,7 +96,7 @@ class CampaignPoint:
         axes: Axis coordinates as ``{axis: label}`` (``set`` axes are keyed
             by their ``SECTION.KEY`` target).
         spec: The fully applied, validated scenario spec.
-        config_hash: The scenario's sweep-cache hash — the store's
+        config_hash: The scenario's config hash — the store's
             idempotency key.
     """
 

@@ -715,19 +715,6 @@ class CampaignStore:
             for record in records:
                 self._persist_record(connection, campaign_id, record)
 
-    def record_result(
-        self,
-        campaign_id: str,
-        point: CampaignPoint,
-        result: ScenarioResult,
-        elapsed_s: float,
-    ) -> None:
-        """Persist one successful point: result row, metrics, point status."""
-        self.record_chunk(
-            campaign_id,
-            [PointRecord(point=point, result=result, elapsed_s=elapsed_s)],
-        )
-
     def record_failure(
         self, campaign_id: str, point: CampaignPoint, error: str, elapsed_s: float
     ) -> None:

@@ -1,10 +1,9 @@
 """Experiment drivers: one module per evaluation figure of the paper.
 
-The drivers share the sweep runner in :mod:`repro.experiments.runner`:
-independent scenario points fan out over worker processes and cache their
-results to disk keyed by a configuration hash.  ``python -m
-repro.experiments --list`` shows the figures runnable from the command
-line.
+Each driver builds its scenarios through :mod:`repro.scenario` and returns a
+result dataclass holding the figure's series.  ``python -m repro.experiments
+--list`` shows the figures runnable from the command line
+(:mod:`repro.experiments.runner`).
 """
 
 from .always_on_capacity import AlwaysOnCapacityResult, run_always_on_capacity
@@ -19,24 +18,10 @@ from .fig7 import Fig7Result, run_fig7
 from .fig8a import Fig8Result, run_fig8a
 from .fig8b import run_fig8b
 from .fig9 import Fig9Result, run_fig9
-from .runner import (
-    FIGURE_REGISTRY,
-    Sweep,
-    SweepPoint,
-    grid,
-    point,
-    run_sweep,
-)
 from .stress_ablation import StressAblationResult, run_stress_ablation
 from .web_latency import WebLatencyResult, run_web_latency
 
 __all__ = [
-    "FIGURE_REGISTRY",
-    "Sweep",
-    "SweepPoint",
-    "grid",
-    "point",
-    "run_sweep",
     "AlwaysOnCapacityResult",
     "run_always_on_capacity",
     "Fig1aResult",

@@ -1,4 +1,4 @@
-"""``python -m repro.experiments`` — run figure reproductions as a sweep."""
+"""``python -m repro.experiments`` — figure reproductions and the scenario subcommands."""
 
 from .runner import main
 

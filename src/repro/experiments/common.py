@@ -15,7 +15,7 @@ from typing import Callable, List, Sequence
 from ..optim.greente import greente_heuristic
 from ..optim.solution import EnergyAwareSolution
 from ..power.model import PowerModel
-from ..routing.paths import RoutingConfiguration, RoutingTable
+from ..routing.paths import RoutingTable
 from ..scenario.schemes import greente_replay
 from ..scenario.timeline import GroupComputeCache
 from ..topology.base import Topology
@@ -82,16 +82,6 @@ def per_interval_solutions(
         utilisation_limit=utilisation_limit,
         ordering="stable",
     )
-
-
-def configurations_of(solutions: Sequence[EnergyAwareSolution]) -> List[RoutingConfiguration]:
-    """The active-element configuration of each per-interval solution."""
-    return [
-        RoutingConfiguration(
-            frozenset(solution.active_nodes), frozenset(solution.active_links)
-        )
-        for solution in solutions
-    ]
 
 
 def routings_of(solutions: Sequence[EnergyAwareSolution]) -> List[RoutingTable]:

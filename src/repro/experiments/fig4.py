@@ -9,17 +9,23 @@ spreads load over every element.
 
 The whole stack is declarative: each traffic mode is one
 :class:`~repro.scenario.spec.ScenarioSpec` (fat-tree topology × sine-wave
-traffic × commodity power × response/elastictree/ecmp schemes) fanned out as
-a sweep point through :func:`repro.scenario.engine.run_scenario_dict`.
+traffic × commodity power × response/elastictree/ecmp schemes) run through
+:func:`repro.scenario.engine.run_scenario`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from ..scenario import PowerSpec, ScenarioSpec, SchemeSpec, TopologySpec, TrafficSpec
-from .runner import Sweep
+from ..scenario import (
+    PowerSpec,
+    ScenarioSpec,
+    SchemeSpec,
+    TopologySpec,
+    TrafficSpec,
+    run_scenario,
+)
 
 
 @dataclass
@@ -87,32 +93,26 @@ def run_fig4(
     utilisation_threshold: float = 0.9,
     include_elastictree: bool = True,
     seed: int = 4,
-    parallel: bool = False,
-    cache_dir: Optional[str] = None,
 ) -> Fig4Result:
     """Reproduce Figure 4 on a k-ary fat-tree with sine-wave demand.
 
-    The near and far traffic modes are independent scenario sweep points
-    (the ECMP baseline rides on the far scenario, whose trace it replays):
-    pass ``parallel=True`` to fan them out over processes and ``cache_dir``
-    to reuse results across runs, keyed by each scenario's config hash (see
-    :mod:`repro.experiments.runner`).
+    The near and far traffic modes are independent scenarios (the ECMP
+    baseline rides on the far scenario, whose trace it replays).
     """
-    sweep = Sweep(cache_dir=cache_dir)
-    for mode in ("near", "far"):
-        spec = fig4_scenario_spec(
-            mode,
-            k=k,
-            num_intervals=num_intervals,
-            utilisation_threshold=utilisation_threshold,
-            include_elastictree=include_elastictree,
-            include_ecmp=(mode == "far"),
-            seed=seed,
+    by_label = {
+        mode: run_scenario(
+            fig4_scenario_spec(
+                mode,
+                k=k,
+                num_intervals=num_intervals,
+                utilisation_threshold=utilisation_threshold,
+                include_elastictree=include_elastictree,
+                include_ecmp=(mode == "far"),
+                seed=seed,
+            )
         )
-        sweep.add(
-            "repro.scenario.engine:run_scenario_dict", label=mode, spec=spec.to_dict()
-        )
-    by_label = sweep.run_labelled(parallel=parallel)
+        for mode in ("near", "far")
+    }
 
     times = [float(index) for index in range(num_intervals)]
     power: Dict[str, List[float]] = {"ecmp": by_label["far"].power_percent["ecmp"]}

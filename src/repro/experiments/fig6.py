@@ -23,7 +23,6 @@ from ..scenario import (
     TrafficSpec,
     run_scenario,
 )
-from .runner import Sweep
 
 #: Variants plotted in the figure, in its legend order.
 FIG6_VARIANTS = (
@@ -119,13 +118,14 @@ def run_fig6(
     k: int = 3,
     power_model: Optional[PowerModel] = None,
     seed: int = 1,
-    parallel: bool = False,
-    cache_dir: Optional[str] = None,
 ) -> Fig6Result:
     """Reproduce Figure 6 on the synthetic Genuity topology.
 
-    Every variant (and the optimal lower bound) is an independent declarative
-    scenario fanned out through :mod:`repro.experiments.runner`.
+    Every variant (and the optimal lower bound) is a declarative scenario of
+    its own (:func:`fig6_scenario_spec`); they run as the schemes of one
+    combined scenario, so the setup they share (topology, gravity matrix,
+    max-load calibration) is built once.  Variant names double as unique
+    scheme labels.
 
     Args:
         utilisation_levels: Levels (percent of the calibrated maximum load).
@@ -136,50 +136,27 @@ def run_fig6(
         latency_beta: Latency bound of the REsPoNse-lat variant.
         k: Candidate paths per pair for the solvers.
         power_model: Programmatic power-model override (Cisco 12000 spec by
-            default); a custom object cannot cross process boundaries, so it
-            forces serial in-process execution.
+            default).
         seed: Seed for the pair selection and topology generation.
-        parallel: Evaluate the variants over worker processes.
-        cache_dir: Cache per-variant results under this directory.
     """
     levels = tuple(utilisation_levels)
-    specs = {
-        variant: fig6_scenario_spec(
-            variant,
-            utilisation_levels=levels,
-            num_pairs=num_pairs,
-            num_endpoints=num_endpoints,
-            utilisation_threshold=utilisation_threshold,
-            latency_beta=latency_beta,
-            k=k,
-            seed=seed,
-        )
-        for variant in FIG6_VARIANTS
-    }
-
-    if (parallel or cache_dir) and power_model is None:
-        # Independent per-variant scenarios: parallel workers (or cache
-        # entries) each rebuild the deterministic shared setup.
-        sweep = Sweep(cache_dir=cache_dir)
-        for variant, spec in specs.items():
-            sweep.add(
-                "repro.scenario.engine:run_scenario_dict",
-                label=variant,
-                spec=spec.to_dict(),
-            )
-        results = sweep.run_labelled(parallel=parallel)
-        power_percent = {
-            variant: results[variant].power_percent[specs[variant].schemes[0].label]
+    combined = fig6_scenario_spec(
+        FIG6_VARIANTS[0],
+        utilisation_levels=levels,
+        num_pairs=num_pairs,
+        num_endpoints=num_endpoints,
+        utilisation_threshold=utilisation_threshold,
+        latency_beta=latency_beta,
+        k=k,
+        seed=seed,
+    ).with_schemes(
+        *(
+            fig6_variant_scheme(variant, latency_beta=latency_beta, k=k)
             for variant in FIG6_VARIANTS
-        }
-    else:
-        # Serial in-process run: one combined scenario, so the shared setup
-        # (topology, gravity matrix, max-load calibration) is built once for
-        # all five variants.  Variant names double as unique scheme labels.
-        combined = specs[FIG6_VARIANTS[0]].with_schemes(
-            *(spec.schemes[0] for spec in specs.values()), name="fig6"
-        )
-        result = run_scenario(combined, power_model=power_model)
-        power_percent = {variant: result.power_percent[variant] for variant in FIG6_VARIANTS}
+        ),
+        name="fig6",
+    )
+    result = run_scenario(combined, power_model=power_model)
+    power_percent = {variant: result.power_percent[variant] for variant in FIG6_VARIANTS}
 
     return Fig6Result(utilisation_levels=list(levels), power_percent=power_percent)

@@ -13,7 +13,6 @@ block retrieval latency grows by only about 5 %.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from ..apps.streaming import (
@@ -27,7 +26,6 @@ from ..core.response import ResponseConfig, build_response_plan
 from ..routing.paths import RoutingTable
 from ..scenario import PowerSpec, RoutingSpec, TopologySpec
 from ..traffic.matrix import TrafficMatrix
-from .runner import Sweep
 
 
 @dataclass
@@ -75,18 +73,17 @@ def _streaming_routing_for_plan(
     return RoutingTable(chosen, name="response-lat-active")
 
 
-@lru_cache(maxsize=4)
-def _fig9_shared(
-    max_clients: int,
-    stream_rate_bps: Optional[float],
-    latency_beta: float,
-    seed: int,
-):
-    """Topology, plan and routings shared by every client population.
+def run_fig9(
+    client_counts: Tuple[int, int] = (50, 100),
+    stream_rate_bps: Optional[float] = None,
+    latency_beta: float = 0.25,
+    utilisation_threshold: float = 0.9,
+    seed: int = 9,
+) -> Fig9Result:
+    """Reproduce the streaming experiment on the synthetic Abovenet topology.
 
-    Memoised within the process, so a serial sweep builds the plan once
-    (like the seed did) while parallel workers each build their own copy;
-    the returned objects must be treated as read-only.
+    The topology, the REsPoNse-lat plan and the InvCap routing are built once
+    and shared by every client population.
     """
     topology = TopologySpec("abovenet").build()
     power_model = PowerSpec("cisco").build(topology)
@@ -95,7 +92,7 @@ def _fig9_shared(
         config = StreamingConfig(stream_rate_bps=stream_rate_bps)
 
     source = topology.routers()[0]
-    all_clients = pick_client_nodes(topology, source, max_clients, seed=seed)
+    all_clients = pick_client_nodes(topology, source, max(client_counts), seed=seed)
 
     # REsPoNse-lat plan for source -> every possible client node.
     pairs = sorted({(source, node) for node in set(all_clients)})
@@ -106,71 +103,25 @@ def _fig9_shared(
         config=ResponseConfig(num_paths=3, k=3, latency_beta=latency_beta),
     )
     invcap = RoutingSpec("ospf-invcap", params={"name": "invcap"}).build(topology, pairs)
-    return topology, power_model, config, source, all_clients, plan, invcap
-
-
-def _fig9_population(
-    count: int,
-    max_clients: int,
-    stream_rate_bps: Optional[float],
-    latency_beta: float,
-    utilisation_threshold: float,
-    seed: int,
-) -> Tuple[StreamingResult, StreamingResult]:
-    """Streaming results (REsPoNse-lat, InvCap) for one client population."""
-    topology, power_model, config, source, all_clients, plan, invcap = _fig9_shared(
-        max_clients, stream_rate_bps, latency_beta, seed
-    )
-    clients = all_clients[:count]
-    demand_per_pair: Dict[Tuple[str, str], float] = {}
-    for node in clients:
-        pair = (source, node)
-        demand_per_pair[pair] = demand_per_pair.get(pair, 0.0) + config.stream_rate_bps
-    demands = TrafficMatrix(demand_per_pair, name=f"streaming-{count}")
-
-    response_routing = _streaming_routing_for_plan(
-        topology, power_model, plan, demands, utilisation_threshold
-    )
-    response_result = run_streaming_workload(
-        topology, response_routing, source, clients, config
-    )
-    invcap_result = run_streaming_workload(topology, invcap, source, clients, config)
-    return response_result, invcap_result
-
-
-def run_fig9(
-    client_counts: Tuple[int, int] = (50, 100),
-    stream_rate_bps: Optional[float] = None,
-    latency_beta: float = 0.25,
-    utilisation_threshold: float = 0.9,
-    seed: int = 9,
-    parallel: bool = False,
-    cache_dir: Optional[str] = None,
-) -> Fig9Result:
-    """Reproduce the streaming experiment on the synthetic Abovenet topology.
-
-    Each client population is an independent sweep point; pass
-    ``parallel=True``/``cache_dir`` to fan out or reuse results (see
-    :mod:`repro.experiments.runner`).
-    """
-    max_clients = max(client_counts)
-    sweep = Sweep(cache_dir=cache_dir)
-    for count in client_counts:
-        sweep.add(
-            _fig9_population,
-            label=str(count),
-            count=count,
-            max_clients=max_clients,
-            stream_rate_bps=stream_rate_bps,
-            latency_beta=latency_beta,
-            utilisation_threshold=utilisation_threshold,
-            seed=seed,
-        )
-    results = sweep.run(parallel=parallel)
 
     scenarios: Dict[str, StreamingResult] = {}
     latency_increase: Dict[int, float] = {}
-    for count, (response_result, invcap_result) in zip(client_counts, results, strict=True):
+    for count in client_counts:
+        clients = all_clients[:count]
+        demand_per_pair: Dict[Tuple[str, str], float] = {}
+        for node in clients:
+            pair = (source, node)
+            demand_per_pair[pair] = demand_per_pair.get(pair, 0.0) + config.stream_rate_bps
+        demands = TrafficMatrix(demand_per_pair, name=f"streaming-{count}")
+
+        response_routing = _streaming_routing_for_plan(
+            topology, power_model, plan, demands, utilisation_threshold
+        )
+        response_result = run_streaming_workload(
+            topology, response_routing, source, clients, config
+        )
+        invcap_result = run_streaming_workload(topology, invcap, source, clients, config)
+
         scenarios[f"REP-lat{count}"] = response_result
         scenarios[f"InvCap{count}"] = invcap_result
         if invcap_result.mean_block_latency_s > 0:

@@ -133,7 +133,7 @@ class UnseededRandomRule(Rule):
     rationale = (
         "Every random draw in the engine must come from an explicitly "
         "seeded generator threaded through the scenario spec, or two runs "
-        "of the same config hash diverge and the sweep cache serves wrong "
+        "of the same config hash diverge and a campaign store serves wrong "
         "results."
     )
 

@@ -1,8 +1,8 @@
 """Process-wide metrics registry: named counters, gauges and histograms.
 
 The repo grew ad-hoc perf state in several corners — the calibration
-memo's hit/miss dict, the compiled flow-set cache, sweep-cache probes,
-batch-group fallbacks, lease churn.  This registry absorbs them behind
+memo's hit/miss dict, the compiled flow-set cache, batch-group
+fallbacks, lease churn.  This registry absorbs them behind
 one snapshot API so the service can expose everything at ``GET /metrics``
 and future optimisation work reads one dashboard instead of four dicts.
 

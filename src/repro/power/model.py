@@ -55,13 +55,6 @@ class PowerModel(abc.ABC):
         """Port plus amplifier power attributed to *arc* (watts)."""
         return self.port_power_w(arc) + self.amplifier_power_w(arc)
 
-    def node_power_w(self, node: Node, active_arcs: list[Arc]) -> float:
-        """Total power of *node* given its active outgoing arcs (watts)."""
-        total = self.chassis_power_w(node)
-        for arc in active_arcs:
-            total += self.arc_power_w(arc)
-        return total
-
     @staticmethod
     def _is_host(node: Node) -> bool:
         return node.kind == "host"

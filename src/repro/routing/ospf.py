@@ -20,11 +20,6 @@ from ..traffic.matrix import Pair, all_pairs
 from .paths import Path, RoutingTable
 
 
-def ospf_weight(topology: Topology, src: str, dst: str) -> float:
-    """The OSPF-InvCap weight of the arc ``src -> dst``."""
-    return 1.0 / topology.arc(src, dst).capacity_bps
-
-
 def shortest_path(
     topology: Topology, origin: str, destination: str, weight: str = "invcap"
 ) -> Path:

@@ -7,7 +7,8 @@ product declaratively:
 
 * :class:`~repro.scenario.spec.ScenarioSpec` and the per-kind component
   specs name every ingredient by its registry name plus plain parameters;
-  specs round-trip through dicts/JSON and hash stably for the sweep cache.
+  specs round-trip through dicts/JSON and hash stably (the campaign
+  store's key).
 * :func:`~repro.scenario.registry.register` adds new components; everything
   the repo ships (fat-tree/GÉANT/Rocketfuel/PoP-access topologies, sine-wave
   /gravity/GÉANT/Google workloads, Cisco/commodity/alternative power models,
@@ -65,6 +66,8 @@ from .spec import (
     SchemeSpec,
     TopologySpec,
     TrafficSpec,
+    apply_spec_setting,
+    read_spec_file,
 )
 from .timeline import (
     IntervalOutcome,
@@ -99,6 +102,7 @@ __all__ = [
     "TopologySpec",
     "TrafficSpec",
     "TrafficSurge",
+    "apply_spec_setting",
     "as_built_traffic",
     "build_scenario",
     "build_timeline",
@@ -106,6 +110,7 @@ __all__ = [
     "failure_schedule",
     "greente_replay",
     "is_registered",
+    "read_spec_file",
     "register",
     "registered_components",
     "resolve",

@@ -7,9 +7,7 @@ drives the spec's schemes over the merged event/trace timeline
 (:func:`~repro.scenario.timeline.run_timeline`) and returns a uniform
 :class:`ScenarioResult` — including, for eventful scenarios, the fired
 events and per-event reaction metrics.  :func:`run_scenario_dict` is the
-importable module-level entry point sweeps and worker processes resolve,
-which is what makes a spec's
-:meth:`~repro.scenario.spec.ScenarioSpec.config_hash` a sweep-cache key.
+same run for a spec given as a plain dict.
 """
 
 from __future__ import annotations
@@ -86,7 +84,7 @@ class ScenarioResult:
 
     Attributes:
         name: The scenario name (from the spec).
-        config_hash: The spec's sweep-cache hash — two runs with equal
+        config_hash: The spec's config hash — two runs with equal
             hashes are the same experiment.
         times_s: Interval start times of the replayed trace.
         power_percent: Per-scheme power series (% of the original network),
@@ -359,13 +357,13 @@ def _result_from_run(built: BuiltScenario, run: TimelineRun) -> ScenarioResult:
 
 
 def run_scenario_dict(spec: Mapping[str, Any]) -> ScenarioResult:
-    """Run a scenario given as a plain dict (the sweep-point entry).
+    """Run a scenario given as a plain dict.
 
-    This module-level function is what
-    :meth:`~repro.scenario.spec.ScenarioSpec.sweep_point` references: worker
-    processes re-import it by name, and its single ``spec`` parameter is
-    canonicalised by :meth:`~repro.experiments.runner.SweepPoint.config_hash`
-    — equal specs hash (and cache) identically across processes.
+    Its import reference is part of the payload
+    :meth:`~repro.scenario.spec.ScenarioSpec.config_hash` hashes, and it is
+    the function :meth:`~repro.scenario.spec.ScenarioSpec.sweep_point` names
+    for the benchmark harness's point probe — so neither its name nor its
+    module can change without moving every stored config hash.
     """
     return run_scenario(ScenarioSpec.from_dict(spec))
 

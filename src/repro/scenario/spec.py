@@ -4,14 +4,19 @@ A :class:`ScenarioSpec` names every ingredient of an experiment — topology,
 traffic workload, power model, optional baseline routing and one or more
 evaluation schemes — by its registry name plus plain keyword parameters.
 Specs are plain data: parameters must be JSON-serialisable, so every spec
-serialises to/from a dict (and therefore JSON) without loss, and feeds
-:meth:`~repro.experiments.runner.SweepPoint.config_hash` unchanged — every
-scenario is cacheable and sweepable by construction.
+serialises to/from a dict (and therefore JSON) without loss, and
+:meth:`ScenarioSpec.config_hash` — the key campaign stores file results
+under — is a SHA-256 over that dict.  :func:`apply_spec_setting` (one
+``SECTION.KEY`` override, behind ``run-scenario --set`` and campaign axes) and
+:func:`read_spec_file` (the ``--spec`` loader of both commands) sit here so
+that nothing below the command line imports :mod:`repro.experiments`.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import sys
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -20,6 +25,15 @@ from .registry import KINDS, is_registered, resolve
 
 #: Default utilisation SLO used by activation-based schemes.
 DEFAULT_UTILISATION_THRESHOLD = 0.9
+
+#: Bump to give every scenario a new config hash after a change that makes
+#: stored results stale.  Version 3: specs carry the dynamic ``events`` axis
+#: and results gained event/reaction fields.
+CONFIG_HASH_VERSION = 3
+
+#: The importable entry point that runs a spec dict.  It is part of the
+#: hashed payload (see :meth:`ScenarioSpec.config_hash`).
+_RUN_FUNCTION = "repro.scenario.engine:run_scenario_dict"
 
 
 def _plain(value: Any, context: str) -> Any:
@@ -339,24 +353,36 @@ class ScenarioSpec:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     def config_hash(self) -> str:
-        """The sweep-cache hash of running this scenario (stable across processes)."""
-        return self.sweep_point().config_hash()
+        """SHA-256 identifying this scenario's configuration.
+
+        The campaign store's idempotency key, stable across processes and
+        hash seeds.  :func:`_plain` made every parameter plain JSON data at
+        construction, so one sorted-key dump is canonical.  The envelope
+        (``cache_version`` / ``function`` / ``params``) dates from when a
+        spec was hashed as a cached call of :func:`run_scenario_dict`; its
+        bytes are kept so that rows in existing stores stay addressable.
+        """
+        payload = json.dumps(
+            {
+                "cache_version": CONFIG_HASH_VERSION,
+                "function": _RUN_FUNCTION,
+                "params": {"spec": self.to_dict()},
+            },
+            sort_keys=True,
+        )
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def sweep_point(self):
         """This scenario as a :class:`~repro.experiments.runner.SweepPoint`.
 
-        The point's function is the importable
-        :func:`repro.scenario.engine.run_scenario_dict`, so a spec drops
-        straight into a :class:`~repro.experiments.runner.Sweep` and is
-        cached/fanned out like any other experiment point.
+        Nothing in ``src/`` calls this any more; it stays, with its
+        function-local import, because the benchmark harness's
+        ``experiments.point_ms_p50`` probe — which this repository's PRs may
+        not edit — times ``execute_point_outcome(spec.sweep_point())``.
         """
         from ..experiments.runner import point
 
-        return point(
-            "repro.scenario.engine:run_scenario_dict",
-            label=self.name,
-            spec=self.to_dict(),
-        )
+        return point(_RUN_FUNCTION, label=self.name, spec=self.to_dict())
 
     def with_schemes(self, *schemes: SchemeSpec, name: Optional[str] = None) -> "ScenarioSpec":
         """A copy evaluating different schemes on the same stack."""
@@ -375,6 +401,104 @@ class ScenarioSpec:
         return [scheme.label for scheme in self.schemes]
 
 
+def apply_spec_setting(data: Dict[str, Any], target: str, value: Any) -> None:
+    """Apply one ``SECTION.KEY`` override to a scenario spec dict, in place.
+
+    This is the shared implementation behind the ``run-scenario --set`` flag
+    and campaign parameter axes.  *target* addresses ``scenario.<field>``,
+    a component section's parameter (``traffic.num_pairs``), one event's
+    parameter (``events.0.time_s``) or a scheme's parameter by its label
+    (``response.num_paths``).
+
+    Raises:
+        ConfigurationError: If the target does not address the spec.
+    """
+    section, dot, key = target.partition(".")
+    if not dot or not key:
+        raise ConfigurationError(
+            f"setting target must look like SECTION.KEY, got {target!r}"
+        )
+    if section == "scenario":
+        data[key] = value
+        return
+    if section in ("topology", "traffic", "power", "routing"):
+        entry = data.get(section)
+        if entry is None:
+            raise ConfigurationError(
+                f"setting {target!r}: the spec has no {section} section yet"
+            )
+        if isinstance(entry, str):
+            entry = {"name": entry, "params": {}}
+        entry.setdefault("params", {})[key] = value
+        data[section] = entry
+        return
+    if section == "events":
+        # events.<index>.<param> targets one entry of the events list.
+        index_text, dot, param = key.partition(".")
+        events = data.get("events", [])
+        if not dot or not param or not index_text.isdigit():
+            raise ConfigurationError(
+                f"setting {target!r}: events overrides look like "
+                "events.<index>.<param> (e.g. events.0.time_s)"
+            )
+        index = int(index_text)
+        if index >= len(events):
+            raise ConfigurationError(
+                f"setting {target!r}: the spec has {len(events)} event(s); "
+                f"index {index} is out of range"
+            )
+        event = events[index]
+        if isinstance(event, str):
+            event = {"name": event, "params": {}}
+        event.setdefault("params", {})[param] = value
+        events[index] = event
+        data["events"] = events
+        return
+    # Otherwise the section names a scheme by its label.
+    for index, scheme in enumerate(data.get("schemes", [])):
+        label = scheme if isinstance(scheme, str) else scheme.get("label", scheme.get("name"))
+        if label != section:
+            continue
+        if isinstance(scheme, str):
+            scheme = {"name": scheme, "params": {}}
+        scheme.setdefault("params", {})[key] = value
+        data["schemes"][index] = scheme
+        return
+    raise ConfigurationError(
+        f"setting {target!r}: {section!r} is neither a spec section "
+        "(scenario/topology/traffic/power/routing/events) nor a scheme label"
+    )
+
+
+def read_spec_file(path: str) -> Dict[str, Any]:
+    """The JSON object held by a spec file (``"-"`` reads standard input).
+
+    The one ``--spec`` loader behind ``run-scenario`` and ``run-campaign``.
+
+    Raises:
+        ConfigurationError: Naming the file, if it cannot be read, does not
+            parse as JSON or holds something other than a JSON object.
+    """
+    shown = "<stdin>" if path == "-" else path
+    try:
+        if path == "-":
+            data = json.load(sys.stdin)
+        else:
+            with open(path, "r", encoding="utf-8") as handle:
+                data = json.load(handle)
+    except OSError as error:
+        raise ConfigurationError(
+            f"cannot read spec file {shown}: {error.strerror or error}"
+        ) from error
+    except ValueError as error:  # JSONDecodeError, or bytes that are not UTF-8
+        raise ConfigurationError(f"spec file {shown} is not valid JSON: {error}") from error
+    if not isinstance(data, dict):
+        raise ConfigurationError(
+            f"spec file {shown} must hold a JSON object, got {type(data).__name__}"
+        )
+    return data
+
+
 __all__ = [
     "DEFAULT_UTILISATION_THRESHOLD",
     "KINDS",
@@ -386,5 +510,7 @@ __all__ = [
     "EventSpec",
     "SchemeSpec",
     "ScenarioSpec",
+    "apply_spec_setting",
     "is_registered",
+    "read_spec_file",
 ]

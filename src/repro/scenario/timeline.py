@@ -360,11 +360,6 @@ class Timeline:
         self.steps = steps
         self.events = events
 
-    @property
-    def has_events(self) -> bool:
-        """Whether the scenario declares any dynamic events at all."""
-        return bool(self.events)
-
     def fired_records(self) -> List[Dict[str, Any]]:
         """Every event that actually took effect, in firing order."""
         return [dict(record) for step in self.steps for record in step.fired]

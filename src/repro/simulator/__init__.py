@@ -23,7 +23,7 @@ from .flows import (
 )
 from .links import NUM_LINK_STATES, LinkState, SimulatedLink
 from .network import DEFAULT_WAKE_DELAY_S, SimulatedNetwork
-from .reference import reference_allocate_rates, reference_max_min_rates
+from .reference import reference_max_min_rates
 
 __all__ = [
     "AggregatedFlows",
@@ -50,6 +50,5 @@ __all__ = [
     "SimulatedLink",
     "DEFAULT_WAKE_DELAY_S",
     "SimulatedNetwork",
-    "reference_allocate_rates",
     "reference_max_min_rates",
 ]

@@ -79,10 +79,6 @@ class SimulationResult:
             sample.monitored_arc_loads.get((src, dst), 0.0) for sample in self.samples
         ]
 
-    def aggregate_rate_series(self) -> List[float]:
-        """Total achieved sending rate over time."""
-        return self.series("total_rate_bps")
-
     def power_series(self) -> List[float]:
         """Network power (percent of original) over time."""
         return self.series("power_percent")

@@ -102,13 +102,3 @@ def reference_max_min_rates(
             arc_loads[arc] += allocation[flow.flow_id]
     return rates, arc_loads
 
-
-def reference_allocate_rates(network, flows: List[Flow], now_s: float = 0.0) -> None:
-    """Drop-in replacement for ``SimulatedNetwork.allocate_rates`` (oracle).
-
-    Mutates ``flow.rate_bps`` like the engine does, using the reference
-    algorithm — handy for end-to-end benchmarking of the two engines.
-    """
-    rates, _loads = reference_max_min_rates(network, flows, now_s=now_s)
-    for flow in flows:
-        flow.rate_bps = rates[flow.flow_id]

@@ -4,7 +4,7 @@ from .base import Arc, Link, Node, Topology, link_key
 from .example import build_example, example_paths
 from .fattree import build_fattree, core_switches, edge_switches, hosts
 from .geant import build_geant, geant_pop_names
-from .generators import from_networkx, random_connected_topology, waxman_topology
+from .generators import random_connected_topology, waxman_topology
 from .pop_access import build_pop_access, core_routers, metro_routers
 from .rocketfuel import (
     build_abovenet,
@@ -27,7 +27,6 @@ __all__ = [
     "hosts",
     "build_geant",
     "geant_pop_names",
-    "from_networkx",
     "random_connected_topology",
     "waxman_topology",
     "build_pop_access",

@@ -83,10 +83,6 @@ class Arc:
         """The canonical (sorted) endpoint pair identifying the parent link."""
         return (self.src, self.dst) if self.src <= self.dst else (self.dst, self.src)
 
-    def reversed_key(self) -> Tuple[str, str]:
-        """The key of the opposite-direction arc."""
-        return (self.dst, self.src)
-
 
 @dataclass(frozen=True)
 class Link:

@@ -20,33 +20,6 @@ DEFAULT_CAPACITY_BPS = mbps(100)
 DEFAULT_LATENCY_S = 0.002
 
 
-def from_networkx(
-    graph: nx.Graph,
-    name: str = "imported",
-    default_capacity_bps: float = DEFAULT_CAPACITY_BPS,
-    default_latency_s: float = DEFAULT_LATENCY_S,
-) -> Topology:
-    """Convert an undirected :mod:`networkx` graph into a :class:`Topology`.
-
-    Edge attributes ``capacity`` and ``latency`` are honoured when present;
-    otherwise the provided defaults are used.  Node names are converted to
-    strings.
-    """
-    topo = Topology(name=name)
-    for node in graph.nodes:
-        topo.add_node(str(node))
-    for u, v, data in graph.edges(data=True):
-        if u == v:
-            continue
-        topo.add_link(
-            str(u),
-            str(v),
-            capacity_bps=float(data.get("capacity", default_capacity_bps)),
-            latency_s=float(data.get("latency", default_latency_s)),
-        )
-    return topo
-
-
 def random_connected_topology(
     num_nodes: int,
     num_links: int,

@@ -35,7 +35,6 @@ from .scaling import (
     calibration_cache_stats,
     clear_calibration_cache,
     utilisation_matrix,
-    utilisation_sweep,
 )
 from .sinewave import fattree_sine_pairs, sine_fraction, sine_wave_trace
 
@@ -69,7 +68,6 @@ __all__ = [
     "calibration_cache_stats",
     "clear_calibration_cache",
     "utilisation_matrix",
-    "utilisation_sweep",
     "fattree_sine_pairs",
     "sine_fraction",
     "sine_wave_trace",

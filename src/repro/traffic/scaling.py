@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from ..exceptions import SolverError, TrafficError
 from ..obs import metrics, trace
@@ -279,23 +279,3 @@ def utilisation_matrix(
         )
     return base_matrix.scaled(max_scale * utilisation_percent / 100.0).scaled(1.0)
 
-
-def utilisation_sweep(
-    topology: Topology,
-    base_matrix: TrafficMatrix,
-    levels_percent: List[float],
-    growth_step: float = 0.10,
-    oracle: Optional[FeasibilityOracle] = None,
-) -> Dict[float, TrafficMatrix]:
-    """Matrices for a sweep of utilisation levels (e.g. util-10/50/100).
-
-    Returns a mapping ``{level_percent: matrix}`` where the 100 % level is the
-    calibrated maximum feasible volume with the base matrix's proportions.
-    """
-    max_scale = calibrate_max_load(
-        topology, base_matrix, growth_step=growth_step, oracle=oracle
-    )
-    return {
-        level: utilisation_matrix(base_matrix, max_scale, level)
-        for level in levels_percent
-    }

@@ -1,7 +1,10 @@
 """Tests for the campaign subsystem: spec expansion, store, resume, report."""
 
 import json
+import os
 import sqlite3
+import subprocess
+import sys
 
 import pytest
 
@@ -118,6 +121,40 @@ def test_expand_grid_order_names_and_hashes():
     assert [point.config_hash for point in again] == [
         point.config_hash for point in points
     ]
+
+
+def test_example_campaign_id_and_point_hashes_are_pinned():
+    """Literal ids: both are keys in stores that already exist."""
+    example = os.path.join(
+        os.path.dirname(__file__), "..", "examples", "campaign_geant_grid.json"
+    )
+    with open(example, encoding="utf-8") as handle:
+        spec = CampaignSpec.from_dict(json.load(handle))
+    assert (
+        spec.campaign_id()
+        == "38dd0d88bafeb171a9bb1794115fe3aea69dbc3affb82f99d785eed337ed85af"
+    )
+    assert [point.config_hash[:12] for point in spec.expand()] == [
+        "72cb83f14dc3",
+        "26b7ca774b4e",
+        "9946fccaebf4",
+        "611a91f011d5",
+    ]
+
+
+def test_campaign_and_service_import_nothing_from_experiments():
+    """The layers under the command line do not import upward: no figure
+    driver and no application model is loaded by a campaign or the service."""
+    code = (
+        "import sys, repro.campaign, repro.service\n"
+        "print([name for name in sys.modules"
+        " if name.startswith(('repro.experiments', 'repro.apps'))])"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_expand_component_scheme_and_event_axes():

@@ -104,6 +104,19 @@ def test_fig6_energy_proportionality_across_load_levels():
     assert result.savings_at("response-lat", 10.0) <= result.savings_at("response", 10.0) + 1e-6
 
 
+def test_fig6_combined_scenario_equals_the_per_variant_scenarios():
+    """``run_fig6`` runs its five variants as the schemes of one scenario;
+    each series equals the variant's own scenario run alone."""
+    from repro.experiments.fig6 import FIG6_VARIANTS, fig6_scenario_spec
+    from repro.scenario import run_scenario
+
+    reduced = dict(utilisation_levels=(10.0, 100.0), num_pairs=40, num_endpoints=16)
+    result = run_fig6(**reduced)
+    for variant in FIG6_VARIANTS:
+        alone = run_scenario(fig6_scenario_spec(variant, **reduced))
+        assert result.power_percent[variant] == alone.power_percent[variant], variant
+
+
 def test_fig7_te_sleeps_links_and_recovers_from_failure():
     result = run_fig7()
     assert result.sleep_convergence_s is not None

@@ -83,7 +83,20 @@ def test_traced_run_emits_wellformed_ndjson_span_tree(tmp_path):
     trace.configure_tracing(path)
     assert trace.tracing_enabled()
     assert str(trace.trace_path()) == str(path)
-    run_scenario(small_scenario())
+    # A 20-interval replay, so that "one step span per (scheme, interval)"
+    # below is 2 x 20 spans and not 2.
+    spec = small_scenario()
+    spec["traffic"] = {
+        "name": "gravity",
+        "params": {
+            "num_pairs": 6,
+            "num_endpoints": 5,
+            "seed": 0,
+            "calibrate": True,
+            "levels": [round(0.2 + 0.8 * index / 19, 4) for index in range(20)],
+        },
+    }
+    result = run_scenario(spec)
     trace.disable_tracing()
     assert not trace.tracing_enabled()
 
@@ -103,8 +116,12 @@ def test_traced_run_emits_wellformed_ndjson_span_tree(tmp_path):
     assert {"scenario.build", "timeline.run", "scheme.start", "scheme.step"} <= names
     # Per-interval scheme steps: one scheme.step per (scheme, interval).
     steps = [r for r in records if r["name"] == "scheme.step"]
-    schemes = {r["attrs"]["scheme"] for r in steps}
-    assert schemes == {"response", "ecmp"}
+    assert sorted((r["attrs"]["scheme"], r["attrs"]["interval"]) for r in steps) == sorted(
+        (scheme, interval)
+        for scheme in ("response", "ecmp")
+        for interval in range(len(result.times_s))
+    )
+    assert len(steps) == 40
     for step in steps:
         assert step["attrs"]["interval"] >= 0
         # Steps nest under the timeline.run span (directly or via a parent).

@@ -1,11 +1,12 @@
 """Tests for the declarative Scenario API (registry, specs, engine, CLI)."""
 
 import json
+import os
 
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.experiments.runner import Sweep, main
+from repro.experiments.runner import main
 from repro.scenario import (
     PowerSpec,
     RoutingSpec,
@@ -22,6 +23,8 @@ from repro.scenario import (
     run_scenario_dict,
 )
 from repro.scenario.timeline import GroupComputeCache
+
+EXAMPLES_DIR = os.path.join(os.path.dirname(__file__), "..", "examples")
 
 
 def tiny_fattree_spec(**overrides):
@@ -113,6 +116,25 @@ def test_spec_hash_changes_with_parameters():
     assert spec.config_hash() != other.config_hash()
 
 
+@pytest.mark.parametrize(
+    "example, expected",
+    [
+        (
+            "scenario_geant_gravity.json",
+            "39f30d5b67779daff326b8b80d77dc40b8fb8b8ac6dff016fdb9ae4e7a94b83a",
+        ),
+        (
+            "scenario_geant_failure.json",
+            "82681561181b364995bc70f5b189ebdd83f2209179891b7fdd3c36c94ca8cb0d",
+        ),
+    ],
+)
+def test_example_config_hashes_are_pinned(example, expected):
+    """Literal hashes: a config hash is a key in stores that already exist."""
+    with open(os.path.join(EXAMPLES_DIR, example), encoding="utf-8") as handle:
+        assert ScenarioSpec.from_dict(json.load(handle)).config_hash() == expected
+
+
 def test_spec_tuples_normalise_to_lists():
     spec = TrafficSpec("gravity", levels=(0.1, 0.5), pairs=(("FR", "DE"),))
     assert spec.params["levels"] == [0.1, 0.5]
@@ -122,8 +144,12 @@ def test_spec_tuples_normalise_to_lists():
 
 
 def test_spec_rejects_non_json_params():
-    with pytest.raises(ConfigurationError, match="JSON-serialisable"):
-        TopologySpec("fattree", k=object())
+    import numpy as np
+
+    # NumPy scalars, callables and objects never reach the config hash.
+    for value in (object(), np.int64(4), len, PowerSpec("cisco")):
+        with pytest.raises(ConfigurationError, match="JSON-serialisable"):
+            TopologySpec("fattree", k=value)
 
 
 def test_spec_from_dict_accepts_bare_names_and_rejects_unknown_keys():
@@ -205,11 +231,11 @@ def test_run_scenario_dict_equals_run_scenario():
     )
 
 
-def test_never_expressed_cross_product_geant_gravity_response_vs_elastictree(tmp_path):
+def test_never_expressed_cross_product_geant_gravity_response_vs_elastictree():
     """The acceptance scenario: GEANT x gravity x cisco, REsPoNse vs ElasticTree.
 
-    Runs end-to-end from a single JSON spec and hits the sweep cache on the
-    second run (same config hash).
+    Runs end-to-end from a single JSON spec, and the JSON round trip is the
+    same experiment: same config hash, same series.
     """
     spec = ScenarioSpec(
         name="geant-gravity",
@@ -221,17 +247,11 @@ def test_never_expressed_cross_product_geant_gravity_response_vs_elastictree(tmp
         power=PowerSpec("cisco"),
         schemes=(SchemeSpec("response", num_paths=3, k=3), SchemeSpec("elastictree")),
     )
-    spec_from_json = ScenarioSpec.from_json(spec.to_json())
-    point = spec_from_json.sweep_point()
-    cache_dir = tmp_path / "cache"
-    sweep = Sweep([point], cache_dir=cache_dir)
-    assert sweep.cached_points() == []
-    first = sweep.run()[0]
+    first = run_scenario(ScenarioSpec.from_json(spec.to_json()))
     assert set(first.power_percent) == {"response", "elastictree"}
     assert all(0 < value <= 100 for value in first.power_percent["response"])
-    # Second run: the spec's config hash hits the cache.
-    assert sweep.cached_points() == [point]
-    second = Sweep([spec.sweep_point()], cache_dir=cache_dir).run()[0]
+    second = run_scenario(spec)
+    assert second.config_hash == first.config_hash == spec.config_hash()
     assert second.power_percent == first.power_percent
 
 
@@ -362,20 +382,41 @@ def test_scenario_result_from_dict_tolerates_pre_events_rows():
     assert "mean_compute_s" not in metrics
 
 
-def test_cli_run_scenario_from_json_spec_hits_cache(tmp_path, capsys):
+def test_cli_run_scenario_from_json_spec(tmp_path, capsys):
     spec = tiny_fattree_spec(schemes=(SchemeSpec("ospf"),))
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(spec.to_json())
-    cache_dir = tmp_path / "cache"
 
-    assert main(["run-scenario", "--spec", str(spec_path), "--cache-dir", str(cache_dir)]) == 0
-    first = capsys.readouterr().out
-    assert "cache miss" in first
-    assert spec.config_hash() in first
-    assert main(["run-scenario", "--spec", str(spec_path), "--cache-dir", str(cache_dir)]) == 0
-    second = capsys.readouterr().out
-    assert "cache hit" in second
-    assert "ospf: mean power 100.0%" in second
+    assert main(["run-scenario", "--spec", str(spec_path)]) == 0
+    out = capsys.readouterr().out
+    assert f"config hash: {spec.config_hash()}\n" in out
+    assert "ospf: mean power 100.0%" in out
+
+
+@pytest.mark.parametrize("command", ("run-scenario", "run-campaign"))
+@pytest.mark.parametrize(
+    "content, complaint",
+    [
+        (None, "cannot read spec file"),
+        ('{"topology": ', "is not valid JSON"),
+        ('["geant"]', "must hold a JSON object, got list"),
+    ],
+)
+def test_cli_spec_file_errors_are_one_usage_line(tmp_path, capsys, command, content, complaint):
+    """A missing, malformed or non-object ``--spec`` file is a usage error
+    naming the file (exit 2), never a traceback."""
+    spec_path = tmp_path / "broken.json"
+    if content is not None:
+        spec_path.write_text(content)
+    arguments = [command, "--spec", str(spec_path)]
+    if command == "run-campaign":
+        arguments += ["--store", str(tmp_path / "store.sqlite")]
+    with pytest.raises(SystemExit) as exit_info:
+        main(arguments)
+    assert exit_info.value.code == 2
+    error_line = capsys.readouterr().err.strip().splitlines()[-1]
+    assert complaint in error_line and str(spec_path) in error_line
+    assert not (tmp_path / "store.sqlite").exists()
 
 
 def test_cli_run_scenario_from_flags_and_set_overrides(capsys):
