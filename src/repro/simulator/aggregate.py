@@ -5,16 +5,22 @@ per-flow Python objects around it: one :class:`~repro.simulator.flows.Flow`
 dataclass plus a demand closure per flow, and a flows×arcs incidence with
 one row per flow.  "Millions of users" traffic is massively redundant,
 though — every user flow between the same endpoints follows the same routed
-path — so this module stores flows as dense arrays grouped by identical
-path and allocates through the same
-:func:`~repro.simulator.fairness.max_min_fair_rates` loop over a
-groups×arcs :class:`~repro.simulator.fairness.Incidence`, whose output is
-**bit-identical** to the one-row-per-flow incidence of the expanded problem
-(the exact-equivalence contract, property-tested in
+path, and their demands cluster on a few values — so this module stores
+flows as dense arrays grouped by identical path and allocates through the
+same :func:`~repro.simulator.fairness.max_min_fair_rates` loop over a
+groups×arcs :class:`~repro.simulator.fairness.Incidence`.  The loop fills
+over the distinct (group, demand) classes of the population, and its output
+is **bit-identical** to the one-row-per-flow incidence of the expanded
+problem (the exact-equivalence contract, property-tested in
 ``tests/test_property_based.py``).
 
-The memory story: per-flow state shrinks to a handful of float64/int64
-vectors and the incidence shrinks from O(flows × hops) to O(groups × hops).
+The memory story: per-flow state is a handful of float64/int64 vectors held
+only while a step runs, the incidence shrinks from O(flows × hops) to
+O(groups × hops), and the usable-path filtering and incidence are reused
+from step to step through the network's compiled flow set
+(:meth:`~repro.simulator.network.SimulatedNetwork.compiled_flow_set`), keyed
+by the link states and the table's identity — a table is an immutable value;
+build a new one to change membership.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import numpy as np
 from ..exceptions import SimulationError
 from ..obs import trace
 from ..routing.paths import Path
-from .fairness import Incidence, last_kernel_stats, max_min_fair_rates
+from .fairness import last_kernel_stats, max_min_fair_rates
 from .flows import Flow
 from .network import SimulatedNetwork
 
@@ -77,15 +83,6 @@ class AggregatedFlows:
     def num_groups(self) -> int:
         """Number of distinct routed paths."""
         return len(self.paths)
-
-    def member_counts(self) -> np.ndarray:
-        """Member flows per group."""
-        routed = self.flow_group[self.flow_group != UNROUTED_GROUP]
-        return np.bincount(routed, minlength=self.num_groups)
-
-    def nbytes(self) -> int:
-        """Resident bytes of the per-flow arrays (the scale-axis footprint)."""
-        return int(self.flow_group.nbytes + self.demands_bps.nbytes)
 
     @classmethod
     def from_flows(cls, flows: Sequence[Flow], now_s: float = 0.0) -> "AggregatedFlows":
@@ -138,7 +135,8 @@ def allocate_aggregated(
 
     Filters group paths by link usability exactly as
     :meth:`~repro.simulator.network.SimulatedNetwork.allocate_rates` filters
-    per-flow paths, then allocates over the groups×arcs incidence.  The
+    per-flow paths (through the same cached compiled flow set), then
+    allocates over the groups×arcs incidence.  The
     returned per-flow rate vector is bit-identical to building one ``Flow``
     per member and calling ``allocate_rates`` (unroutable and unrouted flows
     get rate zero); network flow rates and arc loads are left untouched.
@@ -160,39 +158,19 @@ def allocate_aggregated(
     rates = np.zeros(table.num_flows, dtype=float)
     if table.num_flows == 0:
         return rates
-
-    usable = network.link_usable_vector()
-    arc_table = network.arc_table
-    compiled = [arc_table.compile_path(path) for path in table.paths]
-    kept: List[int] = []
-    arcs_of_group: List[np.ndarray] = []
-    for group, path in enumerate(compiled):
-        if path.link_indices.size == 0 or bool(usable[path.link_indices].all()):
-            kept.append(group)
-            arcs_of_group.append(path.arc_indices)
-    if not kept:
+    entry = network.compiled_flow_set(table.paths, table.flow_group, owner=table)
+    routable = entry.routable_indices
+    if len(routable) == 0:
         return rates
-
-    # Remap the routable groups to a dense 0..K-1 index space, keeping the
-    # original group order (== the per-flow engine's flow-major compile order).
-    remap = np.full(table.num_groups, -1, dtype=np.int64)
-    remap[kept] = np.arange(len(kept), dtype=np.int64)
-    routed = table.flow_group != UNROUTED_GROUP
-    flow_ok = routed.copy()
-    flow_ok[routed] = remap[table.flow_group[routed]] >= 0
-    if not flow_ok.any():
-        return rates
-
-    incidence = Incidence(
-        arcs_of_group, arc_table.num_arcs, remap[table.flow_group[flow_ok]]
-    )
     with trace.span(
-        "fairness.kernel", flows=int(flow_ok.sum()), groups=len(kept)
+        "fairness.kernel",
+        flows=len(routable),
+        groups=entry.incidence.group_arc.shape[0],
     ) as kernel_span:
         allocation = max_min_fair_rates(
-            demands[flow_ok], network.alloc_capacity, incidence
+            demands[routable], network.alloc_capacity, entry.incidence
         )
         if trace.tracing_enabled():
             kernel_span.set(**last_kernel_stats())
-    rates[flow_ok] = allocation
+    rates[routable] = allocation
     return rates

@@ -5,12 +5,25 @@ unfrozen flows grow their rate at the same pace until one of them reaches its
 demand or some arc runs out of capacity; the affected flows freeze and the
 filling continues with the rest.  The seed implementation walked Python
 dictionaries per flow and per arc on every iteration; :func:`max_min_fair_rates`
-keeps every per-flow quantity in a NumPy vector and asks an
-:class:`Incidence` — a CSR groups×arcs matrix plus its transpose — for the
-only two reductions that involve paths: how many active flows cross each
-arc, and which flows cross an exhausted arc.  Both are sums of small
-integers, exact in float64 in any order, so the result does not depend on
-whether flows are listed one per row or grouped by shared path.
+keeps its state in NumPy vectors and asks an :class:`Incidence` — a CSR
+groups×arcs matrix plus its transpose — for the only two reductions that
+involve paths: how many active flows cross each arc, and which groups cross
+an exhausted arc.  Both are sums of small integers, exact in float64 in any
+order, so the result does not depend on whether flows are listed one per row
+or grouped by shared path.
+
+The loop's state is per **class**, not per flow.  A class is a distinct
+(group, demand bit pattern) pair with a member count.  Every active flow's
+rate is the same left-to-right float sum of the steps so far and its unserved
+demand is ``d - s1 - s2 ...`` in the same order, so two flows of one group
+with the same demand bits are indistinguishable at every iteration;
+multiplicity enters only the per-arc counts, which are exact.  The rates are
+therefore bit-identical to filling flow by flow, and a step costs what its
+distinct (path, demand) pairs cost: 204 800 flows drawn from four demand
+values over 1 280 paths fill as 5 120 classes.  The filling freezes one
+distinct demand per iteration, so a population whose demands are all distinct
+takes one iteration per flow with or without classes — clustered demand is
+the traffic this engine serves at scale.
 
 The dict-based seed algorithm is preserved verbatim in
 :mod:`repro.simulator.reference` and serves as the property-test oracle; the
@@ -21,7 +34,7 @@ thresholds and termination conditions.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -37,22 +50,26 @@ STEP_EPSILON = 1e-12
 
 #: Per-thread record of the most recent progressive-filling run, read by
 #: the ``fairness.kernel`` spans in :mod:`repro.simulator.network` and
-#: :mod:`repro.simulator.aggregate`.  The iteration count is always
-#: maintained (one integer add per filling iteration); the
+#: :mod:`repro.simulator.aggregate`.  The iteration and class counts are
+#: always maintained (one integer add per filling iteration); the
 #: frozen-per-iteration breakdown is gathered only while tracing is enabled.
 _kernel_stats = threading.local()
 
 
-def _record_kernel_stats(iterations: int, frozen: Optional[List[int]]) -> None:
+def _record_kernel_stats(
+    iterations: int, classes: int, frozen: Optional[List[int]]
+) -> None:
     _kernel_stats.iterations = iterations
+    _kernel_stats.classes = classes
     _kernel_stats.frozen = frozen
 
 
 def last_kernel_stats() -> Dict[str, object]:
-    """Iterations (and, when traced, frozen flows per iteration) of the
-    last progressive-filling run on this thread."""
+    """Iterations, classes (and, when traced, frozen flows per iteration)
+    of the last progressive-filling run on this thread."""
     stats: Dict[str, object] = {
-        "iterations": int(getattr(_kernel_stats, "iterations", 0))
+        "iterations": int(getattr(_kernel_stats, "iterations", 0)),
+        "classes": int(getattr(_kernel_stats, "classes", 0)),
     }
     frozen = getattr(_kernel_stats, "frozen", None)
     if frozen is not None:
@@ -106,21 +123,48 @@ class Incidence:
         #: the exhausted-arc set both derive from this mask.
         self.crossed_at_all: np.ndarray = self.arc_group @ populated > 0
 
-    def arc_counts(self, active: np.ndarray) -> np.ndarray:
-        """Number of active flows crossing each arc (exact, as float64)."""
-        if self.flow_group is None:
-            members = active.astype(np.float64)
-        else:
-            members = np.bincount(
-                self.flow_group[active], minlength=self.group_arc.shape[0]
-            ).astype(np.float64)
+    def arc_counts(self, members: np.ndarray) -> np.ndarray:
+        """Flows crossing each arc, given the active flows of each group
+        (exact, as float64)."""
         counts: np.ndarray = self.arc_group @ members
         return counts
 
-    def flows_touching(self, arc_mask: np.ndarray) -> np.ndarray:
-        """Boolean per flow: does the flow cross any arc in *arc_mask*?"""
+    def groups_touching(self, arc_mask: np.ndarray) -> np.ndarray:
+        """Boolean per group: does the group cross any arc in *arc_mask*?"""
         hit: np.ndarray = self.group_arc @ arc_mask.astype(np.float64) > 0.0
-        return hit if self.flow_group is None else hit[self.flow_group]
+        return hit
+
+
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of a vector, ascending."""
+    ordered = np.sort(values)
+    first = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return ordered[first]
+
+
+def _collapse(
+    flow_group: np.ndarray, demands: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct (group, demand bit pattern) classes of a flow population.
+
+    Demands are classed by their bits, so ``0.0`` / ``-0.0`` and NaN
+    payloads never merge with a different value.  Returns the class of each
+    flow, then per class its group, member count (float64, for weighted
+    ``bincount``) and demand.  Two sorts and two binary searches: a sort
+    without the permutation is the cheapest full pass NumPy offers here.
+    """
+    bits = demands.view(np.int64)
+    values = _sorted_distinct(bits)
+    key = flow_group * values.size + np.searchsorted(values, bits)
+    keys = _sorted_distinct(key)
+    class_of_flow = np.searchsorted(keys, key)
+    return (
+        class_of_flow,
+        keys // values.size,
+        np.bincount(class_of_flow).astype(np.float64),
+        values[keys % values.size].view(np.float64),
+    )
 
 
 def max_min_fair_rates(
@@ -137,51 +181,70 @@ def max_min_fair_rates(
         The allocated rate per flow, aligned with *demands*.
     """
     num_flows = int(demands.shape[0])
-    allocation = np.zeros(num_flows, dtype=float)
     if num_flows == 0:
-        return allocation
-
-    pending = demands.astype(float).copy()
-    capacity = arc_capacity.astype(float).copy()
+        return np.zeros(0, dtype=float)
+    demands = np.ascontiguousarray(demands, dtype=np.float64)
+    if incidence.flow_group is None:
+        # One flow per group: every flow is its own class of weight one.
+        class_of_flow: Optional[np.ndarray] = None
+        class_group = np.arange(num_flows)
+        class_weight = np.ones(num_flows)
+        pending = demands.copy()
+    else:
+        class_of_flow, class_group, class_weight, pending = _collapse(
+            incidence.flow_group, demands
+        )
+    num_classes = int(pending.shape[0])
+    num_groups = incidence.group_arc.shape[0]
+    allocation = np.zeros(num_classes, dtype=float)
+    capacity = np.array(arc_capacity, dtype=float)
     crossed_at_all = incidence.crossed_at_all
-    active = np.ones(num_flows, dtype=bool)
+    # The unfrozen classes (ascending indices) and their flows per group —
+    # kept current by subtracting what freezes, an exact integer update.
+    live = np.arange(num_classes)
+    members = np.bincount(class_group, weights=class_weight, minlength=num_groups)
 
     iterations = 0
     frozen_trace: Optional[List[int]] = [] if _trace.tracing_enabled() else None
-    # Each iteration freezes at least one flow or exhausts at least one arc,
-    # so the filling terminates within flows + used-arcs iterations.
-    for _ in range(num_flows + int(crossed_at_all.sum()) + 1):
-        if not active.any():
+    # Each iteration freezes at least one class or exhausts at least one arc,
+    # so the filling terminates within classes + used-arcs iterations.
+    for _ in range(num_classes + int(crossed_at_all.sum()) + 1):
+        if live.size == 0:
             break
         iterations += 1
-        counts = incidence.arc_counts(active)
-        crossed = counts > 0
+        counts = incidence.arc_counts(members)
+        crossed = np.flatnonzero(counts > 0)
         share_limited = (
             float((capacity[crossed] / counts[crossed]).min())
-            if crossed.any()
+            if crossed.size
             else float("inf")
         )
-        demand_limited = float(pending[active].min())
+        demand_limited = float(pending[live].min())
         step = min(share_limited, demand_limited)
         if step == float("inf"):
             break
         step = max(step, 0.0)
-        allocation[active] += step
-        pending[active] -= step
+        allocation[live] += step
+        pending[live] -= step
         capacity -= step * counts
-        # Freeze demand-satisfied flows and flows on exhausted arcs.
-        active_before = int(active.sum())
-        active &= pending > DEMAND_EPSILON
+        # Freeze demand-satisfied classes and classes on exhausted arcs.
+        keep = pending[live] > DEMAND_EPSILON
         exhausted = crossed_at_all & (capacity <= CAPACITY_EPSILON)
         if exhausted.any():
-            active &= ~incidence.flows_touching(exhausted)
-        active_after = int(active.sum())
+            keep &= ~incidence.groups_touching(exhausted)[class_group[live]]
+        frozen = live[~keep]
+        frozen_weight = class_weight[frozen]
+        members -= np.bincount(
+            class_group[frozen], weights=frozen_weight, minlength=num_groups
+        )
         if frozen_trace is not None:
-            frozen_trace.append(active_before - active_after)
+            # Member-weighted: the flows that froze, not the classes.
+            frozen_trace.append(int(frozen_weight.sum()))
         # A zero step is fine as long as it froze somebody (e.g. a flow
         # whose demand is currently zero) — the filling continues for the
         # rest.  Only a zero step that freezes nobody means no progress.
-        if step <= STEP_EPSILON and active_after == active_before:
+        if step <= STEP_EPSILON and frozen.size == 0:
             break
-    _record_kernel_stats(iterations, frozen_trace)
-    return allocation
+        live = live[keep]
+    _record_kernel_stats(iterations, num_classes, frozen_trace)
+    return allocation if class_of_flow is None else allocation[class_of_flow]

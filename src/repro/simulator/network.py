@@ -11,7 +11,7 @@ operations (see :mod:`repro.simulator.fairness`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -41,22 +41,24 @@ _FLOWSET_MISSES = metrics.counter(
 
 @dataclass
 class _CompiledFlowSet:
-    """Routable-flow filtering and incidence for one (link state, paths) pair.
+    """Routable-flow filtering and incidence for one (link state, flow set) pair.
 
-    ``allocate_rates`` is called once per simulated interval with an
-    unchanged flow list most of the time (controllers reassign ``flow.path``
-    only on recomputation), so rebuilding the usable vector, walking every
-    flow through ``compile_path`` and assembling the incidence on every call
-    would be wasted work.  This entry caches all of that behind the link
-    state-code vector plus the identity of each flow's path object;
-    ``paths`` keeps strong references so the cached ``id()`` keys cannot be
-    recycled while the entry lives.
+    ``allocate_rates`` and ``allocate_aggregated`` are called once per
+    simulated interval with an unchanged flow set most of the time
+    (controllers reassign ``flow.path`` only on recomputation, an aggregated
+    table is immutable), so rebuilding the usable vector, walking every path
+    through ``compile_path`` and assembling the incidence on every call would
+    be wasted work.  This entry caches all of that behind the link state-code
+    vector plus object identities — of each flow's path, or of the
+    aggregated table; ``held`` keeps strong references so the cached ``id()``
+    keys cannot be recycled while the entry lives.
     """
 
     state_bytes: bytes
-    paths_key: Tuple[int, ...]
-    paths: List[Optional[Path]]
-    routable_indices: List[int]
+    flows_key: Tuple[int, ...]
+    held: object
+    #: Indices (into the caller's flow order) of the flows that get a rate.
+    routable_indices: Union[List[int], np.ndarray]
     incidence: Incidence
 
 
@@ -180,7 +182,8 @@ class SimulatedNetwork:
         :mod:`repro.simulator.reference`.
 
         The routable-flow filtering and the incidence are cached behind the
-        link state-code vector and the flows' path identities.
+        link state-code vector and the flows' path identities
+        (:meth:`compiled_flow_set`).
         """
         self._arc_load_vec[:] = 0.0
         for flow in flows:
@@ -188,8 +191,8 @@ class SimulatedNetwork:
         if not flows:
             return
 
-        entry = self._compiled_flow_set(flows)
-        if not entry.routable_indices:
+        entry = self.compiled_flow_set([flow.path for flow in flows])
+        if len(entry.routable_indices) == 0:
             return
 
         routable = [flows[index] for index in entry.routable_indices]
@@ -208,41 +211,65 @@ class SimulatedNetwork:
         # each arc's load accumulates in the same order on every call.
         self._arc_load_vec += entry.incidence.arc_group @ allocation
 
-    def _compiled_flow_set(self, flows: List[Flow]) -> _CompiledFlowSet:
+    def compiled_flow_set(
+        self,
+        paths: Sequence[Optional[Path]],
+        flow_group: Optional[np.ndarray] = None,
+        owner: Optional[object] = None,
+    ) -> _CompiledFlowSet:
         """The cached routable filtering/incidence for the current state.
 
-        Valid while every link keeps its state code and every flow keeps the
-        same path object; any sleep/wake/failure transition or controller
-        path reassignment changes the key and forces a rebuild.
+        One incidence row per usable entry of *paths*.  With
+        ``flow_group=None`` entry ``f`` is flow ``f``'s path; otherwise
+        ``flow_group[f]`` names the entry flow ``f`` follows (``-1``: no
+        path).  *owner* is the immutable value that fixes both (an
+        aggregated table); its identity keys the entry, and without one
+        the identity of every path does.
+
+        Valid while every link keeps its state code and the key matches; any
+        sleep/wake/failure transition, controller path reassignment or
+        other flow set changes the key and forces a rebuild.
         """
+        key = tuple(map(id, paths)) if owner is None else (id(owner),)
         state_bytes = self.link_state_codes().tobytes()
-        paths_key = tuple(id(flow.path) for flow in flows)
         cached = self._compiled_flows
         if (
             cached is not None
             and cached.state_bytes == state_bytes
-            and cached.paths_key == paths_key
+            and cached.flows_key == key
         ):
             _FLOWSET_HITS.inc()
             return cached
         _FLOWSET_MISSES.inc()
 
         usable = self.link_usable_vector()
-        routable_indices: List[int] = []
-        arcs_of_flow: List[np.ndarray] = []
-        for index, flow in enumerate(flows):
-            if flow.path is None:
+        kept: List[int] = []
+        arcs_of_row: List[np.ndarray] = []
+        for index, path in enumerate(paths):
+            if path is None:
                 continue
-            path = self._arc_table.compile_path(flow.path)
-            if path.link_indices.size == 0 or bool(usable[path.link_indices].all()):
-                routable_indices.append(index)
-                arcs_of_flow.append(path.arc_indices)
+            compiled = self._arc_table.compile_path(path)
+            if compiled.link_indices.size == 0 or bool(
+                usable[compiled.link_indices].all()
+            ):
+                kept.append(index)
+                arcs_of_row.append(compiled.arc_indices)
+        routable: Union[List[int], np.ndarray] = kept
+        row_of_flow: Optional[np.ndarray] = None
+        if flow_group is not None:
+            # Dense rows in path order (== the per-flow engine's flow-major
+            # compile order); the spare last slot is where group -1 lands.
+            row_of_path = np.full(len(paths) + 1, -1, dtype=np.int64)
+            row_of_path[kept] = np.arange(len(kept), dtype=np.int64)
+            row_of_flow = row_of_path[flow_group]
+            routable = np.flatnonzero(row_of_flow >= 0)
+            row_of_flow = row_of_flow[routable]
         entry = _CompiledFlowSet(
             state_bytes=state_bytes,
-            paths_key=paths_key,
-            paths=[flow.path for flow in flows],
-            routable_indices=routable_indices,
-            incidence=Incidence(arcs_of_flow, self._arc_table.num_arcs),
+            flows_key=key,
+            held=list(paths) if owner is None else owner,
+            routable_indices=routable,
+            incidence=Incidence(arcs_of_row, self._arc_table.num_arcs, row_of_flow),
         )
         self._compiled_flows = entry
         return entry

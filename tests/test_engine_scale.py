@@ -1,25 +1,33 @@
-"""Tests for the million-flow scale axis: flow aggregation, the committed
+"""Tests for the million-flow scale axis: flow aggregation, the pinned
 engine-scale checksums, calibration memoisation and the compiled flow-set
 cache."""
 
 import hashlib
-import json
-import sys
-from pathlib import Path as FilePath
+import random
 
 import numpy as np
 import pytest
 
 from repro.exceptions import TrafficError
+from repro.obs import metrics
 from repro.routing import Path
 from repro.simulator import (
     AggregatedFlows,
     Flow,
+    LinkState,
     SimulatedNetwork,
     allocate_aggregated,
     constant_demand,
 )
-from repro.topology.fattree import build_fattree, hosts
+from repro.simulator.fairness import last_kernel_stats
+from repro.topology.fattree import (
+    aggregation_switch_name,
+    build_fattree,
+    core_switch_name,
+    edge_switch_name,
+    host_name,
+    hosts,
+)
 from repro.traffic import (
     TrafficMatrix,
     calibrate_max_load,
@@ -29,14 +37,8 @@ from repro.traffic import (
 from repro.units import mbps
 
 
-BENCHMARKS_DIR = FilePath(__file__).resolve().parent.parent / "benchmarks"
-sys.path.insert(0, str(BENCHMARKS_DIR))
-
-
 def fattree_flows(k=4, num_flows=40, seed=3):
     """Deterministic host-to-host flows on a fat-tree."""
-    import random
-
     topology = build_fattree(k)
     endpoints = hosts(topology)
     rng = random.Random(seed)
@@ -129,29 +131,107 @@ def test_aggregated_flows_validation():
             (path, path), [0, -2, -1], [mbps(1), mbps(2), mbps(3)]
         )
     unrouted = AggregatedFlows.from_arrays((path,), [0, -1], [mbps(1), mbps(3)])
-    assert unrouted.member_counts().tolist() == [1]
+    assert unrouted.num_flows == 2
 
 
 # --------------------------------------------------------------------- #
-# Pre-refactor witness: the committed engine-scale checksums
+# Pre-refactor witness: the engine-scale checksums
 # --------------------------------------------------------------------- #
 
+#: Four shared demand values (bps): flows with equal demand freeze in the
+#: same kernel iteration, so the filling depth tracks saturating arcs plus
+#: values instead of the number of flows.
+DEMAND_CLASSES = (0.5e6, 2e6, 8e6, 32e6)
 
-@pytest.mark.parametrize("point", [0, 1], ids=["k8-2048-flows", "k16-20480-flows"])
-def test_engine_scale_checksums_match_committed_baseline(point):
-    """Both entry points reproduce the rate checksums in BENCH_engine_scale.json."""
-    import bench_engine_scale
 
-    baseline = json.loads((BENCHMARKS_DIR / "BENCH_engine_scale.json").read_text())
-    committed = baseline["points"][point]["dense"]["checksum"]
-    assert committed == baseline["points"][point]["sparse"]["checksum"]
+def build_point(k, pairs, members, seed=7):
+    """Deterministic flow population of one engine-scale grid point.
 
-    k, pairs, members = bench_engine_scale.GRID[point]
-    topology, paths, flow_group, demands = bench_engine_scale.build_point(k, pairs, members)
+    Paths are written from the fat-tree naming scheme directly
+    (host -> edge -> aggregation -> core -> aggregation -> edge -> host)
+    instead of searched per pair.  Returns ``(topology, paths, flow_group,
+    demands_bps)``; the rate checksums below were committed by the retired
+    ``benchmarks/bench_engine_scale.py`` sweep over these populations.
+    """
+    half = k // 2
+    topology = build_fattree(k)
+    rng = random.Random(seed)
+
+    def rand_host():
+        return (rng.randrange(k), rng.randrange(half), rng.randrange(half))
+
+    def path_between(a, b):
+        (p1, e1, h1), (p2, e2, h2) = a, b
+        hops = [host_name(p1, e1, h1), edge_switch_name(p1, e1)]
+        if (p1, e1) != (p2, e2):
+            agg = rng.randrange(half)
+            hops.append(aggregation_switch_name(p1, agg))
+            if p1 != p2:
+                hops.append(core_switch_name(agg * half + rng.randrange(half)))
+                hops.append(aggregation_switch_name(p2, agg))
+            hops.append(edge_switch_name(p2, e2))
+        hops.append(host_name(p2, e2, h2))
+        return Path.of(hops)
+
+    paths = []
+    for _ in range(pairs):
+        a, b = rand_host(), rand_host()
+        while b == a:
+            b = rand_host()
+        paths.append(path_between(a, b))
+    flow_group = np.repeat(np.arange(pairs, dtype=np.int64), members)
+    classes = np.asarray(DEMAND_CLASSES, dtype=np.float64)
+    demands = classes[np.arange(pairs * members) % len(classes)]
+    return topology, paths, flow_group, demands
+
+
+@pytest.mark.parametrize(
+    "k, pairs, members, committed, per_flow_too",
+    [
+        pytest.param(
+            8,
+            128,
+            16,
+            "944040afce0b7c92bf2222fd9c8261c5b367963f9dc0bee4410804b4fa302145",
+            True,
+            id="k8-2048-flows",
+        ),
+        pytest.param(
+            16,
+            1280,
+            16,
+            "8a2b012373dd89be0c4745f85e949c08cf228c78dcca0658a4c2ff40146675a0",
+            True,
+            id="k16-20480-flows",
+        ),
+        # The harness shape, aggregated entry only (204 800 Flow objects
+        # would cost more than the rest of this file).
+        pytest.param(
+            16,
+            1280,
+            160,
+            "9f177a19217abf2217721a5b827956e7ee785211556396d6da30c8c3c8794a37",
+            False,
+            id="k16-204800-flows",
+        ),
+    ],
+)
+def test_engine_scale_checksums_match_committed_baseline(
+    k, pairs, members, committed, per_flow_too
+):
+    """Both entry points reproduce the rate checksums the sweep committed."""
+    topology, paths, flow_group, demands = build_point(k, pairs, members)
     network = SimulatedNetwork(topology)
     table = AggregatedFlows.from_arrays(paths, flow_group, demands)
     aggregated = allocate_aggregated(network, table)
     assert hashlib.sha256(aggregated.tobytes()).hexdigest() == committed
+    if not per_flow_too:
+        # The loop's state is one entry per (group, demand) pair, not per
+        # flow: 1 280 groups x 4 demand values.
+        stats = last_kernel_stats()
+        assert stats["classes"] == 5120
+        assert stats["iterations"] == 117
+        return
 
     flows = [
         Flow(
@@ -302,3 +382,75 @@ def test_compiled_flow_set_invalidated_on_path_reassignment():
         network.arc_load(src, dst) for (src, dst) in detour.arc_keys()
     )
     assert loads > 0.0
+
+
+def fresh_rates(network, table):
+    """*table*'s rates on a new network put in *network*'s link states."""
+    fresh = SimulatedNetwork(network.topology)
+    for link in network.links():
+        fresh.link(*link.key).state = link.state
+    return allocate_aggregated(fresh, table)
+
+
+def test_compiled_flow_set_cannot_go_stale_across_entry_points():
+    topology, flows = fattree_flows(num_flows=40)
+    network = SimulatedNetwork(topology)
+    table = AggregatedFlows.from_flows(flows, now_s=0.0)
+    victim = sorted({arc for flow in flows for arc in flow.path.link_keys()})[0]
+    healthy = allocate_aggregated(network, table)
+    assert np.array_equal(healthy, fresh_rates(network, table))
+
+    # Every way a link can change state is seen by the next call.
+    moves = [
+        lambda: network.fail_link(*victim),
+        lambda: network.repair_link(*victim),
+        lambda: network.link(*victim).fail(),
+        lambda: network.link(*victim).repair(),
+        lambda: setattr(network.link(*victim), "state", LinkState.FAILED),
+        lambda: setattr(network.link(*victim), "state", LinkState.ACTIVE),
+    ]
+    for step, move in enumerate(moves):
+        move()
+        rates = allocate_aggregated(network, table)
+        assert np.array_equal(rates, fresh_rates(network, table))
+        assert np.array_equal(rates, healthy) == (step % 2 == 1)
+
+    # Same paths, other membership: the key is the table, not its paths.
+    regrouped = AggregatedFlows.from_arrays(
+        table.paths, table.flow_group[::-1].copy(), table.demands_bps
+    )
+    assert not np.array_equal(table.flow_group, regrouped.flow_group)
+    assert np.array_equal(
+        allocate_aggregated(network, regrouped),
+        fresh_rates(network, regrouped),
+    )
+
+    # The two entry points share the network's one entry and evict each other.
+    network.fail_link(*victim)
+    for _ in range(2):
+        network.allocate_rates(flows, now_s=0.0)
+        per_flow = np.array([flow.rate_bps for flow in flows])
+        aggregated = allocate_aggregated(network, table)
+        assert np.array_equal(per_flow, aggregated)
+        assert np.array_equal(aggregated, fresh_rates(network, table))
+
+
+def test_compiled_flow_set_hits_and_misses_over_a_fail_repair_cycle():
+    topology, flows = fattree_flows(num_flows=40)
+    network = SimulatedNetwork(topology)
+    table = AggregatedFlows.from_flows(flows, now_s=0.0)
+    victim = flows[0].path.link_keys()[0]
+    allocate_aggregated(network, table)  # the warm-up pays the first build
+    hits = metrics.counter("repro_flowset_cache_hits_total")
+    misses = metrics.counter("repro_flowset_cache_misses_total")
+    hits_before, misses_before = hits.value, misses.value
+    # The harness cycle: eight steps, the link failed for the second half
+    # and repaired before the next cycle's first step.
+    network.fail_link(*victim)
+    for _ in range(4):
+        allocate_aggregated(network, table)
+    network.repair_link(*victim)
+    for _ in range(4):
+        allocate_aggregated(network, table, demands_bps=table.demands_bps * 1.5)
+    assert hits.value - hits_before == 6
+    assert misses.value - misses_before == 2

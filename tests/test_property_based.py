@@ -1,10 +1,16 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path as FilePath
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs import trace
 from repro.power import CiscoRouterPowerModel, full_power, network_power
 from repro.routing import Path, link_loads, solve_mcf
 from repro.routing.mcf import pairwise_sum
@@ -16,7 +22,8 @@ from repro.simulator import (
     allocate_aggregated,
     constant_demand,
 )
-from repro.simulator.fairness import Incidence, max_min_fair_rates
+from repro.simulator.aggregate import UNROUTED_GROUP
+from repro.simulator.fairness import Incidence, last_kernel_stats, max_min_fair_rates
 from repro.simulator.reference import reference_max_min_rates
 from repro.topology import random_connected_topology
 from repro.traffic import TrafficMatrix, all_pairs, gravity_matrix
@@ -438,6 +445,155 @@ def test_allocate_aggregated_matches_dict_oracle(population):
             rate == 0.0
             for rate, (group, _) in zip(aggregated, members, strict=True)
             if group == 0
+        )
+
+
+# --------------------------------------------------------------------- #
+# Demand classes: collapsed == one row per flow == dict oracle, on the bytes
+# --------------------------------------------------------------------- #
+@st.composite
+def clustered_populations(draw):
+    """Member flows whose demands come from a small shared pool.
+
+    The strategies above draw near-unique floats, so every (group, demand)
+    class would hold one flow; a pool gives classes several members.  Group
+    0 always holds ``0.0`` and ``-0.0`` side by side (and is the group
+    routed over the failed link); every other group is empty, drawn from
+    the pool, or all-distinct.  Unrouted flows and a negative demand ride
+    along, and the flow order is shuffled so classes are not contiguous.
+    """
+    topology, paths, _members, fail_first_hop = draw(shared_path_populations())
+    pool = [0.0, -0.0, -1e6] + draw(
+        st.lists(
+            st.floats(min_value=0.0, max_value=2e9, allow_nan=False),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    pooled = st.lists(st.sampled_from(pool), min_size=1, max_size=6)
+    distinct = st.lists(
+        st.floats(min_value=1.0, max_value=2e9, allow_nan=False),
+        min_size=1,
+        max_size=4,
+        unique=True,
+    )
+    members = [(0, 0.0), (0, -0.0)] + [(0, demand) for demand in draw(pooled)]
+    for group in range(1, len(paths)):
+        demands = draw(st.one_of(st.just([]), pooled, distinct))
+        members += [(group, demand) for demand in demands]
+    members += [
+        (UNROUTED_GROUP, demand)
+        for demand in draw(st.lists(st.sampled_from(pool), max_size=3))
+    ]
+    return topology, paths, draw(st.permutations(members)), fail_first_hop
+
+
+def class_count(groups, demands):
+    """Distinct (group, demand bit pattern) pairs."""
+    return len(
+        {
+            (int(group), np.float64(demand).tobytes())
+            for group, demand in zip(groups, demands, strict=True)
+        }
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(population=clustered_populations())
+def test_demand_classes_match_one_row_per_flow_and_dict_oracle(population):
+    topology, paths, members, fail_first_hop = population
+    network = SimulatedNetwork(topology, MODEL)
+    if fail_first_hop:
+        network.fail_link(*paths[0].link_keys()[0])
+    groups = np.array([group for group, _ in members], dtype=np.int64)
+    demands = np.array([demand for _, demand in members])
+    table = AggregatedFlows.from_arrays(paths, groups, demands)
+    with trace.collect(trace.SpanCollector()):
+        collapsed = allocate_aggregated(network, table)
+
+    routable = np.flatnonzero(
+        [
+            group != UNROUTED_GROUP and network.path_is_usable(paths[group])
+            for group in groups
+        ]
+    )
+    assert fail_first_hop or routable.size >= 2
+    if routable.size:
+        # Traced counts are member-weighted: every routable flow freezes
+        # exactly once, however few classes carried them.
+        stats = last_kernel_stats()
+        assert sum(stats["frozen_per_iteration"]) == routable.size
+        assert stats["classes"] == class_count(groups[routable], demands[routable])
+
+    # One incidence row per flow: the unit-weight path, no collapse at all.
+    expanded = np.zeros(len(members))
+    expanded[routable] = max_min_fair_rates(
+        demands[routable],
+        network.alloc_capacity,
+        Incidence(
+            [network.compile_path(paths[groups[flow]]).arc_indices for flow in routable],
+            network.arc_table.num_arcs,
+        ),
+    )
+    assert collapsed.tobytes() == expanded.tobytes()
+
+    # The seed algorithm.  ``Flow.offered_load`` clamps negative demands to
+    # zero, which the filling treats alike: both freeze on a zero step.
+    flows = [
+        Flow(
+            f"f{index}",
+            paths[max(group, 0)].origin,
+            paths[max(group, 0)].destination,
+            constant_demand(demand),
+            path=None if group == UNROUTED_GROUP else paths[group],
+        )
+        for index, (group, demand) in enumerate(members)
+    ]
+    expected, _ = reference_max_min_rates(network, flows, now_s=0.0)
+    oracle = np.array([expected[flow.flow_id] for flow in flows])
+    assert collapsed.tobytes() == oracle.tobytes()
+
+
+_CLUSTERED_SCRIPT = """
+import hashlib, random
+import numpy as np
+from repro.routing import Path
+from repro.simulator import AggregatedFlows, SimulatedNetwork, allocate_aggregated
+from repro.topology.fattree import build_fattree, hosts
+
+topology = build_fattree(4)
+endpoints = hosts(topology)
+rng = random.Random(5)
+paths = [
+    Path.of(topology.shortest_path(*rng.sample(endpoints, 2))) for _ in range(12)
+]
+pool = [0.0, -0.0, 2e8, 5e8, 9e8]
+groups = [rng.randrange(-1, len(paths)) for _ in range(200)]
+demands = [rng.choice(pool) for _ in groups]
+network = SimulatedNetwork(topology)
+network.fail_link(*paths[0].link_keys()[1])
+rates = allocate_aggregated(network, AggregatedFlows.from_arrays(paths, groups, demands))
+assert rates.max() > 0.0
+print(hashlib.sha256(rates.tobytes()).hexdigest())
+"""
+
+
+def test_demand_classes_do_not_follow_the_hash_seed():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(FilePath(__file__).resolve().parent.parent / "src")
+    for hash_seed in ("0", "26"):
+        env["PYTHONHASHSEED"] = hash_seed
+        proc = subprocess.run(
+            [sys.executable, "-c", _CLUSTERED_SCRIPT],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        # The digest the per-flow loop of the parent commit printed.
+        assert proc.stdout.strip() == (
+            "3f0472f260c6957415a45c2a2a81cf027a1e52c7fe2184dc41f5ed9a2b5f41d6"
         )
 
 
