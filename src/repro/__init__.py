@@ -22,7 +22,7 @@ from .core.plan import ResponsePlan
 from .core.planner import ActivationResult, activate_paths
 from .core.response import RESPONSE_VARIANTS, ResponseConfig, build_response_plan
 from .core.te import ResponseTEController, TEConfig
-from .power.accounting import full_power, network_power, power_percentage
+from .power.accounting import full_power, network_power
 from .power.alternative import AlternativeHardwarePowerModel
 from .power.cisco import CiscoRouterPowerModel
 from .power.commodity import CommoditySwitchPowerModel
@@ -44,7 +44,6 @@ __all__ = [
     "TEConfig",
     "full_power",
     "network_power",
-    "power_percentage",
     "AlternativeHardwarePowerModel",
     "CiscoRouterPowerModel",
     "CommoditySwitchPowerModel",

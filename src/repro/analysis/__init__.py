@@ -2,14 +2,7 @@
 
 from .deviation import change_ccdf, fraction_changing_at_least, median_change
 from .dominance import DominanceResult, configuration_dominance
-from .metrics import (
-    LatencyStretch,
-    hop_count_distribution,
-    latency_stretch,
-    percentile_summary,
-    power_percent_of_original,
-    savings_percent,
-)
+from .metrics import percentile_summary
 from .recomputation import (
     RecomputationSeries,
     configuration_changes,
@@ -22,12 +15,7 @@ __all__ = [
     "median_change",
     "DominanceResult",
     "configuration_dominance",
-    "LatencyStretch",
-    "hop_count_distribution",
-    "latency_stretch",
     "percentile_summary",
-    "power_percent_of_original",
-    "savings_percent",
     "RecomputationSeries",
     "configuration_changes",
     "recomputation_rate",

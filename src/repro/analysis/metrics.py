@@ -1,92 +1,10 @@
-"""Cross-cutting evaluation metrics: power, savings, latency stretch."""
+"""Cross-cutting evaluation metrics: the percentile summary of a series."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence
 
 import numpy as np
-
-from ..power.accounting import full_power, network_power
-from ..power.model import PowerModel
-from ..routing.paths import RoutingTable
-from ..topology.base import Topology
-from ..traffic.matrix import Pair
-
-
-def power_percent_of_original(
-    topology: Topology,
-    power_model: PowerModel,
-    active_nodes: Iterable[str],
-    active_links: Iterable[Tuple[str, str]],
-) -> float:
-    """Power of an active subset as a percentage of the fully-on network."""
-    baseline = full_power(topology, power_model).total_w
-    if baseline <= 0:
-        return 0.0
-    subset = network_power(topology, power_model, active_nodes, active_links).total_w
-    return 100.0 * subset / baseline
-
-
-def savings_percent(power_percent: float) -> float:
-    """Energy savings implied by a power percentage."""
-    return 100.0 - power_percent
-
-
-@dataclass(frozen=True)
-class LatencyStretch:
-    """Propagation-delay comparison between two routings.
-
-    Attributes:
-        mean_stretch: Mean of per-pair ``candidate_delay / reference_delay``.
-        max_stretch: Worst-case per-pair ratio.
-        mean_increase_percent: Mean delay increase in percent.
-    """
-
-    mean_stretch: float
-    max_stretch: float
-    mean_increase_percent: float
-
-
-def latency_stretch(
-    topology: Topology,
-    candidate: RoutingTable,
-    reference: RoutingTable,
-    pairs: Optional[Sequence[Pair]] = None,
-) -> LatencyStretch:
-    """Compare the propagation delay of two routings pair by pair.
-
-    Pairs missing from either table are skipped.  Reference delays of zero
-    (adjacent nodes with negligible latency) are skipped as well to keep the
-    ratios meaningful.
-    """
-    selected = list(pairs) if pairs is not None else candidate.pairs()
-    ratios: List[float] = []
-    for pair in selected:
-        candidate_path = candidate.get(*pair)
-        reference_path = reference.get(*pair)
-        if candidate_path is None or reference_path is None:
-            continue
-        reference_delay = reference_path.latency(topology)
-        if reference_delay <= 0:
-            continue
-        ratios.append(candidate_path.latency(topology) / reference_delay)
-    if not ratios:
-        return LatencyStretch(1.0, 1.0, 0.0)
-    array = np.array(ratios)
-    return LatencyStretch(
-        mean_stretch=float(array.mean()),
-        max_stretch=float(array.max()),
-        mean_increase_percent=float((array.mean() - 1.0) * 100.0),
-    )
-
-
-def hop_count_distribution(routing: RoutingTable) -> Dict[int, int]:
-    """Histogram of path hop counts of a routing table."""
-    histogram: Dict[int, int] = {}
-    for _pair, path in routing.items():
-        histogram[path.num_hops] = histogram.get(path.num_hops, 0) + 1
-    return histogram
 
 
 def percentile_summary(values: Sequence[float]) -> Dict[str, float]:

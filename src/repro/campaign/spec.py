@@ -19,7 +19,7 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 from ..exceptions import ConfigurationError
 from ..scenario.spec import ScenarioSpec, apply_spec_setting
@@ -201,15 +201,6 @@ class CampaignSpec:
             base=data["base"],
             axes=data.get("axes", {}),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "CampaignSpec":
-        """Parse a JSON document into a campaign spec."""
-        return cls.from_dict(json.loads(text))
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        """The campaign spec as a JSON document."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     def campaign_id(self) -> str:
         """Stable identity of this campaign (schema-versioned spec hash)."""

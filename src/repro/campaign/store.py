@@ -477,14 +477,6 @@ class CampaignStore:
             )
             return cursor.rowcount
 
-    def point_statuses(self, campaign_id: str) -> Dict[str, str]:
-        """``config_hash -> status`` for every point of a campaign."""
-        rows = self._connection.execute(
-            "SELECT config_hash, status FROM points WHERE campaign_id = ?",
-            (campaign_id,),
-        )
-        return {row["config_hash"]: row["status"] for row in rows}
-
     def status_counts(self, campaign_id: str) -> Dict[str, int]:
         """``{'total', 'done', 'error', 'pending'}`` counts for a campaign."""
         rows = self._connection.execute(
@@ -715,15 +707,6 @@ class CampaignStore:
             for record in records:
                 self._persist_record(connection, campaign_id, record)
 
-    def record_failure(
-        self, campaign_id: str, point: CampaignPoint, error: str, elapsed_s: float
-    ) -> None:
-        """Persist one failed point (status ``error`` plus the traceback)."""
-        self.record_chunk(
-            campaign_id,
-            [PointRecord(point=point, error=error, elapsed_s=elapsed_s)],
-        )
-
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
@@ -844,25 +827,6 @@ class CampaignStore:
         if row is None:
             return None
         return ScenarioResult.from_dict(json.loads(row["result_json"]))
-
-    def iter_results(
-        self, campaign_id: str
-    ) -> Iterator[Tuple[Dict[str, Any], ScenarioResult]]:
-        """``(point row, result)`` pairs for every completed point, in order."""
-        rows = self._connection.execute(
-            "SELECT p.*, r.result_json FROM points p "
-            "JOIN results r USING (config_hash) "
-            "WHERE p.campaign_id = ? AND p.status = 'done' ORDER BY p.point_index",
-            (campaign_id,),
-        )
-        for row in rows:
-            entry = dict(row)
-            result_json = entry.pop("result_json")
-            entry["axes"] = json.loads(entry.pop("axes_json"))
-            entry["spec"] = json.loads(entry.pop("spec_json"))
-            phases_json = entry.pop("phases_json", None)
-            entry["phases"] = json.loads(phases_json) if phases_json else None
-            yield entry, ScenarioResult.from_dict(json.loads(result_json))
 
     def metric_rows(self, campaign_id: str) -> List[Dict[str, Any]]:
         """One flat row per (completed point, scheme): axes + metric columns.

@@ -11,10 +11,8 @@ from .critical_paths import (
     coverage_curve,
     paths_needed_for_coverage,
     rank_paths_by_traffic,
-    routing_tables_from_critical_paths,
-    select_energy_critical_paths,
 )
-from .failover import compute_failover, survives_single_failure, vulnerable_pairs
+from .failover import compute_failover
 from .on_demand import ON_DEMAND_METHODS, OnDemandConfig, compute_on_demand
 from .plan import ResponsePlan
 from .planner import (
@@ -24,12 +22,7 @@ from .planner import (
     replay_trace,
 )
 from .response import RESPONSE_VARIANTS, ResponseConfig, build_response_plan
-from .stress import (
-    DEFAULT_EXCLUDE_FRACTION,
-    most_stressed_links,
-    stress_factors,
-    stressed_links_for_routing,
-)
+from .stress import DEFAULT_EXCLUDE_FRACTION, most_stressed_links, stress_factors
 from .te import ResponseTEController, TEConfig
 
 __all__ = [
@@ -39,11 +32,7 @@ __all__ = [
     "coverage_curve",
     "paths_needed_for_coverage",
     "rank_paths_by_traffic",
-    "routing_tables_from_critical_paths",
-    "select_energy_critical_paths",
     "compute_failover",
-    "survives_single_failure",
-    "vulnerable_pairs",
     "ON_DEMAND_METHODS",
     "OnDemandConfig",
     "compute_on_demand",
@@ -58,7 +47,6 @@ __all__ = [
     "DEFAULT_EXCLUDE_FRACTION",
     "most_stressed_links",
     "stress_factors",
-    "stressed_links_for_routing",
     "ResponseTEController",
     "TEConfig",
 ]

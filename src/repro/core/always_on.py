@@ -27,9 +27,6 @@ from ..routing.ospf import ospf_delays
 from ..topology.base import Topology
 from ..traffic.matrix import Pair, TrafficMatrix, all_pairs
 
-#: Default ε demand used for the demand-oblivious computation (1 bit/s).
-DEFAULT_EPSILON_BPS = 1.0
-
 
 @dataclass
 class AlwaysOnConfig:
@@ -42,7 +39,6 @@ class AlwaysOnConfig:
         latency_beta: When not ``None``, enforce the REsPoNse-lat constraint
             ``delay <= (1 + beta) * delay_OSPF`` for every pair.
         utilisation_limit: Safety margin ``sm`` applied to link capacities.
-        epsilon_bps: ε demand used when no off-peak matrix is supplied.
         time_limit_s: Solver time limit.
     """
 
@@ -50,7 +46,6 @@ class AlwaysOnConfig:
     k: int = 3
     latency_beta: Optional[float] = None
     utilisation_limit: float = 1.0
-    epsilon_bps: float = DEFAULT_EPSILON_BPS
     time_limit_s: Optional[float] = 60.0
 
     def __post_init__(self) -> None:
@@ -94,9 +89,9 @@ def compute_always_on(
         # need connectivity: give them the ε demand.
         missing = [pair for pair in selected if pair not in demands]
         if missing:
-            demands = demands.merged_with(TrafficMatrix.epsilon(missing, cfg.epsilon_bps))
+            demands = demands.merged_with(TrafficMatrix.epsilon(missing))
     else:
-        demands = TrafficMatrix.epsilon(selected, cfg.epsilon_bps, name="always-on-epsilon")
+        demands = TrafficMatrix.epsilon(selected, name="always-on-epsilon")
 
     latency_bound: Optional[Dict[Pair, float]] = None
     if cfg.latency_beta is not None:

@@ -125,39 +125,3 @@ def paths_needed_for_coverage(
         if fraction >= target_fraction:
             return index
     return max_paths
-
-
-def select_energy_critical_paths(
-    ranked: Mapping[Pair, Sequence[RankedPath]],
-    num_paths: int,
-) -> Dict[Pair, List[Path]]:
-    """The top-``num_paths`` energy-critical paths of every pair."""
-    if num_paths < 1:
-        raise TrafficError(f"num_paths must be >= 1, got {num_paths}")
-    return {
-        pair: [entry.path for entry in entries[:num_paths]]
-        for pair, entries in ranked.items()
-    }
-
-
-def routing_tables_from_critical_paths(
-    critical: Mapping[Pair, Sequence[Path]],
-    num_tables: int,
-) -> List[RoutingTable]:
-    """Turn per-pair ranked paths into positional routing tables.
-
-    Table ``i`` holds every pair's ``i``-th most important path (falling back
-    to the most important one when a pair has fewer than ``i + 1`` paths), so
-    table 0 resembles an always-on table and later tables resemble on-demand
-    tables.
-    """
-    tables: List[RoutingTable] = []
-    for position in range(num_tables):
-        entries: Dict[Pair, Path] = {}
-        for pair, paths in critical.items():
-            if not paths:
-                continue
-            index = min(position, len(paths) - 1)
-            entries[pair] = paths[index]
-        tables.append(RoutingTable(entries, name=f"critical-paths-{position}"))
-    return tables

@@ -79,51 +79,3 @@ def compute_failover(
             continue
         failover[pair] = Path.of(nodes)
     return RoutingTable(failover, name=name)
-
-
-def vulnerable_pairs(
-    topology: Topology,
-    tables: Sequence[RoutingTable],
-    pairs: Optional[Iterable[Pair]] = None,
-) -> List[Pair]:
-    """Pairs for which a single link failure can sever every installed path.
-
-    The paper notes that a single failover path handles "the vast majority of
-    failures without causing any disconnectivity"; this helper quantifies the
-    residual exposure.
-    """
-    if pairs is None:
-        seen: Set[Pair] = set()
-        for table in tables:
-            seen.update(table.pairs())
-        selected: List[Pair] = sorted(seen)
-    else:
-        selected = list(pairs)
-
-    exposed: List[Pair] = []
-    for pair in selected:
-        link_sets = []
-        for table in tables:
-            path = table.get(*pair)
-            if path is not None:
-                link_sets.append(set(path.link_keys()))
-        if not link_sets:
-            continue
-        common = set.intersection(*link_sets)
-        if common:
-            exposed.append(pair)
-    return exposed
-
-
-def survives_single_failure(
-    tables: Sequence[RoutingTable],
-    pair: Pair,
-    failed_link: Tuple[str, str],
-) -> bool:
-    """Whether some installed path of *pair* avoids the failed link."""
-    failed = link_key(*failed_link)
-    for table in tables:
-        path = table.get(*pair)
-        if path is not None and failed not in set(path.link_keys()):
-            return True
-    return False

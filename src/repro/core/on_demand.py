@@ -49,7 +49,6 @@ class OnDemandConfig:
             avoids (scaled per table index for successive tables).
         k: Candidate paths per pair for solver-based methods.
         utilisation_limit: Safety margin on link capacities.
-        epsilon_bps: ε demand for the demand-oblivious variants.
         time_limit_s: Solver time limit per table.
     """
 
@@ -58,7 +57,6 @@ class OnDemandConfig:
     stress_exclude_fraction: float = DEFAULT_EXCLUDE_FRACTION
     k: int = 3
     utilisation_limit: float = 1.0
-    epsilon_bps: float = 1.0
     time_limit_s: Optional[float] = 60.0
 
     def __post_init__(self) -> None:
@@ -124,7 +122,7 @@ def compute_on_demand(
             demands = (
                 peak_matrix.restricted_to(selected)
                 if peak_matrix is not None
-                else TrafficMatrix.epsilon(selected, cfg.epsilon_bps)
+                else TrafficMatrix.epsilon(selected)
             )
             solution = greente_heuristic(
                 topology,
@@ -162,7 +160,7 @@ def compute_on_demand(
             factors = stress_factors(topology, always_on.routing, pairs=selected)
             fraction = min(1.0, cfg.stress_exclude_fraction * (table_index + 1))
             forbidden = most_stressed_links(factors, fraction)
-            demands = TrafficMatrix.epsilon(selected, cfg.epsilon_bps)
+            demands = TrafficMatrix.epsilon(selected)
             solution = solve_path_milp(
                 topology,
                 power_model,

@@ -7,7 +7,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..exceptions import ConfigurationError
 from ..optim.solution import EnergyAwareSolution
-from ..routing.paths import Path, RoutingTable
+from ..routing.paths import RoutingTable
 from ..traffic.matrix import Pair
 
 
@@ -98,15 +98,6 @@ class ResponsePlan:
         """Pairs covered by the always-on table."""
         return self.always_on_table.pairs()
 
-    def paths_for(self, origin: str, destination: str) -> List[Path]:
-        """All distinct installed paths for a pair, in activation order."""
-        paths: List[Path] = []
-        for table in self.tables(include_failover=True):
-            path = table.get(origin, destination)
-            if path is not None and path not in paths:
-                paths.append(path)
-        return paths
-
     def iter_paths(self):
         """Iterate over every installed path of every table (with repeats).
 
@@ -120,17 +111,6 @@ class ResponsePlan:
     def always_on_elements(self) -> Tuple[Set[str], Set[Tuple[str, str]]]:
         """Nodes and links that stay powered regardless of demand."""
         return set(self.always_on.active_nodes), set(self.always_on.active_links)
-
-    def table_count_per_pair(self) -> Dict[Pair, int]:
-        """Number of distinct installed paths per pair.
-
-        Useful for checking the deployment constraint discussed in Section
-        4.5 (modern routers supported about 600 MPLS tunnels in 2005).
-        """
-        return {
-            (origin, destination): len(self.paths_for(origin, destination))
-            for origin, destination in self.pairs()
-        }
 
     def summary(self) -> Dict[str, object]:
         """Compact description used by reports and experiment logs."""

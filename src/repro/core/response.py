@@ -106,7 +106,6 @@ def build_response_plan(
     offpeak_matrix: Optional[TrafficMatrix] = None,
     peak_matrix: Optional[TrafficMatrix] = None,
     config: Optional[ResponseConfig] = None,
-    variant: Optional[str] = None,
     candidate_paths: Optional[CandidatePaths] = None,
 ) -> ResponsePlan:
     """Run the complete off-line REsPoNse computation.
@@ -119,8 +118,8 @@ def build_response_plan(
         offpeak_matrix: Optional ``d_low`` estimate for the always-on paths
             (the demand-oblivious ε formulation is used otherwise).
         peak_matrix: Optional ``d_peak`` estimate for the on-demand paths.
-        config: Full configuration; mutually exclusive with *variant*.
-        variant: Shortcut: one of :data:`RESPONSE_VARIANTS`.
+        config: Full configuration (:meth:`ResponseConfig.for_variant` builds
+            the paper's named variants); defaults to ``ResponseConfig()``.
         candidate_paths: The candidate-path provider every solver of the
             pipeline draws from, so one plan build enumerates each pair's
             k shortest paths once; defaults to one private to this build.
@@ -128,12 +127,8 @@ def build_response_plan(
     Returns:
         The computed :class:`ResponsePlan`.
     """
-    if config is not None and variant is not None:
-        raise ConfigurationError("pass either config or variant, not both")
     if config is None:
-        config = (
-            ResponseConfig.for_variant(variant) if variant is not None else ResponseConfig()
-        )
+        config = ResponseConfig()
     if candidate_paths is None:
         candidate_paths = CandidatePaths(topology)
 
@@ -177,13 +172,12 @@ def build_response_plan(
             pairs=pairs,
         )
 
-    variant_name = variant or _infer_variant_name(config)
     return ResponsePlan(
         always_on=always_on,
         on_demand=on_demand,
         failover=failover,
         topology_name=topology.name,
-        variant=variant_name,
+        variant=_infer_variant_name(config),
     )
 
 

@@ -75,14 +75,3 @@ def most_stressed_links(
     count = min(count, len(loaded))
     ranked = sorted(loaded, key=lambda item: item[1], reverse=True)
     return {key for key, _ in ranked[:count]}
-
-
-def stressed_links_for_routing(
-    topology: Topology,
-    always_on_routing: RoutingTable,
-    exclude_fraction: float = DEFAULT_EXCLUDE_FRACTION,
-    pairs: Optional[Iterable[Pair]] = None,
-) -> Set[LinkKey]:
-    """Convenience wrapper combining the two steps above."""
-    factors = stress_factors(topology, always_on_routing, pairs=pairs)
-    return most_stressed_links(factors, exclude_fraction)

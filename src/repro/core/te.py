@@ -52,8 +52,6 @@ class TEConfig:
             degenerate topologies cannot produce a zero-length epoch.
         failure_detection_delay_s: Time before an agent learns that a link on
             one of its paths failed (detection plus propagation to sources).
-        allow_failover_for_load: Whether load (not only failures) may spill
-            onto the failover table.
         start_time_s: Simulation time at which REsPoNseTE starts operating
             (the Click experiment starts it at t = 5 s); before that the
             controller neither shifts traffic nor puts links to sleep.
@@ -66,7 +64,6 @@ class TEConfig:
     release_threshold: float = 0.5
     probe_interval_s: Optional[float] = None
     failure_detection_delay_s: float = 0.1
-    allow_failover_for_load: bool = False
     start_time_s: float = 0.0
     initial_table_index: int = 0
 
@@ -103,9 +100,9 @@ class ResponseTEController:
         self.plan = plan
         self.config = config or TEConfig()
         self._tables = plan.tables(include_failover=True)
-        self._num_load_tables = len(
-            plan.tables(include_failover=self.config.allow_failover_for_load)
-        )
+        # Load spills onto the on-demand tables only; the failover table is
+        # for failures.
+        self._num_load_tables = len(plan.tables(include_failover=False))
         self._assignment: Dict[str, int] = {}
         self._pending: Dict[str, Tuple[int, Path]] = {}
         self._failure_noticed_at: Dict[str, float] = {}
@@ -362,10 +359,6 @@ class ResponseTEController:
     # ------------------------------------------------------------------ #
     # Introspection helpers (used by tests and experiments)
     # ------------------------------------------------------------------ #
-    def table_index_of(self, flow: Flow) -> int:
-        """Which table the flow is currently using (0 = always-on)."""
-        return self._assignment.get(flow.flow_id, 0)
-
     @property
     def probe_interval_s(self) -> float:
         """The probe period in effect after initialisation."""

@@ -22,7 +22,6 @@ from ..scenario import (
     build_scenario,
     scheme_outcomes,
 )
-from .common import routings_of
 
 
 @dataclass
@@ -64,7 +63,8 @@ def _coverage_of(
     """Coverage curve and 98 %-coverage path count of one network scenario."""
     built = build_scenario(spec, power_model=power_model)
     solutions = scheme_outcomes(built)["greente"].details["solutions"]
-    ranked = rank_paths_by_traffic(built.trace, routings_of(solutions))
+    # GreenTE always routes: every per-interval solution carries its table.
+    ranked = rank_paths_by_traffic(built.trace, [solution.routing for solution in solutions])
     return (
         coverage_curve(ranked, max_paths=max_paths),
         paths_needed_for_coverage(ranked, 0.98, max_paths=max_paths),

@@ -3,7 +3,7 @@
 The repo's load-bearing guarantees — ``canonical_dump`` bit-identity,
 the ``BEGIN IMMEDIATE`` store protocol, id-free metrics cardinality —
 are enforced dynamically by differential tests.  This package enforces
-them *statically*: ``python -m repro.lintkit src`` runs ~11 project
+them *statically*: ``python -m repro.lintkit src`` runs a dozen project
 rules (catalogue in ``docs/static-analysis.md``) as a hard CI gate, with
 ``# repro: allow[RULE] reason`` inline suppressions and a committed
 baseline for grandfathered findings.

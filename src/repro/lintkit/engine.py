@@ -27,6 +27,7 @@ from __future__ import annotations
 import ast
 import re
 import tokenize
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
@@ -40,6 +41,7 @@ __all__ = [
     "lint_source",
     "lint_paths",
     "iter_python_files",
+    "referenced_names",
     "PARSE_ERROR_RULE",
     "UNUSED_ALLOW_RULE",
 ]
@@ -109,6 +111,10 @@ class Rule:
     id: str = ""
     title: str = ""
     rationale: str = ""
+    #: Directories (relative to the lint root) whose files count as callers
+    #: for a cross-file rule; :func:`lint_paths` indexes them once per run
+    #: into :attr:`ModuleContext.references`.
+    reference_roots: Tuple[str, ...] = ()
 
     def applies_to(self, rel_path: str) -> bool:
         return True
@@ -120,9 +126,18 @@ class Rule:
 class ModuleContext:
     """Everything the rules need to know about one source file."""
 
-    def __init__(self, rel_path: str, source: str, tree: ast.Module) -> None:
+    def __init__(
+        self,
+        rel_path: str,
+        source: str,
+        tree: ast.Module,
+        references: Optional[Counter[str]] = None,
+    ) -> None:
         self.rel_path = rel_path
         self.source = source
+        #: How often each identifier is referenced under the rules'
+        #: ``reference_roots``; ``None`` when linting one in-memory module.
+        self.references = references
         self.lines = source.splitlines()
         self.tree = tree
         self._parents: Dict[int, ast.AST] = {}
@@ -335,12 +350,17 @@ _UNUSED_ALLOW = _UnusedAllowRule()
 
 
 def lint_source(
-    source: str, rel_path: str, rules: Sequence[Rule]
+    source: str,
+    rel_path: str,
+    rules: Sequence[Rule],
+    references: Optional[Counter[str]] = None,
 ) -> List[Finding]:
     """Lint one in-memory module as if it lived at *rel_path*.
 
     This is the seam the fixture tests drive: path-scoped rules behave
-    exactly as they would on a real file at that location.
+    exactly as they would on a real file at that location.  Cross-file
+    rules need *references* (see :func:`lint_paths`) and stay silent
+    without it.
     """
     try:
         tree = ast.parse(source)
@@ -358,7 +378,7 @@ def lint_source(
                 ),
             )
         ]
-    ctx = ModuleContext(rel_path, source, tree)
+    ctx = ModuleContext(rel_path, source, tree, references)
     findings: List[Finding] = []
     for rule in rules:
         if not rule.applies_to(rel_path):
@@ -416,6 +436,35 @@ def _read_source(path: Path) -> str:
         return handle.read()
 
 
+def referenced_names(tree: ast.AST, imports: bool = True) -> Iterator[str]:
+    """Every identifier *tree* refers to: names, attributes, ``from`` imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif imports and isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name
+
+
+def _index_references(root: Path, reference_roots: Iterable[str]) -> Counter[str]:
+    """Count identifier references over every file under *reference_roots*.
+
+    A ``from x import name`` in an ``__init__.py`` is a re-export, not a
+    caller, and is not counted.  Unreadable files count nothing; if they
+    are also linted they surface as ``REP999`` there.
+    """
+    references: Counter[str] = Counter()
+    for path in iter_python_files(str(root / name) for name in reference_roots):
+        try:
+            tree = ast.parse(_read_source(path))
+        except (OSError, UnicodeDecodeError, SyntaxError, ValueError):
+            continue
+        references.update(referenced_names(tree, imports=path.name != "__init__.py"))
+    return references
+
+
 def lint_paths(
     paths: Sequence[str],
     rules: Sequence[Rule],
@@ -424,9 +473,13 @@ def lint_paths(
     """Lint *paths* (files or directories) with *rules*.
 
     Paths in findings are reported relative to *root* (default: the
-    current working directory) so baselines travel with the repo.
+    current working directory) so baselines travel with the repo.  When a
+    rule names ``reference_roots`` those directories under *root* are
+    indexed once, before any file is linted.
     """
     root = (root or Path.cwd()).resolve()
+    reference_roots = sorted({name for rule in rules for name in rule.reference_roots})
+    references = _index_references(root, reference_roots) if reference_roots else None
     result = LintResult()
     for path in iter_python_files(paths):
         resolved = path.resolve()
@@ -448,7 +501,7 @@ def lint_paths(
             )
             result.files_checked += 1
             continue
-        result.findings.extend(lint_source(source, rel_path, rules))
+        result.findings.extend(lint_source(source, rel_path, rules, references))
         result.files_checked += 1
     result.findings.sort(
         key=lambda finding: (finding.path, finding.line, finding.col, finding.rule)

@@ -12,6 +12,7 @@ The ids group by contract family:
 * ``REP3xx`` — observability hygiene: closed label sets, literal metric
   names, spans only as context managers.
 * ``REP4xx`` — robustness: no bare or silently-swallowed exceptions.
+* ``REP5xx`` — dead surface: every public name has a production caller.
 
 ``docs/static-analysis.md`` carries the full catalogue with the *why*
 per rule; keep the two in sync when adding rules.
@@ -20,9 +21,9 @@ per rule; keep the two in sync when adding rules.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from .engine import Finding, ModuleContext, Rule
+from .engine import Finding, ModuleContext, Rule, referenced_names
 
 __all__ = ["ALL_RULES", "rules_by_id"]
 
@@ -517,7 +518,7 @@ class LiteralMetricNameRule(Rule):
         "site."
     )
 
-    FACTORIES = ("counter", "gauge", "histogram")
+    FACTORIES = ("counter", "histogram")
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         for call in ctx.calls():
@@ -663,6 +664,70 @@ class SilentExceptRule(Rule):
         return False
 
 
+# --------------------------------------------------------------------- #
+# REP5xx — dead surface
+# --------------------------------------------------------------------- #
+#: Where a reference counts as a production caller: the library, the
+#: frozen harness and paper-figure benches, the documented usage.  Tests
+#: are deliberately absent — a test is not a reason for code to exist.
+CALLER_ROOTS = ("src", "benchmarks", "examples")
+
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_Definition = Union[ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef]
+
+
+class DeadSurfaceRule(Rule):
+    id = "REP501"
+    title = "public name without a production caller"
+    rationale = (
+        "A public function, class or method that only its own tests "
+        "reference is surface to read, type-check and keep working for "
+        "nobody.  Every public name under src/ is referenced (a Name, an "
+        "Attribute, or a from-import outside __init__.py) somewhere in "
+        "src/, benchmarks/ or examples/ outside its own definition; "
+        "@register-ed components and dunders are exempt.  Delete the "
+        "name with its tests, or allow it with the test or external "
+        "caller that needs it."
+    )
+    reference_roots = CALLER_ROOTS
+
+    def applies_to(self, rel_path: str) -> bool:
+        return rel_path.startswith("src/")
+
+    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
+        if ctx.references is None:
+            return
+        for node in self._public_definitions(ctx):
+            own = sum(name == node.name for name in referenced_names(node))
+            if ctx.references[node.name] <= own:
+                yield ctx.finding(
+                    self,
+                    node,
+                    f"{node.name!r} has no caller under "
+                    f"{'/, '.join(CALLER_ROOTS)}/ outside its own definition; "
+                    "delete it with its tests, or allow it with the reason "
+                    "it stays",
+                )
+
+    def _public_definitions(self, ctx: ModuleContext) -> Iterator[_Definition]:
+        """Top-level definitions and their members, registered ones excepted."""
+        for node in ctx.tree.body:
+            if not isinstance(node, _DEFINITIONS) or self._registered(ctx, node):
+                continue
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for definition in (node, *members):
+                if isinstance(definition, _DEFINITIONS) and not definition.name.startswith("_"):
+                    yield definition
+
+    @staticmethod
+    def _registered(ctx: ModuleContext, node: _Definition) -> bool:
+        return any(
+            isinstance(decorator, ast.Call)
+            and (ctx.resolve_name(decorator.func) or "").endswith("registry.register")
+            for decorator in node.decorator_list
+        )
+
+
 ALL_RULES: Tuple[Rule, ...] = (
     WallClockRule(),
     UnseededRandomRule(),
@@ -675,6 +740,7 @@ ALL_RULES: Tuple[Rule, ...] = (
     SpanContextManagerRule(),
     BareExceptRule(),
     SilentExceptRule(),
+    DeadSurfaceRule(),
 )
 
 

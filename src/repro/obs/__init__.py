@@ -14,7 +14,6 @@ from .metrics import (
     MetricFamily,
     MetricsRegistry,
     counter,
-    gauge,
     histogram,
     registry,
 )
@@ -27,9 +26,7 @@ from .trace import (
     configure_tracing,
     current_span,
     disable_tracing,
-    iter_trace,
     span,
-    trace_path,
     tracing_enabled,
 )
 
@@ -38,7 +35,6 @@ __all__ = [
     "MetricFamily",
     "MetricsRegistry",
     "counter",
-    "gauge",
     "histogram",
     "registry",
     "PHASE_NAMES",
@@ -49,8 +45,6 @@ __all__ = [
     "configure_tracing",
     "current_span",
     "disable_tracing",
-    "iter_trace",
     "span",
-    "trace_path",
     "tracing_enabled",
 ]

@@ -1,4 +1,4 @@
-"""Process-wide metrics registry: named counters, gauges and histograms.
+"""Process-wide metrics registry: named counters and histograms.
 
 The repo grew ad-hoc perf state in several corners — the calibration
 memo's hit/miss dict, the compiled flow-set cache, batch-group
@@ -37,7 +37,6 @@ __all__ = [
     "MetricFamily",
     "registry",
     "counter",
-    "gauge",
     "histogram",
     "DEFAULT_BUCKETS",
 ]
@@ -77,38 +76,6 @@ class _Counter:
             raise ValueError(f"counters only go up; got increment {amount}")
         with self._lock:
             self._value += amount
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
-
-    def reset(self) -> None:
-        with self._lock:
-            self._value = 0.0
-
-    def sample(self) -> Dict[str, Any]:
-        return {"value": self.value}
-
-
-class _Gauge:
-    __slots__ = ("_lock", "_value")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value -= amount
 
     @property
     def value(self) -> float:
@@ -208,11 +175,9 @@ class MetricFamily:
         self._lock = threading.Lock()
         self._children: Dict[_LabelKey, Any] = {}
 
-    def _make_child(self) -> Union[_Counter, _Gauge, _Histogram]:
+    def _make_child(self) -> Union[_Counter, _Histogram]:
         if self.kind == "counter":
             return _Counter()
-        if self.kind == "gauge":
-            return _Gauge()
         return _Histogram(self.buckets)
 
     def labels(self, **labels: Any) -> Any:
@@ -229,12 +194,6 @@ class MetricFamily:
     # Unlabelled convenience: the family behaves as its own () child.
     def inc(self, amount: float = 1.0) -> None:
         self.labels().inc(amount)
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.labels().dec(amount)
-
-    def set(self, value: float) -> None:
-        self.labels().set(value)
 
     def observe(self, value: float) -> None:
         self.labels().observe(value)
@@ -290,9 +249,6 @@ class MetricsRegistry:
 
     def counter(self, name: str, help_text: str = "") -> MetricFamily:
         return self._family("counter", name, help_text)
-
-    def gauge(self, name: str, help_text: str = "") -> MetricFamily:
-        return self._family("gauge", name, help_text)
 
     def histogram(
         self,
@@ -359,11 +315,6 @@ def registry() -> MetricsRegistry:
 def counter(name: str, help_text: str = "") -> MetricFamily:
     """Get or create a counter family in the default registry."""
     return _REGISTRY.counter(name, help_text)
-
-
-def gauge(name: str, help_text: str = "") -> MetricFamily:
-    """Get or create a gauge family in the default registry."""
-    return _REGISTRY.gauge(name, help_text)
 
 
 def histogram(

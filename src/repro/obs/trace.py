@@ -32,7 +32,7 @@ import os
 import threading
 import time
 from types import TracebackType
-from typing import Any, Dict, Iterator, List, Optional, TextIO, Union
+from typing import Any, Dict, List, Optional, TextIO, Union
 
 __all__ = [
     "Span",
@@ -44,9 +44,7 @@ __all__ = [
     "configure_tracing",
     "disable_tracing",
     "tracing_enabled",
-    "trace_path",
     "collect",
-    "iter_trace",
 ]
 
 _lock = threading.Lock()
@@ -177,11 +175,6 @@ def current_span() -> Optional[Span]:
 def tracing_enabled() -> bool:
     """Whether spans are live (sidecar writer or collector installed)."""
     return _enabled
-
-
-def trace_path() -> Optional[str]:
-    """The configured sidecar path, or None when no writer is active."""
-    return _writer_path
 
 
 def configure_tracing(path: str) -> None:
@@ -361,12 +354,3 @@ class PhaseCollector(SpanCollector):
         if elapsed_s is not None:
             breakdown["overhead"] = max(elapsed_s - sum(breakdown.values()), 0.0)
         return breakdown
-
-
-def iter_trace(path: str) -> "Iterator[Dict[str, Any]]":
-    """Parse a trace sidecar back into span records, skipping blank lines."""
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                yield json.loads(line)

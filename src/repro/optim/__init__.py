@@ -4,7 +4,7 @@ from .elastictree import elastictree_subset
 from .greedy import greedy_minimum_subset
 from .greente import greente_heuristic
 from .lp_relax import lp_relaxation_with_rounding
-from .model import ArcMilpConfig, solve_arc_milp
+from .model import solve_arc_milp
 from .pathmilp import DEFAULT_NUM_CANDIDATE_PATHS, PathMilpConfig, solve_path_milp
 from .solution import EnergyAwareSolution, element_power_coefficients, solution_power
 
@@ -13,7 +13,6 @@ __all__ = [
     "greedy_minimum_subset",
     "greente_heuristic",
     "lp_relaxation_with_rounding",
-    "ArcMilpConfig",
     "solve_arc_milp",
     "DEFAULT_NUM_CANDIDATE_PATHS",
     "PathMilpConfig",

@@ -11,7 +11,6 @@ and for the small example/testbed topologies, while
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -28,21 +27,18 @@ from .solution import EnergyAwareSolution, element_power_coefficients, solution_
 #: Guard against accidentally building an intractable instance.
 MAX_FLOW_VARIABLES = 30_000
 
-
-@dataclass
-class ArcMilpConfig:
-    """Configuration of the exact arc-based MILP."""
-
-    utilisation_limit: float = 1.0
-    time_limit_s: Optional[float] = 120.0
-    mip_rel_gap: float = 1e-4
+#: Safety margin ``sm`` on arc capacities, the solver's wall-clock budget and
+#: the relative optimality gap it stops at.
+UTILISATION_LIMIT = 1.0
+TIME_LIMIT_S = 120.0
+MIP_REL_GAP = 1e-4
 
 
+# repro: allow[REP501] paper §2.2.1 reference; test_arc_milp_matches_path_milp_on_example
 def solve_arc_milp(
     topology: Topology,
     power_model: PowerModel,
     demands: TrafficMatrix,
-    config: Optional[ArcMilpConfig] = None,
     fixed_on_nodes: Optional[Iterable[str]] = None,
     fixed_on_links: Optional[Iterable[Tuple[str, str]]] = None,
     solver_name: str = "arc-milp",
@@ -53,7 +49,6 @@ def solve_arc_milp(
         topology: The physical topology.
         power_model: Power coefficients for the objective.
         demands: Traffic matrix (every pair listed requires connectivity).
-        config: Solver configuration.
         fixed_on_nodes: Nodes whose ``X_i`` is fixed to one.
         fixed_on_links: Links whose ``Y`` is fixed to one.
         solver_name: Label recorded in the solution.
@@ -64,7 +59,6 @@ def solve_arc_milp(
             solver fails unexpectedly.
         InfeasibleError: If the demand cannot be carried at all.
     """
-    cfg = config or ArcMilpConfig()
     pairs: List[Pair] = demands.pairs()
     arcs = topology.arcs()
     if len(pairs) * len(arcs) > MAX_FLOW_VARIABLES:
@@ -104,11 +98,13 @@ def solve_arc_milp(
 
     lower = np.zeros(num_vars)
     upper = np.ones(num_vars)
+    fixed_nodes = set(fixed_on_nodes or ())
     for name in nodes:
-        if topology.node(name).always_powered or name in set(fixed_on_nodes or ()):
+        if topology.node(name).always_powered or name in fixed_nodes:
             lower[x_var(name)] = 1.0
-    for u, v in fixed_on_links or ():
-        lower[y_var(link_key(u, v))] = 1.0
+    for key in (link_key(u, v) for u, v in fixed_on_links or ()):
+        if key in link_index:
+            lower[y_var(key)] = 1.0
 
     rows: List[int] = []
     cols: List[int] = []
@@ -154,7 +150,7 @@ def solve_arc_milp(
         add_entry(
             row_count,
             y_var(link_key(arc.src, arc.dst)),
-            -arc.capacity_bps * cfg.utilisation_limit / capacity_scale,
+            -arc.capacity_bps * UTILISATION_LIMIT / capacity_scale,
         )
         constraint_lower.append(-np.inf)
         constraint_upper.append(0.0)
@@ -190,9 +186,6 @@ def solve_arc_milp(
     constraints = LinearConstraint(
         matrix, np.array(constraint_lower), np.array(constraint_upper)
     )
-    options: Dict[str, object] = {"mip_rel_gap": cfg.mip_rel_gap}
-    if cfg.time_limit_s is not None:
-        options["time_limit"] = cfg.time_limit_s
 
     scale = max(cost.max(), 1.0)
     result = milp(
@@ -200,7 +193,7 @@ def solve_arc_milp(
         constraints=constraints,
         integrality=np.ones(num_vars),
         bounds=Bounds(lower, upper),
-        options=options,
+        options={"mip_rel_gap": MIP_REL_GAP, "time_limit": TIME_LIMIT_S},
     )
     if result.status == 2:
         raise InfeasibleError("the demand cannot be carried even with all elements active")

@@ -40,6 +40,9 @@ from .solution import EnergyAwareSolution, element_power_coefficients, solution_
 #: Default number of candidate paths per origin-destination pair.
 DEFAULT_NUM_CANDIDATE_PATHS = 3
 
+#: Relative optimality gap at which the solver may stop.
+MIP_REL_GAP = 1e-4
+
 
 @dataclass
 class PathMilpConfig:
@@ -54,14 +57,12 @@ class PathMilpConfig:
             faster LP-like relaxation whose routing table uses each pair's
             most-selected path.
         time_limit_s: Wall-clock limit handed to the solver.
-        mip_rel_gap: Relative optimality gap at which the solver may stop.
     """
 
     k: int = DEFAULT_NUM_CANDIDATE_PATHS
     utilisation_limit: float = 1.0
     integral_paths: bool = True
     time_limit_s: Optional[float] = 60.0
-    mip_rel_gap: float = 1e-4
 
 
 def _filter_candidates(
@@ -306,7 +307,7 @@ def solve_path_milp(
     if not cfg.integral_paths:
         integrality[:num_path_vars] = 0.0
 
-    options: Dict[str, object] = {"mip_rel_gap": cfg.mip_rel_gap}
+    options: Dict[str, object] = {"mip_rel_gap": MIP_REL_GAP}
     if cfg.time_limit_s is not None:
         options["time_limit"] = cfg.time_limit_s
 

@@ -2,10 +2,8 @@
 
 from .accounting import (
     PowerBreakdown,
-    energy_savings_percentage,
     full_power,
     network_power,
-    power_percentage,
 )
 from .alternative import CHASSIS_REDUCTION_FACTOR, AlternativeHardwarePowerModel
 from .cisco import (
@@ -19,10 +17,8 @@ from .model import PowerModel
 
 __all__ = [
     "PowerBreakdown",
-    "energy_savings_percentage",
     "full_power",
     "network_power",
-    "power_percentage",
     "AlternativeHardwarePowerModel",
     "CHASSIS_REDUCTION_FACTOR",
     "AMPLIFIER_POWER_W",

@@ -131,30 +131,3 @@ def network_power(
 def full_power(topology: Topology, model: PowerModel) -> PowerBreakdown:
     """Power of the network with every element powered on ("original power")."""
     return network_power(topology, model)
-
-
-def power_percentage(
-    topology: Topology,
-    model: PowerModel,
-    active_nodes: Optional[Iterable[str]] = None,
-    active_links: Optional[Iterable[Tuple[str, str]]] = None,
-) -> float:
-    """Power of the active subset as a percentage of the original power.
-
-    This is the y-axis of Figures 4, 5, 6 and 8a of the paper.
-    """
-    baseline = full_power(topology, model).total_w
-    if baseline <= 0.0:
-        return 0.0
-    subset = network_power(topology, model, active_nodes, active_links).total_w
-    return 100.0 * subset / baseline
-
-
-def energy_savings_percentage(
-    topology: Topology,
-    model: PowerModel,
-    active_nodes: Optional[Iterable[str]] = None,
-    active_links: Optional[Iterable[Tuple[str, str]]] = None,
-) -> float:
-    """Savings relative to the fully powered network, in percent."""
-    return 100.0 - power_percentage(topology, model, active_nodes, active_links)

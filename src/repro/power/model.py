@@ -51,10 +51,6 @@ class PowerModel(abc.ABC):
     # ------------------------------------------------------------------ #
     # Convenience aggregates
     # ------------------------------------------------------------------ #
-    def arc_power_w(self, arc: Arc) -> float:
-        """Port plus amplifier power attributed to *arc* (watts)."""
-        return self.port_power_w(arc) + self.amplifier_power_w(arc)
-
     @staticmethod
     def _is_host(node: Node) -> bool:
         return node.kind == "host"

@@ -6,7 +6,7 @@ from .ecmp import (
     ecmp_max_utilisation,
     equal_cost_paths,
 )
-from .ksp import k_shortest_paths, k_shortest_paths_all_pairs, path_diversity
+from .ksp import k_shortest_paths
 from .mcf import MCFResult, is_demand_feasible, solve_mcf
 from .ospf import (
     ospf_delays,
@@ -18,11 +18,9 @@ from .paths import (
     Path,
     RoutingConfiguration,
     RoutingTable,
-    is_feasible,
     link_loads,
     link_utilisations,
     max_link_utilisation,
-    uncovered_pairs,
 )
 
 __all__ = [
@@ -31,8 +29,6 @@ __all__ = [
     "ecmp_max_utilisation",
     "equal_cost_paths",
     "k_shortest_paths",
-    "k_shortest_paths_all_pairs",
-    "path_diversity",
     "MCFResult",
     "is_demand_feasible",
     "solve_mcf",
@@ -43,9 +39,7 @@ __all__ = [
     "Path",
     "RoutingConfiguration",
     "RoutingTable",
-    "is_feasible",
     "link_loads",
     "link_utilisations",
     "max_link_utilisation",
-    "uncovered_pairs",
 ]

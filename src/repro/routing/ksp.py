@@ -9,14 +9,14 @@ pair"; the same restriction powers this reproduction's path-based MILP
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List
 
 import networkx as nx
 
 from ..exceptions import PathNotFoundError
 from ..obs import metrics, trace
 from ..topology.base import Topology
-from ..traffic.matrix import Pair, all_pairs
+from ..traffic.matrix import Pair
 from .paths import Path
 
 _PATHS_ENUMERATED = metrics.counter(
@@ -25,6 +25,7 @@ _PATHS_ENUMERATED = metrics.counter(
 )
 
 
+# repro: allow[REP501] CandidatePaths' oracle in tests/test_candidate_paths.py
 def k_shortest_paths(
     topology: Topology,
     origin: str,
@@ -124,26 +125,3 @@ class CandidatePaths:
                 # Fewer than k simple paths exist; the pair is complete.
                 del self._pending[pair]
         return found[:k]
-
-
-def k_shortest_paths_all_pairs(
-    topology: Topology,
-    k: int,
-    pairs: Optional[Iterable[Pair]] = None,
-    weight: str = "invcap",
-) -> Dict[Pair, List[Path]]:
-    """The *k* shortest paths for every requested origin-destination pair."""
-    selected = list(pairs) if pairs is not None else all_pairs(topology.routers())
-    return CandidatePaths(topology, weight).for_pairs(selected, k)
-
-
-def path_diversity(topology: Topology, origin: str, destination: str, k: int = 10) -> int:
-    """Number of distinct simple paths (up to *k*) between two nodes.
-
-    A cheap proxy for the redundancy argument of Section 3.3: networks with
-    little built-in redundancy need very few energy-critical paths.
-    """
-    try:
-        return len(k_shortest_paths(topology, origin, destination, k, weight="hops"))
-    except PathNotFoundError:
-        return 0

@@ -66,17 +66,9 @@ class Path:
         """Propagation latency of the path in *topology* (seconds)."""
         return topology.path_latency(self.nodes)
 
-    def bottleneck_capacity(self, topology: Topology) -> float:
-        """Minimum arc capacity along the path (bits per second)."""
-        return topology.path_capacity(self.nodes)
-
     def is_valid(self, topology: Topology) -> bool:
         """Whether every hop is an existing arc of *topology*."""
         return topology.validate_path(self.nodes)
-
-    def shares_link_with(self, other: "Path") -> bool:
-        """Whether the two paths traverse at least one common undirected link."""
-        return bool(set(self.link_keys()) & set(other.link_keys()))
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.nodes)
@@ -114,10 +106,6 @@ class RoutingTable:
     def pairs(self) -> List[Pair]:
         """All origin-destination pairs with an installed path."""
         return list(self._paths)
-
-    def has_path(self, origin: str, destination: str) -> bool:
-        """Whether a path is installed for the pair."""
-        return (origin, destination) in self._paths
 
     def path(self, origin: str, destination: str) -> Path:
         """The installed path for a pair.
@@ -197,30 +185,6 @@ class RoutingConfiguration:
     active_nodes: FrozenSet[str]
     active_links: FrozenSet[Tuple[str, str]]
 
-    @classmethod
-    def from_routing(
-        cls,
-        routing: RoutingTable,
-        demands: Optional[TrafficMatrix] = None,
-        always_on_nodes: Optional[Iterable[str]] = None,
-    ) -> "RoutingConfiguration":
-        """Configuration keeping active only elements that carry demand.
-
-        When *demands* is ``None`` every installed path counts; otherwise only
-        paths of pairs with strictly positive demand keep their elements
-        active.  *always_on_nodes* (e.g. feeder or host-facing nodes) are
-        added unconditionally.
-        """
-        if demands is None:
-            pairs = routing.pairs()
-        else:
-            pairs = [pair for pair in routing.pairs() if demands[pair] > 0.0]
-        nodes = set(routing.used_nodes(pairs))
-        links = set(routing.used_links(pairs))
-        if always_on_nodes is not None:
-            nodes |= set(always_on_nodes)
-        return cls(frozenset(nodes), frozenset(links))
-
     @property
     def signature(self) -> Tuple[FrozenSet[str], FrozenSet[Tuple[str, str]]]:
         """Hashable identity of the configuration."""
@@ -242,8 +206,7 @@ def link_loads(
 ) -> Dict[Tuple[str, str], float]:
     """Per-arc load (bits per second) when *demands* follow *routing*.
 
-    Pairs without an installed path are ignored; callers that need strictness
-    should validate coverage first via :func:`uncovered_pairs`.
+    Pairs without an installed path are ignored.
     """
     loads: Dict[Tuple[str, str], float] = {key: 0.0 for key in topology.arc_keys()}
     for pair, demand in demands.items():
@@ -279,22 +242,3 @@ def max_link_utilisation(
     """The maximum arc utilisation under *routing* (zero for no demand)."""
     utilisations = link_utilisations(topology, routing, demands)
     return max(utilisations.values(), default=0.0)
-
-
-def is_feasible(
-    topology: Topology,
-    routing: RoutingTable,
-    demands: TrafficMatrix,
-    utilisation_limit: float = 1.0,
-) -> bool:
-    """Whether routing *demands* along *routing* keeps every arc within limit."""
-    return max_link_utilisation(topology, routing, demands) <= utilisation_limit + 1e-9
-
-
-def uncovered_pairs(routing: RoutingTable, demands: TrafficMatrix) -> List[Pair]:
-    """Demand pairs with positive demand but no installed path."""
-    return [
-        pair
-        for pair, demand in demands.items()
-        if demand > 0.0 and routing.get(*pair) is None
-    ]

@@ -54,7 +54,6 @@ from .registry import (
 )
 from .schemes import (
     SchemeOutcome,
-    greente_replay,
 )
 from .spec import (
     DEFAULT_UTILISATION_THRESHOLD,
@@ -108,7 +107,6 @@ __all__ = [
     "build_timeline",
     "component_names",
     "failure_schedule",
-    "greente_replay",
     "is_registered",
     "read_spec_file",
     "register",

@@ -24,21 +24,13 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..core.always_on import AlwaysOnConfig, compute_always_on
 from ..core.failover import compute_failover
 from ..core.planner import activate_paths
 from ..core.response import ResponseConfig, build_response_plan
-from ..exceptions import ConfigurationError, TopologyError
+from ..exceptions import ConfigurationError, InfeasibleError, SolverError, TopologyError
 from ..obs import trace
 from ..optim.elastictree import elastictree_subset
 from ..optim.greedy import greedy_minimum_subset
@@ -46,13 +38,10 @@ from ..optim.greente import greente_heuristic
 from ..optim.lp_relax import lp_relaxation_with_rounding
 from ..optim.pathmilp import PathMilpConfig, solve_path_milp
 from ..optim.solution import EnergyAwareSolution
-from ..power.accounting import full_power, network_power
-from ..power.model import PowerModel
+from ..power.accounting import network_power
 from ..routing.ecmp import ecmp_active_elements, ecmp_max_utilisation
-from ..routing.ksp import CandidatePaths
 from ..routing.paths import RoutingConfiguration
 from ..simulator.failures import TopologyView
-from ..topology.base import Topology
 from ..traffic.matrix import TrafficMatrix
 from .registry import register
 from .timeline import IntervalOutcome, SchemeRuntime
@@ -81,36 +70,6 @@ class SchemeOutcome:
     recomputations: int = 0
     max_utilisation: List[float] = field(default_factory=list)
     details: Dict[str, Any] = field(default_factory=dict)
-
-
-def greente_replay(
-    topology: Topology,
-    power_model: PowerModel,
-    matrices: Sequence[TrafficMatrix],
-    k: int = 5,
-    utilisation_limit: float = 1.0,
-    ordering: str = "stable",
-) -> List[EnergyAwareSolution]:
-    """Recompute the GreenTE routing for every matrix of a replay.
-
-    One candidate-path provider serves every per-interval solve, so each
-    pair's k shortest paths are enumerated once per replay — the code path
-    behind :func:`repro.experiments.common.per_interval_solutions`.
-    """
-    candidate_paths = CandidatePaths(topology)
-    return [
-        greente_heuristic(
-            topology,
-            power_model,
-            matrix,
-            k=k,
-            utilisation_limit=utilisation_limit,
-            candidate_paths=candidate_paths,
-            allow_overload=True,
-            ordering=ordering,
-        )
-        for matrix in matrices
-    ]
 
 
 def _configuration_of(solution: EnergyAwareSolution) -> RoutingConfiguration:
@@ -354,8 +313,11 @@ class OptimalRuntime(SolverReplayRuntime):
     """Per-interval optimal recomputation lower bound.
 
     Tries the exact MILP and falls back to the traffic-aware GreenTE
-    heuristic when the solve cannot finish within its budget (the behaviour
-    the Figure 6 lower bound always had).
+    heuristic on the solver's documented failures — no incumbent within the
+    budget (``SolverError``) or an infeasible instance (``InfeasibleError``)
+    — the behaviour the Figure 6 lower bound always had.  The enclosing
+    ``scheme.solve`` span then carries ``fallback=True``; anything else is
+    a bug and propagates.
     """
 
     def __init__(self, k: int = 3, time_limit_s: Optional[float] = 60.0) -> None:
@@ -376,7 +338,10 @@ class OptimalRuntime(SolverReplayRuntime):
                 candidate_paths=candidate_paths,
                 solver_name="optimal",
             )
-        except Exception:
+        except (InfeasibleError, SolverError):
+            enclosing = trace.current_span()
+            if enclosing is not None:
+                enclosing.set(fallback=True)
             return greente_heuristic(
                 view.topology,
                 scenario.power_model,
@@ -704,8 +669,3 @@ class AlwaysOnRuntime(SchemeRuntime):
 
     def finish(self, state: Dict[str, Any]) -> Dict[str, Any]:
         return {"always_on": state["always_on"]}
-
-
-def scenario_baseline_power(topology: Topology, power_model: PowerModel) -> float:
-    """Power of the fully powered network (the 100 % reference)."""
-    return full_power(topology, power_model).total_w

@@ -18,7 +18,7 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..exceptions import ConfigurationError
 from .registry import KINDS, is_registered, resolve
@@ -135,12 +135,6 @@ class ComponentSpec:
         merged.update(overrides)
         return builder(*args, **merged)
 
-    def with_params(self, **overrides: Any) -> "ComponentSpec":
-        """A copy with some parameters replaced/added."""
-        merged = self.kwargs()
-        merged.update(overrides)
-        return type(self)(self.name, params=merged)
-
     def _key(self) -> str:
         return json.dumps(
             [type(self).__qualname__, self.to_dict()], sort_keys=True
@@ -226,11 +220,6 @@ class SchemeSpec(ComponentSpec):
         if self.label != self.name:
             data["label"] = self.label
         return data
-
-    def with_params(self, **overrides: Any) -> "SchemeSpec":
-        merged = self.kwargs()
-        merged.update(overrides)
-        return SchemeSpec(self.name, params=merged, label=self.label)
 
 
 @dataclass(frozen=True)
@@ -343,15 +332,6 @@ class ScenarioSpec:
             name=str(data.get("name", "scenario")),
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "ScenarioSpec":
-        """Parse a JSON document into a spec."""
-        return cls.from_dict(json.loads(text))
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        """The spec as a JSON document."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
     def config_hash(self) -> str:
         """SHA-256 identifying this scenario's configuration.
 
@@ -389,16 +369,6 @@ class ScenarioSpec:
         return replace(
             self, schemes=tuple(schemes), name=name if name is not None else self.name
         )
-
-    def with_events(self, *events: EventSpec, name: Optional[str] = None) -> "ScenarioSpec":
-        """A copy replaying the same stack under different dynamic events."""
-        return replace(
-            self, events=tuple(events), name=name if name is not None else self.name
-        )
-
-    def scheme_labels(self) -> List[str]:
-        """The result-series labels, in scheme order."""
-        return [scheme.label for scheme in self.schemes]
 
 
 def apply_spec_setting(data: Dict[str, Any], target: str, value: Any) -> None:

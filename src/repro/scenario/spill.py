@@ -91,43 +91,3 @@ def iter_spill_rows(path: Union[str, Path]) -> Iterator[Dict[str, Any]]:
             line = line.strip()
             if line:
                 yield json.loads(line)
-
-
-def read_spill(path: Union[str, Path]) -> Dict[str, Any]:
-    """Materialise a spill sidecar into per-scheme series dictionaries.
-
-    Returns ``{"times_s": [...], "events": [...], "schemes": {label:
-    {"power_percent": [...], "max_utilisation": [...], "violation": [...],
-    "recomputed": [...], "compute_seconds": [...]}}}`` with the same
-    series conventions as :class:`~repro.scenario.timeline.SchemeRun`
-    (``max_utilisation`` is ``[]`` when the scheme never tracked it, with
-    untracked intervals otherwise reading 0.0).
-    """
-    times: List[float] = []
-    events: List[Dict[str, Any]] = []
-    schemes: Dict[str, Dict[str, List[Any]]] = {}
-    for row in iter_spill_rows(path):
-        times.append(row["time_s"])
-        events.extend(row["events"])
-        for label, metrics in row["schemes"].items():
-            series = schemes.setdefault(
-                label,
-                {
-                    "power_percent": [],
-                    "max_utilisation": [],
-                    "violation": [],
-                    "recomputed": [],
-                    "compute_seconds": [],
-                },
-            )
-            for metric in series:
-                series[metric].append(metrics[metric])
-    for series in schemes.values():
-        raw = series["max_utilisation"]
-        if all(value is None for value in raw):
-            series["max_utilisation"] = []
-        else:
-            series["max_utilisation"] = [
-                value if value is not None else 0.0 for value in raw
-            ]
-    return {"times_s": times, "events": events, "schemes": schemes}

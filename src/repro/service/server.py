@@ -120,11 +120,21 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------ #
     # Plumbing
     # ------------------------------------------------------------------ #
+    # repro: allow[REP501] hook http.server.BaseHTTPRequestHandler calls
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         _LOGGER.debug("%s - %s", self.address_string(), format % args)
 
     def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = (self.headers.get("Content-Length") or "0").strip()
+        if not header.isdecimal():
+            # "abc" has no int(); "-1" has one, and rfile.read(-1) would hold
+            # this thread until the client hangs up.  Nothing says where the
+            # body ends, so the connection cannot be reused either.
+            self.close_connection = True
+            raise bad_request(
+                f"Content-Length must be a non-negative integer, got {header!r}"
+            )
+        length = int(header)
         if length > MAX_BODY_BYTES:
             raise ServiceError(
                 413,
@@ -340,9 +350,11 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------ #
     # HTTP verbs
     # ------------------------------------------------------------------ #
+    # repro: allow[REP501] verb hook http.server.BaseHTTPRequestHandler calls
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         self._dispatch("GET")
 
+    # repro: allow[REP501] verb hook http.server.BaseHTTPRequestHandler calls
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         self._dispatch("POST")
 

@@ -26,7 +26,7 @@ build a new one to change membership.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from ..exceptions import SimulationError
 from ..obs import trace
 from ..routing.paths import Path
 from .fairness import last_kernel_stats, max_min_fair_rates
-from .flows import Flow
 from .network import SimulatedNetwork
 
 #: Group index assigned to flows with no path (never allocated).
@@ -83,33 +82,6 @@ class AggregatedFlows:
     def num_groups(self) -> int:
         """Number of distinct routed paths."""
         return len(self.paths)
-
-    @classmethod
-    def from_flows(cls, flows: Sequence[Flow], now_s: float = 0.0) -> "AggregatedFlows":
-        """Group a ``Flow`` list by path identity, sampling demands at *now_s*.
-
-        Flow order is preserved (rates from :func:`allocate_aggregated`
-        align with the input), and groups appear in first-seen order, which
-        matches the flow-major order the per-flow engine compiles paths in.
-        """
-        paths: List[Path] = []
-        group_of: Dict[Tuple[str, ...], int] = {}
-        flow_group = np.empty(len(flows), dtype=np.int64)
-        demands = np.empty(len(flows), dtype=float)
-        for index, flow in enumerate(flows):
-            demands[index] = flow.offered_load(now_s)
-            if flow.path is None:
-                flow_group[index] = UNROUTED_GROUP
-                continue
-            group = group_of.get(flow.path.nodes)
-            if group is None:
-                group = len(paths)
-                group_of[flow.path.nodes] = group
-                paths.append(flow.path)
-            flow_group[index] = group
-        return cls(
-            paths=tuple(paths), flow_group=flow_group, demands_bps=demands
-        )
 
     @classmethod
     def from_arrays(

@@ -69,10 +69,6 @@ class SimulationResult:
         """The time series of a scalar sample attribute."""
         return [getattr(sample, attribute) for sample in self.samples]
 
-    def flow_rate_series(self, flow_id: str) -> List[float]:
-        """Rate time series of one flow (zero when absent from a sample)."""
-        return [sample.flow_rates.get(flow_id, 0.0) for sample in self.samples]
-
     def arc_load_series(self, src: str, dst: str) -> List[float]:
         """Load time series of a monitored directed arc."""
         return [
@@ -82,12 +78,6 @@ class SimulationResult:
     def power_series(self) -> List[float]:
         """Network power (percent of original) over time."""
         return self.series("power_percent")
-
-    def final_sample(self) -> Sample:
-        """The last recorded sample."""
-        if not self.samples:
-            raise SimulationError("the simulation recorded no samples")
-        return self.samples[-1]
 
 
 class SimulationEngine:

@@ -18,7 +18,6 @@ from ..exceptions import SimulationError
 from ..topology.base import link_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..routing.paths import Path
     from ..topology.base import Topology
 
 #: Slack applied to both window edges of :meth:`FailureSchedule.due`.  The
@@ -77,26 +76,6 @@ class FailureSchedule:
 
     def __init__(self) -> None:
         self._events: List[ScheduledEvent] = []
-
-    def fail_at(self, time_s: float, u: str, v: str) -> "FailureSchedule":
-        """Schedule a failure of link ``(u, v)`` at *time_s* (chainable)."""
-        self._events.append(LinkEvent(time_s, (u, v), "fail"))
-        return self
-
-    def repair_at(self, time_s: float, u: str, v: str) -> "FailureSchedule":
-        """Schedule a repair of link ``(u, v)`` at *time_s* (chainable)."""
-        self._events.append(LinkEvent(time_s, (u, v), "repair"))
-        return self
-
-    def fail_node_at(self, time_s: float, node: str) -> "FailureSchedule":
-        """Schedule a failure of *node* (and its links) at *time_s*."""
-        self._events.append(NodeEvent(time_s, node, "fail"))
-        return self
-
-    def repair_node_at(self, time_s: float, node: str) -> "FailureSchedule":
-        """Schedule a repair of *node* at *time_s* (chainable)."""
-        self._events.append(NodeEvent(time_s, node, "repair"))
-        return self
 
     def add(self, event: ScheduledEvent) -> "FailureSchedule":
         """Append an already-built event (chainable)."""
@@ -192,15 +171,6 @@ class TopologyView:
                 active_nodes, active_links, name=f"{self.base.name}-degraded"
             )
         return self._active
-
-    def path_usable(self, path: "Path") -> bool:
-        """Whether every element of *path* survives the current failures."""
-        if not self.has_failures:
-            return True
-        if any(node in self.failed_nodes for node in path.nodes):
-            return False
-        unusable = self.unusable_links()
-        return not any(key in unusable for key in path.link_keys())
 
     def connected_pairs(
         self, pairs: Iterable[Tuple[str, str]]

@@ -154,11 +154,6 @@ class SimulatedNetwork:
         """Whether some link along the path is failed (not merely asleep)."""
         return any(self._links[key].state == LinkState.FAILED for key in path.link_keys())
 
-    def path_rtt(self, path: Path) -> float:
-        """Round-trip propagation time along the path."""
-        one_way = sum(self._links[key].latency_s for key in path.link_keys())
-        return 2.0 * one_way
-
     def max_rtt(self) -> float:
         """An upper bound on the network round-trip time (diameter based)."""
         diameter_latency = sum(
@@ -330,26 +325,6 @@ class SimulatedNetwork:
         """Load on the directed arc ``src -> dst`` from the last allocation."""
         index = self._arc_table.arc_index.get((src, dst))
         return float(self._arc_load_vec[index]) if index is not None else 0.0
-
-    def arc_utilisation(self, src: str, dst: str) -> float:
-        """Utilisation of the directed arc from the last allocation."""
-        capacity = self.topology.arc(src, dst).capacity_bps
-        return self.arc_load(src, dst) / capacity if capacity > 0 else 0.0
-
-    def path_max_utilisation(self, path: Path) -> float:
-        """Largest arc utilisation along a path (from the last allocation)."""
-        compiled = self._arc_table.compile_path(path)
-        if compiled.arc_indices.size == 0:
-            return 0.0
-        capacities = self._arc_table.arc_capacity[compiled.arc_indices]
-        loads = self._arc_load_vec[compiled.arc_indices]
-        utilisations = np.divide(
-            loads,
-            capacities,
-            out=np.zeros_like(loads),
-            where=capacities > 0,
-        )
-        return float(utilisations.max())
 
     def active_elements(self) -> Tuple[Set[str], Set[Tuple[str, str]]]:
         """Nodes and links currently drawing power.

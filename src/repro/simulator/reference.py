@@ -22,6 +22,7 @@ from typing import Dict, List, Set, Tuple
 from .flows import Flow
 
 
+# repro: allow[REP501] the dict oracle tests/test_property_based.py pins the engine to
 def reference_max_min_rates(
     network, flows: List[Flow], now_s: float = 0.0
 ) -> Tuple[Dict[str, float], Dict[Tuple[str, str], float]]:

@@ -2,15 +2,14 @@
 
 from .base import Arc, Link, Node, Topology, link_key
 from .example import build_example, example_paths
-from .fattree import build_fattree, core_switches, edge_switches, hosts
-from .geant import build_geant, geant_pop_names
+from .fattree import build_fattree, core_switches, hosts
+from .geant import build_geant
 from .generators import random_connected_topology, waxman_topology
-from .pop_access import build_pop_access, core_routers, metro_routers
+from .pop_access import build_pop_access
 from .rocketfuel import (
     build_abovenet,
     build_genuity,
     build_rocketfuel,
-    rocketfuel_capacity_for_degree,
 )
 
 __all__ = [
@@ -23,17 +22,12 @@ __all__ = [
     "example_paths",
     "build_fattree",
     "core_switches",
-    "edge_switches",
     "hosts",
     "build_geant",
-    "geant_pop_names",
     "random_connected_topology",
     "waxman_topology",
     "build_pop_access",
-    "core_routers",
-    "metro_routers",
     "build_abovenet",
     "build_genuity",
     "build_rocketfuel",
-    "rocketfuel_capacity_for_degree",
 ]

@@ -225,22 +225,6 @@ class Topology:
         self._invalidate()
         return link
 
-    def remove_link(self, u: str, v: str) -> None:
-        """Remove the undirected link between ``u`` and ``v``.
-
-        Raises:
-            UnknownArcError: If no such link exists.
-        """
-        key = link_key(u, v)
-        if key not in self._links:
-            raise UnknownArcError(u, v)
-        del self._links[key]
-        del self._arcs[(u, v)]
-        del self._arcs[(v, u)]
-        self._adjacency[u].remove(v)
-        self._adjacency[v].remove(u)
-        self._invalidate()
-
     def _invalidate(self) -> None:
         self._nx_cache = None
 
@@ -396,12 +380,6 @@ class Topology:
             )
         return graph
 
-    def is_connected(self) -> bool:
-        """Whether the topology is connected (ignoring direction)."""
-        if not self._nodes:
-            return True
-        return nx.is_connected(self.to_undirected_networkx())
-
     def shortest_path(
         self, origin: str, destination: str, weight: str = "invcap"
     ) -> List[str]:
@@ -437,16 +415,6 @@ class Topology:
         for src, dst in zip(nodes, nodes[1:], strict=False):
             total += self.arc(src, dst).latency_s
         return total
-
-    def path_capacity(self, path: Iterable[str]) -> float:
-        """Bottleneck (minimum) arc capacity along a node path."""
-        nodes = list(path)
-        if len(nodes) < 2:
-            return float("inf")
-        return min(
-            self.arc(src, dst).capacity_bps
-            for src, dst in zip(nodes, nodes[1:], strict=False)
-        )
 
     def validate_path(self, path: Iterable[str]) -> bool:
         """Whether every consecutive pair in *path* is an existing arc."""

@@ -134,11 +134,6 @@ def pod_of(node: str) -> int:
     raise TopologyError(f"node {node!r} does not belong to a pod")
 
 
-def edge_switches(topo: Topology) -> List[str]:
-    """All edge-level switches of a fat-tree topology."""
-    return topo.nodes_at_level("edge")
-
-
 def core_switches(topo: Topology) -> List[str]:
     """All core-level switches of a fat-tree topology."""
     return topo.nodes_at_level("core")

@@ -142,8 +142,3 @@ def build_geant(route_stretch: float = 1.4) -> Topology:
         latency_s = max(distance_km / _FIBRE_SPEED_KM_PER_S, 1e-4)
         topo.add_link(u, v, capacity_bps=capacity, latency_s=latency_s, length_km=distance_km)
     return topo
-
-
-def geant_pop_names() -> List[str]:
-    """Names of the 23 GÉANT PoPs."""
-    return [name for name, _lat, _lon in GEANT_POPS]

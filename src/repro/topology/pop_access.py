@@ -139,13 +139,3 @@ def build_pop_access(
         )
 
     return topo
-
-
-def metro_routers(topo: Topology) -> List[str]:
-    """The metro-level routers (the traffic origins/destinations)."""
-    return topo.nodes_at_level("metro")
-
-
-def core_routers(topo: Topology) -> List[str]:
-    """The core-level routers."""
-    return topo.nodes_at_level("core")

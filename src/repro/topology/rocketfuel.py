@@ -186,14 +186,3 @@ def build_rocketfuel(
     if seed is None:
         seed = abs(hash(name)) % (2**31)
     return _generate_pop_graph(name, num_pops, num_links, seed)
-
-
-def rocketfuel_capacity_for_degree(degree_u: int, degree_v: int) -> float:
-    """Capacity assigned to a link given its endpoint degrees.
-
-    Exposed for tests and for callers who build their own Rocketfuel-style
-    graphs.
-    """
-    if degree_u < HIGH_DEGREE_THRESHOLD and degree_v < HIGH_DEGREE_THRESHOLD:
-        return LOW_DEGREE_CAPACITY_BPS
-    return HIGH_DEGREE_CAPACITY_BPS

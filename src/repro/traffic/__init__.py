@@ -34,7 +34,6 @@ from .scaling import (
     calibrate_max_load,
     calibration_cache_stats,
     clear_calibration_cache,
-    utilisation_matrix,
 )
 from .sinewave import fattree_sine_pairs, sine_fraction, sine_wave_trace
 
@@ -67,7 +66,6 @@ __all__ = [
     "calibrate_max_load",
     "calibration_cache_stats",
     "clear_calibration_cache",
-    "utilisation_matrix",
     "fattree_sine_pairs",
     "sine_fraction",
     "sine_wave_trace",

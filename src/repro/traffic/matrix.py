@@ -3,7 +3,7 @@
 A :class:`TrafficMatrix` maps origin-destination pairs to demands in bits per
 second — the ``d(O, D)`` of the paper's model.  Matrices are immutable value
 objects: transformations (:meth:`TrafficMatrix.scaled`,
-:meth:`TrafficMatrix.with_demand`) return new instances, which keeps trace
+:meth:`TrafficMatrix.restricted_to`) return new instances, which keeps trace
 replay and optimisation inputs free of aliasing surprises.
 """
 
@@ -14,6 +14,9 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 from ..exceptions import TrafficError
 
 Pair = Tuple[str, str]
+
+#: The ε demand of the demand-oblivious computations (Section 4.1: 1 bit/s).
+DEFAULT_EPSILON_BPS = 1.0
 
 
 class TrafficMatrix:
@@ -52,16 +55,14 @@ class TrafficMatrix:
         return cls({pair: demand_bps for pair in pairs}, name=name)
 
     @classmethod
-    def epsilon(
-        cls, pairs: Iterable[Pair], epsilon_bps: float = 1.0, name: str = "epsilon"
-    ) -> "TrafficMatrix":
+    def epsilon(cls, pairs: Iterable[Pair], name: str = "epsilon") -> "TrafficMatrix":
         """The paper's demand-oblivious input: every flow set to a tiny value.
 
         Section 4.1: "assuming no knowledge of the traffic matrix ... one can
         set all flows d(O,D) equal to a small value ε (e.g., 1 bit/s) to
         obtain a minimal-power routing with full connectivity".
         """
-        return cls.uniform(pairs, epsilon_bps, name=name)
+        return cls.uniform(pairs, DEFAULT_EPSILON_BPS, name=name)
 
     @classmethod
     def zero(cls, name: str = "zero") -> "TrafficMatrix":
@@ -74,10 +75,6 @@ class TrafficMatrix:
     def pairs(self) -> List[Pair]:
         """All origin-destination pairs with an entry (including zero demand)."""
         return list(self._demands)
-
-    def nonzero_pairs(self) -> List[Pair]:
-        """Pairs whose demand is strictly positive."""
-        return [pair for pair, demand in self._demands.items() if demand > 0.0]
 
     def demand(self, origin: str, destination: str) -> float:
         """Demand for a pair, zero when the pair has no entry."""
@@ -92,18 +89,9 @@ class TrafficMatrix:
         """Sum of all demands."""
         return sum(self._demands.values())
 
-    @property
-    def max_demand_bps(self) -> float:
-        """Largest single-pair demand (zero for an empty matrix)."""
-        return max(self._demands.values(), default=0.0)
-
     def origins(self) -> List[str]:
         """Distinct origins appearing in the matrix."""
         return sorted({origin for origin, _ in self._demands})
-
-    def destinations(self) -> List[str]:
-        """Distinct destinations appearing in the matrix."""
-        return sorted({destination for _, destination in self._demands})
 
     def nodes(self) -> List[str]:
         """Distinct nodes appearing as origin or destination."""
@@ -122,14 +110,6 @@ class TrafficMatrix:
             {pair: demand * factor for pair, demand in self._demands.items()},
             name=name or f"{self.name}×{factor:g}",
         )
-
-    def with_demand(
-        self, origin: str, destination: str, demand_bps: float
-    ) -> "TrafficMatrix":
-        """A copy with one pair's demand replaced (or added)."""
-        demands = dict(self._demands)
-        demands[(origin, destination)] = demand_bps
-        return TrafficMatrix(demands, name=self.name)
 
     def restricted_to(self, pairs: Iterable[Pair]) -> "TrafficMatrix":
         """A copy keeping only the listed pairs."""

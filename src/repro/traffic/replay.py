@@ -68,23 +68,6 @@ class TrafficTrace:
         """Total covered duration in seconds."""
         return len(self._matrices) * self.interval_s
 
-    def total_series(self) -> List[float]:
-        """Total demand (bps) per interval — the aggregate volume time series."""
-        return [matrix.total_bps for matrix in self._matrices]
-
-    def matrix_at(self, time_s: float) -> TrafficMatrix:
-        """The matrix in effect at wall-clock time *time_s*.
-
-        Times before the trace start clamp to the first matrix; times past the
-        end clamp to the last one.
-        """
-        if time_s <= self.start_s:
-            return self._matrices[0]
-        index = int((time_s - self.start_s) // self.interval_s)
-        if index >= len(self._matrices):
-            index = len(self._matrices) - 1
-        return self._matrices[index]
-
     # ------------------------------------------------------------------ #
     # Transformations
     # ------------------------------------------------------------------ #
@@ -106,18 +89,6 @@ class TrafficTrace:
             interval_s=self.interval_s * stride,
             start_s=self.start_s,
             name=f"{self.name}/{stride}",
-        )
-
-    def sliced(self, start_index: int, end_index: Optional[int] = None) -> "TrafficTrace":
-        """A trace covering the intervals ``[start_index, end_index)``."""
-        matrices = self._matrices[start_index:end_index]
-        if not matrices:
-            raise TrafficError("slice produced an empty trace")
-        return TrafficTrace(
-            matrices,
-            interval_s=self.interval_s,
-            start_s=self.start_s + start_index * self.interval_s,
-            name=f"{self.name}[{start_index}:{end_index}]",
         )
 
     def mapped(

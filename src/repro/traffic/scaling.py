@@ -265,17 +265,3 @@ def calibrate_max_load(
     if key is not None:
         _CALIBRATION_CACHE[key] = scale
     return scale
-
-
-def utilisation_matrix(
-    base_matrix: TrafficMatrix,
-    max_scale: float,
-    utilisation_percent: float,
-) -> TrafficMatrix:
-    """The matrix corresponding to ``util-X``: X % of the calibrated maximum."""
-    if utilisation_percent < 0:
-        raise TrafficError(
-            f"utilisation percent must be non-negative, got {utilisation_percent}"
-        )
-    return base_matrix.scaled(max_scale * utilisation_percent / 100.0).scaled(1.0)
-

@@ -41,11 +41,6 @@ def gbps(value: float) -> float:
     return float(value) * GIGA
 
 
-def to_mbps(value_bps: float) -> float:
-    """Convert a bits-per-second quantity to megabits per second."""
-    return float(value_bps) / MEGA
-
-
 def to_gbps(value_bps: float) -> float:
     """Convert a bits-per-second quantity to gigabits per second."""
     return float(value_bps) / GIGA
@@ -56,34 +51,9 @@ def milliseconds(value: float) -> float:
     return float(value) / 1_000.0
 
 
-def to_milliseconds(value_s: float) -> float:
-    """Convert a seconds quantity to milliseconds."""
-    return float(value_s) * 1_000.0
-
-
 def minutes(value: float) -> float:
     """Return *value* minutes expressed in seconds."""
     return float(value) * MINUTE
-
-
-def hours(value: float) -> float:
-    """Return *value* hours expressed in seconds."""
-    return float(value) * HOUR
-
-
-def days(value: float) -> float:
-    """Return *value* days expressed in seconds."""
-    return float(value) * DAY
-
-
-def watts(value: float) -> float:
-    """Identity helper for readability when constructing power models."""
-    return float(value)
-
-
-def percent(fraction: float) -> float:
-    """Convert a fraction in ``[0, 1]`` to a percentage."""
-    return float(fraction) * 100.0
 
 
 def fraction(percentage: float) -> float:

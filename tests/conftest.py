@@ -6,12 +6,54 @@ fat-tree, a diamond) so that even the MILP-backed tests run in milliseconds.
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.power import CiscoRouterPowerModel, CommoditySwitchPowerModel
 from repro.topology import Topology, build_example, build_fattree, build_geant
 from repro.traffic import TrafficMatrix
 from repro.units import mbps
+
+
+@pytest.fixture
+def run_under_hash_seeds():
+    """Run ``python *args`` in a fresh interpreter per ``PYTHONHASHSEED``; the
+    stdouts, in seed order.  26 is a seed whose results used to differ from 0's."""
+
+    def run(args, seeds=("0", "26")):
+        repo_root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(repo_root / "src"))
+        outputs = []
+        for seed in seeds:
+            proc = subprocess.run(
+                [sys.executable, *args],
+                capture_output=True,
+                text=True,
+                env=dict(env, PYTHONHASHSEED=seed),
+                check=False,
+                cwd=str(repo_root),
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        return outputs
+
+    return run
+
+
+@pytest.fixture
+def read_trace():
+    """Parser of an NDJSON trace sidecar into its span records."""
+
+    def read(path):
+        with open(path, encoding="utf-8") as handle:
+            return [json.loads(line) for line in handle if line.strip()]
+
+    return read
 
 
 @pytest.fixture

@@ -7,16 +7,12 @@ from repro.analysis import (
     configuration_changes,
     configuration_dominance,
     fraction_changing_at_least,
-    hop_count_distribution,
-    latency_stretch,
     median_change,
     percentile_summary,
-    power_percent_of_original,
     recomputation_rate,
-    savings_percent,
 )
 from repro.exceptions import TrafficError
-from repro.routing import RoutingConfiguration, RoutingTable
+from repro.routing import RoutingConfiguration
 
 
 # --------------------------------------------------------------------- #
@@ -96,31 +92,6 @@ def test_configuration_dominance():
 # --------------------------------------------------------------------- #
 # Metrics
 # --------------------------------------------------------------------- #
-def test_power_percent_and_savings(diamond, cisco_model):
-    percent = power_percent_of_original(
-        diamond, cisco_model, ["a", "b", "d"], [("a", "b"), ("b", "d")]
-    )
-    assert 0 < percent < 100
-    assert savings_percent(percent) == pytest.approx(100 - percent)
-
-
-def test_latency_stretch(diamond):
-    reference = RoutingTable({("a", "d"): ["a", "b", "d"]})
-    candidate = RoutingTable({("a", "d"): ["a", "c", "d"]})
-    stretch = latency_stretch(diamond, candidate, reference)
-    assert stretch.mean_stretch == pytest.approx(2.0)
-    assert stretch.max_stretch == pytest.approx(2.0)
-    assert stretch.mean_increase_percent == pytest.approx(100.0)
-    identity = latency_stretch(diamond, reference, reference)
-    assert identity.mean_stretch == pytest.approx(1.0)
-
-
-def test_hop_count_distribution():
-    table = RoutingTable({("a", "d"): ["a", "b", "d"], ("d", "a"): ["d", "a"]})
-    histogram = hop_count_distribution(table)
-    assert histogram == {2: 1, 1: 1}
-
-
 def test_percentile_summary():
     summary = percentile_summary([1.0, 2.0, 3.0, 4.0])
     assert summary["min"] == 1.0

@@ -11,6 +11,7 @@ import pytest
 from repro.campaign import (
     CampaignSpec,
     CampaignStore,
+    PointRecord,
     deviation_from_best,
     filter_rows,
     format_table,
@@ -67,7 +68,7 @@ def eight_point_campaign(name="grid8"):
 # --------------------------------------------------------------------- #
 def test_campaign_spec_round_trip_and_identity():
     spec = CampaignSpec.from_dict(campaign_dict())
-    rebuilt = CampaignSpec.from_json(spec.to_json())
+    rebuilt = CampaignSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
     assert rebuilt.to_dict() == spec.to_dict()
     assert rebuilt.campaign_id() == spec.campaign_id()
     # A different axis value is a different campaign.
@@ -222,11 +223,11 @@ def test_store_register_is_idempotent_and_preserves_status(tmp_path):
     with CampaignStore(store_path) as store:
         campaign_id = store.register_campaign(spec, points)
         run_campaign(spec, store_path=store_path, max_points=1)
-        statuses = store.point_statuses(campaign_id)
-        assert list(statuses.values()).count("done") == 1
+        statuses = [row["status"] for row in store.points(campaign_id)]
+        assert statuses.count("done") == 1
         # Re-registering must not reset the completed point.
         assert store.register_campaign(spec, points) == campaign_id
-        assert store.point_statuses(campaign_id) == statuses
+        assert [row["status"] for row in store.points(campaign_id)] == statuses
         assert len(store.campaigns()) == 1
 
 
@@ -247,10 +248,8 @@ def test_store_records_results_and_metrics(tmp_path):
         assert len(rows) == 8  # 4 points x 2 schemes
         assert {row["scheme"] for row in rows} == {"response", "ecmp"}
         assert all("mean_power_percent" in row and "seed" in row for row in rows)
-        # iter_results pairs each point row with its parsed result.
-        pairs = list(store.iter_results(summary.campaign_id))
-        assert len(pairs) == 4
-        assert pairs[0][0]["axes"] == {"seed": 0, "traffic.flow_bps": 1e8}
+        assert len(points) == 4
+        assert points[0]["axes"] == {"seed": 0, "traffic.flow_bps": 1e8}
 
 
 def test_store_points_filters_and_paginates_sql_side(tmp_path):
@@ -269,7 +268,9 @@ def test_store_points_filters_and_paginates_sql_side(tmp_path):
             for point in all_points
             if point.config_hash == pending[0]["config_hash"]
         )
-        store.record_failure(campaign_id, failed, "boom", 0.0)
+        store.record_chunk(
+            campaign_id, [PointRecord(point=failed, error="boom", elapsed_s=0.0)]
+        )
 
         done = store.points(campaign_id, status="done")
         assert [row["status"] for row in done] == ["done"] * 3

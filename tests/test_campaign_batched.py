@@ -13,18 +13,12 @@ stability under two hash seeds (fixed-order summation everywhere).
 """
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 import repro.campaign.run as campaign_run
 from repro.campaign import CampaignSpec, CampaignStore, run_campaign
 from repro.scenario.engine import group_signature
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 # --------------------------------------------------------------------- #
@@ -305,20 +299,21 @@ def test_killed_batch_worker_releases_its_leases(tmp_path, monkeypatch):
 # Cross-interpreter stability (fixed-order summation regression)
 # --------------------------------------------------------------------- #
 _SUBPROCESS_SCRIPT = """\
-import json, sys
+import json, os, sys
 from repro.campaign import CampaignSpec, CampaignStore, run_campaign
 spec = CampaignSpec.from_dict(json.loads(sys.argv[1]))
+store_path = f"{sys.argv[2]}/{sys.argv[3]}-{os.environ['PYTHONHASHSEED']}.sqlite"
 summary = run_campaign(
-    spec, store_path=sys.argv[2], chunk_size=(1 if sys.argv[3] == "serial" else None)
+    spec, store_path=store_path, chunk_size=(1 if sys.argv[3] == "serial" else None)
 )
 assert summary.failed == 0, "campaign point failed in subprocess"
-with CampaignStore(sys.argv[2]) as store:
+with CampaignStore(store_path) as store:
     dump = store.canonical_dump(summary.campaign_id)
 sys.stdout.write(json.dumps(dump, sort_keys=True, separators=(",", ":")))
 """
 
 
-def test_canonical_dump_identical_across_interpreters(tmp_path):
+def test_canonical_dump_identical_across_interpreters(tmp_path, run_under_hash_seeds):
     """Fresh interpreters — per-point and grouped — dump identically.
 
     The per-point oracle runs under ``PYTHONHASHSEED=0`` and the grouped
@@ -331,29 +326,11 @@ def test_canonical_dump_identical_across_interpreters(tmp_path):
     now run in sorted order, on top of the fixed-order (pairwise)
     summation in the MCF objective and the fairness loop.
     """
-    spec_json = json.dumps(campaign_dict("xinterp"))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src")
-    dumps = []
-    for mode, hash_seed in (("serial", "0"), ("grouped", "0"), ("grouped", "26")):
-        env["PYTHONHASHSEED"] = hash_seed
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                _SUBPROCESS_SCRIPT,
-                spec_json,
-                str(tmp_path / f"{mode}-{hash_seed}.sqlite"),
-                mode,
-            ],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=False,
-            cwd=str(REPO_ROOT),
-        )
-        assert proc.returncode == 0, proc.stderr
-        dumps.append(proc.stdout)
+    args = ["-c", _SUBPROCESS_SCRIPT, json.dumps(campaign_dict("xinterp")), str(tmp_path)]
+    dumps = [
+        *run_under_hash_seeds([*args, "serial"], seeds=("0",)),
+        *run_under_hash_seeds([*args, "grouped"]),
+    ]
     assert dumps[0] == dumps[1] == dumps[2]
     assert dumps[0]  # non-empty: the dump really ran
 

@@ -66,6 +66,10 @@ def twentyfour_point_campaign(name="grid24"):
     )
 
 
+def _failed(point, error):
+    return PointRecord(point=point, error=error, elapsed_s=0.1)
+
+
 def registered_store(tmp_path, spec_dict, filename="store.sqlite"):
     """A store with the campaign registered but no point executed."""
     spec = CampaignSpec.from_dict(spec_dict)
@@ -163,7 +167,7 @@ def test_second_writer_waits_for_lock_instead_of_erroring(tmp_path):
         timer.start()
         # The write starts while the lock is held and must simply wait.
         with CampaignStore(store_path, busy_timeout_s=10) as store:
-            store.record_failure(campaign_id, points[0], "boom", 0.1)
+            store.record_chunk(campaign_id, [_failed(points[0], "boom")])
             assert store.status_counts(campaign_id)["error"] == 1
         timer.cancel()
     finally:
@@ -179,7 +183,7 @@ def test_read_only_store_refuses_writes_and_missing_files(tmp_path):
         campaign_id = store.register_campaign(spec, points)
     with CampaignStore(store_path, read_only=True) as reader:
         with pytest.raises(ConfigurationError, match="read-only"):
-            reader.record_failure(campaign_id, points[0], "x", 0.0)
+            reader.record_chunk(campaign_id, [_failed(points[0], "x")])
         with pytest.raises(ConfigurationError, match="read-only"):
             reader.claim_points(campaign_id, "w", 1, 60.0)
     with pytest.raises(ConfigurationError, match="does not exist"):
@@ -226,7 +230,8 @@ def test_v1_store_migrates_to_lease_schema(tmp_path):
     with CampaignStore(store_path) as store:
         version = store._connection.execute("PRAGMA user_version").fetchone()[0]
         assert version == STORE_SCHEMA_VERSION
-        assert store.point_statuses("cid") == {"hash0": "pending"}
+        (point,) = store.points("cid")
+        assert (point["config_hash"], point["status"]) == ("hash0", "pending")
         # The migrated store speaks the lease protocol.
         assert store.claim_points("cid", "w1", 5, 60.0) == ["hash0"]
         assert store.active_leases("cid")[0]["worker"] == "w1"
@@ -310,7 +315,7 @@ def test_claim_renew_expire_and_release(tmp_path):
         assert store.claim_points(campaign_id, "w4", 10, 10.0, now=1012.0) == hashes[2:]
         # Recording an outcome clears the lease and removes the point from
         # every future claim (status is no longer pending).
-        store.record_failure(campaign_id, points[0], "boom", 0.1)
+        store.record_chunk(campaign_id, [_failed(points[0], "boom")])
         assert store.renew_leases(campaign_id, "w1", 10.0, now=1013.0) == 1
         # Far in the future every lease has expired: everything pending is
         # claimable again — but never the failed (error) point.
@@ -523,8 +528,8 @@ def test_worker_with_reset_errors_off_leaves_error_points_alone(tmp_path):
     store_path = tmp_path / "store.sqlite"
     prepared = prepare_campaign(spec_dict, store_path)
     with CampaignStore(store_path) as store:
-        store.record_failure(
-            prepared.campaign_id, prepared.points[0], "peer's fresh failure", 0.1
+        store.record_chunk(
+            prepared.campaign_id, [_failed(prepared.points[0], "peer's fresh failure")]
         )
     tally = prepared.drain(0)
     assert (tally.executed, tally.failed) == (3, 0)  # the error point is skipped

@@ -10,8 +10,6 @@ from repro.core import (
     paths_needed_for_coverage,
     rank_paths_by_traffic,
     replay_trace,
-    routing_tables_from_critical_paths,
-    select_energy_critical_paths,
 )
 from repro.exceptions import ConfigurationError, TrafficError
 from repro.routing import RoutingTable
@@ -157,16 +155,3 @@ def test_paths_needed_for_coverage():
     assert paths_needed_for_coverage(ranked, 0.5) == 1
     with pytest.raises(TrafficError):
         paths_needed_for_coverage(ranked, 1.5)
-
-
-def test_select_critical_paths_and_tables():
-    ranked = rank_paths_by_traffic(_two_interval_trace(), _two_routings())
-    critical = select_energy_critical_paths(ranked, num_paths=2)
-    assert len(critical[("A", "K")]) == 2
-    assert len(critical[("C", "K")]) == 1
-    tables = routing_tables_from_critical_paths(critical, num_tables=2)
-    assert len(tables) == 2
-    # Table 1 falls back to the only path for the C pair.
-    assert tables[1].path("C", "K").nodes == tables[0].path("C", "K").nodes
-    with pytest.raises(TrafficError):
-        select_energy_critical_paths(ranked, num_paths=0)

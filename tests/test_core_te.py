@@ -8,6 +8,7 @@ from repro.routing import RoutingTable
 from repro.simulator import (
     FailureSchedule,
     Flow,
+    LinkEvent,
     LinkState,
     SimulatedNetwork,
     SimulationEngine,
@@ -18,6 +19,10 @@ from repro.topology import example_paths
 from repro.units import mbps
 
 PAIRS = [("A", "K"), ("C", "K")]
+
+
+def _on_always_on(plan, flow):
+    return flow.path == plan.always_on_table.path(flow.origin, flow.destination)
 
 
 def _example_plan(topology, power_model):
@@ -60,13 +65,13 @@ def test_te_aggregates_low_traffic_and_sleeps_links(click, cisco_model):
     controller = ResponseTEController(plan, TEConfig())
     engine = SimulationEngine(network, flows, controller, time_step_s=0.05)
     result = engine.run(duration_s=1.0)
-    final = result.final_sample()
+    final = result.samples[-1]
     assert final.total_rate_bps == pytest.approx(4 * mbps(1))
     # On-demand links (D-G, F-J and their tails) are asleep.
     assert network.link("D", "G").state == LinkState.SLEEPING
     assert network.link("F", "J").state == LinkState.SLEEPING
     assert network.link("E", "H").state == LinkState.ACTIVE
-    assert all(controller.table_index_of(flow) == 0 for flow in flows)
+    assert all(_on_always_on(plan, flow) for flow in flows)
     assert final.power_percent < 100.0
 
 
@@ -78,9 +83,9 @@ def test_te_activates_on_demand_under_load(click, cisco_model):
     controller = ResponseTEController(plan, TEConfig())
     engine = SimulationEngine(network, flows, controller, time_step_s=0.05)
     result = engine.run(duration_s=2.0)
-    final = result.final_sample()
+    final = result.samples[-1]
     assert final.total_rate_bps == pytest.approx(16 * 1e6, rel=0.05)
-    assert any(controller.table_index_of(flow) > 0 for flow in flows)
+    assert any(not _on_always_on(plan, flow) for flow in flows)
 
 
 def test_te_recovers_from_always_on_failure(click, cisco_model):
@@ -88,7 +93,7 @@ def test_te_recovers_from_always_on_failure(click, cisco_model):
     network = SimulatedNetwork(click, cisco_model, wake_delay_s=0.01)
     flows = _flows(mbps(1))
     controller = ResponseTEController(plan, TEConfig(failure_detection_delay_s=0.1))
-    failures = FailureSchedule().fail_at(1.0, "E", "H")
+    failures = FailureSchedule().add(LinkEvent(1.0, ("E", "H"), "fail"))
     engine = SimulationEngine(
         network, flows, controller, time_step_s=0.02, failures=failures
     )
@@ -100,7 +105,7 @@ def test_te_recovers_from_always_on_failure(click, cisco_model):
     after = [rate for time, rate in zip(times, rates, strict=True) if time >= 1.5]
     assert min(during) == 0.0
     assert after[-1] == pytest.approx(4 * mbps(1), rel=0.01)
-    assert all(controller.table_index_of(flow) > 0 for flow in flows)
+    assert not any(_on_always_on(plan, flow) for flow in flows)
 
 
 def test_te_release_returns_traffic_to_always_on(click, cisco_model):
@@ -121,7 +126,7 @@ def test_te_release_returns_traffic_to_always_on(click, cisco_model):
     controller = ResponseTEController(plan, TEConfig(release_threshold=0.5))
     engine = SimulationEngine(network, flows, controller, time_step_s=0.05)
     engine.run(duration_s=4.0)
-    assert all(controller.table_index_of(flow) == 0 for flow in flows)
+    assert all(_on_always_on(plan, flow) for flow in flows)
     assert network.link("D", "G").state == LinkState.SLEEPING
 
 
@@ -139,5 +144,5 @@ def test_te_start_time_defers_control(click, cisco_model):
     late = [s for s in result.samples if s.time_s > 5.5]
     assert all(sample.sleeping_links == 0 for sample in early)
     assert late[-1].sleeping_links > 0
-    assert all(controller.table_index_of(flow) == 0 for flow in flows)
+    assert all(_on_always_on(plan, flow) for flow in flows)
     assert controller.probe_interval_s == pytest.approx(0.1)

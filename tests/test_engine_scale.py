@@ -58,6 +58,16 @@ def fattree_flows(k=4, num_flows=40, seed=3):
     return topology, flows
 
 
+def aggregate(flows):
+    """*flows* as a table: one group per distinct path, in first-seen order."""
+    paths = list(dict.fromkeys(flow.path for flow in flows))
+    return AggregatedFlows.from_arrays(
+        paths,
+        [paths.index(flow.path) for flow in flows],
+        [flow.offered_load(0.0) for flow in flows],
+    )
+
+
 # --------------------------------------------------------------------- #
 # Flow aggregation: exact equivalence with the per-flow engine
 # --------------------------------------------------------------------- #
@@ -69,7 +79,7 @@ def test_allocate_aggregated_matches_per_flow_allocation():
     network.allocate_rates(flows, now_s=0.0)
     per_flow = np.array([flow.rate_bps for flow in flows])
 
-    table = AggregatedFlows.from_flows(flows, now_s=0.0)
+    table = aggregate(flows)
     assert table.num_groups < table.num_flows  # shared paths actually group
     aggregated = allocate_aggregated(SimulatedNetwork(build_fattree(4)), table)
     assert np.array_equal(per_flow, aggregated)
@@ -81,7 +91,7 @@ def test_allocate_aggregated_group_sums_match_summed_per_flow_rates():
     topology, flows = fattree_flows(num_flows=60)
     network = SimulatedNetwork(topology)
     network.allocate_rates(flows, now_s=0.0)
-    table = AggregatedFlows.from_flows(flows, now_s=0.0)
+    table = aggregate(flows)
     aggregated = allocate_aggregated(SimulatedNetwork(build_fattree(4)), table)
     per_flow_sums = np.zeros(table.num_groups)
     aggregated_sums = np.zeros(table.num_groups)
@@ -94,7 +104,7 @@ def test_allocate_aggregated_group_sums_match_summed_per_flow_rates():
 def test_allocate_aggregated_tracks_link_state():
     topology, flows = fattree_flows(num_flows=40)
     network = SimulatedNetwork(topology)
-    table = AggregatedFlows.from_flows(flows, now_s=0.0)
+    table = aggregate(flows)
     # Sleep everything except the arcs the flows actually use, then kill
     # one used link: flows over it get zero, the rest stay max-min fair.
     used = {arc for flow in flows for arc in flow.path.link_keys()}
@@ -395,7 +405,7 @@ def fresh_rates(network, table):
 def test_compiled_flow_set_cannot_go_stale_across_entry_points():
     topology, flows = fattree_flows(num_flows=40)
     network = SimulatedNetwork(topology)
-    table = AggregatedFlows.from_flows(flows, now_s=0.0)
+    table = aggregate(flows)
     victim = sorted({arc for flow in flows for arc in flow.path.link_keys()})[0]
     healthy = allocate_aggregated(network, table)
     assert np.array_equal(healthy, fresh_rates(network, table))
@@ -438,7 +448,7 @@ def test_compiled_flow_set_cannot_go_stale_across_entry_points():
 def test_compiled_flow_set_hits_and_misses_over_a_fail_repair_cycle():
     topology, flows = fattree_flows(num_flows=40)
     network = SimulatedNetwork(topology)
-    table = AggregatedFlows.from_flows(flows, now_s=0.0)
+    table = aggregate(flows)
     victim = flows[0].path.link_keys()[0]
     allocate_aggregated(network, table)  # the warm-up pays the first build
     hits = metrics.counter("repro_flowset_cache_hits_total")

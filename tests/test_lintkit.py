@@ -7,7 +7,9 @@ Three layers:
   (``# expect: REPxxx`` / ``# expect-suppressed: REPxxx`` trailing
   markers).  The harness asserts the finding set matches *exactly*, so a
   fixture fails both when its rule stops firing (rule deleted/broken) and
-  when a rule over-fires (false positive on the negative sections).
+  when a rule over-fires (false positive on the negative sections).  The
+  cross-file rule (REP501) has a small tree, ``lintkit_fixtures/rep501/``,
+  linted as a repo root of its own with the same markers.
 * **Engine semantics** — suppression placement, unused-allow (REP000),
   parse errors (REP999), docstring immunity, baseline round-trips.
 * **Meta gates** — the repo's own ``src/`` lints clean, and the committed
@@ -30,6 +32,7 @@ from repro.lintkit.baseline import (
 from repro.lintkit.engine import (
     PARSE_ERROR_RULE,
     UNUSED_ALLOW_RULE,
+    lint_paths,
     lint_source,
 )
 from repro.lintkit.rules import ALL_RULES, rules_by_id
@@ -50,11 +53,8 @@ VIOLATION = (
 )
 
 
-def load_fixture(path):
-    """Parse one fixture into (source, virtual path, expected finding sets)."""
-    source = path.read_text(encoding="utf-8")
-    match = LINT_AS_RE.search(source)
-    assert match is not None, f"{path.name} is missing its '# lint-as:' header"
+def expected_findings(source):
+    """The ``(line, rule)`` sets a fixture's trailing markers declare."""
     expected_active = set()
     expected_suppressed = set()
     for lineno, line in enumerate(source.splitlines(), 1):
@@ -65,10 +65,20 @@ def load_fixture(path):
         bucket = expected_suppressed if marker.group(1) else expected_active
         for rule_id in rule_ids:
             bucket.add((lineno, rule_id))
-    return source, match.group(1), expected_active, expected_suppressed
+    return expected_active, expected_suppressed
+
+
+def load_fixture(path):
+    """Parse one fixture into (source, virtual path, expected finding sets)."""
+    source = path.read_text(encoding="utf-8")
+    match = LINT_AS_RE.search(source)
+    assert match is not None, f"{path.name} is missing its '# lint-as:' header"
+    return (source, match.group(1), *expected_findings(source))
 
 
 FIXTURES = sorted(FIXTURE_DIR.glob("*.py"))
+REP501_TREE = FIXTURE_DIR / "rep501"
+REP501_SURFACE = REP501_TREE / "src" / "pkg" / "surface.py"
 
 
 # --------------------------------------------------------------------- #
@@ -84,10 +94,25 @@ def test_fixture_golden(fixture):
     assert suppressed == expected_suppressed, fixture.name
 
 
+def test_rep501_tree_golden():
+    """Callers count from src/, benchmarks/ and examples/ — not from tests/,
+    not from ``__init__`` re-exports, not from a name's own body."""
+    result = lint_paths([str(REP501_TREE / "src")], ALL_RULES, root=REP501_TREE)
+    assert {f.path for f in result.findings} == {"src/pkg/surface.py"}
+    expected_active, expected_suppressed = expected_findings(REP501_SURFACE.read_text())
+    assert {(f.line, f.rule) for f in result.active} == expected_active
+    assert {(f.line, f.rule) for f in result.suppressed} == expected_suppressed
+    # The rule needs the cross-file index: one module on its own says nothing.
+    alone = lint_source(REP501_SURFACE.read_text(), "src/pkg/surface.py", ALL_RULES)
+    assert "REP501" not in {f.rule for f in alone}
+
+
 def test_every_rule_has_positive_and_suppressed_coverage():
     """Deleting any rule (or its suppression path) must break a fixture."""
-    covered_active = set()
-    covered_suppressed = set()
+    covered_active, covered_suppressed = (
+        {rule for _, rule in markers}
+        for markers in expected_findings(REP501_SURFACE.read_text())
+    )
     for fixture in FIXTURES:
         _, _, active, suppressed = load_fixture(fixture)
         covered_active |= {rule for _, rule in active}
@@ -211,7 +236,8 @@ def test_baseline_rejects_foreign_json(tmp_path):
 # --------------------------------------------------------------------- #
 # CLI
 # --------------------------------------------------------------------- #
-def test_cli_exit_codes_and_baseline_flow(tmp_path, capsys):
+def test_cli_exit_codes_and_baseline_flow(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # no caller roots to index under this root
     bad = tmp_path / "bad.py"
     bad.write_text(VIOLATION)
     baseline = tmp_path / "bl.json"
@@ -233,7 +259,8 @@ def test_cli_unknown_rule_is_usage_error(tmp_path, capsys):
     assert "unknown rule" in capsys.readouterr().err
 
 
-def test_cli_json_report(tmp_path, capsys):
+def test_cli_json_report(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     bad = tmp_path / "bad.py"
     bad.write_text(VIOLATION)
     out = tmp_path / "lint.json"

@@ -78,11 +78,10 @@ def test_tracing_disabled_by_default_and_spans_are_noops():
     assert trace.current_span() is None
 
 
-def test_traced_run_emits_wellformed_ndjson_span_tree(tmp_path):
+def test_traced_run_emits_wellformed_ndjson_span_tree(tmp_path, read_trace):
     path = tmp_path / "trace.ndjson"
     trace.configure_tracing(path)
     assert trace.tracing_enabled()
-    assert str(trace.trace_path()) == str(path)
     # A 20-interval replay, so that "one step span per (scheme, interval)"
     # below is 2 x 20 spans and not 2.
     spec = small_scenario()
@@ -100,7 +99,7 @@ def test_traced_run_emits_wellformed_ndjson_span_tree(tmp_path):
     trace.disable_tracing()
     assert not trace.tracing_enabled()
 
-    records = list(trace.iter_trace(path))
+    records = read_trace(path)
     assert records, "traced run emitted no spans"
     by_id = {}
     for record in records:
@@ -135,14 +134,14 @@ def test_traced_run_emits_wellformed_ndjson_span_tree(tmp_path):
         assert ancestor is not None and ancestor["name"] == "timeline.run"
 
 
-def test_span_records_error_attribute_on_exception(tmp_path):
+def test_span_records_error_attribute_on_exception(tmp_path, read_trace):
     path = tmp_path / "err.ndjson"
     trace.configure_tracing(path)
     with pytest.raises(ValueError):
         with trace.span("failing.op"):
             raise ValueError("boom")
     trace.disable_tracing()
-    [record] = list(trace.iter_trace(path))
+    [record] = read_trace(path)
     assert record["name"] == "failing.op"
     assert record["attrs"]["error"] == "ValueError"
 
@@ -211,10 +210,6 @@ def test_registry_counter_gauge_histogram_roundtrip():
     assert requests.value == 3.0
     with pytest.raises(ValueError):
         requests.inc(-1.0)
-    depth = registry.gauge("t_queue_depth", "Queue depth")
-    depth.set(5.0)
-    depth.dec(2.0)
-    assert depth.value == 3.0
     latency = registry.histogram("t_latency_seconds", "Latency", buckets=(0.1, 1.0))
     latency.observe(0.05)
     latency.observe(0.5)
@@ -225,7 +220,7 @@ def test_registry_counter_gauge_histogram_roundtrip():
     assert sample["buckets"]["1"] == 2
     assert sample["buckets"]["+Inf"] == 3
     with pytest.raises(ValueError):
-        registry.gauge("t_requests_total", "kind clash")
+        registry.histogram("t_requests_total", "kind clash")
     text = registry.render_prometheus()
     assert "# TYPE t_requests_total counter" in text
     assert "t_requests_total 3" in text
@@ -434,7 +429,7 @@ def test_campaign_report_timings_renders_phase_table(tmp_path, capsys):
     assert set(payload["totals_s"]) == set(trace.PHASE_NAMES)
 
 
-def test_run_scenario_cli_trace_and_profile(tmp_path, capsys):
+def test_run_scenario_cli_trace_and_profile(tmp_path, capsys, read_trace):
     trace_path = tmp_path / "cli.ndjson"
     code = experiments_main(
         [
@@ -457,7 +452,7 @@ def test_run_scenario_cli_trace_and_profile(tmp_path, capsys):
     assert "phase timings:" in out
     for phase in trace.PHASE_NAMES:
         assert phase in out
-    records = list(trace.iter_trace(trace_path))
+    records = read_trace(trace_path)
     assert {r["name"] for r in records} >= {"scenario.build", "timeline.run"}
     assert not trace.tracing_enabled()  # the CLI cleaned up after itself
 

@@ -1,10 +1,5 @@
 """Tests for the energy-aware optimisation layer (MILPs and heuristics)."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
 from repro.exceptions import InfeasibleError, SolverError
@@ -136,6 +131,20 @@ def test_arc_milp_capacity_forces_second_path(diamond, cisco_model):
     assert max_link_utilisation(diamond, solution.routing, demands) <= 1.0 + 1e-6
 
 
+def test_arc_milp_fixes_every_element_of_an_iterator_argument(diamond, cisco_model):
+    """A generator fixes all its nodes (the first node's membership test used
+    to consume it); an unknown fixed link is skipped, as the path MILP does."""
+    solution = solve_arc_milp(
+        diamond,
+        cisco_model,
+        TrafficMatrix.epsilon([("a", "d")]),
+        fixed_on_nodes=(name for name in ("b", "c")),
+        fixed_on_links=iter([("c", "d"), ("a", "zz")]),
+    )
+    assert {"b", "c"} <= solution.active_nodes
+    assert ("c", "d") in solution.active_links
+
+
 def test_arc_milp_guards_against_huge_instances(geant, cisco_model):
     demands = TrafficMatrix.epsilon(all_pairs(geant.routers()))
     with pytest.raises(SolverError):
@@ -265,7 +274,9 @@ json.dump(
 """
 
 
-def test_peak_on_demand_and_failover_tables_do_not_follow_the_hash_seed():
+def test_peak_on_demand_and_failover_tables_do_not_follow_the_hash_seed(
+    run_under_hash_seeds,
+):
     """The path MILP emits its rows in path order, not ``set`` order.
 
     Constraint (c) used to iterate ``set(path.link_keys())``, so the row
@@ -274,19 +285,6 @@ def test_peak_on_demand_and_failover_tables_do_not_follow_the_hash_seed():
     tables (and the failover table computed from them) differed between
     two interpreters.
     """
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
-    outputs = []
-    for hash_seed in ("0", "1"):
-        env["PYTHONHASHSEED"] = hash_seed
-        proc = subprocess.run(
-            [sys.executable, "-c", _PEAK_PLAN_SCRIPT],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=False,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(proc.stdout)
+    outputs = run_under_hash_seeds(["-c", _PEAK_PLAN_SCRIPT], seeds=("0", "1"))
     assert outputs[0] == outputs[1]
     assert '"failover"' in outputs[0] and '"on-demand-0"' in outputs[0]

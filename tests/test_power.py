@@ -9,11 +9,9 @@ from repro.power import (
     CISCO_CHASSIS_POWER_W,
     CiscoRouterPowerModel,
     CommoditySwitchPowerModel,
-    energy_savings_percentage,
     full_power,
     line_card_power_for_capacity,
     network_power,
-    power_percentage,
 )
 from repro.power.cisco import (
     OC3_PORT_POWER_W,
@@ -131,17 +129,6 @@ def test_always_powered_nodes_counted_even_if_omitted(cisco_model):
     topo.add_link("edge", "core", capacity_bps=mbps(100))
     subset = network_power(topo, cisco_model, active_nodes=["core"])
     assert subset.chassis_w == pytest.approx(2 * CISCO_CHASSIS_POWER_W)
-
-
-def test_power_percentage_and_savings(diamond, cisco_model):
-    percent = power_percentage(
-        diamond, cisco_model, active_nodes=["a", "b", "d"], active_links=[("a", "b"), ("b", "d")]
-    )
-    assert 0.0 < percent < 100.0
-    assert energy_savings_percentage(
-        diamond, cisco_model, active_nodes=["a", "b", "d"], active_links=[("a", "b"), ("b", "d")]
-    ) == pytest.approx(100.0 - percent)
-    assert power_percentage(diamond, cisco_model) == pytest.approx(100.0)
 
 
 def test_fattree_full_power_counts_only_switches(fattree4, commodity_model):

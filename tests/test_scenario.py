@@ -5,8 +5,10 @@ import os
 
 import pytest
 
-from repro.exceptions import ConfigurationError
+from repro.campaign import canonical_result_dict
+from repro.exceptions import ConfigurationError, InfeasibleError, SolverError
 from repro.experiments.runner import main
+from repro.obs import trace
 from repro.scenario import (
     PowerSpec,
     RoutingSpec,
@@ -22,6 +24,7 @@ from repro.scenario import (
     run_scenario,
     run_scenario_dict,
 )
+from repro.scenario import schemes
 from repro.scenario.timeline import GroupComputeCache
 
 EXAMPLES_DIR = os.path.join(os.path.dirname(__file__), "..", "examples")
@@ -103,7 +106,7 @@ def test_spec_round_trip_preserves_equality_and_hash():
     rebuilt = ScenarioSpec.from_dict(spec.to_dict())
     assert rebuilt == spec
     assert rebuilt.config_hash() == spec.config_hash()
-    via_json = ScenarioSpec.from_json(spec.to_json())
+    via_json = ScenarioSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
     assert via_json == spec
     assert via_json.config_hash() == spec.config_hash()
 
@@ -181,7 +184,7 @@ def test_duplicate_scheme_labels_rejected():
             SchemeSpec("response", label="resp-k4", k=4),
         )
     )
-    assert spec.scheme_labels() == ["resp-k3", "resp-k4"]
+    assert [scheme.label for scheme in spec.schemes] == ["resp-k3", "resp-k4"]
     assert ScenarioSpec.from_dict(spec.to_dict()) == spec
 
 
@@ -247,7 +250,7 @@ def test_never_expressed_cross_product_geant_gravity_response_vs_elastictree():
         power=PowerSpec("cisco"),
         schemes=(SchemeSpec("response", num_paths=3, k=3), SchemeSpec("elastictree")),
     )
-    first = run_scenario(ScenarioSpec.from_json(spec.to_json()))
+    first = run_scenario(ScenarioSpec.from_dict(json.loads(json.dumps(spec.to_dict()))))
     assert set(first.power_percent) == {"response", "elastictree"}
     assert all(0 < value <= 100 for value in first.power_percent["response"])
     second = run_scenario(spec)
@@ -284,30 +287,41 @@ def test_programmatic_overrides_take_precedence():
 
 
 # --------------------------------------------------------------------- #
-# GreenTE candidate caching (one code path)
+# The optimal lower bound's heuristic fallback
 # --------------------------------------------------------------------- #
 
 
-def test_greente_interval_solver_caches_candidates():
-    from repro.experiments.common import greente_interval_solver
-    from repro.obs import metrics
-    from repro.power.commodity import CommoditySwitchPowerModel
-    from repro.topology.fattree import build_fattree, hosts
-    from repro.traffic.matrix import TrafficMatrix
+def _optimal_with_failing_milp(monkeypatch, error):
+    def failing_milp(*_args, **_kwargs):
+        raise error
 
-    enumerated = metrics.counter("repro_candidate_paths_enumerated_total")
-    before = enumerated.value
-    topology = build_fattree(4)
-    model = CommoditySwitchPowerModel(ports_at_peak=4)
-    host_names = hosts(topology)
-    pairs = [(host_names[0], host_names[4]), (host_names[1], host_names[5])]
-    solver = greente_interval_solver(k=3)
-    first = solver(topology, model, TrafficMatrix.uniform(pairs, 1e8))
-    after_first = enumerated.value
-    second = solver(topology, model, TrafficMatrix.uniform(pairs, 2e8))
-    # Candidates enumerated once (3 per pair), reused across intervals.
-    assert after_first - before == 6 and enumerated.value == after_first
-    assert first.active_nodes and second.active_nodes
+    monkeypatch.setattr(schemes, "solve_path_milp", failing_milp)
+    return run_scenario(tiny_fattree_spec(schemes=(SchemeSpec("optimal"),)))
+
+
+@pytest.mark.parametrize("error", [SolverError("no incumbent"), InfeasibleError("x")])
+def test_optimal_falls_back_to_greente_on_solver_failures(monkeypatch, tmp_path, read_trace, error):
+    heuristic = run_scenario(
+        tiny_fattree_spec(schemes=(SchemeSpec("greente", k=3, ordering="demand"),))
+    )
+    trace.configure_tracing(tmp_path / "trace.ndjson")
+    try:
+        result = _optimal_with_failing_milp(monkeypatch, error)
+    finally:
+        trace.disable_tracing()
+    assert result.power_percent["optimal"] == heuristic.power_percent["greente"]
+    solves = [r for r in read_trace(tmp_path / "trace.ndjson") if r["name"] == "scheme.solve"]
+    assert solves and all(r["attrs"]["fallback"] is True for r in solves)
+
+
+def test_optimal_does_not_hide_a_bug_behind_the_heuristic(monkeypatch):
+    with pytest.raises(TypeError, match="a bug"):
+        _optimal_with_failing_milp(monkeypatch, TypeError("a bug"))
+
+
+# --------------------------------------------------------------------- #
+# GreenTE candidate caching (one code path)
+# --------------------------------------------------------------------- #
 
 
 def test_cached_candidates_reset_on_new_topology():
@@ -382,10 +396,24 @@ def test_scenario_result_from_dict_tolerates_pre_events_rows():
     assert "mean_compute_s" not in metrics
 
 
+def test_example_scenario_does_not_follow_the_hash_seed(run_under_hash_seeds):
+    """Same JSON under two hash seeds, wall-clock step costs aside (tied
+    powers: ``test_tied_link_powers_do_not_follow_the_hash_seed``)."""
+    spec_path = os.path.join(EXAMPLES_DIR, "scenario_geant_failure.json")
+    first, second = (
+        canonical_result_dict(json.loads(output))
+        for output in run_under_hash_seeds(
+            ["-m", "repro.experiments", "run-scenario", "--spec", spec_path, "--json"]
+        )
+    )
+    assert first == second
+    assert "compute_seconds" not in first and first["power_percent"]
+
+
 def test_cli_run_scenario_from_json_spec(tmp_path, capsys):
     spec = tiny_fattree_spec(schemes=(SchemeSpec("ospf"),))
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(spec.to_json())
+    spec_path.write_text(json.dumps(spec.to_dict()))
 
     assert main(["run-scenario", "--spec", str(spec_path)]) == 0
     out = capsys.readouterr().out

@@ -17,6 +17,7 @@ The load-bearing guarantees pinned here:
 
 import json
 import os
+import socket
 import threading
 import time
 import urllib.error
@@ -84,7 +85,10 @@ def service(tmp_path, **config_overrides):
     )
     settings.update(config_overrides)
     server = create_server(ServiceConfig(**settings))
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # shutdown() waits out one poll; the default is 0.5 s per test.
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True
+    )
     thread.start()
     try:
         yield server
@@ -195,16 +199,36 @@ def test_unknown_routes_and_malformed_bodies(tmp_path):
         assert status == 200 and listing["campaigns"] == []
 
 
+@pytest.mark.parametrize("length", ["abc", "-1"])
+def test_malformed_content_length_is_a_400_before_any_read(tmp_path, length):
+    """``int("abc")`` was a 500; ``rfile.read(-1)`` held the handler thread
+    until the client hung up.  Both are answered while the client waits."""
+    errors = metrics.counter("repro_service_requests_total").labels(
+        method="POST", route="/scenarios", outcome="error"
+    )
+    with service(tmp_path) as server:
+        before = errors.value
+        with socket.create_connection(server.server_address[:2], timeout=3) as raw:
+            raw.sendall(
+                "POST /scenarios HTTP/1.1\r\nHost: test\r\n"
+                f"Content-Length: {length}\r\n\r\n".encode("ascii")
+            )
+            # To EOF: nothing says where the body ends, so the server closes.
+            reply = raw.makefile("rb").read()
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b'"bad-request"' in reply and length.encode("ascii") in reply
+        assert errors.value == before + 1
+        assert get_json(server, "/healthz")[0] == 200  # answered: a thread is free
+
+
 # --------------------------------------------------------------------- #
 # POST /scenarios: one-shot runs, answered from the store on a hit
 # --------------------------------------------------------------------- #
-def test_post_scenario_result_and_sweep_cache(tmp_path):
+def test_post_scenario_is_answered_from_the_store_on_a_hit(tmp_path):
     """The campaign store is the service's one result cache.
 
-    (The sweep runner's pickle directory this test once covered is no
-    longer reachable over HTTP.)  A one-shot run never writes; a spec whose
-    config hash a campaign has already executed is answered from that
-    ``results`` row.
+    A one-shot run never writes; a spec whose config hash a campaign has
+    already executed is answered from that ``results`` row.
     """
     offline = run_scenario(base_scenario())
     with service(tmp_path) as server:

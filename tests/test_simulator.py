@@ -6,6 +6,7 @@ from repro.exceptions import SimulationError
 from repro.simulator import (
     FailureSchedule,
     Flow,
+    LinkEvent,
     LinkState,
     SimulatedNetwork,
     SimulationEngine,
@@ -88,7 +89,6 @@ def test_allocation_caps_at_demand(diamond, cisco_model):
     network.allocate_rates([flow], now_s=0.0)
     assert flow.rate_bps == pytest.approx(mbps(30))
     assert network.arc_load("a", "b") == pytest.approx(mbps(30))
-    assert network.arc_utilisation("a", "b") == pytest.approx(0.3)
 
 
 def test_allocation_shares_bottleneck_fairly(diamond, cisco_model):
@@ -102,7 +102,7 @@ def test_allocation_shares_bottleneck_fairly(diamond, cisco_model):
     # Max-min: the small flow gets its full demand, the big one the rest.
     assert flows[1].rate_bps == pytest.approx(mbps(20), rel=1e-3)
     assert flows[0].rate_bps == pytest.approx(mbps(80), rel=1e-3)
-    assert network.path_max_utilisation(path) == pytest.approx(1.0, rel=1e-3)
+    assert network.arc_load("a", "b") == pytest.approx(mbps(100), rel=1e-3)
 
 
 def test_allocation_zero_for_unusable_paths(diamond, cisco_model):
@@ -125,7 +125,6 @@ def test_path_queries(diamond, cisco_model):
     network.fail_link("b", "d")
     assert not network.path_is_usable(path)
     assert network.path_has_failure(path)
-    assert network.path_rtt(path) == pytest.approx(0.004)
     assert network.max_rtt() > 0
 
 
@@ -152,16 +151,20 @@ def test_engine_runs_and_samples(diamond, cisco_model):
     )
     result = engine.run(duration_s=1.0)
     assert len(result.samples) >= 5
-    assert result.final_sample().total_rate_bps == pytest.approx(mbps(10))
+    assert result.samples[-1].total_rate_bps == pytest.approx(mbps(10))
     assert result.times() == sorted(result.times())
     assert max(result.series("total_demand_bps")) == pytest.approx(mbps(10))
-    assert result.flow_rate_series("f1")[-1] == pytest.approx(mbps(10))
+    assert result.samples[-1].flow_rates["f1"] == pytest.approx(mbps(10))
 
 
 def test_engine_applies_scheduled_failures(diamond, cisco_model):
     network = SimulatedNetwork(diamond, cisco_model)
     flows = [Flow("f1", "a", "d", constant_demand(mbps(10)))]
-    failures = FailureSchedule().fail_at(0.5, "a", "b").repair_at(1.5, "a", "b")
+    failures = (
+        FailureSchedule()
+        .add(LinkEvent(0.5, ("a", "b"), "fail"))
+        .add(LinkEvent(1.5, ("a", "b"), "repair"))
+    )
     engine = SimulationEngine(
         network,
         flows,
@@ -171,7 +174,7 @@ def test_engine_applies_scheduled_failures(diamond, cisco_model):
         monitored_arcs=[("a", "b")],
     )
     result = engine.run(duration_s=2.0)
-    rates = result.flow_rate_series("f1")
+    rates = [sample.flow_rates["f1"] for sample in result.samples]
     times = result.times()
     failed_window = [rate for time, rate in zip(times, rates, strict=True) if 0.6 <= time <= 1.4]
     recovered = [rate for time, rate in zip(times, rates, strict=True) if time >= 1.6]
@@ -196,14 +199,16 @@ def test_engine_validation(diamond, cisco_model):
 
 
 def test_failure_schedule_due_and_validation():
-    schedule = FailureSchedule().fail_at(1.0, "a", "b").repair_at(2.0, "a", "b")
+    schedule = (
+        FailureSchedule()
+        .add(LinkEvent(1.0, ("a", "b"), "fail"))
+        .add(LinkEvent(2.0, ("a", "b"), "repair"))
+    )
     assert len(schedule) == 2
     due = schedule.due(0.5, 1.5)
     assert len(due) == 1
     assert due[0].kind == "fail"
     assert [event.kind for event in schedule.events()] == ["fail", "repair"]
-
-    from repro.simulator import LinkEvent
 
     with pytest.raises(SimulationError):
         LinkEvent(1.0, ("a", "b"), "explode")

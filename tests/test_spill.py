@@ -14,7 +14,7 @@ from repro.scenario import (
     build_scenario,
 )
 from repro.scenario.engine import run_built_scenario
-from repro.scenario.spill import SeriesSpill, iter_spill_rows, read_spill
+from repro.scenario.spill import SeriesSpill, iter_spill_rows
 from repro.scenario.timeline import SpilledSchemeRun
 
 
@@ -131,69 +131,6 @@ def test_spilled_scheme_run_requires_sidecar():
     )
     with pytest.raises(ConfigurationError):
         orphan.power_percent()
-
-
-def test_read_spill_conventions(tmp_path):
-    sidecar = tmp_path / "series.ndjson"
-    with SeriesSpill(sidecar) as spill:
-        spill.write_step(
-            index=0,
-            time_s=0.0,
-            events=[],
-            schemes={
-                "s": {
-                    "power_percent": 50.0,
-                    "max_utilisation": None,
-                    "violation": None,
-                    "recomputed": False,
-                    "compute_seconds": 0.1,
-                }
-            },
-        )
-        spill.write_step(
-            index=1,
-            time_s=900.0,
-            events=["link-down"],
-            schemes={
-                "s": {
-                    "power_percent": 60.0,
-                    "max_utilisation": 0.5,
-                    "violation": False,
-                    "recomputed": True,
-                    "compute_seconds": 0.2,
-                }
-            },
-        )
-    payload = read_spill(sidecar)
-    assert payload["times_s"] == [0.0, 900.0]
-    # Fired events are flattened across intervals, like TimelineRun.fired.
-    assert payload["events"] == ["link-down"]
-    series = payload["schemes"]["s"]
-    assert series["power_percent"] == [50.0, 60.0]
-    # SchemeRun convention: a None utilisation becomes 0.0 when any interval
-    # reported a real value; an all-None series collapses to [].
-    assert series["max_utilisation"] == [0.0, 0.5]
-    assert series["recomputed"] == [False, True]
-
-
-def test_read_spill_all_none_utilisation_collapses(tmp_path):
-    sidecar = tmp_path / "series.ndjson"
-    with SeriesSpill(sidecar) as spill:
-        spill.write_step(
-            index=0,
-            time_s=0.0,
-            events=[],
-            schemes={
-                "s": {
-                    "power_percent": 10.0,
-                    "max_utilisation": None,
-                    "violation": None,
-                    "recomputed": False,
-                    "compute_seconds": 0.0,
-                }
-            },
-        )
-    assert read_spill(sidecar)["schemes"]["s"]["max_utilisation"] == []
 
 
 def test_spill_rejects_writes_after_close(tmp_path):

@@ -20,10 +20,6 @@ here as the reference.  Pinned:
   set under every ``PYTHONHASHSEED``.
 """
 
-import os
-import subprocess
-import sys
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -47,7 +43,6 @@ from repro.topology.base import link_key
 from repro.traffic import TrafficMatrix, all_pairs
 
 from test_calibration import (  # noqa: I001
-    REPO_ROOT,
     SHIPPED_TOPOLOGIES,
     base_matrix,
     example_traffic_specs,
@@ -366,24 +361,11 @@ print(json.dumps([sorted(solution.active_nodes), sorted(solution.active_links)])
 """
 
 
-def test_tied_link_powers_do_not_follow_the_hash_seed():
+def test_tied_link_powers_do_not_follow_the_hash_seed(run_under_hash_seeds):
     """48 fat-tree links share two power values; the link phase used to sort
     the *set* of active links by power alone, which leaves ties in set order
     (three different active sets under these three hash seeds)."""
     _, link_power = element_power_coefficients(build_fattree(4), CommoditySwitchPowerModel())
     assert len(set(link_power.values())) < len(link_power)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
-    outputs = set()
-    for hash_seed in "013":
-        env["PYTHONHASHSEED"] = hash_seed
-        proc = subprocess.run(
-            [sys.executable, "-c", _TIED_POWERS_SCRIPT],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=False,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outputs.add(proc.stdout)
-    assert len(outputs) == 1
+    outputs = run_under_hash_seeds(["-c", _TIED_POWERS_SCRIPT], seeds="013")
+    assert len(set(outputs)) == 1

@@ -1,5 +1,6 @@
 """Tests for the evaluation-topology builders."""
 
+import networkx as nx
 import pytest
 
 from repro.exceptions import TopologyError
@@ -10,18 +11,14 @@ from repro.topology import (
     build_genuity,
     build_pop_access,
     build_rocketfuel,
-    core_routers,
     core_switches,
-    edge_switches,
     example_paths,
-    geant_pop_names,
     hosts,
-    metro_routers,
     random_connected_topology,
-    rocketfuel_capacity_for_degree,
     waxman_topology,
 )
 from repro.topology.fattree import pod_of
+from repro.topology.geant import GEANT_POPS
 from repro.topology.rocketfuel import (
     HIGH_DEGREE_CAPACITY_BPS,
     HIGH_DEGREE_THRESHOLD,
@@ -30,24 +27,28 @@ from repro.topology.rocketfuel import (
 from repro.units import gbps, mbps
 
 
+def connected(topology):
+    return nx.is_connected(topology.to_undirected_networkx())
+
+
 # --------------------------------------------------------------------- #
 # Fat-tree
 # --------------------------------------------------------------------- #
 def test_fattree_k4_element_counts(fattree4):
     assert len(core_switches(fattree4)) == 4
     assert len(fattree4.nodes_at_level("aggregation")) == 8
-    assert len(edge_switches(fattree4)) == 8
+    assert len(fattree4.nodes_at_level("edge")) == 8
     assert len(hosts(fattree4)) == 16
     # 16 host links + 16 edge-agg + 16 agg-core.
     assert fattree4.num_links == 48
-    assert fattree4.is_connected()
+    assert connected(fattree4)
 
 
 def test_fattree_k6_scales():
     topo = build_fattree(6, with_hosts=False)
     assert len(core_switches(topo)) == 9
     assert len(topo.nodes_at_level("aggregation")) == 18
-    assert len(edge_switches(topo)) == 18
+    assert len(topo.nodes_at_level("edge")) == 18
     assert len(hosts(topo)) == 0
 
 
@@ -59,7 +60,7 @@ def test_fattree_rejects_odd_or_non_positive_arity():
 
 
 def test_fattree_switch_degree_is_k(fattree4):
-    for switch in edge_switches(fattree4) + fattree4.nodes_at_level("aggregation"):
+    for switch in fattree4.nodes_at_level("edge") + fattree4.nodes_at_level("aggregation"):
         assert fattree4.degree(switch) == 4
     for switch in core_switches(fattree4):
         assert fattree4.degree(switch) == 4
@@ -84,8 +85,8 @@ def test_pod_of_parses_names():
 # --------------------------------------------------------------------- #
 def test_geant_has_23_pops(geant):
     assert geant.num_nodes == 23
-    assert set(geant.nodes()) == set(geant_pop_names())
-    assert geant.is_connected()
+    assert set(geant.nodes()) == {name for name, _lat, _lon in GEANT_POPS}
+    assert connected(geant)
 
 
 def test_geant_capacity_hierarchy(geant):
@@ -112,8 +113,8 @@ def test_abovenet_and_genuity_sizes():
     assert abovenet.num_links == 42
     assert genuity.num_nodes == 42
     assert genuity.num_links == 110
-    assert abovenet.is_connected()
-    assert genuity.is_connected()
+    assert connected(abovenet)
+    assert connected(genuity)
 
 
 def test_rocketfuel_generation_is_deterministic():
@@ -133,11 +134,6 @@ def test_rocketfuel_capacity_rule_applied():
         assert link.capacity_bps == expected
 
 
-def test_rocketfuel_capacity_for_degree_helper():
-    assert rocketfuel_capacity_for_degree(2, 3) == LOW_DEGREE_CAPACITY_BPS
-    assert rocketfuel_capacity_for_degree(8, 2) == HIGH_DEGREE_CAPACITY_BPS
-
-
 def test_custom_rocketfuel_validation():
     with pytest.raises(TopologyError):
         build_rocketfuel("tiny", num_pops=2, num_links=1)
@@ -146,7 +142,7 @@ def test_custom_rocketfuel_validation():
     topo = build_rocketfuel("custom", num_pops=12, num_links=20, seed=3)
     assert topo.num_nodes == 12
     assert topo.num_links == 20
-    assert topo.is_connected()
+    assert connected(topo)
 
 
 # --------------------------------------------------------------------- #
@@ -154,16 +150,16 @@ def test_custom_rocketfuel_validation():
 # --------------------------------------------------------------------- #
 def test_pop_access_structure():
     topo = build_pop_access(num_core=4, num_backbone=6, num_metro=10)
-    assert len(core_routers(topo)) == 4
+    assert len(topo.nodes_at_level("core")) == 4
     assert len(topo.nodes_at_level("backbone")) == 6
-    assert len(metro_routers(topo)) == 10
-    assert topo.is_connected()
+    assert len(topo.nodes_at_level("metro")) == 10
+    assert connected(topo)
     # Core full mesh.
     for i in range(4):
         for j in range(i + 1, 4):
             assert topo.has_link(f"core{i}", f"core{j}")
     # Metro routers are dual-homed.
-    for metro in metro_routers(topo):
+    for metro in topo.nodes_at_level("metro"):
         assert topo.degree(metro) == 2
 
 
@@ -186,7 +182,7 @@ def test_example_topology_with_and_without_b():
     assert click.num_nodes == 9
     assert full.has_link("B", "E")
     assert not click.has_node("B")
-    assert click.is_connected()
+    assert connected(click)
 
 
 def test_example_paths_are_valid(click_topology):
@@ -206,7 +202,7 @@ def test_random_connected_topology_counts_and_connectivity():
     topo = random_connected_topology(num_nodes=12, num_links=18, seed=5)
     assert topo.num_nodes == 12
     assert topo.num_links == 18
-    assert topo.is_connected()
+    assert connected(topo)
 
 
 def test_random_connected_topology_rejects_bad_counts():
@@ -219,4 +215,4 @@ def test_random_connected_topology_rejects_bad_counts():
 def test_waxman_topology_connected():
     topo = waxman_topology(num_nodes=20, seed=11)
     assert topo.num_nodes == 20
-    assert topo.is_connected()
+    assert connected(topo)

@@ -20,8 +20,6 @@ def test_basic_accessors():
     assert ("a", "b") in matrix
     assert len(matrix) == 2
     assert matrix.total_bps == 10.0
-    assert matrix.max_demand_bps == 10.0
-    assert matrix.nonzero_pairs() == [("a", "b")]
     assert matrix.origins() == ["a", "b"]
     assert matrix.nodes() == ["a", "b"]
 
@@ -54,11 +52,10 @@ def test_scaled_preserves_proportions():
 
 def test_with_demand_and_restrict_and_merge():
     matrix = TrafficMatrix({("a", "b"): 10.0})
-    updated = matrix.with_demand("a", "c", 5.0)
-    assert updated.demand("a", "c") == 5.0
-    assert matrix.demand("a", "c") == 0.0  # original unchanged
+    updated = TrafficMatrix({("a", "b"): 10.0, ("a", "c"): 5.0})
     restricted = updated.restricted_to([("a", "b")])
-    assert len(restricted) == 1
+    assert restricted == matrix
+    assert len(updated) == 2  # original unchanged
     merged = matrix.merged_with(TrafficMatrix({("a", "b"): 1.0, ("b", "a"): 2.0}))
     assert merged.demand("a", "b") == 11.0
     assert merged.demand("b", "a") == 2.0
