@@ -20,7 +20,7 @@ here; the subpackages hold the full API:
 
 from .core.plan import ResponsePlan
 from .core.planner import ActivationResult, activate_paths
-from .core.response import RESPONSE_VARIANTS, ResponseConfig, build_response_plan
+from .core.response import ResponseConfig, build_response_plan
 from .core.te import ResponseTEController, TEConfig
 from .power.accounting import full_power, network_power
 from .power.alternative import AlternativeHardwarePowerModel
@@ -37,7 +37,6 @@ __all__ = [
     "ResponsePlan",
     "ActivationResult",
     "activate_paths",
-    "RESPONSE_VARIANTS",
     "ResponseConfig",
     "build_response_plan",
     "ResponseTEController",

@@ -16,15 +16,15 @@ from ..exceptions import TrafficError
 from ..traffic.google_trace import relative_changes
 
 
-def change_ccdf(
-    series: Sequence[float],
-    change_percentages: Sequence[float] = tuple(range(0, 101, 5)),
-) -> List[Tuple[float, float]]:
+#: The x-axis of Figure 1a: percent change, 0 to 100 in steps of 5.
+CHANGE_PERCENTAGES = tuple(range(0, 101, 5))
+
+
+def change_ccdf(series: Sequence[float]) -> List[Tuple[float, float]]:
     """CCDF of the per-interval relative traffic change.
 
     Args:
         series: Aggregate traffic volume per interval.
-        change_percentages: The x-axis values (percent change) to evaluate.
 
     Returns:
         ``(change_percent, ccdf_percent)`` pairs: the percentage of intervals
@@ -32,7 +32,7 @@ def change_ccdf(
     """
     changes = relative_changes(series) * 100.0
     points: List[Tuple[float, float]] = []
-    for threshold in change_percentages:
+    for threshold in CHANGE_PERCENTAGES:
         fraction = float(np.mean(changes >= threshold)) * 100.0
         points.append((float(threshold), fraction))
     return points

@@ -16,14 +16,13 @@ thin tail of larger objects; a lognormal fit captures that shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..exceptions import ConfigurationError
-from ..routing.paths import RoutingTable, link_loads
+from ..routing.paths import RoutingTable
 from ..topology.base import Topology
-from ..traffic.matrix import TrafficMatrix
 
 #: Lognormal parameters of the synthetic SPECweb-banking file-size mix (bytes).
 BANKING_LOGNORMAL_MEAN = 9.6   # exp(9.6) ~ 15 KB median
@@ -82,7 +81,6 @@ def run_web_workload(
     server: str,
     client_nodes: Sequence[str],
     config: Optional[WebConfig] = None,
-    background_demands: Optional[TrafficMatrix] = None,
 ) -> WebResult:
     """Run the web workload over a fixed routing.
 
@@ -92,8 +90,6 @@ def run_web_workload(
         server: Node hosting the web server.
         client_nodes: Stub nodes issuing requests (the paper uses four).
         config: Workload parameters.
-        background_demands: Optional background traffic whose load shares the
-            links with the web transfers.
 
     Returns:
         A :class:`WebResult` with per-request latencies.
@@ -103,12 +99,6 @@ def run_web_workload(
         raise ConfigurationError("the web workload needs at least one client node")
     sizes = specweb_file_sizes(cfg.num_files, cfg.seed)
     rng = np.random.default_rng(cfg.seed + 1)
-
-    background_loads: Dict[Tuple[str, str], float] = {
-        key: 0.0 for key in topology.arc_keys()
-    }
-    if background_demands is not None:
-        background_loads = link_loads(topology, routing, background_demands)
 
     latencies: List[float] = []
     for client in client_nodes:
@@ -121,16 +111,10 @@ def run_web_workload(
         forward_latency = path.latency(topology)
         request_latency = reverse.latency(topology)
 
-        # Available bandwidth: the bottleneck residual capacity divided by the
+        # Available bandwidth: the bottleneck capacity divided by the
         # client's concurrent requests.
-        residual = min(
-            max(
-                topology.arc(src, dst).capacity_bps - background_loads[(src, dst)],
-                topology.arc(src, dst).capacity_bps * 0.01,
-            )
-            for src, dst in path.arc_keys()
-        )
-        per_request_bandwidth = residual / max(cfg.concurrency, 1)
+        bottleneck = min(topology.arc(src, dst).capacity_bps for src, dst in path.arc_keys())
+        per_request_bandwidth = bottleneck / max(cfg.concurrency, 1)
 
         chosen = rng.integers(0, cfg.num_files, size=cfg.requests_per_client)
         for index in chosen:

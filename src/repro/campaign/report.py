@@ -110,7 +110,6 @@ def summarise(
 def scheme_dominance(
     rows: Sequence[Mapping[str, Any]],
     metric: str = "mean_power_percent",
-    lower_is_better: Optional[bool] = None,
 ) -> Dict[str, Any]:
     """Which scheme wins each grid point, and how dominant the winner is.
 
@@ -120,8 +119,7 @@ def scheme_dominance(
     the paper measures routing-configuration dwell time.  Returns the
     per-scheme win share plus the dominance distribution.
     """
-    if lower_is_better is None:
-        lower_is_better = LOWER_IS_BETTER.get(metric, True)
+    lower_is_better = LOWER_IS_BETTER.get(metric, True)
     by_point: Dict[str, List[Tuple[float, str]]] = {}
     for row in rows:
         if metric not in row:
@@ -153,7 +151,6 @@ def scheme_dominance(
 def deviation_from_best(
     rows: Sequence[Mapping[str, Any]],
     metric: str = "mean_power_percent",
-    lower_is_better: Optional[bool] = None,
 ) -> List[Dict[str, Any]]:
     """Per-scheme distribution of the gap to each point's best value.
 
@@ -164,8 +161,7 @@ def deviation_from_best(
     are then summarised per scheme with
     :func:`~repro.analysis.metrics.percentile_summary`.
     """
-    if lower_is_better is None:
-        lower_is_better = LOWER_IS_BETTER.get(metric, True)
+    lower_is_better = LOWER_IS_BETTER.get(metric, True)
     by_point: Dict[str, List[Mapping[str, Any]]] = {}
     for row in rows:
         if metric not in row:

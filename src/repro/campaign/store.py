@@ -238,20 +238,15 @@ class CampaignStore:
         read_only: Open a connection that cannot take write locks — the
             right mode for status/report consumers running alongside a
             live campaign.  Requires the store to exist.
-        busy_timeout_s: How long writes wait on a locked database before
-            the in-process retry loop (and finally the caller) sees the
-            error.
     """
 
     def __init__(
         self,
         path: Union[str, os.PathLike],
         read_only: bool = False,
-        busy_timeout_s: float = DEFAULT_BUSY_TIMEOUT_S,
     ):
         self.path = Path(path)
         self.read_only = read_only
-        self._busy_timeout_s = busy_timeout_s
         if read_only:
             if not self.path.exists():
                 raise ConfigurationError(
@@ -278,7 +273,7 @@ class CampaignStore:
         self._connection.isolation_level = None
         try:
             self._connection.execute(
-                f"PRAGMA busy_timeout = {int(busy_timeout_s * 1000)}"
+                f"PRAGMA busy_timeout = {int(DEFAULT_BUSY_TIMEOUT_S * 1000)}"
             )
             self._connection.execute("PRAGMA foreign_keys = ON")
             version = self._connection.execute("PRAGMA user_version").fetchone()[0]
@@ -455,9 +450,7 @@ class CampaignStore:
             )
             return cursor.rowcount
 
-    def reset_error_points(
-        self, campaign_id: str, now: Optional[float] = None
-    ) -> int:
+    def reset_error_points(self, campaign_id: str) -> int:
         """Flip unleased ``error`` points back to ``pending`` for a retry.
 
         Worker-mode invocations call this once at startup so failures from
@@ -466,14 +459,13 @@ class CampaignStore:
         their owner is still working on them.  Returns how many points were
         reset.
         """
-        now = time.time() if now is None else now
         with self.transaction() as connection:
             cursor = connection.execute(
                 "UPDATE points SET status = 'pending', error = NULL "
                 "WHERE campaign_id = ? AND status = 'error' "
                 "AND (lease_owner IS NULL OR lease_expires_at IS NULL "
                 "     OR lease_expires_at <= ?)",
-                (campaign_id, now),
+                (campaign_id, time.time()),
             )
             return cursor.rowcount
 
@@ -499,6 +491,7 @@ class CampaignStore:
         worker_id: str,
         limit: int,
         lease_seconds: float,
+        # repro: allow[REP502] the injected clock tests/test_campaign_workers.py expires leases with
         now: Optional[float] = None,
     ) -> List[str]:
         """Atomically lease up to *limit* pending points to *worker_id*.
@@ -559,6 +552,7 @@ class CampaignStore:
         campaign_id: str,
         worker_id: str,
         lease_seconds: float,
+        # repro: allow[REP502] the injected clock tests/test_campaign_workers.py renews against
         now: Optional[float] = None,
     ) -> int:
         """Heartbeat: extend every lease *worker_id* still holds.
@@ -598,7 +592,10 @@ class CampaignStore:
         return released
 
     def active_leases(
-        self, campaign_id: str, now: Optional[float] = None
+        self,
+        campaign_id: str,
+        # repro: allow[REP502] the injected clock tests/test_campaign_workers.py reads countdowns at
+        now: Optional[float] = None,
     ) -> List[Dict[str, Any]]:
         """Live leases per worker.
 

@@ -21,7 +21,7 @@ from .planner import (
     activate_paths,
     replay_trace,
 )
-from .response import RESPONSE_VARIANTS, ResponseConfig, build_response_plan
+from .response import ResponseConfig, build_response_plan
 from .stress import DEFAULT_EXCLUDE_FRACTION, most_stressed_links, stress_factors
 from .te import ResponseTEController, TEConfig
 
@@ -41,7 +41,6 @@ __all__ = [
     "ActivationResult",
     "activate_paths",
     "replay_trace",
-    "RESPONSE_VARIANTS",
     "ResponseConfig",
     "build_response_plan",
     "DEFAULT_EXCLUDE_FRACTION",

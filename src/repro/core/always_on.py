@@ -2,11 +2,10 @@
 
 "The goal of the always-on paths is to provide a routing that can carry low
 to medium amounts of traffic at the lowest power consumption."  They are
-obtained by solving the energy-minimisation problem with either
-
-* the off-peak traffic matrix estimate ``d_low`` as the demand, or
-* (demand-oblivious) every flow set to a tiny ε such as 1 bit/s, which yields
-  a minimal-power routing with full connectivity.
+obtained by solving the energy-minimisation problem demand-obliviously:
+every flow set to a tiny ε such as 1 bit/s, which yields a minimal-power
+routing with full connectivity (the paper's alternative, an off-peak matrix
+estimate ``d_low`` as the demand, is not implemented).
 
 The *REsPoNse-lat* variant adds constraint (4): every always-on path's
 propagation delay must stay within ``(1 + β)`` of the OSPF-InvCap delay.
@@ -61,7 +60,6 @@ def compute_always_on(
     topology: Topology,
     power_model: PowerModel,
     pairs: Optional[Iterable[Pair]] = None,
-    offpeak_matrix: Optional[TrafficMatrix] = None,
     config: Optional[AlwaysOnConfig] = None,
     candidate_paths: Optional[CandidatePaths] = None,
 ) -> EnergyAwareSolution:
@@ -72,8 +70,6 @@ def compute_always_on(
         power_model: Power coefficients minimised by the computation.
         pairs: Origin-destination pairs requiring connectivity; defaults to
             all ordered pairs of non-host nodes.
-        offpeak_matrix: Off-peak traffic estimate ``d_low``; when omitted the
-            demand-oblivious ε formulation is used.
         config: Tuning knobs; defaults to :class:`AlwaysOnConfig`.
         candidate_paths: Shared candidate-path provider handed to the MILP.
 
@@ -83,15 +79,7 @@ def compute_always_on(
     """
     cfg = config or AlwaysOnConfig()
     selected: List[Pair] = list(pairs) if pairs is not None else all_pairs(topology.routers())
-    if offpeak_matrix is not None:
-        demands = offpeak_matrix.restricted_to(selected) if pairs is not None else offpeak_matrix
-        # Pairs present in the selection but absent from the estimate still
-        # need connectivity: give them the ε demand.
-        missing = [pair for pair in selected if pair not in demands]
-        if missing:
-            demands = demands.merged_with(TrafficMatrix.epsilon(missing))
-    else:
-        demands = TrafficMatrix.epsilon(selected, name="always-on-epsilon")
+    demands = TrafficMatrix.epsilon(selected, name="always-on-epsilon")
 
     latency_bound: Optional[Dict[Pair, float]] = None
     if cfg.latency_beta is not None:

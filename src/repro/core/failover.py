@@ -30,8 +30,6 @@ def compute_failover(
     topology: Topology,
     existing_tables: Sequence[RoutingTable],
     pairs: Optional[Iterable[Pair]] = None,
-    weight: str = "invcap",
-    name: str = "failover",
 ) -> RoutingTable:
     """Compute one failover path per pair, maximally disjoint from existing paths.
 
@@ -40,8 +38,6 @@ def compute_failover(
         existing_tables: The always-on and on-demand tables to protect.
         pairs: Pairs to protect; defaults to the union of pairs present in
             the existing tables.
-        weight: Base arc weight (``"invcap"``, ``"latency"`` or ``"hops"``).
-        name: Name of the resulting routing table.
 
     Returns:
         A :class:`RoutingTable` with the failover path of every pair for
@@ -56,7 +52,6 @@ def compute_failover(
         selected = list(pairs)
 
     graph = topology.to_networkx()
-    weight_attr = None if weight in (None, "hops") else weight
 
     failover: Dict[Pair, Path] = {}
     for pair in selected:
@@ -68,14 +63,13 @@ def compute_failover(
                 used_links.update(path.link_keys())
 
         def penalised_weight(u: str, v: str, data: dict) -> float:
-            base = 1.0 if weight_attr is None else data[weight_attr]
             if link_key(u, v) in used_links:
-                return base * DISJOINTNESS_PENALTY
-            return base
+                return data["invcap"] * DISJOINTNESS_PENALTY
+            return data["invcap"]
 
         try:
             nodes = nx.shortest_path(graph, origin, destination, weight=penalised_weight)
         except nx.NetworkXNoPath:
             continue
         failover[pair] = Path.of(nodes)
-    return RoutingTable(failover, name=name)
+    return RoutingTable(failover, name="failover")

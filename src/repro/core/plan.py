@@ -44,7 +44,6 @@ class ResponsePlan:
         always_on_table: RoutingTable,
         on_demand_tables: Sequence[RoutingTable],
         failover_table: Optional[RoutingTable] = None,
-        variant: str = "response",
     ) -> "ResponsePlan":
         """Build a plan from explicitly given routing tables.
 
@@ -70,7 +69,6 @@ class ResponsePlan:
             on_demand=list(on_demand_tables),
             failover=failover_table,
             topology_name=topology.name,
-            variant=variant,
         )
 
     # ------------------------------------------------------------------ #

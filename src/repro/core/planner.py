@@ -70,6 +70,7 @@ def activate_paths(
     utilisation_threshold: float = DEFAULT_UTILISATION_THRESHOLD,
     include_failover: bool = False,
     failed_links: Optional[Set[Tuple[str, str]]] = None,
+    failed_nodes: Optional[Set[str]] = None,
 ) -> ActivationResult:
     """Place a traffic matrix on the plan's installed paths.
 
@@ -89,8 +90,11 @@ def activate_paths(
             threshold that triggers on-demand activation).
         include_failover: Allow traffic on failover paths even without
             failures (normally only used when a failure is present).
-        failed_links: Undirected links currently failed; installed paths
-            crossing them are unusable.
+        failed_links: Undirected links currently out of service (those of
+            a failed node included); installed paths crossing them are
+            unusable.
+        failed_nodes: Nodes currently failed; they draw no power, always-on
+            or not.
 
     Returns:
         The :class:`ActivationResult` describing the converged network state.
@@ -174,6 +178,7 @@ def activate_paths(
         active_nodes.update(path.nodes)
         active_links.update(path.link_keys())
     active_links -= failed
+    active_nodes -= failed_nodes or set()
 
     breakdown = network_power(topology, power_model, active_nodes, active_links)
     baseline = full_power(topology, power_model).total_w
@@ -200,16 +205,6 @@ def replay_trace(
     power_model: PowerModel,
     plan: ResponsePlan,
     matrices: List[TrafficMatrix],
-    utilisation_threshold: float = DEFAULT_UTILISATION_THRESHOLD,
 ) -> List[ActivationResult]:
     """Activate the plan for every matrix of a trace (Figure 5-style replay)."""
-    return [
-        activate_paths(
-            topology,
-            power_model,
-            plan,
-            matrix,
-            utilisation_threshold=utilisation_threshold,
-        )
-        for matrix in matrices
-    ]
+    return [activate_paths(topology, power_model, plan, matrix) for matrix in matrices]

@@ -30,9 +30,6 @@ from .failover import compute_failover
 from .on_demand import OnDemandConfig, compute_on_demand
 from .plan import ResponsePlan
 
-#: The REsPoNse variants evaluated in the paper (Section 5).
-RESPONSE_VARIANTS = ("response", "response-lat", "response-ospf", "response-heuristic")
-
 
 @dataclass
 class ResponseConfig:
@@ -76,34 +73,11 @@ class ResponseConfig:
         reserved = 2 if self.include_failover else 1
         return max(1, self.num_paths - reserved)
 
-    @classmethod
-    def for_variant(cls, variant: str, **overrides) -> "ResponseConfig":
-        """Factory for the paper's named variants.
-
-        ``"response"`` uses the stress-factor on-demand computation,
-        ``"response-lat"`` adds the 25 % latency bound, ``"response-ospf"``
-        reuses the OSPF table and ``"response-heuristic"`` uses GreenTE.
-        """
-        if variant not in RESPONSE_VARIANTS:
-            raise ConfigurationError(
-                f"unknown variant {variant!r}; expected one of {RESPONSE_VARIANTS}"
-            )
-        if variant == "response":
-            config = cls(**overrides)
-        elif variant == "response-lat":
-            config = cls(latency_beta=overrides.pop("latency_beta", 0.25), **overrides)
-        elif variant == "response-ospf":
-            config = cls(on_demand_method="ospf", **overrides)
-        else:  # response-heuristic
-            config = cls(on_demand_method="heuristic", **overrides)
-        return config
-
 
 def build_response_plan(
     topology: Topology,
     power_model: PowerModel,
     pairs: Optional[Iterable[Pair]] = None,
-    offpeak_matrix: Optional[TrafficMatrix] = None,
     peak_matrix: Optional[TrafficMatrix] = None,
     config: Optional[ResponseConfig] = None,
     candidate_paths: Optional[CandidatePaths] = None,
@@ -115,11 +89,8 @@ def build_response_plan(
         power_model: Power coefficients minimised by the path computations.
         pairs: Origin-destination pairs to install; defaults to all ordered
             pairs of non-host nodes.
-        offpeak_matrix: Optional ``d_low`` estimate for the always-on paths
-            (the demand-oblivious ε formulation is used otherwise).
         peak_matrix: Optional ``d_peak`` estimate for the on-demand paths.
-        config: Full configuration (:meth:`ResponseConfig.for_variant` builds
-            the paper's named variants); defaults to ``ResponseConfig()``.
+        config: Full configuration; defaults to ``ResponseConfig()``.
         candidate_paths: The candidate-path provider every solver of the
             pipeline draws from, so one plan build enumerates each pair's
             k shortest paths once; defaults to one private to this build.
@@ -136,7 +107,6 @@ def build_response_plan(
         topology,
         power_model,
         pairs=pairs,
-        offpeak_matrix=offpeak_matrix,
         config=AlwaysOnConfig(
             method=config.always_on_method,
             k=config.k,

@@ -9,10 +9,8 @@ routing and (b) the always-on routing saturate, and reports the ratio.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..core.always_on import AlwaysOnConfig, compute_always_on
-from ..power.model import PowerModel
 from ..routing.paths import RoutingTable, max_link_utilisation
 from ..scenario import PowerSpec, RoutingSpec, TopologySpec, TrafficSpec
 from ..topology.base import Topology
@@ -63,8 +61,6 @@ def _max_feasible_volume(
 def run_always_on_capacity(
     num_pairs: int = 150,
     num_endpoints: int = 26,
-    topology: Optional[Topology] = None,
-    power_model: Optional[PowerModel] = None,
     seed: int = 41,
 ) -> AlwaysOnCapacityResult:
     """Measure the always-on versus OSPF carrying capacity.
@@ -74,8 +70,8 @@ def run_always_on_capacity(
     would hide the difference the paper reports (the always-on paths
     aggregate traffic in the core and saturate earlier there).
     """
-    topo = topology or TopologySpec("genuity").build()
-    model = power_model or PowerSpec("cisco").build(topo)
+    topo = TopologySpec("genuity").build()
+    model = PowerSpec("cisco").build(topo)
     # Restrict endpoints to PoPs with some path diversity (min_degree=3):
     # traffic terminating at a degree-1/2 stub saturates the same access link
     # under any routing, which would mask the core-capacity difference this

@@ -9,10 +9,9 @@ that recomputes on every change spends much of its time reconfiguring.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from ..analysis.recomputation import RecomputationSeries, recomputation_rate
-from ..power.model import PowerModel
 from ..scenario import (
     PowerSpec,
     ScenarioSpec,
@@ -82,7 +81,6 @@ def run_fig1b(
     num_endpoints: int = 16,
     peak_total_bps: float = 80e9,
     subsample: int = 1,
-    power_model: Optional[PowerModel] = None,
     seed: int = 2005,
 ) -> Fig1bResult:
     """Reproduce Figure 1b on the synthetic GÉANT trace.
@@ -97,8 +95,6 @@ def run_fig1b(
             default drives the busiest links close to capacity, which is what
             forces the minimal subset to change between intervals.
         subsample: Keep every ``subsample``-th interval of the 15-minute trace.
-        power_model: Power model used by the per-interval optimisation
-            (a programmatic override of the scenario's ``cisco`` spec).
         seed: Trace generator seed.
     """
     spec = geant_replay_spec(
@@ -110,7 +106,7 @@ def run_fig1b(
         seed=seed,
         name="fig1b",
     )
-    built = build_scenario(spec, power_model=power_model)
+    built = build_scenario(spec)
     outcome = scheme_outcomes(built)["greente"]
     configurations = outcome.details["configurations"]
     return Fig1bResult(series=recomputation_rate(configurations, built.trace.interval_s))

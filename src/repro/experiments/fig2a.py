@@ -9,10 +9,9 @@ REsPoNse works with per-pair paths instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from ..analysis.dominance import DominanceResult, configuration_dominance
-from ..power.model import PowerModel
 from ..scenario import build_scenario, scheme_outcomes
 from .fig1b import geant_replay_spec
 
@@ -44,7 +43,6 @@ def run_fig2a(
     num_endpoints: int = 16,
     peak_total_bps: float = 80e9,
     subsample: int = 1,
-    power_model: Optional[PowerModel] = None,
     seed: int = 2005,
 ) -> Fig2aResult:
     """Reproduce Figure 2a on the synthetic GÉANT trace.
@@ -62,7 +60,7 @@ def run_fig2a(
         seed=seed,
         name="fig2a",
     )
-    built = build_scenario(spec, power_model=power_model)
+    built = build_scenario(spec)
     outcome = scheme_outcomes(built)["greente"]
     configurations = outcome.details["configurations"]
     return Fig2aResult(dominance=configuration_dominance(configurations))

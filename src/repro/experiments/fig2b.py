@@ -9,10 +9,9 @@ diversity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..core.critical_paths import coverage_curve, paths_needed_for_coverage, rank_paths_by_traffic
-from ..power.model import PowerModel
 from ..scenario import (
     PowerSpec,
     ScenarioSpec,
@@ -55,13 +54,9 @@ class Fig2bResult:
         return rows
 
 
-def _coverage_of(
-    spec: ScenarioSpec,
-    max_paths: int,
-    power_model: Optional[PowerModel] = None,
-) -> tuple:
+def _coverage_of(spec: ScenarioSpec, max_paths: int) -> tuple:
     """Coverage curve and 98 %-coverage path count of one network scenario."""
-    built = build_scenario(spec, power_model=power_model)
+    built = build_scenario(spec)
     solutions = scheme_outcomes(built)["greente"].details["solutions"]
     # GreenTE always routes: every per-interval solution carries its table.
     ranked = rank_paths_by_traffic(built.trace, [solution.routing for solution in solutions])
@@ -81,7 +76,6 @@ def run_fig2b(
     fattree_peak_total_bps: float = 12e9,
     max_paths: int = 5,
     candidate_k: int = 6,
-    power_model: Optional[PowerModel] = None,
     seed: int = 2005,
 ) -> Fig2bResult:
     """Reproduce Figure 2b for both a GÉANT-like ISP and a fat-tree datacenter.
@@ -100,7 +94,6 @@ def run_fig2b(
         max_paths: Largest number of per-pair paths on the x-axis.
         candidate_k: Candidate paths per pair available to the per-interval
             solver (must exceed ``max_paths`` for the curve to be meaningful).
-        power_model: ISP power model; the fat-tree uses the commodity model.
         seed: Trace generator seed.
     """
     coverage: Dict[str, List[float]] = {}
@@ -121,9 +114,7 @@ def run_fig2b(
         power=PowerSpec("cisco"),
         schemes=(SchemeSpec("greente", k=candidate_k),),
     )
-    coverage["geant"], needed["geant"] = _coverage_of(
-        geant_spec, max_paths, power_model=power_model
-    )
+    coverage["geant"], needed["geant"] = _coverage_of(geant_spec, max_paths)
 
     # Fat-tree datacenter driven by the Google-like volume series.
     fattree_spec = ScenarioSpec(

@@ -12,9 +12,8 @@ recomputation lower-bounds them all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-from ..power.model import PowerModel
 from ..scenario import (
     PowerSpec,
     ScenarioSpec,
@@ -116,7 +115,6 @@ def run_fig6(
     utilisation_threshold: float = 0.95,
     latency_beta: float = 0.25,
     k: int = 3,
-    power_model: Optional[PowerModel] = None,
     seed: int = 1,
 ) -> Fig6Result:
     """Reproduce Figure 6 on the synthetic Genuity topology.
@@ -135,8 +133,6 @@ def run_fig6(
         utilisation_threshold: REsPoNseTE's activation SLO during the replay.
         latency_beta: Latency bound of the REsPoNse-lat variant.
         k: Candidate paths per pair for the solvers.
-        power_model: Programmatic power-model override (Cisco 12000 spec by
-            default).
         seed: Seed for the pair selection and topology generation.
     """
     levels = tuple(utilisation_levels)
@@ -156,7 +152,7 @@ def run_fig6(
         ),
         name="fig6",
     )
-    result = run_scenario(combined, power_model=power_model)
+    result = run_scenario(combined)
     power_percent = {variant: result.power_percent[variant] for variant in FIG6_VARIANTS}
 
     return Fig6Result(utilisation_levels=list(levels), power_percent=power_percent)

@@ -76,17 +76,21 @@ class Fig7Result:
         ]
 
 
-def run_fig7(
-    start_s: float = 4.0,
-    te_start_s: float = 5.0,
-    failure_s: float = 5.7,
-    end_s: float = 6.5,
-    flows_per_source: int = 5,
-    flow_rate_bps: float = mbps(0.5),
-    wake_delay_s: float = 0.01,
-    failure_detection_delay_s: float = 0.1,
-    time_step_s: float = 0.005,
-) -> Fig7Result:
+#: The paper's timeline (s): the plotted window, the TE start, the E-H failure.
+START_S = 4.0
+TE_START_S = 5.0
+FAILURE_S = 5.7
+END_S = 6.5
+#: Routers A and C each send 5 flows, ~5 Mb/s in total, toward K.
+FLOWS_PER_SOURCE = 5
+FLOW_RATE_BPS = mbps(0.5)
+#: Restoration is the 100 ms detection delay plus the 10 ms wake-up.
+WAKE_DELAY_S = 0.01
+FAILURE_DETECTION_DELAY_S = 0.1
+TIME_STEP_S = 0.005
+
+
+def run_fig7() -> Fig7Result:
     """Reproduce the Click-testbed experiment on the flow-level simulator.
 
     The stack and the mid-run failure are declared as a scenario spec — the
@@ -94,18 +98,18 @@ def run_fig7(
     simulator's :class:`~repro.simulator.failures.FailureSchedule` via
     :func:`~repro.scenario.timeline.failure_schedule`.
     """
-    per_source_bps = flows_per_source * flow_rate_bps
+    per_source_bps = FLOWS_PER_SOURCE * FLOW_RATE_BPS
     spec = ScenarioSpec(
         name="fig7",
         topology=TopologySpec("example", include_b=False),
         traffic=TrafficSpec(
             "matrix",
             demands=[["A", "K", per_source_bps], ["C", "K", per_source_bps]],
-            interval_s=end_s - start_s,
+            interval_s=END_S - START_S,
         ),
         power=PowerSpec("cisco"),
         schemes=(SchemeSpec("response"),),
-        events=(EventSpec("link-failure", time_s=failure_s, link=["E", "H"]),),
+        events=(EventSpec("link-failure", time_s=FAILURE_S, link=["E", "H"]),),
     )
     built = build_scenario(spec)
     topology, power_model = built.topology, built.power_model
@@ -121,19 +125,19 @@ def run_fig7(
         failover_table=RoutingTable(installed["failover"], name="failover"),
     )
 
-    network = SimulatedNetwork(topology, power_model, wake_delay_s=wake_delay_s)
+    network = SimulatedNetwork(topology, power_model, wake_delay_s=WAKE_DELAY_S)
     flows: List[Flow] = []
     for source in ("A", "C"):
-        for index in range(flows_per_source):
+        for index in range(FLOWS_PER_SOURCE):
             flows.append(
-                Flow(f"{source}{index}", source, "K", constant_demand(flow_rate_bps))
+                Flow(f"{source}{index}", source, "K", constant_demand(FLOW_RATE_BPS))
             )
     controller = ResponseTEController(
         plan,
         TEConfig(
-            failure_detection_delay_s=failure_detection_delay_s,
+            failure_detection_delay_s=FAILURE_DETECTION_DELAY_S,
             probe_interval_s=6 * CLICK_LINK_LATENCY_S,
-            start_time_s=te_start_s,
+            start_time_s=TE_START_S,
             initial_table_index=1,
         ),
     )
@@ -142,12 +146,12 @@ def run_fig7(
         network,
         flows,
         controller,
-        time_step_s=time_step_s,
-        sample_interval_s=time_step_s,
+        time_step_s=TIME_STEP_S,
+        sample_interval_s=TIME_STEP_S,
         failures=failures,
         monitored_arcs=list(GROUP_ARCS.values()),
     )
-    result = engine.run(duration_s=end_s - start_s, start_s=start_s)
+    result = engine.run(duration_s=END_S - START_S, start_s=START_S)
 
     times = result.times()
     rates = {
@@ -156,21 +160,21 @@ def run_fig7(
     }
 
     sleep_convergence = _first_time(
-        result, lambda sample: sample.sleeping_links >= 4, after=te_start_s
+        result, lambda sample: sample.sleeping_links >= 4, after=TE_START_S
     )
-    expected_rate = flows_per_source * 2 * flow_rate_bps
+    expected_rate = FLOWS_PER_SOURCE * 2 * FLOW_RATE_BPS
     restore = _first_time(
         result,
         lambda sample: sample.total_rate_bps >= 0.99 * expected_rate,
-        after=failure_s + 1e-9,
+        after=FAILURE_S + 1e-9,
     )
     return Fig7Result(
         times_s=times,
         rates_mbps=rates,
         sleep_convergence_s=(
-            None if sleep_convergence is None else sleep_convergence - te_start_s
+            None if sleep_convergence is None else sleep_convergence - TE_START_S
         ),
-        restore_time_s=None if restore is None else restore - failure_s,
+        restore_time_s=None if restore is None else restore - FAILURE_S,
     )
 
 

@@ -13,7 +13,7 @@ block retrieval latency grows by only about 5 %.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..apps.streaming import (
     StreamingConfig,
@@ -53,17 +53,9 @@ class Fig9Result:
         return rows
 
 
-def _streaming_routing_for_plan(
-    topology, power_model, plan, demands, utilisation_threshold: float
-) -> RoutingTable:
+def _streaming_routing_for_plan(topology, power_model, plan, demands) -> RoutingTable:
     """The per-pair paths REsPoNse's planner would use for this demand."""
-    activation = activate_paths(
-        topology,
-        power_model,
-        plan,
-        demands,
-        utilisation_threshold=utilisation_threshold,
-    )
+    activation = activate_paths(topology, power_model, plan, demands)
     tables = plan.tables(include_failover=True)
     chosen = {}
     for pair, table_index in activation.assignment.items():
@@ -73,13 +65,15 @@ def _streaming_routing_for_plan(
     return RoutingTable(chosen, name="response-lat-active")
 
 
-def run_fig9(
-    client_counts: Tuple[int, int] = (50, 100),
-    stream_rate_bps: Optional[float] = None,
-    latency_beta: float = 0.25,
-    utilisation_threshold: float = 0.9,
-    seed: int = 9,
-) -> Fig9Result:
+#: 50 participants (a load the always-on paths absorb), then 50 more join.
+CLIENT_COUNTS = (50, 100)
+#: The REsPoNse-lat bound on always-on path delay over OSPF-InvCap.
+LATENCY_BETA = 0.25
+#: Seed of the client placement.
+SEED = 9
+
+
+def run_fig9() -> Fig9Result:
     """Reproduce the streaming experiment on the synthetic Abovenet topology.
 
     The topology, the REsPoNse-lat plan and the InvCap routing are built once
@@ -88,11 +82,9 @@ def run_fig9(
     topology = TopologySpec("abovenet").build()
     power_model = PowerSpec("cisco").build(topology)
     config = StreamingConfig()
-    if stream_rate_bps is not None:
-        config = StreamingConfig(stream_rate_bps=stream_rate_bps)
 
     source = topology.routers()[0]
-    all_clients = pick_client_nodes(topology, source, max(client_counts), seed=seed)
+    all_clients = pick_client_nodes(topology, source, max(CLIENT_COUNTS), seed=SEED)
 
     # REsPoNse-lat plan for source -> every possible client node.
     pairs = sorted({(source, node) for node in set(all_clients)})
@@ -100,13 +92,13 @@ def run_fig9(
         topology,
         power_model,
         pairs=pairs,
-        config=ResponseConfig(num_paths=3, k=3, latency_beta=latency_beta),
+        config=ResponseConfig(num_paths=3, k=3, latency_beta=LATENCY_BETA),
     )
     invcap = RoutingSpec("ospf-invcap", params={"name": "invcap"}).build(topology, pairs)
 
     scenarios: Dict[str, StreamingResult] = {}
     latency_increase: Dict[int, float] = {}
-    for count in client_counts:
+    for count in CLIENT_COUNTS:
         clients = all_clients[:count]
         demand_per_pair: Dict[Tuple[str, str], float] = {}
         for node in clients:
@@ -114,9 +106,7 @@ def run_fig9(
             demand_per_pair[pair] = demand_per_pair.get(pair, 0.0) + config.stream_rate_bps
         demands = TrafficMatrix(demand_per_pair, name=f"streaming-{count}")
 
-        response_routing = _streaming_routing_for_plan(
-            topology, power_model, plan, demands, utilisation_threshold
-        )
+        response_routing = _streaming_routing_for_plan(topology, power_model, plan, demands)
         response_result = run_streaming_workload(
             topology, response_routing, source, clients, config
         )

@@ -403,6 +403,7 @@ def _list_components_command(argv: Sequence[str]) -> int:
     return 0
 
 
+# repro: allow[REP502] tests drive the CLI in-process with argv lists
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Command-line entry point: figure drivers, plus the scenario subcommands."""
     arguments = list(argv) if argv is not None else sys.argv[1:]

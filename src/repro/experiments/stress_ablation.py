@@ -81,8 +81,6 @@ def run_stress_ablation(
     num_endpoints: int = 16,
     trace_days: int = 1,
     utilisation_threshold: float = 0.95,
-    topology: Optional[Topology] = None,
-    power_model: Optional[PowerModel] = None,
     seed: int = 42,
     events: Sequence[Union[EventSpec, Mapping[str, Any], str]] = (),
 ) -> StressAblationResult:
@@ -113,7 +111,7 @@ def run_stress_ablation(
         utilisation_threshold=utilisation_threshold,
         events=tuple(EventSpec.from_dict(event) for event in events),
     )
-    built = build_scenario(spec, topology=topology, power_model=power_model)
+    built = build_scenario(spec)
     topo, model, pairs = built.topology, built.power_model, built.pairs
     peak = built.trace.peak_matrix()
     view, event_records = _final_view(topo, built.spec.events)
@@ -212,6 +210,7 @@ def _max_absorbable_fraction(
             utilisation_threshold=utilisation_threshold,
             include_failover=failed is not None,
             failed_links=failed,
+            failed_nodes=set(view.failed_nodes) if view is not None else None,
         )
         if activation.overloaded_pairs:
             break

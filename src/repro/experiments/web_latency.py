@@ -9,7 +9,7 @@ when we switch from OSPF-InvCap to REsPoNse".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from ..apps.web import WebConfig, WebResult, run_web_workload
 from ..core.response import ResponseConfig, build_response_plan
@@ -47,20 +47,21 @@ class WebLatencyResult:
         ]
 
 
-def run_web_latency(
-    num_clients: int = 4,
-    latency_beta: float = 0.25,
-    config: Optional[WebConfig] = None,
-    seed: int = 54,
-) -> WebLatencyResult:
+#: An Apache server on one stub node, httperf clients on four others.
+NUM_CLIENTS = 4
+#: The REsPoNse-lat bound on always-on path delay over OSPF-InvCap.
+LATENCY_BETA = 0.25
+
+
+def run_web_latency() -> WebLatencyResult:
     """Reproduce the web-workload comparison on the synthetic Abovenet topology."""
     topology = TopologySpec("abovenet").build()
     power_model = PowerSpec("cisco").build(topology)
-    cfg = config or WebConfig()
+    cfg = WebConfig()
 
     nodes = topology.routers()
     # Stub nodes: lowest-degree PoPs act as the server and client sites.
-    stubs = sorted(nodes, key=topology.degree)[: num_clients + 1]
+    stubs = sorted(nodes, key=topology.degree)[: NUM_CLIENTS + 1]
     server, clients = stubs[0], stubs[1:]
 
     pairs = [
@@ -71,7 +72,7 @@ def run_web_latency(
         topology,
         power_model,
         pairs=pairs,
-        config=ResponseConfig(num_paths=3, k=3, latency_beta=latency_beta),
+        config=ResponseConfig(num_paths=3, k=3, latency_beta=LATENCY_BETA),
     )
     response_routing: RoutingTable = plan.always_on_table
     invcap_routing = RoutingSpec("ospf-invcap", params={"name": "invcap"}).build(

@@ -5,11 +5,10 @@ the ``BEGIN IMMEDIATE`` store protocol, id-free metrics cardinality —
 are enforced dynamically by differential tests.  This package enforces
 them *statically*: ``python -m repro.lintkit src`` runs a dozen project
 rules (catalogue in ``docs/static-analysis.md``) as a hard CI gate, with
-``# repro: allow[RULE] reason`` inline suppressions and a committed
-baseline for grandfathered findings.
+``# repro: allow[RULE] reason`` inline suppressions as the one way to
+keep a finding.
 """
 
-from .baseline import apply_baseline, fingerprint, load_baseline, write_baseline
 from .cli import main
 from .engine import (
     Finding,
@@ -27,12 +26,8 @@ __all__ = [
     "LintResult",
     "ModuleContext",
     "Rule",
-    "apply_baseline",
-    "fingerprint",
     "lint_paths",
     "lint_source",
-    "load_baseline",
     "main",
     "rules_by_id",
-    "write_baseline",
 ]

@@ -2,14 +2,14 @@
 
 Exit codes:
 
-* ``0`` — no active findings (everything clean, suppressed or baselined),
+* ``0`` — no active findings (everything clean or suppressed),
 * ``1`` — at least one active finding,
-* ``2`` — usage error (unknown rule id, unreadable baseline).
+* ``2`` — usage error (unknown rule id).
 
-``--format json`` (optionally with ``--output``) emits the machine
-report CI uploads as an artifact; the default text format is one
-``path:line:col: RULE message`` line per finding, grouped run summary at
-the end.
+``--format json`` emits the machine report; the default text format is
+one ``path:line:col: RULE message`` line per finding, run summary at the
+end.  With ``--output`` the report goes to the file and the text report
+still goes to stdout, so one CI invocation feeds the artifact and the log.
 """
 
 from __future__ import annotations
@@ -17,16 +17,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 from typing import List, Optional, Sequence
 
-from .baseline import apply_baseline, load_baseline, write_baseline
 from .engine import LintResult, lint_paths
 from .rules import ALL_RULES, rules_by_id
 
 __all__ = ["main"]
-
-DEFAULT_BASELINE = "lint-baseline.json"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -53,26 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--output",
         metavar="PATH",
-        help="write the report to PATH instead of stdout",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        default=None,
-        help=(
-            "baseline file of grandfathered findings "
-            f"(default: {DEFAULT_BASELINE} when it exists)"
-        ),
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file (report grandfathered findings too)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="regenerate the baseline from the current findings and exit 0",
+        help="write the report to PATH (stdout then gets the text report)",
     )
     parser.add_argument(
         "--select",
@@ -82,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--show-suppressed",
         action="store_true",
-        help="also list suppressed/baselined findings in the text report",
+        help="also list suppressed findings in the text report",
     )
     parser.add_argument(
         "--list-rules",
@@ -108,21 +85,20 @@ def _text_report(result: LintResult, show_suppressed: bool) -> str:
                 f"{finding.location()}: {finding.rule} {finding.message}"
             )
         elif show_suppressed:
-            tag = "suppressed" if finding.suppressed else "baselined"
             lines.append(
-                f"{finding.location()}: {finding.rule} [{tag}] {finding.message}"
+                f"{finding.location()}: {finding.rule} [suppressed] {finding.message}"
             )
     active = len(result.active)
     summary = (
         f"{result.files_checked} files checked: {active} finding"
         f"{'' if active == 1 else 's'}"
-        f" ({len(result.suppressed)} suppressed, "
-        f"{len(result.baselined)} baselined)"
+        f" ({len(result.suppressed)} suppressed)"
     )
     lines.append(summary)
     return "\n".join(lines)
 
 
+# repro: allow[REP502] tests/test_lintkit.py drives the CLI in-process with argv lists
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -147,30 +123,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     result = lint_paths(args.paths, rules)
 
-    baseline_path = Path(args.baseline) if args.baseline else Path(DEFAULT_BASELINE)
-    if args.write_baseline:
-        entries = write_baseline(baseline_path, result.findings)
-        print(
-            f"wrote {baseline_path} with {sum(entries.values())} "
-            f"grandfathered finding(s)"
-        )
-        return 0
-    if not args.no_baseline and baseline_path.exists():
-        try:
-            baseline = load_baseline(baseline_path)
-        except (ValueError, OSError, json.JSONDecodeError) as error:
-            print(f"error: cannot read baseline: {error}", file=sys.stderr)
-            return 2
-        result.findings = apply_baseline(result.findings, baseline)
-
-    if args.format == "json":
-        report = json.dumps(result.to_dict(), indent=2) + "\n"
-    else:
-        report = _text_report(result, args.show_suppressed) + "\n"
-
+    text = _text_report(result, args.show_suppressed) + "\n"
+    report = json.dumps(result.to_dict(), indent=2) + "\n" if args.format == "json" else text
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(report)
-    else:
-        sys.stdout.write(report)
+        report = text
+    sys.stdout.write(report)
     return 1 if result.active else 0

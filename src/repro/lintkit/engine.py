@@ -42,6 +42,8 @@ __all__ = [
     "lint_paths",
     "iter_python_files",
     "referenced_names",
+    "CallSites",
+    "ReferenceIndex",
     "PARSE_ERROR_RULE",
     "UNUSED_ALLOW_RULE",
 ]
@@ -64,12 +66,11 @@ class Finding:
     message: str
     snippet: str = ""
     suppressed: bool = False
-    baselined: bool = False
 
     @property
     def active(self) -> bool:
         """Whether the finding should fail the run."""
-        return not (self.suppressed or self.baselined)
+        return not self.suppressed
 
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.col}"
@@ -83,8 +84,57 @@ class Finding:
             "message": self.message,
             "snippet": self.snippet,
             "suppressed": self.suppressed,
-            "baselined": self.baselined,
         }
+
+
+@dataclass
+class CallSites:
+    """What the calls of one callee identifier pass, merged over all sites."""
+
+    positional: int = 0  # most positional arguments at any one site
+    keywords: Set[str] = field(default_factory=set)
+    splat: bool = False  # a ``*`` / ``**`` argument somewhere: counts as everything
+
+
+@dataclass
+class ReferenceIndex:
+    """The cross-file pre-pass over the rules' ``reference_roots``."""
+
+    #: How often each identifier is referenced (REP501).
+    names: Counter[str] = field(default_factory=Counter)
+    #: Per callee identifier — ``f`` of ``f(...)``, ``m`` of ``x.m(...)`` —
+    #: the arguments its call sites pass (REP502).
+    calls: Dict[str, CallSites] = field(default_factory=dict)
+
+    def add(self, tree: ast.AST, imports: bool) -> None:
+        self.names.update(referenced_names(tree, imports))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                self._add_call(node)
+
+    def _add_call(self, call: ast.Call) -> None:
+        if isinstance(call.func, ast.Call) and _identifier(call.func.func) == "register":
+            # ``register(kind, name)(builder)``: the builder's parameters
+            # arrive from spec JSON, which may set any of them.
+            for builder in filter(None, map(_identifier, call.args)):
+                self.calls.setdefault(builder, CallSites()).splat = True
+            return
+        callee = _identifier(call.func)
+        if callee is None:
+            return
+        sites = self.calls.setdefault(callee, CallSites())
+        sites.positional = max(sites.positional, len(call.args))
+        sites.keywords.update(keyword.arg for keyword in call.keywords if keyword.arg)
+        sites.splat |= any(isinstance(argument, ast.Starred) for argument in call.args)
+        sites.splat |= any(keyword.arg is None for keyword in call.keywords)
+
+
+def _identifier(node: ast.AST) -> Optional[str]:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
 
 
 @dataclass
@@ -131,12 +181,12 @@ class ModuleContext:
         rel_path: str,
         source: str,
         tree: ast.Module,
-        references: Optional[Counter[str]] = None,
+        references: Optional[ReferenceIndex] = None,
     ) -> None:
         self.rel_path = rel_path
         self.source = source
-        #: How often each identifier is referenced under the rules'
-        #: ``reference_roots``; ``None`` when linting one in-memory module.
+        #: The index over the rules' ``reference_roots``; ``None`` when
+        #: linting one in-memory module.
         self.references = references
         self.lines = source.splitlines()
         self.tree = tree
@@ -313,17 +363,12 @@ class LintResult:
     def suppressed(self) -> List[Finding]:
         return [finding for finding in self.findings if finding.suppressed]
 
-    @property
-    def baselined(self) -> List[Finding]:
-        return [finding for finding in self.findings if finding.baselined]
-
     def to_dict(self) -> Dict[str, object]:
         return {
             "files_checked": self.files_checked,
             "counts": {
                 "active": len(self.active),
                 "suppressed": len(self.suppressed),
-                "baselined": len(self.baselined),
             },
             "findings": [finding.to_dict() for finding in self.findings],
         }
@@ -353,7 +398,7 @@ def lint_source(
     source: str,
     rel_path: str,
     rules: Sequence[Rule],
-    references: Optional[Counter[str]] = None,
+    references: Optional[ReferenceIndex] = None,
 ) -> List[Finding]:
     """Lint one in-memory module as if it lived at *rel_path*.
 
@@ -448,32 +493,33 @@ def referenced_names(tree: ast.AST, imports: bool = True) -> Iterator[str]:
                 yield alias.name
 
 
-def _index_references(root: Path, reference_roots: Iterable[str]) -> Counter[str]:
-    """Count identifier references over every file under *reference_roots*.
+def _index_references(root: Path, reference_roots: Iterable[str]) -> ReferenceIndex:
+    """Index identifier references and call sites under *reference_roots*.
 
     A ``from x import name`` in an ``__init__.py`` is a re-export, not a
     caller, and is not counted.  Unreadable files count nothing; if they
     are also linted they surface as ``REP999`` there.
     """
-    references: Counter[str] = Counter()
+    references = ReferenceIndex()
     for path in iter_python_files(str(root / name) for name in reference_roots):
         try:
             tree = ast.parse(_read_source(path))
         except (OSError, UnicodeDecodeError, SyntaxError, ValueError):
             continue
-        references.update(referenced_names(tree, imports=path.name != "__init__.py"))
+        references.add(tree, imports=path.name != "__init__.py")
     return references
 
 
 def lint_paths(
     paths: Sequence[str],
     rules: Sequence[Rule],
+    # repro: allow[REP502] tests/test_lintkit.py lints fixture trees as repo roots of their own
     root: Optional[Path] = None,
 ) -> LintResult:
     """Lint *paths* (files or directories) with *rules*.
 
     Paths in findings are reported relative to *root* (default: the
-    current working directory) so baselines travel with the repo.  When a
+    current working directory) so reports travel with the repo.  When a
     rule names ``reference_roots`` those directories under *root* are
     indexed once, before any file is linted.
     """

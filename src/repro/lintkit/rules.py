@@ -672,8 +672,10 @@ class SilentExceptRule(Rule):
 #: are deliberately absent — a test is not a reason for code to exist.
 CALLER_ROOTS = ("src", "benchmarks", "examples")
 
-_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-_Definition = Union[ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef]
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_Function = Union[ast.FunctionDef, ast.AsyncFunctionDef]
+_DEFINITIONS = (*_FUNCTIONS, ast.ClassDef)
+_Definition = Union[_Function, ast.ClassDef]
 
 
 class DeadSurfaceRule(Rule):
@@ -699,7 +701,7 @@ class DeadSurfaceRule(Rule):
             return
         for node in self._public_definitions(ctx):
             own = sum(name == node.name for name in referenced_names(node))
-            if ctx.references[node.name] <= own:
+            if ctx.references.names[node.name] <= own:
                 yield ctx.finding(
                     self,
                     node,
@@ -728,6 +730,103 @@ class DeadSurfaceRule(Rule):
         )
 
 
+class UnsetOptionRule(DeadSurfaceRule):
+    """REP501's scope, caller roots and registration exemption, one level
+    down: the parameters of the names REP501 keeps."""
+
+    id = "REP502"
+    title = "option without a production setter"
+    rationale = (
+        "A defaulted parameter nobody passes is a configuration the "
+        "identity batteries must keep pinned for no caller.  Every "
+        "defaulted parameter of a public function, method or class "
+        "__init__ under src/ is passed - by keyword, by position or "
+        "through a * / ** splat - at some call of that callee's identifier "
+        "in src/, benchmarks/ or examples/.  Callees nobody calls are "
+        "REP501's; register-ed components (their parameters come from "
+        "spec JSON) and methods overriding a base-class signature are "
+        "exempt.  Make the value a constant and delete the branch only "
+        "another value reaches, or allow the parameter with the test "
+        "seam or external caller that sets it."
+    )
+
+    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
+        if ctx.references is None:
+            return
+        for owner, function in self._public_callables(ctx):
+            callee = owner.name if function.name == "__init__" else function.name
+            sites = ctx.references.calls.get(callee)
+            if sites is None or sites.splat:
+                continue
+            arguments = function.args
+            positional = arguments.posonlyargs + arguments.args
+            bound = isinstance(owner, ast.ClassDef) and not _is_static(function)
+            defaulted = positional[len(positional) - len(arguments.defaults) :]
+            unset = [
+                parameter
+                for parameter in defaulted
+                if positional.index(parameter) - bound >= sites.positional
+            ] + [
+                parameter
+                for parameter, default in zip(
+                    arguments.kwonlyargs, arguments.kw_defaults, strict=True
+                )
+                if default is not None
+            ]
+            for parameter in unset:
+                if parameter.arg not in sites.keywords:
+                    yield ctx.finding(
+                        self,
+                        parameter,
+                        f"no call of {callee!r} under {'/, '.join(CALLER_ROOTS)}/ "
+                        f"passes {parameter.arg!r}; make it a constant, or allow "
+                        "it with the test seam that sets it",
+                    )
+
+    def _public_callables(
+        self, ctx: ModuleContext
+    ) -> Iterator[Tuple[_Definition, _Function]]:
+        """Public functions, public methods and the ``__init__`` of public classes."""
+        classes = {node.name: node for node in ctx.tree.body if isinstance(node, ast.ClassDef)}
+        for node in ctx.tree.body:
+            if not isinstance(node, _DEFINITIONS) or node.name.startswith("_"):
+                continue
+            if self._registered(ctx, node):
+                continue
+            if not isinstance(node, ast.ClassDef):
+                yield node, node
+                continue
+            for member in node.body:
+                if (
+                    isinstance(member, _FUNCTIONS)
+                    and (member.name == "__init__" or not member.name.startswith("_"))
+                    and not self._overrides(classes, node, member.name)
+                ):
+                    yield node, member
+
+    def _overrides(
+        self, classes: Dict[str, ast.ClassDef], owner: ast.ClassDef, method: str
+    ) -> bool:
+        """Whether a base fixes *method*'s signature; a base this module
+        cannot see (imported: a ``Protocol``, a library class) is taken to."""
+        for base in owner.bases:
+            parent = classes.get(getattr(base, "id", ""))
+            if (
+                parent is None
+                or any(getattr(member, "name", None) == method for member in parent.body)
+                or self._overrides(classes, parent, method)
+            ):
+                return True
+        return False
+
+
+def _is_static(function: _Function) -> bool:
+    return any(
+        isinstance(decorator, ast.Name) and decorator.id == "staticmethod"
+        for decorator in function.decorator_list
+    )
+
+
 ALL_RULES: Tuple[Rule, ...] = (
     WallClockRule(),
     UnseededRandomRule(),
@@ -741,6 +840,7 @@ ALL_RULES: Tuple[Rule, ...] = (
     BareExceptRule(),
     SilentExceptRule(),
     DeadSurfaceRule(),
+    UnsetOptionRule(),
 )
 
 

@@ -59,9 +59,8 @@ def elastictree_subset(
     power_model: PowerModel,
     demands: TrafficMatrix,
     utilisation_limit: float = 1.0,
-    build_routing: bool = True,
 ) -> EnergyAwareSolution:
-    """Compute the ElasticTree-style minimal fat-tree subset.
+    """Compute the ElasticTree-style minimal fat-tree subset and route on it.
 
     Args:
         topology: A fat-tree built with :func:`repro.topology.build_fattree`
@@ -70,7 +69,6 @@ def elastictree_subset(
         demands: Traffic matrix.
         utilisation_limit: Safety margin on the per-link capacity when sizing
             the number of switches.
-        build_routing: Also derive shortest-path routing on the active subset.
 
     Returns:
         An :class:`EnergyAwareSolution` whose active set keeps, per pod, the
@@ -118,7 +116,7 @@ def elastictree_subset(
     }
 
     routing: Optional[RoutingTable] = None
-    if build_routing and len(demands) > 0:
+    if len(demands) > 0:
         routing, active_nodes, active_links = _route_and_repair(
             topology, demands, active_nodes, active_links, usable
         )

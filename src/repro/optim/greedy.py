@@ -11,15 +11,11 @@ demand on what remains.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple
-
 from ..power.model import PowerModel
-from ..routing.ospf import ospf_invcap_routing
-from ..routing.paths import RoutingTable
-from ..topology.base import Topology, link_key
+from ..topology.base import Topology
 from ..traffic.matrix import TrafficMatrix
 from .solution import EnergyAwareSolution, element_power_coefficients, solution_power
-from .subset import protected_nodes, shrink_active_subset
+from .subset import protected_nodes, route_on_subset, shrink_active_subset
 
 
 def greedy_minimum_subset(
@@ -27,28 +23,21 @@ def greedy_minimum_subset(
     power_model: PowerModel,
     demands: TrafficMatrix,
     utilisation_limit: float = 1.0,
-    fixed_on_nodes: Optional[Iterable[str]] = None,
-    fixed_on_links: Optional[Iterable[Tuple[str, str]]] = None,
-    build_routing: bool = True,
 ) -> EnergyAwareSolution:
-    """Find a small active subset able to carry *demands*.
+    """Find a small active subset able to carry *demands*, with a single-path
+    routing table on it (inverse-capacity shortest paths).
 
     Args:
         topology: The physical topology.
         power_model: Power coefficients guiding the switch-off order.
         demands: Traffic matrix that must remain routable.
         utilisation_limit: Safety margin applied to every arc capacity.
-        fixed_on_nodes: Nodes that must stay on regardless of traffic.
-        fixed_on_links: Undirected links that must stay active.
-        build_routing: Also derive a single-path routing table on the final
-            active subgraph (inverse-capacity shortest paths).
 
     Returns:
         An :class:`EnergyAwareSolution`; ``optimal`` is always ``False``.
     """
     node_power, link_power = element_power_coefficients(topology, power_model)
-    keep_on = protected_nodes(topology, demands, fixed_on_nodes)
-    protected_links = {link_key(u, v) for (u, v) in (fixed_on_links or ())}
+    keep_on = protected_nodes(topology, demands)
 
     # Routers, most power-hungry first (chassis + incident ports), then
     # individual links, most power-hungry first (ties in key order).
@@ -59,7 +48,7 @@ def greedy_minimum_subset(
     routers = sorted(topology.routers(), key=router_power, reverse=True)
     links = sorted(topology.link_keys(), key=lambda k: (-link_power[k], k))
     candidates = [name for name in routers if name not in keep_on]
-    candidates += [key for key in links if key not in protected_links]
+    candidates += links
     active_nodes, active_links = shrink_active_subset(
         topology, demands, utilisation_limit, topology.nodes(), topology.link_keys(), candidates
     )
@@ -67,13 +56,7 @@ def greedy_minimum_subset(
     # Drop routers left with no active link (constraint 3), unless protected.
     active_nodes &= keep_on.union(*active_links)
 
-    routing: Optional[RoutingTable] = None
-    if build_routing and len(demands) > 0:
-        subgraph = topology.subgraph(active_nodes, active_links)
-        routing = ospf_invcap_routing(
-            subgraph, pairs=demands.pairs(), name="greedy-subset"
-        )
-
+    routing = route_on_subset(topology, demands, active_nodes, active_links, "greedy-subset")
     power = solution_power(topology, power_model, active_nodes, active_links)
     return EnergyAwareSolution(
         active_nodes=active_nodes,

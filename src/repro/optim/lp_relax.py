@@ -15,15 +15,12 @@ trade-off of the exact MILP, the greedy heuristic and rounding.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple
-
 from ..power.model import PowerModel
-from ..routing.ospf import ospf_invcap_routing
-from ..topology.base import Topology, link_key
+from ..topology.base import Topology
 from ..traffic.matrix import TrafficMatrix
 from .pathmilp import PathMilpConfig, solve_path_milp
 from .solution import EnergyAwareSolution, solution_power
-from .subset import protected_nodes, shrink_active_subset
+from .subset import protected_nodes, route_on_subset, shrink_active_subset
 
 
 def lp_relaxation_with_rounding(
@@ -32,11 +29,8 @@ def lp_relaxation_with_rounding(
     demands: TrafficMatrix,
     k: int = 3,
     utilisation_limit: float = 1.0,
-    fixed_on_nodes: Optional[Iterable[str]] = None,
-    fixed_on_links: Optional[Iterable[Tuple[str, str]]] = None,
-    build_routing: bool = True,
 ) -> EnergyAwareSolution:
-    """Relax, round and repair.
+    """Relax, round and repair, then route by shortest paths on the rounded subset.
 
     Args:
         topology: The physical topology.
@@ -44,9 +38,6 @@ def lp_relaxation_with_rounding(
         demands: Traffic matrix to carry.
         k: Candidate paths per pair used by the relaxation.
         utilisation_limit: Safety margin on arc capacities.
-        fixed_on_nodes: Nodes that must stay on.
-        fixed_on_links: Links that must stay active.
-        build_routing: Derive shortest-path routing on the rounded subset.
 
     Returns:
         An :class:`EnergyAwareSolution`; never proven optimal.
@@ -56,26 +47,19 @@ def lp_relaxation_with_rounding(
         power_model,
         demands,
         config=PathMilpConfig(k=k, utilisation_limit=utilisation_limit, integral_paths=False),
-        fixed_on_nodes=fixed_on_nodes,
-        fixed_on_links=fixed_on_links,
         solver_name="lp-relaxation",
     )
 
     # Start from the relaxation's support and try to remove its links, then
     # the nodes that lost all their links (or are simply removable).
-    keep_on = protected_nodes(topology, demands, fixed_on_nodes)
-    protected_links = {link_key(u, v) for (u, v) in (fixed_on_links or ())}
-    candidates = [key for key in sorted(relaxed.active_links) if key not in protected_links]
+    keep_on = protected_nodes(topology, demands)
+    candidates = sorted(relaxed.active_links)
     candidates += [name for name in sorted(relaxed.active_nodes) if name not in keep_on]
     active_nodes, active_links = shrink_active_subset(
         topology, demands, utilisation_limit, relaxed.active_nodes, relaxed.active_links, candidates
     )
 
-    routing = None
-    if build_routing and len(demands) > 0:
-        subgraph = topology.subgraph(active_nodes, active_links)
-        routing = ospf_invcap_routing(subgraph, pairs=demands.pairs(), name="lp-rounding")
-
+    routing = route_on_subset(topology, demands, active_nodes, active_links, "lp-rounding")
     power = solution_power(topology, power_model, active_nodes, active_links)
     return EnergyAwareSolution(
         active_nodes=active_nodes,

@@ -21,6 +21,8 @@ from typing import Dict, Iterable, Optional, Set, Tuple, Union
 
 from ..obs import metrics, trace
 from ..routing.mcf import FlowSession, demands_connected
+from ..routing.ospf import ospf_invcap_routing
+from ..routing.paths import RoutingTable
 from ..topology.base import Topology
 from ..traffic.matrix import TrafficMatrix
 
@@ -31,12 +33,27 @@ _CHECKS = metrics.counter(
 )
 
 
-def protected_nodes(
-    topology: Topology, demands: TrafficMatrix, fixed_on_nodes: Optional[Iterable[str]]
-) -> Set[str]:
-    """Nodes that are never candidates: always-on devices, endpoints, *fixed_on_nodes*."""
+def protected_nodes(topology: Topology, demands: TrafficMatrix) -> Set[str]:
+    """Nodes that are never candidates: always-on devices and endpoints."""
     protected = {name for name in topology.nodes() if topology.node(name).always_powered}
-    return protected | set(demands.nodes()) | set(fixed_on_nodes or ())
+    return protected | set(demands.nodes())
+
+
+def route_on_subset(
+    topology: Topology,
+    demands: TrafficMatrix,
+    active_nodes: Set[str],
+    active_links: Set[LinkKey],
+    name: str,
+) -> Optional[RoutingTable]:
+    """Inverse-capacity shortest paths on the active subgraph for every pair
+    with demand (``None`` when there is none).  A pair without demand keeps
+    no element on, so it may have no path left."""
+    routed = [pair for pair, demand in demands.items() if demand > 0.0]
+    if not routed:
+        return None
+    subgraph = topology.subgraph(active_nodes, active_links)
+    return ospf_invcap_routing(subgraph, pairs=routed, name=name)
 
 
 def shrink_active_subset(

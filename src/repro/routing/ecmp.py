@@ -22,40 +22,30 @@ def equal_cost_paths(
     topology: Topology,
     origin: str,
     destination: str,
-    weight: str = "hops",
 ) -> List[Path]:
-    """All equal-cost shortest paths between two nodes.
-
-    Args:
-        topology: The network.
-        origin: Path origin.
-        destination: Path destination.
-        weight: ``"hops"`` (default, the usual ECMP metric inside a
-            datacenter), ``"invcap"`` or ``"latency"``.
+    """All equal-cost shortest paths between two nodes, by hop count (the
+    usual ECMP metric inside a datacenter).
 
     Raises:
         PathNotFoundError: If the destination is unreachable.
     """
     graph = topology.to_networkx()
-    weight_attr = None if weight in (None, "hops") else weight
     try:
-        paths = nx.all_shortest_paths(graph, origin, destination, weight=weight_attr)
+        paths = nx.all_shortest_paths(graph, origin, destination)
         return [Path.of(nodes) for nodes in paths]
     except nx.NetworkXNoPath:
         raise PathNotFoundError(origin, destination) from None
 
 
 def ecmp_link_loads(
-    topology: Topology,
-    demands: TrafficMatrix,
-    weight: str = "hops",
+    topology: Topology, demands: TrafficMatrix
 ) -> Dict[Tuple[str, str], float]:
     """Per-arc load when every demand is split equally over its ECMP paths."""
     loads: Dict[Tuple[str, str], float] = {key: 0.0 for key in topology.arc_keys()}
     for (origin, destination), demand in demands.items():
         if demand <= 0.0:
             continue
-        paths = equal_cost_paths(topology, origin, destination, weight=weight)
+        paths = equal_cost_paths(topology, origin, destination)
         share = demand / len(paths)
         for path in paths:
             for arc_key in path.arc_keys():
@@ -63,13 +53,9 @@ def ecmp_link_loads(
     return loads
 
 
-def ecmp_max_utilisation(
-    topology: Topology,
-    demands: TrafficMatrix,
-    weight: str = "hops",
-) -> float:
+def ecmp_max_utilisation(topology: Topology, demands: TrafficMatrix) -> float:
     """Maximum arc utilisation under ECMP splitting."""
-    loads = ecmp_link_loads(topology, demands, weight=weight)
+    loads = ecmp_link_loads(topology, demands)
     utilisations = [
         load / topology.arc(*key).capacity_bps for key, load in loads.items()
     ]
@@ -79,7 +65,6 @@ def ecmp_max_utilisation(
 def ecmp_active_elements(
     topology: Topology,
     demands: Optional[TrafficMatrix] = None,
-    weight: str = "hops",
 ) -> Tuple[set, set]:
     """Nodes and links kept active by ECMP.
 
@@ -97,7 +82,7 @@ def ecmp_active_elements(
     for (origin, destination), demand in demand_of.items():
         if demand <= 0.0:
             continue
-        for path in equal_cost_paths(topology, origin, destination, weight=weight):
+        for path in equal_cost_paths(topology, origin, destination):
             active_nodes.update(path.nodes)
             active_links.update(path.link_keys())
     return active_nodes, active_links

@@ -31,9 +31,8 @@ def k_shortest_paths(
     origin: str,
     destination: str,
     k: int,
-    weight: str = "invcap",
 ) -> List[Path]:
-    """The *k* shortest simple paths between two nodes.
+    """The *k* shortest simple paths between two nodes, by inverse capacity.
 
     Args:
         topology: The network.
@@ -41,8 +40,6 @@ def k_shortest_paths(
         destination: Path destination.
         k: Maximum number of paths to return (fewer if the graph has fewer
             simple paths).
-        weight: Arc attribute used as the additive weight (``"invcap"``,
-            ``"latency"`` or ``"hops"``).
 
     Raises:
         PathNotFoundError: If the destination is unreachable.
@@ -51,9 +48,8 @@ def k_shortest_paths(
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
     graph = topology.to_networkx()
-    weight_attr = None if weight in (None, "hops") else weight
     try:
-        generator = nx.shortest_simple_paths(graph, origin, destination, weight=weight_attr)
+        generator = nx.shortest_simple_paths(graph, origin, destination, weight="invcap")
         return [Path.of(nodes) for nodes in itertools.islice(generator, k)]
     except nx.NetworkXNoPath:
         raise PathNotFoundError(origin, destination) from None
@@ -74,9 +70,8 @@ class CandidatePaths:
     generators keep walking the graph they were started on.
     """
 
-    def __init__(self, topology: Topology, weight: str = "invcap") -> None:
+    def __init__(self, topology: Topology) -> None:
         self.topology = topology
-        self.weight = weight
         #: Paths pulled from the generators so far (telemetry).
         self.paths_enumerated = 0
         self._found: Dict[Pair, List[Path]] = {}
@@ -108,10 +103,7 @@ class CandidatePaths:
         if found is None:
             found = self._found[pair] = []
             self._pending[pair] = nx.shortest_simple_paths(
-                self.topology.to_networkx(),
-                pair[0],
-                pair[1],
-                weight=None if self.weight in (None, "hops") else self.weight,
+                self.topology.to_networkx(), pair[0], pair[1], weight="invcap"
             )
         if len(found) < k and pair in self._pending:
             try:

@@ -73,8 +73,8 @@ _FRESH_ITERATIONS = _SIMPLEX_ITERATIONS.labels(start="fresh")
 _WARM_ITERATIONS = _SIMPLEX_ITERATIONS.labels(start="warm")
 
 
-def pairwise_sum(values: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Fixed-order pairwise summation along *axis*.
+def pairwise_sum(values: np.ndarray) -> np.ndarray:
+    """Fixed-order pairwise summation along the last axis.
 
     ``np.sum`` on some platforms picks its accumulation tree from the
     buffer's memory alignment, so two interpreter invocations can differ in
@@ -84,7 +84,6 @@ def pairwise_sum(values: np.ndarray, axis: int = -1) -> np.ndarray:
     the length, never on where the allocator placed the buffer.
     """
     array = np.asarray(values, dtype=float)
-    array = np.moveaxis(array, axis, -1)
     if array.shape[-1] == 0:
         return np.zeros(array.shape[:-1], dtype=float)
     while array.shape[-1] > 1:
@@ -382,13 +381,15 @@ class FlowSession:
     """The flow LP of one (topology, demands, utilisation limit), solved with
     any of its arcs switched off.
 
-    ``session.solve(active_nodes, active_links)`` answers what
-    ``solve_mcf(topology, demands, utilisation_limit, active_nodes,
-    active_links)`` answers, for sets within the ones the session was opened
-    on: the same solver-free early returns, the same ``feasible``.  The LP is
-    assembled and passed to HiGHS once, at the first solve that needs the
-    solver; from then on a solve is "the columns of the arcs that changed get
-    upper bound 0, or ``inf`` again" and a run from the previous basis.
+    ``session.solve(active_nodes, active_links)`` answers what a fresh
+    session opened on ``(topology, demands, utilisation_limit, active_nodes,
+    active_links)`` answers at its first solve, for sets within the ones the
+    session was opened on: the same solver-free early returns, the same
+    ``feasible`` — ``False`` both when the LP is infeasible and when some
+    demand endpoint is outside the active set.  The LP is assembled and
+    passed to HiGHS once, at the first solve that needs the solver; from then
+    on a solve is "the columns of the arcs that changed get upper bound 0, or
+    ``inf`` again" and a run from the previous basis.
 
     A later solve need not land on the vertex a fresh LP over the smaller
     arc set would: ``feasible`` is the same answer either way, the flow is
@@ -469,29 +470,11 @@ class FlowSession:
         )
 
 
-def solve_mcf(
-    topology: Topology,
-    demands: TrafficMatrix,
-    utilisation_limit: float = 1.0,
-    active_nodes: Optional[Iterable[str]] = None,
-    active_links: Optional[Iterable[Tuple[str, str]]] = None,
-) -> MCFResult:
-    """Solve the splittable MCF feasibility LP.
-
-    Args:
-        topology: The physical topology.
-        demands: Traffic matrix to route.
-        utilisation_limit: Fraction of each arc's capacity that may be used
-            (the paper's safety margin ``sm``).
-        active_nodes: Restrict routing to these nodes (default: all).
-        active_links: Restrict routing to these undirected links
-            (default: all links between active nodes).
-
-    Returns:
-        An :class:`MCFResult`; ``feasible`` is ``False`` both when the LP is
-        infeasible and when some demand endpoint is outside the active set.
-    """
-    return FlowSession(topology, demands, utilisation_limit, active_nodes, active_links).solve()
+def solve_mcf(topology: Topology, demands: TrafficMatrix) -> MCFResult:
+    """Solve the splittable MCF feasibility LP on the whole topology, every
+    arc usable up to its capacity: a fresh :class:`FlowSession`'s first solve
+    (open one to restrict the sets or the utilisation)."""
+    return FlowSession(topology, demands).solve()
 
 
 def max_concurrent_flow(topology: Topology, demands: TrafficMatrix) -> float:
@@ -542,24 +525,12 @@ def demands_connected(
     active_nodes: Optional[Iterable[str]] = None,
     active_links: Optional[Iterable[Tuple[str, str]]] = None,
 ) -> bool:
-    """The solver-free part of :func:`is_demand_feasible`: ``False`` means the
+    """The solver-free part of :func:`solve_mcf`: ``False`` means the
     (sub)network cannot carry *demands* at any capacity."""
     nodes, arcs = _active_arcs(topology, active_nodes, active_links)
     return _connected(nodes, arcs, _positive_demands(demands))
 
 
-def is_demand_feasible(
-    topology: Topology,
-    demands: TrafficMatrix,
-    utilisation_limit: float = 1.0,
-    active_nodes: Optional[Iterable[str]] = None,
-    active_links: Optional[Iterable[Tuple[str, str]]] = None,
-) -> bool:
-    """Whether *demands* can be carried by the (sub)network at all."""
-    return solve_mcf(
-        topology,
-        demands,
-        utilisation_limit=utilisation_limit,
-        active_nodes=active_nodes,
-        active_links=active_links,
-    ).feasible
+def is_demand_feasible(topology: Topology, demands: TrafficMatrix) -> bool:
+    """Whether *demands* can be carried by the network at all."""
+    return solve_mcf(topology, demands).feasible

@@ -137,30 +137,17 @@ class RoutingTable:
     # ------------------------------------------------------------------ #
     # Derived element sets and loads
     # ------------------------------------------------------------------ #
-    def used_nodes(self, pairs: Optional[Iterable[Pair]] = None) -> Set[str]:
-        """Nodes traversed by the installed paths (optionally only some pairs)."""
-        selected = self._select(pairs)
-        return {node for path in selected for node in path.nodes}
+    def used_nodes(self) -> Set[str]:
+        """Nodes traversed by the installed paths."""
+        return {node for path in self._paths.values() for node in path.nodes}
 
-    def used_links(self, pairs: Optional[Iterable[Pair]] = None) -> Set[Tuple[str, str]]:
+    def used_links(self) -> Set[Tuple[str, str]]:
         """Canonical link keys traversed by the installed paths."""
-        selected = self._select(pairs)
-        return {key for path in selected for key in path.link_keys()}
-
-    def _select(self, pairs: Optional[Iterable[Pair]]) -> List[Path]:
-        if pairs is None:
-            return list(self._paths.values())
-        return [self._paths[pair] for pair in pairs if pair in self._paths]
+        return {key for path in self._paths.values() for key in path.link_keys()}
 
     def validate(self, topology: Topology) -> bool:
         """Whether every installed path is valid in *topology*."""
         return all(path.is_valid(topology) for path in self._paths.values())
-
-    def merged_with(self, other: "RoutingTable", name: Optional[str] = None) -> "RoutingTable":
-        """A table with the other table's entries added (other wins on conflict)."""
-        paths: Dict[Pair, Path] = dict(self._paths)
-        paths.update(dict(other._paths))
-        return RoutingTable(paths, name=name or f"{self.name}+{other.name}")
 
     def restricted_to(self, pairs: Iterable[Pair]) -> "RoutingTable":
         """A table keeping only the listed pairs."""

@@ -47,7 +47,6 @@ from .engine import (
 from .registry import (
     KINDS,
     component_names,
-    is_registered,
     register,
     registered_components,
     resolve,
@@ -107,7 +106,6 @@ __all__ = [
     "build_timeline",
     "component_names",
     "failure_schedule",
-    "is_registered",
     "read_spec_file",
     "register",
     "registered_components",

@@ -27,7 +27,6 @@ from ..traffic.replay import TrafficTrace
 from .components import BuiltTraffic, as_built_traffic
 from .schemes import SchemeOutcome
 from .spec import ScenarioSpec
-from .spill import SeriesSpill
 from .timeline import (
     GroupComputeCache,
     IntervalCallback,
@@ -257,31 +256,13 @@ def _coerce_spec(spec: Any) -> ScenarioSpec:
     )
 
 
-def build_scenario(
-    spec: Any,
-    topology: Optional[Topology] = None,
-    power_model: Optional[PowerModel] = None,
-) -> BuiltScenario:
-    """Resolve a spec into a runnable stack — the group of one.
-
-    Args:
-        spec: A :class:`ScenarioSpec` or its dict form.
-        topology: Programmatic override — drivers whose public signature
-            accepts a prebuilt :class:`Topology` pass it here instead of
-            expressing it as a spec.
-        power_model: Programmatic override for the power model, likewise.
-
-    Returns:
-        The :class:`BuiltScenario` with every component constructed.
-    """
-    return build_scenario_group([spec], topology=topology, power_model=power_model)[0]
+def build_scenario(spec: Any) -> BuiltScenario:
+    """Resolve a spec (a :class:`ScenarioSpec` or its dict form) into a
+    runnable stack — the group of one."""
+    return build_scenario_group([spec])[0]
 
 
-def run_scenario(
-    spec: Any,
-    topology: Optional[Topology] = None,
-    power_model: Optional[PowerModel] = None,
-) -> ScenarioResult:
+def run_scenario(spec: Any) -> ScenarioResult:
     """Build a spec's stack and replay its trace under every scheme.
 
     This is the single entry point behind the figure drivers, the
@@ -293,14 +274,12 @@ def run_scenario(
         raise ConfigurationError(
             "the scenario names no schemes; add at least one to its 'schemes' list"
         )
-    built = build_scenario(scenario_spec, topology=topology, power_model=power_model)
-    return run_built_scenario(built)
+    return run_built_scenario(build_scenario(scenario_spec))
 
 
 def run_built_scenario(
     built: BuiltScenario,
     on_interval: Optional[IntervalCallback] = None,
-    spill_path: Optional[Any] = None,
 ) -> ScenarioResult:
     """Drive an already-built scenario's schemes over its merged timeline.
 
@@ -311,15 +290,9 @@ def run_built_scenario(
             interval with the step and its per-scheme outcomes, which is how
             the scenario service pushes live replay telemetry while the
             returned result stays bit-identical to an offline run.
-        spill_path: Optional path for a per-interval NDJSON spill sidecar
-            (see :mod:`repro.scenario.spill`): the replay holds at most one
-            interval's series state in memory and the returned result reads
-            its series back from the sidecar — bit-identical to an
-            in-memory run, except for the wall-clock ``compute_seconds``.
     """
-    spill = SeriesSpill(spill_path) if spill_path is not None else None
     with trace.span("timeline.run", scenario=built.spec.name):
-        run = run_timeline(built, on_interval=on_interval, spill=spill)
+        run = run_timeline(built, on_interval=on_interval)
     return _result_from_run(built, run)
 
 
@@ -394,19 +367,14 @@ def group_signature(spec: ScenarioSpec) -> Optional[str]:
     return _section_key([data.get(section) for section in _GROUP_SECTIONS])
 
 
-def build_scenario_group(
-    specs: Sequence[Any],
-    topology: Optional[Topology] = None,
-    power_model: Optional[PowerModel] = None,
-) -> List[BuiltScenario]:
+def build_scenario_group(specs: Sequence[Any]) -> List[BuiltScenario]:
     """Build specs as one group, sharing everything shareable.
 
     All specs must declare identical ``topology``, ``power`` and ``routing``
     sections (grouping by :func:`group_signature` guarantees this).  The group
-    shares one built :class:`Topology` and :class:`PowerModel` object (the
-    programmatic overrides, when given), one baseline-power evaluation, one
-    built workload per distinct traffic section and one routing table per
-    distinct (routing, pairs) combination.
+    shares one built :class:`Topology` and :class:`PowerModel` object, one
+    baseline-power evaluation, one built workload per distinct traffic
+    section and one routing table per distinct (routing, pairs) combination.
     Every returned :class:`BuiltScenario` carries the same
     :class:`~repro.scenario.timeline.GroupComputeCache` in ``shared``, which
     scheme runtimes use to reuse candidate paths, plans and solver calls
@@ -431,14 +399,8 @@ def build_scenario_group(
     with trace.span(
         "scenario.build", scenario=scenario_specs[0].name, group_size=len(scenario_specs)
     ):
-        shared_topology = (
-            topology if topology is not None else scenario_specs[0].topology.build()
-        )
-        shared_model = (
-            power_model
-            if power_model is not None
-            else scenario_specs[0].power.build(shared_topology)
-        )
+        shared_topology = scenario_specs[0].topology.build()
+        shared_model = scenario_specs[0].power.build(shared_topology)
         baseline_power_w = full_power(shared_topology, shared_model).total_w
         shared_cache = GroupComputeCache()
 

@@ -83,8 +83,3 @@ def component_names(kind: str) -> List[str]:
 def registered_components() -> Dict[str, List[str]]:
     """``kind -> sorted names`` for every kind (the ``list-components`` view)."""
     return {kind: component_names(kind) for kind in KINDS}
-
-
-def is_registered(kind: str, name: str) -> bool:
-    """Whether ``(kind, name)`` is registered."""
-    return (kind, name) in _REGISTRY

@@ -170,6 +170,10 @@ class GreenTERuntime(SolverReplayRuntime):
         utilisation_limit: float = 1.0,
         ordering: str = "stable",
     ) -> None:
+        if ordering not in ("demand", "stable"):
+            raise ConfigurationError(
+                f"greente 'ordering' must be 'demand' or 'stable', got {ordering!r}"
+            )
         self.k = k
         self.utilisation_limit = utilisation_limit
         self.ordering = ordering
@@ -481,12 +485,11 @@ class ResponseRuntime(SchemeRuntime):
     plan was built without one).
     """
 
-    #: Default paper variant; subclasses override.
-    variant: Optional[str] = None
+    #: The :class:`ResponseConfig` defaults a registered name differs in.
+    config_defaults: Dict[str, Any] = {}
 
     def __init__(
         self,
-        variant: Optional[str] = None,
         utilisation_threshold: Optional[float] = None,
         use_peak_matrix: Optional[bool] = None,
         **config_params: Any,
@@ -495,14 +498,10 @@ class ResponseRuntime(SchemeRuntime):
         if unknown:
             raise ConfigurationError(
                 f"unknown response scheme parameters {sorted(unknown)}; "
-                f"supported: variant, utilisation_threshold, use_peak_matrix, "
+                f"supported: utilisation_threshold, use_peak_matrix, "
                 f"{', '.join(_RESPONSE_CONFIG_FIELDS)}"
             )
-        selected_variant = variant if variant is not None else type(self).variant
-        if selected_variant is not None:
-            self.config = ResponseConfig.for_variant(selected_variant, **config_params)
-        else:
-            self.config = ResponseConfig(**config_params)
+        self.config = ResponseConfig(**{**self.config_defaults, **config_params})
         self.utilisation_threshold = utilisation_threshold
         if use_peak_matrix is None:
             # The traffic-aware heuristic needs a peak estimate by definition.
@@ -577,6 +576,7 @@ class ResponseRuntime(SchemeRuntime):
             utilisation_threshold=state.threshold,
             include_failover=view.has_failures,
             failed_links=set(view.unusable_links()) if view.has_failures else None,
+            failed_nodes=set(view.failed_nodes),
         )
         state.activations.append(activation)
         return IntervalOutcome(
@@ -596,21 +596,21 @@ register("scheme", "response")(ResponseRuntime)
 class ResponseLatRuntime(ResponseRuntime):
     """REsPoNse with the latency-bounded always-on paths (REsPoNse-lat)."""
 
-    variant = "response-lat"
+    config_defaults = {"latency_beta": 0.25}
 
 
 @register("scheme", "response-ospf")
 class ResponseOspfRuntime(ResponseRuntime):
     """REsPoNse whose on-demand table is the plain OSPF table."""
 
-    variant = "response-ospf"
+    config_defaults = {"on_demand_method": "ospf"}
 
 
 @register("scheme", "response-heuristic")
 class ResponseHeuristicRuntime(ResponseRuntime):
     """REsPoNse with traffic-aware (GreenTE-computed) on-demand paths."""
 
-    variant = "response-heuristic"
+    config_defaults = {"on_demand_method": "heuristic"}
 
 
 @register("scheme", "always-on")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..exceptions import ConfigurationError
-from .registry import KINDS, is_registered, resolve
+from .registry import KINDS, resolve
 
 #: Default utilisation SLO used by activation-based schemes.
 DEFAULT_UTILISATION_THRESHOLD = 0.9
@@ -115,8 +115,17 @@ class ComponentSpec:
                 f"unknown {cls.kind} spec keys {sorted(unknown)} in {dict(data)!r}"
             )
         params = data.get("params") or {}
+        if not isinstance(params, Mapping):
+            raise ConfigurationError(
+                f"{cls.kind} spec 'params' must be a mapping, got {params!r}"
+            )
         if cls is SchemeSpec:
-            return SchemeSpec(data["name"], params=params, label=data.get("label"))
+            label = data.get("label")
+            if label is not None and not isinstance(label, str):
+                raise ConfigurationError(
+                    f"scheme spec 'label' must be a string, got {label!r}"
+                )
+            return SchemeSpec(data["name"], params=params, label=label)
         return cls(data["name"], params=params)
 
     def validate(self) -> None:
@@ -313,6 +322,18 @@ class ScenarioSpec:
         }
         if unknown:
             raise ConfigurationError(f"unknown scenario spec keys: {sorted(unknown)}")
+        for key in ("schemes", "events"):
+            if not isinstance(data.get(key, ()), (list, tuple)):
+                raise ConfigurationError(
+                    f"scenario spec {key!r} must be a list, got {data[key]!r}"
+                )
+        threshold = data.get("utilisation_threshold", DEFAULT_UTILISATION_THRESHOLD)
+        try:
+            threshold = float(threshold)
+        except (TypeError, ValueError):
+            raise ConfigurationError(
+                f"scenario spec 'utilisation_threshold' must be a number, got {threshold!r}"
+            ) from None
         return cls(
             topology=TopologySpec.from_dict(data["topology"]),
             traffic=TrafficSpec.from_dict(data["traffic"]),
@@ -326,9 +347,7 @@ class ScenarioSpec:
             events=tuple(
                 EventSpec.from_dict(event) for event in data.get("events", ())
             ),
-            utilisation_threshold=float(
-                data.get("utilisation_threshold", DEFAULT_UTILISATION_THRESHOLD)
-            ),
+            utilisation_threshold=threshold,
             name=str(data.get("name", "scenario")),
         )
 
@@ -481,6 +500,5 @@ __all__ = [
     "SchemeSpec",
     "ScenarioSpec",
     "apply_spec_setting",
-    "is_registered",
     "read_spec_file",
 ]

@@ -19,8 +19,8 @@ step it through the intervals.  This module holds that loop, once:
   starts every runtime, advances all of them one interval at a time —
   timing every step (the recomputation-latency proxy) and noting per-event
   reaction records — and feeds each scenario's completed interval to its
-  sinks: the ``on_interval`` hook, the NDJSON spill, or the in-memory
-  series.  :func:`run_timeline` is the list of one; :func:`run_timeline_batch`
+  sinks: the ``on_interval`` hook, then the in-memory series.
+  :func:`run_timeline` is the list of one; :func:`run_timeline_batch`
   passes a whole group.
 
 Runtimes only *reuse* state (precomputed plans, cached candidates,
@@ -60,7 +60,6 @@ from ..topology.base import link_key
 from ..traffic.matrix import Pair, TrafficMatrix
 from .registry import register, resolve
 from .spec import EventSpec, SchemeSpec
-from .spill import SeriesSpill
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..topology.base import Topology
@@ -479,8 +478,8 @@ class IntervalOutcome:
     def record(self) -> Dict[str, Any]:
         """The JSON-ready per-scheme interval payload.
 
-        Spill rows, the service's replay stream and the per-event reaction
-        records all carry exactly this.
+        The service's replay stream and the per-event reaction records
+        carry exactly this.
         """
         return {
             "power_percent": self.power_percent,
@@ -566,26 +565,6 @@ class SchemeRun:
     def compute_seconds(self) -> List[float]:
         """Per-interval step cost (the recomputation-latency proxy)."""
         return self._series("compute_seconds")
-
-
-@dataclass
-class SpilledSchemeRun(SchemeRun):
-    """A :class:`SchemeRun` whose per-interval series live in a spill file.
-
-    ``outcomes`` stays empty — the series accessors re-read the NDJSON
-    sidecar instead, returning exactly what the in-memory run would have
-    (JSON float round-trips are exact), so downstream result assembly is
-    bit-identical while resident memory stays bounded during the replay.
-    """
-
-    spill: Optional[SeriesSpill] = None
-
-    def _series(self, metric: str) -> List[Any]:
-        if self.spill is None:
-            raise ConfigurationError(
-                f"spilled scheme run {self.label!r} has no spill attached"
-            )
-        return self.spill.series(self.label, metric)
 
 
 @dataclass
@@ -702,43 +681,23 @@ class _Sinks:
 
     The driver hands every interval to :meth:`write` as the same record —
     the step plus each scheme's outcome.  The ``on_interval`` hook sees it
-    first; then it is either written to the spill's NDJSON sidecar and
-    dropped (resident series state stays bounded by one interval) or
-    collected in memory.
+    first; then it is collected in memory.
     """
 
     on_interval: Optional[IntervalCallback] = None
-    spill: Optional[SeriesSpill] = None
     collected: Dict[str, List[IntervalOutcome]] = field(default_factory=dict)
 
     def write(self, step: TimelineStep, outcomes: Mapping[str, IntervalOutcome]) -> None:
         if self.on_interval is not None:
             self.on_interval(step, outcomes)
-        if self.spill is not None:
-            self.spill.write_step(
-                index=step.index,
-                time_s=step.time_s,
-                events=step.fired,
-                schemes={label: outcome.record() for label, outcome in outcomes.items()},
-            )
-        else:
-            for label, outcome in outcomes.items():
-                self.collected.setdefault(label, []).append(outcome)
+        for label, outcome in outcomes.items():
+            self.collected.setdefault(label, []).append(outcome)
 
     def scheme_run(self, scheme: _SchemeProgress) -> SchemeRun:
-        """The finished scheme's run, its series served from where they went."""
+        """The finished scheme's run over the collected intervals."""
         details = scheme.runtime.finish(scheme.state)
-        if self.spill is not None:
-            return SpilledSchemeRun(
-                scheme.label, [], details, scheme.recomputations, spill=self.spill
-            )
         outcomes = self.collected.get(scheme.label, [])
         return SchemeRun(scheme.label, outcomes, details, scheme.recomputations)
-
-    def close(self) -> None:
-        """Flush the sidecar so the spilled series can be read back."""
-        if self.spill is not None:
-            self.spill.close()
 
 
 def _drive(
@@ -785,7 +744,6 @@ def _drive(
     for built, timeline, schemes, sink in zip(
         builts, timelines, progress, sinks, strict=True
     ):
-        sink.close()
         runs.append(
             TimelineRun(
                 times_s=built.trace.timestamps(),
@@ -800,7 +758,6 @@ def _drive(
 def run_timeline(
     built: "BuiltScenario",
     on_interval: Optional[IntervalCallback] = None,
-    spill: Optional[SeriesSpill] = None,
 ) -> TimelineRun:
     """Drive every scheme of a built scenario over its merged timeline.
 
@@ -812,19 +769,12 @@ def run_timeline(
             advanced through it — with the interval's per-scheme
             :class:`IntervalOutcome` keyed by label, so consumers receive
             whole-interval telemetry as it is computed.
-        spill: Optional :class:`~repro.scenario.spill.SeriesSpill`.  When
-            given, each completed interval is written to the spill's NDJSON
-            sidecar instead of being kept in memory, and the returned run's
-            schemes are :class:`SpilledSchemeRun` objects that read the
-            series back from the sidecar — bit-identically.  The spill is
-            closed before returning.
-
     Returns:
         The :class:`TimelineRun` with per-scheme series, fired events and
-        per-event reaction records — the same values whichever sinks are
-        attached.
+        per-event reaction records — the same values with or without the
+        hook.
     """
-    return _drive([built], [_Sinks(on_interval=on_interval, spill=spill)])[0]
+    return _drive([built], [_Sinks(on_interval=on_interval)])[0]
 
 
 def run_timeline_batch(builts: Sequence["BuiltScenario"]) -> List[TimelineRun]:

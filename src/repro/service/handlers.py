@@ -16,7 +16,7 @@ lock.
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from typing import Any, Callable, Dict, List, Mapping
 
 from ..campaign.report import (
     deviation_from_best,
@@ -46,9 +46,9 @@ Emit = Callable[[Dict[str, Any]], None]
 class ServiceState:
     """Everything the handlers need: the store path and the jobs."""
 
-    def __init__(self, store_path: str, jobs: Optional[JobManager] = None):
+    def __init__(self, store_path: str):
         self.store_path = str(store_path)
-        self.jobs = jobs if jobs is not None else JobManager(store_path)
+        self.jobs = JobManager(store_path)
 
     def open_reader(self) -> CampaignStore:
         """A fresh read-only store connection for one request.

@@ -35,7 +35,7 @@ import time
 import traceback
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from ..obs import metrics
@@ -386,19 +386,15 @@ class ScenarioServiceServer(ThreadingHTTPServer):
         return f"http://{host}:{port}"
 
 
-def create_server(
-    config: ServiceConfig, state: Optional[ServiceState] = None
-) -> ScenarioServiceServer:
+def create_server(config: ServiceConfig) -> ScenarioServiceServer:
     """Bind a service instance (without entering its serve loop).
 
     Separated from :func:`serve_forever` so tests and benches can bind an
     ephemeral port, read :attr:`ScenarioServiceServer.url` and drive the
     loop from a thread they control.
     """
-    if state is None:
-        state = ServiceState(config.store)
     try:
-        return ScenarioServiceServer(config, state)
+        return ScenarioServiceServer(config, ServiceState(config.store))
     except OSError as error:
         raise ServiceError(
             500,

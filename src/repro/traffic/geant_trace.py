@@ -54,14 +54,18 @@ def diurnal_factor(time_s: float) -> float:
     return min(1.0, base + business + evening)
 
 
-def weekly_factor(time_s: float, weekend_level: float = 0.7) -> float:
+#: Demand level of a weekend day relative to a weekday.
+WEEKEND_LEVEL = 0.7
+
+
+def weekly_factor(time_s: float) -> float:
     """Relative demand level as a function of day of week.
 
     Days 5 and 6 (Saturday, Sunday relative to the trace start) are scaled by
-    *weekend_level*.
+    :data:`WEEKEND_LEVEL`.
     """
     day_index = int(time_s // DAY) % 7
-    return weekend_level if day_index in (5, 6) else 1.0
+    return WEEKEND_LEVEL if day_index in (5, 6) else 1.0
 
 
 def generate_geant_trace(

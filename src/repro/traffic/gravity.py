@@ -15,17 +15,16 @@ total offered traffic.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
 from ..exceptions import TrafficError
 from ..topology.base import Topology
 from .matrix import Pair, TrafficMatrix
 
 
-def node_weights(topology: Topology, nodes: Optional[Sequence[str]] = None) -> Dict[str, float]:
-    """Gravity weights: combined capacity of the links adjacent to each node."""
-    names = list(nodes) if nodes is not None else topology.routers()
-    weights = {name: topology.total_capacity_bps(name) for name in names}
+def node_weights(topology: Topology) -> Dict[str, float]:
+    """Gravity weights: combined capacity of the links adjacent to each non-host node."""
+    weights = {name: topology.total_capacity_bps(name) for name in topology.routers()}
     total = sum(weights.values())
     if total <= 0:
         raise TrafficError("gravity weights are all zero; topology has no capacity")
@@ -36,7 +35,6 @@ def gravity_matrix(
     topology: Topology,
     total_traffic_bps: float,
     pairs: Optional[Iterable[Pair]] = None,
-    nodes: Optional[Sequence[str]] = None,
     name: str = "gravity",
 ) -> TrafficMatrix:
     """Build a gravity-model traffic matrix carrying *total_traffic_bps*.
@@ -46,9 +44,7 @@ def gravity_matrix(
         total_traffic_bps: Total offered load summed over all pairs.
         pairs: Restrict the matrix to these origin-destination pairs
             (the paper selects random subsets of origins and destinations);
-            defaults to all ordered pairs of the selected nodes.
-        nodes: Restrict origins/destinations to these nodes; defaults to all
-            non-host nodes.
+            defaults to all ordered pairs of non-host nodes.
         name: Name for the resulting matrix.
 
     Returns:
@@ -58,7 +54,7 @@ def gravity_matrix(
     """
     if total_traffic_bps < 0:
         raise TrafficError(f"total traffic must be non-negative, got {total_traffic_bps}")
-    weights = node_weights(topology, nodes)
+    weights = node_weights(topology)
     if pairs is None:
         names = list(weights)
         selected: List[Pair] = [(o, d) for o in names for d in names if o != d]
@@ -87,7 +83,6 @@ def gravity_matrix(
 def gravity_fractions(
     topology: Topology,
     pairs: Optional[Iterable[Pair]] = None,
-    nodes: Optional[Sequence[str]] = None,
 ) -> Dict[Pair, float]:
     """Per-pair fractions of the total load under the gravity model.
 
@@ -95,5 +90,5 @@ def gravity_fractions(
     gravity-determined proportions fixed, as the paper does when calibrating
     the 100 % utilisation level.
     """
-    matrix = gravity_matrix(topology, total_traffic_bps=1.0, pairs=pairs, nodes=nodes)
+    matrix = gravity_matrix(topology, total_traffic_bps=1.0, pairs=pairs)
     return matrix.as_dict()

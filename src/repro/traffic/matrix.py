@@ -119,13 +119,6 @@ class TrafficMatrix:
             name=f"{self.name}-restricted",
         )
 
-    def merged_with(self, other: "TrafficMatrix") -> "TrafficMatrix":
-        """Element-wise sum of two matrices."""
-        demands = dict(self._demands)
-        for pair, demand in other.items():
-            demands[pair] = demands.get(pair, 0.0) + demand
-        return TrafficMatrix(demands, name=f"{self.name}+{other.name}")
-
     def as_dict(self) -> Dict[Pair, float]:
         """A plain-dict copy of the demands."""
         return dict(self._demands)

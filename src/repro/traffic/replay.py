@@ -115,22 +115,6 @@ class TrafficTrace:
                     peak[pair] = demand
         return TrafficMatrix(peak, name=f"{self.name}-peak")
 
-    def offpeak_matrix(self, quantile: float = 0.1) -> TrafficMatrix:
-        """An element-wise low quantile over the trace (the ``d_low`` input)."""
-        import numpy as np
-
-        if not 0.0 <= quantile <= 1.0:
-            raise TrafficError(f"quantile must be in [0, 1], got {quantile}")
-        per_pair: dict = {}
-        for matrix in self._matrices:
-            for pair, demand in matrix.items():
-                per_pair.setdefault(pair, []).append(demand)
-        demands = {
-            pair: float(np.quantile(np.array(values), quantile))
-            for pair, values in per_pair.items()
-        }
-        return TrafficMatrix(demands, name=f"{self.name}-offpeak")
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"TrafficTrace(name={self.name!r}, intervals={len(self)}, "

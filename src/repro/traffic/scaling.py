@@ -12,8 +12,8 @@ The feasibility oracle here is the splittable multi-commodity-flow LP
 can accommodate the traffic" means once the on/off energy variables are
 dropped.
 
-The answer is a point of the growth grid ``s0 = initial_scale, s(i+1) =
-s(i) * (1 + growth_step)``: the last one the oracle accepts.  Walking the grid
+The answer is a point of the growth grid ``s0 = 1, s(i+1) = s(i) * 1.1``: the
+last one the oracle accepts.  Walking the grid
 from ``s0`` costs one LP per step (29 on GÉANT).  With the default oracle one
 max-concurrent-flow LP (:func:`repro.routing.mcf.max_concurrent_flow`) says
 where on the grid the boundary lies, and the walk starts there: the oracle
@@ -34,6 +34,11 @@ from .matrix import TrafficMatrix
 
 FeasibilityOracle = Callable[[Topology, TrafficMatrix], bool]
 
+#: Section 5.1's search: from the base matrix itself, grow the volume by 10 %
+#: a step; the cap is a safety bound on the number of steps.
+GROWTH_STEP = 0.10
+MAX_ITERATIONS = 200
+
 
 def _default_oracle(topology: Topology, demands: TrafficMatrix) -> bool:
     from ..routing.mcf import is_demand_feasible
@@ -52,7 +57,7 @@ def _max_feasible_scale(topology: Topology, base_matrix: TrafficMatrix) -> Optio
 
 
 #: Process-wide memo of calibration results keyed by the canonical hash of
-#: (topology content, base matrix, growth parameters).  A campaign grid
+#: (topology content, base matrix).  A campaign grid
 #: typically repeats the same dozen calibrations across every group and
 #: worker chunk; each MCF-backed calibration is a pure function of the
 #: hashed inputs, so reusing the scale factor is bit-identical to
@@ -71,13 +76,7 @@ _CALIBRATION_MISSES = metrics.counter(
 )
 
 
-def _calibration_key(
-    topology: Topology,
-    base_matrix: TrafficMatrix,
-    growth_step: float,
-    initial_scale: float,
-    max_iterations: int,
-) -> str:
+def _calibration_key(topology: Topology, base_matrix: TrafficMatrix) -> str:
     """Canonical content hash of every input the calibration depends on.
 
     Float inputs are serialised with ``repr`` (shortest exact round-trip),
@@ -102,9 +101,6 @@ def _calibration_key(
             (origin, destination, repr(demand))
             for (origin, destination), demand in base_matrix.items()
         ),
-        "growth_step": repr(float(growth_step)),
-        "initial_scale": repr(float(initial_scale)),
-        "max_iterations": int(max_iterations),
     }
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -125,29 +121,23 @@ def calibration_cache_stats() -> Dict[str, int]:
     }
 
 
-def _last_step_within(
-    lambda_star: float, initial_scale: float, growth_step: float, max_iterations: int
-) -> int:
+def _last_step_within(lambda_star: float) -> int:
     """``max{i : s_i <= lambda_star}`` on the growth grid, 0 if there is none.
 
     Replays the float products of :func:`_confirm_and_slide`, so the step it
     names is a point that walk can stand on.
     """
-    factor = 1.0 + growth_step
-    scale = float(initial_scale)
+    factor = 1.0 + GROWTH_STEP
+    scale = 1.0
     step = 0
-    while step < max_iterations and scale * factor <= lambda_star:
+    while step < MAX_ITERATIONS and scale * factor <= lambda_star:
         scale = scale * factor
         step += 1
     return step
 
 
 def _confirm_and_slide(
-    feasible_at: Callable[[float], bool],
-    initial_scale: float,
-    growth_step: float,
-    max_iterations: int,
-    hint: int,
+    feasible_at: Callable[[float], bool], hint: int
 ) -> Tuple[float, int, int]:
     """The last grid point *feasible_at* accepts, walking up from step *hint*.
 
@@ -165,22 +155,22 @@ def _confirm_and_slide(
     Raises:
         TrafficError: If step 0 itself is rejected.
     """
-    factor = 1.0 + growth_step
+    factor = 1.0 + GROWTH_STEP
     slides = 0
     while True:
-        scale = float(initial_scale)
+        scale = 1.0
         for _ in range(hint):
             scale = scale * factor
         if feasible_at(scale):
             break
         if hint == 0:
             raise TrafficError(
-                "the initial demand is already infeasible; lower initial_scale"
+                "the initial demand is already infeasible; scale the base matrix down"
             )
         hint = 0
         slides += 1
     step = hint
-    while step < max_iterations:
+    while step < MAX_ITERATIONS:
         candidate = scale * factor
         if not feasible_at(candidate):
             break
@@ -192,46 +182,36 @@ def _confirm_and_slide(
 def calibrate_max_load(
     topology: Topology,
     base_matrix: TrafficMatrix,
-    growth_step: float = 0.10,
-    initial_scale: float = 1.0,
-    max_iterations: int = 200,
+    # repro: allow[REP502] the walk tests/test_calibration.py checks the LP hint against
     oracle: Optional[FeasibilityOracle] = None,
 ) -> float:
     """Find the largest feasible multiple of *base_matrix*.
 
     The base matrix's proportions are kept fixed; the total volume is grown
-    multiplicatively by *growth_step* per iteration until the feasibility
-    oracle rejects it, exactly as the paper calibrates the "100 % load".
-    With the default oracle the growth starts at the step a
-    max-concurrent-flow LP points to instead of at *initial_scale*; the
+    multiplicatively by :data:`GROWTH_STEP` per iteration until the
+    feasibility oracle rejects it, exactly as the paper calibrates the
+    "100 % load".  With the default oracle the growth starts at the step a
+    max-concurrent-flow LP points to instead of at the base matrix; the
     result is the same float either way (see :func:`_confirm_and_slide`).
 
     Args:
         topology: The network whose capacity bounds the load.
         base_matrix: A matrix encoding the (gravity-determined) proportions.
-        growth_step: Fractional increase per iteration (the paper uses 10 %).
-        initial_scale: Multiple of the base matrix to start from.
-        max_iterations: Safety bound on the number of growth steps.
         oracle: Feasibility test; defaults to the MCF LP.
 
     Returns:
         The largest feasible scale factor relative to *base_matrix*.
 
     Raises:
-        TrafficError: If even ``initial_scale`` is infeasible or the base
-            matrix is empty.
+        TrafficError: If the base matrix itself is infeasible or empty.
     """
     if len(base_matrix) == 0 or base_matrix.total_bps <= 0:
         raise TrafficError("base matrix carries no traffic; nothing to calibrate")
-    if growth_step <= 0:
-        raise TrafficError(f"growth step must be positive, got {growth_step}")
     check = oracle or _default_oracle
 
     key: Optional[str] = None
     if oracle is None:
-        key = _calibration_key(
-            topology, base_matrix, growth_step, initial_scale, max_iterations
-        )
+        key = _calibration_key(topology, base_matrix)
         cached = _CALIBRATION_CACHE.get(key)
         if cached is not None:
             _CALIBRATION_HITS.inc()
@@ -251,10 +231,8 @@ def calibrate_max_load(
         lambda_star = _max_feasible_scale(topology, base_matrix) if oracle is None else None
         hint = 0
         if lambda_star is not None:
-            hint = _last_step_within(lambda_star, initial_scale, growth_step, max_iterations)
-        scale, growth_iterations, slides = _confirm_and_slide(
-            feasible_at, initial_scale, growth_step, max_iterations, hint
-        )
+            hint = _last_step_within(lambda_star)
+        scale, growth_iterations, slides = _confirm_and_slide(feasible_at, hint)
         calibrate_span.set(
             growth_iterations=growth_iterations,
             scale=scale,

@@ -30,7 +30,7 @@ DEFAULT_PEAK_FLOW_BPS = gbps(1.0)
 DEFAULT_PERIOD_INTERVALS = 10
 
 
-def sine_fraction(interval_index: int, period_intervals: int, phase: float = 0.0) -> float:
+def sine_fraction(interval_index: int, period_intervals: int) -> float:
     """Demand fraction in ``[0, 1]`` following a raised sine wave.
 
     The wave starts at its minimum (0) for ``interval_index = 0`` so that an
@@ -39,7 +39,7 @@ def sine_fraction(interval_index: int, period_intervals: int, phase: float = 0.0
     """
     if period_intervals <= 0:
         raise TrafficError(f"period must be positive, got {period_intervals}")
-    angle = 2.0 * math.pi * interval_index / period_intervals + phase
+    angle = 2.0 * math.pi * interval_index / period_intervals
     return 0.5 * (1.0 - math.cos(angle))
 
 

@@ -54,8 +54,3 @@ def milliseconds(value: float) -> float:
 def minutes(value: float) -> float:
     """Return *value* minutes expressed in seconds."""
     return float(value) * MINUTE
-
-
-def fraction(percentage: float) -> float:
-    """Convert a percentage to a fraction in ``[0, 1]``."""
-    return float(percentage) / 100.0

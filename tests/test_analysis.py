@@ -20,7 +20,7 @@ from repro.routing import RoutingConfiguration
 # --------------------------------------------------------------------- #
 def test_change_ccdf_monotone_decreasing():
     series = [100, 120, 90, 200, 100, 100]
-    points = change_ccdf(series, change_percentages=[0, 10, 50, 100])
+    points = change_ccdf(series)
     values = [value for _threshold, value in points]
     assert values == sorted(values, reverse=True)
     assert points[0][1] == pytest.approx(100.0)

@@ -12,7 +12,6 @@ from repro.apps import (
 from repro.exceptions import ConfigurationError
 from repro.routing import ospf_invcap_routing
 from repro.topology import Topology, build_abovenet
-from repro.traffic import TrafficMatrix
 from repro.units import mbps
 
 
@@ -112,17 +111,6 @@ def test_web_workload_longer_paths_cost_more(star):
     far = run_web_workload(star, routing, "s", ["c2"], config)
     assert far.mean_latency_s > near.mean_latency_s
     assert far.mean_latency_increase_percent(near) > 0
-
-
-def test_web_workload_background_traffic_slows_transfers(star):
-    routing = ospf_invcap_routing(star)
-    config = WebConfig(requests_per_client=50, seed=7)
-    idle = run_web_workload(star, routing, "s", ["c1"], config)
-    background = TrafficMatrix({("s", "c1"): mbps(9)})
-    busy = run_web_workload(
-        star, routing, "s", ["c1"], config, background_demands=background
-    )
-    assert busy.mean_latency_s > idle.mean_latency_s
 
 
 def test_web_workload_validation(star):

@@ -24,7 +24,7 @@ from repro.campaign.store import STORE_SCHEMA_VERSION
 from repro.exceptions import ConfigurationError
 from repro.experiments.runner import main
 from repro.obs.trace import PHASE_NAMES
-from repro.scenario.registry import is_registered, register, resolve
+from repro.scenario.registry import component_names, register, resolve
 
 
 # --------------------------------------------------------------------- #
@@ -84,7 +84,7 @@ def registered_store(tmp_path, spec_dict, filename="store.sqlite"):
 # marker file) raises, every later one delegates to the real ``uniform``
 # builder.  Registered at import so serial in-process campaign execution
 # (and forked workers) can resolve it by name.
-if not is_registered("traffic", "flaky-uniform"):
+if "flaky-uniform" not in component_names("traffic"):
 
     @register("traffic", "flaky-uniform")
     def _flaky_uniform(topology, marker_path="", **params):
@@ -166,7 +166,7 @@ def test_second_writer_waits_for_lock_instead_of_erroring(tmp_path):
         timer = threading.Timer(0.3, release.set)
         timer.start()
         # The write starts while the lock is held and must simply wait.
-        with CampaignStore(store_path, busy_timeout_s=10) as store:
+        with CampaignStore(store_path) as store:
             store.record_chunk(campaign_id, [_failed(points[0], "boom")])
             assert store.status_counts(campaign_id)["error"] == 1
         timer.cancel()

@@ -30,7 +30,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks" / "
 
 from workloads import geant_grid  # noqa: E402
 
-WEIGHTS = ("invcap", "hops", "latency")
 KS = (1, 3, 5, 8)
 
 
@@ -54,21 +53,19 @@ def topology(request):
     }[request.param]()
 
 
-@pytest.mark.parametrize("weight", WEIGHTS)
-def test_provider_equals_k_shortest_paths_pair_by_pair(topology, weight):
+def test_provider_equals_k_shortest_paths_pair_by_pair(topology):
     pairs = sampled_pairs(topology)
-    grown = CandidatePaths(topology, weight)  # one instance, k growing 1 -> 8
+    grown = CandidatePaths(topology)  # one instance, k growing 1 -> 8
     for k in KS:
         expected = {
-            pair: k_shortest_paths(topology, pair[0], pair[1], k, weight)
-            for pair in pairs
+            pair: k_shortest_paths(topology, pair[0], pair[1], k) for pair in pairs
         }
-        assert CandidatePaths(topology, weight).for_pairs(pairs, k) == expected
+        assert CandidatePaths(topology).for_pairs(pairs, k) == expected
         assert grown.for_pairs(pairs, k) == expected
     # Shrinking k afterwards serves a prefix without enumerating anything.
     enumerated = grown.paths_enumerated
     assert grown.for_pairs(pairs, 3) == {
-        pair: k_shortest_paths(topology, pair[0], pair[1], 3, weight) for pair in pairs
+        pair: k_shortest_paths(topology, pair[0], pair[1], 3) for pair in pairs
     }
     assert grown.paths_enumerated == enumerated == sum(
         len(paths) for paths in grown.for_pairs(pairs, max(KS)).values()
@@ -76,10 +73,10 @@ def test_provider_equals_k_shortest_paths_pair_by_pair(topology, weight):
 
 
 def test_pair_with_fewer_than_k_simple_paths(diamond):
-    provider = CandidatePaths(diamond, "latency")
+    provider = CandidatePaths(diamond)
     for k in (1, 3, 5):
         assert provider.for_pairs([("a", "d")], k) == {
-            ("a", "d"): k_shortest_paths(diamond, "a", "d", k, "latency")
+            ("a", "d"): k_shortest_paths(diamond, "a", "d", k)
         }
     assert len(provider.for_pairs([("a", "d")], 8)[("a", "d")]) == 2
     assert provider.paths_enumerated == 2  # both paths, pulled exactly once

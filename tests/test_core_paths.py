@@ -17,6 +17,7 @@ from repro.core import (
 from repro.exceptions import ConfigurationError
 from repro.power import full_power
 from repro.routing import RoutingTable, ospf_invcap_routing
+from repro.scenario.registry import resolve
 from repro.traffic import TrafficMatrix
 from repro.units import mbps
 
@@ -72,13 +73,6 @@ def test_always_on_latency_bound_variant(click, cisco_model):
         assert solution.routing.path(*pair).latency(click) <= ospf.path(*pair).latency(
             click
         ) * 1.0 + 1e-9
-
-
-def test_always_on_with_offpeak_matrix(click, cisco_model):
-    offpeak = TrafficMatrix({("A", "K"): mbps(2)})
-    solution = compute_always_on(click, cisco_model, pairs=PAIRS, offpeak_matrix=offpeak)
-    # The pair missing from the estimate still gets a path (epsilon fill-in).
-    assert ("C", "K") in solution.routing
 
 
 def test_always_on_greedy_method(click, cisco_model):
@@ -217,13 +211,12 @@ def test_build_response_plan_end_to_end(click, cisco_model):
 
 
 def test_build_response_plan_variants(click, cisco_model):
+    """Each registered REsPoNse name states its one differing default."""
     for variant in ("response", "response-lat", "response-ospf", "response-heuristic"):
-        plan = build_response_plan(
-            click, cisco_model, pairs=PAIRS, config=ResponseConfig.for_variant(variant)
-        )
+        config = resolve("scheme", variant)().config
+        plan = build_response_plan(click, cisco_model, pairs=PAIRS, config=config)
         assert plan.variant == variant
-    with pytest.raises(ConfigurationError):
-        ResponseConfig.for_variant("response-quantum")
+    assert resolve("scheme", "response-lat")(latency_beta=0.5).config.latency_beta == 0.5
 
 
 def test_response_config_validation():

@@ -1,4 +1,4 @@
-"""reprolint: golden fixture tests, engine semantics, CLI and baseline.
+"""reprolint: golden fixture tests, engine semantics and CLI.
 
 Three layers:
 
@@ -8,12 +8,12 @@ Three layers:
   markers).  The harness asserts the finding set matches *exactly*, so a
   fixture fails both when its rule stops firing (rule deleted/broken) and
   when a rule over-fires (false positive on the negative sections).  The
-  cross-file rule (REP501) has a small tree, ``lintkit_fixtures/rep501/``,
-  linted as a repo root of its own with the same markers.
+  cross-file rules (REP501, REP502) have a small tree each,
+  ``lintkit_fixtures/rep501/`` and ``rep502/``, linted as a repo root of
+  its own with the same markers.
 * **Engine semantics** — suppression placement, unused-allow (REP000),
-  parse errors (REP999), docstring immunity, baseline round-trips.
-* **Meta gates** — the repo's own ``src/`` lints clean, and the committed
-  baseline stays empty for ``simulator/`` and ``scenario/``.
+  parse errors (REP999), docstring immunity.
+* **Meta gate** — the repo's own ``src/`` lints clean under every rule.
 """
 
 import json
@@ -23,12 +23,6 @@ from pathlib import Path
 import pytest
 
 from repro.lintkit import cli
-from repro.lintkit.baseline import (
-    apply_baseline,
-    fingerprint,
-    load_baseline,
-    write_baseline,
-)
 from repro.lintkit.engine import (
     PARSE_ERROR_RULE,
     UNUSED_ALLOW_RULE,
@@ -43,7 +37,7 @@ FIXTURE_DIR = Path(__file__).resolve().parent / "lintkit_fixtures"
 LINT_AS_RE = re.compile(r"#\s*lint-as:\s*(\S+)")
 EXPECT_RE = re.compile(r"#\s*expect(-suppressed)?:\s*([A-Z0-9,\s]+?)\s*$")
 
-#: A minimal REP202 violation used by the CLI/baseline tests below.
+#: A minimal REP202 violation used by the CLI tests below.
 VIOLATION = (
     "from repro.campaign.store import CampaignStore\n"
     "\n"
@@ -77,8 +71,11 @@ def load_fixture(path):
 
 
 FIXTURES = sorted(FIXTURE_DIR.glob("*.py"))
-REP501_TREE = FIXTURE_DIR / "rep501"
-REP501_SURFACE = REP501_TREE / "src" / "pkg" / "surface.py"
+#: Cross-file rule -> the one module of its fixture tree that carries markers.
+TREE_FIXTURES = {
+    "REP501": FIXTURE_DIR / "rep501" / "src" / "pkg" / "surface.py",
+    "REP502": FIXTURE_DIR / "rep502" / "src" / "pkg" / "options.py",
+}
 
 
 # --------------------------------------------------------------------- #
@@ -94,27 +91,39 @@ def test_fixture_golden(fixture):
     assert suppressed == expected_suppressed, fixture.name
 
 
+def assert_tree_golden(rule):
+    module = TREE_FIXTURES[rule]
+    root = module.parents[2]
+    rel_path = module.relative_to(root).as_posix()
+    result = lint_paths([str(root / "src")], ALL_RULES, root=root)
+    assert {f.path for f in result.findings} == {rel_path}
+    expected_active, expected_suppressed = expected_findings(module.read_text())
+    assert {(f.line, f.rule) for f in result.active} == expected_active
+    assert {(f.line, f.rule) for f in result.suppressed} == expected_suppressed
+    assert rule in {found for _, found in expected_active}
+    # The rule needs the cross-file index: one module on its own says nothing.
+    alone = lint_source(module.read_text(), rel_path, ALL_RULES)
+    assert rule not in {f.rule for f in alone}
+
+
 def test_rep501_tree_golden():
     """Callers count from src/, benchmarks/ and examples/ — not from tests/,
     not from ``__init__`` re-exports, not from a name's own body."""
-    result = lint_paths([str(REP501_TREE / "src")], ALL_RULES, root=REP501_TREE)
-    assert {f.path for f in result.findings} == {"src/pkg/surface.py"}
-    expected_active, expected_suppressed = expected_findings(REP501_SURFACE.read_text())
-    assert {(f.line, f.rule) for f in result.active} == expected_active
-    assert {(f.line, f.rule) for f in result.suppressed} == expected_suppressed
-    # The rule needs the cross-file index: one module on its own says nothing.
-    alone = lint_source(REP501_SURFACE.read_text(), "src/pkg/surface.py", ALL_RULES)
-    assert "REP501" not in {f.rule for f in alone}
+    assert_tree_golden("REP501")
+
+
+def test_rep502_tree_golden():
+    """An option is set by position, by keyword or through a splat — under
+    the caller roots, not from tests/; registered components (either form),
+    overriding methods and ``_``-names are exempt."""
+    assert_tree_golden("REP502")
 
 
 def test_every_rule_has_positive_and_suppressed_coverage():
     """Deleting any rule (or its suppression path) must break a fixture."""
-    covered_active, covered_suppressed = (
-        {rule for _, rule in markers}
-        for markers in expected_findings(REP501_SURFACE.read_text())
-    )
-    for fixture in FIXTURES:
-        _, _, active, suppressed = load_fixture(fixture)
+    covered_active, covered_suppressed = set(), set()
+    markers = [expected_findings(module.read_text()) for module in TREE_FIXTURES.values()]
+    for active, suppressed in markers + [load_fixture(fixture)[2:] for fixture in FIXTURES]:
         covered_active |= {rule for _, rule in active}
         covered_suppressed |= {rule for _, rule in suppressed}
     rule_ids = set(rules_by_id())
@@ -200,58 +209,22 @@ def test_parse_error_is_rep999_not_crash():
 
 
 # --------------------------------------------------------------------- #
-# Baseline
-# --------------------------------------------------------------------- #
-def test_baseline_round_trip(tmp_path):
-    findings = lint_source(VIOLATION, "src/repro/campaign/x.py", ALL_RULES)
-    assert len(findings) == 1 and findings[0].rule == "REP202"
-    baseline_path = tmp_path / "bl.json"
-    write_baseline(baseline_path, findings)
-    loaded = load_baseline(baseline_path)
-    assert loaded == {fingerprint(findings[0]): 1}
-    marked = apply_baseline(findings, loaded)
-    assert marked[0].baselined and not marked[0].active
-
-
-def test_baseline_budget_is_per_fingerprint_count(tmp_path):
-    """One grandfathered copy does not excuse a second identical violation."""
-    baseline_path = tmp_path / "bl.json"
-    one = lint_source(VIOLATION, "src/repro/campaign/x.py", ALL_RULES)
-    write_baseline(baseline_path, one)
-    doubled = VIOLATION + "\n\ndef again(path):\n    return CampaignStore(path)\n"
-    two = lint_source(doubled, "src/repro/campaign/x.py", ALL_RULES)
-    assert len(two) == 2
-    marked = apply_baseline(two, load_baseline(baseline_path))
-    assert sum(f.baselined for f in marked) == 1
-    assert sum(f.active for f in marked) == 1
-
-
-def test_baseline_rejects_foreign_json(tmp_path):
-    path = tmp_path / "bl.json"
-    path.write_text('{"not": "a baseline"}')
-    with pytest.raises(ValueError):
-        load_baseline(path)
-
-
-# --------------------------------------------------------------------- #
 # CLI
 # --------------------------------------------------------------------- #
-def test_cli_exit_codes_and_baseline_flow(tmp_path, capsys, monkeypatch):
+def test_cli_exit_codes_and_suppressed_listing(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)  # no caller roots to index under this root
     bad = tmp_path / "bad.py"
     bad.write_text(VIOLATION)
-    baseline = tmp_path / "bl.json"
-
-    assert cli.main([str(bad), "--no-baseline"]) == 1
+    assert cli.main([str(bad)]) == 1
     assert "REP202" in capsys.readouterr().out
 
-    assert cli.main([str(bad), "--write-baseline", "--baseline", str(baseline)]) == 0
-    capsys.readouterr()
-    assert cli.main([str(bad), "--baseline", str(baseline)]) == 0
-    assert "1 baselined" in capsys.readouterr().out
-    # --no-baseline reveals the grandfathered finding again.
-    assert cli.main([str(bad), "--no-baseline"]) == 1
-    capsys.readouterr()
+    # An inline allow with a reason is the one way to keep a finding.
+    bad.write_text(VIOLATION.replace("(path)\n", "(path)  # repro: allow[REP202] fixture\n"))
+    assert cli.main([str(bad)]) == 0
+    out = capsys.readouterr().out
+    assert "REP202" not in out and "0 findings (1 suppressed)" in out
+    assert cli.main([str(bad), "--show-suppressed"]) == 0
+    assert "REP202 [suppressed]" in capsys.readouterr().out
 
 
 def test_cli_unknown_rule_is_usage_error(tmp_path, capsys):
@@ -264,14 +237,12 @@ def test_cli_json_report(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "bad.py"
     bad.write_text(VIOLATION)
     out = tmp_path / "lint.json"
-    code = cli.main(
-        [str(bad), "--no-baseline", "--format", "json", "--output", str(out)]
-    )
-    capsys.readouterr()
+    code = cli.main([str(bad), "--format", "json", "--output", str(out)])
+    assert "REP202" in capsys.readouterr().out  # the log still gets the text report
     assert code == 1
     payload = json.loads(out.read_text())
     assert payload["files_checked"] == 1
-    assert payload["counts"] == {"active": 1, "suppressed": 0, "baselined": 0}
+    assert payload["counts"] == {"active": 1, "suppressed": 0}
     (finding,) = payload["findings"]
     assert finding["rule"] == "REP202"
     assert finding["line"] == 5 and finding["suppressed"] is False
@@ -281,28 +252,18 @@ def test_cli_select_runs_only_selected_rules(tmp_path, capsys):
     bad = tmp_path / "bad.py"
     # Violates REP202; selecting only REP401 must report nothing.
     bad.write_text(VIOLATION)
-    assert cli.main([str(bad), "--no-baseline", "--select", "REP401"]) == 0
+    assert cli.main([str(bad), "--select", "REP401"]) == 0
     capsys.readouterr()
 
 
 # --------------------------------------------------------------------- #
-# Meta gates: the repo itself
+# Meta gate: the repo itself
 # --------------------------------------------------------------------- #
 def test_repo_src_lints_clean(monkeypatch, capsys):
-    """The CI gate: ``python -m repro.lintkit src`` exits 0 on this repo."""
+    """The CI gate: ``python -m repro.lintkit src`` exits 0 on this repo,
+    with the two cross-file rules run and their allows within budget."""
     monkeypatch.chdir(REPO_ROOT)
-    assert cli.main(["src"]) == 0
-    capsys.readouterr()
-
-
-def test_committed_baseline_is_empty_for_engine_packages():
-    baseline = load_baseline(REPO_ROOT / "lint-baseline.json")
-    engine_entries = [
-        key
-        for key in baseline
-        if key.startswith(("src/repro/simulator/", "src/repro/scenario/"))
-    ]
-    assert engine_entries == [], (
-        "determinism findings in simulator/ or scenario/ must be fixed or "
-        "# repro: allow-ed with a reason, never grandfathered"
-    )
+    assert cli.main(["src", "--show-suppressed"]) == 0
+    kept = [line for line in capsys.readouterr().out.splitlines() if "[suppressed]" in line]
+    assert 0 < sum(" REP501 " in line for line in kept) <= 8
+    assert 0 < sum(" REP502 " in line for line in kept) <= 12

@@ -223,7 +223,7 @@ def test_fresh_solves_equal_linprog_on_sub_networks_and_other_limits(geant):
                 (None, []),
             ):
                 arguments = (geant, demands, limit, active_nodes, active_links)
-                assert solve_mcf(*arguments) == reference_solve_mcf(*arguments)
+                assert FlowSession(*arguments).solve() == reference_solve_mcf(*arguments)
 
 
 # --------------------------------------------------------------------- #
@@ -232,7 +232,7 @@ def test_fresh_solves_equal_linprog_on_sub_networks_and_other_limits(geant):
 def assert_session_step(session, topology, demands, limit, nodes, links):
     """One step: the session's answer on ``(nodes, links)`` against a fresh LP."""
     result = session.solve(nodes, links)
-    fresh = solve_mcf(topology, demands, limit, nodes, links)
+    fresh = FlowSession(topology, demands, limit, nodes, links).solve()
     assert result.feasible == fresh.feasible, (sorted(nodes), sorted(links))
     # Same arcs listed either way; the flows are two optima of one LP, so
     # they agree on the objective, not arc by arc.

@@ -21,6 +21,7 @@ from repro.routing import (
     ospf_latency_routing,
     solve_mcf,
 )
+from repro.routing.mcf import FlowSession
 from repro.topology import Topology
 from repro.traffic import TrafficMatrix
 from repro.units import mbps
@@ -68,13 +69,9 @@ def test_routing_table_rejects_mismatched_pair():
 
 
 def test_routing_table_merge_and_restrict():
-    first = RoutingTable({("a", "d"): ["a", "b", "d"]})
-    second = RoutingTable({("a", "d"): ["a", "c", "d"], ("d", "a"): ["d", "b", "a"]})
-    merged = first.merged_with(second)
-    assert merged.path("a", "d").nodes == ("a", "c", "d")  # other wins
-    assert len(merged) == 2
-    restricted = merged.restricted_to([("d", "a")])
-    assert len(restricted) == 1
+    table = RoutingTable({("a", "d"): ["a", "c", "d"], ("d", "a"): ["d", "b", "a"]})
+    restricted = table.restricted_to([("d", "a")])
+    assert restricted.pairs() == [("d", "a")]
 
 
 def test_link_loads_and_utilisation(diamond, diamond_demands):
@@ -99,17 +96,17 @@ def test_uncovered_pairs(diamond, diamond_demands):
 
 def test_routing_configuration_equality_and_dominance(diamond, diamond_demands):
     table = RoutingTable({("a", "d"): ["a", "b", "d"], ("d", "a"): ["d", "c", "a"]})
-    def configuration(pairs=None):
+    def configuration(table):
         return RoutingConfiguration(
-            frozenset(table.used_nodes(pairs)), frozenset(table.used_links(pairs))
+            frozenset(table.used_nodes()), frozenset(table.used_links())
         )
 
-    config_all = configuration()
-    config_demand = configuration(diamond_demands.pairs())
+    config_all = configuration(table)
+    config_demand = configuration(table.restricted_to(diamond_demands.pairs()))
     assert config_all == config_demand
     assert hash(config_all) == hash(config_demand)
     # With one pair's elements asleep the configuration differs.
-    assert configuration([("d", "a")]) != config_all
+    assert configuration(table.restricted_to([("d", "a")])) != config_all
 
 
 # --------------------------------------------------------------------- #
@@ -148,13 +145,13 @@ def test_ospf_unreachable_raises():
 
 
 def test_ecmp_splits_over_equal_paths(diamond):
-    paths = equal_cost_paths(diamond, "a", "d", weight="hops")
+    paths = equal_cost_paths(diamond, "a", "d")
     assert len(paths) == 2
     demands = TrafficMatrix({("a", "d"): mbps(80)})
-    loads = ecmp_link_loads(diamond, demands, weight="hops")
+    loads = ecmp_link_loads(diamond, demands)
     assert loads[("a", "b")] == pytest.approx(mbps(40))
     assert loads[("a", "c")] == pytest.approx(mbps(40))
-    assert ecmp_max_utilisation(diamond, demands, weight="hops") == pytest.approx(0.4)
+    assert ecmp_max_utilisation(diamond, demands) == pytest.approx(0.4)
 
 
 def test_ecmp_active_elements_cover_everything_used(diamond):
@@ -165,7 +162,7 @@ def test_ecmp_active_elements_cover_everything_used(diamond):
 
 
 def test_k_shortest_paths_ordering(diamond):
-    paths = k_shortest_paths(diamond, "a", "d", k=3, weight="latency")
+    paths = k_shortest_paths(diamond, "a", "d", k=3)
     assert len(paths) == 2  # only two simple paths exist
     assert paths[0].nodes == ("a", "b", "d")
     with pytest.raises(ValueError):
@@ -193,25 +190,27 @@ def test_mcf_infeasible_when_capacity_exceeded(diamond):
 
 def test_mcf_respects_active_subset(diamond):
     demands = TrafficMatrix({("a", "d"): mbps(150)})
-    assert not is_demand_feasible(diamond, demands, active_links=[("a", "b"), ("b", "d")])
-    assert is_demand_feasible(
-        diamond, demands.scaled(0.5), active_links=[("a", "b"), ("b", "d")]
+    assert not FlowSession(diamond, demands, active_links=[("a", "b"), ("b", "d")]).solve().feasible
+    assert (
+        FlowSession(diamond, demands.scaled(0.5), active_links=[("a", "b"), ("b", "d")])
+        .solve()
+        .feasible
     )
 
 
 def test_mcf_infeasible_when_endpoint_inactive(diamond):
     demands = TrafficMatrix({("a", "d"): mbps(1)})
-    result = solve_mcf(diamond, demands, active_nodes=["a", "b", "c"])
+    result = FlowSession(diamond, demands, active_nodes=["a", "b", "c"]).solve()
     assert not result.feasible
 
 
 def test_mcf_active_nodes_may_be_a_one_shot_iterable(diamond):
     """A generator must restrict the node set exactly as the same list does."""
     demands = TrafficMatrix({("a", "d"): mbps(50)})
-    expected = solve_mcf(diamond, demands, active_nodes=["a", "b", "d"])
+    expected = FlowSession(diamond, demands, active_nodes=["a", "b", "d"]).solve()
     assert expected.feasible
     assert set(expected.arc_loads) == {("a", "b"), ("b", "a"), ("b", "d"), ("d", "b")}
-    result = solve_mcf(diamond, demands, active_nodes=(node for node in "abd"))
+    result = FlowSession(diamond, demands, active_nodes=(node for node in "abd")).solve()
     assert result == expected
 
 
@@ -223,5 +222,5 @@ def test_mcf_empty_demand_is_trivially_feasible(diamond):
 
 def test_mcf_utilisation_limit(diamond):
     demands = TrafficMatrix({("a", "d"): mbps(150)})
-    assert is_demand_feasible(diamond, demands, utilisation_limit=1.0)
-    assert not is_demand_feasible(diamond, demands, utilisation_limit=0.5)
+    assert FlowSession(diamond, demands, utilisation_limit=1.0).solve().feasible
+    assert not FlowSession(diamond, demands, utilisation_limit=0.5).solve().feasible

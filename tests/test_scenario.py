@@ -174,6 +174,35 @@ def test_spec_from_dict_accepts_bare_names_and_rejects_unknown_keys():
         )
 
 
+#: Malformed shapes of an otherwise valid spec document, and the key each
+#: complaint must name (all were uncaught TypeError / ValueError once).
+MALFORMED_SPEC_SHAPES = [
+    ({"topology": {"name": "geant", "params": [1, 2]}}, "topology spec 'params'"),
+    ({"traffic": {"name": "gravity", "params": "x"}}, "traffic spec 'params'"),
+    ({"utilisation_threshold": "abc"}, "'utilisation_threshold'"),
+    ({"utilisation_threshold": None}, "'utilisation_threshold'"),
+    ({"schemes": None}, "'schemes'"),
+    ({"schemes": 5}, "'schemes'"),
+    ({"events": 5}, "'events'"),
+    ({"events": "link-failure"}, "'events'"),
+    ({"schemes": [{"name": "ospf", "label": [1]}]}, "scheme spec 'label'"),
+]
+
+
+@pytest.mark.parametrize("shape, complaint", MALFORMED_SPEC_SHAPES)
+def test_spec_from_dict_names_the_malformed_key(shape, complaint):
+    document = {"topology": "geant", "traffic": "gravity", "power": "cisco", "schemes": ["ospf"]}
+    with pytest.raises(ConfigurationError, match=complaint):
+        ScenarioSpec.from_dict({**document, **shape})
+
+
+def test_greente_rejects_a_bad_ordering_at_construction():
+    with pytest.raises(ConfigurationError, match="'ordering'"):
+        resolve("scheme", "greente")(ordering="bogus")
+    with pytest.raises(ConfigurationError, match="'ordering'"):
+        run_scenario(tiny_fattree_spec(schemes=(SchemeSpec("greente", ordering="bogus"),)))
+
+
 def test_duplicate_scheme_labels_rejected():
     with pytest.raises(ConfigurationError, match="labels are not unique"):
         tiny_fattree_spec(schemes=(SchemeSpec("ospf"), SchemeSpec("ospf")))
@@ -276,14 +305,6 @@ def test_matrix_traffic_and_routing_sections():
     assert built.routing.get("A", "K") is not None
     result = run_scenario(spec)
     assert result.power_percent["ospf"] == [100.0]
-
-
-def test_programmatic_overrides_take_precedence():
-    from repro.power.commodity import CommoditySwitchPowerModel
-
-    model = CommoditySwitchPowerModel(ports_at_peak=4)
-    built = build_scenario(tiny_fattree_spec(), power_model=model)
-    assert built.power_model is model
 
 
 # --------------------------------------------------------------------- #

@@ -263,6 +263,19 @@ def test_post_scenario_is_answered_from_the_store_on_a_hit(tmp_path):
             )
 
 
+def test_post_scenario_malformed_shapes_are_400_not_500(tmp_path, caplog):
+    from test_scenario import MALFORMED_SPEC_SHAPES
+
+    shapes = [shape for shape, _ in MALFORMED_SPEC_SHAPES]
+    shapes.append({"schemes": [{"name": "greente", "params": {"ordering": "bogus"}}]})
+    with service(tmp_path) as server, caplog.at_level("ERROR", logger="repro.service"):
+        for shape in shapes:
+            body = {"spec": {**base_scenario(), **shape}}
+            code, error = request_error(server, "/scenarios", body)
+            assert (code, error["code"]) == (400, "invalid-scenario"), shape
+    assert "Traceback" not in caplog.text
+
+
 def test_post_scenario_unknown_component_param_is_400(tmp_path):
     spec = base_scenario()
     spec["traffic"]["params"]["no_such_knob"] = 1

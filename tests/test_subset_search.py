@@ -4,15 +4,15 @@
 switch-off order to one routine, ``optim.subset.shrink_active_subset``, that
 keeps the last feasible LP's arc loads as a witness and answers "can this
 element go?" without a solver when the witness does not touch it.  The loop it
-replaced — one ``is_demand_feasible`` per candidate, from scratch — is kept
+replaced — one fresh ``FlowSession`` per candidate — is kept
 here as the reference.  Pinned:
 
 * ``active_nodes``, ``active_links`` and ``power_w`` are ``==`` the
   reference's on every shipped topology under the traffic specs of
   ``examples/*.json`` (at three shares of the largest load the topology
   carries, and as the 1 bit/s ε matrix), under two utilisation limits, on a
-  failure view with the restricted matrix, with empty demands, with
-  ``fixed_on_*`` and on random connected topologies;
+  failure view with the restricted matrix, with empty demands and on
+  random connected topologies;
 * one replay of the benchmark harness's ``timeline_replay`` spec solves at
   most 140 feasibility LPs (204 with the plain loop), and the counts are on
   the ``scheme.solve`` spans and in ``repro_subset_checks_total``;
@@ -35,11 +35,10 @@ from repro.optim import (
     solve_path_milp,
 )
 from repro.power import CiscoRouterPowerModel, CommoditySwitchPowerModel
-from repro.routing.mcf import is_demand_feasible, max_concurrent_flow
+from repro.routing.mcf import FlowSession, max_concurrent_flow
 from repro.scenario.engine import run_scenario
 from repro.simulator.failures import TopologyView
 from repro.topology import build_fattree, random_connected_topology
-from repro.topology.base import link_key
 from repro.traffic import TrafficMatrix, all_pairs
 
 from test_calibration import (  # noqa: I001
@@ -64,7 +63,7 @@ def traffic_specs():
 # The reference: one LP per candidate, nothing carried between them
 # --------------------------------------------------------------------- #
 def plain_loop(topology, demands, utilisation_limit, nodes, links, candidates):
-    """Try every candidate with ``is_demand_feasible`` on the candidate sets."""
+    """Try every candidate with a fresh ``FlowSession`` on the candidate sets."""
     nodes, links = set(nodes), set(links)
     for element in candidates:
         if isinstance(element, tuple):
@@ -74,29 +73,21 @@ def plain_loop(topology, demands, utilisation_limit, nodes, links, candidates):
         else:
             fewer_nodes = nodes - {element}
             fewer_links = {key for key in links if element not in key}
-        if is_demand_feasible(
-            topology,
-            demands,
-            utilisation_limit=utilisation_limit,
-            active_nodes=fewer_nodes,
-            active_links=fewer_links,
-        ):
+        fresh = FlowSession(topology, demands, utilisation_limit, fewer_nodes, fewer_links)
+        if fresh.solve().feasible:
             nodes, links = fewer_nodes, fewer_links
     return nodes, links
 
 
-def protected(topology, demands, fixed_on_nodes):
+def protected(topology, demands):
     always = {name for name in topology.nodes() if topology.node(name).always_powered}
-    return always | set(demands.nodes()) | set(fixed_on_nodes or ())
+    return always | set(demands.nodes())
 
 
-def reference_greedy(
-    topology, power_model, demands, utilisation_limit=1.0, fixed_on_nodes=None, fixed_on_links=None
-):
+def reference_greedy(topology, power_model, demands, utilisation_limit=1.0):
     """Chiaraviglio's recipe: routers, then links, most power-hungry first."""
     node_power, link_power = element_power_coefficients(topology, power_model)
-    keep_nodes = protected(topology, demands, fixed_on_nodes)
-    keep_links = {link_key(u, v) for (u, v) in (fixed_on_links or ())}
+    keep_nodes = protected(topology, demands)
 
     def router_power(name):
         incident = sum(link_power[link.key] for link in topology.incident_links(name))
@@ -110,36 +101,30 @@ def reference_greedy(
         utilisation_limit,
         topology.nodes(),
         topology.link_keys(),
-        [name for name in routers if name not in keep_nodes]
-        + [key for key in links if key not in keep_links],
+        [name for name in routers if name not in keep_nodes] + links,
     )
     attached = {name for key in links for name in key}
     nodes = {name for name in nodes if name in attached or name in keep_nodes}
     return nodes, links, solution_power(topology, power_model, nodes, links)
 
 
-def reference_lp_relax(
-    topology, power_model, demands, utilisation_limit=1.0, fixed_on_nodes=None, fixed_on_links=None
-):
+def reference_lp_relax(topology, power_model, demands, utilisation_limit=1.0):
     """Fisher's outline: the relaxation's support, links first, then nodes."""
     relaxed = solve_path_milp(
         topology,
         power_model,
         demands,
         config=PathMilpConfig(k=3, utilisation_limit=utilisation_limit, integral_paths=False),
-        fixed_on_nodes=fixed_on_nodes,
-        fixed_on_links=fixed_on_links,
         solver_name="lp-relaxation",
     )
-    keep_nodes = protected(topology, demands, fixed_on_nodes)
-    keep_links = {link_key(u, v) for (u, v) in (fixed_on_links or ())}
+    keep_nodes = protected(topology, demands)
     nodes, links = plain_loop(
         topology,
         demands,
         utilisation_limit,
         relaxed.active_nodes,
         relaxed.active_links,
-        [key for key in sorted(relaxed.active_links) if key not in keep_links]
+        sorted(relaxed.active_links)
         + [name for name in sorted(relaxed.active_nodes) if name not in keep_nodes],
     )
     return nodes, links, solution_power(topology, power_model, nodes, links)
@@ -151,9 +136,9 @@ def assert_same_subset(reference, routine, topology, power_model, demands, **opt
         expected = reference(topology, power_model, demands, **options)
     except InfeasibleError:
         with pytest.raises(InfeasibleError):
-            routine(topology, power_model, demands, build_routing=False, **options)
+            routine(topology, power_model, demands, **options)
         return False
-    solution = routine(topology, power_model, demands, build_routing=False, **options)
+    solution = routine(topology, power_model, demands, **options)
     found = (solution.active_nodes, solution.active_links, solution.power_w)
     assert found == expected, (topology.name, demands.name, options)
     return True
@@ -244,7 +229,8 @@ def test_failure_view_with_the_restricted_matrix(geant, cisco_model):
 def test_empty_and_all_zero_demands_switch_everything_off(geant, cisco_model):
     for demands in (TrafficMatrix({}), TrafficMatrix({("DE", "FR"): 0.0})):
         assert_same_greedy(geant, cisco_model, demands)
-        solution = greedy_minimum_subset(geant, cisco_model, demands, build_routing=False)
+        assert_same_lp_relax(geant, cisco_model, demands)
+        solution = greedy_minimum_subset(geant, cisco_model, demands)
         assert solution.active_links == set()
         assert solution.active_nodes == set(demands.nodes())
 
@@ -252,24 +238,8 @@ def test_empty_and_all_zero_demands_switch_everything_off(geant, cisco_model):
 def test_demands_that_do_not_fit_leave_the_network_whole(geant, cisco_model):
     demands = TrafficMatrix({("DE", "FR"): 1e15})
     assert_same_greedy(geant, cisco_model, demands)
-    solution = greedy_minimum_subset(geant, cisco_model, demands, build_routing=False)
+    solution = greedy_minimum_subset(geant, cisco_model, demands)
     assert solution.active_links == set(geant.link_keys())
-
-
-def test_fixed_on_elements_stay_on(geant, cisco_model):
-    _, base = base_matrix({"name": "geant", "params": {}}, example_traffic_specs()[0])
-    idle = sorted(
-        set(geant.link_keys())
-        - greedy_minimum_subset(geant, cisco_model, base, build_routing=False).active_links
-    )[:2]
-    # A fixed link stays on only while its routers do: switching a router off
-    # takes every incident link along, fixed or not.
-    options = {"fixed_on_nodes": sorted(set(idle[0] + idle[1])), "fixed_on_links": idle}
-    assert_same_greedy(geant, cisco_model, base, **options)
-    assert_same_lp_relax(geant, cisco_model, base, **options)
-    solution = greedy_minimum_subset(geant, cisco_model, base, build_routing=False, **options)
-    assert set(options["fixed_on_links"]) <= solution.active_links
-    assert set(options["fixed_on_nodes"]) <= solution.active_nodes
 
 
 @st.composite
@@ -354,9 +324,7 @@ pairs = set()
 while len(pairs) < 10:
     pairs.add(tuple(rng.sample(hosts, 2)))
 demands = TrafficMatrix({pair: 4e8 for pair in sorted(pairs)})
-solution = greedy_minimum_subset(
-    topology, CommoditySwitchPowerModel(), demands, build_routing=False
-)
+solution = greedy_minimum_subset(topology, CommoditySwitchPowerModel(), demands)
 print(json.dumps([sorted(solution.active_nodes), sorted(solution.active_links)]))
 """
 

@@ -11,6 +11,7 @@ from repro.core.response import ResponseConfig, build_response_plan
 from repro.exceptions import ConfigurationError
 from repro.experiments.runner import main
 from repro.optim.greente import greente_heuristic
+from repro.power.accounting import network_power
 from repro.routing.paths import Path, RoutingTable
 from repro.scenario import (
     EventSpec,
@@ -26,6 +27,7 @@ from repro.scenario import (
     register,
     run_scenario,
 )
+from repro.scenario.engine import scheme_outcomes
 from repro.scenario.schemes import SchemeOutcome
 from repro.simulator.failures import FailureSchedule, LinkEvent, NodeEvent, TopologyView
 from repro.topology.base import Topology
@@ -324,7 +326,7 @@ def test_run_scenario_with_link_failure_reports_reaction_metrics():
 
 def test_node_failure_changes_ospf_power():
     spec = geant_failure_spec(
-        schemes=(SchemeSpec("ospf"),),
+        schemes=(SchemeSpec("ospf"), SchemeSpec("response", num_paths=3, k=3)),
         events=(EventSpec("node-failure", time_s=900.0, node="DE"),),
     )
     result = run_scenario(spec)
@@ -332,6 +334,21 @@ def test_node_failure_changes_ospf_power():
     assert series[0] == 100.0
     assert series[1] < 100.0  # the failed node and its links stop drawing power
     assert result.reaction["ospf"][0]["kind"] == "node-failure"
+    # REsPoNse stops billing the failed chassis too: DE is always-on in the
+    # plan, and in no activation once it is down.
+    built = build_scenario(spec)
+    before, *after = scheme_outcomes(built)["response"].details["activations"]
+    assert "DE" in before.active_nodes
+    chassis_w = built.power_model.chassis_power_w(built.topology.node("DE"))
+    for activation in after:
+        assert "DE" not in activation.active_nodes
+        billed = network_power(
+            built.topology,
+            built.power_model,
+            activation.active_nodes | {"DE"},
+            activation.active_links,
+        )
+        assert activation.power_w == pytest.approx(billed.total_w - chassis_w)
 
 
 def test_event_free_timeline_is_bit_identical_to_cold_replay():

@@ -56,9 +56,6 @@ def test_with_demand_and_restrict_and_merge():
     restricted = updated.restricted_to([("a", "b")])
     assert restricted == matrix
     assert len(updated) == 2  # original unchanged
-    merged = matrix.merged_with(TrafficMatrix({("a", "b"): 1.0, ("b", "a"): 2.0}))
-    assert merged.demand("a", "b") == 11.0
-    assert merged.demand("b", "a") == 2.0
 
 
 def test_equality_and_as_dict():

@@ -63,7 +63,6 @@ def test_trace_transformations():
 def test_trace_peak_and_offpeak():
     trace = _small_trace()
     assert trace.peak_matrix().demand("a", "b") == 4.0
-    assert trace.offpeak_matrix(0.0).demand("a", "b") == 1.0
 
 
 def test_trace_validation_errors():

@@ -20,10 +20,6 @@ def test_time_helpers():
     assert units.minutes(15) == 900
 
 
-def test_percent_and_fraction_are_inverses():
-    assert units.fraction(42.0) == pytest.approx(0.42)
-
-
 def test_constants_are_consistent():
     assert units.HOUR == 60 * units.MINUTE
     assert units.DAY == 24 * units.HOUR
