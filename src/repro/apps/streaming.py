@@ -170,7 +170,7 @@ def pick_client_nodes(
     topology: Topology,
     source: str,
     num_clients: int,
-    seed: Optional[int] = None,
+    seed: int = 0,
 ) -> List[str]:
     """Choose client attachment nodes uniformly at random (excluding the source)."""
     rng = np.random.default_rng(seed)

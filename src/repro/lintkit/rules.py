@@ -140,14 +140,45 @@ class UnseededRandomRule(Rule):
 
     #: numpy.random attributes that are legitimate with an explicit seed.
     SEEDED_FACTORIES = {"default_rng", "Generator", "SeedSequence", "PCG64"}
+    #: Constructors for which a ``None`` seed means "seed from OS entropy".
+    SEED_TAKERS = {"random.Random", "numpy.random.default_rng", "numpy.random.SeedSequence"}
 
     def applies_to(self, rel_path: str) -> bool:
         return _in_deterministic_code(rel_path)
+
+    @staticmethod
+    def _optional_seed(ctx: ModuleContext, call: ast.Call) -> Optional[str]:
+        """The parameter of an enclosing function, defaulting to ``None``,
+        that *call* takes as its seed."""
+        values = [*call.args[:1], *(keyword.value for keyword in call.keywords)]
+        names = {value.id for value in values if isinstance(value, ast.Name)}
+        for function in ctx.ancestors(call):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            spec = function.args
+            positional = [*spec.posonlyargs, *spec.args]
+            parameters = [*positional[len(positional) - len(spec.defaults) :], *spec.kwonlyargs]
+            for parameter, default in zip(
+                parameters, [*spec.defaults, *spec.kw_defaults], strict=True
+            ):
+                is_none = isinstance(default, ast.Constant) and default.value is None
+                if is_none and parameter.arg in names:
+                    return parameter.arg
+        return None
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         for call in ctx.calls():
             name = _call_name(ctx, call)
             if name is None:
+                continue
+            parameter = self._optional_seed(ctx, call) if name in self.SEED_TAKERS else None
+            if parameter is not None:
+                yield ctx.finding(
+                    self,
+                    call,
+                    f"{name}({parameter}) is entropy-seeded whenever the caller omits "
+                    f"{parameter!r} (default None); default it to an integer or require it",
+                )
                 continue
             if name == "random.Random" and (call.args or call.keywords):
                 continue  # an explicitly seeded stdlib generator is fine

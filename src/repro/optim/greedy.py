@@ -12,6 +12,7 @@ demand on what remains.
 from __future__ import annotations
 
 from ..power.model import PowerModel
+from ..routing.mcf import FlowSession
 from ..topology.base import Topology
 from ..traffic.matrix import TrafficMatrix
 from .solution import EnergyAwareSolution, element_power_coefficients, solution_power
@@ -23,6 +24,7 @@ def greedy_minimum_subset(
     power_model: PowerModel,
     demands: TrafficMatrix,
     utilisation_limit: float = 1.0,
+    session: FlowSession | None = None,
 ) -> EnergyAwareSolution:
     """Find a small active subset able to carry *demands*, with a single-path
     routing table on it (inverse-capacity shortest paths).
@@ -32,6 +34,7 @@ def greedy_minimum_subset(
         power_model: Power coefficients guiding the switch-off order.
         demands: Traffic matrix that must remain routable.
         utilisation_limit: Safety margin applied to every arc capacity.
+        session: A flow session of *topology* at this limit, kept by the caller.
 
     Returns:
         An :class:`EnergyAwareSolution`; ``optimal`` is always ``False``.
@@ -50,7 +53,7 @@ def greedy_minimum_subset(
     candidates = [name for name in routers if name not in keep_on]
     candidates += links
     active_nodes, active_links = shrink_active_subset(
-        topology, demands, utilisation_limit, topology.nodes(), topology.link_keys(), candidates
+        topology, demands, utilisation_limit, topology.nodes(), links, candidates, session
     )
 
     # Drop routers left with no active link (constraint 3), unless protected.

@@ -16,6 +16,7 @@ trade-off of the exact MILP, the greedy heuristic and rounding.
 from __future__ import annotations
 
 from ..power.model import PowerModel
+from ..routing.mcf import FlowSession
 from ..topology.base import Topology
 from ..traffic.matrix import TrafficMatrix
 from .pathmilp import PathMilpConfig, solve_path_milp
@@ -29,6 +30,7 @@ def lp_relaxation_with_rounding(
     demands: TrafficMatrix,
     k: int = 3,
     utilisation_limit: float = 1.0,
+    session: FlowSession | None = None,
 ) -> EnergyAwareSolution:
     """Relax, round and repair, then route by shortest paths on the rounded subset.
 
@@ -38,6 +40,7 @@ def lp_relaxation_with_rounding(
         demands: Traffic matrix to carry.
         k: Candidate paths per pair used by the relaxation.
         utilisation_limit: Safety margin on arc capacities.
+        session: A flow session of *topology* at this limit, kept by the caller.
 
     Returns:
         An :class:`EnergyAwareSolution`; never proven optimal.
@@ -56,7 +59,13 @@ def lp_relaxation_with_rounding(
     candidates = sorted(relaxed.active_links)
     candidates += [name for name in sorted(relaxed.active_nodes) if name not in keep_on]
     active_nodes, active_links = shrink_active_subset(
-        topology, demands, utilisation_limit, relaxed.active_nodes, relaxed.active_links, candidates
+        topology,
+        demands,
+        utilisation_limit,
+        relaxed.active_nodes,
+        relaxed.active_links,
+        candidates,
+        session,
     )
 
     routing = route_on_subset(topology, demands, active_nodes, active_links, "lp-rounding")

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Set, Tuple
 
-from ..power.accounting import network_power
+from ..power.accounting import element_power, network_power
 from ..power.model import PowerModel
 from ..routing.paths import RoutingTable
 from ..topology.base import Topology
@@ -62,21 +62,14 @@ def element_power_coefficients(
         for the canonical link key ``(u, v)``.  Host nodes and host-side ports
         carry zero cost, mirroring :mod:`repro.power.accounting`.
     """
-    node_power: Dict[str, float] = {}
-    for name in topology.nodes():
-        node = topology.node(name)
-        node_power[name] = 0.0 if node.kind == "host" else power_model.chassis_power_w(node)
-
+    table = element_power(topology, power_model)
     link_power: Dict[Tuple[str, str], float] = {}
-    for link in topology.links():
+    for key, arcs in table.arc_w.items():
         total = 0.0
-        for src, dst in link.arc_keys():
-            if topology.node(src).kind == "host":
-                continue
-            arc = topology.arc(src, dst)
-            total += power_model.port_power_w(arc) + power_model.amplifier_power_w(arc)
-        link_power[link.key] = total
-    return node_power, link_power
+        for port_w, amplifier_w in arcs:
+            total += port_w + amplifier_w
+        link_power[key] = total
+    return dict(table.node_w), link_power
 
 
 def solution_power(

@@ -10,14 +10,20 @@ connectivity check the LP itself starts with is run on every candidate.
 
 A candidate that does carry witness flow costs an LP, and consecutive
 candidates differ in a handful of arcs: one search holds one
-:class:`~repro.routing.mcf.FlowSession` — the LP assembled once over the
-starting sets, a candidate's arcs switched off by column bounds, each
-re-solve started from the basis of the last.
+:class:`~repro.routing.mcf.FlowSession` — the LP of the whole topology, a
+candidate's arcs switched off by column bounds, each re-solve started from
+the basis of the last.  The active subset is a pair of masks over the
+topology's index (a candidate's entries are flipped, and flipped back on a
+refusal); names appear only at the boundary.  A caller that runs one search
+per interval hands the same session down each time: model and basis outlive
+the interval, every candidate is still decided anew.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set, Tuple, Union
+from typing import Collection, Iterable, Optional, Set, Tuple, Union
+
+import numpy as np
 
 from ..obs import metrics, trace
 from ..routing.mcf import FlowSession, demands_connected
@@ -60,54 +66,60 @@ def shrink_active_subset(
     topology: Topology,
     demands: TrafficMatrix,
     utilisation_limit: float,
-    active_nodes: Iterable[str],
-    active_links: Iterable[LinkKey],
+    active_nodes: Collection[str],
+    active_links: Collection[LinkKey],
     candidates: Iterable[Union[str, LinkKey]],
+    session: Optional[FlowSession] = None,
 ) -> Tuple[Set[str], Set[LinkKey]]:
     """Switch off, in order, every candidate that *demands* can do without.
 
     A candidate is a node name (it leaves with its active links) or a link key
     (skipped when already off); only one that carries witness flow costs an
-    LP.  Returns the ``(active_nodes, active_links)`` that remain.
+    LP, put to *session* — one of *topology* at *utilisation_limit*, which
+    is retargeted at *demands* — or to a session of the search's own.
+    Returns the ``(active_nodes, active_links)`` that remain.
 
     The sets returned do not depend on which optimal flow a warm re-solve
     lands on: a different witness moves work between the solver and the
     witness rule, and both give the true answer to "does the demand still
     fit?" — a witness skip exhibits a feasible flow, an LP decides.
     """
-    nodes, links = set(active_nodes), set(active_links)
-    witness: Optional[Dict[LinkKey, float]] = None
-    # Opened at the first candidate that reaches the solver, over the sets as
-    # they are then (every later candidate lies within them), and dropped
-    # with this call: nothing is carried across intervals, threads or forks.
-    session: Optional[FlowSession] = None
+    index = topology.index()
+    node_on, link_on = index.node_mask(active_nodes), index.link_mask(active_links)
+    if session is None:
+        session = FlowSession(topology, demands, utilisation_limit, active_nodes, active_links)
+    else:
+        session.retarget(demands)
+    models_before, iterations_before = session.models_built, session.simplex_iterations
+    witness: Optional[np.ndarray] = None
     answers = dict.fromkeys(("witness", "disconnected", "lp_feasible", "lp_infeasible"), 0)
     for element in candidates:
         if isinstance(element, tuple):
-            if element not in links:
-                continue
-            fewer_nodes, dropped = nodes, {element}
+            node, dropped = None, [index.link_index[element]]
         else:
-            fewer_nodes = nodes - {element}
-            dropped = {key for key in links if element in key}
-        fewer_links = links - dropped
-        if not demands_connected(topology, demands, fewer_nodes, fewer_links):
+            node = index.node_index[element]
+            dropped = index.node_links[node]
+        dropped = [link for link in dropped if link_on[link]]
+        if node is None and not dropped:
+            continue  # a link that is already off
+        node_was_on = node is not None and bool(node_on[node])
+        if node_was_on:
+            node_on[node] = False
+        link_on[dropped] = False
+        if not demands_connected(topology, demands, node_on, link_on):
             answer = "disconnected"
-        elif witness is not None and not any(
-            # repro: allow[REP104] any() of the loads; order cannot leak
-            witness.get(arc) for (u, v) in dropped for arc in ((u, v), (v, u))
-        ):
+        elif witness is not None and not witness[index.link_arcs[dropped]].any():
             answer = "witness"
         else:
-            if session is None:
-                session = FlowSession(topology, demands, utilisation_limit, nodes, links)
-            result = session.solve(fewer_nodes, fewer_links)
+            result = session.solve(node_on, link_on)
             answer = "lp_feasible" if result.feasible else "lp_infeasible"
             if result.feasible:
                 witness = result.arc_loads
         answers[answer] += 1
-        if answer in ("witness", "lp_feasible"):
-            nodes, links = fewer_nodes, fewer_links
+        if answer not in ("witness", "lp_feasible"):
+            link_on[dropped] = True
+            if node_was_on:
+                node_on[node] = True
 
     for answer, count in answers.items():
         _CHECKS.labels(answer=answer).inc(count)
@@ -115,7 +127,10 @@ def shrink_active_subset(
     if enclosing is not None:
         enclosing.set(
             lp_solves=answers["lp_feasible"] + answers["lp_infeasible"],
-            lp_iterations=session.simplex_iterations if session is not None else 0,
+            lp_iterations=session.simplex_iterations - iterations_before,
+            lp_models=session.models_built - models_before,
             witness_skips=answers["witness"],
         )
+    nodes = {name for name, on in zip(index.node_names, node_on.tolist(), strict=True) if on}
+    links = {key for key, on in zip(index.link_keys, link_on.tolist(), strict=True) if on}
     return nodes, links

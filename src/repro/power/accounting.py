@@ -17,7 +17,7 @@ switch side of the link).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
 from ..exceptions import TopologyError
 from ..topology.base import Topology, link_key
@@ -37,39 +37,41 @@ class PowerBreakdown:
         """Total network power in watts."""
         return self.chassis_w + self.ports_w + self.amplifiers_w
 
-    def as_dict(self) -> dict:
-        """The breakdown as a plain dictionary (for reports and tests)."""
-        return {
-            "chassis_w": self.chassis_w,
-            "ports_w": self.ports_w,
-            "amplifiers_w": self.amplifiers_w,
-            "total_w": self.total_w,
-        }
+
+@dataclass
+class ElementPower:
+    """What one power model charges each element of one topology (watts):
+    chassis per node (``0.0`` for a host), ``(port, amplifier)`` of each
+    link's two arcs in ``Link.arc_keys()`` order (zeros for an arc leaving a
+    host), the nodes counted as on whether listed or not, and the fully
+    powered network's breakdown once asked for."""
+
+    node_w: Dict[str, float]
+    arc_w: Dict[Tuple[str, str], Tuple[Tuple[float, float], ...]]
+    always_powered: FrozenSet[str]
+    full: Optional[PowerBreakdown] = None
 
 
-def _normalise_active_links(
-    topology: Topology,
-    active_links: Optional[Iterable[Tuple[str, str]]],
-    active_nodes: Set[str],
-) -> Set[Tuple[str, str]]:
-    """Resolve the set of active undirected link keys.
-
-    When *active_links* is ``None`` every link whose two endpoints are active
-    is considered active (constraint (1) of the paper applied permissively).
-    Links with a powered-off endpoint are always excluded.
-    """
-    if active_links is None:
-        candidate_keys = topology.link_keys()
-    else:
-        candidate_keys = [link_key(u, v) for (u, v) in active_links]
-        unknown = [key for key in candidate_keys if not topology.has_link(*key)]
-        if unknown:
-            raise TopologyError(f"active link does not exist in topology: {unknown[0]}")
-    return {
-        key
-        for key in candidate_keys
-        if key[0] in active_nodes and key[1] in active_nodes
-    }
+def element_power(topology: Topology, model: PowerModel) -> ElementPower:
+    """The watts *model* charges each element, kept on the topology's index."""
+    memo = topology.index().element_power
+    if id(model) not in memo:
+        node_w: Dict[str, float] = {}
+        for name in topology.nodes():
+            node = topology.node(name)
+            node_w[name] = 0.0 if node.kind == "host" else model.chassis_power_w(node)
+        arc_w = {}
+        for link in topology.links():
+            arcs = [topology.arc(*key) for key in link.arc_keys()]
+            arc_w[link.key] = tuple(
+                (0.0, 0.0)
+                if topology.node(arc.src).kind == "host"
+                else (model.port_power_w(arc), model.amplifier_power_w(arc))
+                for arc in arcs
+            )
+        always = frozenset(n for n in node_w if topology.node(n).always_powered)
+        memo[id(model)] = (model, ElementPower(node_w, arc_w, always))
+    return memo[id(model)][1]
 
 
 def network_power(
@@ -87,47 +89,48 @@ def network_power(
             Nodes marked ``always_powered`` are counted as on even when not
             listed, matching the paper's treatment of feeder nodes.
         active_links: Canonical or directed ``(u, v)`` pairs of active links;
-            defaults to every link between two active nodes.
+            defaults to every link between two active nodes; a link with a
+            powered-off endpoint never counts (the paper's constraint (1)).
 
     Returns:
         The :class:`PowerBreakdown` of the active subset.
     """
+    table = element_power(topology, model)
     if active_nodes is None:
-        active = set(topology.nodes())
+        active = set(table.node_w)
     else:
         active = set(active_nodes)
-        unknown = active - set(topology.nodes())
+        unknown = active - table.node_w.keys()
         if unknown:
             raise TopologyError(f"active node does not exist in topology: {min(unknown)}")
-        active |= {
-            name for name in topology.nodes() if topology.node(name).always_powered
-        }
-
-    active_link_keys = _normalise_active_links(topology, active_links, active)
+        active |= table.always_powered
+    if active_links is None:
+        link_keys: Iterable[Tuple[str, str]] = table.arc_w
+    else:
+        link_keys = [link_key(u, v) for (u, v) in active_links]
+        unknown_links = [key for key in link_keys if key not in table.arc_w]
+        if unknown_links:
+            raise TopologyError(f"active link does not exist in topology: {unknown_links[0]}")
+    active_link_keys = {key for key in link_keys if key[0] in active and key[1] in active}
 
     # Float sums run in sorted order: set iteration follows PYTHONHASHSEED,
-    # and the last ULP of every power figure would follow it too.
+    # and the last ULP of every power figure would follow it too (a host's
+    # zeros change nothing: ``x + 0.0 == x``).
     chassis_w = 0.0
     for name in sorted(active):
-        node = topology.node(name)
-        if node.kind == "host":
-            continue
-        chassis_w += model.chassis_power_w(node)
-
+        chassis_w += table.node_w[name]
     ports_w = 0.0
     amplifiers_w = 0.0
     for key in sorted(active_link_keys):
-        link = topology.link(*key)
-        for src, dst in link.arc_keys():
-            if topology.node(src).kind == "host":
-                continue
-            arc = topology.arc(src, dst)
-            ports_w += model.port_power_w(arc)
-            amplifiers_w += model.amplifier_power_w(arc)
-
+        for port_w, amplifier_w in table.arc_w[key]:
+            ports_w += port_w
+            amplifiers_w += amplifier_w
     return PowerBreakdown(chassis_w=chassis_w, ports_w=ports_w, amplifiers_w=amplifiers_w)
 
 
 def full_power(topology: Topology, model: PowerModel) -> PowerBreakdown:
     """Power of the network with every element powered on ("original power")."""
-    return network_power(topology, model)
+    table = element_power(topology, model)
+    if table.full is None:
+        table.full = network_power(topology, model)
+    return table.full

@@ -26,15 +26,22 @@ def equal_cost_paths(
     """All equal-cost shortest paths between two nodes, by hop count (the
     usual ECMP metric inside a datacenter).
 
+    Enumerated once per pair and topology object (kept on the topology's
+    index; a failure view is its own topology object, so has its own).
+
     Raises:
         PathNotFoundError: If the destination is unreachable.
     """
-    graph = topology.to_networkx()
-    try:
-        paths = nx.all_shortest_paths(graph, origin, destination)
-        return [Path.of(nodes) for nodes in paths]
-    except nx.NetworkXNoPath:
-        raise PathNotFoundError(origin, destination) from None
+    memo = topology.index().ecmp_paths
+    paths = memo.get((origin, destination))
+    if paths is None:
+        try:
+            found = nx.all_shortest_paths(topology.to_networkx(), origin, destination)
+            paths = tuple(Path.of(nodes) for nodes in found)
+        except nx.NetworkXNoPath:
+            raise PathNotFoundError(origin, destination) from None
+        memo[(origin, destination)] = paths
+    return list(paths)
 
 
 def ecmp_link_loads(

@@ -17,18 +17,20 @@ Commodities are aggregated per origin (the standard reduction), so the LP has
 ("how many times this matrix fits") over the same constraint rows.
 
 Three layers, one above the other: :func:`_flow_lp` assembles the constraint
-structure, :class:`_HighsLP` is the one solver binding (SciPy's vendored
-HiGHS, driven directly: the model is passed once, column bounds change in
-place and a re-solve starts from the basis the last one left), and
-:class:`FlowSession` is what callers hold: "route these demands with these
-arcs switched off".  :func:`solve_mcf` is a session of one solve; the subset
-search of :mod:`repro.optim.subset` keeps one for a whole switch-off loop.
+structure over the topology's index, :class:`_HighsLP` is the one solver
+binding (SciPy's vendored HiGHS, driven directly: the model is passed once,
+bounds change in place and a re-solve starts from the basis the last one
+left), and :class:`FlowSession` is what callers hold: "the flow LP of this
+topology object — route these demands with these arcs (index masks) switched
+off".  :func:`solve_mcf` is a session of one solve; the subset search of
+:mod:`repro.optim.subset` keeps one for a switch-off loop, a solver-replay
+runtime from one interval to the next (:meth:`FlowSession.retarget`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 import scipy
@@ -36,7 +38,8 @@ from scipy import sparse
 
 from ..exceptions import SolverError
 from ..obs import metrics
-from ..topology.base import Arc, Topology, link_key
+from ..topology.base import Topology
+from ..topology.index import TopologyIndex
 from ..traffic.matrix import TrafficMatrix
 
 try:
@@ -51,7 +54,7 @@ try:
         kHighsInf,
     )
 
-    for _method in ("changeColsBounds", "getInfo", "getSolution"):
+    for _method in ("changeColsBounds", "changeRowBounds", "getInfo", "getSolution"):
         getattr(_Highs, _method)
 except (ImportError, AttributeError) as error:
     raise ImportError(
@@ -71,6 +74,9 @@ _SIMPLEX_ITERATIONS = metrics.counter(
 )
 _FRESH_ITERATIONS = _SIMPLEX_ITERATIONS.labels(start="fresh")
 _WARM_ITERATIONS = _SIMPLEX_ITERATIONS.labels(start="warm")
+_MODELS = metrics.counter(
+    "repro_mcf_models_total", "LP models the MCF module assembled and passed to HiGHS"
+)
 
 
 def pairwise_sum(values: np.ndarray) -> np.ndarray:
@@ -95,7 +101,7 @@ def pairwise_sum(values: np.ndarray) -> np.ndarray:
     return array[..., 0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MCFResult:
     """Outcome of a multi-commodity-flow computation.
 
@@ -103,30 +109,32 @@ class MCFResult:
         feasible: Whether the demand fits within the capacities.
         max_utilisation: Largest arc utilisation of the computed flow
             (``inf`` when infeasible).
-        arc_loads: Load per directed arc in bits per second (empty when
-            infeasible).
+        arc_loads: Load in bits per second of every directed arc of the
+            topology's index, in index order — zero on an arc that is
+            switched off (empty when infeasible).
         total_flow_bps: Sum of arc loads (a hop-weighted volume; ``0.0`` when
             infeasible).
     """
 
     feasible: bool
     max_utilisation: float
-    arc_loads: Dict[Tuple[str, str], float]
+    arc_loads: np.ndarray
     total_flow_bps: float
 
 
-@dataclass(frozen=True)
+@dataclass
 class _FlowLP:
-    """The origin-aggregated flow LP of one (arc set, demand set).
+    """The origin-aggregated flow LP of one (topology index, demand set).
 
-    Variable ``o * num_arcs + a`` is the flow of origin ``o`` on arc ``a``;
-    ``a_eq`` is flow conservation per (origin, node) and ``a_ub`` the total
-    flow per arc.  ``eq_rhs`` is in units of ``scale`` (the largest arc
-    capacity): demands expressed in bits per second reach 1e8-1e10, which
-    interacts badly with the solver's absolute feasibility tolerances.
+    Variable ``o * num_arcs + a`` is the flow of origin ``origins[o]`` on arc
+    ``a``; ``a_eq`` is flow conservation per (origin, node) and ``a_ub`` the
+    total flow per arc.  ``eq_rhs`` (what *positive* emits and absorbs) is in
+    units of ``scale``, the largest arc capacity: in bits per second demands
+    reach 1e8-1e10, far from the solver's absolute feasibility tolerances.
     """
 
-    num_origins: int
+    positive: "Demands"
+    origins: List[str]
     a_eq: sparse.coo_matrix
     a_ub: sparse.coo_matrix
     eq_rhs: np.ndarray
@@ -137,38 +145,10 @@ class _FlowLP:
         return self.capacities_bps * utilisation_limit / self.scale
 
 
-def _within(
-    nodes: List[str],
-    arcs: List[Arc],
-    active_nodes: Optional[Iterable[str]],
-    active_links: Optional[Iterable[Tuple[str, str]]],
-) -> Tuple[List[str], List[Arc]]:
-    """Those of *nodes* and *arcs* that lie within the active sets, in order."""
-    if active_nodes is not None:
-        allowed = set(active_nodes)
-        nodes = [node for node in nodes if node in allowed]
-    node_set = set(nodes)
-    link_keys = None if active_links is None else {link_key(u, v) for (u, v) in active_links}
-    arcs = [
-        arc
-        for arc in arcs
-        if arc.src in node_set
-        and arc.dst in node_set
-        and (link_keys is None or arc.link_key in link_keys)
-    ]
-    return nodes, arcs
+Demands = List[Tuple[Tuple[str, str], float]]
 
 
-def _active_arcs(
-    topology: Topology,
-    active_nodes: Optional[Iterable[str]],
-    active_links: Optional[Iterable[Tuple[str, str]]],
-) -> Tuple[List[str], List[Arc]]:
-    """Nodes and directed arcs of the (sub)network, in topology order."""
-    return _within(topology.nodes(), topology.arcs(), active_nodes, active_links)
-
-
-def _positive_demands(demands: TrafficMatrix) -> List[Tuple[Tuple[str, str], float]]:
+def _positive_demands(demands: TrafficMatrix) -> Demands:
     return [(pair, demand) for pair, demand in demands.items() if demand > 0.0]
 
 
@@ -203,64 +183,33 @@ def _constraint_structure(
     return a_eq, a_ub
 
 
-def _connected(
-    nodes: List[str],
-    arcs: List[Arc],
-    positive: List[Tuple[Tuple[str, str], float]],
-) -> bool:
-    """Whether every pair of *positive* has its endpoints in *nodes* and a
-    directed path over *arcs*.
-
-    Tiny demands (the paper's 1 bit/s ε flows) can fall below the LP solver's
-    feasibility tolerances once the problem is rescaled, so disconnection must
-    be detected combinatorially rather than numerically.
+def _joined(index: TopologyIndex, arc_on: np.ndarray, positive: Demands) -> bool:
+    """Whether every pair of *positive* has both endpoints in the topology
+    and a path over the arcs that are on.  Tiny demands (the paper's 1 bit/s
+    ε flows) can fall below the LP solver's tolerances once the problem is
+    rescaled, so disconnection is detected combinatorially, not numerically.
     """
-    if not {node for pair, _ in positive for node in pair} <= set(nodes):
+    node_index = index.node_index
+    try:
+        pairs = [(node_index[origin], node_index[dst]) for (origin, dst), _ in positive]
+    except KeyError:
         return False
-    adjacency: Dict[str, List[str]] = {}
-    for arc in arcs:
-        adjacency.setdefault(arc.src, []).append(arc.dst)
-    reachable: Dict[str, Set[str]] = {}
-    for (origin, destination), _demand in positive:
-        if origin not in reachable:
-            seen = {origin}
-            frontier = [origin]
-            while frontier:
-                for neighbour in adjacency.get(frontier.pop(), ()):
-                    if neighbour not in seen:
-                        seen.add(neighbour)
-                        frontier.append(neighbour)
-            reachable[origin] = seen
-        if destination not in reachable[origin]:
-            return False
-    return True
+    labels = index.component_labels(arc_on)
+    return all(labels[origin] == labels[dst] for origin, dst in pairs)
 
 
-def _flow_lp(
-    nodes: List[str],
-    arcs: List[Arc],
-    positive: List[Tuple[Tuple[str, str], float]],
-) -> _FlowLP:
-    """Assemble the LP that routes *positive* over *arcs* (at least one).
-
-    What can be decided without a solver — no usable arc at all, a demand
-    whose endpoints are not :func:`_connected` — is the caller's to decide
-    first.
-    """
-    node_index = {name: index for index, name in enumerate(nodes)}
-
-    capacities_bps = np.array([arc.capacity_bps for arc in arcs])
-    scale = float(capacities_bps.max())
-
-    origins = sorted({origin for (origin, _), _ in positive})
+def _conservation_rhs(
+    index: TopologyIndex, origins: List[str], positive: Demands, scale: float
+) -> np.ndarray:
+    """Conservation right-hand side, one row per (origin, node): an origin
+    emits what its sinks absorb."""
+    node_index = index.node_index
     demand_from: Dict[str, Dict[str, float]] = {origin: {} for origin in origins}
     for (origin, destination), demand in positive:
         demand_from[origin][destination] = (
             demand_from[origin].get(destination, 0.0) + demand / scale
         )
-
-    # Conservation right-hand side: an origin emits what its sinks absorb.
-    eq_rhs = np.zeros((len(origins), len(nodes)))
+    eq_rhs = np.zeros((len(origins), len(node_index)))
     for row, origin in enumerate(origins):
         for destination, volume in demand_from[origin].items():
             eq_rhs[row, node_index[destination]] = volume
@@ -268,14 +217,21 @@ def _flow_lp(
     for row, origin in enumerate(origins):
         sinks = demand_from[origin]
         eq_rhs[row, node_index[origin]] = sum(sinks.values()) - sinks.get(origin, 0.0)
+    return eq_rhs.ravel()
 
+
+def _flow_lp(index: TopologyIndex, positive: Demands) -> _FlowLP:
+    """Assemble the LP that routes *positive* over every arc of *index* (at
+    least one).  What can be decided without a solver — no usable arc at
+    all, a demand that is not :func:`_joined` — the caller decides first.
+    """
+    scale = float(index.arc_capacity.max())
+    origins = sorted({origin for (origin, _), _ in positive})
     a_eq, a_ub = _constraint_structure(
-        np.array([node_index[arc.src] for arc in arcs]),
-        np.array([node_index[arc.dst] for arc in arcs]),
-        len(nodes),
-        len(origins),
+        index.arc_src, index.arc_dst, len(index.node_names), len(origins)
     )
-    return _FlowLP(len(origins), a_eq, a_ub, eq_rhs.ravel(), capacities_bps, scale)
+    eq_rhs = _conservation_rhs(index, origins, positive, scale)
+    return _FlowLP(positive, origins, a_eq, a_ub, eq_rhs, index.arc_capacity, scale)
 
 
 #: What SciPy's LP front end (``method="highs"``) sets before it solves;
@@ -299,8 +255,8 @@ class _HighsLP:
     arguments — inequality rows above equality rows, column-wise storage,
     :data:`_HIGHS_OPTIONS` — so the first :meth:`solve` returns that front
     end's vertex bit for bit.  Unlike it, the model stays: :meth:`set_upper`
-    changes column bounds in place and the next :meth:`solve` starts from
-    the basis HiGHS kept.
+    changes column bounds and :meth:`set_equality` a right-hand side in
+    place, and the next :meth:`solve` starts from the basis HiGHS kept.
 
     Every status the binding returns is looked at.  After a failure the
     instance is dropped and any further call raises.
@@ -334,6 +290,8 @@ class _HighsLP:
         for option, value in _HIGHS_OPTIONS:
             self._checked("setOptionValue", option, value)
         self._checked("passModel", lp)
+        self._num_ub = len(b_ub)
+        _MODELS.inc()
 
     def _live(self) -> _Highs:
         if self._highs is None:
@@ -357,6 +315,12 @@ class _HighsLP:
         lower = np.zeros(len(columns))
         self._checked("changeColsBounds", len(columns), columns.astype(np.int32), lower, upper)
 
+    def set_equality(self, rows: np.ndarray, values: np.ndarray) -> None:
+        """Give equality *rows* (counted from the first one) the right-hand
+        sides *values*."""
+        for row, value in zip((rows + self._num_ub).tolist(), values.tolist(), strict=True):
+            self._checked("changeRowBounds", row, value, value)
+
     def solve(self) -> Optional[np.ndarray]:
         """The optimal ``x``, or ``None`` when the LP is infeasible.
 
@@ -378,23 +342,23 @@ class _HighsLP:
 
 
 class FlowSession:
-    """The flow LP of one (topology, demands, utilisation limit), solved with
-    any of its arcs switched off.
+    """The flow LP of one topology object at one utilisation limit, solved
+    for any demands with any of its arcs switched off.
 
-    ``session.solve(active_nodes, active_links)`` answers what a fresh
-    session opened on ``(topology, demands, utilisation_limit, active_nodes,
-    active_links)`` answers at its first solve, for sets within the ones the
-    session was opened on: the same solver-free early returns, the same
-    ``feasible`` — ``False`` both when the LP is infeasible and when some
-    demand endpoint is outside the active set.  The LP is assembled and
-    passed to HiGHS once, at the first solve that needs the solver; from then
-    on a solve is "the columns of the arcs that changed get upper bound 0, or
-    ``inf`` again" and a run from the previous basis.
-
-    A later solve need not land on the vertex a fresh LP over the smaller
-    arc set would: ``feasible`` is the same answer either way, the flow is
-    *an* optimal one.  A session belongs to one caller — it is not shared
-    between threads and holds nothing worth keeping once the demands change.
+    ``session.solve(node_on, link_on)`` answers what a fresh session opened
+    on the same demands and active sets answers at its first solve: the same
+    solver-free early returns, the same ``feasible`` — ``False`` both when
+    the LP is infeasible and when some demand endpoint is outside the active
+    set.  The LP spans every arc of the topology's index whatever sets the
+    session was opened on (the default masks), so a wider call may follow a
+    narrow one; it reaches HiGHS at the first solve that needs the solver,
+    and from then on a solve is "the columns of the arcs that changed get
+    upper bound 0, or ``inf`` again" and a run from the previous basis.
+    After :meth:`retarget` the model stays if the origins do (conservation
+    right-hand sides move) and is rebuilt otherwise.  A later solve need not
+    land on the vertex a fresh LP would: ``feasible`` is the same, the flow
+    *an* optimal one.  A session has one holder — a subset search, or one
+    solver runtime's replay state for its run — and never crosses threads.
     """
 
     def __init__(
@@ -405,69 +369,87 @@ class FlowSession:
         active_nodes: Optional[Iterable[str]] = None,
         active_links: Optional[Iterable[Tuple[str, str]]] = None,
     ) -> None:
-        self._nodes, self._arcs = _active_arcs(topology, active_nodes, active_links)
+        self.index = topology.index()
+        self._node_on = self.index.node_mask(active_nodes)
+        self._link_on = self.index.link_mask(active_links)
         self._positive = _positive_demands(demands)
         self._utilisation_limit = utilisation_limit
         #: Assembled and passed to HiGHS at the first solve that needs the solver.
         self._model: Optional[Tuple[_FlowLP, _HighsLP]] = None
-        self._on = np.ones(len(self._arcs), dtype=bool)
+        self._columns_on = np.ones(self.index.num_arcs, dtype=bool)
+        #: Models built and simplex iterations of every solve so far.
+        self.models_built = 0
+        self.simplex_iterations = 0
 
-    @property
-    def simplex_iterations(self) -> int:
-        """Simplex iterations of every solve of the session so far."""
-        return 0 if self._model is None else self._model[1].iterations
+    def retarget(self, demands: TrafficMatrix) -> None:
+        """Make *demands* the ones every later :meth:`solve` routes."""
+        self._positive = _positive_demands(demands)
 
-    def solve(
-        self,
-        active_nodes: Optional[Iterable[str]] = None,
-        active_links: Optional[Iterable[Tuple[str, str]]] = None,
-    ) -> MCFResult:
-        """Route the demands over the session's arcs that lie within
-        *active_nodes* and *active_links* (default: all of them)."""
-        nodes, arcs = _within(self._nodes, self._arcs, active_nodes, active_links)
-        if not self._positive:
-            return MCFResult(True, 0.0, {arc.key: 0.0 for arc in arcs}, 0.0)
-        if not arcs or not _connected(nodes, arcs, self._positive):
-            return MCFResult(False, float("inf"), {}, 0.0)
-
-        if self._model is None:
-            lp = _flow_lp(self._nodes, self._arcs, self._positive)
+    def _current_model(self) -> Tuple[_FlowLP, _HighsLP]:
+        """The model held, moved to the demands as they are now, or a new one."""
+        model = self._model
+        if model is not None and model[0].positive is not self._positive:
+            lp, solver = model
+            if {origin for (origin, _), _ in self._positive} == set(lp.origins):
+                eq_rhs = _conservation_rhs(self.index, lp.origins, self._positive, lp.scale)
+                moved = np.flatnonzero(eq_rhs != lp.eq_rhs)
+                solver.set_equality(moved, eq_rhs[moved])
+                lp.positive, lp.eq_rhs = self._positive, eq_rhs
+            else:
+                model = None  # other rows and columns
+        if model is None:
+            lp = _flow_lp(self.index, self._positive)
             # Objective: minimise total flow (discourages cycles and long detours).
             cost = np.ones(lp.a_ub.shape[1])
             rhs = lp.capacity_rhs(self._utilisation_limit)
-            self._model = (lp, _HighsLP(cost, lp.a_ub, rhs, lp.a_eq, lp.eq_rhs))
-        lp, solver = self._model
-        num_arcs = len(self._arcs)
-        on_keys = {arc.key for arc in arcs}
-        mask = np.array([arc.key in on_keys for arc in self._arcs])
-        flipped = np.flatnonzero(mask != self._on)
+            model = self._model = (lp, _HighsLP(cost, lp.a_ub, rhs, lp.a_eq, lp.eq_rhs))
+            self._columns_on = np.ones(self.index.num_arcs, dtype=bool)
+            self.models_built += 1
+        return model
+
+    def solve(
+        self, node_on: Optional[np.ndarray] = None, link_on: Optional[np.ndarray] = None
+    ) -> MCFResult:
+        """Route the demands over the arcs of the active subset *node_on*,
+        *link_on* (default: the sets the session was opened on)."""
+        index = self.index
+        arc_on = index.arc_mask(
+            self._node_on if node_on is None else node_on,
+            self._link_on if link_on is None else link_on,
+        )
+        if not self._positive:
+            return MCFResult(True, 0.0, np.zeros(index.num_arcs), 0.0)
+        if not arc_on.any() or not _joined(index, arc_on, self._positive):
+            return MCFResult(False, float("inf"), np.zeros(0), 0.0)
+
+        lp, solver = self._current_model()
+        num_origins = len(lp.origins)
+        flipped = np.flatnonzero(arc_on != self._columns_on)
         if len(flipped):
             # Arc ``a`` is column ``o * num_arcs + a`` of every origin ``o``.
-            columns = np.add.outer(np.arange(lp.num_origins) * num_arcs, flipped).ravel()
-            upper = np.where(mask[flipped], kHighsInf, 0.0)
-            solver.set_upper(columns, np.tile(upper, lp.num_origins))
-            self._on = mask
+            columns = np.add.outer(np.arange(num_origins) * index.num_arcs, flipped).ravel()
+            upper = np.where(arc_on[flipped], kHighsInf, 0.0)
+            solver.set_upper(columns, np.tile(upper, num_origins))
+            self._columns_on = arc_on
 
         _FEASIBILITY_SOLVES.inc()
+        iterations_before = solver.iterations
         solution = solver.solve()
+        self.simplex_iterations += solver.iterations - iterations_before
         if solution is None:
-            return MCFResult(False, float("inf"), {}, 0.0)
+            return MCFResult(False, float("inf"), np.zeros(0), 0.0)
         # Origin by origin, in order: the per-arc sums must not depend on a
         # reduction tree (see pairwise_sum).
-        loads = np.zeros(num_arcs)
-        for origin_flows in solution.reshape(lp.num_origins, num_arcs):
+        loads = np.zeros(index.num_arcs)
+        for origin_flows in solution.reshape(num_origins, index.num_arcs):
             loads += origin_flows
         loads_bps = loads * lp.scale
         max_utilisation = float(np.max(loads_bps / lp.capacities_bps))
-        # The arcs that are on, which is what a fresh LP over them lists.
-        arc_loads = {
-            arc.key: load
-            for arc, load in zip(self._arcs, loads_bps.tolist(), strict=True)
-            if arc.key in on_keys
-        }
-        return MCFResult(
-            True, max_utilisation, arc_loads, float(pairwise_sum(solution)) * lp.scale
-        )
+        # No load at all on an arc that is off (a warm re-solve may leave its
+        # columns within the solver's tolerance of their bound).
+        arc_loads = np.where(arc_on, loads_bps, 0.0)
+        total_flow_bps = float(pairwise_sum(solution)) * lp.scale
+        return MCFResult(True, max_utilisation, arc_loads, total_flow_bps)
 
 
 def solve_mcf(topology: Topology, demands: TrafficMatrix) -> MCFResult:
@@ -493,13 +475,13 @@ def max_concurrent_flow(topology: Topology, demands: TrafficMatrix) -> float:
     Raises:
         SolverError: If the solver does not reach an optimum.
     """
-    nodes, arcs = _active_arcs(topology, None, None)
+    index = topology.index()
     positive = _positive_demands(demands)
     if not positive:
         return float("inf")
-    if not arcs or not _connected(nodes, arcs, positive):
+    if not index.num_arcs or not _joined(index, np.ones(index.num_arcs, dtype=bool), positive):
         return 0.0
-    lp = _flow_lp(nodes, arcs, positive)
+    lp = _flow_lp(index, positive)
 
     # One more column, λ: absent from the capacity rows, and -d in the
     # conservation rows so that they read ``A_eq f - λ d = 0``.
@@ -509,7 +491,7 @@ def max_concurrent_flow(topology: Topology, demands: TrafficMatrix) -> float:
     _MAX_CONCURRENT_SOLVES.inc()
     solution = _HighsLP(
         cost,
-        sparse.hstack([lp.a_ub, sparse.coo_matrix((len(arcs), 1))]),
+        sparse.hstack([lp.a_ub, sparse.coo_matrix((index.num_arcs, 1))]),
         lp.capacity_rhs(1.0),
         sparse.hstack([lp.a_eq, sparse.coo_matrix(-lp.eq_rhs[:, None])]),
         np.zeros(num_rows),
@@ -520,15 +502,13 @@ def max_concurrent_flow(topology: Topology, demands: TrafficMatrix) -> float:
 
 
 def demands_connected(
-    topology: Topology,
-    demands: TrafficMatrix,
-    active_nodes: Optional[Iterable[str]] = None,
-    active_links: Optional[Iterable[Tuple[str, str]]] = None,
+    topology: Topology, demands: TrafficMatrix, node_on: np.ndarray, link_on: np.ndarray
 ) -> bool:
-    """The solver-free part of :func:`solve_mcf`: ``False`` means the
-    (sub)network cannot carry *demands* at any capacity."""
-    nodes, arcs = _active_arcs(topology, active_nodes, active_links)
-    return _connected(nodes, arcs, _positive_demands(demands))
+    """The solver-free part of :func:`solve_mcf` on the active subset
+    *node_on*, *link_on*: ``False`` means it cannot carry *demands* at any
+    capacity."""
+    index = topology.index()
+    return _joined(index, index.arc_mask(node_on, link_on), _positive_demands(demands))
 
 
 def is_demand_feasible(topology: Topology, demands: TrafficMatrix) -> bool:

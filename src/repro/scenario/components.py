@@ -113,7 +113,7 @@ def select_pairs(
     level: Optional[str] = None,
     min_degree: Optional[int] = None,
     pair_method: str = "subset",
-    seed: Optional[int] = None,
+    seed: int = 0,
 ) -> Optional[List[Pair]]:
     """The shared origin-destination selection used by traffic components.
 
@@ -226,7 +226,7 @@ def _sinewave_traffic(
     peak_flow_bps: Optional[float] = None,
     interval_s: float = 60.0,
     utilisation_floor: float = 0.05,
-    seed: Optional[int] = None,
+    seed: int = 0,
 ) -> BuiltTraffic:
     """ElasticTree-style sine-wave demand between fat-tree host pairs."""
     kwargs: Dict[str, Any] = {}
@@ -235,8 +235,7 @@ def _sinewave_traffic(
     if peak_flow_bps is not None:
         kwargs["peak_flow_bps"] = peak_flow_bps
     # One pair selection shared by the trace, the plan builders and the peak
-    # estimate: with seed=None a second fattree_sine_pairs call would shuffle
-    # differently and the plan would cover pairs the trace never demands.
+    # estimate.
     pairs = fattree_sine_pairs(topology, mode, seed=seed)
     trace = sine_wave_trace(
         topology,
@@ -270,7 +269,7 @@ def _gravity_traffic(
     levels: Optional[Sequence[float]] = None,
     interval_s: float = 900.0,
     name: str = "gravity",
-    seed: Optional[int] = None,
+    seed: int = 0,
 ) -> BuiltTraffic:
     """Gravity-model demand, optionally calibrated to the network's max load.
 
@@ -321,7 +320,7 @@ def _uniform_traffic(
     pair_method: str = "subset",
     interval_s: float = 900.0,
     name: str = "uniform",
-    seed: Optional[int] = None,
+    seed: int = 0,
 ) -> BuiltTraffic:
     """The same demand on every selected pair.
 

@@ -40,6 +40,7 @@ from ..optim.pathmilp import PathMilpConfig, solve_path_milp
 from ..optim.solution import EnergyAwareSolution
 from ..power.accounting import network_power
 from ..routing.ecmp import ecmp_active_elements, ecmp_max_utilisation
+from ..routing.mcf import FlowSession
 from ..routing.paths import RoutingConfiguration
 from ..simulator.failures import TopologyView
 from ..traffic.matrix import TrafficMatrix
@@ -92,6 +93,16 @@ class _ReplayState:
     configurations: List[RoutingConfiguration] = field(default_factory=list)
     prev_matrix: Optional[TrafficMatrix] = None
     prev_view: Optional[TopologyView] = None
+    #: ``id(topology)`` to ``(topology, its flow session)``: one per topology
+    #: object (a failure view is its own), the topology pinned, this run only.
+    sessions: Dict[int, Tuple[Any, FlowSession]] = field(default_factory=dict)
+
+    def flow_session(self, view: TopologyView, matrix: TrafficMatrix, limit: float) -> FlowSession:
+        """The run's session of the view's topology, opened on *matrix* if new."""
+        topology = view.topology
+        if id(topology) not in self.sessions:
+            self.sessions[id(topology)] = (topology, FlowSession(topology, matrix, limit))
+        return self.sessions[id(topology)][1]
 
 
 class SolverReplayRuntime(SchemeRuntime):
@@ -107,7 +118,8 @@ class SolverReplayRuntime(SchemeRuntime):
       matrix restricted to still-connected pairs;
     * **solver-state reuse** — candidate paths come from the group's
       provider (``scenario.shared.candidate_paths``) and survive across
-      steps.
+      steps; the subset-search runtimes keep one flow-LP session per
+      topology object (model and basis, never answers) for the run.
     """
 
     def start(self, scenario: "BuiltScenario") -> _ReplayState:
@@ -244,6 +256,7 @@ class ElasticTreeRuntime(SolverReplayRuntime):
                 scenario.power_model,
                 matrix,
                 utilisation_limit=self.utilisation_limit,
+                session=state.flow_session(view, matrix, self.utilisation_limit),
             )
 
 
@@ -262,6 +275,7 @@ class GreedyRuntime(SolverReplayRuntime):
             state.scenario.power_model,
             matrix,
             utilisation_limit=self.utilisation_limit,
+            session=state.flow_session(view, matrix, self.utilisation_limit),
         )
 
 
@@ -282,6 +296,7 @@ class LpRelaxRuntime(SolverReplayRuntime):
             matrix,
             k=self.k,
             utilisation_limit=self.utilisation_limit,
+            session=state.flow_session(view, matrix, self.utilisation_limit),
         )
 
 

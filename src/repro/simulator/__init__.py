@@ -1,8 +1,8 @@
 """Flow-level network simulator (stand-in for ns-2, Click and ModelNet).
 
-The hot path is array-based: directed arcs get dense integer indices
-(:class:`ArcTable`), installed paths compile to index arrays once
-(:class:`CompiledPath`) and the per-step max-min fair allocation runs as
+The hot path is array-based: directed arcs get dense integer indices (the
+topology's :class:`~repro.topology.index.TopologyIndex`), installed paths
+compile to index arrays once and the per-step max-min fair allocation runs as
 NumPy reductions over a CSR :class:`Incidence`
 (:func:`max_min_fair_rates`).  The original dict-based allocation survives
 in :mod:`repro.simulator.reference` as the oracle the equivalence tests and
@@ -10,7 +10,6 @@ scaling benchmarks compare against.
 """
 
 from .aggregate import AggregatedFlows, allocate_aggregated
-from .arcs import ArcTable, CompiledPath
 from .engine import Controller, Sample, SimulationEngine, SimulationResult
 from .failures import FailureSchedule, LinkEvent, NodeEvent, TopologyView
 from .fairness import Incidence, max_min_fair_rates
@@ -28,8 +27,6 @@ from .reference import reference_max_min_rates
 __all__ = [
     "AggregatedFlows",
     "allocate_aggregated",
-    "ArcTable",
-    "CompiledPath",
     "Controller",
     "Sample",
     "SimulationEngine",

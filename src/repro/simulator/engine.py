@@ -10,7 +10,7 @@ demand and sending rate, network power).
 The per-step heavy lifting (max-min fair sharing, arc-load bookkeeping) is
 vectorized: the network compiles every installed path to arc-index arrays
 once and runs the allocation as NumPy reductions — see
-:mod:`repro.simulator.arcs` and :mod:`repro.simulator.fairness`.  Sampling
+:mod:`repro.topology.index` and :mod:`repro.simulator.fairness`.  Sampling
 likewise reads link states and monitored arc loads through the integer
 arc table rather than per-element dictionary walks.
 """

@@ -121,7 +121,7 @@ class TopologyView:
     (candidate paths, compiled routing state) warm across event-free steps.
     """
 
-    __slots__ = ("base", "failed_links", "failed_nodes", "_active", "_unusable")
+    __slots__ = ("base", "failed_links", "failed_nodes", "_active", "_unusable", "_component")
 
     def __init__(
         self,
@@ -136,6 +136,7 @@ class TopologyView:
         self.failed_nodes: FrozenSet[str] = frozenset(failed_nodes)
         self._active: "Topology | None" = None
         self._unusable: FrozenSet[Tuple[str, str]] | None = None
+        self._component: Dict[str, int] | None = None
 
     @property
     def has_failures(self) -> bool:
@@ -175,24 +176,16 @@ class TopologyView:
     def connected_pairs(
         self, pairs: Iterable[Tuple[str, str]]
     ) -> List[Tuple[str, str]]:
-        """The subset of *pairs* still connected in the surviving topology."""
+        """The subset of *pairs* still connected in the surviving topology
+        (its components are labelled once per view)."""
         selected = list(pairs)
         if not self.has_failures:
             return selected
-        import networkx as nx
-
-        graph = self.topology.to_undirected_networkx()
-        component: Dict[str, int] = {}
-        for index, nodes in enumerate(nx.connected_components(graph)):
-            for node in nodes:
-                component[node] = index
-        return [
-            (origin, destination)
-            for origin, destination in selected
-            if origin in component
-            and destination in component
-            and component[origin] == component[destination]
-        ]
+        if self._component is None:
+            index = self.topology.index()
+            self._component = dict(zip(index.node_names, index.component_labels(), strict=True))
+        label = self._component.get  # a node the view does not have is on its own
+        return [(o, d) for o, d in selected if label(o, o) == label(d, d)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

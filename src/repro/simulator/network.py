@@ -3,7 +3,7 @@
 The network keeps two synchronised views of its state: the per-link
 :class:`~repro.simulator.links.SimulatedLink` state machines (the mutable
 source of truth for sleep/wake/failure transitions) and a dense
-integer-indexed :class:`~repro.simulator.arcs.ArcTable` over which the
+integer-indexed :class:`~repro.topology.index.TopologyIndex` over which the
 per-step rate allocation and utilisation bookkeeping run as NumPy array
 operations (see :mod:`repro.simulator.fairness`).
 """
@@ -21,7 +21,7 @@ from ..power.accounting import full_power, network_power
 from ..power.model import PowerModel
 from ..routing.paths import Path
 from ..topology.base import Topology, link_key
-from .arcs import ArcTable, CompiledPath
+from ..topology.index import CompiledPath, TopologyIndex
 from .fairness import Incidence, last_kernel_stats, max_min_fair_rates
 from .flows import Flow, offered_load_vector
 from .links import LinkState, SimulatedLink
@@ -82,21 +82,17 @@ class SimulatedNetwork:
                 latency_s=link.latency_s,
                 wake_delay_s=self.wake_delay_s,
             )
-        self._arc_table = ArcTable(topology)
+        self._arc_table = topology.index()
         #: Link objects in arc-table index order (aligned with link indices).
         self._link_list: List[SimulatedLink] = [
             self._links[key] for key in self._arc_table.link_keys
         ]
         # Allocation shares the parent link's (per-direction) capacity, as
         # stored on the SimulatedLink — utilisation accounting instead uses
-        # the topology's declared per-arc capacity (ArcTable.arc_capacity).
+        # the topology's declared per-arc capacity (TopologyIndex.arc_capacity).
         self._alloc_capacity = np.array(
-            [
-                self._links[link_key(*key)].capacity_bps
-                for key in self._arc_table.arc_keys
-            ],
-            dtype=float,
-        )
+            [link.capacity_bps for link in self._link_list], dtype=float
+        )[self._arc_table.arc_link]
         self._arc_load_vec = np.zeros(self._arc_table.num_arcs, dtype=float)
         self._baseline_power_w = (
             full_power(topology, power_model).total_w if power_model else 0.0
@@ -273,8 +269,8 @@ class SimulatedNetwork:
     # Array-indexed views (the vectorized engine's fast path)
     # ------------------------------------------------------------------ #
     @property
-    def arc_table(self) -> ArcTable:
-        """The dense integer indexing of arcs and links."""
+    def arc_table(self) -> TopologyIndex:
+        """The topology's dense integer indexing (as of construction)."""
         return self._arc_table
 
     @property

@@ -5,6 +5,7 @@ from .example import build_example, example_paths
 from .fattree import build_fattree, core_switches, hosts
 from .geant import build_geant
 from .generators import random_connected_topology, waxman_topology
+from .index import CompiledPath, TopologyIndex
 from .pop_access import build_pop_access
 from .rocketfuel import (
     build_abovenet,
@@ -17,6 +18,8 @@ __all__ = [
     "Link",
     "Node",
     "Topology",
+    "TopologyIndex",
+    "CompiledPath",
     "link_key",
     "build_example",
     "example_paths",

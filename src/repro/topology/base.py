@@ -12,8 +12,8 @@ The topology model follows the notation of Section 2.2.1 of the paper:
 
 The :class:`Topology` container is deliberately independent of
 :mod:`networkx`; algorithms that want graph machinery call
-:meth:`Topology.to_networkx` (the conversion is cached and invalidated on
-mutation).
+:meth:`Topology.to_networkx`, and everything that works on dense indices
+reads :meth:`Topology.index` (both are cached and invalidated on mutation).
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from ..exceptions import (
     UnknownArcError,
     UnknownNodeError,
 )
+from .index import TopologyIndex
 
 #: Default propagation latency assigned to links that do not specify one.
 DEFAULT_LATENCY_S = 0.001
@@ -124,8 +125,7 @@ class Topology:
 
     The class offers the small set of graph queries the rest of the library
     needs (neighbours, degrees, shortest paths, connectivity) and conversion
-    to :class:`networkx.DiGraph` / :class:`networkx.Graph` for anything more
-    involved.
+    to :class:`networkx.DiGraph` for anything more involved.
 
     Example:
         >>> topo = Topology("triangle")
@@ -145,6 +145,7 @@ class Topology:
         self._links: Dict[Tuple[str, str], Link] = {}
         self._adjacency: Dict[str, List[str]] = {}
         self._nx_cache: Optional[nx.DiGraph] = None
+        self._index: Optional[TopologyIndex] = None
 
     # ------------------------------------------------------------------ #
     # Mutation
@@ -227,6 +228,7 @@ class Topology:
 
     def _invalidate(self) -> None:
         self._nx_cache = None
+        self._index = None
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -342,6 +344,14 @@ class Topology:
         """
         return sum(arc.capacity_bps for arc in self.outgoing_arcs(node))
 
+    def index(self) -> TopologyIndex:
+        """Return (and cache) the dense integer indexing of this topology:
+        one object until the next mutation, so what is memoised on it lives
+        exactly as long as it is valid."""
+        if self._index is None:
+            self._index = TopologyIndex(self)
+        return self._index
+
     # ------------------------------------------------------------------ #
     # Graph algorithms
     # ------------------------------------------------------------------ #
@@ -365,20 +375,6 @@ class Topology:
                 )
             self._nx_cache = graph
         return self._nx_cache
-
-    def to_undirected_networkx(self) -> nx.Graph:
-        """Return an undirected :mod:`networkx` view (one edge per link)."""
-        graph = nx.Graph(name=self.name)
-        for name, record in self._nodes.items():
-            graph.add_node(name, kind=record.kind, level=record.level)
-        for link in self._links.values():
-            graph.add_edge(
-                link.u,
-                link.v,
-                capacity=link.capacity_bps,
-                latency=link.latency_s,
-            )
-        return graph
 
     def shortest_path(
         self, origin: str, destination: str, weight: str = "invcap"
@@ -428,27 +424,6 @@ class Topology:
     # ------------------------------------------------------------------ #
     # Derived topologies
     # ------------------------------------------------------------------ #
-    def copy(self, name: Optional[str] = None) -> "Topology":
-        """Return a deep copy of this topology."""
-        clone = Topology(name or self.name)
-        for record in self._nodes.values():
-            clone.add_node(
-                record.name,
-                kind=record.kind,
-                level=record.level,
-                always_powered=record.always_powered,
-            )
-        for link in self._links.values():
-            clone.add_link(
-                link.u,
-                link.v,
-                capacity_bps=link.capacity_bps,
-                latency_s=link.latency_s,
-                reverse_capacity_bps=link.reverse_capacity_bps,
-                length_km=link.length_km,
-            )
-        return clone
-
     def subgraph(
         self,
         active_nodes: Iterable[str],

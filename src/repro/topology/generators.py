@@ -7,8 +7,6 @@ property-based tests and scale studies.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import networkx as nx
 import numpy as np
 
@@ -23,7 +21,7 @@ DEFAULT_LATENCY_S = 0.002
 def random_connected_topology(
     num_nodes: int,
     num_links: int,
-    seed: Optional[int] = None,
+    seed: int = 0,
     capacity_bps: float = DEFAULT_CAPACITY_BPS,
     latency_s: float = DEFAULT_LATENCY_S,
     name: str = "random",
@@ -71,7 +69,7 @@ def waxman_topology(
     num_nodes: int,
     alpha: float = 0.4,
     beta: float = 0.25,
-    seed: Optional[int] = None,
+    seed: int = 0,
     capacity_bps: float = DEFAULT_CAPACITY_BPS,
     name: str = "waxman",
 ) -> Topology:

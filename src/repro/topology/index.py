@@ -1,0 +1,139 @@
+"""Dense integer indexing of one topology object.
+
+Every node, directed arc and undirected link gets a dense index once; the
+simulator's fairness loop, the flow LP and the subset search's connectivity
+walk all read this one object.  :meth:`Topology.index` builds it lazily and a
+mutation drops it, with everything memoised on it.  An active subset is a
+pair of boolean *masks* over the indices (``node_on``, ``link_on``); public
+solver entries turn their name sets into masks once, at the boundary.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
+
+from ..exceptions import SimulationError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only (routing imports topology)
+    from ..routing.paths import Path
+    from .base import Topology
+
+Key = Tuple[str, str]
+
+
+@dataclass(frozen=True)
+class CompiledPath:
+    """A path lowered to the dense indices of the arcs it traverses, in hop
+    order, and of the undirected link under each."""
+
+    arc_indices: np.ndarray
+    link_indices: np.ndarray
+
+
+class TopologyIndex:
+    """Dense integer indexing of a topology's nodes, directed arcs and links.
+
+    ``node_names`` / ``arc_keys`` / ``link_keys`` list the elements in index
+    (= insertion) order and ``node_index`` / ``arc_index`` / ``link_index``
+    map back.  Per arc: ``arc_capacity`` (bps), ``arc_src`` / ``arc_dst``
+    (node indices) and ``arc_link`` (parent link).  ``link_arcs`` is
+    ``(num_links, 2)``, each link's two arcs in ``Link.arc_keys()`` order;
+    ``node_links`` lists every node's incident links and ``out_adjacency``
+    the ``(arc, dst)`` index pairs leaving it.
+
+    Two memos hang off the topology object here, filled by their owners:
+    ``ecmp_paths`` (:mod:`repro.routing.ecmp`, per pair) and
+    ``element_power`` (:mod:`repro.power.accounting`: ``id(model)`` to
+    ``(model, its watts per element)``, the model held to pin its id).
+    """
+
+    def __init__(self, topology: "Topology") -> None:
+        self.node_names: List[str] = topology.nodes()
+        self.node_index: Dict[str, int] = {name: i for i, name in enumerate(self.node_names)}
+        self.arc_keys: List[Key] = topology.arc_keys()
+        self.arc_index: Dict[Key, int] = {key: i for i, key in enumerate(self.arc_keys)}
+        self.arc_capacity = np.array([arc.capacity_bps for arc in topology.arcs()], dtype=float)
+        links = topology.links()
+        self.link_keys: List[Key] = [link.key for link in links]
+        self.link_index: Dict[Key, int] = {key: i for i, key in enumerate(self.link_keys)}
+        self.link_arcs = np.array(
+            [[self.arc_index[key] for key in link.arc_keys()] for link in links], dtype=np.int64
+        ).reshape(len(links), 2)
+        sources = [self.node_index[src] for src, _ in self.arc_keys]
+        destinations = [self.node_index[dst] for _, dst in self.arc_keys]
+        self.arc_src = np.array(sources, dtype=np.int64)
+        self.arc_dst = np.array(destinations, dtype=np.int64)
+        self.arc_link = np.empty(len(self.arc_keys), dtype=np.int64)
+        self.arc_link[self.link_arcs.ravel()] = np.repeat(np.arange(len(links)), 2)
+        self.node_links: List[List[int]] = [[] for _ in self.node_names]
+        self.out_adjacency: List[List[Tuple[int, int]]] = [[] for _ in self.node_names]
+        for arc, (src, dst) in enumerate(zip(sources, destinations, strict=True)):
+            self.out_adjacency[src].append((arc, dst))
+            self.node_links[src].append(int(self.arc_link[arc]))
+        self._compiled: Dict[Tuple[str, ...], CompiledPath] = {}
+        self.ecmp_paths: Dict[Key, Tuple["Path", ...]] = {}
+        self.element_power: Dict[int, Tuple[Any, Any]] = {}
+
+    @property
+    def num_arcs(self) -> int:
+        """Number of directed arcs."""
+        return len(self.arc_keys)
+
+    def compile_path(self, path: "Path") -> CompiledPath:
+        """The path lowered to index arrays (memoised per node sequence);
+        :class:`SimulationError` if it traverses an arc the topology lacks."""
+        cached = self._compiled.get(path.nodes)
+        if cached is not None:
+            return cached
+        try:
+            arcs = np.array([self.arc_index[key] for key in path.arc_keys()], dtype=np.int64)
+        except KeyError as error:
+            raise SimulationError(f"path {path!r} uses unknown arc {error.args[0]}") from None
+        compiled = self._compiled[path.nodes] = CompiledPath(arcs, self.arc_link[arcs])
+        return compiled
+
+    def node_mask(self, names: Optional[Iterable[str]]) -> np.ndarray:
+        """``node_on`` for a set of names (``None``: every node; names the
+        topology does not have are ignored)."""
+        return _mask(self.node_index, names)
+
+    def link_mask(self, keys: Optional[Iterable[Key]]) -> np.ndarray:
+        """``link_on`` for a set of ``(u, v)`` pairs, in either orientation
+        (``None``: every link; pairs that are not links are ignored)."""
+        if keys is not None:
+            keys = [(u, v) if u <= v else (v, u) for (u, v) in keys]
+        return _mask(self.link_index, keys)
+
+    def arc_mask(self, node_on: np.ndarray, link_on: np.ndarray) -> np.ndarray:
+        """The arcs of an active subset: parent link on, both endpoints on."""
+        return link_on[self.arc_link] & node_on[self.arc_src] & node_on[self.arc_dst]
+
+    def component_labels(self, arc_on: Optional[np.ndarray] = None) -> List[int]:
+        """A label per node, equal for two nodes exactly when a path over the
+        arcs that are on (default: all) joins them.  A link's two arcs are on
+        or off together, so one walk answers every directed pair."""
+        on = [True] * self.num_arcs if arc_on is None else arc_on.tolist()
+        labels = [-1] * len(self.node_names)
+        for start in range(len(labels)):
+            if labels[start] >= 0:
+                continue
+            labels[start] = start
+            frontier = [start]
+            while frontier:
+                for arc, neighbour in self.out_adjacency[frontier.pop()]:
+                    if on[arc] and labels[neighbour] < 0:
+                        labels[neighbour] = start
+                        frontier.append(neighbour)
+        return labels
+
+
+def _mask(position: Dict[Any, int], members: Optional[Iterable[Any]]) -> np.ndarray:
+    if members is None:
+        return np.ones(len(position), dtype=bool)
+    mask = np.zeros(len(position), dtype=bool)
+    on = (position[member] for member in members if member in position)
+    mask[np.fromiter(on, dtype=np.int64)] = True
+    return mask

@@ -18,7 +18,7 @@ the same network.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -173,7 +173,7 @@ def build_rocketfuel(
     name: str,
     num_pops: int,
     num_links: int,
-    seed: Optional[int] = None,
+    seed: int = 0,
 ) -> Topology:
     """Build a custom Rocketfuel-style PoP-level topology.
 
@@ -181,8 +181,6 @@ def build_rocketfuel(
         name: Topology name (also the node-name prefix).
         num_pops: Number of PoPs.
         num_links: Number of inter-PoP links (must allow connectivity).
-        seed: Random seed; defaults to a hash of the name for determinism.
+        seed: Random seed.
     """
-    if seed is None:
-        seed = abs(hash(name)) % (2**31)
     return _generate_pop_graph(name, num_pops, num_links, seed)

@@ -159,7 +159,7 @@ def all_pairs(nodes: Iterable[str]) -> List[Pair]:
 def select_random_pairs(
     nodes: Iterable[str],
     count: int,
-    seed: Optional[int] = None,
+    seed: int = 0,
 ) -> List[Pair]:
     """Select *count* random origin-destination pairs without replacement.
 
@@ -183,7 +183,7 @@ def select_pairs_among_subset(
     nodes: Iterable[str],
     num_endpoints: int,
     num_pairs: int,
-    seed: Optional[int] = None,
+    seed: int = 0,
 ) -> List[Pair]:
     """Select random pairs whose endpoints come from a random node subset.
 

@@ -92,7 +92,7 @@ def _far_pairs(topology: Topology, rng: np.random.Generator) -> List[Pair]:
 
 
 def fattree_sine_pairs(
-    topology: Topology, mode: str, seed: Optional[int] = None
+    topology: Topology, mode: str, seed: int = 0
 ) -> List[Pair]:
     """The host pairs used by the near/far sine-wave workloads."""
     rng = np.random.default_rng(seed)
@@ -111,7 +111,7 @@ def sine_wave_trace(
     peak_flow_bps: float = DEFAULT_PEAK_FLOW_BPS,
     interval_s: float = 60.0,
     utilisation_floor: float = 0.05,
-    seed: Optional[int] = None,
+    seed: int = 0,
     pairs: Optional[List[Pair]] = None,
 ) -> TrafficTrace:
     """Build the ElasticTree-style sine-wave demand trace on a fat-tree.
@@ -128,10 +128,7 @@ def sine_wave_trace(
             matrix never becomes exactly zero (flows are long-lived).
         seed: Seed for the (deterministic) pairing of hosts.
         pairs: Explicit host pairs to drive; defaults to
-            :func:`fattree_sine_pairs` with the given mode and seed.  Callers
-            that also need the pair list (to build plans or flows) should
-            compute it once and pass it in — with ``seed=None`` a second
-            :func:`fattree_sine_pairs` call would shuffle differently.
+            :func:`fattree_sine_pairs` with the given mode and seed.
 
     Returns:
         A :class:`TrafficTrace` of ``num_intervals`` matrices.

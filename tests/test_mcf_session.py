@@ -12,19 +12,26 @@ reference.  Pinned:
   ``max_utilisation``, ``total_flow_bps`` and ``λ*`` — on every shipped
   topology under the traffic of ``examples/*.json`` at a feasible, a
   near-limit and an infeasible share of the largest load;
-* a session driven through random off/on sequences answers ``feasible`` as a
-  fresh ``solve_mcf`` on the same sets does after every step;
+* the masked connectivity walk over the index answers as the name-keyed
+  walk it replaced (kept here) on random masks and demand sets;
+* a session driven through random off/on sequences — and retargeted through
+  random demand sets in between — answers ``feasible`` as a fresh session on
+  the same sets and demands does after every step;
 * a solver outcome other than optimal / infeasible raises ``SolverError``
   naming HiGHS's status, and a session that raised takes no further calls;
 * the iteration counts are on ``scheme.solve`` spans and in
-  ``repro_mcf_simplex_iterations_total``, and one spec replayed twice in one
-  process gives one digest.
+  ``repro_mcf_simplex_iterations_total``, one spec replayed twice in one
+  process gives one digest, and no session outlives its run.
 """
 
+import functools
+import gc
 import os
 import subprocess
 import sys
+import weakref
 
+import networkx as nx
 import numpy as np
 import pytest
 import scipy
@@ -45,7 +52,7 @@ from repro.routing.mcf import (
     solve_mcf,
 )
 from repro.scenario.engine import run_scenario
-from repro.topology import random_connected_topology
+from repro.topology import link_key, random_connected_topology
 from repro.traffic import TrafficMatrix, all_pairs
 
 from test_calibration import (  # noqa: I001
@@ -61,49 +68,113 @@ from workloads import replay_scenario
 # --------------------------------------------------------------------- #
 # The reference: the LP as linprog was given it
 # --------------------------------------------------------------------- #
+def reference_within(nodes, arcs, active_nodes, active_links):
+    """Those of *nodes* and *arcs* that lie within the active name sets, in
+    order (``routing/mcf.py``'s ``_within`` before the index masks)."""
+    if active_nodes is not None:
+        allowed = set(active_nodes)
+        nodes = [node for node in nodes if node in allowed]
+    node_set = set(nodes)
+    link_keys = None if active_links is None else {link_key(u, v) for (u, v) in active_links}
+    arcs = [
+        arc
+        for arc in arcs
+        if arc.src in node_set
+        and arc.dst in node_set
+        and (link_keys is None or arc.link_key in link_keys)
+    ]
+    return nodes, arcs
+
+
+def reference_connected(nodes, arcs, positive):
+    """Whether every pair of *positive* has its endpoints in *nodes* and a
+    directed path over *arcs*: one name-keyed walk per origin
+    (``routing/mcf.py``'s ``_connected`` before the index masks)."""
+    if not {node for pair, _ in positive for node in pair} <= set(nodes):
+        return False
+    adjacency = {}
+    for arc in arcs:
+        adjacency.setdefault(arc.src, []).append(arc.dst)
+    reachable = {}
+    for (origin, destination), _demand in positive:
+        if origin not in reachable:
+            seen = {origin}
+            frontier = [origin]
+            while frontier:
+                for neighbour in adjacency.get(frontier.pop(), ()):
+                    if neighbour not in seen:
+                        seen.add(neighbour)
+                        frontier.append(neighbour)
+            reachable[origin] = seen
+        if destination not in reachable[origin]:
+            return False
+    return True
+
+
+def reference_demands_connected(topology, demands, active_nodes=None, active_links=None):
+    nodes, arcs = reference_within(topology.nodes(), topology.arcs(), active_nodes, active_links)
+    return reference_connected(nodes, arcs, mcf._positive_demands(demands))
+
+
 def reference_lp(topology, demands, active_nodes=None, active_links=None):
-    """``(arcs, positive demands, lp)``; ``lp`` is ``None`` if no flow can exist."""
-    nodes, arcs = mcf._active_arcs(topology, active_nodes, active_links)
+    """``(arc is on, positive demands, lp)``; the LP spans every arc of the
+    topology and is ``None`` if no flow can exist over the arcs that are on."""
+    nodes, arcs = reference_within(topology.nodes(), topology.arcs(), active_nodes, active_links)
+    on_keys = {arc.key for arc in arcs}
+    on = np.array([key in on_keys for key in topology.arc_keys()], dtype=bool)
     positive = mcf._positive_demands(demands)
-    if not positive or not arcs or not mcf._connected(nodes, arcs, positive):
-        return arcs, positive, None
-    return arcs, positive, mcf._flow_lp(nodes, arcs, positive)
+    if not positive or not arcs or not reference_connected(nodes, arcs, positive):
+        return on, positive, None
+    return on, positive, mcf._flow_lp(topology.index(), positive)
 
 
 def reference_solve_mcf(
     topology, demands, utilisation_limit=1.0, active_nodes=None, active_links=None
 ):
-    arcs, positive, lp = reference_lp(topology, demands, active_nodes, active_links)
+    on, positive, lp = reference_lp(topology, demands, active_nodes, active_links)
     if not positive:
-        return MCFResult(True, 0.0, {arc.key: 0.0 for arc in arcs}, 0.0)
+        return MCFResult(True, 0.0, np.zeros(len(on)), 0.0)
     if lp is None:
-        return MCFResult(False, float("inf"), {}, 0.0)
+        return MCFResult(False, float("inf"), np.zeros(0), 0.0)
     result = linprog(
         np.ones(lp.a_ub.shape[1]),
         A_ub=lp.a_ub,
         b_ub=lp.capacity_rhs(utilisation_limit),
         A_eq=lp.a_eq,
         b_eq=lp.eq_rhs,
-        bounds=(0, None),
+        # An arc that is off keeps its columns, with upper bound 0.
+        bounds=np.column_stack(
+            (np.zeros(lp.a_ub.shape[1]), np.tile(np.where(on, np.inf, 0.0), len(lp.origins)))
+        ),
         method="highs",
     )
     if result.status == 2:  # infeasible
-        return MCFResult(False, float("inf"), {}, 0.0)
+        return MCFResult(False, float("inf"), np.zeros(0), 0.0)
     assert result.success, result.message
-    loads = np.zeros(len(arcs))
-    for origin_flows in result.x.reshape(lp.num_origins, len(arcs)):
+    loads = np.zeros(len(on))
+    for origin_flows in result.x.reshape(len(lp.origins), len(on)):
         loads += origin_flows
     loads_bps = loads * lp.scale
     return MCFResult(
         True,
         float(np.max(loads_bps / lp.capacities_bps)),
-        {arc.key: float(load) for arc, load in zip(arcs, loads_bps, strict=True)},
+        loads_bps,
         float(mcf.pairwise_sum(result.x)) * lp.scale,
     )
 
 
+def assert_same_result(result, expected, context=None):
+    """Every field ``==``, the arc loads element for element."""
+    assert (result.feasible, result.max_utilisation, result.total_flow_bps) == (
+        expected.feasible,
+        expected.max_utilisation,
+        expected.total_flow_bps,
+    ), context
+    assert np.array_equal(result.arc_loads, expected.arc_loads), context
+
+
 def reference_max_concurrent_flow(topology, demands):
-    arcs, positive, lp = reference_lp(topology, demands)
+    on, positive, lp = reference_lp(topology, demands)
     if not positive:
         return float("inf")
     if lp is None:
@@ -113,7 +184,7 @@ def reference_max_concurrent_flow(topology, demands):
     cost[-1] = -1.0
     result = linprog(
         cost,
-        A_ub=sparse.hstack([lp.a_ub, sparse.coo_matrix((len(arcs), 1))]),
+        A_ub=sparse.hstack([lp.a_ub, sparse.coo_matrix((len(on), 1))]),
         b_ub=lp.capacity_rhs(1.0),
         A_eq=sparse.hstack([lp.a_eq, sparse.coo_matrix(-lp.eq_rhs[:, None])]),
         b_eq=np.zeros(num_rows),
@@ -137,6 +208,7 @@ def test_scipy_exposes_the_highs_binding_the_session_drives():
         "setOptionValue",
         "passModel",
         "changeColsBounds",
+        "changeRowBounds",
         "run",
         "getInfo",
         "getModelStatus",
@@ -197,9 +269,11 @@ def test_fresh_solves_equal_linprog_on_shipped_topologies(name):
         for share in SHARES:
             demands = base.scaled(share * largest)
             result = solve_mcf(topology, demands)
-            # Dataclass equality: feasible, max_utilisation, every arc load
-            # and total_flow_bps, all ``==``.
-            assert result == reference_solve_mcf(topology, demands), (name, traffic, share)
+            # feasible, max_utilisation, every arc load and total_flow_bps,
+            # all ``==``.
+            assert_same_result(
+                result, reference_solve_mcf(topology, demands), (name, traffic, share)
+            )
             answers.add((share, result.feasible))
     assert {(0.5, True), (1.3, False)} <= answers
 
@@ -223,7 +297,9 @@ def test_fresh_solves_equal_linprog_on_sub_networks_and_other_limits(geant):
                 (None, []),
             ):
                 arguments = (geant, demands, limit, active_nodes, active_links)
-                assert FlowSession(*arguments).solve() == reference_solve_mcf(*arguments)
+                assert_same_result(
+                    FlowSession(*arguments).solve(), reference_solve_mcf(*arguments)
+                )
 
 
 # --------------------------------------------------------------------- #
@@ -231,12 +307,17 @@ def test_fresh_solves_equal_linprog_on_sub_networks_and_other_limits(geant):
 # --------------------------------------------------------------------- #
 def assert_session_step(session, topology, demands, limit, nodes, links):
     """One step: the session's answer on ``(nodes, links)`` against a fresh LP."""
-    result = session.solve(nodes, links)
+    index = topology.index()
+    result = session.solve(index.node_mask(nodes), index.link_mask(links))
     fresh = FlowSession(topology, demands, limit, nodes, links).solve()
     assert result.feasible == fresh.feasible, (sorted(nodes), sorted(links))
-    # Same arcs listed either way; the flows are two optima of one LP, so
-    # they agree on the objective, not arc by arc.
-    assert set(result.arc_loads) == set(fresh.arc_loads)
+    # One entry per arc of the index either way, nothing on an arc that is
+    # off; the flows are two optima of one LP, so they agree on the
+    # objective, not arc by arc.
+    assert result.arc_loads.shape == fresh.arc_loads.shape
+    if result.feasible:
+        arc_on = index.arc_mask(index.node_mask(nodes), index.link_mask(links))
+        assert not result.arc_loads[~arc_on].any()
     # (to the solver's tolerances, which are absolute in units of the
     # largest capacity: an ε demand may come out as no flow at all).
     slack = 1e-6 * max(arc.capacity_bps for arc in topology.arcs())
@@ -263,62 +344,161 @@ def test_feasible_infeasible_restored_feasible(geant):
         if step([*off, key]):
             off.append(key)
         else:
-            said_no_by_lp += demands_connected(geant, demands, nodes, links - {*off, key})
+            said_no_by_lp += reference_demands_connected(
+                geant, demands, nodes, links - {*off, key}
+            )
     assert off and said_no_by_lp
     assert step(off)
     assert step([])  # everything restored
     assert not step(sorted(links)[: len(links) // 2])
     # The reference solved one fresh LP per step beside the session's.
     assert (feasibility_solves() - solves_before) % 2 == 0
-    assert session.simplex_iterations > 0
+    assert session.simplex_iterations > 0 and session.models_built == 1
 
 
-@st.composite
-def session_cases(draw):
-    num_nodes = draw(st.integers(min_value=4, max_value=8))
+def random_topologies(draw, max_nodes=8):
+    num_nodes = draw(st.integers(min_value=4, max_value=max_nodes))
     max_links = num_nodes * (num_nodes - 1) // 2
     num_links = draw(
         st.integers(min_value=num_nodes - 1, max_value=min(max_links, 2 * num_nodes))
     )
-    topology = random_connected_topology(
+    return random_connected_topology(
         num_nodes,
         num_links,
         seed=draw(st.integers(min_value=0, max_value=10_000)),
         capacity_bps=draw(st.sampled_from([1e8, 1e9, 2.5e9])),
     )
+
+
+def random_demands(draw, topology, max_pairs=6):
+    """Empty, zero, ε (below the solver's tolerances), and up to more than a
+    link carries."""
     pairs = draw(
         st.lists(
-            st.sampled_from(all_pairs(topology.nodes())), min_size=0, max_size=6, unique=True
+            st.sampled_from(all_pairs(topology.nodes())),
+            min_size=0,
+            max_size=max_pairs,
+            unique=True,
         )
     )
-    # Empty, ε (below the solver's tolerances), and up to more than a link carries.
     volumes = st.sampled_from([0.0, 1.0, 1e3, 1e6]) | st.floats(min_value=1e7, max_value=2e9)
-    demands = TrafficMatrix({pair: draw(volumes) for pair in pairs})
+    return TrafficMatrix({pair: draw(volumes) for pair in pairs})
+
+
+@st.composite
+def session_cases(draw):
+    topology = random_topologies(draw)
     elements = st.sampled_from(topology.nodes() + topology.link_keys())
-    # Each step toggles a few elements; the first one is what the session opens on.
-    steps = draw(st.lists(st.lists(elements, max_size=3), min_size=2, max_size=8))
-    return topology, demands, steps
+    # Each step toggles a few elements (the first one is what the session
+    # opens on) and may retarget the session: at new volumes over the same
+    # pairs — the origins stay, the model is kept — or at a new demand set,
+    # whose origins usually differ.
+    first = drawn = current = random_demands(draw, topology)
+    steps = []
+    for toggled in draw(st.lists(st.lists(elements, max_size=3), min_size=2, max_size=8)):
+        change = draw(st.sampled_from(["keep", "keep", "rescale", "redraw"]))
+        if change == "rescale":
+            current = drawn.scaled(draw(st.sampled_from([0.0, 1e-9, 0.5, 2.0])))
+        elif change == "redraw":
+            drawn = current = random_demands(draw, topology)
+        steps.append((toggled, current))
+    return topology, first, steps
 
 
 @settings(max_examples=60, deadline=None)
 @given(session_cases(), st.sampled_from([1.0, 0.6, 0.3]))
 def test_random_off_on_sequences_answer_as_fresh_solves(case, limit):
     topology, demands, steps = case
-    off = set(steps[0])
+    off = set(steps[0][0])
     nodes = {name for name in topology.nodes() if name not in off}
     links = {key for key in topology.link_keys() if key not in off}
     session = FlowSession(topology, demands, limit, nodes, links)
     assert_session_step(session, topology, demands, limit, nodes, links)
-    for toggled in steps[1:]:
+    for toggled, retargeted in steps[1:]:
         off ^= set(toggled)
+        if retargeted is not demands:
+            demands = retargeted
+            session.retarget(demands)
         assert_session_step(
             session,
             topology,
             demands,
             limit,
-            {name for name in nodes if name not in off},
-            {key for key in links if key not in off},
+            {name for name in topology.nodes() if name not in off},
+            {key for key in topology.link_keys() if key not in off},
         )
+
+
+def test_a_retargeted_session_keeps_its_model_while_the_origins_stay(geant):
+    _, base = base_matrix({"name": "geant", "params": {}}, example_traffic_specs()[0])
+    largest = max_concurrent_flow(geant, base)
+    session = FlowSession(geant, base.scaled(0.5 * largest))
+    assert session.solve().feasible
+    for share, fits in ((0.9, True), (1.3, False), (0.2, True)):
+        demands = base.scaled(share * largest)
+        session.retarget(demands)
+        result = session.solve()
+        assert result.feasible == fits == solve_mcf(geant, demands).feasible
+    assert session.models_built == 1
+    # Another origin set is another set of rows and columns: a new model.
+    dropped = base.origins()[0]
+    other = TrafficMatrix({pair: base[pair] for pair in base.pairs() if pair[0] != dropped})
+    assert 0 < len(other.origins()) < len(base.origins())
+    session.retarget(other)
+    assert_same_result(session.solve(), reference_solve_mcf(geant, other))
+    assert session.models_built == 2
+
+
+def test_a_session_opened_on_a_sub_network_answers_a_wider_call(geant):
+    """The model spans every arc of the index whatever the starting sets."""
+    demands, links = geant_case(geant)
+    index = geant.index()
+    # A spanning tree carries nothing like the load; the whole network does.
+    tree = nx.minimum_spanning_tree(geant.to_networkx().to_undirected())
+    narrow = [link_key(u, v) for u, v in tree.edges()]
+    session = FlowSession(geant, demands, 1.0, geant.nodes(), narrow)
+    assert not session.solve().feasible
+    assert session.solve(index.node_mask(None), index.link_mask(None)).feasible
+    assert session.solve(link_on=index.link_mask(links[1:])).feasible
+    assert not session.solve().feasible and session.models_built == 1
+
+
+# --------------------------------------------------------------------- #
+# (b') The masked walk is the name-keyed walk
+# --------------------------------------------------------------------- #
+@functools.lru_cache(maxsize=None)
+def shipped_topology(name):
+    section = {"name": name, "params": SHIPPED_TOPOLOGIES[name]}
+    return base_matrix(section, example_traffic_specs()[0])[0]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data(), st.sampled_from(sorted(SHIPPED_TOPOLOGIES)))
+def test_masked_connectivity_equals_the_name_keyed_walk(data, name):
+    topology = shipped_topology(name)
+    index = topology.index()
+    nodes, links = topology.nodes(), topology.link_keys()
+    off_nodes = data.draw(st.sets(st.sampled_from(nodes), max_size=len(nodes) // 3))
+    off_links = data.draw(st.sets(st.sampled_from(links), max_size=len(links) // 2))
+    active_nodes = [name for name in nodes if name not in off_nodes]
+    active_links = [key for key in links if key not in off_links]
+    endpoints = st.sampled_from(nodes[:12]) | st.just("no-such-node")
+    pairs = data.draw(
+        st.lists(
+            st.tuples(endpoints, endpoints).filter(lambda pair: pair[0] != pair[1]),
+            max_size=6,
+            unique=True,
+        )
+    )
+    demands = TrafficMatrix(
+        {pair: data.draw(st.sampled_from([0.0, 1.0, 1e6, 1e9])) for pair in pairs}
+    )
+    expected = reference_demands_connected(topology, demands, active_nodes, active_links)
+    masks = index.node_mask(active_nodes), index.link_mask(active_links)
+    assert demands_connected(topology, demands, *masks) == expected
+    # ... and it is the walk the session starts with.
+    if not expected:
+        assert not FlowSession(topology, demands).solve(*masks).feasible
 
 
 # --------------------------------------------------------------------- #
@@ -353,44 +533,53 @@ def count_runs(monkeypatch):
 )
 def test_only_infeasible_means_infeasible(monkeypatch, geant, status, message):
     demands, links = geant_case(geant)
+    link_mask = geant.index().link_mask
     session = FlowSession(geant, demands)
     assert session.solve().feasible
     monkeypatch.setattr(
         mcf._Highs, "getModelStatus", lambda self: getattr(mcf.HighsModelStatus, status)
     )
     with pytest.raises(SolverError, match=message):
-        session.solve(active_links=links[1:])
+        session.solve(link_on=link_mask(links[1:]))
     monkeypatch.undo()
 
-    # The session that raised is not asked again, whatever the question.
+    # The session that raised is not asked again, whatever the question —
+    # other sets, or other volumes over the same origins.
     runs = count_runs(monkeypatch)
     for active_links in (links[1:], None):
         with pytest.raises(SolverError, match="takes no further calls"):
-            session.solve(active_links=active_links)
+            session.solve(link_on=link_mask(active_links))
+    session.retarget(demands.scaled(0.5))
+    with pytest.raises(SolverError, match="takes no further calls"):
+        session.solve()
     assert not runs
     # What needs no solver is still answered, and a new session is fine.
-    assert not session.solve(active_links=[]).feasible
-    assert FlowSession(geant, demands).solve(active_links=links[1:]).feasible
+    assert not session.solve(link_on=link_mask([])).feasible
+    assert FlowSession(geant, demands).solve(link_on=link_mask(links[1:])).feasible
     assert len(runs) == 1
 
 
-@pytest.mark.parametrize("method", ["run", "changeColsBounds", "passModel", "setOptionValue"])
+@pytest.mark.parametrize(
+    "method", ["run", "changeColsBounds", "changeRowBounds", "passModel", "setOptionValue"]
+)
 def test_every_status_returning_call_is_checked(monkeypatch, geant, method):
     demands, links = geant_case(geant)
+    link_on = geant.index().link_mask(links[1:])
     session = FlowSession(geant, demands)
-    model_is_in = method in ("run", "changeColsBounds")
+    model_is_in = method in ("run", "changeColsBounds", "changeRowBounds")
     if model_is_in:
         assert session.solve().feasible  # the next solve flips bounds and re-runs
+        session.retarget(demands.scaled(0.9))  # ... on another right-hand side
     monkeypatch.setattr(mcf._Highs, method, lambda self, *args: mcf.HighsStatus.kError)
     with pytest.raises(SolverError, match=f"HiGHS {method} returned kError"):
-        session.solve(active_links=links[1:])
+        session.solve(link_on=link_on)
     monkeypatch.undo()
     if model_is_in:
         with pytest.raises(SolverError, match="takes no further calls"):
-            session.solve(active_links=links[1:])
+            session.solve(link_on=link_on)
     else:
         # The instance that refused its model is gone; none was left half-built.
-        assert session.solve(active_links=links[1:]).feasible
+        assert session.solve(link_on=link_on).feasible
 
 
 def test_a_warning_status_is_not_a_failure(monkeypatch, geant):
@@ -446,22 +635,45 @@ def simplex_iterations():
     return {start: int(family.labels(start=start).value) for start in ("fresh", "warm")}
 
 
+def models_built():
+    return int(metrics.counter("repro_mcf_models_total").value)
+
+
 def test_one_spec_replayed_twice_in_one_process_gives_one_result():
     spec = replay_scenario(11)
     runs = []
     for _ in range(2):
-        solves, iterations = feasibility_solves(), simplex_iterations()
+        solves, iterations, models = feasibility_solves(), simplex_iterations(), models_built()
         with trace.collect(SolveSpans()) as spans:
             result = run_scenario(spec)
         solves = feasibility_solves() - solves
+        models = models_built() - models
         iterations = {
             start: count - iterations[start] for start, count in simplex_iterations().items()
         }
         elastictree = [attrs for attrs in spans.attrs if attrs["solver"] == "ElasticTreeRuntime"]
         assert sum(attrs["lp_solves"] for attrs in elastictree) == solves
-        # One session an interval: 16 fresh solves, the rest warm — and
-        # fewer pivots in all the warm ones together than a fresh one each.
+        assert sum(attrs["lp_models"] for attrs in elastictree) == models
+        # One session per topology object (the day's network and its
+        # failure view), rebuilt only when the origin set changes: one fresh
+        # solve per model built, every other one warm — and fewer pivots in
+        # a warm one than in a fresh one.
+        assert 2 <= models <= 3
         assert sum(attrs["lp_iterations"] for attrs in elastictree) == sum(iterations.values())
-        assert 0 < iterations["warm"] / (solves - 16) < iterations["fresh"] / 16
-        runs.append((canonical_result_dict(result.to_dict()), solves, iterations))
+        assert 0 < iterations["warm"] / (solves - models) < iterations["fresh"] / models
+        runs.append((canonical_result_dict(result.to_dict()), solves, models, iterations))
     assert runs[0] == runs[1]
+
+
+def test_no_session_outlives_its_run(monkeypatch):
+    sessions, real = [], FlowSession.__init__
+
+    def init(session, *args, **kwargs):
+        sessions.append(weakref.ref(session))
+        real(session, *args, **kwargs)
+
+    monkeypatch.setattr(FlowSession, "__init__", init)
+    result = run_scenario(replay_scenario(11))
+    assert len(sessions) == 2 and len(result.times_s) == 16
+    gc.collect()
+    assert all(reference() is None for reference in sessions)

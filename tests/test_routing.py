@@ -1,5 +1,6 @@
 """Tests for the routing substrate: paths, tables, OSPF, ECMP, k-SP, MCF."""
 
+import numpy as np
 import pytest
 
 from repro.exceptions import PathNotFoundError, RoutingError
@@ -178,9 +179,8 @@ def test_mcf_feasible_and_loads(diamond):
     # 150 Mb/s does not fit on one 100 Mb/s path but fits on two.
     assert result.feasible
     assert result.max_utilisation <= 1.0 + 1e-6
-    assert sum(result.arc_loads[key] for key in [("a", "b"), ("a", "c")]) == pytest.approx(
-        mbps(150), rel=1e-6
-    )
+    loads = dict(zip(diamond.index().arc_keys, result.arc_loads, strict=True))
+    assert loads[("a", "b")] + loads[("a", "c")] == pytest.approx(mbps(150), rel=1e-6)
 
 
 def test_mcf_infeasible_when_capacity_exceeded(diamond):
@@ -209,9 +209,19 @@ def test_mcf_active_nodes_may_be_a_one_shot_iterable(diamond):
     demands = TrafficMatrix({("a", "d"): mbps(50)})
     expected = FlowSession(diamond, demands, active_nodes=["a", "b", "d"]).solve()
     assert expected.feasible
-    assert set(expected.arc_loads) == {("a", "b"), ("b", "a"), ("b", "d"), ("d", "b")}
+    loaded = {
+        key
+        for key, load in zip(diamond.index().arc_keys, expected.arc_loads, strict=True)
+        if load > 0.0
+    }
+    assert loaded == {("a", "b"), ("b", "d")}
     result = FlowSession(diamond, demands, active_nodes=(node for node in "abd")).solve()
-    assert result == expected
+    assert (result.feasible, result.max_utilisation, result.total_flow_bps) == (
+        expected.feasible,
+        expected.max_utilisation,
+        expected.total_flow_bps,
+    )
+    assert np.array_equal(result.arc_loads, expected.arc_loads)
 
 
 def test_mcf_empty_demand_is_trivially_feasible(diamond):

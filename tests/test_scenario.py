@@ -263,6 +263,45 @@ def test_run_scenario_dict_equals_run_scenario():
     )
 
 
+@pytest.mark.parametrize(
+    ("topology", "traffic"),
+    [
+        ("geant", {"name": "gravity", "params": {"num_pairs": 6, "num_endpoints": 5}}),
+        ("geant", {"name": "uniform", "params": {"num_pairs": 6, "flow_bps": 1e8,
+                                                 "pair_method": "random"}}),
+        ({"name": "fattree", "params": {"k": 4}},
+         {"name": "sinewave", "params": {"mode": "far", "num_intervals": 2}}),
+        ({"name": "rocketfuel", "params": {"name": "rf", "num_pops": 8, "num_links": 12}},
+         {"name": "gravity", "params": {"num_pairs": 4, "pair_method": "random"}}),
+        ({"name": "random", "params": {"num_nodes": 8, "num_links": 12}},
+         {"name": "gravity", "params": {"num_pairs": 4, "num_endpoints": 4}}),
+    ],
+)
+def test_a_spec_that_names_no_seed_means_seed_zero(topology, traffic):
+    """One ``config_hash``, one result: an omitted seed used to reach
+    ``default_rng(None)``, so three runs of one hash gave three powers (and a
+    store served whichever came first)."""
+
+    def spec(**seeds):
+        document = {
+            "name": "seedless",
+            "topology": topology,
+            "traffic": {"name": traffic["name"], "params": {**traffic["params"], **seeds}},
+            "power": "cisco" if topology != "fattree" else "commodity",
+            "schemes": ["ecmp", "ospf"],
+        }
+        return ScenarioSpec.from_dict(document)
+
+    runs = [canonical_result_dict(run_scenario(spec()).to_dict()) for _ in range(3)]
+    assert runs[0] == runs[1] == runs[2]
+    seeded = canonical_result_dict(run_scenario(spec(seed=0)).to_dict())
+    for result in (seeded, runs[0]):
+        # Naming the seed changes what the spec says, nothing it computes.
+        del result["config_hash"], result["spec"]
+    assert seeded == runs[0]
+    assert spec().config_hash() != spec(seed=0).config_hash()
+
+
 def test_never_expressed_cross_product_geant_gravity_response_vs_elastictree():
     """The acceptance scenario: GEANT x gravity x cisco, REsPoNse vs ElasticTree.
 

@@ -273,6 +273,39 @@ def test_random_topologies_and_matrices(case, limit):
     assert_same_lp_relax(topology, CiscoRouterPowerModel(), demands, utilisation_limit=limit)
 
 
+def test_one_session_serves_searches_from_narrower_and_wider_starts(geant, cisco_model):
+    """What a solver runtime does over a run: one session per topology
+    object, handed to every search.  ``lp-relax`` starts from the
+    relaxation's support — a strict sub-network — after ``greedy`` has put
+    the whole network to the same session, and the next call is wider again;
+    a session whose model spanned only the sets of its first search answered
+    the wider one wrongly."""
+    _, base = base_matrix({"name": "geant", "params": {}}, example_traffic_specs()[0])
+    levels = demand_levels(geant, base)
+    for limit in (1.0, 0.6):
+        session = FlowSession(geant, base, limit)
+        compared = 0
+        for demands, level_limit in levels * 2:
+            if level_limit != limit:
+                continue
+            options = {"utilisation_limit": limit}
+            for reference, routine in (
+                (reference_lp_relax, lp_relaxation_with_rounding),
+                (reference_greedy, greedy_minimum_subset),
+            ):
+                compared += assert_same_subset(
+                    reference,
+                    lambda *args, routine=routine, **kwargs: routine(
+                        *args, session=session, **kwargs
+                    ),
+                    geant,
+                    cisco_model,
+                    demands,
+                    **options,
+                )
+        assert compared >= 6 and session.models_built >= 1
+
+
 # --------------------------------------------------------------------- #
 # (b) Fewer solves, and the counts are visible
 # --------------------------------------------------------------------- #

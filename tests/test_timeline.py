@@ -154,6 +154,45 @@ def test_topology_view_failed_link_and_node():
     assert "b" not in node_view.topology.nodes()
 
 
+def test_connected_pairs_labels_the_components_once_per_view(monkeypatch, geant):
+    """Three schemes ask every interval of a failure; the answers are the
+    undirected networkx components', from one walk over the index."""
+    import networkx as nx
+
+    from repro.topology.index import TopologyIndex
+
+    walks, real = [], TopologyIndex.component_labels
+
+    def counting(index, arc_on=None):
+        walks.append(index)
+        return real(index, arc_on)
+
+    monkeypatch.setattr(TopologyIndex, "component_labels", counting)
+    pairs = [(o, d) for o in geant.nodes() for d in geant.nodes() if o != d]
+    pairs += [("DE", "no-such-node"), ("no-such-node", "FR")]
+    views = [
+        TopologyView(geant, failed_links=[("DE", "FR")]),
+        TopologyView(geant, failed_nodes=["DE"]),
+        # LU hangs off FR and DE: this one partitions the network.
+        TopologyView(geant, failed_links=[("FR", "LU")], failed_nodes=["DE"]),
+        TopologyView(geant, failed_links=geant.link_keys()),
+    ]
+    sizes = []
+    for view in views:
+        graph = view.topology.to_networkx().to_undirected()
+        expected = [
+            (o, d)
+            for o, d in pairs
+            if o in graph and d in graph and nx.has_path(graph, o, d)
+        ]
+        before = len(walks)
+        assert view.connected_pairs(pairs) == expected
+        assert view.connected_pairs(iter(pairs[:50])) == [p for p in expected if p in pairs[:50]]
+        assert len(walks) == before + 1
+        sizes.append(len(expected))
+    assert len(pairs) - 2 == sizes[0] > sizes[1] > sizes[2] > sizes[3] == 0
+
+
 # --------------------------------------------------------------------- #
 # compute_failover under disconnection
 # --------------------------------------------------------------------- #

@@ -122,18 +122,11 @@ def test_validate_path(diamond):
 
 
 def test_is_connected(diamond):
-    assert nx.is_connected(diamond.to_undirected_networkx())
+    assert nx.is_connected(diamond.to_networkx().to_undirected())
     lonely = Topology()
     lonely.add_node("x")
     lonely.add_node("y")
-    assert not nx.is_connected(lonely.to_undirected_networkx())
-
-
-def test_copy_is_deep(diamond):
-    clone = diamond.copy()
-    clone.add_link("a", "d", capacity_bps=mbps(100))
-    assert not diamond.has_link("a", "d")
-    assert clone.num_links == diamond.num_links + 1
+    assert not nx.is_connected(lonely.to_networkx().to_undirected())
 
 
 def test_subgraph_induced_by_nodes(diamond):
@@ -181,3 +174,62 @@ def test_nodes_at_level_and_hosts():
     assert topo.hosts() == ["h1"]
     assert topo.routers() == ["r1"]
     assert topo.node("h1").always_powered
+
+
+# --------------------------------------------------------------------- #
+# The index: one per topology object, dropped by a mutation
+# --------------------------------------------------------------------- #
+def test_index_is_one_object_until_the_topology_changes(diamond):
+    from repro.routing import Path, equal_cost_paths
+
+    index = diamond.index()
+    assert diamond.index() is index
+    assert index.node_names == diamond.nodes() and index.arc_keys == diamond.arc_keys()
+    assert [tuple(index.arc_keys[arc] for arc in arcs) for arcs in index.link_arcs.tolist()] == [
+        link.arc_keys() for link in diamond.links()
+    ]
+    for name, links in zip(index.node_names, index.node_links, strict=True):
+        assert [index.link_keys[link] for link in links] == [
+            link.key for link in diamond.incident_links(name)
+        ]
+    for name, out in zip(index.node_names, index.out_adjacency, strict=True):
+        assert [index.arc_keys[arc] for arc, _ in out] == [
+            arc.key for arc in diamond.outgoing_arcs(name)
+        ]
+        assert [index.node_names[dst] for _, dst in out] == diamond.neighbors(name)
+    compiled = index.compile_path(Path.of("abd"))
+    assert index.compile_path(Path.of("abd")) is compiled
+    assert [index.arc_keys[arc] for arc in compiled.arc_indices] == [("a", "b"), ("b", "d")]
+
+    # The memos live on the index and go with it.
+    assert len(equal_cost_paths(diamond, "a", "d")) == 2
+    assert index.ecmp_paths[("a", "d")] == tuple(equal_cost_paths(diamond, "a", "d"))
+    diamond.add_link("a", "d", capacity_bps=mbps(100))
+    assert diamond.index() is not index and not diamond.index().ecmp_paths
+    assert [path.nodes for path in equal_cost_paths(diamond, "a", "d")] == [("a", "d")]
+    after_link = diamond.index()
+    diamond.add_node("e")
+    assert diamond.index() is not after_link
+    assert diamond.index().node_names[-1] == "e" and diamond.index().node_links[-1] == []
+
+
+def test_equal_cost_paths_are_enumerated_once_per_pair(monkeypatch, diamond):
+    from repro.routing import ecmp
+
+    calls, real = [], nx.all_shortest_paths
+
+    def counting(graph, origin, destination):
+        calls.append((origin, destination))
+        return real(graph, origin, destination)
+
+    monkeypatch.setattr(ecmp.nx, "all_shortest_paths", counting)
+    first = ecmp.equal_cost_paths(diamond, "a", "d")
+    assert ecmp.equal_cost_paths(diamond, "a", "d") == first and first is not None
+    first.clear()  # the caller's list, not the memo
+    assert len(ecmp.equal_cost_paths(diamond, "a", "d")) == 2
+    assert calls == [("a", "d")]
+    with pytest.raises(PathNotFoundError):
+        lonely = Topology("lonely")
+        lonely.add_node("x")
+        lonely.add_node("y")
+        ecmp.equal_cost_paths(lonely, "x", "y")

@@ -28,7 +28,7 @@ from repro.units import gbps, mbps
 
 
 def connected(topology):
-    return nx.is_connected(topology.to_undirected_networkx())
+    return nx.is_connected(topology.to_networkx().to_undirected())
 
 
 # --------------------------------------------------------------------- #

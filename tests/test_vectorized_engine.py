@@ -131,7 +131,7 @@ def test_compile_path_is_memoised_and_validates(diamond, cisco_model):
     path = Path.of(["a", "b", "d"])
     compiled = network.compile_path(path)
     assert compiled is network.compile_path(Path.of(["a", "b", "d"]))
-    assert compiled.num_hops == 2
+    assert compiled.arc_indices.size == 2
     table = network.arc_table
     assert [table.arc_keys[index] for index in compiled.arc_indices] == [
         ("a", "b"),
