@@ -5,7 +5,7 @@ path identification, the trace-replay activation planner and the REsPoNseTE
 online controller.
 """
 
-from .always_on import AlwaysOnConfig, compute_always_on
+from .always_on import compute_always_on
 from .critical_paths import (
     RankedPath,
     coverage_curve,
@@ -13,7 +13,7 @@ from .critical_paths import (
     rank_paths_by_traffic,
 )
 from .failover import compute_failover
-from .on_demand import ON_DEMAND_METHODS, OnDemandConfig, compute_on_demand
+from .on_demand import compute_on_demand
 from .plan import ResponsePlan
 from .planner import (
     DEFAULT_UTILISATION_THRESHOLD,
@@ -21,12 +21,11 @@ from .planner import (
     activate_paths,
     replay_trace,
 )
-from .response import ResponseConfig, build_response_plan
+from .response import ON_DEMAND_METHODS, ResponseConfig, build_response_plan
 from .stress import DEFAULT_EXCLUDE_FRACTION, most_stressed_links, stress_factors
 from .te import ResponseTEController, TEConfig
 
 __all__ = [
-    "AlwaysOnConfig",
     "compute_always_on",
     "RankedPath",
     "coverage_curve",
@@ -34,7 +33,6 @@ __all__ = [
     "rank_paths_by_traffic",
     "compute_failover",
     "ON_DEMAND_METHODS",
-    "OnDemandConfig",
     "compute_on_demand",
     "ResponsePlan",
     "DEFAULT_UTILISATION_THRESHOLD",

@@ -17,31 +17,61 @@ among the installed paths at run time.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Any, Iterable, Optional
 
 from ..exceptions import ConfigurationError
 from ..power.model import PowerModel
 from ..routing.ksp import CandidatePaths
 from ..topology.base import Topology
 from ..traffic.matrix import Pair, TrafficMatrix
-from .always_on import AlwaysOnConfig, compute_always_on
+from .always_on import compute_always_on
 from .failover import compute_failover
-from .on_demand import OnDemandConfig, compute_on_demand
+from .on_demand import compute_on_demand
 from .plan import ResponsePlan
+from .stress import DEFAULT_EXCLUDE_FRACTION
+
+#: The on-demand computation methods of Section 4.2.
+ON_DEMAND_METHODS = ("stress", "peak", "heuristic", "ospf")
+
+
+def _is_real(value: Any) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_k(k: Any) -> int:
+    """*k*, the candidate paths per pair, if it is a positive ``int``."""
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        raise ConfigurationError(f"k must be a positive integer, got {k!r}")
+    return k
+
+
+def check_utilisation_limit(limit: Any) -> float:
+    """*limit*, the safety margin ``sm`` on capacities, if it is in (0, 1]."""
+    if not (_is_real(limit) and 0.0 < limit <= 1.0):
+        raise ConfigurationError(f"utilisation_limit must be a number in (0, 1], got {limit!r}")
+    return limit
+
+
+def check_time_limit(limit_s: Any) -> Optional[float]:
+    """*limit_s*, a solver's budget, if it is ``None`` (no limit) or above zero."""
+    if limit_s is not None and not (_is_real(limit_s) and limit_s > 0.0):
+        raise ConfigurationError(f"time_limit_s must be None or a number above 0, got {limit_s!r}")
+    return limit_s
 
 
 @dataclass
 class ResponseConfig:
-    """End-to-end configuration of the off-line path computation.
+    """End-to-end configuration of the off-line path computation, and the one
+    place its parameters are validated.
 
     Attributes:
         num_paths: Total number of energy-critical paths per pair (the
             paper's N; defaults to 3: always-on, one on-demand, failover).
         latency_beta: When set, bound always-on path delay to
-            ``(1 + beta) * delay_OSPF`` (REsPoNse-lat).
-        on_demand_method: ``"stress"``, ``"peak"``, ``"heuristic"`` or
-            ``"ospf"``.
+            ``(1 + beta) * delay_OSPF`` (REsPoNse-lat; needs the MILP).
+        on_demand_method: One of :data:`ON_DEMAND_METHODS`.
         stress_exclude_fraction: Fraction of most-stressed links excluded by
             the stress-factor method.
         k: Candidate paths per pair for the solvers.
@@ -54,7 +84,7 @@ class ResponseConfig:
     num_paths: int = 3
     latency_beta: Optional[float] = None
     on_demand_method: str = "stress"
-    stress_exclude_fraction: float = 0.20
+    stress_exclude_fraction: float = DEFAULT_EXCLUDE_FRACTION
     k: int = 3
     utilisation_limit: float = 1.0
     always_on_method: str = "milp"
@@ -65,6 +95,30 @@ class ResponseConfig:
         if self.num_paths < 2:
             raise ConfigurationError(
                 f"REsPoNse needs at least 2 paths per pair, got {self.num_paths}"
+            )
+        check_k(self.k)
+        check_utilisation_limit(self.utilisation_limit)
+        check_time_limit(self.time_limit_s)
+        if self.on_demand_method not in ON_DEMAND_METHODS:
+            raise ConfigurationError(
+                f"unknown on-demand method {self.on_demand_method!r}; "
+                f"expected one of {ON_DEMAND_METHODS}"
+            )
+        if self.always_on_method not in ("milp", "greedy"):
+            raise ConfigurationError(f"unknown always-on method: {self.always_on_method!r}")
+        if self.latency_beta is not None and self.latency_beta < 0:
+            raise ConfigurationError(
+                f"latency_beta must be non-negative, got {self.latency_beta}"
+            )
+        if self.latency_beta is not None and self.always_on_method == "greedy":
+            raise ConfigurationError(
+                "latency_beta needs always_on_method='milp': the greedy subset "
+                "cannot bound path delay (constraint (4))"
+            )
+        if not 0.0 <= self.stress_exclude_fraction <= 1.0:
+            raise ConfigurationError(
+                "stress_exclude_fraction must be in [0, 1], "
+                f"got {self.stress_exclude_fraction}"
             )
 
     @property
@@ -106,14 +160,8 @@ def build_response_plan(
     always_on = compute_always_on(
         topology,
         power_model,
+        config,
         pairs=pairs,
-        config=AlwaysOnConfig(
-            method=config.always_on_method,
-            k=config.k,
-            latency_beta=config.latency_beta,
-            utilisation_limit=config.utilisation_limit,
-            time_limit_s=config.time_limit_s,
-        ),
         candidate_paths=candidate_paths,
     )
 
@@ -121,16 +169,9 @@ def build_response_plan(
         topology,
         power_model,
         always_on,
+        config,
         pairs=pairs,
         peak_matrix=peak_matrix,
-        config=OnDemandConfig(
-            method=config.on_demand_method,
-            num_tables=config.num_on_demand_tables,
-            stress_exclude_fraction=config.stress_exclude_fraction,
-            k=config.k,
-            utilisation_limit=config.utilisation_limit,
-            time_limit_s=config.time_limit_s,
-        ),
         candidate_paths=candidate_paths,
     )
 

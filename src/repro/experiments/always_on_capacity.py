@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.always_on import AlwaysOnConfig, compute_always_on
+from ..core.always_on import compute_always_on
+from ..core.response import ResponseConfig
 from ..routing.paths import RoutingTable, max_link_utilisation
 from ..scenario import PowerSpec, RoutingSpec, TopologySpec, TrafficSpec
 from ..topology.base import Topology
@@ -89,7 +90,7 @@ def run_always_on_capacity(
     ).build(topo)
     pairs, base = workload.pairs, workload.peak()
 
-    always_on = compute_always_on(topo, model, pairs=pairs, config=AlwaysOnConfig(k=3))
+    always_on = compute_always_on(topo, model, ResponseConfig(k=3), pairs=pairs)
     ospf = RoutingSpec("ospf-invcap").build(topo, pairs)
 
     always_on_max = _max_feasible_volume(topo, always_on.routing, base)

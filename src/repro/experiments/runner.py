@@ -309,6 +309,8 @@ def _run_scenario_command(argv: Sequence[str]) -> int:
                 result = run_scenario(spec)
         else:
             result = run_scenario(spec)
+    except ConfigurationError as error:  # a scheme parameter outside its range
+        parser.error(str(error))
     finally:
         run_elapsed = time.perf_counter() - run_start
         if args.trace:

@@ -20,10 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
-from ..core.always_on import AlwaysOnConfig, compute_always_on
-from ..core.on_demand import OnDemandConfig, compute_on_demand
+from ..core.always_on import compute_always_on
+from ..core.on_demand import compute_on_demand
 from ..core.plan import ResponsePlan
 from ..core.planner import activate_paths
+from ..core.response import ResponseConfig
 from ..exceptions import ConfigurationError
 from ..power.model import PowerModel
 from ..scenario import (
@@ -116,7 +117,7 @@ def run_stress_ablation(
     peak = built.trace.peak_matrix()
     view, event_records = _final_view(topo, built.spec.events)
 
-    always_on = compute_always_on(topo, model, pairs=pairs, config=AlwaysOnConfig(k=3))
+    always_on = compute_always_on(topo, model, ResponseConfig(k=3), pairs=pairs)
 
     absorbed: List[float] = []
     for fraction in fractions:
@@ -124,10 +125,8 @@ def run_stress_ablation(
             topo,
             model,
             always_on,
+            ResponseConfig(on_demand_method="stress", stress_exclude_fraction=fraction, k=3),
             pairs=pairs,
-            config=OnDemandConfig(
-                method="stress", stress_exclude_fraction=fraction, k=3
-            ),
         )
         plan = ResponsePlan(
             always_on=always_on,

@@ -5,7 +5,7 @@ from .greedy import greedy_minimum_subset
 from .greente import greente_heuristic
 from .lp_relax import lp_relaxation_with_rounding
 from .model import solve_arc_milp
-from .pathmilp import DEFAULT_NUM_CANDIDATE_PATHS, PathMilpConfig, solve_path_milp
+from .pathmilp import solve_path_milp
 from .solution import EnergyAwareSolution, element_power_coefficients, solution_power
 
 __all__ = [
@@ -14,8 +14,6 @@ __all__ = [
     "greente_heuristic",
     "lp_relaxation_with_rounding",
     "solve_arc_milp",
-    "DEFAULT_NUM_CANDIDATE_PATHS",
-    "PathMilpConfig",
     "solve_path_milp",
     "EnergyAwareSolution",
     "element_power_coefficients",

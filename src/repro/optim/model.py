@@ -15,10 +15,10 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from ..exceptions import InfeasibleError, SolverError
 from ..power.model import PowerModel
+from ..routing.highs import MILP_SOLVES, HighsModel, milp_options
 from ..routing.paths import Path, RoutingTable
 from ..topology.base import Topology, link_key
 from ..traffic.matrix import Pair, TrafficMatrix
@@ -27,11 +27,11 @@ from .solution import EnergyAwareSolution, element_power_coefficients, solution_
 #: Guard against accidentally building an intractable instance.
 MAX_FLOW_VARIABLES = 30_000
 
-#: Safety margin ``sm`` on arc capacities, the solver's wall-clock budget and
-#: the relative optimality gap it stops at.
+#: Safety margin ``sm`` on arc capacities and the solver's wall-clock budget.
 UTILISATION_LIMIT = 1.0
 TIME_LIMIT_S = 120.0
-MIP_REL_GAP = 1e-4
+
+_SOLVES = MILP_SOLVES.labels(kind="arc")
 
 
 # repro: allow[REP501] paper §2.2.1 reference; test_arc_milp_matches_path_milp_on_example
@@ -182,25 +182,21 @@ def solve_arc_milp(
         constraint_upper.append(0.0)
         row_count += 1
 
-    matrix = sparse.csc_matrix((vals, (rows, cols)), shape=(row_count, num_vars))
-    constraints = LinearConstraint(
-        matrix, np.array(constraint_lower), np.array(constraint_upper)
+    model = HighsModel(
+        cost / max(cost.max(), 1.0),
+        sparse.csc_array((vals, (rows, cols)), shape=(row_count, num_vars)),
+        np.array(constraint_lower),
+        np.array(constraint_upper),
+        lower,
+        upper,
+        milp_options(TIME_LIMIT_S),
+        np.ones(num_vars, dtype=bool),
     )
-
-    scale = max(cost.max(), 1.0)
-    result = milp(
-        c=cost / scale,
-        constraints=constraints,
-        integrality=np.ones(num_vars),
-        bounds=Bounds(lower, upper),
-        options={"mip_rel_gap": MIP_REL_GAP, "time_limit": TIME_LIMIT_S},
-    )
-    if result.status == 2:
+    _SOLVES.inc()
+    solution = model.solve()
+    if solution is None:
         raise InfeasibleError("the demand cannot be carried even with all elements active")
-    if result.x is None:
-        raise SolverError(f"MILP solver failed: {result.message}")
 
-    solution = result.x
     active_links = {key for key in links if solution[y_var(key)] > 0.5}
     active_nodes = {name for name in nodes if solution[x_var(name)] > 0.5}
 
@@ -215,9 +211,9 @@ def solve_arc_milp(
         routing=routing,
         power_w=power,
         objective_w=power,
-        optimal=bool(result.status == 0),
+        optimal=model.optimal,
         solver=solver_name,
-        gap=float(result.mip_gap) if getattr(result, "mip_gap", None) is not None else 0.0,
+        gap=model.gap,
     )
 
 

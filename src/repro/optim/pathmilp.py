@@ -22,47 +22,21 @@ elements stay on.  The objective is the network power of the active subset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
 
-from ..exceptions import InfeasibleError, SolverError
+from ..exceptions import InfeasibleError
 from ..power.model import PowerModel
+from ..routing.highs import MILP_SOLVES, HighsModel, milp_options
 from ..routing.ksp import CandidatePaths
 from ..routing.paths import Path, RoutingTable
 from ..topology.base import Topology, link_key
 from ..traffic.matrix import Pair, TrafficMatrix
 from .solution import EnergyAwareSolution, element_power_coefficients, solution_power
 
-#: Default number of candidate paths per origin-destination pair.
-DEFAULT_NUM_CANDIDATE_PATHS = 3
-
-#: Relative optimality gap at which the solver may stop.
-MIP_REL_GAP = 1e-4
-
-
-@dataclass
-class PathMilpConfig:
-    """Tuning knobs of the path-restricted MILP.
-
-    Attributes:
-        k: Candidate paths per pair when none are supplied explicitly.
-        utilisation_limit: Safety margin ``sm``: fraction of each arc's
-            capacity available to the solver.
-        integral_paths: Use binary path-selection variables (single-path
-            routing, as in the paper).  Setting this to ``False`` yields a
-            faster LP-like relaxation whose routing table uses each pair's
-            most-selected path.
-        time_limit_s: Wall-clock limit handed to the solver.
-    """
-
-    k: int = DEFAULT_NUM_CANDIDATE_PATHS
-    utilisation_limit: float = 1.0
-    integral_paths: bool = True
-    time_limit_s: Optional[float] = 60.0
+_SOLVES = MILP_SOLVES.labels(kind="path")
 
 
 def _filter_candidates(
@@ -113,7 +87,10 @@ def solve_path_milp(
     topology: Topology,
     power_model: PowerModel,
     demands: TrafficMatrix,
-    config: Optional[PathMilpConfig] = None,
+    k: int = 3,
+    utilisation_limit: float = 1.0,
+    time_limit_s: Optional[float] = 60.0,
+    relaxed: bool = False,
     candidate_paths: Optional[CandidatePaths] = None,
     fixed_on_nodes: Optional[Iterable[str]] = None,
     fixed_on_links: Optional[Iterable[Tuple[str, str]]] = None,
@@ -129,11 +106,18 @@ def solve_path_milp(
         demands: Traffic matrix; pairs with zero demand still require
             connectivity (use :meth:`TrafficMatrix.epsilon` for the paper's
             demand-oblivious always-on computation).
-        config: Solver configuration; defaults to :class:`PathMilpConfig`.
-        candidate_paths: The provider each pair's ``config.k`` shortest
-            paths (by inverse capacity) are drawn from; callers solving
-            repeatedly on one topology share one so the enumeration is paid
-            once.  Defaults to a private provider.
+        k: Candidate paths per pair.
+        utilisation_limit: Safety margin ``sm``: fraction of each arc's
+            capacity available to the solver.
+        time_limit_s: Wall-clock limit handed to the solver (``None``: none).
+        relaxed: Make the path-selection variables continuous — a faster
+            LP-like relaxation, never reported optimal, whose routing table
+            uses each pair's most-selected path.  The default is the paper's
+            single-path routing (binary selections).
+        candidate_paths: The provider each pair's *k* shortest paths (by
+            inverse capacity) are drawn from; callers solving repeatedly on
+            one topology share one so the enumeration is paid once.
+            Defaults to a private provider.
         fixed_on_nodes: Nodes forced to stay powered on (the paper keeps the
             always-on elements fixed when computing on-demand paths).
         fixed_on_links: Undirected links forced to stay active.
@@ -151,12 +135,9 @@ def solve_path_milp(
             element active (given the candidate path restriction).
         SolverError: On unexpected solver failures.
     """
-    cfg = config or PathMilpConfig()
     pairs = [pair for pair in demands.pairs()]
+    always_on = {name for name in topology.nodes() if topology.node(name).always_powered}
     if not pairs:
-        always_on = {
-            name for name in topology.nodes() if topology.node(name).always_powered
-        }
         return EnergyAwareSolution(
             active_nodes=always_on,
             active_links=set(),
@@ -173,170 +154,103 @@ def solve_path_milp(
         {link_key(u, v) for (u, v) in forbidden_links} if forbidden_links else None
     )
     candidates = _filter_candidates(
-        candidate_paths.for_pairs(pairs, cfg.k), forbidden_set, latency_bound, topology
+        candidate_paths.for_pairs(pairs, k), forbidden_set, latency_bound, topology
     )
+
+    # Variable layout: [z (a block of path selections per pair) | y (links,
+    # index order) | x (nodes, index order)].
+    index = topology.index()
+    compiled = [index.compile_path(path) for pair in pairs for path in candidates[pair]]
+    block = np.cumsum([0] + [len(candidates[pair]) for pair in pairs])
+    num_paths, num_links, num_nodes = len(compiled), len(index.link_keys), len(index.node_names)
+    y0, x0 = num_paths, num_paths + num_links
+    num_vars = x0 + num_nodes
+    # One entry per hop of every candidate: its path (a z column), arc and link.
+    hop_path = np.repeat(np.arange(num_paths), [len(path.arc_indices) for path in compiled])
+    hop_arc = np.concatenate([path.arc_indices for path in compiled])
+    hop_link = np.concatenate([path.link_indices for path in compiled])
+    pair_of_path = np.repeat(np.arange(len(pairs)), np.diff(block))
+    hop_demand = np.array([demands[pair] for pair in pairs])[pair_of_path[hop_path]]
+    loaded = hop_demand > 0.0
 
     node_power, link_power = element_power_coefficients(topology, power_model)
-    nodes = topology.nodes()
-    links = topology.link_keys()
-    node_index = {name: position for position, name in enumerate(nodes)}
-    link_index = {key: position for position, key in enumerate(links)}
-
-    # Variable layout: [z (path selections)..., y (links)..., x (nodes)...].
-    path_vars: List[Tuple[Pair, int]] = []  # (pair, candidate index)
-    path_var_offset: Dict[Tuple[Pair, int], int] = {}
-    for pair in pairs:
-        for candidate_position in range(len(candidates[pair])):
-            path_var_offset[(pair, candidate_position)] = len(path_vars)
-            path_vars.append((pair, candidate_position))
-    num_path_vars = len(path_vars)
-    num_links = len(links)
-    num_nodes = len(nodes)
-    num_vars = num_path_vars + num_links + num_nodes
-
-    def y_var(link: Tuple[str, str]) -> int:
-        return num_path_vars + link_index[link]
-
-    def x_var(node: str) -> int:
-        return num_path_vars + num_links + node_index[node]
-
     cost = np.zeros(num_vars)
-    for key, power in link_power.items():
-        cost[y_var(key)] = power
-    for name, power in node_power.items():
-        cost[x_var(name)] = power
+    cost[y0:x0] = [link_power[key] for key in index.link_keys]
+    cost[x0:] = [node_power[name] for name in index.node_names]
+    cost_scale = max(cost.max(), 1.0)
 
     lower = np.zeros(num_vars)
-    upper = np.ones(num_vars)
+    node_fixed = index.node_mask(always_on.union(fixed_on_nodes or ()))
+    lower[x0:][node_fixed] = 1.0
+    lower[y0:x0][index.link_mask(fixed_on_links or ())] = 1.0
 
-    fixed_nodes = set(fixed_on_nodes or ())
-    fixed_links = {link_key(u, v) for (u, v) in (fixed_on_links or ())}
-    for name in nodes:
-        if topology.node(name).always_powered or name in fixed_nodes:
-            lower[x_var(name)] = 1.0
-    for key in sorted(fixed_links):
-        if key in link_index:
-            lower[y_var(key)] = 1.0
+    def rows(count: int, *entries: Tuple[np.ndarray, np.ndarray, object]) -> sparse.coo_array:
+        """*count* rows of one constraint family; an entry is ``(rows,
+        columns, their coefficients or the one they share)``."""
+        at = np.concatenate([entry[0] for entry in entries])
+        columns = np.concatenate([entry[1] for entry in entries])
+        values = np.concatenate([np.broadcast_to(entry[2], len(entry[0])) for entry in entries])
+        return sparse.coo_array((values, (at, columns)), shape=(count, num_vars))
 
-    rows: List[int] = []
-    cols: List[int] = []
-    vals: List[float] = []
-    constraint_lower: List[float] = []
-    constraint_upper: List[float] = []
-    row_count = 0
-
-    def add_entry(row: int, column: int, value: float) -> None:
-        rows.append(row)
-        cols.append(column)
-        vals.append(value)
-
-    # (a) Each pair selects exactly one candidate path.
-    for pair in pairs:
-        for candidate_position in range(len(candidates[pair])):
-            add_entry(row_count, path_var_offset[(pair, candidate_position)], 1.0)
-        constraint_lower.append(1.0)
-        constraint_upper.append(1.0)
-        row_count += 1
-
-    # (b) Arc capacity coupled to link activation:
-    #     sum_p d_p z_{p,j∋arc} - C_arc * sm * y_link <= 0.
     # Scale by the largest capacity to keep coefficients well conditioned.
-    capacity_scale = max(arc.capacity_bps for arc in topology.arcs())
-    arc_rows: Dict[Tuple[str, str], int] = {}
-    for arc in topology.arcs():
-        arc_rows[arc.key] = row_count
-        add_entry(
-            row_count,
-            y_var(link_key(arc.src, arc.dst)),
-            -arc.capacity_bps * cfg.utilisation_limit / capacity_scale,
-        )
-        constraint_lower.append(-np.inf)
-        constraint_upper.append(0.0)
-        row_count += 1
-    for pair in pairs:
-        demand = demands[pair]
-        if demand <= 0.0:
-            continue
-        for candidate_position, path in enumerate(candidates[pair]):
-            column = path_var_offset[(pair, candidate_position)]
-            for arc_key in path.arc_keys():
-                add_entry(arc_rows[arc_key], column, demand / capacity_scale)
-
-    # (c) Connectivity coupling: a selected path activates its links,
-    #     z_{p,j} <= y_l for every link l on the path.
-    for pair in pairs:
-        for candidate_position, path in enumerate(candidates[pair]):
-            column = path_var_offset[(pair, candidate_position)]
-            # Ordered dedupe: the row order decides which of several
-            # degenerate optima the solver returns, so it must not follow
-            # set iteration (PYTHONHASHSEED).
-            for key in dict.fromkeys(path.link_keys()):
-                add_entry(row_count, column, 1.0)
-                add_entry(row_count, y_var(key), -1.0)
-                constraint_lower.append(-np.inf)
-                constraint_upper.append(0.0)
-                row_count += 1
-
-    # (d) Constraint (1): an active link requires both endpoints powered on.
-    for key in links:
-        for endpoint in key:
-            add_entry(row_count, y_var(key), 1.0)
-            add_entry(row_count, x_var(endpoint), -1.0)
-            constraint_lower.append(-np.inf)
-            constraint_upper.append(0.0)
-            row_count += 1
-
-    # (e) Constraint (3): a router with no active incident link is off.
-    for name in nodes:
-        incident = [link.key for link in topology.incident_links(name)]
-        if not incident or lower[x_var(name)] >= 1.0:
-            continue
-        add_entry(row_count, x_var(name), 1.0)
-        for key in incident:
-            add_entry(row_count, y_var(key), -1.0)
-        constraint_lower.append(-np.inf)
-        constraint_upper.append(0.0)
-        row_count += 1
-
-    matrix = sparse.csc_matrix((vals, (rows, cols)), shape=(row_count, num_vars))
-    constraints = LinearConstraint(
-        matrix, np.array(constraint_lower), np.array(constraint_upper)
+    scale = float(index.arc_capacity.max())
+    arcs, hops, ends = (np.arange(n) for n in (index.num_arcs, len(hop_path), 2 * num_links))
+    end_node = np.array([index.node_index[name] for key in index.link_keys for name in key])
+    free = np.flatnonzero([bool(links) for links in index.node_links] & ~node_fixed)
+    free_row = np.repeat(np.arange(len(free)), [len(index.node_links[node]) for node in free])
+    free_link = np.array([link for node in free for link in index.node_links[node]], dtype=int)
+    families = (
+        # (a) Each pair selects exactly one candidate path.
+        rows(len(pairs), (pair_of_path, np.arange(num_paths), 1.0)),
+        # (b) Arc capacity coupled to link activation:
+        #     sum_p d_p z_{p,j∋arc} - C_arc * sm * y_link <= 0.
+        rows(
+            len(arcs),
+            (arcs, y0 + index.arc_link, -index.arc_capacity * utilisation_limit / scale),
+            (hop_arc[loaded], hop_path[loaded], hop_demand[loaded] / scale),
+        ),
+        # (c) Connectivity coupling: a selected path activates its links,
+        #     z_{p,j} <= y_l for every link l on the path, in hop order (the
+        #     row order decides which of several degenerate optima the
+        #     solver returns; a path is simple, so no link repeats).
+        rows(len(hops), (hops, hop_path, 1.0), (hops, y0 + hop_link, -1.0)),
+        # (d) Constraint (1): an active link requires both endpoints powered on.
+        rows(len(ends), (ends, y0 + ends // 2, 1.0), (ends, x0 + end_node, -1.0)),
+        # (e) Constraint (3): a router with no active incident link is off.
+        rows(len(free), (np.arange(len(free)), x0 + free, 1.0), (free_row, y0 + free_link, -1.0)),
     )
+    matrix = sparse.csc_array(sparse.vstack(families))
+    row_upper = np.zeros(matrix.shape[0])
+    row_upper[: len(pairs)] = 1.0
+    integer = np.ones(num_vars, dtype=bool)
+    integer[:num_paths] = not relaxed
 
-    integrality = np.ones(num_vars)
-    if not cfg.integral_paths:
-        integrality[:num_path_vars] = 0.0
-
-    options: Dict[str, object] = {"mip_rel_gap": MIP_REL_GAP}
-    if cfg.time_limit_s is not None:
-        options["time_limit"] = cfg.time_limit_s
-
-    result = milp(
-        c=cost / max(cost.max(), 1.0),
-        constraints=constraints,
-        integrality=integrality,
-        bounds=Bounds(lower, upper),
-        options=options,
+    model = HighsModel(
+        cost / cost_scale,
+        matrix,
+        np.where(row_upper > 0.0, 1.0, -np.inf),
+        row_upper,
+        lower,
+        np.ones(num_vars),
+        milp_options(time_limit_s),
+        integer,
     )
-    if result.status == 2:
+    _SOLVES.inc()
+    solution = model.solve()
+    if solution is None:
         raise InfeasibleError(
             "the demand cannot be carried even with all elements active "
             "(within the candidate-path restriction)"
         )
-    if result.x is None:
-        raise SolverError(f"MILP solver failed: {result.message}")
 
-    solution = result.x
-    active_links = {key for key in links if solution[y_var(key)] > 0.5}
-    active_nodes = {name for name in nodes if solution[x_var(name)] > 0.5}
+    on = (solution > 0.5).tolist()
+    active_links = {key for key, active in zip(index.link_keys, on[y0:x0], strict=True) if active}
+    active_nodes = {name for name, active in zip(index.node_names, on[x0:], strict=True) if active}
 
-    chosen: Dict[Pair, Path] = {}
-    for pair in pairs:
-        best_position = max(
-            range(len(candidates[pair])),
-            key=lambda position, pair=pair: solution[path_var_offset[(pair, position)]],
-        )
-        chosen[pair] = candidates[pair][best_position]
+    chosen = {
+        pair: candidates[pair][int(np.argmax(solution[first:last]))]
+        for pair, first, last in zip(pairs, block[:-1], block[1:], strict=True)
+    }
     routing = RoutingTable(chosen, name=solver_name)
 
     # Elements used by chosen paths are always part of the active set even if
@@ -350,8 +264,8 @@ def solve_path_milp(
         active_links=active_links,
         routing=routing,
         power_w=power,
-        objective_w=float(result.fun * max(cost.max(), 1.0)) if result.fun is not None else power,
-        optimal=bool(result.status == 0 and cfg.integral_paths),
+        objective_w=float(model.objective * cost_scale),
+        optimal=model.optimal and not relaxed,
         solver=solver_name,
-        gap=float(result.mip_gap) if getattr(result, "mip_gap", None) is not None else 0.0,
+        gap=model.gap,
     )

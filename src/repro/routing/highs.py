@@ -1,0 +1,205 @@
+"""The one solver binding: SciPy's vendored HiGHS, driven directly.
+
+Every LP and MILP of the library — the flow LP of :mod:`repro.routing.mcf`,
+the path MILP of :mod:`repro.optim.pathmilp`, the arc MILP of
+:mod:`repro.optim.model` — is a :class:`HighsModel`, and no other module
+interprets a HiGHS status.
+"""
+
+from __future__ import annotations
+
+from typing import Optional, Tuple
+
+import numpy as np
+import scipy
+from scipy import sparse
+
+from ..exceptions import SolverError
+from ..obs import metrics, trace
+
+try:
+    # Private to SciPy: it is what SciPy's own LP and MILP front ends drive,
+    # and the only HiGHS binding here that lets a model outlive one solve.
+    from scipy.optimize._highspy._core import (
+        HighsLp,
+        HighsModelStatus,
+        HighsStatus,
+        HighsVarType,
+        MatrixFormat,
+        _Highs,
+        kHighsInf,
+    )
+
+    for _method in ("changeColsBounds", "changeRowBounds", "getInfo", "getSolution"):
+        getattr(_Highs, _method)
+except (ImportError, AttributeError) as error:
+    raise ImportError(
+        "repro.routing.highs drives HiGHS through scipy.optimize._highspy._core, verified on "
+        f"SciPy 1.17.1 (HiGHS 1.12); SciPy {scipy.__version__} does not provide it: {error}"
+    ) from error
+
+_SIMPLEX_ITERATIONS = metrics.counter(
+    "repro_mcf_simplex_iterations_total",
+    "Simplex iterations of the MCF module's LP solves, by whether the solve "
+    "started from the basis of the previous one",
+)
+_FRESH_ITERATIONS = _SIMPLEX_ITERATIONS.labels(start="fresh")
+_WARM_ITERATIONS = _SIMPLEX_ITERATIONS.labels(start="warm")
+_LP_MODELS = metrics.counter(
+    "repro_mcf_models_total", "LP models the MCF module assembled and passed to HiGHS"
+)
+#: Each formulation counts its solves under its own ``kind``.
+MILP_SOLVES = metrics.counter(
+    "repro_milp_solves_total", "HiGHS MILP solves, by formulation (path or arc)"
+)
+_MILP_NODES = metrics.counter(
+    "repro_milp_nodes_total", "Branch-and-bound nodes of the MILP solves, as HiGHS counts them"
+)
+
+Options = Tuple[Tuple[str, object], ...]
+
+#: What SciPy's ``linprog(method="highs")`` sets before it solves; every
+#: other HiGHS option keeps its default, here and in :func:`milp_options`.
+LINPROG_OPTIONS: Options = (
+    ("presolve", "on"),
+    ("simplex_strategy", 1),  # dual simplex
+    ("highs_debug_level", 0),
+    ("log_to_console", False),
+    ("output_flag", False),
+)
+
+#: A MIP stopped by one of these returns its incumbent, if it has one.
+_LIMITS = (
+    HighsModelStatus.kTimeLimit,
+    HighsModelStatus.kIterationLimit,
+    HighsModelStatus.kSolutionLimit,
+)
+
+
+def milp_options(time_limit_s: Optional[float]) -> Options:
+    """What SciPy's ``milp`` sets for a relative gap of 1e-4 and this
+    wall-clock limit (``None``: no limit)."""
+    options: Options = (("log_to_console", False), ("mip_rel_gap", 1e-4))
+    if time_limit_s is not None:
+        options += (("time_limit", float(time_limit_s)),)
+    return options
+
+
+class HighsModel:
+    """``min cost @ x`` subject to ``row_lower <= A x <= row_upper``,
+    ``col_lower <= x <= col_upper`` and ``x[integer]`` integral, held by one
+    HiGHS instance.
+
+    Rows, columns and options reach HiGHS as SciPy's front ends (the
+    references in ``tests/test_mcf_session.py`` and
+    ``tests/test_path_model.py``) hand them over, so the first :meth:`solve`
+    returns that front end's answer bit for bit.  Unlike them, the model
+    stays: :meth:`set_upper` and :meth:`set_equality` change bounds in place
+    and the next :meth:`solve` of an LP starts from the basis HiGHS kept.
+
+    Every status the binding returns is looked at, a rejected option's
+    included.  After a failure the instance is dropped and any further call
+    raises.
+    """
+
+    def __init__(
+        self,
+        cost: np.ndarray,
+        matrix: sparse.csc_array,
+        row_lower: np.ndarray,
+        row_upper: np.ndarray,
+        col_lower: np.ndarray,
+        col_upper: np.ndarray,
+        options: Options,
+        integer: Optional[np.ndarray] = None,
+    ) -> None:
+        lp = HighsLp()
+        lp.num_row_, lp.num_col_ = matrix.shape
+        lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = matrix.shape
+        lp.a_matrix_.format_ = MatrixFormat.kColwise
+        lp.a_matrix_.start_ = matrix.indptr
+        lp.a_matrix_.index_ = matrix.indices
+        lp.a_matrix_.value_ = matrix.data
+        lp.col_cost_ = cost
+        lp.col_lower_, lp.col_upper_ = col_lower, col_upper
+        lp.row_lower_, lp.row_upper_ = row_lower, row_upper
+        self._mip = integer is not None
+        if integer is not None:
+            kinds = (HighsVarType.kContinuous, HighsVarType.kInteger)
+            lp.integrality_ = [kinds[flag] for flag in integer.tolist()]
+        self._highs: Optional[_Highs] = _Highs()
+        self._solved_before = False
+        #: Simplex iterations of every LP solve so far.
+        self.iterations = 0
+        #: Of the last solution returned: whether HiGHS proved it optimal
+        #: (else it is a MIP's incumbent at a limit), its objective value and
+        #: a MIP's relative gap.
+        self.optimal, self.objective, self.gap = False, float("inf"), 0.0
+        for option, value in options:
+            self._checked("setOptionValue", option, value)
+        self._checked("passModel", lp)
+        if not self._mip:
+            _LP_MODELS.inc()
+
+    def _live(self) -> _Highs:
+        if self._highs is None:
+            raise SolverError("HiGHS failed earlier; this model takes no further calls")
+        return self._highs
+
+    def _fail(self, reason: str) -> SolverError:
+        self._highs = None
+        return SolverError(f"solver failed: HiGHS {reason}")
+
+    def _checked(self, method: str, *arguments: object) -> None:
+        """Call a ``_Highs`` method that reports a ``HighsStatus``."""
+        status = getattr(self._live(), method)(*arguments)
+        # kWarning is let through, as SciPy's front ends do (HiGHS warns,
+        # for one, when it drops a matrix entry below its 1e-9 threshold).
+        if status == HighsStatus.kError:
+            raise self._fail(f"{method} returned {status.name}")
+
+    def set_upper(self, columns: np.ndarray, upper: np.ndarray) -> None:
+        """Give *columns* the bounds ``[0, upper]``."""
+        lower = np.zeros(len(columns))
+        self._checked("changeColsBounds", len(columns), columns.astype(np.int32), lower, upper)
+
+    def set_equality(self, rows: np.ndarray, values: np.ndarray) -> None:
+        """Give *rows* the bounds ``values <= A x <= values``."""
+        for row, value in zip(rows.tolist(), values.tolist(), strict=True):
+            self._checked("changeRowBounds", row, value, value)
+
+    def solve(self) -> Optional[np.ndarray]:
+        """The optimal ``x`` — or, for a MIP, the incumbent a time, iteration
+        or solution limit stopped at (:attr:`optimal` tells which) — or
+        ``None`` when the model is infeasible.
+
+        Raises:
+            SolverError: On any other outcome, naming HiGHS's model status.
+        """
+        self._checked("run")
+        highs = self._live()
+        info = highs.getInfo()
+        if self._mip:
+            _MILP_NODES.inc(info.mip_node_count)
+            enclosing = trace.current_span()
+            if enclosing is not None:
+                enclosing.set(
+                    mip_nodes=enclosing.attrs.get("mip_nodes", 0) + int(info.mip_node_count),
+                    mip_gap=max(enclosing.attrs.get("mip_gap", 0.0), float(info.mip_gap)),
+                )
+        else:
+            iterations = int(info.simplex_iteration_count)
+            self.iterations += iterations
+            (_WARM_ITERATIONS if self._solved_before else _FRESH_ITERATIONS).inc(iterations)
+            self._solved_before = True
+        status = highs.getModelStatus()
+        if status == HighsModelStatus.kInfeasible:
+            return None
+        self.optimal = status == HighsModelStatus.kOptimal
+        self.objective = float(info.objective_function_value)
+        self.gap = float(info.mip_gap) if self._mip else 0.0
+        if not self.optimal and not (
+            self._mip and status in _LIMITS and self.objective != kHighsInf
+        ):
+            raise self._fail(f"stopped with model status {highs.modelStatusToString(status)!r}")
+        return np.array(highs.getSolution().col_value)

@@ -17,10 +17,10 @@ Commodities are aggregated per origin (the standard reduction), so the LP has
 ("how many times this matrix fits") over the same constraint rows.
 
 Three layers, one above the other: :func:`_flow_lp` assembles the constraint
-structure over the topology's index, :class:`_HighsLP` is the one solver
-binding (SciPy's vendored HiGHS, driven directly: the model is passed once,
-bounds change in place and a re-solve starts from the basis the last one
-left), and :class:`FlowSession` is what callers hold: "the flow LP of this
+structure over the topology's index, :class:`~repro.routing.highs.HighsModel`
+is the solver binding (the model is passed once, bounds change in place and a
+re-solve starts from the basis the last one left), and :class:`FlowSession`
+is what callers hold: "the flow LP of this
 topology object — route these demands with these arcs (index masks) switched
 off".  :func:`solve_mcf` is a session of one solve; the subset search of
 :mod:`repro.optim.subset` keeps one for a switch-off loop, a solver-replay
@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
-import scipy
 from scipy import sparse
 
 from ..exceptions import SolverError
@@ -41,42 +40,13 @@ from ..obs import metrics
 from ..topology.base import Topology
 from ..topology.index import TopologyIndex
 from ..traffic.matrix import TrafficMatrix
-
-try:
-    # Private to SciPy: it is what SciPy's own LP front end drives, and the
-    # only HiGHS binding here that lets a model outlive one solve.
-    from scipy.optimize._highspy._core import (
-        HighsLp,
-        HighsModelStatus,
-        HighsStatus,
-        MatrixFormat,
-        _Highs,
-        kHighsInf,
-    )
-
-    for _method in ("changeColsBounds", "changeRowBounds", "getInfo", "getSolution"):
-        getattr(_Highs, _method)
-except (ImportError, AttributeError) as error:
-    raise ImportError(
-        "repro.routing.mcf drives HiGHS through scipy.optimize._highspy._core, verified on "
-        f"SciPy 1.17.1 (HiGHS 1.12); SciPy {scipy.__version__} does not provide it: {error}"
-    ) from error
+from .highs import LINPROG_OPTIONS, HighsModel
 
 _LP_SOLVES = metrics.counter(
     "repro_mcf_lp_solves_total", "HiGHS LP solves of the MCF module, by kind of LP"
 )
 _FEASIBILITY_SOLVES = _LP_SOLVES.labels(kind="feasibility")
 _MAX_CONCURRENT_SOLVES = _LP_SOLVES.labels(kind="max_concurrent")
-_SIMPLEX_ITERATIONS = metrics.counter(
-    "repro_mcf_simplex_iterations_total",
-    "Simplex iterations of the MCF module's LP solves, by whether the solve "
-    "started from the basis of the previous one",
-)
-_FRESH_ITERATIONS = _SIMPLEX_ITERATIONS.labels(start="fresh")
-_WARM_ITERATIONS = _SIMPLEX_ITERATIONS.labels(start="warm")
-_MODELS = metrics.counter(
-    "repro_mcf_models_total", "LP models the MCF module assembled and passed to HiGHS"
-)
 
 
 def pairwise_sum(values: np.ndarray) -> np.ndarray:
@@ -234,111 +204,25 @@ def _flow_lp(index: TopologyIndex, positive: Demands) -> _FlowLP:
     return _FlowLP(positive, origins, a_eq, a_ub, eq_rhs, index.arc_capacity, scale)
 
 
-#: What SciPy's LP front end (``method="highs"``) sets before it solves;
-#: every other HiGHS option (tolerances, limits, the choice between simplex
-#: and IPM) keeps its default.
-_HIGHS_OPTIONS = (
-    ("presolve", "on"),
-    ("simplex_strategy", 1),  # dual simplex
-    ("highs_debug_level", 0),
-    ("log_to_console", False),
-    ("output_flag", False),
-)
-
-
-class _HighsLP:
+def _lp_model(
+    cost: np.ndarray,
+    a_ub: sparse.spmatrix,
+    b_ub: np.ndarray,
+    a_eq: sparse.spmatrix,
+    b_eq: np.ndarray,
+) -> HighsModel:
     """``min cost @ x`` subject to ``A_ub x <= b_ub``, ``A_eq x == b_eq``,
-    ``0 <= x <= upper``, held by one HiGHS instance.
-
-    Rows, columns and options are exactly what SciPy's LP front end (the
-    reference in ``tests/test_mcf_session.py``) hands HiGHS for the same
-    arguments — inequality rows above equality rows, column-wise storage,
-    :data:`_HIGHS_OPTIONS` — so the first :meth:`solve` returns that front
-    end's vertex bit for bit.  Unlike it, the model stays: :meth:`set_upper`
-    changes column bounds and :meth:`set_equality` a right-hand side in
-    place, and the next :meth:`solve` starts from the basis HiGHS kept.
-
-    Every status the binding returns is looked at.  After a failure the
-    instance is dropped and any further call raises.
-    """
-
-    def __init__(
-        self,
-        cost: np.ndarray,
-        a_ub: sparse.spmatrix,
-        b_ub: np.ndarray,
-        a_eq: sparse.spmatrix,
-        b_eq: np.ndarray,
-    ) -> None:
-        matrix = sparse.csc_array(sparse.vstack((a_ub, a_eq)))
-        lp = HighsLp()
-        lp.num_row_, lp.num_col_ = matrix.shape
-        lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = matrix.shape
-        lp.a_matrix_.format_ = MatrixFormat.kColwise
-        lp.a_matrix_.start_ = matrix.indptr
-        lp.a_matrix_.index_ = matrix.indices
-        lp.a_matrix_.value_ = matrix.data
-        lp.col_cost_ = cost
-        lp.col_lower_ = np.zeros(len(cost))
-        lp.col_upper_ = np.full(len(cost), kHighsInf)
-        lp.row_lower_ = np.concatenate((np.full(len(b_ub), -kHighsInf), b_eq))
-        lp.row_upper_ = np.concatenate((b_ub, b_eq))
-        self._highs: Optional[_Highs] = _Highs()
-        self._solved_before = False
-        #: Simplex iterations of every solve so far.
-        self.iterations = 0
-        for option, value in _HIGHS_OPTIONS:
-            self._checked("setOptionValue", option, value)
-        self._checked("passModel", lp)
-        self._num_ub = len(b_ub)
-        _MODELS.inc()
-
-    def _live(self) -> _Highs:
-        if self._highs is None:
-            raise SolverError("MCF solver failed earlier; this LP takes no further calls")
-        return self._highs
-
-    def _fail(self, reason: str) -> SolverError:
-        self._highs = None
-        return SolverError(f"MCF solver failed: HiGHS {reason}")
-
-    def _checked(self, method: str, *arguments: object) -> None:
-        """Call a ``_Highs`` method that reports a ``HighsStatus``."""
-        status = getattr(self._live(), method)(*arguments)
-        # kWarning is let through, as SciPy's front end does (HiGHS warns,
-        # for one, when it drops a matrix entry below its 1e-9 threshold).
-        if status == HighsStatus.kError:
-            raise self._fail(f"{method} returned {status.name}")
-
-    def set_upper(self, columns: np.ndarray, upper: np.ndarray) -> None:
-        """Give *columns* the bounds ``[0, upper]``."""
-        lower = np.zeros(len(columns))
-        self._checked("changeColsBounds", len(columns), columns.astype(np.int32), lower, upper)
-
-    def set_equality(self, rows: np.ndarray, values: np.ndarray) -> None:
-        """Give equality *rows* (counted from the first one) the right-hand
-        sides *values*."""
-        for row, value in zip((rows + self._num_ub).tolist(), values.tolist(), strict=True):
-            self._checked("changeRowBounds", row, value, value)
-
-    def solve(self) -> Optional[np.ndarray]:
-        """The optimal ``x``, or ``None`` when the LP is infeasible.
-
-        Raises:
-            SolverError: On any other outcome, naming HiGHS's model status.
-        """
-        self._checked("run")
-        highs = self._live()
-        iterations = int(highs.getInfo().simplex_iteration_count)
-        self.iterations += iterations
-        (_WARM_ITERATIONS if self._solved_before else _FRESH_ITERATIONS).inc(iterations)
-        self._solved_before = True
-        status = highs.getModelStatus()
-        if status == HighsModelStatus.kInfeasible:
-            return None
-        if status != HighsModelStatus.kOptimal:
-            raise self._fail(f"stopped with model status {highs.modelStatusToString(status)!r}")
-        return np.array(highs.getSolution().col_value)
+    ``x >= 0`` — inequality rows above equality rows, as SciPy's LP front end
+    (the reference in ``tests/test_mcf_session.py``) stacks them."""
+    return HighsModel(
+        cost,
+        sparse.csc_array(sparse.vstack((a_ub, a_eq))),
+        np.concatenate((np.full(len(b_ub), -np.inf), b_eq)),
+        np.concatenate((b_ub, b_eq)),
+        np.zeros(len(cost)),
+        np.full(len(cost), np.inf),
+        LINPROG_OPTIONS,
+    )
 
 
 class FlowSession:
@@ -375,7 +259,7 @@ class FlowSession:
         self._positive = _positive_demands(demands)
         self._utilisation_limit = utilisation_limit
         #: Assembled and passed to HiGHS at the first solve that needs the solver.
-        self._model: Optional[Tuple[_FlowLP, _HighsLP]] = None
+        self._model: Optional[Tuple[_FlowLP, HighsModel]] = None
         self._columns_on = np.ones(self.index.num_arcs, dtype=bool)
         #: Models built and simplex iterations of every solve so far.
         self.models_built = 0
@@ -385,7 +269,7 @@ class FlowSession:
         """Make *demands* the ones every later :meth:`solve` routes."""
         self._positive = _positive_demands(demands)
 
-    def _current_model(self) -> Tuple[_FlowLP, _HighsLP]:
+    def _current_model(self) -> Tuple[_FlowLP, HighsModel]:
         """The model held, moved to the demands as they are now, or a new one."""
         model = self._model
         if model is not None and model[0].positive is not self._positive:
@@ -393,7 +277,7 @@ class FlowSession:
             if {origin for (origin, _), _ in self._positive} == set(lp.origins):
                 eq_rhs = _conservation_rhs(self.index, lp.origins, self._positive, lp.scale)
                 moved = np.flatnonzero(eq_rhs != lp.eq_rhs)
-                solver.set_equality(moved, eq_rhs[moved])
+                solver.set_equality(self.index.num_arcs + moved, eq_rhs[moved])
                 lp.positive, lp.eq_rhs = self._positive, eq_rhs
             else:
                 model = None  # other rows and columns
@@ -402,7 +286,7 @@ class FlowSession:
             # Objective: minimise total flow (discourages cycles and long detours).
             cost = np.ones(lp.a_ub.shape[1])
             rhs = lp.capacity_rhs(self._utilisation_limit)
-            model = self._model = (lp, _HighsLP(cost, lp.a_ub, rhs, lp.a_eq, lp.eq_rhs))
+            model = self._model = (lp, _lp_model(cost, lp.a_ub, rhs, lp.a_eq, lp.eq_rhs))
             self._columns_on = np.ones(self.index.num_arcs, dtype=bool)
             self.models_built += 1
         return model
@@ -428,7 +312,7 @@ class FlowSession:
         if len(flipped):
             # Arc ``a`` is column ``o * num_arcs + a`` of every origin ``o``.
             columns = np.add.outer(np.arange(num_origins) * index.num_arcs, flipped).ravel()
-            upper = np.where(arc_on[flipped], kHighsInf, 0.0)
+            upper = np.where(arc_on[flipped], np.inf, 0.0)
             solver.set_upper(columns, np.tile(upper, num_origins))
             self._columns_on = arc_on
 
@@ -489,7 +373,7 @@ def max_concurrent_flow(topology: Topology, demands: TrafficMatrix) -> float:
     cost = np.zeros(num_flows + 1)
     cost[-1] = -1.0
     _MAX_CONCURRENT_SOLVES.inc()
-    solution = _HighsLP(
+    solution = _lp_model(
         cost,
         sparse.hstack([lp.a_ub, sparse.coo_matrix((index.num_arcs, 1))]),
         lp.capacity_rhs(1.0),

@@ -23,20 +23,27 @@ topology object.
 from __future__ import annotations
 
 import copy
+import dataclasses
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from ..core.always_on import AlwaysOnConfig, compute_always_on
+from ..core.always_on import compute_always_on
 from ..core.failover import compute_failover
 from ..core.planner import activate_paths
-from ..core.response import ResponseConfig, build_response_plan
+from ..core.response import (
+    ResponseConfig,
+    build_response_plan,
+    check_k,
+    check_time_limit,
+    check_utilisation_limit,
+)
 from ..exceptions import ConfigurationError, InfeasibleError, SolverError, TopologyError
 from ..obs import trace
 from ..optim.elastictree import elastictree_subset
 from ..optim.greedy import greedy_minimum_subset
 from ..optim.greente import greente_heuristic
 from ..optim.lp_relax import lp_relaxation_with_rounding
-from ..optim.pathmilp import PathMilpConfig, solve_path_milp
+from ..optim.pathmilp import solve_path_milp
 from ..optim.solution import EnergyAwareSolution
 from ..power.accounting import network_power
 from ..routing.ecmp import ecmp_active_elements, ecmp_max_utilisation
@@ -186,8 +193,8 @@ class GreenTERuntime(SolverReplayRuntime):
             raise ConfigurationError(
                 f"greente 'ordering' must be 'demand' or 'stable', got {ordering!r}"
             )
-        self.k = k
-        self.utilisation_limit = utilisation_limit
+        self.k = check_k(k)
+        self.utilisation_limit = check_utilisation_limit(utilisation_limit)
         self.ordering = ordering
 
     def solve(
@@ -237,7 +244,7 @@ class ElasticTreeRuntime(SolverReplayRuntime):
     """
 
     def __init__(self, utilisation_limit: float = 1.0) -> None:
-        self.utilisation_limit = utilisation_limit
+        self.utilisation_limit = check_utilisation_limit(utilisation_limit)
 
     def solve(
         self, state: _ReplayState, matrix: TrafficMatrix, view: TopologyView
@@ -265,7 +272,7 @@ class GreedyRuntime(SolverReplayRuntime):
     """Topology-agnostic greedy minimum subset per interval."""
 
     def __init__(self, utilisation_limit: float = 1.0) -> None:
-        self.utilisation_limit = utilisation_limit
+        self.utilisation_limit = check_utilisation_limit(utilisation_limit)
 
     def solve(
         self, state: _ReplayState, matrix: TrafficMatrix, view: TopologyView
@@ -284,8 +291,8 @@ class LpRelaxRuntime(SolverReplayRuntime):
     """LP relaxation with rounding and repair per interval."""
 
     def __init__(self, k: int = 3, utilisation_limit: float = 1.0) -> None:
-        self.k = k
-        self.utilisation_limit = utilisation_limit
+        self.k = check_k(k)
+        self.utilisation_limit = check_utilisation_limit(utilisation_limit)
 
     def solve(
         self, state: _ReplayState, matrix: TrafficMatrix, view: TopologyView
@@ -297,6 +304,7 @@ class LpRelaxRuntime(SolverReplayRuntime):
             k=self.k,
             utilisation_limit=self.utilisation_limit,
             session=state.flow_session(view, matrix, self.utilisation_limit),
+            candidate_paths=state.scenario.shared.candidate_paths(view.topology),
         )
 
 
@@ -310,9 +318,9 @@ class PathMilpRuntime(SolverReplayRuntime):
         utilisation_limit: float = 1.0,
         time_limit_s: Optional[float] = 60.0,
     ) -> None:
-        self.config = PathMilpConfig(
-            k=k, utilisation_limit=utilisation_limit, time_limit_s=time_limit_s
-        )
+        self.k = check_k(k)
+        self.utilisation_limit = check_utilisation_limit(utilisation_limit)
+        self.time_limit_s = check_time_limit(time_limit_s)
 
     def solve(
         self, state: _ReplayState, matrix: TrafficMatrix, view: TopologyView
@@ -322,7 +330,9 @@ class PathMilpRuntime(SolverReplayRuntime):
             view.topology,
             scenario.power_model,
             matrix,
-            config=self.config,
+            k=self.k,
+            utilisation_limit=self.utilisation_limit,
+            time_limit_s=self.time_limit_s,
             candidate_paths=scenario.shared.candidate_paths(view.topology),
         )
 
@@ -340,8 +350,8 @@ class OptimalRuntime(SolverReplayRuntime):
     """
 
     def __init__(self, k: int = 3, time_limit_s: Optional[float] = 60.0) -> None:
-        self.k = k
-        self.time_limit_s = time_limit_s
+        self.k = check_k(k)
+        self.time_limit_s = check_time_limit(time_limit_s)
 
     def solve(
         self, state: _ReplayState, matrix: TrafficMatrix, view: TopologyView
@@ -353,7 +363,8 @@ class OptimalRuntime(SolverReplayRuntime):
                 view.topology,
                 scenario.power_model,
                 matrix,
-                config=PathMilpConfig(k=self.k, time_limit_s=self.time_limit_s),
+                k=self.k,
+                time_limit_s=self.time_limit_s,
                 candidate_paths=candidate_paths,
                 solver_name="optimal",
             )
@@ -463,18 +474,8 @@ class ECMPRuntime(SchemeRuntime):
 # REsPoNse: precomputed always-on / on-demand / failover paths
 # --------------------------------------------------------------------- #
 
-#: ResponseConfig fields settable straight from scheme params.
-_RESPONSE_CONFIG_FIELDS = (
-    "num_paths",
-    "latency_beta",
-    "on_demand_method",
-    "stress_exclude_fraction",
-    "k",
-    "utilisation_limit",
-    "always_on_method",
-    "include_failover",
-    "time_limit_s",
-)
+#: ResponseConfig fields, all settable straight from scheme params.
+_RESPONSE_CONFIG_FIELDS = tuple(spec.name for spec in dataclasses.fields(ResponseConfig))
 
 
 @dataclass
@@ -643,8 +644,8 @@ class AlwaysOnRuntime(SchemeRuntime):
         latency_beta: Optional[float] = None,
         always_on_method: str = "milp",
     ) -> None:
-        self.config = AlwaysOnConfig(
-            k=k, latency_beta=latency_beta, method=always_on_method
+        self.config = ResponseConfig(
+            k=k, latency_beta=latency_beta, always_on_method=always_on_method
         )
 
     def start(self, scenario: "BuiltScenario") -> Dict[str, Any]:
@@ -652,8 +653,8 @@ class AlwaysOnRuntime(SchemeRuntime):
             return compute_always_on(
                 scenario.topology,
                 scenario.power_model,
+                self.config,
                 pairs=scenario.pairs,
-                config=self.config,
                 candidate_paths=scenario.shared.candidate_paths(scenario.topology),
             )
 

@@ -14,12 +14,13 @@ from pathlib import Path
 
 import pytest
 
-import repro.optim.pathmilp as pathmilp_module
 from repro.campaign import CampaignSpec, run_campaign
 from repro.exceptions import PathNotFoundError
 from repro.obs import metrics, trace
+from repro.optim import lp_relaxation_with_rounding
 from repro.routing.ksp import CandidatePaths, k_shortest_paths
-from repro.scenario.engine import build_scenario_group
+from repro.scenario import schemes
+from repro.scenario.engine import build_scenario_group, scheme_outcomes
 from repro.topology.base import Topology
 from repro.topology.fattree import build_fattree
 from repro.topology.geant import build_geant
@@ -28,7 +29,7 @@ from repro.units import mbps
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks" / "harness"))
 
-from workloads import geant_grid  # noqa: E402
+from workloads import geant_grid, replay_scenario  # noqa: E402
 
 KS = (1, 3, 5, 8)
 
@@ -108,16 +109,10 @@ class _SpanNames(trace.SpanCollector):
         self.exited.append((span.name, dict(span.attrs)))
 
 
-def test_grouped_drain_computes_the_offline_half_once_per_pair_set(tmp_path, monkeypatch):
+def test_grouped_drain_computes_the_offline_half_once_per_pair_set(tmp_path):
     """The harness-shaped 12-point grid: 3 pair sets x 2 totals x 2 SLOs."""
-    solves = []
-    real_milp = pathmilp_module.milp
-
-    def counting_milp(*args, **kwargs):
-        solves.append(1)
-        return real_milp(*args, **kwargs)
-
-    monkeypatch.setattr(pathmilp_module, "milp", counting_milp)
+    solves = metrics.counter("repro_milp_solves_total").labels(kind="path")
+    solves_before = solves.value
     spec = CampaignSpec.from_dict(geant_grid(11))
     points = spec.expand()
     assert len(points) == 12
@@ -130,7 +125,7 @@ def test_grouped_drain_computes_the_offline_half_once_per_pair_set(tmp_path, mon
 
     plans = [attrs for name, attrs in collector.exited if name == "response.plan"]
     assert len(plans) == 3  # one per pair set, not one per point
-    assert len(solves) == 6  # always-on + on-demand MILP per plan
+    assert solves.value - solves_before == 6  # always-on + on-demand MILP per plan
 
     # Every distinct pair is enumerated to GreenTE's k=5 exactly once; the
     # plan builds' k=3 is a prefix of the same enumeration.
@@ -148,3 +143,38 @@ def test_grouped_drain_computes_the_offline_half_once_per_pair_set(tmp_path, mon
         if name in ("response.plan", "scheme.solve")
     )
     assert traced == available
+
+
+def test_lp_relax_replay_draws_from_one_provider_per_topology_object(monkeypatch):
+    """``lp-relax`` used to call the relaxation bare — a private provider,
+    every pair re-enumerated, on each of the replay's 16 intervals."""
+    providers = []
+    real_init = CandidatePaths.__init__
+
+    def counting_init(provider, topology):
+        providers.append(topology)
+        real_init(provider, topology)
+
+    monkeypatch.setattr(CandidatePaths, "__init__", counting_init)
+    built = build_scenario_group([{**replay_scenario(11), "schemes": ["lp-relax"]}])[0]
+    shared = scheme_outcomes(built)["lp-relax"].details["solutions"]
+    assert len(shared) == 16
+    # The day's network and its failure view, one provider each.
+    assert len(providers) == len({id(topology) for topology in providers}) == 2
+
+    def bare_solve(runtime, state, matrix, view):
+        return lp_relaxation_with_rounding(
+            view.topology,
+            state.scenario.power_model,
+            matrix,
+            k=runtime.k,
+            utilisation_limit=runtime.utilisation_limit,
+        )
+
+    del providers[:]
+    monkeypatch.setattr(schemes.LpRelaxRuntime, "solve", bare_solve)
+    private = scheme_outcomes(built)["lp-relax"].details["solutions"]
+    assert len(providers) > 2
+    assert [(s.active_nodes, s.active_links, s.power_w) for s in shared] == [
+        (s.active_nodes, s.active_links, s.power_w) for s in private
+    ]

@@ -3,8 +3,6 @@
 import pytest
 
 from repro.core import (
-    AlwaysOnConfig,
-    OnDemandConfig,
     ResponseConfig,
     ResponsePlan,
     build_response_plan,
@@ -31,7 +29,7 @@ def click(click_topology):
 
 @pytest.fixture
 def always_on(click, cisco_model):
-    return compute_always_on(click, cisco_model, pairs=PAIRS)
+    return compute_always_on(click, cisco_model, ResponseConfig(), pairs=PAIRS)
 
 
 # --------------------------------------------------------------------- #
@@ -66,8 +64,8 @@ def test_always_on_aggregates_on_middle_path(click, cisco_model, always_on):
 
 
 def test_always_on_latency_bound_variant(click, cisco_model):
-    config = AlwaysOnConfig(latency_beta=0.0)
-    solution = compute_always_on(click, cisco_model, pairs=PAIRS, config=config)
+    config = ResponseConfig(latency_beta=0.0)
+    solution = compute_always_on(click, cisco_model, config, pairs=PAIRS)
     ospf = ospf_invcap_routing(click, pairs=PAIRS)
     for pair in PAIRS:
         assert solution.routing.path(*pair).latency(click) <= ospf.path(*pair).latency(
@@ -76,17 +74,17 @@ def test_always_on_latency_bound_variant(click, cisco_model):
 
 
 def test_always_on_greedy_method(click, cisco_model):
-    config = AlwaysOnConfig(method="greedy")
-    solution = compute_always_on(click, cisco_model, pairs=PAIRS, config=config)
+    config = ResponseConfig(always_on_method="greedy")
+    solution = compute_always_on(click, cisco_model, config, pairs=PAIRS)
     assert ("A", "K") in solution.routing
     assert solution.solver == "always-on-greedy"
 
 
 def test_always_on_config_validation():
     with pytest.raises(ConfigurationError):
-        AlwaysOnConfig(method="annealing")
+        ResponseConfig(always_on_method="annealing")
     with pytest.raises(ConfigurationError):
-        AlwaysOnConfig(latency_beta=-0.5)
+        ResponseConfig(latency_beta=-0.5)
 
 
 # --------------------------------------------------------------------- #
@@ -98,7 +96,7 @@ def test_on_demand_stress_avoids_always_on_bottleneck(click, cisco_model, always
         cisco_model,
         always_on,
         pairs=PAIRS,
-        config=OnDemandConfig(method="stress", stress_exclude_fraction=0.3),
+        config=ResponseConfig(on_demand_method="stress", stress_exclude_fraction=0.3),
     )
     assert len(tables) == 1
     for pair in PAIRS:
@@ -109,7 +107,7 @@ def test_on_demand_stress_avoids_always_on_bottleneck(click, cisco_model, always
 
 def test_on_demand_ospf_variant(click, cisco_model, always_on):
     tables = compute_on_demand(
-        click, cisco_model, always_on, pairs=PAIRS, config=OnDemandConfig(method="ospf")
+        click, cisco_model, always_on, pairs=PAIRS, config=ResponseConfig(on_demand_method="ospf")
     )
     ospf = ospf_invcap_routing(click, pairs=PAIRS)
     for pair in PAIRS:
@@ -119,7 +117,7 @@ def test_on_demand_ospf_variant(click, cisco_model, always_on):
 def test_on_demand_peak_requires_matrix(click, cisco_model, always_on):
     with pytest.raises(ConfigurationError):
         compute_on_demand(
-            click, cisco_model, always_on, pairs=PAIRS, config=OnDemandConfig(method="peak")
+            click, cisco_model, always_on, ResponseConfig(on_demand_method="peak"), pairs=PAIRS
         )
     peak = TrafficMatrix({pair: mbps(8) for pair in PAIRS})
     tables = compute_on_demand(
@@ -128,7 +126,7 @@ def test_on_demand_peak_requires_matrix(click, cisco_model, always_on):
         always_on,
         pairs=PAIRS,
         peak_matrix=peak,
-        config=OnDemandConfig(method="peak"),
+        config=ResponseConfig(on_demand_method="peak"),
     )
     assert ("A", "K") in tables[0]
 
@@ -141,7 +139,7 @@ def test_on_demand_heuristic_variant(click, cisco_model, always_on):
         always_on,
         pairs=PAIRS,
         peak_matrix=peak,
-        config=OnDemandConfig(method="heuristic"),
+        config=ResponseConfig(on_demand_method="heuristic"),
     )
     assert len(tables[0]) == len(PAIRS)
 
@@ -152,25 +150,25 @@ def test_on_demand_multiple_tables(click, cisco_model, always_on):
         cisco_model,
         always_on,
         pairs=PAIRS,
-        config=OnDemandConfig(method="stress", num_tables=2),
+        config=ResponseConfig(on_demand_method="stress", num_paths=4),
     )
     assert len(tables) == 2
 
 
 def test_on_demand_config_validation():
     with pytest.raises(ConfigurationError):
-        OnDemandConfig(method="magic")
+        ResponseConfig(on_demand_method="magic")
     with pytest.raises(ConfigurationError):
-        OnDemandConfig(num_tables=0)
+        ResponseConfig(num_paths=1)
     with pytest.raises(ConfigurationError):
-        OnDemandConfig(stress_exclude_fraction=2.0)
+        ResponseConfig(stress_exclude_fraction=2.0)
 
 
 # --------------------------------------------------------------------- #
 # Failover paths
 # --------------------------------------------------------------------- #
 def test_failover_is_disjoint_when_possible(click, cisco_model, always_on):
-    on_demand = compute_on_demand(click, cisco_model, always_on, pairs=PAIRS)
+    on_demand = compute_on_demand(click, cisco_model, always_on, ResponseConfig(), pairs=PAIRS)
     failover = compute_failover(click, [always_on.routing, *on_demand], pairs=PAIRS)
     for pair in PAIRS:
         primary_links = set(always_on.routing.path(*pair).link_keys())
@@ -180,7 +178,7 @@ def test_failover_is_disjoint_when_possible(click, cisco_model, always_on):
 
 
 def test_single_failure_protection(click, cisco_model, always_on):
-    on_demand = compute_on_demand(click, cisco_model, always_on, pairs=PAIRS)
+    on_demand = compute_on_demand(click, cisco_model, always_on, ResponseConfig(), pairs=PAIRS)
     failover = compute_failover(click, [always_on.routing, *on_demand], pairs=PAIRS)
     tables = [always_on.routing, *on_demand, failover]
     # No single link failure severs every installed path of a pair.

@@ -43,7 +43,7 @@ from scipy.optimize import linprog
 from repro.campaign import canonical_result_dict
 from repro.exceptions import SolverError
 from repro.obs import metrics, trace
-from repro.routing import mcf
+from repro.routing import highs, mcf
 from repro.routing.mcf import (
     FlowSession,
     MCFResult,
@@ -227,7 +227,7 @@ _MISSING_BINDING_SCRIPT = """
 import sys, types
 sys.modules["scipy.optimize._highspy._core"] = types.ModuleType("scipy.optimize._highspy._core")
 try:
-    import repro.routing.mcf
+    import repro.routing.highs
 except ImportError as error:
     print(error)
 """
@@ -512,13 +512,13 @@ def geant_case(geant):
 
 def count_runs(monkeypatch):
     """Patch ``_Highs.run`` to count its calls; returns the list that grows."""
-    calls, real = [], mcf._Highs.run
+    calls, real = [], highs._Highs.run
 
     def run(highs):
         calls.append(highs)
         return real(highs)
 
-    monkeypatch.setattr(mcf._Highs, "run", run)
+    monkeypatch.setattr(highs._Highs, "run", run)
     return calls
 
 
@@ -537,7 +537,7 @@ def test_only_infeasible_means_infeasible(monkeypatch, geant, status, message):
     session = FlowSession(geant, demands)
     assert session.solve().feasible
     monkeypatch.setattr(
-        mcf._Highs, "getModelStatus", lambda self: getattr(mcf.HighsModelStatus, status)
+        highs._Highs, "getModelStatus", lambda self: getattr(highs.HighsModelStatus, status)
     )
     with pytest.raises(SolverError, match=message):
         session.solve(link_on=link_mask(links[1:]))
@@ -570,7 +570,7 @@ def test_every_status_returning_call_is_checked(monkeypatch, geant, method):
     if model_is_in:
         assert session.solve().feasible  # the next solve flips bounds and re-runs
         session.retarget(demands.scaled(0.9))  # ... on another right-hand side
-    monkeypatch.setattr(mcf._Highs, method, lambda self, *args: mcf.HighsStatus.kError)
+    monkeypatch.setattr(highs._Highs, method, lambda self, *args: highs.HighsStatus.kError)
     with pytest.raises(SolverError, match=f"HiGHS {method} returned kError"):
         session.solve(link_on=link_on)
     monkeypatch.undo()
@@ -586,16 +586,16 @@ def test_a_warning_status_is_not_a_failure(monkeypatch, geant):
     """HiGHS warns when it drops a matrix entry below 1e-9 — a 1 bit/s
     demand in the λ column, in units of a 10 Gb/s link — and ``linprog``
     went on; so does the binding."""
-    statuses, real = [], mcf._Highs.passModel
+    statuses, real = [], highs._Highs.passModel
 
     def pass_model(highs, lp):
         statuses.append(real(highs, lp))
         return statuses[-1]
 
-    monkeypatch.setattr(mcf._Highs, "passModel", pass_model)
+    monkeypatch.setattr(highs._Highs, "passModel", pass_model)
     mixed = TrafficMatrix({("DE", "FR"): 1.0, ("UK", "IT"): 1e9})
     largest = max_concurrent_flow(geant, mixed)
-    assert statuses == [mcf.HighsStatus.kWarning]
+    assert statuses == [highs.HighsStatus.kWarning]
     assert 0.0 < largest == reference_max_concurrent_flow(geant, mixed)
 
 
@@ -606,7 +606,7 @@ def test_a_warning_status_is_not_a_failure(monkeypatch, geant):
 def test_max_concurrent_flow_raises_on_anything_but_an_optimum(monkeypatch, geant, status, message):
     demands, _ = geant_case(geant)
     monkeypatch.setattr(
-        mcf._Highs, "getModelStatus", lambda self: getattr(mcf.HighsModelStatus, status)
+        highs._Highs, "getModelStatus", lambda self: getattr(highs.HighsModelStatus, status)
     )
     with pytest.raises(SolverError, match=message):
         max_concurrent_flow(geant, demands)
@@ -619,7 +619,7 @@ def test_a_failed_solve_fails_the_run_and_poisons_nothing(monkeypatch):
     spec = replay_scenario(11)
     expected = canonical_result_dict(run_scenario(spec).to_dict())
     monkeypatch.setattr(
-        mcf._Highs, "getModelStatus", lambda self: mcf.HighsModelStatus.kTimeLimit
+        highs._Highs, "getModelStatus", lambda self: highs.HighsModelStatus.kTimeLimit
     )
     with pytest.raises(SolverError, match="Time limit reached"):
         run_scenario(spec)

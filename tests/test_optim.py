@@ -4,7 +4,6 @@ import pytest
 
 from repro.exceptions import InfeasibleError, SolverError
 from repro.optim import (
-    PathMilpConfig,
     element_power_coefficients,
     elastictree_subset,
     greedy_minimum_subset,
@@ -105,8 +104,7 @@ def test_path_milp_empty_demand(diamond, cisco_model):
 
 def test_path_milp_relaxed_mode_still_routes(diamond, cisco_model):
     demands = TrafficMatrix({("a", "d"): mbps(10)})
-    config = PathMilpConfig(integral_paths=False)
-    solution = solve_path_milp(diamond, cisco_model, demands, config=config)
+    solution = solve_path_milp(diamond, cisco_model, demands, relaxed=True)
     assert solution.routing.path("a", "d").is_valid(diamond)
     assert not solution.optimal
 

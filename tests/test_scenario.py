@@ -24,7 +24,9 @@ from repro.scenario import (
     run_scenario,
     run_scenario_dict,
 )
+from repro.routing.ospf import ospf_delays
 from repro.scenario import schemes
+from repro.scenario.engine import scheme_outcomes
 from repro.scenario.timeline import GroupComputeCache
 
 EXAMPLES_DIR = os.path.join(os.path.dirname(__file__), "..", "examples")
@@ -201,6 +203,83 @@ def test_greente_rejects_a_bad_ordering_at_construction():
         resolve("scheme", "greente")(ordering="bogus")
     with pytest.raises(ConfigurationError, match="'ordering'"):
         run_scenario(tiny_fattree_spec(schemes=(SchemeSpec("greente", ordering="bogus"),)))
+
+
+#: Scheme parameters outside their range and what the complaint must name.
+#: ``k`` of 0 or 2.5 was an unmapped ``ValueError`` (a 500 over HTTP), a
+#: negative ``time_limit_s`` an ``OptimizeWarning`` and an *unlimited* solve,
+#: ``utilisation_limit`` 0 accepted; ``greedy`` with a ``latency_beta``
+#: silently dropped constraint (4).
+OUT_OF_RANGE_SCHEME_PARAMS = [
+    ("response", {"k": 0}, "k must be a positive integer"),
+    ("greente", {"k": 2.5}, "k must be a positive integer"),
+    ("pathmilp", {"k": True}, "k must be a positive integer"),
+    ("optimal", {"k": -1}, "k must be a positive integer"),
+    ("lp-relax", {"k": "x"}, "k must be a positive integer"),
+    ("always-on", {"k": 0}, "k must be a positive integer"),
+    ("response", {"time_limit_s": -1}, "time_limit_s must be"),
+    ("response", {"time_limit_s": "a"}, "time_limit_s must be"),
+    ("pathmilp", {"time_limit_s": 0}, "time_limit_s must be"),
+    ("optimal", {"time_limit_s": False}, "time_limit_s must be"),
+    ("response", {"utilisation_limit": 0}, "utilisation_limit must be"),
+    ("response-ospf", {"utilisation_limit": -1}, "utilisation_limit must be"),
+    ("greedy", {"utilisation_limit": 1.5}, "utilisation_limit must be"),
+    ("elastictree", {"utilisation_limit": "1"}, "utilisation_limit must be"),
+    ("lp-relax", {"utilisation_limit": 0.0}, "utilisation_limit must be"),
+    ("response", {"on_demand_method": "magic"}, "unknown on-demand method 'magic'"),
+    ("response", {"always_on_method": "annealing"}, "unknown always-on method"),
+    ("response", {"latency_beta": -0.5}, "latency_beta must be non-negative"),
+    ("response", {"stress_exclude_fraction": 2.0}, "stress_exclude_fraction must be"),
+    ("response", {"num_paths": 1}, "at least 2 paths"),
+    ("response-lat", {"always_on_method": "greedy"}, "latency_beta needs always_on_method"),
+    (
+        "always-on",
+        {"always_on_method": "greedy", "latency_beta": 0.25},
+        "latency_beta needs always_on_method",
+    ),
+]
+
+
+@pytest.mark.parametrize("name, params, complaint", OUT_OF_RANGE_SCHEME_PARAMS)
+def test_scheme_parameters_are_range_checked_at_construction(name, params, complaint):
+    with pytest.raises(ConfigurationError, match=complaint):
+        resolve("scheme", name)(**params)
+    with pytest.raises(ConfigurationError, match=complaint):
+        run_scenario(tiny_fattree_spec(schemes=(SchemeSpec(name, **params),)))
+
+
+def test_run_scenario_cli_reports_a_bad_scheme_parameter_as_usage(tmp_path, capsys):
+    spec = tiny_fattree_spec(schemes=(SchemeSpec("greente", k=2.5),))
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec.to_dict()))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run-scenario", "--spec", str(path)])
+    assert exit_info.value.code == 2
+    assert "k must be a positive integer, got 2.5" in capsys.readouterr().err
+
+
+def test_response_lat_honours_the_latency_bound_pair_by_pair():
+    """Constraint (4) under the default (MILP) method, where it is enforced."""
+    built = build_scenario(
+        ScenarioSpec(
+            name="lat",
+            topology=TopologySpec("geant"),
+            traffic=TrafficSpec("gravity", num_pairs=20, num_endpoints=6, seed=2),
+            power=PowerSpec("cisco"),
+            schemes=(SchemeSpec("response-lat"), SchemeSpec("response")),
+        )
+    )
+    outcomes = scheme_outcomes(built)
+    bounded = outcomes["response-lat"].details["plan"].always_on.routing
+    free = outcomes["response"].details["plan"].always_on.routing
+    delays = ospf_delays(built.topology, pairs=built.pairs)
+    for pair in built.pairs:
+        assert bounded.path(*pair).latency(built.topology) <= 1.25 * delays[pair] + 1e-12
+    # The bound binds: without it some always-on path is longer than allowed.
+    assert any(
+        free.path(*pair).latency(built.topology) > 1.25 * delays[pair] + 1e-12
+        for pair in built.pairs
+    )
 
 
 def test_duplicate_scheme_labels_rejected():

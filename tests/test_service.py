@@ -17,6 +17,7 @@ The load-bearing guarantees pinned here:
 
 import json
 import os
+import re
 import socket
 import threading
 import time
@@ -273,6 +274,20 @@ def test_post_scenario_malformed_shapes_are_400_not_500(tmp_path, caplog):
             body = {"spec": {**base_scenario(), **shape}}
             code, error = request_error(server, "/scenarios", body)
             assert (code, error["code"]) == (400, "invalid-scenario"), shape
+    assert "Traceback" not in caplog.text
+
+
+def test_post_scenario_out_of_range_scheme_params_are_400_not_500(tmp_path, caplog):
+    """``k: 0`` / ``k: 2.5`` were 500 ``internal`` (an unmapped ``ValueError``)
+    and ``time_limit_s: -1`` a 200 after a solve with no limit at all."""
+    from test_scenario import OUT_OF_RANGE_SCHEME_PARAMS
+
+    with service(tmp_path) as server, caplog.at_level("ERROR", logger="repro.service"):
+        for name, params, complaint in OUT_OF_RANGE_SCHEME_PARAMS:
+            spec = {**base_scenario(), "schemes": [{"name": name, "params": params}]}
+            code, error = request_error(server, "/scenarios", {"spec": spec})
+            assert (code, error["code"]) == (400, "invalid-scenario"), (name, params)
+            assert re.search(complaint, error["message"]), (name, params, error)
     assert "Traceback" not in caplog.text
 
 

@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 from repro.exceptions import InfeasibleError
 from repro.obs import metrics, trace
 from repro.optim import (
-    PathMilpConfig,
     element_power_coefficients,
     greedy_minimum_subset,
     lp_relaxation_with_rounding,
@@ -114,7 +113,9 @@ def reference_lp_relax(topology, power_model, demands, utilisation_limit=1.0):
         topology,
         power_model,
         demands,
-        config=PathMilpConfig(k=3, utilisation_limit=utilisation_limit, integral_paths=False),
+        k=3,
+        utilisation_limit=utilisation_limit,
+        relaxed=True,
         solver_name="lp-relaxation",
     )
     keep_nodes = protected(topology, demands)
