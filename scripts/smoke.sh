@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# End-to-end smoke of every CLI surface: scenario, timeline, campaign,
-# service, observability.  Runs locally as it runs in CI:
+# End-to-end smoke of the example scripts and every CLI surface: scenario,
+# timeline, campaign, service, observability.  Runs locally as it runs in CI:
 #
 #     scripts/smoke.sh [OUT_DIR]
 #
@@ -31,6 +31,12 @@ serve() {  # serve STORE PORT: boot the service, wait until it answers
   return 1
 }
 stop_service() { kill "$SERVICE_PID"; wait "$SERVICE_PID" 2>/dev/null || true; SERVICE_PID=; }
+
+echo "== example scripts (library entry points nothing else executes)"
+for script in "$EXAMPLES"/*.py; do
+  echo "-- $(basename "$script")"
+  python "$script" >/dev/null
+done
 
 echo "== scenario CLI"
 repro list-components

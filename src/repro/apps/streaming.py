@@ -22,7 +22,6 @@ import numpy as np
 from ..exceptions import ConfigurationError
 from ..routing.paths import RoutingTable
 from ..topology.base import Topology
-from ..traffic.matrix import TrafficMatrix
 from ..units import kbps
 
 #: Stream rate used in the paper's experiment.
@@ -108,40 +107,29 @@ def run_streaming_workload(
     if not clients:
         raise ConfigurationError("the streaming workload needs at least one client")
 
-    # Demands: one stream per client instance.  Clients co-located on a node
-    # multiply that pair's demand.
-    demand_per_pair: Dict[Tuple[str, str], float] = {}
-    client_ids: List[Tuple[str, str]] = []  # (client_id, node)
-    for position, node in enumerate(clients):
-        if node == source:
-            raise ConfigurationError("clients must not be co-located with the source")
-        client_ids.append((f"client-{position}", node))
-        pair = (source, node)
-        demand_per_pair[pair] = demand_per_pair.get(pair, 0.0) + cfg.stream_rate_bps
-    demands = TrafficMatrix(demand_per_pair, name="streaming")
-
-    missing = [pair for pair in demands.pairs() if routing.get(*pair) is None]
+    # One stream per client instance, from the source over the installed
+    # path (clients co-located on a node are that many streams on it).
+    if source in clients:
+        raise ConfigurationError("clients must not be co-located with the source")
+    missing = [node for node in clients if routing.get(source, node) is None]
     if missing:
-        raise ConfigurationError(f"routing has no path for pair {missing[0]}")
+        raise ConfigurationError(f"routing has no path for pair {(source, missing[0])}")
+    paths = [routing.path(source, node) for node in clients]
 
-    # Number of concurrent streams crossing every arc (for the per-stream
-    # fair-share bandwidth each client can pull blocks at).
-    streams_per_arc: Dict[Tuple[str, str], int] = {key: 0 for key in topology.arc_keys()}
-    for _client_id, node in client_ids:
-        for arc in routing.path(source, node).arc_keys():
-            streams_per_arc[arc] += 1
+    # Fair-share bandwidth per arc: its capacity split over the concurrent
+    # streams crossing it (at least one).
+    index = topology.index()
+    streams = index.path_loads(paths, np.ones(len(paths)))
+    fair_share = index.arc_capacity / np.maximum(streams, 1)
 
     delivery: Dict[str, float] = {}
     latency: Dict[str, float] = {}
     block_bits = cfg.stream_rate_bps * cfg.block_duration_s
-    for client_id, node in client_ids:
-        path = routing.path(source, node)
-        # Fair-share bandwidth: the client's equal share of every arc it
-        # crosses; the stream keeps up as long as the share covers its rate.
-        bandwidth = min(
-            topology.arc(src, dst).capacity_bps / max(streams_per_arc[(src, dst)], 1)
-            for src, dst in path.arc_keys()
-        )
+    for position, path in enumerate(paths):
+        client_id = f"client-{position}"
+        # The client's equal share of every arc it crosses; the stream keeps
+        # up as long as the share covers its rate.
+        bandwidth = float(fair_share[index.compile_path(path).arc_indices].min())
         achieved = min(cfg.stream_rate_bps, bandwidth)
         share = achieved / cfg.stream_rate_bps
         propagation = path.latency(topology)

@@ -100,6 +100,7 @@ def run_web_workload(
     sizes = specweb_file_sizes(cfg.num_files, cfg.seed)
     rng = np.random.default_rng(cfg.seed + 1)
 
+    index = topology.index()
     latencies: List[float] = []
     for client in client_nodes:
         if client == server:
@@ -113,12 +114,12 @@ def run_web_workload(
 
         # Available bandwidth: the bottleneck capacity divided by the
         # client's concurrent requests.
-        bottleneck = min(topology.arc(src, dst).capacity_bps for src, dst in path.arc_keys())
+        bottleneck = float(index.arc_capacity[index.compile_path(path).arc_indices].min())
         per_request_bandwidth = bottleneck / max(cfg.concurrency, 1)
 
         chosen = rng.integers(0, cfg.num_files, size=cfg.requests_per_client)
-        for index in chosen:
-            size_bits = float(sizes[index]) * 8.0
+        for file_index in chosen:
+            size_bits = float(sizes[file_index]) * 8.0
             transfer = size_bits / per_request_bandwidth
             latencies.append(
                 request_latency + cfg.server_time_s + forward_latency + transfer

@@ -14,10 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 from ..exceptions import ConfigurationError
 from ..power.accounting import full_power, network_power
 from ..power.model import PowerModel
-from ..routing.paths import Path
 from ..topology.base import Topology
 from ..traffic.matrix import Pair, TrafficMatrix
 from .plan import ResponsePlan
@@ -106,23 +107,13 @@ def activate_paths(
     tables = plan.tables(include_failover=include_failover)
     failed = failed_links or set()
 
-    loads: Dict[Tuple[str, str], float] = {key: 0.0 for key in topology.arc_keys()}
+    index = topology.index()
+    link_failed = index.link_mask(failed)
+    capacity = index.arc_capacity
+    limit = capacity * utilisation_threshold + 1e-9
+    loads = np.zeros(index.num_arcs)
     assignment: Dict[Pair, int] = {}
     overloaded: List[Pair] = []
-
-    def usable(path: Path) -> bool:
-        return not any(key in failed for key in path.link_keys())
-
-    def fits(path: Path, demand: float) -> bool:
-        for src, dst in path.arc_keys():
-            capacity = topology.arc(src, dst).capacity_bps
-            if loads[(src, dst)] + demand > capacity * utilisation_threshold + 1e-9:
-                return False
-        return True
-
-    def add_load(path: Path, demand: float) -> None:
-        for arc_key in path.arc_keys():
-            loads[arc_key] += demand
 
     ordered_pairs = sorted(
         (pair for pair in demands.pairs() if demands[pair] > 0.0),
@@ -131,37 +122,30 @@ def activate_paths(
     )
     for pair in ordered_pairs:
         demand = demands[pair]
-        candidates: List[Tuple[int, Path]] = []
+        candidates: List[Tuple[int, np.ndarray]] = []
         for table_index, table in enumerate(tables):
             path = table.get(*pair)
-            if path is not None and usable(path):
-                candidates.append((table_index, path))
+            if path is not None:
+                compiled = index.compile_path(path)
+                if not link_failed[compiled.link_indices].any():
+                    candidates.append((table_index, compiled.arc_indices))
         if not candidates:
             overloaded.append(pair)
             continue
-        placed = False
-        for table_index, path in candidates:
-            if fits(path, demand):
-                assignment[pair] = table_index
-                add_load(path, demand)
-                placed = True
+        for table_index, arcs in candidates:
+            if not (loads[arcs] + demand > limit[arcs]).any():
                 break
-        if not placed:
+        else:
             # No installed path respects the SLO: fall back to the path with
             # the most remaining bottleneck capacity (congestion, not loss of
             # connectivity — matching the paper's "no worse than existing
             # approaches under unexpected peaks").
-            def residual(entry: Tuple[int, Path]) -> float:
-                _, path = entry
-                return min(
-                    topology.arc(src, dst).capacity_bps - loads[(src, dst)]
-                    for src, dst in path.arc_keys()
-                )
-
-            table_index, path = max(candidates, key=residual)
-            assignment[pair] = table_index
-            add_load(path, demand)
+            table_index, arcs = max(
+                candidates, key=lambda entry: (capacity[entry[1]] - loads[entry[1]]).min()
+            )
             overloaded.append(pair)
+        assignment[pair] = table_index
+        loads[arcs] += demand
 
     # Elements kept active: the always-on elements are on by definition;
     # elements of on-demand/failover paths are only awake for pairs that use
@@ -182,12 +166,6 @@ def activate_paths(
 
     breakdown = network_power(topology, power_model, active_nodes, active_links)
     baseline = full_power(topology, power_model).total_w
-    max_utilisation = 0.0
-    for (src, dst), load in loads.items():
-        if load <= 0.0:
-            continue
-        utilisation = load / topology.arc(src, dst).capacity_bps
-        max_utilisation = max(max_utilisation, utilisation)
 
     return ActivationResult(
         assignment=assignment,
@@ -195,7 +173,7 @@ def activate_paths(
         active_links=active_links,
         power_w=breakdown.total_w,
         power_percent=100.0 * breakdown.total_w / baseline if baseline > 0 else 0.0,
-        max_utilisation=max_utilisation,
+        max_utilisation=index.max_utilisation(loads),
         overloaded_pairs=overloaded,
     )
 

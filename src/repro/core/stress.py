@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional, Set, Tuple
 
+import numpy as np
+
 from ..exceptions import ConfigurationError
 from ..routing.paths import RoutingTable
 from ..topology.base import Topology
@@ -34,20 +36,13 @@ def stress_factors(
     direction) divided by the link capacity, expressed per Gb/s so the values
     are readable.  Only relative order matters to the framework.
     """
-    flow_count: Dict[LinkKey, int] = {key: 0 for key in topology.link_keys()}
     selected = list(pairs) if pairs is not None else always_on_routing.pairs()
-    for pair in selected:
-        path = always_on_routing.get(*pair)
-        if path is None:
-            continue
-        for key in path.link_keys():
-            if key in flow_count:
-                flow_count[key] += 1
-    factors: Dict[LinkKey, float] = {}
-    for key, count in flow_count.items():
-        capacity = topology.link(*key).capacity_bps
-        factors[key] = count / (capacity / 1e9)
-    return factors
+    paths = [path for pair in selected if (path := always_on_routing.get(*pair)) is not None]
+    index = topology.index()
+    counts = index.path_loads(paths, np.ones(len(paths)))[index.link_arcs].sum(axis=1)
+    # A link's capacity is that of its first arc (``Link.capacity_bps``).
+    factors = counts / (index.arc_capacity[index.link_arcs[:, 0]] / 1e9)
+    return dict(zip(index.link_keys, factors.tolist(), strict=True))
 
 
 def most_stressed_links(

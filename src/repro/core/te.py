@@ -49,7 +49,8 @@ class TEConfig:
             only when its utilisation falls below this value.
         probe_interval_s: Probe period ``T``; ``None`` uses the network's
             maximum RTT (the paper's default), floored at 1 ms so that
-            degenerate topologies cannot produce a zero-length epoch.
+            degenerate topologies cannot produce a zero-length epoch; an
+            explicit value must be positive for the same reason.
         failure_detection_delay_s: Time before an agent learns that a link on
             one of its paths failed (detection plus propagation to sources).
         start_time_s: Simulation time at which REsPoNseTE starts operating
@@ -57,7 +58,7 @@ class TEConfig:
             controller neither shifts traffic nor puts links to sleep.
         initial_table_index: Table the flows start on before the controller's
             first probe (0 = always-on; the Click experiment starts with
-            traffic spread on the on-demand paths).
+            traffic spread on the on-demand paths); non-negative.
     """
 
     utilisation_threshold: float = 0.9
@@ -76,6 +77,14 @@ class TEConfig:
             raise ConfigurationError(
                 "release_threshold must lie in [0, utilisation_threshold], "
                 f"got {self.release_threshold}"
+            )
+        if self.probe_interval_s is not None and not self.probe_interval_s > 0.0:
+            raise ConfigurationError(
+                f"probe_interval_s must be positive, got {self.probe_interval_s}"
+            )
+        if self.initial_table_index < 0:
+            raise ConfigurationError(
+                f"initial_table_index must be non-negative, got {self.initial_table_index}"
             )
 
 
@@ -280,7 +289,9 @@ class ResponseTEController:
                 elif starved and flow.flow_id not in self._pending:
                     # The current on-demand path cannot serve the demand;
                     # move to the least-loaded usable installed path instead.
-                    best = self._least_loaded_path(network, flow, planned_utilisation, demand)
+                    best = self._least_loaded_path(
+                        network, flow, planned_utilisation, demand, first_table=0
+                    )
                     if best is not None:
                         best_index, best_path = best
                         if best_path is not flow.path:
@@ -305,17 +316,12 @@ class ResponseTEController:
         Returns the path the flow was assigned or scheduled to move to, or
         ``None`` when no on-demand alternative exists.
         """
-        demand = flow.offered_load(now_s)
-        candidates: List[Tuple[float, int, Path]] = []
-        for table_index in range(1, self._num_load_tables):
-            path = self._installed_path(flow, table_index)
-            if path is None or network.path_has_failure(path):
-                continue
-            candidates.append((planned_utilisation(path, demand), table_index, path))
-        if not candidates:
+        best = self._least_loaded_path(
+            network, flow, planned_utilisation, flow.offered_load(now_s), first_table=1
+        )
+        if best is None:
             return None
-        candidates.sort(key=lambda entry: entry[0])
-        _utilisation, table_index, path = candidates[0]
+        table_index, path = best
         if network.path_is_usable(path):
             flow.path = path
             self._assignment[flow.flow_id] = table_index
@@ -330,18 +336,20 @@ class ResponseTEController:
         flow: Flow,
         planned_utilisation,
         demand: float,
+        first_table: int,
     ) -> Optional[Tuple[int, Path]]:
-        """The installed path with the lowest planned utilisation after adding the flow."""
-        candidates: List[Tuple[float, int, Path]] = []
-        for table_index in range(self._num_load_tables):
-            path = self._installed_path(flow, table_index)
-            if path is None or network.path_has_failure(path):
-                continue
-            candidates.append((planned_utilisation(path, demand), table_index, path))
+        """The installed path (from table *first_table* on, failover excluded)
+        with the lowest planned utilisation after adding the flow."""
+        candidates = [
+            (planned_utilisation(path, demand), table_index, path)
+            for table_index in range(first_table, self._num_load_tables)
+            if (path := self._installed_path(flow, table_index)) is not None
+            and not network.path_has_failure(path)
+        ]
         if not candidates:
             return None
-        candidates.sort(key=lambda entry: entry[0])
-        _utilisation, table_index, path = candidates[0]
+        # Of equally loaded paths, the one in the lowest table wins.
+        _utilisation, table_index, path = min(candidates, key=lambda entry: entry[0])
         return table_index, path
 
     def _apply_sleep_policy(self, network: SimulatedNetwork, flows: List[Flow]) -> None:

@@ -6,7 +6,7 @@ from .greente import greente_heuristic
 from .lp_relax import lp_relaxation_with_rounding
 from .model import solve_arc_milp
 from .pathmilp import solve_path_milp
-from .solution import EnergyAwareSolution, element_power_coefficients, solution_power
+from .solution import EnergyAwareSolution, element_power_coefficients
 
 __all__ = [
     "elastictree_subset",
@@ -17,5 +17,4 @@ __all__ = [
     "solve_path_milp",
     "EnergyAwareSolution",
     "element_power_coefficients",
-    "solution_power",
 ]

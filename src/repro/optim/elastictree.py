@@ -15,12 +15,13 @@ import math
 from typing import Dict, Optional, Set, Tuple
 
 from ..exceptions import TopologyError
+from ..power.accounting import network_power
 from ..power.model import PowerModel
 from ..routing.paths import RoutingTable, link_loads
 from ..topology.base import Topology
 from ..topology.fattree import pod_of
 from ..traffic.matrix import TrafficMatrix
-from .solution import EnergyAwareSolution, solution_power
+from .solution import EnergyAwareSolution
 
 
 def _fattree_arity(topology: Topology) -> int:
@@ -121,7 +122,7 @@ def elastictree_subset(
             topology, demands, active_nodes, active_links, usable
         )
 
-    power = solution_power(topology, power_model, active_nodes, active_links)
+    power = network_power(topology, power_model, active_nodes, active_links).total_w
     return EnergyAwareSolution(
         active_nodes=active_nodes,
         active_links=active_links,
@@ -163,11 +164,7 @@ def _route_and_repair(
             k=4,
             allow_overload=True,
         ).routing
-        loads = link_loads(subgraph, routing, demands)
-        overloaded = [
-            key for key, load in loads.items() if load > usable_capacity + 1e-9
-        ]
-        if not overloaded:
+        if not (link_loads(subgraph, routing, demands) > usable_capacity + 1e-9).any():
             return routing, active_nodes, active_links
         # Activate the next inactive switch (leftmost aggregation first, then
         # core) and retry.

@@ -11,11 +11,12 @@ demand on what remains.
 
 from __future__ import annotations
 
+from ..power.accounting import network_power
 from ..power.model import PowerModel
 from ..routing.mcf import FlowSession
 from ..topology.base import Topology
 from ..traffic.matrix import TrafficMatrix
-from .solution import EnergyAwareSolution, element_power_coefficients, solution_power
+from .solution import EnergyAwareSolution, element_power_coefficients
 from .subset import protected_nodes, route_on_subset, shrink_active_subset
 
 
@@ -60,7 +61,7 @@ def greedy_minimum_subset(
     active_nodes &= keep_on.union(*active_links)
 
     routing = route_on_subset(topology, demands, active_nodes, active_links, "greedy-subset")
-    power = solution_power(topology, power_model, active_nodes, active_links)
+    power = network_power(topology, power_model, active_nodes, active_links).total_w
     return EnergyAwareSolution(
         active_nodes=active_nodes,
         active_links=active_links,

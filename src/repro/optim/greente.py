@@ -21,12 +21,13 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional, Set, Tuple
 
 from ..exceptions import InfeasibleError
+from ..power.accounting import network_power
 from ..power.model import PowerModel
 from ..routing.ksp import CandidatePaths
 from ..routing.paths import Path, RoutingTable
 from ..topology.base import Topology, link_key
 from ..traffic.matrix import Pair, TrafficMatrix
-from .solution import EnergyAwareSolution, element_power_coefficients, solution_power
+from .solution import EnergyAwareSolution, element_power_coefficients
 
 #: Default number of candidate paths per pair (GreenTE's k).
 DEFAULT_K = 4
@@ -83,9 +84,8 @@ def greente_heuristic(
     active_links: Set[Tuple[str, str]] = {
         link_key(u, v) for (u, v) in (fixed_on_links or ())
     }
-    residual: Dict[Tuple[str, str], float] = {
-        arc.key: arc.capacity_bps * utilisation_limit for arc in topology.arcs()
-    }
+    index = topology.index()
+    residual = index.arc_capacity * utilisation_limit
 
     def marginal_power(path: Path) -> float:
         cost = 0.0
@@ -97,8 +97,9 @@ def greente_heuristic(
                 cost += link_power[key]
         return cost
 
-    def fits(path: Path, demand: float) -> bool:
-        return all(residual[arc] >= demand - 1e-9 for arc in path.arc_keys())
+    def headroom(path: Path) -> float:
+        # Every arc's residual is >= x exactly when the smallest one is.
+        return residual[index.compile_path(path).arc_indices].min()
 
     chosen: Dict[Pair, Path] = {}
     if ordering == "demand":
@@ -110,15 +111,13 @@ def greente_heuristic(
         candidates = paths_of[pair]
         if not candidates:
             raise InfeasibleError(f"pair {pair} has no candidate paths")
-        feasible = [path for path in candidates if fits(path, demand)]
+        feasible = [path for path in candidates if headroom(path) >= demand - 1e-9]
         if not feasible:
             if not allow_overload:
                 raise InfeasibleError(
                     f"demand of pair {pair} ({demand:.3g} bps) fits on no candidate path"
                 )
-            feasible = [
-                max(candidates, key=lambda path: min(residual[a] for a in path.arc_keys()))
-            ]
+            feasible = [max(candidates, key=headroom)]
         best = min(
             feasible,
             key=lambda path: (marginal_power(path), path.num_hops, path.latency(topology)),
@@ -128,11 +127,10 @@ def greente_heuristic(
             active_nodes.add(node)
         for key in best.link_keys():
             active_links.add(key)
-        for arc in best.arc_keys():
-            residual[arc] -= demand
+        residual[index.compile_path(best).arc_indices] -= demand
 
     routing = RoutingTable(chosen, name="greente")
-    power = solution_power(topology, power_model, active_nodes, active_links)
+    power = network_power(topology, power_model, active_nodes, active_links).total_w
     return EnergyAwareSolution(
         active_nodes=active_nodes,
         active_links=active_links,

@@ -15,13 +15,14 @@ trade-off of the exact MILP, the greedy heuristic and rounding.
 
 from __future__ import annotations
 
+from ..power.accounting import network_power
 from ..power.model import PowerModel
 from ..routing.ksp import CandidatePaths
 from ..routing.mcf import FlowSession
 from ..topology.base import Topology
 from ..traffic.matrix import TrafficMatrix
 from .pathmilp import solve_path_milp
-from .solution import EnergyAwareSolution, solution_power
+from .solution import EnergyAwareSolution
 from .subset import protected_nodes, route_on_subset, shrink_active_subset
 
 
@@ -76,7 +77,7 @@ def lp_relaxation_with_rounding(
     )
 
     routing = route_on_subset(topology, demands, active_nodes, active_links, "lp-rounding")
-    power = solution_power(topology, power_model, active_nodes, active_links)
+    power = network_power(topology, power_model, active_nodes, active_links).total_w
     return EnergyAwareSolution(
         active_nodes=active_nodes,
         active_links=active_links,

@@ -17,12 +17,13 @@ import numpy as np
 from scipy import sparse
 
 from ..exceptions import InfeasibleError, SolverError
+from ..power.accounting import network_power
 from ..power.model import PowerModel
 from ..routing.highs import MILP_SOLVES, HighsModel, milp_options
 from ..routing.paths import Path, RoutingTable
 from ..topology.base import Topology, link_key
 from ..traffic.matrix import Pair, TrafficMatrix
-from .solution import EnergyAwareSolution, element_power_coefficients, solution_power
+from .solution import EnergyAwareSolution, element_power_coefficients
 
 #: Guard against accidentally building an intractable instance.
 MAX_FLOW_VARIABLES = 30_000
@@ -204,7 +205,7 @@ def solve_arc_milp(
     active_nodes |= routing.used_nodes()
     active_links |= routing.used_links()
 
-    power = solution_power(topology, power_model, active_nodes, active_links)
+    power = network_power(topology, power_model, active_nodes, active_links).total_w
     return EnergyAwareSolution(
         active_nodes=active_nodes,
         active_links=active_links,

@@ -28,13 +28,14 @@ import numpy as np
 from scipy import sparse
 
 from ..exceptions import InfeasibleError
+from ..power.accounting import network_power
 from ..power.model import PowerModel
 from ..routing.highs import MILP_SOLVES, HighsModel, milp_options
 from ..routing.ksp import CandidatePaths
 from ..routing.paths import Path, RoutingTable
 from ..topology.base import Topology, link_key
 from ..traffic.matrix import Pair, TrafficMatrix
-from .solution import EnergyAwareSolution, element_power_coefficients, solution_power
+from .solution import EnergyAwareSolution, element_power_coefficients
 
 _SOLVES = MILP_SOLVES.labels(kind="path")
 
@@ -142,7 +143,7 @@ def solve_path_milp(
             active_nodes=always_on,
             active_links=set(),
             routing=RoutingTable({}, name=solver_name),
-            power_w=solution_power(topology, power_model, always_on, set()),
+            power_w=network_power(topology, power_model, always_on, set()).total_w,
             objective_w=0.0,
             optimal=True,
             solver=solver_name,
@@ -258,7 +259,7 @@ def solve_path_milp(
     active_nodes |= routing.used_nodes()
     active_links |= routing.used_links()
 
-    power = solution_power(topology, power_model, active_nodes, active_links)
+    power = network_power(topology, power_model, active_nodes, active_links).total_w
     return EnergyAwareSolution(
         active_nodes=active_nodes,
         active_links=active_links,

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Set, Tuple
 
-from ..power.accounting import element_power, network_power
+from ..power.accounting import element_power
 from ..power.model import PowerModel
 from ..routing.paths import RoutingTable
 from ..topology.base import Topology
@@ -70,13 +70,3 @@ def element_power_coefficients(
             total += port_w + amplifier_w
         link_power[key] = total
     return dict(table.node_w), link_power
-
-
-def solution_power(
-    topology: Topology,
-    power_model: PowerModel,
-    active_nodes: Set[str],
-    active_links: Set[Tuple[str, str]],
-) -> float:
-    """Power of an active subset under the library's standard accounting."""
-    return network_power(topology, power_model, active_nodes, active_links).total_w

@@ -2,7 +2,6 @@
 
 from .ecmp import (
     ecmp_active_elements,
-    ecmp_link_loads,
     ecmp_max_utilisation,
     equal_cost_paths,
 )
@@ -19,13 +18,11 @@ from .paths import (
     RoutingConfiguration,
     RoutingTable,
     link_loads,
-    link_utilisations,
     max_link_utilisation,
 )
 
 __all__ = [
     "ecmp_active_elements",
-    "ecmp_link_loads",
     "ecmp_max_utilisation",
     "equal_cost_paths",
     "k_shortest_paths",
@@ -40,6 +37,5 @@ __all__ = [
     "RoutingConfiguration",
     "RoutingTable",
     "link_loads",
-    "link_utilisations",
     "max_link_utilisation",
 ]

@@ -8,7 +8,7 @@ regardless of demand.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import networkx as nx
 
@@ -44,29 +44,19 @@ def equal_cost_paths(
     return list(paths)
 
 
-def ecmp_link_loads(
-    topology: Topology, demands: TrafficMatrix
-) -> Dict[Tuple[str, str], float]:
-    """Per-arc load when every demand is split equally over its ECMP paths."""
-    loads: Dict[Tuple[str, str], float] = {key: 0.0 for key in topology.arc_keys()}
-    for (origin, destination), demand in demands.items():
-        if demand <= 0.0:
-            continue
-        paths = equal_cost_paths(topology, origin, destination)
-        share = demand / len(paths)
-        for path in paths:
-            for arc_key in path.arc_keys():
-                loads[arc_key] += share
-    return loads
-
-
 def ecmp_max_utilisation(topology: Topology, demands: TrafficMatrix) -> float:
-    """Maximum arc utilisation under ECMP splitting."""
-    loads = ecmp_link_loads(topology, demands)
-    utilisations = [
-        load / topology.arc(*key).capacity_bps for key, load in loads.items()
-    ]
-    return max(utilisations, default=0.0)
+    """Maximum arc utilisation when every demand is split equally over its
+    ECMP paths (the shares accumulate into one load vector in arc-index
+    order, demand by demand and path by path)."""
+    paths: List[Path] = []
+    shares: List[float] = []
+    for (origin, destination), demand in demands.items():
+        if demand > 0.0:
+            pair_paths = equal_cost_paths(topology, origin, destination)
+            paths += pair_paths
+            shares += [demand / len(pair_paths)] * len(pair_paths)
+    index = topology.index()
+    return index.max_utilisation(index.path_loads(paths, shares))
 
 
 def ecmp_active_elements(

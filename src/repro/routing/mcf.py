@@ -328,7 +328,7 @@ class FlowSession:
         for origin_flows in solution.reshape(num_origins, index.num_arcs):
             loads += origin_flows
         loads_bps = loads * lp.scale
-        max_utilisation = float(np.max(loads_bps / lp.capacities_bps))
+        max_utilisation = index.max_utilisation(loads_bps)
         # No load at all on an arc that is off (a warm re-solve may leave its
         # columns within the solver's tolerance of their bound).
         arc_loads = np.where(arc_on, loads_bps, 0.0)

@@ -17,7 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
-from ..exceptions import RoutingError
+import numpy as np
+
+from ..exceptions import RoutingError, SimulationError
 from ..topology.base import Topology, link_key
 from ..traffic.matrix import Pair, TrafficMatrix
 
@@ -190,35 +192,26 @@ def link_loads(
     topology: Topology,
     routing: RoutingTable,
     demands: TrafficMatrix,
-) -> Dict[Tuple[str, str], float]:
-    """Per-arc load (bits per second) when *demands* follow *routing*.
+) -> np.ndarray:
+    """Per-arc load (bits per second) when *demands* follow *routing*, as a
+    vector in arc-index order (``topology.index().arc_keys``).
 
     Pairs without an installed path are ignored.
+
+    Raises:
+        RoutingError: If an installed path uses an arc the topology lacks.
     """
-    loads: Dict[Tuple[str, str], float] = {key: 0.0 for key in topology.arc_keys()}
-    for pair, demand in demands.items():
-        if demand <= 0.0:
-            continue
-        path = routing.get(*pair)
-        if path is None:
-            continue
-        for arc_key in path.arc_keys():
-            if arc_key not in loads:
-                raise RoutingError(f"path uses unknown arc {arc_key}")
-            loads[arc_key] += demand
-    return loads
-
-
-def link_utilisations(
-    topology: Topology,
-    routing: RoutingTable,
-    demands: TrafficMatrix,
-) -> Dict[Tuple[str, str], float]:
-    """Per-arc utilisation (load divided by capacity) under *routing*."""
-    loads = link_loads(topology, routing, demands)
-    return {
-        key: load / topology.arc(*key).capacity_bps for key, load in loads.items()
-    }
+    routed = [
+        (path, demand)
+        for pair, demand in demands.items()
+        if demand > 0.0 and (path := routing.get(*pair)) is not None
+    ]
+    try:
+        return topology.index().path_loads(
+            [path for path, _ in routed], [demand for _, demand in routed]
+        )
+    except SimulationError as error:
+        raise RoutingError(str(error)) from None
 
 
 def max_link_utilisation(
@@ -227,5 +220,4 @@ def max_link_utilisation(
     demands: TrafficMatrix,
 ) -> float:
     """The maximum arc utilisation under *routing* (zero for no demand)."""
-    utilisations = link_utilisations(topology, routing, demands)
-    return max(utilisations.values(), default=0.0)
+    return topology.index().max_utilisation(link_loads(topology, routing, demands))

@@ -51,9 +51,6 @@ from .registry import (
     registered_components,
     resolve,
 )
-from .schemes import (
-    SchemeOutcome,
-)
 from .spec import (
     DEFAULT_UTILISATION_THRESHOLD,
     ComponentSpec,
@@ -91,7 +88,6 @@ __all__ = [
     "RoutingSpec",
     "ScenarioResult",
     "ScenarioSpec",
-    "SchemeOutcome",
     "SchemeRuntime",
     "SchemeSpec",
     "Timeline",

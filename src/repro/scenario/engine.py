@@ -25,11 +25,11 @@ from ..topology.base import Topology
 from ..traffic.matrix import Pair, TrafficMatrix
 from ..traffic.replay import TrafficTrace
 from .components import BuiltTraffic, as_built_traffic
-from .schemes import SchemeOutcome
 from .spec import ScenarioSpec
 from .timeline import (
     GroupComputeCache,
     IntervalCallback,
+    SchemeRun,
     TimelineRun,
     run_timeline,
     run_timeline_batch,
@@ -64,11 +64,6 @@ class BuiltScenario:
     #: (see :class:`~repro.scenario.timeline.GroupComputeCache`); a scenario
     #: built on its own owns a private one.
     shared: GroupComputeCache = field(default_factory=GroupComputeCache)
-
-    @property
-    def utilisation_threshold(self) -> float:
-        """The spec's utilisation SLO (schemes may override it per-scheme)."""
-        return self.spec.utilisation_threshold
 
     def peak_matrix(self) -> TrafficMatrix:
         """The workload's peak demand estimate."""
@@ -465,22 +460,11 @@ def run_built_scenarios_batch(builts: Sequence[BuiltScenario]) -> List[ScenarioR
     return [_result_from_run(built, run) for built, run in zip(builts, runs, strict=True)]
 
 
-def scheme_outcomes(built: BuiltScenario) -> Dict[str, SchemeOutcome]:
-    """Run every scheme of a built scenario, returning the raw outcomes.
+def scheme_outcomes(built: BuiltScenario) -> Dict[str, SchemeRun]:
+    """Run every scheme of a built scenario, returning each scheme's run.
 
     For drivers that need scheme ``details`` (per-interval solutions,
-    activation objects) on top of the uniform :class:`ScenarioResult`
-    series, which are assembled exactly as :func:`run_built_scenario` would.
+    activation objects) beyond the uniform :class:`ScenarioResult` series.
     """
     with trace.span("timeline.run", scenario=built.spec.name):
-        run = run_timeline(built)
-    result = _result_from_run(built, run)
-    return {
-        label: SchemeOutcome(
-            power_percent=result.power_percent[label],
-            recomputations=result.recomputations[label],
-            max_utilisation=result.max_utilisation.get(label, []),
-            details=scheme_run.details,
-        )
-        for label, scheme_run in run.schemes.items()
-    }
+        return run_timeline(built).schemes

@@ -58,28 +58,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .engine import BuiltScenario
 
 
-@dataclass
-class SchemeOutcome:
-    """Uniform per-scheme result consumed by the scenario engine.
-
-    Attributes:
-        power_percent: Power (% of the fully powered network) per interval.
-        recomputations: How often the scheme changed its active-element
-            configuration during the replay (always 0 for REsPoNse, whose
-            paths are precomputed once).
-        max_utilisation: Largest arc utilisation per interval, where the
-            scheme knows it (empty otherwise).
-        details: Scheme-specific extras (per-interval solutions,
-            configurations, activation objects) for drivers that need more
-            than the uniform series.
-    """
-
-    power_percent: List[float]
-    recomputations: int = 0
-    max_utilisation: List[float] = field(default_factory=list)
-    details: Dict[str, Any] = field(default_factory=dict)
-
-
 def _configuration_of(solution: EnergyAwareSolution) -> RoutingConfiguration:
     return RoutingConfiguration(
         frozenset(solution.active_nodes), frozenset(solution.active_links)
@@ -484,7 +462,6 @@ class _ResponseState:
 
     scenario: "BuiltScenario"
     plan: Any
-    threshold: float
     activations: List[Any] = field(default_factory=list)
     failover_recomputed: bool = False
 
@@ -495,7 +472,8 @@ class ResponseRuntime(SchemeRuntime):
     ``start`` runs the complete offline pipeline (always-on, on-demand,
     failover paths); every ``step`` merely activates installed paths for the
     interval's demand — the online behaviour the paper claims reacts in
-    seconds.  On failure events the activation excludes paths crossing
+    seconds — against the spec's utilisation SLO, the one the timeline judges
+    violations by.  On failure events the activation excludes paths crossing
     failed elements and engages the failover table
     (:func:`~repro.core.failover.compute_failover` is run lazily when the
     plan was built without one).
@@ -504,28 +482,22 @@ class ResponseRuntime(SchemeRuntime):
     #: The :class:`ResponseConfig` defaults a registered name differs in.
     config_defaults: Dict[str, Any] = {}
 
-    def __init__(
-        self,
-        utilisation_threshold: Optional[float] = None,
-        use_peak_matrix: Optional[bool] = None,
-        **config_params: Any,
-    ) -> None:
+    def __init__(self, **config_params: Any) -> None:
         unknown = set(config_params) - set(_RESPONSE_CONFIG_FIELDS)
         if unknown:
             raise ConfigurationError(
                 f"unknown response scheme parameters {sorted(unknown)}; "
-                f"supported: utilisation_threshold, use_peak_matrix, "
-                f"{', '.join(_RESPONSE_CONFIG_FIELDS)}"
+                f"supported: {', '.join(_RESPONSE_CONFIG_FIELDS)}"
             )
         self.config = ResponseConfig(**{**self.config_defaults, **config_params})
-        self.utilisation_threshold = utilisation_threshold
-        if use_peak_matrix is None:
-            # The traffic-aware heuristic needs a peak estimate by definition.
-            use_peak_matrix = self.config.on_demand_method in ("peak", "heuristic")
-        self.use_peak_matrix = use_peak_matrix
 
     def start(self, scenario: "BuiltScenario") -> _ResponseState:
-        peak = scenario.peak_matrix() if self.use_peak_matrix else None
+        # Only the peak / heuristic on-demand methods read the peak estimate.
+        peak = (
+            scenario.peak_matrix()
+            if self.config.on_demand_method in ("peak", "heuristic")
+            else None
+        )
 
         def compute() -> Any:
             with trace.span("response.plan", scenario=scenario.spec.name):
@@ -557,12 +529,7 @@ class ResponseRuntime(SchemeRuntime):
                 pin=(scenario.topology, scenario.power_model),
             )
         )
-        threshold = (
-            self.utilisation_threshold
-            if self.utilisation_threshold is not None
-            else scenario.utilisation_threshold
-        )
-        return _ResponseState(scenario=scenario, plan=plan, threshold=threshold)
+        return _ResponseState(scenario=scenario, plan=plan)
 
     def step(
         self,
@@ -589,7 +556,7 @@ class ResponseRuntime(SchemeRuntime):
             scenario.power_model,
             state.plan,
             matrix,
-            utilisation_threshold=state.threshold,
+            utilisation_threshold=scenario.spec.utilisation_threshold,
             include_failover=view.has_failures,
             failed_links=set(view.unusable_links()) if view.has_failures else None,
             failed_nodes=set(view.failed_nodes),

@@ -11,7 +11,7 @@ solver entries turn their name sets into masks once, at the boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -94,6 +94,18 @@ class TopologyIndex:
             raise SimulationError(f"path {path!r} uses unknown arc {error.args[0]}") from None
         compiled = self._compiled[path.nodes] = CompiledPath(arcs, self.arc_link[arcs])
         return compiled
+
+    def path_loads(self, paths: Sequence["Path"], volumes: Sequence[float]) -> np.ndarray:
+        """Per-arc load (arc-index order) when each path carries its volume:
+        every arc sums its volumes in the order the paths are given."""
+        loads = np.zeros(self.num_arcs)
+        for path, volume in zip(paths, volumes, strict=True):
+            loads[self.compile_path(path).arc_indices] += volume  # a path's arcs are distinct
+        return loads
+
+    def max_utilisation(self, loads: np.ndarray) -> float:
+        """The largest load-to-capacity ratio of a load vector (0 when idle)."""
+        return float((loads / self.arc_capacity).max(initial=0.0))
 
     def node_mask(self, names: Optional[Iterable[str]]) -> np.ndarray:
         """``node_on`` for a set of names (``None``: every node; names the

@@ -58,6 +58,21 @@ def test_te_config_validation():
         TEConfig(utilisation_threshold=0.5, release_threshold=0.9)
 
 
+@pytest.mark.parametrize(
+    "options",
+    [
+        # Negative indexing would start every flow on the failover table.
+        {"initial_table_index": -1},
+        # The 1 ms floor only guards the RTT default; zero was taken as is.
+        {"probe_interval_s": 0},
+        {"probe_interval_s": -0.5},
+    ],
+)
+def test_te_config_rejects_what_would_misplace_flows_or_stall_probes(options):
+    with pytest.raises(ConfigurationError):
+        TEConfig(**options)
+
+
 def test_te_aggregates_low_traffic_and_sleeps_links(click, cisco_model):
     plan = _example_plan(click, cisco_model)
     network = SimulatedNetwork(click, cisco_model, wake_delay_s=0.01)

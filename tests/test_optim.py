@@ -9,11 +9,10 @@ from repro.optim import (
     greedy_minimum_subset,
     greente_heuristic,
     lp_relaxation_with_rounding,
-    solution_power,
     solve_arc_milp,
     solve_path_milp,
 )
-from repro.power import CISCO_CHASSIS_POWER_W, full_power
+from repro.power import CISCO_CHASSIS_POWER_W, full_power, network_power
 from repro.routing import max_link_utilisation
 from repro.topology import build_example
 from repro.traffic import TrafficMatrix, all_pairs
@@ -30,8 +29,8 @@ def test_element_power_coefficients(diamond, cisco_model):
     assert set(link_power) == set(diamond.link_keys())
 
 
-def test_solution_power_matches_accounting(diamond, cisco_model):
-    power = solution_power(diamond, cisco_model, {"a", "b"}, {("a", "b")})
+def test_subset_power_matches_accounting(diamond, cisco_model):
+    power = network_power(diamond, cisco_model, {"a", "b"}, {("a", "b")}).total_w
     assert power == pytest.approx(2 * CISCO_CHASSIS_POWER_W + 2 * 60.0)
 
 

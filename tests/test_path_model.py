@@ -32,12 +32,8 @@ from repro.exceptions import InfeasibleError, SolverError
 from repro.obs import metrics, trace
 from repro.optim import solve_arc_milp, solve_path_milp
 from repro.optim.pathmilp import _filter_candidates
-from repro.optim.solution import (
-    EnergyAwareSolution,
-    element_power_coefficients,
-    solution_power,
-)
-from repro.power import CiscoRouterPowerModel, CommoditySwitchPowerModel
+from repro.optim.solution import EnergyAwareSolution, element_power_coefficients
+from repro.power import CiscoRouterPowerModel, CommoditySwitchPowerModel, network_power
 from repro.routing import highs
 from repro.routing.ksp import CandidatePaths
 from repro.routing.mcf import max_concurrent_flow
@@ -221,7 +217,7 @@ def reference_solve_path_milp(
             active_nodes=active_nodes,
             active_links=active_links,
             routing=routing,
-            power_w=solution_power(topology, power_model, active_nodes, active_links),
+            power_w=network_power(topology, power_model, active_nodes, active_links).total_w,
             objective_w=float(result.fun * max(cost.max(), 1.0)),
             optimal=bool(result.status == 0 and not relaxed),
             solver=solver_name,

@@ -96,15 +96,13 @@ def test_link_loads_conserve_total_volume(topology, per_pair_demand):
     routing = ospf_invcap_routing(topology)
     nodes = topology.nodes()
     demands = TrafficMatrix.uniform([(nodes[0], nodes[-1]), (nodes[-1], nodes[0])], per_pair_demand)
+    index = topology.index()
     loads = link_loads(topology, routing, demands)
     # Total volume leaving each origin equals its demand.
-    for origin, destination in demands.pairs():
-        outgoing = sum(
-            load for (src, _dst), load in loads.items() if src == origin
-        )
-        incoming = sum(
-            load for (_src, dst), load in loads.items() if dst == origin
-        )
+    for origin, _destination in demands.pairs():
+        node = index.node_index[origin]
+        outgoing = loads[index.arc_src == node].sum()
+        incoming = loads[index.arc_dst == node].sum()
         assert outgoing - incoming >= -1e-6
 
 

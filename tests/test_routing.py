@@ -9,13 +9,11 @@ from repro.routing import (
     RoutingConfiguration,
     RoutingTable,
     ecmp_active_elements,
-    ecmp_link_loads,
     ecmp_max_utilisation,
     equal_cost_paths,
     is_demand_feasible,
     k_shortest_paths,
     link_loads,
-    link_utilisations,
     max_link_utilisation,
     ospf_delays,
     ospf_invcap_routing,
@@ -77,12 +75,14 @@ def test_routing_table_merge_and_restrict():
 
 def test_link_loads_and_utilisation(diamond, diamond_demands):
     table = RoutingTable({("a", "d"): ["a", "b", "d"], ("d", "a"): ["d", "c", "a"]})
+    index = diamond.index()
     loads = link_loads(diamond, table, diamond_demands)
-    assert loads[("a", "b")] == pytest.approx(mbps(40))
-    assert loads[("d", "c")] == pytest.approx(mbps(10))
-    assert loads[("b", "a")] == 0.0
-    utilisations = link_utilisations(diamond, table, diamond_demands)
-    assert utilisations[("a", "b")] == pytest.approx(0.4)
+    assert loads.shape == (index.num_arcs,)
+    assert loads[index.arc_index[("a", "b")]] == pytest.approx(mbps(40))
+    assert loads[index.arc_index[("d", "c")]] == pytest.approx(mbps(10))
+    assert loads[index.arc_index[("b", "a")]] == 0.0
+    utilisations = loads / index.arc_capacity
+    assert utilisations[index.arc_index[("a", "b")]] == pytest.approx(0.4)
     assert max_link_utilisation(diamond, table, diamond_demands) == pytest.approx(0.4)
     assert max_link_utilisation(diamond, table, diamond_demands.scaled(3.0)) > 1.0
 
@@ -90,9 +90,11 @@ def test_link_loads_and_utilisation(diamond, diamond_demands):
 def test_uncovered_pairs(diamond, diamond_demands):
     # A pair with demand but no installed path loads nothing.
     table = RoutingTable({("a", "d"): ["a", "b", "d"]})
+    index = diamond.index()
     loads = link_loads(diamond, table, diamond_demands)
-    assert loads[("a", "b")] == loads[("b", "d")] == pytest.approx(mbps(40))
-    assert sum(loads.values()) == pytest.approx(2 * mbps(40))
+    ab, bd = index.arc_index[("a", "b")], index.arc_index[("b", "d")]
+    assert loads[ab] == loads[bd] == pytest.approx(mbps(40))
+    assert loads.sum() == pytest.approx(2 * mbps(40))
 
 
 def test_routing_configuration_equality_and_dominance(diamond, diamond_demands):
@@ -149,9 +151,10 @@ def test_ecmp_splits_over_equal_paths(diamond):
     paths = equal_cost_paths(diamond, "a", "d")
     assert len(paths) == 2
     demands = TrafficMatrix({("a", "d"): mbps(80)})
-    loads = ecmp_link_loads(diamond, demands)
-    assert loads[("a", "b")] == pytest.approx(mbps(40))
-    assert loads[("a", "c")] == pytest.approx(mbps(40))
+    index = diamond.index()
+    loads = index.path_loads(paths, [mbps(80) / len(paths)] * len(paths))
+    assert loads[index.arc_index[("a", "b")]] == pytest.approx(mbps(40))
+    assert loads[index.arc_index[("a", "c")]] == pytest.approx(mbps(40))
     assert ecmp_max_utilisation(diamond, demands) == pytest.approx(0.4)
 
 

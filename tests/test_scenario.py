@@ -209,7 +209,10 @@ def test_greente_rejects_a_bad_ordering_at_construction():
 #: ``k`` of 0 or 2.5 was an unmapped ``ValueError`` (a 500 over HTTP), a
 #: negative ``time_limit_s`` an ``OptimizeWarning`` and an *unlimited* solve,
 #: ``utilisation_limit`` 0 accepted; ``greedy`` with a ``latency_beta``
-#: silently dropped constraint (4).
+#: silently dropped constraint (4).  REsPoNse once took its own
+#: ``utilisation_threshold`` (activating at one SLO while the timeline judged
+#: violations by the spec's) and a ``use_peak_matrix`` that only re-decided
+#: what ``on_demand_method`` decides; both are unknown parameters now.
 OUT_OF_RANGE_SCHEME_PARAMS = [
     ("response", {"k": 0}, "k must be a positive integer"),
     ("greente", {"k": 2.5}, "k must be a positive integer"),
@@ -237,6 +240,8 @@ OUT_OF_RANGE_SCHEME_PARAMS = [
         {"always_on_method": "greedy", "latency_beta": 0.25},
         "latency_beta needs always_on_method",
     ),
+    ("response", {"utilisation_threshold": 0.5}, "unknown response scheme parameters"),
+    ("response-heuristic", {"use_peak_matrix": False}, "unknown response scheme parameters"),
 ]
 
 

@@ -30,10 +30,9 @@ from repro.optim import (
     element_power_coefficients,
     greedy_minimum_subset,
     lp_relaxation_with_rounding,
-    solution_power,
     solve_path_milp,
 )
-from repro.power import CiscoRouterPowerModel, CommoditySwitchPowerModel
+from repro.power import CiscoRouterPowerModel, CommoditySwitchPowerModel, network_power
 from repro.routing.mcf import FlowSession, max_concurrent_flow
 from repro.scenario.engine import run_scenario
 from repro.simulator.failures import TopologyView
@@ -104,7 +103,7 @@ def reference_greedy(topology, power_model, demands, utilisation_limit=1.0):
     )
     attached = {name for key in links for name in key}
     nodes = {name for name in nodes if name in attached or name in keep_nodes}
-    return nodes, links, solution_power(topology, power_model, nodes, links)
+    return nodes, links, network_power(topology, power_model, nodes, links).total_w
 
 
 def reference_lp_relax(topology, power_model, demands, utilisation_limit=1.0):
@@ -128,7 +127,7 @@ def reference_lp_relax(topology, power_model, demands, utilisation_limit=1.0):
         sorted(relaxed.active_links)
         + [name for name in sorted(relaxed.active_nodes) if name not in keep_nodes],
     )
-    return nodes, links, solution_power(topology, power_model, nodes, links)
+    return nodes, links, network_power(topology, power_model, nodes, links).total_w
 
 
 def assert_same_subset(reference, routine, topology, power_model, demands, **options):

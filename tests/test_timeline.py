@@ -28,7 +28,6 @@ from repro.scenario import (
     run_scenario,
 )
 from repro.scenario.engine import scheme_outcomes
-from repro.scenario.schemes import SchemeOutcome
 from repro.simulator.failures import FailureSchedule, LinkEvent, NodeEvent, TopologyView
 from repro.topology.base import Topology
 
@@ -581,7 +580,7 @@ def test_plain_callable_scheme_component_is_rejected():
 
     @register("scheme", "_test-plain-callable")
     def _flat(scenario, level=42.0):
-        return SchemeOutcome(power_percent=[level for _ in scenario.trace.matrices()])
+        return {"power_percent": [level for _ in scenario.trace.matrices()]}
 
     spec = geant_failure_spec(
         schemes=(SchemeSpec("_test-plain-callable", level=7.0),), events=()
