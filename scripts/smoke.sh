@@ -72,10 +72,15 @@ curl -sf -X POST localhost:8321/campaigns \
   -d "{\"spec\": $(cat "$GRID"), \"max_points\": 2}" | grep '"campaign_id"'
 stop_service
 
-echo "== observability: traced + profiled scenario and drain, timings, /metrics"
+echo "== observability: traced + profiled scenarios and drain, timings, /metrics"
 repro run-scenario --spec "$EXAMPLES/scenario_geant_failure.json" \
   --trace scenario-trace.ndjson --profile | grep "phase timings"
 grep -q '"scheme.step"' scenario-trace.ndjson
+# A calibrating spec: its phase line, and one search's span (the λ solve and
+# the confirm and reject probes on its model).
+repro run-scenario --spec "$EXAMPLES/scenario_geant_gravity.json" \
+  --trace gravity-trace.ndjson --profile | grep -E "^ +calibrate +[0-9.]+s"
+grep '"traffic.calibrate"' gravity-trace.ndjson | grep -q '"lp_solves": 3'
 repro run-campaign --spec "$GRID" --store obs-store.sqlite --profile \
   --trace campaign-trace.ndjson
 repro campaign-report --store obs-store.sqlite --timings | grep "solve"

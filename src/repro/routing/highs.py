@@ -94,7 +94,7 @@ class HighsModel:
     references in ``tests/test_mcf_session.py`` and
     ``tests/test_path_model.py``) hand them over, so the first :meth:`solve`
     returns that front end's answer bit for bit.  Unlike them, the model
-    stays: :meth:`set_upper` and :meth:`set_equality` change bounds in place
+    stays: :meth:`set_bounds` and :meth:`set_equality` change bounds in place
     and the next :meth:`solve` of an LP starts from the basis HiGHS kept.
 
     Every status the binding returns is looked at, a rejected option's
@@ -158,9 +158,8 @@ class HighsModel:
         if status == HighsStatus.kError:
             raise self._fail(f"{method} returned {status.name}")
 
-    def set_upper(self, columns: np.ndarray, upper: np.ndarray) -> None:
-        """Give *columns* the bounds ``[0, upper]``."""
-        lower = np.zeros(len(columns))
+    def set_bounds(self, columns: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> None:
+        """Give *columns* the bounds ``[lower, upper]``."""
         self._checked("changeColsBounds", len(columns), columns.astype(np.int32), lower, upper)
 
     def set_equality(self, rows: np.ndarray, values: np.ndarray) -> None:

@@ -13,8 +13,9 @@ several places:
 Commodities are aggregated per origin (the standard reduction), so the LP has
 ``|arcs| * |origins|`` variables rather than ``|arcs| * |pairs|``.
 
-:func:`max_concurrent_flow` asks the optimisation form of the same question
-("how many times this matrix fits") over the same constraint rows.
+:class:`ConcurrentFlow` asks the optimisation form of the same question
+("how many times this matrix fits") over the same constraint rows, and then
+answers feasibility at any multiple of the matrix on that one model.
 
 Three layers, one above the other: :func:`_flow_lp` assembles the constraint
 structure over the topology's index, :class:`~repro.routing.highs.HighsModel`
@@ -312,8 +313,8 @@ class FlowSession:
         if len(flipped):
             # Arc ``a`` is column ``o * num_arcs + a`` of every origin ``o``.
             columns = np.add.outer(np.arange(num_origins) * index.num_arcs, flipped).ravel()
-            upper = np.where(arc_on[flipped], np.inf, 0.0)
-            solver.set_upper(columns, np.tile(upper, num_origins))
+            upper = np.tile(np.where(arc_on[flipped], np.inf, 0.0), num_origins)
+            solver.set_bounds(columns, np.zeros(len(columns)), upper)
             self._columns_on = arc_on
 
         _FEASIBILITY_SOLVES.inc()
@@ -343,46 +344,105 @@ def solve_mcf(topology: Topology, demands: TrafficMatrix) -> MCFResult:
     return FlowSession(topology, demands).solve()
 
 
-def max_concurrent_flow(topology: Topology, demands: TrafficMatrix) -> float:
-    """The largest ``λ`` such that ``λ * demands`` fits the full topology.
+#: Relative distance from ``λ*`` within which :meth:`ConcurrentFlow.feasible_at`
+#: asks a fresh :func:`is_demand_feasible` instead of the pinned model.  Only
+#: there, within the solver's tolerances of the boundary, can the two LPs
+#: disagree; the widest disagreement seen is 1e-7.
+PINNED_PROBE_BAND = 1e-4
 
-    One LP — maximise ``λ`` subject to conservation with right-hand side
-    ``λ * d`` and the capacity rows of :func:`solve_mcf` — in place of a
-    search over feasibility LPs.  ``λ`` is exact only up to the solver's
-    tolerances: a caller that needs a decision at a particular volume still
-    asks :func:`is_demand_feasible` there.
 
-    Returns:
-        ``λ*``; ``0.0`` when some demand cannot be routed at any volume and
-        ``inf`` when there is no positive demand.
+class ConcurrentFlow:
+    """The max-concurrent-flow LP of one topology object and one demand set:
+    maximise ``λ`` subject to the capacity rows of :func:`solve_mcf` and
+    conservation ``A_eq f - λ d = 0``.
 
-    Raises:
-        SolverError: If the solver does not reach an optimum.
+    :meth:`max_scale` solves it once for ``λ*``.  :meth:`feasible_at` asks
+    the same model whether ``demands.scaled(scale)`` fits: with the column
+    ``λ`` fixed to ``scale`` the constraints are those of
+    :func:`is_demand_feasible` at that volume, so a probe is one bound change
+    and a dual-simplex re-solve from the basis the last solve left.  Within
+    :data:`PINNED_PROBE_BAND` of ``λ*`` a pinned probe and a fresh LP may
+    fall on either side of the boundary; a probe there is answered by a fresh
+    :func:`is_demand_feasible`, the very LP a caller without this object
+    would solve.  A flow has one holder and never crosses threads.
     """
-    index = topology.index()
-    positive = _positive_demands(demands)
-    if not positive:
-        return float("inf")
-    if not index.num_arcs or not _joined(index, np.ones(index.num_arcs, dtype=bool), positive):
-        return 0.0
-    lp = _flow_lp(index, positive)
 
-    # One more column, λ: absent from the capacity rows, and -d in the
-    # conservation rows so that they read ``A_eq f - λ d = 0``.
-    num_rows, num_flows = lp.a_eq.shape
-    cost = np.zeros(num_flows + 1)
-    cost[-1] = -1.0
-    _MAX_CONCURRENT_SOLVES.inc()
-    solution = _lp_model(
-        cost,
-        sparse.hstack([lp.a_ub, sparse.coo_matrix((index.num_arcs, 1))]),
-        lp.capacity_rhs(1.0),
-        sparse.hstack([lp.a_eq, sparse.coo_matrix(-lp.eq_rhs[:, None])]),
-        np.zeros(num_rows),
-    ).solve()
-    if solution is None:
-        raise SolverError("max-concurrent-flow solver failed: HiGHS reports the LP infeasible")
-    return float(solution[-1])
+    def __init__(self, topology: Topology, demands: TrafficMatrix) -> None:
+        self._topology = topology
+        self._demands = demands
+        self._positive = _positive_demands(demands)
+        index = topology.index()
+        self._routable = bool(index.num_arcs) and _joined(
+            index, np.ones(index.num_arcs, dtype=bool), self._positive
+        )
+        #: ``(model, [column of λ], λ*)``, built and solved at the first call
+        #: that needs them.
+        self._solved: Optional[Tuple[HighsModel, np.ndarray, float]] = None
+        #: Simplex iterations of the pinned probes; probes answered fresh.
+        self.probe_iterations = 0
+        self.fresh_probes = 0
+
+    def _lambda_model(self) -> Tuple[HighsModel, np.ndarray, float]:
+        if self._solved is None:
+            index = self._topology.index()
+            lp = _flow_lp(index, self._positive)
+            # One more column, λ: absent from the capacity rows, and -d in the
+            # conservation rows so that they read ``A_eq f - λ d = 0``.
+            num_rows, num_flows = lp.a_eq.shape
+            cost = np.zeros(num_flows + 1)
+            cost[-1] = -1.0
+            _MAX_CONCURRENT_SOLVES.inc()
+            model = _lp_model(
+                cost,
+                sparse.hstack([lp.a_ub, sparse.coo_matrix((index.num_arcs, 1))]),
+                lp.capacity_rhs(1.0),
+                sparse.hstack([lp.a_eq, sparse.coo_matrix(-lp.eq_rhs[:, None])]),
+                np.zeros(num_rows),
+            )
+            solution = model.solve()
+            if solution is None:
+                raise SolverError(
+                    "max-concurrent-flow solver failed: HiGHS reports the LP infeasible"
+                )
+            self._solved = (model, np.array([num_flows]), float(solution[-1]))
+        return self._solved
+
+    def max_scale(self) -> float:
+        """The largest ``λ`` such that ``λ * demands`` fits the full topology,
+        exact up to the solver's tolerances.
+
+        Returns:
+            ``λ*``; ``0.0`` when some demand cannot be routed at any volume
+            and ``inf`` when there is no positive demand.
+
+        Raises:
+            SolverError: If the solver does not reach an optimum.
+        """
+        if not self._positive:
+            return float("inf")
+        if not self._routable:
+            return 0.0
+        return self._lambda_model()[2]
+
+    def feasible_at(self, scale: float) -> bool:
+        """What ``is_demand_feasible(topology, demands.scaled(scale))`` answers.
+
+        Raises:
+            SolverError: If a solve ends neither optimal nor infeasible (the
+                model then takes no further calls).
+        """
+        if self._positive and self._routable:
+            model, column, lambda_star = self._lambda_model()
+            if abs(scale - lambda_star) > PINNED_PROBE_BAND * lambda_star:
+                model.set_bounds(column, np.array([scale]), np.array([scale]))
+                _FEASIBILITY_SOLVES.inc()
+                iterations_before = model.iterations
+                solution = model.solve()
+                self.probe_iterations += model.iterations - iterations_before
+                return solution is not None
+            self.fresh_probes += 1
+        # Solver-free without a model; the LP a caller would ask in the band.
+        return is_demand_feasible(self._topology, self._demands.scaled(scale))
 
 
 def demands_connected(

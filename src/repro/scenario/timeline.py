@@ -139,9 +139,9 @@ class TrafficSurge:
     pairs: Optional[Tuple[Pair, ...]] = None
 
     def __post_init__(self) -> None:
-        if self.factor < 0:
+        if not math.isfinite(self.factor) or self.factor < 0:
             raise ConfigurationError(
-                f"surge factor must be non-negative, got {self.factor}"
+                f"surge factor must be finite and non-negative, got {self.factor}"
             )
         if self.end_s is not None and self.end_s <= self.start_s:
             raise ConfigurationError(

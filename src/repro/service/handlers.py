@@ -25,7 +25,7 @@ from ..campaign.report import (
     summarise,
 )
 from ..campaign.store import CampaignStore
-from ..exceptions import ConfigurationError
+from ..exceptions import ConfigurationError, TrafficError
 from ..scenario.engine import build_scenario, run_built_scenario, run_scenario
 from ..scenario.registry import registered_components
 from .jobs import JobManager
@@ -109,9 +109,11 @@ def run_scenario_payload(
             return {"cache": "hit", "result": stored.to_dict()}
     try:
         result = run_scenario(spec)
-    except (ConfigurationError, TypeError) as error:
+    except (ConfigurationError, TrafficError, TypeError) as error:
         # TypeError: a validated spec can still hand a component builder an
-        # unknown parameter — a client mistake, not a server fault.
+        # unknown parameter — a client mistake, not a server fault.  A
+        # TrafficError is always the spec's too: a volume that is negative or
+        # not finite, or a demand the network cannot carry at all.
         raise bad_request(str(error), code="invalid-scenario") from error
     return {"cache": "miss", "result": result.to_dict()}
 
@@ -282,7 +284,7 @@ def replay_stream(body: Mapping[str, Any], emit: Emit) -> None:
     spec = scenario_spec_from_request(body)
     try:
         built = build_scenario(spec)
-    except (ConfigurationError, TypeError) as error:
+    except (ConfigurationError, TrafficError, TypeError) as error:
         # TypeError: unknown component parameters (see run_scenario_payload).
         raise bad_request(str(error), code="invalid-scenario") from error
     emit(
@@ -311,7 +313,7 @@ def replay_stream(body: Mapping[str, Any], emit: Emit) -> None:
 
     try:
         result = run_built_scenario(built, on_interval=on_interval)
-    except ConfigurationError as error:
+    except (ConfigurationError, TrafficError) as error:
         raise bad_request(str(error), code="invalid-scenario") from error
     emit({"type": "end", "result": result.to_dict()})
 

@@ -15,6 +15,7 @@ total offered traffic.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, List, Optional
 
 from ..exceptions import TrafficError
@@ -52,8 +53,10 @@ def gravity_matrix(
         (up to floating-point rounding) and are proportional to the product
         of endpoint weights.
     """
-    if total_traffic_bps < 0:
-        raise TrafficError(f"total traffic must be non-negative, got {total_traffic_bps}")
+    if not math.isfinite(total_traffic_bps) or total_traffic_bps < 0:
+        raise TrafficError(
+            f"total traffic must be finite and non-negative, got {total_traffic_bps}"
+        )
     weights = node_weights(topology)
     if pairs is None:
         names = list(weights)

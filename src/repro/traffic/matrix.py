@@ -9,6 +9,7 @@ replay and optimisation inputs free of aliasing surprises.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from ..exceptions import TrafficError
@@ -36,9 +37,11 @@ class TrafficMatrix:
                     f"demand from a node to itself is not allowed: {origin!r}"
                 )
             demand = float(value)
-            if demand < 0:
+            # ``nan < 0`` is false: a NaN would pass a plain sign check.
+            if not math.isfinite(demand) or demand < 0:
                 raise TrafficError(
-                    f"demand must be non-negative, got {demand} for {(origin, destination)}"
+                    "demand must be finite and non-negative, "
+                    f"got {demand} for {(origin, destination)}"
                 )
             cleaned[(origin, destination)] = demand
         self._demands: Dict[Pair, float] = cleaned
@@ -104,8 +107,8 @@ class TrafficMatrix:
     # ------------------------------------------------------------------ #
     def scaled(self, factor: float, name: Optional[str] = None) -> "TrafficMatrix":
         """A copy with every demand multiplied by *factor*."""
-        if factor < 0:
-            raise TrafficError(f"scale factor must be non-negative, got {factor}")
+        if not math.isfinite(factor) or factor < 0:
+            raise TrafficError(f"scale factor must be finite and non-negative, got {factor}")
         return TrafficMatrix(
             {pair: demand * factor for pair, demand in self._demands.items()},
             name=name or f"{self.name}×{factor:g}",

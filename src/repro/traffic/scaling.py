@@ -13,12 +13,18 @@ can accommodate the traffic" means once the on/off energy variables are
 dropped.
 
 The answer is a point of the growth grid ``s0 = 1, s(i+1) = s(i) * 1.1``: the
-last one the oracle accepts.  Walking the grid
-from ``s0`` costs one LP per step (29 on GÉANT).  With the default oracle one
-max-concurrent-flow LP (:func:`repro.routing.mcf.max_concurrent_flow`) says
-where on the grid the boundary lies, and the walk starts there: the oracle
-still decides, at the same two grid points the full walk would have ended
-on, so the returned float is the one the full walk returns.
+last one the oracle accepts.  Walking the grid from ``s0`` costs one LP per
+step (29 on GÉANT).  With the default oracle the search holds one
+max-concurrent-flow model (:class:`repro.routing.mcf.ConcurrentFlow`): its
+``λ*`` says where on the grid the boundary lies, and the walk starts there.
+Each grid point the walk stands on is then asked of that same model with
+``λ`` pinned to the point — the polytope of the feasibility LP at that
+volume, re-solved from the basis the last solve left — except within a
+relative band of ``λ*`` where the two LPs may disagree by the solver's
+tolerances, which asks the fresh feasibility LP itself.  Either way the
+decision at each point is the oracle's, at the same two grid points the full
+walk would have ended on, so the returned float is the one the full walk
+returns.
 """
 
 from __future__ import annotations
@@ -38,22 +44,6 @@ FeasibilityOracle = Callable[[Topology, TrafficMatrix], bool]
 #: a step; the cap is a safety bound on the number of steps.
 GROWTH_STEP = 0.10
 MAX_ITERATIONS = 200
-
-
-def _default_oracle(topology: Topology, demands: TrafficMatrix) -> bool:
-    from ..routing.mcf import is_demand_feasible
-
-    return is_demand_feasible(topology, demands)
-
-
-def _max_feasible_scale(topology: Topology, base_matrix: TrafficMatrix) -> Optional[float]:
-    """``λ*`` of the max-concurrent-flow LP, or ``None`` if the solver gave up."""
-    from ..routing.mcf import max_concurrent_flow
-
-    try:
-        return max_concurrent_flow(topology, base_matrix)
-    except SolverError:
-        return None
 
 
 #: Process-wide memo of calibration results keyed by the canonical hash of
@@ -191,8 +181,9 @@ def calibrate_max_load(
     multiplicatively by :data:`GROWTH_STEP` per iteration until the
     feasibility oracle rejects it, exactly as the paper calibrates the
     "100 % load".  With the default oracle the growth starts at the step a
-    max-concurrent-flow LP points to instead of at the base matrix; the
-    result is the same float either way (see :func:`_confirm_and_slide`).
+    max-concurrent-flow LP points to instead of at the base matrix, and every
+    step is a probe of that LP's model; the result is the same float either
+    way (see :func:`_confirm_and_slide` and the module docstring).
 
     Args:
         topology: The network whose capacity bounds the load.
@@ -204,10 +195,13 @@ def calibrate_max_load(
 
     Raises:
         TrafficError: If the base matrix itself is infeasible or empty.
+        SolverError: If a probe of the max-concurrent-flow model ends neither
+            optimal nor infeasible (nothing is memoised).
     """
+    from ..routing.mcf import ConcurrentFlow, is_demand_feasible
+
     if len(base_matrix) == 0 or base_matrix.total_bps <= 0:
         raise TrafficError("base matrix carries no traffic; nothing to calibrate")
-    check = oracle or _default_oracle
 
     key: Optional[str] = None
     if oracle is None:
@@ -220,18 +214,27 @@ def calibrate_max_load(
 
     with trace.span("traffic.calibrate", memoised=oracle is None) as calibrate_span:
         probes = 0
+        check = oracle or is_demand_feasible
+        # A custom oracle has no λ*, and a failed solve leaves none: both
+        # walk from step 0 with their oracle, which is the paper's procedure
+        # to the letter.
+        flow: Optional[ConcurrentFlow] = None
+        lambda_star: Optional[float] = None
+        if oracle is None:
+            flow = ConcurrentFlow(topology, base_matrix)
+            try:
+                lambda_star = flow.max_scale()
+            except SolverError:
+                flow = None
 
         def feasible_at(scale: float) -> bool:
             nonlocal probes
             probes += 1
+            if flow is not None:
+                return flow.feasible_at(scale)
             return check(topology, base_matrix.scaled(scale))
 
-        # A custom oracle has no λ*, and a failed solve leaves none: both
-        # walk from step 0, which is the paper's procedure to the letter.
-        lambda_star = _max_feasible_scale(topology, base_matrix) if oracle is None else None
-        hint = 0
-        if lambda_star is not None:
-            hint = _last_step_within(lambda_star)
+        hint = 0 if lambda_star is None else _last_step_within(lambda_star)
         scale, growth_iterations, slides = _confirm_and_slide(feasible_at, hint)
         calibrate_span.set(
             growth_iterations=growth_iterations,
@@ -239,6 +242,8 @@ def calibrate_max_load(
             lp_solves=1 + probes if oracle is None else 0,
             lambda_star=lambda_star,
             slides=slides,
+            probe_iterations=0 if flow is None else flow.probe_iterations,
+            fresh_probes=0 if flow is None else flow.fresh_probes,
         )
     if key is not None:
         _CALIBRATION_CACHE[key] = scale

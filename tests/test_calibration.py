@@ -1,18 +1,25 @@
 """Calibration identity: the hinted search returns the linear walk's float.
 
 ``calibrate_max_load`` starts its walk of the growth grid where one
-max-concurrent-flow LP points to, instead of at the base matrix.  The
-paper's procedure — grow by 10 % until the oracle says no — is kept here,
-one oracle call per step, as the reference.  Pinned:
+max-concurrent-flow LP points to, instead of at the base matrix, and asks
+each grid point of that LP's model with ``λ`` pinned to the point.  The
+paper's procedure — grow by 10 % until a fresh feasibility LP says no — is
+kept here, one oracle call per step, as the reference.  Pinned:
 
 * the returned scale is ``==`` the reference's on every shipped topology
   under the traffic specs of ``examples/*.json``, on the benchmark
   harness's GÉANT grid, and on random topologies and matrices, from the
   base matrix and from scaled-down ones, up to the iteration cap;
+* ... and where ``λ*`` sits on a grid point or within 1e-5 of one, where a
+  fresh LP answers the probe in the band (single link and GÉANT);
+* pinned and fresh answers agree outside the band on random inputs at nine
+  offsets of ``λ*``, and ``ConcurrentFlow.feasible_at`` is the fresh answer
+  at all nine;
 * a wrong, useless or missing ``λ*`` changes the number of oracle calls,
   never the result;
 * a custom oracle gets the plain walk: no LP of the module's own, no memo;
-* a cold default calibration costs at most 4 LP solves;
+* a cold default calibration costs 3 LP solves on 1 model, its probes warm;
+  a probe that fails raises and memoises nothing;
 * the vectorised LP assembly hands HiGHS the matrices and right-hand sides
   of the per-entry loop it replaced.
 """
@@ -32,10 +39,10 @@ from scipy import sparse
 from repro.campaign import CampaignSpec
 from repro.exceptions import SolverError, TrafficError
 from repro.obs import metrics, trace
-from repro.routing import mcf
-from repro.routing.mcf import is_demand_feasible
+from repro.routing import highs, mcf
+from repro.routing.mcf import PINNED_PROBE_BAND, ConcurrentFlow, is_demand_feasible
 from repro.scenario.spec import ScenarioSpec
-from repro.topology import build_geant, random_connected_topology
+from repro.topology import Topology, build_geant, random_connected_topology
 from repro.traffic import (
     TrafficMatrix,
     all_pairs,
@@ -236,7 +243,104 @@ def test_span_reports_the_walks_step_count_and_three_solves():
     assert attrs["scale"] == expected
     assert attrs["lp_solves"] == 3
     assert attrs["slides"] == 0
+    assert attrs["fresh_probes"] == 0
     assert expected <= attrs["lambda_star"] < expected * 1.1 * (1 + 1e-6)
+
+
+# --------------------------------------------------------------------- #
+# (a') Boundary battery: λ* on a grid point, or within 1e-5 of one
+# --------------------------------------------------------------------- #
+#: Relative offsets of ``λ*`` from a grid point; all lie inside the band.
+BOUNDARY_OFFSETS = (0.0, 1e-9, -1e-9, 1e-7, -1e-7, 1e-5, -1e-5)
+
+
+def grid_point(step):
+    scale = 1.0
+    for _ in range(step):
+        scale = scale * (1.0 + GROWTH_STEP)
+    return scale
+
+
+def single_link():
+    topology = Topology("single-link")
+    topology.add_node("a")
+    topology.add_node("b")
+    topology.add_link("a", "b", 1e9)
+    return topology
+
+
+def boundary_inputs():
+    """``(label, topology, base)`` whose ``λ*`` is ``grid_point(step) * (1 + offset)``."""
+    link = single_link()
+    _, geant_base = harness_grid_inputs(11)[0]
+    geant = build_geant()
+    geant_lambda = ConcurrentFlow(geant, geant_base).max_scale()
+    # (From step 1: λ* just below step 0 leaves nothing to calibrate.)
+    for step in (1, 7):
+        for offset in BOUNDARY_OFFSETS:
+            target = grid_point(step) * (1.0 + offset)
+            # One demand on one link: λ* = capacity / demand, exactly.
+            yield (f"link-{step}-{offset:+g}", link, TrafficMatrix({("a", "b"): 1e9 / target}))
+            # GÉANT: λ* of the rescaled matrix is the target to the
+            # solver's tolerances, which is what the band is for.
+            yield (f"geant-{step}-{offset:+g}", geant, geant_base.scaled(geant_lambda / target))
+
+
+def test_lambda_star_on_and_beside_a_grid_point_returns_the_walks_float():
+    for label, topology, base in boundary_inputs():
+        expected, steps = linear_walk(topology, base)
+        scale, attrs = calibrate_traced(topology, base)
+        assert scale == expected, label
+        assert attrs["growth_iterations"] == steps, label
+        # The probe at the grid point next to λ* was answered by the fresh LP.
+        assert attrs["fresh_probes"] >= 1, (label, attrs)
+
+
+# --------------------------------------------------------------------- #
+# (a'') Decision sweep: pinned model vs fresh LP at offsets of λ*
+# --------------------------------------------------------------------- #
+SWEEP_OFFSETS = (-1e-3, -1e-5, -1e-7, -1e-9, 0.0, 1e-9, 1e-7, 1e-5, 1e-3)
+
+
+def seeded_case(seed):
+    """A random connected topology and up to 8 random demands."""
+    rng = np.random.default_rng(seed)
+    num_nodes = int(rng.integers(4, 10))
+    max_links = min(num_nodes * (num_nodes - 1) // 2, 2 * num_nodes)
+    num_links = int(rng.integers(num_nodes - 1, max_links + 1))
+    topology = random_connected_topology(
+        num_nodes,
+        num_links,
+        seed=int(rng.integers(0, 10_000)),
+        capacity_bps=float(rng.choice([1e8, 1e9, 2.5e9])),
+    )
+    candidates = all_pairs(topology.nodes())
+    chosen = rng.choice(len(candidates), size=int(rng.integers(1, 9)), replace=False)
+    return topology, TrafficMatrix(
+        {candidates[int(i)]: float(rng.uniform(1e5, 5e8)) for i in sorted(chosen)}
+    )
+
+
+def test_pinned_and_fresh_answers_agree_outside_the_band():
+    disagreements = []
+    for seed in range(60):
+        topology, base = seeded_case(seed)
+        raw, flow = ConcurrentFlow(topology, base), ConcurrentFlow(topology, base)
+        lambda_star = raw.max_scale()
+        assert flow.max_scale() == lambda_star
+        model, column, _ = raw._lambda_model()
+        for offset in SWEEP_OFFSETS:
+            scale = lambda_star * (1.0 + offset)
+            fresh = is_demand_feasible(topology, base.scaled(scale))
+            # What the calibration asks: the fresh answer, band or not.
+            assert flow.feasible_at(scale) == fresh, (seed, offset)
+            # The pinned model alone, band ignored.
+            model.set_bounds(column, np.array([scale]), np.array([scale]))
+            if (model.solve() is not None) != fresh:
+                disagreements.append((seed, offset))
+        # Inside the band every probe went to the fresh LP, outside none did.
+        assert flow.fresh_probes == sum(abs(o) <= PINNED_PROBE_BAND for o in SWEEP_OFFSETS)
+    assert all(abs(offset) <= PINNED_PROBE_BAND for _, offset in disagreements), disagreements
 
 
 # --------------------------------------------------------------------- #
@@ -246,23 +350,23 @@ def test_a_wrong_or_missing_hint_costs_slides_not_correctness(monkeypatch):
     topology, base = harness_grid_inputs(11)[0]
     expected, steps = linear_walk(topology, base)
     assert steps > 6
-    true_lambda = mcf.max_concurrent_flow(topology, base)
+    true_lambda = ConcurrentFlow(topology, base).max_scale()
 
-    def failing(_topology, _demands):
+    def failing(_flow):
         raise SolverError("solver gave up")
 
     hints = {
-        "exact": (lambda *_: true_lambda, 0),
-        "three steps low": (lambda *_: true_lambda / 1.1**3, 3),
+        "exact": (lambda _: true_lambda, 0),
+        "three steps low": (lambda _: true_lambda / 1.1**3, 3),
         # Its own grid point is rejected: back to step 0, then all the way up.
-        "three steps high": (lambda *_: true_lambda * 1.1**3, 1 + steps),
-        "below the grid": (lambda *_: 0.0, steps),
-        "unbounded": (lambda *_: float("inf"), 1 + steps),
-        "not a number": (lambda *_: float("nan"), steps),
+        "three steps high": (lambda _: true_lambda * 1.1**3, 1 + steps),
+        "below the grid": (lambda _: 0.0, steps),
+        "unbounded": (lambda _: float("inf"), 1 + steps),
+        "not a number": (lambda _: float("nan"), steps),
         "solver failure": (failing, steps),
     }
-    for label, (solve, slides) in hints.items():
-        monkeypatch.setattr(mcf, "max_concurrent_flow", solve)
+    for label, (max_scale, slides) in hints.items():
+        monkeypatch.setattr(ConcurrentFlow, "max_scale", max_scale)
         scale, attrs = calibrate_traced(topology, base)
         assert scale == expected, label
         assert attrs["growth_iterations"] == steps, label
@@ -276,7 +380,7 @@ def test_infeasible_initial_scale_still_raises(monkeypatch):
     with pytest.raises(TrafficError, match="initial demand is already infeasible"):
         calibrate_max_load(topology, base.scaled(too_much))
     # Also when a wrong λ* claims there is room above it.
-    monkeypatch.setattr(mcf, "max_concurrent_flow", lambda *_: too_much * 2.0)
+    monkeypatch.setattr(ConcurrentFlow, "max_scale", lambda _: too_much * 2.0)
     clear_calibration_cache()
     with pytest.raises(TrafficError, match="initial demand is already infeasible"):
         calibrate_max_load(topology, base.scaled(too_much))
@@ -289,7 +393,8 @@ def test_custom_oracle_runs_no_lp_of_its_own_and_is_never_memoised(monkeypatch):
     def no_lp(*_):
         raise AssertionError("a custom-oracle calibration solved an LP")
 
-    monkeypatch.setattr(mcf, "max_concurrent_flow", no_lp)
+    monkeypatch.setattr(ConcurrentFlow, "max_scale", no_lp)
+    monkeypatch.setattr(ConcurrentFlow, "feasible_at", no_lp)
     monkeypatch.setattr(mcf, "solve_mcf", no_lp)
     topology = build_geant()
     base = TrafficMatrix({("DE", "FR"): 1e6})
@@ -320,18 +425,69 @@ def test_custom_oracle_runs_no_lp_of_its_own_and_is_never_memoised(monkeypatch):
 
 
 # --------------------------------------------------------------------- #
-# (d) LP budget
+# (d) LP budget, and a probe that fails
 # --------------------------------------------------------------------- #
+def simplex_iterations():
+    """``(fresh, warm)`` of ``repro_mcf_simplex_iterations_total``."""
+    family = metrics.counter("repro_mcf_simplex_iterations_total")
+    return tuple(int(family.labels(start=start).value) for start in ("fresh", "warm"))
+
+
 def test_cold_calibration_costs_at_most_four_lp_solves():
+    """Exactly 3 with a correct hint: the λ solve, the confirm and the reject
+    probe, all on one model, the probes from the λ solve's basis."""
     for topology, base in harness_grid_inputs(12):
         clear_calibration_cache()
         before = lp_solves()
-        calibrate_max_load(topology, base)
-        assert 1 <= lp_solves() - before <= 4
+        models = int(metrics.counter("repro_mcf_models_total").value)
+        fresh, warm = simplex_iterations()
+        scale, attrs = calibrate_traced(topology, base)
+        assert lp_solves() - before == attrs["lp_solves"] == 3
+        assert int(metrics.counter("repro_mcf_models_total").value) - models == 1
+        now_fresh, now_warm = simplex_iterations()
+        assert now_warm - warm == attrs["probe_iterations"]
+        assert now_fresh > fresh
+        assert attrs["fresh_probes"] == attrs["slides"] == 0
         # The memo answers the repeat without any.
         before = lp_solves()
-        calibrate_max_load(topology, base)
+        assert calibrate_max_load(topology, base) == scale
         assert lp_solves() == before
+
+
+@pytest.mark.parametrize("status", ["kTimeLimit", "kUnknown"])
+def test_a_failed_probe_raises_and_memoises_nothing(monkeypatch, status):
+    topology, base = harness_grid_inputs(11)[0]
+    expected, _ = linear_walk(topology, base)
+    real = ConcurrentFlow.max_scale
+
+    def then_the_probes_fail(flow):
+        lambda_star = real(flow)
+        monkeypatch.setattr(
+            highs._Highs, "getModelStatus", lambda _: getattr(highs.HighsModelStatus, status)
+        )
+        return lambda_star
+
+    monkeypatch.setattr(ConcurrentFlow, "max_scale", then_the_probes_fail)
+    clear_calibration_cache()
+    with pytest.raises(SolverError, match="HiGHS stopped with model status"):
+        calibrate_max_load(topology, base)
+    monkeypatch.undo()
+    # Nothing was memoised: the next call is another miss, and the walk's.
+    assert calibrate_max_load(topology, base) == expected
+    assert calibration_cache_stats() == {"hits": 0, "misses": 2}
+
+
+def test_a_non_finite_matrix_is_refused_before_the_memo():
+    """A NaN matrix once calibrated to 189 905 276.46, and the memo kept it."""
+    geant = build_geant()
+    base = TrafficMatrix({("DE", "FR"): 1e6, ("UK", "IT"): 2e6})
+    clear_calibration_cache()
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(TrafficError, match="must be finite"):
+            calibrate_max_load(geant, TrafficMatrix({("DE", "FR"): value}))
+        with pytest.raises(TrafficError, match="must be finite"):
+            calibrate_max_load(geant, base.scaled(value))
+    assert calibration_cache_stats() == {"hits": 0, "misses": 0}
 
 
 # --------------------------------------------------------------------- #

@@ -1,10 +1,10 @@
 """The flow-LP session of ``routing/mcf.py`` against ``scipy.optimize.linprog``.
 
-``solve_mcf`` / ``max_concurrent_flow`` used to hand their LP to
+``solve_mcf`` and the max-concurrent-flow LP used to hand their LP to
 ``linprog(method="highs")``; they now drive SciPy's vendored HiGHS binding
-themselves, through one :class:`~repro.routing.mcf.FlowSession` that keeps
-the model between solves.  The ``linprog`` formulation is kept here as the
-reference.  Pinned:
+themselves, through a :class:`~repro.routing.mcf.FlowSession` or a
+:class:`~repro.routing.mcf.ConcurrentFlow` that keeps the model between
+solves.  The ``linprog`` formulation is kept here as the reference.  Pinned:
 
 * the binding exposes every name the session uses (the guard that replaces a
   fallback path);
@@ -45,10 +45,10 @@ from repro.exceptions import SolverError
 from repro.obs import metrics, trace
 from repro.routing import highs, mcf
 from repro.routing.mcf import (
+    ConcurrentFlow,
     FlowSession,
     MCFResult,
     demands_connected,
-    max_concurrent_flow,
     solve_mcf,
 )
 from repro.scenario.engine import run_scenario
@@ -264,7 +264,7 @@ def test_fresh_solves_equal_linprog_on_shipped_topologies(name):
     answers = set()
     for traffic in example_traffic_specs():
         topology, base = base_matrix(topology_section, traffic)
-        largest = max_concurrent_flow(topology, base)
+        largest = ConcurrentFlow(topology, base).max_scale()
         assert largest == reference_max_concurrent_flow(topology, base)
         for share in SHARES:
             demands = base.scaled(share * largest)
@@ -280,7 +280,7 @@ def test_fresh_solves_equal_linprog_on_shipped_topologies(name):
 
 def test_fresh_solves_equal_linprog_on_sub_networks_and_other_limits(geant):
     _, base = base_matrix({"name": "geant", "params": {}}, example_traffic_specs()[0])
-    largest = max_concurrent_flow(geant, base)
+    largest = ConcurrentFlow(geant, base).max_scale()
     links = geant.link_keys()
     nodes = [name for name in geant.nodes() if name not in base.nodes()]
     for limit in (1.0, 0.6):
@@ -329,7 +329,7 @@ def assert_session_step(session, topology, demands, limit, nodes, links):
 
 def test_feasible_infeasible_restored_feasible(geant):
     _, base = base_matrix({"name": "geant", "params": {}}, example_traffic_specs()[0])
-    demands = base.scaled(0.6 * max_concurrent_flow(geant, base))
+    demands = base.scaled(0.6 * ConcurrentFlow(geant, base).max_scale())
     nodes, links = set(geant.nodes()), set(geant.link_keys())
     session = FlowSession(geant, demands, 1.0, nodes, links)
     solves_before = feasibility_solves()
@@ -431,7 +431,7 @@ def test_random_off_on_sequences_answer_as_fresh_solves(case, limit):
 
 def test_a_retargeted_session_keeps_its_model_while_the_origins_stay(geant):
     _, base = base_matrix({"name": "geant", "params": {}}, example_traffic_specs()[0])
-    largest = max_concurrent_flow(geant, base)
+    largest = ConcurrentFlow(geant, base).max_scale()
     session = FlowSession(geant, base.scaled(0.5 * largest))
     assert session.solve().feasible
     for share, fits in ((0.9, True), (1.3, False), (0.2, True)):
@@ -507,7 +507,7 @@ def test_masked_connectivity_equals_the_name_keyed_walk(data, name):
 def geant_case(geant):
     """``(demands, links)``: a load GÉANT carries with any one link off."""
     _, base = base_matrix({"name": "geant", "params": {}}, example_traffic_specs()[0])
-    return base.scaled(0.5 * max_concurrent_flow(geant, base)), geant.link_keys()
+    return base.scaled(0.5 * ConcurrentFlow(geant, base).max_scale()), geant.link_keys()
 
 
 def count_runs(monkeypatch):
@@ -594,7 +594,7 @@ def test_a_warning_status_is_not_a_failure(monkeypatch, geant):
 
     monkeypatch.setattr(highs._Highs, "passModel", pass_model)
     mixed = TrafficMatrix({("DE", "FR"): 1.0, ("UK", "IT"): 1e9})
-    largest = max_concurrent_flow(geant, mixed)
+    largest = ConcurrentFlow(geant, mixed).max_scale()
     assert statuses == [highs.HighsStatus.kWarning]
     assert 0.0 < largest == reference_max_concurrent_flow(geant, mixed)
 
@@ -609,7 +609,7 @@ def test_max_concurrent_flow_raises_on_anything_but_an_optimum(monkeypatch, gean
         highs._Highs, "getModelStatus", lambda self: getattr(highs.HighsModelStatus, status)
     )
     with pytest.raises(SolverError, match=message):
-        max_concurrent_flow(geant, demands)
+        ConcurrentFlow(geant, demands).max_scale()
 
 
 def test_a_failed_solve_fails_the_run_and_poisons_nothing(monkeypatch):

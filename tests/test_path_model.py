@@ -36,7 +36,7 @@ from repro.optim.solution import EnergyAwareSolution, element_power_coefficients
 from repro.power import CiscoRouterPowerModel, CommoditySwitchPowerModel, network_power
 from repro.routing import highs
 from repro.routing.ksp import CandidatePaths
-from repro.routing.mcf import max_concurrent_flow
+from repro.routing.mcf import ConcurrentFlow
 from repro.routing.ospf import ospf_delays
 from repro.routing.paths import RoutingTable
 from repro.topology.base import link_key
@@ -286,7 +286,7 @@ def demand_cases(topology, base):
     """The ε matrix, a gravity load at a tenth of what *topology* carries
     split over any paths, and one at 40 % of it (the peak; about what three
     unsplit candidates per pair still carry)."""
-    largest = max_concurrent_flow(topology, base)
+    largest = ConcurrentFlow(topology, base).max_scale()
     return [
         TrafficMatrix.epsilon(base.pairs()),
         base.scaled(0.1 * largest),

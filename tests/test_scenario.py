@@ -6,7 +6,7 @@ import os
 import pytest
 
 from repro.campaign import canonical_result_dict
-from repro.exceptions import ConfigurationError, InfeasibleError, SolverError
+from repro.exceptions import ConfigurationError, InfeasibleError, SolverError, TrafficError
 from repro.experiments.runner import main
 from repro.obs import trace
 from repro.scenario import (
@@ -251,6 +251,53 @@ def test_scheme_parameters_are_range_checked_at_construction(name, params, compl
         resolve("scheme", name)(**params)
     with pytest.raises(ConfigurationError, match=complaint):
         run_scenario(tiny_fattree_spec(schemes=(SchemeSpec(name, **params),)))
+
+
+def _gravity(total_traffic_bps):
+    params = {"num_pairs": 6, "num_endpoints": 5, "total_traffic_bps": total_traffic_bps}
+    return {"traffic": {"name": "gravity", "params": params}}
+
+
+def _uniform(flow_bps):
+    params = {"num_pairs": 6, "num_endpoints": 5, "flow_bps": flow_bps}
+    return {"traffic": {"name": "uniform", "params": params}}
+
+
+#: Traffic volumes that are not finite or negative, as spec overrides, and
+#: the exception and complaint of each.  The NaNs ran (``nan < 0`` is false:
+#: a 200 over HTTP with ECMP at 46.9 % power); ``inf`` reached HiGHS
+#: (``passModel`` refused it: a 500), and the negatives were a
+#: ``TrafficError`` the service did not map (a 500 too).
+NON_FINITE_OR_NEGATIVE_VOLUMES = [
+    (_gravity(float("nan")), TrafficError, "traffic must be finite and non-negative, got nan"),
+    (_uniform(float("nan")), TrafficError, "demand must be finite and non-negative, got nan"),
+    (
+        {"events": [{"name": "traffic-surge", "params": {"start_s": 0, "factor": float("nan")}}]},
+        ConfigurationError,
+        "surge factor must be finite and non-negative, got nan",
+    ),
+    (_gravity(float("inf")), TrafficError, "traffic must be finite and non-negative, got inf"),
+    (_gravity(-1.0), TrafficError, "traffic must be finite and non-negative, got -1.0"),
+    (_uniform(-1.0), TrafficError, "demand must be finite and non-negative, got -1.0"),
+]
+
+
+def volume_spec(overrides):
+    """A GÉANT scenario (uniform traffic, ECMP) with *overrides* applied."""
+    document = {
+        "name": "volumes",
+        "topology": "geant",
+        "power": "cisco",
+        "schemes": ["ecmp"],
+        **_uniform(1e8),
+    }
+    return {**document, **overrides}
+
+
+@pytest.mark.parametrize("overrides, error, complaint", NON_FINITE_OR_NEGATIVE_VOLUMES)
+def test_non_finite_or_negative_volumes_are_rejected(overrides, error, complaint):
+    with pytest.raises(error, match=complaint):
+        run_scenario(volume_spec(overrides))
 
 
 def test_run_scenario_cli_reports_a_bad_scheme_parameter_as_usage(tmp_path, capsys):

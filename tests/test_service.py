@@ -291,6 +291,31 @@ def test_post_scenario_out_of_range_scheme_params_are_400_not_500(tmp_path, capl
     assert "Traceback" not in caplog.text
 
 
+def test_non_finite_or_negative_volumes_are_400_not_200_or_500(tmp_path, caplog):
+    """NaN volumes ran (a 200); ``Infinity`` and negatives were 500 ``internal``.
+    The body is sent with ``NaN`` / ``Infinity`` tokens, which Python's
+    ``json`` writes and parses."""
+    from test_scenario import NON_FINITE_OR_NEGATIVE_VOLUMES
+
+    with service(tmp_path) as server, caplog.at_level("ERROR", logger="repro.service"):
+        for overrides, _error, complaint in NON_FINITE_OR_NEGATIVE_VOLUMES:
+            spec = {**base_scenario(), **overrides}
+            code, error = request_error(server, "/scenarios", {"spec": spec})
+            assert (code, error["code"]) == (400, "invalid-scenario"), overrides
+            assert re.search(complaint, error["message"]), (overrides, error)
+            # A replay refuses a bad volume before it streams; a bad event is
+            # built as the timeline starts, so it ends the stream instead.
+            try:
+                error = stream_replay(server, spec)[-1]
+                assert error["type"] == "error", overrides
+            except urllib.error.HTTPError as rejected:
+                assert rejected.code == 400, overrides
+                error = json.loads(rejected.read())["error"]
+            assert error["code"] == "invalid-scenario", overrides
+            assert re.search(complaint, error["message"]), (overrides, error)
+    assert "Traceback" not in caplog.text
+
+
 def test_post_scenario_unknown_component_param_is_400(tmp_path):
     spec = base_scenario()
     spec["traffic"]["params"]["no_such_knob"] = 1

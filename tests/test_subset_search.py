@@ -33,7 +33,7 @@ from repro.optim import (
     solve_path_milp,
 )
 from repro.power import CiscoRouterPowerModel, CommoditySwitchPowerModel, network_power
-from repro.routing.mcf import FlowSession, max_concurrent_flow
+from repro.routing.mcf import ConcurrentFlow, FlowSession
 from repro.scenario.engine import run_scenario
 from repro.simulator.failures import TopologyView
 from repro.topology import build_fattree, random_connected_topology
@@ -158,7 +158,7 @@ def assert_same_lp_relax(topology, power_model, demands, **options):
 
 def demand_levels(topology, base):
     """``(matrix, utilisation limit)`` cases of :data:`LOADS_AND_LIMITS`."""
-    largest = max_concurrent_flow(topology, base)
+    largest = ConcurrentFlow(topology, base).max_scale()
     epsilon = TrafficMatrix(dict.fromkeys(base.pairs(), 1.0), name="epsilon")
     return [
         (epsilon if share is None else base.scaled(share * largest), limit)
