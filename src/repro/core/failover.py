@@ -14,12 +14,11 @@ least-overlapping path otherwise.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
-import networkx as nx
-
+from ..exceptions import PathNotFoundError
 from ..routing.paths import Path, RoutingTable
-from ..topology.base import Topology, link_key
+from ..topology.base import Topology
 from ..traffic.matrix import Pair
 
 #: Multiplier applied to the weight of links that existing paths already use.
@@ -51,25 +50,27 @@ def compute_failover(
     else:
         selected = list(pairs)
 
-    graph = topology.to_networkx()
+    index = topology.index()
+    invcap = index.arc_weights["invcap"]
+    link_arcs = index.link_arcs.tolist()
 
     failover: Dict[Pair, Path] = {}
     for pair in selected:
         origin, destination = pair
-        used_links: Set[Tuple[str, str]] = set()
+        used_links: Set[int] = set()
         for table in existing_tables:
             path = table.get(origin, destination)
             if path is not None:
-                used_links.update(path.link_keys())
-
-        def penalised_weight(u: str, v: str, data: dict) -> float:
-            if link_key(u, v) in used_links:
-                return data["invcap"] * DISJOINTNESS_PENALTY
-            return data["invcap"]
-
+                used_links.update(
+                    index.link_index[key] for key in path.link_keys() if key in index.link_index
+                )
+        penalised = list(invcap)
+        for link in sorted(used_links):
+            for arc in link_arcs[link]:
+                penalised[arc] = invcap[arc] * DISJOINTNESS_PENALTY
         try:
-            nodes = nx.shortest_path(graph, origin, destination, weight=penalised_weight)
-        except nx.NetworkXNoPath:
+            nodes = topology.shortest_path(origin, destination, weight=penalised)
+        except PathNotFoundError:
             continue
         failover[pair] = Path.of(nodes)
     return RoutingTable(failover, name="failover")

@@ -12,7 +12,8 @@ The ids group by contract family:
 * ``REP3xx`` — observability hygiene: closed label sets, literal metric
   names, spans only as context managers.
 * ``REP4xx`` — robustness: no bare or silently-swallowed exceptions.
-* ``REP5xx`` — dead surface: every public name has a production caller.
+* ``REP5xx`` — dead surface and representation: every public name has a
+  production caller, and the network and the solver have one front end each.
 
 ``docs/static-analysis.md`` carries the full catalogue with the *why*
 per rule; keep the two in sync when adding rules.
@@ -858,6 +859,41 @@ def _is_static(function: _Function) -> bool:
     )
 
 
+class RepresentationRule(Rule):
+    id = "REP503"
+    title = "second representation of the network or the solver"
+    rationale = (
+        "Paths are searched on Topology.index() and HiGHS is driven by "
+        "routing/highs.py alone: a networkx import brings back a second graph "
+        "of the network (with its own tie order), a scipy.optimize import a "
+        "second solver front end.  Each has one owner module."
+    )
+
+    #: Import prefix -> the one module (under ``repro/``) allowed to import it.
+    OWNERS = {"networkx": "topology/generators.py", "scipy.optimize": "routing/highs.py"}
+
+    def applies_to(self, rel_path: str) -> bool:
+        return rel_path.startswith("src/")
+
+    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
+        module = "/".join(_module_parts(ctx.rel_path))
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+                names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            for prefix, owner in self.OWNERS.items():
+                if module == owner or not any(
+                    name == prefix or name.startswith(prefix + ".") for name in names
+                ):
+                    continue
+                yield ctx.finding(
+                    self, node, f"{prefix} is imported only by {owner} (REP503's owner)"
+                )
+
+
 ALL_RULES: Tuple[Rule, ...] = (
     WallClockRule(),
     UnseededRandomRule(),
@@ -872,6 +908,7 @@ ALL_RULES: Tuple[Rule, ...] = (
     SilentExceptRule(),
     DeadSurfaceRule(),
     UnsetOptionRule(),
+    RepresentationRule(),
 )
 
 

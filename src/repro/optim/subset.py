@@ -52,14 +52,15 @@ def route_on_subset(
     active_links: Set[LinkKey],
     name: str,
 ) -> Optional[RoutingTable]:
-    """Inverse-capacity shortest paths on the active subgraph for every pair
-    with demand (``None`` when there is none).  A pair without demand keeps
-    no element on, so it may have no path left."""
+    """Inverse-capacity shortest paths over the active subset's arcs for every
+    pair with demand (``None`` when there is none).  A pair without demand
+    keeps no element on, so it may have no path left."""
     routed = [pair for pair, demand in demands.items() if demand > 0.0]
     if not routed:
         return None
-    subgraph = topology.subgraph(active_nodes, active_links)
-    return ospf_invcap_routing(subgraph, pairs=routed, name=name)
+    index = topology.index()
+    arc_on = index.arc_mask(index.node_mask(active_nodes), index.link_mask(active_links))
+    return ospf_invcap_routing(topology, pairs=routed, name=name, arc_on=arc_on)
 
 
 def shrink_active_subset(

@@ -5,13 +5,11 @@ from .ecmp import (
     ecmp_max_utilisation,
     equal_cost_paths,
 )
-from .ksp import k_shortest_paths
 from .mcf import MCFResult, is_demand_feasible, solve_mcf
 from .ospf import (
     ospf_delays,
     ospf_invcap_routing,
     ospf_latency_routing,
-    shortest_path,
 )
 from .paths import (
     Path,
@@ -25,14 +23,12 @@ __all__ = [
     "ecmp_active_elements",
     "ecmp_max_utilisation",
     "equal_cost_paths",
-    "k_shortest_paths",
     "MCFResult",
     "is_demand_feasible",
     "solve_mcf",
     "ospf_delays",
     "ospf_invcap_routing",
     "ospf_latency_routing",
-    "shortest_path",
     "Path",
     "RoutingConfiguration",
     "RoutingTable",

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Tuple
 
-import networkx as nx
-
 from ..exceptions import PathNotFoundError
+from ..topology import search
 from ..topology.base import Topology
 from ..traffic.matrix import Pair, TrafficMatrix, all_pairs
 from .paths import Path
@@ -30,17 +29,17 @@ def equal_cost_paths(
     index; a failure view is its own topology object, so has its own).
 
     Raises:
+        UnknownNodeError: If an endpoint is not a node.
         PathNotFoundError: If the destination is unreachable.
     """
-    memo = topology.index().ecmp_paths
-    paths = memo.get((origin, destination))
+    index = topology.index()
+    paths = index.ecmp_paths.get((origin, destination))
     if paths is None:
-        try:
-            found = nx.all_shortest_paths(topology.to_networkx(), origin, destination)
-            paths = tuple(Path.of(nodes) for nodes in found)
-        except nx.NetworkXNoPath:
-            raise PathNotFoundError(origin, destination) from None
-        memo[(origin, destination)] = paths
+        found = search.all_shortest_paths(index, index.node_of(origin), index.node_of(destination))
+        if not found:
+            raise PathNotFoundError(origin, destination)
+        paths = tuple(Path.of([index.node_names[node] for node in nodes]) for nodes in found)
+        index.ecmp_paths[(origin, destination)] = paths
     return list(paths)
 
 

@@ -12,19 +12,13 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional
 
-import networkx as nx
+import numpy as np
 
-from ..exceptions import PathNotFoundError
+from ..exceptions import ConfigurationError, PathNotFoundError
 from ..topology.base import Topology
+from ..topology.search import single_source_dijkstra, walk_back
 from ..traffic.matrix import Pair, all_pairs
 from .paths import Path, RoutingTable
-
-
-def shortest_path(
-    topology: Topology, origin: str, destination: str, weight: str = "invcap"
-) -> Path:
-    """Single shortest path between two nodes under the given arc weight."""
-    return Path.of(topology.shortest_path(origin, destination, weight=weight))
 
 
 def ospf_invcap_routing(
@@ -32,6 +26,7 @@ def ospf_invcap_routing(
     pairs: Optional[Iterable[Pair]] = None,
     weight: str = "invcap",
     name: str = "ospf-invcap",
+    arc_on: Optional[np.ndarray] = None,
 ) -> RoutingTable:
     """Compute the OSPF-InvCap routing table.
 
@@ -39,37 +34,43 @@ def ospf_invcap_routing(
         topology: The network.
         pairs: Origin-destination pairs to install; defaults to all ordered
             pairs of non-host nodes.
-        weight: Arc attribute used as the additive path weight (``"invcap"``
-            for the Cisco setting, ``"latency"`` for delay-based weights,
-            ``"hops"`` for plain hop count).
+        weight: The additive path weight (``"invcap"`` for the Cisco setting,
+            ``"latency"`` for delay-based weights, ``"hops"`` for plain hop
+            count).
         name: Name for the resulting routing table.
+        arc_on: Route over only these arcs of ``topology.index()`` (an
+            active subset's ``arc_mask``); default all.
 
     Returns:
         A :class:`~repro.routing.paths.RoutingTable` with one shortest path
         per pair.
 
     Raises:
+        ConfigurationError: If *weight* is none of the three.
+        UnknownNodeError: If a pair's endpoint is not a node.
         PathNotFoundError: If some requested pair is disconnected.
     """
-    graph = topology.to_networkx()
-    weight_attr = None if weight in (None, "hops") else weight
+    index = topology.index()
+    if weight not in index.arc_weights:
+        raise ConfigurationError(f"OSPF weight must be one of {sorted(index.arc_weights)}")
+    weights = index.arc_weights[weight]
     selected = list(pairs) if pairs is not None else all_pairs(topology.routers())
+    ends = [(index.node_of(origin), index.node_of(destination)) for origin, destination in selected]
+    mask = None if arc_on is None else arc_on.tolist()
 
-    # Compute single-source shortest paths once per distinct origin: much
-    # cheaper than one Dijkstra per pair on large pair sets.
-    origins = {origin for origin, _ in selected}
-    paths_by_origin: Dict[str, Dict[str, list]] = {}
-    for origin in sorted(origins):
-        paths_by_origin[origin] = nx.single_source_dijkstra_path(
-            graph, origin, weight=weight_attr
-        )
-
+    # One single-source search per distinct origin: much cheaper than one
+    # search per pair on large pair sets.
+    preds = {
+        source: single_source_dijkstra(index, source, weights, mask)
+        for source in sorted({source for source, _ in ends})
+    }
+    names = index.node_names
     table: Dict[Pair, Path] = {}
-    for origin, destination in selected:
-        source_paths = paths_by_origin[origin]
-        if destination not in source_paths:
+    for (origin, destination), (source, target) in zip(selected, ends, strict=True):
+        nodes = walk_back(preds[source], source, target)
+        if nodes is None:
             raise PathNotFoundError(origin, destination)
-        table[(origin, destination)] = Path.of(source_paths[destination])
+        table[(origin, destination)] = Path.of([names[node] for node in nodes])
     return RoutingTable(table, name=name)
 
 

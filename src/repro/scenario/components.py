@@ -17,6 +17,7 @@ bottom so one import wires up the whole registry).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -364,15 +365,22 @@ def _matrix_traffic(
     interval_s: float = 900.0,
     name: str = "matrix",
 ) -> BuiltTraffic:
-    """An explicit traffic matrix: ``demands`` is ``[[origin, dest, bps], ...]``."""
+    """An explicit traffic matrix: ``demands`` is ``[[origin, dest, bps], ...]``,
+    both endpoints topology nodes, every volume a finite non-negative number."""
     if not demands:
         raise TrafficError("an explicit matrix needs at least one [origin, dest, bps] row")
     parsed: Dict[Pair, float] = {}
     for row in demands:
-        origin, destination, bps = row
-        parsed[(str(origin), str(destination))] = parsed.get(
-            (str(origin), str(destination)), 0.0
-        ) + float(bps)
+        if not isinstance(row, (list, tuple)) or len(row) != 3:
+            raise TrafficError(f"a matrix row is [origin, dest, bps], got {row!r}")
+        origin, destination, bps = str(row[0]), str(row[1]), row[2]
+        for endpoint in (origin, destination):
+            if not topology.has_node(endpoint):
+                raise TrafficError(f"matrix row {row!r}: {endpoint!r} is not a topology node")
+        number = isinstance(bps, (int, float)) and not isinstance(bps, bool)
+        if not (number and math.isfinite(bps) and bps >= 0):
+            raise TrafficError(f"matrix row {row!r}: bps must be a finite non-negative number")
+        parsed[(origin, destination)] = parsed.get((origin, destination), 0.0) + float(bps)
     matrix = TrafficMatrix(parsed, name=name)
     return BuiltTraffic(
         trace=TrafficTrace([matrix], interval_s=interval_s, name=name),

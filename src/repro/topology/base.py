@@ -10,26 +10,25 @@ The topology model follows the notation of Section 2.2.1 of the paper:
   the optimisation layer operate on :class:`Link` objects while routing and
   capacity constraints operate on :class:`Arc` objects.
 
-The :class:`Topology` container is deliberately independent of
-:mod:`networkx`; algorithms that want graph machinery call
-:meth:`Topology.to_networkx`, and everything that works on dense indices
-reads :meth:`Topology.index` (both are cached and invalidated on mutation).
+The :class:`Topology` container is independent of :mod:`networkx`;
+everything that searches paths or works on dense indices reads
+:meth:`Topology.index` (cached, and dropped on mutation).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
-
-import networkx as nx
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..exceptions import (
     DuplicateElementError,
+    PathNotFoundError,
     TopologyError,
     UnknownArcError,
     UnknownNodeError,
 )
 from .index import TopologyIndex
+from .search import bidirectional_dijkstra
 
 #: Default propagation latency assigned to links that do not specify one.
 DEFAULT_LATENCY_S = 0.001
@@ -124,8 +123,8 @@ class Topology:
     """A mutable network topology of nodes, directed arcs and undirected links.
 
     The class offers the small set of graph queries the rest of the library
-    needs (neighbours, degrees, shortest paths, connectivity) and conversion
-    to :class:`networkx.DiGraph` for anything more involved.
+    needs (neighbours, degrees, shortest paths) and its dense
+    :meth:`index` for anything more involved.
 
     Example:
         >>> topo = Topology("triangle")
@@ -144,7 +143,6 @@ class Topology:
         self._arcs: Dict[Tuple[str, str], Arc] = {}
         self._links: Dict[Tuple[str, str], Link] = {}
         self._adjacency: Dict[str, List[str]] = {}
-        self._nx_cache: Optional[nx.DiGraph] = None
         self._index: Optional[TopologyIndex] = None
 
     # ------------------------------------------------------------------ #
@@ -227,7 +225,6 @@ class Topology:
         return link
 
     def _invalidate(self) -> None:
-        self._nx_cache = None
         self._index = None
 
     # ------------------------------------------------------------------ #
@@ -355,54 +352,34 @@ class Topology:
     # ------------------------------------------------------------------ #
     # Graph algorithms
     # ------------------------------------------------------------------ #
-    def to_networkx(self) -> nx.DiGraph:
-        """Return (and cache) a directed :mod:`networkx` view of the topology.
-
-        Arc attributes: ``capacity`` (bps), ``latency`` (s) and ``invcap``
-        (the Cisco-recommended OSPF weight, inverse of capacity).
-        """
-        if self._nx_cache is None:
-            graph = nx.DiGraph(name=self.name)
-            for name, record in self._nodes.items():
-                graph.add_node(name, kind=record.kind, level=record.level)
-            for (src, dst), arc in self._arcs.items():
-                graph.add_edge(
-                    src,
-                    dst,
-                    capacity=arc.capacity_bps,
-                    latency=arc.latency_s,
-                    invcap=1.0 / arc.capacity_bps,
-                )
-            self._nx_cache = graph
-        return self._nx_cache
-
     def shortest_path(
-        self, origin: str, destination: str, weight: str = "invcap"
+        self, origin: str, destination: str, weight: Union[str, Sequence[float]] = "invcap"
     ) -> List[str]:
-        """Shortest path between two nodes using the given arc weight.
+        """Shortest path between two nodes using the given arc weight
+        (a bidirectional Dijkstra over :meth:`index`).
 
         Args:
             origin: Path origin.
             destination: Path destination.
-            weight: Arc attribute used as the additive weight.  ``"invcap"``
-                reproduces the Cisco-recommended OSPF setting, ``"latency"``
-                yields the propagation-delay-shortest path and ``None``
-                (the string ``"hops"``) counts hops.
+            weight: ``"invcap"`` reproduces the Cisco-recommended OSPF
+                setting, ``"latency"`` yields the propagation-delay-shortest
+                path; a sequence is a weight per arc, in index order.
 
         Raises:
+            UnknownNodeError: If an endpoint is not a node.
             PathNotFoundError: If the destination is unreachable.
+            ValueError: If *weight* names neither ``"invcap"`` nor ``"latency"``.
         """
-        from ..exceptions import PathNotFoundError
-
-        for endpoint in (origin, destination):
-            if endpoint not in self._nodes:
-                raise UnknownNodeError(endpoint)
-        graph = self.to_networkx()
-        weight_attr = None if weight in (None, "hops") else weight
-        try:
-            return nx.shortest_path(graph, origin, destination, weight=weight_attr)
-        except nx.NetworkXNoPath:
-            raise PathNotFoundError(origin, destination) from None
+        index = self.index()
+        source, target = index.node_of(origin), index.node_of(destination)
+        if isinstance(weight, str):
+            if weight not in ("invcap", "latency"):
+                raise ValueError(f"weight must be 'invcap', 'latency' or per-arc, got {weight!r}")
+            weight = index.arc_weights[weight]
+        nodes = bidirectional_dijkstra(index, source, target, weight)
+        if nodes is None:
+            raise PathNotFoundError(origin, destination)
+        return [index.node_names[node] for node in nodes]
 
     def path_latency(self, path: Iterable[str]) -> float:
         """Sum of per-arc propagation latencies along a node path."""

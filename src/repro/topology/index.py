@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence,
 
 import numpy as np
 
-from ..exceptions import SimulationError
+from ..exceptions import SimulationError, UnknownNodeError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (routing imports topology)
     from ..routing.paths import Path
@@ -41,8 +41,10 @@ class TopologyIndex:
     map back.  Per arc: ``arc_capacity`` (bps), ``arc_src`` / ``arc_dst``
     (node indices) and ``arc_link`` (parent link).  ``link_arcs`` is
     ``(num_links, 2)``, each link's two arcs in ``Link.arc_keys()`` order;
-    ``node_links`` lists every node's incident links and ``out_adjacency``
-    the ``(arc, dst)`` index pairs leaving it.
+    ``node_links`` lists every node's incident links, ``out_adjacency`` /
+    ``in_adjacency`` the ``(arc, dst)`` / ``(arc, src)`` pairs leaving /
+    entering it in arc order, and ``arc_weights`` the per-arc ``"invcap"``
+    (``1.0 / capacity``), ``"latency"`` and ``"hops"`` lists of the searches.
 
     Two memos hang off the topology object here, filled by their owners:
     ``ecmp_paths`` (:mod:`repro.routing.ecmp`, per pair) and
@@ -55,7 +57,13 @@ class TopologyIndex:
         self.node_index: Dict[str, int] = {name: i for i, name in enumerate(self.node_names)}
         self.arc_keys: List[Key] = topology.arc_keys()
         self.arc_index: Dict[Key, int] = {key: i for i, key in enumerate(self.arc_keys)}
-        self.arc_capacity = np.array([arc.capacity_bps for arc in topology.arcs()], dtype=float)
+        arcs = topology.arcs()
+        self.arc_capacity = np.array([arc.capacity_bps for arc in arcs], dtype=float)
+        self.arc_weights: Dict[str, List[float]] = {
+            "invcap": [1.0 / arc.capacity_bps for arc in arcs],
+            "latency": [arc.latency_s for arc in arcs],
+            "hops": [1.0] * len(arcs),
+        }
         links = topology.links()
         self.link_keys: List[Key] = [link.key for link in links]
         self.link_index: Dict[Key, int] = {key: i for i, key in enumerate(self.link_keys)}
@@ -70,8 +78,10 @@ class TopologyIndex:
         self.arc_link[self.link_arcs.ravel()] = np.repeat(np.arange(len(links)), 2)
         self.node_links: List[List[int]] = [[] for _ in self.node_names]
         self.out_adjacency: List[List[Tuple[int, int]]] = [[] for _ in self.node_names]
+        self.in_adjacency: List[List[Tuple[int, int]]] = [[] for _ in self.node_names]
         for arc, (src, dst) in enumerate(zip(sources, destinations, strict=True)):
             self.out_adjacency[src].append((arc, dst))
+            self.in_adjacency[dst].append((arc, src))
             self.node_links[src].append(int(self.arc_link[arc]))
         self._compiled: Dict[Tuple[str, ...], CompiledPath] = {}
         self.ecmp_paths: Dict[Key, Tuple["Path", ...]] = {}
@@ -81,6 +91,13 @@ class TopologyIndex:
     def num_arcs(self) -> int:
         """Number of directed arcs."""
         return len(self.arc_keys)
+
+    def node_of(self, name: str) -> int:
+        """The index of node *name*; :class:`UnknownNodeError` if there is none."""
+        try:
+            return self.node_index[name]
+        except KeyError:
+            raise UnknownNodeError(name) from None
 
     def compile_path(self, path: "Path") -> CompiledPath:
         """The path lowered to index arrays (memoised per node sequence);

@@ -1,8 +1,8 @@
 """Differential battery for the candidate-path provider.
 
 :class:`~repro.routing.ksp.CandidatePaths` must hand every solver exactly the
-lists :func:`~repro.routing.ksp.k_shortest_paths` would — however the paths
-were pulled (one call, or k growing across calls on one instance) — and a
+lists networkx's ``shortest_simple_paths`` would (``nx_reference.k_shortest_paths``)
+— however the paths were pulled (one call, or k growing across calls on one instance) — and a
 grouped campaign drain must compute its offline half once per pair set:
 one REsPoNse plan build, two path MILPs and one enumeration of each pair's
 five shortest paths.
@@ -18,7 +18,7 @@ from repro.campaign import CampaignSpec, run_campaign
 from repro.exceptions import PathNotFoundError
 from repro.obs import metrics, trace
 from repro.optim import lp_relaxation_with_rounding
-from repro.routing.ksp import CandidatePaths, k_shortest_paths
+from repro.routing.ksp import CandidatePaths
 from repro.scenario import schemes
 from repro.scenario.engine import build_scenario_group, scheme_outcomes
 from repro.topology.base import Topology
@@ -29,6 +29,7 @@ from repro.units import mbps
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks" / "harness"))
 
+from nx_reference import k_shortest_paths  # noqa: E402
 from workloads import geant_grid, replay_scenario  # noqa: E402
 
 KS = (1, 3, 5, 8)

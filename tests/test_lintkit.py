@@ -132,8 +132,13 @@ def test_every_rule_has_positive_and_suppressed_coverage():
 
 
 def test_fixture_scope_negatives_stay_clean():
-    """Path-scoped rules must not fire outside their packages."""
-    for name in ("scope_negative_orchestration.py", "rep103_scope_negative.py"):
+    """Path-scoped rules must not fire outside their packages (REP503: not
+    in the one module that owns the import)."""
+    for name in (
+        "scope_negative_orchestration.py",
+        "rep103_scope_negative.py",
+        "rep503_owners_negative.py",
+    ):
         source, rel_path, active, suppressed = load_fixture(FIXTURE_DIR / name)
         assert not active and not suppressed  # the fixture declares nothing
         assert lint_source(source, rel_path, ALL_RULES) == []

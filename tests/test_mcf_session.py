@@ -61,6 +61,7 @@ from test_calibration import (  # noqa: I001
     base_matrix,
     example_traffic_specs,
 )
+from nx_reference import to_networkx
 from test_subset_search import SolveSpans, feasibility_solves
 from workloads import replay_scenario
 
@@ -454,7 +455,7 @@ def test_a_session_opened_on_a_sub_network_answers_a_wider_call(geant):
     demands, links = geant_case(geant)
     index = geant.index()
     # A spanning tree carries nothing like the load; the whole network does.
-    tree = nx.minimum_spanning_tree(geant.to_networkx().to_undirected())
+    tree = nx.minimum_spanning_tree(to_networkx(geant).to_undirected())
     narrow = [link_key(u, v) for u, v in tree.edges()]
     session = FlowSession(geant, demands, 1.0, geant.nodes(), narrow)
     assert not session.solve().feasible

@@ -27,6 +27,8 @@ from repro.traffic.google_trace import google_volume_series, relative_changes
 from repro.traffic.sinewave import sine_fraction
 from repro.units import mbps
 
+from nx_reference import to_networkx
+
 MODEL = CiscoRouterPowerModel()
 
 
@@ -75,7 +77,7 @@ def test_scaling_scales_total_linearly(matrix, factor):
 @settings(max_examples=25, deadline=None)
 @given(small_topologies())
 def test_random_topologies_are_connected_and_consistent(topology):
-    assert nx.is_connected(topology.to_networkx().to_undirected())
+    assert nx.is_connected(to_networkx(topology).to_undirected())
     assert topology.num_arcs == 2 * topology.num_links
     degrees = sum(topology.degree(node) for node in topology.nodes())
     assert degrees == 2 * topology.num_links

@@ -12,7 +12,6 @@ from repro.routing import (
     ecmp_max_utilisation,
     equal_cost_paths,
     is_demand_feasible,
-    k_shortest_paths,
     link_loads,
     max_link_utilisation,
     ospf_delays,
@@ -20,6 +19,7 @@ from repro.routing import (
     ospf_latency_routing,
     solve_mcf,
 )
+from repro.routing.ksp import CandidatePaths
 from repro.routing.mcf import FlowSession
 from repro.topology import Topology
 from repro.traffic import TrafficMatrix
@@ -166,11 +166,11 @@ def test_ecmp_active_elements_cover_everything_used(diamond):
 
 
 def test_k_shortest_paths_ordering(diamond):
-    paths = k_shortest_paths(diamond, "a", "d", k=3)
+    paths = CandidatePaths(diamond).for_pairs([("a", "d")], 3)[("a", "d")]
     assert len(paths) == 2  # only two simple paths exist
     assert paths[0].nodes == ("a", "b", "d")
     with pytest.raises(ValueError):
-        k_shortest_paths(diamond, "a", "d", k=0)
+        CandidatePaths(diamond).for_pairs([("a", "d")], 0)
 
 
 # --------------------------------------------------------------------- #

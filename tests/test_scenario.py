@@ -477,6 +477,42 @@ def test_matrix_traffic_and_routing_sections():
     assert result.power_percent["ospf"] == [100.0]
 
 
+#: Explicit matrices the topology cannot take, and what the complaint must
+#: name.  An unknown endpoint was a 500 under ``response`` / ``greente``
+#: (networkx's ``NodeNotFound`` out of the candidate paths), a 200 at 100 %
+#: power under ``ospf`` and a late ``PathNotFoundError`` under ``ecmp``; a
+#: short or non-numeric row was a bare ``ValueError``; a bool or a numeric
+#: string was read as a volume, and a negative row hid behind a later one.
+BAD_EXPLICIT_MATRICES = [
+    ([["DE", "XX", 1e8]], "'XX' is not a topology node"),
+    ([["XX", "DE", 1e8]], "'XX' is not a topology node"),
+    ([["DE", "FR"]], r"a matrix row is \[origin, dest, bps\]"),
+    ([["DE", "FR", 1e8, 1]], r"a matrix row is \[origin, dest, bps\]"),
+    (["DE"], r"a matrix row is \[origin, dest, bps\]"),
+    ([["DE", "FR", "lots"]], "bps must be a finite non-negative number"),
+    ([["DE", "FR", "1e8"]], "bps must be a finite non-negative number"),
+    ([["DE", "FR", True]], "bps must be a finite non-negative number"),
+    ([["DE", "FR", -1e8], ["DE", "FR", 2e8]], "bps must be a finite non-negative number"),
+]
+
+
+def explicit_matrix_spec(demands, scheme="ospf"):
+    return {
+        "name": "explicit",
+        "topology": "geant",
+        "traffic": {"name": "matrix", "params": {"demands": demands}},
+        "power": "cisco",
+        "schemes": [scheme],
+    }
+
+
+@pytest.mark.parametrize("demands, complaint", BAD_EXPLICIT_MATRICES)
+@pytest.mark.parametrize("scheme", ["ospf", "response"])
+def test_a_bad_explicit_matrix_is_a_traffic_error(scheme, demands, complaint):
+    with pytest.raises(TrafficError, match=complaint):
+        run_scenario(explicit_matrix_spec(demands, scheme))
+
+
 # --------------------------------------------------------------------- #
 # The optimal lower bound's heuristic fallback
 # --------------------------------------------------------------------- #

@@ -316,6 +316,22 @@ def test_non_finite_or_negative_volumes_are_400_not_200_or_500(tmp_path, caplog)
     assert "Traceback" not in caplog.text
 
 
+def test_a_bad_explicit_matrix_is_400_under_every_scheme(tmp_path, caplog):
+    """``[["DE", "XX", 1e8]]`` was a 500 under ``response`` / ``greente`` and a
+    200 at 100 % power under ``ospf``; a short row was a 500 everywhere."""
+    from test_scenario import BAD_EXPLICIT_MATRICES, explicit_matrix_spec
+
+    schemes = ["response", "greente", "ospf", "ecmp", "elastictree"]
+    with service(tmp_path) as server, caplog.at_level("ERROR", logger="repro.service"):
+        for demands, complaint in BAD_EXPLICIT_MATRICES:
+            for scheme in schemes:
+                spec = explicit_matrix_spec(demands, scheme)
+                code, error = request_error(server, "/scenarios", {"spec": spec})
+                assert (code, error["code"]) == (400, "invalid-scenario"), (demands, scheme)
+                assert re.search(complaint, error["message"]), (demands, scheme, error)
+    assert "Traceback" not in caplog.text
+
+
 def test_post_scenario_unknown_component_param_is_400(tmp_path):
     spec = base_scenario()
     spec["traffic"]["params"]["no_such_knob"] = 1

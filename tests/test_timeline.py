@@ -157,6 +157,7 @@ def test_connected_pairs_labels_the_components_once_per_view(monkeypatch, geant)
     """Three schemes ask every interval of a failure; the answers are the
     undirected networkx components', from one walk over the index."""
     import networkx as nx
+    from nx_reference import to_networkx
 
     from repro.topology.index import TopologyIndex
 
@@ -178,7 +179,7 @@ def test_connected_pairs_labels_the_components_once_per_view(monkeypatch, geant)
     ]
     sizes = []
     for view in views:
-        graph = view.topology.to_networkx().to_undirected()
+        graph = to_networkx(view.topology).to_undirected()
         expected = [
             (o, d)
             for o, d in pairs

@@ -10,8 +10,11 @@ from repro.exceptions import (
     UnknownArcError,
     UnknownNodeError,
 )
+from repro.routing import ospf_invcap_routing
 from repro.topology import Topology, link_key
 from repro.units import mbps
+
+from nx_reference import to_networkx
 
 
 def test_add_node_and_link_counts(diamond):
@@ -98,8 +101,10 @@ def test_shortest_path_uses_weight(diamond):
     # Both a-b-d and a-c-d have the same hop count; by latency a-b-d wins.
     path = diamond.shortest_path("a", "d", weight="latency")
     assert path == ["a", "b", "d"]
-    hops = diamond.shortest_path("a", "d", weight="hops")
+    hops = ospf_invcap_routing(diamond, [("a", "d")], weight="hops").get("a", "d")
     assert len(hops) == 3
+    with pytest.raises(ValueError, match="'hops'"):
+        diamond.shortest_path("a", "d", weight="hops")
 
 
 def test_shortest_path_unreachable_raises():
@@ -122,11 +127,11 @@ def test_validate_path(diamond):
 
 
 def test_is_connected(diamond):
-    assert nx.is_connected(diamond.to_networkx().to_undirected())
+    assert nx.is_connected(to_networkx(diamond).to_undirected())
     lonely = Topology()
     lonely.add_node("x")
     lonely.add_node("y")
-    assert not nx.is_connected(lonely.to_networkx().to_undirected())
+    assert not nx.is_connected(to_networkx(lonely).to_undirected())
 
 
 def test_subgraph_induced_by_nodes(diamond):
@@ -147,17 +152,23 @@ def test_subgraph_unknown_node_raises(diamond):
         diamond.subgraph(["a", "zz"])
 
 
-def test_to_networkx_has_invcap_weights(diamond):
-    graph = diamond.to_networkx()
+def test_invcap_weights_equal_the_networkx_reference(diamond):
+    """The index's weight lists hold the very floats the networkx view held."""
+    graph = to_networkx(diamond)
     assert graph.number_of_edges() == diamond.num_arcs
     assert graph["a"]["b"]["invcap"] == pytest.approx(1.0 / mbps(100))
+    weights = diamond.index().arc_weights
+    for name in ("invcap", "latency"):
+        assert weights[name] == [graph[u][v][name] for u, v in diamond.arc_keys()]
+    assert weights["hops"] == [1.0] * diamond.num_arcs
 
 
-def test_networkx_cache_invalidated_on_mutation(diamond):
-    first = diamond.to_networkx()
+def test_weight_lists_are_dropped_with_the_index_on_mutation(diamond):
+    first = diamond.index().arc_weights
     diamond.add_link("a", "d", capacity_bps=mbps(100))
-    second = diamond.to_networkx()
-    assert second.number_of_edges() == first.number_of_edges() + 2
+    second = diamond.index().arc_weights
+    assert len(second["invcap"]) == len(first["invcap"]) + 2 == diamond.num_arcs
+    assert second["invcap"][-2:] == [1.0 / mbps(100)] * 2
 
 
 def test_link_key_is_canonical():
@@ -215,14 +226,15 @@ def test_index_is_one_object_until_the_topology_changes(diamond):
 
 def test_equal_cost_paths_are_enumerated_once_per_pair(monkeypatch, diamond):
     from repro.routing import ecmp
+    from repro.topology import search
 
-    calls, real = [], nx.all_shortest_paths
+    calls, real = [], search.all_shortest_paths
 
-    def counting(graph, origin, destination):
-        calls.append((origin, destination))
-        return real(graph, origin, destination)
+    def counting(index, source, target):
+        calls.append((index.node_names[source], index.node_names[target]))
+        return real(index, source, target)
 
-    monkeypatch.setattr(ecmp.nx, "all_shortest_paths", counting)
+    monkeypatch.setattr(search, "all_shortest_paths", counting)
     first = ecmp.equal_cost_paths(diamond, "a", "d")
     assert ecmp.equal_cost_paths(diamond, "a", "d") == first and first is not None
     first.clear()  # the caller's list, not the memo

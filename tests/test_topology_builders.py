@@ -26,9 +26,11 @@ from repro.topology.rocketfuel import (
 )
 from repro.units import gbps, mbps
 
+from nx_reference import to_networkx
+
 
 def connected(topology):
-    return nx.is_connected(topology.to_networkx().to_undirected())
+    return nx.is_connected(to_networkx(topology).to_undirected())
 
 
 # --------------------------------------------------------------------- #
