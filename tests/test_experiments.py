@@ -4,6 +4,10 @@ These tests assert the qualitative claims of the paper (who wins, what the
 shape looks like), not the absolute numbers: the substrate is synthetic.
 """
 
+import dataclasses
+import hashlib
+import json
+
 import pytest
 
 from repro.experiments import (
@@ -147,6 +151,23 @@ def test_fig8b_fattree_wake_up_stall_visible():
     # The 5-second port wake-up shows up as a bounded demand/rate mismatch.
     assert 0.0 < result.wake_stall_s <= 15.0
     assert result.sending_rate_bps[-1] == pytest.approx(result.demand_bps[-1], rel=0.2)
+
+
+#: sha256 of each online figure's result at default arguments, as sorted-key
+#: JSON.  The same under every ``PYTHONHASHSEED``; a refactor of the
+#: REsPoNseTE controller or the simulator underneath must keep them.
+ONLINE_FIGURE_DIGESTS = {
+    "fig7": (run_fig7, "e214bb2ede3ea456405fcb0f909cff6075a94eca89910c850e57c0379cb274f1"),
+    "fig8a": (run_fig8a, "20d2f741b125896e599993f9e3608775621f1c956e429bea8db45b7f40cf0068"),
+    "fig8b": (run_fig8b, "8ab8c923a1b5a7526bf47392de38f265cebbdc7e1109e1d7254153dd223d3b01"),
+}
+
+
+@pytest.mark.parametrize("figure", sorted(ONLINE_FIGURE_DIGESTS))
+def test_online_figure_result_is_pinned(figure):
+    run, expected = ONLINE_FIGURE_DIGESTS[figure]
+    dump = json.dumps(dataclasses.asdict(run()), sort_keys=True)
+    assert hashlib.sha256(dump.encode()).hexdigest() == expected
 
 
 def test_fig9_streaming_performance_marginally_affected():
