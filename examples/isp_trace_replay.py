@@ -13,9 +13,9 @@ from repro import (
     AlternativeHardwarePowerModel,
     CiscoRouterPowerModel,
     ResponseConfig,
+    activate_paths,
     build_response_plan,
 )
-from repro.core import replay_trace
 from repro.topology import build_geant
 from repro.traffic import generate_geant_trace, select_pairs_among_subset, trace_time_labels
 
@@ -37,7 +37,9 @@ def main() -> None:
         plan = build_response_plan(
             topology, power_model, pairs=pairs, config=ResponseConfig(num_paths=3, k=3)
         )
-        results = replay_trace(topology, power_model, plan, trace.matrices())
+        results = [
+            activate_paths(topology, power_model, plan, matrix) for matrix in trace.matrices()
+        ]
         power = [result.power_percent for result in results]
         overloaded = sum(1 for result in results if result.overloaded_pairs)
         print(f"\n=== {model_name} ===")

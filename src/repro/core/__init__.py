@@ -15,12 +15,7 @@ from .critical_paths import (
 from .failover import compute_failover
 from .on_demand import compute_on_demand
 from .plan import ResponsePlan
-from .planner import (
-    DEFAULT_UTILISATION_THRESHOLD,
-    ActivationResult,
-    activate_paths,
-    replay_trace,
-)
+from .planner import DEFAULT_UTILISATION_THRESHOLD, ActivationResult, activate_paths
 from .response import ON_DEMAND_METHODS, ResponseConfig, build_response_plan
 from .stress import DEFAULT_EXCLUDE_FRACTION, most_stressed_links, stress_factors
 from .te import ResponseTEController, TEConfig
@@ -38,7 +33,6 @@ __all__ = [
     "DEFAULT_UTILISATION_THRESHOLD",
     "ActivationResult",
     "activate_paths",
-    "replay_trace",
     "ResponseConfig",
     "build_response_plan",
     "DEFAULT_EXCLUDE_FRACTION",

@@ -95,16 +95,6 @@ class ResponsePlan:
         """Pairs covered by the always-on table."""
         return self.always_on_table.pairs()
 
-    def iter_paths(self):
-        """Iterate over every installed path of every table (with repeats).
-
-        Used by the TE controller to compile the whole plan into a
-        network's arc table at installation time.
-        """
-        for table in self.tables(include_failover=True):
-            for _pair, path in table.items():
-                yield path
-
     def always_on_elements(self) -> Tuple[Set[str], Set[Tuple[str, str]]]:
         """Nodes and links that stay powered regardless of demand."""
         return set(self.always_on.active_nodes), set(self.always_on.active_links)

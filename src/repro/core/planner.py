@@ -6,7 +6,8 @@ traffic aggregated onto the always-on paths while the utilisation SLO holds,
 on-demand paths (and their elements) activated only for the pairs that need
 them.  :func:`activate_paths` computes exactly that steady state without
 simulating the control loop (the control loop itself lives in
-:mod:`repro.core.te` and runs on the flow-level simulator).
+:mod:`repro.core.te` and runs on the flow-level simulator); both make their
+choice through :mod:`repro.core.placement`.
 """
 
 from __future__ import annotations
@@ -19,8 +20,10 @@ import numpy as np
 from ..exceptions import ConfigurationError
 from ..power.accounting import full_power, network_power
 from ..power.model import PowerModel
+from ..simulator.failures import TopologyView
 from ..topology.base import Topology
 from ..traffic.matrix import Pair, TrafficMatrix
+from .placement import InstalledPaths, add_load, choose, usable
 from .plan import ResponsePlan
 
 #: Default utilisation threshold at which on-demand paths start activating.
@@ -69,18 +72,17 @@ def activate_paths(
     plan: ResponsePlan,
     demands: TrafficMatrix,
     utilisation_threshold: float = DEFAULT_UTILISATION_THRESHOLD,
-    include_failover: bool = False,
-    failed_links: Optional[Set[Tuple[str, str]]] = None,
-    failed_nodes: Optional[Set[str]] = None,
+    view: Optional[TopologyView] = None,
 ) -> ActivationResult:
     """Place a traffic matrix on the plan's installed paths.
 
-    Pairs are placed in descending order of demand.  Each pair uses the first
-    installed path (always-on first, then the on-demand tables in order, then
-    optionally failover) whose arcs all stay below the utilisation threshold
-    after adding the pair's demand; if no installed path fits, the pair is
-    placed on the installed path with the most residual bottleneck capacity
-    and recorded in ``overloaded_pairs``.
+    Pairs are placed in descending order of demand, each by
+    :func:`~repro.core.placement.choose`: the first installed path
+    (always-on first, then the on-demand tables in order, then failover
+    while something is failed) whose arcs all stay below the utilisation
+    threshold after adding the pair's demand; if no installed path fits, the
+    pair is placed on the installed path with the most residual bottleneck
+    capacity and recorded in ``overloaded_pairs``.
 
     Args:
         topology: The physical topology.
@@ -89,13 +91,10 @@ def activate_paths(
         demands: The traffic matrix to place.
         utilisation_threshold: The ISP's link-utilisation SLO (the paper's
             threshold that triggers on-demand activation).
-        include_failover: Allow traffic on failover paths even without
-            failures (normally only used when a failure is present).
-        failed_links: Undirected links currently out of service (those of
-            a failed node included); installed paths crossing them are
-            unusable.
-        failed_nodes: Nodes currently failed; they draw no power, always-on
-            or not.
+        view: The failure state, if any: installed paths crossing one of its
+            unusable links are skipped, its failed nodes draw no power
+            (always-on or not), and failover paths are allowed exactly when
+            it has failures.
 
     Returns:
         The :class:`ActivationResult` describing the converged network state.
@@ -104,16 +103,22 @@ def activate_paths(
         raise ConfigurationError(
             f"utilisation_threshold must be in (0, 1], got {utilisation_threshold}"
         )
-    tables = plan.tables(include_failover=include_failover)
-    failed = failed_links or set()
-
+    failover = view is not None and view.has_failures
+    unusable = view.unusable_links() if view is not None else frozenset()
     index = topology.index()
-    link_failed = index.link_mask(failed)
+    # Built per call: the plan's failover slot is filled lazily, on the
+    # first failure.
+    installed = InstalledPaths(index, plan.tables(include_failover=failover))
+    link_ok = ~index.link_mask(unusable) if unusable else None
     capacity = index.arc_capacity
     limit = capacity * utilisation_threshold + 1e-9
     loads = np.zeros(index.num_arcs)
     assignment: Dict[Pair, int] = {}
     overloaded: List[Pair] = []
+    # Elements kept active: the always-on elements are on by definition;
+    # elements of on-demand/failover paths are only awake for pairs that use
+    # them.
+    active_nodes, active_links = plan.always_on_elements()
 
     ordered_pairs = sorted(
         (pair for pair in demands.pairs() if demands[pair] > 0.0),
@@ -122,47 +127,22 @@ def activate_paths(
     )
     for pair in ordered_pairs:
         demand = demands[pair]
-        candidates: List[Tuple[int, np.ndarray]] = []
-        for table_index, table in enumerate(tables):
-            path = table.get(*pair)
-            if path is not None:
-                compiled = index.compile_path(path)
-                if not link_failed[compiled.link_indices].any():
-                    candidates.append((table_index, compiled.arc_indices))
+        entries = installed.of(pair)
+        candidates = entries if link_ok is None else usable(entries, link_ok)
         if not candidates:
             overloaded.append(pair)
             continue
-        for table_index, arcs in candidates:
-            if not (loads[arcs] + demand > limit[arcs]).any():
-                break
-        else:
-            # No installed path respects the SLO: fall back to the path with
-            # the most remaining bottleneck capacity (congestion, not loss of
-            # connectivity — matching the paper's "no worse than existing
-            # approaches under unexpected peaks").
-            table_index, arcs = max(
-                candidates, key=lambda entry: (capacity[entry[1]] - loads[entry[1]]).min()
-            )
+        entry, overload = choose(loads, limit, capacity, candidates, demand)
+        if overload:
             overloaded.append(pair)
-        assignment[pair] = table_index
-        loads[arcs] += demand
-
-    # Elements kept active: the always-on elements are on by definition;
-    # elements of on-demand/failover paths are only awake for pairs that use
-    # them.
-    active_nodes, active_links = plan.always_on_elements()
-    active_nodes = set(active_nodes)
-    active_links = set(active_links)
-    for pair, table_index in assignment.items():
-        if table_index == 0:
-            continue
-        path = tables[table_index].get(*pair)
-        if path is None:
-            continue
-        active_nodes.update(path.nodes)
-        active_links.update(path.link_keys())
-    active_links -= failed
-    active_nodes -= failed_nodes or set()
+        assignment[pair] = entry.table_index
+        add_load(loads, entry, demand)
+        if entry.table_index > 0:
+            active_nodes.update(entry.path.nodes)
+            active_links.update(entry.path.link_keys())
+    active_links -= unusable
+    if view is not None:
+        active_nodes -= view.failed_nodes
 
     breakdown = network_power(topology, power_model, active_nodes, active_links)
     baseline = full_power(topology, power_model).total_w
@@ -176,13 +156,3 @@ def activate_paths(
         max_utilisation=index.max_utilisation(loads),
         overloaded_pairs=overloaded,
     )
-
-
-def replay_trace(
-    topology: Topology,
-    power_model: PowerModel,
-    plan: ResponsePlan,
-    matrices: List[TrafficMatrix],
-) -> List[ActivationResult]:
-    """Activate the plan for every matrix of a trace (Figure 5-style replay)."""
-    return [activate_paths(topology, power_model, plan, matrix) for matrix in matrices]

@@ -17,25 +17,28 @@ Stability follows the TeXCP recipe the paper cites: decisions are made only
 at probe epochs, shifts use hysteresis (a lower deactivation threshold), and
 a flow moves at most once per probe period.
 
-The probe-epoch aggregation is array-based: the controller works against a
-planned per-arc load vector (a copy of the network's
-:meth:`~repro.simulator.network.SimulatedNetwork.arc_load_vector`) and
-evaluates path utilisations with NumPy gathers over each installed path's
-precompiled arc indices.  All installed paths are compiled into the
-network's arc table once, at :meth:`ResponseTEController.initialise` time.
+The decision itself is :mod:`repro.core.placement`'s, shared with the
+offline :func:`~repro.core.planner.activate_paths`: the controller works
+against a planned per-arc load vector (a copy of the network's
+:meth:`~repro.simulator.network.SimulatedNetwork.arc_load_vector`), and
+wakes on-demand paths with :func:`~repro.core.placement.choose`; what is
+left here is what only an online agent has — the probe clock, the release
+hysteresis, the detection delay and the wake/pending bookkeeping.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from functools import partial
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..exceptions import ConfigurationError
-from ..routing.paths import Path
 from ..simulator.flows import Flow
+from ..simulator.links import LinkState
 from ..simulator.network import SimulatedNetwork
+from .placement import Installed, InstalledPaths, add_load, choose, release_load, usable
 from .plan import ResponsePlan
 
 
@@ -100,36 +103,47 @@ class ResponseTEController:
     link not needed by a current or pending path (nor by the always-on
     element set) to sleep.
 
-    At :meth:`initialise` time every installed path of every table is
-    compiled into the network's integer-indexed arc table, so the per-epoch
-    utilisation checks are NumPy gathers rather than per-arc dict walks.
+    A flow's current and pending paths are entries of one
+    :class:`~repro.core.placement.InstalledPaths`, built at
+    :meth:`initialise`; which links are failed or awake is one read of the
+    network's link-state codes per :meth:`control` call, and every path
+    check is a gather over it.
     """
 
     def __init__(self, plan: ResponsePlan, config: Optional[TEConfig] = None) -> None:
         self.plan = plan
         self.config = config or TEConfig()
-        self._tables = plan.tables(include_failover=True)
         # Load spills onto the on-demand tables only; the failover table is
         # for failures.
         self._num_load_tables = len(plan.tables(include_failover=False))
-        self._assignment: Dict[str, int] = {}
-        self._pending: Dict[str, Tuple[int, Path]] = {}
+        self._assignment: Dict[str, Installed] = {}
+        self._pending: Dict[str, Installed] = {}
         self._failure_noticed_at: Dict[str, float] = {}
         self._next_probe_at = 0.0
         self._probe_interval = 0.0
+        # Set by initialise(), the first call that sees the network; the
+        # link masks are refreshed by every control() call.
+        self._installed: InstalledPaths
+        self._always_on_links: np.ndarray
+        self._limit: np.ndarray
+        self._link_ok: np.ndarray
+        self._awake: np.ndarray
 
     # ------------------------------------------------------------------ #
     # Controller interface
     # ------------------------------------------------------------------ #
     def initialise(self, network: SimulatedNetwork, flows: List[Flow], now_s: float) -> None:
-        """Assign every flow to its always-on path and set the probe clock.
+        """Install the plan's paths, assign every flow and set the probe clock.
 
-        Also compiles every installed path into the network's arc table
-        (plan-installation time), so the simulation loop never pays the
-        path-to-indices translation again.
+        Each flow's installed paths are compiled over the network topology's
+        index here (plan-installation time), so the simulation loop never
+        pays the path-to-indices translation again.
         """
-        for path in self.plan.iter_paths():
-            network.compile_path(path)
+        index = network.topology.index()
+        self._installed = InstalledPaths(index, self.plan.tables(include_failover=True))
+        _nodes, always_on_links = self.plan.always_on_elements()
+        self._always_on_links = index.link_mask(always_on_links)
+        self._limit = index.arc_capacity * self.config.utilisation_threshold + 1e-9
         self._probe_interval = (
             self.config.probe_interval_s
             if self.config.probe_interval_s is not None
@@ -139,19 +153,16 @@ class ResponseTEController:
         self._next_probe_at = start + (
             self._probe_interval if self.config.start_time_s > now_s else 0.0
         )
+        preferred = self.config.initial_table_index
         for flow in flows:
-            preferred = self.config.initial_table_index
-            path = self._installed_path(flow, preferred)
-            assigned_index = preferred
-            if path is None:
-                # Fall back to the first table that knows the pair.
-                for table_index in range(len(self._tables)):
-                    path = self._installed_path(flow, table_index)
-                    if path is not None:
-                        assigned_index = table_index
-                        break
-            flow.path = path
-            self._assignment[flow.flow_id] = assigned_index
+            entries = self._installed.of((flow.origin, flow.destination))
+            # The preferred table, else the first table that knows the pair.
+            first = entries[0] if entries else None
+            entry = next((e for e in entries if e.table_index == preferred), first)
+            if entry is None:
+                flow.path = None
+            else:
+                self._move(flow, entry)
         if now_s + 1e-12 >= self.config.start_time_s:
             self._apply_sleep_policy(network, flows)
 
@@ -159,8 +170,14 @@ class ResponseTEController:
         """Per-step control hook: failure handling every step, load shifts at probes."""
         if now_s + 1e-12 < self.config.start_time_s:
             return
+        # One read serves the whole call: until the sleep policy runs, the
+        # only transition the controller makes is SLEEPING -> WAKING
+        # (request_wake), which changes neither mask.
+        codes = network.link_state_codes()
+        self._link_ok = codes != LinkState.FAILED.code
+        self._awake = codes == LinkState.ACTIVE.code
         self._handle_failures(network, flows, now_s)
-        self._apply_pending(network, flows, now_s)
+        self._apply_pending(flows)
         if now_s + 1e-12 >= self._next_probe_at:
             self._probe_and_shift(network, flows, now_s)
             self._next_probe_at = now_s + self._probe_interval
@@ -169,199 +186,122 @@ class ResponseTEController:
     # ------------------------------------------------------------------ #
     # Internal machinery
     # ------------------------------------------------------------------ #
-    def _installed_path(self, flow: Flow, table_index: int) -> Optional[Path]:
-        if table_index >= len(self._tables):
-            return None
-        return self._tables[table_index].get(flow.origin, flow.destination)
+    def _move(self, flow: Flow, entry: Installed) -> None:
+        flow.path = entry.path
+        self._assignment[flow.flow_id] = entry
 
-    def _usable_alternative(
-        self, network: SimulatedNetwork, flow: Flow, exclude_index: int
-    ) -> Optional[Tuple[int, Path]]:
-        """First installed path (any table) that avoids failed links."""
-        best_waking: Optional[Tuple[int, Path]] = None
-        for table_index in range(len(self._tables)):
-            if table_index == exclude_index:
-                continue
-            path = self._installed_path(flow, table_index)
-            if path is None or network.path_has_failure(path):
-                continue
-            if network.path_is_usable(path):
-                return table_index, path
-            if best_waking is None:
-                best_waking = (table_index, path)
-        return best_waking
+    def _shift(self, network: SimulatedNetwork, flow: Flow, entry: Installed, now_s: float) -> None:
+        """Move the flow now if the entry's path is awake, else wake it and
+        leave the move pending."""
+        if self._awake[entry.links].all():
+            self._move(flow, entry)
+        else:
+            network.request_wake(entry.path.link_keys(), now_s)
+            self._pending[flow.flow_id] = entry
 
-    def _handle_failures(
-        self, network: SimulatedNetwork, flows: List[Flow], now_s: float
-    ) -> None:
+    def _load_candidates(self, entries: List[Installed], first_table: int) -> List[Installed]:
+        """The entries of the load tables from *first_table* on (failover
+        excluded) that cross no failed link."""
+        tables = range(first_table, self._num_load_tables)
+        return usable([e for e in entries if e.table_index in tables], self._link_ok)
+
+    def _handle_failures(self, network: SimulatedNetwork, flows: List[Flow], now_s: float) -> None:
         delay = self.config.failure_detection_delay_s
         for flow in flows:
-            if flow.path is None:
+            current = self._assignment.get(flow.flow_id)
+            if current is None:
                 continue
-            if not network.path_has_failure(flow.path):
+            if self._link_ok[current.links].all():
                 self._failure_noticed_at.pop(flow.flow_id, None)
                 continue
             noticed = self._failure_noticed_at.setdefault(flow.flow_id, now_s)
             if now_s - noticed + 1e-12 < delay:
                 continue
-            current_index = self._assignment.get(flow.flow_id, 0)
-            alternative = self._usable_alternative(network, flow, current_index)
-            if alternative is None:
+            # The first installed path of another table that avoids failed
+            # links, preferring one that is awake.
+            entries = self._installed.of((flow.origin, flow.destination))
+            others = [
+                e for e in usable(entries, self._link_ok) if e.table_index != current.table_index
+            ]
+            if not others:
                 continue
-            table_index, path = alternative
-            network.request_wake(path.link_keys(), now_s)
-            flow.path = path
-            self._assignment[flow.flow_id] = table_index
+            alternative = next((e for e in others if self._awake[e.links].all()), others[0])
+            network.request_wake(alternative.path.link_keys(), now_s)
+            self._move(flow, alternative)
             self._pending.pop(flow.flow_id, None)
             self._failure_noticed_at.pop(flow.flow_id, None)
 
-    def _apply_pending(
-        self, network: SimulatedNetwork, flows: List[Flow], now_s: float
-    ) -> None:
+    def _apply_pending(self, flows: List[Flow]) -> None:
         """Complete deferred shifts whose target path finished waking up."""
         by_id = {flow.flow_id: flow for flow in flows}
-        for flow_id, (table_index, path) in list(self._pending.items()):
-            if network.path_is_usable(path):
+        for flow_id, entry in list(self._pending.items()):
+            if self._awake[entry.links].all():
                 flow = by_id.get(flow_id)
                 if flow is not None:
-                    flow.path = path
-                    self._assignment[flow_id] = table_index
+                    self._move(flow, entry)
                 del self._pending[flow_id]
 
-    def _probe_and_shift(
-        self, network: SimulatedNetwork, flows: List[Flow], now_s: float
-    ) -> None:
+    def _probe_and_shift(self, network: SimulatedNetwork, flows: List[Flow], now_s: float) -> None:
         threshold = self.config.utilisation_threshold
         release = self.config.release_threshold
-
+        capacity = self._installed.index.arc_capacity
         # Work against a planned view of the arc loads so that several flows
         # shifted within the same probe epoch see each other's moves — this is
         # the stability ingredient (TeXCP-style) that prevents all flows of a
         # hot link from stampeding to the same on-demand path and back.
         planned = network.arc_load_vector().copy()
-        capacities = network.arc_table.arc_capacity
-
-        def planned_utilisation(path: Path, extra_demand: float = 0.0) -> float:
-            indices = network.compile_path(path).arc_indices
-            if indices.size == 0:
-                return 0.0
-            return float(
-                ((planned[indices] + extra_demand) / capacities[indices]).max()
-            )
-
-        def move_load(path: Optional[Path], delta: float) -> None:
-            if path is None:
-                return
-            indices = network.compile_path(path).arc_indices
-            planned[indices] = np.maximum(0.0, planned[indices] + delta)
 
         for flow in flows:
-            current_index = self._assignment.get(flow.flow_id, 0)
-            always_on_path = self._installed_path(flow, 0)
-            if always_on_path is None:
+            entries = self._installed.of((flow.origin, flow.destination))
+            if not entries or entries[0].table_index != 0:
                 continue
+            always_on = entries[0]
+            current = self._assignment.get(flow.flow_id, always_on)
             demand = flow.offered_load(now_s)
-            current_path = flow.path or always_on_path
-            utilisation = planned_utilisation(current_path)
             starved = demand > 0 and flow.rate_bps < demand * 0.999
 
-            if current_index == 0:
-                if utilisation > threshold or (starved and utilisation >= threshold * 0.999):
-                    moved_to = self._activate_on_demand(network, flow, now_s, planned_utilisation)
-                    if moved_to is not None:
-                        move_load(current_path, -min(demand, flow.rate_bps or demand))
-                        move_load(moved_to, +demand)
-            else:
-                if network.path_has_failure(always_on_path):
-                    continue
+            if current.table_index == 0:
+                load = _utilisation(planned, capacity, 0.0, current)
+                if load > threshold or (starved and load >= threshold * 0.999):
+                    # Paper: on-demand paths are activated in order.
+                    candidates = self._load_candidates(entries, 1)
+                    if candidates:
+                        target, _overloaded = choose(
+                            planned, self._limit, capacity, candidates, demand
+                        )
+                        self._shift(network, flow, target, now_s)
+                        release_load(planned, current, min(demand, flow.rate_bps or demand))
+                        add_load(planned, target, demand)
+            elif self._link_ok[always_on.links].all():
                 # Consider releasing the on-demand path: would the always-on
                 # path absorb this flow without violating the SLO?
-                fits_back = (
-                    planned_utilisation(always_on_path, extra_demand=demand)
-                    <= release + 1e-9
-                )
-                if fits_back and network.path_is_usable(always_on_path):
-                    move_load(flow.path, -flow.rate_bps)
-                    move_load(always_on_path, +demand)
-                    flow.path = always_on_path
-                    self._assignment[flow.flow_id] = 0
+                fits_back = _utilisation(planned, capacity, demand, always_on) <= release + 1e-9
+                if fits_back and self._awake[always_on.links].all():
+                    release_load(planned, current, flow.rate_bps)
+                    add_load(planned, always_on, demand)
+                    self._move(flow, always_on)
                     self._pending.pop(flow.flow_id, None)
                 elif starved and flow.flow_id not in self._pending:
                     # The current on-demand path cannot serve the demand;
-                    # move to the least-loaded usable installed path instead.
-                    best = self._least_loaded_path(
-                        network, flow, planned_utilisation, demand, first_table=0
-                    )
-                    if best is not None:
-                        best_index, best_path = best
-                        if best_path is not flow.path:
-                            move_load(flow.path, -flow.rate_bps)
-                            move_load(best_path, +demand)
-                            if network.path_is_usable(best_path):
-                                flow.path = best_path
-                                self._assignment[flow.flow_id] = best_index
-                            else:
-                                network.request_wake(best_path.link_keys(), now_s)
-                                self._pending[flow.flow_id] = (best_index, best_path)
-
-    def _activate_on_demand(
-        self,
-        network: SimulatedNetwork,
-        flow: Flow,
-        now_s: float,
-        planned_utilisation,
-    ) -> Optional[Path]:
-        """Pick the least-loaded usable on-demand path; wake it if asleep.
-
-        Returns the path the flow was assigned or scheduled to move to, or
-        ``None`` when no on-demand alternative exists.
-        """
-        best = self._least_loaded_path(
-            network, flow, planned_utilisation, flow.offered_load(now_s), first_table=1
-        )
-        if best is None:
-            return None
-        table_index, path = best
-        if network.path_is_usable(path):
-            flow.path = path
-            self._assignment[flow.flow_id] = table_index
-            return path
-        network.request_wake(path.link_keys(), now_s)
-        self._pending[flow.flow_id] = (table_index, path)
-        return path
-
-    def _least_loaded_path(
-        self,
-        network: SimulatedNetwork,
-        flow: Flow,
-        planned_utilisation,
-        demand: float,
-        first_table: int,
-    ) -> Optional[Tuple[int, Path]]:
-        """The installed path (from table *first_table* on, failover excluded)
-        with the lowest planned utilisation after adding the flow."""
-        candidates = [
-            (planned_utilisation(path, demand), table_index, path)
-            for table_index in range(first_table, self._num_load_tables)
-            if (path := self._installed_path(flow, table_index)) is not None
-            and not network.path_has_failure(path)
-        ]
-        if not candidates:
-            return None
-        # Of equally loaded paths, the one in the lowest table wins.
-        _utilisation, table_index, path = min(candidates, key=lambda entry: entry[0])
-        return table_index, path
+                    # move to the least-loaded usable installed path instead
+                    # (of equally loaded paths, the one in the lowest table).
+                    candidates = self._load_candidates(entries, 0)
+                    score = partial(_utilisation, planned, capacity, demand)
+                    best = min(candidates, key=score, default=None)
+                    if best is not None and best.path is not current.path:
+                        release_load(planned, current, flow.rate_bps)
+                        add_load(planned, best, demand)
+                        self._shift(network, flow, best, now_s)
 
     def _apply_sleep_policy(self, network: SimulatedNetwork, flows: List[Flow]) -> None:
         """Let every link not needed by current paths or the always-on set sleep."""
-        keep: Set[Tuple[str, str]] = set()
-        _nodes, always_on_links = self.plan.always_on_elements()
-        keep.update(always_on_links)
+        keep = self._always_on_links.copy()
         for flow in flows:
-            if flow.path is not None:
-                keep.update(flow.path.link_keys())
-        for _flow_id, (_index, path) in self._pending.items():
-            keep.update(path.link_keys())
+            current = self._assignment.get(flow.flow_id)
+            if current is not None:
+                keep[current.links] = True
+        for entry in self._pending.values():
+            keep[entry.links] = True
         network.sleep_idle_links(keep)
 
     # ------------------------------------------------------------------ #
@@ -371,3 +311,8 @@ class ResponseTEController:
     def probe_interval_s(self) -> float:
         """The probe period in effect after initialisation."""
         return self._probe_interval
+
+
+def _utilisation(loads: np.ndarray, capacity: np.ndarray, demand: float, entry: Installed) -> float:
+    """The largest utilisation of the entry's arcs once *demand* is added."""
+    return float(((loads[entry.arcs] + demand) / capacity[entry.arcs]).max(initial=0.0))

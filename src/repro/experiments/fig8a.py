@@ -13,9 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..core.plan import ResponsePlan
 from ..core.response import ResponseConfig, build_response_plan
 from ..core.te import ResponseTEController, TEConfig
 from ..scenario import (
+    BuiltScenario,
     PowerSpec,
     ScenarioSpec,
     TopologySpec,
@@ -143,18 +145,27 @@ def run_fig8a(
         utilisation_threshold=utilisation_threshold,
     )
     built = build_scenario(spec)
-    topology, power_model = built.topology, built.power_model
-    peak = built.peak_matrix()
-
     plan = build_response_plan(
-        topology,
-        power_model,
+        built.topology,
+        built.power_model,
         pairs=built.pairs,
-        peak_matrix=peak,
+        peak_matrix=built.peak_matrix(),
         config=ResponseConfig(num_paths=3, k=3),
     )
+    return _simulate(built, plan, num_steps, step_duration_s, wake_delay_s, time_step_s)
 
-    network = SimulatedNetwork(topology, power_model, wake_delay_s=wake_delay_s)
+
+def _simulate(
+    built: BuiltScenario,
+    plan: ResponsePlan,
+    num_steps: int,
+    step_duration_s: float,
+    wake_delay_s: float,
+    time_step_s: float,
+) -> Fig8Result:
+    """Run REsPoNseTE on the flow-level simulator over the built scenario's
+    trace, one flow per pair and one demand step per matrix."""
+    network = SimulatedNetwork(built.topology, built.power_model, wake_delay_s=wake_delay_s)
     steps = _demand_levels_to_steps(built.trace.matrices(), step_duration_s)
     flows = [
         Flow(f"{origin}->{destination}", origin, destination, stepped_demand(pair_steps))
@@ -163,7 +174,7 @@ def run_fig8a(
     controller = ResponseTEController(
         plan,
         TEConfig(
-            utilisation_threshold=utilisation_threshold,
+            utilisation_threshold=built.spec.utilisation_threshold,
             release_threshold=0.6,
         ),
     )

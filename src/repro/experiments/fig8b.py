@@ -10,10 +10,7 @@ carry.
 
 from __future__ import annotations
 
-from typing import List
-
 from ..core.response import ResponseConfig, build_response_plan
-from ..core.te import ResponseTEController, TEConfig
 from ..scenario import (
     PowerSpec,
     ScenarioSpec,
@@ -21,11 +18,8 @@ from ..scenario import (
     TrafficSpec,
     build_scenario,
 )
-from ..simulator.engine import SimulationEngine
-from ..simulator.flows import Flow, stepped_demand
-from ..simulator.network import SimulatedNetwork
 from ..units import gbps
-from .fig8a import Fig8Result, _demand_levels_to_steps, _measure_wake_stall
+from .fig8a import Fig8Result, _simulate
 
 
 def run_fig8b(
@@ -60,48 +54,16 @@ def run_fig8b(
         utilisation_threshold=utilisation_threshold,
     )
     built = build_scenario(spec)
-    topology, power_model = built.topology, built.power_model
-
     # The datacenter plan uses traffic-aware (peak-matrix) on-demand paths: a
     # fat-tree's path diversity means the demand-oblivious stress heuristic
     # would fold the on-demand paths onto a single extra spanning tree, which
     # cannot absorb the sine wave's peak (the same reason Figure 2b needs ~5
     # energy-critical paths for the fat-tree but only ~3 for GÉANT).
     plan = build_response_plan(
-        topology,
-        power_model,
+        built.topology,
+        built.power_model,
         pairs=built.pairs,
         peak_matrix=built.peak_matrix(),
         config=ResponseConfig(num_paths=3, k=6, on_demand_method="peak"),
     )
-
-    network = SimulatedNetwork(topology, power_model, wake_delay_s=wake_delay_s)
-    steps = _demand_levels_to_steps(built.trace.matrices(), step_duration_s)
-    flows: List[Flow] = [
-        Flow(f"{origin}->{destination}", origin, destination, stepped_demand(pair_steps))
-        for (origin, destination), pair_steps in steps.items()
-    ]
-
-    controller = ResponseTEController(
-        plan,
-        TEConfig(utilisation_threshold=utilisation_threshold, release_threshold=0.6),
-    )
-    engine = SimulationEngine(
-        network,
-        flows,
-        controller,
-        time_step_s=time_step_s,
-        sample_interval_s=time_step_s,
-    )
-    result = engine.run(duration_s=num_steps * step_duration_s)
-
-    times = result.times()
-    demand = result.series("total_demand_bps")
-    rate = result.series("total_rate_bps")
-    return Fig8Result(
-        times_s=times,
-        demand_bps=demand,
-        sending_rate_bps=rate,
-        power_percent=result.power_series(),
-        wake_stall_s=_measure_wake_stall(times, demand, rate),
-    )
+    return _simulate(built, plan, num_steps, step_duration_s, wake_delay_s, time_step_s)

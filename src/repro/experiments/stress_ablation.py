@@ -197,7 +197,6 @@ def _max_absorbable_fraction(
     are unusable during activation (the plans themselves stay as computed
     offline on the intact network).
     """
-    failed = set(view.unusable_links()) if view is not None else None
     feasible = 0.0
     fraction = step
     while fraction <= limit + 1e-9:
@@ -207,9 +206,7 @@ def _max_absorbable_fraction(
             plan,
             peak.scaled(fraction),
             utilisation_threshold=utilisation_threshold,
-            include_failover=failed is not None,
-            failed_links=failed,
-            failed_nodes=set(view.failed_nodes) if view is not None else None,
+            view=view,
         )
         if activation.overloaded_pairs:
             break

@@ -13,7 +13,8 @@ The ids group by contract family:
   names, spans only as context managers.
 * ``REP4xx`` — robustness: no bare or silently-swallowed exceptions.
 * ``REP5xx`` — dead surface and representation: every public name has a
-  production caller, and the network and the solver have one front end each.
+  production caller, and the network, its per-arc quantities and the
+  solver have one representation each.
 
 ``docs/static-analysis.md`` carries the full catalogue with the *why*
 per rule; keep the two in sync when adding rules.
@@ -863,14 +864,19 @@ class RepresentationRule(Rule):
     id = "REP503"
     title = "second representation of the network or the solver"
     rationale = (
-        "Paths are searched on Topology.index() and HiGHS is driven by "
-        "routing/highs.py alone: a networkx import brings back a second graph "
-        "of the network (with its own tie order), a scipy.optimize import a "
-        "second solver front end.  Each has one owner module."
+        "Paths are searched on Topology.index(), HiGHS is driven by "
+        "routing/highs.py alone and per-arc quantities are vectors in "
+        "arc-index order: a networkx import brings back a second graph of the "
+        "network (with its own tie order), a scipy.optimize import a second "
+        "solver front end, a dict built from arc_keys a second, name-keyed "
+        "load vector.  Each has its owner modules."
     )
 
     #: Import prefix -> the one module (under ``repro/``) allowed to import it.
     OWNERS = {"networkx": "topology/generators.py", "scipy.optimize": "routing/highs.py"}
+    #: The modules that may build a dict from ``arc_keys``: the index itself
+    #: (its ``arc_index``) and the dict oracle of the simulator.
+    ARC_DICT_OWNERS = ("topology/index.py", "simulator/reference.py")
 
     def applies_to(self, rel_path: str) -> bool:
         return rel_path.startswith("src/")
@@ -878,6 +884,15 @@ class RepresentationRule(Rule):
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         module = "/".join(_module_parts(ctx.rel_path))
         for node in ast.walk(ctx.tree):
+            if module not in self.ARC_DICT_OWNERS and _builds_arc_dict(node):
+                yield ctx.finding(
+                    self,
+                    node,
+                    "per-arc dict built from arc_keys; keep the quantity as a vector "
+                    "over Topology.index() (REP503's owners: "
+                    f"{', '.join(self.ARC_DICT_OWNERS)})",
+                )
+                continue
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
@@ -892,6 +907,22 @@ class RepresentationRule(Rule):
                 yield ctx.finding(
                     self, node, f"{prefix} is imported only by {owner} (REP503's owner)"
                 )
+
+
+def _builds_arc_dict(node: ast.AST) -> bool:
+    """A dict comprehension iterating, or a ``dict(...)`` /
+    ``dict.fromkeys(...)`` call taking, something that reads ``arc_keys``."""
+    if isinstance(node, ast.DictComp):
+        sources: List[ast.AST] = [generator.iter for generator in node.generators]
+    elif isinstance(node, ast.Call) and ast.unparse(node.func) in ("dict", "dict.fromkeys"):
+        sources = [*node.args, *node.keywords]
+    else:
+        return False
+    return any(
+        isinstance(inner, ast.Attribute) and inner.attr == "arc_keys"
+        for source in sources
+        for inner in ast.walk(source)
+    )
 
 
 ALL_RULES: Tuple[Rule, ...] = (

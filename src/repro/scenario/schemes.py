@@ -557,9 +557,7 @@ class ResponseRuntime(SchemeRuntime):
             state.plan,
             matrix,
             utilisation_threshold=scenario.spec.utilisation_threshold,
-            include_failover=view.has_failures,
-            failed_links=set(view.unusable_links()) if view.has_failures else None,
-            failed_nodes=set(view.failed_nodes),
+            view=view,
         )
         state.activations.append(activation)
         return IntervalOutcome(

@@ -21,7 +21,6 @@ from ..power.accounting import full_power, network_power
 from ..power.model import PowerModel
 from ..routing.paths import Path
 from ..topology.base import Topology, link_key
-from ..topology.index import CompiledPath, TopologyIndex
 from .fairness import Incidence, last_kernel_stats, max_min_fair_rates
 from .flows import Flow, offered_load_vector
 from .links import LinkState, SimulatedLink
@@ -82,18 +81,18 @@ class SimulatedNetwork:
                 latency_s=link.latency_s,
                 wake_delay_s=self.wake_delay_s,
             )
-        self._arc_table = topology.index()
-        #: Link objects in arc-table index order (aligned with link indices).
+        self._index = topology.index()
+        #: Link objects in index order (aligned with link indices).
         self._link_list: List[SimulatedLink] = [
-            self._links[key] for key in self._arc_table.link_keys
+            self._links[key] for key in self._index.link_keys
         ]
         # Allocation shares the parent link's (per-direction) capacity, as
         # stored on the SimulatedLink — utilisation accounting instead uses
         # the topology's declared per-arc capacity (TopologyIndex.arc_capacity).
         self._alloc_capacity = np.array(
             [link.capacity_bps for link in self._link_list], dtype=float
-        )[self._arc_table.arc_link]
-        self._arc_load_vec = np.zeros(self._arc_table.num_arcs, dtype=float)
+        )[self._index.arc_link]
+        self._arc_load_vec = np.zeros(self._index.num_arcs, dtype=float)
         self._baseline_power_w = (
             full_power(topology, power_model).total_w if power_model else 0.0
         )
@@ -114,11 +113,11 @@ class SimulatedNetwork:
         """All simulated links."""
         return list(self._links.values())
 
-    def sleep_idle_links(self, keep_active: Iterable[Tuple[str, str]]) -> None:
-        """Put to sleep every active link not in the keep-active set."""
-        keep = {link_key(u, v) for (u, v) in keep_active}
-        for key, simulated in self._links.items():
-            if key not in keep and simulated.state == LinkState.ACTIVE:
+    def sleep_idle_links(self, keep_active: np.ndarray) -> None:
+        """Put to sleep every active link the per-link mask (link-index
+        order, ``Topology.index().link_mask``) does not keep."""
+        for simulated, keep in zip(self._link_list, keep_active.tolist(), strict=True):
+            if not keep and simulated.state == LinkState.ACTIVE:
                 simulated.sleep()
 
     def request_wake(self, links: Iterable[Tuple[str, str]], now_s: float) -> None:
@@ -145,10 +144,6 @@ class SimulatedNetwork:
     def path_is_usable(self, path: Path) -> bool:
         """Whether every link along the path is active."""
         return all(self._links[key].is_usable for key in path.link_keys())
-
-    def path_has_failure(self, path: Path) -> bool:
-        """Whether some link along the path is failed (not merely asleep)."""
-        return any(self._links[key].state == LinkState.FAILED for key in path.link_keys())
 
     def max_rtt(self) -> float:
         """An upper bound on the network round-trip time (diameter based)."""
@@ -189,7 +184,7 @@ class SimulatedNetwork:
         routable = [flows[index] for index in entry.routable_indices]
         demands = offered_load_vector(routable, now_s)
         with trace.span(
-            "fairness.kernel", flows=len(routable), arcs=self._arc_table.num_arcs
+            "fairness.kernel", flows=len(routable), arcs=self._index.num_arcs
         ) as kernel_span:
             allocation = max_min_fair_rates(
                 demands, self._alloc_capacity, entry.incidence
@@ -239,7 +234,7 @@ class SimulatedNetwork:
         for index, path in enumerate(paths):
             if path is None:
                 continue
-            compiled = self._arc_table.compile_path(path)
+            compiled = self._index.compile_path(path)
             if compiled.link_indices.size == 0 or bool(
                 usable[compiled.link_indices].all()
             ):
@@ -260,7 +255,7 @@ class SimulatedNetwork:
             flows_key=key,
             held=list(paths) if owner is None else owner,
             routable_indices=routable,
-            incidence=Incidence(arcs_of_row, self._arc_table.num_arcs, row_of_flow),
+            incidence=Incidence(arcs_of_row, self._index.num_arcs, row_of_flow),
         )
         self._compiled_flows = entry
         return entry
@@ -268,11 +263,6 @@ class SimulatedNetwork:
     # ------------------------------------------------------------------ #
     # Array-indexed views (the vectorized engine's fast path)
     # ------------------------------------------------------------------ #
-    @property
-    def arc_table(self) -> TopologyIndex:
-        """The topology's dense integer indexing (as of construction)."""
-        return self._arc_table
-
     @property
     def alloc_capacity(self) -> np.ndarray:
         """Per-arc allocation capacity (the parent link's, per direction).
@@ -282,12 +272,8 @@ class SimulatedNetwork:
         """
         return self._alloc_capacity
 
-    def compile_path(self, path: Path) -> CompiledPath:
-        """The path lowered to arc/link index arrays (memoised)."""
-        return self._arc_table.compile_path(path)
-
     def link_usable_vector(self) -> np.ndarray:
-        """Boolean usability per link, aligned with the arc table's indices."""
+        """Boolean usability per link, in link-index order."""
         return np.fromiter(
             (link.state is LinkState.ACTIVE for link in self._link_list),
             dtype=bool,
@@ -319,7 +305,7 @@ class SimulatedNetwork:
     # ------------------------------------------------------------------ #
     def arc_load(self, src: str, dst: str) -> float:
         """Load on the directed arc ``src -> dst`` from the last allocation."""
-        index = self._arc_table.arc_index.get((src, dst))
+        index = self._index.arc_index.get((src, dst))
         return float(self._arc_load_vec[index]) if index is not None else 0.0
 
     def active_elements(self) -> Tuple[Set[str], Set[Tuple[str, str]]]:

@@ -9,10 +9,10 @@ from repro.core import (
     coverage_curve,
     paths_needed_for_coverage,
     rank_paths_by_traffic,
-    replay_trace,
 )
 from repro.exceptions import ConfigurationError, TrafficError
 from repro.routing import RoutingTable
+from repro.simulator import TopologyView
 from repro.traffic import TrafficMatrix, TrafficTrace
 from repro.units import mbps
 
@@ -71,19 +71,33 @@ def test_overload_recorded_but_traffic_still_placed(click_topology, cisco_model,
 
 def test_failed_link_pushes_traffic_to_failover(click_topology, cisco_model, plan):
     demands = TrafficMatrix({pair: mbps(2) for pair in PAIRS})
-    result = activate_paths(
-        click_topology,
-        cisco_model,
-        plan,
-        demands,
-        include_failover=True,
-        failed_links={("E", "H")},
-    )
+    view = TopologyView(click_topology, failed_links=[("E", "H")])
+    result = activate_paths(click_topology, cisco_model, plan, demands, view=view)
     # No assigned path crosses the failed link.
     tables = plan.tables(include_failover=True)
     for pair, index in result.assignment.items():
         assert ("E", "H") not in set(tables[index].path(*pair).link_keys())
     assert ("E", "H") not in result.active_links
+
+
+def test_failed_link_in_either_orientation_is_neither_used_nor_billed(
+    click_topology, cisco_model, plan
+):
+    # 8 Mb/s each: one pair on failover, which wakes the upper path too.
+    demands = TrafficMatrix({pair: mbps(8) for pair in PAIRS})
+    canonical, reversed_ = (
+        activate_paths(
+            click_topology,
+            cisco_model,
+            plan,
+            demands,
+            view=TopologyView(click_topology, failed_links=[link]),
+        )
+        for link in (("E", "H"), ("H", "E"))
+    )
+    assert vars(reversed_) == vars(canonical)
+    assert ("E", "H") not in reversed_.active_links
+    assert reversed_.power_w == pytest.approx(6480.0)
 
 
 def test_activation_threshold_validation(click_topology, cisco_model, plan):
@@ -99,7 +113,7 @@ def test_activation_threshold_validation(click_topology, cisco_model, plan):
 
 def test_replay_trace_produces_one_result_per_matrix(click_topology, cisco_model, plan):
     matrices = [TrafficMatrix({pair: mbps(level) for pair in PAIRS}) for level in (1, 5, 9)]
-    results = replay_trace(click_topology, cisco_model, plan, matrices)
+    results = [activate_paths(click_topology, cisco_model, plan, matrix) for matrix in matrices]
     assert len(results) == 3
     assert results[0].power_w <= results[-1].power_w + 1e-9
 

@@ -331,7 +331,7 @@ def test_allocate_rates_reuses_compiled_flow_set(monkeypatch):
     usable_calls = []
     compile_calls = []
     original_usable = network.link_usable_vector
-    original_compile = network.arc_table.compile_path
+    original_compile = network.topology.index().compile_path
 
     def counting_usable():
         usable_calls.append(1)
@@ -342,7 +342,7 @@ def test_allocate_rates_reuses_compiled_flow_set(monkeypatch):
         return original_compile(path)
 
     monkeypatch.setattr(network, "link_usable_vector", counting_usable)
-    monkeypatch.setattr(network.arc_table, "compile_path", counting_compile)
+    monkeypatch.setattr(network.topology.index(), "compile_path", counting_compile)
 
     network.allocate_rates(flows, now_s=0.0)
     baseline_usable = len(usable_calls)

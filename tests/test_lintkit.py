@@ -133,11 +133,12 @@ def test_every_rule_has_positive_and_suppressed_coverage():
 
 def test_fixture_scope_negatives_stay_clean():
     """Path-scoped rules must not fire outside their packages (REP503: not
-    in the one module that owns the import)."""
+    in the modules that own the import or the per-arc dict)."""
     for name in (
         "scope_negative_orchestration.py",
         "rep103_scope_negative.py",
         "rep503_owners_negative.py",
+        "rep503_arc_dicts_owner_negative.py",
     ):
         source, rel_path, active, suppressed = load_fixture(FIXTURE_DIR / name)
         assert not active and not suppressed  # the fixture declares nothing

@@ -7,7 +7,8 @@ through ``TopologyIndex.max_utilisation``).  The name-keyed loops they
 replaced are kept here as the reference.  Pinned with ``==``, never
 ``approx``, on every shipped topology with random routings and matrices —
 ε, zero and equal demands among them, so ties are exercised — with and
-without failed links and ``include_failover`` both ways:
+without failed links and nodes (a :class:`TopologyView`, which also allows
+failover):
 
 * ``link_loads`` zipped with ``index.arc_keys`` == the reference dict, and
   ``max_link_utilisation`` == the reference maximum;
@@ -42,6 +43,7 @@ from repro.routing import (
 )
 from repro.routing.ksp import CandidatePaths
 from repro.scenario.spec import TopologySpec
+from repro.simulator import TopologyView
 from repro.topology import Topology
 from repro.traffic import TrafficMatrix
 
@@ -376,15 +378,8 @@ def test_ecmp_shares_equal_the_name_keyed_dict(case):
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    cases,
-    st.booleans(),
-    st.booleans(),
-    st.sampled_from([0.5, 0.9, 1.0]),
-)
-def test_activate_paths_equals_the_name_keyed_placement(
-    case, with_failures, include_failover, threshold
-):
+@given(cases, st.booleans(), st.sampled_from([0.5, 0.9, 1.0]))
+def test_activate_paths_equals_the_name_keyed_placement(case, with_failures, threshold):
     topology = case.topology
     plan = ResponsePlan.from_tables(
         topology,
@@ -393,17 +388,20 @@ def test_activate_paths_equals_the_name_keyed_placement(
         on_demand_tables=[case.routing("on-demand-1"), case.routing("on-demand-2")],
         failover_table=case.routing("failover"),
     )
-    failed_links = case.failed_links() if with_failures else None
-    failed_nodes = {case.pairs[0][0]} if with_failures else set()
-    arguments = (topology, MODEL, plan, case.demands)
-    options = dict(
-        utilisation_threshold=threshold,
-        include_failover=include_failover,
-        failed_links=failed_links,
-        failed_nodes=failed_nodes,
+    view = (
+        TopologyView(topology, case.failed_links(), [case.pairs[0][0]])
+        if with_failures
+        else None
     )
-    result = activate_paths(*arguments, **options)
-    expected = reference_activate_paths(*arguments, **options)
+    arguments = (topology, MODEL, plan, case.demands)
+    result = activate_paths(*arguments, utilisation_threshold=threshold, view=view)
+    expected = reference_activate_paths(
+        *arguments,
+        utilisation_threshold=threshold,
+        include_failover=with_failures,
+        failed_links=set(view.unusable_links()) if with_failures else None,
+        failed_nodes=set(view.failed_nodes) if with_failures else set(),
+    )
     assert vars(result) == vars(expected)
     assert list(result.assignment.items()) == list(expected.assignment.items())
     assert type(result.max_utilisation) is float
@@ -475,13 +473,19 @@ def test_activate_paths_keeps_the_slo_tolerance():
         on_demand_tables=[RoutingTable({pair: [pair[0], "hub", "alt", "sink"] for pair in pairs})],
     )
     demands = TrafficMatrix({pair: 1e7 * 0.5 / 7 for pair in pairs})
-    options = dict(
-        utilisation_threshold=0.5, include_failover=False, failed_links=None, failed_nodes=None
-    )
-    result = activate_paths(topology, MODEL, plan, demands, **options)
+    result = activate_paths(topology, MODEL, plan, demands, utilisation_threshold=0.5)
     assert result.assignment == {pair: 0 for pair in pairs}
     assert vars(result) == vars(
-        reference_activate_paths(topology, MODEL, plan, demands, **options)
+        reference_activate_paths(
+            topology,
+            MODEL,
+            plan,
+            demands,
+            utilisation_threshold=0.5,
+            include_failover=False,
+            failed_links=None,
+            failed_nodes=None,
+        )
     )
 
 

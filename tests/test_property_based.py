@@ -516,13 +516,14 @@ def test_demand_classes_match_one_row_per_flow_and_dict_oracle(population):
         assert stats["classes"] == class_count(groups[routable], demands[routable])
 
     # One incidence row per flow: the unit-weight path, no collapse at all.
+    index = topology.index()
     expanded = np.zeros(len(members))
     expanded[routable] = max_min_fair_rates(
         demands[routable],
         network.alloc_capacity,
         Incidence(
-            [network.compile_path(paths[groups[flow]]).arc_indices for flow in routable],
-            network.arc_table.num_arcs,
+            [index.compile_path(paths[groups[flow]]).arc_indices for flow in routable],
+            index.num_arcs,
         ),
     )
     assert collapsed.tobytes() == expanded.tobytes()

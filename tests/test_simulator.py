@@ -52,7 +52,7 @@ def test_link_failure_and_repair(diamond, cisco_model):
 
 def test_sleep_idle_links_keeps_requested(diamond, cisco_model):
     network = SimulatedNetwork(diamond, cisco_model)
-    network.sleep_idle_links(keep_active=[("a", "b"), ("b", "d")])
+    network.sleep_idle_links(diamond.index().link_mask([("a", "b"), ("d", "b")]))
     assert network.link("a", "b").state == LinkState.ACTIVE
     assert network.link("a", "c").state == LinkState.SLEEPING
     nodes, links = network.active_elements()
@@ -63,7 +63,7 @@ def test_sleep_idle_links_keeps_requested(diamond, cisco_model):
 def test_power_percent_drops_when_links_sleep(diamond, cisco_model):
     network = SimulatedNetwork(diamond, cisco_model)
     assert network.power_percent() == pytest.approx(100.0)
-    network.sleep_idle_links(keep_active=[("a", "b"), ("b", "d")])
+    network.sleep_idle_links(diamond.index().link_mask([("a", "b"), ("b", "d")]))
     assert network.power_percent() < 100.0
 
 
@@ -120,11 +120,12 @@ def test_allocation_zero_for_unusable_paths(diamond, cisco_model):
 def test_path_queries(diamond, cisco_model):
     network = SimulatedNetwork(diamond, cisco_model)
     path = Path.of(["a", "b", "d"])
+    links = diamond.index().compile_path(path).link_indices
     assert network.path_is_usable(path)
-    assert not network.path_has_failure(path)
+    assert not (network.link_state_codes()[links] == LinkState.FAILED.code).any()
     network.fail_link("b", "d")
     assert not network.path_is_usable(path)
-    assert network.path_has_failure(path)
+    assert (network.link_state_codes()[links] == LinkState.FAILED.code).any()
     assert network.max_rtt() > 0
 
 

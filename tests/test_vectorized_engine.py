@@ -127,18 +127,17 @@ def test_trivial_single_node_path(diamond, cisco_model):
 # Arc table and array views
 # --------------------------------------------------------------------- #
 def test_compile_path_is_memoised_and_validates(diamond, cisco_model):
-    network = SimulatedNetwork(diamond, cisco_model)
+    table = SimulatedNetwork(diamond, cisco_model).topology.index()
     path = Path.of(["a", "b", "d"])
-    compiled = network.compile_path(path)
-    assert compiled is network.compile_path(Path.of(["a", "b", "d"]))
+    compiled = table.compile_path(path)
+    assert compiled is table.compile_path(Path.of(["a", "b", "d"]))
     assert compiled.arc_indices.size == 2
-    table = network.arc_table
     assert [table.arc_keys[index] for index in compiled.arc_indices] == [
         ("a", "b"),
         ("b", "d"),
     ]
     with pytest.raises(SimulationError):
-        network.compile_path(Path.of(["a", "d"]))  # no direct a-d arc
+        table.compile_path(Path.of(["a", "d"]))  # no direct a-d arc
 
 
 def test_link_vectors_track_state_machines(diamond, cisco_model):
@@ -160,7 +159,7 @@ def test_arc_load_vector_alignment(diamond, cisco_model):
     flow = Flow("f", "a", "d", constant_demand(mbps(10)), path=Path.of(["a", "b", "d"]))
     network.allocate_rates([flow], now_s=0.0)
     vector = network.arc_load_vector()
-    table = network.arc_table
+    table = network.topology.index()
     assert vector[table.arc_index[("a", "b")]] == pytest.approx(mbps(10))
     assert vector[table.arc_index[("b", "a")]] == 0.0
     assert network.arc_load("nope", "nowhere") == 0.0
