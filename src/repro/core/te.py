@@ -36,8 +36,7 @@ import numpy as np
 
 from ..exceptions import ConfigurationError
 from ..simulator.flows import Flow
-from ..simulator.links import LinkState
-from ..simulator.network import SimulatedNetwork
+from ..simulator.network import LinkState, SimulatedNetwork
 from .placement import Installed, InstalledPaths, add_load, choose, release_load, usable
 from .plan import ResponsePlan
 
@@ -174,8 +173,8 @@ class ResponseTEController:
         # only transition the controller makes is SLEEPING -> WAKING
         # (request_wake), which changes neither mask.
         codes = network.link_state_codes()
-        self._link_ok = codes != LinkState.FAILED.code
-        self._awake = codes == LinkState.ACTIVE.code
+        self._link_ok = codes != LinkState.FAILED
+        self._awake = codes == LinkState.ACTIVE
         self._handle_failures(network, flows, now_s)
         self._apply_pending(flows)
         if now_s + 1e-12 >= self._next_probe_at:
@@ -196,7 +195,7 @@ class ResponseTEController:
         if self._awake[entry.links].all():
             self._move(flow, entry)
         else:
-            network.request_wake(entry.path.link_keys(), now_s)
+            network.request_wake(entry.links, now_s)
             self._pending[flow.flow_id] = entry
 
     def _load_candidates(self, entries: List[Installed], first_table: int) -> List[Installed]:
@@ -226,7 +225,7 @@ class ResponseTEController:
             if not others:
                 continue
             alternative = next((e for e in others if self._awake[e.links].all()), others[0])
-            network.request_wake(alternative.path.link_keys(), now_s)
+            network.request_wake(alternative.links, now_s)
             self._move(flow, alternative)
             self._pending.pop(flow.flow_id, None)
             self._failure_noticed_at.pop(flow.flow_id, None)

@@ -27,9 +27,9 @@ from ..scenario import (
     TopologySpec,
     TrafficSpec,
     build_scenario,
-    failure_schedule,
 )
 from ..simulator.engine import SimulationEngine, SimulationResult
+from ..simulator.failures import TopologyChange
 from ..simulator.flows import Flow, constant_demand
 from ..simulator.network import SimulatedNetwork
 from ..topology.example import CLICK_LINK_LATENCY_S, example_paths
@@ -94,9 +94,8 @@ def run_fig7() -> Fig7Result:
     """Reproduce the Click-testbed experiment on the flow-level simulator.
 
     The stack and the mid-run failure are declared as a scenario spec — the
-    E-H link failure rides the ``events`` axis and is lowered to the
-    simulator's :class:`~repro.simulator.failures.FailureSchedule` via
-    :func:`~repro.scenario.timeline.failure_schedule`.
+    E-H link failure rides the ``events`` axis, and the engine takes the
+    built scenario's topology changes.
     """
     per_source_bps = FLOWS_PER_SOURCE * FLOW_RATE_BPS
     spec = ScenarioSpec(
@@ -141,14 +140,13 @@ def run_fig7() -> Fig7Result:
             initial_table_index=1,
         ),
     )
-    failures = failure_schedule(built.spec.events)
     engine = SimulationEngine(
         network,
         flows,
         controller,
         time_step_s=TIME_STEP_S,
         sample_interval_s=TIME_STEP_S,
-        failures=failures,
+        failures=[event for event in built.events if isinstance(event, TopologyChange)],
         monitored_arcs=list(GROUP_ARCS.values()),
     )
     result = engine.run(duration_s=END_S - START_S, start_s=START_S)

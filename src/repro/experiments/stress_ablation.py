@@ -18,7 +18,7 @@ still absorb on the degraded topology — the sensitivity question the paper's
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Any, List, Mapping, Optional, Sequence, Union
 
 from ..core.always_on import compute_always_on
 from ..core.on_demand import compute_on_demand
@@ -35,8 +35,7 @@ from ..scenario import (
     TrafficSpec,
     build_scenario,
 )
-from ..scenario.timeline import TopologyChange, resolve_events
-from ..simulator.failures import TopologyView
+from ..simulator.failures import FailureState, TopologyChange, TopologyView
 from ..topology.base import Topology
 from ..traffic.matrix import TrafficMatrix
 
@@ -115,7 +114,17 @@ def run_stress_ablation(
     built = build_scenario(spec)
     topo, model, pairs = built.topology, built.power_model, built.pairs
     peak = built.trace.peak_matrix()
-    view, event_records = _final_view(topo, built.spec.events)
+    failed = FailureState(topo)
+    for event in built.events:
+        if not isinstance(event, TopologyChange):
+            # The ablation has no time axis to honour a surge window on;
+            # rejecting beats silently reporting intact-network numbers.
+            raise ConfigurationError(
+                f"stress ablation only supports topology events, got "
+                f"{event.kind!r}; scale the measured load via `fractions` instead"
+            )
+        failed.apply(event)
+    view = failed.view()
 
     always_on = compute_always_on(topo, model, ResponseConfig(k=3), pairs=pairs)
 
@@ -143,42 +152,8 @@ def run_stress_ablation(
     return StressAblationResult(
         fractions=list(fractions),
         absorbable_load_fraction=absorbed,
-        events=event_records,
+        events=[event.record() for event in built.events],
     )
-
-
-def _final_view(
-    topology: Topology, events: Sequence[EventSpec]
-) -> Tuple[Optional[TopologyView], List[dict]]:
-    """The topology view after every scheduled topology event has fired."""
-    failed_links: Set[Tuple[str, str]] = set()
-    failed_nodes: Set[str] = set()
-    records: List[dict] = []
-    for event in resolve_events(events):
-        if not isinstance(event, TopologyChange):
-            # The ablation has no time axis to honour a surge window on;
-            # rejecting beats silently reporting intact-network numbers.
-            raise ConfigurationError(
-                f"stress ablation only supports topology events, got "
-                f"{event.kind!r}; scale the measured load via `fractions` instead"
-            )
-        records.append(event.record())
-        scheduled = event.to_scheduled()
-        if event.element == "link":
-            key = tuple(sorted(scheduled.link))
-            if event.action == "fail":
-                failed_links.add(key)
-            else:
-                failed_links.discard(key)
-        else:
-            if event.action == "fail":
-                failed_nodes.add(scheduled.node)
-            else:
-                failed_nodes.discard(scheduled.node)
-    if not failed_links and not failed_nodes:
-        return None, records
-    view = TopologyView(topology, failed_links=failed_links, failed_nodes=failed_nodes)
-    return view, records
 
 
 def _max_absorbable_fraction(

@@ -72,7 +72,6 @@ from .timeline import (
     TopologyChange,
     TrafficSurge,
     build_timeline,
-    failure_schedule,
     run_timeline,
 )
 
@@ -101,7 +100,6 @@ __all__ = [
     "build_scenario",
     "build_timeline",
     "component_names",
-    "failure_schedule",
     "read_spec_file",
     "register",
     "registered_components",

@@ -30,7 +30,9 @@ from .timeline import (
     GroupComputeCache,
     IntervalCallback,
     SchemeRun,
+    TimelineEvent,
     TimelineRun,
+    resolve_events,
     run_timeline,
     run_timeline_batch,
 )
@@ -48,6 +50,8 @@ class BuiltScenario:
         pairs: Origin-destination pairs of the workload, shared with plan
             construction.
         baseline_power_w: Power of the fully powered network (100 %).
+        events: The spec's events, built and checked against ``topology``,
+            in time order.
         routing: Optional baseline routing table (spec's ``routing`` section).
         traffic: The full built workload, including its peak estimate.
     """
@@ -58,6 +62,7 @@ class BuiltScenario:
     trace: TrafficTrace
     pairs: List[Pair]
     baseline_power_w: float
+    events: List[TimelineEvent]
     routing: Optional[RoutingTable] = None
     traffic: Optional[BuiltTraffic] = None
     #: Memo for computations the scenarios built as one group can share
@@ -403,6 +408,7 @@ def build_scenario_group(specs: Sequence[Any]) -> List[BuiltScenario]:
         routing_cache: Dict[Tuple[str, Tuple[Pair, ...]], RoutingTable] = {}
         builts: List[BuiltScenario] = []
         for scenario_spec in scenario_specs:
+            events = resolve_events(scenario_spec.events, shared_topology)
             spec_dict = scenario_spec.to_dict()
             traffic_key = _section_key(spec_dict.get("traffic"))
             built_traffic = traffic_cache.get(traffic_key)
@@ -432,6 +438,7 @@ def build_scenario_group(specs: Sequence[Any]) -> List[BuiltScenario]:
                     trace=built_traffic.trace,
                     pairs=list(built_traffic.pairs),
                     baseline_power_w=baseline_power_w,
+                    events=events,
                     routing=routing,
                     traffic=built_traffic,
                     shared=shared_cache,

@@ -5,9 +5,9 @@ step it through the intervals.  This module holds that loop, once:
 
 * a :class:`Timeline` merges the trace's intervals with the scenario's
   dynamic :class:`~repro.scenario.spec.EventSpec` axis — link/node failures
-  and repairs (driven through
-  :meth:`~repro.simulator.failures.FailureSchedule.due`, so interval-edge
-  events fire exactly once) plus traffic surges — into a sequence of
+  and repairs (picked by :func:`~repro.simulator.failures.due`, so
+  interval-edge events fire exactly once, and folded by one
+  :class:`~repro.simulator.failures.FailureState`) plus traffic surges — into a sequence of
   :class:`TimelineStep` objects, each carrying the interval's (possibly
   surged) matrix and the failure-adjusted
   :class:`~repro.simulator.failures.TopologyView`;
@@ -50,13 +50,7 @@ from typing import (
 from ..exceptions import ConfigurationError
 from ..obs import trace
 from ..routing.ksp import CandidatePaths
-from ..simulator.failures import (
-    FailureSchedule,
-    LinkEvent,
-    NodeEvent,
-    TopologyView,
-)
-from ..topology.base import link_key
+from ..simulator.failures import FailureState, TopologyChange, TopologyView, due
 from ..traffic.matrix import Pair, TrafficMatrix
 from .registry import register, resolve
 from .spec import EventSpec, SchemeSpec
@@ -70,55 +64,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 # --------------------------------------------------------------------- #
 # Timeline events
 # --------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class TopologyChange:
-    """A scheduled failure or repair of a link or node.
-
-    Attributes:
-        time_s: When the change takes effect (trace wall-clock seconds).
-        element: ``"link"`` or ``"node"``.
-        action: ``"fail"`` or ``"repair"``.
-        target: ``(u, v)`` for a link, ``(node,)`` for a node.
-    """
-
-    time_s: float
-    element: str
-    action: str
-    target: Tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if self.element not in ("link", "node"):
-            raise ConfigurationError(
-                f"topology change element must be 'link' or 'node', got {self.element!r}"
-            )
-        if self.action not in ("fail", "repair"):
-            raise ConfigurationError(
-                f"topology change action must be 'fail' or 'repair', got {self.action!r}"
-            )
-
-    @property
-    def kind(self) -> str:
-        """The registry-style event kind, e.g. ``"link-failure"``."""
-        suffix = "failure" if self.action == "fail" else "repair"
-        return f"{self.element}-{suffix}"
-
-    def to_scheduled(self) -> Union[LinkEvent, NodeEvent]:
-        """The simulator-schedule form of this change."""
-        if self.element == "link":
-            u, v = self.target
-            return LinkEvent(self.time_s, (u, v), self.action)
-        return NodeEvent(self.time_s, self.target[0], self.action)
-
-    def record(self) -> Dict[str, Any]:
-        """A JSON-ready description used in results and reaction metrics."""
-        data: Dict[str, Any] = {"time_s": self.time_s, "kind": self.kind}
-        if self.element == "link":
-            data["link"] = list(self.target)
-        else:
-            data["node"] = self.target[0]
-        return data
 
 
 @dataclass(frozen=True)
@@ -139,6 +84,9 @@ class TrafficSurge:
     pairs: Optional[Tuple[Pair, ...]] = None
 
     def __post_init__(self) -> None:
+        for name, value in (("start_s", self.start_s), ("end_s", self.end_s)):
+            if value is not None and not math.isfinite(value):
+                raise ConfigurationError(f"surge {name} must be finite, got {value}")
         if not math.isfinite(self.factor) or self.factor < 0:
             raise ConfigurationError(
                 f"surge factor must be finite and non-negative, got {self.factor}"
@@ -156,6 +104,17 @@ class TrafficSurge:
     @property
     def kind(self) -> str:
         return "traffic-surge"
+
+    def check(self, topology: "Topology") -> None:
+        """Reject a surge whose pairs name a node *topology* does not have
+        (it would change no demand)."""
+        for pair in self.pairs or ():
+            for node in pair:
+                if not topology.has_node(node):
+                    raise ConfigurationError(
+                        f"traffic-surge pair {list(pair)} names unknown node "
+                        f"{node!r} of topology {topology.name!r}"
+                    )
 
     def active_at(self, time_s: float) -> bool:
         """Whether the surge applies at *time_s*."""
@@ -267,8 +226,13 @@ def _traffic_surge_event(
     )
 
 
-def resolve_events(specs: Sequence[EventSpec]) -> List[TimelineEvent]:
-    """Build every event spec, flattening builders that return several events."""
+def resolve_events(specs: Sequence[EventSpec], topology: "Topology") -> List[TimelineEvent]:
+    """Build every event spec, flattening builders that return several
+    events, and check each against *topology*; sorted by time (stable).
+
+    The check is eager — it covers events scheduled past the end of the
+    trace, which would otherwise never fire.
+    """
     events: List[TimelineEvent] = []
     for spec in specs:
         built = spec.build()
@@ -279,57 +243,14 @@ def resolve_events(specs: Sequence[EventSpec]) -> List[TimelineEvent]:
                     f"event component {spec.name!r} must build TopologyChange/"
                     f"TrafficSurge events, got {type(item).__qualname__}"
                 )
+            item.check(topology)
             events.append(item)
     return sorted(events, key=lambda event: event.time_s)
-
-
-def failure_schedule(
-    events: Sequence[Union[EventSpec, TimelineEvent]],
-) -> FailureSchedule:
-    """The flow-level simulator's :class:`FailureSchedule` for these events.
-
-    Accepts raw :class:`EventSpec` entries (resolved through the registry)
-    or already-built timeline events; traffic surges have no simulator
-    equivalent and are skipped.  This is how simulator-based drivers (e.g.
-    Figure 7) source their failures from the scenario's events axis.
-    """
-    resolved: List[TimelineEvent] = []
-    specs = [event for event in events if isinstance(event, EventSpec)]
-    resolved.extend(resolve_events(specs))
-    resolved.extend(
-        event for event in events if isinstance(event, (TopologyChange, TrafficSurge))
-    )
-    schedule = FailureSchedule()
-    for event in sorted(resolved, key=lambda event: event.time_s):
-        if isinstance(event, TopologyChange):
-            schedule.add(event.to_scheduled())
-    return schedule
 
 
 # --------------------------------------------------------------------- #
 # The merged timeline
 # --------------------------------------------------------------------- #
-
-
-def _validate_target(topology: "Topology", event: TopologyChange) -> None:
-    """Reject topology events naming elements the topology does not have.
-
-    Validation is eager — it covers every declared event, including ones
-    scheduled past the end of the trace that would otherwise never fire
-    (a typoed target must not silently turn a failure run into an
-    event-free one).
-    """
-    if event.element == "link":
-        if not topology.has_link(*event.target):
-            raise ConfigurationError(
-                f"{event.kind} event targets unknown link "
-                f"{list(event.target)} of topology {topology.name!r}"
-            )
-    elif not topology.has_node(event.target[0]):
-        raise ConfigurationError(
-            f"{event.kind} event targets unknown node "
-            f"{event.target[0]!r} of topology {topology.name!r}"
-        )
 
 
 @dataclass
@@ -355,9 +276,8 @@ class TimelineStep:
 class Timeline:
     """The merged stream of trace intervals and dynamic events."""
 
-    def __init__(self, steps: List[TimelineStep], events: List[TimelineEvent]) -> None:
+    def __init__(self, steps: List[TimelineStep]) -> None:
         self.steps = steps
-        self.events = events
 
     def fired_records(self) -> List[Dict[str, Any]]:
         """Every event that actually took effect, in firing order."""
@@ -368,53 +288,29 @@ class Timeline:
 
 
 def build_timeline(
-    topology: "Topology", trace: "TrafficTrace", events: Sequence[EventSpec]
+    topology: "Topology", trace: "TrafficTrace", events: Sequence[TimelineEvent]
 ) -> Timeline:
-    """Merge a trace with an event axis into concrete timeline steps.
+    """Merge a trace with resolved events into concrete timeline steps.
 
-    Topology events are driven through
-    :meth:`~repro.simulator.failures.FailureSchedule.due` over the
-    half-open windows between consecutive interval starts (the first window
-    opens at ``-inf`` so events at or before the trace start apply to the
-    first interval).  Views are cached by failure state, so repeated states
-    share one :class:`TopologyView` object — and therefore one derived
-    topology, keeping per-topology solver caches warm.
+    Topology changes are picked by :func:`~repro.simulator.failures.due`
+    over the half-open windows between consecutive interval starts (the
+    first window opens at ``-inf`` so changes at or before the trace start
+    apply to the first interval) and folded by one
+    :class:`~repro.simulator.failures.FailureState`, so repeated failure
+    states share one :class:`TopologyView` object — and therefore one
+    derived topology, keeping per-topology solver caches warm.
     """
-    resolved = resolve_events(events)
-    surges = [event for event in resolved if isinstance(event, TrafficSurge)]
-    schedule = FailureSchedule()
-    for event in resolved:
-        if isinstance(event, TopologyChange):
-            _validate_target(topology, event)
-            schedule.add(event.to_scheduled())
-    change_by_schedule = {
-        event.to_scheduled(): event
-        for event in resolved
-        if isinstance(event, TopologyChange)
-    }
-
+    changes = [event for event in events if isinstance(event, TopologyChange)]
+    surges = [event for event in events if isinstance(event, TrafficSurge)]
+    failed = FailureState(topology)
     steps: List[TimelineStep] = []
-    failed_links: set = set()
-    failed_nodes: set = set()
-    views: Dict[Tuple[frozenset, frozenset], TopologyView] = {}
     previous_t = -math.inf
     active_surges: set = set()
     for index, interval in enumerate(trace):
         t = interval.start_s
         fired: List[Dict[str, Any]] = []
-        for scheduled in schedule.due(previous_t, t):
-            change = change_by_schedule[scheduled]
-            if isinstance(scheduled, LinkEvent):
-                key = link_key(*scheduled.link)
-                if scheduled.kind == "fail":
-                    failed_links.add(key)
-                else:
-                    failed_links.discard(key)
-            else:
-                if scheduled.kind == "fail":
-                    failed_nodes.add(scheduled.node)
-                else:
-                    failed_nodes.discard(scheduled.node)
+        for change in due(changes, previous_t, t):
+            failed.apply(change)
             fired.append(change.record())
 
         matrix = interval.matrix
@@ -427,22 +323,11 @@ def build_timeline(
             else:
                 active_surges.discard(surge)
 
-        state_key = (frozenset(failed_links), frozenset(failed_nodes))
-        if state_key not in views:
-            views[state_key] = TopologyView(
-                topology, failed_links=state_key[0], failed_nodes=state_key[1]
-            )
         steps.append(
-            TimelineStep(
-                index=index,
-                time_s=t,
-                matrix=matrix,
-                view=views[state_key],
-                fired=fired,
-            )
+            TimelineStep(index=index, time_s=t, matrix=matrix, view=failed.view(), fired=fired)
         )
         previous_t = t
-    return Timeline(steps, resolved)
+    return Timeline(steps)
 
 
 # --------------------------------------------------------------------- #
@@ -719,7 +604,7 @@ def _drive(
     timelines: List[Timeline] = []
     progress: List[List[_SchemeProgress]] = []
     for built in builts:
-        timelines.append(build_timeline(built.topology, built.trace, built.spec.events))
+        timelines.append(build_timeline(built.topology, built.trace, built.events))
         progress.append([_start_scheme(built, scheme) for scheme in built.spec.schemes])
 
     # Traces may differ in length across the scenarios; a shorter one simply

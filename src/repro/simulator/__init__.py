@@ -11,7 +11,7 @@ scaling benchmarks compare against.
 
 from .aggregate import AggregatedFlows, allocate_aggregated
 from .engine import Controller, Sample, SimulationEngine, SimulationResult
-from .failures import FailureSchedule, LinkEvent, NodeEvent, TopologyView
+from .failures import FailureState, TopologyChange, TopologyView, due
 from .fairness import Incidence, max_min_fair_rates
 from .flows import (
     DemandProfile,
@@ -20,8 +20,7 @@ from .flows import (
     offered_load_vector,
     stepped_demand,
 )
-from .links import NUM_LINK_STATES, LinkState, SimulatedLink
-from .network import DEFAULT_WAKE_DELAY_S, SimulatedNetwork
+from .network import DEFAULT_WAKE_DELAY_S, LinkState, SimulatedNetwork
 from .reference import reference_max_min_rates
 
 __all__ = [
@@ -31,10 +30,10 @@ __all__ = [
     "Sample",
     "SimulationEngine",
     "SimulationResult",
-    "FailureSchedule",
-    "LinkEvent",
-    "NodeEvent",
+    "FailureState",
+    "TopologyChange",
     "TopologyView",
+    "due",
     "Incidence",
     "max_min_fair_rates",
     "DemandProfile",
@@ -42,9 +41,7 @@ __all__ = [
     "constant_demand",
     "offered_load_vector",
     "stepped_demand",
-    "NUM_LINK_STATES",
     "LinkState",
-    "SimulatedLink",
     "DEFAULT_WAKE_DELAY_S",
     "SimulatedNetwork",
     "reference_max_min_rates",

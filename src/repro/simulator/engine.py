@@ -18,16 +18,14 @@ arc table rather than per-element dictionary walks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Protocol, Tuple
+from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
 from ..exceptions import SimulationError
-from ..topology.base import link_key
-from .failures import FailureSchedule, NodeEvent
+from .failures import FailureState, TopologyChange, due
 from .flows import Flow
-from .links import NUM_LINK_STATES, LinkState
-from .network import SimulatedNetwork
+from .network import LinkState, SimulatedNetwork
 
 
 class Controller(Protocol):
@@ -90,7 +88,7 @@ class SimulationEngine:
         controller: Controller,
         time_step_s: float = 0.01,
         sample_interval_s: Optional[float] = None,
-        failures: Optional[FailureSchedule] = None,
+        failures: Sequence[TopologyChange] = (),
         monitored_arcs: Optional[List[Tuple[str, str]]] = None,
     ) -> None:
         if time_step_s <= 0:
@@ -102,24 +100,13 @@ class SimulationEngine:
         self.sample_interval_s = (
             float(sample_interval_s) if sample_interval_s is not None else self.time_step_s
         )
-        self.failures = failures or FailureSchedule()
+        self.failures = list(failures)
+        for change in self.failures:
+            change.check(network.topology)
         self.monitored_arcs = list(monitored_arcs or [])
         flow_ids = [flow.flow_id for flow in flows]
         if len(set(flow_ids)) != len(flow_ids):
             raise SimulationError("flow identifiers must be unique")
-        # Current failure causes, maintained while applying scheduled events:
-        # a link stays failed as long as any cause (its own failure or a
-        # failed endpoint) is still in effect.
-        self._failed_links: set = set()
-        self._failed_nodes: set = set()
-
-    def _link_still_failed(self, u: str, v: str) -> bool:
-        """Whether some still-active failure keeps link ``(u, v)`` down."""
-        return (
-            link_key(u, v) in self._failed_links
-            or u in self._failed_nodes
-            or v in self._failed_nodes
-        )
 
     def run(self, duration_s: float, start_s: float = 0.0) -> SimulationResult:
         """Run the simulation for *duration_s* seconds of simulated time."""
@@ -130,40 +117,23 @@ class SimulationEngine:
         end = start_s + duration_s
         previous = now - self.time_step_s
         last_sample_at = -float("inf")
-        self._failed_links.clear()
-        self._failed_nodes.clear()
+        failed = FailureState(self.network.topology)
 
         self.controller.initialise(self.network, self.flows, now)
 
         while now <= end + 1e-12:
-            # 1. Scheduled failures and repairs.  Link- and node-scoped
-            # failures overlap (a node takes its incident links down), so
-            # the engine tracks both causes and only repairs a link once no
-            # cause keeps it failed.
-            for event in self.failures.due(previous, now):
-                if isinstance(event, NodeEvent):
-                    if event.kind == "fail":
-                        self._failed_nodes.add(event.node)
-                    else:
-                        self._failed_nodes.discard(event.node)
-                    affected = [
-                        link.endpoints
-                        for link in self.network.topology.incident_links(event.node)
-                    ]
-                else:
-                    key = link_key(*event.link)
-                    if event.kind == "fail":
-                        self._failed_links.add(key)
-                    else:
-                        self._failed_links.discard(key)
-                    affected = [event.link]
-                for u, v in affected:
-                    if event.kind == "fail":
-                        self.network.fail_link(u, v)
-                    elif self._link_still_failed(u, v):
-                        continue  # another failure still holds the link down
-                    else:
-                        self.network.repair_link(u, v)
+            # 1. Scheduled failures and repairs.  A link is out of service
+            # while any failure covering it (its own or an endpoint's) holds,
+            # so it fails when it enters the unusable set and is repaired
+            # only when it leaves it.
+            for change in due(self.failures, previous, now):
+                before = failed.view().unusable_links()
+                failed.apply(change)
+                after = failed.view().unusable_links()
+                for u, v in sorted(after - before):
+                    self.network.fail_link(u, v)
+                for u, v in sorted(before - after):
+                    self.network.repair_link(u, v)
 
             # 2. Complete pending wake-ups.
             self.network.advance(now)
@@ -186,18 +156,16 @@ class SimulationEngine:
     def _sample(self, now_s: float) -> Sample:
         total_demand = sum(flow.offered_load(now_s) for flow in self.flows)
         total_rate = sum(flow.rate_bps for flow in self.flows)
-        state_counts = np.bincount(
-            self.network.link_state_codes(), minlength=NUM_LINK_STATES
-        )
+        state_counts = np.bincount(self.network.link_state_codes(), minlength=len(LinkState))
         return Sample(
             time_s=now_s,
             total_demand_bps=total_demand,
             total_rate_bps=total_rate,
             power_percent=self.network.power_percent(),
             flow_rates={flow.flow_id: flow.rate_bps for flow in self.flows},
-            sleeping_links=int(state_counts[LinkState.SLEEPING.code]),
-            waking_links=int(state_counts[LinkState.WAKING.code]),
-            failed_links=int(state_counts[LinkState.FAILED.code]),
+            sleeping_links=int(state_counts[LinkState.SLEEPING]),
+            waking_links=int(state_counts[LinkState.WAKING]),
+            failed_links=int(state_counts[LinkState.FAILED]),
             monitored_arc_loads={
                 (src, dst): self.network.arc_load(src, dst)
                 for src, dst in self.monitored_arcs

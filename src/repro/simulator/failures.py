@@ -1,113 +1,158 @@
-"""Failure injection and failure-aware topology views.
+"""Topology changes and the one fold from changes to failure state.
 
-Two layers consume this module:
-
-* the flow-level :class:`~repro.simulator.engine.SimulationEngine` applies a
-  :class:`FailureSchedule`'s link/node events step by step, and
-* the scenario :mod:`~repro.scenario.timeline` derives a
-  :class:`TopologyView` per trace interval — the failure-adjusted topology a
-  :class:`~repro.scenario.timeline.SchemeRuntime` steps against.
+A :class:`TopologyChange` fails or repairs one link or node at a time;
+:func:`due` picks the changes of a half-open time window, and a
+:class:`FailureState` folds changes into the failed links and nodes and
+hands out the :class:`TopologyView` they leave.  Three drivers share them:
+the scenario :mod:`~repro.scenario.timeline` (a view per trace interval,
+what a :class:`~repro.scenario.timeline.SchemeRuntime` steps against), the
+flow-level :class:`~repro.simulator.engine.SimulationEngine` (links that
+enter or leave the view's unusable set are failed or repaired) and the
+stress ablation (the view after every change).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, Iterable, List, Set, Tuple
 
-from ..exceptions import SimulationError
+from ..exceptions import ConfigurationError
 from ..topology.base import link_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..topology.base import Topology
 
-#: Slack applied to both window edges of :meth:`FailureSchedule.due`.  The
-#: same shift on both bounds keeps consecutive windows disjoint: an event can
-#: drift past an interval edge by accumulated float error and still fire, but
-#: it can never fire twice.
+#: Slack applied to both window edges of :func:`due`.  The same shift on both
+#: bounds keeps consecutive windows disjoint: a change can drift past an
+#: interval edge by accumulated float error and still fire, but it can never
+#: fire twice.
 _EDGE_TOLERANCE_S = 1e-12
 
 
 @dataclass(frozen=True)
-class LinkEvent:
-    """A scheduled link failure or repair.
-
-    Attributes:
-        time_s: Simulation time at which the event takes effect.
-        link: Undirected link endpoints.
-        kind: ``"fail"`` or ``"repair"``.
-    """
-
-    time_s: float
-    link: Tuple[str, str]
-    kind: str
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("fail", "repair"):
-            raise SimulationError(f"unknown link event kind: {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class NodeEvent:
-    """A scheduled node failure or repair.
+class TopologyChange:
+    """A scheduled failure or repair of a link or node.
 
     A failed node takes every incident link down with it (constraint (1) of
     the paper: links attached to a powered-off router are inactive).
 
     Attributes:
-        time_s: Simulation time at which the event takes effect.
-        node: The failing/recovering node.
-        kind: ``"fail"`` or ``"repair"``.
+        time_s: When the change takes effect (finite seconds).
+        element: ``"link"`` or ``"node"``.
+        action: ``"fail"`` or ``"repair"``.
+        target: ``(u, v)`` for a link, ``(node,)`` for a node.
     """
 
     time_s: float
-    node: str
-    kind: str
+    element: str
+    action: str
+    target: Tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if self.kind not in ("fail", "repair"):
-            raise SimulationError(f"unknown node event kind: {self.kind!r}")
-
-
-ScheduledEvent = Union[LinkEvent, NodeEvent]
-
-
-class FailureSchedule:
-    """An ordered collection of link/node failure and repair events."""
-
-    def __init__(self) -> None:
-        self._events: List[ScheduledEvent] = []
-
-    def add(self, event: ScheduledEvent) -> "FailureSchedule":
-        """Append an already-built event (chainable)."""
-        if not isinstance(event, (LinkEvent, NodeEvent)):
-            raise SimulationError(
-                f"expected a LinkEvent or NodeEvent, got {type(event).__qualname__}"
+        if not math.isfinite(self.time_s):
+            raise ConfigurationError(
+                f"topology change time_s must be finite, got {self.time_s}"
             )
-        self._events.append(event)
-        return self
+        if self.element not in ("link", "node"):
+            raise ConfigurationError(
+                f"topology change element must be 'link' or 'node', got {self.element!r}"
+            )
+        if self.action not in ("fail", "repair"):
+            raise ConfigurationError(
+                f"topology change action must be 'fail' or 'repair', got {self.action!r}"
+            )
 
-    def events(self) -> List[ScheduledEvent]:
-        """All events sorted by time (stable for simultaneous events)."""
-        return sorted(self._events, key=lambda event: event.time_s)
+    @property
+    def kind(self) -> str:
+        """The registry-style event kind, e.g. ``"link-failure"``."""
+        suffix = "failure" if self.action == "fail" else "repair"
+        return f"{self.element}-{suffix}"
 
-    def due(self, previous_s: float, now_s: float) -> List[ScheduledEvent]:
-        """Events whose time falls in the half-open interval ``(previous, now]``.
+    def check(self, topology: "Topology") -> None:
+        """Reject a change naming an element *topology* does not have.
 
-        Both edges carry the same float-drift tolerance, so driving the
-        schedule with contiguous windows ``(t0, t1], (t1, t2], ...`` delivers
-        an event that lands exactly on a shared edge (or within the tolerance
-        of it) exactly once — in the earlier window, never in both.
+        Drivers call it for every change when the changes enter — including
+        ones scheduled past the end of a run that would never fire — so a
+        typoed target cannot silently turn a failure run into an intact one.
         """
-        return [
-            event
-            for event in self.events()
-            if previous_s + _EDGE_TOLERANCE_S
-            < event.time_s
-            <= now_s + _EDGE_TOLERANCE_S
-        ]
+        if self.element == "link":
+            if not topology.has_link(*self.target):
+                raise ConfigurationError(
+                    f"{self.kind} event targets unknown link "
+                    f"{list(self.target)} of topology {topology.name!r}"
+                )
+        elif not topology.has_node(self.target[0]):
+            raise ConfigurationError(
+                f"{self.kind} event targets unknown node "
+                f"{self.target[0]!r} of topology {topology.name!r}"
+            )
 
-    def __len__(self) -> int:
-        return len(self._events)
+    def record(self) -> Dict[str, Any]:
+        """A JSON-ready description used in results and reaction metrics."""
+        data: Dict[str, Any] = {"time_s": self.time_s, "kind": self.kind}
+        if self.element == "link":
+            data["link"] = list(self.target)
+        else:
+            data["node"] = self.target[0]
+        return data
+
+
+def due(
+    changes: Iterable[TopologyChange], previous_s: float, now_s: float
+) -> List[TopologyChange]:
+    """The changes whose time falls in the half-open window ``(previous, now]``,
+    in time order (stable for simultaneous changes).
+
+    Both edges carry the same float-drift tolerance, so driving the changes
+    with contiguous windows ``(t0, t1], (t1, t2], ...`` delivers a change
+    that lands exactly on a shared edge (or within the tolerance of it)
+    exactly once — in the earlier window, never in both.
+    """
+    return [
+        change
+        for change in sorted(changes, key=lambda change: change.time_s)
+        if previous_s + _EDGE_TOLERANCE_S < change.time_s <= now_s + _EDGE_TOLERANCE_S
+    ]
+
+
+class FailureState:
+    """The failed links and nodes that a sequence of changes leaves.
+
+    An element stays failed until its own repair; a link is out of service
+    while it or either endpoint is failed (:meth:`TopologyView.unusable_links`).
+    :meth:`view` hands out one view object per distinct failed state, so a
+    return to an earlier state — the intact network after a repair included —
+    returns the same view, and with it the same derived topology that
+    per-topology caches key on.
+    """
+
+    def __init__(self, topology: "Topology") -> None:
+        self.topology = topology
+        self._links: Set[Tuple[str, str]] = set()
+        self._nodes: Set[str] = set()
+        self._views: Dict[Tuple[FrozenSet[Tuple[str, str]], FrozenSet[str]], TopologyView] = {}
+
+    def apply(self, change: TopologyChange) -> None:
+        """Fold in one change: a failure adds its element, a repair removes it."""
+        if change.element == "link":
+            key = link_key(change.target[0], change.target[1])
+            if change.action == "fail":
+                self._links.add(key)
+            else:
+                self._links.discard(key)
+        elif change.action == "fail":
+            self._nodes.add(change.target[0])
+        else:
+            self._nodes.discard(change.target[0])
+
+    def view(self) -> "TopologyView":
+        """The topology seen through the current failed state."""
+        key = (frozenset(self._links), frozenset(self._nodes))
+        view = self._views.get(key)
+        if view is None:
+            view = self._views[key] = TopologyView(self.topology, *key)
+        return view
 
 
 class TopologyView:

@@ -1,17 +1,23 @@
 """Run-time network state of the flow-level simulator.
 
-The network keeps two synchronised views of its state: the per-link
-:class:`~repro.simulator.links.SimulatedLink` state machines (the mutable
-source of truth for sleep/wake/failure transitions) and a dense
-integer-indexed :class:`~repro.topology.index.TopologyIndex` over which the
-per-step rate allocation and utilisation bookkeeping run as NumPy array
-operations (see :mod:`repro.simulator.fairness`).
+Link state is two arrays in :meth:`Topology.index` link order — a
+:class:`LinkState` code and a wake-up deadline per link — so every
+sleep/wake/failure transition and every read is a NumPy array operation,
+as are the per-step rate allocation and utilisation bookkeeping (see
+:mod:`repro.simulator.fairness`).
+
+Network elements in REsPoNse can be asleep, awake or failed; waking a
+sleeping element takes a hardware-dependent delay (the paper uses 10 ms for
+the Click experiment — "the estimated activation times of future hardware" —
+and 5 s for the ns-2 experiments — "an upper bound on the time reported to
+power on a network port in existing hardware").
 """
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -23,10 +29,21 @@ from ..routing.paths import Path
 from ..topology.base import Topology, link_key
 from .fairness import Incidence, last_kernel_stats, max_min_fair_rates
 from .flows import Flow, offered_load_vector
-from .links import LinkState, SimulatedLink
 
 #: Default wake-up delay (the ns-2 experiments' conservative 5 s bound).
 DEFAULT_WAKE_DELAY_S = 5.0
+
+
+class LinkState(enum.IntEnum):
+    """Power/availability state of an undirected link; the value is the code
+    :meth:`SimulatedNetwork.link_state_codes` holds, so
+    ``np.bincount(codes, minlength=len(LinkState))`` is the histogram."""
+
+    ACTIVE = 0
+    SLEEPING = 1
+    WAKING = 2
+    FAILED = 3
+
 
 #: Single-entry compiled flow-set cache churn, registry-wide (one counter
 #: pair shared by every SimulatedNetwork in the process).
@@ -73,24 +90,16 @@ class SimulatedNetwork:
         self.topology = topology
         self.power_model = power_model
         self.wake_delay_s = float(wake_delay_s)
-        self._links: Dict[Tuple[str, str], SimulatedLink] = {}
-        for link in topology.links():
-            self._links[link.key] = SimulatedLink(
-                key=link.key,
-                capacity_bps=link.capacity_bps,
-                latency_s=link.latency_s,
-                wake_delay_s=self.wake_delay_s,
-            )
         self._index = topology.index()
-        #: Link objects in index order (aligned with link indices).
-        self._link_list: List[SimulatedLink] = [
-            self._links[key] for key in self._index.link_keys
-        ]
-        # Allocation shares the parent link's (per-direction) capacity, as
-        # stored on the SimulatedLink — utilisation accounting instead uses
-        # the topology's declared per-arc capacity (TopologyIndex.arc_capacity).
-        self._alloc_capacity = np.array(
-            [link.capacity_bps for link in self._link_list], dtype=float
+        num_links = len(self._index.link_keys)
+        self._state = np.full(num_links, LinkState.ACTIVE, dtype=np.int64)
+        #: When each WAKING link becomes ACTIVE; ``inf`` for every other link.
+        self._wake_at = np.full(num_links, np.inf)
+        # Allocation shares the parent link's (per-direction) capacity —
+        # utilisation accounting instead uses the topology's declared
+        # per-arc capacity (TopologyIndex.arc_capacity).
+        self._alloc_capacity: np.ndarray = np.array(
+            [topology.link(*key).capacity_bps for key in self._index.link_keys], dtype=float
         )[self._index.arc_link]
         self._arc_load_vec = np.zeros(self._index.num_arcs, dtype=float)
         self._baseline_power_w = (
@@ -100,57 +109,57 @@ class SimulatedNetwork:
         self._compiled_flows: Optional[_CompiledFlowSet] = None
 
     # ------------------------------------------------------------------ #
-    # Link state management
+    # Link state transitions
     # ------------------------------------------------------------------ #
-    def link(self, u: str, v: str) -> SimulatedLink:
-        """The simulated link between two nodes."""
+    def _link(self, u: str, v: str) -> int:
         try:
-            return self._links[link_key(u, v)]
+            return self._index.link_index[link_key(u, v)]
         except KeyError:
             raise SimulationError(f"no link between {u!r} and {v!r}") from None
-
-    def links(self) -> List[SimulatedLink]:
-        """All simulated links."""
-        return list(self._links.values())
 
     def sleep_idle_links(self, keep_active: np.ndarray) -> None:
         """Put to sleep every active link the per-link mask (link-index
         order, ``Topology.index().link_mask``) does not keep."""
-        for simulated, keep in zip(self._link_list, keep_active.tolist(), strict=True):
-            if not keep and simulated.state == LinkState.ACTIVE:
-                simulated.sleep()
+        self._state[~keep_active & (self._state == LinkState.ACTIVE)] = LinkState.SLEEPING
 
-    def request_wake(self, links: Iterable[Tuple[str, str]], now_s: float) -> None:
-        """Start waking the listed links."""
-        for u, v in links:
-            self.link(u, v).request_wake(now_s)
+    def request_wake(self, links: np.ndarray, now_s: float) -> None:
+        """Start waking the sleeping links among *links* (link indices); each
+        becomes active ``wake_delay_s`` later (failed links stay failed)."""
+        asleep = links[self._state[links] == LinkState.SLEEPING]
+        self._state[asleep] = LinkState.WAKING
+        self._wake_at[asleep] = now_s + self.wake_delay_s
 
     def fail_link(self, u: str, v: str) -> None:
-        """Fail the link between two nodes."""
-        self.link(u, v).fail()
+        """Fail the link between two nodes (it stops carrying traffic now)."""
+        link = self._link(u, v)
+        self._state[link] = LinkState.FAILED
+        self._wake_at[link] = np.inf
 
     def repair_link(self, u: str, v: str) -> None:
-        """Repair the link between two nodes."""
-        self.link(u, v).repair()
+        """Repair the link between two nodes; a failed link comes back active."""
+        link = self._link(u, v)
+        if self._state[link] == LinkState.FAILED:
+            self._state[link] = LinkState.ACTIVE
 
     def advance(self, now_s: float) -> None:
-        """Advance all link state machines to *now_s*."""
-        for simulated in self._links.values():
-            simulated.advance(now_s)
+        """Complete every pending wake-up whose delay has elapsed by *now_s*."""
+        ready = self._wake_at <= now_s + 1e-12
+        self._state[ready] = LinkState.ACTIVE
+        self._wake_at[ready] = np.inf
 
     # ------------------------------------------------------------------ #
     # Path usability and rate allocation
     # ------------------------------------------------------------------ #
     def path_is_usable(self, path: Path) -> bool:
         """Whether every link along the path is active."""
-        return all(self._links[key].is_usable for key in path.link_keys())
+        links = self._index.compile_path(path).link_indices
+        return bool((self._state[links] == LinkState.ACTIVE).all())
 
     def max_rtt(self) -> float:
-        """An upper bound on the network round-trip time (diameter based)."""
-        diameter_latency = sum(
-            sorted((link.latency_s for link in self._links.values()), reverse=True)
-        )
-        return 2.0 * diameter_latency if self._links else 0.0
+        """An upper bound on the network round-trip time: twice the sum of
+        every link's latency."""
+        latencies = [link.latency_s for link in self.topology.links()]
+        return 2.0 * sum(sorted(latencies, reverse=True))
 
     def allocate_rates(self, flows: List[Flow], now_s: float = 0.0) -> None:
         """Max-min fair allocation of flow rates over usable paths.
@@ -217,7 +226,7 @@ class SimulatedNetwork:
         other flow set changes the key and forces a rebuild.
         """
         key = tuple(map(id, paths)) if owner is None else (id(owner),)
-        state_bytes = self.link_state_codes().tobytes()
+        state_bytes = self._state.tobytes()
         cached = self._compiled_flows
         if (
             cached is not None
@@ -273,24 +282,13 @@ class SimulatedNetwork:
         return self._alloc_capacity
 
     def link_usable_vector(self) -> np.ndarray:
-        """Boolean usability per link, in link-index order."""
-        return np.fromiter(
-            (link.state is LinkState.ACTIVE for link in self._link_list),
-            dtype=bool,
-            count=len(self._link_list),
-        )
+        """Boolean usability (state ACTIVE) per link, in link-index order."""
+        usable: np.ndarray = self._state == LinkState.ACTIVE
+        return usable
 
     def link_state_codes(self) -> np.ndarray:
-        """Integer state code per link (``LinkState.code`` order).
-
-        ``np.bincount(codes, minlength=NUM_LINK_STATES)`` yields the
-        active/sleeping/waking/failed histogram in one call.
-        """
-        return np.fromiter(
-            (link.state.code for link in self._link_list),
-            dtype=np.int64,
-            count=len(self._link_list),
-        )
+        """A copy of the :class:`LinkState` code per link, in link-index order."""
+        return self._state.copy()
 
     def arc_load_vector(self) -> np.ndarray:
         """Per-arc load (bps) from the last allocation, in arc-index order.
@@ -314,18 +312,13 @@ class SimulatedNetwork:
         A link draws power when active or waking; a node draws power when it
         has at least one such link (or is marked always-powered).
         """
-        active_links = {
-            key for key, simulated in self._links.items() if simulated.consumes_power
-        }
-        active_nodes: Set[str] = set()
-        # repro: allow[REP104] pure set union; the result is itself a set
-        for u, v in active_links:
-            active_nodes.add(u)
-            active_nodes.add(v)
-        for name in self.topology.nodes():
-            if self.topology.node(name).always_powered:
-                active_nodes.add(name)
-        return active_nodes, active_links
+        powered = (self._state == LinkState.ACTIVE) | (self._state == LinkState.WAKING)
+        keys = [self._index.link_keys[link] for link in np.flatnonzero(powered).tolist()]
+        active_nodes = {name for key in keys for name in key}
+        active_nodes.update(
+            name for name in self.topology.nodes() if self.topology.node(name).always_powered
+        )
+        return active_nodes, set(keys)
 
     def power_percent(self) -> float:
         """Current power as a percentage of the fully powered network."""

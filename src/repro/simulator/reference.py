@@ -55,7 +55,7 @@ def reference_max_min_rates(
         demands[flow.flow_id] = flow.offered_load(now_s)
     for flow in routable:
         for arc in flow.path.arc_keys():
-            remaining_capacity.setdefault(arc, network.link(*arc).capacity_bps)
+            remaining_capacity.setdefault(arc, network.topology.link(*arc).capacity_bps)
             flows_on_arc.setdefault(arc, set()).add(flow.flow_id)
 
     allocation = {flow.flow_id: 0.0 for flow in routable}

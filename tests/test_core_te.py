@@ -6,12 +6,11 @@ from repro.core import ResponsePlan, ResponseTEController, TEConfig
 from repro.exceptions import ConfigurationError
 from repro.routing import RoutingTable
 from repro.simulator import (
-    FailureSchedule,
     Flow,
-    LinkEvent,
     LinkState,
     SimulatedNetwork,
     SimulationEngine,
+    TopologyChange,
     constant_demand,
     stepped_demand,
 )
@@ -83,9 +82,9 @@ def test_te_aggregates_low_traffic_and_sleeps_links(click, cisco_model):
     final = result.samples[-1]
     assert final.total_rate_bps == pytest.approx(4 * mbps(1))
     # On-demand links (D-G, F-J and their tails) are asleep.
-    assert network.link("D", "G").state == LinkState.SLEEPING
-    assert network.link("F", "J").state == LinkState.SLEEPING
-    assert network.link("E", "H").state == LinkState.ACTIVE
+    assert network.link_state_codes()[click.index().link_index[("D", "G")]] == LinkState.SLEEPING
+    assert network.link_state_codes()[click.index().link_index[("F", "J")]] == LinkState.SLEEPING
+    assert network.link_state_codes()[click.index().link_index[("E", "H")]] == LinkState.ACTIVE
     assert all(_on_always_on(plan, flow) for flow in flows)
     assert final.power_percent < 100.0
 
@@ -108,7 +107,7 @@ def test_te_recovers_from_always_on_failure(click, cisco_model):
     network = SimulatedNetwork(click, cisco_model, wake_delay_s=0.01)
     flows = _flows(mbps(1))
     controller = ResponseTEController(plan, TEConfig(failure_detection_delay_s=0.1))
-    failures = FailureSchedule().add(LinkEvent(1.0, ("E", "H"), "fail"))
+    failures = [TopologyChange(1.0, "link", "fail", ("E", "H"))]
     engine = SimulationEngine(
         network, flows, controller, time_step_s=0.02, failures=failures
     )
@@ -142,7 +141,7 @@ def test_te_release_returns_traffic_to_always_on(click, cisco_model):
     engine = SimulationEngine(network, flows, controller, time_step_s=0.05)
     engine.run(duration_s=4.0)
     assert all(_on_always_on(plan, flow) for flow in flows)
-    assert network.link("D", "G").state == LinkState.SLEEPING
+    assert network.link_state_codes()[click.index().link_index[("D", "G")]] == LinkState.SLEEPING
 
 
 def test_te_start_time_defers_control(click, cisco_model):

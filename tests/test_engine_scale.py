@@ -395,10 +395,14 @@ def test_compiled_flow_set_invalidated_on_path_reassignment():
 
 
 def fresh_rates(network, table):
-    """*table*'s rates on a new network put in *network*'s link states."""
+    """*table*'s rates on a new network driven into *network*'s link states."""
     fresh = SimulatedNetwork(network.topology)
-    for link in network.links():
-        fresh.link(*link.key).state = link.state
+    codes = network.link_state_codes()
+    fresh.sleep_idle_links(codes == LinkState.ACTIVE)
+    fresh.request_wake(np.flatnonzero(codes == LinkState.WAKING), now_s=0.0)
+    for link in np.flatnonzero(codes == LinkState.FAILED):
+        fresh.fail_link(*network.topology.index().link_keys[link])
+    assert np.array_equal(fresh.link_state_codes(), codes)
     return allocate_aggregated(fresh, table)
 
 
@@ -411,19 +415,24 @@ def test_compiled_flow_set_cannot_go_stale_across_entry_points():
     assert np.array_equal(healthy, fresh_rates(network, table))
 
     # Every way a link can change state is seen by the next call.
+    position = topology.index().link_index[victim]
+    keep_others = np.arange(len(topology.link_keys())) != position
     moves = [
-        lambda: network.fail_link(*victim),
-        lambda: network.repair_link(*victim),
-        lambda: network.link(*victim).fail(),
-        lambda: network.link(*victim).repair(),
-        lambda: setattr(network.link(*victim), "state", LinkState.FAILED),
-        lambda: setattr(network.link(*victim), "state", LinkState.ACTIVE),
+        (lambda: network.fail_link(*victim), False),
+        (lambda: network.repair_link(*victim), True),
+        (lambda: network.sleep_idle_links(keep_others), False),
+        (lambda: network.request_wake(np.array([position]), now_s=1.0), False),
+        (lambda: network.advance(1.0 + network.wake_delay_s), True),
+        (lambda: network.sleep_idle_links(keep_others), False),
+        (lambda: network.request_wake(np.array([position]), now_s=2.0), False),
+        (lambda: network.fail_link(*victim), False),
+        (lambda: network.repair_link(*victim), True),
     ]
-    for step, move in enumerate(moves):
+    for move, usable in moves:
         move()
         rates = allocate_aggregated(network, table)
         assert np.array_equal(rates, fresh_rates(network, table))
-        assert np.array_equal(rates, healthy) == (step % 2 == 1)
+        assert np.array_equal(rates, healthy) == usable
 
     # Same paths, other membership: the key is the table, not its paths.
     regrouped = AggregatedFlows.from_arrays(

@@ -81,5 +81,5 @@ def test_controller_wakes_the_first_on_demand_table_that_fits(cisco_model):
     assert flows[0].path is first
     assert flows[1].path is plan.always_on_table.path(*PAIR)
     assert not any(flow.path is second for flow in flows)
-    assert network.link("s", "c").state == LinkState.SLEEPING
+    assert network.link_state_codes()[topology.index().link_index[("c", "s")]] == LinkState.SLEEPING
     assert final.total_rate_bps == mbps(12)

@@ -303,15 +303,9 @@ def test_non_finite_or_negative_volumes_are_400_not_200_or_500(tmp_path, caplog)
             code, error = request_error(server, "/scenarios", {"spec": spec})
             assert (code, error["code"]) == (400, "invalid-scenario"), overrides
             assert re.search(complaint, error["message"]), (overrides, error)
-            # A replay refuses a bad volume before it streams; a bad event is
-            # built as the timeline starts, so it ends the stream instead.
-            try:
-                error = stream_replay(server, spec)[-1]
-                assert error["type"] == "error", overrides
-            except urllib.error.HTTPError as rejected:
-                assert rejected.code == 400, overrides
-                error = json.loads(rejected.read())["error"]
-            assert error["code"] == "invalid-scenario", overrides
+            # A replay refuses a bad volume or event before it streams.
+            code, error = request_error(server, "/scenarios/replay", {"spec": spec})
+            assert (code, error["code"]) == (400, "invalid-scenario"), overrides
             assert re.search(complaint, error["message"]), (overrides, error)
     assert "Traceback" not in caplog.text
 
@@ -414,6 +408,23 @@ def test_replay_stream_marks_events_on_their_interval(tmp_path):
         for event_record in offline.reaction["response"]
     ]
     assert fired[0][1] == "link-failure"
+
+
+def test_replay_rejects_a_bad_event_target_before_the_first_byte(tmp_path):
+    """Targets were checked as the timeline started: the stream sent ``start``
+    and then an ``error`` record under a 200."""
+    from repro.service import handlers
+
+    spec = eventful_scenario()
+    spec["events"][0]["params"]["link"] = ["DE", "XX"]
+    emitted = []
+    with pytest.raises(handlers.ServiceError) as rejected:
+        handlers.replay_stream({"spec": spec}, emitted.append)
+    assert rejected.value.status == 400 and emitted == []
+    with service(tmp_path) as server:
+        code, error = request_error(server, "/scenarios/replay", {"spec": spec})
+    assert (code, error["code"]) == (400, "invalid-scenario")
+    assert "unknown link ['DE', 'XX']" in error["message"]
 
 
 def test_replay_invalid_spec_is_a_clean_400(tmp_path):

@@ -1,60 +1,67 @@
-"""Tests for the flow-level simulator (links, flows, network, engine)."""
+"""Tests for the flow-level simulator (link states, flows, network, engine)."""
 
+import numpy as np
 import pytest
 
-from repro.exceptions import SimulationError
+from repro.exceptions import ConfigurationError, SimulationError
 from repro.simulator import (
-    FailureSchedule,
     Flow,
-    LinkEvent,
     LinkState,
     SimulatedNetwork,
     SimulationEngine,
+    TopologyChange,
     constant_demand,
+    due,
     stepped_demand,
 )
 from repro.routing import Path
 from repro.units import mbps
 
 
+def state_of(network, u, v):
+    """The :class:`LinkState` of link ``u-v`` in *network*."""
+    return LinkState(network.link_state_codes()[network.topology.index().link_index[(u, v)]])
+
+
 # --------------------------------------------------------------------- #
-# Link state machine
+# Link state transitions
 # --------------------------------------------------------------------- #
 def test_link_sleep_wake_cycle(diamond, cisco_model):
     network = SimulatedNetwork(diamond, cisco_model, wake_delay_s=1.0)
-    link = network.link("a", "b")
-    assert link.state == LinkState.ACTIVE
-    link.sleep()
-    assert link.state == LinkState.SLEEPING
-    assert not link.is_usable
-    link.request_wake(now_s=10.0)
-    assert link.state == LinkState.WAKING
-    assert link.consumes_power
-    link.advance(10.5)
-    assert link.state == LinkState.WAKING
-    link.advance(11.0)
-    assert link.state == LinkState.ACTIVE
+    link = np.array([diamond.index().link_index[("a", "b")]])
+    assert state_of(network, "a", "b") == LinkState.ACTIVE
+    network.sleep_idle_links(~diamond.index().link_mask([("a", "b")]))
+    assert state_of(network, "a", "b") == LinkState.SLEEPING
+    assert not network.link_usable_vector()[link].any()
+    network.request_wake(link, now_s=10.0)
+    assert state_of(network, "a", "b") == LinkState.WAKING
+    assert ("a", "b") in network.active_elements()[1]  # a waking link draws power
+    network.advance(10.5)
+    assert state_of(network, "a", "b") == LinkState.WAKING
+    network.advance(11.0)
+    assert state_of(network, "a", "b") == LinkState.ACTIVE
 
 
 def test_link_failure_and_repair(diamond, cisco_model):
     network = SimulatedNetwork(diamond, cisco_model)
     network.fail_link("a", "b")
-    link = network.link("a", "b")
-    assert link.state == LinkState.FAILED
-    assert not link.consumes_power
-    link.request_wake(0.0)  # waking a failed link is a no-op
-    assert link.state == LinkState.FAILED
-    with pytest.raises(SimulationError):
-        link.sleep()
+    assert state_of(network, "a", "b") == LinkState.FAILED
+    assert ("a", "b") not in network.active_elements()[1]
+    network.request_wake(np.array([diamond.index().link_index[("a", "b")]]), 0.0)
+    assert state_of(network, "a", "b") == LinkState.FAILED  # waking a failed link is a no-op
+    network.sleep_idle_links(np.zeros(len(diamond.links()), dtype=bool))
+    assert state_of(network, "a", "b") == LinkState.FAILED  # only active links sleep
     network.repair_link("a", "b")
-    assert link.state == LinkState.ACTIVE
+    assert state_of(network, "a", "b") == LinkState.ACTIVE
+    with pytest.raises(SimulationError, match="no link"):
+        network.fail_link("a", "d")
 
 
 def test_sleep_idle_links_keeps_requested(diamond, cisco_model):
     network = SimulatedNetwork(diamond, cisco_model)
     network.sleep_idle_links(diamond.index().link_mask([("a", "b"), ("d", "b")]))
-    assert network.link("a", "b").state == LinkState.ACTIVE
-    assert network.link("a", "c").state == LinkState.SLEEPING
+    assert state_of(network, "a", "b") == LinkState.ACTIVE
+    assert state_of(network, "a", "c") == LinkState.SLEEPING
     nodes, links = network.active_elements()
     assert links == {("a", "b"), ("b", "d")}
     assert nodes == {"a", "b", "d"}
@@ -122,10 +129,10 @@ def test_path_queries(diamond, cisco_model):
     path = Path.of(["a", "b", "d"])
     links = diamond.index().compile_path(path).link_indices
     assert network.path_is_usable(path)
-    assert not (network.link_state_codes()[links] == LinkState.FAILED.code).any()
+    assert not (network.link_state_codes()[links] == LinkState.FAILED).any()
     network.fail_link("b", "d")
     assert not network.path_is_usable(path)
-    assert (network.link_state_codes()[links] == LinkState.FAILED.code).any()
+    assert (network.link_state_codes()[links] == LinkState.FAILED).any()
     assert network.max_rtt() > 0
 
 
@@ -161,11 +168,10 @@ def test_engine_runs_and_samples(diamond, cisco_model):
 def test_engine_applies_scheduled_failures(diamond, cisco_model):
     network = SimulatedNetwork(diamond, cisco_model)
     flows = [Flow("f1", "a", "d", constant_demand(mbps(10)))]
-    failures = (
-        FailureSchedule()
-        .add(LinkEvent(0.5, ("a", "b"), "fail"))
-        .add(LinkEvent(1.5, ("a", "b"), "repair"))
-    )
+    failures = [
+        TopologyChange(0.5, "link", "fail", ("a", "b")),
+        TopologyChange(1.5, "link", "repair", ("a", "b")),
+    ]
     engine = SimulationEngine(
         network,
         flows,
@@ -199,17 +205,27 @@ def test_engine_validation(diamond, cisco_model):
         engine.run(duration_s=0.0)
 
 
-def test_failure_schedule_due_and_validation():
-    schedule = (
-        FailureSchedule()
-        .add(LinkEvent(1.0, ("a", "b"), "fail"))
-        .add(LinkEvent(2.0, ("a", "b"), "repair"))
-    )
-    assert len(schedule) == 2
-    due = schedule.due(0.5, 1.5)
-    assert len(due) == 1
-    assert due[0].kind == "fail"
-    assert [event.kind for event in schedule.events()] == ["fail", "repair"]
+def test_due_window_and_change_validation():
+    changes = [
+        TopologyChange(2.0, "link", "repair", ("a", "b")),
+        TopologyChange(1.0, "link", "fail", ("a", "b")),
+    ]
+    fired = due(changes, 0.5, 1.5)
+    assert len(fired) == 1
+    assert fired[0].action == "fail"
+    assert [change.action for change in due(changes, 0.0, 2.0)] == ["fail", "repair"]
 
-    with pytest.raises(SimulationError):
-        LinkEvent(1.0, ("a", "b"), "explode")
+    with pytest.raises(ConfigurationError):
+        TopologyChange(1.0, "link", "explode", ("a", "b"))
+    with pytest.raises(ConfigurationError, match="finite"):
+        TopologyChange(float("nan"), "link", "fail", ("a", "b"))
+
+
+def test_engine_rejects_a_change_naming_an_unknown_element(diamond, cisco_model):
+    network = SimulatedNetwork(diamond, cisco_model)
+    for change in (
+        TopologyChange(1.0, "link", "fail", ("a", "d")),
+        TopologyChange(99.0, "node", "fail", ("z",)),  # past the run's end, checked anyway
+    ):
+        with pytest.raises(ConfigurationError, match="unknown"):
+            SimulationEngine(network, [], _StaticController(), failures=[change])

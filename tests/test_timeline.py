@@ -23,12 +23,11 @@ from repro.scenario import (
     TrafficSpec,
     build_scenario,
     build_timeline,
-    failure_schedule,
     register,
     run_scenario,
 )
 from repro.scenario.engine import scheme_outcomes
-from repro.simulator.failures import FailureSchedule, LinkEvent, NodeEvent, TopologyView
+from repro.simulator.failures import FailureState, TopologyChange, TopologyView, due
 from repro.topology.base import Topology
 
 
@@ -63,14 +62,14 @@ def geant_failure_spec(**overrides):
 
 
 # --------------------------------------------------------------------- #
-# FailureSchedule.due boundary semantics
+# due() boundary semantics and the failure fold
 # --------------------------------------------------------------------- #
 
 
 def test_due_event_exactly_at_interval_edge_fires_once_never_twice():
-    schedule = FailureSchedule().add(LinkEvent(900.0, ("a", "b"), "fail"))
+    changes = [TopologyChange(900.0, "link", "fail", ("a", "b"))]
     windows = [(-float("inf"), 0.0), (0.0, 900.0), (900.0, 1800.0), (1800.0, 2700.0)]
-    fired = [len(schedule.due(prev, now)) for prev, now in windows]
+    fired = [len(due(changes, prev, now)) for prev, now in windows]
     assert fired == [0, 1, 0, 0]  # in the window it closes, once
 
 
@@ -78,54 +77,128 @@ def test_due_event_within_drift_tolerance_of_edge_fires_once():
     # An event nominally at an edge but drifted past it by accumulated float
     # error must still fire exactly once across contiguous windows.
     drifted = 900.0 + 5e-13
-    schedule = FailureSchedule().add(LinkEvent(drifted, ("a", "b"), "fail"))
-    first = schedule.due(0.0, 900.0)
-    second = schedule.due(900.0, 1800.0)
+    changes = [TopologyChange(drifted, "link", "fail", ("a", "b"))]
+    first = due(changes, 0.0, 900.0)
+    second = due(changes, 900.0, 1800.0)
     assert len(first) + len(second) == 1
     assert len(first) == 1  # tolerated as "at the 900s edge"
 
 
 def test_due_event_at_window_open_does_not_refire():
-    schedule = FailureSchedule().add(LinkEvent(900.0, ("a", "b"), "fail"))
-    assert schedule.due(900.0, 1800.0) == []
+    changes = [TopologyChange(900.0, "link", "fail", ("a", "b"))]
+    assert due(changes, 900.0, 1800.0) == []
+
+
+class _Idle:
+    def initialise(self, network, flows, now_s):
+        pass
+
+    def control(self, network, flows, now_s):
+        pass
 
 
 def test_node_repair_does_not_clobber_independent_link_failure(diamond, cisco_model):
     from repro.simulator import LinkState, SimulatedNetwork, SimulationEngine
 
-    class _Idle:
-        def initialise(self, network, flows, now_s):
-            pass
-
-        def control(self, network, flows, now_s):
-            pass
-
     network = SimulatedNetwork(diamond, cisco_model)
     # Link a-b fails on its own at t=1; node a fails at t=2 and is repaired
     # at t=3.  The node repair must NOT resurrect a-b (still failed on its
     # own) while a's other incident links come back.
-    failures = (
-        FailureSchedule()
-        .add(LinkEvent(1.0, ("a", "b"), "fail"))
-        .add(NodeEvent(2.0, "a", "fail"))
-        .add(NodeEvent(3.0, "a", "repair"))
-    )
+    failures = [
+        TopologyChange(1.0, "link", "fail", ("a", "b")),
+        TopologyChange(2.0, "node", "fail", ("a",)),
+        TopologyChange(3.0, "node", "repair", ("a",)),
+    ]
     engine = SimulationEngine(
         network, [], _Idle(), time_step_s=0.5, failures=failures
     )
     engine.run(duration_s=4.0)
-    assert network.link("a", "b").state == LinkState.FAILED
-    assert network.link("a", "c").state == LinkState.ACTIVE
-    schedule = (
-        FailureSchedule()
-        .add(LinkEvent(2.0, ("a", "b"), "fail"))
-        .add(NodeEvent(1.0, "c", "fail"))
-        .add(NodeEvent(3.0, "c", "repair"))
-    )
-    events = schedule.events()
+    codes, position = network.link_state_codes(), diamond.index().link_index
+    assert codes[position[("a", "b")]] == LinkState.FAILED
+    assert codes[position[("a", "c")]] == LinkState.ACTIVE
+    changes = [
+        TopologyChange(2.0, "link", "fail", ("a", "b")),
+        TopologyChange(1.0, "node", "fail", ("c",)),
+        TopologyChange(3.0, "node", "repair", ("c",)),
+    ]
+    events = due(changes, -float("inf"), float("inf"))
     assert [event.time_s for event in events] == [1.0, 2.0, 3.0]
-    assert isinstance(events[0], NodeEvent)
-    assert len(schedule) == 3
+    assert events[0].element == "node"
+    assert len(events) == 3
+
+
+def test_failure_state_returns_one_view_per_failed_state(geant):
+    failed = FailureState(geant)
+    intact = failed.view()
+    assert intact.topology is geant and not intact.has_failures
+    failed.apply(TopologyChange(1.0, "link", "fail", ("FR", "DE")))
+    broken = failed.view()
+    assert broken.failed_links == {("DE", "FR")}
+    assert failed.view() is broken
+    failed.apply(TopologyChange(2.0, "link", "repair", ("DE", "FR")))
+    assert failed.view() is intact  # the repaired network is the same object
+
+
+def test_engine_fails_exactly_the_unusable_links_of_a_plain_replay(geant):
+    """A seeded random fail/repair sequence on GEANT: after every engine
+    step the FAILED links are the unusable links of the failed sets that a
+    plain replay of the changes fired so far leaves."""
+    import random
+
+    import numpy as np
+
+    from repro.simulator import LinkState, SimulatedNetwork, SimulationEngine
+
+    rng = random.Random(29)
+    links, nodes = geant.link_keys(), geant.nodes()
+    changes = []
+    for step in range(60):
+        action = rng.choice(("fail", "fail", "repair"))
+        if rng.random() < 0.3:
+            changes.append(TopologyChange(step * 0.5, "node", action, (rng.choice(nodes),)))
+        else:
+            u, v = rng.choice(links)
+            target = (u, v) if rng.random() < 0.5 else (v, u)
+            changes.append(TopologyChange(step * 0.5, "link", action, target))
+    # Out of time order, several at one step, a node failing over a failed
+    # link and repaired while the link stays down.
+    changes += [
+        TopologyChange(10.5, "node", "repair", ("DE",)),
+        TopologyChange(10.0, "link", "fail", ("FR", "DE")),
+        TopologyChange(10.0, "node", "fail", ("DE",)),
+    ]
+    in_time_order = sorted(changes, key=lambda change: change.time_s)
+    index = geant.index()
+    checked = []
+
+    class Checker:
+        def initialise(self, network, flows, now_s):
+            pass
+
+        def control(self, network, flows, now_s):
+            failed_links, failed_nodes = set(), set()
+            for change in in_time_order:
+                if change.time_s > now_s + 1e-12:
+                    break
+                if change.element == "link":
+                    bucket, element = failed_links, tuple(sorted(change.target))
+                else:
+                    bucket, element = failed_nodes, change.target[0]
+                if change.action == "fail":
+                    bucket.add(element)
+                else:
+                    bucket.discard(element)
+            expected = TopologyView(geant, failed_links, failed_nodes).unusable_links()
+            codes = network.link_state_codes()
+            failed = {index.link_keys[i] for i in np.flatnonzero(codes == LinkState.FAILED)}
+            assert failed == expected, now_s
+            checked.append(len(expected))
+
+    network = SimulatedNetwork(geant)
+    engine = SimulationEngine(network, [], Checker(), time_step_s=0.5, failures=changes)
+    engine.run(duration_s=31.0)
+    assert len(checked) == 63
+    assert sum(1 for count in checked if count) > 10
 
 
 # --------------------------------------------------------------------- #
@@ -246,19 +319,31 @@ def test_event_builders_validate_their_windows():
         EventSpec("traffic-surge", start_s=10.0, end_s=10.0).build()
 
 
-def test_failure_schedule_from_event_specs():
-    events = (
-        EventSpec("link-failure", time_s=5.7, link=["E", "H"], repair_s=9.0),
-        EventSpec("traffic-surge", start_s=1.0, factor=2.0),  # no simulator form
-        EventSpec("node-failure", time_s=2.0, node="A"),
+def test_event_times_must_be_finite():
+    for spec in (
+        EventSpec("link-failure", time_s=float("nan"), link=["DE", "FR"]),
+        EventSpec("link-failure", time_s=1.0, link=["DE", "FR"], repair_s=float("inf")),
+        EventSpec("node-repair", time_s=float("-inf"), node="DE"),
+        EventSpec("traffic-surge", start_s=float("nan")),
+        EventSpec("traffic-surge", start_s=0.0, end_s=float("nan")),
+    ):
+        with pytest.raises(ConfigurationError, match="finite"):
+            spec.build()
+    # A NaN failure used to never fire, so the run was failure-free.
+    nan_spec = geant_failure_spec(
+        events=(EventSpec("link-failure", time_s=float("nan"), link=["DE", "FR"]),)
     )
-    schedule = failure_schedule(events)
-    kinds = [(type(event).__name__, event.kind) for event in schedule.events()]
-    assert kinds == [
-        ("NodeEvent", "fail"),
-        ("LinkEvent", "fail"),
-        ("LinkEvent", "repair"),
-    ]
+    with pytest.raises(ConfigurationError, match="finite"):
+        run_scenario(nan_spec)
+
+
+def test_surge_pairs_must_name_topology_nodes():
+    # A surge over a non-node used to fire and change no demand.
+    spec = geant_failure_spec(
+        events=(EventSpec("traffic-surge", start_s=0.0, pairs=[["DE", "XX"]]),)
+    )
+    with pytest.raises(ConfigurationError, match="unknown node 'XX'"):
+        build_scenario(spec)
 
 
 # --------------------------------------------------------------------- #
@@ -274,7 +359,7 @@ def test_build_timeline_applies_failures_and_surges():
         )
     )
     built = build_scenario(spec)
-    timeline = build_timeline(built.topology, built.trace, built.spec.events)
+    timeline = build_timeline(built.topology, built.trace, built.events)
     assert len(timeline) == 3
     first, second, third = timeline.steps
     assert not first.view.has_failures
@@ -324,12 +409,25 @@ def test_stress_ablation_rejects_traffic_surges():
         )
 
 
+def test_stress_ablation_rejects_a_typoed_event_target():
+    """A failure of a link GEANT lacks used to measure the intact network."""
+    from repro.experiments.stress_ablation import run_stress_ablation
+
+    with pytest.raises(ConfigurationError, match="unknown link"):
+        run_stress_ablation(
+            fractions=(0.2,),
+            num_pairs=4,
+            num_endpoints=3,
+            events=[{"name": "link-failure", "params": {"time_s": 0.0, "link": ["DE", "XX"]}}],
+        )
+
+
 def test_event_before_trace_start_applies_to_first_interval():
     spec = geant_failure_spec(
         events=(EventSpec("link-failure", time_s=0.0, link=["DE", "FR"]),)
     )
     built = build_scenario(spec)
-    timeline = build_timeline(built.topology, built.trace, built.spec.events)
+    timeline = build_timeline(built.topology, built.trace, built.events)
     assert timeline.steps[0].view.failed_links == {("DE", "FR")}
 
 
@@ -649,6 +747,7 @@ def test_hand_built_scenario_without_shared_runs_every_shipped_scheme(
         trace=TrafficTrace([diamond_demands, diamond_demands.scaled(1.5)], interval_s=900.0),
         pairs=diamond_demands.pairs(),
         baseline_power_w=full_power(diamond, cisco_model).total_w,
+        events=[],
     )
     result = run_built_scenario(built)
     assert result.labels() == names
@@ -663,6 +762,7 @@ def test_hand_built_scenario_without_shared_runs_every_shipped_scheme(
         trace=built.trace,
         pairs=built.pairs,
         baseline_power_w=built.baseline_power_w,
+        events=[],
     )
     assert other.shared is not built.shared
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.exceptions import SimulationError
 from repro.routing import Path
 from repro.simulator import (
-    NUM_LINK_STATES,
     Flow,
     LinkState,
     SimulatedNetwork,
@@ -64,12 +63,14 @@ def allocation_scenarios(draw):
         )
 
     # Randomly disturb link states (fail first; sleeping requires ACTIVE).
-    for link in network.links():
+    asleep = []
+    for key in topology.link_keys():
         choice = draw(st.integers(min_value=0, max_value=9))
         if choice == 0:
-            link.fail()
+            network.fail_link(*key)
         elif choice == 1:
-            link.sleep()
+            asleep.append(key)
+    network.sleep_idle_links(~topology.index().link_mask(asleep))
     return network, flows
 
 
@@ -142,16 +143,17 @@ def test_compile_path_is_memoised_and_validates(diamond, cisco_model):
 
 def test_link_vectors_track_state_machines(diamond, cisco_model):
     network = SimulatedNetwork(diamond, cisco_model)
+    num_links = len(diamond.links())
     assert network.link_usable_vector().all()
     network.fail_link("a", "b")
-    network.link("a", "c").sleep()
+    network.sleep_idle_links(~diamond.index().link_mask([("a", "c")]))
     usable = network.link_usable_vector()
     codes = network.link_state_codes()
-    assert usable.sum() == len(network.links()) - 2
-    histogram = np.bincount(codes, minlength=NUM_LINK_STATES)
-    assert histogram[LinkState.FAILED.code] == 1
-    assert histogram[LinkState.SLEEPING.code] == 1
-    assert histogram[LinkState.ACTIVE.code] == len(network.links()) - 2
+    assert usable.sum() == num_links - 2
+    histogram = np.bincount(codes, minlength=len(LinkState))
+    assert histogram[LinkState.FAILED] == 1
+    assert histogram[LinkState.SLEEPING] == 1
+    assert histogram[LinkState.ACTIVE] == num_links - 2
 
 
 def test_arc_load_vector_alignment(diamond, cisco_model):
