@@ -90,10 +90,20 @@ class AggregatedFlows:
         flow_group: np.ndarray,
         demands_bps: np.ndarray,
     ) -> "AggregatedFlows":
-        """Build directly from arrays (no ``Flow`` objects — the scale path)."""
+        """Build directly from arrays (no ``Flow`` objects — the scale path).
+
+        Group ids may come as floats only if every one is a whole number.
+        """
+        groups = np.asarray(flow_group)
+        if groups.dtype.kind not in "iu" and not (
+            groups.dtype.kind == "f"
+            and bool(np.isfinite(groups).all())
+            and bool((groups == np.trunc(groups)).all())
+        ):
+            raise SimulationError(f"flow_group must hold integer group ids, got {groups!r}")
         return cls(
             paths=tuple(paths),
-            flow_group=np.asarray(flow_group, dtype=np.int64),
+            flow_group=groups.astype(np.int64),
             demands_bps=np.asarray(demands_bps, dtype=float),
         )
 
@@ -111,7 +121,9 @@ def allocate_aggregated(
     allocates over the groups×arcs incidence.  The
     returned per-flow rate vector is bit-identical to building one ``Flow``
     per member and calling ``allocate_rates`` (unroutable and unrouted flows
-    get rate zero); network flow rates and arc loads are left untouched.
+    get rate zero, a negative demand gets rate zero, a routable flow whose
+    demand is NaN raises :class:`~repro.exceptions.SimulationError`);
+    network flow rates and arc loads are left untouched.
 
     Args:
         demands_bps: Offered load per flow; defaults to the table's base
@@ -127,22 +139,32 @@ def allocate_aggregated(
             f"demand vector shape {demands.shape} does not match "
             f"{table.num_flows} flows"
         )
-    rates = np.zeros(table.num_flows, dtype=float)
     if table.num_flows == 0:
-        return rates
+        return np.zeros(0, dtype=float)
     entry = network.compiled_flow_set(table.paths, table.flow_group, owner=table)
     routable = entry.routable_indices
     if len(routable) == 0:
-        return rates
+        return np.zeros(table.num_flows, dtype=float)
+    # With every flow routable the kernel reads and returns whole vectors.
+    every = len(routable) == table.num_flows
+    if not every:
+        demands = demands[routable]
+    missing = np.isnan(demands)
+    if missing.any():
+        flow = routable[int(missing.argmax())]
+        raise SimulationError(f"flow {flow} has a NaN demand")
     with trace.span(
         "fairness.kernel",
         flows=len(routable),
         groups=entry.incidence.group_arc.shape[0],
     ) as kernel_span:
         allocation = max_min_fair_rates(
-            demands[routable], network.alloc_capacity, entry.incidence
+            demands, network.alloc_capacity, entry.incidence
         )
         if trace.tracing_enabled():
             kernel_span.set(**last_kernel_stats())
+    if every:
+        return allocation
+    rates = np.zeros(table.num_flows, dtype=float)
     rates[routable] = allocation
     return rates

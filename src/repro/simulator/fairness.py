@@ -3,27 +3,21 @@
 The allocation follows the classic progressive-filling algorithm: all
 unfrozen flows grow their rate at the same pace until one of them reaches its
 demand or some arc runs out of capacity; the affected flows freeze and the
-filling continues with the rest.  The seed implementation walked Python
-dictionaries per flow and per arc on every iteration; :func:`max_min_fair_rates`
-keeps its state in NumPy vectors and asks an :class:`Incidence` — a CSR
-groups×arcs matrix plus its transpose — for the only two reductions that
-involve paths: how many active flows cross each arc, and which groups cross
-an exhausted arc.  Both are sums of small integers, exact in float64 in any
-order, so the result does not depend on whether flows are listed one per row
-or grouped by shared path.
+filling continues with the rest.  :func:`max_min_fair_rates` keeps its state
+in NumPy vectors over an :class:`Incidence` — a CSR groups×arcs matrix plus
+its transpose.
 
-The loop's state is per **class**, not per flow.  A class is a distinct
-(group, demand bit pattern) pair with a member count.  Every active flow's
-rate is the same left-to-right float sum of the steps so far and its unserved
-demand is ``d - s1 - s2 ...`` in the same order, so two flows of one group
-with the same demand bits are indistinguishable at every iteration;
-multiplicity enters only the per-arc counts, which are exact.  The rates are
-therefore bit-identical to filling flow by flow, and a step costs what its
-distinct (path, demand) pairs cost: 204 800 flows drawn from four demand
-values over 1 280 paths fill as 5 120 classes.  The filling freezes one
-distinct demand per iteration, so a population whose demands are all distinct
-takes one iteration per flow with or without classes — clustered demand is
-the traffic this engine serves at scale.
+Flows are collapsed into **classes**, distinct (demand bit pattern, group)
+pairs with a member count: 204 800 flows of four demand values over 1 280
+paths fill as 5 120 classes.  Every live flow's rate is the same float sum
+``0 + s1 + s2 ...`` and its unserved demand ``d - s1 - s2 ...``, so the state
+is one fill level, one pending demand per distinct value (rounding is
+monotone: the lowest value with a live class is the demand limit) and the
+live flows per group and per arc — integer sums, exact in any order, cut by
+what freezes.  An iteration costs the arc vector plus what froze, and the
+rates are bit-identical to filling flow by flow.  Demands that are all
+distinct still take one iteration per flow: clustered demand is the traffic
+this engine serves at scale.
 
 The dict-based seed algorithm is preserved verbatim in
 :mod:`repro.simulator.reference` and serves as the property-test oracle; the
@@ -47,21 +41,15 @@ DEMAND_EPSILON = 1e-9
 CAPACITY_EPSILON = 1e-9
 #: Progressive filling stops when an iteration makes no real progress.
 STEP_EPSILON = 1e-12
+#: The class collapse bins its (demand value, group) keys directly while the
+#: key space is at most this many times the flow count, and sorts them beyond.
+DENSE_KEYS_PER_FLOW = 4
 
 #: Per-thread record of the most recent progressive-filling run, read by
 #: the ``fairness.kernel`` spans in :mod:`repro.simulator.network` and
-#: :mod:`repro.simulator.aggregate`.  The iteration and class counts are
-#: always maintained (one integer add per filling iteration); the
-#: frozen-per-iteration breakdown is gathered only while tracing is enabled.
+#: :mod:`repro.simulator.aggregate`; the frozen-per-iteration breakdown is
+#: gathered only while tracing is enabled.
 _kernel_stats = threading.local()
-
-
-def _record_kernel_stats(
-    iterations: int, classes: int, frozen: Optional[List[int]]
-) -> None:
-    _kernel_stats.iterations = iterations
-    _kernel_stats.classes = classes
-    _kernel_stats.frozen = frozen
 
 
 def last_kernel_stats() -> Dict[str, object]:
@@ -110,29 +98,9 @@ class Incidence:
         self.group_arc = sparse.csr_matrix(
             (np.ones(indices.size), indices, indptr), shape=(num_groups, num_arcs)
         )
-        #: arcs×groups — the transpose, for per-arc count reductions.
+        #: arcs×groups — the transpose: row a holds the groups crossing arc a.
         self.arc_group = self.group_arc.T.tocsr()
         self.flow_group = flow_group
-        populated = (
-            np.ones(num_groups)
-            if flow_group is None
-            else (np.bincount(flow_group, minlength=num_groups) > 0).astype(np.float64)
-        )
-        #: Arcs crossed by at least one flow.  Empty groups put no flow on
-        #: their arcs, so they must not count here: the iteration bound and
-        #: the exhausted-arc set both derive from this mask.
-        self.crossed_at_all: np.ndarray = self.arc_group @ populated > 0
-
-    def arc_counts(self, members: np.ndarray) -> np.ndarray:
-        """Flows crossing each arc, given the active flows of each group
-        (exact, as float64)."""
-        counts: np.ndarray = self.arc_group @ members
-        return counts
-
-    def groups_touching(self, arc_mask: np.ndarray) -> np.ndarray:
-        """Boolean per group: does the group cross any arc in *arc_mask*?"""
-        hit: np.ndarray = self.group_arc @ arc_mask.astype(np.float64) > 0.0
-        return hit
 
 
 def _sorted_distinct(values: np.ndarray) -> np.ndarray:
@@ -143,28 +111,43 @@ def _sorted_distinct(values: np.ndarray) -> np.ndarray:
     return ordered[first]
 
 
-def _collapse(
-    flow_group: np.ndarray, demands: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct (group, demand bit pattern) classes of a flow population.
+def _spans(indptr: np.ndarray, row_size: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Positions ``indptr[r]:indptr[r + 1]`` of every row *r*, concatenated."""
+    lengths = row_size[rows]
+    positions = (indptr[rows] + lengths - lengths.cumsum()).repeat(lengths)
+    positions += np.arange(positions.size)
+    return positions
 
-    Demands are classed by their bits, so ``0.0`` / ``-0.0`` and NaN
-    payloads never merge with a different value.  Returns the class of each
-    flow, then per class its group, member count (float64, for weighted
-    ``bincount``) and demand.  Two sorts and two binary searches: a sort
-    without the permutation is the cheapest full pass NumPy offers here.
+
+def _collapse(
+    flow_group: np.ndarray, demands: np.ndarray, num_groups: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct (demand bit pattern, group) classes of a flow population,
+    ordered by value, then group: the class of each flow, then per class its
+    group and member count (float64), the first class of each distinct value
+    (plus the end) and the distinct values.  Demands are classed by their
+    bits, so ``0.0`` / ``-0.0`` never merge.  While the key space values ×
+    groups is at most ``DENSE_KEYS_PER_FLOW`` times the flow count, one
+    ``bincount`` ranks the keys in linear time; sparser keys (all-distinct
+    demands over many groups) are sorted.  Both give the same classes.
     """
     bits = demands.view(np.int64)
     values = _sorted_distinct(bits)
-    key = flow_group * values.size + np.searchsorted(values, bits)
-    keys = _sorted_distinct(key)
-    class_of_flow = np.searchsorted(keys, key)
-    return (
-        class_of_flow,
-        keys // values.size,
-        np.bincount(class_of_flow).astype(np.float64),
-        values[keys % values.size].view(np.float64),
-    )
+    key = np.searchsorted(values, bits)
+    key *= num_groups
+    key += flow_group
+    space = values.size * num_groups
+    if space <= DENSE_KEYS_PER_FLOW * key.size:
+        weight = np.bincount(key, minlength=space)
+        class_of_flow = (np.cumsum(weight > 0) - 1)[key]
+        keys = np.flatnonzero(weight)
+        weight = weight[keys]
+    else:
+        keys = _sorted_distinct(key)
+        class_of_flow = np.searchsorted(keys, key)
+        weight = np.bincount(class_of_flow)
+    value_start = np.searchsorted(keys, np.arange(values.size + 1) * num_groups)
+    return class_of_flow, keys % num_groups, weight.astype(float), value_start, values.view(float)
 
 
 def max_min_fair_rates(
@@ -173,7 +156,7 @@ def max_min_fair_rates(
     """Max-min fair rates for routable flows over a shared arc table.
 
     Args:
-        demands: Offered load per flow (bps), shape ``(num_flows,)``.
+        demands: Offered load per flow (bps), shape ``(num_flows,)``; no NaN.
         arc_capacity: Allocation capacity per arc (bps), full table length.
         incidence: The arcs each flow (or group of flows) crosses.
 
@@ -183,68 +166,82 @@ def max_min_fair_rates(
     num_flows = int(demands.shape[0])
     if num_flows == 0:
         return np.zeros(0, dtype=float)
-    demands = np.ascontiguousarray(demands, dtype=np.float64)
-    if incidence.flow_group is None:
-        # One flow per group: every flow is its own class of weight one.
-        class_of_flow: Optional[np.ndarray] = None
-        class_group = np.arange(num_flows)
-        class_weight = np.ones(num_flows)
-        pending = demands.copy()
-    else:
-        class_of_flow, class_group, class_weight, pending = _collapse(
-            incidence.flow_group, demands
-        )
-    num_classes = int(pending.shape[0])
-    num_groups = incidence.group_arc.shape[0]
-    allocation = np.zeros(num_classes, dtype=float)
-    capacity = np.array(arc_capacity, dtype=float)
-    crossed_at_all = incidence.crossed_at_all
-    # The unfrozen classes (ascending indices) and their flows per group —
-    # kept current by subtracting what freezes, an exact integer update.
-    live = np.arange(num_classes)
+    group_arc, arc_group = incidence.group_arc, incidence.arc_group
+    num_groups = group_arc.shape[0]
+    flow_group = incidence.flow_group
+    class_of_flow, class_group, class_weight, value_start, values = _collapse(
+        np.arange(num_flows) if flow_group is None else flow_group,
+        np.ascontiguousarray(demands, dtype=np.float64),
+        num_groups,
+    )
+    arcs_per_group, groups_per_arc = np.diff(group_arc.indptr), np.diff(arc_group.indptr)
     members = np.bincount(class_group, weights=class_weight, minlength=num_groups)
-
-    iterations = 0
+    counts = arc_group @ members
+    # A positive capacity over a zero count is a +inf share; an arc that no
+    # live flow crosses from the start, or that has exhausted, holds +inf.
+    capacity = np.where(counts == 0, np.inf, arc_capacity)
+    pending, by_value = values.copy(), np.argsort(values, kind="stable")
+    # The fill level at which each group (an arc of it exhausted) and each
+    # value (its demand met) froze; a class froze at the lower of the two.
+    group_fill, value_fill = np.full(num_groups, np.inf), np.full(values.size, np.inf)
+    filled, live_flows, lowest, iterations = 0.0, num_flows, 0, 0
     frozen_trace: Optional[List[int]] = [] if _trace.tracing_enabled() else None
+
+    def spent(value: int) -> bool:
+        """Whether no live flow has this demand value."""
+        return not members[class_group[value_start[value] : value_start[value + 1]]].any()
+
+    def release(groups: np.ndarray, weights: np.ndarray) -> int:
+        """Take *weights* live flows of each of *groups* off their arcs."""
+        arcs = group_arc.indices[_spans(group_arc.indptr, arcs_per_group, groups)]
+        np.subtract.at(counts, arcs, weights.repeat(arcs_per_group[groups]))
+        members[groups] -= weights
+        return int(weights.sum())
+
     # Each iteration freezes at least one class or exhausts at least one arc,
     # so the filling terminates within classes + used-arcs iterations.
-    for _ in range(num_classes + int(crossed_at_all.sum()) + 1):
-        if live.size == 0:
-            break
-        iterations += 1
-        counts = incidence.arc_counts(members)
-        crossed = np.flatnonzero(counts > 0)
-        share_limited = (
-            float((capacity[crossed] / counts[crossed]).min())
-            if crossed.size
-            else float("inf")
-        )
-        demand_limited = float(pending[live].min())
-        step = min(share_limited, demand_limited)
-        if step == float("inf"):
-            break
-        step = max(step, 0.0)
-        allocation[live] += step
-        pending[live] -= step
-        capacity -= step * counts
-        # Freeze demand-satisfied classes and classes on exhausted arcs.
-        keep = pending[live] > DEMAND_EPSILON
-        exhausted = crossed_at_all & (capacity <= CAPACITY_EPSILON)
-        if exhausted.any():
-            keep &= ~incidence.groups_touching(exhausted)[class_group[live]]
-        frozen = live[~keep]
-        frozen_weight = class_weight[frozen]
-        members -= np.bincount(
-            class_group[frozen], weights=frozen_weight, minlength=num_groups
-        )
-        if frozen_trace is not None:
-            # Member-weighted: the flows that froze, not the classes.
-            frozen_trace.append(int(frozen_weight.sum()))
-        # A zero step is fine as long as it froze somebody (e.g. a flow
-        # whose demand is currently zero) — the filling continues for the
-        # rest.  Only a zero step that freezes nobody means no progress.
-        if step <= STEP_EPSILON and frozen.size == 0:
-            break
-        live = live[keep]
-    _record_kernel_stats(iterations, num_classes, frozen_trace)
-    return allocation if class_of_flow is None else allocation[class_of_flow]
+    with np.errstate(divide="ignore"):
+        for _ in range(class_group.size + int(np.count_nonzero(counts)) + 1):
+            if live_flows == 0:
+                break
+            iterations += 1
+            share_limited = float(np.minimum.reduce(capacity / counts, initial=np.inf))
+            # The lowest value's demand may bind only if it has live flows.
+            while pending[by_value[lowest]] < share_limited and spent(by_value[lowest]):
+                lowest += 1
+            step = min(share_limited, float(pending[by_value[lowest]]))
+            if step == float("inf"):
+                break
+            step = max(step, 0.0)
+            filled += step
+            pending -= step
+            capacity -= step * counts
+            # Freeze the groups on exhausted arcs, then the values met.
+            frozen = 0
+            exhausted = (capacity <= CAPACITY_EPSILON).nonzero()[0]
+            if exhausted.size:
+                capacity[exhausted] = np.inf
+                groups = _sorted_distinct(
+                    arc_group.indices[_spans(arc_group.indptr, groups_per_arc, exhausted)]
+                )
+                groups = groups[members[groups] > 0]
+                group_fill[groups] = filled
+                frozen += release(groups, members[groups])
+            while lowest < values.size and pending[by_value[lowest]] <= DEMAND_EPSILON:
+                value_fill[by_value[lowest]] = filled
+                span = slice(value_start[by_value[lowest]], value_start[by_value[lowest] + 1])
+                unfrozen = members[class_group[span]] > 0
+                frozen += release(class_group[span][unfrozen], class_weight[span][unfrozen])
+                lowest += 1
+            live_flows -= frozen
+            if frozen_trace is not None:
+                # Member-weighted: the flows that froze, not the classes.
+                frozen_trace.append(frozen)
+            # A zero step that froze somebody (a flow whose demand is zero)
+            # is progress; only one that freezes nobody ends the filling.
+            if step <= STEP_EPSILON and frozen == 0:
+                break
+    _kernel_stats.iterations, _kernel_stats.classes = iterations, class_group.size
+    _kernel_stats.frozen = frozen_trace
+    fill = np.minimum(value_fill.repeat(np.diff(value_start)), group_fill[class_group])
+    return np.minimum(fill, filled)[class_of_flow]

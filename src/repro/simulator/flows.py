@@ -11,10 +11,12 @@ fairness over the usable links.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isnan
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..exceptions import SimulationError
 from ..routing.paths import Path
 
 #: A demand profile maps simulation time (seconds) to offered load (bps).
@@ -72,8 +74,12 @@ class Flow:
     rate_bps: float = 0.0
 
     def offered_load(self, now_s: float) -> float:
-        """Offered load at simulation time *now_s*."""
-        return max(0.0, float(self.demand(now_s)))
+        """Offered load at simulation time *now_s* (a negative demand offers
+        nothing; a NaN demand raises :class:`~repro.exceptions.SimulationError`)."""
+        demand = float(self.demand(now_s))
+        if isnan(demand):
+            raise SimulationError(f"flow {self.flow_id!r} has a NaN demand at t={now_s} s")
+        return max(0.0, demand)
 
     @property
     def pair(self) -> Tuple[str, str]:

@@ -171,8 +171,8 @@ class SimulatedNetwork:
 
         The computation is fully vectorized: flow paths are compiled to arc
         index arrays once (memoised) and each filling iteration is a few
-        NumPy reductions plus two CSR mat-vecs over the flows×arcs incidence
-        — see :func:`repro.simulator.fairness.max_min_fair_rates`.  The
+        NumPy operations over the arc vector and what froze — see
+        :func:`repro.simulator.fairness.max_min_fair_rates`.  The
         dict-based seed algorithm survives as the oracle in
         :mod:`repro.simulator.reference`.
 

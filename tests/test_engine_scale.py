@@ -3,7 +3,9 @@ engine-scale checksums, calibration memoisation and the compiled flow-set
 cache."""
 
 import hashlib
+import os
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -35,6 +37,17 @@ from repro.traffic import (
     clear_calibration_cache,
 )
 from repro.units import mbps
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(REPO_ROOT, "benchmarks", "harness"))
+
+from workloads import (  # noqa: E402
+    ENGINE_CYCLE,
+    ENGINE_SHAPE,
+    aggregation_core_link,
+    build_engine_population,
+    engine_inputs,
+)
 
 
 def fattree_flows(k=4, num_flows=40, seed=3):
@@ -142,6 +155,13 @@ def test_aggregated_flows_validation():
         )
     unrouted = AggregatedFlows.from_arrays((path,), [0, -1], [mbps(1), mbps(3)])
     assert unrouted.num_flows == 2
+    # Group ids are whole numbers: 0.9 is not group 0.
+    for groups in ([0.9, 0.2], [0.0, float("nan")], [0.0, float("inf")], [True, False]):
+        with pytest.raises(SimulationError, match="integer group ids"):
+            AggregatedFlows.from_arrays((path, path), groups, [mbps(1), mbps(2)])
+    whole = AggregatedFlows.from_arrays((path, path), [1.0, 0.0], [mbps(1), mbps(2)])
+    assert whole.flow_group.tolist() == [1, 0]
+    assert whole.flow_group.dtype == np.int64
 
 
 # --------------------------------------------------------------------- #
@@ -256,6 +276,27 @@ def test_engine_scale_checksums_match_committed_baseline(
     network.allocate_rates(flows, now_s=0.0)
     per_flow = np.array([flow.rate_bps for flow in flows])
     assert hashlib.sha256(per_flow.tobytes()).hexdigest() == committed
+
+
+def test_harness_population_iterations_per_slot():
+    """The ``engine_step`` cycle at seed 11: filling depth and classes per
+    slot, with the aggregation-core link failed in slots 4-7."""
+    inputs = engine_inputs(11)
+    topology, paths, flow_group, base = build_engine_population(
+        *ENGINE_SHAPE, inputs["classes_bps"]
+    )
+    network = SimulatedNetwork(topology)
+    table = AggregatedFlows.from_arrays(paths, flow_group, base)
+    iterations, classes = [], []
+    for slot, level in enumerate(inputs["levels"]):
+        if slot == ENGINE_CYCLE // 2:
+            network.fail_link(*aggregation_core_link(paths))
+        allocate_aggregated(network, table, demands_bps=base * level)
+        stats = last_kernel_stats()
+        iterations.append(stats["iterations"])
+        classes.append(stats["classes"])
+    assert iterations == [119, 118, 117, 118, 114, 115, 113, 115]
+    assert classes == [5120] * 4 + [5100] * 4
 
 
 # --------------------------------------------------------------------- #
