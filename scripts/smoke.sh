@@ -61,6 +61,9 @@ repro run-campaign --spec "$GRID" --store workers-store.sqlite --workers 2 \
   | tee workers.out | grep "workers: 2"
 grep "0 remaining" workers.out
 repro campaign-status --store workers-store.sqlite
+# What a read command imports before it reads: kept as importtime.txt.
+python -X importtime -m repro.experiments campaign-status --store workers-store.sqlite \
+  >/dev/null 2>importtime.txt
 repro campaign-report --store campaign-store.sqlite | grep "dominance"
 repro campaign-report --store workers-store.sqlite --format csv --output workers-rows.csv
 test -s workers-rows.csv

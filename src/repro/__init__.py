@@ -16,40 +16,30 @@ here; the subpackages hold the full API:
 * :mod:`repro.apps` — streaming and web workloads,
 * :mod:`repro.analysis` — Section 3 trace analyses and evaluation metrics,
 * :mod:`repro.experiments` — one driver per evaluation figure.
+
+The re-exports are imported on first use (:mod:`repro.lazy`), so importing
+one subpackage does not load the others.
 """
 
-from .core.plan import ResponsePlan
-from .core.planner import ActivationResult, activate_paths
-from .core.response import ResponseConfig, build_response_plan
-from .core.te import ResponseTEController, TEConfig
-from .power.accounting import full_power, network_power
-from .power.alternative import AlternativeHardwarePowerModel
-from .power.cisco import CiscoRouterPowerModel
-from .power.commodity import CommoditySwitchPowerModel
-from .routing.ospf import ospf_invcap_routing
-from .routing.paths import Path, RoutingTable
-from .topology.base import Topology
-from .traffic.matrix import TrafficMatrix
+from .lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ResponsePlan",
-    "ActivationResult",
-    "activate_paths",
-    "ResponseConfig",
-    "build_response_plan",
-    "ResponseTEController",
-    "TEConfig",
-    "full_power",
-    "network_power",
-    "AlternativeHardwarePowerModel",
-    "CiscoRouterPowerModel",
-    "CommoditySwitchPowerModel",
-    "ospf_invcap_routing",
-    "Path",
-    "RoutingTable",
-    "Topology",
-    "TrafficMatrix",
-    "__version__",
-]
+_EXPORTS = {
+    "core.plan": ("ResponsePlan",),
+    "core.planner": ("ActivationResult", "activate_paths"),
+    "core.response": ("ResponseConfig", "build_response_plan"),
+    "core.te": ("ResponseTEController", "TEConfig"),
+    "power.accounting": ("full_power", "network_power"),
+    "power.alternative": ("AlternativeHardwarePowerModel",),
+    "power.cisco": ("CiscoRouterPowerModel",),
+    "power.commodity": ("CommoditySwitchPowerModel",),
+    "routing.ospf": ("ospf_invcap_routing",),
+    "routing.paths": ("Path", "RoutingTable"),
+    "topology.base": ("Topology",),
+    "traffic.matrix": ("TrafficMatrix",),
+}
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)
+
+__all__ = [*(name for names in _EXPORTS.values() for name in names), "__version__"]

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import TYPE_CHECKING, List, Sequence
 
-from ..routing.paths import RoutingConfiguration
+if TYPE_CHECKING:  # a type only: the campaign report counts scheme names with it
+    from ..routing.paths import RoutingConfiguration
 
 
 @dataclass(frozen=True)

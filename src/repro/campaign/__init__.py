@@ -27,47 +27,36 @@ Command line::
     python -m repro.experiments run-campaign --spec campaign.json --store results.sqlite --workers 4
     python -m repro.experiments campaign-status --store results.sqlite
     python -m repro.experiments campaign-report --store results.sqlite --format csv
+
+The re-exports are imported on first use (:mod:`repro.lazy`): the store and
+the report layer load without the scenario stack the runner needs.
 """
 
-from .report import (
-    LOWER_IS_BETTER,
-    deviation_from_best,
-    filter_rows,
-    format_table,
-    parse_filters,
-    rows_to_csv,
-    rows_to_json,
-    scheme_dominance,
-    summarise,
-)
-from .run import DEFAULT_LEASE_SECONDS, CampaignRunSummary, run_campaign
-from .spec import AXIS_KEYS, CAMPAIGN_SCHEMA_VERSION, CampaignPoint, CampaignSpec
-from .store import (
-    STORE_SCHEMA_VERSION,
-    CampaignStore,
-    PointRecord,
-    canonical_result_dict,
-)
+from ..lazy import lazy_exports
 
-__all__ = [
-    "AXIS_KEYS",
-    "CAMPAIGN_SCHEMA_VERSION",
-    "DEFAULT_LEASE_SECONDS",
-    "LOWER_IS_BETTER",
-    "STORE_SCHEMA_VERSION",
-    "CampaignPoint",
-    "CampaignRunSummary",
-    "CampaignSpec",
-    "CampaignStore",
-    "PointRecord",
-    "canonical_result_dict",
-    "deviation_from_best",
-    "filter_rows",
-    "format_table",
-    "parse_filters",
-    "rows_to_csv",
-    "rows_to_json",
-    "run_campaign",
-    "scheme_dominance",
-    "summarise",
-]
+_EXPORTS = {
+    "report": (
+        "LOWER_IS_BETTER",
+        "deviation_from_best",
+        "filter_rows",
+        "format_table",
+        "parse_filters",
+        "rows_to_csv",
+        "rows_to_json",
+        "scheme_dominance",
+        "summarise",
+    ),
+    "run": ("CampaignRunSummary", "run_campaign"),
+    "spec": ("AXIS_KEYS", "CAMPAIGN_SCHEMA_VERSION", "CampaignPoint", "CampaignSpec"),
+    "store": (
+        "DEFAULT_LEASE_SECONDS",
+        "STORE_SCHEMA_VERSION",
+        "CampaignStore",
+        "PointRecord",
+        "canonical_result_dict",
+    ),
+}
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)
+
+__all__ = [name for names in _EXPORTS.values() for name in names]

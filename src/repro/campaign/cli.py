@@ -10,6 +10,9 @@ Dispatched from ``python -m repro.experiments``:
   any live worker leases (opens the store read-only).
 * ``campaign-report`` — aggregate stored results (summary tables, scheme
   dominance, deviation-from-best) and export metric rows as CSV/JSON.
+
+Only ``run-campaign`` imports the runner and the scenario stack behind it;
+the two read commands load the store and the report layer.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from ..exceptions import ConfigurationError
 from ..obs import trace
-from ..scenario.spec import read_spec_file
 from .report import (
     deviation_from_best,
     filter_rows,
@@ -32,9 +34,7 @@ from .report import (
     scheme_dominance,
     summarise,
 )
-from .run import DEFAULT_LEASE_SECONDS, run_campaign
-from .spec import CampaignSpec
-from .store import CampaignStore
+from .store import DEFAULT_LEASE_SECONDS, CampaignStore
 
 
 def _require_store(path: str, parser: argparse.ArgumentParser) -> None:
@@ -48,6 +48,10 @@ def _require_store(path: str, parser: argparse.ArgumentParser) -> None:
 
 
 def _run_campaign_command(argv: Sequence[str]) -> int:
+    from ..scenario.spec import read_spec_file
+    from .run import run_campaign
+    from .spec import CampaignSpec
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments run-campaign",
         description=(

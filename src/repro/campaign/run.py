@@ -47,7 +47,7 @@ from ..scenario.engine import (
     run_built_scenarios_batch,
 )
 from .spec import CampaignPoint, CampaignSpec
-from .store import CampaignStore, PointRecord
+from .store import DEFAULT_LEASE_SECONDS, CampaignStore, PointRecord
 
 _LOGGER = logging.getLogger(__name__)
 
@@ -55,11 +55,6 @@ _BATCH_GROUP_FALLBACKS = metrics.counter(
     "repro_batch_group_fallbacks_total",
     "Batched scenario groups that fell back to per-point execution",
 )
-
-#: How long a worker's claim on a batch of points lasts without renewal.
-#: Leases are renewed after every group, so this only needs to exceed the
-#: slowest single group by a margin.
-DEFAULT_LEASE_SECONDS = 60.0
 
 #: How long an idle worker sleeps before re-checking for claimable points
 #: (it only waits while peers still hold live leases on pending points).

@@ -60,6 +60,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import (
+    TYPE_CHECKING,
     Any,
     Dict,
     Iterator,
@@ -73,8 +74,10 @@ from typing import (
 
 from ..exceptions import ConfigurationError
 from ..obs import metrics
-from ..scenario.engine import ScenarioResult
-from .spec import CampaignPoint, CampaignSpec
+
+if TYPE_CHECKING:  # the status and report commands read rows without the scenario stack
+    from ..scenario.engine import ScenarioResult
+    from .spec import CampaignPoint, CampaignSpec
 
 #: Bump on incompatible schema changes (checked against ``PRAGMA user_version``).
 #: Version 2 added the lease columns (``lease_owner``, ``lease_expires_at``)
@@ -86,6 +89,11 @@ STORE_SCHEMA_VERSION = 3
 #: itself gives up (seconds).  Generous by design: campaign transactions
 #: are short, so waiting always beats failing.
 DEFAULT_BUSY_TIMEOUT_S = 30.0
+
+#: How long a worker's claim on a batch of points lasts without renewal.
+#: Leases are renewed after every group, so this only needs to exceed the
+#: slowest single group by a margin.
+DEFAULT_LEASE_SECONDS = 60.0
 
 #: How often ``BEGIN IMMEDIATE`` is retried on top of the busy timeout.
 _LOCK_RETRIES = 5
@@ -823,6 +831,8 @@ class CampaignStore:
         ).fetchone()
         if row is None:
             return None
+        from ..scenario.engine import ScenarioResult
+
         return ScenarioResult.from_dict(json.loads(row["result_json"]))
 
     def metric_rows(self, campaign_id: str) -> List[Dict[str, Any]]:

@@ -6,7 +6,9 @@
 :class:`~repro.scenario.spec.ScenarioSpec`, ``list-components`` shows the
 registered scenario building blocks and ``run-campaign`` /
 ``campaign-status`` / ``campaign-report`` / ``serve`` are dispatched to
-:mod:`repro.campaign` and :mod:`repro.service` (see :func:`main`).
+:mod:`repro.campaign` and :mod:`repro.service` (see :func:`main`).  Each
+command imports its layer when it runs, so ``--list`` or
+``campaign-status`` does not pay for the scenario stack and its solvers.
 
 Nothing here caches a result: a result worth keeping is a campaign point —
 a one-point campaign is ``{"name": ..., "base": <scenario spec>}`` — and the
@@ -34,14 +36,6 @@ from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple, Unio
 
 from ..exceptions import ConfigurationError
 from ..obs import trace
-from ..scenario import (
-    ScenarioSpec,
-    apply_spec_setting,
-    read_spec_file,
-    registered_components,
-    resolve,
-    run_scenario,
-)
 
 #: Figures runnable from the command line, imported when they are run.
 FIGURE_REGISTRY: Dict[str, str] = {
@@ -184,6 +178,8 @@ def _apply_setting(
     Wraps :func:`~repro.scenario.spec.apply_spec_setting`, augmenting its
     generic errors with the run-scenario flag that fixes them.
     """
+    from ..scenario import apply_spec_setting
+
     target, separator, value_text = setting.partition("=")
     if not separator:
         parser.error(f"--set expects SECTION.KEY=VALUE, got {setting!r}")
@@ -203,6 +199,8 @@ def _apply_setting(
 
 def _run_scenario_command(argv: Sequence[str]) -> int:
     """``run-scenario``: execute one declarative scenario spec."""
+    from ..scenario import ScenarioSpec, read_spec_file, run_scenario
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments run-scenario",
         description=(
@@ -368,6 +366,8 @@ def _list_components_command(argv: Sequence[str]) -> int:
     schemes, event schedules) is discoverable from the command line; with
     ``--json`` the listing is machine-readable for campaign tooling.
     """
+    from ..scenario import registered_components, resolve
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments list-components",
         description=(

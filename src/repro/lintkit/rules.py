@@ -869,11 +869,15 @@ class RepresentationRule(Rule):
         "arc-index order: a networkx import brings back a second graph of the "
         "network (with its own tie order), a scipy.optimize import a second "
         "solver front end, a dict built from arc_keys a second, name-keyed "
-        "load vector.  Each has its owner modules."
+        "load vector.  Each has its owner modules.  Both imports also cost "
+        "more start-up than the rest of the library: networkx is imported "
+        "inside the one function that needs it, and scipy.optimize never "
+        "(highs.py loads the binding's extension file)."
     )
 
-    #: Import prefix -> the one module (under ``repro/``) allowed to import it.
-    OWNERS = {"networkx": "topology/generators.py", "scipy.optimize": "routing/highs.py"}
+    #: Import prefix -> the one module (under ``repro/``) allowed to import
+    #: it, inside a function; ``None``: no module may.
+    OWNERS = {"networkx": "topology/generators.py", "scipy.optimize": None}
     #: The modules that may build a dict from ``arc_keys``: the index itself
     #: (its ``arc_index``) and the dict oracle of the simulator.
     ARC_DICT_OWNERS = ("topology/index.py", "simulator/reference.py")
@@ -883,6 +887,12 @@ class RepresentationRule(Rule):
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         module = "/".join(_module_parts(ctx.rel_path))
+        in_functions = {
+            id(inner)
+            for node in ast.walk(ctx.tree)
+            if isinstance(node, _FUNCTIONS)
+            for inner in ast.walk(node)
+        }
         for node in ast.walk(ctx.tree):
             if module not in self.ARC_DICT_OWNERS and _builds_arc_dict(node):
                 yield ctx.finding(
@@ -900,13 +910,23 @@ class RepresentationRule(Rule):
             else:
                 continue
             for prefix, owner in self.OWNERS.items():
-                if module == owner or not any(
-                    name == prefix or name.startswith(prefix + ".") for name in names
-                ):
+                if not any(name == prefix or name.startswith(prefix + ".") for name in names):
                     continue
-                yield ctx.finding(
-                    self, node, f"{prefix} is imported only by {owner} (REP503's owner)"
-                )
+                if owner is None:
+                    message = (
+                        f"{prefix} is never imported: routing/highs.py loads the HiGHS "
+                        "binding from its extension file"
+                    )
+                elif module != owner:
+                    message = f"{prefix} is imported only by {owner} (REP503's owner)"
+                elif id(node) not in in_functions:
+                    message = (
+                        f"{prefix} is imported inside the function that needs it, "
+                        "not at module level"
+                    )
+                else:
+                    continue
+                yield ctx.finding(self, node, message)
 
 
 def _builds_arc_dict(node: ast.AST) -> bool:

@@ -4,10 +4,22 @@ Every LP and MILP of the library — the flow LP of :mod:`repro.routing.mcf`,
 the path MILP of :mod:`repro.optim.pathmilp`, the arc MILP of
 :mod:`repro.optim.model` — is a :class:`HighsModel`, and no other module
 interprets a HiGHS status.
+
+The binding is loaded from its extension file, not imported through its
+package: ``import scipy.optimize`` would first import every SciPy optimiser,
+which takes longer than the rest of the library together.  The module is
+registered in ``sys.modules`` under its own name, so a later ``import
+scipy.optimize`` (the ``linprog`` and ``milp`` references of the tests)
+reuses it rather than loading a second copy.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import sys
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from types import ModuleType
 from typing import Optional, Tuple
 
 import numpy as np
@@ -17,18 +29,38 @@ from scipy import sparse
 from ..exceptions import SolverError
 from ..obs import metrics, trace
 
+#: Private to SciPy: what SciPy's own LP and MILP front ends drive, and the
+#: only HiGHS binding here that lets a model outlive one solve.
+BINDING = "scipy.optimize._highspy._core"
+
+
+def _load_binding() -> ModuleType:
+    """The binding's module, as already imported or else loaded from the
+    extension file beside ``scipy/__init__.py`` (SciPy >= 1.15's layout)."""
+    if BINDING in sys.modules:
+        return sys.modules[BINDING]
+    folder = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy")
+    paths = [os.path.join(folder, "_core" + suffix) for suffix in EXTENSION_SUFFIXES]
+    found = [path for path in paths if os.path.exists(path)]
+    if not found:
+        raise ImportError(f"no {BINDING} extension in {folder}")
+    loader = ExtensionFileLoader(BINDING, found[0])
+    spec = importlib.util.spec_from_file_location(BINDING, found[0], loader=loader)
+    module = importlib.util.module_from_spec(spec)
+    loader.exec_module(module)
+    sys.modules[BINDING] = module
+    return module
+
+
 try:
-    # Private to SciPy: it is what SciPy's own LP and MILP front ends drive,
-    # and the only HiGHS binding here that lets a model outlive one solve.
-    from scipy.optimize._highspy._core import (
-        HighsLp,
-        HighsModelStatus,
-        HighsStatus,
-        HighsVarType,
-        MatrixFormat,
-        _Highs,
-        kHighsInf,
-    )
+    _core = _load_binding()
+    HighsLp = _core.HighsLp
+    HighsModelStatus = _core.HighsModelStatus
+    HighsStatus = _core.HighsStatus
+    HighsVarType = _core.HighsVarType
+    MatrixFormat = _core.MatrixFormat
+    _Highs = _core._Highs
+    kHighsInf = _core.kHighsInf
 
     for _method in ("changeColsBounds", "changeRowBounds", "getInfo", "getSolution"):
         getattr(_Highs, _method)

@@ -11,6 +11,10 @@ Read endpoints open short-lived ``read_only=True`` store connections per
 request: WAL lets any number of them run against a store a worker fleet is
 actively writing, and a read-only view can never take (or wait on) a write
 lock.
+
+The handlers that run scenarios import the scenario stack when they are
+first called, so a service answers ``/healthz`` and store reads without
+loading the solvers.
 """
 
 from __future__ import annotations
@@ -26,8 +30,6 @@ from ..campaign.report import (
 )
 from ..campaign.store import CampaignStore
 from ..exceptions import ConfigurationError, TrafficError
-from ..scenario.engine import build_scenario, run_built_scenario, run_scenario
-from ..scenario.registry import registered_components
 from .jobs import JobManager
 from .schemas import (
     ServiceError,
@@ -87,6 +89,8 @@ def components_payload() -> Dict[str, Any]:
     Byte-identical to ``list-components --json``: both call
     :func:`~repro.scenario.registry.registered_components`.
     """
+    from ..scenario import registered_components
+
     return {"components": registered_components()}
 
 
@@ -101,6 +105,8 @@ def run_scenario_payload(
     (``"cache": "hit"``); anything else runs now (``"cache": "miss"``).
     One-shot runs never write the store.
     """
+    from ..scenario.engine import run_scenario
+
     spec = scenario_spec_from_request(body)
     if os.path.exists(state.store_path):
         with state.open_reader() as store:
@@ -281,6 +287,8 @@ def replay_stream(body: Mapping[str, Any], emit: Emit) -> None:
       :class:`~repro.scenario.engine.ScenarioResult`, bit-identical to an
       offline ``run_timeline`` of the same spec.
     """
+    from ..scenario.engine import build_scenario, run_built_scenario
+
     spec = scenario_spec_from_request(body)
     try:
         built = build_scenario(spec)

@@ -27,10 +27,12 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
-from ..campaign.run import PreparedDrain, WorkerTally, prepare_campaign
 from .schemas import CampaignRequest, ServiceError
+
+if TYPE_CHECKING:  # the runner loads the scenario stack; submit() imports it
+    from ..campaign.run import PreparedDrain, WorkerTally
 
 #: Job lifecycle states.
 RUNNING = "running"
@@ -106,6 +108,8 @@ class JobManager:
         is refused (409); re-submitting a finished one resumes it, exactly
         like re-invoking ``run-campaign``.
         """
+        from ..campaign.run import prepare_campaign
+
         prepared = prepare_campaign(
             request.spec,
             self.store_path,

@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
-from ..campaign.run import DEFAULT_LEASE_SECONDS
-from ..campaign.spec import CampaignSpec
-from ..campaign.store import CampaignStore
+from ..campaign.store import DEFAULT_LEASE_SECONDS, CampaignStore
 from ..exceptions import ConfigurationError
-from ..scenario.spec import ScenarioSpec
+
+if TYPE_CHECKING:  # imported by the validators: the spec classes load the scenario stack
+    from ..campaign.spec import CampaignSpec
+    from ..scenario.spec import ScenarioSpec
 
 
 class ServiceError(Exception):
@@ -88,6 +89,8 @@ def scenario_spec_from_request(body: Mapping[str, Any]) -> ScenarioSpec:
     Raises:
         ServiceError: 400 when the spec does not validate.
     """
+    from ..scenario.spec import ScenarioSpec
+
     data = body.get("spec", body)
     if not isinstance(data, Mapping):
         raise bad_request("'spec' must be a scenario spec object")
@@ -152,6 +155,8 @@ def campaign_request(body: Mapping[str, Any]) -> CampaignRequest:
         ServiceError: 400 on an invalid spec, an unknown option or an
             option of the wrong type.
     """
+    from ..campaign.spec import CampaignSpec
+
     data = body.get("spec", body if "base" in body else None)
     if not isinstance(data, Mapping):
         raise bad_request(

@@ -7,7 +7,6 @@ property-based tests and scale studies.
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 
 from ..exceptions import TopologyError
@@ -79,6 +78,10 @@ def waxman_topology(
     probability decays exponentially with distance.  Latencies are derived
     from the embedded coordinates.
     """
+    # Imported here: networkx takes longer to import than this module's
+    # every other dependency, and only this generator uses it.
+    import networkx as nx
+
     if num_nodes < 2:
         raise TopologyError("need at least 2 nodes")
     graph = nx.waxman_graph(num_nodes, alpha=alpha, beta=beta, seed=seed)

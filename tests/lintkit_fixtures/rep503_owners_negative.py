@@ -1,8 +1,8 @@
 # lint-as: src/repro/topology/generators.py
-"""REP503 fixture: the random-topology generators own the networkx import."""
-
-import networkx as nx
+"""REP503 fixture: the random-topology generators import networkx where they use it."""
 
 
 def ring(size):
+    import networkx as nx
+
     return nx.cycle_graph(size)

@@ -16,3 +16,9 @@ from ..topology.search import shortest_simple_paths as on_the_index
 def paths(topology, origin, destination):
     index = topology.index()
     return on_the_index(index, index.node_of(origin), index.node_of(destination), [1.0])
+
+
+def reference(topology, origin, destination):
+    import networkx  # expect: REP503
+
+    return networkx.shortest_path(topology.to_networkx(), origin, destination)

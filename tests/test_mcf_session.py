@@ -197,31 +197,55 @@ def reference_max_concurrent_flow(topology, demands):
 
 
 # --------------------------------------------------------------------- #
-# The binding guard: one private module, every name the session uses
+# The binding guard: one private module, every name the session uses.
+# Each check runs in a fresh interpreter that never imports scipy.optimize,
+# as the library loads the binding: from its extension file.
 # --------------------------------------------------------------------- #
-def test_scipy_exposes_the_highs_binding_the_session_drives():
-    from scipy.optimize._highspy import _core
+def fresh_interpreter(script, *args):
+    """The stdout lines of ``python -c script args`` with ``src/`` on the path."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
 
-    for name in ("_Highs", "HighsLp", "MatrixFormat", "HighsModelStatus", "HighsStatus"):
-        assert hasattr(_core, name), name
-    assert _core.kHighsInf == float("inf")
-    for method in (
-        "setOptionValue",
-        "passModel",
-        "changeColsBounds",
-        "changeRowBounds",
-        "run",
-        "getInfo",
-        "getModelStatus",
-        "modelStatusToString",
-        "getSolution",
-    ):
-        assert callable(getattr(_core._Highs, method)), method
-    assert hasattr(_core.HighsLp(), "a_matrix_")
-    assert hasattr(_core._Highs().getInfo(), "simplex_iteration_count")
-    for status in ("kOptimal", "kInfeasible"):
-        assert hasattr(_core.HighsModelStatus, status)
-    assert _core.MatrixFormat.kColwise is not None and _core.HighsStatus.kError is not None
+
+_BINDING_GUARD_SCRIPT = """
+import sys
+from repro.routing import highs
+_core = sys.modules[highs.BINDING]
+assert highs._core is _core
+for name in ("_Highs", "HighsLp", "MatrixFormat", "HighsModelStatus", "HighsStatus"):
+    assert hasattr(_core, name), name
+assert _core.kHighsInf == float("inf")
+for method in (
+    "setOptionValue",
+    "passModel",
+    "changeColsBounds",
+    "changeRowBounds",
+    "run",
+    "getInfo",
+    "getModelStatus",
+    "modelStatusToString",
+    "getSolution",
+):
+    assert callable(getattr(_core._Highs, method)), method
+assert hasattr(_core.HighsLp(), "a_matrix_")
+assert hasattr(_core._Highs().getInfo(), "simplex_iteration_count")
+for status in ("kOptimal", "kInfeasible"):
+    assert hasattr(_core.HighsModelStatus, status)
+assert _core.MatrixFormat.kColwise is not None and _core.HighsStatus.kError is not None
+print("scipy.optimize" in sys.modules)
+"""
+
+
+def test_scipy_exposes_the_highs_binding_the_session_drives():
+    assert fresh_interpreter(_BINDING_GUARD_SCRIPT) == ["False"]
 
 
 _MISSING_BINDING_SCRIPT = """
@@ -231,23 +255,75 @@ try:
     import repro.routing.highs
 except ImportError as error:
     print(error)
+print("scipy.optimize" in sys.modules)
 """
 
 
 def test_a_scipy_without_the_binding_is_one_import_error_line():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
-    proc = subprocess.run(
-        [sys.executable, "-c", _MISSING_BINDING_SCRIPT],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=False,
-    )
-    assert proc.returncode == 0, proc.stderr
-    (line,) = proc.stdout.splitlines()
+    line, optimize_loaded = fresh_interpreter(_MISSING_BINDING_SCRIPT)
     assert "scipy.optimize._highspy._core" in line
     assert "verified on SciPy 1.17.1" in line and f"SciPy {scipy.__version__}" in line
+    assert optimize_loaded == "False"
+
+
+_MOVED_EXTENSION_SCRIPT = """
+import sys
+import scipy
+scipy.__file__ = sys.argv[1]
+try:
+    import repro.routing.highs
+except ImportError as error:
+    print(error)
+"""
+
+
+def test_a_scipy_without_the_extension_file_is_the_same_import_error_line(tmp_path):
+    """What the direct load costs: it depends on where SciPy keeps the file
+    (``optimize/_highspy/`` since 1.15, ``setup.py``'s floor)."""
+    (line,) = fresh_interpreter(_MOVED_EXTENSION_SCRIPT, str(tmp_path / "__init__.py"))
+    assert "scipy.optimize._highspy._core" in line and str(tmp_path) in line
+    assert "verified on SciPy 1.17.1" in line and f"SciPy {scipy.__version__}" in line
+
+
+_BINDING_ORDER_SCRIPT = """
+import sys
+import numpy as np
+from scipy import sparse
+
+if sys.argv[1] == "binding-first":
+    from repro.routing import highs
+    from scipy.optimize import linprog
+else:
+    from scipy.optimize import linprog
+    from repro.routing import highs
+import scipy.optimize._highspy._core as imported
+
+loaded = [m for m in list(sys.modules.values()) if getattr(m, "__name__", None) == highs.BINDING]
+assert loaded == [highs._core] and imported is highs._core, loaded
+# max x + y  s.t.  x + 2y <= 4,  3x + y <= 6,  x, y >= 0:  (1.6, 1.2)
+expected = np.array([1.6, 1.2])
+by_linprog = linprog([-1.0, -1.0], A_ub=[[1.0, 2.0], [3.0, 1.0]], b_ub=[4.0, 6.0], method="highs")
+model = highs.HighsModel(
+    np.array([-1.0, -1.0]),
+    sparse.csc_array(np.array([[1.0, 2.0], [3.0, 1.0]])),
+    np.full(2, -np.inf),
+    np.array([4.0, 6.0]),
+    np.zeros(2),
+    np.full(2, np.inf),
+    highs.LINPROG_OPTIONS,
+)
+by_model = model.solve()
+assert np.allclose(by_linprog.x, expected) and np.allclose(by_model, expected)
+assert np.array_equal(by_linprog.x, by_model) and model.objective == by_linprog.fun
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("order", ["binding-first", "scipy-optimize-first"])
+def test_the_binding_and_scipy_optimize_share_one_extension_module(order):
+    """Whichever loads first, ``sys.modules`` holds one ``_core``, and both
+    ``linprog`` and a :class:`HighsModel` solve through it."""
+    assert fresh_interpreter(_BINDING_ORDER_SCRIPT, order) == ["ok"]
 
 
 # --------------------------------------------------------------------- #
