@@ -75,6 +75,20 @@ curl -sf -X POST localhost:8321/campaigns \
   -d "{\"spec\": $(cat "$GRID"), \"max_points\": 2}" | grep '"campaign_id"'
 stop_service
 
+echo "== service: POST /scenarios answers a point the CLI drained from the store"
+serve campaign-store.sqlite 8323
+curl -sf "localhost:8323/campaigns/geant-grid/points?status=done&limit=1" | python -c '
+import json, sys
+print(json.dumps({"spec": json.load(sys.stdin)["points"][0]["spec"]}))' > stored-point.json
+curl -sf -X POST localhost:8323/scenarios -d @stored-point.json | grep '"cache": "hit"' >/dev/null
+python -c '
+import json, sys
+body = json.load(sys.stdin)
+body["spec"]["name"] += "-changed"
+print(json.dumps(body))' < stored-point.json > changed-point.json
+curl -sf -X POST localhost:8323/scenarios -d @changed-point.json | grep '"cache": "miss"' >/dev/null
+stop_service
+
 echo "== observability: traced + profiled scenarios and drain, timings, /metrics"
 repro run-scenario --spec "$EXAMPLES/scenario_geant_failure.json" \
   --trace scenario-trace.ndjson --profile | grep "phase timings"

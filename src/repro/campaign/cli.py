@@ -25,14 +25,11 @@ from typing import Any, Dict, List, Optional, Sequence
 from ..exceptions import ConfigurationError
 from ..obs import trace
 from .report import (
-    deviation_from_best,
-    filter_rows,
+    campaign_report,
     format_table,
     parse_filters,
     rows_to_csv,
     rows_to_json,
-    scheme_dominance,
-    summarise,
 )
 from .store import DEFAULT_LEASE_SECONDS, CampaignStore
 
@@ -411,33 +408,29 @@ def _campaign_report_command(argv: Sequence[str]) -> int:
                 else:
                     print(text, end="" if text.endswith("\n") else "\n")
                 return 0
-            known_metrics = store.metric_names(campaign["campaign_id"])
-            if known_metrics and args.metric not in known_metrics:
-                raise ConfigurationError(
-                    f"unknown metric {args.metric!r}; this campaign recorded: "
-                    f"{', '.join(known_metrics)}"
-                )
-            rows = filter_rows(
-                store.metric_rows(campaign["campaign_id"]),
+            report = campaign_report(
+                store,
+                campaign["campaign_id"],
+                args.metric,
+                args.group_by or ["scheme"],
                 parse_filters(args.filter),
             )
     except ConfigurationError as error:
         parser.error(str(error))
 
     if args.format == "csv":
-        text = rows_to_csv(rows)
+        text = rows_to_csv(report["rows"])
     elif args.format == "json":
-        text = rows_to_json(rows)
+        text = rows_to_json(report["rows"])
     else:
-        group_by = args.group_by or ["scheme"]
         counts = f"{campaign['done'] or 0}/{campaign['num_points']}"
         sections = [
             f"campaign: {campaign['name']} ({campaign['campaign_id'][:12]}, "
             f"{counts} points done)",
-            f"\nsummary of {args.metric} by {', '.join(group_by)}:",
-            format_table(summarise(rows, metric=args.metric, group_by=group_by)),
+            f"\nsummary of {args.metric} by {', '.join(report['group_by'])}:",
+            format_table(report["summary"]),
         ]
-        dominance = scheme_dominance(rows, metric=args.metric)
+        dominance = report["dominance"]
         direction = "lower" if dominance["lower_is_better"] else "higher"
         if dominance["dominant_scheme"] is not None:
             shares = ", ".join(
@@ -449,10 +442,9 @@ def _campaign_report_command(argv: Sequence[str]) -> int:
                 f"{dominance['points']} points): {dominance['dominant_scheme']} "
                 f"wins {dominance['dominant_fraction']:.0%} ({shares})"
             )
-        deviation = deviation_from_best(rows, metric=args.metric)
-        if deviation:
+        if report["deviation"]:
             sections.append("\ndeviation from per-point best:")
-            sections.append(format_table(deviation))
+            sections.append(format_table(report["deviation"]))
         text = "\n".join(sections) + "\n"
 
     if args.output:

@@ -19,11 +19,14 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..analysis.dominance import DominanceResult, configuration_dominance
 from ..analysis.metrics import percentile_summary
 from ..exceptions import ConfigurationError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .store import CampaignStore
 
 #: Metrics where smaller values win (used by dominance/deviation defaults).
 LOWER_IS_BETTER = {
@@ -51,6 +54,20 @@ def parse_filters(expressions: Sequence[str]) -> Dict[str, str]:
     return filters
 
 
+def _require_columns(
+    rows: Sequence[Mapping[str, Any]], columns: Iterable[str], role: str
+) -> None:
+    """Raise :class:`ConfigurationError` if a *role* column is in no row."""
+    known = set()
+    for row in rows:
+        known.update(row)
+    unknown = [column for column in columns if column not in known]
+    if unknown and rows:
+        raise ConfigurationError(
+            f"unknown {role} column(s) {unknown}; rows have: {sorted(known)}"
+        )
+
+
 def filter_rows(
     rows: Sequence[Mapping[str, Any]], filters: Optional[Mapping[str, str]] = None
 ) -> List[Dict[str, Any]]:
@@ -61,14 +78,7 @@ def filter_rows(
     """
     if not filters:
         return [dict(row) for row in rows]
-    known = set()
-    for row in rows:
-        known.update(row)
-    unknown = [key for key in filters if key not in known]
-    if unknown and rows:
-        raise ConfigurationError(
-            f"unknown filter column(s) {unknown}; rows have: {sorted(known)}"
-        )
+    _require_columns(rows, filters, "filter")
     kept = []
     for row in rows:
         if all(str(row.get(key)) == value for key, value in filters.items()):
@@ -91,7 +101,11 @@ def summarise(
     ``count`` and the min/median/mean/p95/max distribution of the metric
     (:func:`~repro.analysis.metrics.percentile_summary`).  Rows missing the
     metric (schemes that do not track it) are skipped.
+
+    Raises:
+        ConfigurationError: If a group-by column names a column no row has.
     """
+    _require_columns(rows, group_by, "group-by")
     groups: Dict[Tuple[str, ...], List[float]] = {}
     for row in rows:
         if metric not in row:
@@ -185,6 +199,52 @@ def deviation_from_best(
     return records
 
 
+class UnknownMetricError(ConfigurationError):
+    """A report asked for a metric the campaign never recorded."""
+
+
+def campaign_report(
+    store: "CampaignStore",
+    campaign_id: str,
+    metric: str,
+    group_by: Sequence[str],
+    filters: Mapping[str, str],
+) -> Dict[str, Any]:
+    """The one report pipeline behind ``campaign-report`` and
+    ``GET /campaigns/{id}/report``.
+
+    Checks *metric* against what the campaign recorded, filters the
+    campaign's metric rows read from *store*, then summarises them by
+    *group_by* and ranks the schemes across the grid.
+
+    Returns:
+        ``metric``, ``group_by`` and ``filters`` as given, the filtered
+        ``rows``, and their ``summary``, ``dominance`` and ``deviation``.
+
+    Raises:
+        UnknownMetricError: If the campaign recorded metrics and *metric*
+            is none of them.
+        ConfigurationError: If a filter or group-by column names a column
+            no row has.
+    """
+    known_metrics = store.metric_names(campaign_id)
+    if known_metrics and metric not in known_metrics:
+        raise UnknownMetricError(
+            f"unknown metric {metric!r}; this campaign recorded: "
+            f"{', '.join(known_metrics)}"
+        )
+    rows = filter_rows(store.metric_rows(campaign_id), filters)
+    return {
+        "metric": metric,
+        "group_by": list(group_by),
+        "filters": dict(filters),
+        "rows": rows,
+        "summary": summarise(rows, metric=metric, group_by=group_by),
+        "dominance": scheme_dominance(rows, metric=metric),
+        "deviation": deviation_from_best(rows, metric=metric),
+    }
+
+
 # --------------------------------------------------------------------- #
 # Rendering and export
 # --------------------------------------------------------------------- #
@@ -238,6 +298,8 @@ def rows_to_json(rows: Sequence[Mapping[str, Any]]) -> str:
 
 __all__ = [
     "LOWER_IS_BETTER",
+    "UnknownMetricError",
+    "campaign_report",
     "deviation_from_best",
     "filter_rows",
     "format_table",

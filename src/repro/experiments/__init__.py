@@ -1,8 +1,9 @@
 """Experiment drivers: one module per evaluation figure of the paper.
 
 Each driver builds its scenarios through :mod:`repro.scenario` and returns a
-result dataclass holding the figure's series.  ``python -m repro.experiments
---list`` shows the figures runnable from the command line
+result dataclass holding the figure's series.  ``_EXPORTS`` is the one
+figure list: each key names a figure module whose driver is ``run_<key>``,
+and ``python -m repro.experiments --list`` prints the keys
 (:mod:`repro.experiments.runner`).  A driver is imported when one of its
 names is first used, so the command line loads only the figures it runs.
 """

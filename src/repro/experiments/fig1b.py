@@ -107,6 +107,5 @@ def run_fig1b(
         name="fig1b",
     )
     built = build_scenario(spec)
-    outcome = scheme_outcomes(built)["greente"]
-    configurations = outcome.details["configurations"]
+    configurations = scheme_outcomes(built)["greente"]["configurations"]
     return Fig1bResult(series=recomputation_rate(configurations, built.trace.interval_s))

@@ -61,6 +61,5 @@ def run_fig2a(
         name="fig2a",
     )
     built = build_scenario(spec)
-    outcome = scheme_outcomes(built)["greente"]
-    configurations = outcome.details["configurations"]
+    configurations = scheme_outcomes(built)["greente"]["configurations"]
     return Fig2aResult(dominance=configuration_dominance(configurations))

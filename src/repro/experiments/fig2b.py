@@ -57,7 +57,7 @@ class Fig2bResult:
 def _coverage_of(spec: ScenarioSpec, max_paths: int) -> tuple:
     """Coverage curve and 98 %-coverage path count of one network scenario."""
     built = build_scenario(spec)
-    solutions = scheme_outcomes(built)["greente"].details["solutions"]
+    solutions = scheme_outcomes(built)["greente"]["solutions"]
     # GreenTE always routes: every per-interval solution carries its table.
     ranked = rank_paths_by_traffic(built.trace, [solution.routing for solution in solutions])
     return (

@@ -1,8 +1,8 @@
 """The ``python -m repro.experiments`` command line.
 
-``python -m repro.experiments fig4 fig7`` runs the named figure drivers of
-:data:`FIGURE_REGISTRY` one after another (all of them by default),
-``run-scenario`` executes one declarative
+``python -m repro.experiments fig4 fig7`` runs the named figure drivers
+(the figures of :mod:`repro.experiments`) one after another (all of them by
+default), ``run-scenario`` executes one declarative
 :class:`~repro.scenario.spec.ScenarioSpec`, ``list-components`` shows the
 registered scenario building blocks and ``run-campaign`` /
 ``campaign-status`` / ``campaign-report`` / ``serve`` are dispatched to
@@ -14,152 +14,56 @@ Nothing here caches a result: a result worth keeping is a campaign point —
 a one-point campaign is ``{"name": ..., "base": <scenario spec>}`` — and the
 campaign store is the one result cache.
 
-The module also holds what is left of the retired sweep runner:
-:func:`point`, :class:`SweepPoint`, :func:`execute_point_outcome` and
-:class:`PointOutcome` have no caller in ``src/`` and stay only because the
-benchmark harness's ``experiments.point_ms_p50`` probe, which this
-repository's PRs may not edit, times
+:func:`execute_point_outcome` is the one hook beside the command line: the
+benchmark harness's ``experiments.point_ms_p50`` probe times
 ``execute_point_outcome(spec.sweep_point())``.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib
 import inspect
 import json
 import sys
 import time
 import traceback
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Mapping, NamedTuple, Optional, Sequence
 
 from ..exceptions import ConfigurationError
 from ..obs import trace
+from . import _EXPORTS
 
-#: Figures runnable from the command line, imported when they are run.
-FIGURE_REGISTRY: Dict[str, str] = {
-    "fig1a": "repro.experiments.fig1a:run_fig1a",
-    "fig1b": "repro.experiments.fig1b:run_fig1b",
-    "fig2a": "repro.experiments.fig2a:run_fig2a",
-    "fig2b": "repro.experiments.fig2b:run_fig2b",
-    "fig4": "repro.experiments.fig4:run_fig4",
-    "fig5": "repro.experiments.fig5:run_fig5",
-    "fig6": "repro.experiments.fig6:run_fig6",
-    "fig7": "repro.experiments.fig7:run_fig7",
-    "fig8a": "repro.experiments.fig8a:run_fig8a",
-    "fig8b": "repro.experiments.fig8b:run_fig8b",
-    "fig9": "repro.experiments.fig9:run_fig9",
-    "always_on_capacity": "repro.experiments.always_on_capacity:run_always_on_capacity",
-    "stress_ablation": "repro.experiments.stress_ablation:run_stress_ablation",
-    "web_latency": "repro.experiments.web_latency:run_web_latency",
-}
+if TYPE_CHECKING:  # pragma: no cover - typing only; the CLI imports it on demand
+    from ..scenario import ScenarioSpec
 
 
-def function_reference(function: Union[str, Callable[..., Any]]) -> str:
-    """The stable ``"module:qualname"`` reference of a point function.
-
-    Raises:
-        ConfigurationError: If the callable cannot be imported by name
-            (lambdas, locals).
-    """
-    if isinstance(function, str):
-        if ":" not in function:
-            raise ConfigurationError(
-                f"function reference {function!r} must look like 'module:name'"
-            )
-        return function
-    module = getattr(function, "__module__", None)
-    qualname = getattr(function, "__qualname__", None)
-    if not module or not qualname or "<locals>" in qualname or "<lambda>" in qualname:
-        raise ConfigurationError(
-            f"point functions must be importable module-level callables, got {function!r}"
-        )
-    return f"{module}:{qualname}"
-
-
-def resolve_function(reference: str) -> Callable[..., Any]:
-    """Import and return the callable behind a ``"module:qualname"`` reference."""
-    module_name, _, qualname = reference.partition(":")
-    obj: Any = importlib.import_module(module_name)
-    for part in qualname.split("."):
-        obj = getattr(obj, part)
-    return obj
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """One experiment point: an importable function plus its parameters.
+class PointOutcome(NamedTuple):
+    """The error-isolated result of running one scenario spec.
 
     Attributes:
-        function: ``"module:qualname"`` reference of the point function.
-        params: Keyword parameters, as a sorted tuple of ``(name, value)``
-            pairs.
-        label: Human-readable label.
-    """
-
-    function: str
-    params: Tuple[Tuple[str, Any], ...]
-    label: str
-
-
-def point(
-    function: Union[str, Callable[..., Any]],
-    label: Optional[str] = None,
-    **params: Any,
-) -> SweepPoint:
-    """Build a :class:`SweepPoint` from a callable (or reference) and kwargs."""
-    reference = function_reference(function)
-    return SweepPoint(
-        function=reference,
-        params=tuple(sorted(params.items())),
-        label=label if label is not None else reference.partition(":")[2],
-    )
-
-
-@dataclass
-class PointOutcome:
-    """The error-isolated result of executing one point.
-
-    Attributes:
-        point: The executed point.
-        value: The point function's return value (``None`` on failure).
+        value: The :class:`~repro.scenario.engine.ScenarioResult` (``None``
+            on failure).
         error: The formatted traceback of the failure, ``None`` on success.
-        elapsed_s: Wall-clock execution time of the point.
+        elapsed_s: Wall-clock time of the run.
     """
 
-    point: SweepPoint
-    value: Any = None
-    error: Optional[str] = None
-    elapsed_s: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        """Whether the point executed without raising."""
-        return self.error is None
+    value: Any
+    error: Optional[str]
+    elapsed_s: float
 
 
-def execute_point_outcome(sweep_point: SweepPoint) -> PointOutcome:
-    """Run one point, capturing failure and timing instead of raising.
+def execute_point_outcome(spec: "ScenarioSpec") -> PointOutcome:
+    """Run *spec* through :func:`~repro.scenario.engine.run_scenario`,
+    capturing a failure's traceback and the run's wall-clock time instead of
+    raising."""
+    from ..scenario import run_scenario
 
-    A failing point yields an outcome whose ``error`` holds the traceback.
-    Nothing in ``src/`` calls this any more (campaigns evaluate specs
-    directly); it and :class:`PointOutcome` stay because the benchmark
-    harness's ``experiments.point_ms_p50`` probe, which this repository's
-    PRs may not edit, times ``execute_point_outcome(spec.sweep_point())``.
-    """
     start = time.perf_counter()
     try:
-        value = resolve_function(sweep_point.function)(**dict(sweep_point.params))
+        value = run_scenario(spec)
     except Exception:
-        return PointOutcome(
-            point=sweep_point,
-            error=traceback.format_exc(),
-            elapsed_s=time.perf_counter() - start,
-        )
-    return PointOutcome(
-        point=sweep_point, value=value, elapsed_s=time.perf_counter() - start
-    )
+        return PointOutcome(None, traceback.format_exc(), time.perf_counter() - start)
+    return PointOutcome(value, None, time.perf_counter() - start)
 
 
 def _parse_setting_value(text: str) -> Any:
@@ -450,18 +354,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(arguments)
 
     if args.list:
-        for name in sorted(FIGURE_REGISTRY):
+        for name in sorted(_EXPORTS):
             print(name)
         return 0
 
-    requested = list(args.experiments) or sorted(FIGURE_REGISTRY)
+    requested = list(args.experiments) or sorted(_EXPORTS)
     names = list(dict.fromkeys(requested))  # dedupe, preserving order
-    unknown = [name for name in names if name not in FIGURE_REGISTRY]
+    unknown = [name for name in names if name not in _EXPORTS]
     if unknown:
         parser.error(f"unknown experiments: {', '.join(unknown)} (try --list)")
 
+    from .. import experiments
+
     for name in names:
-        result = resolve_function(FIGURE_REGISTRY[name])()
+        result = getattr(experiments, f"run_{name}")()
         print(f"{name}: {type(result).__name__}")
     return 0
 

@@ -41,7 +41,6 @@ from .engine import (
     build_scenario,
     run_built_scenario,
     run_scenario,
-    run_scenario_dict,
     scheme_outcomes,
 )
 from .registry import (
@@ -72,7 +71,6 @@ from .timeline import (
     TopologyChange,
     TrafficSurge,
     build_timeline,
-    run_timeline,
 )
 
 __all__ = [
@@ -106,8 +104,6 @@ __all__ = [
     "resolve",
     "run_built_scenario",
     "run_scenario",
-    "run_scenario_dict",
-    "run_timeline",
     "scheme_outcomes",
     "select_pairs",
 ]

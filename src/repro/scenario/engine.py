@@ -2,17 +2,21 @@
 
 :func:`build_scenario` resolves a :class:`~repro.scenario.spec.ScenarioSpec`
 against the component registry into a concrete stack (topology, power model,
-traffic trace, pairs, optional baseline routing).  :func:`run_scenario`
-drives the spec's schemes over the merged event/trace timeline
-(:func:`~repro.scenario.timeline.run_timeline`) and returns a uniform
-:class:`ScenarioResult` — including, for eventful scenarios, the fired
-events and per-event reaction metrics.  :func:`run_scenario_dict` is the
-same run for a spec given as a plain dict.
+traffic trace, pairs, optional baseline routing).  One interval-major driver
+(``_drive``) steps every scheme over the merged event/trace
+:class:`~repro.scenario.timeline.Timeline` and returns a uniform
+:class:`ScenarioResult` per scenario — including, for eventful scenarios,
+the fired events and per-event reaction metrics.  Three entries call it:
+:func:`run_built_scenario` (one scenario, optionally streaming each interval),
+:func:`run_built_scenarios_batch` (a group built by
+:func:`build_scenario_group`) and :func:`scheme_outcomes` (each scheme's
+details); :func:`run_scenario` builds a spec and runs it.
 """
 
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -25,16 +29,18 @@ from ..topology.base import Topology
 from ..traffic.matrix import Pair, TrafficMatrix
 from ..traffic.replay import TrafficTrace
 from .components import BuiltTraffic, as_built_traffic
-from .spec import ScenarioSpec
+from .registry import resolve
+from .spec import ScenarioSpec, SchemeSpec
 from .timeline import (
     GroupComputeCache,
     IntervalCallback,
-    SchemeRun,
+    IntervalOutcome,
+    SchemeRuntime,
+    Timeline,
     TimelineEvent,
-    TimelineRun,
+    TimelineStep,
+    build_timeline,
     resolve_events,
-    run_timeline,
-    run_timeline_batch,
 )
 
 
@@ -79,7 +85,7 @@ class BuiltScenario:
 
 @dataclass
 class ScenarioResult:
-    """Uniform outcome of :func:`run_scenario`.
+    """The uniform outcome of one scenario's timeline pass.
 
     Attributes:
         name: The scenario name (from the spec).
@@ -262,86 +268,6 @@ def build_scenario(spec: Any) -> BuiltScenario:
     return build_scenario_group([spec])[0]
 
 
-def run_scenario(spec: Any) -> ScenarioResult:
-    """Build a spec's stack and replay its trace under every scheme.
-
-    This is the single entry point behind the figure drivers, the
-    ``run-scenario`` CLI subcommand and ad-hoc sweeps: any composition of
-    registered topology × traffic × power × schemes runs through here.
-    """
-    scenario_spec = _coerce_spec(spec)
-    if not scenario_spec.schemes:
-        raise ConfigurationError(
-            "the scenario names no schemes; add at least one to its 'schemes' list"
-        )
-    return run_built_scenario(build_scenario(scenario_spec))
-
-
-def run_built_scenario(
-    built: BuiltScenario,
-    on_interval: Optional[IntervalCallback] = None,
-) -> ScenarioResult:
-    """Drive an already-built scenario's schemes over its merged timeline.
-
-    Args:
-        built: The built scenario.
-        on_interval: Optional streaming hook forwarded to
-            :func:`~repro.scenario.timeline.run_timeline` — called once per
-            interval with the step and its per-scheme outcomes, which is how
-            the scenario service pushes live replay telemetry while the
-            returned result stays bit-identical to an offline run.
-    """
-    with trace.span("timeline.run", scenario=built.spec.name):
-        run = run_timeline(built, on_interval=on_interval)
-    return _result_from_run(built, run)
-
-
-def _result_from_run(built: BuiltScenario, run: TimelineRun) -> ScenarioResult:
-    """Assemble the uniform result from a completed timeline run."""
-    utilisation = {
-        label: scheme_run.max_utilisation() for label, scheme_run in run.schemes.items()
-    }
-    return ScenarioResult(
-        name=built.spec.name,
-        config_hash=built.spec.config_hash(),
-        times_s=run.times_s,
-        power_percent={
-            label: scheme_run.power_percent()
-            for label, scheme_run in run.schemes.items()
-        },
-        recomputations={
-            label: scheme_run.recomputations
-            for label, scheme_run in run.schemes.items()
-        },
-        max_utilisation={label: series for label, series in utilisation.items() if series},
-        spec=built.spec.to_dict(),
-        events=run.events,
-        compute_seconds={
-            label: scheme_run.compute_seconds()
-            for label, scheme_run in run.schemes.items()
-        },
-        violations={
-            label: scheme_run.violations()
-            for label, scheme_run in run.schemes.items()
-            if utilisation[label]
-        },
-        reaction={label: records for label, records in run.reaction.items() if records},
-    )
-
-
-# repro: allow[REP501] resolved by string from the harness-held sweep_point shim (ROADMAP 5b)
-def run_scenario_dict(spec: Mapping[str, Any]) -> ScenarioResult:
-    """Run a scenario given as a plain dict.
-
-    Its import reference is part of the payload
-    :meth:`~repro.scenario.spec.ScenarioSpec.config_hash` hashes, and it is
-    the function :meth:`~repro.scenario.spec.ScenarioSpec.sweep_point` names
-    for the benchmark harness's point probe — so neither its name nor its
-    module can change without moving every stored config hash.
-    """
-    return run_scenario(ScenarioSpec.from_dict(spec))
-
-
 def _section_key(section: Any) -> str:
     """A canonical JSON key for one section of a spec dict."""
     return json.dumps(section, sort_keys=True, separators=(",", ":"))
@@ -447,31 +373,223 @@ def build_scenario_group(specs: Sequence[Any]) -> List[BuiltScenario]:
         return builts
 
 
+# --------------------------------------------------------------------- #
+# Driving the timeline
+# --------------------------------------------------------------------- #
+
+
+def run_scenario(spec: Any) -> ScenarioResult:
+    """Build a spec's stack and replay its trace under every scheme.
+
+    The entry point behind the figure drivers, the ``run-scenario`` CLI
+    subcommand and ``POST /scenarios``: any composition of registered
+    topology × traffic × power × schemes runs through here.
+    """
+    return run_built_scenario(build_scenario(spec))
+
+
+def run_built_scenario(
+    built: BuiltScenario,
+    on_interval: Optional[IntervalCallback] = None,
+) -> ScenarioResult:
+    """Drive an already-built scenario's schemes over its merged timeline.
+
+    Args:
+        built: The built scenario.
+        on_interval: Optional streaming hook ``fn(step, outcomes)``, called
+            once per :class:`~repro.scenario.timeline.TimelineStep` after
+            every scheme has advanced through it, with that interval's
+            :class:`~repro.scenario.timeline.IntervalOutcome` per scheme
+            label.  The scenario service streams replay telemetry through
+            it; the returned result is the same with or without it.
+    """
+    return _drive([built], [_Sinks(on_interval)], scenario=built.spec.name)[0]
+
+
 def run_built_scenarios_batch(builts: Sequence[BuiltScenario]) -> List[ScenarioResult]:
     """Run a group of built scenarios through one interval-major pass.
 
     The companion to :func:`build_scenario_group`: all scenarios' timelines
-    advance together (see
-    :func:`~repro.scenario.timeline.run_timeline_batch`), so group-shared
-    caches stay hot across points.  Each result is assembled exactly as
-    :func:`run_built_scenario` would.
+    advance together, so group-shared caches stay hot across points, and
+    each result equals :func:`run_built_scenario` of its scenario alone.
+    """
+    return _drive(builts, [_Sinks() for _ in builts], group_size=len(builts))
+
+
+def scheme_outcomes(built: BuiltScenario) -> Dict[str, Dict[str, Any]]:
+    """Run every scheme of a built scenario and return each one's ``details``.
+
+    Keyed by scheme label, the value is what the scheme's
+    :meth:`~repro.scenario.timeline.SchemeRuntime.finish` returned
+    (per-interval solutions and configurations, plans, activations) — for
+    drivers that need more than the uniform :class:`ScenarioResult` series.
+    """
+    sinks = _Sinks()
+    _drive([built], [sinks], scenario=built.spec.name)
+    return sinks.details
+
+
+@dataclass
+class _SchemeProgress:
+    """One (scenario, scheme) pair being driven through the pass."""
+
+    label: str
+    runtime: SchemeRuntime
+    state: Any
+    outcomes: List[IntervalOutcome] = field(default_factory=list)
+    recomputations: int = 0
+    reaction: List[Dict[str, Any]] = field(default_factory=list)
+
+    def series(self, metric: str) -> List[Any]:
+        """One :class:`~repro.scenario.timeline.IntervalOutcome` field per interval."""
+        return [getattr(outcome, metric) for outcome in self.outcomes]
+
+    def utilisation(self) -> List[float]:
+        """The utilisation series (empty when the scheme never tracked it)."""
+        raw = self.series("max_utilisation")
+        if all(value is None for value in raw):
+            return []
+        return [value if value is not None else 0.0 for value in raw]
+
+
+def _start_scheme(built: BuiltScenario, scheme: SchemeSpec) -> _SchemeProgress:
+    """Resolve one scheme spec to its runtime and build its long-lived state."""
+    component = resolve("scheme", scheme.name)
+    if not (isinstance(component, type) and issubclass(component, SchemeRuntime)):
+        raise ConfigurationError(
+            f"scheme component {scheme.name!r} must be a SchemeRuntime subclass, "
+            f"got {component!r}"
+        )
+    runtime: SchemeRuntime = component(**scheme.kwargs())
+    with trace.span("scheme.start", scheme=scheme.label):
+        state = runtime.start(built)
+    return _SchemeProgress(label=scheme.label, runtime=runtime, state=state)
+
+
+def _step_scheme(
+    scheme: _SchemeProgress, step: TimelineStep, threshold: float
+) -> IntervalOutcome:
+    """Advance one scheme by one timeline step, noting its reaction records."""
+    with trace.span("scheme.step", scheme=scheme.label, interval=step.index) as step_span:
+        # compute_seconds is the paper's recomputation-latency proxy: a
+        # deliberate wall-clock measurement that never feeds results —
+        # canonical_dump strips it (pinned by the identity batteries).
+        # repro: allow[REP101] compute_seconds latency proxy, stripped from canonical dumps
+        started = time.perf_counter()
+        outcome = scheme.runtime.step(scheme.state, step.time_s, step.matrix, step.view)
+        # repro: allow[REP101] compute_seconds latency proxy, stripped from canonical dumps
+        outcome.compute_seconds = time.perf_counter() - started
+        step_span.set(recomputed=outcome.recomputed)
+    if outcome.max_utilisation is not None:
+        outcome.violation = bool(outcome.max_utilisation > threshold + 1e-9)
+    scheme.outcomes.append(outcome)
+    scheme.recomputations += int(outcome.recomputed)
+    for fired in step.fired:
+        scheme.reaction.append(
+            {
+                **fired,
+                "interval_index": step.index,
+                "interval_s": step.time_s,
+                **outcome.record(),
+            }
+        )
+    return outcome
+
+
+@dataclass
+class _Sinks:
+    """Where one scenario's pass goes besides its :class:`ScenarioResult`.
+
+    ``on_interval`` sees each completed interval — the step plus every
+    scheme's outcome — as it is computed; ``details`` receives each
+    scheme's :meth:`~repro.scenario.timeline.SchemeRuntime.finish` once the
+    pass is over.
+    """
+
+    on_interval: Optional[IntervalCallback] = None
+    details: Dict[str, Dict[str, Any]] = field(default_factory=dict)
+
+
+def _drive(
+    builts: Sequence[BuiltScenario], sinks: Sequence[_Sinks], **span: Any
+) -> List[ScenarioResult]:
+    """The one timeline driver: an interval-major pass over built scenarios.
+
+    Every runtime is started up-front, then interval ``i`` of every
+    (scenario, scheme) pair runs before interval ``i+1`` of any, and each
+    scenario's completed interval goes to its :class:`_Sinks`.  Schemes are
+    independent (each runtime owns its state), so per (scenario, scheme)
+    the sequence of ``step`` calls — and therefore every computed value —
+    does not depend on what else is in the pass; the interleaving is what
+    lets the scenarios' shared
+    :class:`~repro.scenario.timeline.GroupComputeCache` turn repeated plan
+    builds and solves into lookups.  Wall-clock ``compute_seconds`` are the
+    only fields that can differ between two passes, and every
+    determinism-sensitive comparison strips them.  *span* holds the
+    attributes of the pass's ``timeline.run`` span.
+
+    Raises:
+        ConfigurationError: If a scenario names no schemes.
     """
     for built in builts:
         if not built.spec.schemes:
             raise ConfigurationError(
-                "the scenario names no schemes; add at least one to its"
-                " 'schemes' list"
+                "the scenario names no schemes; add at least one to its 'schemes' list"
             )
-    with trace.span("timeline.run", group_size=len(builts)):
-        runs = run_timeline_batch(builts)
-    return [_result_from_run(built, run) for built, run in zip(builts, runs, strict=True)]
+    with trace.span("timeline.run", **span):
+        timelines: List[Timeline] = []
+        progress: List[List[_SchemeProgress]] = []
+        for built in builts:
+            timelines.append(build_timeline(built.topology, built.trace, built.events))
+            progress.append([_start_scheme(built, scheme) for scheme in built.spec.schemes])
+
+        # Traces may differ in length across the scenarios; a shorter one
+        # simply stops participating early.
+        for index in range(max((len(timeline) for timeline in timelines), default=0)):
+            with trace.span("timeline.interval", interval=index, group_size=len(builts)):
+                for built, timeline, schemes, sink in zip(
+                    builts, timelines, progress, sinks, strict=True
+                ):
+                    if index < len(timeline):
+                        step = timeline.steps[index]
+                        threshold = built.spec.utilisation_threshold
+                        outcomes = {
+                            scheme.label: _step_scheme(scheme, step, threshold)
+                            for scheme in schemes
+                        }
+                        if sink.on_interval is not None:
+                            sink.on_interval(step, outcomes)
+        for schemes, sink in zip(progress, sinks, strict=True):
+            for scheme in schemes:
+                sink.details[scheme.label] = scheme.runtime.finish(scheme.state)
+
+    return [
+        _scenario_result(built, timeline, schemes)
+        for built, timeline, schemes in zip(builts, timelines, progress, strict=True)
+    ]
 
 
-def scheme_outcomes(built: BuiltScenario) -> Dict[str, SchemeRun]:
-    """Run every scheme of a built scenario, returning each scheme's run.
-
-    For drivers that need scheme ``details`` (per-interval solutions,
-    activation objects) beyond the uniform :class:`ScenarioResult` series.
-    """
-    with trace.span("timeline.run", scenario=built.spec.name):
-        return run_timeline(built).schemes
+def _scenario_result(
+    built: BuiltScenario, timeline: Timeline, schemes: Sequence[_SchemeProgress]
+) -> ScenarioResult:
+    """The uniform result of one scenario's completed pass."""
+    utilisation = {scheme.label: scheme.utilisation() for scheme in schemes}
+    return ScenarioResult(
+        name=built.spec.name,
+        config_hash=built.spec.config_hash(),
+        times_s=built.trace.timestamps(),
+        power_percent={scheme.label: scheme.series("power_percent") for scheme in schemes},
+        recomputations={scheme.label: scheme.recomputations for scheme in schemes},
+        max_utilisation={label: series for label, series in utilisation.items() if series},
+        spec=built.spec.to_dict(),
+        events=timeline.fired_records(),
+        compute_seconds={
+            scheme.label: scheme.series("compute_seconds") for scheme in schemes
+        },
+        violations={
+            scheme.label: [bool(value) for value in scheme.series("violation")]
+            for scheme in schemes
+            if utilisation[scheme.label]
+        },
+        reaction={scheme.label: scheme.reaction for scheme in schemes if scheme.reaction},
+    )

@@ -31,8 +31,9 @@ DEFAULT_UTILISATION_THRESHOLD = 0.9
 #: and results gained event/reaction fields.
 CONFIG_HASH_VERSION = 3
 
-#: The importable entry point that runs a spec dict.  It is part of the
-#: hashed payload (see :meth:`ScenarioSpec.config_hash`).
+#: Part of the hashed payload (see :meth:`ScenarioSpec.config_hash`): the
+#: reference of the function that once ran a spec dict.  No such function
+#: exists any more; the string stays so every stored config hash keeps its key.
 _RUN_FUNCTION = "repro.scenario.engine:run_scenario_dict"
 
 
@@ -358,8 +359,9 @@ class ScenarioSpec:
         hash seeds.  :func:`_plain` made every parameter plain JSON data at
         construction, so one sorted-key dump is canonical.  The envelope
         (``cache_version`` / ``function`` / ``params``) dates from when a
-        spec was hashed as a cached call of :func:`run_scenario_dict`; its
-        bytes are kept so that rows in existing stores stay addressable.
+        spec was hashed as a cached function call (``function`` is
+        :data:`_RUN_FUNCTION`); its bytes are kept so that rows in existing
+        stores stay addressable.
         """
         payload = json.dumps(
             {
@@ -371,23 +373,37 @@ class ScenarioSpec:
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
-    def sweep_point(self):
-        """This scenario as a :class:`~repro.experiments.runner.SweepPoint`.
+    def sweep_point(self) -> "ScenarioSpec":
+        """This spec itself: the point
+        :func:`~repro.experiments.runner.execute_point_outcome` runs.
 
-        Nothing in ``src/`` calls this any more; it stays, with its
-        function-local import, because the benchmark harness's
-        ``experiments.point_ms_p50`` probe — which this repository's PRs may
-        not edit — times ``execute_point_outcome(spec.sweep_point())``.
+        Nothing in ``src/`` calls it; the benchmark harness's
+        ``experiments.point_ms_p50`` probe times
+        ``execute_point_outcome(spec.sweep_point())``.
         """
-        from ..experiments.runner import point
-
-        return point(_RUN_FUNCTION, label=self.name, spec=self.to_dict())
+        return self
 
     def with_schemes(self, *schemes: SchemeSpec, name: Optional[str] = None) -> "ScenarioSpec":
         """A copy evaluating different schemes on the same stack."""
         return replace(
             self, schemes=tuple(schemes), name=name if name is not None else self.name
         )
+
+
+def _with_params(entry: Any, target: str) -> Dict[str, Any]:
+    """A component entry as a ``{"name", "params"}`` dict with a params dict.
+
+    A bare name or a null ``params`` means no parameters, as in
+    :meth:`ComponentSpec.from_dict`.
+    """
+    if isinstance(entry, str):
+        return {"name": entry, "params": {}}
+    if isinstance(entry, dict):
+        if entry.get("params") is None:
+            entry["params"] = {}
+        if isinstance(entry["params"], dict):
+            return entry
+    raise ConfigurationError(f"setting {target!r}: cannot set a parameter of {entry!r}")
 
 
 def apply_spec_setting(data: Dict[str, Any], target: str, value: Any) -> None:
@@ -416,9 +432,8 @@ def apply_spec_setting(data: Dict[str, Any], target: str, value: Any) -> None:
             raise ConfigurationError(
                 f"setting {target!r}: the spec has no {section} section yet"
             )
-        if isinstance(entry, str):
-            entry = {"name": entry, "params": {}}
-        entry.setdefault("params", {})[key] = value
+        entry = _with_params(entry, target)
+        entry["params"][key] = value
         data[section] = entry
         return
     if section == "events":
@@ -436,21 +451,19 @@ def apply_spec_setting(data: Dict[str, Any], target: str, value: Any) -> None:
                 f"setting {target!r}: the spec has {len(events)} event(s); "
                 f"index {index} is out of range"
             )
-        event = events[index]
-        if isinstance(event, str):
-            event = {"name": event, "params": {}}
-        event.setdefault("params", {})[param] = value
+        event = _with_params(events[index], target)
+        event["params"][param] = value
         events[index] = event
         data["events"] = events
         return
     # Otherwise the section names a scheme by its label.
     for index, scheme in enumerate(data.get("schemes", [])):
-        label = scheme if isinstance(scheme, str) else scheme.get("label", scheme.get("name"))
+        # A null or empty label reads as the scheme's name, as in SchemeSpec.
+        label = scheme if isinstance(scheme, str) else scheme.get("label") or scheme.get("name")
         if label != section:
             continue
-        if isinstance(scheme, str):
-            scheme = {"name": scheme, "params": {}}
-        scheme.setdefault("params", {})[key] = value
+        scheme = _with_params(scheme, target)
+        scheme["params"][key] = value
         data["schemes"][index] = scheme
         return
     raise ConfigurationError(

@@ -1,7 +1,7 @@
-"""The event-driven timeline engine.
+"""The event-driven timeline: events, merged steps and the scheme protocol.
 
 Every number a scenario reports comes out of one loop — start each scheme,
-step it through the intervals.  This module holds that loop, once:
+step it through the intervals.  This module holds what that loop runs on:
 
 * a :class:`Timeline` merges the trace's intervals with the scenario's
   dynamic :class:`~repro.scenario.spec.EventSpec` axis — link/node failures
@@ -15,24 +15,19 @@ step it through the intervals.  This module holds that loop, once:
   builds long-lived state once (REsPoNse plans, candidate-path caches),
   ``step(state, t, matrix, view)`` advances one interval incrementally and
   returns an :class:`IntervalOutcome`;
-* one interval-major driver (``_drive``) takes a list of built scenarios,
-  starts every runtime, advances all of them one interval at a time —
-  timing every step (the recomputation-latency proxy) and noting per-event
-  reaction records — and feeds each scenario's completed interval to its
-  sinks: the ``on_interval`` hook, then the in-memory series.
-  :func:`run_timeline` is the list of one; :func:`run_timeline_batch`
-  passes a whole group.
+* a :class:`GroupComputeCache` lets the scenarios built as one group share
+  plans, solves and candidate paths.
 
-Runtimes only *reuse* state (precomputed plans, cached candidates,
-unchanged-input memoisation); they never change what is computed, so the
-values do not depend on which sinks are attached or on what else shares the
-pass.
+The loop itself — the one interval-major driver — lives beside the result
+it returns, in :mod:`repro.scenario.engine`.  Runtimes only *reuse* state
+(precomputed plans, cached candidates, unchanged-input memoisation); they
+never change what is computed, so the values do not depend on which hooks
+are attached or on what else shares the pass.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -48,12 +43,11 @@ from typing import (
 )
 
 from ..exceptions import ConfigurationError
-from ..obs import trace
 from ..routing.ksp import CandidatePaths
 from ..simulator.failures import FailureState, TopologyChange, TopologyView, due
 from ..traffic.matrix import Pair, TrafficMatrix
-from .registry import register, resolve
-from .spec import EventSpec, SchemeSpec
+from .registry import register
+from .spec import EventSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..topology.base import Topology
@@ -416,50 +410,8 @@ IntervalCallback = Callable[[TimelineStep, Mapping[str, IntervalOutcome]], None]
 
 
 # --------------------------------------------------------------------- #
-# Driving the timeline
+# Group-shared computations
 # --------------------------------------------------------------------- #
-
-
-@dataclass
-class SchemeRun:
-    """One scheme's full pass over the timeline."""
-
-    label: str
-    outcomes: List[IntervalOutcome]
-    details: Dict[str, Any]
-    recomputations: int
-
-    def _series(self, metric: str) -> List[Any]:
-        return [getattr(outcome, metric) for outcome in self.outcomes]
-
-    def power_percent(self) -> List[float]:
-        """The per-interval power series."""
-        return self._series("power_percent")
-
-    def max_utilisation(self) -> List[float]:
-        """The utilisation series (empty when the scheme never tracked it)."""
-        raw = self._series("max_utilisation")
-        if all(value is None for value in raw):
-            return []
-        return [value if value is not None else 0.0 for value in raw]
-
-    def violations(self) -> List[bool]:
-        """Per-interval SLO-violation flags (untracked intervals read ``False``)."""
-        return [bool(value) for value in self._series("violation")]
-
-    def compute_seconds(self) -> List[float]:
-        """Per-interval step cost (the recomputation-latency proxy)."""
-        return self._series("compute_seconds")
-
-
-@dataclass
-class TimelineRun:
-    """The result of driving every scheme over one timeline."""
-
-    times_s: List[float]
-    events: List[Dict[str, Any]]
-    schemes: Dict[str, SchemeRun]
-    reaction: Dict[str, List[Dict[str, Any]]]
 
 
 class GroupComputeCache:
@@ -504,164 +456,3 @@ class GroupComputeCache:
             lambda: CandidatePaths(topology),
             pin=(topology,),
         )
-
-
-@dataclass
-class _SchemeProgress:
-    """One (scenario, scheme) pair being driven through the pass."""
-
-    label: str
-    runtime: SchemeRuntime
-    state: Any
-    recomputations: int = 0
-    reaction: List[Dict[str, Any]] = field(default_factory=list)
-
-
-def _start_scheme(built: "BuiltScenario", scheme: SchemeSpec) -> _SchemeProgress:
-    """Resolve one scheme spec to its runtime and build its long-lived state."""
-    component = resolve("scheme", scheme.name)
-    if not (isinstance(component, type) and issubclass(component, SchemeRuntime)):
-        raise ConfigurationError(
-            f"scheme component {scheme.name!r} must be a SchemeRuntime subclass, "
-            f"got {component!r}"
-        )
-    runtime: SchemeRuntime = component(**scheme.kwargs())
-    with trace.span("scheme.start", scheme=scheme.label):
-        state = runtime.start(built)
-    return _SchemeProgress(label=scheme.label, runtime=runtime, state=state)
-
-
-def _step_scheme(
-    scheme: _SchemeProgress, step: TimelineStep, threshold: float
-) -> IntervalOutcome:
-    """Advance one scheme by one timeline step, noting its reaction records."""
-    with trace.span("scheme.step", scheme=scheme.label, interval=step.index) as step_span:
-        # compute_seconds is the paper's recomputation-latency proxy: a
-        # deliberate wall-clock measurement that never feeds results —
-        # canonical_dump strips it (pinned by the identity batteries).
-        # repro: allow[REP101] compute_seconds latency proxy, stripped from canonical dumps
-        started = time.perf_counter()
-        outcome = scheme.runtime.step(scheme.state, step.time_s, step.matrix, step.view)
-        # repro: allow[REP101] compute_seconds latency proxy, stripped from canonical dumps
-        outcome.compute_seconds = time.perf_counter() - started
-        step_span.set(recomputed=outcome.recomputed)
-    if outcome.max_utilisation is not None:
-        outcome.violation = bool(outcome.max_utilisation > threshold + 1e-9)
-    scheme.recomputations += int(outcome.recomputed)
-    for fired in step.fired:
-        scheme.reaction.append(
-            {
-                **fired,
-                "interval_index": step.index,
-                "interval_s": step.time_s,
-                **outcome.record(),
-            }
-        )
-    return outcome
-
-
-@dataclass
-class _Sinks:
-    """Where one scenario's completed intervals go.
-
-    The driver hands every interval to :meth:`write` as the same record —
-    the step plus each scheme's outcome.  The ``on_interval`` hook sees it
-    first; then it is collected in memory.
-    """
-
-    on_interval: Optional[IntervalCallback] = None
-    collected: Dict[str, List[IntervalOutcome]] = field(default_factory=dict)
-
-    def write(self, step: TimelineStep, outcomes: Mapping[str, IntervalOutcome]) -> None:
-        if self.on_interval is not None:
-            self.on_interval(step, outcomes)
-        for label, outcome in outcomes.items():
-            self.collected.setdefault(label, []).append(outcome)
-
-    def scheme_run(self, scheme: _SchemeProgress) -> SchemeRun:
-        """The finished scheme's run over the collected intervals."""
-        details = scheme.runtime.finish(scheme.state)
-        outcomes = self.collected.get(scheme.label, [])
-        return SchemeRun(scheme.label, outcomes, details, scheme.recomputations)
-
-
-def _drive(
-    builts: Sequence["BuiltScenario"], sinks: Sequence[_Sinks]
-) -> List[TimelineRun]:
-    """The one timeline driver: an interval-major pass over built scenarios.
-
-    Every runtime is started up-front, then interval ``i`` of every
-    (scenario, scheme) pair runs before interval ``i+1`` of any, and each
-    scenario's completed interval goes to its :class:`_Sinks`.  Schemes are
-    independent (each runtime owns its state), so per (scenario, scheme)
-    the sequence of ``step`` calls — and therefore every computed value —
-    does not depend on what else is in the pass; the interleaving is what
-    lets the scenarios' shared :class:`GroupComputeCache` turn repeated plan
-    builds and solves into lookups.  Wall-clock ``compute_seconds`` are the
-    only fields that can differ between two passes, and every
-    determinism-sensitive comparison strips them.
-    """
-    timelines: List[Timeline] = []
-    progress: List[List[_SchemeProgress]] = []
-    for built in builts:
-        timelines.append(build_timeline(built.topology, built.trace, built.events))
-        progress.append([_start_scheme(built, scheme) for scheme in built.spec.schemes])
-
-    # Traces may differ in length across the scenarios; a shorter one simply
-    # stops participating early.
-    for index in range(max((len(timeline) for timeline in timelines), default=0)):
-        with trace.span("timeline.interval", interval=index, group_size=len(builts)):
-            for built, timeline, schemes, sink in zip(
-                builts, timelines, progress, sinks, strict=True
-            ):
-                if index < len(timeline):
-                    step = timeline.steps[index]
-                    threshold = built.spec.utilisation_threshold
-                    sink.write(
-                        step,
-                        {
-                            scheme.label: _step_scheme(scheme, step, threshold)
-                            for scheme in schemes
-                        },
-                    )
-
-    runs: List[TimelineRun] = []
-    for built, timeline, schemes, sink in zip(
-        builts, timelines, progress, sinks, strict=True
-    ):
-        runs.append(
-            TimelineRun(
-                times_s=built.trace.timestamps(),
-                events=timeline.fired_records(),
-                schemes={scheme.label: sink.scheme_run(scheme) for scheme in schemes},
-                reaction={scheme.label: scheme.reaction for scheme in schemes},
-            )
-        )
-    return runs
-
-
-def run_timeline(
-    built: "BuiltScenario",
-    on_interval: Optional[IntervalCallback] = None,
-) -> TimelineRun:
-    """Drive every scheme of a built scenario over its merged timeline.
-
-    Args:
-        built: The built scenario (its spec supplies trace, events and the
-            scheme list).
-        on_interval: Optional streaming hook ``fn(step, outcomes)`` called
-            once per :class:`TimelineStep` — after **every** scheme has
-            advanced through it — with the interval's per-scheme
-            :class:`IntervalOutcome` keyed by label, so consumers receive
-            whole-interval telemetry as it is computed.
-    Returns:
-        The :class:`TimelineRun` with per-scheme series, fired events and
-        per-event reaction records — the same values with or without the
-        hook.
-    """
-    return _drive([built], [_Sinks(on_interval=on_interval)])[0]
-
-
-def run_timeline_batch(builts: Sequence["BuiltScenario"]) -> List[TimelineRun]:
-    """Drive a whole group of built scenarios in one interval-major pass."""
-    return _drive(builts, [_Sinks() for _ in builts])

@@ -22,12 +22,7 @@ from __future__ import annotations
 import os
 from typing import Any, Callable, Dict, List, Mapping
 
-from ..campaign.report import (
-    deviation_from_best,
-    filter_rows,
-    scheme_dominance,
-    summarise,
-)
+from ..campaign.report import UnknownMetricError, campaign_report
 from ..campaign.store import CampaignStore
 from ..exceptions import ConfigurationError, TrafficError
 from .jobs import JobManager
@@ -233,38 +228,32 @@ def campaign_report_payload(
 ) -> Dict[str, Any]:
     """``GET /campaigns/{id}/report`` — the aggregation layer over HTTP.
 
-    Same pipeline as ``campaign-report``: flat metric rows, optional
-    ``filter`` expressions, grouped summary plus scheme dominance and
-    deviation-from-best across the grid.
+    The pipeline of ``campaign-report``
+    (:func:`~repro.campaign.report.campaign_report`): flat metric rows,
+    optional ``filter`` expressions, grouped summary plus scheme dominance
+    and deviation-from-best across the grid; ``rows`` is the filtered row
+    count.
     """
     report = report_query(query)
     with state.open_reader() as store:
         campaign = _find_campaign(store, selector)
-        known_metrics = store.metric_names(campaign["campaign_id"])
-        if known_metrics and report.metric not in known_metrics:
-            raise bad_request(
-                f"unknown metric {report.metric!r}; this campaign recorded: "
-                f"{', '.join(known_metrics)}",
-                code="unknown-metric",
+        try:
+            payload = campaign_report(
+                store,
+                campaign["campaign_id"],
+                report.metric,
+                report.group_by,
+                report.filters,
             )
-        rows = store.metric_rows(campaign["campaign_id"])
-    try:
-        rows = filter_rows(rows, report.filters)
-        payload = {
-            "campaign_id": campaign["campaign_id"],
-            "metric": report.metric,
-            "group_by": list(report.group_by),
-            "filters": report.filters,
-            "rows": len(rows),
-            "summary": summarise(
-                rows, metric=report.metric, group_by=list(report.group_by)
-            ),
-            "dominance": scheme_dominance(rows, metric=report.metric),
-            "deviation": deviation_from_best(rows, metric=report.metric),
-        }
-    except ConfigurationError as error:
-        raise bad_request(str(error), code="invalid-report") from error
-    return payload
+        except UnknownMetricError as error:
+            raise bad_request(str(error), code="unknown-metric") from error
+        except ConfigurationError as error:
+            raise bad_request(str(error), code="invalid-report") from error
+    return {
+        "campaign_id": campaign["campaign_id"],
+        **payload,
+        "rows": len(payload["rows"]),
+    }
 
 
 # --------------------------------------------------------------------- #
@@ -274,8 +263,8 @@ def replay_stream(body: Mapping[str, Any], emit: Emit) -> None:
     """``GET|POST /scenarios/replay`` — live per-interval telemetry.
 
     Builds the scenario (any spec error surfaces as a 400 *before* the
-    first byte is streamed), then replays it through the
-    :func:`~repro.scenario.timeline.run_timeline` interval hook, emitting
+    first byte is streamed), then replays it through the ``on_interval``
+    hook of :func:`~repro.scenario.engine.run_built_scenario`, emitting
     one record per NDJSON line:
 
     * ``{"type": "start", ...}`` — name, config hash, interval count,
@@ -285,7 +274,7 @@ def replay_stream(body: Mapping[str, Any], emit: Emit) -> None:
       flag, recomputation marker and step latency;
     * ``{"type": "end", "result": ...}`` — the full
       :class:`~repro.scenario.engine.ScenarioResult`, bit-identical to an
-      offline ``run_timeline`` of the same spec.
+      offline ``run_scenario`` of the same spec.
     """
     from ..scenario.engine import build_scenario, run_built_scenario
 

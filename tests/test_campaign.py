@@ -66,6 +66,22 @@ def eight_point_campaign(name="grid8"):
 # --------------------------------------------------------------------- #
 # Spec expansion
 # --------------------------------------------------------------------- #
+def test_set_axis_on_null_params_and_label():
+    """``null`` params / label read as absent, as ``ScenarioSpec.from_dict`` reads them."""
+    base = base_scenario()
+    base["power"] = {"name": "cisco", "params": None}
+    base["schemes"] = [{"name": "response", "label": None, "params": None}, "ecmp"]
+    points = CampaignSpec.from_dict(
+        {
+            "name": "nulls",
+            "base": base,
+            "axes": {"set": {"response.k": [2, 3], "power.include_amplifiers": [False]}},
+        }
+    ).expand()
+    assert [point.spec.schemes[0].params for point in points] == [{"k": 2}, {"k": 3}]
+    assert all(point.spec.power.params == {"include_amplifiers": False} for point in points)
+
+
 def test_campaign_spec_round_trip_and_identity():
     spec = CampaignSpec.from_dict(campaign_dict())
     rebuilt = CampaignSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
@@ -467,6 +483,19 @@ def test_filter_rows_by_axis_and_scheme(reported):
         filter_rows(rows, {"nope": "1"})
     with pytest.raises(ConfigurationError):
         parse_filters(["no-equals-sign"])
+
+
+def test_report_rejects_an_unknown_group_by_column(reported, capsys):
+    """A misspelt group-by column is an error naming the row columns, not
+    one ``None`` group holding every row."""
+    store_path, _summary, rows = reported
+    with pytest.raises(ConfigurationError, match=r"unknown group-by column\(s\) \['topolgy'\]"):
+        summarise(rows, group_by=("topolgy",))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["campaign-report", "--store", str(store_path), "--group-by", "topolgy"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "unknown group-by column(s) ['topolgy']" in err and "'scheme'" in err
 
 
 def test_summarise_groups_and_percentiles(reported):

@@ -158,7 +158,7 @@ def test_lp_relax_replay_draws_from_one_provider_per_topology_object(monkeypatch
 
     monkeypatch.setattr(CandidatePaths, "__init__", counting_init)
     built = build_scenario_group([{**replay_scenario(11), "schemes": ["lp-relax"]}])[0]
-    shared = scheme_outcomes(built)["lp-relax"].details["solutions"]
+    shared = scheme_outcomes(built)["lp-relax"]["solutions"]
     assert len(shared) == 16
     # The day's network and its failure view, one provider each.
     assert len(providers) == len({id(topology) for topology in providers}) == 2
@@ -174,7 +174,7 @@ def test_lp_relax_replay_draws_from_one_provider_per_topology_object(monkeypatch
 
     del providers[:]
     monkeypatch.setattr(schemes.LpRelaxRuntime, "solve", bare_solve)
-    private = scheme_outcomes(built)["lp-relax"].details["solutions"]
+    private = scheme_outcomes(built)["lp-relax"]["solutions"]
     assert len(providers) > 2
     assert [(s.active_nodes, s.active_links, s.power_w) for s in shared] == [
         (s.active_nodes, s.active_links, s.power_w) for s in private

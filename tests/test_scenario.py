@@ -22,7 +22,6 @@ from repro.scenario import (
     registered_components,
     resolve,
     run_scenario,
-    run_scenario_dict,
 )
 from repro.routing.ospf import ospf_delays
 from repro.scenario import schemes
@@ -322,8 +321,8 @@ def test_response_lat_honours_the_latency_bound_pair_by_pair():
         )
     )
     outcomes = scheme_outcomes(built)
-    bounded = outcomes["response-lat"].details["plan"].always_on.routing
-    free = outcomes["response"].details["plan"].always_on.routing
+    bounded = outcomes["response-lat"]["plan"].always_on.routing
+    free = outcomes["response"]["plan"].always_on.routing
     delays = ospf_delays(built.topology, pairs=built.pairs)
     for pair in built.pairs:
         assert bounded.path(*pair).latency(built.topology) <= 1.25 * delays[pair] + 1e-12
@@ -386,12 +385,48 @@ def test_run_scenario_requires_schemes():
         run_scenario(tiny_fattree_spec(schemes=()))
 
 
-def test_run_scenario_dict_equals_run_scenario():
-    spec = tiny_fattree_spec()
-    assert (
-        run_scenario_dict(spec.to_dict()).power_percent
-        == run_scenario(spec).power_percent
+def test_a_scenario_without_schemes_is_rejected_by_every_entry():
+    """The driver's one "names no schemes" check covers every way in."""
+    from repro.scenario.engine import run_built_scenario, run_built_scenarios_batch
+
+    built = build_scenario(tiny_fattree_spec(schemes=()))
+    for run in (
+        run_built_scenario,
+        lambda built: run_built_scenarios_batch([built]),
+        scheme_outcomes,
+    ):
+        with pytest.raises(ConfigurationError, match="names no schemes"):
+            run(built)
+
+
+@pytest.mark.parametrize(
+    "example", ["scenario_geant_failure.json", "scenario_geant_gravity.json"]
+)
+def test_every_run_entry_gives_the_same_result(example):
+    """Solo, hooked, batched and the harness's point hook are one driver."""
+    from repro.experiments.runner import execute_point_outcome
+    from repro.scenario.engine import (
+        build_scenario_group,
+        run_built_scenario,
+        run_built_scenarios_batch,
     )
+
+    with open(os.path.join(EXAMPLES_DIR, example), encoding="utf-8") as handle:
+        spec = ScenarioSpec.from_dict(json.load(handle))
+    expected = canonical_result_dict(run_scenario(spec).to_dict())
+    streamed = []
+    results = [
+        run_built_scenario(build_scenario(spec)),
+        run_built_scenario(
+            build_scenario(spec),
+            on_interval=lambda step, outcomes: streamed.append(step.index),
+        ),
+        *run_built_scenarios_batch(build_scenario_group([spec])),
+        execute_point_outcome(spec.sweep_point()).value,
+    ]
+    for result in results:
+        assert canonical_result_dict(result.to_dict()) == expected
+    assert streamed == list(range(len(expected["times_s"])))
 
 
 @pytest.mark.parametrize(
@@ -704,6 +739,27 @@ def test_cli_run_scenario_from_flags_and_set_overrides(capsys):
     assert payload["name"] == "from-flags"
     assert payload["spec"]["topology"]["params"]["k"] == 4
     assert len(payload["power_percent"]["ecmp"]) == 2
+
+
+def test_cli_set_on_null_params_and_label(tmp_path, capsys):
+    """A ``null`` params or label reads as absent, as ``from_dict`` reads it."""
+    spec = tiny_fattree_spec().to_dict()
+    spec["topology"]["params"] = None
+    spec["schemes"] = [{"name": "response", "label": None, "params": None}]
+    spec_path = tmp_path / "nulls.json"
+    spec_path.write_text(json.dumps(spec))
+    arguments = ["run-scenario", "--spec", str(spec_path), "--set", "topology.k=4"]
+    assert main([*arguments, "--set", "response.k=4", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["spec"]["topology"] == {"name": "fattree", "params": {"k": 4}}
+    assert payload["spec"]["schemes"] == [{"name": "response", "params": {"k": 4}}]
+    # Params that are not a mapping are a usage error, not a traceback.
+    spec["topology"]["params"] = [4]
+    spec_path.write_text(json.dumps(spec))
+    with pytest.raises(SystemExit) as exit_info:
+        main(arguments)
+    assert exit_info.value.code == 2
+    assert "--set topology.k=4: setting 'topology.k'" in capsys.readouterr().err
 
 
 def test_cli_run_scenario_rejects_unknown_component(capsys):

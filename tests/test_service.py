@@ -554,6 +554,41 @@ def test_campaign_query_validation(tmp_path):
         assert (code, error["code"]) == (404, "unknown-campaign")
 
 
+def test_report_rejects_an_unknown_group_by_column(tmp_path):
+    """A misspelt ``group_by`` is a 400 naming the row columns, not one
+    bogus group."""
+    with service(tmp_path) as server:
+        _, submitted = post_json(
+            server, "/campaigns", {"spec": campaign_dict(), "max_points": 1}
+        )
+        wait_for_job(server, submitted["campaign_id"])
+        prefix = f"/campaigns/{submitted['campaign_id'][:12]}"
+        _, report = get_json(server, f"{prefix}/report?group_by=seed")
+        assert [row["seed"] for row in report["summary"]] == ["0"]
+        code, error = request_error(server, f"{prefix}/report?group_by=topolgy")
+        assert (code, error["code"]) == (400, "invalid-report")
+        assert "unknown group-by column(s) ['topolgy']" in error["message"]
+        assert "'scheme'" in error["message"]
+
+
+def test_set_axis_on_null_params_and_label_is_not_a_500(tmp_path):
+    """``null`` params / label read as absent; params that are not a
+    mapping are the client's mistake."""
+    spec = campaign_dict("null-grid")
+    spec["base"]["schemes"] = [{"name": "response", "label": None, "params": None}]
+    spec["axes"] = {"set": {"response.k": [2, 3]}}
+    with service(tmp_path) as server:
+        status, submitted = post_json(
+            server, "/campaigns", {"spec": spec, "max_points": 0}
+        )
+        assert (status, submitted["grid_size"]) == (202, 2)
+        wait_for_job(server, submitted["campaign_id"])
+        spec["base"]["schemes"][0]["params"] = [2]
+        code, error = request_error(server, "/campaigns", {"spec": spec})
+        assert (code, error["code"]) == (400, "invalid-campaign")
+        assert "cannot set a parameter" in error["message"]
+
+
 def test_default_workers_config_applies_to_submissions(tmp_path):
     with service(tmp_path, default_workers=2) as server:
         _, submitted = post_json(

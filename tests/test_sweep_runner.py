@@ -1,51 +1,29 @@
-"""Tests for ``experiments/runner.py``: the figure CLI and the point-probe shim.
+"""Tests for ``experiments/runner.py``: the figure CLI and the point hook.
 
 The sweep runner this file was named after is retired (the name stays so the
-test ids do); what is pinned here is what remains of it — the function
-references, the error-isolating ``execute_point_outcome`` the benchmark
-harness times, ``apply_spec_setting`` (now in ``repro.scenario``) and the
-figure command line.
+test ids do); what is pinned here is what remains of it — the
+error-isolating ``execute_point_outcome`` the benchmark harness times,
+``apply_spec_setting`` (now in ``repro.scenario``) and the figure command
+line.
 """
 
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.experiments.runner import (
-    FIGURE_REGISTRY,
-    execute_point_outcome,
-    function_reference,
-    main,
-    point,
-    resolve_function,
+from repro.experiments.runner import execute_point_outcome, main
+from repro.scenario import (
+    PowerSpec,
+    ScenarioSpec,
+    SchemeSpec,
+    TopologySpec,
+    TrafficSpec,
+    apply_spec_setting,
 )
-from repro.scenario import PowerSpec, ScenarioSpec, TopologySpec, TrafficSpec, apply_spec_setting
-
-
-# Module-level point functions: a point names its function by import reference.
-def _square(value):
-    return value * value
-
-
-def _square_or_boom(value):
-    if value < 0:
-        raise ValueError(f"no negatives: {value}")
-    return value * value
 
 
 # --------------------------------------------------------------------- #
-# Points, references and hashing
+# Hashing
 # --------------------------------------------------------------------- #
-def test_function_reference_roundtrip():
-    reference = function_reference(_square)
-    assert reference.endswith(":_square")
-    assert resolve_function(reference) is _square
-    assert function_reference(reference) == reference
-    with pytest.raises(ConfigurationError):
-        function_reference(lambda x: x)
-    with pytest.raises(ConfigurationError):
-        function_reference("not-a-reference")
-
-
 def test_config_hash_is_order_insensitive_and_param_sensitive():
     def spec(traffic):
         return ScenarioSpec(
@@ -63,12 +41,22 @@ def test_config_hash_is_order_insensitive_and_param_sensitive():
 # Error-isolating outcome backend
 # --------------------------------------------------------------------- #
 def test_execute_point_outcome_captures_error_and_timing():
-    good = execute_point_outcome(point(_square_or_boom, value=3))
-    assert good.ok and good.value == 9 and good.error is None
-    assert good.elapsed_s >= 0.0
-    bad = execute_point_outcome(point(_square_or_boom, value=-1))
-    assert not bad.ok and bad.value is None
-    assert "ValueError" in bad.error and "no negatives" in bad.error
+    spec = ScenarioSpec(
+        name="tiny-fattree",
+        topology=TopologySpec("fattree", k=4),
+        traffic=TrafficSpec("sinewave", mode="near", num_intervals=2, seed=4),
+        power=PowerSpec("commodity", ports_at_peak=4),
+        schemes=(SchemeSpec("ecmp"),),
+    )
+    assert spec.sweep_point() is spec
+    value, error, elapsed_s = execute_point_outcome(spec)
+    assert error is None and value.name == "tiny-fattree"
+    assert len(value.power_percent["ecmp"]) == 2
+    assert elapsed_s >= 0.0
+    bad = execute_point_outcome(spec.with_schemes())
+    assert bad.value is None and bad.elapsed_s >= 0.0
+    assert "Traceback" in bad.error
+    assert "ConfigurationError" in bad.error and "names no schemes" in bad.error
 
 
 def test_apply_spec_setting_targets_and_errors():
@@ -92,13 +80,18 @@ def test_apply_spec_setting_targets_and_errors():
 # --------------------------------------------------------------------- #
 # Figure-level integration and CLI
 # --------------------------------------------------------------------- #
-def test_registry_covers_all_figure_drivers():
+def test_registry_covers_all_figure_drivers(capsys):
+    """Every figure ``--list`` prints is a module exporting ``run_<name>``."""
+    import importlib
+
     from repro import experiments
 
-    for name, reference in FIGURE_REGISTRY.items():
-        assert resolve_function(reference) is getattr(
-            experiments, reference.rpartition(":")[2]
-        ), name
+    assert main(["--list"]) == 0
+    listed = capsys.readouterr().out.split()
+    assert listed == sorted(experiments._EXPORTS) and len(listed) == 14
+    for name in listed:
+        module = importlib.import_module(f"repro.experiments.{name}")
+        assert getattr(experiments, f"run_{name}") is getattr(module, f"run_{name}"), name
 
 
 def test_cli_list_and_unknown(capsys):

@@ -474,7 +474,7 @@ def test_node_failure_changes_ospf_power():
     # REsPoNse stops billing the failed chassis too: DE is always-on in the
     # plan, and in no activation once it is down.
     built = build_scenario(spec)
-    before, *after = scheme_outcomes(built)["response"].details["activations"]
+    before, *after = scheme_outcomes(built)["response"]["activations"]
     assert "DE" in before.active_nodes
     chassis_w = built.power_model.chassis_power_w(built.topology.node("DE"))
     for activation in after:
@@ -569,10 +569,10 @@ def test_response_reacts_to_a_failure_by_activation_greente_by_a_new_solve():
     assert response["compute_seconds"] < greente["compute_seconds"]
 
 
-def test_run_timeline_on_interval_hook_streams_bit_identical_values():
+def test_run_built_scenario_on_interval_hook_streams_bit_identical_values():
     """The interval-major streaming pass must not change any computed value.
 
-    The service's replay endpoint rides on ``run_timeline(on_interval=...)``;
+    The service's replay endpoint rides on ``run_built_scenario(on_interval=...)``;
     this pins its contract: the hook fires once per timeline step with every
     scheme's outcome for that step, and the returned run matches a plain
     scheme-major run bit-for-bit (wall-clock step timings aside).
@@ -606,7 +606,7 @@ def test_run_timeline_on_interval_hook_streams_bit_identical_values():
     )
 
 
-def test_run_timeline_on_interval_hook_event_free_identity():
+def test_run_built_scenario_on_interval_hook_event_free_identity():
     """Event-free scenarios stream identically too (no-event fast path)."""
     from repro.campaign.store import canonical_result_dict
     from repro.scenario.engine import run_built_scenario
