@@ -6,30 +6,39 @@ witness puts exactly zero load can go without a solver run: the witness
 restricted to the smaller arc set is the same feasible point.  Zero load is
 not enough on its own — a demand below the solver's tolerances (the paper's
 1 bit/s ε flows) may be routed as no flow at all — so the combinatorial
-connectivity check the LP itself starts with is run on every candidate.
+connectivity check is run on every candidate, over the one arc mask the
+LP then gets.
 
 A candidate that does carry witness flow costs an LP, and consecutive
 candidates differ in a handful of arcs: one search holds one
 :class:`~repro.routing.mcf.FlowSession` — the LP of the whole topology, a
 candidate's arcs switched off by column bounds, each re-solve started from
-the basis of the last.  The active subset is a pair of masks over the
-topology's index (a candidate's entries are flipped, and flipped back on a
-refusal); names appear only at the boundary.  A caller that runs one search
-per interval hands the same session down each time: model and basis outlive
-the interval, every candidate is still decided anew.
+the basis of the last — and reads from it only the witness, or "infeasible".
+The active subset is a pair of masks over the topology's index (a
+candidate's entries are flipped, and flipped back on a refusal); names
+appear only at the boundary.  A caller that runs one search per interval
+hands the same session down each time: model and bases outlive the
+interval, every candidate is still decided anew.  The candidate order is
+fixed by element power, so an interval asks many of the last interval's
+questions again at the same arcs, and each of those starts from the basis
+its last solve ended with: on the benchmark harness's ``timeline_replay``
+spec, 63 of the 128 LPs, and 963 simplex iterations where the last basis
+alone took 2 273.
 """
 
 from __future__ import annotations
 
-from typing import Collection, Iterable, Optional, Set, Tuple, Union
+from typing import Collection, Iterable, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
+from ..exceptions import UnknownArcError
 from ..obs import metrics, trace
-from ..routing.mcf import FlowSession, demands_connected
+from ..routing.mcf import FlowSession
 from ..routing.ospf import ospf_invcap_routing
 from ..routing.paths import RoutingTable
 from ..topology.base import Topology
+from ..topology.index import TopologyIndex
 from ..traffic.matrix import TrafficMatrix
 
 LinkKey = Tuple[str, str]
@@ -63,6 +72,22 @@ def route_on_subset(
     return ospf_invcap_routing(topology, pairs=routed, name=name, arc_on=arc_on)
 
 
+def _candidate(
+    index: TopologyIndex, element: Union[str, LinkKey]
+) -> Tuple[Union[str, LinkKey], Optional[int], List[int]]:
+    """``(key, node, links)`` of a candidate: its name or its link key as
+    the index orients it, its node index (``None`` for a link) and the links
+    it takes with it."""
+    if isinstance(element, tuple):
+        u, v = element
+        key = (u, v) if u <= v else (v, u)
+        if key not in index.link_index:
+            raise UnknownArcError(u, v)
+        return key, None, [index.link_index[key]]
+    node = index.node_of(element)
+    return element, node, index.node_links[node]
+
+
 def shrink_active_subset(
     topology: Topology,
     demands: TrafficMatrix,
@@ -81,9 +106,15 @@ def shrink_active_subset(
     Returns the ``(active_nodes, active_links)`` that remain.
 
     The sets returned do not depend on which optimal flow a warm re-solve
-    lands on: a different witness moves work between the solver and the
-    witness rule, and both give the true answer to "does the demand still
-    fit?" — a witness skip exhibits a feasible flow, an LP decides.
+    lands on, from whichever basis it starts: a different witness moves work
+    between the solver and the witness rule, and both give the true answer
+    to "does the demand still fit?" — a witness skip exhibits a feasible
+    flow, an LP decides.
+
+    Raises:
+        UnknownNodeError: If a node candidate is not in *topology*.
+        UnknownArcError: If a link candidate, in either orientation, is not
+            a link of *topology*.
     """
     index = topology.index()
     node_on, link_on = index.node_mask(active_nodes), index.link_mask(active_links)
@@ -92,14 +123,11 @@ def shrink_active_subset(
     else:
         session.retarget(demands)
     models_before, iterations_before = session.models_built, session.simplex_iterations
+    restored_before = session.bases_restored
     witness: Optional[np.ndarray] = None
     answers = dict.fromkeys(("witness", "disconnected", "lp_feasible", "lp_infeasible"), 0)
     for element in candidates:
-        if isinstance(element, tuple):
-            node, dropped = None, [index.link_index[element]]
-        else:
-            node = index.node_index[element]
-            dropped = index.node_links[node]
+        key, node, dropped = _candidate(index, element)
         dropped = [link for link in dropped if link_on[link]]
         if node is None and not dropped:
             continue  # a link that is already off
@@ -107,15 +135,16 @@ def shrink_active_subset(
         if node_was_on:
             node_on[node] = False
         link_on[dropped] = False
-        if not demands_connected(topology, demands, node_on, link_on):
+        arc_on = index.arc_mask(node_on, link_on)
+        if not session.connected(arc_on):
             answer = "disconnected"
         elif witness is not None and not witness[index.link_arcs[dropped]].any():
             answer = "witness"
         else:
-            result = session.solve(node_on, link_on)
-            answer = "lp_feasible" if result.feasible else "lp_infeasible"
-            if result.feasible:
-                witness = result.arc_loads
+            loads = session.witness(arc_on, key)
+            answer = "lp_infeasible" if loads is None else "lp_feasible"
+            if loads is not None:
+                witness = loads
         answers[answer] += 1
         if answer not in ("witness", "lp_feasible"):
             link_on[dropped] = True
@@ -130,6 +159,7 @@ def shrink_active_subset(
             lp_solves=answers["lp_feasible"] + answers["lp_infeasible"],
             lp_iterations=session.simplex_iterations - iterations_before,
             lp_models=session.models_built - models_before,
+            lp_bases_restored=session.bases_restored - restored_before,
             witness_skips=answers["witness"],
         )
     nodes = {name for name, on in zip(index.node_names, node_on.tolist(), strict=True) if on}

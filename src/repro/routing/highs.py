@@ -54,6 +54,7 @@ def _load_binding() -> ModuleType:
 
 try:
     _core = _load_binding()
+    HighsBasis = _core.HighsBasis
     HighsLp = _core.HighsLp
     HighsModelStatus = _core.HighsModelStatus
     HighsStatus = _core.HighsStatus
@@ -62,7 +63,14 @@ try:
     _Highs = _core._Highs
     kHighsInf = _core.kHighsInf
 
-    for _method in ("changeColsBounds", "changeRowBounds", "getInfo", "getSolution"):
+    for _method in (
+        "changeColsBounds",
+        "changeRowBounds",
+        "getBasis",
+        "getInfo",
+        "getSolution",
+        "setBasis",
+    ):
         getattr(_Highs, _method)
 except (ImportError, AttributeError) as error:
     raise ImportError(
@@ -72,11 +80,12 @@ except (ImportError, AttributeError) as error:
 
 _SIMPLEX_ITERATIONS = metrics.counter(
     "repro_mcf_simplex_iterations_total",
-    "Simplex iterations of the MCF module's LP solves, by whether the solve "
-    "started from the basis of the previous one",
+    "Simplex iterations of the MCF module's LP solves, by the basis the solve "
+    "started from: none, the previous solve's, or one restored",
 )
-_FRESH_ITERATIONS = _SIMPLEX_ITERATIONS.labels(start="fresh")
-_WARM_ITERATIONS = _SIMPLEX_ITERATIONS.labels(start="warm")
+_ITERATIONS_BY_START = {
+    start: _SIMPLEX_ITERATIONS.labels(start=start) for start in ("fresh", "warm", "restored")
+}
 _LP_MODELS = metrics.counter(
     "repro_mcf_models_total", "LP models the MCF module assembled and passed to HiGHS"
 )
@@ -127,7 +136,8 @@ class HighsModel:
     ``tests/test_path_model.py``) hand them over, so the first :meth:`solve`
     returns that front end's answer bit for bit.  Unlike them, the model
     stays: :meth:`set_bounds` and :meth:`set_equality` change bounds in place
-    and the next :meth:`solve` of an LP starts from the basis HiGHS kept.
+    and the next :meth:`solve` of an LP starts from the basis HiGHS kept, or
+    from one an earlier :meth:`basis` call took and :meth:`restore` gives back.
 
     Every status the binding returns is looked at, a rejected option's
     included.  After a failure the instance is dropped and any further call
@@ -160,7 +170,9 @@ class HighsModel:
             kinds = (HighsVarType.kContinuous, HighsVarType.kInteger)
             lp.integrality_ = [kinds[flag] for flag in integer.tolist()]
         self._highs: Optional[_Highs] = _Highs()
-        self._solved_before = False
+        #: The basis the next LP solve starts from: none, the last one's, or
+        #: one :meth:`restore` set.
+        self._start = "fresh"
         #: Simplex iterations of every LP solve so far.
         self.iterations = 0
         #: Of the last solution returned: whether HiGHS proved it optimal
@@ -199,6 +211,17 @@ class HighsModel:
         for row, value in zip(rows.tolist(), values.tolist(), strict=True):
             self._checked("changeRowBounds", row, value, value)
 
+    def basis(self) -> Optional[HighsBasis]:
+        """A copy of the basis HiGHS holds, or ``None`` when it holds no valid one."""
+        basis = self._live().getBasis()
+        return basis if basis.valid else None
+
+    def restore(self, basis: HighsBasis) -> None:
+        """Start the next solve from *basis*, one :meth:`basis` took from this
+        model."""
+        self._checked("setBasis", basis)
+        self._start = "restored"
+
     def solve(self) -> Optional[np.ndarray]:
         """The optimal ``x`` — or, for a MIP, the incumbent a time, iteration
         or solution limit stopped at (:attr:`optimal` tells which) — or
@@ -221,8 +244,8 @@ class HighsModel:
         else:
             iterations = int(info.simplex_iteration_count)
             self.iterations += iterations
-            (_WARM_ITERATIONS if self._solved_before else _FRESH_ITERATIONS).inc(iterations)
-            self._solved_before = True
+            _ITERATIONS_BY_START[self._start].inc(iterations)
+            self._start = "warm"
         status = highs.getModelStatus()
         if status == HighsModelStatus.kInfeasible:
             return None

@@ -20,7 +20,8 @@ answers feasibility at any multiple of the matrix on that one model.
 Three layers, one above the other: :func:`_flow_lp` assembles the constraint
 structure over the topology's index, :class:`~repro.routing.highs.HighsModel`
 is the solver binding (the model is passed once, bounds change in place and a
-re-solve starts from the basis the last one left), and :class:`FlowSession`
+re-solve starts from the basis the last one left, or from one taken earlier
+and restored), and :class:`FlowSession`
 is what callers hold: "the flow LP of this
 topology object — route these demands with these arcs (index masks) switched
 off".  :func:`solve_mcf` is a session of one solve; the subset search of
@@ -31,7 +32,7 @@ runtime from one interval to the next (:meth:`FlowSession.retarget`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -41,7 +42,7 @@ from ..obs import metrics
 from ..topology.base import Topology
 from ..topology.index import TopologyIndex
 from ..traffic.matrix import TrafficMatrix
-from .highs import LINPROG_OPTIONS, HighsModel
+from .highs import LINPROG_OPTIONS, HighsBasis, HighsModel
 
 _LP_SOLVES = metrics.counter(
     "repro_mcf_lp_solves_total", "HiGHS LP solves of the MCF module, by kind of LP"
@@ -154,19 +155,29 @@ def _constraint_structure(
     return a_eq, a_ub
 
 
-def _joined(index: TopologyIndex, arc_on: np.ndarray, positive: Demands) -> bool:
-    """Whether every pair of *positive* has both endpoints in the topology
-    and a path over the arcs that are on.  Tiny demands (the paper's 1 bit/s
-    ε flows) can fall below the LP solver's tolerances once the problem is
-    rescaled, so disconnection is detected combinatorially, not numerically.
-    """
+Endpoints = Optional[List[Tuple[int, int]]]
+
+
+def _endpoints(index: TopologyIndex, positive: Demands) -> Endpoints:
+    """The node indices of every pair of *positive*; ``None`` when some
+    endpoint is not in the topology."""
     node_index = index.node_index
     try:
-        pairs = [(node_index[origin], node_index[dst]) for (origin, dst), _ in positive]
+        return [(node_index[origin], node_index[dst]) for (origin, dst), _ in positive]
     except KeyError:
+        return None
+
+
+def _joined(index: TopologyIndex, arc_on: np.ndarray, endpoints: Endpoints) -> bool:
+    """Whether every pair of *endpoints* is in the topology and has a path
+    over the arcs that are on.  Tiny demands (the paper's 1 bit/s ε flows)
+    can fall below the LP solver's tolerances once the problem is rescaled,
+    so disconnection is detected combinatorially, not numerically.
+    """
+    if endpoints is None:
         return False
     labels = index.component_labels(arc_on)
-    return all(labels[origin] == labels[dst] for origin, dst in pairs)
+    return all(labels[origin] == labels[dst] for origin, dst in endpoints)
 
 
 def _conservation_rhs(
@@ -203,6 +214,16 @@ def _flow_lp(index: TopologyIndex, positive: Demands) -> _FlowLP:
     )
     eq_rhs = _conservation_rhs(index, origins, positive, scale)
     return _FlowLP(positive, origins, a_eq, a_ub, eq_rhs, index.arc_capacity, scale)
+
+
+def _arc_loads(lp: _FlowLP, solution: np.ndarray) -> np.ndarray:
+    """Per-arc loads (bps, index order) of the LP's ``x``, summed origin by
+    origin, in order: the per-arc sums must not depend on a reduction tree
+    (see :func:`pairwise_sum`)."""
+    loads = np.zeros(len(lp.capacities_bps))
+    for origin_flows in solution.reshape(len(lp.origins), len(loads)):
+        loads += origin_flows
+    return loads * lp.scale
 
 
 def _lp_model(
@@ -244,6 +265,14 @@ class FlowSession:
     land on the vertex a fresh LP would: ``feasible`` is the same, the flow
     *an* optimal one.  A session has one holder — a subset search, or one
     solver runtime's replay state for its run — and never crosses threads.
+
+    A subset search asks :meth:`connected` and :meth:`witness` instead, on
+    the arc mask it computed once.  :meth:`witness` names the candidate it
+    asks for: the session keeps, per candidate, the basis its last solve
+    ended with and the arcs it was solved at, and a later question about the
+    same candidate at the same arcs — the next interval's, on other volumes
+    — starts from that basis.  The bases go with the model (a new origin
+    set) and with a failure.
     """
 
     def __init__(
@@ -257,18 +286,23 @@ class FlowSession:
         self.index = topology.index()
         self._node_on = self.index.node_mask(active_nodes)
         self._link_on = self.index.link_mask(active_links)
-        self._positive = _positive_demands(demands)
+        self.retarget(demands)
         self._utilisation_limit = utilisation_limit
         #: Assembled and passed to HiGHS at the first solve that needs the solver.
         self._model: Optional[Tuple[_FlowLP, HighsModel]] = None
         self._columns_on = np.ones(self.index.num_arcs, dtype=bool)
-        #: Models built and simplex iterations of every solve so far.
+        #: Candidate to ``(arc mask, basis)`` of its last :meth:`witness` solve.
+        self._bases: Dict[Hashable, Tuple[np.ndarray, HighsBasis]] = {}
+        #: Models built, simplex iterations of every solve so far, and solves
+        #: started from a basis kept for their candidate.
         self.models_built = 0
         self.simplex_iterations = 0
+        self.bases_restored = 0
 
     def retarget(self, demands: TrafficMatrix) -> None:
         """Make *demands* the ones every later :meth:`solve` routes."""
         self._positive = _positive_demands(demands)
+        self._endpoints = _endpoints(self.index, self._positive)
 
     def _current_model(self) -> Tuple[_FlowLP, HighsModel]:
         """The model held, moved to the demands as they are now, or a new one."""
@@ -287,10 +321,63 @@ class FlowSession:
             # Objective: minimise total flow (discourages cycles and long detours).
             cost = np.ones(lp.a_ub.shape[1])
             rhs = lp.capacity_rhs(self._utilisation_limit)
+            self._bases.clear()
             model = self._model = (lp, _lp_model(cost, lp.a_ub, rhs, lp.a_eq, lp.eq_rhs))
             self._columns_on = np.ones(self.index.num_arcs, dtype=bool)
             self.models_built += 1
         return model
+
+    def _run(
+        self, arc_on: np.ndarray, candidate: Hashable
+    ) -> Tuple[_FlowLP, Optional[np.ndarray]]:
+        """The LP and its optimal ``x`` over the arcs *arc_on* (``None`` when
+        it is infeasible); *candidate* (``None``: none) names the question
+        for the bases kept."""
+        lp, solver = self._current_model()
+        flipped = np.flatnonzero(arc_on != self._columns_on)
+        if len(flipped):
+            # Arc ``a`` is column ``o * num_arcs + a`` of every origin ``o``.
+            num_origins = len(lp.origins)
+            columns = np.add.outer(np.arange(num_origins) * self.index.num_arcs, flipped).ravel()
+            upper = np.tile(np.where(arc_on[flipped], np.inf, 0.0), num_origins)
+            solver.set_bounds(columns, np.zeros(len(columns)), upper)
+            self._columns_on = arc_on
+
+        _FEASIBILITY_SOLVES.inc()
+        iterations_before = solver.iterations
+        carried = self._bases.get(candidate)
+        try:
+            if carried is not None and np.array_equal(carried[0], arc_on):
+                solver.restore(carried[1])
+                self.bases_restored += 1
+            solution = solver.solve()
+        except SolverError:
+            self._bases.clear()
+            raise
+        self.simplex_iterations += solver.iterations - iterations_before
+        if candidate is not None:
+            basis = solver.basis()
+            if basis is not None:
+                self._bases[candidate] = (arc_on, basis)
+        return lp, solution
+
+    def connected(self, arc_on: np.ndarray) -> bool:
+        """Whether every demand has both endpoints in the topology and a
+        path over the arcs *arc_on*: ``False`` means they cannot carry the
+        demands at any capacity."""
+        return _joined(self.index, arc_on, self._endpoints)
+
+    def witness(self, arc_on: np.ndarray, candidate: Hashable) -> Optional[np.ndarray]:
+        """The per-arc loads (bps, index order) of an optimal flow of the
+        demands over the arcs *arc_on* — zero on an arc that is off — or
+        ``None`` when there is none.  For arcs that are :meth:`connected`;
+        *candidate* names the question (see the class)."""
+        if not self._positive:
+            return np.zeros(self.index.num_arcs)
+        lp, solution = self._run(arc_on, candidate)
+        # No load at all on an arc that is off (a warm re-solve may leave its
+        # columns within the solver's tolerance of their bound).
+        return None if solution is None else np.where(arc_on, _arc_loads(lp, solution), 0.0)
 
     def solve(
         self, node_on: Optional[np.ndarray] = None, link_on: Optional[np.ndarray] = None
@@ -304,37 +391,16 @@ class FlowSession:
         )
         if not self._positive:
             return MCFResult(True, 0.0, np.zeros(index.num_arcs), 0.0)
-        if not arc_on.any() or not _joined(index, arc_on, self._positive):
-            return MCFResult(False, float("inf"), np.zeros(0), 0.0)
-
-        lp, solver = self._current_model()
-        num_origins = len(lp.origins)
-        flipped = np.flatnonzero(arc_on != self._columns_on)
-        if len(flipped):
-            # Arc ``a`` is column ``o * num_arcs + a`` of every origin ``o``.
-            columns = np.add.outer(np.arange(num_origins) * index.num_arcs, flipped).ravel()
-            upper = np.tile(np.where(arc_on[flipped], np.inf, 0.0), num_origins)
-            solver.set_bounds(columns, np.zeros(len(columns)), upper)
-            self._columns_on = arc_on
-
-        _FEASIBILITY_SOLVES.inc()
-        iterations_before = solver.iterations
-        solution = solver.solve()
-        self.simplex_iterations += solver.iterations - iterations_before
+        infeasible = MCFResult(False, float("inf"), np.zeros(0), 0.0)
+        if not self.connected(arc_on):
+            return infeasible
+        lp, solution = self._run(arc_on, None)
         if solution is None:
-            return MCFResult(False, float("inf"), np.zeros(0), 0.0)
-        # Origin by origin, in order: the per-arc sums must not depend on a
-        # reduction tree (see pairwise_sum).
-        loads = np.zeros(index.num_arcs)
-        for origin_flows in solution.reshape(num_origins, index.num_arcs):
-            loads += origin_flows
-        loads_bps = loads * lp.scale
-        max_utilisation = index.max_utilisation(loads_bps)
-        # No load at all on an arc that is off (a warm re-solve may leave its
-        # columns within the solver's tolerance of their bound).
-        arc_loads = np.where(arc_on, loads_bps, 0.0)
+            return infeasible
+        loads = _arc_loads(lp, solution)
         total_flow_bps = float(pairwise_sum(solution)) * lp.scale
-        return MCFResult(True, max_utilisation, arc_loads, total_flow_bps)
+        arc_loads = np.where(arc_on, loads, 0.0)
+        return MCFResult(True, index.max_utilisation(loads), arc_loads, total_flow_bps)
 
 
 def solve_mcf(topology: Topology, demands: TrafficMatrix) -> MCFResult:
@@ -373,7 +439,7 @@ class ConcurrentFlow:
         self._positive = _positive_demands(demands)
         index = topology.index()
         self._routable = bool(index.num_arcs) and _joined(
-            index, np.ones(index.num_arcs, dtype=bool), self._positive
+            index, np.ones(index.num_arcs, dtype=bool), _endpoints(index, self._positive)
         )
         #: ``(model, [column of λ], λ*)``, built and solved at the first call
         #: that needs them.
@@ -443,16 +509,6 @@ class ConcurrentFlow:
             self.fresh_probes += 1
         # Solver-free without a model; the LP a caller would ask in the band.
         return is_demand_feasible(self._topology, self._demands.scaled(scale))
-
-
-def demands_connected(
-    topology: Topology, demands: TrafficMatrix, node_on: np.ndarray, link_on: np.ndarray
-) -> bool:
-    """The solver-free part of :func:`solve_mcf` on the active subset
-    *node_on*, *link_on*: ``False`` means it cannot carry *demands* at any
-    capacity."""
-    index = topology.index()
-    return _joined(index, index.arc_mask(node_on, link_on), _positive_demands(demands))
 
 
 def is_demand_feasible(topology: Topology, demands: TrafficMatrix) -> bool:

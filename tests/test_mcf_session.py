@@ -44,13 +44,7 @@ from repro.campaign import canonical_result_dict
 from repro.exceptions import SolverError
 from repro.obs import metrics, trace
 from repro.routing import highs, mcf
-from repro.routing.mcf import (
-    ConcurrentFlow,
-    FlowSession,
-    MCFResult,
-    demands_connected,
-    solve_mcf,
-)
+from repro.routing.mcf import ConcurrentFlow, FlowSession, MCFResult, solve_mcf
 from repro.scenario.engine import run_scenario
 from repro.topology import link_key, random_connected_topology
 from repro.traffic import TrafficMatrix, all_pairs
@@ -572,7 +566,7 @@ def test_masked_connectivity_equals_the_name_keyed_walk(data, name):
     )
     expected = reference_demands_connected(topology, demands, active_nodes, active_links)
     masks = index.node_mask(active_nodes), index.link_mask(active_links)
-    assert demands_connected(topology, demands, *masks) == expected
+    assert FlowSession(topology, demands).connected(index.arc_mask(*masks)) == expected
     # ... and it is the walk the session starts with.
     if not expected:
         assert not FlowSession(topology, demands).solve(*masks).feasible
@@ -637,26 +631,39 @@ def test_only_infeasible_means_infeasible(monkeypatch, geant, status, message):
 
 
 @pytest.mark.parametrize(
-    "method", ["run", "changeColsBounds", "changeRowBounds", "passModel", "setOptionValue"]
+    "method",
+    ["run", "changeColsBounds", "changeRowBounds", "setBasis", "passModel", "setOptionValue"],
 )
 def test_every_status_returning_call_is_checked(monkeypatch, geant, method):
     demands, links = geant_case(geant)
-    link_on = geant.index().link_mask(links[1:])
+    index = geant.index()
+    arc_on = index.arc_mask(index.node_mask(None), index.link_mask(links[1:]))
     session = FlowSession(geant, demands)
-    model_is_in = method in ("run", "changeColsBounds", "changeRowBounds")
+    model_is_in = method not in ("passModel", "setOptionValue")
     if model_is_in:
-        assert session.solve().feasible  # the next solve flips bounds and re-runs
+        # The next question flips bounds back, restores the basis kept for
+        # it and re-runs ...
+        assert session.witness(arc_on, links[0]) is not None
+        assert session.solve().feasible
         session.retarget(demands.scaled(0.9))  # ... on another right-hand side
     monkeypatch.setattr(highs._Highs, method, lambda self, *args: highs.HighsStatus.kError)
     with pytest.raises(SolverError, match=f"HiGHS {method} returned kError"):
-        session.solve(link_on=link_on)
+        session.witness(arc_on, links[0])
     monkeypatch.undo()
     if model_is_in:
         with pytest.raises(SolverError, match="takes no further calls"):
-            session.solve(link_on=link_on)
+            session.witness(arc_on, links[0])
+        with pytest.raises(SolverError, match="takes no further calls"):
+            session.solve()
+        # A new origin set is a new model, and no basis of the old one is
+        # restored into it.
+        first = demands.origins()[0]
+        session.retarget(demands.restricted_to(p for p in demands.pairs() if p[0] != first))
+        assert session.witness(arc_on, links[0]) is not None
+        assert session.bases_restored == (method == "run") and session.models_built == 2
     else:
         # The instance that refused its model is gone; none was left half-built.
-        assert session.solve(link_on=link_on).feasible
+        assert session.witness(arc_on, links[0]) is not None
 
 
 def test_a_warning_status_is_not_a_failure(monkeypatch, geant):
@@ -709,7 +716,9 @@ def test_a_failed_solve_fails_the_run_and_poisons_nothing(monkeypatch):
 # --------------------------------------------------------------------- #
 def simplex_iterations():
     family = metrics.counter("repro_mcf_simplex_iterations_total")
-    return {start: int(family.labels(start=start).value) for start in ("fresh", "warm")}
+    return {
+        start: int(family.labels(start=start).value) for start in ("fresh", "warm", "restored")
+    }
 
 
 def models_built():
@@ -733,11 +742,13 @@ def test_one_spec_replayed_twice_in_one_process_gives_one_result():
         assert sum(attrs["lp_models"] for attrs in elastictree) == models
         # One session per topology object (the day's network and its
         # failure view), rebuilt only when the origin set changes: one fresh
-        # solve per model built, every other one warm — and fewer pivots in
-        # a warm one than in a fresh one.
+        # solve per model built, every other one from the last basis or from
+        # the one kept for its candidate — and fewer pivots in those than in
+        # a fresh one.
         assert 2 <= models <= 3
         assert sum(attrs["lp_iterations"] for attrs in elastictree) == sum(iterations.values())
-        assert 0 < iterations["warm"] / (solves - models) < iterations["fresh"] / models
+        started_warm = iterations["warm"] + iterations["restored"]
+        assert 0 < started_warm / (solves - models) < iterations["fresh"] / models
         runs.append((canonical_result_dict(result.to_dict()), solves, models, iterations))
     assert runs[0] == runs[1]
 

@@ -13,9 +13,16 @@ here as the reference.  Pinned:
   carries, and as the 1 bit/s ε matrix), under two utilisation limits, on a
   failure view with the restricted matrix, with empty demands and on
   random connected topologies;
+* one session carried across GÉANT trace intervals — a surge and a
+  failure view among them — gives every interval the sets, power and
+  routing of a fresh search, and a new origin set restores no basis;
+* a link candidate is taken in either orientation, and an unknown node or
+  a pair that is not a link is named in the error;
 * one replay of the benchmark harness's ``timeline_replay`` spec solves at
-  most 140 feasibility LPs (204 with the plain loop), and the counts are on
-  the ``scheme.solve`` spans and in ``repro_subset_checks_total``;
+  most 140 feasibility LPs (204 with the plain loop) in at most 1 300
+  simplex iterations (2 273 before a candidate's basis was kept between
+  intervals), and the counts are on the ``scheme.solve`` spans and in
+  ``repro_subset_checks_total``;
 * tied link powers (a fat-tree under the commodity model) give one active
   set under every ``PYTHONHASHSEED``.
 """
@@ -24,7 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import InfeasibleError
+from repro.exceptions import InfeasibleError, UnknownArcError, UnknownNodeError
 from repro.obs import metrics, trace
 from repro.optim import (
     element_power_coefficients,
@@ -32,9 +39,10 @@ from repro.optim import (
     lp_relaxation_with_rounding,
     solve_path_milp,
 )
+from repro.optim.subset import shrink_active_subset
 from repro.power import CiscoRouterPowerModel, CommoditySwitchPowerModel, network_power
 from repro.routing.mcf import ConcurrentFlow, FlowSession
-from repro.scenario.engine import run_scenario
+from repro.scenario.engine import build_scenario, run_scenario
 from repro.simulator.failures import TopologyView
 from repro.topology import build_fattree, random_connected_topology
 from repro.traffic import TrafficMatrix, all_pairs
@@ -306,6 +314,79 @@ def test_one_session_serves_searches_from_narrower_and_wider_starts(geant, cisco
         assert compared >= 6 and session.models_built >= 1
 
 
+def routes(routing):
+    return [(pair, path.nodes) for pair, path in routing.items()]
+
+
+def test_a_session_carried_across_trace_intervals_answers_as_fresh_ones(cisco_model):
+    """What ElasticTree's runtime does over a replay: one session per
+    topology object, kept from one interval to the next, so a candidate asked
+    again at the same arcs starts from the basis its last solve ended with.
+    Twelve GÉANT trace intervals — four plain, four on the DE–FR failure view
+    (its own topology object) with the restricted matrices, four surged
+    1.5x — and each gives what a fresh search gives."""
+    built = build_scenario(replay_scenario(11))
+    geant = built.topology
+    view = TopologyView(geant, failed_links=[("DE", "FR")])
+    failed = view.topology
+    matrices = built.trace.matrices()[:12]
+    cases = [(geant, matrix) for matrix in matrices[:4]]
+    cases += [
+        (failed, matrix.restricted_to(view.connected_pairs(matrix.pairs())))
+        for matrix in matrices[4:8]
+    ]
+    cases += [(geant, matrix.scaled(1.5)) for matrix in matrices[8:]]
+    sessions = {}
+    for topology, demands in cases:
+        session = sessions.setdefault(id(topology), FlowSession(topology, demands, 0.9))
+        carried = greedy_minimum_subset(topology, cisco_model, demands, 0.9, session)
+        fresh = greedy_minimum_subset(topology, cisco_model, demands, 0.9)
+        assert (carried.active_nodes, carried.active_links, carried.power_w) == (
+            fresh.active_nodes,
+            fresh.active_links,
+            fresh.power_w,
+        )
+        assert routes(carried.routing) == routes(fresh.routing)
+    assert len(sessions) == 2
+    assert all(session.models_built == 1 for session in sessions.values())
+    assert sum(session.bases_restored for session in sessions.values()) > 0
+
+    # Another origin set is another model: no basis of the old one is restored.
+    session = sessions[id(geant)]
+    first = matrices[0].origins()[0]
+    other = matrices[0].restricted_to(p for p in matrices[0].pairs() if p[0] != first)
+    restored = session.bases_restored
+    found = greedy_minimum_subset(geant, cisco_model, other, 0.9, session)
+    assert found.active_links == greedy_minimum_subset(geant, cisco_model, other, 0.9).active_links
+    assert session.models_built == 2 and session.bases_restored == restored
+
+
+def test_a_link_candidate_is_taken_in_either_orientation(geant):
+    _, base = base_matrix({"name": "geant", "params": {}}, example_traffic_specs()[0])
+    demands = base.scaled(0.5 * ConcurrentFlow(geant, base).max_scale())
+    links = geant.link_keys()
+    reversed_links = [(v, u) for u, v in links]
+    nodes = geant.nodes()
+    assert shrink_active_subset(geant, demands, 1.0, nodes, links, reversed_links) == (
+        shrink_active_subset(geant, demands, 1.0, nodes, links, links)
+    )
+
+
+def test_an_unknown_node_candidate_is_named(geant):
+    with pytest.raises(UnknownNodeError, match="no-such-node"):
+        shrink_active_subset(
+            geant, TrafficMatrix({}), 1.0, geant.nodes(), geant.link_keys(), ["no-such-node"]
+        )
+
+
+def test_a_pair_that_is_not_a_link_is_named(geant):
+    nodes = geant.nodes()
+    joined = set(geant.link_keys())
+    pair = next((u, v) for u in nodes for v in nodes if u < v and (u, v) not in joined)
+    with pytest.raises(UnknownArcError, match=f"{pair[0]!r} -> {pair[1]!r}"):
+        shrink_active_subset(geant, TrafficMatrix({}), 1.0, nodes, joined, [pair])
+
+
 # --------------------------------------------------------------------- #
 # (b) Fewer solves, and the counts are visible
 # --------------------------------------------------------------------- #
@@ -329,6 +410,9 @@ def test_timeline_replay_spec_stays_under_the_solve_ceiling():
     }
     assert len(result.times_s) == 16
     assert 0 < solves <= 140  # 204 with one LP per candidate
+    # 2 273 before a candidate's basis was kept from one interval to the next.
+    iterations = sum(attrs["lp_iterations"] for attrs in spans.attrs if "lp_iterations" in attrs)
+    assert iterations <= 1_300
     assert checks["lp_feasible"] + checks["lp_infeasible"] == solves
     assert checks["witness"] > 0 and checks["disconnected"] > 0
 
@@ -336,6 +420,7 @@ def test_timeline_replay_spec_stays_under_the_solve_ceiling():
     assert len(elastictree) == 16
     assert sum(attrs["lp_solves"] for attrs in elastictree) == solves
     assert sum(attrs["witness_skips"] for attrs in elastictree) == checks["witness"]
+    assert sum(attrs["lp_bases_restored"] for attrs in elastictree) >= 1
     greente = [attrs for attrs in spans.attrs if attrs["solver"] == "GreenTERuntime"]
     assert greente and not any("lp_solves" in attrs for attrs in greente)
 
