@@ -11,10 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Sequence
-
-if TYPE_CHECKING:  # a type only: the campaign report counts scheme names with it
-    from ..routing.paths import RoutingConfiguration
+from typing import Hashable, List, Sequence
 
 
 @dataclass(frozen=True)
@@ -50,9 +47,9 @@ class DominanceResult:
 
 
 def configuration_dominance(
-    configurations: Sequence[RoutingConfiguration],
+    configurations: Sequence[Hashable],
 ) -> DominanceResult:
-    """Measure how long the network dwells in each distinct configuration."""
+    """Measure the time share of each distinct configuration (or scheme name)."""
     if not configurations:
         return DominanceResult(fractions=[], num_configurations=0, dominant_fraction=0.0)
     counts = Counter(configurations)

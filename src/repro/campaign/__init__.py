@@ -36,7 +36,6 @@ from ..lazy import lazy_exports
 
 _EXPORTS = {
     "report": (
-        "LOWER_IS_BETTER",
         "deviation_from_best",
         "filter_rows",
         "format_table",

@@ -24,20 +24,10 @@ from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Mapping, Optional, 
 from ..analysis.dominance import DominanceResult, configuration_dominance
 from ..analysis.metrics import percentile_summary
 from ..exceptions import ConfigurationError
+from ..outcome import metric_directions
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .store import CampaignStore
-
-#: Metrics where smaller values win (used by dominance/deviation defaults).
-LOWER_IS_BETTER = {
-    "mean_power_percent": True,
-    "mean_savings_percent": False,
-    "recomputations": True,
-    "peak_utilisation": True,
-    "violation_intervals": True,
-    "mean_compute_s": True,
-    "total_compute_s": True,
-}
 
 
 def parse_filters(expressions: Sequence[str]) -> Dict[str, str]:
@@ -58,9 +48,7 @@ def _require_columns(
     rows: Sequence[Mapping[str, Any]], columns: Iterable[str], role: str
 ) -> None:
     """Raise :class:`ConfigurationError` if a *role* column is in no row."""
-    known = set()
-    for row in rows:
-        known.update(row)
+    known = {column for row in rows for column in row}
     unknown = [column for column in columns if column not in known]
     if unknown and rows:
         raise ConfigurationError(
@@ -79,15 +67,11 @@ def filter_rows(
     if not filters:
         return [dict(row) for row in rows]
     _require_columns(rows, filters, "filter")
-    kept = []
-    for row in rows:
-        if all(str(row.get(key)) == value for key, value in filters.items()):
-            kept.append(dict(row))
-    return kept
-
-
-def _group_key(row: Mapping[str, Any], group_by: Sequence[str]) -> Tuple[str, ...]:
-    return tuple(str(row.get(column)) for column in group_by)
+    return [
+        dict(row)
+        for row in rows
+        if all(str(row.get(key)) == value for key, value in filters.items())
+    ]
 
 
 def summarise(
@@ -108,17 +92,25 @@ def summarise(
     _require_columns(rows, group_by, "group-by")
     groups: Dict[Tuple[str, ...], List[float]] = {}
     for row in rows:
-        if metric not in row:
-            continue
-        groups.setdefault(_group_key(row, group_by), []).append(float(row[metric]))
-    records = []
-    for key, values in groups.items():
-        record: Dict[str, Any] = dict(zip(group_by, key, strict=True))
-        record["metric"] = metric
-        record["count"] = len(values)
-        record.update(percentile_summary(values))
-        records.append(record)
-    return records
+        if metric in row:
+            key = tuple(str(row.get(column)) for column in group_by)
+            groups.setdefault(key, []).append(float(row[metric]))
+    return [
+        {**dict(zip(group_by, key, strict=True)), "metric": metric, "count": len(values)}
+        | percentile_summary(values)
+        for key, values in groups.items()
+    ]
+
+
+def _points(rows: Sequence[Mapping[str, Any]], metric: str) -> List[List[Tuple[float, str]]]:
+    """Each grid point's ``(value, scheme)`` pairs for *metric*, in row order."""
+    by_point: Dict[str, List[Tuple[float, str]]] = {}
+    for row in rows:
+        if metric in row:
+            by_point.setdefault(str(row["config_hash"]), []).append(
+                (float(row[metric]), str(row["scheme"]))
+            )
+    return list(by_point.values())
 
 
 def scheme_dominance(
@@ -133,24 +125,14 @@ def scheme_dominance(
     the paper measures routing-configuration dwell time.  Returns the
     per-scheme win share plus the dominance distribution.
     """
-    lower_is_better = LOWER_IS_BETTER.get(metric, True)
-    by_point: Dict[str, List[Tuple[float, str]]] = {}
-    for row in rows:
-        if metric not in row:
-            continue
-        by_point.setdefault(str(row["config_hash"]), []).append(
-            (float(row[metric]), str(row["scheme"]))
-        )
-    winners: List[str] = []
-    for candidates in by_point.values():
-        best = min(candidates) if lower_is_better else max(candidates)
-        winners.append(best[1])
+    lower_is_better = metric_directions().get(metric, True)
+    winners = [
+        (min(candidates) if lower_is_better else max(candidates))[1]
+        for candidates in _points(rows, metric)
+    ]
     dominance: DominanceResult = configuration_dominance(winners)
-    shares: Dict[str, float] = {}
-    if winners:
-        for scheme in sorted(set(winners)):
-            shares[scheme] = winners.count(scheme) / len(winners)
-    dominant = max(shares, key=shares.get) if shares else None
+    shares = {scheme: winners.count(scheme) / len(winners) for scheme in sorted(set(winners))}
+    dominant = max(shares, key=shares.__getitem__) if shares else None
     return {
         "metric": metric,
         "lower_is_better": lower_is_better,
@@ -175,28 +157,17 @@ def deviation_from_best(
     are then summarised per scheme with
     :func:`~repro.analysis.metrics.percentile_summary`.
     """
-    lower_is_better = LOWER_IS_BETTER.get(metric, True)
-    by_point: Dict[str, List[Mapping[str, Any]]] = {}
-    for row in rows:
-        if metric not in row:
-            continue
-        by_point.setdefault(str(row["config_hash"]), []).append(row)
+    lower_is_better = metric_directions().get(metric, True)
     deviations: Dict[str, List[float]] = {}
-    for candidates in by_point.values():
-        values = [float(row[metric]) for row in candidates]
-        best = min(values) if lower_is_better else max(values)
-        for row in candidates:
-            gap = float(row[metric]) - best
-            if not lower_is_better:
-                gap = -gap
-            deviations.setdefault(str(row["scheme"]), []).append(gap)
-    records = []
-    for scheme in sorted(deviations):
-        record: Dict[str, Any] = {"scheme": scheme, "metric": metric}
-        record["count"] = len(deviations[scheme])
-        record.update(percentile_summary(deviations[scheme]))
-        records.append(record)
-    return records
+    for candidates in _points(rows, metric):
+        best = (min(candidates) if lower_is_better else max(candidates))[0]
+        for value, scheme in candidates:
+            gap = value - best
+            deviations.setdefault(scheme, []).append(gap if lower_is_better else -gap)
+    return [
+        {"scheme": scheme, "metric": metric, "count": len(gaps), **percentile_summary(gaps)}
+        for scheme, gaps in sorted(deviations.items())
+    ]
 
 
 class UnknownMetricError(ConfigurationError):
@@ -258,11 +229,7 @@ def format_table(rows: Sequence[Mapping[str, Any]]) -> str:
     """Render records as a fixed-width text table (column order preserved)."""
     if not rows:
         return "(no rows)"
-    columns: List[str] = []
-    for row in rows:
-        for column in row:
-            if column not in columns:
-                columns.append(column)
+    columns = list(dict.fromkeys(column for row in rows for column in row))
     table = [
         columns,
         *([_format_cell(row.get(column, "")) for column in columns] for row in rows),
@@ -279,15 +246,10 @@ def format_table(rows: Sequence[Mapping[str, Any]]) -> str:
 def rows_to_csv(rows: Sequence[Mapping[str, Any]]) -> str:
     """Records as a CSV document (union of columns, row order preserved)."""
     buffer = io.StringIO()
-    columns: List[str] = []
-    for row in rows:
-        for column in row:
-            if column not in columns:
-                columns.append(column)
-    writer = csv.DictWriter(buffer, fieldnames=columns)
+    columns = list(dict.fromkeys(column for row in rows for column in row))
+    writer = csv.DictWriter(buffer, fieldnames=columns, restval="")
     writer.writeheader()
-    for row in rows:
-        writer.writerow({column: row.get(column, "") for column in columns})
+    writer.writerows(rows)
     return buffer.getvalue()
 
 
@@ -297,7 +259,6 @@ def rows_to_json(rows: Sequence[Mapping[str, Any]]) -> str:
 
 
 __all__ = [
-    "LOWER_IS_BETTER",
     "UnknownMetricError",
     "campaign_report",
     "deviation_from_best",

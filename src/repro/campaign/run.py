@@ -40,12 +40,8 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from ..exceptions import ConfigurationError
 from ..obs import metrics, trace
-from ..scenario.engine import (
-    ScenarioResult,
-    build_scenario_group,
-    group_signature,
-    run_built_scenarios_batch,
-)
+from ..outcome import ScenarioResult
+from ..scenario.engine import build_scenario_group, group_signature, run_built_scenarios_batch
 from .spec import CampaignPoint, CampaignSpec
 from .store import DEFAULT_LEASE_SECONDS, CampaignStore, PointRecord
 

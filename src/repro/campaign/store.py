@@ -2,7 +2,7 @@
 
 Every campaign run records what it did into one SQLite file, so a grid of
 hundreds of scenarios has a durable record — what ran, what failed, how
-long each point took and every :class:`~repro.scenario.engine.ScenarioResult`
+long each point took and every :class:`~repro.outcome.ScenarioResult`
 row — instead of a directory of anonymous pickles.  The schema:
 
 * ``campaigns`` — one row per registered campaign (identity = the
@@ -16,7 +16,7 @@ row — instead of a directory of anonymous pickles.  The schema:
   result is complete by definition, which is what makes campaigns
   resumable (and lets separate campaigns share identical points).
 * ``metrics`` — flattened per-scheme scalar metrics
-  (:meth:`~repro.scenario.engine.ScenarioResult.headline_metrics`) per
+  (:meth:`~repro.outcome.ScenarioResult.headline_metrics`) per
   config hash, so the report layer aggregates without re-parsing JSON.
 
 Concurrency model
@@ -50,7 +50,6 @@ locks at all, so it can never contend with (or corrupt) a live run.
 
 from __future__ import annotations
 
-import copy
 import json
 import os
 import sqlite3
@@ -65,7 +64,6 @@ from typing import (
     Dict,
     Iterator,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -74,9 +72,9 @@ from typing import (
 
 from ..exceptions import ConfigurationError
 from ..obs import metrics
+from ..outcome import ScenarioResult, canonical_result_dict
 
 if TYPE_CHECKING:  # the status and report commands read rows without the scenario stack
-    from ..scenario.engine import ScenarioResult
     from .spec import CampaignPoint, CampaignSpec
 
 #: Bump on incompatible schema changes (checked against ``PRAGMA user_version``).
@@ -171,12 +169,6 @@ _LEASE_RELEASES = metrics.counter(
     "repro_campaign_lease_releases_total", "Leases dropped on clean shutdown"
 )
 
-#: Result/metric fields that carry wall-clock measurements.  They differ
-#: between otherwise identical runs, so determinism-sensitive comparisons
-#: (``canonical_dump``) strip them.
-VOLATILE_RESULT_FIELDS = ("compute_seconds",)
-VOLATILE_REACTION_KEYS = ("compute_seconds",)
-
 
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
@@ -185,29 +177,6 @@ def _now() -> str:
 def _is_locked_error(error: sqlite3.OperationalError) -> bool:
     message = str(error).lower()
     return "locked" in message or "busy" in message
-
-
-def canonical_result_dict(result: Mapping[str, Any]) -> Dict[str, Any]:
-    """A result dict with every wall-clock field stripped.
-
-    Two runs of the same grid produce bit-identical canonical dicts — the
-    basis of the resume guarantee ("an interrupted-and-resumed store matches
-    an uninterrupted serial run") — while raw stored rows keep their
-    timings.
-    """
-    canonical = copy.deepcopy(dict(result))
-    for field in VOLATILE_RESULT_FIELDS:
-        canonical.pop(field, None)
-    reaction = canonical.get("reaction")
-    if isinstance(reaction, Mapping):
-        canonical["reaction"] = {
-            label: [
-                {k: v for k, v in record.items() if k not in VOLATILE_REACTION_KEYS}
-                for record in records
-            ]
-            for label, records in reaction.items()
-        }
-    return canonical
 
 
 @dataclass(frozen=True)
@@ -825,14 +794,13 @@ class CampaignStore:
         return decoded
 
     def result(self, config_hash: str) -> Optional[ScenarioResult]:
-        """The stored result for a config hash, if any."""
+        """The stored result for a config hash, if any (``ValueError`` or
+        :class:`~repro.outcome.MalformedResultError` if its row does not decode)."""
         row = self._connection.execute(
             "SELECT result_json FROM results WHERE config_hash = ?", (config_hash,)
         ).fetchone()
         if row is None:
             return None
-        from ..scenario.engine import ScenarioResult
-
         return ScenarioResult.from_dict(json.loads(row["result_json"]))
 
     def metric_rows(self, campaign_id: str) -> List[Dict[str, Any]]:

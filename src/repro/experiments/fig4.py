@@ -115,9 +115,9 @@ def run_fig4(
     }
 
     times = [float(index) for index in range(num_intervals)]
-    power: Dict[str, List[float]] = {"ecmp": by_label["far"].power_percent["ecmp"]}
+    power: Dict[str, List[float]] = {"ecmp": by_label["far"].columns["power_percent"]["ecmp"]}
     for mode in ("near", "far"):
-        power[f"response_{mode}"] = by_label[mode].power_percent["response"]
+        power[f"response_{mode}"] = by_label[mode].columns["power_percent"]["response"]
         if include_elastictree:
-            power[f"elastictree_{mode}"] = by_label[mode].power_percent["elastictree"]
+            power[f"elastictree_{mode}"] = by_label[mode].columns["power_percent"]["elastictree"]
     return Fig4Result(times=times, power_percent=power)

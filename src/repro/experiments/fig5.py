@@ -129,12 +129,11 @@ def run_fig5(
         )
         results[label] = run_scenario(spec)
 
+    power = {label: result.columns["power_percent"] for label, result in results.items()}
     power_percent: Dict[str, List[float]] = {
-        "ospf": results["response"].power_percent["ospf"],
-        "response": results["response"].power_percent["response"],
-        "response_alternative_hw": results["response_alternative_hw"].power_percent[
-            "response"
-        ],
+        "ospf": power["response"]["ospf"],
+        "response": power["response"]["response"],
+        "response_alternative_hw": power["response_alternative_hw"]["response"],
     }
     mean_savings = {
         label: 100.0 - sum(series) / len(series)

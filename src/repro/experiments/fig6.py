@@ -158,6 +158,6 @@ def run_fig6(
         name="fig6",
     )
     result = run_scenario(combined)
-    power_percent = {variant: result.power_percent[variant] for variant in FIG6_VARIANTS}
+    power_percent = {variant: result.columns["power_percent"][variant] for variant in FIG6_VARIANTS}
 
     return Fig6Result(utilisation_levels=list(levels), power_percent=power_percent)

@@ -41,7 +41,7 @@ class PointOutcome(NamedTuple):
     """The error-isolated result of running one scenario spec.
 
     Attributes:
-        value: The :class:`~repro.scenario.engine.ScenarioResult` (``None``
+        value: The :class:`~repro.outcome.ScenarioResult` (``None``
             on failure).
         error: The formatted traceback of the failure, ``None`` on success.
         elapsed_s: Wall-clock time of the run.
@@ -237,7 +237,7 @@ def _run_scenario_command(argv: Sequence[str]) -> int:
             k: v for k, v in event.items() if k not in ("time_s", "kind")
         }
         print(f"  event t={event['time_s']:g}s: {event['kind']} {described}")
-    for label, stats in result.summary().items():
+    for label, stats in result.headline_metrics().items():
         print(
             f"  {label}: mean power {stats['mean_power_percent']:.1f}% "
             f"(savings {stats['mean_savings_percent']:.1f}%), "

@@ -15,7 +15,7 @@ product declaratively:
   ECMP/GreenTE/ElasticTree/LP/MILP/REsPoNse schemes) is pre-registered.
 * :func:`~repro.scenario.engine.build_scenario` /
   :func:`~repro.scenario.engine.run_scenario` resolve and execute a spec,
-  returning a uniform :class:`~repro.scenario.engine.ScenarioResult`.
+  returning a uniform :class:`~repro.outcome.ScenarioResult`.
 
 A new scenario is one registration plus one spec — not a new module::
 
@@ -35,9 +35,9 @@ A new scenario is one registration plus one spec — not a new module::
 
 from . import components  # noqa: F401  (populates the registry on import)
 from .components import BuiltTraffic, as_built_traffic, select_pairs
+from ..outcome import IntervalOutcome, ScenarioResult
 from .engine import (
     BuiltScenario,
-    ScenarioResult,
     build_scenario,
     run_built_scenario,
     run_scenario,
@@ -64,7 +64,6 @@ from .spec import (
     read_spec_file,
 )
 from .timeline import (
-    IntervalOutcome,
     SchemeRuntime,
     Timeline,
     TimelineStep,

@@ -5,11 +5,11 @@ against the component registry into a concrete stack (topology, power model,
 traffic trace, pairs, optional baseline routing).  One interval-major driver
 (``_drive``) steps every scheme over the merged event/trace
 :class:`~repro.scenario.timeline.Timeline` and returns a uniform
-:class:`ScenarioResult` per scenario — including, for eventful scenarios,
-the fired events and per-event reaction metrics.  Three entries call it:
-:func:`run_built_scenario` (one scenario, optionally streaming each interval),
-:func:`run_built_scenarios_batch` (a group built by
-:func:`build_scenario_group`) and :func:`scheme_outcomes` (each scheme's
+:class:`~repro.outcome.ScenarioResult` per scenario — including, for
+eventful scenarios, the fired events and per-event reaction metrics.
+Three entries call it: :func:`run_built_scenario` (one scenario, optionally
+streaming each interval), :func:`run_built_scenarios_batch` (a group built
+by :func:`build_scenario_group`) and :func:`scheme_outcomes` (each scheme's
 details); :func:`run_scenario` builds a spec and runs it.
 """
 
@@ -22,6 +22,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..exceptions import ConfigurationError
 from ..obs import trace
+from ..outcome import IntervalOutcome, ScenarioResult
 from ..power.accounting import full_power
 from ..power.model import PowerModel
 from ..routing.paths import RoutingTable
@@ -34,7 +35,6 @@ from .spec import ScenarioSpec, SchemeSpec
 from .timeline import (
     GroupComputeCache,
     IntervalCallback,
-    IntervalOutcome,
     SchemeRuntime,
     Timeline,
     TimelineEvent,
@@ -81,175 +81,6 @@ class BuiltScenario:
         if self.traffic is not None:
             return self.traffic.peak()
         return self.trace.peak_matrix()
-
-
-@dataclass
-class ScenarioResult:
-    """The uniform outcome of one scenario's timeline pass.
-
-    Attributes:
-        name: The scenario name (from the spec).
-        config_hash: The spec's config hash — two runs with equal
-            hashes are the same experiment.
-        times_s: Interval start times of the replayed trace.
-        power_percent: Per-scheme power series (% of the original network),
-            keyed by scheme label.
-        recomputations: Per-scheme count of active-configuration changes
-            during the replay.
-        max_utilisation: Per-scheme largest arc utilisation per interval
-            (empty list where the scheme does not track it).
-        spec: The plain-dict spec the scenario was built from.
-        events: Every dynamic event that took effect during the replay
-            (JSON-ready records, in firing order; empty for event-free runs).
-        compute_seconds: Per-scheme wall-clock cost of each timeline step —
-            the recomputation-latency proxy (how long the scheme took to
-            react to the interval's demand/topology).
-        violations: Per-scheme booleans per interval: whether the scheme's
-            max utilisation exceeded the spec's SLO (only schemes that track
-            utilisation appear).
-        reaction: Per-scheme reaction records, one per fired event: the
-            event, the interval it hit, and the scheme's post-event power,
-            utilisation, violation flag and step latency.
-    """
-
-    name: str
-    config_hash: str
-    times_s: List[float]
-    power_percent: Dict[str, List[float]]
-    recomputations: Dict[str, int]
-    max_utilisation: Dict[str, List[float]] = field(default_factory=dict)
-    spec: Dict[str, Any] = field(default_factory=dict)
-    events: List[Dict[str, Any]] = field(default_factory=list)
-    compute_seconds: Dict[str, List[float]] = field(default_factory=dict)
-    violations: Dict[str, List[bool]] = field(default_factory=dict)
-    reaction: Dict[str, List[Dict[str, Any]]] = field(default_factory=dict)
-
-    def mean_power_percent(self, label: str) -> float:
-        """Average power of a scheme over the replay."""
-        series = self.power_percent[label]
-        return sum(series) / len(series) if series else 0.0
-
-    def mean_savings_percent(self, label: str) -> float:
-        """Average savings of a scheme relative to the full network."""
-        return 100.0 - self.mean_power_percent(label)
-
-    def labels(self) -> List[str]:
-        """Scheme labels, in spec order."""
-        return list(self.power_percent)
-
-    def rows(self) -> List[tuple]:
-        """Report rows: one ``(time, power per scheme...)`` tuple per interval."""
-        labels = self.labels()
-        return [
-            (time,) + tuple(self.power_percent[label][index] for label in labels)
-            for index, time in enumerate(self.times_s)
-        ]
-
-    def summary(self) -> Dict[str, Dict[str, float]]:
-        """Per-scheme headline numbers (mean power/savings, recomputations)."""
-        return {
-            label: {
-                "mean_power_percent": self.mean_power_percent(label),
-                "mean_savings_percent": self.mean_savings_percent(label),
-                "recomputations": float(self.recomputations.get(label, 0)),
-            }
-            for label in self.labels()
-        }
-
-    def headline_metrics(self) -> Dict[str, Dict[str, float]]:
-        """Flattened per-scheme scalar metrics for stores and reports.
-
-        Extends :meth:`summary` with the utilisation/SLO and timing series
-        reduced to scalars — the rows the campaign store's ``metrics`` table
-        holds, so whole grids aggregate without re-parsing result JSON.
-        Only metrics the scheme actually tracked appear (e.g. no
-        ``peak_utilisation`` for schemes without a utilisation series).
-        """
-        metrics: Dict[str, Dict[str, float]] = {}
-        for label in self.labels():
-            entry = {
-                "mean_power_percent": self.mean_power_percent(label),
-                "mean_savings_percent": self.mean_savings_percent(label),
-                "recomputations": float(self.recomputations.get(label, 0)),
-            }
-            utilisation = self.max_utilisation.get(label)
-            if utilisation:
-                entry["peak_utilisation"] = max(utilisation)
-            violations = self.violations.get(label)
-            if violations is not None:
-                entry["violation_intervals"] = float(sum(violations))
-            compute = self.compute_seconds.get(label)
-            if compute:
-                # Wall-clock: useful for latency reports, excluded from
-                # determinism-sensitive store comparisons.
-                entry["mean_compute_s"] = sum(compute) / len(compute)
-                entry["total_compute_s"] = sum(compute)
-            reactions = self.reaction.get(label)
-            if reactions:
-                entry["reaction_events"] = float(len(reactions))
-            metrics[label] = entry
-        return metrics
-
-    def to_dict(self) -> Dict[str, Any]:
-        """A JSON-ready view of the result."""
-        return {
-            "name": self.name,
-            "config_hash": self.config_hash,
-            "times_s": list(self.times_s),
-            "power_percent": {k: list(v) for k, v in self.power_percent.items()},
-            "recomputations": dict(self.recomputations),
-            "max_utilisation": {k: list(v) for k, v in self.max_utilisation.items()},
-            "spec": self.spec,
-            "events": [dict(event) for event in self.events],
-            "compute_seconds": {k: list(v) for k, v in self.compute_seconds.items()},
-            "violations": {k: list(v) for k, v in self.violations.items()},
-            "reaction": {
-                k: [dict(record) for record in v] for k, v in self.reaction.items()
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioResult":
-        """Rebuild a result from :meth:`to_dict` output (e.g. a ``--output`` file)."""
-        if not isinstance(data, Mapping):
-            raise ConfigurationError(
-                f"a scenario result must be a mapping, got {data!r}"
-            )
-        missing = {"name", "config_hash", "times_s", "power_percent"} - set(data)
-        if missing:
-            raise ConfigurationError(
-                f"scenario result is missing fields: {sorted(missing)}"
-            )
-        return cls(
-            name=str(data["name"]),
-            config_hash=str(data["config_hash"]),
-            times_s=[float(t) for t in data["times_s"]],
-            power_percent={
-                str(k): [float(x) for x in v]
-                for k, v in data["power_percent"].items()
-            },
-            recomputations={
-                str(k): int(v) for k, v in data.get("recomputations", {}).items()
-            },
-            max_utilisation={
-                str(k): [float(x) for x in v]
-                for k, v in data.get("max_utilisation", {}).items()
-            },
-            spec=dict(data.get("spec", {})),
-            events=[dict(event) for event in data.get("events", [])],
-            compute_seconds={
-                str(k): [float(x) for x in v]
-                for k, v in data.get("compute_seconds", {}).items()
-            },
-            violations={
-                str(k): [bool(x) for x in v]
-                for k, v in data.get("violations", {}).items()
-            },
-            reaction={
-                str(k): [dict(record) for record in v]
-                for k, v in data.get("reaction", {}).items()
-            },
-        )
 
 
 def _coerce_spec(spec: Any) -> ScenarioSpec:
@@ -399,7 +230,7 @@ def run_built_scenario(
         on_interval: Optional streaming hook ``fn(step, outcomes)``, called
             once per :class:`~repro.scenario.timeline.TimelineStep` after
             every scheme has advanced through it, with that interval's
-            :class:`~repro.scenario.timeline.IntervalOutcome` per scheme
+            :class:`~repro.outcome.IntervalOutcome` per scheme
             label.  The scenario service streams replay telemetry through
             it; the returned result is the same with or without it.
     """
@@ -437,19 +268,6 @@ class _SchemeProgress:
     runtime: SchemeRuntime
     state: Any
     outcomes: List[IntervalOutcome] = field(default_factory=list)
-    recomputations: int = 0
-    reaction: List[Dict[str, Any]] = field(default_factory=list)
-
-    def series(self, metric: str) -> List[Any]:
-        """One :class:`~repro.scenario.timeline.IntervalOutcome` field per interval."""
-        return [getattr(outcome, metric) for outcome in self.outcomes]
-
-    def utilisation(self) -> List[float]:
-        """The utilisation series (empty when the scheme never tracked it)."""
-        raw = self.series("max_utilisation")
-        if all(value is None for value in raw):
-            return []
-        return [value if value is not None else 0.0 for value in raw]
 
 
 def _start_scheme(built: BuiltScenario, scheme: SchemeSpec) -> _SchemeProgress:
@@ -469,7 +287,7 @@ def _start_scheme(built: BuiltScenario, scheme: SchemeSpec) -> _SchemeProgress:
 def _step_scheme(
     scheme: _SchemeProgress, step: TimelineStep, threshold: float
 ) -> IntervalOutcome:
-    """Advance one scheme by one timeline step, noting its reaction records."""
+    """Advance one scheme by one timeline step."""
     with trace.span("scheme.step", scheme=scheme.label, interval=step.index) as step_span:
         # compute_seconds is the paper's recomputation-latency proxy: a
         # deliberate wall-clock measurement that never feeds results —
@@ -483,16 +301,6 @@ def _step_scheme(
     if outcome.max_utilisation is not None:
         outcome.violation = bool(outcome.max_utilisation > threshold + 1e-9)
     scheme.outcomes.append(outcome)
-    scheme.recomputations += int(outcome.recomputed)
-    for fired in step.fired:
-        scheme.reaction.append(
-            {
-                **fired,
-                "interval_index": step.index,
-                "interval_s": step.time_s,
-                **outcome.record(),
-            }
-        )
     return outcome
 
 
@@ -564,32 +372,13 @@ def _drive(
                 sink.details[scheme.label] = scheme.runtime.finish(scheme.state)
 
     return [
-        _scenario_result(built, timeline, schemes)
+        ScenarioResult.collect(
+            timeline.steps,
+            {scheme.label: scheme.outcomes for scheme in schemes},
+            name=built.spec.name,
+            config_hash=built.spec.config_hash(),
+            times_s=built.trace.timestamps(),
+            spec=built.spec.to_dict(),
+        )
         for built, timeline, schemes in zip(builts, timelines, progress, strict=True)
     ]
-
-
-def _scenario_result(
-    built: BuiltScenario, timeline: Timeline, schemes: Sequence[_SchemeProgress]
-) -> ScenarioResult:
-    """The uniform result of one scenario's completed pass."""
-    utilisation = {scheme.label: scheme.utilisation() for scheme in schemes}
-    return ScenarioResult(
-        name=built.spec.name,
-        config_hash=built.spec.config_hash(),
-        times_s=built.trace.timestamps(),
-        power_percent={scheme.label: scheme.series("power_percent") for scheme in schemes},
-        recomputations={scheme.label: scheme.recomputations for scheme in schemes},
-        max_utilisation={label: series for label, series in utilisation.items() if series},
-        spec=built.spec.to_dict(),
-        events=timeline.fired_records(),
-        compute_seconds={
-            scheme.label: scheme.series("compute_seconds") for scheme in schemes
-        },
-        violations={
-            scheme.label: [bool(value) for value in scheme.series("violation")]
-            for scheme in schemes
-            if utilisation[scheme.label]
-        },
-        reaction={scheme.label: scheme.reaction for scheme in schemes if scheme.reaction},
-    )

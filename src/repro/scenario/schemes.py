@@ -45,6 +45,7 @@ from ..optim.greente import greente_heuristic
 from ..optim.lp_relax import lp_relaxation_with_rounding
 from ..optim.pathmilp import solve_path_milp
 from ..optim.solution import EnergyAwareSolution
+from ..outcome import IntervalOutcome
 from ..power.accounting import network_power
 from ..routing.ecmp import ecmp_active_elements, ecmp_max_utilisation
 from ..routing.mcf import FlowSession
@@ -52,7 +53,7 @@ from ..routing.paths import RoutingConfiguration
 from ..simulator.failures import TopologyView
 from ..traffic.matrix import TrafficMatrix
 from .registry import register
-from .timeline import IntervalOutcome, SchemeRuntime
+from .timeline import SchemeRuntime
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .engine import BuiltScenario

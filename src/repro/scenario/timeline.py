@@ -14,7 +14,7 @@ step it through the intervals.  This module holds what that loop runs on:
 * every scheme runs as a :class:`SchemeRuntime` — ``start(scenario)``
   builds long-lived state once (REsPoNse plans, candidate-path caches),
   ``step(state, t, matrix, view)`` advances one interval incrementally and
-  returns an :class:`IntervalOutcome`;
+  returns an :class:`~repro.outcome.IntervalOutcome`;
 * a :class:`GroupComputeCache` lets the scenarios built as one group share
   plans, solves and candidate paths.
 
@@ -43,6 +43,7 @@ from typing import (
 )
 
 from ..exceptions import ConfigurationError
+from ..outcome import IntervalOutcome
 from ..routing.ksp import CandidatePaths
 from ..simulator.failures import FailureState, TopologyChange, TopologyView, due
 from ..traffic.matrix import Pair, TrafficMatrix
@@ -273,10 +274,6 @@ class Timeline:
     def __init__(self, steps: List[TimelineStep]) -> None:
         self.steps = steps
 
-    def fired_records(self) -> List[Dict[str, Any]]:
-        """Every event that actually took effect, in firing order."""
-        return [dict(record) for step in self.steps for record in step.fired]
-
     def __len__(self) -> int:
         return len(self.steps)
 
@@ -329,46 +326,6 @@ def build_timeline(
 # --------------------------------------------------------------------- #
 
 
-@dataclass
-class IntervalOutcome:
-    """What one scheme produced for one timeline step.
-
-    Attributes:
-        power_percent: Power of the interval's active subset (% of the
-            fully powered network).
-        max_utilisation: Largest arc utilisation, where the scheme knows it.
-        recomputed: Whether the scheme changed its active-element
-            configuration relative to the previous interval (always
-            ``False`` on the first step).
-        compute_seconds: Wall-clock cost of the step — the recomputation
-            latency proxy.  Filled in by the timeline driver.
-        violation: Whether ``max_utilisation`` exceeded the scenario's
-            utilisation SLO (``None`` where the scheme does not track
-            utilisation).  Filled in by the timeline driver — the one place
-            the threshold is applied.
-    """
-
-    power_percent: float
-    max_utilisation: Optional[float] = None
-    recomputed: bool = False
-    compute_seconds: float = 0.0
-    violation: Optional[bool] = None
-
-    def record(self) -> Dict[str, Any]:
-        """The JSON-ready per-scheme interval payload.
-
-        The service's replay stream and the per-event reaction records
-        carry exactly this.
-        """
-        return {
-            "power_percent": self.power_percent,
-            "max_utilisation": self.max_utilisation,
-            "violation": self.violation,
-            "recomputed": self.recomputed,
-            "compute_seconds": self.compute_seconds,
-        }
-
-
 class SchemeRuntime:
     """Incremental evaluation protocol for schemes on the timeline.
 
@@ -376,9 +333,9 @@ class SchemeRuntime:
     precomputed plans, candidate-path caches, warm-start memory.
     ``step(state, time_s, matrix, view)`` advances one interval against the
     failure-adjusted :class:`~repro.simulator.failures.TopologyView` and
-    returns an :class:`IntervalOutcome`.  ``finish(state)`` returns the
-    scheme's ``details`` dict (per-interval solutions, plans, activations)
-    for drivers that need more than the uniform series.
+    returns an :class:`~repro.outcome.IntervalOutcome`.  ``finish(state)``
+    returns the scheme's ``details`` dict (per-interval solutions, plans,
+    activations) for callers that need more than the uniform series.
 
     Every registered scheme component is a subclass; its recomputation
     count is the number of steps whose outcome says ``recomputed``.

@@ -25,6 +25,7 @@ from typing import Any, Callable, Dict, List, Mapping
 from ..campaign.report import UnknownMetricError, campaign_report
 from ..campaign.store import CampaignStore
 from ..exceptions import ConfigurationError, TrafficError
+from ..outcome import MalformedResultError
 from .jobs import JobManager
 from .schemas import (
     ServiceError,
@@ -97,15 +98,19 @@ def run_scenario_payload(
     The campaign store is the one result cache: a spec whose config hash
     already has a ``results`` row (some campaign executed that very
     scenario) is answered from it over a read-only connection
-    (``"cache": "hit"``); anything else runs now (``"cache": "miss"``).
-    One-shot runs never write the store.
+    (``"cache": "hit"``); anything else — a row that does not decode
+    included — runs now (``"cache": "miss"``).  One-shot runs never write
+    the store.
     """
     from ..scenario.engine import run_scenario
 
     spec = scenario_spec_from_request(body)
     if os.path.exists(state.store_path):
         with state.open_reader() as store:
-            stored = store.result(spec.config_hash())
+            try:
+                stored = store.result(spec.config_hash())
+            except (ValueError, MalformedResultError):
+                stored = None
         if stored is not None:
             return {"cache": "hit", "result": stored.to_dict()}
     try:
@@ -270,10 +275,9 @@ def replay_stream(body: Mapping[str, Any], emit: Emit) -> None:
     * ``{"type": "start", ...}`` — name, config hash, interval count,
       scheme labels and the utilisation threshold;
     * ``{"type": "interval", ...}`` — per interval: index, time, fired
-      events and each scheme's power %, max utilisation, SLO violation
-      flag, recomputation marker and step latency;
+      events and each scheme's :meth:`~repro.outcome.IntervalOutcome.record`;
     * ``{"type": "end", "result": ...}`` — the full
-      :class:`~repro.scenario.engine.ScenarioResult`, bit-identical to an
+      :class:`~repro.outcome.ScenarioResult`, bit-identical to an
       offline ``run_scenario`` of the same spec.
     """
     from ..scenario.engine import build_scenario, run_built_scenario

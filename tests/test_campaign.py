@@ -371,10 +371,10 @@ def test_store_loads_rows_missing_post_events_fields(tmp_path):
         )
         store._connection.commit()
         result = store.result(legacy_row["config_hash"])
-    assert result.power_percent == {"response": [40.0, 50.0]}
+    assert result.columns["power_percent"] == {"response": [40.0, 50.0]}
     assert result.events == []
-    assert result.compute_seconds == {}
-    assert result.violations == {}
+    assert result.columns["compute_seconds"] == {}
+    assert result.columns["violations"] == {}
     assert result.reaction == {}
 
 

@@ -118,7 +118,7 @@ def test_fig6_combined_scenario_equals_the_per_variant_scenarios():
     result = run_fig6(**reduced)
     for variant in FIG6_VARIANTS:
         alone = run_scenario(fig6_scenario_spec(variant, **reduced))
-        assert result.power_percent[variant] == alone.power_percent[variant], variant
+        assert result.power_percent[variant] == alone.columns["power_percent"][variant], variant
 
 
 def test_fig7_te_sleeps_links_and_recovers_from_failure():

@@ -371,11 +371,12 @@ def test_run_scenario_returns_uniform_result():
     result = run_scenario(spec)
     assert result.name == "tiny-fattree"
     assert result.config_hash == spec.config_hash()
-    assert set(result.power_percent) == {"response", "ecmp"}
-    assert len(result.power_percent["response"]) == len(result.times_s) == 2
-    assert result.recomputations["response"] == 0
+    assert set(result.columns["power_percent"]) == {"response", "ecmp"}
+    assert len(result.columns["power_percent"]["response"]) == len(result.times_s) == 2
+    assert result.columns["recomputations"]["response"] == 0
     assert 0 < result.mean_power_percent("response") < 100
-    assert result.mean_savings_percent("response") > result.mean_savings_percent("ecmp")
+    headline = result.headline_metrics()
+    assert headline["response"]["mean_savings_percent"] > headline["ecmp"]["mean_savings_percent"]
     # to_dict round-trips through JSON (the CLI --json output).
     assert json.loads(json.dumps(result.to_dict()))["name"] == "tiny-fattree"
 
@@ -485,11 +486,11 @@ def test_never_expressed_cross_product_geant_gravity_response_vs_elastictree():
         schemes=(SchemeSpec("response", num_paths=3, k=3), SchemeSpec("elastictree")),
     )
     first = run_scenario(ScenarioSpec.from_dict(json.loads(json.dumps(spec.to_dict()))))
-    assert set(first.power_percent) == {"response", "elastictree"}
-    assert all(0 < value <= 100 for value in first.power_percent["response"])
+    assert set(first.columns["power_percent"]) == {"response", "elastictree"}
+    assert all(0 < value <= 100 for value in first.columns["power_percent"]["response"])
     second = run_scenario(spec)
     assert second.config_hash == first.config_hash == spec.config_hash()
-    assert second.power_percent == first.power_percent
+    assert second.columns["power_percent"] == first.columns["power_percent"]
 
 
 def test_matrix_traffic_and_routing_sections():
@@ -509,7 +510,7 @@ def test_matrix_traffic_and_routing_sections():
     assert built.routing is not None
     assert built.routing.get("A", "K") is not None
     result = run_scenario(spec)
-    assert result.power_percent["ospf"] == [100.0]
+    assert result.columns["power_percent"]["ospf"] == [100.0]
 
 
 #: Explicit matrices the topology cannot take, and what the complaint must
@@ -571,7 +572,8 @@ def test_optimal_falls_back_to_greente_on_solver_failures(monkeypatch, tmp_path,
         result = _optimal_with_failing_milp(monkeypatch, error)
     finally:
         trace.disable_tracing()
-    assert result.power_percent["optimal"] == heuristic.power_percent["greente"]
+    power = result.columns["power_percent"]
+    assert power["optimal"] == heuristic.columns["power_percent"]["greente"]
     solves = [r for r in read_trace(tmp_path / "trace.ndjson") if r["name"] == "scheme.solve"]
     assert solves and all(r["attrs"]["fallback"] is True for r in solves)
 
@@ -647,8 +649,8 @@ def test_scenario_result_from_dict_tolerates_pre_events_rows():
     result = ScenarioResult.from_dict(legacy)
     assert result.mean_power_percent("response") == 45.0
     assert result.events == []
-    assert result.compute_seconds == {}
-    assert result.violations == {}
+    assert result.columns["compute_seconds"] == {}
+    assert result.columns["violations"] == {}
     assert result.reaction == {}
     assert result.spec == {}
     # headline_metrics still works without the newer series.

@@ -19,6 +19,7 @@ import json
 import os
 import re
 import socket
+import sqlite3
 import threading
 import time
 import urllib.error
@@ -33,7 +34,7 @@ from repro.campaign.store import canonical_result_dict
 from repro.obs import metrics
 from repro.scenario.engine import run_scenario
 from repro.scenario.registry import registered_components
-from repro.service.handlers import ServiceState, submit_campaign_payload
+from repro.service.handlers import ServiceState, run_scenario_payload, submit_campaign_payload
 from repro.service.jobs import RUNNING, CampaignJob, JobManager
 from repro.service.schemas import (
     ServiceError,
@@ -264,6 +265,25 @@ def test_post_scenario_is_answered_from_the_store_on_a_hit(tmp_path):
             )
 
 
+@pytest.mark.parametrize("corrupt", ["not json", "power_percent"])
+def test_a_cached_row_that_does_not_decode_is_a_miss(tmp_path, corrupt):
+    """A corrupt ``results`` row must not fail every request for its spec:
+    the scenario runs as if nothing were cached."""
+    offline = run_scenario(base_scenario())
+    store_path = tmp_path / "service.sqlite"
+    CampaignStore(store_path).close()
+    row = offline.to_dict()
+    row["power_percent"] = [1, 2]  # a column that is not keyed by scheme
+    with sqlite3.connect(store_path) as connection:
+        connection.execute(
+            "INSERT INTO results (config_hash, result_json, created_at) VALUES (?, ?, ?)",
+            (offline.config_hash, corrupt if corrupt == "not json" else json.dumps(row), "now"),
+        )
+    payload = run_scenario_payload(ServiceState(str(store_path)), {"spec": base_scenario()})
+    assert payload["cache"] == "miss"
+    assert canonical_result_dict(payload["result"]) == canonical_result_dict(offline.to_dict())
+
+
 def test_post_scenario_malformed_shapes_are_400_not_500(tmp_path, caplog):
     from test_scenario import MALFORMED_SPEC_SHAPES
 
@@ -349,8 +369,8 @@ def assert_stream_matches_offline(records, offline):
         streamed_power = [
             record["schemes"][label]["power_percent"] for record in intervals
         ]
-        assert streamed_power == offline.power_percent[label]
-        utilisation = offline.max_utilisation.get(label)
+        assert streamed_power == offline.columns["power_percent"][label]
+        utilisation = offline.columns["max_utilisation"].get(label)
         if utilisation:
             streamed_util = [
                 record["schemes"][label]["max_utilisation"] for record in intervals
@@ -359,7 +379,7 @@ def assert_stream_matches_offline(records, offline):
             streamed_violations = [
                 record["schemes"][label]["violation"] for record in intervals
             ]
-            assert streamed_violations == offline.violations[label]
+            assert streamed_violations == offline.columns["violations"][label]
     # The closing record is the full offline result, wall-clock fields aside.
     assert canonical_result_dict(records[-1]["result"]) == canonical_result_dict(
         offline.to_dict()

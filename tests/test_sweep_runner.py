@@ -51,7 +51,7 @@ def test_execute_point_outcome_captures_error_and_timing():
     assert spec.sweep_point() is spec
     value, error, elapsed_s = execute_point_outcome(spec)
     assert error is None and value.name == "tiny-fattree"
-    assert len(value.power_percent["ecmp"]) == 2
+    assert len(value.columns["power_percent"]["ecmp"]) == 2
     assert elapsed_s >= 0.0
     bad = execute_point_outcome(spec.with_schemes())
     assert bad.value is None and bad.elapsed_s >= 0.0

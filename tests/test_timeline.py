@@ -372,7 +372,7 @@ def test_build_timeline_applies_failures_and_surges():
         2.0 * built.trace[1].total_bps
     )
     assert third.matrix.total_bps == pytest.approx(built.trace[2].total_bps)
-    fired_kinds = [record["kind"] for record in timeline.fired_records()]
+    fired_kinds = [record["kind"] for step in timeline.steps for record in step.fired]
     assert fired_kinds == ["link-failure", "traffic-surge", "link-repair"]
 
 
@@ -440,9 +440,9 @@ def test_run_scenario_with_link_failure_reports_reaction_metrics():
     result = run_scenario(geant_failure_spec())
     assert [event["kind"] for event in result.events] == ["link-failure"]
     for label in ("response", "greente"):
-        assert len(result.power_percent[label]) == 3
-        assert len(result.compute_seconds[label]) == 3
-        assert all(value >= 0.0 for value in result.compute_seconds[label])
+        assert len(result.columns["power_percent"][label]) == 3
+        assert len(result.columns["compute_seconds"][label]) == 3
+        assert all(value >= 0.0 for value in result.columns["compute_seconds"][label])
     # Post-failure utilisation is reported for the activation-based scheme.
     reaction = result.reaction["response"]
     assert len(reaction) == 1
@@ -450,12 +450,12 @@ def test_run_scenario_with_link_failure_reports_reaction_metrics():
     assert record["kind"] == "link-failure"
     assert record["interval_index"] == 1
     assert record["max_utilisation"] is not None
-    assert record["power_percent"] == result.power_percent["response"][1]
+    assert record["power_percent"] == result.columns["power_percent"]["response"][1]
     assert isinstance(record["violation"], bool)
     assert record["compute_seconds"] >= 0.0
     # The REsPoNse plan is precomputed: no recomputation even under failure
     # (its failover table was built offline).
-    assert result.recomputations["response"] == 0
+    assert result.columns["recomputations"]["response"] == 0
     # The JSON view round-trips (the --output file format).
     round_tripped = ScenarioResult.from_dict(json.loads(json.dumps(result.to_dict())))
     assert round_tripped.to_dict() == result.to_dict()
@@ -467,7 +467,7 @@ def test_node_failure_changes_ospf_power():
         events=(EventSpec("node-failure", time_s=900.0, node="DE"),),
     )
     result = run_scenario(spec)
-    series = result.power_percent["ospf"]
+    series = result.columns["power_percent"]["ospf"]
     assert series[0] == 100.0
     assert series[1] < 100.0  # the failed node and its links stop drawing power
     assert result.reaction["ospf"][0]["kind"] == "node-failure"
@@ -508,7 +508,7 @@ def test_event_free_timeline_is_bit_identical_to_cold_replay():
     expected = [
         100.0 * solution.power_w / built.baseline_power_w for solution in solutions
     ]
-    assert result.power_percent["greente"] == expected  # exact, not approx
+    assert result.columns["power_percent"]["greente"] == expected  # exact, not approx
 
 
 def test_plan_built_once_is_bit_identical_to_a_plan_per_interval():
@@ -541,7 +541,7 @@ def test_plan_built_once_is_bit_identical_to_a_plan_per_interval():
         )
         expected.append(activation.power_percent)
     assert len(expected) == 12
-    assert result.power_percent["response"] == expected  # exact, not approx
+    assert result.columns["power_percent"]["response"] == expected  # exact, not approx
 
 
 def test_response_reacts_to_a_failure_by_activation_greente_by_a_new_solve():
@@ -561,8 +561,8 @@ def test_response_reacts_to_a_failure_by_activation_greente_by_a_new_solve():
     assert len(result.times_s) == 24
     (response,), (greente,) = result.reaction["response"], result.reaction["greente"]
     assert response["kind"] == greente["kind"] == "link-failure"
-    assert result.recomputations["response"] == 0
-    assert result.recomputations["greente"] == 1
+    assert result.columns["recomputations"]["response"] == 0
+    assert result.columns["recomputations"]["greente"] == 1
     assert 0.0 < response["power_percent"] <= 100.0
     # ~1 ms against ~60 ms: the recomputation-latency proxy of the paper's
     # "no recomputation under failure" claim.
@@ -599,7 +599,7 @@ def test_run_built_scenario_on_interval_hook_streams_bit_identical_values():
     for label in ("response", "greente"):
         assert [
             outcomes[label].power_percent for _, _, outcomes in seen
-        ] == hooked.power_percent[label]
+        ] == hooked.columns["power_percent"][label]
     # And the full result is bit-identical to the scheme-major run.
     assert canonical_result_dict(hooked.to_dict()) == canonical_result_dict(
         plain.to_dict()
@@ -647,7 +647,7 @@ def test_solver_runtime_memoises_unchanged_intervals(monkeypatch):
     )
     result = run_scenario(spec)
     assert len(calls) == 1  # solved once, replayed from warm state twice
-    assert len(set(result.power_percent["greente"])) == 1
+    assert len(set(result.columns["power_percent"]["greente"])) == 1
 
 
 def test_candidate_paths_survive_across_timeline_steps(monkeypatch):
@@ -752,8 +752,8 @@ def test_hand_built_scenario_without_shared_runs_every_shipped_scheme(
     result = run_built_scenario(built)
     assert result.labels() == names
     for label in names:
-        assert len(result.power_percent[label]) == 2
-        assert all(0.0 < value <= 100.0 + 1e-9 for value in result.power_percent[label])
+        assert len(result.columns["power_percent"][label]) == 2
+        assert all(0.0 < value <= 100.0 + 1e-9 for value in result.columns["power_percent"][label])
     # A scenario built on its own owns a private cache.
     other = BuiltScenario(
         spec=built.spec,
