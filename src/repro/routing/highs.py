@@ -67,6 +67,7 @@ try:
         "changeColsBounds",
         "changeRowBounds",
         "getBasis",
+        "getDualRay",
         "getInfo",
         "getSolution",
         "setBasis",
@@ -108,6 +109,11 @@ LINPROG_OPTIONS: Options = (
     ("log_to_console", False),
     ("output_flag", False),
 )
+
+#: HiGHS's ``primal_feasibility_tolerance``, which no option set here
+#: changes: a solution HiGHS calls optimal may miss a row or column bound by
+#: this much, absolutely, in the units of the model it was given.
+PRIMAL_FEASIBILITY_TOLERANCE = 1e-7
 
 #: A MIP stopped by one of these returns its incumbent, if it has one.
 _LIMITS = (
@@ -196,7 +202,9 @@ class HighsModel:
 
     def _checked(self, method: str, *arguments: object) -> None:
         """Call a ``_Highs`` method that reports a ``HighsStatus``."""
-        status = getattr(self._live(), method)(*arguments)
+        self._check(method, getattr(self._live(), method)(*arguments))
+
+    def _check(self, method: str, status: HighsStatus) -> None:
         # kWarning is let through, as SciPy's front ends do (HiGHS warns,
         # for one, when it drops a matrix entry below its 1e-9 threshold).
         if status == HighsStatus.kError:
@@ -221,6 +229,14 @@ class HighsModel:
         model."""
         self._checked("setBasis", basis)
         self._start = "restored"
+
+    def dual_ray(self) -> Optional[np.ndarray]:
+        """The Farkas certificate of the last solve, one multiplier per row,
+        when it found the LP infeasible and HiGHS holds a ray (presolve, for
+        one, may decide without); else ``None``."""
+        status, exists, values = self._live().getDualRay()
+        self._check("getDualRay", status)
+        return np.array(values) if exists else None
 
     def solve(self) -> Optional[np.ndarray]:
         """The optimal ``x`` — or, for a MIP, the incumbent a time, iteration

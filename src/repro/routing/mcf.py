@@ -26,13 +26,15 @@ is what callers hold: "the flow LP of this
 topology object — route these demands with these arcs (index masks) switched
 off".  :func:`solve_mcf` is a session of one solve; the subset search of
 :mod:`repro.optim.subset` keeps one for a switch-off loop, a solver-replay
-runtime from one interval to the next (:meth:`FlowSession.retarget`).
+runtime from one interval to the next (:meth:`FlowSession.retarget`), and
+asks it first whether a node cut of its pool (:class:`_CutPool`) already
+proves a switch-off infeasible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -42,7 +44,7 @@ from ..obs import metrics
 from ..topology.base import Topology
 from ..topology.index import TopologyIndex
 from ..traffic.matrix import TrafficMatrix
-from .highs import LINPROG_OPTIONS, HighsBasis, HighsModel
+from .highs import LINPROG_OPTIONS, PRIMAL_FEASIBILITY_TOLERANCE, HighsBasis, HighsModel
 
 _LP_SOLVES = metrics.counter(
     "repro_mcf_lp_solves_total", "HiGHS LP solves of the MCF module, by kind of LP"
@@ -247,6 +249,125 @@ def _lp_model(
     )
 
 
+#: Headroom on a cut's margin: the bound of :class:`_CutPool` assumes every
+#: residual of an optimal solution within HiGHS's tolerance, and HiGHS checks
+#: that on a scaled copy of the LP.  Ten times the bound costs only the cases
+#: closer than the margin, which the LP then decides.
+_RESIDUAL_ALLOWANCE = 10.0
+
+
+class _CutPool:
+    """Node sets ``S`` that can prove a demand does not fit, without a solver.
+
+    Every flow of an origin in ``S`` to a destination outside it leaves ``S``
+    over the arcs out of ``S``; when that *crossing demand* exceeds the
+    arcs' capacity the LP is infeasible.  A set is a boolean row over the
+    index's nodes, kept beside its crossing-arc row; :meth:`retarget` gives
+    every set its crossing demand under new demands, and :meth:`violated`
+    is two small mat-vecs against a capacity vector.
+
+    A refusal must never contradict the LP, whose solution may miss each row
+    and column bound by HiGHS's tolerance ``δ`` (in units of ``scale``, the
+    largest arc capacity).  The bound: for each origin in ``S``, add up its
+    conservation rows over the nodes of ``S``; the flow it sends out of
+    ``S`` is at least its crossing demand, less ``δ`` per row (``|S|``) and
+    per column on an arc into ``S`` (``|in(S)|``, each ``>= -δ``).  Across
+    all origins, an arc out of ``S`` carries at most its capacity plus
+    ``δ`` for its row and ``δ`` per origin (the columns of origins outside
+    ``S``, each ``>= -δ``; or every column ``<= δ`` when the arc is off).
+    So with ``k`` origins a set refuses only when its crossing demand
+    exceeds the active capacity out of it by more than
+    ``δ * scale * (k * (|S| + |in(S)|) + (k + 1) * |out(S)|)``, times
+    :data:`_RESIDUAL_ALLOWANCE`: its *margin*.  Float error in the two sums
+    is orders of magnitude below that.  A case within the margin — an ε
+    flow always is — goes to the LP.
+    """
+
+    def __init__(self, index: TopologyIndex) -> None:
+        self._index = index
+        scale = float(index.arc_capacity.max(initial=0.0))
+        self._unit = _RESIDUAL_ALLOWANCE * PRIMAL_FEASIBILITY_TOLERANCE * scale
+        self.sets = np.zeros((0, len(index.node_names)), dtype=bool)
+        self._known: Set[bytes] = set()
+        #: Per set, what does not depend on the demands: its crossing-arc
+        #: row, ``|S| + |in(S)|`` and ``|out(S)|``.
+        self._arcs_out = np.zeros((0, index.num_arcs))
+        self._inbound = self._outbound = np.zeros(0, dtype=np.int64)
+        #: Origin and destination node of every pair with demand, its volume
+        #: (bps), the number of origins; each set's crossing demand and margin.
+        self._pairs = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))
+        self._num_origins = 0
+        self._demand = self._margin = np.zeros(0)
+
+    def _structure(self, sets: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(crossing-arc rows, |S| + |in(S)|, |out(S)|)`` of *sets*."""
+        inside_src, inside_dst = sets[:, self._index.arc_src], sets[:, self._index.arc_dst]
+        arcs_out = inside_src & ~inside_dst
+        arcs_in = inside_dst & ~inside_src
+        inbound = np.count_nonzero(sets, axis=1) + np.count_nonzero(arcs_in, axis=1)
+        return arcs_out.astype(float), inbound, np.count_nonzero(arcs_out, axis=1)
+
+    def _measure(
+        self, sets: np.ndarray, inbound: np.ndarray, outbound: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(crossing demand, margin)`` of *sets* under the demands as they are now."""
+        origins, destinations, volumes = self._pairs
+        demand = (sets[:, origins] & ~sets[:, destinations]).astype(float) @ volumes
+        k = self._num_origins
+        return demand, self._unit * (k * inbound + (k + 1) * outbound)
+
+    def _add(self, sets: np.ndarray, structure: Tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
+        self.sets = np.vstack((self.sets, sets))
+        self._known.update(row.tobytes() for row in sets)
+        arcs_out, inbound, outbound = structure
+        self._arcs_out = np.vstack((self._arcs_out, arcs_out))
+        self._inbound = np.concatenate((self._inbound, inbound))
+        self._outbound = np.concatenate((self._outbound, outbound))
+
+    def retarget(self, positive: "Demands", endpoints: List[Tuple[int, int]]) -> None:
+        """Measure every set under *positive*, after adding the singleton of
+        each origin (demand out) and the complement of each destination
+        (demand in) that the pool lacks."""
+        origins = np.array([origin for origin, _ in endpoints], dtype=np.int64)
+        destinations = np.array([destination for _, destination in endpoints], dtype=np.int64)
+        self._pairs = (origins, destinations, np.array([demand for _, demand in positive]))
+        self._num_origins = len(np.unique(origins))
+        singletons = np.eye(len(self._index.node_names), dtype=bool)
+        sets = np.vstack((singletons[np.unique(origins)], ~singletons[np.unique(destinations)]))
+        sets = sets[[row.tobytes() not in self._known for row in sets]]
+        if len(sets):
+            self._add(sets, self._structure(sets))
+        self._demand, self._margin = self._measure(self.sets, self._inbound, self._outbound)
+
+    def violated(self, capacity_on: np.ndarray) -> bool:
+        """Whether some set's crossing demand exceeds the capacity
+        *capacity_on* (bps per arc) out of it by more than its margin."""
+        return bool(_exceeds(self._demand, self._margin, self._arcs_out, capacity_on).any())
+
+    def learn(self, sets: np.ndarray, capacity_on: np.ndarray) -> bool:
+        """Add the first of *sets* that is violated at *capacity_on*, unless
+        the pool has it; whether one was added."""
+        structure = self._structure(sets)
+        demand, margin = self._measure(sets, *structure[1:])
+        violated = np.flatnonzero(_exceeds(demand, margin, structure[0], capacity_on))
+        if not len(violated) or sets[violated[0]].tobytes() in self._known:
+            return False
+        first = violated[:1]
+        self._add(sets[first], tuple(part[first] for part in structure))
+        self._demand = np.concatenate((self._demand, demand[first]))
+        self._margin = np.concatenate((self._margin, margin[first]))
+        return True
+
+
+def _exceeds(
+    demand: np.ndarray, margin: np.ndarray, arcs_out: np.ndarray, capacity_on: np.ndarray
+) -> np.ndarray:
+    # The mat-vec's float sums need no fixed order: a last-ulp move can only
+    # trade a refusal at the very edge of the margin for an LP, which is
+    # still far past its tolerance and answers "infeasible" too.
+    return demand > arcs_out @ capacity_on + margin
+
+
 class FlowSession:
     """The flow LP of one topology object at one utilisation limit, solved
     for any demands with any of its arcs switched off.
@@ -266,13 +387,21 @@ class FlowSession:
     *an* optimal one.  A session has one holder — a subset search, or one
     solver runtime's replay state for its run — and never crosses threads.
 
-    A subset search asks :meth:`connected` and :meth:`witness` instead, on
-    the arc mask it computed once.  :meth:`witness` names the candidate it
-    asks for: the session keeps, per candidate, the basis its last solve
-    ended with and the arcs it was solved at, and a later question about the
-    same candidate at the same arcs — the next interval's, on other volumes
-    — starts from that basis.  The bases go with the model (a new origin
-    set) and with a failure.
+    A subset search asks :meth:`connected`, :meth:`cut_refuses` and
+    :meth:`witness` instead, in that order, on the arc mask it computed
+    once.  :meth:`witness` names the candidate it asks for: the session
+    keeps, per candidate, the basis its last solve ended with and the arcs
+    it was solved at, and a later question about the same candidate at the
+    same arcs — the next interval's, on other volumes — starts from that
+    basis.  The bases go with the model (a new origin set) and with a
+    failure.  :meth:`cut_refuses` answers "infeasible" from a pool of node
+    cuts (:class:`_CutPool`): from the start the singleton of every demand
+    origin and the complement of every destination, and, each time
+    :meth:`witness` gets "infeasible" from the LP, the cut the LP's dual
+    ray points at.  The pool lives as long as the session — one topology
+    object, one holder — and only grows; each :meth:`retarget` measures it
+    under the new demands, so a cut learned in one interval refuses the
+    same question in a later one.
     """
 
     def __init__(
@@ -283,26 +412,44 @@ class FlowSession:
         active_nodes: Optional[Iterable[str]] = None,
         active_links: Optional[Iterable[Tuple[str, str]]] = None,
     ) -> None:
+        self._topology = topology
         self.index = topology.index()
         self._node_on = self.index.node_mask(active_nodes)
         self._link_on = self.index.link_mask(active_links)
-        self.retarget(demands)
         self._utilisation_limit = utilisation_limit
+        #: Capacity (bps) of every arc at the session's utilisation limit.
+        self._capacity = self.index.arc_capacity * utilisation_limit
+        self._cuts = _CutPool(self.index)
+        self.retarget(demands)
         #: Assembled and passed to HiGHS at the first solve that needs the solver.
         self._model: Optional[Tuple[_FlowLP, HighsModel]] = None
         self._columns_on = np.ones(self.index.num_arcs, dtype=bool)
         #: Candidate to ``(arc mask, basis)`` of its last :meth:`witness` solve.
         self._bases: Dict[Hashable, Tuple[np.ndarray, HighsBasis]] = {}
-        #: Models built, simplex iterations of every solve so far, and solves
-        #: started from a basis kept for their candidate.
+        #: Models built, simplex iterations of every solve so far, solves
+        #: started from a basis kept for their candidate, and cuts learned
+        #: from dual rays.
         self.models_built = 0
         self.simplex_iterations = 0
         self.bases_restored = 0
+        self.cuts_learned = 0
+
+    @property
+    def topology(self) -> Topology:
+        """The topology object the session's LP routes over."""
+        return self._topology
+
+    @property
+    def utilisation_limit(self) -> float:
+        """The share of every arc's capacity the session's LP may use."""
+        return self._utilisation_limit
 
     def retarget(self, demands: TrafficMatrix) -> None:
         """Make *demands* the ones every later :meth:`solve` routes."""
         self._positive = _positive_demands(demands)
         self._endpoints = _endpoints(self.index, self._positive)
+        if self._endpoints is not None:
+            self._cuts.retarget(self._positive, self._endpoints)
 
     def _current_model(self) -> Tuple[_FlowLP, HighsModel]:
         """The model held, moved to the demands as they are now, or a new one."""
@@ -329,10 +476,10 @@ class FlowSession:
 
     def _run(
         self, arc_on: np.ndarray, candidate: Hashable
-    ) -> Tuple[_FlowLP, Optional[np.ndarray]]:
-        """The LP and its optimal ``x`` over the arcs *arc_on* (``None`` when
-        it is infeasible); *candidate* (``None``: none) names the question
-        for the bases kept."""
+    ) -> Tuple[_FlowLP, HighsModel, Optional[np.ndarray]]:
+        """The LP, its model and its optimal ``x`` over the arcs *arc_on*
+        (``None`` when it is infeasible); *candidate* (``None``: none) names
+        the question for the bases kept."""
         lp, solver = self._current_model()
         flipped = np.flatnonzero(arc_on != self._columns_on)
         if len(flipped):
@@ -359,7 +506,7 @@ class FlowSession:
             basis = solver.basis()
             if basis is not None:
                 self._bases[candidate] = (arc_on, basis)
-        return lp, solution
+        return lp, solver, solution
 
     def connected(self, arc_on: np.ndarray) -> bool:
         """Whether every demand has both endpoints in the topology and a
@@ -367,17 +514,44 @@ class FlowSession:
         demands at any capacity."""
         return _joined(self.index, arc_on, self._endpoints)
 
+    def cut_refuses(self, arc_on: np.ndarray) -> bool:
+        """Whether a cut of the pool proves that the arcs *arc_on* cannot
+        carry the demands; ``False`` leaves the question to the LP."""
+        # Demands with an endpoint outside the topology are never connected.
+        return self._endpoints is not None and self._cuts.violated(self._capacity * arc_on)
+
     def witness(self, arc_on: np.ndarray, candidate: Hashable) -> Optional[np.ndarray]:
         """The per-arc loads (bps, index order) of an optimal flow of the
         demands over the arcs *arc_on* — zero on an arc that is off — or
-        ``None`` when there is none.  For arcs that are :meth:`connected`;
-        *candidate* names the question (see the class)."""
+        ``None`` when there is none, and then the pool learns the cut the
+        LP's dual ray points at, if it has one.  For arcs that are
+        :meth:`connected`; *candidate* names the question (see the class)."""
         if not self._positive:
             return np.zeros(self.index.num_arcs)
-        lp, solution = self._run(arc_on, candidate)
+        lp, solver, solution = self._run(arc_on, candidate)
+        if solution is None:
+            self._learn(lp, solver.dual_ray(), arc_on)
+            return None
         # No load at all on an arc that is off (a warm re-solve may leave its
         # columns within the solver's tolerance of their bound).
-        return None if solution is None else np.where(arc_on, _arc_loads(lp, solution), 0.0)
+        return np.where(arc_on, _arc_loads(lp, solution), 0.0)
+
+    def _learn(self, lp: _FlowLP, ray: Optional[np.ndarray], arc_on: np.ndarray) -> None:
+        """Offer the pool, per origin, the nodes whose conservation
+        multipliers in the infeasible LP's dual *ray* lie on the origin's
+        side of the midpoint of that origin's multipliers."""
+        if ray is None:
+            return
+        index = self.index
+        # Conservation row ``num_arcs + o * num_nodes + v`` is (origin o, node v).
+        multipliers = ray[index.num_arcs :].reshape(len(lp.origins), len(index.node_names))
+        middle = (multipliers.max(axis=1) + multipliers.min(axis=1)) / 2
+        own = multipliers[np.arange(len(lp.origins)), [index.node_index[o] for o in lp.origins]]
+        above = multipliers > middle[:, None]
+        sets = np.where((own > middle)[:, None], above, multipliers < middle[:, None])
+        sets = sets[own != middle]
+        if len(sets) and self._cuts.learn(sets, self._capacity * arc_on):
+            self.cuts_learned += 1
 
     def solve(
         self, node_on: Optional[np.ndarray] = None, link_on: Optional[np.ndarray] = None
@@ -394,7 +568,7 @@ class FlowSession:
         infeasible = MCFResult(False, float("inf"), np.zeros(0), 0.0)
         if not self.connected(arc_on):
             return infeasible
-        lp, solution = self._run(arc_on, None)
+        lp, _, solution = self._run(arc_on, None)
         if solution is None:
             return infeasible
         loads = _arc_loads(lp, solution)

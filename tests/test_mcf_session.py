@@ -19,6 +19,9 @@ solves.  The ``linprog`` formulation is kept here as the reference.  Pinned:
   the same sets and demands does after every step;
 * a solver outcome other than optimal / infeasible raises ``SolverError``
   naming HiGHS's status, and a session that raised takes no further calls;
+* an infeasible LP teaches the session's cut pool the node set its dual ray
+  points at, which refuses the same question under later demands while
+  they still exceed the cut; without a ray it learns nothing;
 * the iteration counts are on ``scheme.solve`` spans and in
   ``repro_mcf_simplex_iterations_total``, one spec replayed twice in one
   process gives one digest, and no session outlives its run.
@@ -46,7 +49,7 @@ from repro.obs import metrics, trace
 from repro.routing import highs, mcf
 from repro.routing.mcf import ConcurrentFlow, FlowSession, MCFResult, solve_mcf
 from repro.scenario.engine import run_scenario
-from repro.topology import link_key, random_connected_topology
+from repro.topology import Topology, link_key, random_connected_topology
 from repro.traffic import TrafficMatrix, all_pairs
 
 from test_calibration import (  # noqa: I001
@@ -227,10 +230,16 @@ for method in (
     "getModelStatus",
     "modelStatusToString",
     "getSolution",
+    "getDualRay",
 ):
     assert callable(getattr(_core._Highs, method)), method
 assert hasattr(_core.HighsLp(), "a_matrix_")
 assert hasattr(_core._Highs().getInfo(), "simplex_iteration_count")
+# The cut margins of routing/mcf.py are built on this default, which no
+# option of LINPROG_OPTIONS changes.
+tolerance = _core._Highs().getOptionValue("primal_feasibility_tolerance")[1]
+assert tolerance == highs.PRIMAL_FEASIBILITY_TOLERANCE, tolerance
+assert "primal_feasibility_tolerance" not in dict(highs.LINPROG_OPTIONS)
 for status in ("kOptimal", "kInfeasible"):
     assert hasattr(_core.HighsModelStatus, status)
 assert _core.MatrixFormat.kColwise is not None and _core.HighsStatus.kError is not None
@@ -632,7 +641,15 @@ def test_only_infeasible_means_infeasible(monkeypatch, geant, status, message):
 
 @pytest.mark.parametrize(
     "method",
-    ["run", "changeColsBounds", "changeRowBounds", "setBasis", "passModel", "setOptionValue"],
+    [
+        "run",
+        "changeColsBounds",
+        "changeRowBounds",
+        "setBasis",
+        "getDualRay",
+        "passModel",
+        "setOptionValue",
+    ],
 )
 def test_every_status_returning_call_is_checked(monkeypatch, geant, method):
     demands, links = geant_case(geant)
@@ -645,8 +662,12 @@ def test_every_status_returning_call_is_checked(monkeypatch, geant, method):
         # it and re-runs ...
         assert session.witness(arc_on, links[0]) is not None
         assert session.solve().feasible
-        session.retarget(demands.scaled(0.9))  # ... on another right-hand side
-    monkeypatch.setattr(highs._Highs, method, lambda self, *args: highs.HighsStatus.kError)
+        # ... on another right-hand side: one the LP finds infeasible, and
+        # then reads the dual ray of, for getDualRay.
+        session.retarget(demands.scaled(3.0 if method == "getDualRay" else 0.9))
+    error = highs.HighsStatus.kError
+    failing = (error, False, np.zeros(0)) if method == "getDualRay" else error
+    monkeypatch.setattr(highs._Highs, method, lambda self, *args: failing)
     with pytest.raises(SolverError, match=f"HiGHS {method} returned kError"):
         session.witness(arc_on, links[0])
     monkeypatch.undo()
@@ -660,10 +681,53 @@ def test_every_status_returning_call_is_checked(monkeypatch, geant, method):
         first = demands.origins()[0]
         session.retarget(demands.restricted_to(p for p in demands.pairs() if p[0] != first))
         assert session.witness(arc_on, links[0]) is not None
-        assert session.bases_restored == (method == "run") and session.models_built == 2
+        restored = method in ("run", "getDualRay")
+        assert session.bases_restored == restored and session.models_built == 2
     else:
         # The instance that refused its model is gone; none was left half-built.
         assert session.witness(arc_on, links[0]) is not None
+
+
+def bottleneck():
+    """``(topology, demands)``: A and B send 3 Gb/s to D over the 2 Gb/s of
+    A-C and B-C.  No demand endpoint's cut proves it — A and B each have
+    11 Gb/s out, D 10 Gb/s in — only the node set {A, B} does."""
+    topology = Topology("bottleneck")
+    for name in "ABCD":
+        topology.add_node(name)
+    for u, v, capacity in (("A", "B", 1e10), ("A", "C", 1e9), ("B", "C", 1e9), ("C", "D", 1e10)):
+        topology.add_link(u, v, capacity)
+    return topology, TrafficMatrix({("A", "D"): 1.5e9, ("B", "D"): 1.5e9})
+
+
+def test_an_infeasible_lp_teaches_the_cut_its_dual_ray_points_at():
+    topology, demands = bottleneck()
+    session = FlowSession(topology, demands)
+    arc_on = np.ones(topology.index().num_arcs, dtype=bool)
+    assert not session.cut_refuses(arc_on)
+    assert session.witness(arc_on, "all") is None and session.cuts_learned == 1
+    assert session.cut_refuses(arc_on)
+    # The cut outlives the interval: measured under the next demands, it
+    # refuses the same question while they still exceed 2 Gb/s.
+    session.retarget(demands.scaled(1.1))
+    assert session.cut_refuses(arc_on)
+    session.retarget(demands.scaled(0.5))
+    assert not session.cut_refuses(arc_on)
+    assert session.witness(arc_on, "all") is not None and session.cuts_learned == 1
+
+
+def test_an_infeasible_lp_without_a_dual_ray_learns_nothing_and_still_answers(monkeypatch):
+    """As when presolve decides: HiGHS holds no ray to read."""
+    topology, demands = bottleneck()
+    monkeypatch.setattr(
+        highs._Highs, "getDualRay", lambda self: (highs.HighsStatus.kOk, False, np.zeros(0))
+    )
+    session = FlowSession(topology, demands)
+    arc_on = np.ones(topology.index().num_arcs, dtype=bool)
+    for _ in range(2):
+        assert session.witness(arc_on, "all") is None
+        assert session.cuts_learned == 0 and not session.cut_refuses(arc_on)
+    assert not session.solve().feasible
 
 
 def test_a_warning_status_is_not_a_failure(monkeypatch, geant):

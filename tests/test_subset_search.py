@@ -17,21 +17,37 @@ here as the reference.  Pinned:
   failure view among them — gives every interval the sets, power and
   routing of a fresh search, and a new origin set restores no basis;
 * a link candidate is taken in either orientation, and an unknown node or
-  a pair that is not a link is named in the error;
+  a pair that is not a link is named in the error, as is a session of
+  another topology object or utilisation limit;
+* every cut refusal — on the ``timeline_replay`` spec, on ``greedy`` over
+  every shipped topology, on random demands and arc masks — is infeasible
+  for a fresh ``FlowSession`` on the same arcs; a demand equal to its
+  endpoint's capacity, or within the margin above it, goes to the LP; an ε
+  matrix is never refused by a cut; an infeasible LP without a dual ray
+  learns nothing;
 * one replay of the benchmark harness's ``timeline_replay`` spec solves at
-  most 140 feasibility LPs (204 with the plain loop) in at most 1 300
-  simplex iterations (2 273 before a candidate's basis was kept between
-  intervals), and the counts are on the ``scheme.solve`` spans and in
+  most 75 feasibility LPs (204 with the plain loop, 128 before the cut
+  pool) in at most 700 simplex iterations (2 273 before a candidate's
+  basis was kept between intervals, 963 before the cut pool), and the
+  counts are on the ``scheme.solve`` spans and in
   ``repro_subset_checks_total``;
 * tied link powers (a fat-tree under the commodity model) give one active
   set under every ``PYTHONHASHSEED``.
 """
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import InfeasibleError, UnknownArcError, UnknownNodeError
+from repro.exceptions import (
+    ConfigurationError,
+    InfeasibleError,
+    UnknownArcError,
+    UnknownNodeError,
+)
 from repro.obs import metrics, trace
 from repro.optim import (
     element_power_coefficients,
@@ -41,10 +57,11 @@ from repro.optim import (
 )
 from repro.optim.subset import shrink_active_subset
 from repro.power import CiscoRouterPowerModel, CommoditySwitchPowerModel, network_power
+from repro.routing import highs, mcf
 from repro.routing.mcf import ConcurrentFlow, FlowSession
 from repro.scenario.engine import build_scenario, run_scenario
 from repro.simulator.failures import TopologyView
-from repro.topology import build_fattree, random_connected_topology
+from repro.topology import Topology, build_fattree, random_connected_topology
 from repro.traffic import TrafficMatrix, all_pairs
 
 from test_calibration import (  # noqa: I001
@@ -387,6 +404,152 @@ def test_a_pair_that_is_not_a_link_is_named(geant):
         shrink_active_subset(geant, TrafficMatrix({}), 1.0, nodes, joined, [pair])
 
 
+def tied_power_case():
+    """``(topology, demands)`` of :data:`_TIED_POWERS_SCRIPT`."""
+    topology = build_fattree(4)
+    rng = random.Random(2)
+    hosts = sorted(topology.hosts())
+    pairs = set()
+    while len(pairs) < 10:
+        pairs.add(tuple(rng.sample(hosts, 2)))
+    return topology, TrafficMatrix({pair: 4e8 for pair in sorted(pairs)})
+
+
+def test_a_session_of_another_utilisation_limit_is_refused():
+    """It used to be searched at silently: 2038.4375 W, the limit-1.0 answer,
+    where the search's own limit 0.5 gives 2725.0 W."""
+    topology, demands = tied_power_case()
+    model = CommoditySwitchPowerModel()
+    assert greedy_minimum_subset(topology, model, demands, 0.5).power_w == 2725.0
+    session = FlowSession(topology, demands, 1.0)
+    with pytest.raises(ConfigurationError, match=r"utilisation limit 1\.0, the search at 0\.5"):
+        greedy_minimum_subset(topology, model, demands, 0.5, session)
+    assert greedy_minimum_subset(topology, model, demands, 1.0, session).power_w == 2038.4375
+
+
+def test_a_session_of_another_topology_object_is_refused():
+    topology, demands = tied_power_case()
+    other = build_fattree(4)
+    other.name = "other-fattree"
+    session = FlowSession(other, demands, 1.0)
+    assert session.topology is other and session.utilisation_limit == 1.0
+    with pytest.raises(ConfigurationError, match="'other-fattree'.*'fattree-k4'"):
+        greedy_minimum_subset(topology, CommoditySwitchPowerModel(), demands, 1.0, session)
+
+
+# --------------------------------------------------------------------- #
+# (a') A cut refuses only what the LP refuses
+# --------------------------------------------------------------------- #
+def checked_cut_refusals(monkeypatch):
+    """Wrap ``FlowSession.cut_refuses`` so that every refusal is put to a
+    fresh session's LP on the same arcs, which must find it infeasible;
+    returns the list of refusals, which grows."""
+    refusals, matrices = [], {}
+    real_retarget, real_refuses = FlowSession.retarget, FlowSession.cut_refuses
+
+    def retarget(session, demands):
+        matrices[id(session)] = demands
+        real_retarget(session, demands)
+
+    def cut_refuses(session, arc_on):
+        refused = real_refuses(session, arc_on)
+        if refused:
+            index = session.index
+            link_on = arc_on[index.link_arcs[:, 0]]  # a link's arcs are on together
+            assert np.array_equal(index.arc_mask(index.node_mask(None), link_on), arc_on)
+            demands = matrices[id(session)]
+            fresh = FlowSession(session.topology, demands, session.utilisation_limit)
+            assert not fresh.solve(link_on=link_on).feasible, (session.topology.name, demands)
+            refusals.append((session.topology.name, demands.name))
+        return refused
+
+    monkeypatch.setattr(FlowSession, "retarget", retarget)
+    monkeypatch.setattr(FlowSession, "cut_refuses", cut_refuses)
+    return refusals
+
+
+def test_every_cut_refusal_of_the_timeline_replay_spec_is_infeasible(monkeypatch):
+    refusals = checked_cut_refusals(monkeypatch)
+    checks_before = subset_checks()
+    run_scenario(replay_scenario(11))
+    assert 0 < len(refusals) == subset_checks()["cut"] - checks_before.get("cut", 0)
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_TOPOLOGIES))
+def test_every_cut_refusal_of_greedy_on_shipped_topologies_is_infeasible(monkeypatch, name):
+    refusals = checked_cut_refusals(monkeypatch)
+    topology_section = {"name": name, "params": SHIPPED_TOPOLOGIES[name]}
+    power_model = CommoditySwitchPowerModel() if name == "fattree" else CiscoRouterPowerModel()
+    for traffic in traffic_specs():
+        topology, base = base_matrix(topology_section, traffic)
+        for demands, limit in demand_levels(topology, base):
+            greedy_minimum_subset(topology, power_model, demands, utilisation_limit=limit)
+            if demands.name == "epsilon":
+                # (d) An ε matrix goes to the connectivity walk and the LP,
+                # never to a cut: not even with every arc off.
+                session = FlowSession(topology, demands, limit)
+                assert not session.cut_refuses(np.zeros(topology.index().num_arcs, dtype=bool))
+    assert all(matrix_name != "epsilon" for _, matrix_name in refusals)
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_cases(), st.data(), st.sampled_from([1.0, 0.6, 0.3]))
+def test_cut_refusals_on_random_demands_and_arc_masks_are_infeasible(case, data, limit):
+    """One session asked in turn about random arc masks: a refusal is
+    infeasible for a fresh LP, any other answer is the fresh LP's, and each
+    infeasible LP may teach a cut the next masks are checked against."""
+    topology, demands = case
+    index = topology.index()
+    session = FlowSession(topology, demands, limit)
+    off = st.sets(st.sampled_from(range(len(index.link_keys))), max_size=3)
+    for step in range(8):
+        link_on = np.ones(len(index.link_keys), dtype=bool)
+        link_on[list(data.draw(off))] = False
+        arc_on = index.arc_mask(index.node_mask(None), link_on)
+        if not session.connected(arc_on):
+            continue
+        fits = FlowSession(topology, demands, limit).solve(link_on=link_on).feasible
+        if session.cut_refuses(arc_on):
+            assert not fits
+        else:
+            assert (session.witness(arc_on, step) is not None) == fits
+
+
+def triangle():
+    """A-B and B-C at 1 Gb/s and A-C at 2.5 Gb/s; with A-C off, the only
+    way out of A is 1 Gb/s."""
+    topology = Topology("triangle")
+    for name in "ABC":
+        topology.add_node(name)
+    topology.add_link("A", "B", 1e9)
+    topology.add_link("B", "C", 1e9)
+    topology.add_link("A", "C", 2.5e9)
+    return topology
+
+
+def test_a_demand_at_or_within_the_margin_of_its_capacity_goes_to_the_lp():
+    """With A-C off, the singleton {A} has crossing demand d and 1 Gb/s of
+    capacity out.  Its margin is δ·scale·(k·(|S| + |in(S)|) + (k + 1)·|out(S)|)
+    with k = 1 origin, |S| = 1, two arcs in and two out, times the residual
+    allowance: a demand at the capacity, and one within the margin above
+    it, reach the LP; one just past the margin is refused by the cut."""
+    topology = triangle()
+    unit = mcf._RESIDUAL_ALLOWANCE * highs.PRIMAL_FEASIBILITY_TOLERANCE * 2.5e9
+    margin = unit * (1 * (1 + 2) + 2 * 2)
+    for excess, answer in ((0.0, "lp_feasible"), (0.9 * margin, None), (1.1 * margin, "cut")):
+        demands = TrafficMatrix({("A", "C"): 1e9 + excess})
+        before = subset_checks()
+        nodes, links = shrink_active_subset(
+            topology, demands, 1.0, topology.nodes(), topology.link_keys(), [("A", "C")]
+        )
+        answered = [key for key, count in subset_checks().items() if count > before.get(key, 0)]
+        if answer is None:  # the LP decides, within its tolerance
+            assert answered in (["lp_feasible"], ["lp_infeasible"])
+        else:
+            assert answered == [answer]
+        assert (("A", "C") in links) == (answered != ["lp_feasible"])
+
+
 # --------------------------------------------------------------------- #
 # (b) Fewer solves, and the counts are visible
 # --------------------------------------------------------------------- #
@@ -409,17 +572,20 @@ def test_timeline_replay_spec_stays_under_the_solve_ceiling():
         answer: count - checks_before.get(answer, 0) for answer, count in subset_checks().items()
     }
     assert len(result.times_s) == 16
-    assert 0 < solves <= 140  # 204 with one LP per candidate
-    # 2 273 before a candidate's basis was kept from one interval to the next.
+    assert 0 < solves <= 75  # 204 with one LP per candidate, 128 without cuts
+    # 2 273 before a candidate's basis was kept from one interval to the
+    # next, 963 without cuts.
     iterations = sum(attrs["lp_iterations"] for attrs in spans.attrs if "lp_iterations" in attrs)
-    assert iterations <= 1_300
+    assert iterations <= 700
     assert checks["lp_feasible"] + checks["lp_infeasible"] == solves
-    assert checks["witness"] > 0 and checks["disconnected"] > 0
+    assert checks["witness"] > 0 and checks["disconnected"] > 0 and checks["cut"] > 0
 
     elastictree = [attrs for attrs in spans.attrs if attrs["solver"] == "ElasticTreeRuntime"]
     assert len(elastictree) == 16
     assert sum(attrs["lp_solves"] for attrs in elastictree) == solves
     assert sum(attrs["witness_skips"] for attrs in elastictree) == checks["witness"]
+    assert sum(attrs["cut_refusals"] for attrs in elastictree) == checks["cut"]
+    assert sum(attrs["cuts_learned"] for attrs in elastictree) > 0
     assert sum(attrs["lp_bases_restored"] for attrs in elastictree) >= 1
     greente = [attrs for attrs in spans.attrs if attrs["solver"] == "GreenTERuntime"]
     assert greente and not any("lp_solves" in attrs for attrs in greente)
