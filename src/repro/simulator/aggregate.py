@@ -19,8 +19,8 @@ only while a step runs, the incidence shrinks from O(flows × hops) to
 O(groups × hops), and the usable-path filtering and incidence are reused
 from step to step through the network's compiled flow set
 (:meth:`~repro.simulator.network.SimulatedNetwork.compiled_flow_set`), keyed
-by the link states and the table's identity — a table is an immutable value;
-build a new one to change membership.
+by the link states and the table's identity — a table is an immutable value
+(its ``flow_group`` is read-only); build a new one to change membership.
 """
 
 from __future__ import annotations
@@ -48,8 +48,11 @@ class AggregatedFlows:
         paths: The routed path of each group, in group-index order.
         flow_group: Group index per flow (``UNROUTED_GROUP`` for flows
             without a path), aligned with the flow order the table was
-            built from.
-        demands_bps: Base offered load per flow (bps), same alignment.
+            built from.  A read-only array the table owns: the network
+            caches what it compiled from it under the table's identity, so
+            an in-place edit raises instead of serving the old membership.
+        demands_bps: Base offered load per flow (bps), same alignment; read
+            afresh on every allocation, so it may stay shared.
     """
 
     paths: Tuple[Path, ...]
@@ -57,6 +60,10 @@ class AggregatedFlows:
     demands_bps: np.ndarray
 
     def __post_init__(self) -> None:
+        if self.flow_group.flags.writeable or self.flow_group.base is not None:
+            owned = self.flow_group.copy()
+            owned.flags.writeable = False
+            object.__setattr__(self, "flow_group", owned)
         if self.flow_group.shape != self.demands_bps.shape:
             raise SimulationError(
                 "flow_group and demands_bps must align, got "
@@ -101,9 +108,11 @@ class AggregatedFlows:
             and bool((groups == np.trunc(groups)).all())
         ):
             raise SimulationError(f"flow_group must hold integer group ids, got {groups!r}")
+        owned = groups.astype(np.int64)  # a copy: the table's own
+        owned.flags.writeable = False
         return cls(
             paths=tuple(paths),
-            flow_group=groups.astype(np.int64),
+            flow_group=owned,
             demands_bps=np.asarray(demands_bps, dtype=float),
         )
 

@@ -19,6 +19,12 @@ rates are bit-identical to filling flow by flow.  Demands that are all
 distinct still take one iteration per flow: clustered demand is the traffic
 this engine serves at scale.
 
+An :class:`Incidence` remembers its last collapse.  The next call reuses it
+when the demands keep their equality pattern — every flow's demand bits
+equal its class representative's, and the value runs still hold one value
+each, strictly ascending as int64 bits — because the collapse is then
+exactly what a new one would return; only the distinct values are re-read.
+
 The dict-based seed algorithm is preserved verbatim in
 :mod:`repro.simulator.reference` and serves as the property-test oracle; the
 two implementations are step-for-step equivalent, including the freezing
@@ -28,11 +34,12 @@ thresholds and termination conditions.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
 
+from ..obs import metrics
 from ..obs import trace as _trace
 
 #: A flow freezes when its unserved demand drops below this (bps).
@@ -51,13 +58,23 @@ DENSE_KEYS_PER_FLOW = 4
 #: gathered only while tracing is enabled.
 _kernel_stats = threading.local()
 
+#: Class collapses by kind: ``full`` ran :func:`_collapse`, ``reused`` kept
+#: the incidence's last one (registry-wide, like the flow-set cache's pair).
+_COLLAPSES = metrics.counter(
+    "repro_fairness_collapses_total", "Class collapses of the fairness loop"
+)
+_FULL_COLLAPSES = _COLLAPSES.labels(collapse="full")
+_REUSED_COLLAPSES = _COLLAPSES.labels(collapse="reused")
+
 
 def last_kernel_stats() -> Dict[str, object]:
-    """Iterations, classes (and, when traced, frozen flows per iteration)
-    of the last progressive-filling run on this thread."""
+    """Iterations, classes, whether the collapse was ``full`` or ``reused``
+    (and, when traced, frozen flows per iteration) of the last
+    progressive-filling run on this thread."""
     stats: Dict[str, object] = {
         "iterations": int(getattr(_kernel_stats, "iterations", 0)),
         "classes": int(getattr(_kernel_stats, "classes", 0)),
+        "collapse": getattr(_kernel_stats, "collapse", None),
     }
     frozen = getattr(_kernel_stats, "frozen", None)
     if frozen is not None:
@@ -76,7 +93,8 @@ class Incidence:
     O(groups × hops) however many flows share a path.
 
     An arc listed twice in one group's row counts twice, like one entry
-    per hop would.
+    per hop would.  The matrices and *flow_group* are fixed values: the
+    incidence keeps its last class collapse next to them.
 
     Args:
         arcs_of_group: Arc indices crossed by each group, in group order.
@@ -90,17 +108,51 @@ class Incidence:
         num_arcs: int,
         flow_group: Optional[np.ndarray] = None,
     ) -> None:
-        num_groups = len(arcs_of_group)
-        indptr = np.zeros(num_groups + 1, dtype=np.int64)
+        indptr = np.zeros(len(arcs_of_group) + 1, dtype=np.int64)
         np.cumsum([arcs.size for arcs in arcs_of_group], dtype=np.int64, out=indptr[1:])
         indices = np.concatenate([np.zeros(0, dtype=np.int64), *arcs_of_group])
+        self._assemble(indptr, indices, num_arcs, flow_group)
+
+    @classmethod
+    def from_csr(
+        cls,
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        num_arcs: int,
+        flow_group: Optional[np.ndarray] = None,
+    ) -> "Incidence":
+        """The incidence whose group *g* crosses ``indices[indptr[g]:indptr[g + 1]]``."""
+        incidence = cls.__new__(cls)
+        incidence._assemble(indptr, indices, num_arcs, flow_group)
+        return incidence
+
+    def _assemble(
+        self,
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        num_arcs: int,
+        flow_group: Optional[np.ndarray],
+    ) -> None:
         #: groups×arcs — row g holds the arcs group g crosses.
         self.group_arc = sparse.csr_matrix(
-            (np.ones(indices.size), indices, indptr), shape=(num_groups, num_arcs)
+            (np.ones(indices.size), indices, indptr), shape=(indptr.size - 1, num_arcs)
         )
         #: arcs×groups — the transpose: row a holds the groups crossing arc a.
         self.arc_group = self.group_arc.T.tocsr()
         self.flow_group = flow_group
+        #: The last collapse over this incidence; one immutable value, swapped whole.
+        self.classes: Optional[_Classes] = None
+
+
+class _Classes(NamedTuple):
+    """One class collapse (see :func:`_collapse`), every array read-only,
+    plus one representative flow per class."""
+
+    class_of_flow: np.ndarray
+    class_group: np.ndarray
+    class_weight: np.ndarray
+    value_start: np.ndarray
+    representative: np.ndarray
 
 
 def _sorted_distinct(values: np.ndarray) -> np.ndarray:
@@ -150,6 +202,47 @@ def _collapse(
     return class_of_flow, keys % num_groups, weight.astype(float), value_start, values.view(float)
 
 
+def _classes(incidence: Incidence, demands: np.ndarray) -> Tuple[_Classes, np.ndarray]:
+    """The classes of *demands* over *incidence* and their distinct values.
+
+    The incidence's last collapse is reused when (i) every flow's demand
+    bits equal its class representative's and (ii) each value run of it
+    still holds one value, the runs' values strictly ascending as int64 —
+    the order :func:`_collapse` sorts by.  Then no two classes merge and
+    none splits, so the new collapse would have the same classes in the same
+    order: only the values are re-read.  Otherwise the collapse runs again
+    and is kept in place of the last one.
+    """
+    bits = demands.view(np.int64)
+    kept = incidence.classes
+    if kept is not None and kept.class_of_flow.size == bits.size:
+        class_bits = bits[kept.representative]
+        run_bits = class_bits[kept.value_start[:-1]]
+        if (
+            bool((run_bits[1:] > run_bits[:-1]).all())
+            and np.array_equal(class_bits, run_bits.repeat(np.diff(kept.value_start)))
+            and np.array_equal(class_bits[kept.class_of_flow], bits)
+        ):
+            _kernel_stats.collapse = "reused"
+            _REUSED_COLLAPSES.inc()
+            return kept, run_bits.view(float)
+    flow_group = incidence.flow_group
+    class_of_flow, class_group, class_weight, value_start, values = _collapse(
+        np.arange(bits.size) if flow_group is None else flow_group,
+        demands,
+        incidence.group_arc.shape[0],
+    )
+    representative = np.empty(int(class_of_flow.max()) + 1, dtype=np.int64)
+    representative[class_of_flow] = np.arange(class_of_flow.size)
+    classes = _Classes(class_of_flow, class_group, class_weight, value_start, representative)
+    for array in classes:
+        array.flags.writeable = False
+    incidence.classes = classes
+    _kernel_stats.collapse = "full"
+    _FULL_COLLAPSES.inc()
+    return classes, values
+
+
 def max_min_fair_rates(
     demands: np.ndarray, arc_capacity: np.ndarray, incidence: Incidence
 ) -> np.ndarray:
@@ -168,12 +261,8 @@ def max_min_fair_rates(
         return np.zeros(0, dtype=float)
     group_arc, arc_group = incidence.group_arc, incidence.arc_group
     num_groups = group_arc.shape[0]
-    flow_group = incidence.flow_group
-    class_of_flow, class_group, class_weight, value_start, values = _collapse(
-        np.arange(num_flows) if flow_group is None else flow_group,
-        np.ascontiguousarray(demands, dtype=np.float64),
-        num_groups,
-    )
+    classes, values = _classes(incidence, np.ascontiguousarray(demands, dtype=np.float64))
+    class_of_flow, class_group, class_weight, value_start, _ = classes
     arcs_per_group, groups_per_arc = np.diff(group_arc.indptr), np.diff(arc_group.indptr)
     members = np.bincount(class_group, weights=class_weight, minlength=num_groups)
     counts = arc_group @ members

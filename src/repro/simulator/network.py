@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple, Union
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from ..power.accounting import full_power, network_power
 from ..power.model import PowerModel
 from ..routing.paths import Path
 from ..topology.base import Topology, link_key
+from ..topology.index import TopologyIndex
 from .fairness import Incidence, last_kernel_stats, max_min_fair_rates
 from .flows import Flow, offered_load_vector
 
@@ -55,6 +56,39 @@ _FLOWSET_MISSES = metrics.counter(
 )
 
 
+@dataclass(frozen=True)
+class _LoweredPaths:
+    """Every hop of a flow set's paths as flat arrays, path after path."""
+
+    #: Arc and link of every hop.
+    hop_arcs: np.ndarray
+    hop_links: np.ndarray
+    #: The path each hop belongs to.
+    path_of_hop: np.ndarray
+    #: Hops per path (0 for a zero-hop path and for a missing one).
+    hops: np.ndarray
+    #: Whether each entry has a path at all (``None`` never routes).
+    present: np.ndarray
+
+
+def _lower(index: TopologyIndex, paths: Sequence[Optional[Path]]) -> _LoweredPaths:
+    """The hops of *paths*, each path compiled once."""
+    compiled = [None if path is None else index.compile_path(path) for path in paths]
+    hops = np.array(
+        [0 if path is None else path.arc_indices.size for path in compiled], dtype=np.int64
+    )
+    present = np.array([path is not None for path in compiled], dtype=bool)
+    kept = [path for path in compiled if path is not None]
+    empty = np.zeros(0, dtype=np.int64)
+    return _LoweredPaths(
+        hop_arcs=np.concatenate([empty, *(path.arc_indices for path in kept)]),
+        hop_links=np.concatenate([empty, *(path.link_indices for path in kept)]),
+        path_of_hop=np.arange(len(paths), dtype=np.int64).repeat(hops),
+        hops=hops,
+        present=present,
+    )
+
+
 @dataclass
 class _CompiledFlowSet:
     """Routable-flow filtering and incidence for one (link state, flow set) pair.
@@ -62,19 +96,21 @@ class _CompiledFlowSet:
     ``allocate_rates`` and ``allocate_aggregated`` are called once per
     simulated interval with an unchanged flow set most of the time
     (controllers reassign ``flow.path`` only on recomputation, an aggregated
-    table is immutable), so rebuilding the usable vector, walking every path
-    through ``compile_path`` and assembling the incidence on every call would
-    be wasted work.  This entry caches all of that behind the link state-code
-    vector plus object identities — of each flow's path, or of the
-    aggregated table; ``held`` keeps strong references so the cached ``id()``
-    keys cannot be recycled while the entry lives.
+    table is immutable), so rebuilding the usable vector, filtering the
+    paths and assembling the incidence on every call would be wasted work.
+    This entry caches all of that behind the link state-code vector plus
+    object identities — of each flow's path, or of the aggregated table;
+    ``held`` keeps strong references so the cached ``id()`` keys cannot be
+    recycled while the entry lives.  ``lowered`` outlives a link-state
+    change: the next entry for the same key re-filters it.
     """
 
     state_bytes: bytes
     flows_key: Tuple[int, ...]
     held: object
+    lowered: _LoweredPaths
     #: Indices (into the caller's flow order) of the flows that get a rate.
-    routable_indices: Union[List[int], np.ndarray]
+    routable_indices: np.ndarray
     incidence: Incidence
 
 
@@ -190,7 +226,7 @@ class SimulatedNetwork:
         if len(entry.routable_indices) == 0:
             return
 
-        routable = [flows[index] for index in entry.routable_indices]
+        routable = [flows[index] for index in entry.routable_indices.tolist()]
         demands = offered_load_vector(routable, now_s)
         with trace.span(
             "fairness.kernel", flows=len(routable), arcs=self._index.num_arcs
@@ -237,25 +273,28 @@ class SimulatedNetwork:
             return cached
         _FLOWSET_MISSES.inc()
 
-        usable = self.link_usable_vector()
-        kept: List[int] = []
-        arcs_of_row: List[np.ndarray] = []
-        for index, path in enumerate(paths):
-            if path is None:
-                continue
-            compiled = self._index.compile_path(path)
-            if compiled.link_indices.size == 0 or bool(
-                usable[compiled.link_indices].all()
-            ):
-                kept.append(index)
-                arcs_of_row.append(compiled.arc_indices)
-        routable: Union[List[int], np.ndarray] = kept
+        lowered = (
+            cached.lowered
+            if cached is not None and cached.flows_key == key
+            else _lower(self._index, paths)
+        )
+        # A path routes when it exists and none of its hops is unusable.
+        blocked = np.bincount(
+            lowered.path_of_hop[~self.link_usable_vector()[lowered.hop_links]],
+            minlength=len(paths),
+        )
+        usable_path = lowered.present & (blocked == 0)
+        kept = np.flatnonzero(usable_path)
+        indptr = np.zeros(kept.size + 1, dtype=np.int64)
+        np.cumsum(lowered.hops[kept], out=indptr[1:])
+        indices = lowered.hop_arcs[usable_path[lowered.path_of_hop]]
+        routable = kept
         row_of_flow: Optional[np.ndarray] = None
         if flow_group is not None:
             # Dense rows in path order (== the per-flow engine's flow-major
             # compile order); the spare last slot is where group -1 lands.
             row_of_path = np.full(len(paths) + 1, -1, dtype=np.int64)
-            row_of_path[kept] = np.arange(len(kept), dtype=np.int64)
+            row_of_path[kept] = np.arange(kept.size, dtype=np.int64)
             row_of_flow = row_of_path[flow_group]
             routable = np.flatnonzero(row_of_flow >= 0)
             row_of_flow = row_of_flow[routable]
@@ -263,8 +302,9 @@ class SimulatedNetwork:
             state_bytes=state_bytes,
             flows_key=key,
             held=list(paths) if owner is None else owner,
+            lowered=lowered,
             routable_indices=routable,
-            incidence=Incidence(arcs_of_row, self._index.num_arcs, row_of_flow),
+            incidence=Incidence.from_csr(indptr, indices, self._index.num_arcs, row_of_flow),
         )
         self._compiled_flows = entry
         return entry

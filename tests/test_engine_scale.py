@@ -21,7 +21,8 @@ from repro.simulator import (
     allocate_aggregated,
     constant_demand,
 )
-from repro.simulator.fairness import last_kernel_stats
+from repro.simulator.aggregate import UNROUTED_GROUP
+from repro.simulator.fairness import Incidence, last_kernel_stats
 from repro.topology.fattree import (
     aggregation_switch_name,
     build_fattree,
@@ -164,6 +165,37 @@ def test_aggregated_flows_validation():
     assert whole.flow_group.dtype == np.int64
 
 
+def test_table_membership_cannot_be_edited_in_place():
+    """The network caches a table's compiled flow set under the table's
+    identity, so its membership is read-only; its demands are read afresh
+    on every call and may stay shared."""
+    topology = build_fattree(4)
+    paths = [
+        Path.of([host_name(0, 0, 0), edge_switch_name(0, 0)]),
+        Path.of([host_name(1, 0, 0), edge_switch_name(1, 0)]),
+    ]
+    groups = np.array([0, 0, 1], dtype=np.int64)
+    demands = np.full(3, 6e8)
+    table = AggregatedFlows.from_arrays(paths, groups, demands)
+    network = SimulatedNetwork(topology)
+    assert allocate_aggregated(network, table).tolist() == [5e8, 5e8, 6e8]
+
+    with pytest.raises(ValueError, match="read-only"):
+        table.flow_group[:] = [0, 1, 1]
+    groups[:] = [0, 1, 1]  # the caller's array is not the table's
+    assert table.flow_group.tolist() == [0, 0, 1]
+    assert allocate_aggregated(network, table).tolist() == [5e8, 5e8, 6e8]
+    regrouped = AggregatedFlows.from_arrays(paths, groups, demands)
+    assert allocate_aggregated(network, regrouped).tolist() == [6e8, 5e8, 5e8]
+    # A table built directly takes its own read-only copy too.
+    direct = AggregatedFlows(tuple(paths), groups, demands)
+    assert not direct.flow_group.flags.writeable
+    assert direct.flow_group is not groups
+
+    demands[2] = 2e8  # shared demands: the next call reads the edit
+    assert allocate_aggregated(network, table).tolist() == [5e8, 5e8, 2e8]
+
+
 # --------------------------------------------------------------------- #
 # Pre-refactor witness: the engine-scale checksums
 # --------------------------------------------------------------------- #
@@ -287,7 +319,9 @@ def test_harness_population_iterations_per_slot():
     )
     network = SimulatedNetwork(topology)
     table = AggregatedFlows.from_arrays(paths, flow_group, base)
-    iterations, classes = [], []
+    collapses = metrics.counter("repro_fairness_collapses_total")
+    before = {kind: collapses.labels(collapse=kind).value for kind in ("full", "reused")}
+    iterations, classes, kinds = [], [], []
     for slot, level in enumerate(inputs["levels"]):
         if slot == ENGINE_CYCLE // 2:
             network.fail_link(*aggregation_core_link(paths))
@@ -295,8 +329,14 @@ def test_harness_population_iterations_per_slot():
         stats = last_kernel_stats()
         iterations.append(stats["iterations"])
         classes.append(stats["classes"])
+        kinds.append(stats["collapse"])
     assert iterations == [119, 118, 117, 118, 114, 115, 113, 115]
     assert classes == [5120] * 4 + [5100] * 4
+    # The levels scale every demand alike, so only a link-state change (a
+    # new compiled entry, a new incidence) pays for a collapse.
+    assert kinds == (["full"] + ["reused"] * 3) * 2
+    after = {kind: collapses.labels(collapse=kind).value for kind in ("full", "reused")}
+    assert {kind: after[kind] - before[kind] for kind in after} == {"full": 2, "reused": 6}
 
 
 # --------------------------------------------------------------------- #
@@ -514,3 +554,101 @@ def test_compiled_flow_set_hits_and_misses_over_a_fail_repair_cycle():
         allocate_aggregated(network, table, demands_bps=table.demands_bps * 1.5)
     assert hits.value - hits_before == 6
     assert misses.value - misses_before == 2
+
+
+# --------------------------------------------------------------------- #
+# Re-filtering lowered paths on a link-state change
+# --------------------------------------------------------------------- #
+
+
+def per_path_filter(network, paths, flow_group=None):
+    """The routable indices and incidence walked path by path: the
+    reference for the re-filter over the lowered hops."""
+    index = network.topology.index()
+    usable = network.link_usable_vector()
+    kept, arcs_of_row = [], []
+    for position, path in enumerate(paths):
+        if path is None:
+            continue
+        compiled = index.compile_path(path)
+        if compiled.link_indices.size == 0 or bool(usable[compiled.link_indices].all()):
+            kept.append(position)
+            arcs_of_row.append(compiled.arc_indices)
+    routable, row_of_flow = np.array(kept, dtype=np.int64), None
+    if flow_group is not None:
+        row_of_path = np.full(len(paths) + 1, -1, dtype=np.int64)
+        row_of_path[kept] = np.arange(len(kept))
+        row_of_flow = row_of_path[flow_group]
+        routable = np.flatnonzero(row_of_flow >= 0)
+        row_of_flow = row_of_flow[routable]
+    return routable, Incidence(arcs_of_row, index.num_arcs, row_of_flow)
+
+
+def assert_same_filtering(entry, reference):
+    routable, incidence = reference
+    assert np.array_equal(entry.routable_indices, routable)
+    for name in ("group_arc", "arc_group"):
+        mine, theirs = getattr(entry.incidence, name), getattr(incidence, name)
+        assert mine.shape == theirs.shape
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(mine, part), getattr(theirs, part)), (name, part)
+    if incidence.flow_group is None:
+        assert entry.incidence.flow_group is None
+    else:
+        assert np.array_equal(entry.incidence.flow_group, incidence.flow_group)
+
+
+def link_state_moves(network, paths):
+    """Fail, sleep and wake links the paths use, then make every link unusable."""
+    topology = network.topology
+    used = sorted({key for path in paths if path is not None for key in path.link_keys()})
+    sleeper = topology.index().link_index[used[1]]
+    links = np.arange(len(topology.link_keys()))
+    return [
+        ("failed", lambda: network.fail_link(*used[0])),
+        ("sleeping", lambda: network.sleep_idle_links(links != sleeper)),
+        ("waking", lambda: network.request_wake(np.array([sleeper]), now_s=0.0)),
+        ("repaired", lambda: network.repair_link(*used[0])),
+        ("awake", lambda: network.advance(network.wake_delay_s)),
+        ("none usable", lambda: network.sleep_idle_links(links < 0)),
+    ]
+
+
+def test_refilter_matches_the_per_path_walk_for_per_flow_entries(monkeypatch):
+    topology, flows = fattree_flows(num_flows=30)
+    endpoint = flows[0].origin
+    # Unassigned flows (None) and a zero-hop path ride along.
+    paths = [*(flow.path for flow in flows), None, Path.of([endpoint]), None]
+    network = SimulatedNetwork(topology)
+    assert_same_filtering(network.compiled_flow_set(paths), per_path_filter(network, paths))
+    compiled = []
+    original = topology.index().compile_path
+    monkeypatch.setattr(
+        topology.index(), "compile_path", lambda path: compiled.append(path) or original(path)
+    )
+    for name, move in link_state_moves(network, paths):
+        move()
+        entry = network.compiled_flow_set(paths)
+        # Lowered once by the first build: a state change compiles nothing.
+        assert not compiled
+        assert_same_filtering(entry, per_path_filter(network, paths))
+        compiled.clear()  # the reference walk compiles every path
+        if name == "none usable":
+            # Only the zero-hop path still routes.
+            assert entry.routable_indices.tolist() == [len(flows) + 1]
+
+
+def test_refilter_matches_the_per_path_walk_for_aggregated_tables():
+    topology, flows = fattree_flows(num_flows=40)
+    table = aggregate(flows)
+    endpoint = flows[0].origin
+    paths = [*table.paths, Path.of([endpoint])]
+    groups = np.concatenate([table.flow_group, [len(paths) - 1, UNROUTED_GROUP, 0]])
+    demands = np.concatenate([table.demands_bps, [mbps(5), mbps(5), mbps(5)]])
+    table = AggregatedFlows.from_arrays(paths, groups, demands)
+    network = SimulatedNetwork(topology)
+    for _name, move in [("healthy", lambda: None), *link_state_moves(network, paths)]:
+        move()
+        entry = network.compiled_flow_set(table.paths, table.flow_group, owner=table)
+        assert_same_filtering(entry, per_path_filter(network, table.paths, table.flow_group))
+        assert np.array_equal(allocate_aggregated(network, table), fresh_rates(network, table))

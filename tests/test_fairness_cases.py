@@ -223,3 +223,108 @@ def test_nan_demand_raises_at_both_entries():
     ]
     with pytest.raises(SimulationError, match="'broken' has a NaN demand"):
         SimulatedNetwork(topology).allocate_rates(flows)
+
+
+# --------------------------------------------------------------------- #
+# Collapse reuse: an incidence keeps its last collapse
+# --------------------------------------------------------------------- #
+
+#: Three groups over three arcs, three flows each, flows of one group not
+#: adjacent.
+REUSE_ARCS = [np.array([0]), np.array([0, 1]), np.array([1, 2])]
+REUSE_GROUPS = np.array([0, 1, 2, 0, 1, 2, 0, 1, 2], dtype=np.int64)
+REUSE_CAPACITY = np.array([12.0, 9.0, 30.0])
+
+
+def reuse_steps(rows):
+    """Allocate each demand row on one kept incidence; every step must equal
+    a fresh incidence's on the bytes.  Returns each step's collapse kind."""
+    kept = Incidence(REUSE_ARCS, 3, REUSE_GROUPS)
+    kinds = []
+    for row in rows:
+        rates = max_min_fair_rates(row, REUSE_CAPACITY, kept)
+        kinds.append(last_kernel_stats()["collapse"])
+        fresh = max_min_fair_rates(row, REUSE_CAPACITY, Incidence(REUSE_ARCS, 3, REUSE_GROUPS))
+        assert last_kernel_stats()["collapse"] == "full"
+        assert rates.tobytes() == fresh.tobytes()
+    return kinds
+
+
+#: Two values: 1.0 on flows 0-2 (one class per group), 8.0 on the rest.
+BASE_ROW = np.array([1.0, 1.0, 1.0, 8.0, 8.0, 8.0, 8.0, 8.0, 8.0])
+
+
+def test_reuse_under_uniform_scaling():
+    assert reuse_steps([BASE_ROW, BASE_ROW * 1.5, BASE_ROW * 0.25]) == ["full", "reused", "reused"]
+
+
+def test_reuse_refused_when_a_value_splits_across_groups():
+    # Flow 1 is group 1's only 1.0 flow: its class keeps one value, but the
+    # value run 1.0 no longer does.
+    split = BASE_ROW.copy()
+    split[1] = 2.0
+    assert reuse_steps([BASE_ROW, split, split]) == ["full", "full", "reused"]
+
+
+def test_reuse_refused_when_two_values_merge():
+    merged = np.full(9, 8.0)
+    assert reuse_steps([BASE_ROW, merged, merged * 2]) == ["full", "full", "reused"]
+
+
+def test_reuse_refused_when_two_values_swap_order():
+    swapped = np.where(BASE_ROW == 1.0, 8.0, 1.0)
+    assert reuse_steps([BASE_ROW, swapped, BASE_ROW]) == ["full", "full", "full"]
+
+
+def test_reuse_refused_when_a_class_splits():
+    # Flow 3 leaves group 0's 8.0 class for a value of its own.
+    row = BASE_ROW.copy()
+    row[3] = 3.0
+    assert reuse_steps([BASE_ROW, row]) == ["full", "full"]
+
+
+def test_reuse_tells_signed_zeros_apart():
+    # -0.0 sorts below 0.0 as int64 bits; swapping them reverses the runs.
+    signed = np.where(BASE_ROW == 1.0, 0.0, -0.0)
+    flipped = np.where(BASE_ROW == 1.0, -0.0, 0.0)
+    assert reuse_steps([signed, flipped, flipped, signed]) == ["full", "full", "reused", "full"]
+
+
+def test_reuse_sees_an_in_place_edit_of_the_same_demand_array():
+    kept = Incidence(REUSE_ARCS, 3, REUSE_GROUPS)
+    demands = BASE_ROW.copy()
+    max_min_fair_rates(demands, REUSE_CAPACITY, kept)
+    for flow, value in ((4, 3.0), (4, 8.0), (0, 8.0)):
+        demands[flow] = value
+        rates = max_min_fair_rates(demands, REUSE_CAPACITY, kept)
+        assert last_kernel_stats()["collapse"] == "full"
+        fresh = max_min_fair_rates(demands, REUSE_CAPACITY, Incidence(REUSE_ARCS, 3, REUSE_GROUPS))
+        assert rates.tobytes() == fresh.tobytes()
+
+
+def test_reuse_never_writes_into_the_kept_collapse():
+    kept = Incidence(REUSE_ARCS, 3, REUSE_GROUPS)
+    max_min_fair_rates(BASE_ROW, REUSE_CAPACITY, kept)
+    classes = kept.classes
+    assert not any(array.flags.writeable for array in classes)
+    max_min_fair_rates(BASE_ROW * 3.0, REUSE_CAPACITY, kept)
+    assert kept.classes is classes
+
+
+def test_nan_demand_raises_and_leaves_the_next_call_correct():
+    topology, path = shared_path_pair()
+    table = AggregatedFlows.from_arrays([path], [0, 0, 0], [4e8, 4e8, 9e8])
+    network = SimulatedNetwork(topology)
+    allocate_aggregated(network, table)
+    with pytest.raises(SimulationError, match="flow 1 has a NaN demand"):
+        allocate_aggregated(network, table, demands_bps=np.array([4e8, np.nan, 9e8]))
+    kinds = []
+    for demands in ([4e8, 4e8, 9e8], [5e8, 5e8, 2e8], [5e8, 5e8, 2e8]):
+        rates = allocate_aggregated(network, table, demands_bps=np.array(demands))
+        kinds.append(last_kernel_stats()["collapse"])
+        fresh = allocate_aggregated(
+            SimulatedNetwork(topology), table, demands_bps=np.array(demands)
+        )
+        assert rates.tobytes() == fresh.tobytes()
+    # The raise came before the kernel: the first collapse is still kept.
+    assert kinds == ["reused", "full", "reused"]

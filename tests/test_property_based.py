@@ -380,6 +380,65 @@ def test_grouped_fairness_matches_expanded_dense(problem):
 
 
 @st.composite
+def demand_sequences(draw):
+    """A grouped incidence and a sequence of demand rows over its members,
+    each row one move from the last: uniform scaling, one class or one flow
+    set to a new value, the distinct values permuted, a subset set to
+    ``0.0`` / ``-0.0``, or a fresh draw from a small pool."""
+    _demands, flow_group, arcs_of_group, capacity = draw(grouped_problems())
+    pool = [
+        0.0,
+        -0.0,
+        1e6,
+        3e6,
+        2.5e8,
+        *draw(st.lists(st.floats(min_value=0.0, max_value=1e9, allow_nan=False), max_size=2)),
+    ]
+    pooled = st.lists(
+        st.sampled_from(pool), min_size=flow_group.size, max_size=flow_group.size
+    )
+    row = np.array(draw(pooled), dtype=float)
+    rows = [row]
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        move = draw(st.sampled_from(["scale", "class", "flow", "permute", "zeros", "redraw"]))
+        row = row.copy()
+        if move == "scale":
+            row *= draw(st.sampled_from([0.5, 1.5, 2.0, 1e-3]))
+        elif move == "class" and row.size:
+            flow = draw(st.integers(min_value=0, max_value=row.size - 1))
+            same = (flow_group == flow_group[flow]) & (
+                row.view(np.int64) == row.view(np.int64)[flow]
+            )
+            row[same] = draw(st.sampled_from(pool))
+        elif move == "flow" and row.size:
+            flow = draw(st.integers(min_value=0, max_value=row.size - 1))
+            row[flow] = draw(st.sampled_from(pool))
+        elif move == "permute":
+            distinct = np.unique(row.view(np.int64))
+            image = np.array(draw(st.permutations(distinct.tolist())), dtype=np.int64)
+            row = image[np.searchsorted(distinct, row.view(np.int64))].view(float)
+        elif move == "zeros" and row.size:
+            subset = np.array(draw(st.lists(st.booleans(), min_size=row.size, max_size=row.size)))
+            row[subset] = np.where(draw(st.booleans()), 0.0, -0.0)
+        else:
+            row = np.array(draw(pooled), dtype=float)
+        rows.append(row)
+    return rows, flow_group, arcs_of_group, capacity
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=demand_sequences())
+def test_kept_collapse_matches_a_fresh_incidence_at_every_step(problem):
+    rows, flow_group, arcs_of_group, capacity = problem
+    num_arcs = capacity.shape[0]
+    kept = Incidence(arcs_of_group, num_arcs, flow_group)
+    for row in rows:
+        rates = max_min_fair_rates(row, capacity, kept)
+        fresh = max_min_fair_rates(row, capacity, Incidence(arcs_of_group, num_arcs, flow_group))
+        assert rates.tobytes() == fresh.tobytes()
+
+
+@st.composite
 def shared_path_populations(draw):
     """A topology, a few routed paths and several member flows per path."""
     topology = draw(small_topologies())
