@@ -16,14 +16,27 @@ every demand endpoint's from the start, and the one each infeasible LP's
 dual ray points at — and checks the candidate's arcs against all of them
 in two small mat-vecs.  A cut only ever says "infeasible", and only by
 more than the LP's tolerances could absorb; anything closer goes to the
-LP.  So a candidate is answered by the first of: the connectivity walk
-(``disconnected``), the witness (``witness``), the cut pool (``cut``), an
-LP (``lp_feasible`` / ``lp_infeasible``).
+LP.
+
+The mirror image says "feasible" without a solver.  The witness is kept
+per origin, and a candidate whose arcs carry some of it may still go when
+each origin's flow on them can move onto fewest-hop detours with slack —
+per origin, in and out of a node paired in arc order, so every origin
+keeps its conservation.  The session's repair does that, and keeps a
+margin of the order of the solver's tolerance on every arc it loads, so
+the repaired flow is one the LP accepts.  Nor does the witness start
+empty: before the first candidate every demand, largest first, is packed
+onto a fewest-hop path with the same slack, and if all fit that flow is
+the starting witness.  So a candidate is answered by the first of: the
+connectivity walk (``disconnected``), the witness (``witness``), the cut
+pool (``cut``), a repair (``repair``), an LP (``lp_feasible`` /
+``lp_infeasible``).
 
 Consecutive candidates differ in a handful of arcs: one search holds one
 :class:`~repro.routing.mcf.FlowSession` — the LP of the whole topology, a
 candidate's arcs switched off by column bounds, each re-solve started from
-the basis of the last — and reads from it only the witness, or "infeasible".
+the basis of the last — and reads from it only a flow (seeded, repaired or
+the LP's), or "infeasible".
 The active subset is a pair of masks over the topology's index (a
 candidate's entries are flipped, and flipped back on a refusal); names
 appear only at the boundary.  A caller that runs one search per interval
@@ -33,8 +46,10 @@ anew.  The candidate order is fixed by element power, so an interval asks
 many of the last interval's questions again at the same arcs: a cut learned
 then refuses them again, and an LP starts from the basis its last solve
 ended with.  On the benchmark harness's ``timeline_replay`` spec the cuts
-refuse 60 candidates and leave 68 LPs (of which 45 start from a kept basis)
-where there were 128, in 595 simplex iterations where there were 963.
+refuse 60 candidates, the seed starts 12 of the 16 searches and repairs
+answer 39 candidates, which leaves 19 LPs (4 from a kept basis) where there
+were 68 before the seed and the repair, 128 before the cuts; 458 simplex
+iterations where there were 595 and 963.
 """
 
 from __future__ import annotations
@@ -111,8 +126,9 @@ def shrink_active_subset(
     """Switch off, in order, every candidate that *demands* can do without.
 
     A candidate is a node name (it leaves with its active links) or a link key
-    (skipped when already off); only one that carries witness flow and that
-    no cut refuses costs an LP, put to *session* — one of *topology* at
+    (skipped when already off); only one that carries witness flow, that no
+    cut refuses and whose flow no repair moves costs an LP, put to
+    *session* — one of *topology* at
     *utilisation_limit*, which is retargeted at *demands* — or to a session
     of the search's own.  Returns the ``(active_nodes, active_links)`` that
     remain.
@@ -121,8 +137,8 @@ def shrink_active_subset(
     lands on, from whichever basis it starts, nor on which cuts the pool
     holds: a different witness or pool moves work between the solver and
     the solver-free rules, and all give the true answer to "does the demand
-    still fit?" — a witness skip exhibits a feasible flow, a cut proves
-    there is none, an LP decides.
+    still fit?" — a witness skip, a seed or a repair exhibits a feasible
+    flow, a cut proves there is none, an LP decides.
 
     Raises:
         UnknownNodeError: If a node candidate is not in *topology*.
@@ -149,9 +165,10 @@ def shrink_active_subset(
         session.retarget(demands)
     models_before, iterations_before = session.models_built, session.simplex_iterations
     restored_before, learned_before = session.bases_restored, session.cuts_learned
-    witness: Optional[np.ndarray] = None
+    witness = session.seed(index.arc_mask(node_on, link_on))
+    seeded = witness is not None
     answers = dict.fromkeys(
-        ("witness", "disconnected", "cut", "lp_feasible", "lp_infeasible"), 0
+        ("witness", "disconnected", "cut", "repair", "lp_feasible", "lp_infeasible"), 0
     )
     for element in candidates:
         key, node, dropped = _candidate(index, element)
@@ -163,19 +180,24 @@ def shrink_active_subset(
             node_on[node] = False
         link_on[dropped] = False
         arc_on = index.arc_mask(node_on, link_on)
+        arcs = index.link_arcs[dropped].ravel()
         if not session.connected(arc_on):
             answer = "disconnected"
-        elif witness is not None and not witness[index.link_arcs[dropped]].any():
+        elif witness is not None and not witness[:, arcs].any():
             answer = "witness"
         elif session.cut_refuses(arc_on):
             answer = "cut"
+        elif witness is not None and (
+            repaired := session.repair(witness, arc_on, arcs, node)
+        ) is not None:
+            answer, witness = "repair", repaired
         else:
-            loads = session.witness(arc_on, key)
-            answer = "lp_infeasible" if loads is None else "lp_feasible"
-            if loads is not None:
-                witness = loads
+            flows = session.witness(arc_on, key)
+            answer = "lp_infeasible" if flows is None else "lp_feasible"
+            if flows is not None:
+                witness = flows
         answers[answer] += 1
-        if answer not in ("witness", "lp_feasible"):
+        if answer not in ("witness", "repair", "lp_feasible"):
             link_on[dropped] = True
             if node_was_on:
                 node_on[node] = True
@@ -190,7 +212,9 @@ def shrink_active_subset(
             lp_models=session.models_built - models_before,
             lp_bases_restored=session.bases_restored - restored_before,
             witness_skips=answers["witness"],
+            witness_seeded=seeded,
             cut_refusals=answers["cut"],
+            repairs=answers["repair"],
             cuts_learned=session.cuts_learned - learned_before,
         )
     nodes = {name for name, on in zip(index.node_names, node_on.tolist(), strict=True) if on}

@@ -28,7 +28,9 @@ off".  :func:`solve_mcf` is a session of one solve; the subset search of
 :mod:`repro.optim.subset` keeps one for a switch-off loop, a solver-replay
 runtime from one interval to the next (:meth:`FlowSession.retarget`), and
 asks it first whether a node cut of its pool (:class:`_CutPool`) already
-proves a switch-off infeasible.
+proves a switch-off infeasible, or whether a flow packed onto paths
+(:meth:`FlowSession.seed`) or moved onto detours
+(:meth:`FlowSession.repair`) already proves it feasible.
 """
 
 from __future__ import annotations
@@ -249,7 +251,8 @@ def _lp_model(
     )
 
 
-#: Headroom on a cut's margin: the bound of :class:`_CutPool` assumes every
+#: Headroom on a cut's margin and on the slack a seed or repair keeps: the
+#: bounds of :class:`_CutPool` and :meth:`FlowSession.repair` assume every
 #: residual of an optimal solution within HiGHS's tolerance, and HiGHS checks
 #: that on a scaled copy of the LP.  Ten times the bound costs only the cases
 #: closer than the margin, which the LP then decides.
@@ -283,10 +286,10 @@ class _CutPool:
     flow always is — goes to the LP.
     """
 
-    def __init__(self, index: TopologyIndex) -> None:
+    def __init__(self, index: TopologyIndex, unit: float) -> None:
         self._index = index
-        scale = float(index.arc_capacity.max(initial=0.0))
-        self._unit = _RESIDUAL_ALLOWANCE * PRIMAL_FEASIBILITY_TOLERANCE * scale
+        #: ``δ * scale`` times the allowance, per row or column of the bound.
+        self._unit = unit
         self.sets = np.zeros((0, len(index.node_names)), dtype=bool)
         self._known: Set[bytes] = set()
         #: Per set, what does not depend on the demands: its crossing-arc
@@ -387,16 +390,22 @@ class FlowSession:
     *an* optimal one.  A session has one holder — a subset search, or one
     solver runtime's replay state for its run — and never crosses threads.
 
-    A subset search asks :meth:`connected`, :meth:`cut_refuses` and
+    A subset search asks :meth:`seed` once on its starting arcs, then per
+    candidate :meth:`connected`, :meth:`cut_refuses`, :meth:`repair` and
     :meth:`witness` instead, in that order, on the arc mask it computed
-    once.  :meth:`witness` names the candidate it asks for: the session
-    keeps, per candidate, the basis its last solve ended with and the arcs
-    it was solved at, and a later question about the same candidate at the
-    same arcs — the next interval's, on other volumes — starts from that
-    basis.  The bases go with the model (a new origin set) and with a
-    failure.  :meth:`cut_refuses` answers "infeasible" from a pool of node
-    cuts (:class:`_CutPool`): from the start the singleton of every demand
-    origin and the complement of every destination, and, each time
+    once; :meth:`seed`, :meth:`repair` and :meth:`witness` return a flow as
+    an origins x arcs matrix in bps.  :meth:`seed` and :meth:`repair` find
+    one without a solver — every demand packed onto a fewest-hop path, or
+    a witness's flow moved off the arcs a candidate switched off onto
+    fewest-hop detours — and keep a margin of slack on every arc they load
+    (see :meth:`repair`).  :meth:`witness` names the candidate it asks
+    for: the session keeps, per candidate, the basis its last solve ended
+    with and the arcs it was solved at, and a later question about the same
+    candidate at the same arcs — the next interval's, on other volumes —
+    starts from that basis.  The bases go with the model (a new origin
+    set) and with a failure.  :meth:`cut_refuses` answers "infeasible" from
+    a pool of node cuts (:class:`_CutPool`): from the start the singleton of
+    every demand origin and the complement of every destination, and, each time
     :meth:`witness` gets "infeasible" from the LP, the cut the LP's dual
     ray points at.  The pool lives as long as the session — one topology
     object, one holder — and only grows; each :meth:`retarget` measures it
@@ -419,7 +428,11 @@ class FlowSession:
         self._utilisation_limit = utilisation_limit
         #: Capacity (bps) of every arc at the session's utilisation limit.
         self._capacity = self.index.arc_capacity * utilisation_limit
-        self._cuts = _CutPool(self.index)
+        #: ``δ * scale`` times the allowance: the unit of the cuts' margins
+        #: and of the slack :meth:`seed` and :meth:`repair` keep.
+        scale = float(self.index.arc_capacity.max(initial=0.0))
+        self._unit = _RESIDUAL_ALLOWANCE * PRIMAL_FEASIBILITY_TOLERANCE * scale
+        self._cuts = _CutPool(self.index, self._unit)
         self.retarget(demands)
         #: Assembled and passed to HiGHS at the first solve that needs the solver.
         self._model: Optional[Tuple[_FlowLP, HighsModel]] = None
@@ -448,6 +461,12 @@ class FlowSession:
         """Make *demands* the ones every later :meth:`solve` routes."""
         self._positive = _positive_demands(demands)
         self._endpoints = _endpoints(self.index, self._positive)
+        #: The origins in the LP's order (the rows of a witness), each
+        #: pair's row, and the slack :meth:`repair` keeps for that many.
+        self._origins = sorted({origin for (origin, _), _ in self._positive})
+        row_of = {origin: row for row, origin in enumerate(self._origins)}
+        self._rows = [row_of[origin] for (origin, _), _ in self._positive]
+        self._margin = self._unit * (len(self._origins) + 2)
         if self._endpoints is not None:
             self._cuts.retarget(self._positive, self._endpoints)
 
@@ -521,20 +540,137 @@ class FlowSession:
         return self._endpoints is not None and self._cuts.violated(self._capacity * arc_on)
 
     def witness(self, arc_on: np.ndarray, candidate: Hashable) -> Optional[np.ndarray]:
-        """The per-arc loads (bps, index order) of an optimal flow of the
-        demands over the arcs *arc_on* — zero on an arc that is off — or
-        ``None`` when there is none, and then the pool learns the cut the
-        LP's dual ray points at, if it has one.  For arcs that are
-        :meth:`connected`; *candidate* names the question (see the class)."""
+        """The flows of an optimal flow of the demands over the arcs
+        *arc_on* — an origins x arcs matrix, in bps, rows in ``lp.origins``
+        order, zero on an arc that is off — or ``None`` when there is none,
+        and then the pool learns the cut the LP's dual ray points at, if it
+        has one.  For arcs that are :meth:`connected`; *candidate* names the
+        question (see the class)."""
         if not self._positive:
-            return np.zeros(self.index.num_arcs)
+            return np.zeros((0, self.index.num_arcs))
         lp, solver, solution = self._run(arc_on, candidate)
         if solution is None:
             self._learn(lp, solver.dual_ray(), arc_on)
             return None
-        # No load at all on an arc that is off (a warm re-solve may leave its
+        # No flow at all on an arc that is off (a warm re-solve may leave its
         # columns within the solver's tolerance of their bound).
-        return np.where(arc_on, _arc_loads(lp, solution), 0.0)
+        flows = solution.reshape(len(lp.origins), self.index.num_arcs) * lp.scale
+        return np.where(arc_on, flows, 0.0)
+
+    def seed(self, arc_on: np.ndarray) -> Optional[np.ndarray]:
+        """A flow of the demands over the arcs *arc_on*, as :meth:`witness`
+        gives one, found without a solver: every demand, largest first, on a
+        fewest-hop path whose arcs keep the :meth:`repair` margin of slack
+        after it.  ``None`` when some demand finds no such path."""
+        if self._endpoints is None:
+            return None
+        flows = np.zeros((len(self._origins), self.index.num_arcs))
+        residual = np.where(arc_on, self._capacity, -np.inf).tolist()
+        order = sorted(range(len(self._positive)), key=lambda pair: -self._positive[pair][1])
+        for pair in order:
+            demand = self._positive[pair][1]
+            path = self._detour(*self._endpoints[pair], residual, demand + self._margin)
+            if path is None:
+                return None
+            flows[self._rows[pair], path] += demand
+            for arc in path:
+                residual[arc] -= demand
+        return flows
+
+    def repair(
+        self, flows: np.ndarray, arc_on: np.ndarray, arcs: np.ndarray, node: Optional[int]
+    ) -> Optional[np.ndarray]:
+        """*flows* — a witness over the arcs *arc_on* plus *arcs* — with the
+        flow on *arcs* moved onto detours over *arc_on*, or ``None`` when some
+        of it finds none.  *arcs* are what a candidate switched off: a link's
+        two arcs (*node* ``None``), or every arc of the node *node*.
+
+        Off a link, each origin's flow on each arc ``u -> v`` takes one
+        fewest-hop ``u -> v`` path.  Off a node, each origin's flow into it
+        is paired with its flow out, in arc order, and each in -> out
+        segment takes a path around it: pairing the summed loads would hand
+        one origin's inflow to another's outflow.  Amounts go largest first,
+        each onto arcs with ``amount + margin`` of slack, the margin being
+        ``(k + 2) * δ * scale`` times :data:`_RESIDUAL_ALLOWANCE` for ``k``
+        origins, HiGHS's primal tolerance ``δ`` and the LP's ``scale``.
+
+        Why the LP accepts the result: a move takes an amount off one arc
+        and puts it on every arc of a path between the same two nodes, so
+        every conservation row keeps the residual the LP's point left it —
+        save, off a node, an origin's in/out mismatch there, the LP's own
+        residual in that row, which moves to the row of a neighbour; more
+        than the allowance times ``δ * scale`` goes to the LP instead.
+        Columns only grow from what the LP returned, or become exact zeros
+        on arcs that are off.  Arcs the repair does not touch keep the LP's
+        point, which the witness rule trusts already.  An arc it does touch
+        ends at least the margin under its capacity: room for a flow that
+        meets every conservation row exactly to differ from this one by
+        ``δ`` per origin's rows, ``δ`` for the capacity row itself and ``δ``
+        for the float error of the sums.  :meth:`seed` builds its flow path
+        by path, conservation exact, under the same margin.
+        """
+        index = self.index
+        flows = flows.copy()
+        loads = np.zeros(index.num_arcs)
+        for origin_flows in flows:
+            loads += origin_flows
+        residual = np.where(arc_on, self._capacity - loads, -np.inf).tolist()
+        #: ``(amount, row, from node, to node)`` of every piece of flow to move.
+        segments: List[Tuple[float, int, int, int]] = []
+        if node is None:
+            for arc in arcs.tolist():
+                source, target = int(index.arc_src[arc]), int(index.arc_dst[arc])
+                for row in np.flatnonzero(flows[:, arc] > 0.0).tolist():
+                    segments.append((float(flows[row, arc]), row, source, target))
+        else:
+            in_arcs, out_arcs = index.in_adjacency[node], index.out_adjacency[node]
+            for row, origin_flows in enumerate(flows.tolist()):
+                paired, unmatched = _paired(
+                    [(origin_flows[arc], at) for arc, at in in_arcs if origin_flows[arc] > 0.0],
+                    [(origin_flows[arc], at) for arc, at in out_arcs if origin_flows[arc] > 0.0],
+                )
+                if unmatched > self._unit:
+                    return None
+                segments += [(amount, row, source, target) for amount, source, target in paired]
+        flows[:, arcs] = 0.0
+        for amount, row, source, target in sorted(segments, key=lambda segment: -segment[0]):
+            path = self._detour(source, target, residual, amount + self._margin)
+            if path is None:
+                return None
+            flows[row, path] += amount
+            for arc in path:
+                residual[arc] -= amount
+        return flows
+
+    def _detour(
+        self, source: int, target: int, residual: List[float], need: float
+    ) -> Optional[List[int]]:
+        """The arcs of a fewest-hop path from node *source* to node *target*
+        over the arcs whose *residual* is at least *need* (out-adjacency
+        order breaks ties; none for a path of no hops), or ``None`` when
+        there is none."""
+        if source == target:
+            return []
+        adjacency = self.index.out_adjacency
+        parent_arc: List[int] = [-1] * len(adjacency)
+        parent_arc[source] = -2
+        frontier = [source]
+        while frontier:
+            reached: List[int] = []
+            for node in frontier:
+                for arc, neighbour in adjacency[node]:
+                    if parent_arc[neighbour] == -1 and residual[arc] >= need:
+                        parent_arc[neighbour] = arc
+                        if neighbour == target:
+                            path = []
+                            while neighbour != source:
+                                arc = parent_arc[neighbour]
+                                path.append(arc)
+                                neighbour = int(self.index.arc_src[arc])
+                            return path[::-1]
+                        reached.append(neighbour)
+            frontier = reached
+        return None
 
     def _learn(self, lp: _FlowLP, ray: Optional[np.ndarray], arc_on: np.ndarray) -> None:
         """Offer the pool, per origin, the nodes whose conservation
@@ -575,6 +711,26 @@ class FlowSession:
         total_flow_bps = float(pairwise_sum(solution)) * lp.scale
         arc_loads = np.where(arc_on, loads, 0.0)
         return MCFResult(True, index.max_utilisation(loads), arc_loads, total_flow_bps)
+
+
+def _paired(
+    inflow: List[Tuple[float, int]], outflow: List[Tuple[float, int]]
+) -> Tuple[List[Tuple[float, int, int]], float]:
+    """One origin's ``(amount, node)`` flows into a node matched with its
+    flows out of it, both in arc order: the ``(amount, from node, to node)``
+    segments, and the amount left unmatched."""
+    rest_in = [amount for amount, _ in inflow]
+    rest_out = [amount for amount, _ in outflow]
+    segments: List[Tuple[float, int, int]] = []
+    into = out = 0
+    while into < len(inflow) and out < len(outflow):
+        amount = min(rest_in[into], rest_out[out])
+        segments.append((amount, inflow[into][1], outflow[out][1]))
+        rest_in[into] -= amount
+        rest_out[out] -= amount
+        into += rest_in[into] <= 0.0
+        out += rest_out[out] <= 0.0
+    return segments, sum(rest_in[into:]) + sum(rest_out[out:])
 
 
 def solve_mcf(topology: Topology, demands: TrafficMatrix) -> MCFResult:

@@ -2,8 +2,10 @@
 
 ``greedy_minimum_subset`` and ``lp_relaxation_with_rounding`` hand their
 switch-off order to one routine, ``optim.subset.shrink_active_subset``, that
-keeps the last feasible LP's arc loads as a witness and answers "can this
-element go?" without a solver when the witness does not touch it.  The loop it
+keeps a feasible flow per origin as a witness — a seed packed onto paths,
+the last feasible LP's, or one repaired along detours — and answers "can
+this element go?" without a solver when the witness does not touch it, or
+when its flow there moves onto detours with slack.  The loop it
 replaced — one fresh ``FlowSession`` per candidate — is kept
 here as the reference.  Pinned:
 
@@ -25,14 +27,24 @@ here as the reference.  Pinned:
   endpoint's capacity, or within the margin above it, goes to the LP; an ε
   matrix is never refused by a cut; an infeasible LP without a dual ray
   learns nothing;
+* every seed and every repair — on the ``timeline_replay`` spec, on
+  ``greedy`` over every shipped topology, on random demands and switch-offs
+  — is zero on the arcs that are off, conserves each origin's flow, stays
+  within capacity and is feasible for a fresh ``FlowSession`` on the same
+  arcs; a detour with slack at or within the margin of the amount goes to
+  the LP, one past it is repaired; a node crossed by two origins is
+  repaired origin by origin; a seed that does not fit leaves the search to
+  answer as before;
 * one replay of the benchmark harness's ``timeline_replay`` spec solves at
-  most 75 feasibility LPs (204 with the plain loop, 128 before the cut
-  pool) in at most 700 simplex iterations (2 273 before a candidate's
-  basis was kept between intervals, 963 before the cut pool), and the
+  most 25 feasibility LPs (204 with the plain loop, 128 before the cut
+  pool, 68 before the seed and the repair) in at most 520 simplex
+  iterations (2 273 before a candidate's basis was kept between intervals,
+  963 before the cut pool, 595 before the seed and the repair), and the
   counts are on the ``scheme.solve`` spans and in
   ``repro_subset_checks_total``;
 * tied link powers (a fat-tree under the commodity model) give one active
-  set under every ``PYTHONHASHSEED``.
+  set, and one replay the same answer counts, under every
+  ``PYTHONHASHSEED``.
 """
 
 import random
@@ -335,13 +347,23 @@ def routes(routing):
     return [(pair, path.nodes) for pair, path in routing.items()]
 
 
-def test_a_session_carried_across_trace_intervals_answers_as_fresh_ones(cisco_model):
+def test_a_session_carried_across_trace_intervals_answers_as_fresh_ones(
+    monkeypatch, cisco_model
+):
     """What ElasticTree's runtime does over a replay: one session per
     topology object, kept from one interval to the next, so a candidate asked
     again at the same arcs starts from the basis its last solve ended with.
     Twelve GÉANT trace intervals — four plain, four on the DE–FR failure view
     (its own topology object) with the restricted matrices, four surged
     1.5x — and each gives what a fresh search gives."""
+    questions = []
+    real_witness = FlowSession.witness
+
+    def witness(session, arc_on, candidate):
+        questions.append((session, arc_on.copy(), candidate))
+        return real_witness(session, arc_on, candidate)
+
+    monkeypatch.setattr(FlowSession, "witness", witness)
     built = build_scenario(replay_scenario(11))
     geant = built.topology
     view = TopologyView(geant, failed_links=[("DE", "FR")])
@@ -368,14 +390,22 @@ def test_a_session_carried_across_trace_intervals_answers_as_fresh_ones(cisco_mo
     assert all(session.models_built == 1 for session in sessions.values())
     assert sum(session.bases_restored for session in sessions.values()) > 0
 
-    # Another origin set is another model: no basis of the old one is restored.
+    # Another origin set is another model: no basis of the old one is
+    # restored.  The last question the GÉANT session's LP got, asked again,
+    # starts from the basis it kept — and asked under a new origin set, from
+    # none.  (A search would not ask it: the seed answers that set.)
     session = sessions[id(geant)]
+    _, arc_on, candidate = [question for question in questions if question[0] is session][-1]
+    restored = session.bases_restored
+    real_witness(session, arc_on, candidate)
+    assert session.models_built == 1 and session.bases_restored == restored + 1
     first = matrices[0].origins()[0]
     other = matrices[0].restricted_to(p for p in matrices[0].pairs() if p[0] != first)
-    restored = session.bases_restored
+    session.retarget(other)
+    real_witness(session, arc_on, candidate)
+    assert session.models_built == 2 and session.bases_restored == restored + 1
     found = greedy_minimum_subset(geant, cisco_model, other, 0.9, session)
     assert found.active_links == greedy_minimum_subset(geant, cisco_model, other, 0.9).active_links
-    assert session.models_built == 2 and session.bases_restored == restored
 
 
 def test_a_link_candidate_is_taken_in_either_orientation(geant):
@@ -551,6 +581,228 @@ def test_a_demand_at_or_within_the_margin_of_its_capacity_goes_to_the_lp():
 
 
 # --------------------------------------------------------------------- #
+# (a'') A seed or a repair accepts only what the LP accepts
+# --------------------------------------------------------------------- #
+def assert_carries_the_demands(session, demands, arc_on, flows):
+    """*flows* (origins x arcs, bps) is zero on every arc that is off,
+    within the slack :meth:`FlowSession.repair` keeps of every arc's
+    capacity, conserves each origin's flow per node and is feasible for a
+    fresh session's LP on the same arcs."""
+    index = session.index
+    positive = [(pair, volume) for pair, volume in demands.items() if volume > 0.0]
+    origins = sorted({origin for (origin, _), _ in positive})
+    assert flows.shape == (len(origins), index.num_arcs)
+    assert not flows[:, ~arc_on].any()
+    scale = float(index.arc_capacity.max())
+    margin = mcf._RESIDUAL_ALLOWANCE * highs.PRIMAL_FEASIBILITY_TOLERANCE * scale
+    margin *= len(origins) + 2
+    capacity = index.arc_capacity * session.utilisation_limit
+    assert (flows.sum(axis=0) <= capacity + margin).all()
+    expected = np.zeros((len(origins), len(index.node_names)))
+    for (origin, destination), volume in positive:
+        row = origins.index(origin)
+        expected[row, index.node_index[origin]] += volume
+        expected[row, index.node_index[destination]] -= volume
+    balance = np.zeros_like(expected)
+    np.add.at(balance, (slice(None), index.arc_src), flows)
+    np.subtract.at(balance, (slice(None), index.arc_dst), flows)
+    assert np.allclose(balance, expected, rtol=0.0, atol=margin)
+    link_on = arc_on[index.link_arcs[:, 0]]  # a link's arcs are on together
+    assert np.array_equal(index.arc_mask(index.node_mask(None), link_on), arc_on)
+    fresh = FlowSession(session.topology, demands, session.utilisation_limit)
+    assert fresh.solve(link_on=link_on).feasible, (session.topology.name, demands)
+
+
+def checked_flows(monkeypatch):
+    """Wrap ``FlowSession.seed`` and ``FlowSession.repair`` so that every
+    flow they return is checked by :func:`assert_carries_the_demands`;
+    returns the list of acceptances, which grows."""
+    acceptances, matrices = [], {}
+    real_retarget, real_seed, real_repair = (
+        FlowSession.retarget,
+        FlowSession.seed,
+        FlowSession.repair,
+    )
+
+    def retarget(session, demands):
+        matrices[id(session)] = demands
+        real_retarget(session, demands)
+
+    def accepted(session, arc_on, flows, kind):
+        if flows is not None:
+            demands = matrices[id(session)]
+            assert_carries_the_demands(session, demands, arc_on, flows)
+            acceptances.append((kind, session.topology.name, demands.name))
+        return flows
+
+    def seed(session, arc_on):
+        return accepted(session, arc_on, real_seed(session, arc_on), "seed")
+
+    def repair(session, flows, arc_on, arcs, node):
+        return accepted(session, arc_on, real_repair(session, flows, arc_on, arcs, node), "repair")
+
+    monkeypatch.setattr(FlowSession, "retarget", retarget)
+    monkeypatch.setattr(FlowSession, "seed", seed)
+    monkeypatch.setattr(FlowSession, "repair", repair)
+    return acceptances
+
+
+def test_every_seed_and_repair_of_the_timeline_replay_spec_is_feasible(monkeypatch):
+    acceptances = checked_flows(monkeypatch)
+    checks_before = subset_checks()
+    with trace.collect(SolveSpans()) as spans:
+        run_scenario(replay_scenario(11))
+    repairs = subset_checks()["repair"] - checks_before.get("repair", 0)
+    seeds = sum(attrs.get("witness_seeded", False) for attrs in spans.attrs)
+    assert [kind for kind, _, _ in acceptances].count("repair") == repairs > 0
+    assert [kind for kind, _, _ in acceptances].count("seed") == seeds > 0
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_TOPOLOGIES))
+def test_every_seed_and_repair_of_greedy_on_shipped_topologies_is_feasible(monkeypatch, name):
+    acceptances = checked_flows(monkeypatch)
+    topology_section = {"name": name, "params": SHIPPED_TOPOLOGIES[name]}
+    power_model = CommoditySwitchPowerModel() if name == "fattree" else CiscoRouterPowerModel()
+    for traffic in traffic_specs():
+        topology, base = base_matrix(topology_section, traffic)
+        for demands, limit in demand_levels(topology, base):
+            greedy_minimum_subset(topology, power_model, demands, utilisation_limit=limit)
+    # Every topology seeds some search; all but waxman repair some flow too.
+    assert [kind for kind, _, _ in acceptances].count("seed") > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_cases(), st.data(), st.sampled_from([1.0, 0.6, 0.3]))
+def test_seeds_and_repairs_on_random_demands_and_arc_masks_are_feasible(case, data, limit):
+    """One session seeded on every arc, then asked in turn to switch off a
+    random link or node: a repair carries the demands and is feasible for a
+    fresh LP, and becomes the witness; a refused repair leaves the question
+    to the LP, whose flow becomes the witness when it has one."""
+    topology, demands = case
+    index = topology.index()
+    session = FlowSession(topology, demands, limit)
+    node_on = np.ones(len(index.node_names), dtype=bool)
+    link_on = np.ones(len(index.link_keys), dtype=bool)
+    arc_on = index.arc_mask(node_on, link_on)
+    witness = session.seed(arc_on)
+    if witness is not None:
+        assert_carries_the_demands(session, demands, arc_on, witness)
+    endpoints = {index.node_index[name] for name in demands.nodes()}
+    for step in range(8):
+        node = data.draw(st.sampled_from([None, *range(len(index.node_names))]))
+        if node is None or node in endpoints or not node_on[node]:
+            node = None
+            dropped = [data.draw(st.sampled_from(range(len(index.link_keys))))]
+        else:
+            dropped = index.node_links[node]
+        dropped = [link for link in dropped if link_on[link]]
+        fewer_nodes, fewer_links = node_on.copy(), link_on.copy()
+        if node is not None:
+            fewer_nodes[node] = False
+        fewer_links[dropped] = False
+        fewer_arcs = index.arc_mask(fewer_nodes, fewer_links)
+        if not dropped or not session.connected(fewer_arcs):
+            continue
+        arcs = index.link_arcs[dropped].ravel()
+        repaired = None if witness is None else session.repair(witness, fewer_arcs, arcs, node)
+        if repaired is not None:
+            assert_carries_the_demands(session, demands, fewer_arcs, repaired)
+            flows = repaired
+        else:
+            flows = session.witness(fewer_arcs, step)
+        if flows is not None:
+            witness, node_on, link_on = flows, fewer_nodes, fewer_links
+
+
+def test_a_detour_at_or_within_the_margin_of_its_slack_goes_to_the_lp():
+    """A sends d to C over A-C (2.5 Gb/s, so the seed fits); with A-C off,
+    the detour A-B-C has 1 Gb/s of slack.  The repair wants the amount plus
+    a margin of (k + 2)·δ·scale times the residual allowance, k = 1 origin:
+    a demand at the slack, or within the margin under it, goes to the LP;
+    one past the margin under it is repaired."""
+    topology = triangle()
+    margin = mcf._RESIDUAL_ALLOWANCE * highs.PRIMAL_FEASIBILITY_TOLERANCE * 2.5e9 * (1 + 2)
+    cases = ((0.0, "lp_feasible"), (0.5 * margin, "lp_feasible"), (1.1 * margin, "repair"))
+    for shortfall, answer in cases:
+        demands = TrafficMatrix({("A", "C"): 1e9 - shortfall})
+        before = subset_checks()
+        with trace.collect(SolveSpans()) as spans, trace.span("scheme.solve", solver="probe"):
+            nodes, links = shrink_active_subset(
+                topology, demands, 1.0, topology.nodes(), topology.link_keys(), [("A", "C")]
+            )
+        answered = [key for key, count in subset_checks().items() if count > before.get(key, 0)]
+        assert answered == [answer]
+        assert ("A", "C") not in links
+        assert spans.attrs[0]["witness_seeded"] is True
+        assert spans.attrs[0]["repairs"] == (answer == "repair")
+
+
+def crossed_star():
+    """Hub X joins A, B, C and D (1 Gb/s); a ring A-B-D-C-A (10 Gb/s) goes
+    round it, two hops from A to D and from B to C, as through X."""
+    topology = Topology("crossed-star")
+    for name in "ABCDX":
+        topology.add_node(name)
+    for name in "ABCD":
+        topology.add_link(name, "X", 1e9)
+    for u, v in (("A", "B"), ("B", "D"), ("C", "D"), ("A", "C")):
+        topology.add_link(u, v, 1e10)
+    return topology
+
+
+def test_a_node_crossed_by_two_origins_is_repaired_origin_by_origin():
+    """A sends to D and B to C, both through X.  In arc order X's inflow is
+    A->X then B->X and its outflow X->C then X->D; paired on the summed
+    loads, A's flow would leave for C, B's for D.  Repaired per origin, each
+    origin's flow still leaves its origin and reaches its own destination."""
+    topology = crossed_star()
+    index = topology.index()
+    demands = TrafficMatrix({("A", "D"): 4e8, ("B", "C"): 6e8})
+    session = FlowSession(topology, demands)
+    arc_on = np.ones(index.num_arcs, dtype=bool)
+    witness = np.zeros((2, index.num_arcs))
+    for row, path, volume in ((0, ("A", "X", "D"), 4e8), (1, ("B", "X", "C"), 6e8)):
+        for u, v in zip(path, path[1:], strict=False):
+            witness[row, index.arc_index[(u, v)]] = volume
+    assert_carries_the_demands(session, demands, arc_on, witness)
+    hub = index.node_index["X"]
+    node_on = np.ones(len(index.node_names), dtype=bool)
+    node_on[hub] = False
+    link_on = np.ones(len(index.link_keys), dtype=bool)
+    link_on[index.node_links[hub]] = False
+    fewer_arcs = index.arc_mask(node_on, link_on)
+    arcs = index.link_arcs[index.node_links[hub]].ravel()
+    repaired = session.repair(witness, fewer_arcs, arcs, hub)
+    assert repaired is not None
+    assert_carries_the_demands(session, demands, fewer_arcs, repaired)
+    # The search takes the same route: its seed ties the ring paths through
+    # X (the spokes come first in arc order), and X goes off by a repair.
+    before = subset_checks()
+    nodes, _ = shrink_active_subset(
+        topology, demands, 1.0, topology.nodes(), topology.link_keys(), ["X"]
+    )
+    assert "X" not in nodes and subset_checks()["repair"] == before.get("repair", 0) + 1
+
+
+def test_a_seed_that_does_not_fit_leaves_the_search_to_answer_as_before():
+    """2.5 Gb/s from A to C fills A-C, the one fewest-hop path, to the bit:
+    the seed needs a margin more and does not fit.  The search starts with
+    no witness, and its first candidate goes to the LP as it did before."""
+    topology = triangle()
+    demands = TrafficMatrix({("A", "C"): 2.5e9})
+    session = FlowSession(topology, demands)
+    assert session.seed(np.ones(topology.index().num_arcs, dtype=bool)) is None
+    before = subset_checks()
+    with trace.collect(SolveSpans()) as spans, trace.span("scheme.solve", solver="probe"):
+        nodes, links = shrink_active_subset(
+            topology, demands, 1.0, topology.nodes(), topology.link_keys(), [("A", "B")], session
+        )
+    answered = [key for key, count in subset_checks().items() if count > before.get(key, 0)]
+    assert answered == ["lp_feasible"] and ("A", "B") not in links
+    assert spans.attrs[0]["witness_seeded"] is False and spans.attrs[0]["repairs"] == 0
+
+
+# --------------------------------------------------------------------- #
 # (b) Fewer solves, and the counts are visible
 # --------------------------------------------------------------------- #
 class SolveSpans(trace.SpanCollector):
@@ -572,19 +824,24 @@ def test_timeline_replay_spec_stays_under_the_solve_ceiling():
         answer: count - checks_before.get(answer, 0) for answer, count in subset_checks().items()
     }
     assert len(result.times_s) == 16
-    assert 0 < solves <= 75  # 204 with one LP per candidate, 128 without cuts
-    # 2 273 before a candidate's basis was kept from one interval to the
-    # next, 963 without cuts.
+    # 19 today; 204 with one LP per candidate, 128 without cuts, 68 without
+    # seeds and repairs.
+    assert 0 < solves <= 25
+    # 458 today; 2 273 before a candidate's basis was kept from one interval
+    # to the next, 963 without cuts, 595 without seeds and repairs.
     iterations = sum(attrs["lp_iterations"] for attrs in spans.attrs if "lp_iterations" in attrs)
-    assert iterations <= 700
+    assert iterations <= 520
     assert checks["lp_feasible"] + checks["lp_infeasible"] == solves
     assert checks["witness"] > 0 and checks["disconnected"] > 0 and checks["cut"] > 0
+    assert checks["repair"] > 0
 
     elastictree = [attrs for attrs in spans.attrs if attrs["solver"] == "ElasticTreeRuntime"]
     assert len(elastictree) == 16
     assert sum(attrs["lp_solves"] for attrs in elastictree) == solves
     assert sum(attrs["witness_skips"] for attrs in elastictree) == checks["witness"]
     assert sum(attrs["cut_refusals"] for attrs in elastictree) == checks["cut"]
+    assert sum(attrs["repairs"] for attrs in elastictree) == checks["repair"]
+    assert sum(attrs["witness_seeded"] for attrs in elastictree) > 0
     assert sum(attrs["cuts_learned"] for attrs in elastictree) > 0
     assert sum(attrs["lp_bases_restored"] for attrs in elastictree) >= 1
     greente = [attrs for attrs in spans.attrs if attrs["solver"] == "GreenTERuntime"]
@@ -611,6 +868,27 @@ demands = TrafficMatrix({pair: 4e8 for pair in sorted(pairs)})
 solution = greedy_minimum_subset(topology, CommoditySwitchPowerModel(), demands)
 print(json.dumps([sorted(solution.active_nodes), sorted(solution.active_links)]))
 """
+
+
+_REPLAY_ANSWERS_SCRIPT = """
+import json, sys
+sys.path.insert(0, "benchmarks/harness")
+from repro.obs import metrics
+from repro.scenario.engine import run_scenario
+from workloads import replay_scenario
+
+run_scenario(replay_scenario(11))
+family = metrics.counter("repro_subset_checks_total")
+print(json.dumps(sorted((s["labels"]["answer"], s["value"]) for s in family.samples())))
+"""
+
+
+def test_the_answer_counts_of_a_replay_do_not_follow_the_hash_seed(run_under_hash_seeds):
+    """Seeds and detours walk the adjacency and the segments in index order,
+    never a set's: which answer each candidate gets is the same in every
+    interpreter, not only which sets the search returns."""
+    outputs = run_under_hash_seeds(["-c", _REPLAY_ANSWERS_SCRIPT])
+    assert len(set(outputs)) == 1 and '"repair"' in outputs[0]
 
 
 def test_tied_link_powers_do_not_follow_the_hash_seed(run_under_hash_seeds):
