@@ -12,11 +12,10 @@ LP then gets.
 A candidate that does carry witness flow may still be refused without a
 solver: when a node set has more demand leaving it than capacity on its
 active arcs out, no flow exists.  The session keeps a pool of such cuts —
-every demand endpoint's from the start, and the one each infeasible LP's
-dual ray points at — and checks the candidate's arcs against all of them
-in two small mat-vecs.  A cut only ever says "infeasible", and only by
-more than the LP's tolerances could absorb; anything closer goes to the
-LP.
+the one each infeasible LP's dual ray points at — and checks the
+candidate's arcs against all of them in two small mat-vecs.  A cut only
+ever says "infeasible", and only by more than the LP's tolerances could
+absorb; anything closer goes to the LP.
 
 The mirror image says "feasible" without a solver.  The witness is kept
 per origin, and a candidate whose arcs carry some of it may still go when
@@ -40,23 +39,20 @@ the LP's), or "infeasible".
 The active subset is a pair of masks over the topology's index (a
 candidate's entries are flipped, and flipped back on a refusal); names
 appear only at the boundary.  A caller that runs one search per interval
-hands the same session down each time: model, bases and cut pool outlive
-the interval and die with the session, every candidate is still decided
-anew.  The candidate order is fixed by element power, so an interval asks
-many of the last interval's questions again at the same arcs: a cut learned
-then refuses them again, and an LP starts from the basis its last solve
-ended with.  On the benchmark harness's ``timeline_replay`` spec the cuts
-refuse 60 candidates, the seed starts 12 of the 16 searches and repairs
-answer 39 candidates, which leaves 19 LPs (4 from a kept basis) where there
-were 68 before the seed and the repair, 128 before the cuts; 458 simplex
-iterations where there were 595 and 963.
+hands the same session down each time: model and cut pool outlive the
+interval and die with the session, every candidate is still decided anew.
+The candidate order is fixed by element power, so an interval asks many of
+the last interval's questions again at the same arcs, and a cut learned
+then refuses them again.  On the benchmark harness's ``timeline_replay``
+spec the cuts refuse 58 candidates, the seed starts 12 of the 16 searches
+and repairs answer 39 candidates, which leaves 21 LPs and 500 simplex
+iterations; ``docs/architecture.md`` records what each of these rungs is
+worth end to end.
 """
 
 from __future__ import annotations
 
 from typing import Collection, Iterable, List, Optional, Set, Tuple, Union
-
-import numpy as np
 
 from ..exceptions import ConfigurationError, UnknownArcError
 from ..obs import metrics, trace
@@ -100,18 +96,17 @@ def route_on_subset(
 
 def _candidate(
     index: TopologyIndex, element: Union[str, LinkKey]
-) -> Tuple[Union[str, LinkKey], Optional[int], List[int]]:
-    """``(key, node, links)`` of a candidate: its name or its link key as
-    the index orients it, its node index (``None`` for a link) and the links
-    it takes with it."""
+) -> Tuple[Optional[int], List[int]]:
+    """``(node, links)`` of a candidate: its node index (``None`` for a
+    link) and the links it takes with it."""
     if isinstance(element, tuple):
         u, v = element
-        key = (u, v) if u <= v else (v, u)
-        if key not in index.link_index:
+        link = index.link_index.get((u, v) if u <= v else (v, u))
+        if link is None:
             raise UnknownArcError(u, v)
-        return key, None, [index.link_index[key]]
+        return None, [link]
     node = index.node_of(element)
-    return element, node, index.node_links[node]
+    return node, index.node_links[node]
 
 
 def shrink_active_subset(
@@ -134,11 +129,11 @@ def shrink_active_subset(
     remain.
 
     The sets returned do not depend on which optimal flow a warm re-solve
-    lands on, from whichever basis it starts, nor on which cuts the pool
-    holds: a different witness or pool moves work between the solver and
-    the solver-free rules, and all give the true answer to "does the demand
-    still fit?" — a witness skip, a seed or a repair exhibits a feasible
-    flow, a cut proves there is none, an LP decides.
+    lands on, nor on which cuts the pool holds: a different witness or pool
+    moves work between the solver and the solver-free rules, and all give
+    the true answer to "does the demand still fit?" — a witness skip, a
+    seed or a repair exhibits a feasible flow, a cut proves there is none,
+    an LP decides.
 
     Raises:
         UnknownNodeError: If a node candidate is not in *topology*.
@@ -150,7 +145,7 @@ def shrink_active_subset(
     index = topology.index()
     node_on, link_on = index.node_mask(active_nodes), index.link_mask(active_links)
     if session is None:
-        session = FlowSession(topology, demands, utilisation_limit, active_nodes, active_links)
+        session = FlowSession(topology, demands, utilisation_limit)
     elif session.topology is not topology:
         raise ConfigurationError(
             f"the flow session routes over topology {session.topology.name!r}, another object "
@@ -164,14 +159,14 @@ def shrink_active_subset(
     else:
         session.retarget(demands)
     models_before, iterations_before = session.models_built, session.simplex_iterations
-    restored_before, learned_before = session.bases_restored, session.cuts_learned
+    learned_before = session.cuts_learned
     witness = session.seed(index.arc_mask(node_on, link_on))
     seeded = witness is not None
     answers = dict.fromkeys(
         ("witness", "disconnected", "cut", "repair", "lp_feasible", "lp_infeasible"), 0
     )
     for element in candidates:
-        key, node, dropped = _candidate(index, element)
+        node, dropped = _candidate(index, element)
         dropped = [link for link in dropped if link_on[link]]
         if node is None and not dropped:
             continue  # a link that is already off
@@ -192,7 +187,7 @@ def shrink_active_subset(
         ) is not None:
             answer, witness = "repair", repaired
         else:
-            flows = session.witness(arc_on, key)
+            flows = session.witness(arc_on)
             answer = "lp_infeasible" if flows is None else "lp_feasible"
             if flows is not None:
                 witness = flows
@@ -210,7 +205,6 @@ def shrink_active_subset(
             lp_solves=answers["lp_feasible"] + answers["lp_infeasible"],
             lp_iterations=session.simplex_iterations - iterations_before,
             lp_models=session.models_built - models_before,
-            lp_bases_restored=session.bases_restored - restored_before,
             witness_skips=answers["witness"],
             witness_seeded=seeded,
             cut_refusals=answers["cut"],

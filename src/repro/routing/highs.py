@@ -54,7 +54,6 @@ def _load_binding() -> ModuleType:
 
 try:
     _core = _load_binding()
-    HighsBasis = _core.HighsBasis
     HighsLp = _core.HighsLp
     HighsModelStatus = _core.HighsModelStatus
     HighsStatus = _core.HighsStatus
@@ -66,11 +65,9 @@ try:
     for _method in (
         "changeColsBounds",
         "changeRowBounds",
-        "getBasis",
         "getDualRay",
         "getInfo",
         "getSolution",
-        "setBasis",
     ):
         getattr(_Highs, _method)
 except (ImportError, AttributeError) as error:
@@ -82,10 +79,10 @@ except (ImportError, AttributeError) as error:
 _SIMPLEX_ITERATIONS = metrics.counter(
     "repro_mcf_simplex_iterations_total",
     "Simplex iterations of the MCF module's LP solves, by the basis the solve "
-    "started from: none, the previous solve's, or one restored",
+    "started from: none, or the previous solve's",
 )
 _ITERATIONS_BY_START = {
-    start: _SIMPLEX_ITERATIONS.labels(start=start) for start in ("fresh", "warm", "restored")
+    start: _SIMPLEX_ITERATIONS.labels(start=start) for start in ("fresh", "warm")
 }
 _LP_MODELS = metrics.counter(
     "repro_mcf_models_total", "LP models the MCF module assembled and passed to HiGHS"
@@ -142,8 +139,7 @@ class HighsModel:
     ``tests/test_path_model.py``) hand them over, so the first :meth:`solve`
     returns that front end's answer bit for bit.  Unlike them, the model
     stays: :meth:`set_bounds` and :meth:`set_equality` change bounds in place
-    and the next :meth:`solve` of an LP starts from the basis HiGHS kept, or
-    from one an earlier :meth:`basis` call took and :meth:`restore` gives back.
+    and the next :meth:`solve` of an LP starts from the basis HiGHS kept.
 
     Every status the binding returns is looked at, a rejected option's
     included.  After a failure the instance is dropped and any further call
@@ -176,8 +172,7 @@ class HighsModel:
             kinds = (HighsVarType.kContinuous, HighsVarType.kInteger)
             lp.integrality_ = [kinds[flag] for flag in integer.tolist()]
         self._highs: Optional[_Highs] = _Highs()
-        #: The basis the next LP solve starts from: none, the last one's, or
-        #: one :meth:`restore` set.
+        #: The basis the next LP solve starts from: none, or the last one's.
         self._start = "fresh"
         #: Simplex iterations of every LP solve so far.
         self.iterations = 0
@@ -218,17 +213,6 @@ class HighsModel:
         """Give *rows* the bounds ``values <= A x <= values``."""
         for row, value in zip(rows.tolist(), values.tolist(), strict=True):
             self._checked("changeRowBounds", row, value, value)
-
-    def basis(self) -> Optional[HighsBasis]:
-        """A copy of the basis HiGHS holds, or ``None`` when it holds no valid one."""
-        basis = self._live().getBasis()
-        return basis if basis.valid else None
-
-    def restore(self, basis: HighsBasis) -> None:
-        """Start the next solve from *basis*, one :meth:`basis` took from this
-        model."""
-        self._checked("setBasis", basis)
-        self._start = "restored"
 
     def dual_ray(self) -> Optional[np.ndarray]:
         """The Farkas certificate of the last solve, one multiplier per row,

@@ -20,14 +20,12 @@ answers feasibility at any multiple of the matrix on that one model.
 Three layers, one above the other: :func:`_flow_lp` assembles the constraint
 structure over the topology's index, :class:`~repro.routing.highs.HighsModel`
 is the solver binding (the model is passed once, bounds change in place and a
-re-solve starts from the basis the last one left, or from one taken earlier
-and restored), and :class:`FlowSession`
-is what callers hold: "the flow LP of this
-topology object — route these demands with these arcs (index masks) switched
-off".  :func:`solve_mcf` is a session of one solve; the subset search of
-:mod:`repro.optim.subset` keeps one for a switch-off loop, a solver-replay
-runtime from one interval to the next (:meth:`FlowSession.retarget`), and
-asks it first whether a node cut of its pool (:class:`_CutPool`) already
+re-solve starts from the basis the last one left), and :class:`FlowSession`
+is what callers hold: "the flow LP of this topology object — route these
+demands with these arcs (index masks) switched off".  :func:`solve_mcf` is
+a session of one solve; the subset search of :mod:`repro.optim.subset`
+keeps one for a switch-off loop, a solver-replay runtime from one interval
+to the next (:meth:`FlowSession.retarget`), and asks it first whether a node cut of its pool (:class:`_CutPool`) already
 proves a switch-off infeasible, or whether a flow packed onto paths
 (:meth:`FlowSession.seed`) or moved onto detours
 (:meth:`FlowSession.repair`) already proves it feasible.
@@ -36,7 +34,7 @@ proves a switch-off infeasible, or whether a flow packed onto paths
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -46,7 +44,7 @@ from ..obs import metrics
 from ..topology.base import Topology
 from ..topology.index import TopologyIndex
 from ..traffic.matrix import TrafficMatrix
-from .highs import LINPROG_OPTIONS, PRIMAL_FEASIBILITY_TOLERANCE, HighsBasis, HighsModel
+from .highs import LINPROG_OPTIONS, PRIMAL_FEASIBILITY_TOLERANCE, HighsModel
 
 _LP_SOLVES = metrics.counter(
     "repro_mcf_lp_solves_total", "HiGHS LP solves of the MCF module, by kind of LP"
@@ -264,10 +262,11 @@ class _CutPool:
 
     Every flow of an origin in ``S`` to a destination outside it leaves ``S``
     over the arcs out of ``S``; when that *crossing demand* exceeds the
-    arcs' capacity the LP is infeasible.  A set is a boolean row over the
-    index's nodes, kept beside its crossing-arc row; :meth:`retarget` gives
-    every set its crossing demand under new demands, and :meth:`violated`
-    is two small mat-vecs against a capacity vector.
+    arcs' capacity the LP is infeasible.  The sets are those the dual rays
+    of infeasible LPs point at (:meth:`learn`).  A set is a boolean row over
+    the index's nodes, kept beside its crossing-arc row; :meth:`retarget`
+    gives every set its crossing demand under new demands, and
+    :meth:`violated` is two small mat-vecs against a capacity vector.
 
     A refusal must never contradict the LP, whose solution may miss each row
     and column bound by HiGHS's tolerance ``δ`` (in units of ``scale``, the
@@ -328,18 +327,11 @@ class _CutPool:
         self._outbound = np.concatenate((self._outbound, outbound))
 
     def retarget(self, positive: "Demands", endpoints: List[Tuple[int, int]]) -> None:
-        """Measure every set under *positive*, after adding the singleton of
-        each origin (demand out) and the complement of each destination
-        (demand in) that the pool lacks."""
+        """Measure every set under *positive*."""
         origins = np.array([origin for origin, _ in endpoints], dtype=np.int64)
         destinations = np.array([destination for _, destination in endpoints], dtype=np.int64)
         self._pairs = (origins, destinations, np.array([demand for _, demand in positive]))
         self._num_origins = len(np.unique(origins))
-        singletons = np.eye(len(self._index.node_names), dtype=bool)
-        sets = np.vstack((singletons[np.unique(origins)], ~singletons[np.unique(destinations)]))
-        sets = sets[[row.tobytes() not in self._known for row in sets]]
-        if len(sets):
-            self._add(sets, self._structure(sets))
         self._demand, self._margin = self._measure(self.sets, self._inbound, self._outbound)
 
     def violated(self, capacity_on: np.ndarray) -> bool:
@@ -375,12 +367,11 @@ class FlowSession:
     """The flow LP of one topology object at one utilisation limit, solved
     for any demands with any of its arcs switched off.
 
-    ``session.solve(node_on, link_on)`` answers what a fresh session opened
-    on the same demands and active sets answers at its first solve: the same
-    solver-free early returns, the same ``feasible`` — ``False`` both when
-    the LP is infeasible and when some demand endpoint is outside the active
-    set.  The LP spans every arc of the topology's index whatever sets the
-    session was opened on (the default masks), so a wider call may follow a
+    ``session.solve(node_on, link_on)`` answers what a fresh session's first
+    solve on the same demands and active sets answers: the same solver-free
+    early returns, the same ``feasible`` — ``False`` both when the LP is
+    infeasible and when some demand endpoint is outside the active set.  The
+    LP spans every arc of the topology's index, so a wider call may follow a
     narrow one; it reaches HiGHS at the first solve that needs the solver,
     and from then on a solve is "the columns of the arcs that changed get
     upper bound 0, or ``inf`` again" and a run from the previous basis.
@@ -398,33 +389,20 @@ class FlowSession:
     one without a solver — every demand packed onto a fewest-hop path, or
     a witness's flow moved off the arcs a candidate switched off onto
     fewest-hop detours — and keep a margin of slack on every arc they load
-    (see :meth:`repair`).  :meth:`witness` names the candidate it asks
-    for: the session keeps, per candidate, the basis its last solve ended
-    with and the arcs it was solved at, and a later question about the same
-    candidate at the same arcs — the next interval's, on other volumes —
-    starts from that basis.  The bases go with the model (a new origin
-    set) and with a failure.  :meth:`cut_refuses` answers "infeasible" from
-    a pool of node cuts (:class:`_CutPool`): from the start the singleton of
-    every demand origin and the complement of every destination, and, each time
-    :meth:`witness` gets "infeasible" from the LP, the cut the LP's dual
-    ray points at.  The pool lives as long as the session — one topology
-    object, one holder — and only grows; each :meth:`retarget` measures it
-    under the new demands, so a cut learned in one interval refuses the
-    same question in a later one.
+    (see :meth:`repair`).  :meth:`cut_refuses` answers "infeasible" from a
+    pool of node cuts (:class:`_CutPool`): each time :meth:`witness` gets
+    "infeasible" from the LP, the pool learns the cut the LP's dual ray
+    points at.  The pool starts empty, lives as long as the session — one
+    topology object, one holder — and only grows; each :meth:`retarget`
+    measures it under the new demands, so a cut learned in one interval
+    refuses the same question in a later one.
     """
 
     def __init__(
-        self,
-        topology: Topology,
-        demands: TrafficMatrix,
-        utilisation_limit: float = 1.0,
-        active_nodes: Optional[Iterable[str]] = None,
-        active_links: Optional[Iterable[Tuple[str, str]]] = None,
+        self, topology: Topology, demands: TrafficMatrix, utilisation_limit: float = 1.0
     ) -> None:
         self._topology = topology
         self.index = topology.index()
-        self._node_on = self.index.node_mask(active_nodes)
-        self._link_on = self.index.link_mask(active_links)
         self._utilisation_limit = utilisation_limit
         #: Capacity (bps) of every arc at the session's utilisation limit.
         self._capacity = self.index.arc_capacity * utilisation_limit
@@ -437,14 +415,10 @@ class FlowSession:
         #: Assembled and passed to HiGHS at the first solve that needs the solver.
         self._model: Optional[Tuple[_FlowLP, HighsModel]] = None
         self._columns_on = np.ones(self.index.num_arcs, dtype=bool)
-        #: Candidate to ``(arc mask, basis)`` of its last :meth:`witness` solve.
-        self._bases: Dict[Hashable, Tuple[np.ndarray, HighsBasis]] = {}
-        #: Models built, simplex iterations of every solve so far, solves
-        #: started from a basis kept for their candidate, and cuts learned
-        #: from dual rays.
+        #: Models built, simplex iterations of every solve so far and cuts
+        #: learned from dual rays.
         self.models_built = 0
         self.simplex_iterations = 0
-        self.bases_restored = 0
         self.cuts_learned = 0
 
     @property
@@ -487,18 +461,14 @@ class FlowSession:
             # Objective: minimise total flow (discourages cycles and long detours).
             cost = np.ones(lp.a_ub.shape[1])
             rhs = lp.capacity_rhs(self._utilisation_limit)
-            self._bases.clear()
             model = self._model = (lp, _lp_model(cost, lp.a_ub, rhs, lp.a_eq, lp.eq_rhs))
             self._columns_on = np.ones(self.index.num_arcs, dtype=bool)
             self.models_built += 1
         return model
 
-    def _run(
-        self, arc_on: np.ndarray, candidate: Hashable
-    ) -> Tuple[_FlowLP, HighsModel, Optional[np.ndarray]]:
+    def _run(self, arc_on: np.ndarray) -> Tuple[_FlowLP, HighsModel, Optional[np.ndarray]]:
         """The LP, its model and its optimal ``x`` over the arcs *arc_on*
-        (``None`` when it is infeasible); *candidate* (``None``: none) names
-        the question for the bases kept."""
+        (``None`` when it is infeasible)."""
         lp, solver = self._current_model()
         flipped = np.flatnonzero(arc_on != self._columns_on)
         if len(flipped):
@@ -511,20 +481,8 @@ class FlowSession:
 
         _FEASIBILITY_SOLVES.inc()
         iterations_before = solver.iterations
-        carried = self._bases.get(candidate)
-        try:
-            if carried is not None and np.array_equal(carried[0], arc_on):
-                solver.restore(carried[1])
-                self.bases_restored += 1
-            solution = solver.solve()
-        except SolverError:
-            self._bases.clear()
-            raise
+        solution = solver.solve()
         self.simplex_iterations += solver.iterations - iterations_before
-        if candidate is not None:
-            basis = solver.basis()
-            if basis is not None:
-                self._bases[candidate] = (arc_on, basis)
         return lp, solver, solution
 
     def connected(self, arc_on: np.ndarray) -> bool:
@@ -539,16 +497,15 @@ class FlowSession:
         # Demands with an endpoint outside the topology are never connected.
         return self._endpoints is not None and self._cuts.violated(self._capacity * arc_on)
 
-    def witness(self, arc_on: np.ndarray, candidate: Hashable) -> Optional[np.ndarray]:
+    def witness(self, arc_on: np.ndarray) -> Optional[np.ndarray]:
         """The flows of an optimal flow of the demands over the arcs
         *arc_on* — an origins x arcs matrix, in bps, rows in ``lp.origins``
         order, zero on an arc that is off — or ``None`` when there is none,
         and then the pool learns the cut the LP's dual ray points at, if it
-        has one.  For arcs that are :meth:`connected`; *candidate* names the
-        question (see the class)."""
+        has one.  For arcs that are :meth:`connected`."""
         if not self._positive:
             return np.zeros((0, self.index.num_arcs))
-        lp, solver, solution = self._run(arc_on, candidate)
+        lp, solver, solution = self._run(arc_on)
         if solution is None:
             self._learn(lp, solver.dual_ray(), arc_on)
             return None
@@ -693,18 +650,18 @@ class FlowSession:
         self, node_on: Optional[np.ndarray] = None, link_on: Optional[np.ndarray] = None
     ) -> MCFResult:
         """Route the demands over the arcs of the active subset *node_on*,
-        *link_on* (default: the sets the session was opened on)."""
+        *link_on* (default: every node, every link)."""
         index = self.index
         arc_on = index.arc_mask(
-            self._node_on if node_on is None else node_on,
-            self._link_on if link_on is None else link_on,
+            index.node_mask(None) if node_on is None else node_on,
+            index.link_mask(None) if link_on is None else link_on,
         )
         if not self._positive:
             return MCFResult(True, 0.0, np.zeros(index.num_arcs), 0.0)
         infeasible = MCFResult(False, float("inf"), np.zeros(0), 0.0)
         if not self.connected(arc_on):
             return infeasible
-        lp, _, solution = self._run(arc_on, None)
+        lp, _, solution = self._run(arc_on)
         if solution is None:
             return infeasible
         loads = _arc_loads(lp, solution)

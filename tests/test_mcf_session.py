@@ -126,6 +126,14 @@ def reference_lp(topology, demands, active_nodes=None, active_links=None):
     return on, positive, mcf._flow_lp(topology.index(), positive)
 
 
+def solve_fresh(topology, demands, utilisation_limit=1.0, active_nodes=None, active_links=None):
+    """A fresh session's first solve on the active name sets (``None``: all)."""
+    index = topology.index()
+    return FlowSession(topology, demands, utilisation_limit).solve(
+        index.node_mask(active_nodes), index.link_mask(active_links)
+    )
+
+
 def reference_solve_mcf(
     topology, demands, utilisation_limit=1.0, active_nodes=None, active_links=None
 ):
@@ -377,9 +385,7 @@ def test_fresh_solves_equal_linprog_on_sub_networks_and_other_limits(geant):
                 (None, []),
             ):
                 arguments = (geant, demands, limit, active_nodes, active_links)
-                assert_same_result(
-                    FlowSession(*arguments).solve(), reference_solve_mcf(*arguments)
-                )
+                assert_same_result(solve_fresh(*arguments), reference_solve_mcf(*arguments))
 
 
 # --------------------------------------------------------------------- #
@@ -389,7 +395,7 @@ def assert_session_step(session, topology, demands, limit, nodes, links):
     """One step: the session's answer on ``(nodes, links)`` against a fresh LP."""
     index = topology.index()
     result = session.solve(index.node_mask(nodes), index.link_mask(links))
-    fresh = FlowSession(topology, demands, limit, nodes, links).solve()
+    fresh = solve_fresh(topology, demands, limit, nodes, links)
     assert result.feasible == fresh.feasible, (sorted(nodes), sorted(links))
     # One entry per arc of the index either way, nothing on an arc that is
     # off; the flows are two optima of one LP, so they agree on the
@@ -411,7 +417,7 @@ def test_feasible_infeasible_restored_feasible(geant):
     _, base = base_matrix({"name": "geant", "params": {}}, example_traffic_specs()[0])
     demands = base.scaled(0.6 * ConcurrentFlow(geant, base).max_scale())
     nodes, links = set(geant.nodes()), set(geant.link_keys())
-    session = FlowSession(geant, demands, 1.0, nodes, links)
+    session = FlowSession(geant, demands, 1.0)
     solves_before = feasibility_solves()
 
     def step(off_links):
@@ -492,7 +498,7 @@ def test_random_off_on_sequences_answer_as_fresh_solves(case, limit):
     off = set(steps[0][0])
     nodes = {name for name in topology.nodes() if name not in off}
     links = {key for key in topology.link_keys() if key not in off}
-    session = FlowSession(topology, demands, limit, nodes, links)
+    session = FlowSession(topology, demands, limit)
     assert_session_step(session, topology, demands, limit, nodes, links)
     for toggled, retargeted in steps[1:]:
         off ^= set(toggled)
@@ -530,17 +536,17 @@ def test_a_retargeted_session_keeps_its_model_while_the_origins_stay(geant):
 
 
 def test_a_session_opened_on_a_sub_network_answers_a_wider_call(geant):
-    """The model spans every arc of the index whatever the starting sets."""
+    """The model spans every arc of the index whatever the first solve's sets."""
     demands, links = geant_case(geant)
     index = geant.index()
     # A spanning tree carries nothing like the load; the whole network does.
     tree = nx.minimum_spanning_tree(to_networkx(geant).to_undirected())
-    narrow = [link_key(u, v) for u, v in tree.edges()]
-    session = FlowSession(geant, demands, 1.0, geant.nodes(), narrow)
-    assert not session.solve().feasible
-    assert session.solve(index.node_mask(None), index.link_mask(None)).feasible
+    narrow = index.link_mask([link_key(u, v) for u, v in tree.edges()])
+    session = FlowSession(geant, demands, 1.0)
+    assert not session.solve(link_on=narrow).feasible
+    assert session.solve().feasible
     assert session.solve(link_on=index.link_mask(links[1:])).feasible
-    assert not session.solve().feasible and session.models_built == 1
+    assert not session.solve(link_on=narrow).feasible and session.models_built == 1
 
 
 # --------------------------------------------------------------------- #
@@ -645,7 +651,6 @@ def test_only_infeasible_means_infeasible(monkeypatch, geant, status, message):
         "run",
         "changeColsBounds",
         "changeRowBounds",
-        "setBasis",
         "getDualRay",
         "passModel",
         "setOptionValue",
@@ -658,9 +663,8 @@ def test_every_status_returning_call_is_checked(monkeypatch, geant, method):
     session = FlowSession(geant, demands)
     model_is_in = method not in ("passModel", "setOptionValue")
     if model_is_in:
-        # The next question flips bounds back, restores the basis kept for
-        # it and re-runs ...
-        assert session.witness(arc_on, links[0]) is not None
+        # The next question flips bounds back and re-runs ...
+        assert session.witness(arc_on) is not None
         assert session.solve().feasible
         # ... on another right-hand side: one the LP finds infeasible, and
         # then reads the dual ray of, for getDualRay.
@@ -669,23 +673,21 @@ def test_every_status_returning_call_is_checked(monkeypatch, geant, method):
     failing = (error, False, np.zeros(0)) if method == "getDualRay" else error
     monkeypatch.setattr(highs._Highs, method, lambda self, *args: failing)
     with pytest.raises(SolverError, match=f"HiGHS {method} returned kError"):
-        session.witness(arc_on, links[0])
+        session.witness(arc_on)
     monkeypatch.undo()
     if model_is_in:
         with pytest.raises(SolverError, match="takes no further calls"):
-            session.witness(arc_on, links[0])
+            session.witness(arc_on)
         with pytest.raises(SolverError, match="takes no further calls"):
             session.solve()
-        # A new origin set is a new model, and no basis of the old one is
-        # restored into it.
+        # A new origin set is a new model.
         first = demands.origins()[0]
         session.retarget(demands.restricted_to(p for p in demands.pairs() if p[0] != first))
-        assert session.witness(arc_on, links[0]) is not None
-        restored = method in ("run", "getDualRay")
-        assert session.bases_restored == restored and session.models_built == 2
+        assert session.witness(arc_on) is not None
+        assert session.models_built == 2
     else:
         # The instance that refused its model is gone; none was left half-built.
-        assert session.witness(arc_on, links[0]) is not None
+        assert session.witness(arc_on) is not None
 
 
 def bottleneck():
@@ -705,7 +707,7 @@ def test_an_infeasible_lp_teaches_the_cut_its_dual_ray_points_at():
     session = FlowSession(topology, demands)
     arc_on = np.ones(topology.index().num_arcs, dtype=bool)
     assert not session.cut_refuses(arc_on)
-    assert session.witness(arc_on, "all") is None and session.cuts_learned == 1
+    assert session.witness(arc_on) is None and session.cuts_learned == 1
     assert session.cut_refuses(arc_on)
     # The cut outlives the interval: measured under the next demands, it
     # refuses the same question while they still exceed 2 Gb/s.
@@ -713,7 +715,7 @@ def test_an_infeasible_lp_teaches_the_cut_its_dual_ray_points_at():
     assert session.cut_refuses(arc_on)
     session.retarget(demands.scaled(0.5))
     assert not session.cut_refuses(arc_on)
-    assert session.witness(arc_on, "all") is not None and session.cuts_learned == 1
+    assert session.witness(arc_on) is not None and session.cuts_learned == 1
 
 
 def test_an_infeasible_lp_without_a_dual_ray_learns_nothing_and_still_answers(monkeypatch):
@@ -725,7 +727,7 @@ def test_an_infeasible_lp_without_a_dual_ray_learns_nothing_and_still_answers(mo
     session = FlowSession(topology, demands)
     arc_on = np.ones(topology.index().num_arcs, dtype=bool)
     for _ in range(2):
-        assert session.witness(arc_on, "all") is None
+        assert session.witness(arc_on) is None
         assert session.cuts_learned == 0 and not session.cut_refuses(arc_on)
     assert not session.solve().feasible
 
@@ -780,9 +782,7 @@ def test_a_failed_solve_fails_the_run_and_poisons_nothing(monkeypatch):
 # --------------------------------------------------------------------- #
 def simplex_iterations():
     family = metrics.counter("repro_mcf_simplex_iterations_total")
-    return {
-        start: int(family.labels(start=start).value) for start in ("fresh", "warm", "restored")
-    }
+    return {start: int(family.labels(start=start).value) for start in ("fresh", "warm")}
 
 
 def models_built():
@@ -806,13 +806,11 @@ def test_one_spec_replayed_twice_in_one_process_gives_one_result():
         assert sum(attrs["lp_models"] for attrs in elastictree) == models
         # One session per topology object (the day's network and its
         # failure view), rebuilt only when the origin set changes: one fresh
-        # solve per model built, every other one from the last basis or from
-        # the one kept for its candidate — and fewer pivots in those than in
-        # a fresh one.
+        # solve per model built, every other one from the last basis — and
+        # fewer pivots in those than in a fresh one.
         assert 2 <= models <= 3
         assert sum(attrs["lp_iterations"] for attrs in elastictree) == sum(iterations.values())
-        started_warm = iterations["warm"] + iterations["restored"]
-        assert 0 < started_warm / (solves - models) < iterations["fresh"] / models
+        assert 0 < iterations["warm"] / (solves - models) < iterations["fresh"] / models
         runs.append((canonical_result_dict(result.to_dict()), solves, models, iterations))
     assert runs[0] == runs[1]
 

@@ -17,7 +17,7 @@ here as the reference.  Pinned:
   random connected topologies;
 * one session carried across GÉANT trace intervals — a surge and a
   failure view among them — gives every interval the sets, power and
-  routing of a fresh search, and a new origin set restores no basis;
+  routing of a fresh search, and a new origin set builds a new model;
 * a link candidate is taken in either orientation, and an unknown node or
   a pair that is not a link is named in the error, as is a session of
   another topology object or utilisation limit;
@@ -25,7 +25,8 @@ here as the reference.  Pinned:
   every shipped topology, on random demands and arc masks — is infeasible
   for a fresh ``FlowSession`` on the same arcs; a demand equal to its
   endpoint's capacity, or within the margin above it, goes to the LP; an ε
-  matrix is never refused by a cut; an infeasible LP without a dual ray
+  matrix is never refused by a cut, not even by one a heavier matrix
+  taught the same session; an infeasible LP without a dual ray
   learns nothing;
 * every seed and every repair — on the ``timeline_replay`` spec, on
   ``greedy`` over every shipped topology, on random demands and switch-offs
@@ -36,11 +37,8 @@ here as the reference.  Pinned:
   repaired origin by origin; a seed that does not fit leaves the search to
   answer as before;
 * one replay of the benchmark harness's ``timeline_replay`` spec solves at
-  most 25 feasibility LPs (204 with the plain loop, 128 before the cut
-  pool, 68 before the seed and the repair) in at most 520 simplex
-  iterations (2 273 before a candidate's basis was kept between intervals,
-  963 before the cut pool, 595 before the seed and the repair), and the
-  counts are on the ``scheme.solve`` spans and in
+  most 25 feasibility LPs (204 with the plain loop) in at most 520 simplex
+  iterations, and the counts are on the ``scheme.solve`` spans and in
   ``repro_subset_checks_total``;
 * tied link powers (a fat-tree under the commodity model) give one active
   set, and one replay the same answer counts, under every
@@ -100,6 +98,7 @@ def traffic_specs():
 def plain_loop(topology, demands, utilisation_limit, nodes, links, candidates):
     """Try every candidate with a fresh ``FlowSession`` on the candidate sets."""
     nodes, links = set(nodes), set(links)
+    index = topology.index()
     for element in candidates:
         if isinstance(element, tuple):
             if element not in links:
@@ -108,8 +107,8 @@ def plain_loop(topology, demands, utilisation_limit, nodes, links, candidates):
         else:
             fewer_nodes = nodes - {element}
             fewer_links = {key for key in links if element not in key}
-        fresh = FlowSession(topology, demands, utilisation_limit, fewer_nodes, fewer_links)
-        if fresh.solve().feasible:
+        fresh = FlowSession(topology, demands, utilisation_limit)
+        if fresh.solve(index.node_mask(fewer_nodes), index.link_mask(fewer_links)).feasible:
             nodes, links = fewer_nodes, fewer_links
     return nodes, links
 
@@ -351,17 +350,16 @@ def test_a_session_carried_across_trace_intervals_answers_as_fresh_ones(
     monkeypatch, cisco_model
 ):
     """What ElasticTree's runtime does over a replay: one session per
-    topology object, kept from one interval to the next, so a candidate asked
-    again at the same arcs starts from the basis its last solve ended with.
-    Twelve GÉANT trace intervals — four plain, four on the DE–FR failure view
+    topology object, kept from one interval to the next with its model and
+    its cut pool.  Twelve GÉANT trace intervals — four plain, four on the DE–FR failure view
     (its own topology object) with the restricted matrices, four surged
     1.5x — and each gives what a fresh search gives."""
     questions = []
     real_witness = FlowSession.witness
 
-    def witness(session, arc_on, candidate):
-        questions.append((session, arc_on.copy(), candidate))
-        return real_witness(session, arc_on, candidate)
+    def witness(session, arc_on):
+        questions.append((session, arc_on.copy()))
+        return real_witness(session, arc_on)
 
     monkeypatch.setattr(FlowSession, "witness", witness)
     built = build_scenario(replay_scenario(11))
@@ -388,22 +386,20 @@ def test_a_session_carried_across_trace_intervals_answers_as_fresh_ones(
         assert routes(carried.routing) == routes(fresh.routing)
     assert len(sessions) == 2
     assert all(session.models_built == 1 for session in sessions.values())
-    assert sum(session.bases_restored for session in sessions.values()) > 0
 
-    # Another origin set is another model: no basis of the old one is
-    # restored.  The last question the GÉANT session's LP got, asked again,
-    # starts from the basis it kept — and asked under a new origin set, from
-    # none.  (A search would not ask it: the seed answers that set.)
+    # Another origin set is another model.  The last question the GÉANT
+    # session's LP got, asked again, keeps the model — and asked under a new
+    # origin set, builds one.  (A search would not ask it: the seed answers
+    # that set.)
     session = sessions[id(geant)]
-    _, arc_on, candidate = [question for question in questions if question[0] is session][-1]
-    restored = session.bases_restored
-    real_witness(session, arc_on, candidate)
-    assert session.models_built == 1 and session.bases_restored == restored + 1
+    _, arc_on = [question for question in questions if question[0] is session][-1]
+    real_witness(session, arc_on)
+    assert session.models_built == 1
     first = matrices[0].origins()[0]
     other = matrices[0].restricted_to(p for p in matrices[0].pairs() if p[0] != first)
     session.retarget(other)
-    real_witness(session, arc_on, candidate)
-    assert session.models_built == 2 and session.bases_restored == restored + 1
+    real_witness(session, arc_on)
+    assert session.models_built == 2
     found = greedy_minimum_subset(geant, cisco_model, other, 0.9, session)
     assert found.active_links == greedy_minimum_subset(geant, cisco_model, other, 0.9).active_links
 
@@ -512,12 +508,17 @@ def test_every_cut_refusal_of_greedy_on_shipped_topologies_is_infeasible(monkeyp
     power_model = CommoditySwitchPowerModel() if name == "fattree" else CiscoRouterPowerModel()
     for traffic in traffic_specs():
         topology, base = base_matrix(topology_section, traffic)
+        # One session per limit, carried from level to level as a runtime
+        # carries it from interval to interval: the ε searches come last
+        # and meet the cuts the heavier levels taught the pool.
+        sessions = {}
         for demands, limit in demand_levels(topology, base):
-            greedy_minimum_subset(topology, power_model, demands, utilisation_limit=limit)
+            session = sessions.setdefault(limit, FlowSession(topology, demands, limit))
+            greedy_minimum_subset(topology, power_model, demands, limit, session)
             if demands.name == "epsilon":
                 # (d) An ε matrix goes to the connectivity walk and the LP,
-                # never to a cut: not even with every arc off.
-                session = FlowSession(topology, demands, limit)
+                # never to a cut — not even to one of the session's pool,
+                # with every arc off.
                 assert not session.cut_refuses(np.zeros(topology.index().num_arcs, dtype=bool))
     assert all(matrix_name != "epsilon" for _, matrix_name in refusals)
 
@@ -532,7 +533,7 @@ def test_cut_refusals_on_random_demands_and_arc_masks_are_infeasible(case, data,
     index = topology.index()
     session = FlowSession(topology, demands, limit)
     off = st.sets(st.sampled_from(range(len(index.link_keys))), max_size=3)
-    for step in range(8):
+    for _ in range(8):
         link_on = np.ones(len(index.link_keys), dtype=bool)
         link_on[list(data.draw(off))] = False
         arc_on = index.arc_mask(index.node_mask(None), link_on)
@@ -542,7 +543,7 @@ def test_cut_refusals_on_random_demands_and_arc_masks_are_infeasible(case, data,
         if session.cut_refuses(arc_on):
             assert not fits
         else:
-            assert (session.witness(arc_on, step) is not None) == fits
+            assert (session.witness(arc_on) is not None) == fits
 
 
 def triangle():
@@ -561,23 +562,44 @@ def test_a_demand_at_or_within_the_margin_of_its_capacity_goes_to_the_lp():
     """With A-C off, the singleton {A} has crossing demand d and 1 Gb/s of
     capacity out.  Its margin is δ·scale·(k·(|S| + |in(S)|) + (k + 1)·|out(S)|)
     with k = 1 origin, |S| = 1, two arcs in and two out, times the residual
-    allowance: a demand at the capacity, and one within the margin above
-    it, reach the LP; one just past the margin is refused by the cut."""
+    allowance.  Two searches run on one session: the first, on an empty
+    pool, reaches the LP, and an infeasible LP teaches the pool the cut its
+    dual ray points at.  A demand at the capacity, and one within the margin
+    above it, reach the LP both times; one just past the margin is refused
+    the second time by the cut {A} the first search learned."""
     topology = triangle()
     unit = mcf._RESIDUAL_ALLOWANCE * highs.PRIMAL_FEASIBILITY_TOLERANCE * 2.5e9
     margin = unit * (1 * (1 + 2) + 2 * 2)
-    for excess, answer in ((0.0, "lp_feasible"), (0.9 * margin, None), (1.1 * margin, "cut")):
+    index = topology.index()
+    cases = (
+        (0.0, ["lp_feasible", "lp_feasible"], []),
+        (0.9 * margin, None, []),
+        (1.1 * margin, ["lp_infeasible", "cut"], [{"A"}]),
+    )
+    for excess, answers, cuts in cases:
         demands = TrafficMatrix({("A", "C"): 1e9 + excess})
-        before = subset_checks()
-        nodes, links = shrink_active_subset(
-            topology, demands, 1.0, topology.nodes(), topology.link_keys(), [("A", "C")]
-        )
-        answered = [key for key, count in subset_checks().items() if count > before.get(key, 0)]
-        if answer is None:  # the LP decides, within its tolerance
-            assert answered in (["lp_feasible"], ["lp_infeasible"])
-        else:
-            assert answered == [answer]
-        assert (("A", "C") in links) == (answered != ["lp_feasible"])
+        session = FlowSession(topology, demands)
+        for search in range(2):
+            before = subset_checks()
+            nodes, links = shrink_active_subset(
+                topology,
+                demands,
+                1.0,
+                topology.nodes(),
+                topology.link_keys(),
+                [("A", "C")],
+                session,
+            )
+            answered = [
+                key for key, count in subset_checks().items() if count > before.get(key, 0)
+            ]
+            if answers is None:  # the LP decides, within its tolerance
+                assert answered in (["lp_feasible"], ["lp_infeasible"])
+            else:
+                assert answered == [answers[search]]
+            assert (("A", "C") in links) == (answered != ["lp_feasible"])
+        names = np.array(index.node_names)
+        assert [set(names[row]) for row in session._cuts.sets] == cuts
 
 
 # --------------------------------------------------------------------- #
@@ -688,7 +710,7 @@ def test_seeds_and_repairs_on_random_demands_and_arc_masks_are_feasible(case, da
     if witness is not None:
         assert_carries_the_demands(session, demands, arc_on, witness)
     endpoints = {index.node_index[name] for name in demands.nodes()}
-    for step in range(8):
+    for _ in range(8):
         node = data.draw(st.sampled_from([None, *range(len(index.node_names))]))
         if node is None or node in endpoints or not node_on[node]:
             node = None
@@ -709,7 +731,7 @@ def test_seeds_and_repairs_on_random_demands_and_arc_masks_are_feasible(case, da
             assert_carries_the_demands(session, demands, fewer_arcs, repaired)
             flows = repaired
         else:
-            flows = session.witness(fewer_arcs, step)
+            flows = session.witness(fewer_arcs)
         if flows is not None:
             witness, node_on, link_on = flows, fewer_nodes, fewer_links
 
@@ -824,11 +846,9 @@ def test_timeline_replay_spec_stays_under_the_solve_ceiling():
         answer: count - checks_before.get(answer, 0) for answer, count in subset_checks().items()
     }
     assert len(result.times_s) == 16
-    # 19 today; 204 with one LP per candidate, 128 without cuts, 68 without
-    # seeds and repairs.
+    # 21 today; 204 with one LP per candidate.
     assert 0 < solves <= 25
-    # 458 today; 2 273 before a candidate's basis was kept from one interval
-    # to the next, 963 without cuts, 595 without seeds and repairs.
+    # 500 today.
     iterations = sum(attrs["lp_iterations"] for attrs in spans.attrs if "lp_iterations" in attrs)
     assert iterations <= 520
     assert checks["lp_feasible"] + checks["lp_infeasible"] == solves
@@ -843,7 +863,6 @@ def test_timeline_replay_spec_stays_under_the_solve_ceiling():
     assert sum(attrs["repairs"] for attrs in elastictree) == checks["repair"]
     assert sum(attrs["witness_seeded"] for attrs in elastictree) > 0
     assert sum(attrs["cuts_learned"] for attrs in elastictree) > 0
-    assert sum(attrs["lp_bases_restored"] for attrs in elastictree) >= 1
     greente = [attrs for attrs in spans.attrs if attrs["solver"] == "GreenTERuntime"]
     assert greente and not any("lp_solves" in attrs for attrs in greente)
 
