@@ -7,7 +7,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..exceptions import ConfigurationError
 from ..optim.solution import EnergyAwareSolution
-from ..power.accounting import network_power
 from ..routing.paths import RoutingTable
 from ..traffic.matrix import Pair
 
@@ -52,16 +51,13 @@ class ResponsePlan:
         example) or produced by an external tool.  The always-on element set
         is derived from the always-on table.
         """
-        active_nodes = set(always_on_table.used_nodes())
-        active_links = set(always_on_table.used_links())
-        always_on = EnergyAwareSolution(
-            active_nodes=active_nodes,
-            active_links=active_links,
-            routing=always_on_table,
-            power_w=network_power(topology, power_model, active_nodes, active_links).total_w,
-            objective_w=0.0,
-            optimal=False,
-            solver="explicit-tables",
+        always_on = EnergyAwareSolution.of(
+            topology,
+            power_model,
+            always_on_table.used_nodes(),
+            always_on_table.used_links(),
+            always_on_table,
+            "explicit-tables",
         )
         return cls(
             always_on=always_on,

@@ -15,7 +15,6 @@ import math
 from typing import Dict, Optional, Set, Tuple
 
 from ..exceptions import TopologyError
-from ..power.accounting import network_power
 from ..power.model import PowerModel
 from ..routing.paths import RoutingTable, link_loads
 from ..topology.base import Topology
@@ -122,15 +121,8 @@ def elastictree_subset(
             topology, demands, active_nodes, active_links, usable
         )
 
-    power = network_power(topology, power_model, active_nodes, active_links).total_w
-    return EnergyAwareSolution(
-        active_nodes=active_nodes,
-        active_links=active_links,
-        routing=routing,
-        power_w=power,
-        objective_w=power,
-        optimal=False,
-        solver="elastictree-greedy",
+    return EnergyAwareSolution.of(
+        topology, power_model, active_nodes, active_links, routing, "elastictree-greedy"
     )
 
 

@@ -11,7 +11,6 @@ demand on what remains.
 
 from __future__ import annotations
 
-from ..power.accounting import network_power
 from ..power.model import PowerModel
 from ..routing.mcf import FlowSession
 from ..topology.base import Topology
@@ -61,13 +60,6 @@ def greedy_minimum_subset(
     active_nodes &= keep_on.union(*active_links)
 
     routing = route_on_subset(topology, demands, active_nodes, active_links, "greedy-subset")
-    power = network_power(topology, power_model, active_nodes, active_links).total_w
-    return EnergyAwareSolution(
-        active_nodes=active_nodes,
-        active_links=active_links,
-        routing=routing,
-        power_w=power,
-        objective_w=power,
-        optimal=False,
-        solver="greedy-minimum-subset",
+    return EnergyAwareSolution.of(
+        topology, power_model, active_nodes, active_links, routing, "greedy-minimum-subset"
     )

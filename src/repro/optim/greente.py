@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional, Set, Tuple
 
 from ..exceptions import InfeasibleError
-from ..power.accounting import network_power
 from ..power.model import PowerModel
 from ..routing.ksp import CandidatePaths
 from ..routing.paths import Path, RoutingTable
@@ -130,13 +129,6 @@ def greente_heuristic(
         residual[index.compile_path(best).arc_indices] -= demand
 
     routing = RoutingTable(chosen, name="greente")
-    power = network_power(topology, power_model, active_nodes, active_links).total_w
-    return EnergyAwareSolution(
-        active_nodes=active_nodes,
-        active_links=active_links,
-        routing=routing,
-        power_w=power,
-        objective_w=power,
-        optimal=False,
-        solver="greente-heuristic",
+    return EnergyAwareSolution.of(
+        topology, power_model, active_nodes, active_links, routing, "greente-heuristic"
     )

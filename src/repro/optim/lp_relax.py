@@ -15,7 +15,6 @@ trade-off of the exact MILP, the greedy heuristic and rounding.
 
 from __future__ import annotations
 
-from ..power.accounting import network_power
 from ..power.model import PowerModel
 from ..routing.ksp import CandidatePaths
 from ..routing.mcf import FlowSession
@@ -77,13 +76,6 @@ def lp_relaxation_with_rounding(
     )
 
     routing = route_on_subset(topology, demands, active_nodes, active_links, "lp-rounding")
-    power = network_power(topology, power_model, active_nodes, active_links).total_w
-    return EnergyAwareSolution(
-        active_nodes=active_nodes,
-        active_links=active_links,
-        routing=routing,
-        power_w=power,
-        objective_w=power,
-        optimal=False,
-        solver="lp-relaxation-rounding",
+    return EnergyAwareSolution.of(
+        topology, power_model, active_nodes, active_links, routing, "lp-relaxation-rounding"
     )

@@ -4,9 +4,14 @@ This is the formulation the paper (and the related work it cites) hands to
 CPLEX: binary per-flow arc variables, binary link/node power states, the
 multi-commodity-flow constraints plus the three energy-coupling constraints.
 It is NP-hard and only practical for small topologies — the paper reports
-hours even for medium ISP networks — so the library uses it for validation
-and for the small example/testbed topologies, while
-:mod:`repro.optim.pathmilp` serves the evaluation-sized networks.
+hours even for medium ISP networks — so nothing in the library's pipelines
+calls it: it is the reference the tests hold the path MILP of
+:mod:`repro.optim.pathmilp` and the heuristics against.
+
+The flow rows are the flow LP's (:func:`repro.routing.mcf.flow_structure`,
+one commodity per pair, unit flows) and the on/off half is the path MILP's
+(:class:`repro.optim.solution.OnOffModel`).  Flows are binary, so the
+optimum is the single-path one.
 """
 
 from __future__ import annotations
@@ -17,13 +22,14 @@ import numpy as np
 from scipy import sparse
 
 from ..exceptions import InfeasibleError, SolverError
-from ..power.accounting import network_power
 from ..power.model import PowerModel
 from ..routing.highs import MILP_SOLVES, HighsModel, milp_options
+from ..routing.mcf import flow_structure
 from ..routing.paths import Path, RoutingTable
-from ..topology.base import Topology, link_key
+from ..topology.base import Topology
+from ..topology.index import TopologyIndex
 from ..traffic.matrix import Pair, TrafficMatrix
-from .solution import EnergyAwareSolution, element_power_coefficients
+from .solution import EnergyAwareSolution, OnOffModel
 
 #: Guard against accidentally building an intractable instance.
 MAX_FLOW_VARIABLES = 30_000
@@ -61,190 +67,104 @@ def solve_arc_milp(
         InfeasibleError: If the demand cannot be carried at all.
     """
     pairs: List[Pair] = demands.pairs()
-    arcs = topology.arcs()
-    if len(pairs) * len(arcs) > MAX_FLOW_VARIABLES:
+    index = topology.index()
+    num_arcs, num_nodes = index.num_arcs, len(index.node_names)
+    num_flow = len(pairs) * num_arcs
+    if num_flow > MAX_FLOW_VARIABLES:
         raise SolverError(
-            f"arc-based MILP would need {len(pairs) * len(arcs)} flow variables; "
+            f"arc-based MILP would need {num_flow} flow variables; "
             "use the path-restricted solver for instances of this size"
         )
 
-    nodes = topology.nodes()
-    links = topology.link_keys()
-    node_index = {name: position for position, name in enumerate(nodes)}
-    arc_index = {arc.key: position for position, arc in enumerate(arcs)}
-    link_index = {key: position for position, key in enumerate(links)}
+    # Variable layout: [f (arcs of pair 0, of pair 1, ...) | y | x].
+    on_off = OnOffModel(topology, power_model, num_flow, fixed_on_nodes, fixed_on_links)
+    y0, rows = on_off.y0, on_off.rows
+    cost = on_off.cost
+    # A vanishing preference for fewer hops breaks ties without affecting the
+    # power optimum; it sits below HiGHS's tolerances, so a flow may still
+    # carry a loop, which :func:`_route` drops.
+    cost[:num_flow] = 1e-6 * max(cost.max(), 1.0) / max(num_arcs, 1)
 
-    num_flow = len(pairs) * len(arcs)
-    num_vars = num_flow + len(links) + len(nodes)
-
-    def f_var(pair_position: int, arc_position: int) -> int:
-        return pair_position * len(arcs) + arc_position
-
-    def y_var(key: Tuple[str, str]) -> int:
-        return num_flow + link_index[key]
-
-    def x_var(name: str) -> int:
-        return num_flow + len(links) + node_index[name]
-
-    node_power, link_power = element_power_coefficients(topology, power_model)
-    cost = np.zeros(num_vars)
-    for key, power in link_power.items():
-        cost[y_var(key)] = power
-    for name, power in node_power.items():
-        cost[x_var(name)] = power
-    # A vanishing preference for fewer hops breaks ties and avoids gratuitous
-    # loops in the extracted paths without affecting the power optimum.
-    hop_penalty = 1e-6 * max(cost.max(), 1.0) / max(len(arcs), 1)
-    cost[:num_flow] = hop_penalty
-
-    lower = np.zeros(num_vars)
-    upper = np.ones(num_vars)
-    fixed_nodes = set(fixed_on_nodes or ())
-    for name in nodes:
-        if topology.node(name).always_powered or name in fixed_nodes:
-            lower[x_var(name)] = 1.0
-    for key in (link_key(u, v) for u, v in fixed_on_links or ()):
-        if key in link_index:
-            lower[y_var(key)] = 1.0
-
-    rows: List[int] = []
-    cols: List[int] = []
-    vals: List[float] = []
-    constraint_lower: List[float] = []
-    constraint_upper: List[float] = []
-    row_count = 0
-
-    def add_entry(row: int, column: int, value: float) -> None:
-        rows.append(row)
-        cols.append(column)
-        vals.append(value)
-
-    # Flow conservation per (pair, node): out - in = 1 at the origin,
-    # -1 at the destination, 0 elsewhere.
-    for pair_position, (origin, destination) in enumerate(pairs):
-        for name in nodes:
-            for arc in topology.outgoing_arcs(name):
-                add_entry(row_count, f_var(pair_position, arc_index[arc.key]), 1.0)
-            for neighbour in topology.neighbors(name):
-                incoming = topology.arc(neighbour, name)
-                add_entry(row_count, f_var(pair_position, arc_index[incoming.key]), -1.0)
-            if name == origin:
-                balance = 1.0
-            elif name == destination:
-                balance = -1.0
-            else:
-                balance = 0.0
-            constraint_lower.append(balance)
-            constraint_upper.append(balance)
-            row_count += 1
-
-    # Capacity and link-activation coupling (constraint 2).
-    capacity_scale = max(arc.capacity_bps for arc in arcs)
-    for arc in arcs:
-        arc_position = arc_index[arc.key]
-        for pair_position, pair in enumerate(pairs):
-            demand = demands[pair]
-            coefficient = max(demand, 0.0) / capacity_scale
-            add_entry(row_count, f_var(pair_position, arc_position), coefficient)
-            # Even zero-demand flows may only use active links.
-            add_entry(row_count + 1, f_var(pair_position, arc_position), 1.0)
-        add_entry(
-            row_count,
-            y_var(link_key(arc.src, arc.dst)),
-            -arc.capacity_bps * UTILISATION_LIMIT / capacity_scale,
-        )
-        constraint_lower.append(-np.inf)
-        constraint_upper.append(0.0)
-        add_entry(row_count + 1, y_var(link_key(arc.src, arc.dst)), -float(len(pairs)))
-        constraint_lower.append(-np.inf)
-        constraint_upper.append(0.0)
-        row_count += 2
-
-    # Constraint (1): links of a powered-off router are inactive.
-    for key in links:
-        for endpoint in key:
-            add_entry(row_count, y_var(key), 1.0)
-            add_entry(row_count, x_var(endpoint), -1.0)
-            constraint_lower.append(-np.inf)
-            constraint_upper.append(0.0)
-            row_count += 1
-
-    # Constraint (3): a router with no active link is powered off.
-    for name in nodes:
-        if lower[x_var(name)] >= 1.0:
-            continue
-        incident = [link.key for link in topology.incident_links(name)]
-        if not incident:
-            continue
-        add_entry(row_count, x_var(name), 1.0)
-        for key in incident:
-            add_entry(row_count, y_var(key), -1.0)
-        constraint_lower.append(-np.inf)
-        constraint_upper.append(0.0)
-        row_count += 1
+    a_eq, a_ub = flow_structure(index.arc_src, index.arc_dst, num_nodes, len(pairs))
+    commodity = np.arange(len(pairs))
+    balance = np.zeros((len(pairs), num_nodes))
+    balance[commodity, [index.node_index[origin] for origin, _ in pairs]] = 1.0
+    balance[commodity, [index.node_index[destination] for _, destination in pairs]] = -1.0
+    # Scale by the largest capacity to keep coefficients well conditioned.
+    scale = float(index.arc_capacity.max())
+    demand = np.array([max(demands[pair], 0.0) for pair in pairs])
+    arcs, arc_y = np.arange(num_arcs), y0 + index.arc_link
+    families = (
+        # Flow conservation per (pair, node): a unit flow from origin to
+        # destination.
+        rows(balance.size, (a_eq.row, a_eq.col, a_eq.data)),
+        # Per arc, constraint (2): capacity, sum_p d_p f_{p,arc} - C_arc * sm
+        # * y_link <= 0, then activation, sum_p f_{p,arc} - |P| y_link <= 0
+        # (even a pair with no demand may only use active links).
+        rows(
+            2 * num_arcs,
+            (2 * a_ub.row, a_ub.col, demand[a_ub.col // num_arcs] / scale),
+            (2 * arcs, arc_y, -index.arc_capacity * UTILISATION_LIMIT / scale),
+            (2 * a_ub.row + 1, a_ub.col, 1.0),
+            (2 * arcs + 1, arc_y, -float(len(pairs))),
+        ),
+        # Constraints (1) and (3).
+        *on_off.coupling,
+    )
+    matrix = sparse.csc_array(sparse.vstack(families))
+    row_lower = np.full(matrix.shape[0], -np.inf)
+    row_upper = np.zeros(matrix.shape[0])
+    row_lower[: balance.size] = row_upper[: balance.size] = balance.ravel()
 
     model = HighsModel(
         cost / max(cost.max(), 1.0),
-        sparse.csc_array((vals, (rows, cols)), shape=(row_count, num_vars)),
-        np.array(constraint_lower),
-        np.array(constraint_upper),
-        lower,
-        upper,
+        matrix,
+        row_lower,
+        row_upper,
+        on_off.lower,
+        np.ones(on_off.width),
         milp_options(TIME_LIMIT_S),
-        np.ones(num_vars, dtype=bool),
+        np.ones(on_off.width, dtype=bool),
     )
     _SOLVES.inc()
     solution = model.solve()
     if solution is None:
         raise InfeasibleError("the demand cannot be carried even with all elements active")
 
-    active_links = {key for key in links if solution[y_var(key)] > 0.5}
-    active_nodes = {name for name in nodes if solution[x_var(name)] > 0.5}
-
-    routing = _extract_paths(topology, pairs, arcs, solution, f_var, arc_index, solver_name)
-    active_nodes |= routing.used_nodes()
-    active_links |= routing.used_links()
-
-    power = network_power(topology, power_model, active_nodes, active_links).total_w
-    return EnergyAwareSolution(
-        active_nodes=active_nodes,
-        active_links=active_links,
-        routing=routing,
-        power_w=power,
-        objective_w=power,
+    flows = solution[:num_flow].reshape(len(pairs), num_arcs) > 0.5
+    routing = RoutingTable(
+        {pair: _route(index, pair, used) for pair, used in zip(pairs, flows, strict=True)},
+        name=solver_name,
+    )
+    nodes, links = on_off.decode(solution, routing)
+    return EnergyAwareSolution.of(
+        topology,
+        power_model,
+        nodes,
+        links,
+        routing,
+        solver_name,
         optimal=model.optimal,
-        solver=solver_name,
         gap=model.gap,
     )
 
 
-def _extract_paths(
-    topology: Topology,
-    pairs: List[Pair],
-    arcs: list,
-    solution: np.ndarray,
-    f_var,
-    arc_index: Dict[Tuple[str, str], int],
-    solver_name: str,
-) -> RoutingTable:
-    """Walk the binary flow variables into node paths."""
-    table: Dict[Pair, Path] = {}
-    for pair_position, (origin, destination) in enumerate(pairs):
-        next_hop: Dict[str, str] = {}
-        for arc in arcs:
-            if solution[f_var(pair_position, arc_index[arc.key])] > 0.5:
-                next_hop[arc.src] = arc.dst
-        nodes = [origin]
-        current = origin
-        visited = {origin}
-        while current != destination:
-            successor = next_hop.get(current)
-            if successor is None or successor in visited:
-                raise SolverError(
-                    f"could not extract a simple path for pair {(origin, destination)}"
-                )
-            nodes.append(successor)
-            visited.add(successor)
-            current = successor
-        table[(origin, destination)] = Path.of(nodes)
-    return RoutingTable(table, name=solver_name)
+def _route(index: TopologyIndex, pair: Pair, used: np.ndarray) -> Path:
+    """The simple path a pair's unit flow (*used*: its arcs, index order)
+    takes.  The walk leaves a node by its last unused flow arc; a return to
+    a node already walked closes a circulation (which the solver's relative
+    gap tolerates), and the walk drops it and goes on from there."""
+    successors: Dict[int, List[int]] = {}
+    for arc in np.flatnonzero(used).tolist():
+        successors.setdefault(int(index.arc_src[arc]), []).append(int(index.arc_dst[arc]))
+    walk = [index.node_index[pair[0]]]
+    destination = index.node_index[pair[1]]
+    while walk[-1] != destination:
+        if not successors.get(walk[-1]):
+            raise SolverError(f"could not extract a simple path for pair {pair}")
+        successor = successors[walk[-1]].pop()
+        if successor in walk:
+            del walk[walk.index(successor) + 1 :]
+        else:
+            walk.append(successor)
+    return Path.of([index.node_names[node] for node in walk])

@@ -28,14 +28,13 @@ import numpy as np
 from scipy import sparse
 
 from ..exceptions import InfeasibleError
-from ..power.accounting import network_power
 from ..power.model import PowerModel
 from ..routing.highs import MILP_SOLVES, HighsModel, milp_options
 from ..routing.ksp import CandidatePaths
 from ..routing.paths import Path, RoutingTable
 from ..topology.base import Topology, link_key
 from ..traffic.matrix import Pair, TrafficMatrix
-from .solution import EnergyAwareSolution, element_power_coefficients
+from .solution import EnergyAwareSolution, OnOffModel
 
 _SOLVES = MILP_SOLVES.labels(kind="path")
 
@@ -137,16 +136,11 @@ def solve_path_milp(
         SolverError: On unexpected solver failures.
     """
     pairs = [pair for pair in demands.pairs()]
-    always_on = {name for name in topology.nodes() if topology.node(name).always_powered}
     if not pairs:
-        return EnergyAwareSolution(
-            active_nodes=always_on,
-            active_links=set(),
-            routing=RoutingTable({}, name=solver_name),
-            power_w=network_power(topology, power_model, always_on, set()).total_w,
-            objective_w=0.0,
-            optimal=True,
-            solver=solver_name,
+        always_on = {name for name in topology.nodes() if topology.node(name).always_powered}
+        routing = RoutingTable({}, name=solver_name)
+        return EnergyAwareSolution.of(
+            topology, power_model, always_on, set(), routing, solver_name, optimal=True
         )
 
     if candidate_paths is None:
@@ -163,9 +157,9 @@ def solve_path_milp(
     index = topology.index()
     compiled = [index.compile_path(path) for pair in pairs for path in candidates[pair]]
     block = np.cumsum([0] + [len(candidates[pair]) for pair in pairs])
-    num_paths, num_links, num_nodes = len(compiled), len(index.link_keys), len(index.node_names)
-    y0, x0 = num_paths, num_paths + num_links
-    num_vars = x0 + num_nodes
+    num_paths = len(compiled)
+    on_off = OnOffModel(topology, power_model, num_paths, fixed_on_nodes, fixed_on_links)
+    y0, num_vars = on_off.y0, on_off.width
     # One entry per hop of every candidate: its path (a z column), arc and link.
     hop_path = np.repeat(np.arange(num_paths), [len(path.arc_indices) for path in compiled])
     hop_arc = np.concatenate([path.arc_indices for path in compiled])
@@ -173,33 +167,12 @@ def solve_path_milp(
     pair_of_path = np.repeat(np.arange(len(pairs)), np.diff(block))
     hop_demand = np.array([demands[pair] for pair in pairs])[pair_of_path[hop_path]]
     loaded = hop_demand > 0.0
-
-    node_power, link_power = element_power_coefficients(topology, power_model)
-    cost = np.zeros(num_vars)
-    cost[y0:x0] = [link_power[key] for key in index.link_keys]
-    cost[x0:] = [node_power[name] for name in index.node_names]
-    cost_scale = max(cost.max(), 1.0)
-
-    lower = np.zeros(num_vars)
-    node_fixed = index.node_mask(always_on.union(fixed_on_nodes or ()))
-    lower[x0:][node_fixed] = 1.0
-    lower[y0:x0][index.link_mask(fixed_on_links or ())] = 1.0
-
-    def rows(count: int, *entries: Tuple[np.ndarray, np.ndarray, object]) -> sparse.coo_array:
-        """*count* rows of one constraint family; an entry is ``(rows,
-        columns, their coefficients or the one they share)``."""
-        at = np.concatenate([entry[0] for entry in entries])
-        columns = np.concatenate([entry[1] for entry in entries])
-        values = np.concatenate([np.broadcast_to(entry[2], len(entry[0])) for entry in entries])
-        return sparse.coo_array((values, (at, columns)), shape=(count, num_vars))
+    cost_scale = max(on_off.cost.max(), 1.0)
 
     # Scale by the largest capacity to keep coefficients well conditioned.
     scale = float(index.arc_capacity.max())
-    arcs, hops, ends = (np.arange(n) for n in (index.num_arcs, len(hop_path), 2 * num_links))
-    end_node = np.array([index.node_index[name] for key in index.link_keys for name in key])
-    free = np.flatnonzero([bool(links) for links in index.node_links] & ~node_fixed)
-    free_row = np.repeat(np.arange(len(free)), [len(index.node_links[node]) for node in free])
-    free_link = np.array([link for node in free for link in index.node_links[node]], dtype=int)
+    arcs, hops = np.arange(index.num_arcs), np.arange(len(hop_path))
+    rows = on_off.rows
     families = (
         # (a) Each pair selects exactly one candidate path.
         rows(len(pairs), (pair_of_path, np.arange(num_paths), 1.0)),
@@ -215,10 +188,8 @@ def solve_path_milp(
         #     row order decides which of several degenerate optima the
         #     solver returns; a path is simple, so no link repeats).
         rows(len(hops), (hops, hop_path, 1.0), (hops, y0 + hop_link, -1.0)),
-        # (d) Constraint (1): an active link requires both endpoints powered on.
-        rows(len(ends), (ends, y0 + ends // 2, 1.0), (ends, x0 + end_node, -1.0)),
-        # (e) Constraint (3): a router with no active incident link is off.
-        rows(len(free), (np.arange(len(free)), x0 + free, 1.0), (free_row, y0 + free_link, -1.0)),
+        # (d), (e) Constraints (1) and (3) of the on/off half.
+        *on_off.coupling,
     )
     matrix = sparse.csc_array(sparse.vstack(families))
     row_upper = np.zeros(matrix.shape[0])
@@ -227,11 +198,11 @@ def solve_path_milp(
     integer[:num_paths] = not relaxed
 
     model = HighsModel(
-        cost / cost_scale,
+        on_off.cost / cost_scale,
         matrix,
         np.where(row_upper > 0.0, 1.0, -np.inf),
         row_upper,
-        lower,
+        on_off.lower,
         np.ones(num_vars),
         milp_options(time_limit_s),
         integer,
@@ -244,29 +215,19 @@ def solve_path_milp(
             "(within the candidate-path restriction)"
         )
 
-    on = (solution > 0.5).tolist()
-    active_links = {key for key, active in zip(index.link_keys, on[y0:x0], strict=True) if active}
-    active_nodes = {name for name, active in zip(index.node_names, on[x0:], strict=True) if active}
-
     chosen = {
         pair: candidates[pair][int(np.argmax(solution[first:last]))]
         for pair, first, last in zip(pairs, block[:-1], block[1:], strict=True)
     }
     routing = RoutingTable(chosen, name=solver_name)
-
-    # Elements used by chosen paths are always part of the active set even if
-    # a fractional relaxation said otherwise.
-    active_nodes |= routing.used_nodes()
-    active_links |= routing.used_links()
-
-    power = network_power(topology, power_model, active_nodes, active_links).total_w
-    return EnergyAwareSolution(
-        active_nodes=active_nodes,
-        active_links=active_links,
-        routing=routing,
-        power_w=power,
-        objective_w=float(model.objective * cost_scale),
+    nodes, links = on_off.decode(solution, routing)
+    return EnergyAwareSolution.of(
+        topology,
+        power_model,
+        nodes,
+        links,
+        routing,
+        solver_name,
         optimal=model.optimal and not relaxed,
-        solver=solver_name,
         gap=model.gap,
     )

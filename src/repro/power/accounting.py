@@ -55,7 +55,7 @@ class ElementPower:
 def element_power(topology: Topology, model: PowerModel) -> ElementPower:
     """The watts *model* charges each element, kept on the topology's index."""
     memo = topology.index().element_power
-    if id(model) not in memo:
+    if model not in memo:
         node_w: Dict[str, float] = {}
         for name in topology.nodes():
             node = topology.node(name)
@@ -70,8 +70,8 @@ def element_power(topology: Topology, model: PowerModel) -> ElementPower:
                 for arc in arcs
             )
         always = frozenset(n for n in node_w if topology.node(n).always_powered)
-        memo[id(model)] = (model, ElementPower(node_w, arc_w, always))
-    return memo[id(model)][1]
+        memo[model] = ElementPower(node_w, arc_w, always)
+    return memo[model]
 
 
 def network_power(

@@ -126,19 +126,20 @@ def _positive_demands(demands: TrafficMatrix) -> Demands:
     return [(pair, demand) for pair, demand in demands.items() if demand > 0.0]
 
 
-def _constraint_structure(
-    src: np.ndarray, dst: np.ndarray, num_nodes: int, num_origins: int
+def flow_structure(
+    src: np.ndarray, dst: np.ndarray, num_nodes: int, num_commodities: int
 ) -> Tuple[sparse.coo_matrix, sparse.coo_matrix]:
-    """``(A_eq, A_ub)`` for the arcs ``src[a] -> dst[a]``, one copy per origin.
+    """``(A_eq, A_ub)`` for the arcs ``src[a] -> dst[a]``, one copy per
+    commodity (an origin of the flow LPs, a pair of the arc MILP).
 
-    ``A_eq`` is a node-arc incidence block per origin (+1 in the row of the
-    arc's source, -1 in the row of its destination) and ``A_ub`` an identity
-    block per origin, side by side.  Neither depends on the demands: the
-    feasibility LP and the max-concurrent-flow LP differ only in what they
-    put beside them.
+    ``A_eq`` is a node-arc incidence block per commodity (+1 in the row of
+    the arc's source, -1 in the row of its destination) and ``A_ub`` an
+    identity block per commodity, side by side.  Neither depends on the
+    demands: the feasibility LP, the max-concurrent-flow LP and the arc MILP
+    of :mod:`repro.optim.model` differ only in what they put beside them.
     """
     num_arcs = len(src)
-    num_vars = num_arcs * num_origins
+    num_vars = num_arcs * num_commodities
     columns = np.arange(num_vars)
     arc_of = columns % num_arcs
     first_row = (columns // num_arcs) * num_nodes
@@ -151,7 +152,7 @@ def _constraint_structure(
                 np.concatenate((columns, columns)),
             ),
         ),
-        shape=(num_nodes * num_origins, num_vars),
+        shape=(num_nodes * num_commodities, num_vars),
     )
     a_ub = sparse.coo_matrix((ones, (arc_of, columns)), shape=(num_arcs, num_vars))
     return a_eq, a_ub
@@ -211,7 +212,7 @@ def _flow_lp(index: TopologyIndex, positive: Demands) -> _FlowLP:
     """
     scale = float(index.arc_capacity.max())
     origins = sorted({origin for (origin, _), _ in positive})
-    a_eq, a_ub = _constraint_structure(
+    a_eq, a_ub = flow_structure(
         index.arc_src, index.arc_dst, len(index.node_names), len(origins)
     )
     eq_rhs = _conservation_rhs(index, origins, positive, scale)

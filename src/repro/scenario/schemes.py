@@ -51,6 +51,7 @@ from ..routing.ecmp import ecmp_active_elements, ecmp_max_utilisation
 from ..routing.mcf import FlowSession
 from ..routing.paths import RoutingConfiguration
 from ..simulator.failures import TopologyView
+from ..topology.base import Topology
 from ..traffic.matrix import TrafficMatrix
 from .registry import register
 from .timeline import SchemeRuntime
@@ -79,16 +80,16 @@ class _ReplayState:
     configurations: List[RoutingConfiguration] = field(default_factory=list)
     prev_matrix: Optional[TrafficMatrix] = None
     prev_view: Optional[TopologyView] = None
-    #: ``id(topology)`` to ``(topology, its flow session)``: one per topology
-    #: object (a failure view is its own), the topology pinned, this run only.
-    sessions: Dict[int, Tuple[Any, FlowSession]] = field(default_factory=dict)
+    #: A flow session per topology object (a failure view is its own), this
+    #: run only.
+    sessions: Dict[Topology, FlowSession] = field(default_factory=dict)
 
     def flow_session(self, view: TopologyView, matrix: TrafficMatrix, limit: float) -> FlowSession:
         """The run's session of the view's topology, opened on *matrix* if new."""
         topology = view.topology
-        if id(topology) not in self.sessions:
-            self.sessions[id(topology)] = (topology, FlowSession(topology, matrix, limit))
-        return self.sessions[id(topology)][1]
+        if topology not in self.sessions:
+            self.sessions[topology] = FlowSession(topology, matrix, limit)
+        return self.sessions[topology]
 
 
 class SolverReplayRuntime(SchemeRuntime):
@@ -195,20 +196,18 @@ class GreenTERuntime(SolverReplayRuntime):
 
         # The heuristic is a pure function of these inputs; TrafficMatrix
         # hashes by content, so points sharing a demand matrix share the
-        # solve.  The topology/power objects are pinned so their ids stay
-        # unique for the cache's lifetime.
+        # solve; the topology/power objects key by identity.
         return scenario.shared.memo(
             (
                 "greente-solve",
                 self.k,
                 self.utilisation_limit,
                 self.ordering,
-                id(view.topology),
-                id(scenario.power_model),
+                view.topology,
+                scenario.power_model,
                 matrix,
             ),
             compute,
-            pin=(view.topology, scenario.power_model),
         )
 
 
@@ -429,13 +428,12 @@ class ECMPRuntime(SchemeRuntime):
         nodes, links, total_w, max_utilisation = scenario.shared.memo(
             (
                 "ecmp-core",
-                id(view.topology),
-                id(scenario.topology),
-                id(scenario.power_model),
+                view.topology,
+                scenario.topology,
+                scenario.power_model,
                 effective,
             ),
             compute,
-            pin=(view.topology, scenario.topology, scenario.power_model),
         )
         configuration = RoutingConfiguration(nodes, links)
         recomputed = bool(state.configurations) and (
@@ -521,13 +519,12 @@ class ResponseRuntime(SchemeRuntime):
                 (
                     "response-plan",
                     repr(self.config),
-                    id(scenario.topology),
-                    id(scenario.power_model),
+                    scenario.topology,
+                    scenario.power_model,
                     tuple(scenario.pairs),
                     peak,
                 ),
                 compute,
-                pin=(scenario.topology, scenario.power_model),
             )
         )
         return _ResponseState(scenario=scenario, plan=plan)
@@ -628,12 +625,11 @@ class AlwaysOnRuntime(SchemeRuntime):
             (
                 "always-on",
                 repr(self.config),
-                id(scenario.topology),
-                id(scenario.power_model),
+                scenario.topology,
+                scenario.power_model,
                 tuple(scenario.pairs),
             ),
             compute,
-            pin=(scenario.topology, scenario.power_model),
         )
         return {
             "always_on": always_on,

@@ -381,9 +381,9 @@ class GroupComputeCache:
     ``BuiltScenario`` gets a private cache.  Scheme runtimes consult it in
     ``start``/``step``: the first point of a group pays for a REsPoNse plan,
     a GreenTE solve or an ECMP expansion, and every other point whose inputs
-    are the *same objects* reuses the value.  Keys embed ``id(...)`` of the
-    shared inputs, so the cache pins strong references to them — an id must
-    never outlive its object.
+    are the *same objects* reuses the value.  Keys hold the shared inputs
+    themselves: a topology and a power model hash and compare by identity,
+    and the key keeps each alive as long as the cache.
 
     Sharing never changes a value: a memoised computation is a pure
     function of inputs that are identical (same objects) across the group,
@@ -392,13 +392,11 @@ class GroupComputeCache:
 
     def __init__(self) -> None:
         self._values: Dict[Any, Any] = {}
-        self._pins: List[Any] = []
 
-    def memo(self, key: Any, factory: Callable[[], Any], pin: Sequence[Any] = ()) -> Any:
+    def memo(self, key: Any, factory: Callable[[], Any]) -> Any:
         """The cached value for *key*, computing it via *factory* once."""
         if key not in self._values:
             self._values[key] = factory()
-            self._pins.extend(pin)
         return self._values[key]
 
     def candidate_paths(self, topology: Topology) -> CandidatePaths:
@@ -408,8 +406,4 @@ class GroupComputeCache:
         resumes the same enumerations while a failure view (its own
         topology object) gets a provider of its own.
         """
-        return self.memo(
-            ("candidate-paths", id(topology)),
-            lambda: CandidatePaths(topology),
-            pin=(topology,),
-        )
+        return self.memo(("candidate-paths", topology), lambda: CandidatePaths(topology))

@@ -48,8 +48,8 @@ class TopologyIndex:
 
     Two memos hang off the topology object here, filled by their owners:
     ``ecmp_paths`` (:mod:`repro.routing.ecmp`, per pair) and
-    ``element_power`` (:mod:`repro.power.accounting`: ``id(model)`` to
-    ``(model, its watts per element)``, the model held to pin its id).
+    ``element_power`` (:mod:`repro.power.accounting`: a power model, keyed
+    by identity, to its watts per element).
     """
 
     def __init__(self, topology: "Topology") -> None:
@@ -85,7 +85,7 @@ class TopologyIndex:
             self.node_links[src].append(int(self.arc_link[arc]))
         self._compiled: Dict[Tuple[str, ...], CompiledPath] = {}
         self.ecmp_paths: Dict[Key, Tuple["Path", ...]] = {}
-        self.element_power: Dict[int, Tuple[Any, Any]] = {}
+        self.element_power: Dict[Any, Any] = {}
 
     @property
     def num_arcs(self) -> int:

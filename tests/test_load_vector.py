@@ -250,7 +250,6 @@ def reference_greente(
         active_links=active_links,
         routing=RoutingTable(chosen, name="greente"),
         power_w=power,
-        objective_w=power,
         optimal=False,
         solver="greente-heuristic",
     )
