@@ -43,6 +43,14 @@ repro list-components
 repro run-scenario --spec "$EXAMPLES/scenario_geant_gravity.json" \
   --set traffic.num_pairs=12 --set traffic.num_endpoints=6 \
   --set traffic.levels='[0.25, 1.0]' | grep "config hash"
+# A parameter the scheme does not take is a usage error (exit 2) naming it,
+# not a traceback.
+status=0
+repro run-scenario --topology geant --traffic gravity --power cisco --scheme greente \
+  --set greente.ordering=stable 2>unknown-param.err >/dev/null || status=$?
+test "$status" -eq 2
+grep -q "'ordering'" unknown-param.err
+if grep -q Traceback unknown-param.err; then echo "a usage error printed a traceback" >&2; exit 1; fi
 
 echo "== timeline / events"
 repro list-components --kind event

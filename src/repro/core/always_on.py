@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
-from ..optim.greedy import greedy_minimum_subset
 from ..optim.pathmilp import solve_path_milp
 from ..optim.solution import EnergyAwareSolution
 from ..power.model import PowerModel
@@ -40,10 +39,8 @@ def compute_always_on(
     Args:
         topology: The physical topology.
         power_model: Power coefficients minimised by the computation.
-        config: The REsPoNse configuration; read here are ``always_on_method``
-            (``"milp"``, the path-restricted MILP, or ``"greedy"``, a
-            Chiaraviglio-style subset followed by shortest-path routing),
-            ``latency_beta``, ``k``, ``utilisation_limit``, ``time_limit_s``.
+        config: The REsPoNse configuration; read here are ``latency_beta``,
+            ``k`` and ``utilisation_limit`` of the path-restricted MILP.
         pairs: Origin-destination pairs requiring connectivity; defaults to
             all ordered pairs of non-host nodes.
         candidate_paths: Shared candidate-path provider handed to the MILP.
@@ -54,16 +51,6 @@ def compute_always_on(
     """
     selected: List[Pair] = list(pairs) if pairs is not None else all_pairs(topology.routers())
     demands = TrafficMatrix.epsilon(selected, name="always-on-epsilon")
-
-    if config.always_on_method == "greedy":
-        solution = greedy_minimum_subset(
-            topology,
-            power_model,
-            demands,
-            utilisation_limit=config.utilisation_limit,
-        )
-        solution.solver = "always-on-greedy"
-        return solution
 
     latency_bound: Optional[Dict[Pair, float]] = None
     if config.latency_beta is not None:
@@ -77,7 +64,6 @@ def compute_always_on(
         demands,
         k=config.k,
         utilisation_limit=config.utilisation_limit,
-        time_limit_s=config.time_limit_s,
         candidate_paths=candidate_paths,
         latency_bound=latency_bound,
         solver_name="always-on-lat" if config.latency_beta is not None else "always-on",

@@ -56,7 +56,7 @@ def compute_on_demand(
         config: The REsPoNse configuration; read here are
             ``on_demand_method``, ``num_on_demand_tables``,
             ``stress_exclude_fraction`` (scaled per table index for
-            successive tables), ``k``, ``utilisation_limit``, ``time_limit_s``.
+            successive tables), ``k``, ``utilisation_limit``.
         pairs: Pairs to install; defaults to the always-on table's pairs.
         peak_matrix: Peak-hour matrix ``d_peak`` (required by ``"peak"``,
             used by ``"heuristic"`` when available).
@@ -120,7 +120,6 @@ def compute_on_demand(
                 demands,
                 k=config.k,
                 utilisation_limit=config.utilisation_limit,
-                time_limit_s=config.time_limit_s,
                 candidate_paths=candidate_paths,
                 fixed_on_nodes=always_on.active_nodes,
                 fixed_on_links=always_on.active_links,

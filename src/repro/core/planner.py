@@ -106,8 +106,6 @@ def activate_paths(
     failover = view is not None and view.has_failures
     unusable = view.unusable_links() if view is not None else frozenset()
     index = topology.index()
-    # Built per call: the plan's failover slot is filled lazily, on the
-    # first failure.
     installed = InstalledPaths(index, plan.tables(include_failover=failover))
     link_ok = ~index.link_mask(unusable) if unusable else None
     capacity = index.arc_capacity

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, Optional, TypeGuard
 
 from ..exceptions import ConfigurationError
 from ..power.model import PowerModel
@@ -36,7 +36,7 @@ from .stress import DEFAULT_EXCLUDE_FRACTION
 ON_DEMAND_METHODS = ("stress", "peak", "heuristic", "ospf")
 
 
-def _is_real(value: Any) -> bool:
+def _is_real(value: Any) -> TypeGuard[float]:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
@@ -54,13 +54,6 @@ def check_utilisation_limit(limit: Any) -> float:
     return limit
 
 
-def check_time_limit(limit_s: Any) -> Optional[float]:
-    """*limit_s*, a solver's budget, if it is ``None`` (no limit) or above zero."""
-    if limit_s is not None and not (_is_real(limit_s) and limit_s > 0.0):
-        raise ConfigurationError(f"time_limit_s must be None or a number above 0, got {limit_s!r}")
-    return limit_s
-
-
 @dataclass
 class ResponseConfig:
     """End-to-end configuration of the off-line path computation, and the one
@@ -76,9 +69,6 @@ class ResponseConfig:
             the stress-factor method.
         k: Candidate paths per pair for the solvers.
         utilisation_limit: Safety margin ``sm`` on link capacities.
-        always_on_method: ``"milp"`` or ``"greedy"``.
-        include_failover: Compute the failover table (on by default).
-        time_limit_s: Per-solve time limit.
     """
 
     num_paths: int = 3
@@ -87,9 +77,6 @@ class ResponseConfig:
     stress_exclude_fraction: float = DEFAULT_EXCLUDE_FRACTION
     k: int = 3
     utilisation_limit: float = 1.0
-    always_on_method: str = "milp"
-    include_failover: bool = True
-    time_limit_s: Optional[float] = 60.0
 
     def __post_init__(self) -> None:
         if self.num_paths < 2:
@@ -98,22 +85,14 @@ class ResponseConfig:
             )
         check_k(self.k)
         check_utilisation_limit(self.utilisation_limit)
-        check_time_limit(self.time_limit_s)
         if self.on_demand_method not in ON_DEMAND_METHODS:
             raise ConfigurationError(
                 f"unknown on-demand method {self.on_demand_method!r}; "
                 f"expected one of {ON_DEMAND_METHODS}"
             )
-        if self.always_on_method not in ("milp", "greedy"):
-            raise ConfigurationError(f"unknown always-on method: {self.always_on_method!r}")
         if self.latency_beta is not None and self.latency_beta < 0:
             raise ConfigurationError(
                 f"latency_beta must be non-negative, got {self.latency_beta}"
-            )
-        if self.latency_beta is not None and self.always_on_method == "greedy":
-            raise ConfigurationError(
-                "latency_beta needs always_on_method='milp': the greedy subset "
-                "cannot bound path delay (constraint (4))"
             )
         if not 0.0 <= self.stress_exclude_fraction <= 1.0:
             raise ConfigurationError(
@@ -124,8 +103,7 @@ class ResponseConfig:
     @property
     def num_on_demand_tables(self) -> int:
         """Number of on-demand tables: N minus always-on minus failover."""
-        reserved = 2 if self.include_failover else 1
-        return max(1, self.num_paths - reserved)
+        return max(1, self.num_paths - 2)
 
 
 def build_response_plan(
@@ -175,18 +153,11 @@ def build_response_plan(
         candidate_paths=candidate_paths,
     )
 
-    failover = None
-    if config.include_failover:
-        failover = compute_failover(
-            topology,
-            [always_on.routing, *on_demand],
-            pairs=pairs,
-        )
-
+    assert always_on.routing is not None  # compute_on_demand refuses a solution without one
     return ResponsePlan(
         always_on=always_on,
         on_demand=on_demand,
-        failover=failover,
+        failover=compute_failover(topology, [always_on.routing, *on_demand], pairs=pairs),
         topology_name=topology.name,
         variant=_infer_variant_name(config),
     )

@@ -70,7 +70,7 @@ def fig4_scenario_spec(
     seed: int = 4,
 ) -> ScenarioSpec:
     """The declarative scenario behind one Figure 4 traffic mode."""
-    schemes = [SchemeSpec("response", num_paths=3, k=4, include_failover=True)]
+    schemes = [SchemeSpec("response", num_paths=3, k=4)]
     if include_elastictree:
         schemes.append(SchemeSpec("elastictree"))
     if include_ecmp:

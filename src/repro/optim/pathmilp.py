@@ -36,6 +36,9 @@ from ..topology.base import Topology, link_key
 from ..traffic.matrix import Pair, TrafficMatrix
 from .solution import EnergyAwareSolution, OnOffModel
 
+#: The solver's wall-clock budget per solve.
+TIME_LIMIT_S = 60.0
+
 _SOLVES = MILP_SOLVES.labels(kind="path")
 
 
@@ -89,7 +92,6 @@ def solve_path_milp(
     demands: TrafficMatrix,
     k: int = 3,
     utilisation_limit: float = 1.0,
-    time_limit_s: Optional[float] = 60.0,
     relaxed: bool = False,
     candidate_paths: Optional[CandidatePaths] = None,
     fixed_on_nodes: Optional[Iterable[str]] = None,
@@ -109,7 +111,6 @@ def solve_path_milp(
         k: Candidate paths per pair.
         utilisation_limit: Safety margin ``sm``: fraction of each arc's
             capacity available to the solver.
-        time_limit_s: Wall-clock limit handed to the solver (``None``: none).
         relaxed: Make the path-selection variables continuous — a faster
             LP-like relaxation, never reported optimal, whose routing table
             uses each pair's most-selected path.  The default is the paper's
@@ -204,7 +205,7 @@ def solve_path_milp(
         row_upper,
         on_off.lower,
         np.ones(num_vars),
-        milp_options(time_limit_s),
+        milp_options(TIME_LIMIT_S),
         integer,
     )
     _SOLVES.inc()

@@ -120,13 +120,14 @@ _LIMITS = (
 )
 
 
-def milp_options(time_limit_s: Optional[float]) -> Options:
-    """What SciPy's ``milp`` sets for a relative gap of 1e-4 and this
-    wall-clock limit (``None``: no limit)."""
-    options: Options = (("log_to_console", False), ("mip_rel_gap", 1e-4))
-    if time_limit_s is not None:
-        options += (("time_limit", float(time_limit_s)),)
-    return options
+def milp_options(limit_s: float) -> Options:
+    """What SciPy's ``milp`` sets for a relative gap of 1e-4 and a
+    wall-clock limit of *limit_s* seconds."""
+    return (
+        ("log_to_console", False),
+        ("mip_rel_gap", 1e-4),
+        ("time_limit", float(limit_s)),
+    )
 
 
 class HighsModel:

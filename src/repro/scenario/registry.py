@@ -75,6 +75,13 @@ def resolve(kind: str, name: str) -> Callable[..., Any]:
         ) from None
 
 
+def registered_name(kind: str, component: Callable[..., Any]) -> str:
+    """The first name (sorted) *component* is registered under as a *kind*,
+    or its ``__name__`` if it is not registered."""
+    names = [name for (k, name), value in _REGISTRY.items() if k == kind and value is component]
+    return min(names, default=component.__name__)
+
+
 def component_names(kind: str) -> List[str]:
     """Sorted names registered under *kind*."""
     return sorted(name for (k, name) in _REGISTRY if k == kind)

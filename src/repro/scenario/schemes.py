@@ -22,19 +22,16 @@ topology object.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..core.always_on import compute_always_on
-from ..core.failover import compute_failover
 from ..core.planner import activate_paths
 from ..core.response import (
     ResponseConfig,
     build_response_plan,
     check_k,
-    check_time_limit,
     check_utilisation_limit,
 )
 from ..exceptions import ConfigurationError, InfeasibleError, SolverError, TopologyError
@@ -163,19 +160,9 @@ class SolverReplayRuntime(SchemeRuntime):
 class GreenTERuntime(SolverReplayRuntime):
     """GreenTE-style greedy recomputation on every interval (shared candidates)."""
 
-    def __init__(
-        self,
-        k: int = 5,
-        utilisation_limit: float = 1.0,
-        ordering: str = "stable",
-    ) -> None:
-        if ordering not in ("demand", "stable"):
-            raise ConfigurationError(
-                f"greente 'ordering' must be 'demand' or 'stable', got {ordering!r}"
-            )
+    def __init__(self, k: int = 5, utilisation_limit: float = 1.0) -> None:
         self.k = check_k(k)
         self.utilisation_limit = check_utilisation_limit(utilisation_limit)
-        self.ordering = ordering
 
     def solve(
         self, state: _ReplayState, matrix: TrafficMatrix, view: TopologyView
@@ -191,7 +178,7 @@ class GreenTERuntime(SolverReplayRuntime):
                 utilisation_limit=self.utilisation_limit,
                 candidate_paths=scenario.shared.candidate_paths(view.topology),
                 allow_overload=True,
-                ordering=self.ordering,
+                ordering="stable",
             )
 
         # The heuristic is a pure function of these inputs; TrafficMatrix
@@ -202,7 +189,6 @@ class GreenTERuntime(SolverReplayRuntime):
                 "greente-solve",
                 self.k,
                 self.utilisation_limit,
-                self.ordering,
                 view.topology,
                 scenario.power_model,
                 matrix,
@@ -290,15 +276,9 @@ class LpRelaxRuntime(SolverReplayRuntime):
 class PathMilpRuntime(SolverReplayRuntime):
     """The exact path-restricted MILP per interval (slow; small instances)."""
 
-    def __init__(
-        self,
-        k: int = 3,
-        utilisation_limit: float = 1.0,
-        time_limit_s: Optional[float] = 60.0,
-    ) -> None:
+    def __init__(self, k: int = 3, utilisation_limit: float = 1.0) -> None:
         self.k = check_k(k)
         self.utilisation_limit = check_utilisation_limit(utilisation_limit)
-        self.time_limit_s = check_time_limit(time_limit_s)
 
     def solve(
         self, state: _ReplayState, matrix: TrafficMatrix, view: TopologyView
@@ -310,7 +290,6 @@ class PathMilpRuntime(SolverReplayRuntime):
             matrix,
             k=self.k,
             utilisation_limit=self.utilisation_limit,
-            time_limit_s=self.time_limit_s,
             candidate_paths=scenario.shared.candidate_paths(view.topology),
         )
 
@@ -327,9 +306,8 @@ class OptimalRuntime(SolverReplayRuntime):
     a bug and propagates.
     """
 
-    def __init__(self, k: int = 3, time_limit_s: Optional[float] = 60.0) -> None:
+    def __init__(self, k: int = 3) -> None:
         self.k = check_k(k)
-        self.time_limit_s = check_time_limit(time_limit_s)
 
     def solve(
         self, state: _ReplayState, matrix: TrafficMatrix, view: TopologyView
@@ -342,7 +320,6 @@ class OptimalRuntime(SolverReplayRuntime):
                 scenario.power_model,
                 matrix,
                 k=self.k,
-                time_limit_s=self.time_limit_s,
                 candidate_paths=candidate_paths,
                 solver_name="optimal",
             )
@@ -462,7 +439,6 @@ class _ResponseState:
     scenario: "BuiltScenario"
     plan: Any
     activations: List[Any] = field(default_factory=list)
-    failover_recomputed: bool = False
 
 
 class ResponseRuntime(SchemeRuntime):
@@ -473,9 +449,8 @@ class ResponseRuntime(SchemeRuntime):
     interval's demand — the online behaviour the paper claims reacts in
     seconds — against the spec's utilisation SLO, the one the timeline judges
     violations by.  On failure events the activation excludes paths crossing
-    failed elements and engages the failover table
-    (:func:`~repro.core.failover.compute_failover` is run lazily when the
-    plan was built without one).
+    failed elements and engages the plan's failover table, so no step ever
+    recomputes a path.
     """
 
     #: The :class:`ResponseConfig` defaults a registered name differs in.
@@ -511,21 +486,17 @@ class ResponseRuntime(SchemeRuntime):
 
         # The offline pipeline depends only on these inputs, so points
         # of a group (same topology/power/pairs/peak) share one plan
-        # build.  Each point gets a shallow copy: the lazily computed
-        # ``failover`` slot mutates per point and must not leak between
-        # them.
-        plan = copy.copy(
-            scenario.shared.memo(
-                (
-                    "response-plan",
-                    repr(self.config),
-                    scenario.topology,
-                    scenario.power_model,
-                    tuple(scenario.pairs),
-                    peak,
-                ),
-                compute,
-            )
+        # build; nothing mutates a plan once built.
+        plan = scenario.shared.memo(
+            (
+                "response-plan",
+                repr(self.config),
+                scenario.topology,
+                scenario.power_model,
+                tuple(scenario.pairs),
+                peak,
+            ),
+            compute,
         )
         return _ResponseState(scenario=scenario, plan=plan)
 
@@ -537,18 +508,6 @@ class ResponseRuntime(SchemeRuntime):
         view: TopologyView,
     ) -> IntervalOutcome:
         scenario = state.scenario
-        recomputed = False
-        if view.has_failures and state.plan.failover is None:
-            # The plan was built without failover protection: compute it on
-            # the first failure (the one recomputation REsPoNse ever does).
-            with trace.span("response.failover"):
-                state.plan.failover = compute_failover(
-                    scenario.topology,
-                    state.plan.tables(include_failover=False),
-                    pairs=scenario.pairs,
-                )
-            state.failover_recomputed = True
-            recomputed = True
         activation = activate_paths(
             scenario.topology,
             scenario.power_model,
@@ -561,7 +520,6 @@ class ResponseRuntime(SchemeRuntime):
         return IntervalOutcome(
             power_percent=activation.power_percent,
             max_utilisation=activation.max_utilisation,
-            recomputed=recomputed,
         )
 
     def finish(self, state: _ResponseState) -> Dict[str, Any]:
@@ -601,15 +559,8 @@ class AlwaysOnRuntime(SchemeRuntime):
     point of the comparison).
     """
 
-    def __init__(
-        self,
-        k: int = 3,
-        latency_beta: Optional[float] = None,
-        always_on_method: str = "milp",
-    ) -> None:
-        self.config = ResponseConfig(
-            k=k, latency_beta=latency_beta, always_on_method=always_on_method
-        )
+    def __init__(self, k: int = 3, latency_beta: Optional[float] = None) -> None:
+        self.config = ResponseConfig(k=k, latency_beta=latency_beta)
 
     def start(self, scenario: "BuiltScenario") -> Dict[str, Any]:
         def compute() -> Any:

@@ -27,6 +27,7 @@ are attached or on what else shares the pass.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import (
@@ -47,7 +48,7 @@ from ..outcome import IntervalOutcome
 from ..routing.ksp import CandidatePaths
 from ..simulator.failures import FailureState, TopologyChange, TopologyView, due
 from ..traffic.matrix import Pair, TrafficMatrix
-from .registry import register
+from .registry import register, registered_name
 from .spec import EventSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -338,8 +339,25 @@ class SchemeRuntime:
     activations) for callers that need more than the uniform series.
 
     Every registered scheme component is a subclass; its recomputation
-    count is the number of steps whose outcome says ``recomputed``.
+    count is the number of steps whose outcome says ``recomputed``.  A
+    spec's parameters are its constructor's keywords, so a name the
+    constructor does not take is a :class:`ConfigurationError` naming it (a
+    constructor taking ``**params`` checks the names itself).
     """
+
+    def __new__(cls, *args: Any, **params: Any) -> "SchemeRuntime":
+        accepted: List[inspect.Parameter] = []
+        if cls.__init__ is not object.__init__:
+            accepted = list(inspect.signature(cls.__init__).parameters.values())[1:]
+        if all(parameter.kind is not parameter.VAR_KEYWORD for parameter in accepted):
+            names = [parameter.name for parameter in accepted]
+            unknown = sorted(set(params) - set(names))
+            if unknown:
+                raise ConfigurationError(
+                    f"unknown {registered_name('scheme', cls)} scheme parameters "
+                    f"{unknown}; supported: {', '.join(names) or '(none)'}"
+                )
+        return super().__new__(cls)
 
     def start(self, scenario: "BuiltScenario") -> Any:
         """Build and return the runtime's long-lived state."""

@@ -460,6 +460,21 @@ def test_failing_point_is_recorded_not_raised(tmp_path):
     assert retry.failed == 1
 
 
+def test_an_unknown_scheme_parameter_is_an_error_point(tmp_path):
+    """Each unknown parameter fails its own point, beside a point that runs."""
+    from test_scenario import UNKNOWN_SCHEME_PARAMS
+
+    schemes = [[{"name": name, "params": {key: 1}}] for name, key in UNKNOWN_SCHEME_PARAMS]
+    spec = CampaignSpec.from_dict(campaign_dict("unknown", axes={"schemes": [*schemes, ["ecmp"]]}))
+    summary = run_campaign(spec, store_path=tmp_path / "store.sqlite")
+    assert (summary.executed, summary.failed) == (len(schemes) + 1, len(schemes))
+    with CampaignStore(tmp_path / "store.sqlite") as store:
+        errors = [point["error"] for point in store.points(summary.campaign_id, status="error")]
+    for name, key in UNKNOWN_SCHEME_PARAMS:
+        complaint = f"ConfigurationError: unknown {name} scheme parameters ['{key}']"
+        assert any(complaint in error for error in errors), complaint
+
+
 # --------------------------------------------------------------------- #
 # Report layer
 # --------------------------------------------------------------------- #

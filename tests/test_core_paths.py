@@ -73,16 +73,7 @@ def test_always_on_latency_bound_variant(click, cisco_model):
         ) * 1.0 + 1e-9
 
 
-def test_always_on_greedy_method(click, cisco_model):
-    config = ResponseConfig(always_on_method="greedy")
-    solution = compute_always_on(click, cisco_model, config, pairs=PAIRS)
-    assert ("A", "K") in solution.routing
-    assert solution.solver == "always-on-greedy"
-
-
 def test_always_on_config_validation():
-    with pytest.raises(ConfigurationError):
-        ResponseConfig(always_on_method="annealing")
     with pytest.raises(ConfigurationError):
         ResponseConfig(latency_beta=-0.5)
 

@@ -17,7 +17,8 @@ set costs more and fits nothing more.  "Fits" is asked two ways:
 Asserted per instance: the arc MILP, and the path MILP with every simple
 path a candidate, equal the single-path optimum within the MILPs' 1e-4
 relative gap; ``greedy``, ``lp-relax`` and ``greente`` are at or above the
-splittable optimum.
+splittable optimum.  One named case pins where GreenTE misses a single-path
+routing the oracle finds (a strict xfail, so a fix flips it).
 """
 
 import itertools
@@ -26,6 +27,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from repro.exceptions import InfeasibleError
 from repro.optim import (
     greedy_minimum_subset,
     greente_heuristic,
@@ -34,6 +36,7 @@ from repro.optim import (
     solve_path_milp,
 )
 from repro.power import CiscoRouterPowerModel, network_power
+from repro.routing.paths import link_loads
 from repro.topology import build_example
 from repro.topology.base import Topology
 from repro.traffic import TrafficMatrix
@@ -271,3 +274,33 @@ def test_the_arc_milp_bounds_single_path_schemes_only():
     assert splittable < single
     assert solve_arc_milp(topology, model, demands).power_w == single
     assert greedy_minimum_subset(topology, model, demands).power_w == splittable
+
+
+#: ``ring-load`` with r4→r1 raised from 30 to 50 Mb/s: a single-path routing
+#: within capacity exists (3 600 W), and GreenTE's greedy packing misses it.
+RING_GREENTE_MISSES = TrafficMatrix(
+    {("r0", "r2"): mbps(60), ("r1", "r3"): mbps(60), ("r4", "r1"): mbps(50)}
+)
+
+
+def test_greente_overloads_the_ring_a_single_path_routing_fits():
+    """Every replay runs GreenTE with ``allow_overload=True``: here that
+    answer is 120 W under the optimum because it runs an arc at 110 %."""
+    topology, model = ring(), CiscoRouterPowerModel()
+    assert oracle(topology, model, RING_GREENTE_MISSES) == (3600.0, 3600.0)
+    overloaded = greente_heuristic(topology, model, RING_GREENTE_MISSES, allow_overload=True)
+    loads = link_loads(topology, overloaded.routing, RING_GREENTE_MISSES)
+    assert overloaded.power_w == 3480.0
+    assert topology.index().max_utilisation(loads) == pytest.approx(1.1)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=InfeasibleError,
+    reason="GreenTE places pairs greedily, largest first, and finds no room for r4->r1",
+)
+def test_greente_places_every_pair_within_capacity_when_a_single_path_routing_exists():
+    topology, model = ring(), CiscoRouterPowerModel()
+    solution = greente_heuristic(topology, model, RING_GREENTE_MISSES)
+    loads = link_loads(topology, solution.routing, RING_GREENTE_MISSES)
+    assert topology.index().max_utilisation(loads) <= 1.0

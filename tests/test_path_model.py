@@ -32,7 +32,8 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from repro.exceptions import InfeasibleError, SolverError
 from repro.obs import metrics, trace
 from repro.optim import solve_arc_milp, solve_path_milp
-from repro.optim.pathmilp import _filter_candidates
+from repro.optim import pathmilp
+from repro.optim.pathmilp import TIME_LIMIT_S, _filter_candidates
 from repro.optim.solution import EnergyAwareSolution, element_power_coefficients
 from repro.power import CiscoRouterPowerModel, CommoditySwitchPowerModel, network_power
 from repro.routing import highs
@@ -60,7 +61,6 @@ def reference_solve_path_milp(
     demands,
     k=3,
     utilisation_limit=1.0,
-    time_limit_s=60.0,
     relaxed=False,
     fixed_on_nodes=None,
     fixed_on_links=None,
@@ -184,9 +184,7 @@ def reference_solve_path_milp(
     integrality = np.ones(num_vars)
     if relaxed:
         integrality[:num_path_vars] = 0.0
-    options = {"mip_rel_gap": 1e-4}
-    if time_limit_s is not None:
-        options["time_limit"] = time_limit_s
+    options = {"mip_rel_gap": 1e-4, "time_limit": TIME_LIMIT_S}
     result = milp(
         c=cost / max(cost.max(), 1.0),
         constraints=LinearConstraint(
@@ -311,7 +309,7 @@ def variants(topology, demands):
         {"fixed_on_links": links, "fixed_on_nodes": topology.nodes()},  # no row of family (e)
         {"forbidden_links": links[1::4]},
         {"latency_bound": bound},
-        {"relaxed": True, "k": 2, "time_limit_s": None},
+        {"relaxed": True, "k": 2},
     ]
 
 
@@ -435,10 +433,11 @@ def test_a_limit_returns_the_incumbent_or_raises_without_one(monkeypatch, solve_
 
 def test_a_rejected_option_is_an_error_not_an_unlimited_solve(monkeypatch, solve_geant):
     """SciPy's front end warned ``Invalid option value`` and solved with no
-    limit at all; the configs refuse such a value first, this is the backstop."""
+    limit at all; the limit is a constant now, this is the backstop."""
     runs = count_runs(monkeypatch)
+    monkeypatch.setattr(pathmilp, "TIME_LIMIT_S", -1.0)
     with pytest.raises(SolverError, match="setOptionValue returned kError"):
-        solve_geant(time_limit_s=-1.0)
+        solve_geant()
     assert not runs
 
 

@@ -1,14 +1,19 @@
 """Tests for the declarative Scenario API (registry, specs, engine, CLI)."""
 
+import dataclasses
+import inspect
 import json
 import os
+import re
 
 import pytest
 
 from repro.campaign import canonical_result_dict
+from repro.core.response import ResponseConfig
 from repro.exceptions import ConfigurationError, InfeasibleError, SolverError, TrafficError
 from repro.experiments.runner import main
 from repro.obs import trace
+from repro.optim.greente import greente_heuristic
 from repro.scenario import (
     PowerSpec,
     RoutingSpec,
@@ -29,6 +34,7 @@ from repro.scenario.engine import scheme_outcomes
 from repro.scenario.timeline import GroupComputeCache
 
 EXAMPLES_DIR = os.path.join(os.path.dirname(__file__), "..", "examples")
+DOCS_DIR = os.path.join(os.path.dirname(__file__), "..", "docs")
 
 
 def tiny_fattree_spec(**overrides):
@@ -198,9 +204,11 @@ def test_spec_from_dict_names_the_malformed_key(shape, complaint):
 
 
 def test_greente_rejects_a_bad_ordering_at_construction():
-    with pytest.raises(ConfigurationError, match="'ordering'"):
+    """``ordering`` is a constant of the runtime now: an unknown parameter."""
+    unknown = r"unknown greente scheme parameters \['ordering'\]"
+    with pytest.raises(ConfigurationError, match=unknown):
         resolve("scheme", "greente")(ordering="bogus")
-    with pytest.raises(ConfigurationError, match="'ordering'"):
+    with pytest.raises(ConfigurationError, match=unknown):
         run_scenario(tiny_fattree_spec(schemes=(SchemeSpec("greente", ordering="bogus"),)))
 
 
@@ -211,7 +219,10 @@ def test_greente_rejects_a_bad_ordering_at_construction():
 #: silently dropped constraint (4).  REsPoNse once took its own
 #: ``utilisation_threshold`` (activating at one SLO while the timeline judged
 #: violations by the spec's) and a ``use_peak_matrix`` that only re-decided
-#: what ``on_demand_method`` decides; both are unknown parameters now.
+#: what ``on_demand_method`` decides; both are unknown parameters now, and
+#: so are ``time_limit_s`` (one constant per MILP) and ``always_on_method``
+#: (the always-on paths are the path MILP's), which rows 6–9, 16, 20 and 21
+#: once range-checked: their complaint is the parameter in the unknown list.
 OUT_OF_RANGE_SCHEME_PARAMS = [
     ("response", {"k": 0}, "k must be a positive integer"),
     ("greente", {"k": 2.5}, "k must be a positive integer"),
@@ -219,25 +230,33 @@ OUT_OF_RANGE_SCHEME_PARAMS = [
     ("optimal", {"k": -1}, "k must be a positive integer"),
     ("lp-relax", {"k": "x"}, "k must be a positive integer"),
     ("always-on", {"k": 0}, "k must be a positive integer"),
-    ("response", {"time_limit_s": -1}, "time_limit_s must be"),
-    ("response", {"time_limit_s": "a"}, "time_limit_s must be"),
-    ("pathmilp", {"time_limit_s": 0}, "time_limit_s must be"),
-    ("optimal", {"time_limit_s": False}, "time_limit_s must be"),
+    ("response", {"time_limit_s": -1}, r"time_limit_s'\]; supported"),
+    ("response", {"time_limit_s": "a"}, r"time_limit_s'\]; supported"),
+    ("pathmilp", {"time_limit_s": 0}, r"time_limit_s'\]; supported"),
+    ("optimal", {"time_limit_s": False}, r"time_limit_s'\]; supported"),
     ("response", {"utilisation_limit": 0}, "utilisation_limit must be"),
     ("response-ospf", {"utilisation_limit": -1}, "utilisation_limit must be"),
     ("greedy", {"utilisation_limit": 1.5}, "utilisation_limit must be"),
     ("elastictree", {"utilisation_limit": "1"}, "utilisation_limit must be"),
     ("lp-relax", {"utilisation_limit": 0.0}, "utilisation_limit must be"),
     ("response", {"on_demand_method": "magic"}, "unknown on-demand method 'magic'"),
-    ("response", {"always_on_method": "annealing"}, "unknown always-on method"),
+    (
+        "response",
+        {"always_on_method": "annealing"},
+        r"unknown response scheme parameters \['always_on_method'\]",
+    ),
     ("response", {"latency_beta": -0.5}, "latency_beta must be non-negative"),
     ("response", {"stress_exclude_fraction": 2.0}, "stress_exclude_fraction must be"),
     ("response", {"num_paths": 1}, "at least 2 paths"),
-    ("response-lat", {"always_on_method": "greedy"}, "latency_beta needs always_on_method"),
+    (
+        "response-lat",
+        {"always_on_method": "greedy"},
+        r"unknown response scheme parameters \['always_on_method'\]",
+    ),
     (
         "always-on",
         {"always_on_method": "greedy", "latency_beta": 0.25},
-        "latency_beta needs always_on_method",
+        r"unknown always-on scheme parameters \['always_on_method'\]",
     ),
     ("response", {"utilisation_threshold": 0.5}, "unknown response scheme parameters"),
     ("response-heuristic", {"use_peak_matrix": False}, "unknown response scheme parameters"),
@@ -307,6 +326,70 @@ def test_run_scenario_cli_reports_a_bad_scheme_parameter_as_usage(tmp_path, caps
         main(["run-scenario", "--spec", str(path)])
     assert exit_info.value.code == 2
     assert "k must be a positive integer, got 2.5" in capsys.readouterr().err
+
+
+#: Scheme parameters no runtime takes — a typo, and each option that became a
+#: constant — as ``(scheme, parameter)``; the complaint must name the parameter.
+UNKNOWN_SCHEME_PARAMS = [
+    ("greedy", "bogus"),
+    ("greente", "ordering"),
+    ("pathmilp", "time_limit_s"),
+    ("optimal", "time_limit_s"),
+    ("response", "time_limit_s"),
+    ("response", "always_on_method"),
+    ("response", "include_failover"),
+    ("always-on", "always_on_method"),
+]
+
+
+#: What ``response*`` stands for in the documentation's parameter table.
+RESPONSE_SCHEMES = ("response", "response-lat", "response-ospf", "response-heuristic")
+
+
+def documented_scheme_parameters():
+    """``scheme -> parameters`` as the "Scheme parameters and their ranges"
+    table of ``docs/scenarios.md`` lists them."""
+    with open(os.path.join(DOCS_DIR, "scenarios.md"), encoding="utf-8") as handle:
+        text = handle.read()
+    section = text.split("### Scheme parameters and their ranges\n", 1)[1]
+    section = re.split(r"^#", section, maxsplit=1, flags=re.MULTILINE)[0]
+    listed = {}
+    for line in section.splitlines():
+        if not line.startswith("| `"):
+            continue  # prose, the header and its rule
+        parameter, schemes_cell = [cell.strip() for cell in line.strip("|").split("|")][:2]
+        for scheme in re.findall(r"`([^`]+)`", schemes_cell):
+            for name in RESPONSE_SCHEMES if scheme == "response*" else (scheme,):
+                listed.setdefault(name, set()).add(parameter.strip("`"))
+    return listed
+
+
+def test_the_docs_parameter_table_lists_what_each_scheme_accepts():
+    listed = documented_scheme_parameters()
+    registered = [name for name in component_names("scheme") if not name.startswith("_")]
+    assert set(listed) <= set(registered)
+    for name in registered:  # names starting with "_" are registered by tests
+        runtime = resolve("scheme", name)
+        if issubclass(runtime, schemes.ResponseRuntime):
+            accepted = {field.name for field in dataclasses.fields(ResponseConfig)}
+        elif runtime.__init__ is object.__init__:
+            accepted = set()
+        else:
+            accepted = set(inspect.signature(runtime.__init__).parameters) - {"self"}
+        assert listed.get(name, set()) == accepted, name
+
+
+@pytest.mark.parametrize("scheme, parameter", UNKNOWN_SCHEME_PARAMS)
+def test_run_scenario_cli_reports_an_unknown_scheme_parameter_as_usage(scheme, parameter, capsys):
+    """``--set greedy.bogus=1`` was a ``TypeError`` traceback out of the
+    runtime's constructor."""
+    stack = ["--topology", "geant", "--traffic", "gravity", "--power", "cisco"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run-scenario", *stack, "--scheme", scheme, "--set", f"{scheme}.{parameter}=1"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unknown {scheme} scheme parameters ['{parameter}']; supported: " in err
+    assert "Traceback" not in err
 
 
 def test_response_lat_honours_the_latency_bound_pair_by_pair():
@@ -564,16 +647,22 @@ def _optimal_with_failing_milp(monkeypatch, error):
 
 @pytest.mark.parametrize("error", [SolverError("no incumbent"), InfeasibleError("x")])
 def test_optimal_falls_back_to_greente_on_solver_failures(monkeypatch, tmp_path, read_trace, error):
-    heuristic = run_scenario(
-        tiny_fattree_spec(schemes=(SchemeSpec("greente", k=3, ordering="demand"),))
-    )
+    built = build_scenario(tiny_fattree_spec())
+    heuristic = [
+        100.0
+        * greente_heuristic(
+            built.topology, built.power_model, matrix, k=3, allow_overload=True, ordering="demand"
+        ).power_w
+        / built.baseline_power_w
+        for matrix in built.trace.matrices()
+    ]
     trace.configure_tracing(tmp_path / "trace.ndjson")
     try:
         result = _optimal_with_failing_milp(monkeypatch, error)
     finally:
         trace.disable_tracing()
     power = result.columns["power_percent"]
-    assert power["optimal"] == heuristic.columns["power_percent"]["greente"]
+    assert power["optimal"] == heuristic
     solves = [r for r in read_trace(tmp_path / "trace.ndjson") if r["name"] == "scheme.solve"]
     assert solves and all(r["attrs"]["fallback"] is True for r in solves)
 
@@ -801,7 +890,7 @@ def test_fig4_is_bit_identical_to_pre_redesign_pipeline():
     ``run_fig4``, which now builds everything through ``run_scenario``.
     """
     from repro.core.planner import activate_paths
-    from repro.core.response import ResponseConfig, build_response_plan
+    from repro.core.response import build_response_plan
     from repro.experiments.fig4 import run_fig4
     from repro.optim.elastictree import elastictree_subset
     from repro.power.accounting import full_power, network_power
@@ -825,7 +914,7 @@ def test_fig4_is_bit_identical_to_pre_redesign_pipeline():
             topology,
             power_model,
             pairs=pairs,
-            config=ResponseConfig(num_paths=3, k=4, include_failover=True),
+            config=ResponseConfig(num_paths=3, k=4),
         )
         response, elastictree = [], []
         for matrix in trace.matrices():

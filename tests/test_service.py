@@ -311,6 +311,19 @@ def test_post_scenario_out_of_range_scheme_params_are_400_not_500(tmp_path, capl
     assert "Traceback" not in caplog.text
 
 
+def test_post_scenario_unknown_scheme_params_are_400_not_500(tmp_path, caplog):
+    """``greedy.bogus`` was a ``TypeError`` out of the runtime's constructor."""
+    from test_scenario import UNKNOWN_SCHEME_PARAMS
+
+    with service(tmp_path) as server, caplog.at_level("ERROR", logger="repro.service"):
+        for scheme, parameter in UNKNOWN_SCHEME_PARAMS:
+            spec = {**base_scenario(), "schemes": [{"name": scheme, "params": {parameter: 1}}]}
+            code, error = request_error(server, "/scenarios", {"spec": spec})
+            assert (code, error["code"]) == (400, "invalid-scenario"), (scheme, parameter)
+            assert f"scheme parameters ['{parameter}']" in error["message"], error
+    assert "Traceback" not in caplog.text
+
+
 def test_non_finite_or_negative_volumes_are_400_not_200_or_500(tmp_path, caplog):
     """NaN volumes ran (a 200); ``Infinity`` and negatives were 500 ``internal``.
     The body is sent with ``NaN`` / ``Infinity`` tokens, which Python's
