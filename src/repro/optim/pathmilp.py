@@ -17,11 +17,21 @@ Decision variables:
 Constraints: each pair picks exactly one path; arc loads respect capacities
 scaled by the safety margin and require the link to be active; a link
 requires both endpoints on; a router with no active link is off; fixed
-elements stay on.  The objective is the network power of the active subset.
+elements stay on.
+
+The objective is the network power of the active subset, with ties broken
+on purpose (:func:`_tie_broken_cost`): of the routings with the least power,
+one solve returns the one with the fewest hops over the chosen paths, then
+the lowest candidate ranks (summed with the earlier pairs weighing more),
+whatever HiGHS's heuristics and row order would land on.  The relaxation
+keeps the plain power objective.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -40,6 +50,61 @@ from .solution import EnergyAwareSolution, OnOffModel
 TIME_LIMIT_S = 60.0
 
 _SOLVES = MILP_SOLVES.labels(kind="path")
+
+#: Element watts are read as the nearest fraction with a denominator up to
+#: this, which is exact for the library's power models: they charge
+#: multiples of 0.1 W (Cisco, alternative hardware) or of a commodity
+#: switch's per-port share (peak × idle fraction / ports).
+MAX_WATT_DENOMINATOR = 1_000_000
+
+#: The tie-broken objective stays below this, where HiGHS still resolves it
+#: to the unit (the path MILPs of the harness grid and of fig8a / fig8b keep
+#: their decisions with the power tier scaled to 4e14).
+MAX_OBJECTIVE = 2.0**48
+
+
+@functools.lru_cache(maxsize=64)
+def _power_step(watts: Tuple[float, ...]) -> float:
+    """The model's power step: the largest step that divides each of
+    *watts* (an element's watts, each read as a fraction), so two subsets
+    whose power differs, differ by at least one step."""
+    fractions = [Fraction(value).limit_denominator(MAX_WATT_DENOMINATOR) for value in watts]
+    common = math.lcm(*(fraction.denominator for fraction in fractions))
+    whole = [fraction.numerator * (common // fraction.denominator) for fraction in fractions]
+    return math.gcd(*whole) / common or 1.0
+
+
+def _tie_broken_cost(watts: np.ndarray, hops: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """The path MILP's objective, ``R × power units + W × excess hops +
+    weighted rank``, all integers.
+
+    *watts* is the on/off columns' cost, *hops* each candidate's hop count
+    and *block* the first column of each of the ``P`` pairs (and the end).
+    Power is counted in the model's step (:func:`_power_step`).  A
+    candidate's excess is its hops over its pair's fewest; its weighted rank
+    is its position in its pair's list times ``P - i`` for the ``i``-th
+    pair, so the first pair's rank weighs most and two pairs trading one
+    rank step never tie.  ``W`` is one more than the largest total weighted rank and
+    ``R`` one more than the largest total of the last two terms.  The order
+    is then exact: one power step outweighs every hop and rank, one hop
+    every rank, and one unit of the objective is far above HiGHS's
+    termination gap (``mip_abs_gap``, 1e-6; the relative gap is 0).
+
+    Should ``R`` times one more than the whole network's units pass
+    :data:`MAX_OBJECTIVE` (no shipped power model and pair set comes
+    near), the units are scaled down to fit and rounded down, and power is
+    compared to within that coarser step.
+    """
+    first = block[:-1]
+    pair = np.repeat(np.arange(len(first)), np.diff(block))
+    rank = (np.arange(len(hops)) - block[pair]) * (len(first) - pair)
+    excess = hops - np.minimum.reduceat(hops, first)[pair]
+    secondary = (np.maximum.reduceat(rank, first).sum() + 1) * excess + rank
+    scale = float(np.maximum.reduceat(secondary, first).sum() + 1)
+    units = np.round(watts / _power_step(tuple(np.unique(watts).tolist())))
+    if scale * (units.sum() + 1.0) > MAX_OBJECTIVE:
+        units = np.floor(units * ((MAX_OBJECTIVE / scale - 1.0) / units.sum()))
+    return np.concatenate([secondary.astype(float), scale * units])
 
 
 def _filter_candidates(
@@ -168,7 +233,6 @@ def solve_path_milp(
     pair_of_path = np.repeat(np.arange(len(pairs)), np.diff(block))
     hop_demand = np.array([demands[pair] for pair in pairs])[pair_of_path[hop_path]]
     loaded = hop_demand > 0.0
-    cost_scale = max(on_off.cost.max(), 1.0)
 
     # Scale by the largest capacity to keep coefficients well conditioned.
     scale = float(index.arc_capacity.max())
@@ -198,8 +262,13 @@ def solve_path_milp(
     integer = np.ones(num_vars, dtype=bool)
     integer[:num_paths] = not relaxed
 
+    if relaxed:
+        cost = on_off.cost / max(on_off.cost.max(), 1.0)
+    else:
+        hops = np.array([len(path.arc_indices) for path in compiled])
+        cost = _tie_broken_cost(on_off.cost[num_paths:], hops, block)
     model = HighsModel(
-        on_off.cost / cost_scale,
+        cost,
         matrix,
         np.where(row_upper > 0.0, 1.0, -np.inf),
         row_upper,

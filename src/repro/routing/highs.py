@@ -18,9 +18,10 @@ from __future__ import annotations
 import importlib.util
 import os
 import sys
+import time
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from types import ModuleType
-from typing import Optional, Tuple
+from typing import Any, Optional, Tuple
 
 import numpy as np
 import scipy
@@ -46,6 +47,8 @@ def _load_binding() -> ModuleType:
         raise ImportError(f"no {BINDING} extension in {folder}")
     loader = ExtensionFileLoader(BINDING, found[0])
     spec = importlib.util.spec_from_file_location(BINDING, found[0], loader=loader)
+    if spec is None:
+        raise ImportError(f"{found[0]} is not a loadable extension")
     module = importlib.util.module_from_spec(spec)
     loader.exec_module(module)
     sys.modules[BINDING] = module
@@ -99,11 +102,14 @@ Options = Tuple[Tuple[str, object], ...]
 
 #: What SciPy's ``linprog(method="highs")`` sets before it solves; every
 #: other HiGHS option keeps its default, here and in :func:`milp_options`.
+#: Both tuples turn the console log off first: HiGHS writes to the
+#: process's C-level stdout while it is on, a rejected option's message
+#: included.
 LINPROG_OPTIONS: Options = (
+    ("log_to_console", False),
     ("presolve", "on"),
     ("simplex_strategy", 1),  # dual simplex
     ("highs_debug_level", 0),
-    ("log_to_console", False),
     ("output_flag", False),
 )
 
@@ -121,11 +127,19 @@ _LIMITS = (
 
 
 def milp_options(limit_s: float) -> Options:
-    """What SciPy's ``milp`` sets for a relative gap of 1e-4 and a
-    wall-clock limit of *limit_s* seconds."""
+    """What SciPy's ``milp`` sets for a relative gap of 0 and a wall-clock
+    limit of *limit_s* seconds, with HiGHS's feasibility-jump heuristic off.
+
+    A solve ends when its incumbent is within HiGHS's absolute gap
+    (``mip_abs_gap``, 1e-6) of the dual bound.  The path MILP's objective is
+    integral (:func:`repro.optim.pathmilp._tie_broken_cost`), so that is its
+    one optimum.  Feasibility jump found incumbents the root node finds
+    anyway, and took about 40 % of the path MILPs' solve time.
+    """
     return (
         ("log_to_console", False),
-        ("mip_rel_gap", 1e-4),
+        ("mip_rel_gap", 0.0),
+        ("mip_heuristic_run_feasibility_jump", False),
         ("time_limit", float(limit_s)),
     )
 
@@ -172,7 +186,8 @@ class HighsModel:
         if integer is not None:
             kinds = (HighsVarType.kContinuous, HighsVarType.kInteger)
             lp.integrality_ = [kinds[flag] for flag in integer.tolist()]
-        self._highs: Optional[_Highs] = _Highs()
+        # The binding is untyped: instances and statuses are ``Any``.
+        self._highs: Optional[Any] = _Highs()
         #: The basis the next LP solve starts from: none, or the last one's.
         self._start = "fresh"
         #: Simplex iterations of every LP solve so far.
@@ -187,7 +202,7 @@ class HighsModel:
         if not self._mip:
             _LP_MODELS.inc()
 
-    def _live(self) -> _Highs:
+    def _live(self) -> Any:
         if self._highs is None:
             raise SolverError("HiGHS failed earlier; this model takes no further calls")
         return self._highs
@@ -200,7 +215,7 @@ class HighsModel:
         """Call a ``_Highs`` method that reports a ``HighsStatus``."""
         self._check(method, getattr(self._live(), method)(*arguments))
 
-    def _check(self, method: str, status: HighsStatus) -> None:
+    def _check(self, method: str, status: Any) -> None:
         # kWarning is let through, as SciPy's front ends do (HiGHS warns,
         # for one, when it drops a matrix entry below its 1e-9 threshold).
         if status == HighsStatus.kError:
@@ -231,16 +246,22 @@ class HighsModel:
         Raises:
             SolverError: On any other outcome, naming HiGHS's model status.
         """
+        # repro: allow[REP101] mip_solve_ms span attribute, never read by a result
+        started = time.perf_counter()
         self._checked("run")
+        # repro: allow[REP101] mip_solve_ms span attribute, never read by a result
+        elapsed_ms = 1e3 * (time.perf_counter() - started)
         highs = self._live()
         info = highs.getInfo()
         if self._mip:
             _MILP_NODES.inc(info.mip_node_count)
             enclosing = trace.current_span()
             if enclosing is not None:
+                attrs = enclosing.attrs
                 enclosing.set(
-                    mip_nodes=enclosing.attrs.get("mip_nodes", 0) + int(info.mip_node_count),
-                    mip_gap=max(enclosing.attrs.get("mip_gap", 0.0), float(info.mip_gap)),
+                    mip_nodes=attrs.get("mip_nodes", 0) + int(info.mip_node_count),
+                    mip_gap=max(attrs.get("mip_gap", 0.0), float(info.mip_gap)),
+                    mip_solve_ms=attrs.get("mip_solve_ms", 0.0) + elapsed_ms,
                 )
         else:
             iterations = int(info.simplex_iteration_count)

@@ -158,8 +158,8 @@ def test_fig8b_fattree_wake_up_stall_visible():
 #: REsPoNseTE controller or the simulator underneath must keep them.
 ONLINE_FIGURE_DIGESTS = {
     "fig7": (run_fig7, "e214bb2ede3ea456405fcb0f909cff6075a94eca89910c850e57c0379cb274f1"),
-    "fig8a": (run_fig8a, "20d2f741b125896e599993f9e3608775621f1c956e429bea8db45b7f40cf0068"),
-    "fig8b": (run_fig8b, "8ab8c923a1b5a7526bf47392de38f265cebbdc7e1109e1d7254153dd223d3b01"),
+    "fig8a": (run_fig8a, "e578494ebea61a7fbf4652cae5ce47104a81f7f831e710b8aa08cb9489cac29e"),
+    "fig8b": (run_fig8b, "87e421487023d4cf716c91fbb0e8a1023745e353bd064c2df701dfb2c49439a0"),
 }
 
 

@@ -21,8 +21,11 @@ reference.  Pinned:
   it loads the HiGHS extension from its file.
 """
 
+import math
 import os
 import re
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,7 +36,12 @@ from repro.exceptions import InfeasibleError, SolverError
 from repro.obs import metrics, trace
 from repro.optim import solve_arc_milp, solve_path_milp
 from repro.optim import pathmilp
-from repro.optim.pathmilp import TIME_LIMIT_S, _filter_candidates
+from repro.optim.pathmilp import (
+    MAX_OBJECTIVE,
+    MAX_WATT_DENOMINATOR,
+    TIME_LIMIT_S,
+    _filter_candidates,
+)
 from repro.optim.solution import EnergyAwareSolution, element_power_coefficients
 from repro.power import CiscoRouterPowerModel, CommoditySwitchPowerModel, network_power
 from repro.routing import highs
@@ -184,15 +192,15 @@ def reference_solve_path_milp(
     integrality = np.ones(num_vars)
     if relaxed:
         integrality[:num_path_vars] = 0.0
-    options = {"mip_rel_gap": 1e-4, "time_limit": TIME_LIMIT_S}
-    result = milp(
-        c=cost / max(cost.max(), 1.0),
-        constraints=LinearConstraint(
-            matrix, np.array(constraint_lower), np.array(constraint_upper)
-        ),
-        integrality=integrality,
-        bounds=Bounds(lower, upper),
-        options=options,
+        objective = cost / max(cost.max(), 1.0)
+    else:
+        objective = reference_tie_broken_cost(pairs, candidates, cost, num_path_vars)
+    result = reference_milp(
+        objective,
+        LinearConstraint(matrix, np.array(constraint_lower), np.array(constraint_upper)),
+        integrality,
+        Bounds(lower, upper),
+        TIME_LIMIT_S,
     )
     if result.status == 2:
         raise InfeasibleError("the demand cannot be carried")
@@ -223,6 +231,54 @@ def reference_solve_path_milp(
         ),
         solution,
     )
+
+
+def reference_tie_broken_cost(pairs, candidates, cost, num_path_vars):
+    """The path MILP's objective, written out: watts in whole steps of the
+    largest step dividing every element's watts, times one more than the
+    largest secondary total; a path's secondary is its hops over its pair's
+    fewest, times one more than the largest total weighted rank, plus its
+    position times ``len(pairs) - i`` for the ``i``-th pair."""
+    watts = [
+        Fraction(value).limit_denominator(MAX_WATT_DENOMINATOR)
+        for value in cost[num_path_vars:]
+    ]
+    denominator = math.lcm(*(value.denominator for value in watts))
+    step = Fraction(math.gcd(*(int(value * denominator) for value in watts)), denominator)
+    units = [value / step for value in watts]
+    weighted, excess = [], []
+    for position, pair in enumerate(pairs):
+        fewest = min(len(path.arc_keys()) for path in candidates[pair])
+        weighted.append([rank * (len(pairs) - position) for rank in range(len(candidates[pair]))])
+        excess.append([len(path.arc_keys()) - fewest for path in candidates[pair]])
+    rank_span = 1 + sum(max(ranks) for ranks in weighted)
+    secondary = [
+        [rank_span * hops + rank for hops, rank in zip(more, ranks, strict=True)]
+        for more, ranks in zip(excess, weighted, strict=True)
+    ]
+    scale = 1 + sum(max(values) for values in secondary)
+    assert scale * (sum(units) + 1) <= MAX_OBJECTIVE  # no shipped case is rounded
+    flat = [float(value) for values in secondary for value in values]
+    return np.array(flat + [float(scale * value) for value in units])
+
+
+def reference_milp(objective, constraints, integrality, bounds, time_limit_s):
+    """SciPy's ``milp`` with the options ``routing.highs.milp_options`` sets;
+    it hands the one it does not know, feasibility jump, to HiGHS verbatim
+    and warns."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "Unrecognized options detected", RuntimeWarning)
+        return milp(
+            c=objective,
+            constraints=constraints,
+            integrality=integrality,
+            bounds=bounds,
+            options={
+                "mip_rel_gap": 0.0,
+                "time_limit": time_limit_s,
+                "mip_heuristic_run_feasibility_jump": False,
+            },
+        )
 
 
 #: The dense ``HighsLp`` vectors both front ends fill (beside the CSC matrix
@@ -340,12 +396,12 @@ def test_arc_model_reaches_highs_as_milp_handed_it_over(handed_over, example_top
     solution = solve_arc_milp(topology, cisco_model, demands, fixed_on_links=[("A", "B")])
     start, index, value, cost, lower, upper, row_lower, row_upper, integrality = models[0]
     matrix = sparse.csc_array((value, index, start), shape=(len(row_upper), len(cost)))
-    result = milp(
-        c=cost,
-        constraints=LinearConstraint(sparse.csc_matrix(matrix), row_lower, row_upper),
-        integrality=integrality,
-        bounds=Bounds(lower, upper),
-        options={"mip_rel_gap": 1e-4, "time_limit": 120.0},
+    result = reference_milp(
+        cost,
+        LinearConstraint(sparse.csc_matrix(matrix), row_lower, row_upper),
+        integrality,
+        Bounds(lower, upper),
+        120.0,
     )
     for mine, other in zip(*models, strict=True):
         assert mine.dtype.kind == other.dtype.kind and np.array_equal(mine, other)
