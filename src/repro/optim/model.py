@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
-from scipy import sparse
 
 from ..exceptions import InfeasibleError, SolverError
 from ..power.model import PowerModel
@@ -111,7 +110,7 @@ def solve_arc_milp(
         # Constraints (1) and (3).
         *on_off.coupling,
     )
-    matrix = sparse.csc_array(sparse.vstack(families))
+    matrix = on_off.stack(families)
     row_lower = np.full(matrix.shape[0], -np.inf)
     row_upper = np.zeros(matrix.shape[0])
     row_lower[: balance.size] = row_upper[: balance.size] = balance.ravel()

@@ -4,13 +4,13 @@ element costs, and the on/off half of the paper's model (Section 2.2.1)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
-from scipy import sparse
 
 from ..power.accounting import element_power, network_power
 from ..power.model import PowerModel
+from ..routing.highs import CscMatrix, csc_matrix
 from ..routing.paths import RoutingTable
 from ..topology.base import Topology
 
@@ -19,6 +19,16 @@ LinkKey = Tuple[str, str]
 #: A constraint family's entries: ``(rows, columns, their coefficients or
 #: the one they share)``.
 Entries = Tuple[np.ndarray, np.ndarray, Union[np.ndarray, float]]
+
+
+class Family(NamedTuple):
+    """*count* rows of one constraint family: its entries' rows (numbered
+    from the family's first), columns and coefficients."""
+
+    count: int
+    rows: np.ndarray
+    columns: np.ndarray
+    values: np.ndarray
 
 
 @dataclass
@@ -150,12 +160,27 @@ class OnOffModel:
             ),
         )
 
-    def rows(self, count: int, *entries: Entries) -> sparse.coo_array:
+    def rows(self, count: int, *entries: Entries) -> Family:
         """*count* rows of one constraint family, as wide as the model."""
         at = np.concatenate([entry[0] for entry in entries])
         columns = np.concatenate([entry[1] for entry in entries])
         values = np.concatenate([np.broadcast_to(entry[2], len(entry[0])) for entry in entries])
-        return sparse.coo_array((values, (at, columns)), shape=(count, self.width))
+        return Family(count, at, columns, values)
+
+    def stack(self, families: Sequence[Family]) -> CscMatrix:
+        """The matrix of *families*, one under the other, in the column-wise
+        layout HiGHS takes: each column's entries by row, as SciPy's
+        ``csc_array(vstack(...))`` orders them (no family repeats an entry,
+        and explicit zeros stay)."""
+        first = np.cumsum([0] + [family.count for family in families])
+        at = np.concatenate(
+            [family.rows + start for family, start in zip(families, first[:-1], strict=True)]
+        )
+        columns = np.concatenate([family.columns for family in families])
+        values = np.concatenate([family.values for family in families])
+        order = np.argsort(columns * int(first[-1]) + at)
+        starts = np.searchsorted(columns[order], np.arange(self.width + 1))
+        return csc_matrix((int(first[-1]), self.width), starts, at[order], values[order])
 
     def decode(
         self, solution: np.ndarray, routing: RoutingTable

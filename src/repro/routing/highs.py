@@ -144,6 +144,19 @@ def milp_options(limit_s: float) -> Options:
     )
 
 
+#: The constraint matrix :class:`HighsModel` takes.
+CscMatrix = sparse.csc_array
+
+
+def csc_matrix(
+    shape: Tuple[int, int], starts: np.ndarray, rows: np.ndarray, values: np.ndarray
+) -> CscMatrix:
+    """The matrix of *shape* whose column ``j`` holds ``values[starts[j]:
+    starts[j + 1]]`` in rows ``rows[starts[j]:starts[j + 1]]``: HiGHS's own
+    column-wise layout, handed over as it is."""
+    return sparse.csc_array((values, rows, starts), shape=shape)
+
+
 class HighsModel:
     """``min cost @ x`` subject to ``row_lower <= A x <= row_upper``,
     ``col_lower <= x <= col_upper`` and ``x[integer]`` integral, held by one
@@ -164,7 +177,7 @@ class HighsModel:
     def __init__(
         self,
         cost: np.ndarray,
-        matrix: sparse.csc_array,
+        matrix: CscMatrix,
         row_lower: np.ndarray,
         row_upper: np.ndarray,
         col_lower: np.ndarray,

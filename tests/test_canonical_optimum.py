@@ -3,7 +3,8 @@
 ``optim.pathmilp.solve_path_milp`` returns, from one HiGHS solve, the
 routing with the least power; among equal-power ones the fewest hops over
 the chosen paths; then the lowest candidate ranks (the earlier pair's rank
-weighing more).  Pinned here:
+weighing more); then the least total of fixed per-column draws.  Pinned
+here:
 
 * each tier on a hand-built network whose watts are chosen so that one
   tier decides, with the candidate lists handed over in both orders so
@@ -12,6 +13,8 @@ weighing more).  Pinned here:
   (``geant_grid(11)``) and of the fig8a and fig8b plans return the same
   decisions with their rows permuted (three seeds) and with HiGHS's
   feasibility jump on and off;
+* the ties of fig8b's on-demand model that the first three tiers leave to
+  the row order, and the last tier breaks;
 * nothing reaches file descriptor 1 or 2 while HiGHS solves a path MILP, a
   flow LP, or rejects an option: the harness reads a workload's last stdout
   line as its result, and HiGHS writes to the C-level stdout while its
@@ -251,14 +254,84 @@ def test_plan_milps_decide_the_same_under_row_order_and_heuristics(plan_milps):
                 assert np.array_equal(found, expected), (seed, on)
 
 
+@pytest.fixture(scope="module")
+def fig8b_on_demand():
+    """fig8b's on-demand path MILP as it reaches HiGHS: under the three
+    tiers alone (``TIE_BITS`` 0) and under all four."""
+    models = []
+    real_init = highs.HighsModel.__init__
+
+    def init(model, *arguments):
+        if len(arguments) == 8:
+            models.append(arguments)
+        real_init(model, *arguments)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(highs.HighsModel, "__init__", init)
+        patch.setattr(fig8b, "_simulate", lambda *arguments: None)
+        for bits in (0, pathmilp.TIE_BITS):
+            patch.setattr(pathmilp, "TIE_BITS", bits)
+            fig8b.run_fig8b()
+    assert len(models) == 4  # the always-on and the on-demand model, twice
+    return models[1], models[3]
+
+
+def candidate_columns(matrix, row_lower):
+    """Each pair's candidate columns: the pairs are the rows with a lower
+    bound of 1 (family (a)), their candidates those rows' columns."""
+    rows = sparse.csr_array(matrix)
+    return [
+        rows.indices[rows.indptr[pair] : rows.indptr[pair + 1]]
+        for pair in np.flatnonzero(row_lower == 1.0)
+    ]
+
+
+#: The ranks each four pairs of fig8b's on-demand model may take at equal
+#: power, hops and weighted rank: 0 + 15 + 3 × 14 + 2 × 13 = 16 + 2 × 14 + 3
+#: × 13 for pairs 0–3, and the same trade for pairs 8–11 (weights 8 to 5).
+TRADED_RANKS = ((0, 1, 3, 2), (1, 0, 2, 3))
+
+
+def test_the_last_tier_breaks_the_ties_of_fig8b_s_on_demand_model(fig8b_on_demand):
+    """Under the three tiers alone, row order picks among routings of fig8b's
+    on-demand model that all cost 17 978 586: pairs 0–3 and pairs 8–11 each
+    take either ranks of :data:`TRADED_RANKS`, the other pairs and every
+    on/off column the same.  The last tier costs the four apart, and the
+    whole model returns the cheapest under every row order."""
+    three, whole = fig8b_on_demand
+    cost, matrix, row_lower, row_upper = three[:4]
+    assert np.array_equal(whole[1].toarray(), matrix.toarray())
+    found = [decisions(*three, np.arange(matrix.shape[0]))]
+    for seed in range(20):
+        order = np.random.default_rng(seed).permutation(matrix.shape[0])
+        found.append(decisions(*three, order))
+    assert len({x.tobytes() for x in found}) >= 2  # row order decides
+
+    columns = candidate_columns(matrix, row_lower)
+    routings = []
+    for first, second in [(first, second) for first in TRADED_RANKS for second in TRADED_RANKS]:
+        x = found[0].copy()
+        for pair, rank in zip([0, 1, 2, 3, 8, 9, 10, 11], first + second, strict=True):
+            x[columns[pair]] = 0
+            x[columns[pair][rank]] = 1
+        assert np.all(row_lower <= matrix @ x) and np.all(matrix @ x <= row_upper)
+        routings.append(x)
+    assert {x.tobytes() for x in found} <= {x.tobytes() for x in routings}
+    assert [cost @ x for x in routings] == [17_978_586] * 4
+    assert len({whole[0] @ x for x in routings}) == 4
+    cheapest = min(routings, key=lambda x: whole[0] @ x)
+    for seed in range(3):
+        order = np.random.default_rng(seed).permutation(matrix.shape[0])
+        assert np.array_equal(decisions(*whole, order), cheapest)
+
+
 # --------------------------------------------------------------------- #
 # A silent HiGHS
 # --------------------------------------------------------------------- #
 def test_highs_writes_nothing_to_the_console(capfd, monkeypatch, geant, cisco_model):
-    """An always-on model on ε demands (HiGHS drops their sub-1e-9 capacity
-    coefficients, and says so when its log is on), a flow LP and a rejected
-    option write nothing; the same solve with the console log on does, so
-    the capture sees what HiGHS writes."""
+    """An always-on model on ε demands, a flow LP and a rejected option
+    write nothing; the same solve with the console log on prints HiGHS's
+    banner, so the capture sees what HiGHS writes."""
     pairs = [(u, v) for u in geant.nodes()[:8] for v in geant.nodes()[:8] if u != v]
     demands = TrafficMatrix.epsilon(pairs)
     capfd.readouterr()
@@ -275,7 +348,7 @@ def test_highs_writes_nothing_to_the_console(capfd, monkeypatch, geant, cisco_mo
         loud = (("log_to_console", True), *highs.milp_options(pathmilp.TIME_LIMIT_S)[1:])
         patch.setattr(pathmilp, "milp_options", lambda limit_s: loud)
         solve_path_milp(geant, cisco_model, demands)
-    assert "1e-09: ignored" in capfd.readouterr().out
+    assert "Running HiGHS" in capfd.readouterr().out
 
 
 def test_a_milp_solve_adds_its_wall_clock_to_the_enclosing_span(geant, cisco_model):

@@ -42,8 +42,11 @@ from repro.topology.base import Topology
 from repro.traffic import TrafficMatrix
 from repro.units import mbps
 
-#: The MILPs' relative gap (``routing.highs.milp_options``).
-MIP_GAP = 1e-4
+#: How far above the single-path optimum a MILP's power may land: float
+#: rounding only.  The MILPs' relative gap is 0 (``routing.highs.milp_options``),
+#: and the arc MILP's absolute gap (1e-6, on costs over their largest) is far
+#: below a 0.1 W step.
+MIP_GAP = 1e-12
 
 
 def simple_paths(topology, origin, destination):

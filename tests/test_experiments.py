@@ -159,7 +159,7 @@ def test_fig8b_fattree_wake_up_stall_visible():
 ONLINE_FIGURE_DIGESTS = {
     "fig7": (run_fig7, "e214bb2ede3ea456405fcb0f909cff6075a94eca89910c850e57c0379cb274f1"),
     "fig8a": (run_fig8a, "e578494ebea61a7fbf4652cae5ce47104a81f7f831e710b8aa08cb9489cac29e"),
-    "fig8b": (run_fig8b, "87e421487023d4cf716c91fbb0e8a1023745e353bd064c2df701dfb2c49439a0"),
+    "fig8b": (run_fig8b, "5ae64da79d0877dba03d151861f6de0c1970946ea57847188f39ebc026c03be4"),
 }
 
 

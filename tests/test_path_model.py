@@ -12,6 +12,9 @@ reference.  Pinned:
   ``==``, on every shipped topology under ε, gravity and peak
   demands, with nothing fixed, some or all elements fixed on, forbidden
   links, a latency bound and the relaxation; the arc MILP's model likewise on the example;
+* the rows of the tighter model on small cases: one coupling row per
+  (pair, link) a candidate crosses, no capacity row on ε demands (so HiGHS
+  drops no coefficient), and a capacity row that can bind kept and obeyed;
 * status handling: every status-returning call checked, only ``kInfeasible``
   is :class:`InfeasibleError`, a limit with an incumbent is a solution with
   ``optimal is False``, anything else (``kModelError`` included, which SciPy
@@ -39,6 +42,8 @@ from repro.optim import pathmilp
 from repro.optim.pathmilp import (
     MAX_OBJECTIVE,
     MAX_WATT_DENOMINATOR,
+    TIE_BITS,
+    TIE_SEED,
     TIME_LIMIT_S,
     _filter_candidates,
 )
@@ -48,9 +53,11 @@ from repro.routing import highs
 from repro.routing.ksp import CandidatePaths
 from repro.routing.mcf import ConcurrentFlow
 from repro.routing.ospf import ospf_delays
+from repro.routing.paths import Path as RoutedPath
 from repro.routing.paths import RoutingTable
-from repro.topology.base import link_key
+from repro.topology.base import Topology, link_key
 from repro.traffic import TrafficMatrix
+from repro.units import mbps
 
 from test_calibration import (  # noqa: I001
     REPO_ROOT,
@@ -58,6 +65,7 @@ from test_calibration import (  # noqa: I001
     base_matrix,
     example_traffic_specs,
 )
+from test_canonical_optimum import LinkWatts, Listed
 
 
 # --------------------------------------------------------------------- #
@@ -139,8 +147,15 @@ def reference_solve_path_milp(
         row_count += 1
 
     capacity_scale = max(arc.capacity_bps for arc in topology.arcs())
+    reach = {arc.key: 0.0 for arc in topology.arcs()}
+    for pair in pairs:
+        if demands[pair] > 0.0:
+            for arc_key in dict.fromkeys(a for path in candidates[pair] for a in path.arc_keys()):
+                reach[arc_key] += demands[pair]
     arc_rows = {}
     for arc in topology.arcs():
+        if reach[arc.key] <= arc.capacity_bps * utilisation_limit:
+            continue  # the coupling rows below imply this arc's capacity
         arc_rows[arc.key] = row_count
         add_entry(
             row_count,
@@ -157,17 +172,21 @@ def reference_solve_path_milp(
         for candidate_position, path in enumerate(candidates[pair]):
             column = path_var_offset[(pair, candidate_position)]
             for arc_key in path.arc_keys():
-                add_entry(arc_rows[arc_key], column, demand / capacity_scale)
+                if arc_key in arc_rows:
+                    add_entry(arc_rows[arc_key], column, demand / capacity_scale)
 
     for pair in pairs:
+        link_rows = {}
         for candidate_position, path in enumerate(candidates[pair]):
             column = path_var_offset[(pair, candidate_position)]
             for key in dict.fromkeys(path.link_keys()):
-                add_entry(row_count, column, 1.0)
-                add_entry(row_count, y_var(key), -1.0)
-                constraint_lower.append(-np.inf)
-                constraint_upper.append(0.0)
-                row_count += 1
+                if key not in link_rows:
+                    link_rows[key] = row_count
+                    add_entry(row_count, y_var(key), -1.0)
+                    constraint_lower.append(-np.inf)
+                    constraint_upper.append(0.0)
+                    row_count += 1
+                add_entry(link_rows[key], column, 1.0)
 
     for key in links:
         for endpoint in key:
@@ -238,7 +257,10 @@ def reference_tie_broken_cost(pairs, candidates, cost, num_path_vars):
     largest step dividing every element's watts, times one more than the
     largest secondary total; a path's secondary is its hops over its pair's
     fewest, times one more than the largest total weighted rank, plus its
-    position times ``len(pairs) - i`` for the ``i``-th pair."""
+    position times ``len(pairs) - i`` for the ``i``-th pair.  All of it
+    times one more than the largest total tie, plus each path's tie: the
+    top bits of its column's SplitMix64 output, as many as keep the
+    objective within ``MAX_OBJECTIVE / 16``."""
     watts = [
         Fraction(value).limit_denominator(MAX_WATT_DENOMINATOR)
         for value in cost[num_path_vars:]
@@ -258,8 +280,31 @@ def reference_tie_broken_cost(pairs, candidates, cost, num_path_vars):
     ]
     scale = 1 + sum(max(values) for values in secondary)
     assert scale * (sum(units) + 1) <= MAX_OBJECTIVE  # no shipped case is rounded
-    flat = [float(value) for values in secondary for value in values]
-    return np.array(flat + [float(scale * value) for value in units])
+    levels = 2**TIE_BITS
+    while levels > 1 and (len(pairs) * (levels - 1) + 1) * scale * (sum(units) + 1) > (
+        MAX_OBJECTIVE / 16
+    ):
+        levels //= 2
+    ties, column = [], 0
+    for values in secondary:
+        columns = range(column, column + len(values))
+        ties.append([splitmix64(c + 1) * levels // 2**64 for c in columns])
+        column += len(values)
+    spread = 1 + sum(max(values) for values in ties)
+    flat = [
+        float(spread * value + tie)
+        for values, tied in zip(secondary, ties, strict=True)
+        for value, tie in zip(values, tied, strict=True)
+    ]
+    return np.array(flat + [float(spread * scale * value) for value in units])
+
+
+def splitmix64(n):
+    """The *n*-th output of SplitMix64 seeded with ``TIE_SEED``."""
+    state = (TIE_SEED + n * 0x9E3779B97F4A7C15) % 2**64
+    state = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+    state = ((state ^ (state >> 27)) * 0x94D049BB133111EB) % 2**64
+    return state ^ (state >> 31)
 
 
 def reference_milp(objective, constraints, integrality, bounds, time_limit_s):
@@ -406,6 +451,96 @@ def test_arc_model_reaches_highs_as_milp_handed_it_over(handed_over, example_top
     for mine, other in zip(*models, strict=True):
         assert mine.dtype.kind == other.dtype.kind and np.array_equal(mine, other)
     assert solution.optimal is (result.status == 0) and solution.gap == result.mip_gap
+
+
+# --------------------------------------------------------------------- #
+# The rows of the tighter model
+# --------------------------------------------------------------------- #
+def handed_matrix(model):
+    """The dense constraint matrix of one model *handed_over* recorded."""
+    start, index, value, cost, _, _, _, row_upper, _ = model
+    return sparse.csc_array((value, index, start), shape=(len(row_upper), len(cost))).toarray()
+
+
+def always_on_network(name, links, capacity_bps):
+    """A topology of always-powered nodes joined by *links*."""
+    topology = Topology(name)
+    for node in sorted({node for link in links for node in link}):
+        topology.add_node(node, always_powered=True)
+    for u, v in links:
+        topology.add_link(u, v, capacity_bps=capacity_bps)
+    return topology
+
+
+def test_a_link_shared_by_a_pair_s_candidates_gets_one_coupling_row(handed_over):
+    """``s-a-t`` and ``s-a-b-t`` both cross ``s-a``: one row couples both
+    candidates to it, and the four links a candidate crosses get four rows
+    (five hops), in the order of their first hop."""
+    links = [("s", "a"), ("a", "t"), ("a", "b"), ("b", "t")]
+    topology = always_on_network("shared", links, mbps(100))
+    candidates = [RoutedPath(("s", "a", "t")), RoutedPath(("s", "a", "b", "t"))]
+    solve_path_milp(
+        topology,
+        LinkWatts({key: 10.0 for key in topology.link_keys()}),
+        TrafficMatrix.epsilon([("s", "t")]),
+        k=2,
+        candidate_paths=Listed({("s", "t"): candidates}),
+    )
+    matrix = handed_matrix(handed_over[0][0])
+    coupling = matrix[1:][matrix[1:, :2].any(axis=1)]
+    link_column = {key: 2 + position for position, key in enumerate(topology.index().link_keys)}
+    assert coupling[:, :2].tolist() == [[1, 1], [1, 0], [0, 1], [0, 1]]
+    assert [np.flatnonzero(row[2:] == -1)[0] + 2 for row in coupling] == [
+        link_column[link_key(*link)] for link in links
+    ]
+
+
+def test_an_epsilon_model_has_no_capacity_row_and_highs_ignores_no_coefficient(
+    handed_over, capfd, monkeypatch, geant, cisco_model
+):
+    """ε demands never bind a capacity: every coefficient is ±1, and HiGHS,
+    with its log on, drops none (it dropped their 1e-10 capacity entries)."""
+    pairs = [(u, v) for u in geant.nodes()[:8] for v in geant.nodes()[:8] if u != v]
+    loud = (("log_to_console", True), *highs.milp_options(TIME_LIMIT_S)[1:])
+    monkeypatch.setattr(pathmilp, "milp_options", lambda limit_s: loud)
+    capfd.readouterr()
+    solve_path_milp(geant, cisco_model, TrafficMatrix.epsilon(pairs))
+    log = capfd.readouterr().out
+    assert "Running HiGHS" in log and "ignored" not in log
+    assert set(np.unique(handed_matrix(handed_over[0][0]))) == {-1.0, 0.0, 1.0}
+
+
+def test_a_capacity_row_that_can_bind_stays_and_the_routing_respects_it(handed_over):
+    """Two 60 Mb/s pairs reach ``t`` over ``a`` (1 W a link) or ``b`` (10 W):
+    together they would exceed the 100 Mb/s into ``t`` either way, so both
+    of those arcs keep their rows (and no other does), and the pairs split.
+    At 40 Mb/s each no row can bind, and both take ``a``."""
+    links = [("u", "a"), ("v", "a"), ("a", "t"), ("u", "b"), ("v", "b"), ("b", "t")]
+    topology = always_on_network("bottleneck", links, mbps(100))
+    watts = LinkWatts({link_key(u, v): 1.0 if "a" in (u, v) else 10.0 for u, v in links})
+    pairs = [("u", "t"), ("v", "t")]
+    listed = Listed(
+        {(x, "t"): [RoutedPath((x, "a", "t")), RoutedPath((x, "b", "t"))] for x, _ in pairs}
+    )
+    models, _ = handed_over
+    middles = {}
+    for volume in (mbps(60), mbps(40)):
+        demands = TrafficMatrix({pair: volume for pair in pairs})
+        solution = solve_path_milp(topology, watts, demands, k=2, candidate_paths=listed)
+        index = topology.index()
+        loads = index.path_loads(
+            [solution.routing.path(*pair) for pair in pairs], [volume] * len(pairs)
+        )
+        assert index.max_utilisation(loads) <= 1.0
+        middles[volume] = [solution.routing.path(*pair).nodes[1] for pair in pairs]
+        matrix = handed_matrix(models[-1])
+        capacity = matrix[np.isclose(matrix[:, :4], 0.6).any(axis=1)]
+        assert len(capacity) == (2 if volume == mbps(60) else 0)
+        y_columns = {4 + position: key for position, key in enumerate(index.link_keys)}
+        assert sorted(y_columns[int(np.flatnonzero(row[4:10])[0]) + 4] for row in capacity) == (
+            [("a", "t"), ("b", "t")] if volume == mbps(60) else []
+        )
+    assert middles == {mbps(60): ["a", "b"], mbps(40): ["a", "a"]}
 
 
 # --------------------------------------------------------------------- #
