@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 from ..optim.pathmilp import solve_path_milp
 from ..optim.solution import EnergyAwareSolution
 from ..power.model import PowerModel
-from ..routing.ksp import CandidatePaths
 from ..routing.ospf import ospf_delays
 from ..topology.base import Topology
 from ..traffic.matrix import Pair, TrafficMatrix, all_pairs
@@ -32,7 +31,6 @@ def compute_always_on(
     power_model: PowerModel,
     config: "ResponseConfig",
     pairs: Optional[Iterable[Pair]] = None,
-    candidate_paths: Optional[CandidatePaths] = None,
 ) -> EnergyAwareSolution:
     """Compute the always-on paths and the elements they keep active.
 
@@ -43,7 +41,6 @@ def compute_always_on(
             ``k`` and ``utilisation_limit`` of the path-restricted MILP.
         pairs: Origin-destination pairs requiring connectivity; defaults to
             all ordered pairs of non-host nodes.
-        candidate_paths: Shared candidate-path provider handed to the MILP.
 
     Returns:
         An :class:`EnergyAwareSolution` whose routing table holds the
@@ -64,7 +61,6 @@ def compute_always_on(
         demands,
         k=config.k,
         utilisation_limit=config.utilisation_limit,
-        candidate_paths=candidate_paths,
         latency_bound=latency_bound,
         solver_name="always-on-lat" if config.latency_beta is not None else "always-on",
     )

@@ -25,7 +25,6 @@ from ..optim.greente import greente_heuristic
 from ..optim.pathmilp import solve_path_milp
 from ..optim.solution import EnergyAwareSolution
 from ..power.model import PowerModel
-from ..routing.ksp import CandidatePaths
 from ..routing.ospf import ospf_invcap_routing
 from ..routing.paths import RoutingTable
 from ..topology.base import Topology
@@ -43,7 +42,6 @@ def compute_on_demand(
     config: "ResponseConfig",
     pairs: Optional[Iterable[Pair]] = None,
     peak_matrix: Optional[TrafficMatrix] = None,
-    candidate_paths: Optional[CandidatePaths] = None,
 ) -> List[RoutingTable]:
     """Compute the on-demand routing tables.
 
@@ -60,9 +58,6 @@ def compute_on_demand(
         pairs: Pairs to install; defaults to the always-on table's pairs.
         peak_matrix: Peak-hour matrix ``d_peak`` (required by ``"peak"``,
             used by ``"heuristic"`` when available).
-        candidate_paths: Candidate-path provider shared by every solver
-            call (and with the always-on computation); defaults to one
-            private to this call.
 
     Returns:
         A list of ``config.num_on_demand_tables`` routing tables.
@@ -76,8 +71,6 @@ def compute_on_demand(
     selected: List[Pair] = (
         list(pairs) if pairs is not None else list(always_on.routing.pairs())
     )
-    if candidate_paths is None:
-        candidate_paths = CandidatePaths(topology)
 
     tables: List[RoutingTable] = []
     for table_index in range(config.num_on_demand_tables):
@@ -95,7 +88,6 @@ def compute_on_demand(
                 demands,
                 k=config.k + table_index,
                 utilisation_limit=config.utilisation_limit,
-                candidate_paths=candidate_paths,
                 fixed_on_nodes=always_on.active_nodes,
                 fixed_on_links=always_on.active_links,
                 allow_overload=True,
@@ -120,7 +112,6 @@ def compute_on_demand(
                 demands,
                 k=config.k,
                 utilisation_limit=config.utilisation_limit,
-                candidate_paths=candidate_paths,
                 fixed_on_nodes=always_on.active_nodes,
                 fixed_on_links=always_on.active_links,
                 forbidden_links=forbidden,

@@ -23,7 +23,6 @@ from typing import Any, Iterable, Optional, TypeGuard
 
 from ..exceptions import ConfigurationError
 from ..power.model import PowerModel
-from ..routing.ksp import CandidatePaths
 from ..topology.base import Topology
 from ..traffic.matrix import Pair, TrafficMatrix
 from .always_on import compute_always_on
@@ -112,7 +111,6 @@ def build_response_plan(
     pairs: Optional[Iterable[Pair]] = None,
     peak_matrix: Optional[TrafficMatrix] = None,
     config: Optional[ResponseConfig] = None,
-    candidate_paths: Optional[CandidatePaths] = None,
 ) -> ResponsePlan:
     """Run the complete off-line REsPoNse computation.
 
@@ -123,24 +121,18 @@ def build_response_plan(
             pairs of non-host nodes.
         peak_matrix: Optional ``d_peak`` estimate for the on-demand paths.
         config: Full configuration; defaults to ``ResponseConfig()``.
-        candidate_paths: The candidate-path provider every solver of the
-            pipeline draws from, so one plan build enumerates each pair's
-            k shortest paths once; defaults to one private to this build.
 
     Returns:
         The computed :class:`ResponsePlan`.
     """
     if config is None:
         config = ResponseConfig()
-    if candidate_paths is None:
-        candidate_paths = CandidatePaths(topology)
 
     always_on = compute_always_on(
         topology,
         power_model,
         config,
         pairs=pairs,
-        candidate_paths=candidate_paths,
     )
 
     on_demand = compute_on_demand(
@@ -150,7 +142,6 @@ def build_response_plan(
         config,
         pairs=pairs,
         peak_matrix=peak_matrix,
-        candidate_paths=candidate_paths,
     )
 
     assert always_on.routing is not None  # compute_on_demand refuses a solution without one

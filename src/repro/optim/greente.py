@@ -38,7 +38,6 @@ def greente_heuristic(
     demands: TrafficMatrix,
     k: int = DEFAULT_K,
     utilisation_limit: float = 1.0,
-    candidate_paths: Optional[CandidatePaths] = None,
     fixed_on_nodes: Optional[Iterable[str]] = None,
     fixed_on_links: Optional[Iterable[Tuple[str, str]]] = None,
     allow_overload: bool = False,
@@ -52,9 +51,6 @@ def greente_heuristic(
         demands: Traffic matrix to place.
         k: Candidate paths per pair.
         utilisation_limit: Safety margin on every arc's capacity.
-        candidate_paths: The provider each pair's *k* shortest paths are
-            drawn from; a replay shares one across its solves so the
-            enumeration is paid once.  Defaults to a private provider.
         fixed_on_nodes: Elements considered already powered (zero marginal
             cost), e.g. the always-on set.
         fixed_on_links: Links considered already active.
@@ -73,9 +69,7 @@ def greente_heuristic(
     if ordering not in ("demand", "stable"):
         raise ValueError(f"ordering must be 'demand' or 'stable', got {ordering!r}")
     pairs = demands.pairs()
-    if candidate_paths is None:
-        candidate_paths = CandidatePaths(topology)
-    paths_of = candidate_paths.for_pairs(pairs, k)
+    paths_of = CandidatePaths.shared(topology).for_pairs(pairs, k)
     node_power, link_power = element_power_coefficients(topology, power_model)
 
     active_nodes: Set[str] = set(fixed_on_nodes or ())

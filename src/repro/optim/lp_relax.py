@@ -16,7 +16,6 @@ trade-off of the exact MILP, the greedy heuristic and rounding.
 from __future__ import annotations
 
 from ..power.model import PowerModel
-from ..routing.ksp import CandidatePaths
 from ..routing.mcf import FlowSession
 from ..topology.base import Topology
 from ..traffic.matrix import TrafficMatrix
@@ -32,7 +31,6 @@ def lp_relaxation_with_rounding(
     k: int = 3,
     utilisation_limit: float = 1.0,
     session: FlowSession | None = None,
-    candidate_paths: CandidatePaths | None = None,
 ) -> EnergyAwareSolution:
     """Relax, round and repair, then route by shortest paths on the rounded subset.
 
@@ -43,8 +41,6 @@ def lp_relaxation_with_rounding(
         k: Candidate paths per pair used by the relaxation.
         utilisation_limit: Safety margin on arc capacities.
         session: A flow session of *topology* at this limit, kept by the caller.
-        candidate_paths: Candidate-path provider of *topology* the relaxation
-            draws from; defaults to one private to this call.
 
     Returns:
         An :class:`EnergyAwareSolution`; never proven optimal.
@@ -56,7 +52,6 @@ def lp_relaxation_with_rounding(
         k=k,
         utilisation_limit=utilisation_limit,
         relaxed=True,
-        candidate_paths=candidate_paths,
         solver_name="lp-relaxation",
     )
 

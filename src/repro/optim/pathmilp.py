@@ -184,6 +184,7 @@ def solve_path_milp(
     k: int = 3,
     utilisation_limit: float = 1.0,
     relaxed: bool = False,
+    # repro: allow[REP502] tests/test_path_model.py, test_canonical_optimum.py hand over lists
     candidate_paths: Optional[CandidatePaths] = None,
     fixed_on_nodes: Optional[Iterable[str]] = None,
     fixed_on_links: Optional[Iterable[Tuple[str, str]]] = None,
@@ -207,9 +208,9 @@ def solve_path_milp(
             uses each pair's most-selected path.  The default is the paper's
             single-path routing (binary selections).
         candidate_paths: The provider each pair's *k* shortest paths (by
-            inverse capacity) are drawn from; callers solving repeatedly on
-            one topology share one so the enumeration is paid once.
-            Defaults to a private provider.
+            inverse capacity) are drawn from; defaults to the process's
+            shared one (:meth:`CandidatePaths.shared`), so solves on an
+            equal network pay for the enumeration once.
         fixed_on_nodes: Nodes forced to stay powered on (the paper keeps the
             always-on elements fixed when computing on-demand paths).
         fixed_on_links: Undirected links forced to stay active.
@@ -236,7 +237,7 @@ def solve_path_milp(
         )
 
     if candidate_paths is None:
-        candidate_paths = CandidatePaths(topology)
+        candidate_paths = CandidatePaths.shared(topology)
     candidates = _filter_candidates(
         candidate_paths.for_pairs(pairs, k), forbidden_links, latency_bound, topology
     )

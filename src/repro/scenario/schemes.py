@@ -2,22 +2,22 @@
 
 Every shipped scheme is a :class:`~repro.scenario.timeline.SchemeRuntime`
 subclass registered under ``("scheme", name)``: ``start(scenario)`` builds
-its long-lived state once (REsPoNse plans, candidate-path caches, warm-start
-memory), ``step(state, t, matrix, view)`` advances one interval against the
+its long-lived state once (REsPoNse plans, warm-start memory),
+``step(state, t, matrix, view)`` advances one interval against the
 failure-adjusted topology view.  The timeline engine drives the runtimes;
 `run_scenario` aggregates their per-interval outcomes.  A runtime subclass
 is the only scheme form: the timeline rejects any other registered
 component.
 
-Computations that scenarios built as one group can share (candidate paths,
-REsPoNse plans, GreenTE solves, ECMP expansions, the always-on subset) go
-through ``scenario.shared`` — the group's
+Computations that scenarios built as one group can share (REsPoNse plans,
+GreenTE solves, ECMP expansions, the always-on subset) go through
+``scenario.shared`` — the group's
 :class:`~repro.scenario.timeline.GroupComputeCache`, always present (a
 scenario built on its own is the group of one).  Every memoised value is a
 pure function of its key's inputs, so a hit returns exactly what a fresh
 computation would; every path-restricted solver draws its candidates from
-the cache's one :class:`~repro.routing.ksp.CandidatePaths` provider per
-topology object.
+the process's one :class:`~repro.routing.ksp.CandidatePaths` provider per
+network content, whatever group asks.
 """
 
 from __future__ import annotations
@@ -100,9 +100,9 @@ class SolverReplayRuntime(SchemeRuntime):
     * **failure awareness** — under failures the solver runs on the
       surviving topology (:attr:`TopologyView.topology`) with the demand
       matrix restricted to still-connected pairs;
-    * **solver-state reuse** — candidate paths come from the group's
-      provider (``scenario.shared.candidate_paths``) and survive across
-      steps; the subset-search runtimes keep one flow-LP session per
+    * **solver-state reuse** — candidate paths come from the process's
+      shared provider (:meth:`CandidatePaths.shared`) and survive across
+      steps and runs; the subset-search runtimes keep one flow-LP session per
       topology object (model and basis, never answers) for the run.
     """
 
@@ -176,7 +176,6 @@ class GreenTERuntime(SolverReplayRuntime):
                 matrix,
                 k=self.k,
                 utilisation_limit=self.utilisation_limit,
-                candidate_paths=scenario.shared.candidate_paths(view.topology),
                 allow_overload=True,
                 ordering="stable",
             )
@@ -268,7 +267,6 @@ class LpRelaxRuntime(SolverReplayRuntime):
             k=self.k,
             utilisation_limit=self.utilisation_limit,
             session=state.flow_session(view, matrix, self.utilisation_limit),
-            candidate_paths=state.scenario.shared.candidate_paths(view.topology),
         )
 
 
@@ -290,7 +288,6 @@ class PathMilpRuntime(SolverReplayRuntime):
             matrix,
             k=self.k,
             utilisation_limit=self.utilisation_limit,
-            candidate_paths=scenario.shared.candidate_paths(view.topology),
         )
 
 
@@ -313,14 +310,12 @@ class OptimalRuntime(SolverReplayRuntime):
         self, state: _ReplayState, matrix: TrafficMatrix, view: TopologyView
     ) -> EnergyAwareSolution:
         scenario = state.scenario
-        candidate_paths = scenario.shared.candidate_paths(view.topology)
         try:
             return solve_path_milp(
                 view.topology,
                 scenario.power_model,
                 matrix,
                 k=self.k,
-                candidate_paths=candidate_paths,
                 solver_name="optimal",
             )
         except (InfeasibleError, SolverError):
@@ -332,7 +327,6 @@ class OptimalRuntime(SolverReplayRuntime):
                 scenario.power_model,
                 matrix,
                 k=self.k,
-                candidate_paths=candidate_paths,
                 allow_overload=True,
             )
 
@@ -481,7 +475,6 @@ class ResponseRuntime(SchemeRuntime):
                     pairs=scenario.pairs,
                     peak_matrix=peak,
                     config=self.config,
-                    candidate_paths=scenario.shared.candidate_paths(scenario.topology),
                 )
 
         # The offline pipeline depends only on these inputs, so points
@@ -569,7 +562,6 @@ class AlwaysOnRuntime(SchemeRuntime):
                 scenario.power_model,
                 self.config,
                 pairs=scenario.pairs,
-                candidate_paths=scenario.shared.candidate_paths(scenario.topology),
             )
 
         always_on = scenario.shared.memo(

@@ -12,11 +12,12 @@ step it through the intervals.  This module holds what that loop runs on:
   surged) matrix and the failure-adjusted
   :class:`~repro.simulator.failures.TopologyView`;
 * every scheme runs as a :class:`SchemeRuntime` — ``start(scenario)``
-  builds long-lived state once (REsPoNse plans, candidate-path caches),
+  builds long-lived state once (REsPoNse plans, warm-start memory),
   ``step(state, t, matrix, view)`` advances one interval incrementally and
   returns an :class:`~repro.outcome.IntervalOutcome`;
 * a :class:`GroupComputeCache` lets the scenarios built as one group share
-  plans, solves and candidate paths.
+  plans and solves (candidate paths are shared per process, by network
+  content: :meth:`~repro.routing.ksp.CandidatePaths.shared`).
 
 The loop itself — the one interval-major driver — lives beside the result
 it returns, in :mod:`repro.scenario.engine`.  Runtimes only *reuse* state
@@ -45,7 +46,6 @@ from typing import (
 
 from ..exceptions import ConfigurationError
 from ..outcome import IntervalOutcome
-from ..routing.ksp import CandidatePaths
 from ..simulator.failures import FailureState, TopologyChange, TopologyView, due
 from ..traffic.matrix import Pair, TrafficMatrix
 from .registry import register, registered_name
@@ -406,6 +406,10 @@ class GroupComputeCache:
     Sharing never changes a value: a memoised computation is a pure
     function of inputs that are identical (same objects) across the group,
     so each point's results stay bit-identical to a run on its own.
+    Candidate paths are not kept here: every solver draws them from
+    :meth:`~repro.routing.ksp.CandidatePaths.shared`, one provider per
+    network content for the whole process, whose enumerations walk the
+    index snapshot they were started on.
     """
 
     def __init__(self) -> None:
@@ -416,12 +420,3 @@ class GroupComputeCache:
         if key not in self._values:
             self._values[key] = factory()
         return self._values[key]
-
-    def candidate_paths(self, topology: Topology) -> CandidatePaths:
-        """The group's one candidate-path provider for *topology*.
-
-        Memoised per topology object, so every solver of every point
-        resumes the same enumerations while a failure view (its own
-        topology object) gets a provider of its own.
-        """
-        return self.memo(("candidate-paths", topology), lambda: CandidatePaths(topology))

@@ -163,7 +163,7 @@ class TopologyView:
     ``failed_nodes``, :meth:`unusable_links`) and materialises the surviving
     :attr:`topology` lazily.  When nothing is failed, :attr:`topology` IS the
     base topology object — object identity is what keeps per-topology caches
-    (candidate paths, compiled routing state) warm across event-free steps.
+    (compiled routing state, flow-LP sessions) warm across event-free steps.
     """
 
     __slots__ = ("base", "failed_links", "failed_nodes", "_active", "_unusable", "_component")

@@ -11,6 +11,7 @@ solver entries turn their name sets into masks once, at the boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -22,6 +23,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (routing imports topology)
     from .base import Topology
 
 Key = Tuple[str, str]
+#: What a k-shortest enumeration reads of an index (:attr:`TopologyIndex.search_key`).
+SearchKey = Tuple[Tuple[str, ...], Tuple[Key, ...], bytes]
 
 
 @dataclass(frozen=True)
@@ -86,6 +89,21 @@ class TopologyIndex:
         self._compiled: Dict[Tuple[str, ...], CompiledPath] = {}
         self.ecmp_paths: Dict[Key, Tuple["Path", ...]] = {}
         self.element_power: Dict[Any, Any] = {}
+
+    @cached_property
+    def search_key(self) -> SearchKey:
+        """Exactly what Yen's enumeration reads of this index: the node names
+        and arc keys in index order and the ``invcap`` weights' float bits.
+        Two indexes with equal keys enumerate the same paths in the same
+        order; a mutation drops the index and the key with it."""
+        invcap = np.array(self.arc_weights["invcap"], dtype=np.float64).tobytes()
+        return tuple(self.node_names), tuple(self.arc_keys), invcap
+
+    @cached_property
+    def arc_between(self) -> List[Dict[int, int]]:
+        """Per node, its out-arcs by destination node (Yen's enumerations
+        share it instead of building one per pair)."""
+        return [{dst: arc for arc, dst in out} for out in self.out_adjacency]
 
     @property
     def num_arcs(self) -> int:

@@ -163,7 +163,7 @@ def shortest_simple_paths(
     """Every simple path *source* → *target*, shortest first, by Yen's
     algorithm (nothing at all when *target* is unreachable).  Resumable: each
     path costs the spur searches from the prefixes of the one before."""
-    arc_of = [{dst: arc for arc, dst in out} for out in index.out_adjacency]
+    arc_of = index.arc_between
     node_off = [False] * len(index.node_names)
     arc_off = [False] * index.num_arcs
     found: List[NodePath] = []
@@ -177,9 +177,9 @@ def shortest_simple_paths(
             queued.add(path)
 
     _SPUR.inc()
-    first = _bidirectional(index, source, target, weights, node_off, arc_off)
+    first = _spur(index, source, target, weights, node_off, arc_off)
     if first is not None:
-        push(first[0], tuple(first[3]))
+        push(*first)
     while candidates:
         _, _, path = heappop(candidates)
         queued.remove(path)
@@ -196,15 +196,29 @@ def shortest_simple_paths(
                     arc = arc_of[other[i - 1]][other[i]]
                     arc_off[arc] = True
                     hidden.append(arc)
-            spur = _bidirectional(index, root[-1], target, weights, node_off, arc_off)
+            spur = _spur(index, root[-1], target, weights, node_off, arc_off)
             if spur is not None:
-                push(root_length + spur[0], root[:-1] + tuple(spur[3]))
+                push(root_length + spur[0], root[:-1] + spur[1])
             node_off[root[-1]] = True
         _SPUR.inc(len(path) - 1)
         for node in path[:-1]:
             node_off[node] = False
         for arc in hidden:
             arc_off[arc] = False
+
+
+def _spur(
+    index: TopologyIndex,
+    source: int,
+    target: int,
+    weights: Sequence[float],
+    node_off: Sequence[bool],
+    arc_off: Sequence[bool],
+) -> Optional[Tuple[float, NodePath]]:
+    """Length and path of :func:`_bidirectional`, without the predecessor
+    maps a suspended enumeration would otherwise keep alive."""
+    found = _bidirectional(index, source, target, weights, node_off, arc_off)
+    return None if found is None else (found[0], tuple(found[3]))
 
 
 def all_shortest_paths(index: TopologyIndex, source: int, target: int) -> List[List[int]]:

@@ -2,14 +2,18 @@
 
 :class:`~repro.routing.ksp.CandidatePaths` must hand every solver exactly the
 lists networkx's ``shortest_simple_paths`` would (``nx_reference.k_shortest_paths``)
-— however the paths were pulled (one call, or k growing across calls on one instance) — and a
-grouped campaign drain must compute its offline half once per pair set:
-one REsPoNse plan build, two path MILPs and one enumeration of each pair's
-five shortest paths.
+— however the paths were pulled (one call, or k growing across calls on one
+instance, or many threads at once) — and a grouped campaign drain must
+compute its offline half once per pair set: one REsPoNse plan build, two
+path MILPs and, from an empty table, one enumeration of each pair's five
+shortest paths.  The table of shared providers (one per network content per
+process, LRU-bounded, emptied in a forked child) has its own tests here.
 """
 
+import os
 import random
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -18,9 +22,11 @@ from repro.campaign import CampaignSpec, run_campaign
 from repro.exceptions import PathNotFoundError
 from repro.obs import metrics, trace
 from repro.optim import lp_relaxation_with_rounding
-from repro.routing.ksp import CandidatePaths
+from repro.routing import ksp
+from repro.routing.ksp import CandidatePaths, clear_candidate_paths
 from repro.scenario import schemes
 from repro.scenario.engine import build_scenario_group, scheme_outcomes
+from repro.simulator.failures import TopologyView
 from repro.topology.base import Topology
 from repro.topology.fattree import build_fattree
 from repro.topology.geant import build_geant
@@ -112,24 +118,12 @@ class _SpanNames(trace.SpanCollector):
 
 def test_grouped_drain_computes_the_offline_half_once_per_pair_set(tmp_path):
     """The harness-shaped 12-point grid: 3 pair sets x 2 totals x 2 SLOs."""
+    clear_candidate_paths()
     solves = metrics.counter("repro_milp_solves_total").labels(kind="path")
-    solves_before = solves.value
+    enumerated = metrics.counter("repro_candidate_paths_enumerated_total")
     spec = CampaignSpec.from_dict(geant_grid(11))
     points = spec.expand()
     assert len(points) == 12
-    enumerated = metrics.counter("repro_candidate_paths_enumerated_total")
-    before = enumerated.value
-    collector = _SpanNames()
-    with trace.collect(collector):
-        summary = run_campaign(spec, store_path=tmp_path / "grid.sqlite")
-    assert summary.executed == 12 and summary.failed == 0
-
-    plans = [attrs for name, attrs in collector.exited if name == "response.plan"]
-    assert len(plans) == 3  # one per pair set, not one per point
-    assert solves.value - solves_before == 6  # always-on + on-demand MILP per plan
-
-    # Every distinct pair is enumerated to GreenTE's k=5 exactly once; the
-    # plan builds' k=3 is a prefix of the same enumeration.
     builts = build_scenario_group([point.spec for point in points])
     distinct = sorted({pair for built in builts for pair in built.pairs})
     topology = builts[0].topology
@@ -137,18 +131,36 @@ def test_grouped_drain_computes_the_offline_half_once_per_pair_set(tmp_path):
         len(k_shortest_paths(topology, origin, destination, 5))
         for origin, destination in distinct
     )
-    assert enumerated.value - before == available
-    traced = sum(
-        attrs.get("paths_enumerated", 0)
-        for name, attrs in collector.exited
-        if name in ("response.plan", "scheme.solve")
-    )
-    assert traced == available
+
+    drains = []
+    for drain in range(2):
+        solves_before, enumerated_before = solves.value, enumerated.value
+        collector = _SpanNames()
+        with trace.collect(collector):
+            summary = run_campaign(spec, store_path=tmp_path / f"grid-{drain}.sqlite")
+        assert summary.executed == 12 and summary.failed == 0
+        plans = [name for name, _ in collector.exited if name == "response.plan"]
+        traced = sum(
+            attrs.get("paths_enumerated", 0)
+            for name, attrs in collector.exited
+            if name in ("response.plan", "scheme.solve")
+        )
+        drains.append(
+            (len(plans), solves.value - solves_before, enumerated.value - enumerated_before, traced)
+        )
+    # Each drain builds one plan per pair set, not one per point, and solves
+    # an always-on and an on-demand MILP per plan.  From an empty table the
+    # first enumerates every distinct pair to GreenTE's k=5 exactly once (the
+    # plan builds' k=3 is a prefix of the same enumeration); the second
+    # resumes the process's provider and enumerates nothing.
+    assert drains == [(3, 6, available, available), (3, 6, 0, 0)]
 
 
 def test_lp_relax_replay_draws_from_one_provider_per_topology_object(monkeypatch):
-    """``lp-relax`` used to call the relaxation bare — a private provider,
-    every pair re-enumerated, on each of the replay's 16 intervals."""
+    """``lp-relax`` once called the relaxation with a private provider —
+    every pair re-enumerated on each of the replay's 16 intervals.  Now every
+    solve, bare or not, draws from the process's provider of its network."""
+    clear_candidate_paths()
     providers = []
     real_init = CandidatePaths.__init__
 
@@ -161,7 +173,7 @@ def test_lp_relax_replay_draws_from_one_provider_per_topology_object(monkeypatch
     shared = scheme_outcomes(built)["lp-relax"]["solutions"]
     assert len(shared) == 16
     # The day's network and its failure view, one provider each.
-    assert len(providers) == len({id(topology) for topology in providers}) == 2
+    assert [topology.name for topology in providers] == ["geant", "geant-degraded"]
 
     def bare_solve(runtime, state, matrix, view):
         return lp_relaxation_with_rounding(
@@ -172,10 +184,129 @@ def test_lp_relax_replay_draws_from_one_provider_per_topology_object(monkeypatch
             utilisation_limit=runtime.utilisation_limit,
         )
 
-    del providers[:]
     monkeypatch.setattr(schemes.LpRelaxRuntime, "solve", bare_solve)
-    private = scheme_outcomes(built)["lp-relax"]["solutions"]
-    assert len(providers) > 2
+    # From an empty table, so the bare solves enumerate afresh what the
+    # replay resumed: a resumed provider must return a fresh one's paths.
+    clear_candidate_paths()
+    bare = scheme_outcomes(built)["lp-relax"]["solutions"]
+    assert [topology.name for topology in providers[2:]] == ["geant", "geant-degraded"]
     assert [(s.active_nodes, s.active_links, s.power_w) for s in shared] == [
-        (s.active_nodes, s.active_links, s.power_w) for s in private
+        (s.active_nodes, s.active_links, s.power_w) for s in bare
     ]
+
+
+# --------------------------------------------------------------------- #
+# The process's table of shared providers
+# --------------------------------------------------------------------- #
+
+
+def test_equal_networks_share_a_provider_and_a_failure_view_does_not():
+    clear_candidate_paths()
+    first, second = build_geant(), build_geant()
+    assert first is not second
+    provider = CandidatePaths.shared(first)
+    assert CandidatePaths.shared(second) is provider
+    assert provider.index is first.index()  # the snapshot it was keyed on
+    degraded = TopologyView(first, failed_links=[first.link_keys()[0]]).topology
+    assert CandidatePaths.shared(degraded) is not provider
+    assert CandidatePaths.shared(first) is provider
+
+
+def test_a_mutated_topology_gets_a_fresh_provider_and_the_old_one_its_snapshot():
+    clear_candidate_paths()
+    topology, original = build_geant(), build_geant()
+    pairs = sampled_pairs(topology)
+    before = CandidatePaths.shared(topology)
+    assert before.for_pairs(pairs[2:], 2) == {
+        pair: k_shortest_paths(original, *pair, 2) for pair in pairs[2:]
+    }
+    origin, destination = pairs[0]
+    topology.add_link(origin, destination, capacity_bps=mbps(100_000))
+    after = CandidatePaths.shared(topology)
+    assert after is not before and after.index is topology.index()
+    assert after.for_pairs(pairs, 5) == {
+        pair: k_shortest_paths(topology, *pair, 5) for pair in pairs
+    }
+    assert after.for_pairs([(origin, destination)], 1)[(origin, destination)][0].nodes == (
+        origin,
+        destination,
+    )
+    # The old provider keeps walking the network it was keyed on: its
+    # suspended enumerations and the ones it starts now (pairs[:2]).
+    assert before.for_pairs(pairs, 5) == {
+        pair: k_shortest_paths(original, *pair, 5) for pair in pairs
+    }
+
+
+def test_the_table_evicts_the_least_recently_used_provider_past_its_bound():
+    clear_candidate_paths()
+    networks = []
+    for size in range(ksp.SHARED_PROVIDERS + 1):
+        line = Topology(f"line-{size}")
+        for name in range(size + 2):
+            line.add_node(str(name))
+            if name:
+                line.add_link(str(name - 1), str(name), capacity_bps=mbps(100))
+        networks.append(line)
+    providers = [CandidatePaths.shared(network) for network in networks[:-1]]
+    assert CandidatePaths.shared(networks[0]) is providers[0]  # now the most recent
+    CandidatePaths.shared(networks[-1])  # one past the bound: evicts networks[1]'s
+    assert len(ksp._table.providers) == ksp.SHARED_PROVIDERS
+    assert CandidatePaths.shared(networks[0]) is providers[0]
+    assert all(
+        CandidatePaths.shared(network) is provider
+        for network, provider in zip(networks[2:-1], providers[2:], strict=True)
+    )
+    assert CandidatePaths.shared(networks[1]) is not providers[1]
+
+
+def test_threads_pulling_from_one_provider_all_get_networkx_lists():
+    """More threads than cores resume one provider's Yen generators at once
+    (unserialised, one raises ``generator already executing``)."""
+    topology = build_abovenet()
+    pairs = sampled_pairs(topology, count=40)
+    expected = {pair: k_shortest_paths(topology, *pair, 8) for pair in pairs}
+    workers = (os.cpu_count() or 1) + 2
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        for _ in range(3):
+            provider = CandidatePaths(topology)
+            start = threading.Barrier(workers, timeout=30)
+            results, errors = [], []
+
+            def pull():
+                start.wait()
+                try:
+                    results.append(provider.for_pairs(pairs, 8))
+                except Exception as error:  # collected: a thread's raise is lost
+                    errors.append(error)
+
+            threads = [threading.Thread(target=pull) for _ in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == [] and results == [expected] * workers
+            assert provider.paths_enumerated == sum(map(len, expected.values()))
+    finally:
+        sys.setswitchinterval(previous)
+
+
+def test_a_forked_child_starts_from_an_empty_table():
+    CandidatePaths.shared(build_geant())
+    assert ksp._table.providers
+    reader, writer = os.pipe()
+    child = os.fork()
+    if child == 0:  # pragma: no cover - runs in the child
+        os.close(reader)
+        os.write(writer, str(len(ksp._table.providers)).encode())
+        os._exit(0)
+    os.close(writer)
+    with os.fdopen(reader) as answer:
+        inherited = answer.read()
+    _, status = os.waitpid(child, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert inherited == "0"
+    assert ksp._table.providers  # the parent's table is untouched

@@ -194,13 +194,12 @@ def reference_greente(
     demands,
     k,
     utilisation_limit,
-    candidate_paths,
     fixed_on_nodes,
     allow_overload,
     ordering,
 ):
     pairs = demands.pairs()
-    paths_of = candidate_paths.for_pairs(pairs, k)
+    paths_of = CandidatePaths.shared(topology).for_pairs(pairs, k)
     node_power, link_power = element_power_coefficients(topology, power_model)
     active_nodes = set(fixed_on_nodes or ())
     active_nodes |= {n for n in topology.nodes() if topology.node(n).always_powered}
@@ -277,7 +276,7 @@ def reference_stress_factors(topology, always_on_routing, pairs):
 def shipped(name):
     """``(topology, candidate provider)``, built once per topology name."""
     topology = TopologySpec(name, params=SHIPPED_TOPOLOGIES[name]).build()
-    return topology, CandidatePaths(topology)
+    return topology, CandidatePaths.shared(topology)
 
 
 #: How a case's demands are drawn: ε everywhere, equal (ties), zero mixed
@@ -421,7 +420,6 @@ def test_greente_equals_the_name_keyed_residual_packing(
     arguments = dict(
         k=K,
         utilisation_limit=limit,
-        candidate_paths=case.provider,
         fixed_on_nodes=fixed_on,
         allow_overload=allow_overload,
         ordering=ordering,

@@ -31,7 +31,6 @@ from repro.scenario import (
 from repro.routing.ospf import ospf_delays
 from repro.scenario import schemes
 from repro.scenario.engine import scheme_outcomes
-from repro.scenario.timeline import GroupComputeCache
 
 EXAMPLES_DIR = os.path.join(os.path.dirname(__file__), "..", "examples")
 DOCS_DIR = os.path.join(os.path.dirname(__file__), "..", "docs")
@@ -678,19 +677,28 @@ def test_optimal_does_not_hide_a_bug_behind_the_heuristic(monkeypatch):
 
 
 def test_cached_candidates_reset_on_new_topology():
+    from repro.routing.ksp import CandidatePaths, clear_candidate_paths
+    from repro.simulator.failures import TopologyView
     from repro.topology.fattree import build_fattree, hosts
 
-    cache = GroupComputeCache()
+    clear_candidate_paths()
     first_topology = build_fattree(4)
     host_names = hosts(first_topology)
     pairs = [(host_names[0], host_names[4])]
-    first = cache.candidate_paths(first_topology)
-    assert cache.candidate_paths(first_topology) is first
+    first = CandidatePaths.shared(first_topology)
+    assert CandidatePaths.shared(first_topology) is first
     assert first.for_pairs(pairs, 2) == first.for_pairs(pairs, 2)
     assert first.paths_enumerated == 2
-    # A new topology object (e.g. a failure view) gets its own provider.
-    second = cache.candidate_paths(build_fattree(4))
+    # An equal network, even a new topology object, resumes the same provider.
+    assert CandidatePaths.shared(build_fattree(4)) is first
+    # A degraded view or a mutated topology is another network: its own provider.
+    degraded = TopologyView(first_topology, failed_links=[first_topology.link_keys()[0]])
+    second = CandidatePaths.shared(degraded.topology)
     assert second is not first and second.paths_enumerated == 0
+    mutated = build_fattree(4)
+    mutated.add_link(host_names[0], host_names[4], capacity_bps=1e9)
+    third = CandidatePaths.shared(mutated)
+    assert third is not first and third is not second and third.paths_enumerated == 0
 
 
 # --------------------------------------------------------------------- #

@@ -34,7 +34,7 @@ from repro.exceptions import PathNotFoundError, UnknownNodeError
 from repro.obs import metrics
 from repro.optim.subset import route_on_subset
 from repro.routing import Path, RoutingTable, equal_cost_paths, ospf_invcap_routing
-from repro.routing.ksp import CandidatePaths
+from repro.routing.ksp import CandidatePaths, clear_candidate_paths
 from repro.scenario.engine import run_scenario
 from repro.scenario.spec import TopologySpec
 from repro.topology import Topology, link_key
@@ -295,12 +295,16 @@ def test_a_failed_for_pairs_caches_no_miss():
 
 def test_a_replay_runs_the_same_searches_every_time():
     """``repro_path_searches_total`` is work that repeats exactly: one replay
-    of the harness's ``timeline_replay`` spec (seed 11)."""
+    of the harness's ``timeline_replay`` spec (seed 11) from an empty table
+    of candidate-path providers — and a replay after one that filled it
+    runs no spur search at all."""
     family = metrics.counter("repro_path_searches_total")
     kinds = ("spur", "pair", "single_source", "bfs")
     runs = []
-    for _ in range(2):
+    for clear in (True, True, False):
+        if clear:
+            clear_candidate_paths()
         before = [family.labels(kind=kind).value for kind in kinds]
         run_scenario(replay_scenario(11))
         runs.append([family.labels(kind=k).value - b for k, b in zip(kinds, before, strict=True)])
-    assert runs[0] == runs[1] == [537, 16, 112, 32]
+    assert runs == [[537, 16, 112, 32], [537, 16, 112, 32], [0, 16, 112, 32]]

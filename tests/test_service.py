@@ -530,19 +530,21 @@ def test_default_submission_shares_the_lone_drains_offline_work(tmp_path):
     """A default ``POST /campaigns`` is grouped exactly like a lone drain.
 
     The grid's four points share one network and two pair sets, so a drain
-    whose claim covers it enumerates each distinct pair's candidate paths
-    once; a ``chunk_size=1`` submission (every group a single point) pays
-    per point.  Before the service shared ``run_campaign``'s default claim
-    it drained every submission at one point per claim.  (The ``workers=2``
-    thread fleet's dump identity is pinned by
-    ``test_campaign_lifecycle_matches_offline_serial_run``.)
+    whose claim covers it builds each pair set's REsPoNse plan (two path
+    MILPs) once; a ``chunk_size=1`` submission (every group a single point)
+    pays per point.  Before the service shared ``run_campaign``'s default
+    claim it drained every submission at one point per claim.  (The
+    ``workers=2`` thread fleet's dump identity is pinned by
+    ``test_campaign_lifecycle_matches_offline_serial_run``.)  Candidate paths
+    are shared by the whole process, so their enumeration no longer shows
+    the grouping; the path-MILP count does.
     """
-    enumerated = metrics.counter("repro_candidate_paths_enumerated_total")
+    solves = metrics.counter("repro_milp_solves_total").labels(kind="path")
 
-    def paths_enumerated_by(drain):
-        before = enumerated.value
+    def path_milps_solved_by(drain):
+        before = solves.value
         drain()
-        return enumerated.value - before
+        return solves.value - before
 
     def submit_and_wait(server, body):
         _, submitted = post_json(server, "/campaigns", body)
@@ -550,16 +552,16 @@ def test_default_submission_shares_the_lone_drains_offline_work(tmp_path):
         assert final["job"]["state"] == "done"
         assert final["counts"] == {"done": 4, "error": 0, "pending": 0, "total": 4}
 
-    lone = paths_enumerated_by(
+    lone = path_milps_solved_by(
         lambda: run_campaign(
             campaign_dict("svc-shared"), store_path=tmp_path / "lone.sqlite"
         )
     )
     with service(tmp_path) as server:
-        default = paths_enumerated_by(
+        default = path_milps_solved_by(
             lambda: submit_and_wait(server, {"spec": campaign_dict("svc-shared")})
         )
-        per_point = paths_enumerated_by(
+        per_point = path_milps_solved_by(
             lambda: submit_and_wait(
                 server, {"spec": campaign_dict("svc-per-point"), "chunk_size": 1}
             )

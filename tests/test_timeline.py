@@ -651,27 +651,30 @@ def test_solver_runtime_memoises_unchanged_intervals(monkeypatch):
 
 
 def test_candidate_paths_survive_across_timeline_steps(monkeypatch):
-    import repro.scenario.timeline as timeline_module
+    from repro.routing.ksp import CandidatePaths, clear_candidate_paths
     from repro.scenario.engine import run_built_scenario
 
+    clear_candidate_paths()
     providers = []
+    real_init = CandidatePaths.__init__
 
-    class Recording(timeline_module.CandidatePaths):
-        def __init__(self, topology):
-            super().__init__(topology)
-            providers.append(self)
+    def recording_init(provider, topology):
+        real_init(provider, topology)
+        providers.append((topology.name, provider))
 
-    monkeypatch.setattr(timeline_module, "CandidatePaths", Recording)
+    monkeypatch.setattr(CandidatePaths, "__init__", recording_init)
     built = build_scenario(geant_failure_spec(schemes=(SchemeSpec("greente"),)))
     run_built_scenario(built)
     # One provider on the intact topology, one on the degraded view — and
     # each pair's five paths enumerated once per provider, never per interval.
-    assert [provider.topology.name for provider in providers] == [
-        "geant",
-        "geant-degraded",
-    ]
-    for provider in providers:
-        assert 0 < provider.paths_enumerated <= 5 * len(built.pairs)
+    assert [name for name, _ in providers] == ["geant", "geant-degraded"]
+    enumerated = [provider.paths_enumerated for _, provider in providers]
+    for count in enumerated:
+        assert 0 < count <= 5 * len(built.pairs)
+    # A second run (a fresh build: new topology objects) resumes both.
+    run_built_scenario(build_scenario(geant_failure_spec(schemes=(SchemeSpec("greente"),))))
+    assert len(providers) == 2
+    assert [provider.paths_enumerated for _, provider in providers] == enumerated
 
 
 def test_plain_callable_scheme_component_is_rejected():
