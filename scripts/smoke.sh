@@ -30,7 +30,17 @@ serve() {  # serve STORE PORT: boot the service, wait until it answers
   echo "service on port $2 did not come up" >&2
   return 1
 }
-stop_service() { kill "$SERVICE_PID"; wait "$SERVICE_PID" 2>/dev/null || true; SERVICE_PID=; }
+stop_service() {  # stop the service; fail if a process it started (its drain) outlives it
+  local children child
+  children=$(pgrep -P "$SERVICE_PID" || true)
+  kill "$SERVICE_PID"; wait "$SERVICE_PID" 2>/dev/null || true; SERVICE_PID=
+  for child in $children; do
+    if kill -0 "$child" 2>/dev/null; then
+      echo "process $child outlived the service" >&2
+      return 1
+    fi
+  done
+}
 
 echo "== example scripts (library entry points nothing else executes)"
 for script in "$EXAMPLES"/*.py; do

@@ -19,8 +19,8 @@ a single point.
 other campaigns already stored under the same config hash and flips earlier
 invocations' failures back to pending — exactly once, whatever the number
 of workers.  Then one in-process worker runs the drain, or ``workers`` of
-them are forked; the service's job manager runs the same prepared drain on
-threads.  Workers coordinate through the store alone, so separate
+them are forked; the service's job manager hands the same prepared drain
+to its drain process, which runs the workers on threads.  Workers coordinate through the store alone, so separate
 invocations (``worker_id``) on other terminals or hosts sharing the file
 join the same drain.  A worker that crashes simply stops renewing its
 lease; its points become claimable again once the lease expires, so the
@@ -275,8 +275,8 @@ class PreparedDrain:
 
     What :func:`prepare_campaign` hands to a launcher: :func:`run_campaign`
     calls :meth:`drain` in-process or from forked children, the service's
-    job manager from threads — that choice is the only difference between
-    them.
+    job manager pickles it to its drain process, which calls it from
+    threads — that choice is the only difference between them.
 
     Attributes:
         store_path: Where the results store lives.

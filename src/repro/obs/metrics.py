@@ -19,10 +19,11 @@ Design points, all stdlib:
 * **Resettable.**  Prometheus counters never go down, but the back-compat
   shims (``clear_calibration_cache``) and tests need a zero; ``reset()``
   exists for them and is not exposed over HTTP.
-* **Two render targets.**  :meth:`MetricsRegistry.render_prometheus`
-  emits the text exposition format (``text/plain; version=0.0.4``);
-  :meth:`MetricsRegistry.snapshot` returns the same data as plain dicts
-  for ``?format=json`` and programmatic use.
+* **One snapshot, two render targets.**  :meth:`MetricsRegistry.snapshot`
+  returns the data as plain dicts for ``?format=json`` and programmatic
+  use; :func:`render_snapshot` emits it in the text exposition format
+  (``text/plain; version=0.0.4``).  Snapshots are JSON, so one process can
+  show another's (:func:`labelled_union`).
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ __all__ = [
     "counter",
     "histogram",
     "DEFAULT_BUCKETS",
+    "labelled_union",
+    "render_snapshot",
 ]
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -273,35 +276,45 @@ class MetricsRegistry:
             for family in self.families()
         }
 
-    def render_prometheus(self) -> str:
-        """The text exposition format (``text/plain; version=0.0.4``)."""
-        lines: List[str] = []
-        for family in self.families():
-            if family.help:
-                lines.append(f"# HELP {family.name} {family.help}")
-            lines.append(f"# TYPE {family.name} {family.kind}")
-            for sample in family.samples():
-                labels = tuple(sorted(sample["labels"].items()))
-                if family.kind == "histogram":
-                    for bound, count in sample["buckets"].items():
-                        suffix = _render_labels(labels, (("le", bound),))
-                        lines.append(f"{family.name}_bucket{suffix} {count}")
-                    label_text = _render_labels(labels)
-                    lines.append(
-                        f"{family.name}_sum{label_text} {format_float(sample['sum'])}"
-                    )
-                    lines.append(f"{family.name}_count{label_text} {sample['count']}")
-                else:
-                    label_text = _render_labels(labels)
-                    lines.append(
-                        f"{family.name}{label_text} {format_float(sample['value'])}"
-                    )
-        return "\n".join(lines) + "\n"
-
     def reset(self) -> None:
         """Zero every child (tests and back-compat cache-clear shims)."""
         for family in self.families():
             family.reset()
+
+
+def render_snapshot(snapshot: Dict[str, Any]) -> str:
+    """A :meth:`MetricsRegistry.snapshot` in the text exposition format."""
+    lines: List[str] = []
+    for name, family in snapshot.items():
+        if family["help"]:
+            lines.append(f"# HELP {name} {family['help']}")
+        lines.append(f"# TYPE {name} {family['type']}")
+        for sample in family["samples"]:
+            labels = tuple(sorted(sample["labels"].items()))
+            if family["type"] == "histogram":
+                for bound, count in sample["buckets"].items():
+                    suffix = _render_labels(labels, (("le", bound),))
+                    lines.append(f"{name}_bucket{suffix} {count}")
+                label_text = _render_labels(labels)
+                lines.append(f"{name}_sum{label_text} {format_float(sample['sum'])}")
+                lines.append(f"{name}_count{label_text} {sample['count']}")
+            else:
+                label_text = _render_labels(labels)
+                lines.append(f"{name}{label_text} {format_float(sample['value'])}")
+    return "\n".join(lines) + "\n"
+
+
+def labelled_union(
+    local: Dict[str, Any], other: Optional[Dict[str, Any]], **labels: str
+) -> Dict[str, Any]:
+    """*local*'s snapshot with *other*'s samples added under *labels*, one
+    family per name: how ``serve`` shows its drain process's registry."""
+    merged = {name: dict(family, samples=list(family["samples"])) for name, family in local.items()}
+    for name, family in (other or {}).items():
+        merged.setdefault(name, dict(family, samples=[]))["samples"] += [
+            dict(sample, labels={**sample["labels"], **labels}) for sample in family["samples"]
+        ]
+    return dict(sorted(merged.items()))
 
 
 _REGISTRY = MetricsRegistry()

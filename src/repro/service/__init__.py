@@ -12,7 +12,7 @@ Layering, bottom-up:
 
 * :mod:`repro.service.schemas` — request validation and uniform errors;
 * :mod:`repro.service.jobs` — background campaign drains as cooperative
-  lease workers (threads) over the shared store;
+  lease workers over the shared store, in one spawned drain process;
 * :mod:`repro.service.handlers` — endpoint logic, callable without HTTP;
 * :mod:`repro.service.server` — routing, JSON rendering, chunked NDJSON;
 * :mod:`repro.service.cli` — the ``serve`` subcommand.

@@ -9,20 +9,15 @@ from __future__ import annotations
 
 import argparse
 import logging
-import sys
-from typing import Optional, Sequence
+import signal
+from typing import Any, Optional, Sequence
 
 from .schemas import ServiceError
 from .server import ServiceConfig, create_server, hostname_url
 
-#: The service process's GIL switch interval (CPython's default is 5 ms).
-#: Campaign drains run on threads beside the request threads and hold the
-#: interpreter most of the time (HiGHS releases it, but a drain's path
-#: MILPs are short), so a request thread that blocked on its socket or on
-#: SQLite waits until the drain is forced to yield.  Reads beside a drain
-#: (harness ``service_mixed``, 2-CPU box) ran ~20 % faster at 0.2 ms than
-#: at 5 ms; 1 ms and 0.05 ms were both slower than 0.2 ms.
-SWITCH_INTERVAL_S = 0.0002
+
+def _terminated(_signum: int, _frame: Any) -> None:
+    raise KeyboardInterrupt  # SIGTERM shuts down exactly as Ctrl-C does
 
 
 def serve_command(argv: Optional[Sequence[str]] = None) -> int:
@@ -79,7 +74,6 @@ def serve_command(argv: Optional[Sequence[str]] = None) -> int:
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(asctime)s %(levelname)s %(name)s: %(message)s",
     )
-    sys.setswitchinterval(SWITCH_INTERVAL_S)
     config = ServiceConfig(
         host=args.host,
         port=args.port,
@@ -93,11 +87,12 @@ def serve_command(argv: Optional[Sequence[str]] = None) -> int:
     print(f"scenario service listening on {hostname_url(server)}")
     print(f"store: {config.store}")
     try:
+        signal.signal(signal.SIGTERM, _terminated)
         server.serve_forever()
     except KeyboardInterrupt:
         print("\nshutting down")
     finally:
-        server.server_close()
+        server.server_close()  # ends the drain process too
     return 0
 
 

@@ -67,16 +67,20 @@ class ServiceState:
 # --------------------------------------------------------------------- #
 # Components and scenarios
 # --------------------------------------------------------------------- #
-def metrics_payload() -> Dict[str, Any]:
+def metrics_payload(state: ServiceState) -> Dict[str, Any]:
     """``GET /metrics?format=json`` — the registry snapshot, JSON-ready.
 
+    The server's families, and under ``process="drain"`` the drain
+    process's as of its last finished job (campaign drains count there).
     The Prometheus text rendering lives in the HTTP layer (it is a
-    content-type concern); this payload carries the same samples for
-    JSON consumers and tests.
+    content-type concern); this payload carries the same samples for JSON
+    consumers and tests.
     """
     from ..obs import metrics as _metrics  # deferred: keeps import cheap
 
-    return {"metrics": _metrics.registry().snapshot()}
+    snapshot = _metrics.registry().snapshot()
+    drain = state.jobs.drain_metrics
+    return {"metrics": _metrics.labelled_union(snapshot, drain, process="drain")}
 
 
 def components_payload() -> Dict[str, Any]:

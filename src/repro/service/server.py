@@ -224,13 +224,13 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             self._send_json(200, handlers.components_payload())
             return True
         if route == "/metrics" and method == "GET":
-            wants_json = self._query().get("format", [""])[-1] == "json"
-            if wants_json:
-                self._send_json(200, handlers.metrics_payload())
+            payload = handlers.metrics_payload(state)
+            if self._query().get("format", [""])[-1] == "json":
+                self._send_json(200, payload)
             else:
                 self._send_text(
                     200,
-                    metrics.registry().render_prometheus(),
+                    metrics.render_snapshot(payload["metrics"]),
                     content_type="text/plain; version=0.0.4; charset=utf-8",
                 )
             return True
@@ -371,6 +371,11 @@ class ScenarioServiceServer(ThreadingHTTPServer):
         self.config = config
         self.state = state
         super().__init__((config.host, config.port), ServiceRequestHandler)
+
+    def server_close(self) -> None:
+        """Close the socket, then end the drain process."""
+        super().server_close()
+        self.state.jobs.close()
 
     @property
     def address(self) -> Tuple[str, int]:

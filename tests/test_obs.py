@@ -221,7 +221,7 @@ def test_registry_counter_gauge_histogram_roundtrip():
     assert sample["buckets"]["+Inf"] == 3
     with pytest.raises(ValueError):
         registry.histogram("t_requests_total", "kind clash")
-    text = registry.render_prometheus()
+    text = metrics.render_snapshot(registry.snapshot())
     assert "# TYPE t_requests_total counter" in text
     assert "t_requests_total 3" in text
     assert 't_latency_seconds_bucket{le="+Inf"} 3' in text
@@ -235,7 +235,7 @@ def test_registry_labelled_children_render_sorted():
     family = registry.counter("t_routed_total", "Routed requests")
     family.labels(route="/b", method="GET").inc()
     family.labels(method="GET", route="/a").inc(2.0)
-    text = registry.render_prometheus()
+    text = metrics.render_snapshot(registry.snapshot())
     assert 't_routed_total{method="GET",route="/a"} 2' in text
     assert text.index('route="/a"') < text.index('route="/b"')
 

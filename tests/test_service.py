@@ -18,8 +18,11 @@ The load-bearing guarantees pinned here:
 import json
 import os
 import re
+import signal
 import socket
 import sqlite3
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -44,6 +47,8 @@ from repro.service.schemas import (
     scenario_spec_from_request,
 )
 from repro.service.server import ServiceConfig, create_server
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 # --------------------------------------------------------------------- #
@@ -534,37 +539,39 @@ def test_default_submission_shares_the_lone_drains_offline_work(tmp_path):
     MILPs) once; a ``chunk_size=1`` submission (every group a single point)
     pays per point.  Before the service shared ``run_campaign``'s default
     claim it drained every submission at one point per claim.  (The
-    ``workers=2`` thread fleet's dump identity is pinned by
+    ``workers=2`` fleet's dump identity is pinned by
     ``test_campaign_lifecycle_matches_offline_serial_run``.)  Candidate paths
     are shared by the whole process, so their enumeration no longer shows
-    the grouping; the path-MILP count does.
+    the grouping; the path-MILP count does.  Submissions drain in the
+    service's drain process, so their solves are read from its snapshot in
+    ``GET /metrics`` (``process="drain"``).
     """
     solves = metrics.counter("repro_milp_solves_total").labels(kind="path")
+    before = solves.value
+    run_campaign(campaign_dict("svc-shared"), store_path=tmp_path / "lone.sqlite")
+    lone = solves.value - before
 
-    def path_milps_solved_by(drain):
-        before = solves.value
-        drain()
-        return solves.value - before
+    def drain_path_milps(server):
+        _, payload = get_json(server, "/metrics?format=json")
+        family = payload["metrics"].get("repro_milp_solves_total", {"samples": []})
+        return sum(
+            sample["value"]
+            for sample in family["samples"]
+            if sample["labels"] == {"kind": "path", "process": "drain"}
+        )
 
-    def submit_and_wait(server, body):
+    def path_milps_drained_by(server, body):
+        before = drain_path_milps(server)
         _, submitted = post_json(server, "/campaigns", body)
         final = wait_for_job(server, submitted["campaign_id"])
         assert final["job"]["state"] == "done"
         assert final["counts"] == {"done": 4, "error": 0, "pending": 0, "total": 4}
+        return drain_path_milps(server) - before
 
-    lone = path_milps_solved_by(
-        lambda: run_campaign(
-            campaign_dict("svc-shared"), store_path=tmp_path / "lone.sqlite"
-        )
-    )
     with service(tmp_path) as server:
-        default = path_milps_solved_by(
-            lambda: submit_and_wait(server, {"spec": campaign_dict("svc-shared")})
-        )
-        per_point = path_milps_solved_by(
-            lambda: submit_and_wait(
-                server, {"spec": campaign_dict("svc-per-point"), "chunk_size": 1}
-            )
+        default = path_milps_drained_by(server, {"spec": campaign_dict("svc-shared")})
+        per_point = path_milps_drained_by(
+            server, {"spec": campaign_dict("svc-per-point"), "chunk_size": 1}
         )
     assert 0 < default == lone < per_point
 
@@ -709,6 +716,134 @@ def test_status_done_implies_nothing_pending(tmp_path, monkeypatch):
         final = wait_for_job(server, submitted["campaign_id"])
         assert final["job"]["state"] == "done"
         assert final["counts"] == {"done": 4, "error": 0, "pending": 0, "total": 4}
+
+
+# --------------------------------------------------------------------- #
+# The drain process: killed, signalled, orphaned
+# --------------------------------------------------------------------- #
+def process_alive(pid):
+    """Whether *pid* is running (a zombie waiting for its reaper is not)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as stream:
+            return stream.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def gone_within(pid, timeout_s=10.0):
+    deadline = time.monotonic() + timeout_s
+    while process_alive(pid):
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+    return True
+
+
+@contextmanager
+def frozen_mid_group(store_path, campaign_id):
+    """Hold the store's write lock at a moment a worker holds a claim.
+
+    Polls until a pending point is leased — the worker has claimed it and is
+    evaluating its group — while holding ``BEGIN IMMEDIATE``, so the group
+    cannot commit until the block ends.
+    """
+    connection = sqlite3.connect(store_path, timeout=60, isolation_level=None)
+    deadline = time.monotonic() + 120
+    try:
+        while True:
+            assert time.monotonic() < deadline, "no worker claimed a point"
+            connection.execute("BEGIN IMMEDIATE")
+            (leased,) = connection.execute(
+                "SELECT COUNT(*) FROM points WHERE campaign_id = ? "
+                "AND status = 'pending' AND lease_owner IS NOT NULL",
+                (campaign_id,),
+            ).fetchone()
+            if leased:
+                break
+            connection.execute("ROLLBACK")
+            time.sleep(0.005)
+        yield
+        connection.execute("ROLLBACK")
+    finally:
+        connection.close()
+
+
+def test_a_killed_drain_process_fails_its_job_and_a_resubmission_finishes_it(tmp_path):
+    body = {"spec": campaign_dict("svc-killed"), "chunk_size": 1, "lease_seconds": 2}
+    with service(tmp_path) as server:
+        jobs = server.state.jobs
+        _, submitted = post_json(server, "/campaigns", body)
+        campaign_id = submitted["campaign_id"]
+        killed = jobs._process.pid
+        with frozen_mid_group(server.config.store, campaign_id):
+            os.kill(killed, signal.SIGKILL)
+            assert gone_within(killed)
+        final = wait_for_job(server, campaign_id)
+        assert final["job"]["state"] == "failed"
+        assert final["job"]["error"] == "drain process exited with code -9"
+        assert final["counts"]["pending"] > 0
+        prefix = f"/campaigns/{campaign_id[:12]}"
+        for path in (f"{prefix}/status", f"{prefix}/points", f"{prefix}/report", "/campaigns"):
+            assert get_json(server, path)[0] == 200
+
+        status, _ = post_json(server, "/campaigns", body)
+        assert status == 202
+        assert jobs._process.pid != killed
+        final = wait_for_job(server, campaign_id)
+        assert final["job"]["state"] == "done"
+        assert final["counts"] == {"done": 4, "error": 0, "pending": 0, "total": 4}
+
+    serial_path = tmp_path / "serial.sqlite"
+    run_campaign(campaign_dict("svc-killed"), store_path=serial_path)
+    with CampaignStore(tmp_path / "service.sqlite", read_only=True) as serviced:
+        with CampaignStore(serial_path, read_only=True) as serial:
+            assert serviced.canonical_dump(campaign_id) == serial.canonical_dump(campaign_id)
+
+
+@contextmanager
+def serve_subprocess(store_path):
+    """``serve`` as a child process on an ephemeral port: ``(process, url)``."""
+    process = subprocess.Popen(
+        [sys.executable, "-u", "-m", "repro.experiments", "serve", "--port", "0",
+         "--store", str(store_path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        text=True,
+    )
+    try:
+        line = process.stdout.readline()
+        assert "listening on " in line, line
+        yield process, line.split("listening on ", 1)[1].strip()
+    finally:
+        if process.poll() is None:
+            process.kill()
+        process.wait()
+        process.stdout.close()
+
+
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGKILL])
+def test_no_drain_process_outlives_serve(tmp_path, signum):
+    """SIGTERM ends ``serve`` as Ctrl-C does, its drain process with it; a
+    SIGKILLed server's drain process ends on its stdin's EOF."""
+    with serve_subprocess(tmp_path / "store.sqlite") as (server, url):
+        request = urllib.request.Request(
+            url + "/campaigns",
+            data=json.dumps({"spec": campaign_dict("svc-signalled")}).encode("utf-8"),
+            method="POST",
+        )
+        with urllib.request.urlopen(request, timeout=60) as response:
+            assert response.status == 202
+            campaign_id = json.loads(response.read())["campaign_id"]
+        children = subprocess.run(
+            ["pgrep", "-P", str(server.pid)], capture_output=True, text=True, check=True
+        ).stdout.split()
+        assert len(children) == 1
+        drain = int(children[0])
+        with frozen_mid_group(tmp_path / "store.sqlite", campaign_id):
+            server.send_signal(signum)
+            assert server.wait(timeout=10) == (0 if signum == signal.SIGTERM else -9)
+            assert gone_within(drain)
 
 
 # --------------------------------------------------------------------- #
