@@ -68,7 +68,7 @@ repro run-scenario --spec "$EXAMPLES/scenario_geant_failure.json" \
   --output timeline-result.json | grep "link-failure"
 test -s timeline-result.json
 
-echo "== campaign: a bounded slice, its resume, a forked fleet, status, report"
+echo "== campaign: a bounded slice, its resume, a forked fleet, a worker, status, report"
 GRID=$EXAMPLES/campaign_geant_grid.json
 repro run-campaign --spec "$GRID" --store campaign-store.sqlite --max-points 2 \
   | grep "2 executed"
@@ -78,6 +78,9 @@ grep "0 remaining" resume.out
 repro run-campaign --spec "$GRID" --store workers-store.sqlite --workers 2 \
   | tee workers.out | grep "workers: 2"
 grep "0 remaining" workers.out
+# One lease worker joined by hand: one point per claim, as a fleet node runs.
+repro run-campaign --spec "$GRID" --store worker-store.sqlite --worker-id smoke-1 \
+  | tee worker.out | grep "0 remaining"
 repro campaign-status --store workers-store.sqlite
 # What a read command imports before it reads: kept as importtime.txt.
 python -X importtime -m repro.experiments campaign-status --store workers-store.sqlite \

@@ -686,47 +686,48 @@ class CampaignStore:
     # ------------------------------------------------------------------ #
     def campaigns(self) -> List[Dict[str, Any]]:
         """Every stored campaign with its status counts, oldest first."""
+        return self._campaign_rows("", ())
+
+    def _campaign_rows(self, where: str, params: Tuple[Any, ...]) -> List[Dict[str, Any]]:
+        """The campaigns *where* selects, with their status counts, oldest first."""
         rows = self._connection.execute(
             "SELECT c.campaign_id, c.name, c.num_points, c.created_at, "
             "SUM(p.status = 'done') AS done, SUM(p.status = 'error') AS errors, "
             "SUM(p.status = 'pending') AS pending "
-            "FROM campaigns c LEFT JOIN points p USING (campaign_id) "
-            "GROUP BY c.campaign_id ORDER BY c.created_at, c.campaign_id"
+            f"FROM campaigns c LEFT JOIN points p USING (campaign_id) {where} "
+            "GROUP BY c.campaign_id ORDER BY c.created_at, c.campaign_id",
+            params,
         )
         return [dict(row) for row in rows]
 
     def find_campaign(self, selector: Optional[str] = None) -> Dict[str, Any]:
         """Resolve a campaign by name, full id or id prefix.
 
-        With no selector the store must hold exactly one campaign.
+        With no selector the store must hold exactly one campaign.  Only the
+        selected campaign's points are counted, so a service read costs the
+        same however many campaigns the store holds.
 
         Raises:
             ConfigurationError: On no match, an ambiguous match, or an
                 empty store.
         """
-        campaigns = self.campaigns()
+        matches = self._campaign_rows(
+            "WHERE ?1 IS NULL OR c.name = ?1 OR substr(c.campaign_id, 1, length(?1)) = ?1",
+            (selector,),
+        )
+        if len(matches) == 1:
+            return matches[0]
+        campaigns = matches if selector is None else self.campaigns()
         if not campaigns:
             raise ConfigurationError(f"campaign store {self.path} holds no campaigns")
+        names = ", ".join(
+            f"{row['name']} ({row['campaign_id'][:12]})" for row in campaigns
+        )
         if selector is None:
-            if len(campaigns) == 1:
-                return campaigns[0]
-            names = ", ".join(
-                f"{row['name']} ({row['campaign_id'][:12]})" for row in campaigns
-            )
             raise ConfigurationError(
                 f"campaign store holds {len(campaigns)} campaigns — select one "
                 f"by name or id: {names}"
             )
-        matches = [
-            row
-            for row in campaigns
-            if row["name"] == selector or row["campaign_id"].startswith(selector)
-        ]
-        if len(matches) == 1:
-            return matches[0]
-        names = ", ".join(
-            f"{row['name']} ({row['campaign_id'][:12]})" for row in campaigns
-        )
         if not matches:
             raise ConfigurationError(
                 f"no campaign matches {selector!r}; stored campaigns: {names}"

@@ -51,6 +51,12 @@ class ElementPower:
     always_powered: FrozenSet[str]
     full: Optional[PowerBreakdown] = None
 
+    @property
+    def charges(self) -> Tuple[Tuple[float, ...], Tuple[Tuple[Tuple[float, float], ...], ...]]:
+        """The watts in the topology's node and link order: beside the
+        network's content, all a plan reads of the power model."""
+        return tuple(self.node_w.values()), tuple(self.arc_w.values())
+
 
 def element_power(topology: Topology, model: PowerModel) -> ElementPower:
     """The watts *model* charges each element, kept on the topology's index."""

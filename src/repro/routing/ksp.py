@@ -1,9 +1,18 @@
-"""k-shortest simple paths.
+"""k-shortest simple paths, and the process's table of each network's offline half.
 
 GreenTE (Zhang et al. [41]) reduces the energy-aware routing computation time
 "by allowing a solver to explore only the k shortest paths for each (O,D)
 pair"; the same restriction powers this reproduction's path-based MILP
 (:mod:`repro.optim.pathmilp`) and the GreenTE heuristic.
+
+REsPoNse computes its paths once, offline: the candidate paths, a
+calibration, a plan and its always-on set are pure functions of the network
+and a few other inputs, never of the traffic being replayed.  The process
+keeps them in one table: a :class:`NetworkEntry` per network content
+(:func:`network_entry`) for paths, plans and always-on sets, and beside the
+entries the calibrations (:func:`calibration_memo`), keyed by the narrower
+content a calibration reads.  So a drain, a ``--worker-id`` claim or a
+replay that repeats a network the process has seen builds none of them again.
 """
 
 from __future__ import annotations
@@ -12,12 +21,14 @@ import itertools
 import os
 import threading
 from collections import OrderedDict
-from typing import Dict, Iterable, Iterator, List
+from typing import (
+    Any, Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple, TypeVar, cast,
+)
 
 from ..exceptions import PathNotFoundError
 from ..obs import metrics, trace
 from ..topology.base import Topology
-from ..topology.index import SearchKey
+from ..topology.index import ContentKey
 from ..topology.search import shortest_simple_paths
 from ..traffic.matrix import Pair
 from .paths import Path
@@ -27,14 +38,32 @@ _PATHS_ENUMERATED = metrics.counter(
     "Paths pulled from the k-shortest enumerations behind CandidatePaths",
 )
 
-#: Providers the process keeps, least recently used out first.  One
-#: retains ≈ 0.2 MB on the 33 pairs of the harness's GÉANT grid at k = 5;
-#: on all 1 722 pairs of Genuity it retains 13.1 MB at k = 5, 14.3 MB at
-#: k = 6 (the largest k a shipped figure uses) and 17.1 MB at k = 8
-#: (tracemalloc).  The size grows with k, since each suspended enumeration
-#: keeps its paths and candidate heap, so eight hold ≈ 115 MB at worst for
-#: k ≤ 6; a grid or a replay touches one network and a failure view or two.
-SHARED_PROVIDERS = 8
+T = TypeVar("T")
+
+#: Networks the process keeps, least recently used out first.  A network's
+#: candidate paths retain ≈ 0.2 MB on the 33 pairs of the harness's GÉANT
+#: grid at k = 5; on all 1 722 pairs of Genuity they retain 13.1 MB at
+#: k = 5, 14.3 MB at k = 6 (the largest k a shipped figure uses) and
+#: 17.1 MB at k = 8 (tracemalloc).  The size grows with k, since each
+#: suspended enumeration keeps its paths and candidate heap, so eight hold
+#: ≈ 115 MB at worst for k ≤ 6; a grid or a replay touches one network and
+#: a failure view or two.
+SHARED_NETWORKS = 8
+
+#: REsPoNse plans, and apart from them always-on sets, each network keeps,
+#: least recently used out first.  A plan of all 1 722 Genuity pairs at
+#: k = 3 retains 0.46 MB beyond the candidate paths it shares, one of the
+#: harness grid's 12 GÉANT pairs 7 kB (tracemalloc), so sixteen stay under
+#: 7.5 MB a network, about half what Genuity's candidate paths hold; a grid
+#: needs one per (pair set, config, power model, peak).
+PLANS_PER_NETWORK = 16
+
+_PLAN_HITS = metrics.counter(
+    "repro_plan_memo_hits_total", "REsPoNse plans and always-on sets found in the network table"
+)
+_PLAN_MISSES = metrics.counter(
+    "repro_plan_memo_misses_total", "REsPoNse plans and always-on sets built for the network table"
+)
 
 
 class CandidatePaths:
@@ -68,23 +97,11 @@ class CandidatePaths:
 
     @classmethod
     def shared(cls, topology: Topology) -> "CandidatePaths":
-        """The process's provider for *topology*'s network.
-
-        Keyed by :attr:`~repro.topology.index.TopologyIndex.search_key`, so
-        two equal networks (two ``build_geant()`` objects) resume the same
-        enumerations while a failure view or a mutated topology gets its own.
-        """
-        key = topology.index().search_key
-        table = _table
-        with table.lock:
-            provider = table.providers.get(key)
-            if provider is None:
-                provider = table.providers[key] = cls(topology)
-                if len(table.providers) > SHARED_PROVIDERS:
-                    table.providers.popitem(last=False)
-            else:
-                table.providers.move_to_end(key)
-        return provider
+        """The process's provider for *topology*'s network: its
+        :class:`NetworkEntry`'s, so two equal networks (two ``build_geant()``
+        objects) resume the same enumerations while a failure view or a
+        mutated topology gets its own."""
+        return network_entry(topology).paths
 
     def for_pairs(self, pairs: Iterable[Pair], k: int) -> Dict[Pair, List[Path]]:
         """The *k* shortest paths of every pair, pulling only what is missing.
@@ -132,19 +149,112 @@ class CandidatePaths:
         return found[:k]
 
 
+class Memo:
+    """Values by kind and key under one lock; builds run outside it."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._values: Dict[str, "OrderedDict[Hashable, Any]"] = {}
+
+    def memo(
+        self,
+        kind: str,
+        key: Hashable,
+        build: Callable[[], T],
+        counters: Tuple[Any, Any],
+        bound: Optional[int],
+    ) -> T:
+        """The *kind* value under *key*, from *build* on a miss.
+
+        *counters* are the kind's ``(hits, misses)``; past *bound* values
+        (``None``: no bound) the least recently used goes.  The build runs
+        outside the lock, since it may pull an entry's paths and a Genuity
+        plan takes 40 s: two threads may both build a value, and both return
+        the one stored first.
+        """
+        hits, misses = counters
+        with self._lock:
+            values = self._values.setdefault(kind, OrderedDict())
+            if key in values:
+                values.move_to_end(key)
+                hits.inc()
+                return cast(T, values[key])
+        misses.inc()
+        built = build()
+        with self._lock:
+            stored = values.setdefault(key, built)
+            if bound is not None and len(values) > bound:
+                values.popitem(last=False)
+        return cast(T, stored)
+
+    def forget(self, kind: str) -> None:
+        """Drop every *kind* value."""
+        with self._lock:
+            self._values.pop(kind, None)
+
+
+class NetworkEntry(Memo):
+    """What the process keeps of one network content
+    (:attr:`~repro.topology.index.TopologyIndex.content_key`).
+
+    ``paths`` is the provider every path-restricted solver draws from;
+    :meth:`plan` holds the network's ``"plan"`` and ``"always_on"`` values
+    by power table, config, pairs and peak matrix
+    (:mod:`repro.scenario.schemes`).
+    """
+
+    def __init__(self, topology: Topology) -> None:
+        super().__init__()
+        #: The network's candidate-path provider (:meth:`CandidatePaths.shared`).
+        self.paths = CandidatePaths(topology)
+
+    def plan(self, kind: str, key: Hashable, build: Callable[[], T]) -> T:
+        """:meth:`memo` of a ``"plan"`` or an ``"always_on"``: one of
+        :data:`PLANS_PER_NETWORK`, counted in
+        ``repro_plan_memo_{hits,misses}_total{kind}``."""
+        counters = (_PLAN_HITS.labels(kind=kind), _PLAN_MISSES.labels(kind=kind))
+        return self.memo(kind, key, build, counters, PLANS_PER_NETWORK)
+
+
 class _Table:
-    """The process's providers by network content, in LRU order."""
+    """The process's network entries by content, in LRU order, and beside
+    them its calibrations."""
 
     def __init__(self) -> None:
         self.lock = threading.Lock()
-        self.providers: "OrderedDict[SearchKey, CandidatePaths]" = OrderedDict()
+        self.entries: "OrderedDict[ContentKey, NetworkEntry]" = OrderedDict()
+        #: Calibrations by what a calibration reads (:mod:`repro.traffic.scaling`):
+        #: unbounded, and apart from the entries, so calibrating a network
+        #: neither makes an entry nor evicts one.
+        self.calibrations = Memo()
 
 
 _table = _Table()
 
 
-def clear_candidate_paths() -> None:
-    """Forget every shared provider: later solves enumerate from scratch.
+def network_entry(topology: Topology) -> NetworkEntry:
+    """The process's entry for *topology*'s network content, made on first use."""
+    key = topology.index().content_key
+    table = _table
+    with table.lock:
+        entry = table.entries.get(key)
+        if entry is None:
+            entry = table.entries[key] = NetworkEntry(topology)
+            if len(table.entries) > SHARED_NETWORKS:
+                table.entries.popitem(last=False)
+        else:
+            table.entries.move_to_end(key)
+    return entry
+
+
+def calibration_memo() -> Memo:
+    """The process's calibrations (:func:`~repro.traffic.calibrate_max_load`)."""
+    return _table.calibrations
+
+
+def clear_network_table() -> None:
+    """Forget every network entry and calibration: later solves enumerate
+    paths, calibrate and build plans from scratch.
 
     A forked child starts this way, so it never inherits a lock another
     thread of its parent held at the fork.
@@ -153,4 +263,4 @@ def clear_candidate_paths() -> None:
     _table = _Table()
 
 
-os.register_at_fork(after_in_child=clear_candidate_paths)
+os.register_at_fork(after_in_child=clear_network_table)

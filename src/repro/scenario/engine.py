@@ -134,8 +134,8 @@ def build_scenario_group(specs: Sequence[Any]) -> List[BuiltScenario]:
     section and one routing table per distinct (routing, pairs) combination.
     Every returned :class:`BuiltScenario` carries the same
     :class:`~repro.scenario.timeline.GroupComputeCache` in ``shared``, which
-    scheme runtimes use to reuse candidate paths, plans and solver calls
-    across the group's points.
+    scheme runtimes use to reuse per-interval solver calls across the
+    group's points (plans and candidate paths are kept per process).
 
     Every component is built by the same call whatever the group's size
     (:func:`build_scenario` is the group of one), so a scenario runs
@@ -330,8 +330,8 @@ def _drive(
     the sequence of ``step`` calls — and therefore every computed value —
     does not depend on what else is in the pass; the interleaving is what
     lets the scenarios' shared
-    :class:`~repro.scenario.timeline.GroupComputeCache` turn repeated plan
-    builds and solves into lookups.  Wall-clock ``compute_seconds`` are the
+    :class:`~repro.scenario.timeline.GroupComputeCache` turn repeated
+    solves into lookups.  Wall-clock ``compute_seconds`` are the
     only fields that can differ between two passes, and every
     determinism-sensitive comparison strips them.  *span* holds the
     attributes of the pass's ``timeline.run`` span.

@@ -9,15 +9,15 @@ failure-adjusted topology view.  The timeline engine drives the runtimes;
 is the only scheme form: the timeline rejects any other registered
 component.
 
-Computations that scenarios built as one group can share (REsPoNse plans,
-GreenTE solves, ECMP expansions, the always-on subset) go through
-``scenario.shared`` — the group's
-:class:`~repro.scenario.timeline.GroupComputeCache`, always present (a
-scenario built on its own is the group of one).  Every memoised value is a
-pure function of its key's inputs, so a hit returns exactly what a fresh
-computation would; every path-restricted solver draws its candidates from
-the process's one :class:`~repro.routing.ksp.CandidatePaths` provider per
-network content, whatever group asks.
+Two memo rules serve the runtimes, and every memoised value is a pure
+function of its key's inputs, so a hit returns exactly what a fresh
+computation would.  The offline half — REsPoNse plans and always-on sets,
+like the candidate paths every path-restricted solver draws from — lives
+in the process's :class:`~repro.routing.ksp.NetworkEntry` of the network's
+content, whatever group, drain or replay asks.  Per-interval values (a
+GreenTE solve, an ECMP evaluation: one per demand matrix) go through
+``scenario.shared``, the group's
+:class:`~repro.scenario.timeline.GroupComputeCache`, and end with it.
 """
 
 from __future__ import annotations
@@ -43,8 +43,9 @@ from ..optim.lp_relax import lp_relaxation_with_rounding
 from ..optim.pathmilp import solve_path_milp
 from ..optim.solution import EnergyAwareSolution
 from ..outcome import IntervalOutcome
-from ..power.accounting import network_power
+from ..power.accounting import element_power, network_power
 from ..routing.ecmp import ecmp_active_elements, ecmp_max_utilisation
+from ..routing.ksp import network_entry
 from ..routing.mcf import FlowSession
 from ..routing.paths import RoutingConfiguration
 from ..simulator.failures import TopologyView
@@ -477,15 +478,16 @@ class ResponseRuntime(SchemeRuntime):
                     config=self.config,
                 )
 
-        # The offline pipeline depends only on these inputs, so points
-        # of a group (same topology/power/pairs/peak) share one plan
-        # build; nothing mutates a plan once built.
-        plan = scenario.shared.memo(
+        # The offline pipeline depends only on the network and these
+        # inputs, so every scenario of the process on an equal network
+        # shares one plan build; nothing mutates a plan once built.  The
+        # plan records the topology's name, so the name is part of its key.
+        plan = network_entry(scenario.topology).plan(
+            "plan",
             (
-                "response-plan",
+                scenario.topology.name,
+                element_power(scenario.topology, scenario.power_model).charges,
                 repr(self.config),
-                scenario.topology,
-                scenario.power_model,
                 tuple(scenario.pairs),
                 peak,
             ),
@@ -564,12 +566,11 @@ class AlwaysOnRuntime(SchemeRuntime):
                 pairs=scenario.pairs,
             )
 
-        always_on = scenario.shared.memo(
+        always_on = network_entry(scenario.topology).plan(
+            "always_on",
             (
-                "always-on",
+                element_power(scenario.topology, scenario.power_model).charges,
                 repr(self.config),
-                scenario.topology,
-                scenario.power_model,
                 tuple(scenario.pairs),
             ),
             compute,

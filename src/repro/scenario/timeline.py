@@ -16,8 +16,8 @@ step it through the intervals.  This module holds what that loop runs on:
   ``step(state, t, matrix, view)`` advances one interval incrementally and
   returns an :class:`~repro.outcome.IntervalOutcome`;
 * a :class:`GroupComputeCache` lets the scenarios built as one group share
-  plans and solves (candidate paths are shared per process, by network
-  content: :meth:`~repro.routing.ksp.CandidatePaths.shared`).
+  per-interval solves (the offline half — candidate paths, plans — is kept
+  per process, by network content: :class:`~repro.routing.ksp.NetworkEntry`).
 
 The loop itself — the one interval-major driver — lives beside the result
 it returns, in :mod:`repro.scenario.engine`.  Runtimes only *reuse* state
@@ -390,26 +390,28 @@ IntervalCallback = Callable[[TimelineStep, Mapping[str, IntervalOutcome]], None]
 
 
 class GroupComputeCache:
-    """Memoised shared computations for the scenarios built as one group.
+    """Memoised per-interval computations for the scenarios built as one group.
 
     :func:`~repro.scenario.engine.build_scenario_group` builds every
     scenario of a group against the *same* topology/power objects and hands
     each :class:`~repro.scenario.engine.BuiltScenario` the same cache (its
     ``shared`` field); a solo build is the group of one and a hand-made
-    ``BuiltScenario`` gets a private cache.  Scheme runtimes consult it in
-    ``start``/``step``: the first point of a group pays for a REsPoNse plan,
-    a GreenTE solve or an ECMP expansion, and every other point whose inputs
-    are the *same objects* reuses the value.  Keys hold the shared inputs
-    themselves: a topology and a power model hash and compare by identity,
-    and the key keeps each alive as long as the cache.
+    ``BuiltScenario`` gets a private cache.  The solver runtimes consult it
+    in ``step``: the first point of a group pays for a GreenTE solve or an
+    ECMP evaluation of a demand matrix, and every other point of the group
+    that steps through the same matrix on the *same objects* reuses the
+    value.  Keys hold the shared inputs themselves: a topology and a power
+    model hash and compare by identity, and the key keeps each alive as
+    long as the cache.
 
-    Sharing never changes a value: a memoised computation is a pure
-    function of inputs that are identical (same objects) across the group,
+    These values are one per demand matrix, and a later group rarely
+    replays the matrices of an earlier one, so they end with the group.
+    What a group of any size repeats — candidate paths, calibrations,
+    REsPoNse plans and always-on sets, the offline half — is kept per
+    process instead, by network content
+    (:class:`~repro.routing.ksp.NetworkEntry`).  Sharing never changes a
+    value: a memoised computation is a pure function of its key's inputs,
     so each point's results stay bit-identical to a run on its own.
-    Candidate paths are not kept here: every solver draws them from
-    :meth:`~repro.routing.ksp.CandidatePaths.shared`, one provider per
-    network content for the whole process, whose enumerations walk the
-    index snapshot they were started on.
     """
 
     def __init__(self) -> None:

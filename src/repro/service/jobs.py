@@ -21,8 +21,9 @@ per job to the child's stdin; pickles only run that way.  The child
 answers one JSON line per finished job (tallies or error, and its metrics
 snapshot) on a dup of its original stdout, with fd 1 pointed at stderr so
 no stray print or solver output can corrupt a reply.  It exits on stdin
-EOF; when it dies, its running jobs fail with its exit code, and the next
-submission spawns a fresh one.
+EOF; when it dies, its running jobs fail with its exit code, their
+workers' leases go back at once (a resubmission need not wait them out), and
+the next submission spawns a fresh one.
 """
 
 from __future__ import annotations
@@ -68,6 +69,8 @@ class CampaignJob:
             filled in when the drain process reports the job.
         error: The worker tracebacks, or the drain process's exit code,
             when ``state == "failed"``.
+        worker_ids: The lease identities its workers claim under, released
+            at once should the drain process die.
     """
 
     campaign_id: str
@@ -77,6 +80,7 @@ class CampaignJob:
     submitted_at: float = field(default_factory=time.time)
     tallies: List[WorkerTally] = field(default_factory=list)
     error: Optional[str] = None
+    worker_ids: List[str] = field(default_factory=list)
     finished: threading.Event = field(default_factory=threading.Event, repr=False)
 
     def to_dict(self) -> Dict[str, Any]:
@@ -151,6 +155,7 @@ class JobManager:
                 campaign_id=campaign_id,
                 name=prepared.name,
                 workers=request.workers,
+                worker_ids=list(prepared.worker_ids),
             )
             self._jobs[campaign_id] = job
             process = self._process or self._start_process()
@@ -179,8 +184,10 @@ class JobManager:
         return process
 
     def _read_replies(self, process: subprocess.Popen[bytes]) -> None:
-        """Turn each reply into ``done``/``failed``; on EOF fail the rest."""
+        """Turn each reply into ``done``/``failed``; on EOF release the rest's
+        leases and fail them."""
         from ..campaign.run import WorkerTally
+        from ..campaign.store import CampaignStore
 
         assert process.stdout is not None
         for line in process.stdout:
@@ -197,8 +204,15 @@ class JobManager:
         with self._lock:
             if self._process is process:
                 self._process = None
-            for job in self._jobs.values():
-                if job.state == RUNNING:
+            orphaned = [job for job in self._jobs.values() if job.state == RUNNING]
+        try:
+            for job in orphaned:
+                with CampaignStore(self.store_path, read_only=False) as store:
+                    for worker_id in job.worker_ids:
+                        store.release_leases(job.campaign_id, worker_id)
+        finally:
+            with self._lock:
+                for job in orphaned:
                     job.state = FAILED
                     job.error = f"drain process exited with code {code}"
                     job.finished.set()

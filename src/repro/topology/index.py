@@ -25,6 +25,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (routing imports topology)
 Key = Tuple[str, str]
 #: What a k-shortest enumeration reads of an index (:attr:`TopologyIndex.search_key`).
 SearchKey = Tuple[Tuple[str, ...], Tuple[Key, ...], bytes]
+#: What a plan reads of a network (:attr:`TopologyIndex.content_key`).
+ContentKey = Tuple[SearchKey, Tuple[Tuple[str, str, Optional[str], bool], ...], bytes, bytes]
 
 
 @dataclass(frozen=True)
@@ -56,6 +58,7 @@ class TopologyIndex:
     """
 
     def __init__(self, topology: "Topology") -> None:
+        self._nodes = [topology.node(name) for name in topology.nodes()]
         self.node_names: List[str] = topology.nodes()
         self.node_index: Dict[str, int] = {name: i for i, name in enumerate(self.node_names)}
         self.arc_keys: List[Key] = topology.arc_keys()
@@ -98,6 +101,17 @@ class TopologyIndex:
         order; a mutation drops the index and the key with it."""
         invcap = np.array(self.arc_weights["invcap"], dtype=np.float64).tobytes()
         return tuple(self.node_names), tuple(self.arc_keys), invcap
+
+    @cached_property
+    def content_key(self) -> ContentKey:
+        """Everything a REsPoNse plan reads of the network bar the topology's
+        name (its memo key adds that): :attr:`search_key`, each node's name,
+        kind, level and ``always_powered``, and the arcs' capacities and
+        latencies as float bits.  The process keeps one entry per key
+        (:func:`~repro.routing.ksp.network_entry`)."""
+        nodes = tuple((n.name, n.kind, n.level, n.always_powered) for n in self._nodes)
+        latency = np.array(self.arc_weights["latency"], dtype=np.float64).tobytes()
+        return self.search_key, nodes, self.arc_capacity.tobytes(), latency
 
     @cached_property
     def arc_between(self) -> List[Dict[int, int]]:

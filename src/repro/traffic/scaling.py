@@ -46,18 +46,14 @@ GROWTH_STEP = 0.10
 MAX_ITERATIONS = 200
 
 
-#: Process-wide memo of calibration results keyed by the canonical hash of
-#: (topology content, base matrix).  A campaign grid
-#: typically repeats the same dozen calibrations across every group and
-#: worker chunk; each MCF-backed calibration is a pure function of the
-#: hashed inputs, so reusing the scale factor is bit-identical to
-#: recomputing it.  Only default-oracle calls are memoised — a custom
-#: oracle is not part of the key and must never be served a cached value.
-_CALIBRATION_CACHE: Dict[str, float] = {}
-
-#: Hit/miss counters live on the process-wide metrics registry; the
-#: :func:`calibration_cache_stats` / :func:`clear_calibration_cache`
-#: functions below stay as thin compatibility wrappers over them.
+#: Hit/miss counters of the calibration memo, which lives beside the
+#: process's network table (:func:`~repro.routing.ksp.calibration_memo`),
+#: keyed by :func:`_calibration_key`.  A campaign grid typically repeats the
+#: same dozen calibrations across every group and worker claim; each
+#: MCF-backed calibration is a pure function of the hashed inputs, so reusing
+#: the scale factor is bit-identical to recomputing it.  Only default-oracle
+#: calls are memoised — a custom oracle is not part of the key and must never
+#: be served a cached value.
 _CALIBRATION_HITS = metrics.counter(
     "repro_calibration_cache_hits_total", "Calibration memo hits"
 )
@@ -67,7 +63,8 @@ _CALIBRATION_MISSES = metrics.counter(
 
 
 def _calibration_key(topology: Topology, base_matrix: TrafficMatrix) -> str:
-    """Canonical content hash of every input the calibration depends on.
+    """Canonical content hash of every input the calibration depends on
+    (the topology's name and its latencies are not among them).
 
     Float inputs are serialised with ``repr`` (shortest exact round-trip),
     so two topologies/matrices hash equal exactly when the MCF oracle would
@@ -98,7 +95,9 @@ def _calibration_key(topology: Topology, base_matrix: TrafficMatrix) -> str:
 
 def clear_calibration_cache() -> None:
     """Drop all memoised calibrations (tests and long-lived services)."""
-    _CALIBRATION_CACHE.clear()
+    from ..routing.ksp import calibration_memo
+
+    calibration_memo().forget("calibration")
     _CALIBRATION_HITS.reset()
     _CALIBRATION_MISSES.reset()
 
@@ -198,19 +197,26 @@ def calibrate_max_load(
         SolverError: If a probe of the max-concurrent-flow model ends neither
             optimal nor infeasible (nothing is memoised).
     """
-    from ..routing.mcf import ConcurrentFlow, is_demand_feasible
+    from ..routing.ksp import calibration_memo
 
     if len(base_matrix) == 0 or base_matrix.total_bps <= 0:
         raise TrafficError("base matrix carries no traffic; nothing to calibrate")
-
-    key: Optional[str] = None
     if oracle is None:
-        key = _calibration_key(topology, base_matrix)
-        cached = _CALIBRATION_CACHE.get(key)
-        if cached is not None:
-            _CALIBRATION_HITS.inc()
-            return cached
-        _CALIBRATION_MISSES.inc()
+        return calibration_memo().memo(
+            "calibration",
+            _calibration_key(topology, base_matrix),
+            lambda: _search(topology, base_matrix, None),
+            (_CALIBRATION_HITS, _CALIBRATION_MISSES),
+            None,
+        )
+    return _search(topology, base_matrix, oracle)
+
+
+def _search(
+    topology: Topology, base_matrix: TrafficMatrix, oracle: Optional[FeasibilityOracle]
+) -> float:
+    """The calibration itself (:func:`calibrate_max_load` documents it)."""
+    from ..routing.mcf import ConcurrentFlow, is_demand_feasible
 
     with trace.span("traffic.calibrate", memoised=oracle is None) as calibrate_span:
         probes = 0
@@ -245,6 +251,4 @@ def calibrate_max_load(
             probe_iterations=0 if flow is None else flow.probe_iterations,
             fresh_probes=0 if flow is None else flow.fresh_probes,
         )
-    if key is not None:
-        _CALIBRATION_CACHE[key] = scale
     return scale

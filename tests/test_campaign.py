@@ -268,6 +268,35 @@ def test_store_records_results_and_metrics(tmp_path):
         assert points[0]["axes"] == {"seed": 0, "traffic.flow_bps": 1e8}
 
 
+def test_find_campaign_selects_in_sql_as_the_listing_filter_did(tmp_path):
+    """A selector counts only its campaign's points: by name, full id or id
+    prefix, with the answer and the errors the filter over
+    ``campaigns()`` gave."""
+    store_path = tmp_path / "store.sqlite"
+    with CampaignStore(store_path) as store:
+        with pytest.raises(ConfigurationError, match="holds no campaigns"):
+            store.find_campaign("grid")
+        for name, seeds in (("grid", [0, 1]), ("grid", [0, 1, 2]), ("other", [3])):
+            spec = CampaignSpec.from_dict(campaign_dict(name, {"seed": seeds}))
+            store.register_campaign(spec, spec.expand())
+        campaigns = store.campaigns()
+        assert sorted(row["num_points"] for row in campaigns) == [1, 2, 3]
+        for row in campaigns:
+            for selector in (row["campaign_id"], row["campaign_id"][:12]):
+                assert store.find_campaign(selector) == row
+        assert store.find_campaign("other") == next(
+            row for row in campaigns if row["name"] == "other"
+        )
+        for selector, error in (
+            (None, "holds 3 campaigns"),
+            ("grid", "ambiguous"),
+            ("", "ambiguous"),
+            ("nothing", "no campaign matches"),
+        ):
+            with pytest.raises(ConfigurationError, match=error):
+                store.find_campaign(selector)
+
+
 def test_store_points_filters_and_paginates_sql_side(tmp_path):
     """``points(status=, limit=, offset=)`` slices in SQL (service satellite)."""
     spec = CampaignSpec.from_dict(campaign_dict())

@@ -3,13 +3,15 @@
 :class:`~repro.routing.ksp.CandidatePaths` must hand every solver exactly the
 lists networkx's ``shortest_simple_paths`` would (``nx_reference.k_shortest_paths``)
 — however the paths were pulled (one call, or k growing across calls on one
-instance, or many threads at once) — and a grouped campaign drain must
-compute its offline half once per pair set: one REsPoNse plan build, two
-path MILPs and, from an empty table, one enumeration of each pair's five
-shortest paths.  The table of shared providers (one per network content per
-process, LRU-bounded, emptied in a forked child) has its own tests here.
+instance, or many threads at once) — and a process must compute a grid's
+offline half once per pair set, whatever its claims: one REsPoNse plan
+build, two path MILPs and, from an empty table, one enumeration of each
+pair's five shortest paths.  The process's network table (an entry per
+network content holding its provider, plans and always-on sets; LRU-bounded,
+locked, emptied in a forked child) has its own tests here.
 """
 
+import dataclasses
 import os
 import random
 import sys
@@ -22,8 +24,9 @@ from repro.campaign import CampaignSpec, run_campaign
 from repro.exceptions import PathNotFoundError
 from repro.obs import metrics, trace
 from repro.optim import lp_relaxation_with_rounding
+from repro.power import CiscoRouterPowerModel
 from repro.routing import ksp
-from repro.routing.ksp import CandidatePaths, clear_candidate_paths
+from repro.routing.ksp import CandidatePaths, clear_network_table
 from repro.scenario import schemes
 from repro.scenario.engine import build_scenario_group, scheme_outcomes
 from repro.simulator.failures import TopologyView
@@ -31,6 +34,7 @@ from repro.topology.base import Topology
 from repro.topology.fattree import build_fattree
 from repro.topology.geant import build_geant
 from repro.topology.rocketfuel import build_abovenet
+from repro.traffic import TrafficMatrix, calibrate_max_load
 from repro.units import mbps
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks" / "harness"))
@@ -117,8 +121,12 @@ class _SpanNames(trace.SpanCollector):
 
 
 def test_grouped_drain_computes_the_offline_half_once_per_pair_set(tmp_path):
-    """The harness-shaped 12-point grid: 3 pair sets x 2 totals x 2 SLOs."""
-    clear_candidate_paths()
+    """The harness-shaped 12-point grid: 3 pair sets x 2 totals x 2 SLOs.
+
+    First as a ``--worker-id`` worker drains it from a fresh process — one
+    point per claim, so each point is its own group — then as a default
+    drain in the same process."""
+    clear_network_table()
     solves = metrics.counter("repro_milp_solves_total").labels(kind="path")
     enumerated = metrics.counter("repro_candidate_paths_enumerated_total")
     spec = CampaignSpec.from_dict(geant_grid(11))
@@ -133,11 +141,13 @@ def test_grouped_drain_computes_the_offline_half_once_per_pair_set(tmp_path):
     )
 
     drains = []
-    for drain in range(2):
+    for drain, chunk_size in enumerate((1, None)):
         solves_before, enumerated_before = solves.value, enumerated.value
         collector = _SpanNames()
         with trace.collect(collector):
-            summary = run_campaign(spec, store_path=tmp_path / f"grid-{drain}.sqlite")
+            summary = run_campaign(
+                spec, store_path=tmp_path / f"grid-{drain}.sqlite", chunk_size=chunk_size
+            )
         assert summary.executed == 12 and summary.failed == 0
         plans = [name for name, _ in collector.exited if name == "response.plan"]
         traced = sum(
@@ -148,19 +158,19 @@ def test_grouped_drain_computes_the_offline_half_once_per_pair_set(tmp_path):
         drains.append(
             (len(plans), solves.value - solves_before, enumerated.value - enumerated_before, traced)
         )
-    # Each drain builds one plan per pair set, not one per point, and solves
-    # an always-on and an on-demand MILP per plan.  From an empty table the
-    # first enumerates every distinct pair to GreenTE's k=5 exactly once (the
-    # plan builds' k=3 is a prefix of the same enumeration); the second
-    # resumes the process's provider and enumerates nothing.
-    assert drains == [(3, 6, available, available), (3, 6, 0, 0)]
+    # The process builds one plan per pair set, not one per point, and
+    # solves an always-on and an on-demand MILP per plan.  From an empty
+    # table the first drain enumerates every distinct pair to GreenTE's k=5
+    # exactly once (the plan builds' k=3 is a prefix of the same
+    # enumeration); the second finds every plan and path in the table.
+    assert drains == [(3, 6, available, available), (0, 0, 0, 0)]
 
 
 def test_lp_relax_replay_draws_from_one_provider_per_topology_object(monkeypatch):
     """``lp-relax`` once called the relaxation with a private provider —
     every pair re-enumerated on each of the replay's 16 intervals.  Now every
     solve, bare or not, draws from the process's provider of its network."""
-    clear_candidate_paths()
+    clear_network_table()
     providers = []
     real_init = CandidatePaths.__init__
 
@@ -187,7 +197,7 @@ def test_lp_relax_replay_draws_from_one_provider_per_topology_object(monkeypatch
     monkeypatch.setattr(schemes.LpRelaxRuntime, "solve", bare_solve)
     # From an empty table, so the bare solves enumerate afresh what the
     # replay resumed: a resumed provider must return a fresh one's paths.
-    clear_candidate_paths()
+    clear_network_table()
     bare = scheme_outcomes(built)["lp-relax"]["solutions"]
     assert [topology.name for topology in providers[2:]] == ["geant", "geant-degraded"]
     assert [(s.active_nodes, s.active_links, s.power_w) for s in shared] == [
@@ -196,12 +206,12 @@ def test_lp_relax_replay_draws_from_one_provider_per_topology_object(monkeypatch
 
 
 # --------------------------------------------------------------------- #
-# The process's table of shared providers
+# The process's network table: providers
 # --------------------------------------------------------------------- #
 
 
 def test_equal_networks_share_a_provider_and_a_failure_view_does_not():
-    clear_candidate_paths()
+    clear_network_table()
     first, second = build_geant(), build_geant()
     assert first is not second
     provider = CandidatePaths.shared(first)
@@ -213,7 +223,7 @@ def test_equal_networks_share_a_provider_and_a_failure_view_does_not():
 
 
 def test_a_mutated_topology_gets_a_fresh_provider_and_the_old_one_its_snapshot():
-    clear_candidate_paths()
+    clear_network_table()
     topology, original = build_geant(), build_geant()
     pairs = sampled_pairs(topology)
     before = CandidatePaths.shared(topology)
@@ -239,9 +249,9 @@ def test_a_mutated_topology_gets_a_fresh_provider_and_the_old_one_its_snapshot()
 
 
 def test_the_table_evicts_the_least_recently_used_provider_past_its_bound():
-    clear_candidate_paths()
+    clear_network_table()
     networks = []
-    for size in range(ksp.SHARED_PROVIDERS + 1):
+    for size in range(ksp.SHARED_NETWORKS + 1):
         line = Topology(f"line-{size}")
         for name in range(size + 2):
             line.add_node(str(name))
@@ -251,7 +261,7 @@ def test_the_table_evicts_the_least_recently_used_provider_past_its_bound():
     providers = [CandidatePaths.shared(network) for network in networks[:-1]]
     assert CandidatePaths.shared(networks[0]) is providers[0]  # now the most recent
     CandidatePaths.shared(networks[-1])  # one past the bound: evicts networks[1]'s
-    assert len(ksp._table.providers) == ksp.SHARED_PROVIDERS
+    assert len(ksp._table.entries) == ksp.SHARED_NETWORKS
     assert CandidatePaths.shared(networks[0]) is providers[0]
     assert all(
         CandidatePaths.shared(network) is provider
@@ -296,12 +306,12 @@ def test_threads_pulling_from_one_provider_all_get_networkx_lists():
 
 def test_a_forked_child_starts_from_an_empty_table():
     CandidatePaths.shared(build_geant())
-    assert ksp._table.providers
+    assert ksp._table.entries
     reader, writer = os.pipe()
     child = os.fork()
     if child == 0:  # pragma: no cover - runs in the child
         os.close(reader)
-        os.write(writer, str(len(ksp._table.providers)).encode())
+        os.write(writer, str(len(ksp._table.entries)).encode())
         os._exit(0)
     os.close(writer)
     with os.fdopen(reader) as answer:
@@ -309,4 +319,167 @@ def test_a_forked_child_starts_from_an_empty_table():
     _, status = os.waitpid(child, 0)
     assert os.waitstatus_to_exitcode(status) == 0
     assert inherited == "0"
-    assert ksp._table.providers  # the parent's table is untouched
+    assert ksp._table.entries  # the parent's table is untouched
+
+
+# --------------------------------------------------------------------- #
+# Plans and always-on sets in the network table
+# --------------------------------------------------------------------- #
+
+
+def harness_point():
+    """The first point of the harness grid, built on its own."""
+    spec = CampaignSpec.from_dict(geant_grid(11)).expand()[0].spec
+    return build_scenario_group([spec])[0]
+
+
+def triangle(name="triangle", kind="router", latency_s=0.001, capacity=mbps(100)):
+    topology = Topology(name)
+    for node in "abc":
+        topology.add_node(node, kind=kind)
+    for u, v in ("ab", "bc", "ac"):
+        topology.add_link(u, v, capacity_bps=capacity, latency_s=latency_s)
+    return topology
+
+
+def test_the_content_key_covers_what_a_plan_reads():
+    key = triangle().index().content_key
+    assert key == triangle().index().content_key
+    assert key[0] == triangle().index().search_key
+    # What Yen's enumeration reads is equal, what a plan reads is not.
+    for other in (triangle(kind="switch"), triangle(latency_s=0.002)):
+        assert other.index().search_key == key[0]
+        assert other.index().content_key != key
+    assert triangle(capacity=mbps(200)).index().content_key != key
+    # The name is left to the plan's own key: renaming stays an attribute write.
+    renamed = triangle()
+    index = renamed.index()
+    renamed.name = "renamed"
+    assert renamed.index() is index
+    assert triangle(name="other").index().content_key == key
+
+
+def test_calibrations_sit_beside_the_entries_keyed_by_what_a_calibration_reads():
+    """Networks that differ only in name or latencies share a calibration;
+    other capacities do not.  Calibrating makes no network entry, so it
+    cannot evict another network's paths or plans."""
+    clear_network_table()
+    base = TrafficMatrix({("a", "c"): mbps(10)})
+    hits = metrics.counter("repro_calibration_cache_hits_total")
+    misses = metrics.counter("repro_calibration_cache_misses_total")
+    before = hits.value, misses.value
+    scale = calibrate_max_load(triangle(), base)
+    for same in (triangle(name="other"), triangle(latency_s=0.002)):
+        assert calibrate_max_load(same, base) == scale
+    assert calibrate_max_load(triangle(capacity=mbps(200)), base) != scale
+    assert (hits.value - before[0], misses.value - before[1]) == (2, 2)
+    assert not ksp._table.entries
+
+
+def test_equal_networks_share_a_plan_and_what_differs_does_not():
+    """Two scenarios built apart on equal content share one plan and one
+    always-on set; a failure view or a mutated topology has its own entry,
+    and a renamed topology (the plan records the name), another power model,
+    other pairs or another config their own plan."""
+    clear_network_table()
+    built, again = harness_point(), harness_point()
+    assert built.topology is not again.topology
+    assert built.power_model is not again.power_model
+
+    def plan(scenario, **config):
+        return schemes.ResponseRuntime(**config).start(scenario).plan
+
+    def always_on(scenario, **config):
+        return schemes.AlwaysOnRuntime(**config).start(scenario)["always_on"]
+
+    first = plan(built)
+    assert plan(again) is first
+    assert always_on(again) is always_on(built)
+    entry = ksp.network_entry(built.topology)
+    assert ksp.network_entry(again.topology) is entry
+
+    degraded = TopologyView(built.topology, failed_links=[built.topology.link_keys()[0]])
+    mutated = build_geant()
+    mutated.add_link(*built.pairs[0], capacity_bps=mbps(100_000))
+    for other in (degraded.topology, mutated):
+        assert ksp.network_entry(other) is not entry
+    renamed = dataclasses.replace(again, topology=build_geant())
+    renamed.topology.name = "geant-renamed"
+    assert ksp.network_entry(renamed.topology) is entry
+    assert plan(renamed) is not first
+    assert plan(renamed).topology_name == "geant-renamed"
+    # An always-on set records no name, so it stays shared.
+    assert always_on(renamed) is always_on(built)
+
+    cheaper = CiscoRouterPowerModel(chassis_power_w=100.0)
+    for differs in (
+        dataclasses.replace(built, power_model=cheaper),
+        dataclasses.replace(built, pairs=built.pairs[1:]),
+    ):
+        assert plan(differs) is not first
+        assert always_on(differs) is not always_on(built)
+    assert plan(built, k=4) is not first
+    assert always_on(built, k=4) is not always_on(built)
+    assert plan(built) is first
+
+
+def test_threads_building_one_plan_all_get_the_value_stored_first():
+    clear_network_table()
+    entry = ksp.network_entry(build_geant())
+    workers = (os.cpu_count() or 1) + 2
+    start = threading.Barrier(workers, timeout=30)
+    misses = metrics.counter("repro_plan_memo_misses_total").labels(kind="plan")
+    before = misses.value
+    results = []
+
+    def build():
+        start.wait()  # every thread has missed before any stores
+        return object()
+
+    threads = [
+        threading.Thread(target=lambda: results.append(entry.plan("plan", "key", build)))
+        for _ in range(workers)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == workers and all(value is results[0] for value in results)
+    assert entry.plan("plan", "key", object) is results[0]
+    assert misses.value - before == workers
+
+
+def test_an_entry_keeps_its_most_recently_used_plans():
+    clear_network_table()
+    entry = ksp.network_entry(build_geant())
+    plans = [entry.plan("plan", index, object) for index in range(ksp.PLANS_PER_NETWORK)]
+    assert entry.plan("plan", 0, object) is plans[0]  # now the most recent
+    entry.plan("plan", "one past the bound", object)  # evicts plan 1
+    assert entry.plan("plan", 0, object) is plans[0]
+    assert all(
+        entry.plan("plan", index, object) is plans[index]
+        for index in range(2, ksp.PLANS_PER_NETWORK)
+    )
+    assert entry.plan("plan", 1, object) is not plans[1]
+    # Always-on sets are counted apart from plans.
+    assert entry.plan("always_on", 0, object) is not plans[0]
+
+
+def test_a_plan_build_pulling_its_own_entrys_paths_does_not_deadlock():
+    clear_network_table()
+    topology = build_geant()
+    pairs = sampled_pairs(topology)
+    entry = ksp.network_entry(topology)
+
+    def build():
+        again = build_geant()  # equal content: the same entry, looked up inside the build
+        return CandidatePaths.shared(again).for_pairs(pairs, 3), entry.plan("always_on", 0, dict)
+
+    result = []
+    thread = threading.Thread(target=lambda: result.append(entry.plan("plan", 0, build)))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    paths, _ = result[0]
+    assert paths == {pair: k_shortest_paths(topology, *pair, 3) for pair in pairs}

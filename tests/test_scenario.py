@@ -677,11 +677,11 @@ def test_optimal_does_not_hide_a_bug_behind_the_heuristic(monkeypatch):
 
 
 def test_cached_candidates_reset_on_new_topology():
-    from repro.routing.ksp import CandidatePaths, clear_candidate_paths
+    from repro.routing.ksp import CandidatePaths, clear_network_table
     from repro.simulator.failures import TopologyView
     from repro.topology.fattree import build_fattree, hosts
 
-    clear_candidate_paths()
+    clear_network_table()
     first_topology = build_fattree(4)
     host_names = hosts(first_topology)
     pairs = [(host_names[0], host_names[4])]

@@ -35,6 +35,7 @@ import pytest
 from repro.campaign import CampaignSpec, CampaignStore, run_campaign
 from repro.campaign.store import canonical_result_dict
 from repro.obs import metrics
+from repro.routing.ksp import clear_network_table
 from repro.scenario.engine import run_scenario
 from repro.scenario.registry import registered_components
 from repro.service.handlers import ServiceState, run_scenario_payload, submit_campaign_payload
@@ -532,48 +533,69 @@ def test_campaign_lifecycle_matches_offline_serial_run(tmp_path):
 
 
 def test_default_submission_shares_the_lone_drains_offline_work(tmp_path):
-    """A default ``POST /campaigns`` is grouped exactly like a lone drain.
+    """A default submission is grouped like a lone drain, and builds no
+    more of the offline half than one.
 
-    The grid's four points share one network and two pair sets, so a drain
-    whose claim covers it builds each pair set's REsPoNse plan (two path
-    MILPs) once; a ``chunk_size=1`` submission (every group a single point)
-    pays per point.  Before the service shared ``run_campaign``'s default
-    claim it drained every submission at one point per claim.  (The
-    ``workers=2`` fleet's dump identity is pinned by
-    ``test_campaign_lifecycle_matches_offline_serial_run``.)  Candidate paths
-    are shared by the whole process, so their enumeration no longer shows
-    the grouping; the path-MILP count does.  Submissions drain in the
-    service's drain process, so their solves are read from its snapshot in
-    ``GET /metrics`` (``process="drain"``).
+    The grid's four points share one network and two pair sets, so a lone
+    drain from an empty network table builds each pair set's REsPoNse plan
+    (two path MILPs) once.  So does the service's drain process, even for a
+    ``chunk_size=1`` submission (every group a single point): plans are kept
+    per process, by network content.  A later default submission of the
+    same grid builds none, and its plan hits show in the drain process's
+    snapshot in ``GET /metrics`` (``process="drain"``), beside its solves.
+
+    Plans no longer show the grouping; ECMP's path sets do, since they are
+    kept on each group's topology object.  Before the service shared
+    ``run_campaign``'s default claim it drained every submission at one
+    point per claim, and its ECMP searches (``repro_path_searches_total``
+    of kind ``bfs``) were the ``chunk_size=1`` submission's.
     """
     solves = metrics.counter("repro_milp_solves_total").labels(kind="path")
+    clear_network_table()
     before = solves.value
     run_campaign(campaign_dict("svc-shared"), store_path=tmp_path / "lone.sqlite")
     lone = solves.value - before
 
-    def drain_path_milps(server):
+    def drain_counter(server, name, kind):
         _, payload = get_json(server, "/metrics?format=json")
-        family = payload["metrics"].get("repro_milp_solves_total", {"samples": []})
+        family = payload["metrics"].get(name, {"samples": []})
         return sum(
             sample["value"]
             for sample in family["samples"]
-            if sample["labels"] == {"kind": "path", "process": "drain"}
+            if sample["labels"] == {"kind": kind, "process": "drain"}
         )
 
-    def path_milps_drained_by(server, body):
-        before = drain_path_milps(server)
+    def drained_by(server, body):
+        before = [drain_counter(server, *counted) for counted in DRAIN_COUNTERS]
         _, submitted = post_json(server, "/campaigns", body)
         final = wait_for_job(server, submitted["campaign_id"])
         assert final["job"]["state"] == "done"
         assert final["counts"] == {"done": 4, "error": 0, "pending": 0, "total": 4}
-        return drain_path_milps(server) - before
+        after = [drain_counter(server, *counted) for counted in DRAIN_COUNTERS]
+        return [now - then for now, then in zip(after, before, strict=True)]
 
     with service(tmp_path) as server:
-        default = path_milps_drained_by(server, {"spec": campaign_dict("svc-shared")})
-        per_point = path_milps_drained_by(
+        per_point = drained_by(
             server, {"spec": campaign_dict("svc-per-point"), "chunk_size": 1}
         )
-    assert 0 < default == lone < per_point
+        default = drained_by(server, {"spec": campaign_dict("svc-shared")})
+    # (path MILPs, plan hits, plan misses, ECMP searches)
+    assert lone > 0
+    assert per_point[:3] == [lone, 2, 2]
+    assert default[:3] == [0, 4, 0]
+    # One group searches each of the two pair sets' 6 pairs once; four
+    # one-point groups search each point's 6 pairs on their own topologies.
+    assert (default[3], per_point[3]) == (12, 24)
+
+
+#: What :func:`test_default_submission_shares_the_lone_drains_offline_work`
+#: reads of the drain process's snapshot: ``(family, kind label)``.
+DRAIN_COUNTERS = (
+    ("repro_milp_solves_total", "path"),
+    ("repro_plan_memo_hits_total", "plan"),
+    ("repro_plan_memo_misses_total", "plan"),
+    ("repro_path_searches_total", "bfs"),
+)
 
 
 def test_campaign_query_validation(tmp_path):
@@ -769,7 +791,9 @@ def frozen_mid_group(store_path, campaign_id):
 
 
 def test_a_killed_drain_process_fails_its_job_and_a_resubmission_finishes_it(tmp_path):
-    body = {"spec": campaign_dict("svc-killed"), "chunk_size": 1, "lease_seconds": 2}
+    """At the default lease: the dead process's leases go back when the
+    server reaps it, so the resubmission does not wait them out."""
+    body = {"spec": campaign_dict("svc-killed"), "chunk_size": 1}
     with service(tmp_path) as server:
         jobs = server.state.jobs
         _, submitted = post_json(server, "/campaigns", body)
@@ -782,6 +806,7 @@ def test_a_killed_drain_process_fails_its_job_and_a_resubmission_finishes_it(tmp
         assert final["job"]["state"] == "failed"
         assert final["job"]["error"] == "drain process exited with code -9"
         assert final["counts"]["pending"] > 0
+        assert final["leases"] == []  # released when the server reaped the process
         prefix = f"/campaigns/{campaign_id[:12]}"
         for path in (f"{prefix}/status", f"{prefix}/points", f"{prefix}/report", "/campaigns"):
             assert get_json(server, path)[0] == 200

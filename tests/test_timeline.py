@@ -651,10 +651,10 @@ def test_solver_runtime_memoises_unchanged_intervals(monkeypatch):
 
 
 def test_candidate_paths_survive_across_timeline_steps(monkeypatch):
-    from repro.routing.ksp import CandidatePaths, clear_candidate_paths
+    from repro.routing.ksp import CandidatePaths, clear_network_table
     from repro.scenario.engine import run_built_scenario
 
-    clear_candidate_paths()
+    clear_network_table()
     providers = []
     real_init = CandidatePaths.__init__
 
@@ -882,9 +882,13 @@ def test_traced_timeline_is_bit_identical_and_covers_every_interval(tmp_path, re
     from repro.campaign.store import canonical_result_dict
     from repro.obs import trace
 
+    from repro.routing.ksp import clear_network_table
+
     spec = geant_failure_spec()
     plain = run_scenario(spec)
     trace_path = tmp_path / "timeline.ndjson"
+    # From an empty network table, so the traced run builds its plan again.
+    clear_network_table()
     trace.configure_tracing(trace_path)
     try:
         traced = run_scenario(spec)
