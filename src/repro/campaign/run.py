@@ -4,10 +4,12 @@ There is one way to execute a campaign's points — a lease worker's drain
 (:meth:`PreparedDrain.drain`): claim pending points from the
 :class:`~repro.campaign.store.CampaignStore` under a lease → cut the claim
 into groups that declare the same topology, power and routing
-(:func:`~repro.scenario.engine.group_signature`) → evaluate every group as
-one problem that computes its offline half — built stack, candidate paths,
-REsPoNse plans — once → persist the group's outcomes in a **single
-transaction** → renew the lease on what is left of the claim → claim again.
+(:func:`~repro.scenario.engine.group_signature`) → build every group's
+stack once and run its points on it one at a time, renewing the lease on
+the claim before each → persist the group's outcomes in a **single
+transaction** → claim again.  What the points compute — candidate paths,
+REsPoNse plans, GreenTE solves, ECMP evaluations — the process keeps per
+network content, whatever group asks.
 Killing a drain therefore loses at most the group in flight (never part of
 one), and re-invoking it completes exactly the missing points: the store
 ends up bit-for-bit identical (modulo wall-clock fields) to an
@@ -36,12 +38,12 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from multiprocessing import get_all_start_methods, get_context
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 from ..exceptions import ConfigurationError
 from ..obs import metrics, trace
 from ..outcome import ScenarioResult
-from ..scenario.engine import build_scenario_group, group_signature, run_built_scenarios_batch
+from ..scenario.engine import build_scenario_group, group_signature, run_built_scenario
 from .spec import CampaignPoint, CampaignSpec
 from .store import DEFAULT_LEASE_SECONDS, CampaignStore, PointRecord
 
@@ -165,7 +167,7 @@ def claim_size(
 
 
 def _plan_groups(points: Sequence[CampaignPoint]) -> List[List[CampaignPoint]]:
-    """Partition a claim into the groups that are evaluated as one problem.
+    """Partition a claim into the groups that each share one built stack.
 
     Points sharing a :func:`~repro.scenario.engine.group_signature` land in
     one group; a point with none (an eventful scenario) is a group of one.
@@ -180,14 +182,21 @@ def _plan_groups(points: Sequence[CampaignPoint]) -> List[List[CampaignPoint]]:
     return list(groups.values())
 
 
-def _run_group(points: Sequence[CampaignPoint]) -> List[ScenarioResult]:
-    """Build a group's scenarios as one stack and run them in one pass."""
-    return run_built_scenarios_batch(
-        build_scenario_group([point.spec for point in points])
-    )
+def _run_group(
+    points: Sequence[CampaignPoint], heartbeat: Callable[[], Any]
+) -> List[ScenarioResult]:
+    """Build a group's scenarios as one stack and run them one at a time,
+    calling *heartbeat* before each."""
+    results = []
+    for built in build_scenario_group([point.spec for point in points]):
+        heartbeat()
+        results.append(run_built_scenario(built))
+    return results
 
 
-def _group_records(points: Sequence[CampaignPoint]) -> List[PointRecord]:
+def _group_records(
+    points: Sequence[CampaignPoint], heartbeat: Callable[[], Any]
+) -> List[PointRecord]:
     """Evaluate one group, isolating failures to the points that caused them.
 
     Any failure inside a group of several (one bad spec, a scheme error)
@@ -197,7 +206,7 @@ def _group_records(points: Sequence[CampaignPoint]) -> List[PointRecord]:
     """
     start = time.perf_counter()
     try:
-        results = _run_group(points)
+        results = _run_group(points, heartbeat)
     except Exception:
         if len(points) == 1:
             return [
@@ -208,7 +217,7 @@ def _group_records(points: Sequence[CampaignPoint]) -> List[PointRecord]:
                 )
             ]
         _BATCH_GROUP_FALLBACKS.inc()
-        return [record for point in points for record in _group_records([point])]
+        return [record for point in points for record in _group_records([point], heartbeat)]
     share = (time.perf_counter() - start) / len(points)
     records = []
     for point, result in zip(points, results, strict=True):
@@ -226,7 +235,7 @@ def _group_records(points: Sequence[CampaignPoint]) -> List[PointRecord]:
 
 
 def _evaluate_group(
-    points: Sequence[CampaignPoint], profile: bool
+    points: Sequence[CampaignPoint], profile: bool, heartbeat: Callable[[], Any]
 ) -> List[PointRecord]:
     """One group's persistable records, with its phase timings when profiled.
 
@@ -235,11 +244,11 @@ def _evaluate_group(
     group of one carries its own phases whole.
     """
     if not profile:
-        return _group_records(points)
+        return _group_records(points, heartbeat)
     collector = trace.PhaseCollector()
     start = time.perf_counter()
     with trace.collect(collector):
-        records = _group_records(points)
+        records = _group_records(points, heartbeat)
     totals = collector.phases(time.perf_counter() - start)
     phases = {phase: seconds / len(points) for phase, seconds in totals.items()}
     return [dataclasses.replace(record, phases=phases) for record in records]
@@ -308,20 +317,26 @@ class PreparedDrain:
     profile: bool
 
     def drain(self, index: int) -> WorkerTally:
-        """Run worker *index*: claim → group → evaluate → commit → renew.
+        """Run worker *index*: claim → group → evaluate → commit.
 
         The worker opens its own store connection (one per process or
         thread) and never registers or resets anything: the prepare step
         did, once.  When nothing is claimable but pending points remain,
         they are leased to peers: the worker polls until they complete,
         error out, or their leases expire (the crash-recovery path, where
-        this worker takes them over).
+        this worker takes them over).  The worker renews its leases before
+        each point it runs, so a lease only expires when one point outlasts
+        it or the worker stops making progress.
         """
         worker_id = self.worker_ids[index]
         quota = self.quotas[index]
         by_hash = {point.config_hash: point for point in self.points}
         tally = WorkerTally()
         with CampaignStore(self.store_path, read_only=False) as store:
+
+            def heartbeat() -> None:
+                store.renew_leases(self.campaign_id, worker_id, self.lease_seconds)
+
             while quota is None or tally.executed < quota:
                 limit = self.claim_size
                 if quota is not None:
@@ -343,12 +358,7 @@ class PreparedDrain:
                             store,
                             self.campaign_id,
                             tally,
-                            _evaluate_group(group, self.profile),
-                        )
-                        # Heartbeat between groups: the lease only expires if
-                        # this worker actually stops making progress.
-                        store.renew_leases(
-                            self.campaign_id, worker_id, self.lease_seconds
+                            _evaluate_group(group, self.profile, heartbeat),
                         )
                 except BaseException:
                     # Interrupted mid-claim: the group in flight persisted
@@ -450,9 +460,8 @@ def run_campaign(
 
     Every point runs through the lease worker's drain (see the module
     docstring): claims are grouped by topology, power and routing, every
-    group is evaluated as one problem that shares its offline half — built
-    stack, candidate paths, REsPoNse plans, repeated solves — and commits
-    in one transaction.  Results are bit-identical to per-point execution
+    group's points run on one built stack and the group commits in one
+    transaction.  Results are bit-identical to per-point execution
     (``chunk_size=1``) whatever the number of workers.  Points a live peer
     holds under a lease are left to it: the drain waits for them and takes
     them over only once the lease has expired.
@@ -477,7 +486,7 @@ def run_campaign(
             of a long campaign (and the deterministic stand-in for a killed
             run in tests).
         lease_seconds: How long a claim lasts without renewal (renewed
-            after every group).
+            before every point).
         profile: Collect a phase-timing breakdown
             (build/calibrate/solve/allocate/overhead) and persist it on
             the point rows (``phases_json``) for ``campaign-report

@@ -7,12 +7,15 @@ pair"; the same restriction powers this reproduction's path-based MILP
 
 REsPoNse computes its paths once, offline: the candidate paths, a
 calibration, a plan and its always-on set are pure functions of the network
-and a few other inputs, never of the traffic being replayed.  The process
-keeps them in one table: a :class:`NetworkEntry` per network content
-(:func:`network_entry`) for paths, plans and always-on sets, and beside the
-entries the calibrations (:func:`calibration_memo`), keyed by the narrower
-content a calibration reads.  So a drain, a ``--worker-id`` claim or a
-replay that repeats a network the process has seen builds none of them again.
+and a few other inputs, never of the traffic being replayed.  So are the
+per-interval values the baselines compute (a GreenTE solve, an ECMP
+evaluation) once the demand matrix joins their key.  The process keeps all
+of them under one rule, in one table: a :class:`NetworkEntry` per network
+content (:func:`network_entry`) for paths, plans, always-on sets, GreenTE
+solves and ECMP evaluations, and beside the entries the calibrations
+(:func:`calibration_memo`), keyed by the narrower content a calibration
+reads.  So a drain, a ``--worker-id`` claim or a replay that repeats what
+the process has computed computes none of it again.
 """
 
 from __future__ import annotations
@@ -58,11 +61,32 @@ SHARED_NETWORKS = 8
 #: needs one per (pair set, config, power model, peak).
 PLANS_PER_NETWORK = 16
 
+#: GreenTE solves, and apart from them ECMP evaluations, each network keeps,
+#: least recently used out first: one per demand matrix and power table.  A
+#: solve retains 4.7 kB on the harness grid's 12 GÉANT pairs and 22.9 kB on
+#: 150 Genuity pairs, an ECMP evaluation 5.1 kB and 14.3 kB, plus 5.6 kB and
+#: 11.5 kB for the base network's content key once no topology object holds
+#: it (tracemalloc), so 128 of each stay under 6.3 MB a network on Genuity
+#: and hold a GÉANT day of 15-minute intervals.
+INTERVALS_PER_NETWORK = 128
+
+#: Each kind a :class:`NetworkEntry` keeps, and how many of it.
+_BOUNDS = {
+    "plan": PLANS_PER_NETWORK,
+    "always_on": PLANS_PER_NETWORK,
+    "greente": INTERVALS_PER_NETWORK,
+    "ecmp": INTERVALS_PER_NETWORK,
+}
+
 _PLAN_HITS = metrics.counter(
-    "repro_plan_memo_hits_total", "REsPoNse plans and always-on sets found in the network table"
+    "repro_plan_memo_hits_total",
+    "Values found in the network table: REsPoNse plans, always-on sets, "
+    "GreenTE solves and ECMP evaluations",
 )
 _PLAN_MISSES = metrics.counter(
-    "repro_plan_memo_misses_total", "REsPoNse plans and always-on sets built for the network table"
+    "repro_plan_memo_misses_total",
+    "Values computed for the network table: REsPoNse plans, always-on sets, "
+    "GreenTE solves and ECMP evaluations",
 )
 
 
@@ -198,9 +222,10 @@ class NetworkEntry(Memo):
     (:attr:`~repro.topology.index.TopologyIndex.content_key`).
 
     ``paths`` is the provider every path-restricted solver draws from;
-    :meth:`plan` holds the network's ``"plan"`` and ``"always_on"`` values
-    by power table, config, pairs and peak matrix
-    (:mod:`repro.scenario.schemes`).
+    :meth:`value` holds what the scheme runtimes compute on the network
+    (:mod:`repro.scenario.schemes`): ``"plan"`` and ``"always_on"`` values
+    by power table, config, pairs and peak matrix, ``"greente"`` solves and
+    ``"ecmp"`` evaluations by what they read and the demand matrix.
     """
 
     def __init__(self, topology: Topology) -> None:
@@ -208,12 +233,12 @@ class NetworkEntry(Memo):
         #: The network's candidate-path provider (:meth:`CandidatePaths.shared`).
         self.paths = CandidatePaths(topology)
 
-    def plan(self, kind: str, key: Hashable, build: Callable[[], T]) -> T:
-        """:meth:`memo` of a ``"plan"`` or an ``"always_on"``: one of
-        :data:`PLANS_PER_NETWORK`, counted in
-        ``repro_plan_memo_{hits,misses}_total{kind}``."""
+    def value(self, kind: str, key: Hashable, build: Callable[[], T]) -> T:
+        """:meth:`memo` of one of the kinds above, within its bound
+        (:data:`PLANS_PER_NETWORK`, :data:`INTERVALS_PER_NETWORK`), counted
+        in ``repro_plan_memo_{hits,misses}_total{kind}``."""
         counters = (_PLAN_HITS.labels(kind=kind), _PLAN_MISSES.labels(kind=kind))
-        return self.memo(kind, key, build, counters, PLANS_PER_NETWORK)
+        return self.memo(kind, key, build, counters, _BOUNDS[kind])
 
 
 class _Table:

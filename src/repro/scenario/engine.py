@@ -2,15 +2,15 @@
 
 :func:`build_scenario` resolves a :class:`~repro.scenario.spec.ScenarioSpec`
 against the component registry into a concrete stack (topology, power model,
-traffic trace, pairs, optional baseline routing).  One interval-major driver
-(``_drive``) steps every scheme over the merged event/trace
+traffic trace, pairs, optional baseline routing).  One driver (``_drive``)
+steps every scheme of a scenario over the merged event/trace
 :class:`~repro.scenario.timeline.Timeline` and returns a uniform
-:class:`~repro.outcome.ScenarioResult` per scenario — including, for
-eventful scenarios, the fired events and per-event reaction metrics.
-Three entries call it: :func:`run_built_scenario` (one scenario, optionally
-streaming each interval), :func:`run_built_scenarios_batch` (a group built
-by :func:`build_scenario_group`) and :func:`scheme_outcomes` (each scheme's
-details); :func:`run_scenario` builds a spec and runs it.
+:class:`~repro.outcome.ScenarioResult` — including, for eventful scenarios,
+the fired events and per-event reaction metrics.  Two entries call it:
+:func:`run_built_scenario` (optionally streaming each interval) and
+:func:`scheme_outcomes` (each scheme's details); :func:`run_scenario` builds
+a spec and runs it.  :func:`build_scenario_group` builds the scenarios of a
+campaign group on one shared stack, and each is run on its own.
 """
 
 from __future__ import annotations
@@ -33,10 +33,8 @@ from .components import BuiltTraffic, as_built_traffic
 from .registry import resolve
 from .spec import ScenarioSpec, SchemeSpec
 from .timeline import (
-    GroupComputeCache,
     IntervalCallback,
     SchemeRuntime,
-    Timeline,
     TimelineEvent,
     TimelineStep,
     build_timeline,
@@ -71,10 +69,6 @@ class BuiltScenario:
     events: List[TimelineEvent]
     routing: Optional[RoutingTable] = None
     traffic: Optional[BuiltTraffic] = None
-    #: Memo for computations the scenarios built as one group can share
-    #: (see :class:`~repro.scenario.timeline.GroupComputeCache`); a scenario
-    #: built on its own owns a private one.
-    shared: GroupComputeCache = field(default_factory=GroupComputeCache)
 
     def peak_matrix(self) -> TrafficMatrix:
         """The workload's peak demand estimate."""
@@ -131,11 +125,9 @@ def build_scenario_group(specs: Sequence[Any]) -> List[BuiltScenario]:
     sections (grouping by :func:`group_signature` guarantees this).  The group
     shares one built :class:`Topology` and :class:`PowerModel` object, one
     baseline-power evaluation, one built workload per distinct traffic
-    section and one routing table per distinct (routing, pairs) combination.
-    Every returned :class:`BuiltScenario` carries the same
-    :class:`~repro.scenario.timeline.GroupComputeCache` in ``shared``, which
-    scheme runtimes use to reuse per-interval solver calls across the
-    group's points (plans and candidate paths are kept per process).
+    section and one routing table per distinct (routing, pairs) combination
+    (what the schemes compute is kept per process, by network content:
+    :class:`~repro.routing.ksp.NetworkEntry`).
 
     Every component is built by the same call whatever the group's size
     (:func:`build_scenario` is the group of one), so a scenario runs
@@ -159,7 +151,6 @@ def build_scenario_group(specs: Sequence[Any]) -> List[BuiltScenario]:
         shared_topology = scenario_specs[0].topology.build()
         shared_model = scenario_specs[0].power.build(shared_topology)
         baseline_power_w = full_power(shared_topology, shared_model).total_w
-        shared_cache = GroupComputeCache()
 
         traffic_cache: Dict[str, BuiltTraffic] = {}
         routing_cache: Dict[Tuple[str, Tuple[Pair, ...]], RoutingTable] = {}
@@ -198,7 +189,6 @@ def build_scenario_group(specs: Sequence[Any]) -> List[BuiltScenario]:
                     events=events,
                     routing=routing,
                     traffic=built_traffic,
-                    shared=shared_cache,
                 )
             )
         return builts
@@ -234,17 +224,7 @@ def run_built_scenario(
             label.  The scenario service streams replay telemetry through
             it; the returned result is the same with or without it.
     """
-    return _drive([built], [_Sinks(on_interval)], scenario=built.spec.name)[0]
-
-
-def run_built_scenarios_batch(builts: Sequence[BuiltScenario]) -> List[ScenarioResult]:
-    """Run a group of built scenarios through one interval-major pass.
-
-    The companion to :func:`build_scenario_group`: all scenarios' timelines
-    advance together, so group-shared caches stay hot across points, and
-    each result equals :func:`run_built_scenario` of its scenario alone.
-    """
-    return _drive(builts, [_Sinks() for _ in builts], group_size=len(builts))
+    return _drive(built, _Sinks(on_interval))
 
 
 def scheme_outcomes(built: BuiltScenario) -> Dict[str, Dict[str, Any]]:
@@ -256,13 +236,13 @@ def scheme_outcomes(built: BuiltScenario) -> Dict[str, Dict[str, Any]]:
     drivers that need more than the uniform :class:`ScenarioResult` series.
     """
     sinks = _Sinks()
-    _drive([built], [sinks], scenario=built.spec.name)
+    _drive(built, sinks)
     return sinks.details
 
 
 @dataclass
 class _SchemeProgress:
-    """One (scenario, scheme) pair being driven through the pass."""
+    """One scheme of the scenario being driven through the pass."""
 
     label: str
     runtime: SchemeRuntime
@@ -318,67 +298,43 @@ class _Sinks:
     details: Dict[str, Dict[str, Any]] = field(default_factory=dict)
 
 
-def _drive(
-    builts: Sequence[BuiltScenario], sinks: Sequence[_Sinks], **span: Any
-) -> List[ScenarioResult]:
-    """The one timeline driver: an interval-major pass over built scenarios.
+def _drive(built: BuiltScenario, sinks: _Sinks) -> ScenarioResult:
+    """The one timeline driver: a pass over one built scenario.
 
-    Every runtime is started up-front, then interval ``i`` of every
-    (scenario, scheme) pair runs before interval ``i+1`` of any, and each
-    scenario's completed interval goes to its :class:`_Sinks`.  Schemes are
-    independent (each runtime owns its state), so per (scenario, scheme)
-    the sequence of ``step`` calls — and therefore every computed value —
-    does not depend on what else is in the pass; the interleaving is what
-    lets the scenarios' shared
-    :class:`~repro.scenario.timeline.GroupComputeCache` turn repeated
-    solves into lookups.  Wall-clock ``compute_seconds`` are the
-    only fields that can differ between two passes, and every
-    determinism-sensitive comparison strips them.  *span* holds the
-    attributes of the pass's ``timeline.run`` span.
+    Every runtime is started up-front, then interval ``i`` of every scheme
+    runs before interval ``i+1`` of any, and each completed interval goes
+    to the :class:`_Sinks`.  Schemes are independent (each runtime owns its
+    state), and what a runtime memoises is a pure function of its key, so
+    every computed value is the same whatever ran before; wall-clock
+    ``compute_seconds`` are the only fields that can differ between two
+    passes, and every determinism-sensitive comparison strips them.
 
     Raises:
-        ConfigurationError: If a scenario names no schemes.
+        ConfigurationError: If the scenario names no schemes.
     """
-    for built in builts:
-        if not built.spec.schemes:
-            raise ConfigurationError(
-                "the scenario names no schemes; add at least one to its 'schemes' list"
-            )
-    with trace.span("timeline.run", **span):
-        timelines: List[Timeline] = []
-        progress: List[List[_SchemeProgress]] = []
-        for built in builts:
-            timelines.append(build_timeline(built.topology, built.trace, built.events))
-            progress.append([_start_scheme(built, scheme) for scheme in built.spec.schemes])
-
-        # Traces may differ in length across the scenarios; a shorter one
-        # simply stops participating early.
-        for index in range(max((len(timeline) for timeline in timelines), default=0)):
-            with trace.span("timeline.interval", interval=index, group_size=len(builts)):
-                for built, timeline, schemes, sink in zip(
-                    builts, timelines, progress, sinks, strict=True
-                ):
-                    if index < len(timeline):
-                        step = timeline.steps[index]
-                        threshold = built.spec.utilisation_threshold
-                        outcomes = {
-                            scheme.label: _step_scheme(scheme, step, threshold)
-                            for scheme in schemes
-                        }
-                        if sink.on_interval is not None:
-                            sink.on_interval(step, outcomes)
-        for schemes, sink in zip(progress, sinks, strict=True):
-            for scheme in schemes:
-                sink.details[scheme.label] = scheme.runtime.finish(scheme.state)
-
-    return [
-        ScenarioResult.collect(
-            timeline.steps,
-            {scheme.label: scheme.outcomes for scheme in schemes},
-            name=built.spec.name,
-            config_hash=built.spec.config_hash(),
-            times_s=built.trace.timestamps(),
-            spec=built.spec.to_dict(),
+    if not built.spec.schemes:
+        raise ConfigurationError(
+            "the scenario names no schemes; add at least one to its 'schemes' list"
         )
-        for built, timeline, schemes in zip(builts, timelines, progress, strict=True)
-    ]
+    threshold = built.spec.utilisation_threshold
+    with trace.span("timeline.run", scenario=built.spec.name):
+        timeline = build_timeline(built.topology, built.trace, built.events)
+        schemes = [_start_scheme(built, scheme) for scheme in built.spec.schemes]
+        for step in timeline.steps:
+            with trace.span("timeline.interval", interval=step.index):
+                outcomes = {
+                    scheme.label: _step_scheme(scheme, step, threshold) for scheme in schemes
+                }
+                if sinks.on_interval is not None:
+                    sinks.on_interval(step, outcomes)
+        for scheme in schemes:
+            sinks.details[scheme.label] = scheme.runtime.finish(scheme.state)
+
+    return ScenarioResult.collect(
+        timeline.steps,
+        {scheme.label: scheme.outcomes for scheme in schemes},
+        name=built.spec.name,
+        config_hash=built.spec.config_hash(),
+        times_s=built.trace.timestamps(),
+        spec=built.spec.to_dict(),
+    )

@@ -9,15 +9,13 @@ failure-adjusted topology view.  The timeline engine drives the runtimes;
 is the only scheme form: the timeline rejects any other registered
 component.
 
-Two memo rules serve the runtimes, and every memoised value is a pure
-function of its key's inputs, so a hit returns exactly what a fresh
-computation would.  The offline half — REsPoNse plans and always-on sets,
-like the candidate paths every path-restricted solver draws from — lives
+One memo rule serves the runtimes: what they compute — REsPoNse plans and
+always-on sets, like the candidate paths every path-restricted solver draws
+from, and per demand matrix a GreenTE solve or an ECMP evaluation — lives
 in the process's :class:`~repro.routing.ksp.NetworkEntry` of the network's
-content, whatever group, drain or replay asks.  Per-interval values (a
-GreenTE solve, an ECMP evaluation: one per demand matrix) go through
-``scenario.shared``, the group's
-:class:`~repro.scenario.timeline.GroupComputeCache`, and end with it.
+content, keyed on what the computation reads, whatever group, drain or
+replay asks.  Every memoised value is a pure function of its key's inputs,
+so a hit returns exactly what a fresh computation would.
 """
 
 from __future__ import annotations
@@ -181,16 +179,15 @@ class GreenTERuntime(SolverReplayRuntime):
                 ordering="stable",
             )
 
-        # The heuristic is a pure function of these inputs; TrafficMatrix
-        # hashes by content, so points sharing a demand matrix share the
-        # solve; the topology/power objects key by identity.
-        return scenario.shared.memo(
+        # The heuristic reads the surviving network (the entry's content),
+        # the watts the model charges its elements and these inputs;
+        # TrafficMatrix hashes by content.
+        return network_entry(view.topology).value(
+            "greente",
             (
-                "greente-solve",
                 self.k,
                 self.utilisation_limit,
-                view.topology,
-                scenario.power_model,
+                element_power(view.topology, scenario.power_model).charges,
                 matrix,
             ),
             compute,
@@ -397,12 +394,13 @@ class ECMPRuntime(SchemeRuntime):
                 ecmp_max_utilisation(view.topology, effective),
             )
 
-        nodes, links, total_w, max_utilisation = scenario.shared.memo(
+        # The paths are the surviving network's (the entry's content), the
+        # watts the base network's.
+        nodes, links, total_w, max_utilisation = network_entry(view.topology).value(
+            "ecmp",
             (
-                "ecmp-core",
-                view.topology,
-                scenario.topology,
-                scenario.power_model,
+                scenario.topology.index().content_key,
+                element_power(scenario.topology, scenario.power_model).charges,
                 effective,
             ),
             compute,
@@ -482,7 +480,7 @@ class ResponseRuntime(SchemeRuntime):
         # inputs, so every scenario of the process on an equal network
         # shares one plan build; nothing mutates a plan once built.  The
         # plan records the topology's name, so the name is part of its key.
-        plan = network_entry(scenario.topology).plan(
+        plan = network_entry(scenario.topology).value(
             "plan",
             (
                 scenario.topology.name,
@@ -566,7 +564,7 @@ class AlwaysOnRuntime(SchemeRuntime):
                 pairs=scenario.pairs,
             )
 
-        always_on = network_entry(scenario.topology).plan(
+        always_on = network_entry(scenario.topology).value(
             "always_on",
             (
                 element_power(scenario.topology, scenario.power_model).charges,

@@ -14,16 +14,15 @@ step it through the intervals.  This module holds what that loop runs on:
 * every scheme runs as a :class:`SchemeRuntime` — ``start(scenario)``
   builds long-lived state once (REsPoNse plans, warm-start memory),
   ``step(state, t, matrix, view)`` advances one interval incrementally and
-  returns an :class:`~repro.outcome.IntervalOutcome`;
-* a :class:`GroupComputeCache` lets the scenarios built as one group share
-  per-interval solves (the offline half — candidate paths, plans — is kept
-  per process, by network content: :class:`~repro.routing.ksp.NetworkEntry`).
+  returns an :class:`~repro.outcome.IntervalOutcome`.
 
-The loop itself — the one interval-major driver — lives beside the result
-it returns, in :mod:`repro.scenario.engine`.  Runtimes only *reuse* state
-(precomputed plans, cached candidates, unchanged-input memoisation); they
-never change what is computed, so the values do not depend on which hooks
-are attached or on what else shares the pass.
+The loop itself — the one timeline driver — lives beside the result it
+returns, in :mod:`repro.scenario.engine`.  Runtimes only *reuse* state
+(precomputed plans, cached candidates, unchanged-input memoisation, the
+values the process keeps per network content in a
+:class:`~repro.routing.ksp.NetworkEntry`); they never change what is
+computed, so the values do not depend on which hooks are attached or on
+what ran before.
 """
 
 from __future__ import annotations
@@ -382,43 +381,3 @@ class SchemeRuntime:
 #: every scheme has advanced through it, with the step and that interval's
 #: per-scheme outcomes (keyed by scheme label).
 IntervalCallback = Callable[[TimelineStep, Mapping[str, IntervalOutcome]], None]
-
-
-# --------------------------------------------------------------------- #
-# Group-shared computations
-# --------------------------------------------------------------------- #
-
-
-class GroupComputeCache:
-    """Memoised per-interval computations for the scenarios built as one group.
-
-    :func:`~repro.scenario.engine.build_scenario_group` builds every
-    scenario of a group against the *same* topology/power objects and hands
-    each :class:`~repro.scenario.engine.BuiltScenario` the same cache (its
-    ``shared`` field); a solo build is the group of one and a hand-made
-    ``BuiltScenario`` gets a private cache.  The solver runtimes consult it
-    in ``step``: the first point of a group pays for a GreenTE solve or an
-    ECMP evaluation of a demand matrix, and every other point of the group
-    that steps through the same matrix on the *same objects* reuses the
-    value.  Keys hold the shared inputs themselves: a topology and a power
-    model hash and compare by identity, and the key keeps each alive as
-    long as the cache.
-
-    These values are one per demand matrix, and a later group rarely
-    replays the matrices of an earlier one, so they end with the group.
-    What a group of any size repeats — candidate paths, calibrations,
-    REsPoNse plans and always-on sets, the offline half — is kept per
-    process instead, by network content
-    (:class:`~repro.routing.ksp.NetworkEntry`).  Sharing never changes a
-    value: a memoised computation is a pure function of its key's inputs,
-    so each point's results stay bit-identical to a run on its own.
-    """
-
-    def __init__(self) -> None:
-        self._values: Dict[Any, Any] = {}
-
-    def memo(self, key: Any, factory: Callable[[], Any]) -> Any:
-        """The cached value for *key*, computing it via *factory* once."""
-        if key not in self._values:
-            self._values[key] = factory()
-        return self._values[key]

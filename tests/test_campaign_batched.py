@@ -233,11 +233,11 @@ def test_kill_mid_batch_group_loses_only_that_group_then_resumes(tmp_path, monke
     real = campaign_run._run_group
     calls = []
 
-    def kill_second_group(points):
+    def kill_second_group(points, heartbeat):
         calls.append(len(points))
         if len(calls) == 2:
             raise KeyboardInterrupt("killed mid-batch-group")
-        return real(points)
+        return real(points, heartbeat)
 
     monkeypatch.setattr(campaign_run, "_run_group", kill_second_group)
     with pytest.raises(KeyboardInterrupt):
@@ -277,11 +277,11 @@ def test_killed_batch_worker_releases_its_leases(tmp_path, monkeypatch):
     real = campaign_run._run_group
     calls = []
 
-    def kill_second_group(points):
+    def kill_second_group(points, heartbeat):
         calls.append(len(points))
         if len(calls) == 2:
             raise KeyboardInterrupt("worker killed mid-group")
-        return real(points)
+        return real(points, heartbeat)
 
     monkeypatch.setattr(campaign_run, "_run_group", kill_second_group)
     with pytest.raises(KeyboardInterrupt):

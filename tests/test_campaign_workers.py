@@ -24,7 +24,9 @@ from repro.campaign.store import STORE_SCHEMA_VERSION
 from repro.exceptions import ConfigurationError
 from repro.experiments.runner import main
 from repro.obs.trace import PHASE_NAMES
+from repro.outcome import IntervalOutcome
 from repro.scenario.registry import component_names, register, resolve
+from repro.scenario.timeline import SchemeRuntime
 
 
 # --------------------------------------------------------------------- #
@@ -615,9 +617,9 @@ def test_lone_drain_honours_a_live_peers_leases_then_takes_them_over(
     executed = []
     real = campaign_run._run_group
 
-    def recording(group):
+    def recording(group, heartbeat):
         executed.extend(point.config_hash for point in group)
-        return real(group)
+        return real(group, heartbeat)
 
     monkeypatch.setattr(campaign_run, "_run_group", recording)
     now = time.time()
@@ -646,6 +648,59 @@ def test_lone_drain_honours_a_live_peers_leases_then_takes_them_over(
     )
 
 
+#: The scenarios ``_test-slow`` started, in order (one per point run).
+SLOW_RUNS = []
+
+#: How long one ``_test-slow`` point takes.
+SLOW_POINT_S = 0.5
+
+
+@register("scheme", "_test-slow")
+class _SlowRuntime(SchemeRuntime):
+    """A scheme whose every run takes :data:`SLOW_POINT_S` and is recorded."""
+
+    def start(self, scenario):
+        SLOW_RUNS.append(scenario.spec.name)
+        time.sleep(SLOW_POINT_S)
+        return None
+
+    def step(self, state, time_s, matrix, view):
+        return IntervalOutcome(power_percent=100.0)
+
+
+def test_a_group_longer_than_the_lease_keeps_it_and_runs_every_point_once(tmp_path):
+    """A lone drain claims the whole grid as one group; a group that takes
+    longer than the lease renews it point by point, so a ``--worker-id``
+    joiner polling beside it never takes a point over and runs it again."""
+    spec_dict = campaign_dict("heartbeat", axes={"seed": [0, 1, 2, 3, 4]})
+    spec_dict["base"]["schemes"] = ["_test-slow"]
+    store_path, campaign_id, points = registered_store(tmp_path, spec_dict)
+    lease_seconds = 3 * SLOW_POINT_S  # the group takes 5 points' time
+    SLOW_RUNS.clear()
+    errors = []
+
+    def drain(**options):
+        try:
+            run_campaign(spec_dict, store_path=store_path, lease_seconds=lease_seconds, **options)
+        except BaseException as error:  # surfaced below
+            errors.append(error)
+
+    lone = threading.Thread(target=drain)
+    lone.start()
+    deadline = time.time() + 30
+    with CampaignStore(store_path, read_only=True) as store:
+        while not store.active_leases(campaign_id) and time.time() < deadline:
+            time.sleep(0.01)
+    joiner = threading.Thread(target=drain, kwargs={"worker_id": "joiner"})
+    joiner.start()
+    for thread in (lone, joiner):
+        thread.join(timeout=60)
+    assert not errors and not lone.is_alive() and not joiner.is_alive()
+    assert sorted(SLOW_RUNS) == sorted(point.name for point in points)
+    with CampaignStore(store_path, read_only=True) as store:
+        assert store.status_counts(campaign_id)["done"] == len(points)
+
+
 def test_result_under_a_foreign_config_hash_is_an_error_with_its_phases(
     tmp_path, monkeypatch
 ):
@@ -655,8 +710,8 @@ def test_result_under_a_foreign_config_hash_is_an_error_with_its_phases(
     foreign_hash = "f" * 64
     real = campaign_run._run_group
 
-    def foreign(group):
-        results = real(group)
+    def foreign(group, heartbeat):
+        results = real(group, heartbeat)
         results[0].config_hash = foreign_hash
         return results
 

@@ -7,8 +7,9 @@ instance, or many threads at once) — and a process must compute a grid's
 offline half once per pair set, whatever its claims: one REsPoNse plan
 build, two path MILPs and, from an empty table, one enumeration of each
 pair's five shortest paths.  The process's network table (an entry per
-network content holding its provider, plans and always-on sets; LRU-bounded,
-locked, emptied in a forked child) has its own tests here.
+network content holding its provider, plans, always-on sets, GreenTE solves
+and ECMP evaluations; LRU-bounded, locked, emptied in a forked child) has
+its own tests here.
 """
 
 import dataclasses
@@ -437,7 +438,7 @@ def test_threads_building_one_plan_all_get_the_value_stored_first():
         return object()
 
     threads = [
-        threading.Thread(target=lambda: results.append(entry.plan("plan", "key", build)))
+        threading.Thread(target=lambda: results.append(entry.value("plan", "key", build)))
         for _ in range(workers)
     ]
     for thread in threads:
@@ -446,24 +447,101 @@ def test_threads_building_one_plan_all_get_the_value_stored_first():
         thread.join(timeout=60)
     assert not any(thread.is_alive() for thread in threads)
     assert len(results) == workers and all(value is results[0] for value in results)
-    assert entry.plan("plan", "key", object) is results[0]
+    assert entry.value("plan", "key", object) is results[0]
     assert misses.value - before == workers
 
 
 def test_an_entry_keeps_its_most_recently_used_plans():
+    """Plans, and each other kind apart from them, within the kind's bound."""
     clear_network_table()
     entry = ksp.network_entry(build_geant())
-    plans = [entry.plan("plan", index, object) for index in range(ksp.PLANS_PER_NETWORK)]
-    assert entry.plan("plan", 0, object) is plans[0]  # now the most recent
-    entry.plan("plan", "one past the bound", object)  # evicts plan 1
-    assert entry.plan("plan", 0, object) is plans[0]
-    assert all(
-        entry.plan("plan", index, object) is plans[index]
-        for index in range(2, ksp.PLANS_PER_NETWORK)
-    )
-    assert entry.plan("plan", 1, object) is not plans[1]
-    # Always-on sets are counted apart from plans.
-    assert entry.plan("always_on", 0, object) is not plans[0]
+    for kind, bound in (
+        ("plan", ksp.PLANS_PER_NETWORK),
+        ("greente", ksp.INTERVALS_PER_NETWORK),
+        ("ecmp", ksp.INTERVALS_PER_NETWORK),
+    ):
+        values = [entry.value(kind, index, object) for index in range(bound)]
+        assert entry.value(kind, 0, object) is values[0]  # now the most recent
+        entry.value(kind, "one past the bound", object)  # evicts value 1
+        assert entry.value(kind, 0, object) is values[0]
+        assert all(entry.value(kind, index, object) is values[index] for index in range(2, bound))
+        assert entry.value(kind, 1, object) is not values[1]
+        # Always-on sets are counted apart from every other kind.
+        assert entry.value("always_on", kind, object) is not values[0]
+
+
+def test_equal_networks_share_a_greente_solve_and_an_ecmp_evaluation():
+    """Two scenarios built apart on equal content share one GreenTE solve
+    and one ECMP evaluation of a matrix; a failure view, another power
+    model, another ``k`` or another utilisation limit computes its own."""
+    clear_network_table()
+    built, again = harness_point(), harness_point()
+    assert built.topology is not again.topology
+    matrix = built.trace.matrices()[0]
+    hits = metrics.counter("repro_plan_memo_hits_total")
+    misses = metrics.counter("repro_plan_memo_misses_total")
+
+    def counted(kind, run):
+        before = hits.labels(kind=kind).value, misses.labels(kind=kind).value
+        value = run()
+        return value, (
+            hits.labels(kind=kind).value - before[0],
+            misses.labels(kind=kind).value - before[1],
+        )
+
+    def greente(scenario, view=None, **params):
+        runtime = schemes.GreenTERuntime(**params)
+        state = runtime.start(scenario)
+        runtime.step(state, 0.0, matrix, view or TopologyView(scenario.topology))
+        return state.solutions[-1]
+
+    def ecmp(scenario, view=None):
+        runtime = schemes.ECMPRuntime()
+        state = runtime.start(scenario)
+        runtime.step(state, 0.0, matrix, view or TopologyView(scenario.topology))
+        return state.configurations[-1]
+
+    solve, counts = counted("greente", lambda: greente(built))
+    assert counts == (0, 1)
+    assert counted("greente", lambda: greente(again)) == (solve, (1, 0))
+    assert counted("greente", lambda: greente(again))[0] is solve
+    evaluation, counts = counted("ecmp", lambda: ecmp(built))
+    assert counts == (0, 1)
+    shared, counts = counted("ecmp", lambda: ecmp(again))
+    assert counts == (1, 0)
+    assert shared.active_nodes is evaluation.active_nodes
+
+    degraded = TopologyView(built.topology, failed_links=[built.topology.link_keys()[0]])
+    cheaper = dataclasses.replace(built, power_model=CiscoRouterPowerModel(chassis_power_w=100.0))
+    for run in (
+        lambda: greente(built, view=degraded),
+        lambda: greente(cheaper),
+        lambda: greente(built, k=4),
+        lambda: greente(built, utilisation_limit=0.8),
+    ):
+        assert counted("greente", run)[1] == (0, 1)
+    for run in (lambda: ecmp(built, view=degraded), lambda: ecmp(cheaper)):
+        assert counted("ecmp", run)[1] == (0, 1)
+
+
+def test_a_replay_from_an_empty_table_equals_a_warm_one():
+    """Every value the table hands a replay is the one it would compute."""
+    from repro.campaign.store import canonical_result_dict
+    from repro.scenario.engine import run_scenario
+
+    spec = replay_scenario(11)
+    misses = [
+        metrics.counter("repro_plan_memo_misses_total").labels(kind=kind)
+        for kind in ("greente", "ecmp")
+    ]
+    clear_network_table()
+    cold = canonical_result_dict(run_scenario(spec).to_dict())
+    before = [counter.value for counter in misses]
+    warm = canonical_result_dict(run_scenario(spec).to_dict())
+    assert [counter.value for counter in misses] == before  # all from the table
+    assert warm == cold
+    clear_network_table()
+    assert canonical_result_dict(run_scenario(spec).to_dict()) == warm
 
 
 def test_a_plan_build_pulling_its_own_entrys_paths_does_not_deadlock():
@@ -474,10 +552,10 @@ def test_a_plan_build_pulling_its_own_entrys_paths_does_not_deadlock():
 
     def build():
         again = build_geant()  # equal content: the same entry, looked up inside the build
-        return CandidatePaths.shared(again).for_pairs(pairs, 3), entry.plan("always_on", 0, dict)
+        return CandidatePaths.shared(again).for_pairs(pairs, 3), entry.value("always_on", 0, dict)
 
     result = []
-    thread = threading.Thread(target=lambda: result.append(entry.plan("plan", 0, build)))
+    thread = threading.Thread(target=lambda: result.append(entry.value("plan", 0, build)))
     thread.start()
     thread.join(timeout=60)
     assert not thread.is_alive()

@@ -470,14 +470,10 @@ def test_run_scenario_requires_schemes():
 
 def test_a_scenario_without_schemes_is_rejected_by_every_entry():
     """The driver's one "names no schemes" check covers every way in."""
-    from repro.scenario.engine import run_built_scenario, run_built_scenarios_batch
+    from repro.scenario.engine import run_built_scenario
 
     built = build_scenario(tiny_fattree_spec(schemes=()))
-    for run in (
-        run_built_scenario,
-        lambda built: run_built_scenarios_batch([built]),
-        scheme_outcomes,
-    ):
+    for run in (run_built_scenario, scheme_outcomes):
         with pytest.raises(ConfigurationError, match="names no schemes"):
             run(built)
 
@@ -486,13 +482,9 @@ def test_a_scenario_without_schemes_is_rejected_by_every_entry():
     "example", ["scenario_geant_failure.json", "scenario_geant_gravity.json"]
 )
 def test_every_run_entry_gives_the_same_result(example):
-    """Solo, hooked, batched and the harness's point hook are one driver."""
+    """Solo, hooked, grouped and the harness's point hook are one driver."""
     from repro.experiments.runner import execute_point_outcome
-    from repro.scenario.engine import (
-        build_scenario_group,
-        run_built_scenario,
-        run_built_scenarios_batch,
-    )
+    from repro.scenario.engine import build_scenario_group, run_built_scenario
 
     with open(os.path.join(EXAMPLES_DIR, example), encoding="utf-8") as handle:
         spec = ScenarioSpec.from_dict(json.load(handle))
@@ -504,7 +496,7 @@ def test_every_run_entry_gives_the_same_result(example):
             build_scenario(spec),
             on_interval=lambda step, outcomes: streamed.append(step.index),
         ),
-        *run_built_scenarios_batch(build_scenario_group([spec])),
+        run_built_scenario(build_scenario_group([spec])[0]),
         execute_point_outcome(spec.sweep_point()).value,
     ]
     for result in results:

@@ -77,11 +77,11 @@ def eventful_scenario():
     return spec
 
 
-def campaign_dict(name="svc-grid"):
+def campaign_dict(name="svc-grid", flow_bps=(1e8, 1.5e8)):
     return {
         "name": name,
         "base": base_scenario(),
-        "axes": {"seed": [0, 1], "set": {"traffic.flow_bps": [1e8, 1.5e8]}},
+        "axes": {"seed": [0, 1], "set": {"traffic.flow_bps": list(flow_bps)}},
     }
 
 
@@ -541,14 +541,16 @@ def test_default_submission_shares_the_lone_drains_offline_work(tmp_path):
     (two path MILPs) once.  So does the service's drain process, even for a
     ``chunk_size=1`` submission (every group a single point): plans are kept
     per process, by network content.  A later default submission of the
-    same grid builds none, and its plan hits show in the drain process's
+    grid builds none, and its plan hits show in the drain process's
     snapshot in ``GET /metrics`` (``process="drain"``), beside its solves.
 
-    Plans no longer show the grouping; ECMP's path sets do, since they are
-    kept on each group's topology object.  Before the service shared
-    ``run_campaign``'s default claim it drained every submission at one
-    point per claim, and its ECMP searches (``repro_path_searches_total``
-    of kind ``bfs``) were the ``chunk_size=1`` submission's.
+    Plans and ECMP evaluations do not show the grouping; ECMP's path sets
+    do, since they are kept on each group's topology object.  The default
+    submission carries other demand volumes, so none of its ECMP
+    evaluations is one the ``chunk_size=1`` submission left in the table,
+    and it runs fewer ECMP searches (``repro_path_searches_total`` of kind
+    ``bfs``) only because its points share one group: a drain that claimed
+    one point at a time would run as many as the ``chunk_size=1`` one.
     """
     solves = metrics.counter("repro_milp_solves_total").labels(kind="path")
     clear_network_table()
@@ -578,7 +580,9 @@ def test_default_submission_shares_the_lone_drains_offline_work(tmp_path):
         per_point = drained_by(
             server, {"spec": campaign_dict("svc-per-point"), "chunk_size": 1}
         )
-        default = drained_by(server, {"spec": campaign_dict("svc-shared")})
+        default = drained_by(
+            server, {"spec": campaign_dict("svc-shared", flow_bps=(2e8, 2.5e8))}
+        )
     # (path MILPs, plan hits, plan misses, ECMP searches)
     assert lone > 0
     assert per_point[:3] == [lone, 2, 2]

@@ -624,6 +624,10 @@ def test_run_built_scenario_on_interval_hook_event_free_identity():
 
 def test_solver_runtime_memoises_unchanged_intervals(monkeypatch):
     import repro.scenario.schemes as schemes_module
+    from repro.routing.ksp import clear_network_table
+
+    # An earlier test on an equal network leaves its solves in the table.
+    clear_network_table()
 
     calls = []
     original = schemes_module.greente_heuristic
@@ -692,13 +696,10 @@ def test_plain_callable_scheme_component_is_rejected():
 
 
 def test_group_with_different_trace_lengths_matches_solo_runs():
-    """A shorter point of a group simply stops participating early."""
+    """Points of one group with different trace lengths each run their own
+    trace on the group's stack, as they would alone."""
     from repro.campaign.store import canonical_result_dict
-    from repro.scenario.engine import (
-        build_scenario_group,
-        run_built_scenario,
-        run_built_scenarios_batch,
-    )
+    from repro.scenario.engine import build_scenario_group, run_built_scenario
 
     def spec_with(levels):
         traffic = TrafficSpec(
@@ -717,9 +718,8 @@ def test_group_with_different_trace_lengths_matches_solo_runs():
 
     specs = [spec_with([0.25, 1.0]), spec_with([0.25, 0.5, 1.0])]
     builts = build_scenario_group(specs)
-    assert builts[0].shared is builts[1].shared
     assert builts[0].topology is builts[1].topology
-    grouped = run_built_scenarios_batch(builts)
+    grouped = [run_built_scenario(built) for built in builts]
     assert [len(result.times_s) for result in grouped] == [2, 3]
     for spec, result in zip(specs, grouped, strict=True):
         solo = run_built_scenario(build_scenario(spec))
@@ -729,7 +729,7 @@ def test_group_with_different_trace_lengths_matches_solo_runs():
 def test_hand_built_scenario_without_shared_runs_every_shipped_scheme(
     diamond, cisco_model, diamond_demands
 ):
-    """``BuiltScenario.shared`` is always there — no runtime tests for it."""
+    """A scenario built by hand, not through the registry, runs every scheme."""
     from repro.power.accounting import full_power
     from repro.scenario import BuiltScenario, component_names
     from repro.scenario.engine import run_built_scenario
@@ -757,17 +757,6 @@ def test_hand_built_scenario_without_shared_runs_every_shipped_scheme(
     for label in names:
         assert len(result.columns["power_percent"][label]) == 2
         assert all(0.0 < value <= 100.0 + 1e-9 for value in result.columns["power_percent"][label])
-    # A scenario built on its own owns a private cache.
-    other = BuiltScenario(
-        spec=built.spec,
-        topology=diamond,
-        power_model=cisco_model,
-        trace=built.trace,
-        pairs=built.pairs,
-        baseline_power_w=built.baseline_power_w,
-        events=[],
-    )
-    assert other.shared is not built.shared
 
 
 # --------------------------------------------------------------------- #
