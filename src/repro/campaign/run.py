@@ -5,8 +5,8 @@ There is one way to execute a campaign's points — a lease worker's drain
 :class:`~repro.campaign.store.CampaignStore` under a lease → cut the claim
 into groups that declare the same topology, power and routing
 (:func:`~repro.scenario.engine.group_signature`) → build every group's
-stack once and run its points on it one at a time, renewing the lease on
-the claim before each → persist the group's outcomes in a **single
+stack once and run its points on it one at a time, renewing the claim's
+lease between them as it ages → persist the group's outcomes in a **single
 transaction** → claim again.  What the points compute — candidate paths,
 REsPoNse plans, GreenTE solves, ECMP evaluations — the process keeps per
 network content, whatever group asks.
@@ -324,9 +324,10 @@ class PreparedDrain:
         did, once.  When nothing is claimable but pending points remain,
         they are leased to peers: the worker polls until they complete,
         error out, or their leases expire (the crash-recovery path, where
-        this worker takes them over).  The worker renews its leases before
-        each point it runs, so a lease only expires when one point outlasts
-        it or the worker stops making progress.
+        this worker takes them over).  Before each point the worker renews
+        its leases once a quarter of the lease has passed since the claim or
+        the last renewal, so a lease only expires when one point takes three
+        quarters of it or the worker stops making progress.
         """
         worker_id = self.worker_ids[index]
         quota = self.quotas[index]
@@ -335,12 +336,16 @@ class PreparedDrain:
         with CampaignStore(self.store_path, read_only=False) as store:
 
             def heartbeat() -> None:
-                store.renew_leases(self.campaign_id, worker_id, self.lease_seconds)
+                nonlocal renewed
+                if time.monotonic() - renewed >= self.lease_seconds / 4:
+                    store.renew_leases(self.campaign_id, worker_id, self.lease_seconds)
+                    renewed = time.monotonic()
 
             while quota is None or tally.executed < quota:
                 limit = self.claim_size
                 if quota is not None:
                     limit = min(limit, quota - tally.executed)
+                renewed = time.monotonic()
                 claimed = store.claim_points(
                     self.campaign_id, worker_id, limit, self.lease_seconds
                 )
@@ -486,7 +491,7 @@ def run_campaign(
             of a long campaign (and the deterministic stand-in for a killed
             run in tests).
         lease_seconds: How long a claim lasts without renewal (renewed
-            before every point).
+            before a point once a quarter of it has passed).
         profile: Collect a phase-timing breakdown
             (build/calibrate/solve/allocate/overhead) and persist it on
             the point rows (``phases_json``) for ``campaign-report

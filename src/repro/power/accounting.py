@@ -17,10 +17,12 @@ switch side of the link).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
 from ..exceptions import TopologyError
 from ..topology.base import Topology, link_key
+from ..topology.index import HashedKey
 from .model import PowerModel
 
 
@@ -51,11 +53,11 @@ class ElementPower:
     always_powered: FrozenSet[str]
     full: Optional[PowerBreakdown] = None
 
-    @property
-    def charges(self) -> Tuple[Tuple[float, ...], Tuple[Tuple[Tuple[float, float], ...], ...]]:
-        """The watts in the topology's node and link order: beside the
-        network's content, all a plan reads of the power model."""
-        return tuple(self.node_w.values()), tuple(self.arc_w.values())
+    @cached_property
+    def charges(self) -> HashedKey:
+        """The watts in the topology's node and link order, hashed once:
+        beside the network's content, all a plan reads of the power model."""
+        return HashedKey((tuple(self.node_w.values()), tuple(self.arc_w.values())))
 
 
 def element_power(topology: Topology, model: PowerModel) -> ElementPower:

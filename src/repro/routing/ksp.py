@@ -31,7 +31,7 @@ from typing import (
 from ..exceptions import PathNotFoundError
 from ..obs import metrics, trace
 from ..topology.base import Topology
-from ..topology.index import ContentKey
+from ..topology.index import HashedKey
 from ..topology.search import shortest_simple_paths
 from ..traffic.matrix import Pair
 from .paths import Path
@@ -42,6 +42,8 @@ _PATHS_ENUMERATED = metrics.counter(
 )
 
 T = TypeVar("T")
+
+_MISSING = object()
 
 #: Networks the process keeps, least recently used out first.  A network's
 #: candidate paths retain ≈ 0.2 MB on the 33 pairs of the harness's GÉANT
@@ -61,22 +63,16 @@ SHARED_NETWORKS = 8
 #: needs one per (pair set, config, power model, peak).
 PLANS_PER_NETWORK = 16
 
-#: GreenTE solves, and apart from them ECMP evaluations, each network keeps,
-#: least recently used out first: one per demand matrix and power table.  A
-#: solve retains 4.7 kB on the harness grid's 12 GÉANT pairs and 22.9 kB on
-#: 150 Genuity pairs, an ECMP evaluation 5.1 kB and 14.3 kB, plus 5.6 kB and
-#: 11.5 kB for the base network's content key once no topology object holds
-#: it (tracemalloc), so 128 of each stay under 6.3 MB a network on Genuity
-#: and hold a GÉANT day of 15-minute intervals.
+#: The fewest GreenTE solves, and apart from them ECMP evaluations, each
+#: network keeps, least recently used out first: one per demand matrix and
+#: power table.  A solve retains 4.7 kB on the harness grid's 12 GÉANT pairs and
+#: 22.9 kB on 150 Genuity pairs, an ECMP evaluation 5.1 kB and 14.3 kB
+#: (tracemalloc), so 128 of each stay under 4.8 MB a network on Genuity.  A
+#: scenario group raises the bound to the intervals its schemes step
+#: (:func:`keep_intervals`), so no point of a group recomputes what an
+#: earlier one computed, however long its trace: an entry then holds what
+#: the process's largest group computes of the network.
 INTERVALS_PER_NETWORK = 128
-
-#: Each kind a :class:`NetworkEntry` keeps, and how many of it.
-_BOUNDS = {
-    "plan": PLANS_PER_NETWORK,
-    "always_on": PLANS_PER_NETWORK,
-    "greente": INTERVALS_PER_NETWORK,
-    "ecmp": INTERVALS_PER_NETWORK,
-}
 
 _PLAN_HITS = metrics.counter(
     "repro_plan_memo_hits_total",
@@ -197,12 +193,14 @@ class Memo:
         the one stored first.
         """
         hits, misses = counters
+        key = HashedKey(key)  # hashed here, once per lookup
         with self._lock:
             values = self._values.setdefault(kind, OrderedDict())
-            if key in values:
+            stored = values.get(key, _MISSING)
+            if stored is not _MISSING:
                 values.move_to_end(key)
                 hits.inc()
-                return cast(T, values[key])
+                return cast(T, stored)
         misses.inc()
         built = build()
         with self._lock:
@@ -235,10 +233,12 @@ class NetworkEntry(Memo):
 
     def value(self, kind: str, key: Hashable, build: Callable[[], T]) -> T:
         """:meth:`memo` of one of the kinds above, within its bound
-        (:data:`PLANS_PER_NETWORK`, :data:`INTERVALS_PER_NETWORK`), counted
-        in ``repro_plan_memo_{hits,misses}_total{kind}``."""
+        (:data:`PLANS_PER_NETWORK`, :data:`INTERVALS_PER_NETWORK` or what
+        :func:`keep_intervals` raised it to), counted in
+        ``repro_plan_memo_{hits,misses}_total{kind}``."""
         counters = (_PLAN_HITS.labels(kind=kind), _PLAN_MISSES.labels(kind=kind))
-        return self.memo(kind, key, build, counters, _BOUNDS[kind])
+        bound = PLANS_PER_NETWORK if kind in ("plan", "always_on") else _table.intervals
+        return self.memo(kind, key, build, counters, bound)
 
 
 class _Table:
@@ -247,11 +247,13 @@ class _Table:
 
     def __init__(self) -> None:
         self.lock = threading.Lock()
-        self.entries: "OrderedDict[ContentKey, NetworkEntry]" = OrderedDict()
+        self.entries: "OrderedDict[HashedKey, NetworkEntry]" = OrderedDict()
         #: Calibrations by what a calibration reads (:mod:`repro.traffic.scaling`):
         #: unbounded, and apart from the entries, so calibrating a network
         #: neither makes an entry nor evicts one.
         self.calibrations = Memo()
+        #: GreenTE solves, and apart from them ECMP evaluations, an entry keeps.
+        self.intervals = INTERVALS_PER_NETWORK
 
 
 _table = _Table()
@@ -270,6 +272,15 @@ def network_entry(topology: Topology) -> NetworkEntry:
         else:
             table.entries.move_to_end(key)
     return entry
+
+
+def keep_intervals(count: int) -> None:
+    """Let every entry keep at least *count* GreenTE solves, and apart from
+    them ECMP evaluations, from now on: a scenario group asks for the
+    intervals its schemes step (:func:`~repro.scenario.engine.build_scenario_group`)."""
+    table = _table
+    with table.lock:
+        table.intervals = max(table.intervals, count)
 
 
 def calibration_memo() -> Memo:

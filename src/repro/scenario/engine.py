@@ -25,6 +25,7 @@ from ..obs import trace
 from ..outcome import IntervalOutcome, ScenarioResult
 from ..power.accounting import full_power
 from ..power.model import PowerModel
+from ..routing.ksp import keep_intervals
 from ..routing.paths import RoutingTable
 from ..topology.base import Topology
 from ..traffic.matrix import Pair, TrafficMatrix
@@ -127,7 +128,8 @@ def build_scenario_group(specs: Sequence[Any]) -> List[BuiltScenario]:
     baseline-power evaluation, one built workload per distinct traffic
     section and one routing table per distinct (routing, pairs) combination
     (what the schemes compute is kept per process, by network content:
-    :class:`~repro.routing.ksp.NetworkEntry`).
+    :class:`~repro.routing.ksp.NetworkEntry`, which from now on keeps every
+    GreenTE solve and ECMP evaluation the group's points step through).
 
     Every component is built by the same call whatever the group's size
     (:func:`build_scenario` is the group of one), so a scenario runs
@@ -191,6 +193,7 @@ def build_scenario_group(specs: Sequence[Any]) -> List[BuiltScenario]:
                     traffic=built_traffic,
                 )
             )
+        keep_intervals(sum(len(built.trace) * len(built.spec.schemes) for built in builts))
         return builts
 
 

@@ -394,12 +394,12 @@ class ECMPRuntime(SchemeRuntime):
                 ecmp_max_utilisation(view.topology, effective),
             )
 
-        # The paths are the surviving network's (the entry's content), the
-        # watts the base network's.
-        nodes, links, total_w, max_utilisation = network_entry(view.topology).value(
+        # The watts are the base network's (the entry's content), the paths
+        # the surviving network's, so a failure view adds no entry.
+        nodes, links, total_w, max_utilisation = network_entry(scenario.topology).value(
             "ecmp",
             (
-                scenario.topology.index().content_key,
+                view.topology.index().content_key,
                 element_power(scenario.topology, scenario.power_model).charges,
                 effective,
             ),

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,8 +25,26 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (routing imports topology)
 Key = Tuple[str, str]
 #: What a k-shortest enumeration reads of an index (:attr:`TopologyIndex.search_key`).
 SearchKey = Tuple[Tuple[str, ...], Tuple[Key, ...], bytes]
-#: What a plan reads of a network (:attr:`TopologyIndex.content_key`).
-ContentKey = Tuple[SearchKey, Tuple[Tuple[str, str, Optional[str], bool], ...], bytes, bytes]
+
+
+class HashedKey:
+    """A hashable value whose hash is taken once, for a key or part of one
+    that memos look up on every interval (a network's content, a power
+    table): hashing it again costs nothing however large the value."""
+
+    __slots__ = ("value", "_hash")
+
+    def __init__(self, value: Hashable) -> None:
+        self.value = value
+        self._hash = hash(value)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, HashedKey):
+            return NotImplemented
+        return self._hash == other._hash and self.value == other.value
 
 
 @dataclass(frozen=True)
@@ -103,15 +121,15 @@ class TopologyIndex:
         return tuple(self.node_names), tuple(self.arc_keys), invcap
 
     @cached_property
-    def content_key(self) -> ContentKey:
+    def content_key(self) -> HashedKey:
         """Everything a REsPoNse plan reads of the network bar the topology's
         name (its memo key adds that): :attr:`search_key`, each node's name,
         kind, level and ``always_powered``, and the arcs' capacities and
-        latencies as float bits.  The process keeps one entry per key
-        (:func:`~repro.routing.ksp.network_entry`)."""
+        latencies as float bits, hashed once.  The process keeps one entry
+        per key (:func:`~repro.routing.ksp.network_entry`)."""
         nodes = tuple((n.name, n.kind, n.level, n.always_powered) for n in self._nodes)
         latency = np.array(self.arc_weights["latency"], dtype=np.float64).tobytes()
-        return self.search_key, nodes, self.arc_capacity.tobytes(), latency
+        return HashedKey((self.search_key, nodes, self.arc_capacity.tobytes(), latency))
 
     @cached_property
     def arc_between(self) -> List[Dict[int, int]]:

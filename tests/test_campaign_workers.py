@@ -655,17 +655,19 @@ SLOW_RUNS = []
 SLOW_POINT_S = 0.5
 
 
-@register("scheme", "_test-slow")
-class _SlowRuntime(SchemeRuntime):
-    """A scheme whose every run takes :data:`SLOW_POINT_S` and is recorded."""
+if "_test-slow" not in component_names("scheme"):
 
-    def start(self, scenario):
-        SLOW_RUNS.append(scenario.spec.name)
-        time.sleep(SLOW_POINT_S)
-        return None
+    @register("scheme", "_test-slow")
+    class _SlowRuntime(SchemeRuntime):
+        """A scheme whose every run takes :data:`SLOW_POINT_S` and is recorded."""
 
-    def step(self, state, time_s, matrix, view):
-        return IntervalOutcome(power_percent=100.0)
+        def start(self, scenario):
+            SLOW_RUNS.append(scenario.spec.name)
+            time.sleep(SLOW_POINT_S)
+            return None
+
+        def step(self, state, time_s, matrix, view):
+            return IntervalOutcome(power_percent=100.0)
 
 
 def test_a_group_longer_than_the_lease_keeps_it_and_runs_every_point_once(tmp_path):

@@ -29,7 +29,7 @@ from repro.power import CiscoRouterPowerModel
 from repro.routing import ksp
 from repro.routing.ksp import CandidatePaths, clear_network_table
 from repro.scenario import schemes
-from repro.scenario.engine import build_scenario_group, scheme_outcomes
+from repro.scenario.engine import build_scenario_group, run_built_scenario, scheme_outcomes
 from repro.simulator.failures import TopologyView
 from repro.topology.base import Topology
 from repro.topology.fattree import build_fattree
@@ -346,10 +346,10 @@ def triangle(name="triangle", kind="router", latency_s=0.001, capacity=mbps(100)
 def test_the_content_key_covers_what_a_plan_reads():
     key = triangle().index().content_key
     assert key == triangle().index().content_key
-    assert key[0] == triangle().index().search_key
+    assert key.value[0] == triangle().index().search_key
     # What Yen's enumeration reads is equal, what a plan reads is not.
     for other in (triangle(kind="switch"), triangle(latency_s=0.002)):
-        assert other.index().search_key == key[0]
+        assert other.index().search_key == key.value[0]
         assert other.index().content_key != key
     assert triangle(capacity=mbps(200)).index().content_key != key
     # The name is left to the plan's own key: renaming stays an attribute write.
@@ -522,6 +522,42 @@ def test_equal_networks_share_a_greente_solve_and_an_ecmp_evaluation():
         assert counted("greente", run)[1] == (0, 1)
     for run in (lambda: ecmp(built, view=degraded), lambda: ecmp(cheaper)):
         assert counted("ecmp", run)[1] == (0, 1)
+    # ECMP keeps a failure view's evaluations on the base network's entry.
+    clear_network_table()
+    ecmp(built, view=degraded)
+    assert len(ksp._table.entries) == 1
+
+
+def test_a_group_keeps_every_value_its_points_step_through():
+    """Two points of one group share a trace longer than
+    :data:`~repro.routing.ksp.INTERVALS_PER_NETWORK` and run one after the
+    other: the second computes no GreenTE solve and no ECMP evaluation."""
+    clear_network_table()
+    traffic = {"name": "geant-trace", "params": {"num_days": 2, "num_pairs": 10}}
+    specs = [
+        {
+            "name": f"long-{threshold}",
+            "topology": "geant",
+            "traffic": traffic,
+            "power": "cisco",
+            "schemes": [{"name": "greente", "params": {}}, "ecmp"],
+            "utilisation_threshold": threshold,
+        }
+        for threshold in (0.85, 0.9)
+    ]
+    first, second = build_scenario_group(specs)
+    intervals = len(first.trace)
+    assert intervals > ksp.INTERVALS_PER_NETWORK
+    counters = [
+        metrics.counter(name).labels(kind=kind)
+        for name in ("repro_plan_memo_hits_total", "repro_plan_memo_misses_total")
+        for kind in ("greente", "ecmp")
+    ]
+    before = [counter.value for counter in counters]
+    run_built_scenario(first)
+    run_built_scenario(second)
+    counts = [counter.value - start for counter, start in zip(counters, before)]
+    assert counts == [intervals] * 4  # one miss and one hit per interval and kind
 
 
 def test_a_replay_from_an_empty_table_equals_a_warm_one():
